@@ -155,15 +155,23 @@ impl CommitTable {
         self.aborts.retain(|&start| start >= watermark);
     }
 
+    /// Drops commits with *commit* timestamp below `watermark` and aborts
+    /// with start timestamp below it, in one pass over each map.
+    ///
+    /// The read-side replica's pruning rule: once the garbage collector has
+    /// stamped every surviving version that committed below the watermark,
+    /// no reader resolves those writers through the table again — but a
+    /// commit that *started* below the watermark and committed at or above
+    /// it (which [`CommitTable::prune_below`] would drop) may still be
+    /// unstamped, so it stays.
+    pub fn prune_committed_below(&mut self, watermark: Timestamp) {
+        self.commits.retain(|_, commit| *commit >= watermark);
+        self.aborts.retain(|&start| start >= watermark);
+    }
+
     /// Iterates over `(start_ts, commit_ts)` pairs in unspecified order.
     pub fn iter_commits(&self) -> impl Iterator<Item = (Timestamp, Timestamp)> + '_ {
         self.commits.iter().map(|(&s, &c)| (s, c))
-    }
-
-    /// Iterates over the start timestamps of aborted transactions in
-    /// unspecified order.
-    pub fn iter_aborts(&self) -> impl Iterator<Item = Timestamp> + '_ {
-        self.aborts.iter().copied()
     }
 }
 

@@ -16,7 +16,7 @@ const STEPS: u64 = 400;
 #[test]
 fn same_seed_replays_the_identical_history() {
     for kind in EngineKind::ALL {
-        for plan_name in ["none", "quorum-loss", "everything"] {
+        for plan_name in ["none", "quorum-loss", "reclamation-storm", "everything"] {
             for seed in [3u64, 0xFEED_FACE] {
                 let config = || {
                     RunConfig::new(kind, seed).steps(STEPS).plan(
@@ -53,7 +53,7 @@ fn same_seed_replays_the_identical_history() {
 fn same_seed_replays_the_identical_journal() {
     let keys = |r: &RunReport| r.journal.iter().map(Event::replay_key).collect::<Vec<_>>();
     for kind in EngineKind::ALL {
-        for plan_name in ["none", "quorum-loss", "everything"] {
+        for plan_name in ["none", "quorum-loss", "reclamation-storm", "everything"] {
             let config = || {
                 RunConfig::new(kind, 0x70AD).steps(STEPS).plan(
                     plan_name,

@@ -7,11 +7,13 @@
 //! each shard's `BTreeMap` of chains with a readers-writer lock, here:
 //!
 //! * **Readers take no lock at all.** A snapshot read hashes the key into
-//!   [`ChainHeadTable`]'s bucket array, walks the bucket's entry list and
-//!   then the key's version chain through plain `Acquire` loads, and decides
-//!   visibility per version exactly as the locked layout does (stamp →
-//!   resolver). The only synchronization on the read path is an epoch *pin*
-//!   (two atomics on the thread's own cache line).
+//!   [`ChainHeadTable`]'s current open-addressing generation (expected ≤ 2
+//!   probes at any key count; a non-matching probe compares a fingerprint
+//!   and touches nothing else), then walks the key's version chain through
+//!   plain `Acquire` loads, and decides visibility per version exactly as
+//!   the locked layout does (stamp → resolver). The only synchronization on
+//!   the read path is an epoch *pin* (two atomics on the thread's own cache
+//!   line).
 //! * **Writers publish with one CAS.** On a cold chain a version is
 //!   allocated from the [`VersionArena`], fully initialized, linked to the
 //!   current head, and installed by a single compare-and-swap on the key's
@@ -51,6 +53,11 @@
 //!   survive. `retired == freed + limbo` counts retire *units*: one per
 //!   single slot, one per packed node. See DESIGN.md §6 for the epoch
 //!   safety argument.
+//! * **The GC visits only what was written.** A publisher flags its key
+//!   entry dirty and, on the clean → dirty transition, queues the entry's
+//!   index on a sharded worklist; a sweep drains the worklist and examines
+//!   exactly those entries, so its cost follows the keys written since the
+//!   last sweep, never the keys stored (DESIGN.md §6).
 //!
 //! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit slot index
 //! plus the slot's 32-bit *generation*, bumped on every free, so a stale
@@ -65,7 +72,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -78,7 +85,7 @@ use crate::mvcc::{
     PRUNE_CHAIN_LEN,
 };
 use crate::obs::ArenaObs;
-use crate::registry::EpochParticipants;
+use crate::registry::{EpochParticipants, EpochPin};
 
 /// Versions per arena chunk (power of two).
 const CHUNK_SLOTS: usize = 1024;
@@ -98,17 +105,28 @@ const MAX_PACKED_CHUNKS: usize = 4096;
 /// Key entries per entry-arena chunk (power of two).
 const ENTRY_CHUNK_SLOTS: usize = 1024;
 
-/// Maximum entry chunks; bounds distinct keys ever written.
-const MAX_ENTRY_CHUNKS: usize = 1024;
+/// Maximum entry chunks; bounds distinct keys ever written at the version
+/// arena's own bound (a key needs a version slot to exist).
+const MAX_ENTRY_CHUNKS: usize = MAX_CHUNKS;
 
-/// Hash buckets in the chain-head table.
-const BUCKETS: usize = 1 << 16;
+/// log₂ of the head table's first generation (64 slots, 256 bytes).
+const TABLE_MIN_BITS: u32 = 6;
+
+/// Head-table generations, each twice the size of its predecessor; the last
+/// holds `1 << 31` slots, beyond what the entry arena can fill.
+const TABLE_GENERATIONS: usize = 26;
+
+/// Shards of the GC's dirty-key worklist (power of two), each on its own
+/// cache line and selected by the publisher's epoch-participant slot, so
+/// concurrent committers append to different lines.
+const WORK_SHARDS: usize = 16;
+
+/// Worklist entries a GC sweep examines under one epoch pin and retires
+/// with one limbo-list append.
+const GC_BATCH: usize = 256;
 
 /// Packed null handle: no version / end of chain.
 const NULL_VIDX: u64 = u64::MAX;
-
-/// Null entry index: empty bucket / end of bucket list.
-const NULL_ENTRY: u64 = u64::MAX;
 
 /// Free-list "empty" sentinel in the low half of the tagged head.
 const FREE_NONE: u32 = u32::MAX;
@@ -572,25 +590,31 @@ impl PackedArena {
 
 /// One key's entry in the chain-head table. Entries are **immortal**: once
 /// a key has been written its entry is never deallocated (an empty chain is
-/// encoded as a null head), which is what lets the bucket lists be walked
-/// with zero protection.
+/// encoded as a null head), which is what lets the head table hold bare
+/// entry indices and be probed with zero protection.
 #[derive(Debug)]
 struct KeyEntry {
     key: Bytes,
     /// Packed [`VersionIdx`] of the newest chain node, or [`NULL_VIDX`]
     /// for an (observably absent) empty chain.
     head: AtomicU64,
-    /// Next entry index in this hash bucket's list, or [`NULL_ENTRY`].
-    bucket_next: AtomicU64,
-    /// Serializes chain *restructuring* (abort unlink, pruning, migration,
-    /// GC) for this key. Readers and publishing writers never take it.
-    lock: SpinMutex<()>,
+    /// [`ChainHeadTable::hash_of`] the key: home slot and fingerprint in
+    /// every table generation, kept so growth never re-reads key bytes.
+    hash: u32,
     /// Approximate live version count, maintained by publishers and
     /// restructurers to arm insert-time pruning. Advisory only.
     approx_len: AtomicU32,
     /// Approximate single-version node count, arming chain migration in
     /// adaptive mode. Advisory only.
     singles: AtomicU32,
+    /// Serializes chain *restructuring* (abort unlink, pruning, migration,
+    /// GC) for this key. Readers and publishing writers never take it.
+    lock: SpinMutex<()>,
+    /// Set by every publisher, cleared by the GC *before* it examines the
+    /// chain: a clear flag means the chain is empty or holds exactly one
+    /// live, committed, stamped version — nothing a sweep could act on.
+    /// The clean → dirty transition queues the entry on the worklist.
+    dirty: AtomicBool,
 }
 
 /// Append-only chunked storage for [`KeyEntry`]s.
@@ -623,7 +647,7 @@ impl EntryArena {
 
     /// Appends an entry. Callers serialize creation (the ordered index's
     /// write lock), so the bump is effectively single-threaded; the
-    /// `Release` bump publishes the entry for `len()` readers like the GC.
+    /// `Release` bump publishes the entry for `len()` readers.
     fn push(&self, entry: KeyEntry) -> u32 {
         let idx = self.len.load(Ordering::Relaxed);
         assert!(
@@ -639,72 +663,203 @@ impl EntryArena {
     }
 }
 
-/// The per-key chain heads: a fixed bucket array of lock-free entry lists
-/// for point lookups, plus an ordered `key → entry` index (behind a plain
-/// readers-writer lock) that only scans, dumps, and key *creation* touch.
+/// The per-key chain heads: an open-addressing hash table over entry
+/// indices for point lookups, plus an ordered `key → entry` index (behind a
+/// plain readers-writer lock) that only scans, dumps, and key *creation*
+/// touch.
+///
+/// The table is a sequence of **generations**, each a power-of-two array of
+/// `u32` slots twice the size of its predecessor. A slot is `0` (empty) or
+/// `fingerprint << bits | entry index + 1`, where `bits` is the
+/// generation's log₂ size: a generation never fills past three quarters,
+/// so an index always fits in `bits` and the rest of the word is free for
+/// the low hash bits the home slot did not consume. At that bound a hit
+/// compares 2.5 slots on average (under 2 averaged over a generation's
+/// life), sixteen to a cache line, and a slot that does not match costs
+/// nothing beyond the compare. Entries are immortal and never
+/// removed, so insert-only linear probing is reader-safe by construction: a
+/// slot goes from empty to its final value exactly once.
+///
+/// Growth (under the creation lock) builds the next generation from every
+/// existing entry and publishes it with a `Release` store of `current`;
+/// later creations insert into the current generation only. Old
+/// generations are kept — a reader may still be probing one — which costs
+/// as many slots again as the current generation. A reader that loaded
+/// generation *g* can miss only keys created after its load, and every
+/// version of such a key commits after the reader's snapshot was taken, so
+/// reporting it absent is the correct snapshot read (DESIGN.md §6).
 #[derive(Debug)]
 struct ChainHeadTable {
-    /// Entry index heading each bucket's list, or [`NULL_ENTRY`].
-    buckets: Box<[AtomicU64]>,
+    generations: [OnceLock<Box<[AtomicU32]>>; TABLE_GENERATIONS],
+    /// Index of the generation lookups and creations use.
+    current: AtomicUsize,
     entries: EntryArena,
     /// Ordered key index for range scans; also the (write-locked) serializer
-    /// of entry creation. Point reads never touch it.
+    /// of entry creation and table growth. Point reads never touch it.
     index: RwLock<BTreeMap<Bytes, u32>>,
 }
 
 impl ChainHeadTable {
     fn new() -> Self {
-        ChainHeadTable {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(NULL_ENTRY)).collect(),
+        let table = ChainHeadTable {
+            generations: std::array::from_fn(|_| OnceLock::new()),
+            current: AtomicUsize::new(0),
             entries: EntryArena::new(),
             index: RwLock::new(BTreeMap::new()),
-        }
+        };
+        table.generations[0]
+            .set(Self::empty_slots(TABLE_MIN_BITS))
+            .expect("generation 0 is set once");
+        table
     }
 
+    fn empty_slots(bits: u32) -> Box<[AtomicU32]> {
+        (0..1usize << bits).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    /// The 32 hash bits the table works from: in a generation of `bits`
+    /// log₂ slots the top `bits` are the home slot, the rest the
+    /// fingerprint. FNV-1a leaves the last key bytes out of its top bits,
+    /// and linear probing clusters on exactly that (short sequential keys
+    /// probed 3.6 slots at 2 M keys where a uniform hash probes 1.5), so
+    /// the high half is folded into the low before the Fibonacci multiply
+    /// carries everything back up.
     #[inline]
-    fn bucket_of(key: &[u8]) -> usize {
-        (hash_row_key(key).raw().wrapping_mul(FIB_HASH) >> (64 - 16)) as usize & (BUCKETS - 1)
+    fn hash_of(key: &[u8]) -> u32 {
+        let hash = hash_row_key(key).raw();
+        ((hash ^ (hash >> 32)).wrapping_mul(FIB_HASH) >> 32) as u32
+    }
+
+    /// The current generation's slots and log₂ size.
+    #[inline]
+    fn current(&self) -> (&[AtomicU32], u32) {
+        let gen = self.current.load(Ordering::Acquire);
+        let slots = self.generations[gen]
+            .get()
+            .expect("a published generation is initialized");
+        (slots, TABLE_MIN_BITS + gen as u32)
+    }
+
+    /// Slots allocated over all retained generations.
+    fn slots(&self) -> u64 {
+        let gen = self.current.load(Ordering::Relaxed) as u32;
+        ((2u64 << gen) - 1) << TABLE_MIN_BITS
+    }
+
+    /// Generations built beyond the first.
+    fn grows(&self) -> u64 {
+        self.current.load(Ordering::Relaxed) as u64
+    }
+
+    /// Lock-free point lookup: the entry, its index, and the slots probed.
+    #[inline]
+    fn probe(&self, key: &[u8]) -> (Option<(u32, &KeyEntry)>, usize) {
+        let hash = Self::hash_of(key);
+        let (slots, bits) = self.current();
+        let mask = slots.len() - 1;
+        let idx_mask = mask as u32;
+        let fingerprint = hash << bits;
+        let mut pos = (hash >> (32 - bits)) as usize;
+        let mut probes = 1;
+        loop {
+            let slot = slots[pos].load(Ordering::Acquire);
+            if slot == 0 {
+                return (None, probes);
+            }
+            if slot & !idx_mask == fingerprint {
+                let idx = (slot & idx_mask) - 1;
+                let entry = self.entries.get(idx);
+                if &*entry.key == key {
+                    return (Some((idx, entry)), probes);
+                }
+            }
+            pos = (pos + 1) & mask;
+            probes += 1;
+        }
     }
 
     /// Lock-free point lookup.
+    #[inline]
     fn find(&self, key: &[u8]) -> Option<&KeyEntry> {
-        let mut cur = self.buckets[Self::bucket_of(key)].load(Ordering::Acquire);
-        while cur != NULL_ENTRY {
-            let entry = self.entries.get(cur as u32);
-            if &*entry.key == key {
-                return Some(entry);
-            }
-            cur = entry.bucket_next.load(Ordering::Acquire);
-        }
-        None
+        self.probe(key).0.map(|(_, entry)| entry)
     }
 
-    /// Returns the key's entry, creating it if absent. Creation serializes
-    /// on the ordered index's write lock (rare: once per distinct key ever).
-    fn find_or_create(&self, key: Bytes) -> &KeyEntry {
-        if let Some(entry) = self.find(&key) {
-            return entry;
+    /// Stores entry `idx` in the first empty slot at or after its home.
+    /// Caller holds the creation lock (or owns an unpublished generation).
+    fn place(slots: &[AtomicU32], bits: u32, idx: u32, hash: u32) {
+        debug_assert!(
+            idx + 1 < 1 << bits,
+            "the load bound keeps the index in `bits`"
+        );
+        let mask = slots.len() - 1;
+        let mut pos = (hash >> (32 - bits)) as usize;
+        while slots[pos].load(Ordering::Relaxed) != 0 {
+            pos = (pos + 1) & mask;
+        }
+        slots[pos].store((hash << bits) | (idx + 1), Ordering::Release);
+    }
+
+    /// Returns the key's entry and its index, creating it if absent.
+    /// Creation serializes on the ordered index's write lock (rare: once
+    /// per distinct key ever), and so does the table growth it may trigger.
+    fn find_or_create(&self, key: Bytes) -> (u32, &KeyEntry) {
+        if let Some(found) = self.probe(&key).0 {
+            return found;
         }
         let mut index = self.index.write();
         if let Some(&idx) = index.get(&key) {
-            return self.entries.get(idx); // lost the creation race
+            return (idx, self.entries.get(idx)); // lost the creation race
         }
-        let bucket = Self::bucket_of(&key);
+        let idx = self.create(key.clone());
+        index.insert(key, idx);
+        (idx, self.entries.get(idx))
+    }
+
+    /// Appends the entry for a key that has none and makes it findable,
+    /// growing the table first if this entry would push the current
+    /// generation past three quarters full. Caller holds the creation lock.
+    fn create(&self, key: Bytes) -> u32 {
+        let hash = Self::hash_of(&key);
         let idx = self.entries.push(KeyEntry {
-            key: key.clone(),
+            key,
             head: AtomicU64::new(NULL_VIDX),
-            bucket_next: AtomicU64::new(self.buckets[bucket].load(Ordering::Relaxed)),
-            lock: SpinMutex::new(()),
+            hash,
             approx_len: AtomicU32::new(0),
             singles: AtomicU32::new(0),
+            lock: SpinMutex::new(()),
+            dirty: AtomicBool::new(false),
         });
-        // Publish into the bucket list; creation is exclusive (index write
-        // lock held), so a plain store suffices for the head.
-        self.buckets[bucket].store(idx as u64, Ordering::Release);
-        index.insert(key, idx);
-        self.entries.get(idx)
+        let (slots, bits) = self.current();
+        if (idx as usize + 1) * 4 > slots.len() * 3 {
+            self.grow(bits + 1, idx + 1);
+        } else {
+            Self::place(slots, bits, idx, hash);
+        }
+        idx
+    }
+
+    /// Builds the generation of `bits` log₂ slots from entries `0..len`
+    /// and makes it current. Caller holds the creation lock.
+    fn grow(&self, bits: u32, len: u32) {
+        let gen = (bits - TABLE_MIN_BITS) as usize;
+        assert!(
+            gen < TABLE_GENERATIONS,
+            "chain-head table capacity exhausted"
+        );
+        let slots = Self::empty_slots(bits);
+        for idx in 0..len {
+            Self::place(&slots, bits, idx, self.entries.get(idx).hash);
+        }
+        let fresh = self.generations[gen].set(slots).is_ok();
+        assert!(fresh, "growth is serialized by the creation lock");
+        self.current.store(gen, Ordering::Release);
     }
 }
+
+/// One shard of the GC's dirty-key worklist, alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct WorkShard(SpinMutex<Vec<u32>>);
 
 /// A node retired to the limbo list, waiting out its grace period. The
 /// handle's [`PACKED_TAG`] routes the eventual free to the right arena.
@@ -731,6 +886,18 @@ pub(crate) struct ArenaStore {
     migrations: AtomicU64,
     /// Packed nodes retired (lifetime; each also counts once in `retired`).
     packed_retired: AtomicU64,
+    /// Keys with a non-null chain head: bumped by the publish CAS that
+    /// fills an empty chain, dropped by the unlink CAS that empties one.
+    /// Thread-sharded; exact at every quiescent point.
+    keys: wsi_obs::Counter,
+    /// Live published versions: bumped at publish, dropped at unlink and
+    /// dead-mark (migration and consolidation move versions, net zero).
+    /// Thread-sharded; exact at every quiescent point.
+    versions: wsi_obs::Counter,
+    /// Indices of dirty key entries, awaiting the next GC sweep. An entry
+    /// is queued at most once: only the flag's clean → dirty transition
+    /// appends.
+    worklist: [WorkShard; WORK_SHARDS],
     /// Whether hot chains migrate into packed nodes. Off = the flat PR 5
     /// layout, kept selectable for equivalence tests and benchmarks.
     adaptive: bool,
@@ -757,6 +924,9 @@ impl ArenaStore {
             freed: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
             packed_retired: AtomicU64::new(0),
+            keys: wsi_obs::Counter::new(),
+            versions: wsi_obs::Counter::new(),
+            worklist: Default::default(),
             adaptive,
             prune_len: prune_len.max(2),
             obs: None,
@@ -771,8 +941,8 @@ impl ArenaStore {
     /// This one-at-a-time API may be called repeatedly with the same key
     /// and writer, so it pays the same-writer duplicate probe.
     pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
-        let _pin = self.epochs.pin();
-        self.insert_one(key, writer_start, value, true);
+        let pin = self.epochs.pin();
+        self.insert_one(key, writer_start, value, true, &pin);
     }
 
     /// Batch insert (commit apply / WAL replay): one pin for the batch.
@@ -784,14 +954,21 @@ impl ArenaStore {
     where
         I: IntoIterator<Item = (Bytes, Option<Bytes>)>,
     {
-        let _pin = self.epochs.pin();
+        let pin = self.epochs.pin();
         for (key, value) in writes {
-            self.insert_one(key, writer_start, value, false);
+            self.insert_one(key, writer_start, value, false, &pin);
         }
     }
 
-    fn insert_one(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>, dedup: bool) {
-        let entry = self.table.find_or_create(key);
+    fn insert_one(
+        &self,
+        key: Bytes,
+        writer_start: Timestamp,
+        value: Option<Bytes>,
+        dedup: bool,
+        pin: &EpochPin<'_>,
+    ) {
+        let (idx, entry) = self.table.find_or_create(key);
         let mut single: Option<u64> = None;
         let mut spill: Option<u64> = None;
         let published = loop {
@@ -823,10 +1000,15 @@ impl ArenaStore {
                     .compare_exchange_weak(head, s, Ordering::Release, Ordering::Relaxed)
                     .is_ok()
                 {
+                    if head == NULL_VIDX {
+                        self.keys.inc();
+                    }
                     break Loc::Single(s);
                 }
             }
         };
+        self.versions.inc();
+        self.mark_dirty(idx, entry, pin.slot());
         // Return unused pre-allocations (never published: no grace period).
         if let Some(s) = single {
             if !matches!(published, Loc::Single(p) if p == s) {
@@ -871,6 +1053,18 @@ impl ArenaStore {
                 Loc::Packed(p, _) if spill == Some(p) => self.consolidate_entry(entry),
                 Loc::Packed(..) => {}
             }
+        }
+    }
+
+    /// Flags `entry` as holding state a GC sweep must look at, queueing it
+    /// on the clean → dirty transition. The `AcqRel` swap pairs with the
+    /// sweep's clearing swap: whichever comes second in the flag's
+    /// modification order reads the other's value, so either the sweep's
+    /// examination sees this caller's publish or this caller sees the flag
+    /// clear and queues the entry again (DESIGN.md §6).
+    fn mark_dirty(&self, idx: u32, entry: &KeyEntry, shard: usize) {
+        if !entry.dirty.swap(true, Ordering::AcqRel) {
+            self.worklist[shard % WORK_SHARDS].0.lock().push(idx);
         }
     }
 
@@ -977,6 +1171,68 @@ impl ArenaStore {
         }
     }
 
+    /// Removes every live version of `entry` that `doom` selects, given its
+    /// `(loc, writer_start, committed_at-or-0)`: singles are unlinked,
+    /// packed entries dead-marked, and nodes whose live set empties are
+    /// sealed and unlinked whole. Unlinked nodes are appended to `removed`
+    /// for the caller to retire; returns the versions removed. Caller holds
+    /// the entry lock and a pin; `doom` must be pure, because a racing
+    /// publisher restarts the unlink walk.
+    fn remove_where(
+        &self,
+        entry: &KeyEntry,
+        doom: impl Fn(Loc, u64, u64) -> bool,
+        removed: &mut Vec<u64>,
+    ) -> u64 {
+        let base = removed.len();
+        let mut marked = 0u64;
+        let mut cur = entry.head.load(Ordering::Acquire);
+        while cur != NULL_VIDX {
+            if is_packed(cur) {
+                let node = self.packed.node(cur);
+                let live = self.live_mask(node);
+                let mut mask = 0u64;
+                for i in 0..PACK_CAP {
+                    if live & (1 << i) != 0
+                        && doom(
+                            Loc::Packed(cur, i),
+                            node.ws[i].load(Ordering::Relaxed),
+                            node.cts[i].load(Ordering::Acquire),
+                        )
+                    {
+                        mask |= 1 << i;
+                    }
+                }
+                if mask != 0 {
+                    Self::mark_dead(node, mask);
+                    marked += mask.count_ones() as u64;
+                }
+            } else {
+                let slot = self.arena.slot(cur);
+                if doom(
+                    Loc::Single(cur),
+                    slot.writer_start.load(Ordering::Relaxed),
+                    slot.committed_at.load(Ordering::Acquire),
+                ) {
+                    removed.push(cur);
+                }
+            }
+            cur = self.next_of(cur);
+        }
+        let unlinked = (removed.len() - base) as u64;
+        if unlinked > 0 {
+            self.sweep_chain(entry, &removed[base..]);
+        }
+        if marked > 0 {
+            self.retire_dead_nodes(entry, removed);
+        }
+        if unlinked + marked > 0 {
+            self.versions.sub(unlinked + marked);
+            self.reset_len(entry);
+        }
+        unlinked + marked
+    }
+
     /// A transaction that writes the same key twice through this API
     /// replaces its earlier version (the locked layout's in-place
     /// overwrite). The writer itself is single-threaded, so any duplicate
@@ -994,54 +1250,17 @@ impl ArenaStore {
             return;
         }
         let _guard = entry.lock.lock();
-        let mut doomed: Vec<u64> = Vec::new();
-        let mut marked = false;
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                let mut mask = 0u64;
-                for i in 0..PACK_CAP {
-                    if live & (1 << i) != 0
-                        && Loc::Packed(cur, i) != published
-                        && node.ws[i].load(Ordering::Relaxed) == ws
-                    {
-                        mask |= 1 << i;
-                    }
-                }
-                if mask != 0 {
-                    Self::mark_dead(node, mask);
-                    marked = true;
-                }
-            } else if Loc::Single(cur) != published
-                && self.arena.slot(cur).writer_start.load(Ordering::Relaxed) == ws
-            {
-                doomed.push(cur);
-            }
-            cur = self.next_of(cur);
-        }
-        let mut removed = if doomed.is_empty() {
-            Vec::new()
-        } else {
-            self.sweep_chain(entry, |h| doomed.contains(&h))
-        };
-        if marked {
-            removed.extend(self.retire_dead_nodes(entry));
-        }
-        if !removed.is_empty() || marked {
-            self.reset_len(entry);
-        }
+        let mut removed = Vec::new();
+        self.remove_where(entry, |loc, w, _| loc != published && w == ws, &mut removed);
         self.retire_all(&removed);
     }
 
     /// Insert-time pruning against the store watermark: among *stamped*
     /// versions with `committed_at < watermark` the newest is the keep
     /// bound; stamped versions strictly below the bound are invisible to
-    /// every current and future snapshot. Singles are unlinked; packed
-    /// entries are dead-marked, and nodes whose live set empties are
-    /// sealed, unlinked, and retired whole. Identical keep rule to the
-    /// locked layout's `prune_stamped_below`. Returns versions pruned.
+    /// every current and future snapshot and are removed. Identical keep
+    /// rule to the locked layout's `prune_stamped_below`. Returns versions
+    /// pruned.
     fn prune_entry(&self, entry: &KeyEntry) -> u64 {
         let watermark = self.watermark.load(Ordering::Relaxed);
         let _guard = entry.lock.lock();
@@ -1054,50 +1273,8 @@ impl ArenaStore {
         let Some(bound) = bound else {
             return 0;
         };
-        let mut doomed: Vec<u64> = Vec::new();
-        let mut marked = false;
-        let mut pruned = 0u64;
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                let mut mask = 0u64;
-                for i in 0..PACK_CAP {
-                    if live & (1 << i) != 0 {
-                        let cts = node.cts[i].load(Ordering::Acquire);
-                        if cts != 0 && cts < bound {
-                            mask |= 1 << i;
-                        }
-                    }
-                }
-                if mask != 0 {
-                    Self::mark_dead(node, mask);
-                    marked = true;
-                    pruned += mask.count_ones() as u64;
-                }
-            } else {
-                let slot = self.arena.slot(cur);
-                let cts = slot.committed_at.load(Ordering::Acquire);
-                if cts != 0 && cts < bound {
-                    doomed.push(cur);
-                    pruned += 1;
-                }
-            }
-            cur = self.next_of(cur);
-        }
-        if doomed.is_empty() && !marked {
-            return 0;
-        }
-        let mut removed = if doomed.is_empty() {
-            Vec::new()
-        } else {
-            self.sweep_chain(entry, |h| doomed.contains(&h))
-        };
-        if marked {
-            removed.extend(self.retire_dead_nodes(entry));
-        }
-        self.reset_len(entry);
+        let mut removed = Vec::new();
+        let pruned = self.remove_where(entry, |_, _, cts| cts != 0 && cts < bound, &mut removed);
         self.retire_all(&removed);
         pruned
     }
@@ -1179,10 +1356,9 @@ impl ArenaStore {
             .next
             .store(nodes[0], Ordering::Release);
         let handles: Vec<u64> = stamped.iter().map(|(h, _, _, _)| *h).collect();
-        let removed = self.sweep_chain(entry, |h| handles.contains(&h));
-        debug_assert_eq!(removed.len(), handles.len());
+        self.sweep_chain(entry, &handles);
         self.reset_len(entry);
-        self.retire_all(&removed);
+        self.retire_all(&handles);
         self.migrations.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.migrations.inc();
@@ -1383,14 +1559,14 @@ impl ArenaStore {
         self.reset_len(entry);
     }
 
-    /// Unlinks and returns (for retirement) every packed node whose live
-    /// set is empty. Each candidate is first *sealed* — late claims are
-    /// locked out and in-flight ones waited for — then re-checked, so a
-    /// concurrent publish into the node either lands before the seal (the
-    /// node stays) or fails its claim and re-reads the chain head. Caller
-    /// holds the entry lock.
-    fn retire_dead_nodes(&self, entry: &KeyEntry) -> Vec<u64> {
-        let mut fully_dead: Vec<u64> = Vec::new();
+    /// Unlinks every packed node whose live set is empty, appending it to
+    /// `removed` for retirement. Each candidate is first *sealed* — late
+    /// claims are locked out and in-flight ones waited for — then
+    /// re-checked, so a concurrent publish into the node either lands
+    /// before the seal (the node stays) or fails its claim and re-reads the
+    /// chain head. Caller holds the entry lock.
+    fn retire_dead_nodes(&self, entry: &KeyEntry, removed: &mut Vec<u64>) {
+        let base = removed.len();
         let mut cur = entry.head.load(Ordering::Acquire);
         while cur != NULL_VIDX {
             if is_packed(cur) {
@@ -1398,7 +1574,7 @@ impl ArenaStore {
                 if self.live_mask(node) == 0 {
                     let ready = Self::seal(node);
                     if ready & !(node.dead.load(Ordering::Acquire) as u32) == 0 {
-                        fully_dead.push(cur);
+                        removed.push(cur);
                         if let Some(obs) = &self.obs {
                             obs.packed_occupancy.record(ready.count_ones() as u64);
                         }
@@ -1407,14 +1583,11 @@ impl ArenaStore {
             }
             cur = self.next_of(cur);
         }
-        if fully_dead.is_empty() {
-            return fully_dead;
+        if removed.len() > base {
+            self.sweep_chain(entry, &removed[base..]);
+            self.packed_retired
+                .fetch_add((removed.len() - base) as u64, Ordering::Relaxed);
         }
-        let removed = self.sweep_chain(entry, |h| fully_dead.contains(&h));
-        debug_assert_eq!(removed.len(), fully_dead.len());
-        self.packed_retired
-            .fetch_add(removed.len() as u64, Ordering::Relaxed);
-        removed
     }
 
     /// Stamps the commit timestamp onto a writer's versions (eager §2.2
@@ -1461,46 +1634,14 @@ impl ArenaStore {
     {
         let _pin = self.epochs.pin();
         let ws = writer_start.raw();
+        let mut removed = Vec::new();
         for key in keys {
             if let Some(entry) = self.table.find(key) {
                 let _guard = entry.lock.lock();
-                let mut doomed: Vec<u64> = Vec::new();
-                let mut marked = false;
-                let mut cur = entry.head.load(Ordering::Acquire);
-                while cur != NULL_VIDX {
-                    if is_packed(cur) {
-                        let node = self.packed.node(cur);
-                        let live = self.live_mask(node);
-                        let mut mask = 0u64;
-                        for i in 0..PACK_CAP {
-                            if live & (1 << i) != 0 && node.ws[i].load(Ordering::Relaxed) == ws {
-                                mask |= 1 << i;
-                            }
-                        }
-                        if mask != 0 {
-                            Self::mark_dead(node, mask);
-                            marked = true;
-                        }
-                    } else if self.arena.slot(cur).writer_start.load(Ordering::Relaxed) == ws {
-                        doomed.push(cur);
-                    }
-                    cur = self.next_of(cur);
-                }
-                if doomed.is_empty() && !marked {
-                    continue;
-                }
-                let mut removed = if doomed.is_empty() {
-                    Vec::new()
-                } else {
-                    self.sweep_chain(entry, |h| doomed.contains(&h))
-                };
-                if marked {
-                    removed.extend(self.retire_dead_nodes(entry));
-                }
-                self.reset_len(entry);
-                self.retire_all(&removed);
+                self.remove_where(entry, |_, w, _| w == ws, &mut removed);
             }
         }
+        self.retire_all(&removed);
     }
 
     /// Reads `key` at snapshot `reader_start` with zero locks: pin, hash,
@@ -1641,7 +1782,9 @@ impl ArenaStore {
         out
     }
 
-    /// Number of keys with at least one published version.
+    /// Number of keys with at least one published version, by full walk:
+    /// the test-side cross-check of the incremental count in
+    /// [`Self::footprint`].
     pub(crate) fn key_count(&self) -> usize {
         let n = self.table.entries.len();
         (0..n)
@@ -1649,7 +1792,8 @@ impl ArenaStore {
             .count()
     }
 
-    /// Total live published versions.
+    /// Total live published versions, by full walk (see
+    /// [`Self::key_count`]).
     pub(crate) fn version_count(&self) -> usize {
         let _pin = self.epochs.pin();
         let n = self.table.entries.len();
@@ -1674,22 +1818,18 @@ impl ArenaStore {
         len
     }
 
-    /// `(keys, versions)` in one pass, refreshing the arena gauges.
+    /// `(keys, versions)` from the incrementally maintained counts — no
+    /// chain is walked — refreshing the arena gauges. Exact at every
+    /// quiescent point; mid-flight a reader of the sharded counts can see
+    /// a removal before the publish it undoes, hence the clamp.
     pub(crate) fn footprint(&self) -> (usize, usize) {
-        let _pin = self.epochs.pin();
-        let n = self.table.entries.len();
-        let mut keys = 0;
-        let mut versions = 0;
-        for i in 0..n {
-            let len = self.chain_len(self.table.entries.get(i));
-            if len > 0 {
-                keys += 1;
-                versions += len;
-            }
-        }
+        let live = |count: &wsi_obs::Counter| (count.get() as i64).max(0) as usize;
+        let (keys, versions) = (live(&self.keys), live(&self.versions));
         if let Some(obs) = &self.obs {
             obs.keys.set(keys as u64);
             obs.versions.set(versions as u64);
+            obs.head_table_slots.set(self.table.slots());
+            obs.head_table_grows.set(self.table.grows());
             self.refresh_reclamation_gauges(obs);
         }
         (keys, versions)
@@ -1721,13 +1861,16 @@ impl ArenaStore {
         out
     }
 
-    /// Incremental, non-blocking GC sweep: per key (under that key's
-    /// restructuring lock only — readers never wait), resolve every live
-    /// version's fate, stamp surviving committed versions, unlink aborted
-    /// and superseded singles, dead-mark the packed equivalents (retiring
-    /// nodes that empty), and retire the unlinked nodes to the limbo list.
-    /// Same keep rule — and therefore identical [`GcStats`] on a quiescent
-    /// store — as the locked layout.
+    /// Incremental, non-blocking GC sweep over the keys written since the
+    /// last sweep (the dirty-key worklist — never the whole key space): per
+    /// key, under that key's restructuring lock only — readers never wait —
+    /// resolve every live version's fate, stamp surviving committed
+    /// versions, unlink aborted and superseded singles, dead-mark the
+    /// packed equivalents (retiring nodes that empty), and retire the
+    /// unlinked nodes to the limbo list. Same keep rule — and therefore
+    /// identical [`GcStats`] on a quiescent store — as the locked layout's
+    /// full sweep: an entry the worklist omits is one a full sweep would
+    /// leave untouched.
     pub(crate) fn gc<R: VersionResolver + ?Sized>(
         &self,
         watermark: Timestamp,
@@ -1735,114 +1878,54 @@ impl ArenaStore {
     ) -> GcStats {
         let mut stats = GcStats::default();
         self.note_watermark(watermark);
-        let n = self.table.entries.len();
-        for i in 0..n {
-            // Pin per entry, not per sweep: the epoch stays free to advance
-            // while the sweep is in progress (the sweep is itself a pinned
-            // reader only briefly).
-            let _pin = self.epochs.pin();
-            let entry = self.table.entries.get(i);
-            let _guard = entry.lock.lock();
-            let mut had_any = false;
-            let mut bound: Option<u64> = None;
-            // Pass 1: resolve fates and stamp; record per-version verdicts.
-            let mut verdicts: Vec<(Loc, Verdict)> = Vec::new();
-            let mut cur = entry.head.load(Ordering::Acquire);
-            while cur != NULL_VIDX {
-                if is_packed(cur) {
-                    let node = self.packed.node(cur);
-                    let live = self.live_mask(node);
-                    for i in 0..PACK_CAP {
-                        if live & (1 << i) == 0 {
-                            continue;
-                        }
-                        had_any = true;
-                        let stamped = node.cts[i].load(Ordering::Acquire);
-                        let status = if stamped != 0 {
-                            TxnStatus::Committed(Timestamp(stamped))
-                        } else {
-                            resolver.resolve(Timestamp(node.ws[i].load(Ordering::Relaxed)))
-                        };
-                        let verdict = Self::classify(
-                            status,
-                            stamped,
-                            watermark,
-                            &mut bound,
-                            &mut stats,
-                            |ts| node.cts[i].store(ts, Ordering::Release),
-                        );
-                        verdicts.push((Loc::Packed(cur, i), verdict));
-                    }
-                } else {
-                    had_any = true;
-                    let slot = self.arena.slot(cur);
-                    let stamped = slot.committed_at.load(Ordering::Acquire);
-                    let status = if stamped != 0 {
-                        TxnStatus::Committed(Timestamp(stamped))
-                    } else {
-                        resolver.resolve(Timestamp(slot.writer_start.load(Ordering::Relaxed)))
-                    };
-                    let verdict =
-                        Self::classify(status, stamped, watermark, &mut bound, &mut stats, |ts| {
-                            slot.committed_at.store(ts, Ordering::Release)
-                        });
-                    verdicts.push((Loc::Single(cur), verdict));
-                }
-                cur = self.next_of(cur);
-            }
-            if !had_any {
-                continue;
-            }
-            // Pass 2: unlink/mark per the keep rule. Deterministic by
-            // location so a sweep restart (racing publisher) re-derives the
-            // same decisions.
-            let mut doomed_singles: Vec<u64> = Vec::new();
-            let mut node_masks: Vec<(u64, u64)> = Vec::new();
-            for &(loc, v) in &verdicts {
-                let doom = match v {
-                    Verdict::Aborted => {
-                        stats.aborted_removed += 1;
-                        true
-                    }
-                    Verdict::Committed(ts) if bound.is_some_and(|b| ts < b) => {
-                        stats.versions_dropped += 1;
-                        true
-                    }
-                    _ => false,
-                };
-                if doom {
-                    match loc {
-                        Loc::Single(h) => doomed_singles.push(h),
-                        Loc::Packed(h, i) => match node_masks.iter_mut().find(|(n, _)| *n == h) {
-                            Some((_, mask)) => *mask |= 1 << i,
-                            None => node_masks.push((h, 1 << i)),
-                        },
-                    }
+        // Take the buffers rather than copy them: a queue as long as a bulk
+        // load made it is freed with the sweep, not kept as capacity.
+        let work: Vec<Vec<u32>> = self
+            .worklist
+            .iter()
+            .map(|shard| std::mem::take(&mut *shard.0.lock()))
+            .collect();
+        let mut requeued = 0u64;
+        let mut aborted: Vec<Loc> = Vec::new();
+        let mut removed: Vec<u64> = Vec::new();
+        for batch in work.iter().flat_map(|queue| queue.chunks(GC_BATCH)) {
+            // Pin per batch, not per sweep: the epoch stays free to advance
+            // while the sweep is in progress.
+            let pin = self.epochs.pin();
+            self.warm_chains(batch);
+            for &idx in batch {
+                let entry = self.table.entries.get(idx);
+                // Clear before examining, so a publisher racing the
+                // examination re-queues the entry instead of being lost
+                // (see `mark_dirty`).
+                entry.dirty.swap(false, Ordering::AcqRel);
+                let clean = self.gc_entry(
+                    entry,
+                    watermark,
+                    resolver,
+                    &mut stats,
+                    &mut aborted,
+                    &mut removed,
+                );
+                if !clean {
+                    // Unresolved (pending writer) or held back by the
+                    // watermark: a later sweep must look again, with no
+                    // publisher's help.
+                    self.mark_dirty(idx, entry, pin.slot());
+                    requeued += 1;
                 }
             }
-            if !doomed_singles.is_empty() || !node_masks.is_empty() {
-                for &(h, mask) in &node_masks {
-                    Self::mark_dead(self.packed.node(h), mask);
-                }
-                let mut removed = if doomed_singles.is_empty() {
-                    Vec::new()
-                } else {
-                    self.sweep_chain(entry, |h| doomed_singles.contains(&h))
-                };
-                debug_assert_eq!(removed.len(), doomed_singles.len());
-                if !node_masks.is_empty() {
-                    removed.extend(self.retire_dead_nodes(entry));
-                }
-                self.reset_len(entry);
-                self.retire_all(&removed);
-            }
-            if entry.head.load(Ordering::Acquire) == NULL_VIDX {
-                stats.keys_removed += 1;
-            }
+            drop(pin);
+            self.retire_all(&removed);
+            removed.clear();
         }
         self.maintain();
         if let Some(obs) = &self.obs {
             obs.gc_sweeps.inc();
+            obs.gc_keys_visited
+                .add(work.iter().map(|queue| queue.len() as u64).sum());
+            obs.gc_worklist_len.set(requeued);
+            self.footprint();
             if let Some(journal) = &obs.journal {
                 journal.record(
                     0,
@@ -1856,31 +1939,112 @@ impl ArenaStore {
         stats
     }
 
-    /// Shared GC pass-1 bookkeeping: stamps a committed-but-unstamped
-    /// version via `stamp`, folds the version into the keep bound, and
-    /// returns its verdict.
-    fn classify(
-        status: TxnStatus,
-        stamped: u64,
-        watermark: Timestamp,
-        bound: &mut Option<u64>,
-        stats: &mut GcStats,
-        stamp: impl FnOnce(u64),
-    ) -> Verdict {
-        match status {
-            TxnStatus::Committed(ts) => {
-                if stamped == 0 {
-                    stamp(ts.raw());
-                    stats.versions_stamped += 1;
-                }
-                if ts.raw() < watermark.raw() && bound.is_none_or(|b| ts.raw() > b) {
-                    *bound = Some(ts.raw());
-                }
-                Verdict::Committed(ts.raw())
+    /// Touches each entry of a GC batch and the first two nodes of its
+    /// chain. The entries of a batch are unrelated, so the cache misses of
+    /// these loads overlap, where the examination that follows — a
+    /// dependent walk under a lock, one entry at a time — would take the
+    /// same misses one after another. Caller holds a pin.
+    fn warm_chains(&self, batch: &[u32]) {
+        let mut second = [NULL_VIDX; GC_BATCH];
+        for (slot, &idx) in second.iter_mut().zip(batch) {
+            let head = self.table.entries.get(idx).head.load(Ordering::Acquire);
+            if head != NULL_VIDX {
+                *slot = self.next_of(head);
             }
-            TxnStatus::Aborted => Verdict::Aborted,
-            TxnStatus::Pending => Verdict::Pending,
         }
+        for &node in &second[..batch.len()] {
+            if node != NULL_VIDX {
+                std::hint::black_box(self.next_of(node));
+            }
+        }
+    }
+
+    /// One key's share of a sweep. Pass 1 resolves every live version's
+    /// fate, stamps committed-but-unstamped ones and finds the keep bound
+    /// (the newest commit below the watermark); pass 2 removes aborted
+    /// versions and commits below the bound. Returns whether the entry is
+    /// now *clean*: empty, or exactly one live version, committed and
+    /// stamped. Caller holds a pin; `aborted` is scratch.
+    fn gc_entry<R: VersionResolver + ?Sized>(
+        &self,
+        entry: &KeyEntry,
+        watermark: Timestamp,
+        resolver: &R,
+        stats: &mut GcStats,
+        aborted: &mut Vec<Loc>,
+        removed: &mut Vec<u64>,
+    ) -> bool {
+        let _guard = entry.lock.lock();
+        aborted.clear();
+        let mut bound: Option<u64> = None;
+        let (mut committed, mut pending) = (0u64, 0u64);
+        let mut tally = |loc: Loc, status: TxnStatus| match status {
+            TxnStatus::Committed(ts) => {
+                committed += 1;
+                if ts < watermark && bound.is_none_or(|b| ts.raw() > b) {
+                    bound = Some(ts.raw());
+                }
+            }
+            TxnStatus::Aborted => aborted.push(loc),
+            TxnStatus::Pending => pending += 1,
+        };
+        let mut cur = entry.head.load(Ordering::Acquire);
+        while cur != NULL_VIDX {
+            if is_packed(cur) {
+                let node = self.packed.node(cur);
+                let live = self.live_mask(node);
+                for i in (0..PACK_CAP).filter(|i| live & (1 << i) != 0) {
+                    let status = Self::resolve_version(&node.ws[i], &node.cts[i], resolver, stats);
+                    tally(Loc::Packed(cur, i), status);
+                }
+            } else {
+                let slot = self.arena.slot(cur);
+                let status =
+                    Self::resolve_version(&slot.writer_start, &slot.committed_at, resolver, stats);
+                tally(Loc::Single(cur), status);
+            }
+            cur = self.next_of(cur);
+        }
+        if committed + pending == 0 && aborted.is_empty() {
+            return true;
+        }
+        // Pass 1 stamped every committed version, so pass 2 can tell the
+        // superseded ones by their stamps alone. A version published since
+        // pass 1 is unstamped or stamped at or above the watermark: kept.
+        let dropped = self.remove_where(
+            entry,
+            |loc, _, cts| match cts {
+                0 => aborted.contains(&loc),
+                cts => bound.is_some_and(|b| cts < b),
+            },
+            removed,
+        ) - aborted.len() as u64;
+        stats.aborted_removed += aborted.len() as u64;
+        stats.versions_dropped += dropped;
+        if entry.head.load(Ordering::Acquire) == NULL_VIDX {
+            stats.keys_removed += 1;
+        }
+        pending == 0 && committed - dropped <= 1
+    }
+
+    /// Shared GC pass-1 step: a version's fate, from its stamp if it has
+    /// one, else from the resolver — stamping it if that says committed.
+    fn resolve_version<R: VersionResolver + ?Sized>(
+        writer_start: &AtomicU64,
+        committed_at: &AtomicU64,
+        resolver: &R,
+        stats: &mut GcStats,
+    ) -> TxnStatus {
+        let stamped = committed_at.load(Ordering::Acquire);
+        if stamped != 0 {
+            return TxnStatus::Committed(Timestamp(stamped));
+        }
+        let status = resolver.resolve(Timestamp(writer_start.load(Ordering::Relaxed)));
+        if let TxnStatus::Committed(ts) = status {
+            committed_at.store(ts.raw(), Ordering::Release);
+            stats.versions_stamped += 1;
+        }
+        status
     }
 
     /// Epoch maintenance: advance the global epoch (at most twice — each
@@ -1964,23 +2128,23 @@ impl ArenaStore {
         }
     }
 
-    /// Unlinks every chain node `should_remove` selects (by handle),
-    /// returning the removed handles (the caller retires them). Must be
-    /// called under the entry's restructuring lock; the predicate must be
-    /// pure, because a racing publisher CAS on the head forces a restart
-    /// from the (new) head.
+    /// Unlinks the chain nodes named in `doomed` (the caller retires them).
+    /// Must be called under the entry's restructuring lock, which makes
+    /// every doomed node a chain member until this call unlinks it; a
+    /// racing publisher CAS on the head forces a restart from the (new)
+    /// head, which can no longer reach the nodes already unlinked.
     ///
     /// Unlinking never touches a removed node's own `next` pointer, so a
     /// concurrent reader standing on an unlinked node still walks into the
     /// live remainder of the chain.
-    fn sweep_chain(&self, entry: &KeyEntry, should_remove: impl Fn(u64) -> bool) -> Vec<u64> {
-        let mut removed = Vec::new();
+    fn sweep_chain(&self, entry: &KeyEntry, doomed: &[u64]) {
+        let mut unlinked = 0;
         'restart: loop {
             let mut prev: Option<u64> = None;
             let mut cur = entry.head.load(Ordering::Acquire);
             while cur != NULL_VIDX {
                 let next = self.next_of(cur);
-                if should_remove(cur) && !removed.contains(&cur) {
+                if doomed.contains(&cur) {
                     match prev {
                         None => {
                             // Removing the head races only with publishers
@@ -1993,13 +2157,16 @@ impl ArenaStore {
                             {
                                 continue 'restart;
                             }
+                            if next == NULL_VIDX {
+                                self.keys.sub(1);
+                            }
                         }
                         // Mid-chain `next` pointers are only written by
                         // restructurers, which we exclude via the entry
                         // lock: a plain store is race-free.
                         Some(p) => self.next_atomic(p).store(next, Ordering::Release),
                     }
-                    removed.push(cur);
+                    unlinked += 1;
                 } else {
                     prev = Some(cur);
                 }
@@ -2007,7 +2174,11 @@ impl ArenaStore {
             }
             break;
         }
-        removed
+        debug_assert_eq!(
+            unlinked,
+            doomed.len(),
+            "every doomed node was a chain member"
+        );
     }
 
     /// Re-derives the exact chain length (and singles count) after a
@@ -2050,12 +2221,31 @@ impl ArenaStore {
     }
 }
 
-/// A version's resolved fate during a GC pass.
-#[derive(Debug, Clone, Copy)]
-enum Verdict {
-    Committed(u64),
-    Aborted,
-    Pending,
+#[cfg(test)]
+impl ArenaStore {
+    /// The worklist invariant, checked by full walk (the sweep this change
+    /// replaced, kept as the test-side oracle): an entry whose dirty flag
+    /// is clear holds nothing a sweep could act on, and the incremental
+    /// footprint equals the walked one. Quiescent callers only.
+    fn assert_worklist_invariant(&self) {
+        let _pin = self.epochs.pin();
+        for idx in 0..self.table.entries.len() {
+            let entry = self.table.entries.get(idx);
+            if !entry.dirty.load(Ordering::Acquire) {
+                let mut stamps = Vec::new();
+                self.for_each_live(entry, |_, _, cts| stamps.push(cts));
+                assert!(
+                    stamps.is_empty() || (stamps.len() == 1 && stamps[0] != 0),
+                    "clean entry {idx} holds unresolved or collectible versions: {stamps:?}"
+                );
+            }
+        }
+        assert_eq!(
+            self.footprint(),
+            (self.key_count(), self.version_count()),
+            "incremental (keys, versions) diverged from the full walk"
+        );
+    }
 }
 
 impl Default for ArenaStore {
@@ -2303,5 +2493,178 @@ mod tests {
             store.read(b"hot", Timestamp(1000), &resolver_none),
             SnapshotRead::Value(b("second"))
         );
+    }
+
+    #[test]
+    fn head_table_starts_small_and_probes_stay_short_at_any_key_count() {
+        let table = ChainHeadTable::new();
+        let key = |i: u32| Bytes::copy_from_slice(&i.to_be_bytes());
+        let mut created = 0u32;
+        // Past the first keys, create entries without the ordered index:
+        // it plays no part in lookups and is most of a debug build's time.
+        let mut fill = |table: &ChainHeadTable, upto: u32| {
+            while created < upto {
+                let idx = match created {
+                    0..10 => table.find_or_create(key(created)).0,
+                    _ => table.create(key(created)),
+                };
+                assert_eq!(idx, created, "entries are numbered in creation order");
+                created += 1;
+            }
+        };
+        fill(&table, 10);
+        assert!(
+            table.slots() * 4 <= 4096,
+            "ten keys fit in a table of a few KB, not {} slots",
+            table.slots()
+        );
+        for checkpoint in [10_000u32, 500_000, 2_000_000] {
+            fill(&table, checkpoint);
+            // Every 97th key: a sample spread over all insertion ages.
+            let sample: Vec<u32> = (0..checkpoint).step_by(97).collect();
+            let mut probes = 0;
+            for &i in &sample {
+                let (found, n) = table.probe(&i.to_be_bytes());
+                assert_eq!(
+                    found.map(|(idx, _)| idx),
+                    Some(i),
+                    "key {i} of {checkpoint}"
+                );
+                probes += n;
+            }
+            let mean = probes as f64 / sample.len() as f64;
+            assert!(
+                mean <= 2.0,
+                "mean probe length {mean:.2} at {checkpoint} keys"
+            );
+            assert!(table.find(&(checkpoint + 1).to_be_bytes()).is_none());
+            assert!(
+                table.slots() >= checkpoint as u64,
+                "slots cover the keys at {checkpoint}"
+            );
+        }
+        assert!(
+            table.grows() >= 4,
+            "the table grew instead of starting large"
+        );
+    }
+
+    #[test]
+    fn gc_visits_only_what_was_written_and_keeps_held_back_keys_queued() {
+        let store = ArenaStore::new();
+        let committed = |ts: Timestamp| TxnStatus::Committed(Timestamp(ts.raw() + 1));
+        for i in 0..100u64 {
+            store.insert_version(b(&format!("k{i}")), Timestamp(2 * i + 1), Some(b("v")));
+        }
+        assert_eq!(store.gc(Timestamp(1_000), &committed).versions_stamped, 100);
+        store.assert_worklist_invariant();
+        let queued =
+            |store: &ArenaStore| -> usize { store.worklist.iter().map(|s| s.0.lock().len()).sum() };
+        assert_eq!(queued(&store), 0, "every key left the sweep clean");
+
+        // Overwrite three keys; a snapshot at 1_000 holds the watermark
+        // below the new versions, so both versions of each must survive.
+        for i in 0..3u64 {
+            store.insert_version(b(&format!("k{i}")), Timestamp(2_001 + 2 * i), Some(b("w")));
+        }
+        assert_eq!(queued(&store), 3, "only the written keys are queued");
+        for _ in 0..2 {
+            let stats = store.gc(Timestamp(1_000), &committed);
+            assert_eq!(stats.versions_dropped, 0, "the snapshot still reads v");
+            assert_eq!(queued(&store), 3, "held-back keys stay queued");
+            assert_eq!(store.version_count(), 103);
+            store.assert_worklist_invariant();
+        }
+        // The snapshot ends: the next sweep finds the three keys with no
+        // publisher's help and drops exactly the superseded versions.
+        let stats = store.gc(Timestamp(5_000), &committed);
+        assert_eq!(stats.versions_dropped, 3);
+        assert_eq!(queued(&store), 0);
+        assert_eq!(store.version_count(), 100);
+        store.assert_worklist_invariant();
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Begin,
+        Put(usize, usize),
+        /// Commit; `true` stamps eagerly, `false` leaves it to the GC.
+        Commit(usize, bool),
+        /// Abort; `true` cleans up eagerly, `false` leaves it to the GC.
+        Abort(usize, bool),
+        Gc,
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Op::Begin),
+            ((0..6usize), (0..5usize)).prop_map(|(t, k)| Op::Put(t, k)),
+            ((0..6usize), any::<bool>()).prop_map(|(t, s)| Op::Commit(t, s)),
+            ((0..6usize), any::<bool>()).prop_map(|(t, s)| Op::Abort(t, s)),
+            Just(Op::Gc),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// After any interleaving of begin / put / commit / abort / gc, a
+        /// full walk finds nothing collectible on an entry whose dirty
+        /// flag is clear, and the incremental key and version counts equal
+        /// the walked ones.
+        #[test]
+        fn worklist_never_loses_a_key_with_work_left(
+            ops in proptest::collection::vec(op(), 1..60)
+        ) {
+            use std::cell::RefCell;
+            use std::collections::{BTreeMap, BTreeSet};
+            let store = ArenaStore::new();
+            let fates: RefCell<BTreeMap<u64, TxnStatus>> = RefCell::new(BTreeMap::new());
+            let resolver = |ts: Timestamp| {
+                fates.borrow().get(&ts.raw()).copied().unwrap_or(TxnStatus::Pending)
+            };
+            let mut clock = 0u64;
+            // Open transactions: start timestamp and keys written.
+            let mut open: Vec<(u64, BTreeSet<usize>)> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Begin => {
+                        clock += 1;
+                        open.push((clock, BTreeSet::new()));
+                    }
+                    Op::Put(t, k) => {
+                        if let Some((start, keys)) = open.get_mut(t) {
+                            store.insert_version(b(&format!("k{k}")), Timestamp(*start), Some(b("v")));
+                            keys.insert(k);
+                        }
+                    }
+                    Op::Commit(t, stamp) if t < open.len() => {
+                        let (start, keys) = open.remove(t);
+                        clock += 1;
+                        fates.borrow_mut().insert(start, TxnStatus::Committed(Timestamp(clock)));
+                        if stamp {
+                            let keys: Vec<Bytes> = keys.iter().map(|k| b(&format!("k{k}"))).collect();
+                            store.stamp_commit(Timestamp(start), Timestamp(clock), keys.iter());
+                        }
+                    }
+                    Op::Abort(t, clean_up) if t < open.len() => {
+                        let (start, keys) = open.remove(t);
+                        fates.borrow_mut().insert(start, TxnStatus::Aborted);
+                        if clean_up {
+                            let keys: Vec<Bytes> = keys.iter().map(|k| b(&format!("k{k}"))).collect();
+                            store.remove_versions(Timestamp(start), keys.iter());
+                        }
+                    }
+                    Op::Commit(..) | Op::Abort(..) => {}
+                    Op::Gc => {
+                        let watermark = open.iter().map(|(s, _)| *s).min().unwrap_or(clock + 1);
+                        store.gc(Timestamp(watermark), &resolver);
+                        store.assert_worklist_invariant();
+                    }
+                }
+            }
+            store.assert_worklist_invariant();
+        }
     }
 }

@@ -40,7 +40,7 @@
 //! acquisition. See `DESIGN.md` for the full protocol argument.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -567,6 +567,14 @@ pub struct TxnReport {
     pub last_abort: Option<AbortReason>,
 }
 
+impl TxnReport {
+    /// The first attempt committed: the outcome of almost every `run`.
+    const CLEAN: TxnReport = TxnReport {
+        attempts: 1,
+        last_abort: None,
+    };
+}
+
 /// Aggregate database statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DbStats {
@@ -612,8 +620,14 @@ pub(crate) struct DbInner {
     /// Write commits since the last watermark-hint refresh (see
     /// [`WATERMARK_HINT_EVERY`]).
     wm_tick: AtomicU64,
-    /// The most recent [`Db::run`] outcome profile (see
-    /// [`Db::last_txn_report`]).
+    /// Whether the most recent [`Db::run`] outcome was [`TxnReport::CLEAN`]
+    /// — almost every one is, and then this flag is the whole report, so
+    /// the hot path takes no lock: one load, and a store only when the
+    /// previous outcome was of the other kind.
+    last_report_clean: AtomicBool,
+    /// The most recent outcome that was not clean (`None` before the
+    /// first); current while `last_report_clean` is false, and written
+    /// together with that flag under this lock.
     last_report: Mutex<Option<TxnReport>>,
     epoch: Instant,
     /// Jitter state for seeded retries ([`DbOptions::retry_seed`]); each
@@ -790,6 +804,7 @@ impl Db {
                 wal_obs,
                 obs,
                 wm_tick: AtomicU64::new(0),
+                last_report_clean: AtomicBool::new(false),
                 last_report: Mutex::new(None),
                 epoch: Instant::now(),
                 backoff_state: AtomicU64::new(options_retry_seed),
@@ -1000,10 +1015,20 @@ impl Db {
     }
 
     fn store_txn_report(&self, attempts: u32, last_abort: Option<AbortReason>) {
-        *self.inner.last_report.lock() = Some(TxnReport {
+        let report = TxnReport {
             attempts,
             last_abort,
-        });
+        };
+        let clean = &self.inner.last_report_clean;
+        if report == TxnReport::CLEAN {
+            if !clean.load(Ordering::Relaxed) {
+                clean.store(true, Ordering::Release);
+            }
+        } else {
+            let mut detailed = self.inner.last_report.lock();
+            *detailed = Some(report);
+            clean.store(false, Ordering::Release);
+        }
     }
 
     /// The outcome profile of the most recent [`Db::run`] call on this
@@ -1012,6 +1037,9 @@ impl Db {
     /// used to discard the reasons of retried attempts entirely; this
     /// surfaces the last one even when a later retry committed.
     pub fn last_txn_report(&self) -> Option<TxnReport> {
+        if self.inner.last_report_clean.load(Ordering::Acquire) {
+            return Some(TxnReport::CLEAN);
+        }
         *self.inner.last_report.lock()
     }
 
@@ -1355,8 +1383,6 @@ impl Db {
             obs.gc_runs.inc();
             obs.gc_versions_removed
                 .add(stats.versions_dropped + stats.aborted_removed);
-            // Post-sweep footprint, refreshed into the per-shard gauges.
-            let _ = self.inner.mvcc.shard_footprint();
         }
         stats
     }
@@ -1395,9 +1421,10 @@ impl Db {
             },
             None => LedgerStats::default(),
         };
-        // One pass over the shards yields both totals and (when
-        // instrumented) refreshes the per-shard footprint gauges, so the
-        // exposition and `DbStats` always agree.
+        // Yields both totals and (when instrumented) refreshes the
+        // footprint gauges, so the exposition and `DbStats` always agree.
+        // The arena layout reads its incremental counts; only the locked
+        // layout walks its shards.
         let footprint = self.inner.mvcc.shard_footprint();
         DbStats {
             oracle: self.inner.counters.view(),

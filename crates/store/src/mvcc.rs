@@ -856,7 +856,8 @@ pub enum StoreLayout {
 ///   layout: key space partitioned into independently `RwLock`ed shards.
 /// * [`MvccStore::arena`] — the **lock-free** layout: chunked version
 ///   arena, CAS-installed chain heads, epoch-based reclamation. Snapshot
-///   reads take no lock at all; GC is an incremental non-blocking sweep.
+///   reads take no lock at all; GC is an incremental non-blocking sweep
+///   over the keys written since the last one.
 ///
 /// The equivalence proptests in `tests/store_equivalence.rs` drive all
 /// four configurations (locked-1 / locked-16 / flat arena / adaptive
@@ -1058,7 +1059,10 @@ impl MvccStore {
     }
 
     /// Per-shard `(keys, versions)` footprint, refreshing the registered
-    /// gauges when instrumented. The arena layout reports one entry.
+    /// gauges when instrumented. The arena layout reports one entry, from
+    /// counts it maintains at publish and unlink rather than a walk;
+    /// [`MvccStore::key_count`] and [`MvccStore::version_count`] stay full
+    /// walks on every layout, as the cross-check.
     pub fn shard_footprint(&self) -> Vec<(usize, usize)> {
         match &self.inner {
             StoreImpl::Locked(s) => s.shard_footprint(),
@@ -1092,8 +1096,9 @@ impl MvccStore {
     /// transaction. Both layouts apply the same keep rule (and report the
     /// same [`GcStats`] for the same quiescent history); the locked layout
     /// sweeps shard-by-shard under exclusive locks, while the arena layout
-    /// sweeps key-by-key without ever blocking readers, retiring unlinked
-    /// versions through epoch-based reclamation.
+    /// visits only the keys written since its last sweep, key-by-key
+    /// without ever blocking readers, retiring unlinked versions through
+    /// epoch-based reclamation.
     pub fn gc<R: VersionResolver + ?Sized>(&self, watermark: Timestamp, resolver: &R) -> GcStats {
         match &self.inner {
             StoreImpl::Locked(s) => s.gc(watermark, resolver),

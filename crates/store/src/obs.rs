@@ -114,9 +114,9 @@ pub(crate) struct StoreShardObs {
     inline_pruned: Counter,
     /// Full store sweeps performed by the GC.
     gc_sweeps: Counter,
-    /// Keys resident per shard, refreshed on GC and `Db::stats`.
+    /// Keys resident per shard, refreshed on `Db::stats`.
     keys: Vec<Gauge>,
-    /// Versions resident per shard, refreshed on GC and `Db::stats`.
+    /// Versions resident per shard, refreshed on `Db::stats`.
     versions: Vec<Gauge>,
 }
 
@@ -185,13 +185,18 @@ impl StoreShardObs {
 }
 
 /// Epoch/reclamation metrics of the lock-free arena store, registered under
-/// `store_epoch` / `store_versions_*` / `store_arena_*` names.
+/// `store_epoch` / `store_versions_*` / `store_arena_*` names, plus what the
+/// GC and the chain-head table are holding: `store_gc_keys_visited_total`,
+/// `store_gc_worklist_len`, `store_head_table_slots`,
+/// `store_head_table_grows_total`.
 ///
 /// The reconciliation identity `store_versions_retired_total ==
 /// store_versions_freed_total + store_limbo_versions` is asserted by the
 /// `obs_reconcile` integration test against `MvccStore::reclamation`, which
 /// reads the same underlying atomics — so the exported series can never
-/// drift from `Db::stats()`.
+/// drift from `Db::stats()`. The same test holds the newer series to
+/// `keys_visited ≥ versions dropped`, `worklist_len == 0` at quiescence
+/// with no active snapshot, and `slots ≥ keys`.
 #[derive(Debug)]
 pub(crate) struct ArenaObs {
     /// Current global reclamation epoch.
@@ -206,15 +211,29 @@ pub(crate) struct ArenaObs {
     /// Arena chunks allocated, single-version and packed-node chunks
     /// combined (each holds a fixed number of slots of its kind).
     pub(crate) chunks: Gauge,
-    /// Keys with at least one published version, refreshed on GC and
-    /// `Db::stats`.
+    /// Keys with at least one published version: the store's incremental
+    /// count, copied here on GC and `Db::stats`.
     pub(crate) keys: Gauge,
-    /// Published versions resident, refreshed on GC and `Db::stats`.
+    /// Published versions resident: the store's incremental count, copied
+    /// here on GC and `Db::stats`.
     pub(crate) versions: Gauge,
     /// Versions unlinked by insert-time chain pruning (between GC sweeps).
     pub(crate) inline_pruned: Counter,
-    /// Full store sweeps performed by the GC.
+    /// Worklist sweeps performed by the GC.
     pub(crate) gc_sweeps: Counter,
+    /// Key entries GC sweeps examined (lifetime total): the keys written
+    /// since the previous sweep plus the keys it had to re-queue.
+    pub(crate) gc_keys_visited: Counter,
+    /// Keys the last sweep re-queued because it could not leave them clean
+    /// — a pending writer, or versions a pinned snapshot holds the
+    /// watermark below: what the GC is being made to keep.
+    pub(crate) gc_worklist_len: Gauge,
+    /// Chain-head table slots allocated over all retained generations,
+    /// refreshed on GC and `Db::stats`.
+    pub(crate) head_table_slots: Gauge,
+    /// Chain-head table generations built beyond the first (lifetime
+    /// total), refreshed on GC and `Db::stats`.
+    pub(crate) head_table_grows: Counter,
     /// log₂ histogram of chain length observed at each publish (the length
     /// *after* the insert) — shows how hot the hot keys run and whether
     /// migration keeps chains short.
@@ -242,6 +261,10 @@ impl ArenaObs {
             versions: Gauge::new(),
             inline_pruned: Counter::new(),
             gc_sweeps: Counter::new(),
+            gc_keys_visited: Counter::new(),
+            gc_worklist_len: Gauge::new(),
+            head_table_slots: Gauge::new(),
+            head_table_grows: Counter::new(),
             chain_len: Histogram::new(),
             migrations: Counter::new(),
             packed_occupancy: Histogram::new(),
@@ -260,6 +283,10 @@ impl ArenaObs {
         registry.register_gauge("store_arena_versions", &self.versions);
         registry.register_counter("store_arena_inline_pruned_total", &self.inline_pruned);
         registry.register_counter("store_arena_gc_sweeps_total", &self.gc_sweeps);
+        registry.register_counter("store_gc_keys_visited_total", &self.gc_keys_visited);
+        registry.register_gauge("store_gc_worklist_len", &self.gc_worklist_len);
+        registry.register_gauge("store_head_table_slots", &self.head_table_slots);
+        registry.register_counter("store_head_table_grows_total", &self.head_table_grows);
         registry.register_histogram("store_chain_len", &self.chain_len);
         registry.register_counter("store_chain_migrations_total", &self.migrations);
         registry.register_histogram("store_packed_node_occupancy", &self.packed_occupancy);

@@ -235,6 +235,14 @@ pub(crate) struct EpochPin<'a> {
     slot: usize,
 }
 
+impl EpochPin<'_> {
+    /// The participant slot this pin occupies: distinct for concurrently
+    /// pinned threads, so it doubles as a contention-free shard selector.
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
+    }
+}
+
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
         self.participants.slots[self.slot]

@@ -39,10 +39,21 @@
 //!    splice, and a reader parked on an unlinked single still reaches every
 //!    version at or below its position because unlinked nodes keep their
 //!    forward links until the epoch reclaimer frees them (DESIGN.md §13).
+//! 7. **Chain-head table growth vs. a concurrent reader** — the
+//!    generation protocol of `arena::ChainHeadTable`: a reader that loaded
+//!    any generation, before or after a growth, finds every key that
+//!    existed when it started, because growth copies every entry into the
+//!    next generation before the `Release` store that makes it current and
+//!    old generations are never modified again (DESIGN.md §6).
+//! 8. **Dirty-flag worklist vs. a concurrent sweep** — the GC's
+//!    clear-before-examine handshake (`arena::mark_dirty` / `arena::gc`):
+//!    whatever the interleaving, a version published while a sweep runs is
+//!    either seen by that sweep's examination or leaves the entry flagged
+//!    and queued for the next one — never neither (DESIGN.md §6).
 #![cfg(feature = "loom")]
 
-use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use loom::sync::Arc;
+use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use loom::sync::{Arc, Mutex};
 use loom::thread;
 
 /// End-of-chain / empty-head sentinel (mirrors `arena::NULL_VIDX`).
@@ -758,5 +769,219 @@ fn chain_migration_keeps_every_version_reachable() {
         assert_eq!(stamps, vec![40, 30, 20, 10]);
         assert_eq!(singles[2].next.load(Ordering::SeqCst), M_PTAG | 1);
         assert_eq!(packed_next.load(Ordering::SeqCst), NULL);
+    });
+}
+
+/// log₂ slots of the modelled table's first generation.
+const T_MIN_BITS: u32 = 2;
+
+/// Generations the modelled table can grow through.
+const T_GENERATIONS: usize = 4;
+
+/// Keys present before the reader starts / created while it runs.
+const T_PRESENT: u32 = 2;
+const T_CREATED: u32 = 10;
+
+/// The modelled chain-head table: every generation's slot array exists
+/// up front (the real table allocates them on growth; a reader can only
+/// reach one through `current`, so the difference is invisible to it).
+struct HeadTable {
+    generations: Vec<Vec<AtomicU32>>,
+    current: AtomicUsize,
+}
+
+impl HeadTable {
+    fn new() -> Self {
+        HeadTable {
+            generations: (0..T_GENERATIONS)
+                .map(|g| {
+                    (0..1usize << (T_MIN_BITS + g as u32))
+                        .map(|_| AtomicU32::new(0))
+                        .collect()
+                })
+                .collect(),
+            current: AtomicUsize::new(0),
+        }
+    }
+
+    /// Entry `idx`'s home-slot hash (any spread will do for the model).
+    fn hash(idx: u32) -> u32 {
+        (idx + 1).wrapping_mul(0x9E37_79B9)
+    }
+
+    /// Mirrors `ChainHeadTable::place`: first empty slot from home.
+    fn place(slots: &[AtomicU32], bits: u32, idx: u32) {
+        let mask = slots.len() - 1;
+        let mut pos = (Self::hash(idx) >> (32 - bits)) as usize;
+        while slots[pos].load(Ordering::Relaxed) != 0 {
+            pos = (pos + 1) & mask;
+        }
+        slots[pos].store(idx + 1, Ordering::Release);
+    }
+
+    /// Mirrors `ChainHeadTable::create`: entry number `idx` (entries
+    /// `0..idx` exist) goes into the current generation, or into a freshly
+    /// built next one if it would pass three quarters full.
+    fn create(&self, idx: u32) {
+        let gen = self.current.load(Ordering::Acquire);
+        let bits = T_MIN_BITS + gen as u32;
+        let slots = &self.generations[gen];
+        if (idx as usize + 1) * 4 > slots.len() * 3 {
+            let next = &self.generations[gen + 1];
+            for existing in 0..=idx {
+                Self::place(next, bits + 1, existing);
+            }
+            self.current.store(gen + 1, Ordering::Release);
+        } else {
+            Self::place(slots, bits, idx);
+        }
+    }
+
+    /// Mirrors `ChainHeadTable::probe`: one load of `current`, then a
+    /// linear probe of that generation to the first empty slot.
+    fn find(&self, idx: u32) -> bool {
+        let gen = self.current.load(Ordering::Acquire);
+        let bits = T_MIN_BITS + gen as u32;
+        let slots = &self.generations[gen];
+        let mask = slots.len() - 1;
+        let mut pos = (Self::hash(idx) >> (32 - bits)) as usize;
+        loop {
+            match slots[pos].load(Ordering::Acquire) {
+                0 => return false,
+                slot if slot == idx + 1 => return true,
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+}
+
+/// Protocol 7: a creator inserts keys through several table growths while
+/// a reader keeps looking up keys that existed before it started, and keys
+/// the creator has told it about. Neither may ever be reported absent.
+#[test]
+fn head_table_growth_never_hides_an_existing_key() {
+    loom::model(|| {
+        let table = Arc::new(HeadTable::new());
+        for idx in 0..T_PRESENT {
+            table.create(idx);
+        }
+        // Highest entry count the creator has finished creating.
+        let told = Arc::new(AtomicU32::new(T_PRESENT));
+
+        let creator = {
+            let table = Arc::clone(&table);
+            let told = Arc::clone(&told);
+            thread::spawn(move || {
+                for idx in T_PRESENT..T_PRESENT + T_CREATED {
+                    table.create(idx);
+                    told.store(idx + 1, Ordering::Release);
+                }
+            })
+        };
+
+        let reader = {
+            let table = Arc::clone(&table);
+            let told = Arc::clone(&told);
+            thread::spawn(move || {
+                for round in 0..8u32 {
+                    for idx in 0..T_PRESENT {
+                        assert!(table.find(idx), "pre-existing key {idx} reported absent");
+                    }
+                    let known = told.load(Ordering::Acquire);
+                    let idx = round % known;
+                    assert!(
+                        table.find(idx),
+                        "key {idx} of {known} told-of reported absent"
+                    );
+                }
+            })
+        };
+
+        creator.join().unwrap();
+        reader.join().unwrap();
+        assert!(
+            table.current.load(Ordering::SeqCst) >= 2,
+            "the creator crossed at least two growths"
+        );
+        for idx in 0..T_PRESENT + T_CREATED {
+            assert!(table.find(idx), "key {idx} absent at quiescence");
+        }
+    });
+}
+
+/// Versions the publisher pushes in protocol model 8.
+const W_PUBLISHED: u32 = 4;
+
+/// Protocol 8: one key entry, reduced to a published-version count, its
+/// dirty flag and the worklist. The publisher publishes, then flags
+/// (queueing on the clean → dirty transition); the sweep drains the queue
+/// and, per entry, clears the flag *before* it examines the chain. At
+/// quiescence every published version has been examined, or the entry is
+/// still flagged and queued: a publish is never lost between the two.
+#[test]
+fn dirty_flag_worklist_never_loses_a_publish() {
+    loom::model(|| {
+        let published = Arc::new(AtomicU32::new(0));
+        let dirty = Arc::new(AtomicU32::new(0));
+        let queue: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        // Versions the latest examination saw.
+        let examined = Arc::new(AtomicU32::new(0));
+
+        let publisher = {
+            let published = Arc::clone(&published);
+            let dirty = Arc::clone(&dirty);
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                for _ in 0..W_PUBLISHED {
+                    // The chain-head CAS (Release), then `mark_dirty`.
+                    published.fetch_add(1, Ordering::Release);
+                    if dirty.swap(1, Ordering::AcqRel) == 0 {
+                        queue.lock().unwrap().push(0);
+                    }
+                }
+            })
+        };
+
+        /// One sweep: drain, then per entry clear-before-examine.
+        fn sweep(
+            published: &AtomicU32,
+            dirty: &AtomicU32,
+            queue: &Mutex<Vec<u32>>,
+            examined: &AtomicU32,
+        ) {
+            let work = std::mem::take(&mut *queue.lock().unwrap());
+            assert!(work.len() <= 1, "an entry is queued at most once");
+            for _entry in work {
+                dirty.swap(0, Ordering::AcqRel);
+                examined.store(published.load(Ordering::Acquire), Ordering::Relaxed);
+            }
+        }
+
+        let sweeper = {
+            let published = Arc::clone(&published);
+            let dirty = Arc::clone(&dirty);
+            let queue = Arc::clone(&queue);
+            let examined = Arc::clone(&examined);
+            thread::spawn(move || {
+                for _ in 0..6 {
+                    sweep(&published, &dirty, &queue, &examined);
+                    thread::yield_now();
+                }
+            })
+        };
+
+        publisher.join().unwrap();
+        sweeper.join().unwrap();
+
+        let seen = examined.load(Ordering::SeqCst);
+        let flagged = dirty.load(Ordering::SeqCst) == 1;
+        let queued = !queue.lock().unwrap().is_empty();
+        assert!(
+            seen == W_PUBLISHED || (flagged && queued),
+            "lost publish: examined {seen} of {W_PUBLISHED}, flagged={flagged}, queued={queued}"
+        );
+        // One more sweep always catches up.
+        sweep(&published, &dirty, &queue, &examined);
+        assert_eq!(examined.load(Ordering::SeqCst), W_PUBLISHED);
     });
 }

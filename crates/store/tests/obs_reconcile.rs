@@ -243,6 +243,83 @@ fn migration_metrics_reconcile() {
     );
 }
 
+/// Identity 7: the worklist GC's own series reconcile. A sweep visits at
+/// least the keys that lost a version; the worklist gauge says how many
+/// keys a sweep had to re-queue — non-zero exactly while a snapshot holds
+/// the watermark below superseded versions, zero at quiescence — and the
+/// keys it is holding for are dropped by the first sweep after the
+/// snapshot ends, with no write in between; the chain-head table always
+/// has at least a slot per key.
+#[test]
+fn worklist_and_head_table_metrics_reconcile() {
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+    let gauge = |name: &str| db.obs_snapshot().expect("obs on").gauges[name];
+    let counter = |name: &str| db.obs_snapshot().expect("obs on").counters[name];
+    let write = |keys: std::ops::Range<u32>, value: &[u8]| {
+        let mut txn = db.begin();
+        for k in keys {
+            txn.put(format!("key-{k:04}").as_bytes(), value);
+        }
+        txn.commit().expect("single writer commits");
+    };
+
+    write(0..1_000, b"v1");
+    let first = db.gc();
+    assert_eq!(first.versions_dropped, 0, "nothing superseded yet");
+    assert_eq!(counter("store_gc_keys_visited_total"), 1_000);
+    assert_eq!(gauge("store_gc_worklist_len"), 0);
+
+    // A snapshot pins the watermark, then 40 keys are overwritten: their
+    // old versions are still the snapshot's, so two sweeps drop nothing
+    // and keep exactly those 40 keys queued.
+    let snap = db.snapshot();
+    write(0..40, b"v2");
+    for sweep in 1..=2u64 {
+        let held = db.gc();
+        assert_eq!(held.versions_dropped, 0, "the snapshot still reads v1");
+        assert_eq!(gauge("store_gc_worklist_len"), 40);
+        assert_eq!(
+            counter("store_gc_keys_visited_total"),
+            1_000 + 40 * sweep,
+            "a sweep visits the keys written or held back, not the key space"
+        );
+        assert_eq!(db.stats().versions, 1_040);
+        assert_eq!(snap.get(b"key-0007").as_deref(), Some(&b"v1"[..]));
+    }
+    drop(snap);
+
+    // No write since: the sweep finds the 40 keys on its own.
+    let released = db.gc();
+    assert_eq!(released.versions_dropped, 40);
+    assert_eq!(gauge("store_gc_worklist_len"), 0, "quiescent, no snapshot");
+    let visited = counter("store_gc_keys_visited_total");
+    assert_eq!(visited, 1_000 + 40 * 3);
+    assert!(
+        visited >= released.versions_dropped,
+        "keys visited ≥ keys that lost a version"
+    );
+    let idle = db.gc();
+    assert_eq!(idle, wsi_store::GcStats::default());
+    assert_eq!(
+        counter("store_gc_keys_visited_total"),
+        visited,
+        "an idle sweep visits nothing"
+    );
+
+    let stats = db.stats();
+    assert_eq!((stats.keys, stats.versions), (1_000, 1_000));
+    assert_eq!(gauge("store_arena_keys"), 1_000);
+    assert_eq!(gauge("store_arena_versions"), 1_000);
+    assert!(
+        gauge("store_head_table_slots") >= stats.keys as u64,
+        "slots ≥ keys"
+    );
+    assert!(
+        counter("store_head_table_grows_total") >= 4,
+        "1 000 keys outgrew the 64-slot first generation several times"
+    );
+}
+
 /// Per-kind journal event totals relevant to lifecycle reconciliation.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct JournalTally {

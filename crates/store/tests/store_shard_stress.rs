@@ -22,10 +22,14 @@
 //!   no transaction left registered, and `Db::stats` key/version totals
 //!   (summed over shards) agree with a full scan.
 //!
+//! A second herd covers the arena's chain-head table: writers create
+//! 200 000 fresh keys — thirteen table growths from the 64-slot start —
+//! while readers look up every key they have been told exists.
+//!
 //! Gated in release mode by `scripts/tier1.sh`; the debug run in the
 //! workspace suite uses the same herd at the same scale.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
 use wsi_core::IsolationLevel;
@@ -225,9 +229,103 @@ fn arena_store_herd_keeps_invariants() {
         "store_chain_len",
         "store_chain_migrations_total",
         "store_packed_node_occupancy",
+        "store_gc_keys_visited_total",
+        "store_gc_worklist_len",
+        "store_head_table_slots",
+        "store_head_table_grows_total",
     ] {
         assert!(prom.contains(series), "missing series {series}");
     }
+}
+
+/// Writers in the table-growth herd, and fresh keys each creates.
+const GROWTH_WRITERS: usize = 4;
+const GROWTH_KEYS: u64 = 50_000;
+/// Keys per creating transaction.
+const GROWTH_BATCH: u64 = 100;
+
+fn growth_key(writer: usize, i: u64) -> Vec<u8> {
+    format!("grow/{writer}/{i:06}").into_bytes()
+}
+
+#[test]
+fn head_table_growth_never_hides_a_committed_key() {
+    // Key creation drives the chain-head table through every growth step
+    // from its 64-slot start while readers probe it lock-free. A writer
+    // raises its `told` mark only after the commit that created the keys
+    // below it returned, so a reader that loads the mark and then begins a
+    // snapshot must find every key under it — whichever table generation
+    // its lookup happens to load, and however many growths it races.
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+    let told: Vec<AtomicU64> = (0..GROWTH_WRITERS).map(|_| AtomicU64::new(0)).collect();
+    let writing = AtomicBool::new(true);
+    thread::scope(|s| {
+        let writers: Vec<_> = (0..GROWTH_WRITERS)
+            .map(|w| {
+                let (db, told) = (db.clone(), &told);
+                s.spawn(move || {
+                    for from in (0..GROWTH_KEYS).step_by(GROWTH_BATCH as usize) {
+                        let mut txn = db.begin();
+                        for i in from..from + GROWTH_BATCH {
+                            txn.put(&growth_key(w, i), i.to_string().as_bytes());
+                        }
+                        txn.commit().expect("disjoint fresh keys never conflict");
+                        told[w].store(from + GROWTH_BATCH, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        for r in 0..2u64 {
+            let (db, told, writing) = (db.clone(), &told, &writing);
+            s.spawn(move || {
+                let mut probe = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r + 1);
+                let mut checked = 0u64;
+                while writing.load(Ordering::Acquire) {
+                    for (w, mark) in told.iter().enumerate() {
+                        let known = mark.load(Ordering::Acquire);
+                        if known == 0 {
+                            continue;
+                        }
+                        let snap = db.snapshot();
+                        // The newest key told of, and a pseudo-random older one.
+                        probe = probe.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        for i in [known - 1, (probe >> 33) % known] {
+                            assert_eq!(
+                                parse(snap.get(&growth_key(w, i))),
+                                i,
+                                "writer {w}: key {i} of {known} told-of is absent"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+                assert!(checked > 0, "the reader ran beside the writers");
+            });
+        }
+        for writer in writers {
+            writer.join().expect("writer panicked");
+        }
+        writing.store(false, Ordering::Release);
+    });
+
+    let total = GROWTH_WRITERS as u64 * GROWTH_KEYS;
+    let snap = db.snapshot();
+    for w in 0..GROWTH_WRITERS {
+        for i in 0..GROWTH_KEYS {
+            assert_eq!(parse(snap.get(&growth_key(w, i))), i, "writer {w} key {i}");
+        }
+    }
+    drop(snap);
+    db.gc();
+    let stats = db.stats();
+    assert_eq!(stats.keys as u64, total);
+    assert_eq!(stats.versions as u64, total);
+    let metrics = db.obs_snapshot().expect("obs on by default");
+    assert!(
+        metrics.counters["store_head_table_grows_total"] >= 4,
+        "the herd crossed at least four growths"
+    );
+    assert!(metrics.gauges["store_head_table_slots"] >= total);
 }
 
 #[test]

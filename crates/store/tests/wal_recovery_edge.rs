@@ -252,3 +252,49 @@ fn recovery_is_idempotent() {
         assert_eq!(a.get(key.as_bytes()), b.get(key.as_bytes()), "{key}");
     }
 }
+
+/// WAL replay publishes through the same path as live commits, so every
+/// replayed key is on the arena's GC worklist: the first sweep of a
+/// recovered multi-version log drops exactly the superseded versions — the
+/// same `GcStats` the locked layout's full sweep reports for the same log —
+/// and leaves one version per key.
+#[test]
+fn gc_after_recovery_drops_exactly_the_superseded_versions() {
+    let db = durable_db(IsolationLevel::WriteSnapshot);
+    // 20 keys; key i is written i % 4 + 1 times, one of them deleted last.
+    for round in 0..4u64 {
+        for i in (0..20u64).filter(|i| i % 4 >= round) {
+            commit_kv(
+                &db,
+                format!("k{i:02}").as_bytes(),
+                round.to_string().as_bytes(),
+            );
+        }
+    }
+    let mut t = db.begin();
+    t.delete(b"k03");
+    t.commit().unwrap();
+    let versions: usize = 20 + 15 + 10 + 5 + 1;
+    assert_eq!(db.stats().versions, versions);
+
+    let options = || DbOptions::new(IsolationLevel::WriteSnapshot);
+    let wal = || db.wal_snapshot().expect("durable");
+    let arena = Db::recover(options(), wal()).expect("clean log");
+    let locked = Db::recover(options().store_shards(1), wal()).expect("clean log");
+    assert_eq!(arena.stats().versions, versions, "every version replayed");
+
+    let dropped = arena.gc();
+    assert_eq!(dropped, locked.gc(), "same sweep result as the full sweep");
+    assert_eq!(dropped.versions_dropped as usize, versions - 20);
+    assert_eq!(arena.stats().versions, 20, "one version per key survives");
+    assert_eq!(arena.stats().keys, 20);
+    assert_eq!(
+        canon(arena.version_stamps()),
+        canon(locked.version_stamps())
+    );
+    assert_eq!(
+        arena.gc(),
+        wsi_store::GcStats::default(),
+        "nothing left to do"
+    );
+}

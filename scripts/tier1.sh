@@ -57,11 +57,22 @@ adaptive_scratch="$(mktemp -d)"
 (cd "$adaptive_scratch" && "$mvcc_scaling_bin" 100 5 >/dev/null)
 rm -rf "$adaptive_scratch"
 
+# End-to-end benchmark smoke: one second's worth of `uniform_complex_1t`
+# through the whole begin → get/put → commit → GC loop, traced. The binary
+# exits non-zero on `correct=false` or `steady_state=false`, so a GC that
+# leaks versions (a key that falls off the dirty-key worklist) or
+# incremental key/version counts that drift fail the gate here and not
+# only in the benchmark pipeline. The trace file lands under target/.
+cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
+  --workload uniform_complex_1t --seed 1 --seconds 1 --trace 1 >/dev/null
+
 # Lock-free protocol models, fast configuration: chain-head CAS publish
 # vs. concurrent readers, epoch advance vs. retire/free, the packed-node
-# claim/seal occupancy protocol, and the migration splice vs. a mid-chain
-# reader. 32 fuzzed schedules per model keeps the gate seconds-scale; the
-# default (64) runs when the suite is invoked without LOOM_MAX_ITERS.
+# claim/seal occupancy protocol, the migration splice vs. a mid-chain
+# reader, chain-head table growth vs. a reader, and the GC's dirty-flag
+# worklist handshake. 32 fuzzed schedules per model keeps the gate
+# seconds-scale; the default (64) runs when the suite is invoked without
+# LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols
 
 # Deterministic simulation gate: the seeded fault matrix (every engine ×
