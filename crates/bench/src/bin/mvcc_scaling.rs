@@ -1,6 +1,5 @@
-//! Data-plane throughput of the embedded store: lock-free arena vs.
-//! partitioned vs. single-lock layouts, across backend × threads ×
-//! contention × read/write mix.
+//! Data-plane throughput of the embedded store across threads ×
+//! contention × read/write mix × client think time.
 //!
 //! ```text
 //! cargo run -p wsi-bench --release --bin mvcc_scaling
@@ -11,19 +10,11 @@
 //! Where `oracle_scaling` isolated the commit-*decision* path, this drives
 //! the full embedded stack — `begin`/snapshot, version-store reads, commit
 //! apply with eager stamping — so the store's synchronization sits exactly
-//! where it sits in production. The oracle is the default sharded one in
-//! every cell; only the store layout varies:
-//!
-//! * `store-1`  — the single-lock layout: every get, scan, apply, and GC
-//!   funnels through one `RwLock` (the pre-sharding store).
-//! * `store-N`  — the partitioned store with N region shards.
-//! * `arena-flat` — the lock-free layout with adaptivity off: chunked
-//!   version arena, CAS-published chain heads of single-version nodes,
-//!   epoch-based reclamation; readers take no locks at all (the PR-5
-//!   layout, kept measurable as the packed-node baseline).
-//! * `arena`    — the adaptive lock-free layout (the default): hot chains
-//!   migrate into packed multi-version nodes with in-node binary search,
-//!   so a hot-key walk touches O(len/16) cache lines instead of O(len).
+//! where it sits in production: readers take no lock, writers publish with
+//! one CAS per key, hot chains migrate into packed multi-version nodes.
+//! There is one version store, so there is no backend axis; what decides
+//! between designs is `txn_e2e` (EXPERIMENTS.md, "Why there is one store").
+//! This bench keeps watch on the store against *itself*.
 //!
 //! Mixes (all WSI; writers don't read, so nothing ever conflict-aborts and
 //! every cell measures pure data-plane cost):
@@ -32,102 +23,51 @@
 //!   10th commits a 64-key batch.
 //! * `write-heavy` — every other op is the 64-key batch commit.
 //!
-//! Contention: `low` gives each thread a private 8 K key range (disjoint
-//! shard traffic — the scaling case); `high` points every thread at the
-//! same 2 K hot keys.
+//! Contention: `low` gives each thread a private 8 K key range (the scaling
+//! case); `high` points every thread at the same 2 K hot keys.
 //!
 //! Regimes, as in `oracle_scaling`: `raw` (back-to-back ops, best-of-N
-//! round-robin repeats — the single-thread parity comparison) and `think`
-//! (each op follows a client think-time sleep, modelling the paper's
-//! deployment of many concurrent clients per region server; sleeps overlap,
-//! so an 8-thread cell keeps ~8 requests in flight on any host).
+//! round-robin repeats) and `think` (each op follows a client think-time
+//! sleep, modelling the paper's deployment of many concurrent clients per
+//! region server; sleeps overlap, so an 8-thread cell keeps ~8 requests in
+//! flight on any host).
 //!
-//! Acceptance ratios (the `summary` block): the headline pair for the
-//! lock-free layout is measured in the **raw** regime, where the store is
-//! actually the bottleneck on any host — arena vs `store-16` at 8
-//! saturated threads (lock-free readers vs shard read-locks under
-//! contention, the ≥1.3× bar) and at 1 thread (the fixed-cost parity bar,
-//! ≥0.95). The think-time cells are reported for completeness but are
-//! sleep-dominated: on a single-core host every layout meets the same
-//! ~think-bound ceiling there (see EXPERIMENTS.md for the methodology
-//! caveat). The sharded-vs-single-lock ratios from the PR-4 harness are
-//! kept unchanged alongside.
+//! Acceptance bars (the `summary` block; both compare the store with
+//! itself, so they hold on any host):
 //!
-//! Alongside the main grid, a **chain-depth sweep** reruns the
-//! high-contention read-heavy raw 8-thread cell over write-batch size
-//! {16, 64} × inline-prune bound {8, 32} on `store-16`, `arena-flat`, and
-//! `arena`: deeper chains (bigger batches, laxer pruning) are exactly
-//! where packed nodes pay, and the sweep shows the adaptive layout's
-//! advantage growing with chain depth while the flat arena's shrinks.
+//! * **clients overlap** — read-heavy low-contention, think regime: 8
+//!   clients reach ≥ 4× one client's throughput. Nothing in the store
+//!   serializes disjoint-key clients, so their sleeps must overlap.
+//! * **the single-thread raw floor** — read-heavy high-contention, raw
+//!   regime: 8 saturated threads on the same 2 K hot keys keep ≥ 0.8× the
+//!   single-thread throughput. Contended chain heads, migration and
+//!   pruning may eat what extra cores add, but must not collapse below
+//!   what one thread does alone.
 //!
 //! Results go to stdout and `BENCH_mvcc_scaling.json` (a `results` array
-//! plus a `summary` with the acceptance ratios and the sweep ratios).
+//! plus a `summary` with the host's `nproc`, every cell's 8t/1t ratio and
+//! the two bars).
 
 use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use wsi_core::IsolationLevel;
-use wsi_store::{Db, DbOptions, StoreLayout};
+use wsi_store::{Db, DbOptions};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const BACKENDS: [Backend; 5] = [
-    Backend::Locked(1),
-    Backend::Locked(4),
-    Backend::Locked(16),
-    Backend::ArenaFlat,
-    Backend::Arena,
-];
 /// Private key range per thread under low contention.
 const RANGE_PER_THREAD: u64 = 8 * 1024;
 /// Shared hot range under high contention.
 const HOT_RANGE: u64 = 2 * 1024;
 /// Point reads per read op (one snapshot each op).
 const READS_PER_OP: usize = 4;
-/// Keys per write-batch commit in the main grid.
+/// Keys per write-batch commit.
 const WRITE_BATCH: u64 = 64;
-/// Inline-prune chain bound in the main grid (the `DbOptions` default).
-const PRUNE_DEFAULT: usize = 32;
-/// Chain-depth sweep axes: write-batch size × inline-prune bound, on the
-/// high-contention read-heavy raw 8-thread cell.
-const SWEEP_BATCHES: [u64; 2] = [16, 64];
-const SWEEP_PRUNES: [usize; 2] = [8, 32];
-const SWEEP_BACKENDS: [Backend; 3] = [Backend::Locked(16), Backend::ArenaFlat, Backend::Arena];
-
-#[derive(Clone, Copy, PartialEq)]
-enum Backend {
-    /// The locked layout with N region shards (`store_shards(N)`).
-    Locked(usize),
-    /// The lock-free chunked-arena layout with adaptivity off (flat
-    /// single-version chains — the packed-node baseline).
-    ArenaFlat,
-    /// The adaptive lock-free layout: hot chains migrate into packed
-    /// multi-version nodes (the default `StoreLayout::Arena`).
-    Arena,
-}
-
-impl Backend {
-    fn name(self) -> String {
-        match self {
-            Backend::Locked(n) => format!("store-{n}"),
-            Backend::ArenaFlat => "arena-flat".into(),
-            Backend::Arena => "arena".into(),
-        }
-    }
-
-    fn options(self, prune_len: usize) -> DbOptions {
-        let options = DbOptions::new(IsolationLevel::WriteSnapshot)
-            .with_obs(false)
-            .prune_chain_len(prune_len);
-        match self {
-            Backend::Locked(n) => options.store_shards(n),
-            Backend::ArenaFlat => options
-                .store_layout(StoreLayout::Arena)
-                .arena_adaptive(false),
-            Backend::Arena => options.store_layout(StoreLayout::Arena),
-        }
-    }
-}
+/// Think regime: 8 overlapped clients vs one, read-heavy low-contention.
+const BAR_THINK_8T_VS_1T: f64 = 4.0;
+/// Raw regime: 8 saturated threads vs one, read-heavy high-contention.
+const BAR_RAW_HOT_8T_VS_1T: f64 = 0.8;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Contention {
@@ -197,13 +137,10 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 struct Row {
-    backend: Backend,
     contention: Contention,
     mix: Mix,
     think_us: u64,
     threads: usize,
-    write_batch: u64,
-    prune_len: usize,
     ops: u64,
     reads: u64,
     writes: u64,
@@ -220,18 +157,14 @@ impl Row {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one parameter per sweep axis
 fn bench_one(
-    backend: Backend,
     contention: Contention,
     mix: Mix,
     think_us: u64,
     threads: usize,
     ops_per_thread: u64,
-    write_batch: u64,
-    prune_len: usize,
 ) -> Row {
-    let db = Db::open(backend.options(prune_len));
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).with_obs(false));
     // Pre-compute every key byte-string the cell can touch (so the timed
     // loops never pay `format!`), then pre-populate in chunked commits.
     let total_keys = contention.keys_needed(threads);
@@ -262,12 +195,10 @@ fn bench_one(
                             thread::sleep(Duration::from_micros(think_us));
                         }
                         if i % mix.write_every() == 0 {
-                            // The apply path: one commit spreading a 64-key
-                            // batch across the store (one write-lock hold on
-                            // store-1; per-shard visits on store-N; CAS
-                            // publishes on the arena).
+                            // The apply path: one commit CAS-publishing a
+                            // 64-key batch.
                             let mut txn = db.begin();
-                            for _ in 0..write_batch {
+                            for _ in 0..WRITE_BATCH {
                                 let n = base + xorshift(&mut rng) % range;
                                 txn.put(&keys[n as usize], i.to_be_bytes().as_slice());
                             }
@@ -293,13 +224,10 @@ fn bench_one(
     });
     let elapsed_us = started.elapsed().as_micros();
     Row {
-        backend,
         contention,
         mix,
         think_us,
         threads,
-        write_batch,
-        prune_len,
         ops: threads as u64 * ops_per_thread,
         reads,
         writes,
@@ -307,45 +235,19 @@ fn bench_one(
     }
 }
 
-/// Main-grid lookup: fixed at the grid's write-batch size and prune bound
-/// (the sweep rows carry other values and are matched separately).
-fn find_throughput(
-    rows: &[Row],
-    backend: Backend,
-    contention: Contention,
-    mix: Mix,
-    think_us: u64,
-    threads: usize,
-) -> f64 {
-    rows.iter()
-        .find(|r| {
-            r.backend == backend
-                && r.contention == contention
-                && r.mix == mix
-                && r.think_us == think_us
-                && r.threads == threads
-                && r.write_batch == WRITE_BATCH
-                && r.prune_len == PRUNE_DEFAULT
-        })
-        .map(Row::throughput)
-        .unwrap_or(0.0)
-}
-
-/// Sweep lookup: the high-contention read-heavy raw 8-thread cell at a
-/// given write-batch size and prune bound.
-fn find_sweep(rows: &[Row], backend: Backend, write_batch: u64, prune_len: usize) -> f64 {
-    rows.iter()
-        .find(|r| {
-            r.backend == backend
-                && r.contention == Contention::High
-                && r.mix == Mix::ReadHeavy
-                && r.think_us == 0
-                && r.threads == 8
-                && r.write_batch == write_batch
-                && r.prune_len == prune_len
-        })
-        .map(Row::throughput)
-        .unwrap_or(0.0)
+/// A cell's 8-thread throughput over its 1-thread throughput.
+fn scaling_8t_vs_1t(rows: &[Row], contention: Contention, mix: Mix, think_us: u64) -> f64 {
+    let throughput = |threads: usize| {
+        rows.iter()
+            .find(|r| {
+                r.contention == contention
+                    && r.mix == mix
+                    && r.think_us == think_us
+                    && r.threads == threads
+            })
+            .map_or(0.0, Row::throughput)
+    };
+    throughput(8) / throughput(1)
 }
 
 fn main() {
@@ -364,92 +266,45 @@ fn main() {
          {READS_PER_OP} reads/op, {WRITE_BATCH}-key write batches"
     );
     println!(
-        "{:>10} {:>10} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8} {:>8} {:>8} {:>12}",
-        "backend",
-        "contention",
-        "mix",
-        "think",
-        "threads",
-        "wb",
-        "prune",
-        "ops",
-        "reads",
-        "writes",
-        "tps"
+        "{:>10} {:>12} {:>6} {:>7} {:>8} {:>8} {:>8} {:>12}",
+        "contention", "mix", "think", "threads", "ops", "reads", "writes", "tps"
     );
 
     // Cells run round-robin (as in oracle_scaling): repeats of every cell
     // interleave across the whole run so a slow stretch of wall-clock can't
-    // systematically penalize one backend. Raw cells are millisecond-scale,
-    // so they get extra ops and best-of-5; think cells are sleep-dominated
-    // and get best-of-2.
+    // systematically penalize one cell. Raw cells are tens-of-milliseconds
+    // scale, so a single hypervisor-steal window can swallow a whole
+    // repeat: they get extra ops and best-of-5. Think cells are
+    // sleep-dominated and get best-of-2.
     struct Cell {
-        backend: Backend,
         contention: Contention,
         mix: Mix,
         think_us: u64,
         threads: usize,
-        write_batch: u64,
-        prune_len: usize,
         ops: u64,
         repeats: usize,
         best: Option<Row>,
     }
     let mut cells = Vec::new();
-    for &backend in &BACKENDS {
-        for contention in [Contention::Low, Contention::High] {
-            for mix in [Mix::ReadHeavy, Mix::WriteHeavy] {
-                for think in [0, think_us] {
-                    for threads in THREAD_COUNTS {
-                        // Raw cells are tens-of-milliseconds scale, so a
-                        // single hypervisor-steal window can swallow a
-                        // whole repeat; best-of-5 (vs best-of-2 for the
-                        // sleep-dominated think cells) gives each raw
-                        // cell a realistic shot at a clean window. The
-                        // acceptance ratios all come from raw cells.
-                        let (ops, repeats) = if think == 0 {
-                            (ops_per_thread * 2, 5)
-                        } else {
-                            (ops_per_thread, 2)
-                        };
-                        cells.push(Cell {
-                            backend,
-                            contention,
-                            mix,
-                            think_us: think,
-                            threads,
-                            write_batch: WRITE_BATCH,
-                            prune_len: PRUNE_DEFAULT,
-                            ops,
-                            repeats,
-                            best: None,
-                        });
-                    }
+    for contention in [Contention::Low, Contention::High] {
+        for mix in [Mix::ReadHeavy, Mix::WriteHeavy] {
+            for think in [0, think_us] {
+                for threads in THREAD_COUNTS {
+                    let (ops, repeats) = if think == 0 {
+                        (ops_per_thread * 2, 5)
+                    } else {
+                        (ops_per_thread, 2)
+                    };
+                    cells.push(Cell {
+                        contention,
+                        mix,
+                        think_us: think,
+                        threads,
+                        ops,
+                        repeats,
+                        best: None,
+                    });
                 }
-            }
-        }
-    }
-    // Chain-depth sweep: the high-contention read-heavy raw 8-thread cell
-    // over write-batch × prune-bound. The (WRITE_BATCH, PRUNE_DEFAULT)
-    // corner is already in the main grid, so only the other corners run.
-    for &backend in &SWEEP_BACKENDS {
-        for write_batch in SWEEP_BATCHES {
-            for prune_len in SWEEP_PRUNES {
-                if write_batch == WRITE_BATCH && prune_len == PRUNE_DEFAULT {
-                    continue;
-                }
-                cells.push(Cell {
-                    backend,
-                    contention: Contention::High,
-                    mix: Mix::ReadHeavy,
-                    think_us: 0,
-                    threads: 8,
-                    write_batch,
-                    prune_len,
-                    ops: ops_per_thread * 2,
-                    repeats: 5,
-                    best: None,
-                });
             }
         }
     }
@@ -460,14 +315,11 @@ fn main() {
                 continue;
             }
             let row = bench_one(
-                cell.backend,
                 cell.contention,
                 cell.mix,
                 cell.think_us,
                 cell.threads,
                 cell.ops,
-                cell.write_batch,
-                cell.prune_len,
             );
             if cell
                 .best
@@ -484,14 +336,11 @@ fn main() {
         .collect();
     for row in &rows {
         println!(
-            "{:>10} {:>10} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8} {:>8} {:>8} {:>12.0}",
-            row.backend.name(),
+            "{:>10} {:>12} {:>6} {:>7} {:>8} {:>8} {:>8} {:>12.0}",
             row.contention.name(),
             row.mix.name(),
             row.think_us,
             row.threads,
-            row.write_batch,
-            row.prune_len,
             row.ops,
             row.reads,
             row.writes,
@@ -499,195 +348,50 @@ fn main() {
         );
     }
 
-    // Acceptance ratios, all from the read-heavy low-contention column.
-    //
-    // * The arena pair uses the **raw** regime, where the store (not the
-    //   client sleep) is the bottleneck on any host: at 8 saturated threads
-    //   lock-free chain walks vs shard read-locks (the ≥1.3× bar), and at 1
-    //   thread the fixed-cost parity bar (≥0.95 — arena allocation, hashing,
-    //   and epoch pins must cost ~nothing over the locked fast path).
-    // * The sharded-vs-single-lock ratios keep the PR-4 shape: the headline
-    //   is think-regime 8 overlapped clients vs the serial single-lock
-    //   baseline; the same-thread-count ratio is reported for honesty (≈1.0
-    //   on single-core hosts where every layout is CPU-ceiling-bound); the
-    //   parity bar (≥0.90) is raw single-thread.
-    let locked_1 = Backend::Locked(1);
-    let locked_max = *BACKENDS
-        .iter()
-        .rfind(|b| matches!(b, Backend::Locked(_)))
-        .unwrap();
-    let max_shards = match locked_max {
-        Backend::Locked(n) => n,
-        Backend::ArenaFlat | Backend::Arena => unreachable!(),
-    };
-    let arena_raw_8t =
-        find_throughput(&rows, Backend::Arena, Contention::Low, Mix::ReadHeavy, 0, 8)
-            / find_throughput(&rows, locked_max, Contention::Low, Mix::ReadHeavy, 0, 8);
-    let arena_raw_1t =
-        find_throughput(&rows, Backend::Arena, Contention::Low, Mix::ReadHeavy, 0, 1)
-            / find_throughput(&rows, locked_max, Contention::Low, Mix::ReadHeavy, 0, 1);
-    let arena_raw_high_8t =
-        find_throughput(
-            &rows,
-            Backend::Arena,
-            Contention::High,
-            Mix::ReadHeavy,
-            0,
-            8,
-        ) / find_throughput(&rows, locked_max, Contention::High, Mix::ReadHeavy, 0, 8);
-    let arena_write_raw_8t =
-        find_throughput(
-            &rows,
-            Backend::Arena,
-            Contention::Low,
-            Mix::WriteHeavy,
-            0,
-            8,
-        ) / find_throughput(&rows, locked_max, Contention::Low, Mix::WriteHeavy, 0, 8);
-    let sharded_8t_vs_single_1t = find_throughput(
-        &rows,
-        locked_max,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        8,
-    ) / find_throughput(
-        &rows,
-        locked_1,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        1,
-    );
-    let same_threads_8t = find_throughput(
-        &rows,
-        locked_max,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        8,
-    ) / find_throughput(
-        &rows,
-        locked_1,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        8,
-    );
-    let parity_1t = find_throughput(&rows, locked_max, Contention::Low, Mix::ReadHeavy, 0, 1)
-        / find_throughput(&rows, locked_1, Contention::Low, Mix::ReadHeavy, 0, 1);
-    let scaling_8t = find_throughput(
-        &rows,
-        locked_max,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        8,
-    ) / find_throughput(
-        &rows,
-        locked_max,
-        Contention::Low,
-        Mix::ReadHeavy,
-        think_us,
-        1,
-    );
-    let write_heavy_8t = find_throughput(
-        &rows,
-        locked_max,
-        Contention::Low,
-        Mix::WriteHeavy,
-        think_us,
-        8,
-    ) / find_throughput(
-        &rows,
-        locked_1,
-        Contention::Low,
-        Mix::WriteHeavy,
-        think_us,
-        8,
-    );
-    let arena_vs_flat_high_8t = find_throughput(
-        &rows,
-        Backend::Arena,
-        Contention::High,
-        Mix::ReadHeavy,
-        0,
-        8,
-    ) / find_throughput(
-        &rows,
-        Backend::ArenaFlat,
-        Contention::High,
-        Mix::ReadHeavy,
-        0,
-        8,
-    );
-    println!(
-        "\narena vs store-{max_shards}, read-heavy low-contention raw 8t: {arena_raw_8t:.2}x \
-         (acceptance bar: ≥1.30)"
-    );
-    println!(
-        "arena vs store-{max_shards}, read-heavy low-contention raw 1t parity: \
-         {arena_raw_1t:.3} (acceptance bar: ≥0.95)"
-    );
-    println!(
-        "arena vs store-{max_shards}, read-heavy high-contention raw 8t: \
-         {arena_raw_high_8t:.2}x (acceptance bar: ≥0.95 — packed nodes close the hot-key gap)"
-    );
-    println!(
-        "arena vs arena-flat, read-heavy high-contention raw 8t: {arena_vs_flat_high_8t:.2}x \
-         (the packed-node win in isolation)"
-    );
-    println!(
-        "arena vs store-{max_shards}, write-heavy low-contention raw 8t: {arena_write_raw_8t:.2}x"
-    );
-    println!("\nchain-depth sweep (read-heavy high-contention raw 8t):");
-    let mut sweep_json = String::new();
-    for write_batch in SWEEP_BATCHES {
-        for prune_len in SWEEP_PRUNES {
-            let locked = find_sweep(&rows, locked_max, write_batch, prune_len);
-            let flat = find_sweep(&rows, Backend::ArenaFlat, write_batch, prune_len);
-            let adaptive = find_sweep(&rows, Backend::Arena, write_batch, prune_len);
-            let vs_locked = adaptive / locked;
-            let vs_flat = adaptive / flat;
-            println!(
-                "  wb={write_batch:>2} prune={prune_len:>2}: arena/store-{max_shards} \
-                 {vs_locked:.2}x, arena/arena-flat {vs_flat:.2}x"
-            );
-            let _ = write!(
-                sweep_json,
-                ",\n    \"sweep_wb{write_batch}_prune{prune_len}_arena_vs_locked{max_shards}\": \
-                 {vs_locked:.3},\n    \
-                 \"sweep_wb{write_batch}_prune{prune_len}_arena_vs_flat\": {vs_flat:.3}"
-            );
+    println!("\n8 threads vs 1, per cell:");
+    let mut ratios_json = String::new();
+    for contention in [Contention::Low, Contention::High] {
+        for mix in [Mix::ReadHeavy, Mix::WriteHeavy] {
+            for (regime, think) in [("raw", 0), ("think", think_us)] {
+                let ratio = scaling_8t_vs_1t(&rows, contention, mix, think);
+                let name = format!(
+                    "{}_{}_{regime}_8t_vs_1t",
+                    mix.name().replace('-', "_"),
+                    contention.name()
+                );
+                println!("  {name}: {ratio:.2}x");
+                let _ = write!(ratios_json, ",\n    \"{name}\": {ratio:.3}");
+            }
         }
     }
-    println!(
-        "read-heavy low-contention: store-{max_shards} at 8 clients vs single-lock serial \
-         baseline (think {think_us} µs): {sharded_8t_vs_single_1t:.2}x"
-    );
-    println!(
-        "read-heavy low-contention 8t same-thread-count, store-{max_shards} vs store-1: \
-         {same_threads_8t:.2}x (≈1.0 on single-core hosts: CPU-ceiling-bound)"
-    );
-    println!("write-heavy low-contention 8t same-thread-count: {write_heavy_8t:.2}x");
-    println!("store-{max_shards} read-heavy 8t/1t scaling (think): {scaling_8t:.2}x");
-    println!("single-thread raw parity (store-{max_shards} / store-1): {parity_1t:.3}");
+    let bars = [
+        (
+            "read_heavy_low_think_8t_vs_1t",
+            scaling_8t_vs_1t(&rows, Contention::Low, Mix::ReadHeavy, think_us),
+            BAR_THINK_8T_VS_1T,
+        ),
+        (
+            "read_heavy_high_raw_8t_vs_1t",
+            scaling_8t_vs_1t(&rows, Contention::High, Mix::ReadHeavy, 0),
+            BAR_RAW_HOT_8T_VS_1T,
+        ),
+    ];
+    for (name, value, bar) in bars {
+        println!("{name}: {value:.2}x (acceptance bar: ≥{bar})");
+    }
 
+    let nproc = thread::available_parallelism().map_or(0, |n| n.get());
     let mut json = String::from("{\n  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"backend\": \"{}\", \"contention\": \"{}\", \"mix\": \"{}\", \
-             \"think_us\": {}, \"threads\": {}, \"write_batch\": {}, \"prune_len\": {}, \
-             \"ops\": {}, \"reads\": {}, \"writes\": {}, \
+            "    {{\"contention\": \"{}\", \"mix\": \"{}\", \"think_us\": {}, \
+             \"threads\": {}, \"ops\": {}, \"reads\": {}, \"writes\": {}, \
              \"elapsed_us\": {}, \"throughput_tps\": {:.1}}}{}",
-            row.backend.name(),
             row.contention.name(),
             row.mix.name(),
             row.think_us,
             row.threads,
-            row.write_batch,
-            row.prune_len,
             row.ops,
             row.reads,
             row.writes,
@@ -698,18 +402,11 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"summary\": {{\n    \"ops_per_thread\": {ops_per_thread},\n    \
+        "  ],\n  \"summary\": {{\n    \"nproc\": {nproc},\n    \
+         \"ops_per_thread\": {ops_per_thread},\n    \
          \"think_us\": {think_us},\n    \
-         \"read_heavy_low_raw_8t_arena_vs_locked{max_shards}\": {arena_raw_8t:.3},\n    \
-         \"read_heavy_low_raw_1t_arena_vs_locked{max_shards}\": {arena_raw_1t:.3},\n    \
-         \"read_heavy_high_raw_8t_arena_vs_locked{max_shards}\": {arena_raw_high_8t:.3},\n    \
-         \"read_heavy_high_raw_8t_arena_vs_flat\": {arena_vs_flat_high_8t:.3},\n    \
-         \"write_heavy_low_raw_8t_arena_vs_locked{max_shards}\": {arena_write_raw_8t:.3},\n    \
-         \"read_heavy_low_sharded_8t_vs_single_lock_1t\": {sharded_8t_vs_single_1t:.3},\n    \
-         \"read_heavy_low_8t_same_threads_sharded_vs_single_lock\": {same_threads_8t:.3},\n    \
-         \"write_heavy_low_8t_same_threads_sharded_vs_single_lock\": {write_heavy_8t:.3},\n    \
-         \"read_heavy_low_8t_vs_1t_sharded\": {scaling_8t:.3},\n    \
-         \"single_thread_raw_parity\": {parity_1t:.3}{sweep_json}\n  }}\n}}\n"
+         \"bar_read_heavy_low_think_8t_vs_1t\": {BAR_THINK_8T_VS_1T},\n    \
+         \"bar_read_heavy_high_raw_8t_vs_1t\": {BAR_RAW_HOT_8T_VS_1T}{ratios_json}\n  }}\n}}\n"
     );
     let path = "BENCH_mvcc_scaling.json";
     match std::fs::write(path, &json) {
@@ -718,32 +415,15 @@ fn main() {
     }
 
     // Acceptance gate: a full-scale run (the default arguments, the one that
-    // refreshes the committed artifact) must clear every arena bar, or exit
+    // refreshes the committed artifact) must clear both bars, or exit
     // nonzero so a regressed artifact can't be committed silently. Reduced
     // runs (tier1/bench_smoke scratch smokes pass explicit small op counts)
     // are liveness checks, not measurements, and skip the gate.
     if ops_per_thread >= 1500 {
-        let bars = [
-            (
-                "read_heavy_low_raw_8t_arena_vs_locked16",
-                arena_raw_8t,
-                1.30,
-            ),
-            (
-                "read_heavy_low_raw_1t_arena_vs_locked16",
-                arena_raw_1t,
-                0.95,
-            ),
-            (
-                "read_heavy_high_raw_8t_arena_vs_locked16",
-                arena_raw_high_8t,
-                0.95,
-            ),
-        ];
         let failed: Vec<String> = bars
             .iter()
-            .filter(|(_, v, bar)| v < bar)
-            .map(|(name, v, bar)| format!("{name} = {v:.3} (bar ≥{bar})"))
+            .filter(|(_, value, bar)| value < bar)
+            .map(|(name, value, bar)| format!("{name} = {value:.3} (bar ≥{bar})"))
             .collect();
         if !failed.is_empty() {
             eprintln!(

@@ -213,7 +213,7 @@ impl Engine {
         }
     }
 
-    pub(crate) fn reclamation(&self) -> Option<ReclamationStats> {
+    pub(crate) fn reclamation(&self) -> ReclamationStats {
         match self {
             Engine::Db(db) => db.reclamation(),
             Engine::Ssi(db) => db.reclamation(),

@@ -160,8 +160,8 @@ pub struct RunReport {
     pub delta_census: WalCensus,
     /// Census of the entire surviving log at the end of the run.
     pub census: WalCensus,
-    /// Final epoch-reclamation accounting, when the layout reports one.
-    pub reclamation: Option<ReclamationStats>,
+    /// Final epoch-reclamation accounting.
+    pub reclamation: ReclamationStats,
     /// Flight-recorder events of the **final engine incarnation** (earlier
     /// incarnations' journals die with their engines at a crash fault).
     /// `Event::ts_us` is wall-clock and excluded from determinism claims;
@@ -432,14 +432,13 @@ impl Sim<'_> {
     }
 
     fn check_reclamation(&self, context: &str) {
-        if let Some(rec) = self.engine.reclamation() {
-            if rec.retired != rec.freed + rec.limbo {
-                panic!(
-                    "reconciliation violation {context}: retired {} != freed {} + limbo {}\n  \
-                     reproduce: {}",
-                    rec.retired, rec.freed, rec.limbo, self.repro
-                );
-            }
+        let rec = self.engine.reclamation();
+        if rec.retired != rec.freed + rec.limbo {
+            panic!(
+                "reconciliation violation {context}: retired {} != freed {} + limbo {}\n  \
+                 reproduce: {}",
+                rec.retired, rec.freed, rec.limbo, self.repro
+            );
         }
     }
 

@@ -255,14 +255,13 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
     );
 
     // 5. Epoch reclamation stays exact at the quiescent end of the run.
-    if let Some(rec) = &report.reclamation {
-        check_eq(
-            rec.retired,
-            rec.freed + rec.limbo,
-            "reclamation retired == freed + limbo",
-            &repro,
-        );
-    }
+    let rec = &report.reclamation;
+    check_eq(
+        rec.retired,
+        rec.freed + rec.limbo,
+        "reclamation retired == freed + limbo",
+        &repro,
+    );
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ fn fault_matrix_ssi() {
 }
 
 /// The reclamation-storm preset must exercise the packed-node lifecycle
-/// end to end: the adaptive arena migrates hot chains into packed
+/// end to end: the store migrates hot chains into packed
 /// multi-version nodes, GC and insert-time pruning empty them, and the
 /// storm's forced epoch sweeps retire and free them whole. A contended
 /// corpus (few keys, many clients) keeps every chain hot enough to
@@ -70,11 +70,8 @@ fn reclamation_storm_exercises_packed_node_retirement() {
             .clients(8)
             .plan("reclamation-storm", FaultPlan::reclamation_storm(STEPS));
         let report = run(&config);
-        let rec = report
-            .reclamation
-            .expect("the arena layout reports reclamation accounting");
-        migrations += rec.migrations;
-        packed_retired += rec.packed_retired;
+        migrations += report.reclamation.migrations;
+        packed_retired += report.reclamation.packed_retired;
     }
     assert!(
         migrations > 0,

@@ -1,17 +1,16 @@
-//! The lock-free version-store layout: a chunked version arena, CAS-installed
-//! per-key chain heads, chain-length-adaptive packed nodes, and epoch-based
-//! reclamation.
+//! The version store: a chunked version arena, CAS-installed per-key chain
+//! heads, chain-length-adaptive packed nodes, and epoch-based reclamation.
 //!
-//! This is the data plane behind [`crate::MvccStore`]'s `Arena` layout
-//! (`DbOptions::store_layout`, the default). Where the locked layout guards
-//! each shard's `BTreeMap` of chains with a readers-writer lock, here:
+//! [`ArenaStore`] — exported as [`crate::MvccStore`] — is the data plane of
+//! both engines. The paper's case for (W)SI is that reads never block
+//! (§2.2, §4); so here:
 //!
 //! * **Readers take no lock at all.** A snapshot read hashes the key into
 //!   [`ChainHeadTable`]'s current open-addressing generation (expected ≤ 2
 //!   probes at any key count; a non-matching probe compares a fingerprint
 //!   and touches nothing else), then walks the key's version chain through
-//!   plain `Acquire` loads, and decides visibility per version exactly as
-//!   the locked layout does (stamp → resolver). The only synchronization on
+//!   plain `Acquire` loads, and decides visibility per version (stamp →
+//!   resolver, see `crate::mvcc`). The only synchronization on
 //!   the read path is an epoch *pin* (two atomics on the thread's own cache
 //!   line).
 //! * **Writers publish with one CAS.** On a cold chain a version is
@@ -33,7 +32,7 @@
 //!   couple of node hops, and an **in-node binary search** over a contiguous
 //!   timestamp array instead of a pointer chase over ~32 scattered nodes.
 //!   The chain shape invariant is *singles prefix, packed suffix*. See
-//!   DESIGN.md §13 for the migration safety argument.
+//!   DESIGN.md §6 for the migration safety argument.
 //! * **Restructurers serialize per key, readers don't wait for them.**
 //!   Abort cleanup, insert-time pruning, migration, and the GC restructure
 //!   chains; those (rare) operations take the key entry's spin lock so at
@@ -80,12 +79,18 @@ use parking_lot::RwLock;
 use spin::Mutex as SpinMutex;
 use wsi_core::{hash_row_key, Timestamp, TxnStatus};
 
-use crate::mvcc::{
-    GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps, FIB_HASH,
-    PRUNE_CHAIN_LEN,
-};
+use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
 use crate::registry::{EpochParticipants, EpochPin};
+
+/// Fibonacci multiplicative-hash constant (2^64 / φ), the same spreading
+/// function as the sharded oracle's `lastCommit` table.
+const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Chains at least this long are pruned against the GC watermark before the
+/// next insert returns, bounding both memory and the resolution walk on hot
+/// keys (see [`ArenaStore::prune_entry`]).
+pub(crate) const PRUNE_CHAIN_LEN: usize = 32;
 
 /// Versions per arena chunk (power of two).
 const CHUNK_SLOTS: usize = 1024;
@@ -154,8 +159,8 @@ const SEALED: u32 = 1 << 31;
 /// Claim-count mask of the occupancy word's low half.
 const CLAIM_MASK: u32 = SEALED - 1;
 
-/// Single-version nodes a chain accumulates before an (adaptive-mode)
-/// publisher migrates its stamped prefix into packed nodes.
+/// Single-version nodes a chain accumulates before a publisher migrates its
+/// stamped prefix into packed nodes.
 const MIGRATE_SINGLES: u32 = 8;
 
 /// Minimum stamped singles for a migration to be worth the restructure.
@@ -604,8 +609,8 @@ struct KeyEntry {
     /// Approximate live version count, maintained by publishers and
     /// restructurers to arm insert-time pruning. Advisory only.
     approx_len: AtomicU32,
-    /// Approximate single-version node count, arming chain migration in
-    /// adaptive mode. Advisory only.
+    /// Approximate single-version node count, arming chain migration.
+    /// Advisory only.
     singles: AtomicU32,
     /// Serializes chain *restructuring* (abort unlink, pruning, migration,
     /// GC) for this key. Readers and publishing writers never take it.
@@ -865,9 +870,9 @@ struct WorkShard(SpinMutex<Vec<u32>>);
 /// handle's [`PACKED_TAG`] routes the eventual free to the right arena.
 type LimboEntry = (u64, u64); // (retire epoch, packed VersionIdx)
 
-/// The lock-free arena layout of the MVCC store. See the module docs.
+/// The concurrent multi-version key space. See the module docs.
 #[derive(Debug)]
-pub(crate) struct ArenaStore {
+pub struct ArenaStore {
     table: ChainHeadTable,
     arena: VersionArena,
     packed: PackedArena,
@@ -898,21 +903,12 @@ pub(crate) struct ArenaStore {
     /// is queued at most once: only the flag's clean → dirty transition
     /// appends.
     worklist: [WorkShard; WORK_SHARDS],
-    /// Whether hot chains migrate into packed nodes. Off = the flat PR 5
-    /// layout, kept selectable for equivalence tests and benchmarks.
-    adaptive: bool,
-    /// Chain length arming insert-time pruning.
-    prune_len: usize,
     obs: Option<Arc<ArenaObs>>,
 }
 
 impl ArenaStore {
-    /// The default configuration: adaptive layout, standard prune bound.
-    pub(crate) fn new() -> Self {
-        Self::with_config(true, PRUNE_CHAIN_LEN)
-    }
-
-    pub(crate) fn with_config(adaptive: bool, prune_len: usize) -> Self {
+    /// Creates an empty store.
+    pub fn new() -> Self {
         ArenaStore {
             table: ChainHeadTable::new(),
             arena: VersionArena::new(),
@@ -927,12 +923,11 @@ impl ArenaStore {
             keys: wsi_obs::Counter::new(),
             versions: wsi_obs::Counter::new(),
             worklist: Default::default(),
-            adaptive,
-            prune_len: prune_len.max(2),
             obs: None,
         }
     }
 
+    /// Attaches epoch/reclamation metrics (built by `Db::open`).
     pub(crate) fn attach_obs(&mut self, obs: Arc<ArenaObs>) {
         self.obs = Some(obs);
     }
@@ -940,7 +935,7 @@ impl ArenaStore {
     /// Inserts an (invisible) version: allocate or claim, link, publish.
     /// This one-at-a-time API may be called repeatedly with the same key
     /// and writer, so it pays the same-writer duplicate probe.
-    pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
+    pub fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
         let pin = self.epochs.pin();
         self.insert_one(key, writer_start, value, true, &pin);
     }
@@ -950,7 +945,7 @@ impl ArenaStore {
     /// materialize a per-transaction write *map*, so they are), which lets
     /// every insert skip the same-writer duplicate chain walk — the batch
     /// path is the data-plane hot path.
-    pub(crate) fn insert_versions<I>(&self, writer_start: Timestamp, writes: I)
+    pub fn insert_versions<I>(&self, writer_start: Timestamp, writes: I)
     where
         I: IntoIterator<Item = (Bytes, Option<Bytes>)>,
     {
@@ -1027,7 +1022,7 @@ impl ArenaStore {
         if let Some(obs) = &self.obs {
             obs.chain_len.record(len as u64);
         }
-        if len as usize >= self.prune_len {
+        if len as usize >= PRUNE_CHAIN_LEN {
             let pruned = self.prune_entry(entry);
             if pruned > 0 {
                 if let Some(obs) = &self.obs {
@@ -1035,24 +1030,22 @@ impl ArenaStore {
                 }
             }
         }
-        if self.adaptive {
-            match published {
-                Loc::Single(_) => {
-                    let singles = entry.singles.fetch_add(1, Ordering::Relaxed) + 1;
-                    if singles >= MIGRATE_SINGLES {
-                        self.migrate_entry(entry);
-                        // Migration prepends a HEAD_BUILD-full node to the
-                        // packed tail; merge the accumulated underfull ones.
-                        self.consolidate_entry(entry);
-                    }
+        match published {
+            Loc::Single(_) => {
+                let singles = entry.singles.fetch_add(1, Ordering::Relaxed) + 1;
+                if singles >= MIGRATE_SINGLES {
+                    self.migrate_entry(entry);
+                    // Migration prepends a HEAD_BUILD-full node to the
+                    // packed tail; merge the accumulated underfull ones.
+                    self.consolidate_entry(entry);
                 }
-                // A spill grew the chain by a node (once per ~PACK_CAP
-                // publishes on a hot key): fold the cold tail's claim
-                // regions back into fully sorted nodes so reads keep their
-                // in-node binary search.
-                Loc::Packed(p, _) if spill == Some(p) => self.consolidate_entry(entry),
-                Loc::Packed(..) => {}
             }
+            // A spill grew the chain by a node (once per ~PACK_CAP
+            // publishes on a hot key): fold the cold tail's claim
+            // regions back into fully sorted nodes so reads keep their
+            // in-node binary search.
+            Loc::Packed(p, _) if spill == Some(p) => self.consolidate_entry(entry),
+            Loc::Packed(..) => {}
         }
     }
 
@@ -1234,10 +1227,10 @@ impl ArenaStore {
     }
 
     /// A transaction that writes the same key twice through this API
-    /// replaces its earlier version (the locked layout's in-place
-    /// overwrite). The writer itself is single-threaded, so any duplicate
-    /// is already published and stable; the just-published location is
-    /// excluded so the new version is never mistaken for the duplicate.
+    /// replaces its earlier version. The writer itself is single-threaded,
+    /// so any duplicate is already published and stable; the just-published
+    /// location is excluded so the new version is never mistaken for the
+    /// duplicate.
     fn resolve_duplicate(&self, entry: &KeyEntry, writer_start: Timestamp, published: Loc) {
         let ws = writer_start.raw();
         let mut found = false;
@@ -1258,9 +1251,10 @@ impl ArenaStore {
     /// Insert-time pruning against the store watermark: among *stamped*
     /// versions with `committed_at < watermark` the newest is the keep
     /// bound; stamped versions strictly below the bound are invisible to
-    /// every current and future snapshot and are removed. Identical keep
-    /// rule to the locked layout's `prune_stamped_below`. Returns versions
-    /// pruned.
+    /// every current and future snapshot and are removed (the GC's own keep
+    /// rule, restricted to stamps: unstamped versions are always kept —
+    /// classifying them needs the resolver, which is the sweep's job).
+    /// Returns versions pruned.
     fn prune_entry(&self, entry: &KeyEntry) -> u64 {
         let watermark = self.watermark.load(Ordering::Relaxed);
         let _guard = entry.lock.lock();
@@ -1280,7 +1274,7 @@ impl ArenaStore {
     }
 
     /// Migrates a hot chain's stamped singles into packed multi-version
-    /// nodes (adaptive mode). Only *stamped* versions move: a stamped
+    /// nodes. Only *stamped* versions move: a stamped
     /// version's commit timestamp and value are immutable, so the copy
     /// cannot race the lock-free `stamp_commit` path — unstamped singles
     /// stay in place and migrate on a later pass once stamped.
@@ -1365,8 +1359,8 @@ impl ArenaStore {
         }
     }
 
-    /// Folds the cold packed tail of a chain back into full, sorted nodes
-    /// (adaptive mode). Two degradations feed it:
+    /// Folds the cold packed tail of a chain back into full, sorted nodes.
+    /// Two degradations feed it:
     ///
     /// * **Spill nodes** are born with a one-entry sorted prefix and fill
     ///   through claims, so without this pass a long-lived hot chain
@@ -1399,7 +1393,7 @@ impl ArenaStore {
     /// on its predecessor's link (attach-then-unlink as in
     /// [`Self::migrate_entry`]): a reader standing in the old run keeps its
     /// forward view through the old links until the epoch reclaimer frees
-    /// the retired nodes (DESIGN.md §13).
+    /// the retired nodes (DESIGN.md §6).
     fn consolidate_entry(&self, entry: &KeyEntry) {
         let _guard = entry.lock.lock();
         // Walk the singles prefix (chain shape is S* P*), remembering the
@@ -1591,9 +1585,11 @@ impl ArenaStore {
     }
 
     /// Stamps the commit timestamp onto a writer's versions (eager §2.2
-    /// write-back). A missing key or version — removed by abort cleanup —
-    /// is a silent no-op, exactly like the locked layout.
-    pub(crate) fn stamp_commit<'a, I>(&self, writer_start: Timestamp, commit_ts: Timestamp, keys: I)
+    /// write-back). Called only after the commit is published (or replayed
+    /// from the WAL), so a stamp can never name an uncommitted transaction;
+    /// a missing key or version — removed by abort cleanup — is a silent
+    /// no-op, so the abort path cannot be stamped.
+    pub fn stamp_commit<'a, I>(&self, writer_start: Timestamp, commit_ts: Timestamp, keys: I)
     where
         I: IntoIterator<Item = &'a Bytes>,
     {
@@ -1628,7 +1624,7 @@ impl ArenaStore {
 
     /// Removes a writer's versions (abort cleanup): singles are unlinked,
     /// packed entries dead-marked (retiring any node that empties).
-    pub(crate) fn remove_versions<'a, I>(&self, writer_start: Timestamp, keys: I)
+    pub fn remove_versions<'a, I>(&self, writer_start: Timestamp, keys: I)
     where
         I: IntoIterator<Item = &'a Bytes>,
     {
@@ -1647,7 +1643,7 @@ impl ArenaStore {
     /// Reads `key` at snapshot `reader_start` with zero locks: pin, hash,
     /// walk, resolve per version (stamp first, resolver fallback), clone
     /// the winning value.
-    pub(crate) fn read<R: VersionResolver + ?Sized>(
+    pub fn read<R: VersionResolver + ?Sized>(
         &self,
         key: &[u8],
         reader_start: Timestamp,
@@ -1752,10 +1748,13 @@ impl ArenaStore {
         }
     }
 
-    /// Range scan over the ordered key index. Holds the index's read lock
-    /// for the enumeration (blocking only key *creation*, not publication,
-    /// reads, or restructuring); chains are walked lock-free as usual.
-    pub(crate) fn scan<R: VersionResolver + ?Sized>(
+    /// Scans `[start, end)` in the snapshot, returning up to `limit`
+    /// visible key/value pairs in key order; tombstoned keys are omitted
+    /// and an empty or inverted range yields nothing. Holds the ordered
+    /// index's read lock for the enumeration (blocking only key *creation*,
+    /// not publication, reads, or restructuring); chains are walked
+    /// lock-free as usual.
+    pub fn scan<R: VersionResolver + ?Sized>(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
@@ -1764,6 +1763,8 @@ impl ArenaStore {
         limit: usize,
     ) -> Vec<(Bytes, Bytes)> {
         let upper = match end {
+            // `BTreeMap::range` panics on an inverted range.
+            Some(e) if e <= start => return Vec::new(),
             Some(e) => Bound::Excluded(e),
             None => Bound::Unbounded,
         };
@@ -1785,7 +1786,7 @@ impl ArenaStore {
     /// Number of keys with at least one published version, by full walk:
     /// the test-side cross-check of the incremental count in
     /// [`Self::footprint`].
-    pub(crate) fn key_count(&self) -> usize {
+    pub fn key_count(&self) -> usize {
         let n = self.table.entries.len();
         (0..n)
             .filter(|&i| self.table.entries.get(i).head.load(Ordering::Acquire) != NULL_VIDX)
@@ -1794,7 +1795,7 @@ impl ArenaStore {
 
     /// Total live published versions, by full walk (see
     /// [`Self::key_count`]).
-    pub(crate) fn version_count(&self) -> usize {
+    pub fn version_count(&self) -> usize {
         let _pin = self.epochs.pin();
         let n = self.table.entries.len();
         (0..n)
@@ -1836,14 +1837,15 @@ impl ArenaStore {
     }
 
     /// Raises the pruning watermark (monotone).
-    pub(crate) fn note_watermark(&self, watermark: Timestamp) {
+    pub fn note_watermark(&self, watermark: Timestamp) {
         self.watermark.fetch_max(watermark.raw(), Ordering::Relaxed);
     }
 
     /// Dumps `(writer_start, committed_at)` stamps per key, in key order,
-    /// versions ascending by writer start — the locked layout's exact
-    /// format, so replay-equivalence tests compare across layouts.
-    pub(crate) fn dump_stamps(&self) -> VersionStamps {
+    /// versions ascending by writer start. Diagnostic accessor: lets tests
+    /// assert that WAL replay re-derives exactly the stamps the live
+    /// database had.
+    pub fn dump_stamps(&self) -> VersionStamps {
         let _pin = self.epochs.pin();
         let index = self.table.index.read();
         let mut out: VersionStamps = Vec::new();
@@ -1867,15 +1869,16 @@ impl ArenaStore {
     /// resolve every live version's fate, stamp surviving committed
     /// versions, unlink aborted and superseded singles, dead-mark the
     /// packed equivalents (retiring nodes that empty), and retire the
-    /// unlinked nodes to the limbo list. Same keep rule — and therefore
-    /// identical [`GcStats`] on a quiescent store — as the locked layout's
-    /// full sweep: an entry the worklist omits is one a full sweep would
+    /// unlinked nodes to the limbo list.
+    ///
+    /// `watermark` must be ≤ the minimum start timestamp of any active
+    /// transaction. Per key the newest committed version with
+    /// `T_c < watermark` is retained (it is the visible version for the
+    /// oldest possible snapshot) along with everything committed above it
+    /// and every pending version. The [`GcStats`] are those of a sweep over
+    /// every key: an entry the worklist omits is one a full sweep would
     /// leave untouched.
-    pub(crate) fn gc<R: VersionResolver + ?Sized>(
-        &self,
-        watermark: Timestamp,
-        resolver: &R,
-    ) -> GcStats {
+    pub fn gc<R: VersionResolver + ?Sized>(&self, watermark: Timestamp, resolver: &R) -> GcStats {
         let mut stats = GcStats::default();
         self.note_watermark(watermark);
         // Take the buffers rather than copy them: a queue as long as a bulk
@@ -2052,7 +2055,7 @@ impl ArenaStore {
     /// limbo entries whose grace period (`retire epoch + 2 ≤ global`) has
     /// expired, routing each handle to its arena by tag. Called from GC and
     /// from the `Db` watermark tick; cheap when there is nothing to do.
-    pub(crate) fn maintain(&self) {
+    pub fn maintain(&self) {
         let mut advanced = false;
         for _ in 0..2 {
             if !self.epochs.try_advance() {
@@ -2114,7 +2117,7 @@ impl ArenaStore {
     }
 
     /// Reclamation accounting snapshot.
-    pub(crate) fn reclamation(&self) -> ReclamationStats {
+    pub fn reclamation(&self) -> ReclamationStats {
         let retired = self.retired.load(Ordering::Relaxed);
         let freed = self.freed.load(Ordering::Relaxed);
         ReclamationStats {
@@ -2368,6 +2371,9 @@ mod tests {
         assert!(rec.migrations >= 1, "12 stamped singles trigger migration");
         assert_eq!(store.version_count(), 12, "no version lost or duplicated");
         assert_eq!(rec.retired, rec.freed + rec.limbo);
+        // Migrated versions keep their stamps, in writer-start order.
+        let stamps: Vec<_> = (1..=12u64).map(|i| (2 * i - 1, Some(2 * i))).collect();
+        assert_eq!(store.dump_stamps(), vec![(b("hot"), stamps)]);
         // Every historical snapshot still resolves to the right version.
         for i in 1..=12u64 {
             assert_eq!(
@@ -2405,32 +2411,6 @@ mod tests {
                 "snapshot just after commit {i}"
             );
         }
-    }
-
-    #[test]
-    fn adaptive_layout_matches_flat_reads_and_stamps() {
-        let adaptive = ArenaStore::new();
-        let flat = ArenaStore::with_config(false, PRUNE_CHAIN_LEN);
-        for store in [&adaptive, &flat] {
-            hammer(store, "hot", 20);
-            store.insert_version(b("hot"), Timestamp(1001), Some(b("pending")));
-            store.insert_version(b("cold"), Timestamp(1003), Some(b("c")));
-            store.stamp_commit(Timestamp(1003), Timestamp(1004), [&b("cold")]);
-        }
-        assert!(adaptive.reclamation().migrations >= 1);
-        assert_eq!(flat.reclamation().migrations, 0, "flat never migrates");
-        assert_eq!(adaptive.dump_stamps(), flat.dump_stamps());
-        assert_eq!(adaptive.version_count(), flat.version_count());
-        for snap in [3u64, 21, 41, 2000] {
-            assert_eq!(
-                adaptive.read(b"hot", Timestamp(snap), &resolver_none),
-                flat.read(b"hot", Timestamp(snap), &resolver_none)
-            );
-        }
-        assert_eq!(
-            adaptive.scan(b"", None, Timestamp(2000), &resolver_none, usize::MAX),
-            flat.scan(b"", None, Timestamp(2000), &resolver_none, usize::MAX)
-        );
     }
 
     #[test]

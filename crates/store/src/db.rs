@@ -55,10 +55,11 @@ use wsi_obs::{AbortExplanation, Cause, EventData, Journal, SpanOutcome, TxnPhase
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
 
 use crate::{
+    arena::ArenaStore,
     commit_index::CommitIndex,
     error::{Error, Result},
-    mvcc::{GcStats, MvccStore, StoreLayout, VersionStamps},
-    obs::{ArenaObs, StoreObs, StoreShardObs},
+    mvcc::{GcStats, ReclamationStats, VersionStamps},
+    obs::{ArenaObs, StoreObs},
     pipeline::{CommitPipeline, PublishCtx},
     record::{self, StoreRecord},
     registry::ActiveTxnRegistry,
@@ -140,10 +141,6 @@ impl Default for OracleMode {
 /// Default shard count of the sharded oracle.
 const DEFAULT_ORACLE_SHARDS: usize = 16;
 
-/// Default shard count of the partitioned version store, matched to the
-/// oracle's so the data plane scales with the decision plane.
-const DEFAULT_STORE_SHARDS: usize = 16;
-
 /// A commit-path counter period: every this many write commits, the GC
 /// watermark hint feeding insert-time chain pruning is recomputed from the
 /// active-transaction registry. Keeps hot-key chains bounded between
@@ -172,26 +169,6 @@ pub struct DbOptions {
     /// Commit-decision concurrency: the sharded [`ConcurrentOracle`]
     /// (default) or the serial `Mutex<StatusOracleCore>` compatibility path.
     pub oracle: OracleMode,
-    /// Shard count of the partitioned version store (rounded up to a power
-    /// of two). `1` selects the single-lock layout — exactly the
-    /// pre-sharding store, kept for equivalence tests and as a baseline.
-    /// Only meaningful under [`StoreLayout::Locked`].
-    pub store_shards: usize,
-    /// Version-store data-plane layout: the lock-free chunked arena
-    /// (default) or the locked-shard layout. [`DbOptions::store_shards`]
-    /// selects [`StoreLayout::Locked`] implicitly, so existing call sites
-    /// that ask for a shard count keep their meaning.
-    pub store_layout: StoreLayout,
-    /// Whether the arena layout adapts hot chains into packed multi-version
-    /// nodes (on by default). Off selects the flat one-version-per-node
-    /// arena, kept for equivalence tests and benchmarks. Only meaningful
-    /// under [`StoreLayout::Arena`].
-    pub arena_adaptive: bool,
-    /// Chain length at which insert-time pruning (and, for the adaptive
-    /// arena, migration pressure) kicks in. The default matches the store's
-    /// historical bound; the `mvcc_scaling` bench's chain-depth sweep
-    /// varies it.
-    pub prune_chain_len: usize,
     /// If set, [`Db::run`]'s retry backoff draws its jitter from a shared
     /// counter seeded here instead of the wall clock, making retry pauses a
     /// pure function of the seed and the draw order — required for
@@ -219,10 +196,6 @@ impl DbOptions {
             wal: LedgerConfig::local_sync(),
             obs: true,
             oracle: OracleMode::default(),
-            store_shards: DEFAULT_STORE_SHARDS,
-            store_layout: StoreLayout::default(),
-            arena_adaptive: true,
-            prune_chain_len: crate::mvcc::PRUNE_CHAIN_LEN,
             retry_seed: None,
             journal: true,
         }
@@ -232,39 +205,6 @@ impl DbOptions {
     #[must_use]
     pub fn seeded_retries(mut self, seed: u64) -> Self {
         self.retry_seed = Some(seed);
-        self
-    }
-
-    /// Selects the locked layout and sets its shard count (rounded up to a
-    /// power of two; `1` = the single-lock layout).
-    #[must_use]
-    pub fn store_shards(mut self, shards: usize) -> Self {
-        self.store_layout = StoreLayout::Locked;
-        self.store_shards = shards;
-        self
-    }
-
-    /// Sets the version-store layout explicitly. [`StoreLayout::Locked`]
-    /// uses the current [`DbOptions::store_shards`] count.
-    #[must_use]
-    pub fn store_layout(mut self, layout: StoreLayout) -> Self {
-        self.store_layout = layout;
-        self
-    }
-
-    /// Enables or disables adaptive packed-node migration in the arena
-    /// layout (see [`DbOptions::arena_adaptive`]).
-    #[must_use]
-    pub fn arena_adaptive(mut self, enabled: bool) -> Self {
-        self.arena_adaptive = enabled;
-        self
-    }
-
-    /// Sets the insert-time prune bound (see
-    /// [`DbOptions::prune_chain_len`]; clamped to ≥ 2).
-    #[must_use]
-    pub fn prune_chain_len(mut self, len: usize) -> Self {
-        self.prune_chain_len = len;
         self
     }
 
@@ -595,7 +535,7 @@ pub struct DbStats {
 
 pub(crate) struct DbInner {
     pub(crate) options: DbOptions,
-    pub(crate) mvcc: MvccStore,
+    pub(crate) mvcc: ArenaStore,
     pub(crate) index: CommitIndex,
     pub(crate) oracle: CommitOracle,
     /// The shared timestamp counter: lock-free starts, oracle-issued commits.
@@ -757,12 +697,7 @@ impl Db {
                 )
             }
         };
-        let mut mvcc = MvccStore::configured(
-            options.store_layout,
-            options.store_shards,
-            options.arena_adaptive,
-            options.prune_chain_len,
-        );
+        let mut mvcc = ArenaStore::new();
         if let Some(obs) = &obs {
             counters.register_in(&obs.registry);
             if let Some(wal_obs) = &wal_obs {
@@ -777,15 +712,9 @@ impl Db {
                 }
                 CommitOracle::Serial(_) => {}
             }
-            if mvcc.is_arena() {
-                let arena_obs = Arc::new(ArenaObs::new(journal.clone()));
-                arena_obs.register_in(&obs.registry);
-                mvcc.attach_arena_obs(arena_obs);
-            } else {
-                let shard_obs = Arc::new(StoreShardObs::new(mvcc.shard_count()));
-                shard_obs.register_in(&obs.registry);
-                mvcc.attach_obs(shard_obs);
-            }
+            let arena_obs = Arc::new(ArenaObs::new(journal.clone()));
+            arena_obs.register_in(&obs.registry);
+            mvcc.attach_obs(arena_obs);
         }
         let options_retry_seed = options.retry_seed.unwrap_or(0);
         Db {
@@ -1388,7 +1317,7 @@ impl Db {
     }
 
     /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
-    /// low-water mark and feed it to the store's per-shard watermarks so
+    /// low-water mark and feed it to the store's pruning watermark so
     /// insert-time chain pruning stays armed between explicit [`Db::gc`]
     /// runs. The registry's watermark is a true lower bound on every active
     /// and future snapshot, so the hint is always sound (if stale,
@@ -1399,8 +1328,7 @@ impl Db {
         {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
             self.inner.mvcc.note_watermark(watermark);
-            // Arena layout: the same amortized tick advances the
-            // reclamation epoch and frees matured limbo entries, so
+            // The same amortized tick advances the reclamation epoch and frees matured limbo entries, so
             // retired versions are reclaimed even without explicit GC.
             self.inner.mvcc.maintain();
         }
@@ -1423,22 +1351,20 @@ impl Db {
         };
         // Yields both totals and (when instrumented) refreshes the
         // footprint gauges, so the exposition and `DbStats` always agree.
-        // The arena layout reads its incremental counts; only the locked
-        // layout walks its shards.
-        let footprint = self.inner.mvcc.shard_footprint();
+        // Reads the store's incremental counts; no chain is walked.
+        let (keys, versions) = self.inner.mvcc.footprint();
         DbStats {
             oracle: self.inner.counters.view(),
             active_transactions: self.inner.registry.count(),
-            keys: footprint.iter().map(|(k, _)| k).sum(),
-            versions: footprint.iter().map(|(_, v)| v).sum(),
+            keys,
+            versions,
             wal,
             wal_enabled: self.inner.pipeline.is_some(),
         }
     }
 
     /// Forces a reclamation-epoch advance and a sweep of matured limbo
-    /// entries (arena layout; no-op under [`StoreLayout::Locked`]). The
-    /// write path already performs this amortized every
+    /// entries. The write path already performs this amortized every
     /// [`WATERMARK_HINT_EVERY`] commits; exposing it directly lets stress
     /// harnesses race reclamation against live snapshots at chosen points
     /// rather than waiting for the tick.
@@ -1446,11 +1372,10 @@ impl Db {
         self.inner.mvcc.maintain();
     }
 
-    /// Epoch-reclamation accounting of the arena store layout; `None` under
-    /// [`StoreLayout::Locked`]. Reads the same atomics as the exported
-    /// `store_versions_*` series, so the identity `retired == freed + limbo`
-    /// is exact at any quiescent point.
-    pub fn reclamation(&self) -> Option<crate::mvcc::ReclamationStats> {
+    /// Epoch-reclamation accounting of the version store. Reads the same
+    /// atomics as the exported `store_versions_*` series, so the identity
+    /// `retired == freed + limbo` is exact at any quiescent point.
+    pub fn reclamation(&self) -> ReclamationStats {
         self.inner.mvcc.reclamation()
     }
 

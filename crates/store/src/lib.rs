@@ -69,9 +69,8 @@ pub use error::{Error, Result};
 // deterministic simulator, which depends on this crate but not on wsi-obs
 // directly) can consume `Db::journal` / `SsiDb::journal` output without a
 // separate dependency edge.
-pub use mvcc::{
-    GcStats, MvccStore, ReclamationStats, SnapshotRead, StoreLayout, VersionResolver, VersionStamps,
-};
+pub use arena::ArenaStore as MvccStore;
+pub use mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 pub use record::{decode as decode_record, encode as encode_record, StoreRecord};
 pub use snapshot::Snapshot;
 pub use txn::Transaction;

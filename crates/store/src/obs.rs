@@ -97,94 +97,7 @@ impl StoreObs {
     }
 }
 
-/// Per-shard lock and footprint metrics of the partitioned MVCC store,
-/// registered under `store_shard_*` names (mirroring the sharded oracle's
-/// `oracle_shard_*` series).
-#[derive(Debug)]
-pub(crate) struct StoreShardObs {
-    /// Shard-lock acquisitions that found the lock already held, per shard
-    /// (read- and write-path combined).
-    per_shard_contention: Vec<Counter>,
-    /// Same, aggregated over all shards.
-    contention: Counter,
-    /// Write-path shard-lock acquisition wait for contended acquisitions,
-    /// in microseconds. The read path never reads a clock.
-    lock_wait_us: Histogram,
-    /// Versions dropped by insert-time chain pruning (between GC sweeps).
-    inline_pruned: Counter,
-    /// Full store sweeps performed by the GC.
-    gc_sweeps: Counter,
-    /// Keys resident per shard, refreshed on `Db::stats`.
-    keys: Vec<Gauge>,
-    /// Versions resident per shard, refreshed on `Db::stats`.
-    versions: Vec<Gauge>,
-}
-
-impl StoreShardObs {
-    pub(crate) fn new(shards: usize) -> Self {
-        StoreShardObs {
-            per_shard_contention: (0..shards).map(|_| Counter::new()).collect(),
-            contention: Counter::new(),
-            lock_wait_us: Histogram::new(),
-            inline_pruned: Counter::new(),
-            gc_sweeps: Counter::new(),
-            keys: (0..shards).map(|_| Gauge::new()).collect(),
-            versions: (0..shards).map(|_| Gauge::new()).collect(),
-        }
-    }
-
-    /// Registers every series: the aggregates under fixed `store_shard_*`
-    /// names plus per-shard contention counters and footprint gauges
-    /// (`store_shard_<i>_contention_total`, `store_shard_<i>_keys`,
-    /// `store_shard_<i>_versions`).
-    pub(crate) fn register_in(&self, registry: &Registry) {
-        registry.register_counter("store_shard_contention_total", &self.contention);
-        registry.register_histogram("store_shard_lock_wait_us", &self.lock_wait_us);
-        registry.register_counter("store_shard_inline_pruned_total", &self.inline_pruned);
-        registry.register_counter("store_shard_gc_sweeps_total", &self.gc_sweeps);
-        for (i, counter) in self.per_shard_contention.iter().enumerate() {
-            registry.register_counter(&format!("store_shard_{i}_contention_total"), counter);
-        }
-        for (i, gauge) in self.keys.iter().enumerate() {
-            registry.register_gauge(&format!("store_shard_{i}_keys"), gauge);
-        }
-        for (i, gauge) in self.versions.iter().enumerate() {
-            registry.register_gauge(&format!("store_shard_{i}_versions"), gauge);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_contended(&self, shard: usize) {
-        self.per_shard_contention[shard].inc();
-        self.contention.inc();
-    }
-
-    #[inline]
-    pub(crate) fn note_lock_wait(&self, us: u64) {
-        self.lock_wait_us.record(us);
-    }
-
-    #[inline]
-    pub(crate) fn note_inline_pruned(&self, n: u64) {
-        self.inline_pruned.add(n);
-    }
-
-    #[inline]
-    pub(crate) fn note_gc_sweep(&self) {
-        self.gc_sweeps.inc();
-    }
-
-    /// Refreshes the per-shard footprint gauges from `(keys, versions)`
-    /// pairs.
-    pub(crate) fn set_footprint(&self, footprint: &[(usize, usize)]) {
-        for (i, (keys, versions)) in footprint.iter().enumerate() {
-            self.keys[i].set(*keys as u64);
-            self.versions[i].set(*versions as u64);
-        }
-    }
-}
-
-/// Epoch/reclamation metrics of the lock-free arena store, registered under
+/// Epoch/reclamation metrics of the version store, registered under
 /// `store_epoch` / `store_versions_*` / `store_arena_*` names, plus what the
 /// GC and the chain-head table are holding: `store_gc_keys_visited_total`,
 /// `store_gc_worklist_len`, `store_head_table_slots`,

@@ -48,16 +48,16 @@ use wsi_core::{SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, LedgerStats, WalError};
 
+use crate::arena::ArenaStore;
 use crate::commit_index::CommitIndex;
 use crate::db::{CommitOracle, WriteBatch};
-use crate::mvcc::MvccStore;
 use crate::obs::StoreObs;
 use crate::record;
 
 /// Shared references a leader needs to publish (or overturn) commit
 /// outcomes after a flush. Assembled fresh per call by the `Db` layer.
 pub(crate) struct PublishCtx<'a> {
-    pub(crate) mvcc: &'a MvccStore,
+    pub(crate) mvcc: &'a ArenaStore,
     pub(crate) index: &'a CommitIndex,
     pub(crate) oracle: &'a CommitOracle,
 }

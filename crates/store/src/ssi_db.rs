@@ -35,14 +35,15 @@ use wsi_obs::{AbortExplanation, EventData, Journal};
 use wsi_wal::{Ledger, LedgerConfig};
 
 use crate::{
+    arena::ArenaStore,
     commit_index::CommitIndex,
     error::{Error, Result},
-    mvcc::{GcStats, MvccStore, ReclamationStats},
+    mvcc::{GcStats, ReclamationStats},
     record::{self, StoreRecord},
 };
 
 struct SsiInner {
-    mvcc: MvccStore,
+    mvcc: ArenaStore,
     index: CommitIndex,
     oracle: Mutex<SsiOracle>,
     /// The write-ahead ledger, present iff opened durable. Appended and
@@ -104,7 +105,7 @@ impl SsiDb {
         oracle.attach_journal(journal.clone());
         SsiDb {
             inner: Arc::new(SsiInner {
-                mvcc: MvccStore::arena(),
+                mvcc: ArenaStore::new(),
                 index: CommitIndex::new(),
                 oracle: Mutex::new(oracle),
                 ledger: ledger.map(Mutex::new),
@@ -224,7 +225,7 @@ impl SsiDb {
     }
 
     /// Epoch-reclamation accounting of the arena store.
-    pub fn reclamation(&self) -> Option<ReclamationStats> {
+    pub fn reclamation(&self) -> ReclamationStats {
         self.inner.mvcc.reclamation()
     }
 
@@ -680,7 +681,7 @@ mod tests {
         let stats = db.gc();
         assert!(stats.versions_dropped > 0, "{stats:?}");
         db.maintain();
-        let rec = db.reclamation().expect("arena layout");
+        let rec = db.reclamation();
         assert_eq!(rec.retired, rec.freed + rec.limbo);
         let mut r = db.begin();
         assert_eq!(r.get(b"hot").unwrap().as_ref(), b"4");

@@ -135,7 +135,7 @@ impl Transaction {
 
     /// Scans `[start, end)` (unbounded end if `None`) in the snapshot,
     /// merging buffered writes, returning at most `limit` pairs in key
-    /// order.
+    /// order. An empty or inverted range returns nothing.
     ///
     /// Every key *returned from the store* joins the read set. Keys that are
     /// absent in the snapshot leave no trace (the status oracle tracks row
@@ -154,6 +154,9 @@ impl Transaction {
         }
         // Merge buffered writes over stored results.
         let upper = match end {
+            // `BTreeMap::range` panics on an inverted range, for which the
+            // store returned nothing either.
+            Some(e) if e <= start => return stored,
             Some(e) => Bound::Excluded(Bytes::copy_from_slice(e)),
             None => Bound::Unbounded,
         };

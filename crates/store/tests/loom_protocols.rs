@@ -38,7 +38,7 @@
 //!    every committed version stays reachable from the head throughout the
 //!    splice, and a reader parked on an unlinked single still reaches every
 //!    version at or below its position because unlinked nodes keep their
-//!    forward links until the epoch reclaimer frees them (DESIGN.md §13).
+//!    forward links until the epoch reclaimer frees them (DESIGN.md §6).
 //! 7. **Chain-head table growth vs. a concurrent reader** — the
 //!    generation protocol of `arena::ChainHeadTable`: a reader that loaded
 //!    any generation, before or after a growth, finds every key that
@@ -639,7 +639,7 @@ const M_PTAG: u64 = 1 << 31;
 /// node in with one Release store to `single[2].next` (unlink). The
 /// unlinked singles are *not* touched: their stamps and forward links stay
 /// intact until the epoch reclaimer (model 2) frees them. Two readers
-/// check both halves of the safety argument in DESIGN.md §13:
+/// check both halves of the safety argument in DESIGN.md §6:
 ///
 /// * a head walker always finds every committed stamp `{40, 30, 20, 10}`,
 ///   mid-splice included;

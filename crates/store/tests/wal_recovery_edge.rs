@@ -17,7 +17,9 @@
 use bytes::Bytes;
 use wsi_core::IsolationLevel;
 use wsi_store::ssi_db::SsiDb;
-use wsi_store::{decode_record, encode_record, Db, DbOptions, Error, StoreRecord, VersionStamps};
+use wsi_store::{
+    decode_record, encode_record, Db, DbOptions, Error, GcStats, StoreRecord, VersionStamps,
+};
 use wsi_wal::{Ledger, LedgerConfig};
 
 fn durable_db(level: IsolationLevel) -> Db {
@@ -254,10 +256,9 @@ fn recovery_is_idempotent() {
 }
 
 /// WAL replay publishes through the same path as live commits, so every
-/// replayed key is on the arena's GC worklist: the first sweep of a
-/// recovered multi-version log drops exactly the superseded versions — the
-/// same `GcStats` the locked layout's full sweep reports for the same log —
-/// and leaves one version per key.
+/// replayed key is on the GC worklist: the first sweep of a recovered
+/// multi-version log drops exactly the superseded versions and leaves one
+/// version per key — the live database's own.
 #[test]
 fn gc_after_recovery_drops_exactly_the_superseded_versions() {
     let db = durable_db(IsolationLevel::WriteSnapshot);
@@ -277,24 +278,31 @@ fn gc_after_recovery_drops_exactly_the_superseded_versions() {
     let versions: usize = 20 + 15 + 10 + 5 + 1;
     assert_eq!(db.stats().versions, versions);
 
-    let options = || DbOptions::new(IsolationLevel::WriteSnapshot);
-    let wal = || db.wal_snapshot().expect("durable");
-    let arena = Db::recover(options(), wal()).expect("clean log");
-    let locked = Db::recover(options().store_shards(1), wal()).expect("clean log");
-    assert_eq!(arena.stats().versions, versions, "every version replayed");
+    let options = DbOptions::new(IsolationLevel::WriteSnapshot);
+    let wal = db.wal_snapshot().expect("durable");
+    let recovered = Db::recover(options, wal).expect("clean log");
+    assert_eq!(
+        recovered.stats().versions,
+        versions,
+        "every version replayed"
+    );
 
-    let dropped = arena.gc();
-    assert_eq!(dropped, locked.gc(), "same sweep result as the full sweep");
-    assert_eq!(dropped.versions_dropped as usize, versions - 20);
-    assert_eq!(arena.stats().versions, 20, "one version per key survives");
-    assert_eq!(arena.stats().keys, 20);
+    // Replay stamps every version it publishes and logs no aborted one.
+    let expect = GcStats {
+        versions_dropped: (versions - 20) as u64,
+        ..GcStats::default()
+    };
+    assert_eq!(recovered.gc(), expect);
     assert_eq!(
-        canon(arena.version_stamps()),
-        canon(locked.version_stamps())
+        recovered.stats().versions,
+        20,
+        "one version per key survives"
     );
+    assert_eq!(recovered.stats().keys, 20);
+    assert_eq!(db.gc(), expect, "the live database's sweep drops the same");
     assert_eq!(
-        arena.gc(),
-        wsi_store::GcStats::default(),
-        "nothing left to do"
+        canon(recovered.version_stamps()),
+        canon(db.version_stamps())
     );
+    assert_eq!(recovered.gc(), GcStats::default(), "nothing left to do");
 }

@@ -38,24 +38,30 @@ batched_scratch="$(mktemp -d)"
 (cd "$batched_scratch" && "$oracle_scaling_bin" 150 5 --backend batched >/dev/null)
 rm -rf "$batched_scratch"
 
-# Partitioned-store gates: every store layout (single-lock, sharded,
-# lock-free arena flat and adaptive) must be observationally equivalent
-# (proptest over randomized interleavings, both isolation levels), and the
-# 8-thread invariant herd runs in release mode against all layouts —
-# including the adaptive arena with a concurrent GC/reclamation thread —
-# plus the metrics exposition.
-cargo test -q -p wsi-store --test store_equivalence
-cargo test -q --release -p wsi-store --test store_shard_stress
+# Version-store gates: the store against the sequential model (proptest
+# over randomized interleavings, both isolation levels — it runs in the
+# workspace suite above), and the 8-thread invariant herd again in release
+# mode, with its concurrent GC/reclamation thread and the table-growth
+# herd, plus the metrics exposition.
+cargo test -q --release -p wsi-store --test store_stress
 
-# Adaptive-arena bench smoke: the packed-node claim/seal/spill/consolidate
+# One version store, one configuration: fail if a deleted layout, knob or
+# metric family reappears.
+if grep -rnE 'StoreLayout|store_shards|store_layout|arena_adaptive|prune_chain_len|LockedStore|arena_flat|StoreShardObs|store_shard_' \
+    crates/ src/ tests/ examples/; then
+    echo "error: a deleted version-store layout, knob or metric is back (see above)" >&2
+    exit 1
+fi
+
+# Version-store bench smoke: the packed-node claim/seal/spill/consolidate
 # protocol must drain a contended multi-thread sweep end-to-end (a
 # liveness bug in seal's claim-drain spin or the consolidation splice
 # hangs here, not in the single-threaded unit tests). Scratch dir so the
 # reduced-scale artifact never clobbers the committed full-scale one.
 mvcc_scaling_bin="$(pwd)/target/release/mvcc_scaling"
-adaptive_scratch="$(mktemp -d)"
-(cd "$adaptive_scratch" && "$mvcc_scaling_bin" 100 5 >/dev/null)
-rm -rf "$adaptive_scratch"
+mvcc_scratch="$(mktemp -d)"
+(cd "$mvcc_scratch" && "$mvcc_scaling_bin" 100 5 >/dev/null)
+rm -rf "$mvcc_scratch"
 
 # End-to-end benchmark smoke: one second's worth of `uniform_complex_1t`
 # through the whole begin → get/put → commit → GC loop, traced. The binary
