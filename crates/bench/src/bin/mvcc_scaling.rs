@@ -7,11 +7,11 @@
 //! #                                     ops per thread ^    ^ think (µs)
 //! ```
 //!
-//! Where `oracle_scaling` isolated the commit-*decision* path, this drives
-//! the full embedded stack — `begin`/snapshot, version-store reads, commit
-//! apply with eager stamping — so the store's synchronization sits exactly
-//! where it sits in production: readers take no lock, writers publish with
-//! one CAS per key, hot chains migrate into packed multi-version nodes.
+//! This drives the full embedded stack — `begin`/snapshot, version-store
+//! reads, commit apply with eager stamping — so the store's
+//! synchronization sits exactly where it sits in production: readers take
+//! no lock, writers publish with one CAS per key, hot chains migrate into
+//! packed multi-version nodes.
 //! There is one version store, so there is no backend axis; what decides
 //! between designs is `txn_e2e` (EXPERIMENTS.md, "Why there is one store").
 //! This bench keeps watch on the store against *itself*.
@@ -26,11 +26,10 @@
 //! Contention: `low` gives each thread a private 8 K key range (the scaling
 //! case); `high` points every thread at the same 2 K hot keys.
 //!
-//! Regimes, as in `oracle_scaling`: `raw` (back-to-back ops, best-of-N
-//! round-robin repeats) and `think` (each op follows a client think-time
-//! sleep, modelling the paper's deployment of many concurrent clients per
-//! region server; sleeps overlap, so an 8-thread cell keeps ~8 requests in
-//! flight on any host).
+//! Regimes: `raw` (back-to-back ops, best-of-N round-robin repeats) and
+//! `think` (each op follows a client think-time sleep, modelling the
+//! paper's deployment of many concurrent clients per region server; sleeps
+//! overlap, so an 8-thread cell keeps ~8 requests in flight on any host).
 //!
 //! Acceptance bars (the `summary` block; both compare the store with
 //! itself, so they hold on any host):
@@ -270,7 +269,7 @@ fn main() {
         "contention", "mix", "think", "threads", "ops", "reads", "writes", "tps"
     );
 
-    // Cells run round-robin (as in oracle_scaling): repeats of every cell
+    // Cells run round-robin: repeats of every cell
     // interleave across the whole run so a slow stretch of wall-clock can't
     // systematically penalize one cell. Raw cells are tens-of-milliseconds
     // scale, so a single hypervisor-steal window can swallow a whole

@@ -23,8 +23,8 @@
 //! * `read-only`    — the single-event fast path (one read-only commit;
 //!   begin is journaled only on a first write).
 //!
-//! Cells run round-robin, best-of-5 (see `oracle_scaling`: interleaving
-//! spreads scheduler noise across both arms instead of penalizing one).
+//! Cells run round-robin, best-of-5 (interleaving spreads scheduler noise
+//! across both arms instead of penalizing one).
 //! The acceptance gate is the geometric mean of the journal-on/journal-off
 //! throughput ratios: **≥ 0.95** (≤ 5% overhead), and the process exits
 //! nonzero when it regresses, so CI can run this directly.

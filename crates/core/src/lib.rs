@@ -22,10 +22,12 @@
 //! layers embed this state machine in different shells:
 //!
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
-//!   store on the sharded [`ConcurrentOracle`] (or, behind a compatibility
-//!   option, on this state machine wrapped in a single mutex);
-//! * `wsi-oracle` wraps it in a simulated server with WAL persistence and a
-//!   CPU cost model to reproduce the paper's status-oracle experiments.
+//!   store on the sharded [`ConcurrentOracle`], which makes the same
+//!   decisions under per-shard locks and is property-tested against this
+//!   state machine as its model;
+//! * `wsi-oracle` wraps this state machine in a simulated server with WAL
+//!   persistence and a CPU cost model to reproduce the paper's
+//!   status-oracle experiments.
 //!
 //! # Example
 //!
@@ -50,7 +52,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-mod batched;
 mod commit_table;
 mod error;
 mod lastcommit;
@@ -61,7 +62,6 @@ mod sharded;
 pub mod ssi;
 mod ts;
 
-pub use batched::{BatchedOracle, EpochObs, EpochPublisher};
 pub use commit_table::{CommitTable, TxnStatus};
 pub use error::{AbortReason, CommitOutcome, Error, Result};
 pub use lastcommit::{BoundedLastCommit, LastCommitTable, Probe, UnboundedLastCommit};

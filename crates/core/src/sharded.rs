@@ -705,8 +705,9 @@ impl DecisionGuard<'_> {
             IsolationLevel::WriteSnapshot => &req.read_rows,
         };
         // Counters are batched into one atomic add per loop (including the
-        // early-abort exits) so the observable counts stay identical to the
-        // serial oracle's per-row increments at a fraction of the traffic.
+        // early-abort exits) so the observable counts stay identical to
+        // `StatusOracleCore`'s per-row increments at a fraction of the
+        // traffic.
         let mut checked = 0u64;
         let journal = self.oracle.journal.as_ref();
         let record_verdict = |row: RowId, verdict: &Result<(), AbortReason>| {
@@ -890,7 +891,7 @@ impl std::fmt::Debug for DecisionGuard<'_> {
 /// covering both shards would have given: resident timestamps take the
 /// maximum, and any eviction uncertainty poisons the result pessimistically
 /// (mirroring [`BoundedLastCommit`]'s own `probe_range`).
-pub(crate) fn combine_probes(a: Probe, b: Probe) -> Probe {
+fn combine_probes(a: Probe, b: Probe) -> Probe {
     match (a, b) {
         (Probe::NeverWritten, x) | (x, Probe::NeverWritten) => x,
         (Probe::Resident(x), Probe::Resident(y)) => Probe::Resident(x.max(y)),

@@ -1,14 +1,13 @@
-//! Equivalence of the concurrent oracle backends — the sharded
-//! [`ConcurrentOracle`] and the epoch-batched [`BatchedOracle`] — against
-//! the single-threaded [`StatusOracleCore`].
+//! Equivalence of the sharded [`ConcurrentOracle`] with its model, the
+//! single-threaded [`StatusOracleCore`].
 //!
-//! Both concurrent backends are supposed to be *refactorings* of the
-//! decision logic, not new algorithms: driven single-threaded, each must
-//! make exactly the decisions Algorithms 1–3 make. These property tests
-//! drive the same randomized transaction history through all three oracles
+//! The concurrent oracle is supposed to be a *refactoring* of the decision
+//! logic, not a new algorithm: driven single-threaded, it must make exactly
+//! the decisions Algorithms 1–3 make. These property tests drive the same
+//! randomized transaction history through the model and the implementation
 //! in lockstep and assert identical commit/abort outcomes, identical final
 //! `lastCommit` state, and identical activity statistics — for SI and WSI,
-//! with 1 shard/partition and with many, unbounded and bounded.
+//! with 1 shard and with many, unbounded and bounded.
 //!
 //! The one case where exact lockstep is impossible by construction is the
 //! bounded (Algorithm 3) table with *many* shards: capacity is divided
@@ -18,15 +17,14 @@
 //! histories). For that configuration the test checks the safety invariant
 //! directly against an unbounded model: every commit the bounded oracle
 //! *admits* must be conflict-free in the model; it may abort more often
-//! (pessimistic `T_max` aborts), never less. The batched oracle's bounded
-//! multi-partition configuration is held to the same safety bar.
+//! (pessimistic `T_max` aborts), never less.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wsi_core::{
-    AbortReason, BatchedOracle, CommitOutcome, CommitRequest, ConcurrentOracle, IsolationLevel,
-    Probe, RowId, RowRange, SharedTimestampSource, StatusOracleCore, Timestamp, TxnStatus,
+    AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel, Probe, RowId, RowRange,
+    SharedTimestampSource, StatusOracleCore, Timestamp, TxnStatus,
 };
 
 /// Row universe: small enough that transactions collide constantly.
@@ -86,159 +84,50 @@ fn to_request(start_ts: Timestamp, spec: &Spec) -> CommitRequest {
     req
 }
 
-/// The uniform single-threaded driving surface the lockstep test needs from
-/// each backend.
-enum Oracle {
-    Serial(StatusOracleCore),
-    Sharded(ConcurrentOracle),
-    Batched(BatchedOracle),
-}
-
-impl Oracle {
-    fn begin(&mut self) -> Timestamp {
-        match self {
-            Oracle::Serial(o) => o.begin(),
-            Oracle::Sharded(o) => o.begin(),
-            Oracle::Batched(o) => o.begin(),
-        }
-    }
-
-    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        match self {
-            Oracle::Serial(o) => o.commit(req),
-            Oracle::Sharded(o) => o.commit(req),
-            Oracle::Batched(o) => o.commit(req),
-        }
-    }
-
-    fn abort(&mut self, start_ts: Timestamp) {
-        match self {
-            Oracle::Serial(o) => o.abort(start_ts),
-            Oracle::Sharded(o) => o.abort(start_ts),
-            Oracle::Batched(o) => o.abort(start_ts),
-        }
-    }
-
-    fn status(&self, start_ts: Timestamp) -> TxnStatus {
-        match self {
-            Oracle::Serial(o) => o.status(start_ts),
-            Oracle::Sharded(o) => o.status(start_ts),
-            Oracle::Batched(o) => o.status(start_ts),
-        }
-    }
-
-    fn probe_row(&self, row: RowId) -> Probe {
-        match self {
-            Oracle::Serial(o) => o.probe_row(row),
-            Oracle::Sharded(o) => o.probe_row(row),
-            Oracle::Batched(o) => o.probe_row(row),
-        }
-    }
-
-    fn t_max(&self) -> Timestamp {
-        match self {
-            Oracle::Serial(o) => o.t_max(),
-            Oracle::Sharded(o) => o.t_max(),
-            Oracle::Batched(o) => o.t_max(),
-        }
-    }
-
-    fn resident_rows(&self) -> usize {
-        match self {
-            Oracle::Serial(o) => o.resident_rows(),
-            Oracle::Sharded(o) => o.resident_rows(),
-            Oracle::Batched(o) => o.resident_rows(),
-        }
-    }
-
-    fn last_issued_ts(&self) -> Timestamp {
-        match self {
-            Oracle::Serial(o) => o.last_issued_ts(),
-            Oracle::Sharded(o) => o.last_issued_ts(),
-            Oracle::Batched(o) => o.last_issued_ts(),
-        }
-    }
-
-    fn stats(&self) -> wsi_core::OracleStats {
-        match self {
-            Oracle::Serial(o) => o.stats(),
-            Oracle::Sharded(o) => o.stats(),
-            Oracle::Batched(o) => o.stats(),
-        }
-    }
-}
-
-/// Drives `history` through a serial reference oracle and any set of
-/// candidate backends in lockstep, asserting outcome-by-outcome and
-/// final-state equality across all of them.
-fn assert_lockstep(serial: StatusOracleCore, candidates: Vec<Oracle>, history: &[Spec]) {
-    let mut oracles = vec![Oracle::Serial(serial)];
-    oracles.extend(candidates);
+/// Drives `history` through the model and the implementation in lockstep,
+/// asserting outcome-by-outcome and final-state equality.
+fn assert_lockstep(mut model: StatusOracleCore, oracle: ConcurrentOracle, history: &[Spec]) {
     for spec in history {
-        let starts: Vec<Timestamp> = oracles.iter_mut().map(Oracle::begin).collect();
-        for &ts in &starts[1..] {
-            assert_eq!(starts[0], ts, "start timestamps must stay in lockstep");
-        }
+        let start_ts = model.begin();
+        assert_eq!(
+            start_ts,
+            oracle.begin(),
+            "start timestamps must stay in lockstep"
+        );
         if spec.client_abort {
-            for (o, &ts) in oracles.iter_mut().zip(&starts) {
-                o.abort(ts);
-            }
+            model.abort(start_ts);
+            oracle.abort(start_ts);
             continue;
         }
-        let outs: Vec<CommitOutcome> = oracles
-            .iter_mut()
-            .zip(&starts)
-            .map(|(o, &ts)| o.commit(to_request(ts, spec)))
-            .collect();
-        for out in &outs[1..] {
-            assert_eq!(&outs[0], out, "decision diverged for {spec:?}");
-        }
-        for (o, &ts) in oracles.iter().zip(&starts) {
-            assert_eq!(oracles[0].status(starts[0]), o.status(ts));
-        }
+        assert_eq!(
+            model.commit(to_request(start_ts, spec)),
+            oracle.commit(to_request(start_ts, spec)),
+            "decision diverged for {spec:?}"
+        );
+        assert_eq!(model.status(start_ts), oracle.status(start_ts));
     }
     // Final conflict state: every row in the universe probes identically.
     for row in 0..UNIVERSE {
-        for o in &oracles[1..] {
-            assert_eq!(
-                oracles[0].probe_row(RowId(row)),
-                o.probe_row(RowId(row)),
-                "lastCommit diverged at row {row}"
-            );
-        }
+        assert_eq!(
+            model.probe_row(RowId(row)),
+            oracle.probe_row(RowId(row)),
+            "lastCommit diverged at row {row}"
+        );
     }
-    for o in &oracles[1..] {
-        assert_eq!(oracles[0].t_max(), o.t_max());
-        assert_eq!(oracles[0].resident_rows(), o.resident_rows());
-        assert_eq!(oracles[0].last_issued_ts(), o.last_issued_ts());
-        assert_eq!(oracles[0].stats(), o.stats(), "activity counters diverged");
-    }
+    assert_eq!(model.t_max(), oracle.t_max());
+    assert_eq!(model.resident_rows(), oracle.resident_rows());
+    assert_eq!(model.last_issued_ts(), oracle.last_issued_ts());
+    assert_eq!(model.stats(), oracle.stats(), "activity counters diverged");
 }
 
-fn serial_unbounded(level: IsolationLevel) -> StatusOracleCore {
-    StatusOracleCore::unbounded_shared(level, Arc::new(SharedTimestampSource::new()))
+fn fresh_ts() -> Arc<SharedTimestampSource> {
+    Arc::new(SharedTimestampSource::new())
 }
 
-fn sharded_unbounded(level: IsolationLevel, shards: usize) -> Oracle {
-    Oracle::Sharded(ConcurrentOracle::unbounded(
-        level,
-        shards,
-        Arc::new(SharedTimestampSource::new()),
-    ))
-}
-
-fn batched_unbounded(level: IsolationLevel, partitions: usize) -> Oracle {
-    Oracle::Batched(BatchedOracle::unbounded(
-        level,
-        partitions,
-        Arc::new(SharedTimestampSource::new()),
-    ))
-}
-
-/// A safety check of a bounded multi-shard/partition backend against an
-/// exact unbounded model: every admitted commit must be conflict-free in
-/// the model; extra aborts are allowed only as pessimistic `T_max` aborts.
-fn assert_bounded_safe(mut oracle: Oracle, level: IsolationLevel, history: &[Spec]) {
+/// A safety check of the bounded multi-shard oracle against an exact
+/// unbounded model: every admitted commit must be conflict-free in the
+/// model; extra aborts are allowed only as pessimistic `T_max` aborts.
+fn assert_bounded_safe(oracle: ConcurrentOracle, level: IsolationLevel, history: &[Spec]) {
     // Exact model of lastCommit with no eviction.
     let mut model: HashMap<u64, Timestamp> = HashMap::new();
     for spec in history {
@@ -292,41 +181,36 @@ fn assert_bounded_safe(mut oracle: Oracle, level: IsolationLevel, history: &[Spe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Algorithm 1 (SI): sharded ≡ batched ≡ serial, with 1 shard and 8.
+    /// Algorithm 1 (SI): implementation ≡ model, with 1 shard and 8.
     #[test]
     fn si_unbounded_equivalence(history in history(false)) {
+        let level = IsolationLevel::Snapshot;
         for shards in [1usize, 8] {
             assert_lockstep(
-                serial_unbounded(IsolationLevel::Snapshot),
-                vec![
-                    sharded_unbounded(IsolationLevel::Snapshot, shards),
-                    batched_unbounded(IsolationLevel::Snapshot, shards),
-                ],
+                StatusOracleCore::unbounded_shared(level, fresh_ts()),
+                ConcurrentOracle::unbounded(level, shards, fresh_ts()),
                 &history,
             );
         }
     }
 
     /// Algorithm 2 (WSI) including §5.2 range predicates (which exercise
-    /// the all-shard sweep and the batched cross-partition probe combine):
-    /// sharded ≡ batched ≡ serial, 1 shard and 8.
+    /// the all-shard sweep): implementation ≡ model, 1 shard and 8.
     #[test]
     fn wsi_unbounded_equivalence(history in history(true)) {
+        let level = IsolationLevel::WriteSnapshot;
         for shards in [1usize, 8] {
             assert_lockstep(
-                serial_unbounded(IsolationLevel::WriteSnapshot),
-                vec![
-                    sharded_unbounded(IsolationLevel::WriteSnapshot, shards),
-                    batched_unbounded(IsolationLevel::WriteSnapshot, shards),
-                ],
+                StatusOracleCore::unbounded_shared(level, fresh_ts()),
+                ConcurrentOracle::unbounded(level, shards, fresh_ts()),
                 &history,
             );
         }
     }
 
-    /// Algorithm 3 (bounded, `T_max`): with a single shard/partition the
-    /// concurrent oracles hold literally the same bounded table, so they
-    /// must stay in exact lockstep — eviction order, `T_max`, and all.
+    /// Algorithm 3 (bounded, `T_max`): with a single shard the concurrent
+    /// oracle holds literally the same bounded table, so it must stay in
+    /// exact lockstep — eviction order, `T_max`, and all.
     #[test]
     fn bounded_single_shard_equivalence(
         history in history(true),
@@ -334,33 +218,16 @@ proptest! {
     ) {
         for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
             assert_lockstep(
-                StatusOracleCore::bounded_shared(
-                    level,
-                    capacity,
-                    Arc::new(SharedTimestampSource::new()),
-                ),
-                vec![
-                    Oracle::Sharded(ConcurrentOracle::bounded(
-                        level,
-                        1,
-                        capacity,
-                        Arc::new(SharedTimestampSource::new()),
-                    )),
-                    Oracle::Batched(BatchedOracle::bounded(
-                        level,
-                        1,
-                        capacity,
-                        Arc::new(SharedTimestampSource::new()),
-                    )),
-                ],
+                StatusOracleCore::bounded_shared(level, capacity, fresh_ts()),
+                ConcurrentOracle::bounded(level, 1, capacity, fresh_ts()),
                 &history,
             );
         }
     }
 
-    /// Algorithm 3 with many shards/partitions: eviction order differs from
-    /// a single bounded table, so instead of lockstep we check the safety
-    /// invariant against an exact unbounded model — every commit a bounded
+    /// Algorithm 3 with many shards: eviction order differs from a single
+    /// bounded table, so instead of lockstep we check the safety invariant
+    /// against an exact unbounded model — every commit the bounded
     /// concurrent oracle admits is conflict-free, and the recorded
     /// timestamps match the model wherever rows are still resident.
     #[test]
@@ -375,22 +242,7 @@ proptest! {
             IsolationLevel::Snapshot
         };
         assert_bounded_safe(
-            Oracle::Sharded(ConcurrentOracle::bounded(
-                level,
-                8,
-                capacity,
-                Arc::new(SharedTimestampSource::new()),
-            )),
-            level,
-            &history,
-        );
-        assert_bounded_safe(
-            Oracle::Batched(BatchedOracle::bounded(
-                level,
-                8,
-                capacity,
-                Arc::new(SharedTimestampSource::new()),
-            )),
+            ConcurrentOracle::bounded(level, 8, capacity, fresh_ts()),
             level,
             &history,
         );

@@ -20,33 +20,19 @@ pub enum EngineKind {
     Si,
     /// Write-snapshot isolation (read-write conflict detection).
     Wsi,
-    /// Write-snapshot isolation through the epoch-batched oracle. Same
-    /// semantics as [`EngineKind::Wsi`] — the single-threaded harness makes
-    /// every epoch a batch of one, so any decision divergence from plain
-    /// WSI is a bug this column exists to catch. A crash fault can only
-    /// land between epochs (each commit call seals, plans, and publishes
-    /// its epoch before returning), so in-flight transactions at a crash
-    /// are always client aborts, never a half-published epoch.
-    WsiBatched,
     /// Serializable SI (dangerous-structure detection).
     Ssi,
 }
 
 impl EngineKind {
     /// All engine kinds, in matrix order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Si,
-        EngineKind::Wsi,
-        EngineKind::WsiBatched,
-        EngineKind::Ssi,
-    ];
+    pub const ALL: [EngineKind; 3] = [EngineKind::Si, EngineKind::Wsi, EngineKind::Ssi];
 
     /// Short label for repro commands and reports.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Si => "si",
             EngineKind::Wsi => "wsi",
-            EngineKind::WsiBatched => "wsi-batched",
             EngineKind::Ssi => "ssi",
         }
     }
@@ -56,7 +42,6 @@ impl EngineKind {
         match label {
             "si" => Some(EngineKind::Si),
             "wsi" => Some(EngineKind::Wsi),
-            "wsi-batched" => Some(EngineKind::WsiBatched),
             "ssi" => Some(EngineKind::Ssi),
             _ => None,
         }
@@ -130,11 +115,6 @@ impl Engine {
             EngineKind::Wsi => Engine::Db(Db::open(
                 DbOptions::new(IsolationLevel::WriteSnapshot).durable(wal),
             )),
-            EngineKind::WsiBatched => Engine::Db(Db::open(
-                DbOptions::new(IsolationLevel::WriteSnapshot)
-                    .batched_oracle(8)
-                    .durable(wal),
-            )),
             EngineKind::Ssi => Engine::Ssi(SsiDb::open_durable(wal)),
         }
     }
@@ -150,13 +130,6 @@ impl Engine {
             .map(Engine::Db),
             EngineKind::Wsi => Db::recover(
                 DbOptions::new(IsolationLevel::WriteSnapshot).durable(wal),
-                ledger,
-            )
-            .map(Engine::Db),
-            EngineKind::WsiBatched => Db::recover(
-                DbOptions::new(IsolationLevel::WriteSnapshot)
-                    .batched_oracle(8)
-                    .durable(wal),
                 ledger,
             )
             .map(Engine::Db),

@@ -175,7 +175,7 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
     let d = &report.delta;
     let w = &report.delta_census;
     match config.engine {
-        EngineKind::Si | EngineKind::Wsi | EngineKind::WsiBatched => {
+        EngineKind::Si | EngineKind::Wsi => {
             // Db decides the commit before the flush; an overturn is a
             // third fate, reported in neither `commits` (net of overturns)
             // nor any abort counter. The WAL pairing count supplies it:

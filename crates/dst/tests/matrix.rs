@@ -37,17 +37,6 @@ fn fault_matrix_wsi() {
     matrix_for(EngineKind::Wsi);
 }
 
-/// The batched-oracle column: identical WSI semantics through the epoch
-/// path, under every fault preset. Crash faults can only land between
-/// epochs (the single-threaded harness seals, plans, and publishes each
-/// epoch inside the commit call), so transactions in flight at a crash
-/// always resolve to client aborts — the counter/WAL reconciliation
-/// oracles inside `run` would catch a silently dropped request.
-#[test]
-fn fault_matrix_wsi_batched() {
-    matrix_for(EngineKind::WsiBatched);
-}
-
 #[test]
 fn fault_matrix_ssi() {
     matrix_for(EngineKind::Ssi);
@@ -144,7 +133,7 @@ fn replay_seed_from_env() {
     let engine = std::env::var("DST_ENGINE")
         .ok()
         .and_then(|l| EngineKind::from_label(&l))
-        .expect("DST_ENGINE must be si|wsi|wsi-batched|ssi");
+        .expect("DST_ENGINE must be si|wsi|ssi");
     let steps: u64 = std::env::var("DST_STEPS")
         .ok()
         .and_then(|s| s.parse().ok())

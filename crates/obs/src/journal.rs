@@ -223,27 +223,6 @@ pub enum EventData {
         /// Row identifier.
         row: u64,
     },
-    /// The batched oracle sealed an epoch: `size` commit requests left the
-    /// intake ring and entered conflict planning as one batch.
-    EpochSeal {
-        /// Monotonic epoch number (per oracle).
-        epoch: u64,
-        /// Requests sealed into the batch.
-        size: u64,
-    },
-    /// The batched oracle published an epoch's decisions atomically:
-    /// `committed` winners became visible together, `aborted` losers were
-    /// resolved in the same step. Intra-batch victims' `CheckRow` events
-    /// carry the winning slot's real commit timestamp, so `explain_abort`
-    /// joins them to their culprits exactly as on the per-decision paths.
-    EpochPublish {
-        /// Epoch number (matches the preceding [`EventData::EpochSeal`]).
-        epoch: u64,
-        /// Requests admitted by the batch's conflict analysis.
-        committed: u64,
-        /// Requests aborted by the batch's conflict analysis.
-        aborted: u64,
-    },
 }
 
 impl EventData {
@@ -280,19 +259,13 @@ impl EventData {
             EventData::Retry { attempt } => (10, attempt, 0, 0),
             EventData::ServerRead { row, cache_hit } => (11, row, cache_hit as u64, 0),
             EventData::ServerWrite { row } => (12, row, 0, 0),
-            EventData::EpochSeal { epoch, size } => (13, epoch, size, 0),
-            EventData::EpochPublish {
-                epoch,
-                committed,
-                aborted,
-            } => (14, epoch, committed, aborted),
         }
     }
 
     /// Unpacks an encoded (kind-word, a, b, c). `None` for unknown kinds
     /// (a torn slot that slipped past the stamp check cannot panic a
-    /// reader).
-    fn decode(kind: u64, a: u64, b: u64, c: u64) -> Option<EventData> {
+    /// reader). No current kind uses the spare word `c`.
+    fn decode(kind: u64, a: u64, b: u64, _c: u64) -> Option<EventData> {
         let sub = kind >> 8;
         Some(match kind & 0xFF {
             0 => EventData::Begin,
@@ -337,12 +310,8 @@ impl EventData {
                 cache_hit: b != 0,
             },
             12 => EventData::ServerWrite { row: a },
-            13 => EventData::EpochSeal { epoch: a, size: b },
-            14 => EventData::EpochPublish {
-                epoch: a,
-                committed: b,
-                aborted: c,
-            },
+            // 13 and 14 are retired (the epoch-batched oracle's seal/publish
+            // events) and must not be reused: an old dump would misdecode.
             _ => return None,
         })
     }
@@ -391,8 +360,6 @@ impl EventData {
             EventData::Retry { .. } => "retry",
             EventData::ServerRead { .. } => "server_read",
             EventData::ServerWrite { .. } => "server_write",
-            EventData::EpochSeal { .. } => "epoch_seal",
-            EventData::EpochPublish { .. } => "epoch_publish",
         }
     }
 }
@@ -471,14 +438,6 @@ impl Event {
                 )
             }
             EventData::ServerWrite { row } => format!("server write row {row}"),
-            EventData::EpochSeal { epoch, size } => {
-                format!("epoch {epoch} sealed ({size} requests)")
-            }
-            EventData::EpochPublish {
-                epoch,
-                committed,
-                aborted,
-            } => format!("epoch {epoch} published ({committed} committed, {aborted} aborted)"),
         };
         if self.txn == 0 {
             format!("[{:>8}] {:>10}us            {body}", self.seqno, self.ts_us)
@@ -971,15 +930,6 @@ mod tests {
                 },
             ),
             (0, EventData::ServerWrite { row: 6 }),
-            (0, EventData::EpochSeal { epoch: 3, size: 8 }),
-            (
-                0,
-                EventData::EpochPublish {
-                    epoch: 3,
-                    committed: 6,
-                    aborted: 2,
-                },
-            ),
         ];
         for &(txn, data) in &samples {
             j.record(txn, data);
@@ -997,6 +947,10 @@ mod tests {
         }
         assert_eq!(j.dropped(), 0);
         assert_eq!(j.recorded(), samples.len() as u64);
+        // Retired and never-assigned kind codes decode to nothing.
+        for kind in [13, 14, 15, 0xFF] {
+            assert_eq!(EventData::decode(kind, 3, 8, 2), None);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The published commit index: the read path's view of transaction fates.
 //!
-//! The status oracle decides commits inside a critical section; readers must
-//! not contend on that section for every version they resolve. This mirror
-//! of the commit table is read under a cheap shared lock. What guarantees a
-//! transaction that begins after a commit observes it depends on the
-//! durability mode: immediately-published commits issue their commit
+//! The status oracle decides commits under its `lastCommit` shard locks;
+//! readers must not contend on those for every version they resolve. This
+//! mirror of the commit table is read under a cheap shared lock. What
+//! guarantees a transaction that begins after a commit observes it depends
+//! on the durability mode: immediately-published commits issue their commit
 //! timestamp *inside* this index's write lock
 //! ([`CommitIndex::record_commit_with`]), while sync-durable commits are
 //! published post-flush behind the pipeline's snapshot-stability gate.
@@ -43,9 +43,9 @@ impl CommitIndex {
     /// Publishes a commit whose timestamp is allocated *inside* the index's
     /// write critical section.
     ///
-    /// With lock-free begins, a reader's snapshot timestamp no longer
-    /// serializes with the manager's critical section, so "issue `commit_ts`,
-    /// then publish" leaves a window where a snapshot `S > commit_ts` exists
+    /// With lock-free begins, a reader's snapshot timestamp does not
+    /// serialize with any commit decision, so "issue `commit_ts`, then
+    /// publish" leaves a window where a snapshot `S > commit_ts` exists
     /// but resolves the commit as pending — a non-repeatable read. Running
     /// `alloc` under the same write lock readers resolve through closes it:
     /// any snapshot that observes `S > commit_ts` was issued after this
@@ -59,32 +59,6 @@ impl CommitIndex {
         let commit_ts = alloc();
         table.record_commit(start_ts, commit_ts);
         commit_ts
-    }
-
-    /// Publishes a whole epoch of commits whose timestamps are allocated
-    /// *inside* one write critical section, in `starts` order.
-    ///
-    /// The batched oracle's publish step: readers resolve through this
-    /// index's lock, so allocating every timestamp and installing every
-    /// entry under a single write hold makes the epoch visible atomically —
-    /// a snapshot whose start exceeds any of the returned timestamps was
-    /// issued after this critical section began and therefore observes the
-    /// entire epoch (the same argument as
-    /// [`CommitIndex::record_commit_with`], amortized over the batch).
-    pub fn record_commits_with(
-        &self,
-        starts: &[Timestamp],
-        mut alloc: impl FnMut() -> Timestamp,
-    ) -> Vec<Timestamp> {
-        let mut table = self.inner.write();
-        starts
-            .iter()
-            .map(|&start_ts| {
-                let commit_ts = alloc();
-                table.record_commit(start_ts, commit_ts);
-                commit_ts
-            })
-            .collect()
     }
 
     /// Publishes an abort.

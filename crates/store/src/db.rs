@@ -3,33 +3,22 @@
 //! # Concurrency architecture
 //!
 //! The paper costs the status oracle's critical section at "a few memory
-//! operations" (§6.3). This module first kept the embedded store honest to
-//! that number by holding a single manager mutex for **only** the conflict
-//! check and commit-timestamp assignment — and now goes one step further:
-//! by default there is no global commit critical section at all.
+//! operations" (§6.3). The embedded store keeps to that number by having no
+//! global commit critical section at all:
 //!
 //! * Commit decisions go through [`wsi_core::ConcurrentOracle`]: the
 //!   `lastCommit` table is hash-sharded, a committer locks only the shards
 //!   its rows map to (in canonical order — deadlock-free), and transactions
-//!   over disjoint shards decide in parallel. The old single
-//!   `Mutex<`[`StatusOracleCore`]`>` path remains available behind
-//!   [`OracleMode::Serial`] as a compatibility/benchmark baseline.
-//! * [`OracleMode::Batched`] removes even the per-decision shard handshake:
-//!   committers append to [`wsi_core::BatchedOracle`]'s lock-free epoch
-//!   ring and whole batches are conflict-planned at once, with the epoch's
-//!   commit-index entries installed under one write hold and its WAL
-//!   records enqueued as one group (see [`DbPublisher`]) — the hot-key
-//!   regime where every committer hashes to the same shard costs the same
-//!   as the disjoint one.
+//!   over disjoint shards decide in parallel.
 //! * `begin` never takes any oracle lock: start timestamps come from a
 //!   shared atomic counter via the lock-striped
 //!   [`registry::ActiveTxnRegistry`], with §6.2 batched reservation records
 //!   amortizing WAL writes for the counter.
 //! * WAL append + flush run in the [`pipeline::CommitPipeline`] *after* the
-//!   shard (or manager) locks are released — group-commit with a
-//!   leader/follower protocol. Under [`Durability::Sync`] a commit becomes
-//!   visible only once its batch is durable; a quorum loss overturns the
-//!   decision before any reader could observe it.
+//!   shard locks are released — group-commit with a leader/follower
+//!   protocol. Under [`Durability::Sync`] a commit becomes visible only once
+//!   its batch is durable; a quorum loss overturns the decision before any
+//!   reader could observe it.
 //! * Read-only commits and rollbacks touch no lock at all beyond their
 //!   registry shard.
 //!
@@ -45,11 +34,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use wsi_core::{
-    hash_row_key, AbortReason, BatchedOracle, CommitRequest, ConcurrentOracle, DecisionGuard,
-    EpochPublisher, IsolationLevel, OracleCounters, OracleStats, RowId, SharedTimestampSource,
-    StatusOracleCore, Timestamp,
+    hash_row_key, AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel, OracleCounters,
+    OracleStats, RowId, SharedTimestampSource, Timestamp,
 };
 use wsi_obs::{AbortExplanation, Cause, EventData, Journal, SpanOutcome, TxnPhase, TxnSpan};
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
@@ -101,45 +89,8 @@ pub enum Durability {
     Sync,
 }
 
-/// How commit decisions are serialized (or not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleMode {
-    /// The sharded [`ConcurrentOracle`]: committers lock only the
-    /// `lastCommit` shards their rows hash to, so spatially-disjoint
-    /// transactions decide in parallel. `shards` is rounded up to a power
-    /// of two. The default (16 shards).
-    Sharded {
-        /// Number of `lastCommit` shards.
-        shards: usize,
-    },
-    /// The pre-sharding compatibility path: one [`StatusOracleCore`] behind
-    /// one mutex, every decision serialized. Kept as a baseline for
-    /// benchmarks and as an escape hatch.
-    Serial,
-    /// The epoch-batched [`BatchedOracle`]: committers append to a
-    /// lock-free intake ring (one `fetch_add` on the hot path) and whole
-    /// epochs are conflict-planned at once over `shards` hash partitions,
-    /// with intra-batch conflicts resolved in deterministic arrival order.
-    /// Hot-key workloads that serialize the sharded oracle onto one shard
-    /// pay the same cost as cold keys here. `shards` is rounded up to a
-    /// power of two.
-    Batched {
-        /// Number of `lastCommit` partitions the planner splits batches
-        /// over.
-        shards: usize,
-    },
-}
-
-impl Default for OracleMode {
-    fn default() -> Self {
-        OracleMode::Sharded {
-            shards: DEFAULT_ORACLE_SHARDS,
-        }
-    }
-}
-
-/// Default shard count of the sharded oracle.
-const DEFAULT_ORACLE_SHARDS: usize = 16;
+/// `lastCommit` shard count of the commit oracle.
+const ORACLE_SHARDS: usize = 16;
 
 /// A commit-path counter period: every this many write commits, the GC
 /// watermark hint feeding insert-time chain pruning is recomputed from the
@@ -166,9 +117,6 @@ pub struct DbOptions {
     /// removes every histogram record and span sample from the hot path,
     /// leaving only the plain activity counters that back [`Db::stats`].
     pub obs: bool,
-    /// Commit-decision concurrency: the sharded [`ConcurrentOracle`]
-    /// (default) or the serial `Mutex<StatusOracleCore>` compatibility path.
-    pub oracle: OracleMode,
     /// If set, [`Db::run`]'s retry backoff draws its jitter from a shared
     /// counter seeded here instead of the wall clock, making retry pauses a
     /// pure function of the seed and the draw order — required for
@@ -195,7 +143,6 @@ impl DbOptions {
             last_commit_capacity: None,
             wal: LedgerConfig::local_sync(),
             obs: true,
-            oracle: OracleMode::default(),
             retry_seed: None,
             journal: true,
         }
@@ -205,30 +152,6 @@ impl DbOptions {
     #[must_use]
     pub fn seeded_retries(mut self, seed: u64) -> Self {
         self.retry_seed = Some(seed);
-        self
-    }
-
-    /// Selects the serial `Mutex<StatusOracleCore>` commit path (see
-    /// [`OracleMode::Serial`]).
-    #[must_use]
-    pub fn serial_oracle(mut self) -> Self {
-        self.oracle = OracleMode::Serial;
-        self
-    }
-
-    /// Sets the sharded oracle's shard count (rounded up to a power of
-    /// two).
-    #[must_use]
-    pub fn oracle_shards(mut self, shards: usize) -> Self {
-        self.oracle = OracleMode::Sharded { shards };
-        self
-    }
-
-    /// Selects the epoch-batched commit path with the given partition count
-    /// (see [`OracleMode::Batched`]).
-    #[must_use]
-    pub fn batched_oracle(mut self, shards: usize) -> Self {
-        self.oracle = OracleMode::Batched { shards };
         self
     }
 
@@ -266,230 +189,6 @@ impl DbOptions {
     pub fn bounded_last_commit(mut self, capacity: usize) -> Self {
         self.last_commit_capacity = Some(capacity);
         self
-    }
-}
-
-/// State guarded by the serial path's critical section — the embedded
-/// equivalent of the status oracle's single-threaded commit loop (§6.3).
-/// Nothing else lives here: begins, WAL persistence, and read-only commits
-/// all bypass this lock.
-pub(crate) struct Manager {
-    pub(crate) oracle: StatusOracleCore,
-}
-
-/// The store's commit-decision engine: either the sharded concurrent oracle
-/// (default) or the serial mutex-wrapped core, selected by
-/// [`DbOptions::oracle`]. Both expose the same lock-then-decide shape via
-/// [`CommitOracle::lock_for`], so `commit_txn` is written once.
-pub(crate) enum CommitOracle {
-    /// One critical section for every decision ([`OracleMode::Serial`]).
-    Serial(Mutex<Manager>),
-    /// Sharded: lock only the touched shards ([`OracleMode::Sharded`]).
-    Sharded(ConcurrentOracle),
-    /// Epoch-batched: decisions planned a batch at a time
-    /// ([`OracleMode::Batched`]); never goes through
-    /// [`CommitOracle::lock_for`].
-    Batched(BatchedOracle),
-}
-
-impl CommitOracle {
-    /// Acquires whatever mutual exclusion this request's decision needs:
-    /// the single manager mutex, or the request's `lastCommit` shards in
-    /// canonical order. The batched oracle has no per-decision scope — its
-    /// commit path goes through [`BatchedOracle::submit`] instead.
-    pub(crate) fn lock_for(&self, req: &CommitRequest) -> OracleGuard<'_> {
-        match self {
-            CommitOracle::Serial(manager) => OracleGuard::Serial(manager.lock()),
-            CommitOracle::Sharded(oracle) => OracleGuard::Sharded(oracle.lock_for(req)),
-            CommitOracle::Batched(_) => {
-                unreachable!("batched decisions go through BatchedOracle::submit")
-            }
-        }
-    }
-
-    /// Overturns a decided-but-unpublished commit after a durability
-    /// failure (called by the pipeline's leader with no oracle lock held).
-    pub(crate) fn abort_after_decide(&self, start_ts: Timestamp) {
-        match self {
-            CommitOracle::Serial(manager) => manager.lock().oracle.abort_after_decide(start_ts),
-            CommitOracle::Sharded(oracle) => oracle.abort_after_decide(start_ts),
-            CommitOracle::Batched(oracle) => oracle.abort_after_decide(start_ts),
-        }
-    }
-
-    /// Re-applies a committed transaction during recovery (single-threaded).
-    fn replay_commit(&self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
-        match self {
-            CommitOracle::Serial(manager) => {
-                manager
-                    .lock()
-                    .oracle
-                    .replay_commit(start_ts, commit_ts, rows);
-            }
-            CommitOracle::Sharded(oracle) => oracle.replay_commit(start_ts, commit_ts, rows),
-            CommitOracle::Batched(oracle) => oracle.replay_commit(start_ts, commit_ts, rows),
-        }
-    }
-
-    /// Re-applies an aborted transaction during recovery.
-    fn replay_abort(&self, start_ts: Timestamp) {
-        match self {
-            CommitOracle::Serial(manager) => manager.lock().oracle.replay_abort(start_ts),
-            CommitOracle::Sharded(oracle) => oracle.replay_abort(start_ts),
-            CommitOracle::Batched(oracle) => oracle.replay_abort(start_ts),
-        }
-    }
-
-    /// Burns timestamps up to `bound` during recovery.
-    fn advance_timestamps(&self, bound: Timestamp) {
-        match self {
-            CommitOracle::Serial(manager) => manager.lock().oracle.advance_timestamps(bound),
-            CommitOracle::Sharded(oracle) => oracle.advance_timestamps(bound),
-            CommitOracle::Batched(oracle) => oracle.advance_timestamps(bound),
-        }
-    }
-
-    /// Shared handle onto the oracle's lock-free activity counters.
-    fn counters(&self) -> OracleCounters {
-        match self {
-            CommitOracle::Serial(manager) => manager.lock().oracle.counters(),
-            CommitOracle::Sharded(oracle) => oracle.counters(),
-            CommitOracle::Batched(oracle) => oracle.counters(),
-        }
-    }
-}
-
-/// The held decision scope returned by [`CommitOracle::lock_for`]: the
-/// manager mutex guard, or the request's shard-lock set.
-pub(crate) enum OracleGuard<'a> {
-    /// Serial path: the whole oracle is ours.
-    Serial(MutexGuard<'a, Manager>),
-    /// Sharded path: only the request's shards are ours.
-    Sharded(DecisionGuard<'a>),
-}
-
-impl OracleGuard<'_> {
-    /// Runs the conflict check of Algorithms 1–3 for `req`.
-    pub(crate) fn check(&mut self, req: &CommitRequest) -> std::result::Result<(), AbortReason> {
-        match self {
-            OracleGuard::Serial(m) => m.oracle.check(req),
-            OracleGuard::Sharded(g) => g.check(req),
-        }
-    }
-
-    /// Completes the bookkeeping for an admitted commit whose timestamp the
-    /// caller issued while this guard was held.
-    pub(crate) fn finish_commit_at(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
-        match self {
-            OracleGuard::Serial(m) => m.oracle.finish_commit_at(req, commit_ts),
-            OracleGuard::Sharded(g) => g.finish_commit_at(req, commit_ts),
-        }
-    }
-
-    /// Registers a conflict abort decided by [`OracleGuard::check`].
-    pub(crate) fn abort_checked(&mut self, start_ts: Timestamp, reason: AbortReason) {
-        match self {
-            OracleGuard::Serial(m) => m.oracle.abort_checked(start_ts, reason),
-            OracleGuard::Sharded(g) => g.abort_checked(start_ts, reason),
-        }
-    }
-}
-
-/// Shard count of the batched path's pending-batch side table.
-const PENDING_BATCH_SHARDS: usize = 16;
-
-/// In-flight write batches of the batched commit path, keyed by start
-/// timestamp: the submitting thread parks its batch here before entering the
-/// epoch ring, and the epoch publisher — which may run on *any* committer
-/// thread — retrieves it to enqueue the WAL record. Only maintained when a
-/// WAL pipeline exists; sharded so concurrent submitters rarely collide.
-pub(crate) struct PendingBatches {
-    shards: Vec<Mutex<std::collections::HashMap<u64, WriteBatch>>>,
-}
-
-impl PendingBatches {
-    fn new() -> Self {
-        PendingBatches {
-            shards: (0..PENDING_BATCH_SHARDS)
-                .map(|_| Mutex::new(std::collections::HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, start_ts: Timestamp) -> &Mutex<std::collections::HashMap<u64, WriteBatch>> {
-        let idx = (start_ts.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
-            & (PENDING_BATCH_SHARDS - 1);
-        &self.shards[idx]
-    }
-
-    fn insert(&self, start_ts: Timestamp, batch: WriteBatch) {
-        self.shard(start_ts).lock().insert(start_ts.raw(), batch);
-    }
-
-    fn remove(&self, start_ts: Timestamp) -> WriteBatch {
-        self.shard(start_ts)
-            .lock()
-            .remove(&start_ts.raw())
-            .expect("every epoch member parked its batch before submitting")
-    }
-}
-
-/// The store's [`EpochPublisher`]: invoked once per epoch by whichever
-/// committer sealed it, with the oracle's planning slot held. Winners are
-/// published according to the durability mode — sync epochs enqueue as one
-/// contiguous WAL group with timestamps issued inside the pipeline's lock
-/// ([`CommitPipeline::push_sync_group`]); immediately-published epochs issue
-/// every timestamp and install every commit-index entry under one index
-/// write hold ([`CommitIndex::record_commits_with`]), so readers observe the
-/// whole epoch or none of it. Losers' aborts are published here too, before
-/// any waiter wakes. Lock order: the oracle's planning slot is outermost,
-/// then the pipeline queue lock or the commit index's write lock — neither
-/// is ever held while acquiring the other, and nothing in here blocks on a
-/// condition, so the hierarchy stays acyclic.
-struct DbPublisher<'a> {
-    inner: &'a DbInner,
-    sync: bool,
-}
-
-impl EpochPublisher for DbPublisher<'_> {
-    fn publish_epoch(&self, winners: &[Timestamp], losers: &[Timestamp]) -> Vec<Timestamp> {
-        let ts_vec = match &self.inner.pipeline {
-            Some(pipeline) => {
-                let commits: Vec<(Timestamp, WriteBatch)> = winners
-                    .iter()
-                    .map(|&start| (start, self.inner.pending_batches.remove(start)))
-                    .collect();
-                if self.sync {
-                    // Decided-but-unpublished: the owners wait on
-                    // `sync_commit`, and visibility flips after the quorum
-                    // ack, exactly as on the per-decision path.
-                    pipeline.push_sync_group(&self.inner.ts, &commits)
-                } else {
-                    let ts_vec = self
-                        .inner
-                        .index
-                        .record_commits_with(winners, || self.inner.ts.next());
-                    for ((start, batch), &commit_ts) in commits.into_iter().zip(&ts_vec) {
-                        pipeline.push_batched(start, commit_ts, batch);
-                    }
-                    ts_vec
-                }
-            }
-            None => self
-                .inner
-                .index
-                .record_commits_with(winners, || self.inner.ts.next()),
-        };
-        for &start in losers {
-            if self.inner.pipeline.is_some() {
-                let _ = self.inner.pending_batches.remove(start);
-            }
-            self.inner.index.record_abort(start);
-            if let Some(pipeline) = &self.inner.pipeline {
-                pipeline.push_abort(start);
-            }
-        }
-        ts_vec
     }
 }
 
@@ -537,20 +236,17 @@ pub(crate) struct DbInner {
     pub(crate) options: DbOptions,
     pub(crate) mvcc: ArenaStore,
     pub(crate) index: CommitIndex,
-    pub(crate) oracle: CommitOracle,
+    pub(crate) oracle: ConcurrentOracle,
     /// The shared timestamp counter: lock-free starts, oracle-issued commits.
     pub(crate) ts: Arc<SharedTimestampSource>,
     /// In-flight transactions, for the GC low-water mark.
     pub(crate) registry: ActiveTxnRegistry,
     /// Present whenever the database has a WAL.
     pub(crate) pipeline: Option<CommitPipeline>,
-    /// Batched-path write batches in flight between submit and epoch
-    /// publish; only populated when `pipeline` is present.
-    pub(crate) pending_batches: PendingBatches,
     /// Shared handle onto the oracle's lock-free counters. Paths that no
     /// longer visit the oracle (begins, read-only commits, rollbacks) bump
-    /// these directly, and [`Db::stats`] reads them without taking the
-    /// manager's mutex.
+    /// these directly, and [`Db::stats`] reads them without taking any
+    /// oracle lock.
     pub(crate) counters: OracleCounters,
     /// WAL observability handles (present iff `pipeline` is).
     pub(crate) wal_obs: Option<LedgerObs>,
@@ -643,43 +339,16 @@ impl Db {
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC/epoch advances.
         let journal = (options.obs && options.journal).then(Journal::new);
-        let oracle = match options.oracle {
-            OracleMode::Serial => {
-                let oracle = match options.last_commit_capacity {
-                    Some(cap) => {
-                        StatusOracleCore::bounded_shared(options.isolation, cap, Arc::clone(&ts))
-                    }
-                    None => StatusOracleCore::unbounded_shared(options.isolation, Arc::clone(&ts)),
-                };
-                CommitOracle::Serial(Mutex::new(Manager { oracle }))
+        let oracle = match options.last_commit_capacity {
+            Some(cap) => {
+                ConcurrentOracle::bounded(options.isolation, ORACLE_SHARDS, cap, Arc::clone(&ts))
             }
-            OracleMode::Sharded { shards } => {
-                let oracle = match options.last_commit_capacity {
-                    Some(cap) => {
-                        ConcurrentOracle::bounded(options.isolation, shards, cap, Arc::clone(&ts))
-                    }
-                    None => ConcurrentOracle::unbounded(options.isolation, shards, Arc::clone(&ts)),
-                };
-                let mut oracle = oracle.with_obs_enabled(options.obs);
-                if let Some(journal) = &journal {
-                    oracle = oracle.with_journal(journal.clone());
-                }
-                CommitOracle::Sharded(oracle)
-            }
-            OracleMode::Batched { shards } => {
-                let oracle = match options.last_commit_capacity {
-                    Some(cap) => {
-                        BatchedOracle::bounded(options.isolation, shards, cap, Arc::clone(&ts))
-                    }
-                    None => BatchedOracle::unbounded(options.isolation, shards, Arc::clone(&ts)),
-                };
-                let mut oracle = oracle.with_obs_enabled(options.obs);
-                if let Some(journal) = &journal {
-                    oracle = oracle.with_journal(journal.clone());
-                }
-                CommitOracle::Batched(oracle)
-            }
+            None => ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts)),
         };
+        let mut oracle = oracle.with_obs_enabled(options.obs);
+        if let Some(journal) = &journal {
+            oracle = oracle.with_journal(journal.clone());
+        }
         let counters = oracle.counters();
         let obs = options
             .obs
@@ -703,15 +372,7 @@ impl Db {
             if let Some(wal_obs) = &wal_obs {
                 wal_obs.register_in(&obs.registry);
             }
-            match &oracle {
-                CommitOracle::Sharded(sharded) => {
-                    sharded.shard_obs().register_in(&obs.registry);
-                }
-                CommitOracle::Batched(batched) => {
-                    batched.epoch_obs().register_in(&obs.registry);
-                }
-                CommitOracle::Serial(_) => {}
-            }
+            oracle.shard_obs().register_in(&obs.registry);
             let arena_obs = Arc::new(ArenaObs::new(journal.clone()));
             arena_obs.register_in(&obs.registry);
             mvcc.attach_obs(arena_obs);
@@ -728,7 +389,6 @@ impl Db {
                     obs.as_ref().map(|o| o.registry_contention.clone()),
                 ),
                 pipeline,
-                pending_batches: PendingBatches::new(),
                 counters,
                 wal_obs,
                 obs,
@@ -836,8 +496,8 @@ impl Db {
         Snapshot::new(Arc::clone(&self.inner), start_ts, shard)
     }
 
-    /// Issues a start timestamp without entering the manager's critical
-    /// section: an atomic fetch-add under a registry shard lock, a
+    /// Issues a start timestamp without taking any oracle lock: an atomic
+    /// fetch-add under a registry shard lock, a
     /// reservation record every [`TS_RESERVE_BATCH`] begins, and — only
     /// while a sync commit is decided-but-unpublished — the pipeline's
     /// snapshot-stability gate.
@@ -1023,34 +683,13 @@ impl Db {
         let sync = self.inner.options.durability == Durability::Sync;
 
         // The decision scope: conflict check + commit-timestamp assignment +
-        // oracle bookkeeping, under the request's shard locks (sharded
-        // oracle) or the manager mutex (serial). No WAL I/O in here.
+        // oracle bookkeeping, under the request's shard locks. No WAL I/O in
+        // here.
         if let Some(span) = &mut span {
             span.stamp(TxnPhase::ConflictCheck, now_us);
         }
         let check_began_us = self.inner.now_us();
-        let decision: Result<Timestamp> = if let CommitOracle::Batched(oracle) = &self.inner.oracle
-        {
-            // Epoch-batched path: no per-decision lock. Park the batch where
-            // the epoch publisher (possibly another committer thread) can
-            // find it, append to the intake ring, and wait for — or
-            // cooperatively plan — the epoch. The publisher records the
-            // commit-index entries, WAL queue entries, and abort records for
-            // the whole epoch before `submit` returns.
-            if self.inner.pipeline.is_some() {
-                self.inner
-                    .pending_batches
-                    .insert(start_ts, Arc::clone(&batch));
-            }
-            let publisher = DbPublisher {
-                inner: &self.inner,
-                sync,
-            };
-            match oracle.submit(req, &publisher) {
-                wsi_core::CommitOutcome::Committed(commit_ts) => Ok(commit_ts),
-                wsi_core::CommitOutcome::Aborted(reason) => Err(Error::Aborted(reason)),
-            }
-        } else {
+        let decision: Result<Timestamp> = {
             let mut guard = self.inner.oracle.lock_for(&req);
             match guard.check(&req) {
                 Ok(()) => {
@@ -1337,8 +976,8 @@ impl Db {
     /// Aggregate statistics.
     ///
     /// Lock-free: reads the oracle's shared counters and the WAL's
-    /// observability counters directly, without acquiring the manager's
-    /// mutex — safe to poll from a monitoring thread at any frequency
+    /// observability counters directly, without acquiring any oracle
+    /// lock — safe to poll from a monitoring thread at any frequency
     /// without perturbing committers.
     pub fn stats(&self) -> DbStats {
         let wal = match &self.inner.wal_obs {
@@ -1417,8 +1056,8 @@ impl Db {
 
     /// The flight-recorder journal, or `None` when disabled
     /// ([`DbOptions::obs`] or [`DbOptions::journal`] off). Every layer
-    /// records into it: begins, per-row conflict-check verdicts (sharded
-    /// oracle), commit/abort outcomes with culprit attribution, WAL
+    /// records into it: begins, per-row conflict-check verdicts,
+    /// commit/abort outcomes with culprit attribution, WAL
     /// flush/publish/overturn, and GC/epoch advances.
     pub fn journal(&self) -> Option<&Journal> {
         self.inner.journal()

@@ -63,7 +63,7 @@ pub mod ssi_db;
 mod txn;
 
 pub use commit_index::CommitIndex;
-pub use db::{Db, DbOptions, DbStats, Durability, OracleMode, TxnReport};
+pub use db::{Db, DbOptions, DbStats, Durability, TxnReport};
 pub use error::{Error, Result};
 // The flight-recorder and rollup types, re-exported so embedders (and the
 // deterministic simulator, which depends on this crate but not on wsi-obs

@@ -34,8 +34,8 @@ pub(crate) struct StoreObs {
     /// Wall-clock latency of the whole commit call for committed write
     /// transactions, begin → visible, in microseconds.
     pub(crate) txn_us: Histogram,
-    /// Time spent inside the manager's critical section (conflict check +
-    /// commit-timestamp assignment + oracle bookkeeping).
+    /// Time spent inside the commit decision scope, shard locks held
+    /// (conflict check + commit-timestamp assignment + oracle bookkeeping).
     pub(crate) conflict_check_us: Histogram,
     /// Sync-mode wait for the group-commit outcome (WAL append + quorum
     /// ack), measured from decide to resolution.

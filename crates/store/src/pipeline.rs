@@ -1,21 +1,20 @@
 //! The group-commit pipeline: WAL persistence decoupled from the commit
 //! critical section.
 //!
-//! The seed implementation appended *and flushed* the WAL while holding the
-//! manager's mutex, so under `Durability::Sync` every commit serialized
+//! The seed implementation appended *and flushed* the WAL inside the commit
+//! critical section, so under `Durability::Sync` every commit serialized
 //! behind a replication round-trip — the exact coupling the paper's
 //! BookKeeper deployment avoids (§6.3 keeps the critical section to "a few
 //! memory operations"; Appendix A pipelines the log writes). This module
 //! restores that separation for the embedded store:
 //!
-//! * The commit decision scope — the touched `lastCommit` shards under the
-//!   sharded oracle, or the manager mutex on the serial compatibility path —
-//!   covers only conflict detection and commit-timestamp assignment.
-//!   Decided commits are *queued* here. Sync commits enqueue in global
-//!   commit-timestamp order (the timestamp is issued inside the pipeline's
-//!   own lock); batched commits enqueue in timestamp order *per row* —
-//!   spatially-disjoint commits may interleave, which replay tolerates (see
-//!   [`CommitPipeline::push_batched`]).
+//! * The commit decision scope — the touched `lastCommit` shards of the
+//!   [`ConcurrentOracle`] — covers only conflict detection and
+//!   commit-timestamp assignment. Decided commits are *queued* here. Sync
+//!   commits enqueue in global commit-timestamp order (the timestamp is
+//!   issued inside the pipeline's own lock); batched commits enqueue in
+//!   timestamp order *per row* — spatially-disjoint commits may interleave,
+//!   which replay tolerates (see [`CommitPipeline::push_batched`]).
 //! * A **leader** — the first waiter to find the ledger free — takes the
 //!   ledger out of the pipeline, drains the queue, encodes and flushes the
 //!   batch entirely outside every lock, then publishes the outcomes and
@@ -24,7 +23,7 @@
 //! * Under `Durability::Sync` a commit is **published** — made visible in
 //!   the commit index and stamped into the version store — only after its
 //!   batch reached the write quorum. A flush failure overturns the decision
-//!   ([`StatusOracleCore::abort_after_decide`]) before any reader could have
+//!   ([`ConcurrentOracle::abort_after_decide`]) before any reader could have
 //!   observed it, appends compensating abort records, and surfaces
 //!   [`WalError`] to the owner.
 //!
@@ -37,20 +36,19 @@
 //! of that gate is a single atomic load, so begins stay lock-free whenever
 //! no sync commit is in flight.
 //!
-//! [`StatusOracleCore::abort_after_decide`]: wsi_core::StatusOracleCore::abort_after_decide
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-use wsi_core::{SharedTimestampSource, Timestamp};
+use wsi_core::{ConcurrentOracle, SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, LedgerStats, WalError};
 
 use crate::arena::ArenaStore;
 use crate::commit_index::CommitIndex;
-use crate::db::{CommitOracle, WriteBatch};
+use crate::db::WriteBatch;
 use crate::obs::StoreObs;
 use crate::record;
 
@@ -59,7 +57,7 @@ use crate::record;
 pub(crate) struct PublishCtx<'a> {
     pub(crate) mvcc: &'a ArenaStore,
     pub(crate) index: &'a CommitIndex,
-    pub(crate) oracle: &'a CommitOracle,
+    pub(crate) oracle: &'a ConcurrentOracle,
 }
 
 /// A decided commit awaiting persistence.
@@ -148,7 +146,7 @@ impl CommitPipeline {
     /// what makes [`CommitPipeline::wait_snapshot_stable`] sound: a begin
     /// that observes `S > commit_ts` must have entered this critical section
     /// after the commit was queued, so the gate cannot miss it. The caller
-    /// holds its decision scope (shard locks or manager mutex) across this
+    /// holds its decision scope (the request's shard locks) across this
     /// call and completes the oracle bookkeeping with the returned
     /// timestamp; the pipeline lock nests *inside* that scope, never the
     /// reverse.
@@ -169,44 +167,12 @@ impl CommitPipeline {
         commit_ts
     }
 
-    /// The epoch form of [`CommitPipeline::push_sync`]: issues commit
-    /// timestamps for a whole epoch's winners (in the given slot order) and
-    /// enqueues them, all under one pipeline-lock hold.
-    ///
-    /// `sync_pending` rises by the epoch size *before* the first timestamp
-    /// is issued, preserving the begin gate's invariant for every member,
-    /// and the queue receives the epoch contiguously in timestamp order —
-    /// so the whole epoch rides one group-commit flush (the WAL alignment
-    /// the batched oracle's publish step is specified to provide).
-    pub(crate) fn push_sync_group(
-        &self,
-        ts: &SharedTimestampSource,
-        commits: &[(Timestamp, WriteBatch)],
-    ) -> Vec<Timestamp> {
-        let mut inner = self.inner.lock();
-        self.sync_pending
-            .fetch_add(commits.len() as u64, Ordering::SeqCst);
-        commits
-            .iter()
-            .map(|(start_ts, batch)| {
-                let commit_ts = ts.next();
-                inner.queue.push_back(PendingCommit {
-                    start_ts: *start_ts,
-                    commit_ts,
-                    batch: Arc::clone(batch),
-                });
-                commit_ts
-            })
-            .collect()
-    }
-
     /// Enqueues an already-published batched/none-mode commit for eventual
     /// persistence. Must be called while still holding the decision scope
-    /// that issued `commit_ts`. Under the serial oracle that makes queue
-    /// order equal commit-timestamp order; under the sharded oracle only
-    /// commits that share a shard are ordered, so spatially-disjoint commits
-    /// may land in the WAL out of timestamp order. Replay tolerates that:
-    /// same-row commits share a shard (hence are ordered), recovery's
+    /// that issued `commit_ts`. Only commits that share a shard are ordered
+    /// by that scope, so spatially-disjoint commits may land in the WAL out
+    /// of timestamp order. Replay tolerates that: same-row commits share a
+    /// shard (hence are ordered), recovery's
     /// per-row `lastCommit` and version stamping only need per-row order,
     /// and the timestamp counter advances by `max`.
     pub(crate) fn push_batched(
@@ -296,7 +262,7 @@ impl CommitPipeline {
     }
 
     /// Batched-mode flush driven opportunistically after a commit, outside
-    /// the manager lock. Respects the ledger's batch policy; skips entirely
+    /// every lock. Respects the ledger's batch policy; skips entirely
     /// if another thread currently owns the ledger. Errors are returned for
     /// the caller to swallow or surface — batched durability never fails an
     /// already-acknowledged commit.

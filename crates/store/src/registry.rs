@@ -25,11 +25,22 @@ use wsi_core::{SharedTimestampSource, Timestamp};
 /// Number of independent shard locks.
 pub(crate) const SHARDS: usize = 16;
 
+/// A value on a cache line of its own, so the threads writing it never
+/// invalidate a line other threads read for something else.
+#[derive(Debug)]
+#[repr(align(64))]
+struct OwnLine<T>(T);
+
 /// Striped set of active start timestamps.
 #[derive(Debug)]
 pub(crate) struct ActiveTxnRegistry {
     shards: Vec<Mutex<BTreeSet<u64>>>,
-    next_shard: AtomicUsize,
+    /// Round-robin shard cursor. Every `begin` on every thread bumps it, so
+    /// wherever the embedding struct places the registry it must not share
+    /// a line with fields every commit reads: when it did, `txn_e2e`'s
+    /// `zipf_complex_2t` lost 4 % throughput and 6 % p50 (EXPERIMENTS.md,
+    /// "Why there is one commit-decision backend").
+    next_shard: OwnLine<AtomicUsize>,
     /// Counts `register` calls that found their shard lock held (begin-path
     /// contention); `None` when observability is disabled.
     contention: Option<wsi_obs::Counter>,
@@ -39,7 +50,7 @@ impl ActiveTxnRegistry {
     pub(crate) fn new(contention: Option<wsi_obs::Counter>) -> Self {
         ActiveTxnRegistry {
             shards: (0..SHARDS).map(|_| Mutex::new(BTreeSet::new())).collect(),
-            next_shard: AtomicUsize::new(0),
+            next_shard: OwnLine(AtomicUsize::new(0)),
             contention,
         }
     }
@@ -53,7 +64,7 @@ impl ActiveTxnRegistry {
     /// mid-registration blocks the watermark until its timestamp is in the
     /// set.
     pub(crate) fn register(&self, ts: &SharedTimestampSource) -> (Timestamp, usize) {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
+        let shard = self.next_shard.0.fetch_add(1, Ordering::Relaxed) % SHARDS;
         let mut set = match self.shards[shard].try_lock() {
             Some(guard) => guard,
             None => {
@@ -103,12 +114,6 @@ impl ActiveTxnRegistry {
 /// on the hosts this workspace targets.
 pub(crate) const EPOCH_SLOTS: usize = 64;
 
-/// A participant slot on its own cache line, so two threads publishing
-/// their pins never invalidate each other's line.
-#[derive(Debug)]
-#[repr(align(64))]
-struct EpochSlot(AtomicU64);
-
 thread_local! {
     /// This thread's preferred participant slot index, assigned once from a
     /// process-wide counter so the first `EPOCH_SLOTS` threads probe
@@ -142,7 +147,9 @@ static NEXT_SLOT_HINT: AtomicUsize = AtomicUsize::new(0);
 pub(crate) struct EpochParticipants {
     /// The global epoch. Starts at 1; `0` marks a vacant participant slot.
     global: AtomicU64,
-    slots: Vec<EpochSlot>,
+    /// One participant slot per cache line, so two threads publishing their
+    /// pins never invalidate each other's line.
+    slots: Vec<OwnLine<AtomicU64>>,
 }
 
 impl Default for EpochParticipants {
@@ -156,7 +163,7 @@ impl EpochParticipants {
         EpochParticipants {
             global: AtomicU64::new(1),
             slots: (0..EPOCH_SLOTS)
-                .map(|_| EpochSlot(AtomicU64::new(0)))
+                .map(|_| OwnLine(AtomicU64::new(0)))
                 .collect(),
         }
     }

@@ -137,33 +137,42 @@ impl Transaction {
     /// merging buffered writes, returning at most `limit` pairs in key
     /// order. An empty or inverted range returns nothing.
     ///
-    /// Every key *returned from the store* joins the read set. Keys that are
-    /// absent in the snapshot leave no trace (the status oracle tracks row
-    /// identifiers, not ranges), so phantom rows inserted by concurrent
-    /// transactions are not conflict-checked — the same row-granularity
-    /// caveat as the paper's implementation; see `wsi-oracle`'s
-    /// range-read-set extension for the coarse-grained alternative (§5.2).
+    /// Every key *returned from the store* joins the read set — up to
+    /// `limit` plus the number of buffered writes in range, since the limit
+    /// applies to the merged result. Keys that are absent in the snapshot
+    /// leave no trace (the status oracle tracks row identifiers, not
+    /// ranges), so phantom rows inserted by concurrent transactions are not
+    /// conflict-checked — the same row-granularity caveat as the paper's
+    /// implementation; see `wsi-oracle`'s range-read-set extension for the
+    /// coarse-grained alternative (§5.2).
     pub fn scan(&mut self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
         self.stamp(TxnPhase::FirstRead);
-        let stored = self
-            .db
-            .mvcc
-            .scan(start, end, self.start_ts, &self.db.index, limit);
+        // `BTreeMap::range` panics on an inverted range, for which the store
+        // returns nothing either.
+        let inverted = end.is_some_and(|e| e <= start);
+        let buffered: Vec<(&Bytes, &Option<Bytes>)> = if inverted {
+            Vec::new()
+        } else {
+            let upper = end.map_or(Bound::Unbounded, |e| {
+                Bound::Excluded(Bytes::copy_from_slice(e))
+            });
+            self.writes
+                .range((Bound::Included(Bytes::copy_from_slice(start)), upper))
+                .collect()
+        };
+        // `limit` applies after the overlay. Each buffered entry displaces
+        // at most one stored row (a deletion hides it, an overwrite replaces
+        // it), so that many rows beyond `limit` fill the result.
+        let stored = self.db.mvcc.scan(
+            start,
+            end,
+            self.start_ts,
+            &self.db.index,
+            limit.saturating_add(buffered.len()),
+        );
         for (key, _) in &stored {
             self.read_rows.insert(hash_row_key(key));
         }
-        // Merge buffered writes over stored results.
-        let upper = match end {
-            // `BTreeMap::range` panics on an inverted range, for which the
-            // store returned nothing either.
-            Some(e) if e <= start => return stored,
-            Some(e) => Bound::Excluded(Bytes::copy_from_slice(e)),
-            None => Bound::Unbounded,
-        };
-        let buffered: Vec<(&Bytes, &Option<Bytes>)> = self
-            .writes
-            .range((Bound::Included(Bytes::copy_from_slice(start)), upper))
-            .collect();
         if buffered.is_empty() {
             return stored;
         }

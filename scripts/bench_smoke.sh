@@ -28,14 +28,12 @@ echo "== bench smoke (binaries from $bin, scratch $scratch) =="
 
 # Artifact-producing benches, reduced scale.
 "$bin/store_concurrency" 200 0 >/dev/null
-"$bin/oracle_scaling" 150 5 >/dev/null
 "$bin/mvcc_scaling" 100 5 >/dev/null
 # trace_overhead is also the flight-recorder acceptance gate (exit 1 when
 # the journal costs >5% geomean), so running it here makes the smoke fail
 # on an overhead regression. At this reduced scale the geomean jitters
 # ±5% run-to-run on a one-core host (hypervisor steal), so the gate gets
-# best-of-three — the same medicine oracle_scaling's raw cells take — and
-# only a repeatable overhead regression fails the smoke.
+# best-of-three and only a repeatable overhead regression fails the smoke.
 trace_ok=0
 for attempt in 1 2 3; do
     if "$bin/trace_overhead" 2000 >/dev/null; then
@@ -94,7 +92,6 @@ import sys
 for path, key in [
     ("BENCH_store_concurrency.json", None),  # top-level array
     ("BENCH_store_concurrency_metrics.json", None),  # top-level array
-    ("BENCH_oracle_scaling.json", "results"),
     ("BENCH_mvcc_scaling.json", "results"),
     ("BENCH_trace_overhead.json", "results"),
 ]:

@@ -18,25 +18,21 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
-# Oracle-backend gates: the three-way Serial/Sharded/Batched equivalence
-# property tests must hold for SI, WSI, and the bounded Algorithm-3
-# variant (exact OracleStats equality, §5.2 ranges included), the batched
-# backend's arrival-order determinism suite must pass, and both
-# multi-threaded stress suites run again in release mode (the debug run
+# Commit-oracle gates: `ConcurrentOracle` against its model
+# `StatusOracleCore` — property tests for SI, WSI, and the bounded
+# Algorithm-3 variant (exact OracleStats equality, §5.2 ranges included) —
+# and the multi-threaded stress suite again in release mode (the debug run
 # above is too slow to shake out interleavings).
 cargo test -q -p wsi-core --test oracle_equivalence
-cargo test -q -p wsi-core --test batched_determinism
-cargo test -q --release -p wsi-store --test sharded_stress
-cargo test -q --release -p wsi-store --test batched_stress
+cargo test -q --release -p wsi-store --test oracle_stress
 
-# Batched-backend bench smoke: the epoch ring must drain a pipelined
-# multi-thread sweep end-to-end (a liveness bug in the seal/plan/publish
-# protocol hangs here, not in the unit tests). Runs in a scratch dir so
-# the reduced-scale artifact never clobbers the committed full-scale one.
-oracle_scaling_bin="$(pwd)/target/release/oracle_scaling"
-batched_scratch="$(mktemp -d)"
-(cd "$batched_scratch" && "$oracle_scaling_bin" 150 5 --backend batched >/dev/null)
-rm -rf "$batched_scratch"
+# One commit-decision backend: fail if a deleted oracle, option, metric
+# family, journal event or DST engine reappears.
+if grep -rnE 'OracleMode|serial_oracle|batched_oracle|oracle_shards\b|BatchedOracle|EpochPublisher|EpochObs|oracle_epoch|PendingBatches|push_sync_group|record_commits_with|WsiBatched|wsi-batched|EpochSeal|EpochPublish' \
+    crates/ src/ tests/ examples/ scripts/bench_smoke.sh; then
+    echo "error: a deleted commit-oracle backend, option or event is back (see above)" >&2
+    exit 1
+fi
 
 # Version-store gates: the store against the sequential model (proptest
 # over randomized interleavings, both isolation levels — it runs in the
