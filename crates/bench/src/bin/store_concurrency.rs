@@ -66,13 +66,6 @@ impl Row {
     }
 }
 
-fn iso_name(isolation: IsolationLevel) -> &'static str {
-    match isolation {
-        IsolationLevel::Snapshot => "si",
-        IsolationLevel::WriteSnapshot => "wsi",
-    }
-}
-
 fn dur_name(durability: Durability) -> &'static str {
     match durability {
         Durability::None => "none",
@@ -191,7 +184,7 @@ fn main() {
                 println!(
                     "{:>7} {:>4} {:>8} {:>10} {:>12.0} {:>10} {:>12} {:>8.2}",
                     row.threads,
-                    iso_name(row.isolation),
+                    row.isolation.short_name(),
                     dur_name(row.durability),
                     row.commits,
                     row.throughput_tps(),
@@ -213,7 +206,7 @@ fn main() {
              \"rows_checked\": {}, \"rows_recorded\": {}, \
              \"wal_records\": {}, \"wal_flushes\": {}, \"batch_factor\": {:.3}}}{}",
             row.threads,
-            iso_name(row.isolation),
+            row.isolation.short_name(),
             dur_name(row.durability),
             row.commits,
             row.elapsed_us,
@@ -244,7 +237,7 @@ fn main() {
                 "  {{\"threads\": {}, \"isolation\": \"{}\", \"durability\": \"{}\", \
                  \"metrics\": {}}}{}",
                 row.threads,
-                iso_name(row.isolation),
+                row.isolation.short_name(),
                 dur_name(row.durability),
                 if row.metrics_json.is_empty() {
                     "null"

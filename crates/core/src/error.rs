@@ -38,6 +38,20 @@ pub enum AbortReason {
         /// The oracle's `T_max` at the time of the check.
         t_max: Timestamp,
     },
+    /// Serializable snapshot isolation: committing would complete a
+    /// dangerous structure — a pivot with an rw-antidependency both in and
+    /// out among concurrent transactions ([`crate::ssi::SsiWindow`]). Each
+    /// edge is named by its committed partner's commit timestamp; `None` is
+    /// an edge the structure that fired does not have at the victim (the
+    /// pivot is then the one partner named, already committed).
+    DangerousStructure {
+        /// Commit stamp of the partner that read what the victim overwrites
+        /// (`partner →rw victim`).
+        in_commit_ts: Option<Timestamp>,
+        /// Commit timestamp of the partner that overwrote what the victim
+        /// read (`victim →rw partner`).
+        out_commit_ts: Option<Timestamp>,
+    },
     /// The client requested the abort (e.g. an application-level rollback or
     /// a failed Percolator lock acquisition relayed to the oracle).
     ClientRequested,
@@ -58,18 +72,31 @@ impl AbortReason {
                 committed_at: committed_at.raw(),
             },
             AbortReason::TmaxExceeded { t_max, .. } => wsi_obs::Cause::Tmax { t_max: t_max.raw() },
+            AbortReason::DangerousStructure {
+                in_commit_ts,
+                out_commit_ts,
+            } => wsi_obs::Cause::Pivot {
+                in_commit_ts: in_commit_ts.map_or(0, Timestamp::raw),
+                out_commit_ts: out_commit_ts.map_or(0, Timestamp::raw),
+            },
             AbortReason::ClientRequested => wsi_obs::Cause::Client,
         }
     }
 
     /// The commit timestamp this reason blames, when it names one (the
     /// per-row conflict verdict payload: the culprit's commit timestamp
-    /// for WW/RW conflicts, the eviction bound for `T_max` aborts).
+    /// for WW/RW conflicts, the eviction bound for `T_max` aborts, the
+    /// out-edge partner of a dangerous structure — its in-edge partner when
+    /// there is no out edge).
     pub fn conflict_ts(&self) -> Option<Timestamp> {
         match *self {
             AbortReason::WriteWriteConflict { committed_at, .. }
             | AbortReason::ReadWriteConflict { committed_at, .. } => Some(committed_at),
             AbortReason::TmaxExceeded { t_max, .. } => Some(t_max),
+            AbortReason::DangerousStructure {
+                in_commit_ts,
+                out_commit_ts,
+            } => out_commit_ts.or(in_commit_ts),
             AbortReason::ClientRequested => None,
         }
     }
@@ -94,6 +121,19 @@ impl fmt::Display for AbortReason {
                 f,
                 "conflict state evicted: start {start_ts} predates T_max {t_max}"
             ),
+            AbortReason::DangerousStructure {
+                in_commit_ts,
+                out_commit_ts,
+            } => {
+                write!(f, "dangerous structure")?;
+                if let Some(ts) = in_commit_ts {
+                    write!(f, ", rw edge in from the commit at {ts}")?;
+                }
+                if let Some(ts) = out_commit_ts {
+                    write!(f, ", rw edge out to the commit at {ts}")?;
+                }
+                Ok(())
+            }
             AbortReason::ClientRequested => write!(f, "abort requested by client"),
         }
     }
@@ -211,6 +251,29 @@ mod tests {
         assert!(s.contains("row:5"));
         assert!(s.contains("ts:12"));
         assert!(s.contains("read-write"));
+    }
+
+    #[test]
+    fn dangerous_structure_blames_a_partner_never_the_victim() {
+        let both = AbortReason::DangerousStructure {
+            in_commit_ts: Some(Timestamp(7)),
+            out_commit_ts: Some(Timestamp(9)),
+        };
+        assert_eq!(both.conflict_ts(), Some(Timestamp(9)), "out edge first");
+        let in_only = AbortReason::DangerousStructure {
+            in_commit_ts: Some(Timestamp(7)),
+            out_commit_ts: None,
+        };
+        assert_eq!(in_only.conflict_ts(), Some(Timestamp(7)));
+        assert_eq!(
+            in_only.journal_cause(),
+            wsi_obs::Cause::Pivot {
+                in_commit_ts: 7,
+                out_commit_ts: 0
+            }
+        );
+        let s = both.to_string();
+        assert!(s.contains("dangerous structure") && s.contains("ts:7") && s.contains("ts:9"));
     }
 
     #[test]

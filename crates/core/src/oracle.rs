@@ -107,6 +107,9 @@ pub struct OracleStats {
     pub rw_aborts: u64,
     /// Pessimistic aborts due to `T_max` (Algorithm 3 only).
     pub tmax_aborts: u64,
+    /// Aborts by the dangerous-structure rule (serializable snapshot
+    /// isolation only).
+    pub pivot_aborts: u64,
     /// Aborts explicitly requested by clients.
     pub client_aborts: u64,
     /// `lastCommit` probes performed (memory items loaded for checking).
@@ -123,7 +126,7 @@ pub struct OracleStats {
 impl OracleStats {
     /// Total aborts of write transactions for any reason.
     pub fn total_aborts(&self) -> u64 {
-        self.ww_aborts + self.rw_aborts + self.tmax_aborts + self.client_aborts
+        self.ww_aborts + self.rw_aborts + self.tmax_aborts + self.pivot_aborts + self.client_aborts
     }
 
     /// Abort rate over decided write transactions (0 when none decided).
@@ -166,6 +169,9 @@ pub struct OracleCounters {
     pub rw_aborts: wsi_obs::Counter,
     /// Pessimistic aborts due to `T_max` (Algorithm 3 only).
     pub tmax_aborts: wsi_obs::Counter,
+    /// Aborts by the dangerous-structure rule (serializable snapshot
+    /// isolation only).
+    pub pivot_aborts: wsi_obs::Counter,
     /// Aborts explicitly requested by clients.
     pub client_aborts: wsi_obs::Counter,
     /// `lastCommit` probes performed (memory items loaded for checking).
@@ -194,6 +200,7 @@ impl OracleCounters {
             ww_aborts: self.ww_aborts.get(),
             rw_aborts: self.rw_aborts.get(),
             tmax_aborts: self.tmax_aborts.get(),
+            pivot_aborts: self.pivot_aborts.get(),
             client_aborts: self.client_aborts.get(),
             rows_checked: self.rows_checked.get(),
             rows_recorded: self.rows_recorded.get(),
@@ -214,6 +221,7 @@ impl OracleCounters {
             ww_aborts: self.ww_aborts.detached_copy(),
             rw_aborts: self.rw_aborts.detached_copy(),
             tmax_aborts: self.tmax_aborts.detached_copy(),
+            pivot_aborts: self.pivot_aborts.detached_copy(),
             client_aborts: self.client_aborts.detached_copy(),
             rows_checked: self.rows_checked.detached_copy(),
             rows_recorded: self.rows_recorded.detached_copy(),
@@ -226,7 +234,7 @@ impl OracleCounters {
     /// oracle shows up in metric exposition alongside the embedder's own
     /// series.
     pub fn register_in(&self, registry: &wsi_obs::Registry) {
-        let entries: [(&str, &wsi_obs::Counter); 12] = [
+        let entries: [(&str, &wsi_obs::Counter); 13] = [
             ("oracle_begins_total", &self.begins),
             ("oracle_commits_total", &self.commits),
             ("oracle_commits_overturned_total", &self.commits_overturned),
@@ -234,6 +242,7 @@ impl OracleCounters {
             ("oracle_ww_aborts_total", &self.ww_aborts),
             ("oracle_rw_aborts_total", &self.rw_aborts),
             ("oracle_tmax_aborts_total", &self.tmax_aborts),
+            ("oracle_pivot_aborts_total", &self.pivot_aborts),
             ("oracle_client_aborts_total", &self.client_aborts),
             ("oracle_rows_checked_total", &self.rows_checked),
             ("oracle_rows_recorded_total", &self.rows_recorded),
@@ -342,10 +351,12 @@ pub(crate) fn check_row_probe(
 ) -> std::result::Result<(), AbortReason> {
     match probe {
         Probe::Resident(last) if last > start_ts => Err(match level {
-            IsolationLevel::Snapshot => AbortReason::WriteWriteConflict {
-                row,
-                committed_at: last,
-            },
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => {
+                AbortReason::WriteWriteConflict {
+                    row,
+                    committed_at: last,
+                }
+            }
             IsolationLevel::WriteSnapshot => AbortReason::ReadWriteConflict {
                 row,
                 committed_at: last,
@@ -552,11 +563,7 @@ impl StatusOracleCore {
         if req.is_read_only() {
             return Ok(());
         }
-        let check_rows: &[RowId] = match self.level {
-            IsolationLevel::Snapshot => &req.write_rows,
-            IsolationLevel::WriteSnapshot => &req.read_rows,
-        };
-        for &row in check_rows {
+        for &row in self.level.checked_rows(req) {
             self.counters.rows_checked.inc();
             check_row_probe(self.level, row, self.last_commit.probe(row), req.start_ts)?;
         }
@@ -638,6 +645,7 @@ impl StatusOracleCore {
             AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
             AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
             AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
+            AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
             AbortReason::ClientRequested => self.counters.client_aborts.inc(),
         }
         self.commit_table.record_abort(start_ts);

@@ -9,13 +9,13 @@
 //! the oracle's incremental checks and for the `wsi-history` crate, which
 //! evaluates them over whole histories.
 
-use crate::ts::Timestamp;
+use crate::{oracle::CommitRequest, ts::Timestamp};
 
 /// The isolation level enforced by a status oracle or transaction manager.
 ///
-/// Both levels give every transaction a consistent read snapshot determined
-/// by its start timestamp; they differ only in which conflicts abort a
-/// transaction at commit time.
+/// Every level gives every transaction a consistent read snapshot determined
+/// by its start timestamp; they differ only in what is certified at commit
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationLevel {
     /// Classic snapshot isolation: abort on write-write conflicts
@@ -24,6 +24,17 @@ pub enum IsolationLevel {
     /// Write-snapshot isolation: abort on read-write conflicts
     /// (Algorithm 2). Serializable (paper, Theorem 1).
     WriteSnapshot,
+    /// Serializable snapshot isolation (Cahill, Röhm & Fekete; the paper's
+    /// §7.1 comparator): snapshot isolation plus an abort whenever a commit
+    /// would complete a dangerous structure of rw-antidependencies.
+    ///
+    /// The `lastCommit` oracles ([`crate::StatusOracleCore`],
+    /// [`crate::ConcurrentOracle`]) run only this level's SI base — the
+    /// write-write check of [`IsolationLevel::Snapshot`]. The
+    /// dangerous-structure half is [`crate::ssi::SsiWindow`], which the
+    /// embedder applies beside them (`wsi-store`'s `Db` does); an oracle
+    /// used alone at this level certifies plain SI.
+    SerializableSnapshot,
 }
 
 impl IsolationLevel {
@@ -32,19 +43,36 @@ impl IsolationLevel {
     /// Snapshot isolation admits non-serializable histories such as write
     /// skew (paper, History 2); write-snapshot isolation is proved
     /// serializable by shifting every write transaction to its commit point
-    /// and every read-only transaction to its start point (paper, §4.2).
+    /// and every read-only transaction to its start point (paper, §4.2);
+    /// serializable snapshot isolation breaks every dependency cycle at its
+    /// pivot.
     pub fn is_serializable(self) -> bool {
         match self {
             IsolationLevel::Snapshot => false,
-            IsolationLevel::WriteSnapshot => true,
+            IsolationLevel::WriteSnapshot | IsolationLevel::SerializableSnapshot => true,
         }
     }
 
-    /// A short human-readable name ("si" / "wsi"), used in benchmark output.
+    /// A short human-readable name ("si" / "wsi" / "ssi"), used in
+    /// benchmark output.
     pub fn short_name(self) -> &'static str {
         match self {
             IsolationLevel::Snapshot => "si",
             IsolationLevel::WriteSnapshot => "wsi",
+            IsolationLevel::SerializableSnapshot => "ssi",
+        }
+    }
+
+    /// The rows of `req` this level probes against `lastCommit` — the one
+    /// place Algorithms 1 and 2 differ: the write set under snapshot
+    /// isolation (and under serializable snapshot isolation, whose
+    /// `lastCommit` check is its SI base), the read set under write-snapshot
+    /// isolation.
+    #[inline]
+    pub fn checked_rows(self, req: &CommitRequest) -> &[crate::RowId] {
+        match self {
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => &req.write_rows,
+            IsolationLevel::WriteSnapshot => &req.read_rows,
         }
     }
 }
@@ -54,6 +82,9 @@ impl std::fmt::Display for IsolationLevel {
         match self {
             IsolationLevel::Snapshot => write!(f, "snapshot isolation"),
             IsolationLevel::WriteSnapshot => write!(f, "write-snapshot isolation"),
+            IsolationLevel::SerializableSnapshot => {
+                write!(f, "serializable snapshot isolation")
+            }
         }
     }
 }
@@ -182,6 +213,8 @@ mod tests {
         assert!(IsolationLevel::WriteSnapshot.is_serializable());
         assert_eq!(IsolationLevel::Snapshot.short_name(), "si");
         assert_eq!(IsolationLevel::WriteSnapshot.short_name(), "wsi");
+        assert!(IsolationLevel::SerializableSnapshot.is_serializable());
+        assert_eq!(IsolationLevel::SerializableSnapshot.short_name(), "ssi");
         assert_eq!(
             IsolationLevel::WriteSnapshot.to_string(),
             "write-snapshot isolation"

@@ -389,10 +389,7 @@ impl ConcurrentOracle {
         // single-thread parity criterion measures. This pass already hashes
         // every request row, so it also records each row's guard slot; the
         // check and record loops then never hash or scan again.
-        let check_rows: &[RowId] = match self.level {
-            IsolationLevel::Snapshot => &req.write_rows,
-            IsolationLevel::WriteSnapshot => &req.read_rows,
-        };
+        let check_rows = self.level.checked_rows(req);
         if check_rows.len() + req.write_rows.len() > INLINE_ROWS {
             return self.lock_spilled_for(req);
         }
@@ -455,10 +452,7 @@ impl ConcurrentOracle {
     /// the whole shard set on the heap.
     #[cold]
     fn lock_spilled_for(&self, req: &CommitRequest) -> DecisionGuard<'_> {
-        let check_rows: &[RowId] = match self.level {
-            IsolationLevel::Snapshot => &req.write_rows,
-            IsolationLevel::WriteSnapshot => &req.read_rows,
-        };
+        let check_rows = self.level.checked_rows(req);
         let mut ids: Vec<usize> = check_rows
             .iter()
             .chain(req.write_rows.iter())
@@ -603,6 +597,7 @@ impl ConcurrentOracle {
             AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
             AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
             AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
+            AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
             AbortReason::ClientRequested => self.counters.client_aborts.inc(),
         }
         self.status_shard(start_ts).lock().record_abort(start_ts);
@@ -700,10 +695,7 @@ impl DecisionGuard<'_> {
             return Ok(());
         }
         let level = self.oracle.level;
-        let check_rows: &[RowId] = match level {
-            IsolationLevel::Snapshot => &req.write_rows,
-            IsolationLevel::WriteSnapshot => &req.read_rows,
-        };
+        let check_rows = level.checked_rows(req);
         // Counters are batched into one atomic add per loop (including the
         // early-abort exits) so the observable counts stay identical to
         // `StatusOracleCore`'s per-row increments at a fraction of the
@@ -800,10 +792,7 @@ impl DecisionGuard<'_> {
         {
             // Written rows' slots follow the checked rows' in `row_slots`
             // (both recorded by `lock_for` from this same request).
-            let offset = match self.oracle.level {
-                IsolationLevel::Snapshot => req.write_rows.len(),
-                IsolationLevel::WriteSnapshot => req.read_rows.len(),
-            };
+            let offset = self.oracle.level.checked_rows(req).len();
             for (k, &row) in req.write_rows.iter().enumerate() {
                 let table = guards[row_slots[offset + k] as usize & (INLINE_SHARDS - 1)]
                     .as_mut()

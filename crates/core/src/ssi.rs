@@ -10,17 +10,23 @@
 //! graph, but "allows for false positives, which further lowers the
 //! concurrency level due to unnecessary aborts" (§7.1).
 //!
-//! [`SsiOracle`] implements SSI in the same centralized, commit-time
-//! validated setting as [`crate::StatusOracleCore`], so the three levels can
-//! be compared on identical schedules:
+//! SSI is implemented in the same centralized, commit-time validated
+//! setting as [`crate::StatusOracleCore`], so the three levels can be
+//! compared on identical schedules, in two pieces:
 //!
-//! * runs the plain SI write-write check first (SSI builds on SI);
-//! * tracks, for a sliding window of recently committed transactions, their
-//!   read/write sets and conflict flags;
-//! * on commit of `T`, finds rw-antidependencies between `T` and
-//!   overlapping committed transactions in both directions, and aborts `T`
-//!   if the commit would complete a dangerous structure — either `T` itself
-//!   becomes a pivot, or an already-committed transaction would.
+//! * [`SsiWindow`] is the dangerous-structure detector on its own: it
+//!   tracks, for a sliding window of recently committed transactions, their
+//!   read/write sets and conflict flags; on commit of `T` it finds
+//!   rw-antidependencies between `T` and overlapping committed transactions
+//!   in both directions, and refuses `T` if the commit would complete a
+//!   dangerous structure — either `T` itself becomes a pivot, or an
+//!   already-committed transaction would. `wsi-store`'s `Db` calls it, under
+//!   [`crate::IsolationLevel::SerializableSnapshot`], after the write-write
+//!   check of its concurrent `lastCommit` oracle (SSI builds on SI).
+//! * [`SsiOracle`] is the sequential reference model: the plain SI
+//!   write-write check, then the same window, behind one `&mut self`. The
+//!   E1 experiment and `wsi-history`'s `ssi_accept` replay schedules through
+//!   it, and `Db`'s SSI decisions are property-tested against it.
 //!
 //! Compared to write-snapshot isolation: SSI admits some histories WSI
 //! rejects (the paper's History 6 — an out-edge alone is not dangerous) but
@@ -30,8 +36,6 @@
 //! whenever a pivot is not actually on a cycle.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-use wsi_obs::{Cause, EventData, Journal};
 
 use crate::{
     commit_table::{CommitTable, TxnStatus},
@@ -46,7 +50,7 @@ use crate::{
 #[derive(Debug, Clone)]
 struct WindowEntry {
     commit_ts: Timestamp,
-    /// Ordered sets: probe order (and the abort-reason row reported when a
+    /// Ordered sets: probe order (and the edge partners reported when a
     /// dangerous structure fires) must be a pure function of the request,
     /// never of hasher seeding — seed-reproducible runs depend on it.
     reads: BTreeSet<RowId>,
@@ -57,6 +61,210 @@ struct WindowEntry {
     /// This transaction has an rw-antidependency *out* to a concurrent one
     /// (it read data someone else overwrote).
     out_conflict: bool,
+}
+
+/// The dangerous-structure detector: the read/write sets and conflict flags
+/// of recently committed transactions, in commit order.
+///
+/// Validation is commit-time only. The caller serializes commits through
+/// `&mut self`, asks [`SsiWindow::admit`] whether a transaction may commit,
+/// issues its commit timestamp, and hands that to [`Admitted::record`] — all
+/// without another commit intervening, which the borrow enforces. Entries
+/// must be recorded in increasing commit-timestamp order.
+///
+/// ```
+/// use wsi_core::{ssi::SsiWindow, RowId, Timestamp};
+///
+/// let (x, y) = (RowId(1), RowId(2));
+/// let mut w = SsiWindow::new();
+/// // Write skew: both started at 1 and 2 having read {x, y}.
+/// let t1 = w.admit(Timestamp(1), &[x, y], &[x]).expect("nothing committed yet");
+/// t1.record(Timestamp(3));
+/// // t2 read x, which t1 overwrote, and overwrites y, which t1 read.
+/// assert!(w.admit(Timestamp(2), &[x, y], &[y]).is_err());
+/// ```
+#[derive(Debug, Default)]
+pub struct SsiWindow {
+    entries: VecDeque<WindowEntry>,
+    /// Entries the last [`SsiWindow::prune`] left behind.
+    len_at_prune: usize,
+}
+
+/// A transaction [`SsiWindow::admit`] found safe to commit, holding the
+/// window until its commit timestamp is known.
+#[derive(Debug)]
+pub struct Admitted<'a> {
+    window: &'a mut SsiWindow,
+    reads: BTreeSet<RowId>,
+    writes: BTreeSet<RowId>,
+    /// Window positions of `U →rw T` partners (`U` read what `T` overwrites).
+    in_partners: Vec<usize>,
+    /// Window positions of `T →rw U` partners (`U` overwrote what `T` read).
+    out_partners: Vec<usize>,
+}
+
+impl SsiWindow {
+    /// Creates an empty window.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decides whether a transaction that started at `start_ts`, read
+    /// `reads` and writes `writes` may commit now.
+    ///
+    /// A read-only transaction (`writes` empty) is checked too: a snapshot
+    /// read can close a cycle as the third transaction — Fekete, O'Neil &
+    /// O'Neil's read-only anomaly — by handing an in-conflict to a committed
+    /// transaction that already carries an out-conflict. (The `ssi_checker`
+    /// property test finds such schedules within a few hundred random seeds
+    /// if reads are skipped.) With no writes it has no in-edge and cannot
+    /// itself be the pivot, so only rule 2 can fire.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortReason::DangerousStructure`] naming the committed edge
+    /// partners, when the commit would complete a dangerous structure.
+    pub fn admit(
+        &mut self,
+        start_ts: Timestamp,
+        reads: &[RowId],
+        writes: &[RowId],
+    ) -> Result<Admitted<'_>, AbortReason> {
+        let reads: BTreeSet<RowId> = reads.iter().copied().collect();
+        let writes: BTreeSet<RowId> = writes.iter().copied().collect();
+        // T's partners among committed, temporally overlapping transactions:
+        // out: T →rw U (U overwrote something T read, committing during T's
+        //      lifetime);
+        // in:  U →rw T (U read something T overwrites; U was concurrent).
+        let mut out_partners: Vec<usize> = Vec::new();
+        let mut in_partners: Vec<usize> = Vec::new();
+        for (idx, u) in self.entries.iter().enumerate() {
+            // Concurrency between T and a committed U: T started before U
+            // committed (T commits after every committed U by construction,
+            // so the other half of lifetime overlap always holds). A U that
+            // committed before T began produces ordinary WR dependencies,
+            // not antidependencies.
+            if u.commit_ts < start_ts {
+                continue;
+            }
+            if u.writes.iter().any(|r| reads.contains(r)) {
+                out_partners.push(idx);
+            }
+            if u.reads.iter().any(|r| writes.contains(r)) {
+                in_partners.push(idx);
+            }
+        }
+        let stamp = |idx: &usize| self.entries[*idx].commit_ts;
+        // Rule 1: T itself is a pivot — both edges go to committed partners.
+        let mut dangerous = match (in_partners.first(), out_partners.first()) {
+            (Some(i), Some(o)) => Some((Some(stamp(i)), Some(stamp(o)))),
+            _ => None,
+        };
+        // Rule 2: committing T would turn an already-committed transaction
+        // into a pivot (it cannot be aborted anymore, so T must be).
+        // T →rw U gives U an in-conflict; dangerous if U already has an
+        // out-conflict.
+        if dangerous.is_none() {
+            let pivot = out_partners.iter().find(|i| self.entries[**i].out_conflict);
+            dangerous = pivot.map(|o| (None, Some(stamp(o))));
+        }
+        // U →rw T gives U an out-conflict; dangerous if U already has an
+        // in-conflict.
+        if dangerous.is_none() {
+            let pivot = in_partners.iter().find(|i| self.entries[**i].in_conflict);
+            dangerous = pivot.map(|i| (Some(stamp(i)), None));
+        }
+        if let Some((in_commit_ts, out_commit_ts)) = dangerous {
+            return Err(AbortReason::DangerousStructure {
+                in_commit_ts,
+                out_commit_ts,
+            });
+        }
+        Ok(Admitted {
+            window: self,
+            reads,
+            writes,
+            in_partners,
+            out_partners,
+        })
+    }
+
+    /// Forgets the entry recorded at `commit_ts`, if it is still in the
+    /// window: the commit was overturned before anyone could observe it.
+    /// Conflict flags it set on its partners stay set — a flag without its
+    /// edge can only refuse a later commit, never admit one.
+    pub fn remove(&mut self, commit_ts: Timestamp) {
+        if let Ok(idx) = self
+            .entries
+            .binary_search_by_key(&commit_ts, |e| e.commit_ts)
+        {
+            self.entries.remove(idx);
+        }
+    }
+
+    /// Drops entries no in-flight transaction can conflict with: a committed
+    /// transaction only matters while some active transaction started before
+    /// its commit. `min_active` is a lower bound on the start timestamp of
+    /// every active and future transaction; a stale (smaller) bound merely
+    /// prunes less.
+    pub fn prune(&mut self, min_active: Timestamp) {
+        while self
+            .entries
+            .front()
+            .is_some_and(|e| e.commit_ts < min_active)
+        {
+            self.entries.pop_front();
+        }
+        self.len_at_prune = self.entries.len();
+    }
+
+    /// Committed transactions currently in the window (memory footprint
+    /// metric: SSI must keep whole read/write sets here, where SI/WSI keep
+    /// one timestamp per row).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the window holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Entries recorded since the last [`SsiWindow::prune`]: the caller's
+    /// cue that another prune is due.
+    pub fn grown_since_prune(&self) -> usize {
+        self.entries.len().saturating_sub(self.len_at_prune)
+    }
+}
+
+impl Admitted<'_> {
+    /// Commits the admitted transaction at `commit_ts`: flags its partners
+    /// and appends its own entry, so later commits are checked against it.
+    ///
+    /// A read-only transaction is recorded too — its reads must stay
+    /// probeable, since a writer committing later may acquire an in-conflict
+    /// from it — under a stamp issued from the same counter as commit
+    /// timestamps, so the concurrency test (`commit_ts < start_ts`) sees its
+    /// true commit position. One that read nothing has nothing to record and
+    /// may simply drop this value.
+    pub fn record(self, commit_ts: Timestamp) {
+        let entries = &mut self.window.entries;
+        debug_assert!(entries.back().is_none_or(|e| e.commit_ts < commit_ts));
+        for &idx in &self.out_partners {
+            entries[idx].in_conflict = true;
+        }
+        for &idx in &self.in_partners {
+            entries[idx].out_conflict = true;
+        }
+        entries.push_back(WindowEntry {
+            commit_ts,
+            reads: self.reads,
+            writes: self.writes,
+            // T's own flags, persisted for future commits against it.
+            in_conflict: !self.in_partners.is_empty(),
+            out_conflict: !self.out_partners.is_empty(),
+        });
+    }
 }
 
 /// Counters for the SSI oracle.
@@ -72,10 +280,6 @@ pub struct SsiStats {
     pub ww_aborts: u64,
     /// Aborts from the dangerous-structure rule.
     pub pivot_aborts: u64,
-    /// Commits overturned because the durability hook failed (WAL quorum
-    /// loss between decision and persistence; see
-    /// [`SsiOracle::commit_durable`]).
-    pub wal_aborts: u64,
     /// Client-requested aborts ([`SsiOracle::abort`]).
     pub client_aborts: u64,
 }
@@ -83,13 +287,13 @@ pub struct SsiStats {
 impl SsiStats {
     /// Total aborts.
     pub fn total_aborts(&self) -> u64 {
-        self.ww_aborts + self.pivot_aborts + self.wal_aborts + self.client_aborts
+        self.ww_aborts + self.pivot_aborts + self.client_aborts
     }
 
     /// Abort rate over decided write transactions (client-requested aborts
     /// never reach a decision, so they are excluded).
     pub fn abort_rate(&self) -> f64 {
-        let refused = self.ww_aborts + self.pivot_aborts + self.wal_aborts;
+        let refused = self.ww_aborts + self.pivot_aborts;
         let decided = self.commits + refused;
         if decided == 0 {
             0.0
@@ -99,7 +303,8 @@ impl SsiStats {
     }
 }
 
-/// A centralized, commit-time-validated implementation of Cahill-style SSI.
+/// A centralized, commit-time-validated implementation of Cahill-style SSI:
+/// the sequential reference model.
 ///
 /// # Example: write skew aborts, but History 6 is admitted
 ///
@@ -123,11 +328,10 @@ pub struct SsiOracle {
     ts: TimestampSource,
     last_commit: UnboundedLastCommit,
     commit_table: CommitTable,
-    window: VecDeque<WindowEntry>,
+    window: SsiWindow,
     /// Start timestamps of in-flight transactions (window pruning bound).
     active: BTreeMap<Timestamp, ()>,
     stats: SsiStats,
-    journal: Option<Journal>,
 }
 
 impl SsiOracle {
@@ -136,33 +340,11 @@ impl SsiOracle {
         Self::default()
     }
 
-    /// Attaches a flight-recorder journal. Unlike the SI/WSI split (where
-    /// the embedding `Db` records lifecycle events and the oracle only the
-    /// per-row verdicts), the SSI oracle owns every decision — WW base
-    /// check, dangerous-structure detection, durability overturns — so it
-    /// records the full event stream itself, including the in/out rw-edge
-    /// partners of a pivot abort ([`Cause::Pivot`]).
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    fn record(&self, txn: Timestamp, data: EventData) {
-        if let Some(journal) = &self.journal {
-            journal.record(txn.raw(), data);
-        }
-    }
-
     /// Issues a start timestamp.
     pub fn begin(&mut self) -> Timestamp {
         self.stats.begins += 1;
         let ts = self.ts.next();
         self.active.insert(ts, ());
-        self.record(ts, EventData::Begin);
         ts
     }
 
@@ -171,312 +353,66 @@ impl SsiOracle {
         self.stats.client_aborts += 1;
         self.active.remove(&start_ts);
         self.commit_table.record_abort(start_ts);
-        self.record(start_ts, EventData::Abort(Cause::Client));
     }
 
     /// Decides a commit request.
     pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        enum Never {}
-        match self.commit_durable(req, |_| Ok::<(), Never>(())) {
-            Ok(outcome) => outcome,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Decides a commit request with a durability hook.
-    ///
-    /// If the decision is *commit*, `persist` is invoked with the issued
-    /// commit timestamp **before any oracle state is mutated** — the caller
-    /// appends and flushes the WAL record inside it. On `Err` the decision
-    /// is overturned as if it were never made: the transaction is recorded
-    /// as aborted (count it with [`SsiStats::wal_aborts`]), no conflict flag
-    /// or `lastCommit` entry changes, and only the commit timestamp stays
-    /// burned. This is the WAL-before-exposure discipline a durable SSI
-    /// engine needs; [`SsiOracle::commit`] is this method with an
-    /// infallible hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `persist`'s error after recording the overturn.
-    pub fn commit_durable<E>(
-        &mut self,
-        req: CommitRequest,
-        persist: impl FnOnce(Timestamp) -> std::result::Result<(), E>,
-    ) -> std::result::Result<CommitOutcome, E> {
-        if req.is_read_only() {
-            // Read-only transactions skip the WAL (nothing to persist) but
-            // NOT the dangerous-structure check: a snapshot read can close
-            // a cycle as the third transaction — Fekete, O'Neil & O'Neil's
-            // read-only anomaly — by handing an in-conflict to a committed
-            // transaction that already carries an out-conflict. (The
-            // `ssi_checker` property test finds such schedules within a few
-            // hundred random seeds if reads are skipped here.) With no
-            // writes the transaction has no in-edge and cannot itself be
-            // the pivot, so only rule 2 applies.
-            let reads: BTreeSet<RowId> = req.read_rows.iter().copied().collect();
-            let mut out_partners: Vec<usize> = Vec::new();
-            for (idx, u) in self.window.iter().enumerate() {
-                if u.commit_ts < req.start_ts {
-                    continue;
-                }
-                if u.writes.iter().any(|r| reads.contains(r)) {
-                    out_partners.push(idx);
-                }
-            }
-            if let Some(&pivot) = out_partners
-                .iter()
-                .find(|&&idx| self.window[idx].out_conflict)
-            {
-                // T →rw U would make the already-committed U a pivot. The
-                // journal names U (T's out-edge partner) as the culprit; T
-                // has no in-edge — it is read-only.
-                self.stats.pivot_aborts += 1;
-                self.active.remove(&req.start_ts);
-                self.commit_table.record_abort(req.start_ts);
-                self.record(
-                    req.start_ts,
-                    EventData::Abort(Cause::Pivot {
-                        in_commit_ts: 0,
-                        out_commit_ts: self.window[pivot].commit_ts.raw(),
-                    }),
-                );
-                return Ok(CommitOutcome::Aborted(AbortReason::ReadWriteConflict {
-                    row: *reads.iter().next().expect("partners imply reads"),
-                    committed_at: req.start_ts,
-                }));
-            }
-            let out_t = !out_partners.is_empty();
-            for &idx in &out_partners {
-                self.window[idx].in_conflict = true;
-            }
-            self.active.remove(&req.start_ts);
-            if !reads.is_empty() {
-                // The reads must stay probeable: a writer committing later
-                // may acquire an in-conflict from this transaction. The
-                // entry's commit stamp is issued from the shared source so
-                // the concurrency test (`commit_ts < start_ts`) sees the
-                // true commit position, even though the caller-visible
-                // commit timestamp of a read-only transaction remains its
-                // start (it reads exactly the snapshot state).
-                let commit_ts = self.ts.next();
-                self.window.push_back(WindowEntry {
-                    commit_ts,
-                    reads,
-                    writes: BTreeSet::new(),
-                    in_conflict: false,
-                    out_conflict: out_t,
-                });
-                self.prune_window();
-            }
-            self.stats.read_only_commits += 1;
-            self.record(req.start_ts, EventData::ReadOnlyCommit);
-            return Ok(CommitOutcome::Committed(req.start_ts));
-        }
-
-        // --- SI base: first-committer-wins write-write check. ------------
+        // SI base: first-committer-wins write-write check.
         for &row in &req.write_rows {
             if let Probe::Resident(last) = self.last_commit.probe(row) {
                 if last > req.start_ts {
-                    self.record(
+                    self.stats.ww_aborts += 1;
+                    return self.refuse(
                         req.start_ts,
-                        EventData::CheckRow {
-                            row: row.raw(),
-                            conflict: Some(last.raw()),
+                        AbortReason::WriteWriteConflict {
+                            row,
+                            committed_at: last,
                         },
                     );
-                    self.stats.ww_aborts += 1;
-                    self.active.remove(&req.start_ts);
-                    self.commit_table.record_abort(req.start_ts);
-                    self.record(
-                        req.start_ts,
-                        EventData::Abort(Cause::WriteWrite {
-                            row: row.raw(),
-                            committed_at: last.raw(),
-                        }),
-                    );
-                    return Ok(CommitOutcome::Aborted(AbortReason::WriteWriteConflict {
-                        row,
-                        committed_at: last,
-                    }));
                 }
             }
-            self.record(
-                req.start_ts,
-                EventData::CheckRow {
-                    row: row.raw(),
-                    conflict: None,
-                },
-            );
         }
-
-        // --- Dangerous-structure detection. -------------------------------
-        let reads: BTreeSet<RowId> = req.read_rows.iter().copied().collect();
-        let writes: BTreeSet<RowId> = req.write_rows.iter().copied().collect();
-        // T's partners among committed, temporally overlapping transactions:
-        // out: T →rw U (U overwrote something T read, committing during T's
-        //      lifetime);
-        // in:  U →rw T (U read something T overwrites; U was concurrent).
-        let mut out_partners: Vec<usize> = Vec::new();
-        let mut in_partners: Vec<usize> = Vec::new();
-        for (idx, u) in self.window.iter().enumerate() {
-            // Concurrency between T and a committed U: T started before U
-            // committed (T commits after every committed U by construction,
-            // so the other half of lifetime overlap always holds). A U that
-            // committed before T began produces ordinary WR dependencies,
-            // not antidependencies.
-            if u.commit_ts < req.start_ts {
-                continue;
+        let admitted = match self
+            .window
+            .admit(req.start_ts, &req.read_rows, &req.write_rows)
+        {
+            Ok(admitted) => admitted,
+            Err(reason) => {
+                self.stats.pivot_aborts += 1;
+                return self.refuse(req.start_ts, reason);
             }
-            if u.writes.iter().any(|r| reads.contains(r)) {
-                out_partners.push(idx);
-            }
-            if u.reads.iter().any(|r| writes.contains(r)) {
-                in_partners.push(idx);
-            }
-        }
-        let in_t = !in_partners.is_empty();
-        let out_t = !out_partners.is_empty();
-        // The dangerous structure's edge partners, `(in_commit_ts,
-        // out_commit_ts)`, recorded for abort forensics: a 0 marks an edge
-        // the pivot does not have (rule 2 fires on one edge alone).
-        // Rule 1: T itself is a pivot — both edges go to committed
-        // partners, named by their commit timestamps.
-        let mut dangerous: Option<(u64, u64)> = if in_t && out_t {
-            Some((
-                self.window[in_partners[0]].commit_ts.raw(),
-                self.window[out_partners[0]].commit_ts.raw(),
-            ))
-        } else {
-            None
         };
-        // Rule 2: committing T would turn an already-committed transaction
-        // into a pivot (it cannot be aborted anymore, so T must be).
-        if dangerous.is_none() {
-            for &idx in &out_partners {
-                // T →rw U gives U an in-conflict; dangerous if U already has
-                // an out-conflict.
-                if self.window[idx].out_conflict {
-                    dangerous = Some((0, self.window[idx].commit_ts.raw()));
-                    break;
-                }
+        self.active.remove(&req.start_ts);
+        if req.is_read_only() {
+            // Skips the timestamp when there is no read to keep probeable;
+            // the caller-visible commit timestamp of a read-only transaction
+            // remains its start (it reads exactly the snapshot state).
+            if !req.read_rows.is_empty() {
+                admitted.record(self.ts.next());
+                self.prune_window();
             }
+            self.stats.read_only_commits += 1;
+            return CommitOutcome::Committed(req.start_ts);
         }
-        if dangerous.is_none() {
-            for &idx in &in_partners {
-                // U →rw T gives U an out-conflict; dangerous if U already
-                // has an in-conflict.
-                if self.window[idx].in_conflict {
-                    dangerous = Some((self.window[idx].commit_ts.raw(), 0));
-                    break;
-                }
-            }
-        }
-        if let Some((in_commit_ts, out_commit_ts)) = dangerous {
-            self.stats.pivot_aborts += 1;
-            self.active.remove(&req.start_ts);
-            self.commit_table.record_abort(req.start_ts);
-            self.record(
-                req.start_ts,
-                EventData::Abort(Cause::Pivot {
-                    in_commit_ts,
-                    out_commit_ts,
-                }),
-            );
-            // Smallest read row: deterministic (the sets are ordered), so a
-            // replayed schedule reports the identical abort reason.
-            return Ok(CommitOutcome::Aborted(AbortReason::ReadWriteConflict {
-                row: *reads
-                    .iter()
-                    .next()
-                    .or_else(|| writes.iter().next())
-                    .expect("write txn has rows"),
-                committed_at: req.start_ts,
-            }));
-        }
-
-        // --- Commit: persist durably, then publish flags and state. -------
         let commit_ts = self.ts.next();
-        if let Err(e) = persist(commit_ts) {
-            // Overturned before any state mutation: no conflict flag,
-            // `lastCommit` entry, or window entry ever referenced this
-            // transaction, so nothing needs undoing.
-            self.stats.wal_aborts += 1;
-            self.active.remove(&req.start_ts);
-            self.commit_table.record_abort(req.start_ts);
-            self.record(req.start_ts, EventData::Abort(Cause::QuorumLoss));
-            return Err(e);
-        }
-        for &idx in &out_partners {
-            self.window[idx].in_conflict = true;
-        }
-        for &idx in &in_partners {
-            self.window[idx].out_conflict = true;
-        }
+        admitted.record(commit_ts);
         for &row in &req.write_rows {
             self.last_commit.record(row, commit_ts);
         }
         self.commit_table.record_commit(req.start_ts, commit_ts);
-        self.active.remove(&req.start_ts);
-        self.window.push_back(WindowEntry {
-            commit_ts,
-            reads,
-            writes,
-            // T's own flags, persisted for future commits against it.
-            in_conflict: in_t,
-            out_conflict: out_t,
-        });
         self.prune_window();
         self.stats.commits += 1;
-        self.record(
-            req.start_ts,
-            EventData::Commit {
-                commit_ts: commit_ts.raw(),
-            },
-        );
-        Ok(CommitOutcome::Committed(commit_ts))
+        CommitOutcome::Committed(commit_ts)
     }
 
-    /// Re-applies a committed transaction during WAL replay
-    /// (single-threaded recovery).
-    ///
-    /// The replayed transaction joins the `lastCommit` table and the commit
-    /// table but not the detection window: commit records carry no read
-    /// sets, and no transaction concurrent with a pre-crash commit can still
-    /// be in flight after the crash — in-flight state died with the process
-    /// — so the window entry could never fire.
-    pub fn replay_commit(&mut self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
-        self.ts.advance_to(commit_ts);
-        for &row in rows {
-            self.last_commit.record(row, commit_ts);
-        }
-        self.commit_table.record_commit(start_ts, commit_ts);
-    }
-
-    /// Re-applies an aborted transaction during WAL replay.
-    pub fn replay_abort(&mut self, start_ts: Timestamp) {
+    fn refuse(&mut self, start_ts: Timestamp, reason: AbortReason) -> CommitOutcome {
+        self.active.remove(&start_ts);
         self.commit_table.record_abort(start_ts);
+        CommitOutcome::Aborted(reason)
     }
 
-    /// Burns timestamps up to `bound` during recovery (reservation records
-    /// and overturned commits keep their timestamps unreusable).
-    pub fn advance_timestamps(&mut self, bound: Timestamp) {
-        self.ts.advance_to(bound);
-    }
-
-    /// A garbage-collection low-water mark: the smallest active start
-    /// timestamp, or one past the last issued timestamp when the oracle is
-    /// quiescent. No current or future snapshot can observe below it.
-    pub fn watermark(&self) -> Timestamp {
-        self.active
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.ts.last_issued().next())
-    }
-
-    /// Drops window entries no in-flight transaction can conflict with: a
-    /// committed transaction only matters while some active transaction
-    /// started before its commit.
+    /// Prunes the window below the smallest active start timestamp, or one
+    /// past the last issued timestamp when the oracle is quiescent.
     fn prune_window(&mut self) {
         let min_active = self
             .active
@@ -484,13 +420,7 @@ impl SsiOracle {
             .next()
             .copied()
             .unwrap_or_else(|| self.ts.last_issued().next());
-        while let Some(front) = self.window.front() {
-            if front.commit_ts < min_active {
-                self.window.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.window.prune(min_active);
     }
 
     /// Transaction status lookup.
@@ -503,9 +433,7 @@ impl SsiOracle {
         self.stats
     }
 
-    /// Committed transactions currently in the detection window (memory
-    /// footprint metric: SSI must keep whole read/write sets here, where
-    /// SI/WSI keep one timestamp per row).
+    /// Committed transactions currently in the detection window.
     pub fn window_len(&self) -> usize {
         self.window.len()
     }
@@ -641,16 +569,21 @@ mod tests {
         // actually V must commit for the window to know its reads; order:
         // U commits first, then V commits reading 1 → V gets out-conflict,
         // U gets in-conflict.
-        assert!(o
-            .commit(CommitRequest::new(u, rows(&[2]), rows(&[1])))
-            .is_committed());
+        let cu = o.commit(CommitRequest::new(u, rows(&[2]), rows(&[1])));
         assert!(o
             .commit(CommitRequest::new(v, rows(&[1]), rows(&[9])))
             .is_committed());
         // Now T writes row 2, which U read: U →rw T would give U an
-        // out-conflict on top of its in-conflict → dangerous, T aborts.
+        // out-conflict on top of its in-conflict → dangerous, T aborts,
+        // naming the committed pivot U as its in-edge partner.
         let out = o.commit(CommitRequest::new(t, rows(&[8]), rows(&[2])));
-        assert!(out.is_aborted());
+        assert_eq!(
+            out.abort_reason(),
+            Some(AbortReason::DangerousStructure {
+                in_commit_ts: cu.commit_ts(),
+                out_commit_ts: None,
+            })
+        );
         assert_eq!(o.stats().pivot_aborts, 1);
     }
 
@@ -663,105 +596,22 @@ mod tests {
         let t1 = o.begin();
         let t2 = o.begin();
         // T2 commits writing x (row 1), which T1 reads → T1 →rw T2.
-        assert!(o
-            .commit(CommitRequest::new(t2, vec![], rows(&[1])))
-            .is_committed());
+        let c2 = o.commit(CommitRequest::new(t2, vec![], rows(&[1])));
         // T0 commits reading y (row 2), which T1 will write → T0 →rw T1.
-        assert!(o
-            .commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])))
-            .is_committed());
+        let c0 = o.commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])));
         // T1: reads x (out-conflict to T2), writes y (in-conflict from T0):
         // pivot — aborted, although the history is serializable
-        // (T0, T1, T2 in that serial order explains every read).
+        // (T0, T1, T2 in that serial order explains every read). Both edge
+        // partners are named by commit timestamp, never T1's own start.
         let out = o.commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])));
-        assert!(out.is_aborted());
-    }
-
-    #[test]
-    fn journal_attributes_pivot_edges_to_committed_partners() {
-        // The false-positive pivot schedule, with a journal attached: T1's
-        // abort must name T0 (in-edge) and T2 (out-edge) by commit
-        // timestamp, and `explain_abort` must resolve both back to the
-        // partners' transactions through their Commit events.
-        let mut o = SsiOracle::new();
-        o.attach_journal(Journal::new());
-        let t0 = o.begin();
-        let t1 = o.begin();
-        let t2 = o.begin();
-        let c2 = o
-            .commit(CommitRequest::new(t2, vec![], rows(&[1])))
-            .commit_ts()
-            .expect("t2 commits");
-        let c0 = o
-            .commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])))
-            .commit_ts()
-            .expect("t0 commits");
-        assert!(o
-            .commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])))
-            .is_aborted());
-
-        let explanation = o
-            .journal()
-            .expect("journal attached")
-            .explain_abort(t1.raw())
-            .expect("abort recorded");
-        assert_eq!(explanation.victim, t1.raw());
+        assert!(c0.is_committed() && c2.is_committed());
         assert_eq!(
-            explanation.cause,
-            Cause::Pivot {
-                in_commit_ts: c0.raw(),
-                out_commit_ts: c2.raw(),
-            }
+            out.abort_reason(),
+            Some(AbortReason::DangerousStructure {
+                in_commit_ts: c0.commit_ts(),
+                out_commit_ts: c2.commit_ts(),
+            })
         );
-        let mut culprits = explanation.culprits.clone();
-        culprits.sort_unstable();
-        let mut expected = vec![t0.raw(), t2.raw()];
-        expected.sort_unstable();
-        assert_eq!(culprits, expected, "both edge partners attributed");
-        // The timeline is the causal join of victim and culprit streams:
-        // it must contain the partners' commits and the victim's abort.
-        assert!(explanation.timeline.iter().any(|e| e.data
-            == EventData::Commit {
-                commit_ts: c2.raw()
-            }));
-        assert!(explanation
-            .timeline
-            .iter()
-            .any(|e| matches!(e.data, EventData::Abort(_)) && e.txn == t1.raw()));
-    }
-
-    #[test]
-    fn journal_names_the_committed_pivot_on_rule_two_aborts() {
-        // Rule 2: committing T would make already-committed U a pivot; the
-        // abort's out-edge names U, and the absent in-edge is 0.
-        let mut o = SsiOracle::new();
-        o.attach_journal(Journal::new());
-        let v = o.begin();
-        let u = o.begin();
-        let t = o.begin();
-        let cu = o
-            .commit(CommitRequest::new(u, rows(&[2]), rows(&[1])))
-            .commit_ts()
-            .expect("u commits");
-        assert!(o
-            .commit(CommitRequest::new(v, rows(&[1]), rows(&[9])))
-            .is_committed());
-        assert!(o
-            .commit(CommitRequest::new(t, rows(&[8]), rows(&[2])))
-            .is_aborted());
-        let explanation = o
-            .journal()
-            .expect("journal attached")
-            .explain_abort(t.raw())
-            .expect("abort recorded");
-        assert_eq!(
-            explanation.cause,
-            Cause::Pivot {
-                in_commit_ts: cu.raw(),
-                out_commit_ts: 0,
-            }
-        );
-        assert_eq!(explanation.culprits, vec![u.raw()]);
     }
 
     #[test]

@@ -34,11 +34,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use wsi_history::{dsg, History, Op, TxnId};
 use wsi_sim::SimRng;
-use wsi_store::{Error, Event, ReclamationStats};
+use wsi_store::{Db, Error, Event, ReclamationStats, Transaction};
 use wsi_wal::{Ledger, LedgerConfig};
 
 use crate::clock::VirtualClock;
-use crate::engine::{Engine, EngineCounters, EngineKind, Txn};
+use crate::engine::{EngineCounters, EngineKind};
 use crate::oracle::{self, WalCensus};
 use crate::plan::{Fault, FaultPlan};
 
@@ -199,7 +199,7 @@ pub fn run(config: &RunConfig) -> RunReport {
 
 struct ActiveTxn {
     id: TxnId,
-    txn: Txn,
+    txn: Transaction,
     ops_done: u64,
     ops_target: u64,
 }
@@ -212,7 +212,7 @@ struct Sim<'a> {
     /// Workload stream: keys, op kinds, transaction lengths, rollbacks.
     work: SimRng,
     clock: VirtualClock,
-    engine: Engine,
+    engine: Db,
     ops: Vec<Op>,
     observed: Observed,
     clients: Vec<Option<ActiveTxn>>,
@@ -227,8 +227,8 @@ struct Sim<'a> {
 }
 
 fn execute(config: &RunConfig) -> RunReport {
-    let engine = Engine::open(config.engine);
-    let base_counters = engine.counters();
+    let engine = config.engine.open();
+    let base_counters = EngineCounters::of(&engine);
     let rng = SimRng::new(config.seed);
     let mut sim = Sim {
         config,
@@ -354,11 +354,11 @@ impl Sim<'_> {
     fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::FailBookie(idx) => {
-                self.engine.fail_bookie(idx);
+                self.engine.fail_wal_bookie(idx);
                 self.failed_bookies.insert(idx);
             }
             Fault::RecoverBookie(idx) => {
-                self.engine.recover_bookie(idx);
+                self.engine.recover_wal_bookie(idx);
                 self.failed_bookies.remove(&idx);
                 self.retry_limbo_flush();
             }
@@ -423,11 +423,14 @@ impl Sim<'_> {
         fresh
             .flush(self.clock.now_us())
             .expect("replacement ensemble is healthy");
-        self.engine = Engine::recover(self.config.engine, fresh)
+        self.engine = self
+            .config
+            .engine
+            .recover(fresh)
             .unwrap_or_else(|e| panic!("recovery failed: {e}\n  reproduce: {}", self.repro));
         self.failed_bookies.clear();
         self.incarnations += 1;
-        self.base_counters = self.engine.counters();
+        self.base_counters = EngineCounters::of(&self.engine);
         self.base_census = census;
     }
 
@@ -452,7 +455,7 @@ impl Sim<'_> {
             }
         }
         for idx in std::mem::take(&mut self.failed_bookies) {
-            self.engine.recover_bookie(idx);
+            self.engine.recover_wal_bookie(idx);
         }
         self.engine
             .flush_wal()
@@ -464,7 +467,7 @@ impl Sim<'_> {
 
     fn finish_report(self) -> RunReport {
         self.check_reclamation("at end of run");
-        let final_counters = self.engine.counters();
+        let final_counters = EngineCounters::of(&self.engine);
         let payloads = self
             .engine
             .wal_snapshot()

@@ -15,13 +15,13 @@
 //!    SI makes no such claim — its verdict is recorded, not asserted, and
 //!    the test suite separately demonstrates that the corpus does catch SI
 //!    admitting write skew.
-//! 3. **Reconciliation**: begins equal commits plus aborts; WAL commit and
-//!    abort records match the oracle's decisions, *including* the
-//!    quorum-loss asymmetry (`Db` counts an overturned commit as a commit
-//!    with a compensating abort record; `SsiDb` books it as a
-//!    `wal_aborts`); the history's acknowledged write commits equal the
-//!    log's effective (non-overturned) commit records; and the arena's
-//!    epoch accounting stays exact (`retired == freed + limbo`).
+//! 3. **Reconciliation**: begins equal commits plus aborts plus overturned
+//!    commits (a quorum-loss overturn is a third fate: neither a commit nor
+//!    a counted abort, found as a commit record paired with a compensating
+//!    abort record); WAL commit and abort records match the oracle's
+//!    decisions; the history's acknowledged write commits equal the log's
+//!    effective (non-overturned) commit records; and the arena's epoch
+//!    accounting stays exact (`retired == freed + limbo`).
 //!
 //! Every violation panics with the failing identity and the run's
 //! copy-pasteable repro command.
@@ -32,7 +32,6 @@ use bytes::Bytes;
 use wsi_history::dsg;
 use wsi_store::{decode_record, StoreRecord};
 
-use crate::engine::EngineKind;
 use crate::harness::{RunConfig, RunReport};
 
 /// Counts of decoded WAL records (timestamp reservations are ignored).
@@ -174,68 +173,28 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
     // 3. Counters vs WAL, over the final engine incarnation.
     let d = &report.delta;
     let w = &report.delta_census;
-    match config.engine {
-        EngineKind::Si | EngineKind::Wsi => {
-            // Db decides the commit before the flush; an overturn is a
-            // third fate, reported in neither `commits` (net of overturns)
-            // nor any abort counter. The WAL pairing count supplies it:
-            // each overturn is one commit record plus one compensating
-            // abort record.
-            check_eq(
-                d.begins,
-                d.commits + d.read_only_commits + d.total_aborts + w.overturned,
-                "begins == commits + read-only commits + aborts + overturned",
-                &repro,
-            );
-            check_eq(
-                w.commits,
-                d.commits + w.overturned,
-                "WAL commit records == decided commits",
-                &repro,
-            );
-            check_eq(
-                w.aborts,
-                (d.total_aborts - d.client_aborts) + w.overturned,
-                "WAL abort records == decided aborts + overturned commits",
-                &repro,
-            );
-            check_eq(
-                d.wal_overturned,
-                0,
-                "Db does not count overturns as aborts",
-                &repro,
-            );
-        }
-        EngineKind::Ssi => {
-            check_eq(
-                d.begins,
-                d.commits + d.read_only_commits + d.total_aborts,
-                "begins == commits + read-only commits + aborts",
-                &repro,
-            );
-            // SsiDb decides durability inside the oracle: an overturned
-            // commit is a `wal_aborts`, never a commit — but its commit
-            // record still reached the log before the flush failed.
-            check_eq(
-                w.commits,
-                d.commits + w.overturned,
-                "WAL commit records == oracle commits + overturned",
-                &repro,
-            );
-            check_eq(
-                w.aborts,
-                d.total_aborts - d.client_aborts,
-                "WAL abort records == decided aborts",
-                &repro,
-            );
-            check_eq(
-                d.wal_overturned,
-                w.overturned,
-                "oracle wal_aborts == overturned WAL records",
-                &repro,
-            );
-        }
-    }
+    // Db decides the commit before the flush; an overturn is a third fate,
+    // reported in neither `commits` (net of overturns) nor any abort
+    // counter. The WAL pairing count supplies it: each overturn is one
+    // commit record plus one compensating abort record.
+    check_eq(
+        d.begins,
+        d.commits + d.read_only_commits + d.total_aborts + w.overturned,
+        "begins == commits + read-only commits + aborts + overturned",
+        &repro,
+    );
+    check_eq(
+        w.commits,
+        d.commits + w.overturned,
+        "WAL commit records == decided commits",
+        &repro,
+    );
+    check_eq(
+        w.aborts,
+        (d.total_aborts - d.client_aborts) + w.overturned,
+        "WAL abort records == decided aborts + overturned commits",
+        &repro,
+    );
 
     // 4. History vs the whole log: what clients were told matches what the
     // log effectively holds, across every incarnation. Read-only commits

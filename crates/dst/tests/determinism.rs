@@ -2,9 +2,8 @@
 //!
 //! The regression guard for every nondeterminism fix behind the harness:
 //! ordered (`BTreeMap`/`BTreeSet`) read and write sets on the commit path,
-//! seeded retry backoff instead of wall-clock entropy, the logical append
-//! clock in `SsiDb`, and the forked [`wsi_sim::SimRng`] streams in the
-//! scheduler itself. If any engine path consulted iteration order of a
+//! seeded retry backoff instead of wall-clock entropy, and the forked
+//! [`wsi_sim::SimRng`] streams in the scheduler itself. If any engine path consulted iteration order of a
 //! hash map, wall-clock time, or OS randomness, the replayed history would
 //! eventually diverge from the first run.
 

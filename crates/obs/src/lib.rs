@@ -20,9 +20,6 @@
 //!   conventions so simulator figures and live metrics agree on definitions.
 //! * [`Registry`] — a name → metric map. Registration takes a lock once at
 //!   setup; recording touches only the `Arc`'d atomics.
-//! * [`SpanRecorder`] / [`TxnSpan`] — a sampled transaction-lifecycle
-//!   tracer stamping each phase (begin → reads/writes → conflict check →
-//!   WAL append → quorum ack → visible), dumpable as JSON.
 //! * [`Journal`] — the flight recorder: an always-on, lock-free ring of
 //!   structured lifecycle events (begin, per-row conflict-check verdicts,
 //!   WAL flush, publish, GC/epoch advance, and aborts with culprit
@@ -64,7 +61,6 @@ mod journal;
 mod metric;
 mod registry;
 mod rollup;
-mod span;
 
 pub use expo::{ParseError, Snapshot};
 pub use hist::{ExactHistogram, Histogram, HistogramSnapshot, BUCKETS};
@@ -74,7 +70,6 @@ pub use journal::{
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use rollup::{Rollup, Window};
-pub use span::{SpanOutcome, SpanRecorder, TxnPhase, TxnSpan, PHASE_COUNT};
 
 /// Takes a point-in-time [`Snapshot`] of every metric in `registry`.
 ///

@@ -158,18 +158,14 @@ impl OracleServer {
     /// Handles a commit request arriving at `now` (Algorithms 1–3 plus WAL).
     pub fn handle_commit(&mut self, now: SimTime, req: CommitRequest) -> CommitResponse {
         self.stats.commit_requests += 1;
+        let checked = self.config.level.checked_rows(&req).len();
         let items = match self.config.level {
-            // SI checks and updates the same |R_w| items; they stay hot in
-            // the processor cache, so they are charged once.
-            IsolationLevel::Snapshot => req.write_rows.len(),
+            // SI (and SSI's SI base) checks and updates the same |R_w|
+            // items; they stay hot in the processor cache, so they are
+            // charged once.
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => checked,
             // WSI loads |R_r| items to check and |R_w| items to update.
-            IsolationLevel::WriteSnapshot => {
-                if req.is_read_only() {
-                    0
-                } else {
-                    req.read_rows.len() + req.write_rows.len()
-                }
-            }
+            IsolationLevel::WriteSnapshot => checked + req.write_rows.len(),
         };
         let read_only = req.is_read_only();
         let service = if read_only {

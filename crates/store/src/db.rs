@@ -21,12 +21,20 @@
 //!   reader could observe it.
 //! * Read-only commits and rollbacks touch no lock at all beyond their
 //!   registry shard.
+//! * [`IsolationLevel::SerializableSnapshot`] is the same engine with one
+//!   more certifier: after the oracle's write-write check passes, the
+//!   commit is put to the dangerous-structure window
+//!   ([`wsi_core::ssi::SsiWindow`]) behind one mutex, held until the commit
+//!   timestamp is issued so entries stay in commit order. Its read-only
+//!   commits visit the window too (they can abort: the read-only anomaly);
+//!   under the other two levels both paths pay one `is_none()` branch.
 //!
 //! The lock hierarchy is strict and acyclic: `lastCommit` shard locks (in
-//! ascending index order) may be held while taking the commit index's write
-//! lock or the pipeline's queue lock, never the reverse; the oracle's
-//! status-table locks nest innermost and are never held across another
-//! acquisition. See `DESIGN.md` for the full protocol argument.
+//! ascending index order), then the SSI window, may be held while taking
+//! the commit index's write lock or the pipeline's queue lock, never the
+//! reverse; the oracle's status-table locks nest innermost and are never
+//! held across another acquisition. See `DESIGN.md` for the full protocol
+//! argument.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,10 +44,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use wsi_core::{
-    hash_row_key, AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel, OracleCounters,
-    OracleStats, RowId, SharedTimestampSource, Timestamp,
+    hash_row_key, ssi::SsiWindow, AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel,
+    OracleCounters, OracleStats, RowId, SharedTimestampSource, Timestamp,
 };
-use wsi_obs::{AbortExplanation, Cause, EventData, Journal, SpanOutcome, TxnPhase, TxnSpan};
+use wsi_obs::{AbortExplanation, Cause, EventData, Journal};
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
 
 use crate::{
@@ -95,15 +103,20 @@ const ORACLE_SHARDS: usize = 16;
 /// A commit-path counter period: every this many write commits, the GC
 /// watermark hint feeding insert-time chain pruning is recomputed from the
 /// active-transaction registry. Keeps hot-key chains bounded between
-/// explicit [`Db::gc`] runs at negligible amortized cost.
+/// explicit [`Db::gc`] runs at negligible amortized cost. The SSI window is
+/// pruned on the same tick, and whenever a read-only commit finds it grown
+/// by this many entries since its last prune (read-only entries do not tick
+/// the commit counter).
 const WATERMARK_HINT_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
 #[derive(Debug, Clone)]
 pub struct DbOptions {
-    /// Which conflicts abort transactions: write-write
-    /// ([`IsolationLevel::Snapshot`]) or read-write
-    /// ([`IsolationLevel::WriteSnapshot`], serializable).
+    /// What is certified at commit: no write-write conflict
+    /// ([`IsolationLevel::Snapshot`]), no read-write conflict
+    /// ([`IsolationLevel::WriteSnapshot`], serializable), or no write-write
+    /// conflict and no dangerous structure
+    /// ([`IsolationLevel::SerializableSnapshot`], serializable).
     pub isolation: IsolationLevel,
     /// WAL persistence mode.
     pub durability: Durability,
@@ -113,8 +126,8 @@ pub struct DbOptions {
     /// WAL replication/batching shape (ignored under [`Durability::None`]).
     pub wal: LedgerConfig,
     /// Whether to attach the observability layer (metric registry, latency
-    /// histograms, sampled lifecycle spans). On by default; turning it off
-    /// removes every histogram record and span sample from the hot path,
+    /// histograms, flight-recorder journal). On by default; turning it off
+    /// removes every histogram record and journal event from the hot path,
     /// leaving only the plain activity counters that back [`Db::stats`].
     pub obs: bool,
     /// If set, [`Db::run`]'s retry backoff draws its jitter from a shared
@@ -250,8 +263,8 @@ pub(crate) struct DbInner {
     pub(crate) counters: OracleCounters,
     /// WAL observability handles (present iff `pipeline` is).
     pub(crate) wal_obs: Option<LedgerObs>,
-    /// Metric registry + histograms + span recorder; `None` when opened
-    /// with [`DbOptions::with_obs`]`(false)`.
+    /// Metric registry + histograms + journal; `None` when opened with
+    /// [`DbOptions::with_obs`]`(false)`.
     pub(crate) obs: Option<Arc<StoreObs>>,
     /// Write commits since the last watermark-hint refresh (see
     /// [`WATERMARK_HINT_EVERY`]).
@@ -270,6 +283,13 @@ pub(crate) struct DbInner {
     /// draw advances it by a Weyl increment, so pauses depend only on the
     /// seed and the draw index.
     backoff_state: AtomicU64,
+    /// The dangerous-structure detector, present iff the level is
+    /// [`IsolationLevel::SerializableSnapshot`]. Locked after the request's
+    /// shard locks and before the commit index or the pipeline. Empty after
+    /// recovery: commit records carry no read sets, and no transaction
+    /// concurrent with a pre-crash commit can still be in flight, so a
+    /// replayed entry could never fire.
+    window: Option<Mutex<SsiWindow>>,
 }
 
 impl DbInner {
@@ -293,6 +313,7 @@ impl DbInner {
             mvcc: &self.mvcc,
             index: &self.index,
             oracle: &self.oracle,
+            window: self.window.as_ref(),
         }
     }
 
@@ -378,6 +399,8 @@ impl Db {
             mvcc.attach_obs(arena_obs);
         }
         let options_retry_seed = options.retry_seed.unwrap_or(0);
+        let window = (options.isolation == IsolationLevel::SerializableSnapshot)
+            .then(|| Mutex::new(SsiWindow::new()));
         Db {
             inner: Arc::new(DbInner {
                 options,
@@ -397,6 +420,7 @@ impl Db {
                 last_report: Mutex::new(None),
                 epoch: Instant::now(),
                 backoff_state: AtomicU64::new(options_retry_seed),
+                window,
             }),
         }
     }
@@ -481,16 +505,17 @@ impl Db {
     /// Begins a transaction reading from the current snapshot.
     pub fn begin(&self) -> Transaction {
         let (start_ts, shard) = self.begin_ts();
-        let span = self
-            .inner
-            .obs
-            .as_ref()
-            .and_then(|obs| obs.spans.try_sample(start_ts.raw(), self.inner.now_us()));
-        Transaction::new(Arc::clone(&self.inner), start_ts, shard, span)
+        Transaction::new(Arc::clone(&self.inner), start_ts, shard)
     }
 
     /// Takes a read-only [`Snapshot`] of the current state: shared-reference
     /// reads, no conflict tracking, never aborts.
+    ///
+    /// Under [`IsolationLevel::SerializableSnapshot`] that makes it a plain
+    /// SI read, outside the serializability guarantee: its reads never reach
+    /// the dangerous-structure window, so it can observe a state no serial
+    /// order of the committed transactions produces (the read-only anomaly
+    /// a read-only [`Transaction`] is aborted for).
     pub fn snapshot(&self) -> Snapshot {
         let (start_ts, shard) = self.begin_ts();
         Snapshot::new(Arc::clone(&self.inner), start_ts, shard)
@@ -508,7 +533,8 @@ impl Db {
         // first buffered write (see `Transaction::put`). Under SI/WSI a
         // transaction that never writes can never conflict, never aborts,
         // and its commit event already carries the start timestamp — so the
-        // read-only fast path stays a single journal event.
+        // read-only fast path stays a single journal event. (SSI can abort a
+        // read-only transaction; its abort event names the culprit by itself.)
         if let Some(pipeline) = &self.inner.pipeline {
             if let Some(upto) = self.inner.ts.reserve(TS_RESERVE_BATCH) {
                 pipeline.push_reservation(upto);
@@ -646,10 +672,22 @@ impl Db {
         read_rows: Vec<RowId>,
         writes: BTreeMap<Bytes, Option<Bytes>>,
         began_us: u64,
-        mut span: Option<TxnSpan>,
     ) -> Result<Timestamp> {
         let obs = self.inner.obs.as_deref();
         if writes.is_empty() {
+            if let Some(window) = self.inner.window.as_ref() {
+                if let Err(reason) = self.admit_read_only(window, start_ts, &read_rows) {
+                    self.inner.oracle.abort_checked(start_ts, reason);
+                    if let Some(pipeline) = &self.inner.pipeline {
+                        pipeline.push_abort(start_ts);
+                    }
+                    self.inner.registry.deregister(start_ts, shard);
+                    if let Some(journal) = self.inner.journal() {
+                        journal.record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
+                    }
+                    return Err(Error::Aborted(reason));
+                }
+            }
             // Read-only fast path (§5.1): no conflict check, no WAL record,
             // no commit-table entry, no lock; never aborts. Equivalent to a
             // transaction shifted to its start point (Figure 3), hence the
@@ -658,11 +696,6 @@ impl Db {
             self.inner.registry.deregister(start_ts, shard);
             if let Some(journal) = self.inner.journal() {
                 journal.record(start_ts.raw(), EventData::ReadOnlyCommit);
-            }
-            if let (Some(obs), Some(mut span)) = (obs, span.take()) {
-                span.outcome = SpanOutcome::ReadOnly;
-                span.stamp(TxnPhase::Visible, self.inner.now_us());
-                obs.spans.finish(span);
             }
             return Ok(start_ts);
         }
@@ -685,14 +718,23 @@ impl Db {
         // The decision scope: conflict check + commit-timestamp assignment +
         // oracle bookkeeping, under the request's shard locks. No WAL I/O in
         // here.
-        if let Some(span) = &mut span {
-            span.stamp(TxnPhase::ConflictCheck, now_us);
-        }
         let check_began_us = self.inner.now_us();
         let decision: Result<Timestamp> = {
             let mut guard = self.inner.oracle.lock_for(&req);
-            match guard.check(&req) {
-                Ok(()) => {
+            // SSI: the write-write check above is its SI base; the window,
+            // locked only once that passed, holds the rest. It stays locked
+            // until the commit timestamp is issued so its entries are in
+            // commit order.
+            let mut window = None;
+            let verdict = match (guard.check(&req), &self.inner.window) {
+                (Ok(()), Some(w)) => window
+                    .insert(w.lock())
+                    .admit(start_ts, &req.read_rows, &req.write_rows)
+                    .map(Some),
+                (verdict, _) => verdict.map(|()| None),
+            };
+            match verdict {
+                Ok(admitted) => {
                     let commit_ts = if sync {
                         // Queued unpublished; the timestamp is issued inside
                         // the pipeline's critical section so new snapshots
@@ -716,6 +758,9 @@ impl Db {
                         }
                         commit_ts
                     };
+                    if let Some(admitted) = admitted {
+                        admitted.record(commit_ts);
+                    }
                     guard.finish_commit_at(&req, commit_ts);
                     Ok(commit_ts)
                 }
@@ -733,11 +778,6 @@ impl Db {
         if let Some(obs) = obs {
             obs.conflict_check_us
                 .record(self.inner.now_us().saturating_sub(check_began_us));
-        }
-        if let Some(span) = &mut span {
-            if decision.is_ok() && self.inner.pipeline.is_some() {
-                span.stamp(TxnPhase::WalAppend, self.inner.now_us());
-            }
         }
 
         let result = match decision {
@@ -768,9 +808,6 @@ impl Db {
                 }
                 match outcome {
                     Ok(()) => {
-                        if let Some(span) = &mut span {
-                            span.stamp(TxnPhase::QuorumAck, self.inner.now_us());
-                        }
                         self.inner.registry.deregister(start_ts, shard);
                         self.tick_watermark_hint();
                         Ok(commit_ts)
@@ -829,19 +866,45 @@ impl Db {
                 obs.commit_us.record(end_us.saturating_sub(now_us));
                 obs.txn_us.record(end_us.saturating_sub(began_us));
             }
-            if let Some(mut span) = span {
-                match &result {
-                    Ok(commit_ts) => {
-                        span.outcome = SpanOutcome::Committed;
-                        span.commit_ts = Some(commit_ts.raw());
-                        span.stamp(TxnPhase::Visible, end_us);
-                    }
-                    Err(_) => span.outcome = SpanOutcome::Aborted,
-                }
-                obs.spans.finish(span);
-            }
         }
         result
+    }
+
+    /// The read-only commit under SSI: a snapshot read can complete a
+    /// dangerous structure as its third transaction (Fekete's read-only
+    /// anomaly), so the reads go to the window like a writer's — rule 2 may
+    /// refuse them — and stay there, stamped from the shared counter, for
+    /// later writers to be checked against. The caller-visible commit
+    /// timestamp remains the start timestamp.
+    fn admit_read_only(
+        &self,
+        window: &Mutex<SsiWindow>,
+        start_ts: Timestamp,
+        read_rows: &[RowId],
+    ) -> std::result::Result<(), AbortReason> {
+        if read_rows.is_empty() {
+            return Ok(());
+        }
+        let mut window = window.lock();
+        let admitted = window.admit(start_ts, read_rows, &[])?;
+        admitted.record(self.inner.ts.next());
+        // Read-only entries do not tick the commit counter that prunes the
+        // window for writers, so they watch its growth themselves.
+        let overdue = window.grown_since_prune() as u64 >= WATERMARK_HINT_EVERY;
+        drop(window);
+        if overdue {
+            self.prune_window(self.inner.registry.watermark(&self.inner.ts));
+        }
+        Ok(())
+    }
+
+    /// Drops the SSI window's entries below `watermark`, a lower bound on
+    /// every active and future snapshot: no transaction that could still
+    /// commit is concurrent with them.
+    fn prune_window(&self, watermark: Timestamp) {
+        if let Some(window) = &self.inner.window {
+            window.lock().prune(watermark);
+        }
     }
 
     /// Rolls back an unfinished transaction. Called by
@@ -851,13 +914,7 @@ impl Db {
     /// but skips the oracle — a rolled-back transaction never contributed
     /// `lastCommit` state, so the conflict checker has nothing to learn
     /// from it.
-    pub(crate) fn rollback_txn(
-        &self,
-        start_ts: Timestamp,
-        shard: usize,
-        wrote: bool,
-        span: Option<TxnSpan>,
-    ) {
+    pub(crate) fn rollback_txn(&self, start_ts: Timestamp, shard: usize, wrote: bool) {
         self.inner.counters.client_aborts.inc();
         self.inner.index.record_abort(start_ts);
         self.inner.registry.deregister(start_ts, shard);
@@ -868,10 +925,6 @@ impl Db {
             if let Some(journal) = self.inner.journal() {
                 journal.record(start_ts.raw(), EventData::Abort(Cause::Client));
             }
-        }
-        if let (Some(obs), Some(mut span)) = (self.inner.obs.as_deref(), span) {
-            span.outcome = SpanOutcome::Aborted;
-            obs.spans.finish(span);
         }
         // Buffered writes never touched the store before commit, so there is
         // nothing to remove from the version chains.
@@ -947,6 +1000,7 @@ impl Db {
         let watermark = self.inner.registry.watermark(&self.inner.ts);
         let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
         self.inner.index.prune_below(watermark);
+        self.prune_window(watermark);
         if let Some(obs) = &self.inner.obs {
             obs.gc_runs.inc();
             obs.gc_versions_removed
@@ -970,6 +1024,7 @@ impl Db {
             // The same amortized tick advances the reclamation epoch and frees matured limbo entries, so
             // retired versions are reclaimed even without explicit GC.
             self.inner.mvcc.maintain();
+            self.prune_window(watermark);
         }
     }
 
@@ -1048,12 +1103,6 @@ impl Db {
             .map(|obs| wsi_obs::render_prometheus(&obs.registry))
     }
 
-    /// Dumps the sampled transaction-lifecycle spans as a JSON array, or
-    /// `None` when observability is disabled.
-    pub fn traces_json(&self) -> Option<String> {
-        self.inner.obs.as_ref().map(|obs| obs.spans.dump_json())
-    }
-
     /// The flight-recorder journal, or `None` when disabled
     /// ([`DbOptions::obs`] or [`DbOptions::journal`] off). Every layer
     /// records into it: begins, per-row conflict-check verdicts,
@@ -1122,5 +1171,29 @@ mod tests {
             BACKOFF_BASE_US << 20usize.min(BACKOFF_MAX_SHIFT),
             BACKOFF_BASE_US << 6
         );
+    }
+
+    #[test]
+    fn ssi_window_stays_bounded_through_a_read_only_burst() {
+        // Read-only commits leave window entries but never tick the commit
+        // counter; the window's own growth must trigger its pruning.
+        let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+        let window_len = || db.inner.window.as_ref().expect("ssi").lock().len() as u64;
+        let mut seed = db.begin();
+        seed.put(b"k", b"v");
+        seed.commit().unwrap();
+        for _ in 0..4 * WATERMARK_HINT_EVERY {
+            let mut reader = db.begin();
+            let _ = reader.get(b"k");
+            reader.commit().unwrap();
+            // No transaction is live here, so nothing pins an entry.
+            assert!(window_len() <= WATERMARK_HINT_EVERY);
+        }
+        db.gc();
+        assert_eq!(window_len(), 0, "gc prunes the window too");
+        assert!(Db::open(DbOptions::new(IsolationLevel::WriteSnapshot))
+            .inner
+            .window
+            .is_none());
     }
 }

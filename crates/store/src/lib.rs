@@ -11,6 +11,12 @@
 //! * [`wsi_core::IsolationLevel::WriteSnapshot`] — write-snapshot isolation
 //!   (read-write conflict detection, Algorithm 2). **Serializable** at
 //!   comparable cost; read-only transactions never abort.
+//! * [`wsi_core::IsolationLevel::SerializableSnapshot`] — Cahill-style
+//!   serializable SI, the paper's §7.1 comparator: snapshot isolation's
+//!   write-write check plus dangerous-structure detection
+//!   ([`wsi_core::ssi::SsiWindow`]). **Serializable**; admits some
+//!   histories WSI refuses (History 6) and refuses some serializable ones
+//!   (a pivot that is on no cycle); read-only transactions can abort.
 //!
 //! A Percolator-style *lock-based* snapshot-isolation engine
 //! ([`percolator::PercolatorDb`]) is included as the paper's §2.1 baseline,
@@ -59,7 +65,6 @@ mod pipeline;
 mod record;
 mod registry;
 mod snapshot;
-pub mod ssi_db;
 mod txn;
 
 pub use commit_index::CommitIndex;
@@ -67,8 +72,8 @@ pub use db::{Db, DbOptions, DbStats, Durability, TxnReport};
 pub use error::{Error, Result};
 // The flight-recorder and rollup types, re-exported so embedders (and the
 // deterministic simulator, which depends on this crate but not on wsi-obs
-// directly) can consume `Db::journal` / `SsiDb::journal` output without a
-// separate dependency edge.
+// directly) can consume `Db::journal` output without a separate dependency
+// edge.
 pub use arena::ArenaStore as MvccStore;
 pub use mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 pub use record::{decode as decode_record, encode as encode_record, StoreRecord};

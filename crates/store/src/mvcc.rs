@@ -13,8 +13,8 @@
 //! freed by epoch-based reclamation (see the `arena` module docs and
 //! DESIGN.md §6).
 //!
-//! This module holds what both engines (`Db` and `SsiDb`) and the store
-//! share: the [`VersionResolver`] seam, the read result, and the GC and
+//! This module holds what `Db` and the store share: the
+//! [`VersionResolver`] seam, the read result, and the GC and
 //! reclamation accounting types. Its unit tests state the store's
 //! observable contract.
 //!

@@ -1,4 +1,4 @@
-//! Store-level observability: the metric registry and span recorder shared
+//! Store-level observability: the metric registry and flight recorder shared
 //! by every layer of an embedded [`crate::Db`].
 //!
 //! One [`StoreObs`] is created per database (unless disabled via
@@ -9,28 +9,19 @@
 //!   [`wsi_wal::LedgerObs`], so one exposition call covers the whole stack;
 //! * per-phase latency histograms for the transaction lifecycle
 //!   (conflict check → WAL wait → visible);
-//! * a sampled [`wsi_obs::SpanRecorder`] that captures 1-in-N transaction
-//!   lifecycles as timestamped spans for JSON trace dumps.
+//! * the [`wsi_obs::Journal`], which records every transaction's lifecycle
+//!   events and exports them as a Chrome trace.
 //!
 //! Everything here is lock-free on the hot path: counters and histograms
-//! are sharded relaxed atomics, and span sampling is a single
-//! `fetch_add` for unsampled transactions.
+//! are sharded relaxed atomics, and the journal is a ring of atomic slots.
 
-use wsi_obs::{Counter, Gauge, Histogram, Journal, Registry, SpanRecorder};
-
-/// Sample 1 in this many transactions into the span recorder.
-const SPAN_SAMPLE_EVERY: u64 = 64;
-
-/// Retain at most this many finished spans (ring buffer, oldest evicted).
-const SPAN_CAPACITY: usize = 1024;
+use wsi_obs::{Counter, Gauge, Histogram, Journal, Registry};
 
 /// Shared observability state of one database.
 #[derive(Debug)]
 pub(crate) struct StoreObs {
     /// The store's metric registry; see [`crate::Db::obs_registry`].
     pub(crate) registry: Registry,
-    /// Sampled transaction-lifecycle spans.
-    pub(crate) spans: SpanRecorder,
     /// Wall-clock latency of the whole commit call for committed write
     /// transactions, begin → visible, in microseconds.
     pub(crate) txn_us: Histogram,
@@ -66,7 +57,6 @@ impl StoreObs {
     pub(crate) fn new(journal: Option<Journal>) -> Self {
         let obs = StoreObs {
             registry: Registry::new(),
-            spans: SpanRecorder::new(SPAN_SAMPLE_EVERY, SPAN_CAPACITY),
             txn_us: Histogram::new(),
             conflict_check_us: Histogram::new(),
             wal_wait_us: Histogram::new(),

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-use wsi_core::{ConcurrentOracle, SharedTimestampSource, Timestamp};
+use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, LedgerStats, WalError};
 
@@ -58,6 +58,9 @@ pub(crate) struct PublishCtx<'a> {
     pub(crate) mvcc: &'a ArenaStore,
     pub(crate) index: &'a CommitIndex,
     pub(crate) oracle: &'a ConcurrentOracle,
+    /// The SSI window, under that level: an overturned commit's entry is
+    /// taken back out of it.
+    pub(crate) window: Option<&'a Mutex<SsiWindow>>,
 }
 
 /// A decided commit awaiting persistence.
@@ -429,6 +432,12 @@ impl CommitPipeline {
                 // recovery. Owners remove their own invisible versions.
                 for c in &commits {
                     ctx.oracle.abort_after_decide(c.start_ts);
+                }
+                if let Some(window) = ctx.window {
+                    let mut window = window.lock();
+                    for c in &commits {
+                        window.remove(c.commit_ts);
+                    }
                 }
                 for c in &commits {
                     ctx.index.record_abort(c.start_ts);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use wsi_core::{hash_row_key, RowId, Timestamp};
-use wsi_obs::{EventData, TxnPhase, TxnSpan};
+use wsi_obs::EventData;
 
 use crate::{
     db::DbInner,
@@ -41,18 +41,10 @@ pub struct Transaction {
     /// When the transaction began, in the database's monotonic microsecond
     /// clock; feeds the begin-to-visible latency histogram.
     began_us: u64,
-    /// Lifecycle span, present for the 1-in-N transactions the recorder
-    /// sampled (and only when observability is enabled).
-    span: Option<TxnSpan>,
 }
 
 impl Transaction {
-    pub(crate) fn new(
-        db: Arc<DbInner>,
-        start_ts: Timestamp,
-        shard: usize,
-        span: Option<TxnSpan>,
-    ) -> Self {
+    pub(crate) fn new(db: Arc<DbInner>, start_ts: Timestamp, shard: usize) -> Self {
         let began_us = db.now_us();
         Transaction {
             db,
@@ -62,16 +54,6 @@ impl Transaction {
             read_rows: BTreeSet::new(),
             finished: false,
             began_us,
-            span,
-        }
-    }
-
-    /// Stamps a lifecycle phase on the sampled span, if any (first stamp
-    /// per phase wins, so calling this per operation is cheap and correct).
-    fn stamp(&mut self, phase: TxnPhase) {
-        if let Some(span) = &mut self.span {
-            let now = self.db.now_us();
-            span.stamp(phase, now);
         }
     }
 
@@ -81,7 +63,7 @@ impl Transaction {
     }
 
     /// Returns `true` if the transaction has buffered no writes (and would
-    /// take the never-aborting read-only commit path).
+    /// take the read-only commit path, which never aborts under SI and WSI).
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
     }
@@ -96,7 +78,6 @@ impl Transaction {
         if let Some(buffered) = self.writes.get(key) {
             return buffered.clone();
         }
-        self.stamp(TxnPhase::FirstRead);
         self.read_rows.insert(hash_row_key(key));
         self.db
             .mvcc
@@ -106,7 +87,6 @@ impl Transaction {
 
     /// Buffers a write of `value` to `key`.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.stamp(TxnPhase::FirstWrite);
         self.journal_begin_on_first_write();
         self.writes.insert(
             Bytes::copy_from_slice(key),
@@ -116,7 +96,6 @@ impl Transaction {
 
     /// Buffers a deletion of `key` (a tombstone version on commit).
     pub fn delete(&mut self, key: &[u8]) {
-        self.stamp(TxnPhase::FirstWrite);
         self.journal_begin_on_first_write();
         self.writes.insert(Bytes::copy_from_slice(key), None);
     }
@@ -146,7 +125,6 @@ impl Transaction {
     /// implementation; see `wsi-oracle`'s range-read-set extension for the
     /// coarse-grained alternative (§5.2).
     pub fn scan(&mut self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
-        self.stamp(TxnPhase::FirstRead);
         // `BTreeMap::range` panics on an inverted range, for which the store
         // returns nothing either.
         let inverted = end.is_some_and(|e| e <= start);
@@ -192,9 +170,10 @@ impl Transaction {
 
     /// Commits the transaction.
     ///
-    /// Read-only transactions always succeed (§4.1/§5.1). Write
-    /// transactions are validated by the configured isolation level; on
-    /// conflict every buffered effect is rolled back and
+    /// Read-only transactions always succeed under SI and WSI (§4.1/§5.1);
+    /// under SSI one that would complete a dangerous structure is refused.
+    /// Write transactions are validated by the configured isolation level;
+    /// on conflict every buffered effect is rolled back and
     /// [`Error::Aborted`] is returned.
     ///
     /// Returns the commit timestamp (for read-only transactions, the start
@@ -213,18 +192,10 @@ impl Transaction {
         self.finished = true;
         let writes = std::mem::take(&mut self.writes);
         let read_rows: Vec<RowId> = std::mem::take(&mut self.read_rows).into_iter().collect();
-        let span = self.span.take();
         let db = crate::Db {
             inner: Arc::clone(&self.db),
         };
-        db.commit_txn(
-            self.start_ts,
-            self.shard,
-            read_rows,
-            writes,
-            self.began_us,
-            span,
-        )
+        db.commit_txn(self.start_ts, self.shard, read_rows, writes, self.began_us)
     }
 
     /// Rolls back the transaction, discarding buffered writes.
@@ -238,12 +209,7 @@ impl Transaction {
             let db = crate::Db {
                 inner: Arc::clone(&self.db),
             };
-            db.rollback_txn(
-                self.start_ts,
-                self.shard,
-                !self.writes.is_empty(),
-                self.span.take(),
-            );
+            db.rollback_txn(self.start_ts, self.shard, !self.writes.is_empty());
         }
     }
 

@@ -93,6 +93,81 @@ fn wsi_counter_has_no_lost_updates_sync_wal() {
     no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync);
 }
 
+#[test]
+fn ssi_counter_has_no_lost_updates() {
+    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::None);
+}
+
+#[test]
+fn ssi_counter_has_no_lost_updates_sync_wal() {
+    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::Sync);
+}
+
+/// The paper's §3.1 constraint on real threads: `x + y ≥ 0` from `x = y =
+/// 10`, each transaction reading both and decrementing one only if the
+/// constraint still holds afterwards. Write skew — two transactions each
+/// spending the last unit of slack — is the one way to break it, and a
+/// serializable level must never let it happen.
+fn write_skew_herd_keeps_the_constraint(isolation: IsolationLevel) {
+    const THREADS: usize = 4;
+    const ATTEMPTS: usize = 60;
+    let db = Db::open(DbOptions::new(isolation));
+    let balance = |t: &mut wsi_store::Transaction, key: &[u8]| -> i64 {
+        String::from_utf8_lossy(&t.get(key).expect("seeded"))
+            .parse()
+            .unwrap()
+    };
+    db.run(0, |t| {
+        t.put(b"x", b"10");
+        t.put(b"y", b"10");
+        Ok(())
+    })
+    .unwrap();
+
+    thread::scope(|s| {
+        for thread in 0..THREADS {
+            let db = &db;
+            s.spawn(move || {
+                let mine: &[u8] = if thread % 2 == 0 { b"x" } else { b"y" };
+                for _ in 0..ATTEMPTS {
+                    // Aborted attempts are simply dropped: the herd runs the
+                    // account dry either way.
+                    let _ = db.run(0, |t| {
+                        let (x, y) = (balance(t, b"x"), balance(t, b"y"));
+                        if x + y > 0 {
+                            let current = if mine == b"x" { x } else { y };
+                            t.put(mine, (current - 1).to_string().as_bytes());
+                        }
+                        Ok(())
+                    });
+                }
+            });
+        }
+    });
+
+    let mut check = db.begin();
+    let (x, y) = (balance(&mut check, b"x"), balance(&mut check, b"y"));
+    assert!(
+        x + y >= 0,
+        "{isolation}: write skew broke x + y ≥ 0: {x} + {y}"
+    );
+    let stats = db.stats();
+    assert!(
+        stats.oracle.commits > 1,
+        "{isolation}: some withdrawals landed"
+    );
+}
+
+#[test]
+fn wsi_write_skew_herd_keeps_the_constraint() {
+    write_skew_herd_keeps_the_constraint(IsolationLevel::WriteSnapshot);
+}
+
+#[test]
+fn ssi_write_skew_herd_keeps_the_constraint() {
+    write_skew_herd_keeps_the_constraint(IsolationLevel::SerializableSnapshot);
+}
+
 /// The group-commit proof. Each flush of this ledger sleeps 2 ms — a
 /// simulated quorum round-trip. If sync commits flushed inside the manager's
 /// critical section (as the seed did), the 64 commits below would serialize
@@ -224,7 +299,9 @@ fn snapshots_stay_stable_during_sync_commit_storm() {
 /// Quorum loss after the decision but before publication must roll the
 /// commit back invisibly: the client gets an error, readers never glimpse
 /// the doomed value, and — once the quorum heals — the compensating abort
-/// record keeps the commit overturned through crash recovery too.
+/// record keeps the commit overturned through crash recovery too. One
+/// pipeline serves every level, so the overturn is booked the same way at
+/// each: a third fate, neither a commit nor a counted abort.
 #[test]
 fn quorum_loss_rolls_back_before_visibility() {
     let config = LedgerConfig {
@@ -233,54 +310,76 @@ fn quorum_loss_rolls_back_before_visibility() {
         batch: BatchPolicy::unbatched(),
         flush_delay_us: 0,
     };
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).durable(config));
+    let ssi = IsolationLevel::SerializableSnapshot;
+    for level in [IsolationLevel::WriteSnapshot, ssi] {
+        let db = Db::open(DbOptions::new(level).durable(config));
 
-    let mut t1 = db.begin();
-    t1.put(b"k", b"v1");
-    t1.commit().unwrap();
+        let mut t1 = db.begin();
+        t1.put(b"k", b"v1");
+        t1.commit().unwrap();
 
-    db.fail_wal_bookie(0);
-    db.fail_wal_bookie(1);
+        // Concurrent with the doomed commit below: `bystander` read what it
+        // will write, and `reader` (committed) read what `bystander` will.
+        let mut bystander = db.begin();
+        let _ = bystander.get(b"k");
+        let mut reader = db.begin();
+        let _ = reader.get(b"side");
+        reader.put(b"other", b"r");
+        reader.commit().unwrap();
 
-    let mut t2 = db.begin();
-    t2.put(b"k", b"v2");
-    let err = t2.commit().unwrap_err();
-    assert!(
-        matches!(
-            err,
-            Error::Wal(WalError::QuorumLost {
-                acks: 1,
-                required: 2
-            })
-        ),
-        "expected quorum loss, got {err:?}"
-    );
+        db.fail_wal_bookie(0);
+        db.fail_wal_bookie(1);
 
-    // Rolled back before visibility: readers still see v1, and the oracle's
-    // commit count reflects only the acknowledged commit.
-    assert_eq!(db.snapshot().get(b"k").unwrap().as_ref(), b"v1");
-    assert_eq!(db.stats().oracle.commits, 1);
+        let mut t2 = db.begin();
+        t2.put(b"k", b"v2");
+        let err = t2.commit().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Wal(WalError::QuorumLost {
+                    acks: 1,
+                    required: 2
+                })
+            ),
+            "{level}: expected quorum loss, got {err:?}"
+        );
 
-    // Heal the quorum; the next commit retries the retained buffer — the
-    // doomed record and its compensating abort become durable together.
-    db.recover_wal_bookie(0);
-    db.recover_wal_bookie(1);
-    let mut t3 = db.begin();
-    t3.put(b"k2", b"v3");
-    t3.commit().unwrap();
+        // Rolled back before visibility: readers still see v1, and the
+        // oracle's books show only the acknowledged commits and no abort.
+        assert_eq!(db.snapshot().get(b"k").unwrap().as_ref(), b"v1");
+        let oracle = db.stats().oracle;
+        assert_eq!((oracle.commits, oracle.total_aborts()), (2, 0), "{level}");
 
-    assert_eq!(db.snapshot().get(b"k").unwrap().as_ref(), b"v1");
-    assert_eq!(db.snapshot().get(b"k2").unwrap().as_ref(), b"v3");
+        // Heal the quorum; the next commit retries the retained buffer — the
+        // doomed record and its compensating abort become durable together.
+        db.recover_wal_bookie(0);
+        db.recover_wal_bookie(1);
+        let mut t3 = db.begin();
+        t3.put(b"k2", b"v3");
+        t3.commit().unwrap();
 
-    // Crash and recover: the overturned commit's record survives on the
-    // bookies, but the compensating abort keeps it invisible.
-    let recovered = Db::recover(
-        DbOptions::new(IsolationLevel::WriteSnapshot).durable(config),
-        db.wal_snapshot().unwrap(),
-    )
-    .unwrap();
-    assert_eq!(recovered.snapshot().get(b"k").unwrap().as_ref(), b"v1");
-    assert_eq!(recovered.snapshot().get(b"k2").unwrap().as_ref(), b"v3");
+        if level == ssi {
+            // The overturned commit left no window entry: `bystander` has an
+            // in-edge from `reader`, and an out-edge to the doomed commit
+            // would make it a pivot. (Under WSI the doomed `lastCommit` row
+            // stays and refuses it — conservative, and documented.)
+            bystander.put(b"side", b"b");
+            bystander.commit().expect("no edge to an overturned commit");
+        }
+
+        assert_eq!(db.snapshot().get(b"k").unwrap().as_ref(), b"v1");
+        assert_eq!(db.snapshot().get(b"k2").unwrap().as_ref(), b"v3");
+
+        // Crash and recover: the overturned commit's record survives on the
+        // bookies, but the compensating abort keeps it invisible.
+        let recovered = Db::recover(
+            DbOptions::new(level).durable(config),
+            db.wal_snapshot().unwrap(),
+        )
+        .unwrap();
+        assert_eq!(recovered.snapshot().get(b"k").unwrap().as_ref(), b"v1");
+        assert_eq!(recovered.snapshot().get(b"k2").unwrap().as_ref(), b"v3");
+    }
 }
 
 /// Garbage collection races the write path: collecting versions while

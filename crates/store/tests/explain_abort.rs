@@ -7,8 +7,7 @@
 //! per conflict class: first-committer-wins under SI, read-write
 //! invalidation under WSI, and the dangerous-structure rule under SSI.
 
-use wsi_core::IsolationLevel;
-use wsi_store::ssi_db::SsiDb;
+use wsi_core::{AbortReason, IsolationLevel};
 use wsi_store::{AbortExplanation, Cause, Db, DbOptions, Error, EventData};
 
 /// The timeline is in global causal order and contains only victim and
@@ -130,50 +129,135 @@ fn rw_abort_under_wsi_names_the_invalidating_writer() {
 
 #[test]
 fn ssi_pivot_abort_names_both_edge_partners() {
-    let db = SsiDb::open();
-    // Crossed rw-antidependencies: a reads x and writes y, b reads y and
-    // writes x. Once a commits, b is a pivot with an in-edge from a (a's
-    // write of y invalidates b's read) and an out-edge to a (b's write of
-    // x invalidates a's read): the dangerous structure.
-    let mut a = db.begin();
-    let mut b = db.begin();
-    let a_start = a.start_ts();
-    let b_start = b.start_ts();
-    let _ = a.get(b"x");
-    a.put(b"y", b"a");
-    let _ = b.get(b"y");
-    b.put(b"x", b"b");
-    let a_commit = a.commit().expect("first committer wins");
-    let err = b.commit().expect_err("pivot of a dangerous structure");
-    assert!(matches!(err, Error::Aborted(_)));
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    // A pivot with two distinct partners: t0 reads y, which t1 overwrites
+    // (t0 →rw t1, the in-edge); t2 overwrites x, which t1 read (t1 →rw t2,
+    // the out-edge). t1 is refused although t0, t1, t2 is a serial order —
+    // the pattern check's false positive.
+    let mut t0 = db.begin();
+    let mut t1 = db.begin();
+    let mut t2 = db.begin();
+    let (t0_start, t1_start, t2_start) = (t0.start_ts(), t1.start_ts(), t2.start_ts());
+    let _ = t1.get(b"x");
+    t2.put(b"x", b"t2");
+    let t2_commit = t2.commit().expect("no committed partner yet");
+    let _ = t0.get(b"y");
+    t0.put(b"z", b"t0");
+    let t0_commit = t0.commit().expect("disjoint from t2");
+    t1.put(b"y", b"t1");
+    let Err(Error::Aborted(reason)) = t1.commit() else {
+        panic!("pivot of a dangerous structure must abort");
+    };
+
+    // The reason blames the partners, never the victim's own start.
+    assert_eq!(
+        reason,
+        AbortReason::DangerousStructure {
+            in_commit_ts: Some(t0_commit),
+            out_commit_ts: Some(t2_commit),
+        }
+    );
+    assert_eq!(
+        reason.conflict_ts(),
+        Some(t2_commit),
+        "the out-edge partner"
+    );
+    assert!(reason.to_string().contains("dangerous structure"));
 
     let explanation = db
-        .explain_abort(b_start)
+        .explain_abort(t1_start)
         .expect("abort event is in the journal");
-    assert_eq!(explanation.victim, b_start.raw());
-    match explanation.cause {
+    assert_eq!(explanation.victim, t1_start.raw());
+    assert_eq!(
+        explanation.cause,
         Cause::Pivot {
-            in_commit_ts,
-            out_commit_ts,
-        } => {
-            // Both edges point at the same committed partner here.
-            assert_eq!(in_commit_ts, a_commit.raw(), "in-edge partner");
-            assert_eq!(out_commit_ts, a_commit.raw(), "out-edge partner");
+            in_commit_ts: t0_commit.raw(),
+            out_commit_ts: t2_commit.raw(),
         }
-        other => panic!("expected a pivot cause, got {other:?}"),
-    }
-    assert_eq!(explanation.culprits, vec![a_start.raw()]);
+    );
+    let mut culprits = explanation.culprits.clone();
+    culprits.sort_unstable();
+    assert_eq!(culprits, vec![t0_start.raw(), t2_start.raw()]);
     assert_causal(&explanation);
+    assert!(explanation.timeline.iter().any(|e| e.data
+        == EventData::Commit {
+            commit_ts: t2_commit.raw()
+        }));
     assert!(explanation
         .timeline
         .iter()
-        .any(|e| e.txn == a_start.raw() && matches!(e.data, EventData::Commit { .. })));
-    assert!(explanation
-        .timeline
-        .iter()
-        .any(|e| e.txn == b_start.raw() && matches!(e.data, EventData::Abort(_))));
+        .any(|e| e.txn == t1_start.raw() && matches!(e.data, EventData::Abort(_))));
 
     // The human rendering names everything a first responder needs.
     let text = explanation.render();
-    assert!(text.contains(&format!("txn {}", b_start.raw())));
+    assert!(text.contains(&format!("txn {}", t1_start.raw())));
+}
+
+/// Rule 2: the victim is not the pivot — committing it would make an
+/// already-committed transaction one. The abort names that transaction on
+/// the one edge there is; the other is absent.
+#[test]
+fn ssi_rule_two_aborts_name_the_committed_pivot() {
+    // A writer victim: v →rw u exists (u committed with an in-conflict);
+    // t overwrites what u read, which would give u an out-conflict too.
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    let mut v = db.begin();
+    let mut u = db.begin();
+    let mut t = db.begin();
+    let (u_start, t_start) = (u.start_ts(), t.start_ts());
+    let _ = u.get(b"b");
+    u.put(b"a", b"u");
+    let u_commit = u.commit().unwrap();
+    let _ = v.get(b"a");
+    v.put(b"c", b"v");
+    v.commit().expect("one out-edge is not dangerous");
+    t.put(b"b", b"t");
+    let Err(Error::Aborted(reason)) = t.commit() else {
+        panic!("u would become a pivot");
+    };
+    assert_eq!(
+        reason,
+        AbortReason::DangerousStructure {
+            in_commit_ts: Some(u_commit),
+            out_commit_ts: None,
+        }
+    );
+    assert_eq!(reason.conflict_ts(), Some(u_commit));
+    let explanation = db.explain_abort(t_start).expect("abort recorded");
+    assert_eq!(explanation.culprits, vec![u_start.raw()]);
+
+    // A read-only victim (Fekete's read-only anomaly): t2 →rw t1 exists; t3
+    // read what t2 then overwrote, and would hand t2 its in-conflict. t3
+    // never wrote, so its stream has no `Begin` — the abort event alone
+    // must still name t2.
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    let mut t2 = db.begin();
+    let mut t1 = db.begin();
+    let _ = t1.get(b"y");
+    t1.put(b"y", b"t1");
+    t1.commit().unwrap();
+    let mut t3 = db.begin();
+    let (t2_start, t3_start) = (t2.start_ts(), t3.start_ts());
+    let _ = (t2.get(b"x"), t2.get(b"y"));
+    t2.put(b"x", b"t2");
+    let t2_commit = t2.commit().expect("one out-edge is not dangerous");
+    let _ = (t3.get(b"x"), t3.get(b"y"));
+    let Err(Error::Aborted(reason)) = t3.commit() else {
+        panic!("t2 would become a pivot");
+    };
+    assert_eq!(reason.conflict_ts(), Some(t2_commit));
+    let explanation = db.explain_abort(t3_start).expect("abort recorded");
+    assert_eq!(
+        explanation.cause,
+        Cause::Pivot {
+            in_commit_ts: 0,
+            out_commit_ts: t2_commit.raw(),
+        }
+    );
+    assert_eq!(explanation.culprits, vec![t2_start.raw()]);
+    assert_causal(&explanation);
+    assert!(!explanation
+        .timeline
+        .iter()
+        .any(|e| e.txn == t3_start.raw() && e.data == EventData::Begin));
 }

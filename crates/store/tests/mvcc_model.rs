@@ -8,7 +8,10 @@
 //! knobs — and from it follows everything the store may show: what a
 //! snapshot reads (§2.2: the newest version committed before it), what a
 //! scan returns, whether a commit is admitted (Algorithms 1 and 2), and
-//! which versions a GC sweep leaves behind.
+//! which versions a GC sweep leaves behind. Under serializable snapshot
+//! isolation the admission rule is stateful, so the model defers to
+//! `SsiOracle` — the sequential reference — fed the same begins and commit
+//! requests in the same order.
 //!
 //! It is the version store's one equivalence oracle. The locked and flat
 //! layouts it replaced in that role were implementations; this is the rule.
@@ -16,11 +19,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use wsi_core::IsolationLevel;
+use wsi_core::ssi::SsiOracle;
+use wsi_core::{hash_row_key, CommitRequest, IsolationLevel, Timestamp};
 use wsi_store::{Db, DbOptions, Transaction};
 use wsi_wal::LedgerConfig;
 
 const KEYS: [&[u8]; 7] = [b"a", b"b", b"c", b"d", b"e", b"f", b"g"];
+
+const LEVELS: [IsolationLevel; 3] = [
+    IsolationLevel::WriteSnapshot,
+    IsolationLevel::Snapshot,
+    IsolationLevel::SerializableSnapshot,
+];
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -92,28 +102,33 @@ struct Version {
 #[derive(Debug, Default)]
 struct Model {
     committed: BTreeMap<Vec<u8>, Vec<Version>>,
+    /// Decides commits under SSI; sees every begin, and every commit
+    /// request of an SSI run.
+    ssi: SsiOracle,
 }
 
 /// What the model knows of an open transaction.
 #[derive(Debug)]
 struct ModelTxn {
     start: u64,
+    /// The start timestamp `Model::ssi` issued: its own counter, the same
+    /// order of events.
+    ssi_start: Timestamp,
     /// Keys whose stored state the transaction observed.
     reads: BTreeSet<Vec<u8>>,
     writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
 }
 
-impl ModelTxn {
-    fn shadowing(txn: &Transaction) -> Self {
+impl Model {
+    fn shadowing(&mut self, txn: &Transaction) -> ModelTxn {
         ModelTxn {
             start: txn.start_ts().raw(),
+            ssi_start: self.ssi.begin(),
             reads: BTreeSet::new(),
             writes: BTreeMap::new(),
         }
     }
-}
 
-impl Model {
     /// §2.2: a snapshot reads the newest version committed before it.
     fn visible(&self, key: &[u8], snapshot: u64) -> Option<&Vec<u8>> {
         let mut newest_first = self.committed.get(key)?.iter().rev();
@@ -165,20 +180,26 @@ impl Model {
         rows.into_iter().take(limit).collect()
     }
 
-    /// The commit decision. A read-only transaction always commits; a write
-    /// transaction aborts iff a row it must not race — its write set under
-    /// SI (Algorithm 1), its read set under WSI (Algorithm 2) — had a
-    /// version committed after its snapshot was taken.
-    fn admits(&self, txn: &ModelTxn, isolation: IsolationLevel) -> bool {
+    /// The commit decision. Under SI and WSI a read-only transaction always
+    /// commits; a write transaction aborts iff a row it must not race — its
+    /// write set under SI (Algorithm 1), its read set under WSI (Algorithm
+    /// 2) — had a version committed after its snapshot was taken. Under SSI
+    /// the reference oracle decides, read-only transactions included.
+    fn admits(&mut self, txn: &ModelTxn, isolation: IsolationLevel) -> bool {
         let raced = |key: &Vec<u8>| {
             let last = self.committed.get(key).and_then(|vs| vs.last());
             last.is_some_and(|v| v.commit > txn.start)
         };
-        txn.writes.is_empty()
-            || !match isolation {
-                IsolationLevel::Snapshot => txn.writes.keys().any(raced),
-                IsolationLevel::WriteSnapshot => txn.reads.iter().any(raced),
+        match isolation {
+            IsolationLevel::Snapshot => !txn.writes.keys().any(raced),
+            IsolationLevel::WriteSnapshot => txn.writes.is_empty() || !txn.reads.iter().any(raced),
+            IsolationLevel::SerializableSnapshot => {
+                let reads = txn.reads.iter().map(|k| hash_row_key(k)).collect();
+                let writes = txn.writes.keys().map(|k| hash_row_key(k)).collect();
+                let request = CommitRequest::new(txn.ssi_start, reads, writes);
+                self.ssi.commit(request).is_committed()
             }
+        }
     }
 
     fn apply(&mut self, txn: ModelTxn, commit: u64) {
@@ -262,7 +283,7 @@ fn run(db: &Db, p: &Plan, isolation: IsolationLevel) -> Model {
         }
         let (txn, shadow) = open[t].get_or_insert_with(|| {
             let txn = db.begin();
-            let shadow = ModelTxn::shadowing(&txn);
+            let shadow = model.shadowing(&txn);
             (txn, shadow)
         });
         if cursors[t] == p.txns[t].len() {
@@ -320,10 +341,10 @@ proptest! {
 
     /// Every read, scan (inverted and empty ranges included), commit
     /// outcome, GC sweep and the final state match the sequential model,
-    /// under both isolation levels.
+    /// under all three isolation levels.
     #[test]
     fn store_matches_the_sequential_model(p in plan()) {
-        for isolation in [IsolationLevel::WriteSnapshot, IsolationLevel::Snapshot] {
+        for isolation in LEVELS {
             let db = Db::open(DbOptions::new(isolation));
             let model = run(&db, &p, isolation);
             // Everything rolled back by now; a last sweep collapses each
@@ -334,15 +355,22 @@ proptest! {
 
     /// Durability round trip: a post-crash WAL replay reproduces exactly
     /// the committed state and re-derives exactly the eager `committed_at`
-    /// stamps the live database had.
+    /// stamps the live database had — under both serializable levels,
+    /// which also holds their commit decisions to the model on the sync
+    /// commit path.
     #[test]
-    fn replay_re_derives_identical_state_and_stamps(p in plan()) {
-        let options = DbOptions::new(IsolationLevel::WriteSnapshot)
-            .durable(LedgerConfig::default_replicated());
+    fn replay_re_derives_identical_state_and_stamps(
+        p in plan(),
+        isolation in prop_oneof![
+            Just(IsolationLevel::WriteSnapshot),
+            Just(IsolationLevel::SerializableSnapshot),
+        ],
+    ) {
+        let options = DbOptions::new(isolation).durable(LedgerConfig::default_replicated());
         let db = Db::open(options.clone());
         // No sweep: replay restores every logged version, collected or not.
         let p = Plan { gc_every: usize::MAX, ..p };
-        let model = run(&db, &p, IsolationLevel::WriteSnapshot);
+        let model = run(&db, &p, isolation);
         db.flush_wal().unwrap();
 
         // Sync mode stamps at publish time, so every surviving version
@@ -374,8 +402,40 @@ fn a_limited_scan_is_not_cut_short_by_buffered_writes() {
         schedule: vec![0, 0, 0, 0, 0, 1, 1, 1],
         gc_every: usize::MAX,
     };
-    for isolation in [IsolationLevel::WriteSnapshot, IsolationLevel::Snapshot] {
+    for isolation in LEVELS {
         run(&Db::open(DbOptions::new(isolation)), &p, isolation);
+    }
+}
+
+/// Plans the generator rarely draws: Fekete's read-only anomaly, with the
+/// read-only transaction committing last (it is refused, rule 2) and
+/// committing before the pivot (the pivot is refused, rule 1). Either way
+/// SSI refuses exactly one transaction and the store agrees with the
+/// reference oracle on which — the read-only commit path's reads reach the
+/// window and stay there.
+#[test]
+fn read_only_anomaly_plans_match_the_model() {
+    let (x, y) = (0, 1);
+    let txns = vec![
+        vec![Step::Read(x), Step::Read(y), Step::Write(x, 2)], // the pivot
+        vec![Step::Read(y), Step::Write(y, 1)],
+        vec![Step::Read(x), Step::Read(y)], // begins once txn 1 committed
+    ];
+    for schedule in [
+        vec![0, 1, 1, 1, 2, 0, 0, 0, 2, 2],
+        vec![0, 1, 1, 1, 2, 2, 2, 0, 0, 0],
+    ] {
+        let p = Plan {
+            txns: txns.clone(),
+            schedule,
+            gc_every: usize::MAX,
+        };
+        for isolation in LEVELS {
+            let db = Db::open(DbOptions::new(isolation));
+            run(&db, &p, isolation);
+            let ssi = isolation == IsolationLevel::SerializableSnapshot;
+            assert_eq!(db.stats().oracle.pivot_aborts, u64::from(ssi));
+        }
     }
 }
 
@@ -391,7 +451,7 @@ fn hot_key_history_matches_the_model_after_migration() {
     let pin = db.snapshot();
     for i in 0u32..200 {
         let mut txn = db.begin();
-        let mut shadow = ModelTxn::shadowing(&txn);
+        let mut shadow = model.shadowing(&txn);
         for (key, value) in [
             (b"hot".to_vec(), format!("v{i}").into_bytes()),
             (format!("cold-{}", i % 5).into_bytes(), b"c".to_vec()),

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::thread;
 
 use wsi_core::IsolationLevel;
-use wsi_store::ssi_db::SsiDb;
 use wsi_store::{decode_record, Cause, Db, DbOptions, Event, EventData, StoreRecord};
 use wsi_wal::LedgerConfig;
 
@@ -328,6 +327,12 @@ struct JournalTally {
     commits: u64,
     read_only_commits: u64,
     aborts: u64,
+    /// Aborts by the dangerous-structure rule (SSI only).
+    pivot_aborts: u64,
+    /// Aborts of transactions that never journaled a `Begin` — read-only
+    /// victims of the dangerous-structure rule (`Begin` is journaled at the
+    /// first buffered write).
+    unbegun_aborts: u64,
     /// Aborts the pipeline persists a compensating WAL record for — i.e.
     /// everything except pre-WAL client rollbacks.
     wal_bound_aborts: u64,
@@ -335,13 +340,23 @@ struct JournalTally {
 
 fn tally(events: &[Event]) -> JournalTally {
     let mut t = JournalTally::default();
+    let mut begun = std::collections::HashSet::new();
     for e in events {
         match e.data {
-            EventData::Begin => t.begins += 1,
+            EventData::Begin => {
+                t.begins += 1;
+                begun.insert(e.txn);
+            }
             EventData::Commit { .. } => t.commits += 1,
             EventData::ReadOnlyCommit => t.read_only_commits += 1,
             EventData::Abort(cause) => {
                 t.aborts += 1;
+                if !begun.contains(&e.txn) {
+                    t.unbegun_aborts += 1;
+                }
+                if matches!(cause, Cause::Pivot { .. }) {
+                    t.pivot_aborts += 1;
+                }
                 if !matches!(cause, Cause::Client) {
                     t.wal_bound_aborts += 1;
                 }
@@ -362,64 +377,10 @@ fn wal_abort_records(ledger: &wsi_wal::Ledger) -> u64 {
         .count() as u64
 }
 
-/// The flight recorder is a third independent account of the run: its
-/// abort events must agree with the oracle's abort counters AND with the
-/// WAL's compensating abort records, on both `Db` isolation levels and on
-/// `SsiDb`. A journal that dropped events (ring wrap) would make the
-/// counts meaningless, so zero drop is asserted first.
-#[test]
-fn journal_events_reconcile_with_counters_and_wal() {
-    // Db, both isolation levels, racy multi-threaded workload.
-    for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
-        let db = Arc::new(Db::open(
-            DbOptions::new(level).durable(LedgerConfig::default_replicated()),
-        ));
-        drive_workload(&db);
-        db.flush_wal().expect("healthy quorum");
-
-        let journal = db.journal().expect("journal on by default");
-        assert_eq!(journal.dropped(), 0, "{level:?}: ring large enough");
-        let t = tally(&journal.snapshot());
-        let oracle = db.stats().oracle;
-        // `Begin` is journaled at the first buffered write, so the journal
-        // counts writing transactions; every non-writing transaction in this
-        // workload commits through the read-only fast path.
-        assert_eq!(
-            t.begins,
-            oracle.begins - oracle.read_only_commits,
-            "{level:?}: begin events cover exactly the writing transactions"
-        );
-        assert_eq!(
-            t.begins,
-            t.commits + t.aborts,
-            "{level:?}: every journaled begin ended exactly once"
-        );
-        assert_eq!(t.commits, oracle.commits, "{level:?}: commit events");
-        assert_eq!(
-            t.read_only_commits, oracle.read_only_commits,
-            "{level:?}: read-only commit events"
-        );
-        assert_eq!(
-            t.aborts,
-            oracle.total_aborts(),
-            "{level:?}: journal abort events == oracle abort counters"
-        );
-        let wal = wal_abort_records(&db.wal_snapshot().expect("durable"));
-        assert_eq!(
-            t.wal_bound_aborts, wal,
-            "{level:?}: journal conflict aborts == WAL abort records"
-        );
-        if level == IsolationLevel::WriteSnapshot {
-            // Under WSI every read of a concurrently-written key conflicts,
-            // so the contended workload reliably aborts; under SI the rarer
-            // WW collisions make a zero count possible on a quiet scheduler.
-            assert!(t.aborts > 0, "contended WSI workload aborts");
-        }
-    }
-
-    // SsiDb: racing read-modify-write pairs with crossed rw-dependencies,
-    // plus rollbacks and read-only transactions.
-    let db = SsiDb::open_durable(LedgerConfig::default_replicated());
+/// Crossed rw-dependencies, single-threaded: `a` reads k1 and writes k2,
+/// `b` reads k2 and writes k1, so once `a` commits `b` is the pivot of a
+/// dangerous structure — plus rollbacks and read-only transactions.
+fn drive_crossed_pairs(db: &Db) {
     for i in 0u64..200 {
         let k1 = (i * 7) % KEYS;
         let k2 = (k1 + 13) % KEYS;
@@ -445,30 +406,91 @@ fn journal_events_reconcile_with_counters_and_wal() {
             _ => {}
         }
     }
-    db.flush_wal().expect("healthy quorum");
+}
 
-    let journal = db.journal();
-    assert_eq!(journal.dropped(), 0, "ssi: ring large enough");
-    let t = tally(&journal.snapshot());
-    let stats = db.stats();
-    assert_eq!(t.begins, stats.begins, "ssi: begin events");
-    assert_eq!(t.commits, stats.commits, "ssi: commit events");
-    assert_eq!(
-        t.read_only_commits, stats.read_only_commits,
-        "ssi: read-only commit events"
-    );
-    assert_eq!(
-        t.aborts,
-        stats.total_aborts(),
-        "ssi: journal abort events == oracle abort counters"
-    );
-    let wal = wal_abort_records(&db.wal_snapshot().expect("durable"));
-    assert_eq!(
-        t.wal_bound_aborts, wal,
-        "ssi: journal conflict aborts == WAL abort records"
-    );
-    assert!(
-        t.aborts > t.begins / 20,
-        "ssi: crossed rw pairs must abort dangerous structures"
-    );
+/// The flight recorder is a third independent account of the run: its
+/// abort events must agree with the oracle's abort counters AND with the
+/// WAL's compensating abort records, at all three isolation levels. A
+/// journal that dropped events (ring wrap) would make the counts
+/// meaningless, so zero drop is asserted first.
+#[test]
+fn journal_events_reconcile_with_counters_and_wal() {
+    let ssi = IsolationLevel::SerializableSnapshot;
+    for (level, threaded) in [
+        (IsolationLevel::Snapshot, true),
+        (IsolationLevel::WriteSnapshot, true),
+        (ssi, true),
+        (ssi, false),
+    ] {
+        let db = Arc::new(Db::open(
+            DbOptions::new(level).durable(LedgerConfig::default_replicated()),
+        ));
+        if threaded {
+            drive_workload(&db);
+        } else {
+            drive_crossed_pairs(&db);
+        }
+        db.flush_wal().expect("healthy quorum");
+
+        let journal = db.journal().expect("journal on by default");
+        assert_eq!(journal.dropped(), 0, "{level:?}: ring large enough");
+        let t = tally(&journal.snapshot());
+        let oracle = db.stats().oracle;
+        // `Begin` is journaled at the first buffered write, so the journal
+        // counts writing transactions; every non-writing transaction in
+        // these workloads ends on the read-only path — committed, or under
+        // SSI possibly refused there.
+        assert_eq!(
+            t.begins,
+            oracle.begins - oracle.read_only_commits - t.unbegun_aborts,
+            "{level:?}: begin events cover exactly the writing transactions"
+        );
+        assert_eq!(
+            t.begins,
+            t.commits + t.aborts - t.unbegun_aborts,
+            "{level:?}: every journaled begin ended exactly once"
+        );
+        assert_eq!(t.commits, oracle.commits, "{level:?}: commit events");
+        assert_eq!(
+            t.read_only_commits, oracle.read_only_commits,
+            "{level:?}: read-only commit events"
+        );
+        assert_eq!(
+            t.aborts,
+            oracle.ww_aborts
+                + oracle.rw_aborts
+                + oracle.tmax_aborts
+                + oracle.pivot_aborts
+                + oracle.client_aborts,
+            "{level:?}: journal abort events == oracle abort counters"
+        );
+        assert_eq!(
+            t.pivot_aborts, oracle.pivot_aborts,
+            "{level:?}: pivot-cause abort events"
+        );
+        assert!(
+            t.unbegun_aborts <= t.pivot_aborts,
+            "{level:?}: only the dangerous-structure rule refuses a read-only transaction"
+        );
+        if level != ssi {
+            assert_eq!(t.pivot_aborts, 0, "{level:?}: no window, no pivots");
+        }
+        let wal = wal_abort_records(&db.wal_snapshot().expect("durable"));
+        assert_eq!(
+            t.wal_bound_aborts, wal,
+            "{level:?}: journal conflict aborts == WAL abort records"
+        );
+        if level == IsolationLevel::WriteSnapshot {
+            // Under WSI every read of a concurrently-written key conflicts,
+            // so the contended workload reliably aborts; under SI the rarer
+            // WW collisions make a zero count possible on a quiet scheduler.
+            assert!(t.aborts > 0, "contended WSI workload aborts");
+        }
+        if !threaded {
+            assert!(
+                t.pivot_aborts > t.begins / 20,
+                "ssi: crossed rw pairs must abort dangerous structures"
+            );
+        }
+    }
 }

@@ -75,6 +75,41 @@ fn retried_conflict_reports_attempts_and_last_reason() {
     );
 }
 
+/// A pivot abort is a conflict like any other to the retry loop, and its
+/// reason — naming the partner, not the victim — survives in the report.
+#[test]
+fn retried_pivot_abort_reports_the_dangerous_structure() {
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    // First attempt: read x and write y while a rival reads y and writes x
+    // and commits first — crossed rw-antidependencies, this attempt is the
+    // pivot. Second attempt: no rival.
+    let sabotaged = AtomicBool::new(false);
+    let mut rival_commit = None;
+    db.run(4, |t| {
+        let _ = t.get(b"x");
+        if !sabotaged.swap(true, Ordering::Relaxed) {
+            let mut rival = db.begin();
+            let _ = rival.get(b"y");
+            rival.put(b"x", b"rival");
+            rival_commit = Some(rival.commit().unwrap());
+        }
+        t.put(b"y", b"v");
+        Ok(())
+    })
+    .unwrap();
+
+    let report = db.last_txn_report().expect("run stores a report");
+    assert_eq!(report.attempts, 2, "one pivot abort, one clean retry");
+    assert_eq!(
+        report.last_abort,
+        Some(AbortReason::DangerousStructure {
+            in_commit_ts: rival_commit,
+            out_commit_ts: rival_commit,
+        })
+    );
+    assert_eq!(db.stats().oracle.pivot_aborts, 1);
+}
+
 #[test]
 fn exhausted_retries_report_the_final_reason() {
     let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));

@@ -1,7 +1,8 @@
 //! WAL recovery edge cases (ISSUE 7 satellite): torn tails, compensating-
 //! abort ordering across the two-pass replay, and recovery idempotence.
 //!
-//! The contract under test is `Db::recover` / `SsiDb::recover`:
+//! The contract under test is `Db::recover`, at the WSI and the SSI level
+//! (one recovery path; the SSI window needs nothing from the log):
 //!
 //! * a final record that fails to decode is a **torn tail** — the crash hit
 //!   mid-persist, the client was never acknowledged, the record is dropped;
@@ -16,11 +17,15 @@
 
 use bytes::Bytes;
 use wsi_core::IsolationLevel;
-use wsi_store::ssi_db::SsiDb;
 use wsi_store::{
     decode_record, encode_record, Db, DbOptions, Error, GcStats, StoreRecord, VersionStamps,
 };
 use wsi_wal::{Ledger, LedgerConfig};
+
+const LEVELS: [IsolationLevel; 2] = [
+    IsolationLevel::WriteSnapshot,
+    IsolationLevel::SerializableSnapshot,
+];
 
 fn durable_db(level: IsolationLevel) -> Db {
     Db::open(DbOptions::new(level).durable(LedgerConfig::local_sync()))
@@ -41,48 +46,37 @@ fn canon(mut stamps: VersionStamps) -> VersionStamps {
 
 #[test]
 fn torn_final_record_is_dropped_not_fatal() {
-    let db = durable_db(IsolationLevel::WriteSnapshot);
-    for i in 0..5u64 {
-        commit_kv(&db, format!("k{i}").as_bytes(), i.to_string().as_bytes());
-    }
-    let mut wal = db.wal_snapshot().expect("durable");
+    for level in LEVELS {
+        let db = durable_db(level);
+        for i in 0..5u64 {
+            commit_kv(&db, format!("k{i}").as_bytes(), i.to_string().as_bytes());
+        }
+        let mut wal = db.wal_snapshot().expect("durable");
 
-    // Tear the tail: persist only a prefix of a valid commit record, as a
-    // crash mid-write would.
-    let full = encode_record(&StoreRecord::Commit {
-        start_ts: wsi_core::Timestamp(1000),
-        commit_ts: wsi_core::Timestamp(1001),
-        writes: vec![(Bytes::from_static(b"torn"), Some(Bytes::from_static(b"x")))],
-    });
-    wal.append(full.slice(0..full.len() - 3), u64::MAX);
-    wal.flush(u64::MAX).unwrap();
+        // Tear the tail: persist only a prefix of a valid commit record, as
+        // a crash mid-write would.
+        let full = encode_record(&StoreRecord::Commit {
+            start_ts: wsi_core::Timestamp(1000),
+            commit_ts: wsi_core::Timestamp(1001),
+            writes: vec![(Bytes::from_static(b"torn"), Some(Bytes::from_static(b"x")))],
+        });
+        wal.append(full.slice(0..full.len() - 3), u64::MAX);
+        wal.flush(u64::MAX).unwrap();
 
-    let recovered =
-        Db::recover(DbOptions::new(IsolationLevel::WriteSnapshot), wal).expect("torn tail is ok");
-    for i in 0..5u64 {
+        let recovered = Db::recover(DbOptions::new(level), wal).expect("torn tail is ok");
+        for i in 0..5u64 {
+            let mut t = recovered.begin();
+            assert_eq!(
+                t.get(format!("k{i}").as_bytes()).unwrap().as_ref(),
+                i.to_string().as_bytes(),
+                "{level}: acknowledged commit lost"
+            );
+        }
         let mut t = recovered.begin();
-        assert_eq!(
-            t.get(format!("k{i}").as_bytes()).unwrap().as_ref(),
-            i.to_string().as_bytes(),
-            "acknowledged commit lost"
-        );
+        assert_eq!(t.get(b"torn"), None, "torn record must not replay");
+        // The recovered store keeps working.
+        commit_kv(&recovered, b"k0", b"new");
     }
-    let mut t = recovered.begin();
-    assert_eq!(t.get(b"torn"), None, "torn record must not replay");
-}
-
-#[test]
-fn ssi_recovery_tolerates_a_torn_tail_too() {
-    let db = SsiDb::open_durable(LedgerConfig::local_sync());
-    let mut t = db.begin();
-    t.put(b"k", b"v");
-    t.commit().unwrap();
-    let mut wal = db.wal_snapshot().expect("durable");
-    wal.append(Bytes::from_static(&[0x10, 0x01]), u64::MAX); // truncated commit
-    wal.flush(u64::MAX).unwrap();
-    let recovered = SsiDb::recover(wal).expect("torn tail is ok");
-    let mut r = recovered.begin();
-    assert_eq!(r.get(b"k").unwrap().as_ref(), b"v");
 }
 
 #[test]
@@ -102,13 +96,13 @@ fn corruption_before_the_tail_refuses_recovery() {
     );
     wal.flush(u64::MAX).unwrap();
 
-    let err = Db::recover(DbOptions::new(IsolationLevel::WriteSnapshot), wal.clone());
-    assert!(
-        matches!(err, Err(Error::Corrupt(_))),
-        "mid-log corruption must refuse recovery, got {err:?}"
-    );
-    let err = SsiDb::recover(wal);
-    assert!(matches!(err, Err(Error::Corrupt(_))), "{err:?}");
+    for level in LEVELS {
+        let err = Db::recover(DbOptions::new(level), wal.clone());
+        assert!(
+            matches!(err, Err(Error::Corrupt(_))),
+            "{level}: mid-log corruption must refuse recovery, got {err:?}"
+        );
+    }
 }
 
 /// Hand-built log proving the two-pass structure is load-bearing: the
@@ -143,23 +137,20 @@ fn compensating_abort_overturns_an_earlier_commit_record() {
     );
     wal.flush(3).unwrap();
 
-    let db = Db::recover(DbOptions::new(IsolationLevel::WriteSnapshot), wal.clone()).unwrap();
-    let mut t = db.begin();
-    assert_eq!(
-        t.get(b"x").unwrap().as_ref(),
-        b"base",
-        "overturned commit must not replay"
-    );
-    drop(t);
-    // The overturned commit's timestamps stay burned: fresh transactions
-    // must start above them.
-    let t = db.begin();
-    assert!(t.start_ts() > wsi_core::Timestamp(4));
-    drop(t);
-
-    let ssi = SsiDb::recover(wal).unwrap();
-    let mut t = ssi.begin();
-    assert_eq!(t.get(b"x").unwrap().as_ref(), b"base");
+    for level in LEVELS {
+        let db = Db::recover(DbOptions::new(level), wal.clone()).unwrap();
+        let mut t = db.begin();
+        assert_eq!(
+            t.get(b"x").unwrap().as_ref(),
+            b"base",
+            "{level}: overturned commit must not replay"
+        );
+        drop(t);
+        // The overturned commit's timestamps stay burned: fresh transactions
+        // must start above them.
+        let t = db.begin();
+        assert!(t.start_ts() > wsi_core::Timestamp(4));
+    }
 }
 
 /// End-to-end version: a real quorum loss writes the records in exactly

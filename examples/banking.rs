@@ -7,10 +7,12 @@
 //! withdrawals validate against the same snapshot and both commit, driving
 //! the sum to 0 — *write skew* (History 2) — even though each transaction
 //! alone checked the constraint. Under write-snapshot isolation one of them
-//! aborts and the constraint survives.
+//! aborts and the constraint survives — as it does under serializable
+//! snapshot isolation, the §7.1 comparator, which refuses the pair as a
+//! dangerous structure.
 //!
-//! This example runs the scenario with real threads against both isolation
-//! levels and reports whether the invariant survived.
+//! This example runs the scenario with real threads against all three
+//! isolation levels and reports whether the invariant survived.
 //!
 //! ```text
 //! cargo run --example banking
@@ -95,11 +97,15 @@ fn run(level: IsolationLevel) -> (i64, u64) {
 
 fn main() {
     println!("invariant: x + y > 0 must hold before every withdrawal (start: x = y = 1)\n");
-    for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
+    for level in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ] {
         let (total, withdrawals) = run(level);
         let verdict = if total > 0 { "preserved" } else { "VIOLATED" };
         println!(
-            "{level:<28} withdrawals: {withdrawals:>3}   final x+y = {total:>3}   invariant {verdict}"
+            "{level:<32} withdrawals: {withdrawals:>3}   final x+y = {total:>3}   invariant {verdict}"
         );
         match level {
             IsolationLevel::Snapshot => {
@@ -117,6 +123,15 @@ fn main() {
                     "write-snapshot isolation is serializable; the invariant cannot break"
                 );
                 println!("  -> read-write conflict detection aborted one of each racing pair");
+            }
+            IsolationLevel::SerializableSnapshot => {
+                assert!(
+                    total > 0,
+                    "serializable snapshot isolation is serializable; the invariant cannot break"
+                );
+                println!(
+                    "  -> dangerous-structure detection aborted the pivot of each racing pair"
+                );
             }
         }
     }

@@ -21,10 +21,12 @@ cargo clippy --all-targets --workspace -- -D warnings
 # Commit-oracle gates: `ConcurrentOracle` against its model
 # `StatusOracleCore` — property tests for SI, WSI, and the bounded
 # Algorithm-3 variant (exact OracleStats equality, §5.2 ranges included) —
-# and the multi-threaded stress suite again in release mode (the debug run
-# above is too slow to shake out interleavings).
+# and the multi-threaded stress suites again in release mode (the debug run
+# above is too slow to shake out interleavings): the increment herds at all
+# three isolation levels, and the commit-pipeline suite with its write-skew
+# herd under WSI and SSI.
 cargo test -q -p wsi-core --test oracle_equivalence
-cargo test -q --release -p wsi-store --test oracle_stress
+cargo test -q --release -p wsi-store --test oracle_stress --test concurrency_stress
 
 # One commit-decision backend: fail if a deleted oracle, option, metric
 # family, journal event or DST engine reappears.
@@ -34,8 +36,17 @@ if grep -rnE 'OracleMode|serial_oracle|batched_oracle|oracle_shards\b|BatchedOra
     exit 1
 fi
 
+# One engine: SSI is an isolation level of `Db`. Fail if the forked engine,
+# its private durability hook, the DST dispatch enums or the sampled span
+# tracer reappear (`txn_e2e` has an unrelated `SpanRecorder` of its own).
+if grep -rnE 'SsiDb|ssi_db|SsiTransaction|commit_durable|wal_overturned|Engine::Ssi|Txn::Ssi|SpanRecorder|TxnSpan|traces_json' \
+    --exclude-dir=txn_e2e crates/ src/ tests/ examples/; then
+    echo "error: the SSI engine fork or the span tracer is back (see above)" >&2
+    exit 1
+fi
+
 # Version-store gates: the store against the sequential model (proptest
-# over randomized interleavings, both isolation levels — it runs in the
+# over randomized interleavings, all three isolation levels — it runs in the
 # workspace suite above), and the 8-thread invariant herd again in release
 # mode, with its concurrent GC/reclamation thread and the table-growth
 # herd, plus the metrics exposition.
@@ -77,16 +88,16 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 # LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols
 
-# Deterministic simulation gate: the seeded fault matrix (every engine ×
-# every fault plan × three seeds, both oracles armed on every run) plus
+# Deterministic simulation gate: the seeded fault matrix (every isolation
+# level × every fault plan × three seeds, both oracles armed on every run) plus
 # the same-seed replay regression and the planted-bug canary. Any oracle
 # panic prints a DST_SEED=… repro line — copy-paste it verbatim to replay
 # the failing schedule byte-for-byte, and dumps the flight-recorder
 # journal tail alongside it.
 cargo test -q -p wsi-dst
 
-# Flight-recorder gates: journal/counter/WAL reconciliation on all three
-# engines, culprit-attributed abort forensics for each conflict class
+# Flight-recorder gates: journal/counter/WAL reconciliation at all three
+# isolation levels, culprit-attributed abort forensics for each conflict class
 # (WW under SI, RW under WSI, pivot under SSI), and the retry-report
 # surface of Db::run. These run in the workspace suite above too; naming
 # them here makes the observability bar explicit and keeps a local

@@ -136,7 +136,14 @@ fn wsi_admits_blind_write_overlap_that_si_rejects() {
 
 #[test]
 fn read_only_transactions_never_abort_under_either_level() {
-    for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
+    // Under SSI a read-only transaction can abort, but only by making a
+    // committed transaction with an out-conflict a pivot; this writer reads
+    // nothing, so it has none, and the overwritten reads commit freely.
+    for level in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ] {
         let db = Db::open(DbOptions::new(level));
         let mut seed = db.begin();
         seed.put(b"a", b"1");
@@ -426,52 +433,58 @@ fn percolator_thread_stress_with_cleanup() {
 }
 
 #[test]
-fn ssi_db_crosschecks_with_wsi_on_write_skew() {
-    // The same write-skew scenario against all three engines: SI admits the
-    // anomaly, WSI and SSI refuse it.
-    use writesnap::store::ssi_db::SsiDb;
+fn ssi_crosschecks_with_wsi_on_write_skew() {
+    // The same write-skew scenario at all three levels of the one engine:
+    // SI admits the anomaly, WSI and SSI refuse it.
+    for level in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ] {
+        let db = Db::open(DbOptions::new(level));
+        let mut seed = db.begin();
+        seed.put(b"x", b"1");
+        seed.put(b"y", b"1");
+        seed.commit().unwrap();
+        let mut a = db.begin();
+        let mut b = db.begin();
+        let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
+        a.put(b"x", b"0");
+        b.put(b"y", b"0");
+        a.commit()
+            .expect("the first committer has no committed partner");
+        let second = b.commit();
+        assert_eq!(
+            second.is_ok(),
+            !level.is_serializable(),
+            "{level}: only SI admits write skew"
+        );
+        let y = db.snapshot().get(b"y").expect("seeded");
+        let expect: &[u8] = if second.is_ok() { b"0" } else { b"1" };
+        assert_eq!(y.as_ref(), expect, "{level}: an aborted write vanishes");
+    }
+}
 
-    // SI: both commit (the anomaly).
-    let si = Db::open(DbOptions::new(IsolationLevel::Snapshot));
-    let mut seed = si.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = si.begin();
-    let mut b = si.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    assert!(
-        a.commit().is_ok() && b.commit().is_ok(),
-        "SI admits write skew"
-    );
-
-    // WSI: one aborts.
-    let wsi = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
-    let mut seed = wsi.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = wsi.begin();
-    let mut b = wsi.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    let outcomes = (a.commit().is_ok(), b.commit().is_ok());
-    assert!(outcomes.0 != outcomes.1, "exactly one commits under WSI");
-
-    // SSI: one aborts.
-    let ssi = SsiDb::open();
-    let mut seed = ssi.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = ssi.begin();
-    let mut b = ssi.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    let outcomes = (a.commit().is_ok(), b.commit().is_ok());
-    assert!(outcomes.0 != outcomes.1, "exactly one commits under SSI");
+#[test]
+fn history6_is_admitted_under_ssi_and_refused_under_wsi() {
+    // r1[x] w2[x] c2 w1[y] c1: serializable (t1 then t2). WSI refuses t1
+    // because its read of x was overwritten; SSI sees one out-edge and no
+    // in-edge on t1 — not a dangerous structure. SI never looks at reads.
+    for (level, admitted) in [
+        (IsolationLevel::Snapshot, true),
+        (IsolationLevel::WriteSnapshot, false),
+        (IsolationLevel::SerializableSnapshot, true),
+    ] {
+        let db = Db::open(DbOptions::new(level));
+        let mut seed = db.begin();
+        seed.put(b"x", b"0");
+        seed.commit().unwrap();
+        let mut t1 = db.begin();
+        let _ = t1.get(b"x");
+        let mut t2 = db.begin();
+        t2.put(b"x", b"new");
+        t2.commit().unwrap();
+        t1.put(b"y", b"derived");
+        assert_eq!(t1.commit().is_ok(), admitted, "{level}");
+    }
 }
