@@ -46,7 +46,6 @@ use spin::{Mutex, MutexGuard};
 use wsi_obs::{Counter, EventData, Histogram, HistogramSnapshot, Journal, Registry};
 
 use crate::{
-    commit_table::{CommitTable, TxnStatus},
     error::{AbortReason, CommitOutcome},
     lastcommit::{BoundedLastCommit, Probe, UnboundedLastCommit},
     oracle::{
@@ -61,10 +60,6 @@ use crate::{
 /// sequential row identifiers (synthetic workloads) and already-hashed ones
 /// (byte-string keys) evenly across power-of-two shard counts.
 const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Shard count of the transaction-status table. Status lookups are keyed by
-/// start timestamp, independent of the row-space sharding.
-const STATUS_SHARDS: usize = 16;
 
 /// A `lastCommit` table partitioned into independently-locked shards.
 ///
@@ -253,9 +248,6 @@ pub struct ConcurrentOracle {
     level: IsolationLevel,
     ts: Arc<SharedTimestampSource>,
     last_commit: ShardedLastCommit,
-    /// Transaction statuses, sharded by start timestamp — independent of the
-    /// row-space sharding, so status reads never touch `lastCommit` locks.
-    status: Vec<Mutex<CommitTable>>,
     counters: OracleCounters,
     obs: ShardObs,
     /// When false, the decision path skips clock reads and histogram
@@ -295,9 +287,6 @@ impl ConcurrentOracle {
             level,
             ts,
             last_commit,
-            status: (0..STATUS_SHARDS)
-                .map(|_| Mutex::new(CommitTable::new()))
-                .collect(),
             counters: OracleCounters::default(),
             obs: ShardObs::new(shards),
             obs_enabled: true,
@@ -364,7 +353,8 @@ impl ConcurrentOracle {
             Ok(()) => CommitOutcome::Committed(guard.commit_unchecked(&req)),
             Err(reason) => {
                 drop(guard);
-                self.register_abort(req.start_ts, reason)
+                self.abort_checked(reason);
+                CommitOutcome::Aborted(reason)
             }
         }
     }
@@ -494,32 +484,32 @@ impl ConcurrentOracle {
         }
     }
 
-    /// Registers a conflict abort decided externally via
-    /// [`DecisionGuard::check`], keeping statistics and the status table
-    /// consistent with the [`ConcurrentOracle::commit`] path.
-    pub fn abort_checked(&self, start_ts: Timestamp, reason: AbortReason) {
-        let _ = self.register_abort(start_ts, reason);
+    /// Counts a conflict abort decided externally via
+    /// [`DecisionGuard::check`], keeping statistics consistent with the
+    /// [`ConcurrentOracle::commit`] path.
+    pub fn abort_checked(&self, reason: AbortReason) {
+        match reason {
+            AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
+            AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
+            AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
+            AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
+            AbortReason::ClientRequested => self.counters.client_aborts.inc(),
+        }
     }
 
-    /// Registers a client-requested abort.
-    pub fn abort(&self, start_ts: Timestamp) {
+    /// Counts a client-requested abort.
+    pub fn abort(&self) {
         self.counters.client_aborts.inc();
-        self.status_shard(start_ts).lock().record_abort(start_ts);
     }
 
     /// Overturns a decided-but-unpublished commit whose durability step
     /// failed; semantics as
     /// [`StatusOracleCore::abort_after_decide`](crate::StatusOracleCore::abort_after_decide)
     /// — the recorded `lastCommit` rows stay (they can only cause spurious
-    /// aborts, never admit a conflicting commit).
-    pub fn abort_after_decide(&self, start_ts: Timestamp) {
-        self.status_shard(start_ts).lock().overturn_commit(start_ts);
+    /// aborts, never admit a conflicting commit). The transaction's fate is
+    /// the embedder's to publish: this oracle keeps no commit table.
+    pub fn abort_after_decide(&self) {
         self.counters.commits_overturned.inc();
-    }
-
-    /// Queries a transaction's status (§2.2 reader-side visibility support).
-    pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
-        self.status_shard(start_ts).lock().status(start_ts)
     }
 
     /// Global `T_max` (maximum over shards; [`Timestamp::ZERO`] when
@@ -559,7 +549,7 @@ impl ConcurrentOracle {
     /// single-threaded and in WAL order; rows are recorded shard by shard
     /// (same-row records arrive in commit order, which is all per-row
     /// monotonicity needs).
-    pub fn replay_commit(&self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
+    pub fn replay_commit(&self, commit_ts: Timestamp, rows: &[RowId]) {
         self.ts.advance_to(commit_ts);
         for &row in rows {
             let evicted = self
@@ -569,39 +559,17 @@ impl ConcurrentOracle {
                 .record(row, commit_ts);
             self.counters.evictions.add(evicted as u64);
         }
-        self.status_shard(start_ts)
-            .lock()
-            .record_commit(start_ts, commit_ts);
     }
 
     /// Re-applies an aborted transaction during WAL recovery.
     pub fn replay_abort(&self, start_ts: Timestamp) {
         self.ts.advance_to(start_ts);
-        self.status_shard(start_ts).lock().record_abort(start_ts);
     }
 
     /// Advances the shared timestamp counter past `bound` (recovery of a
     /// §6.2 reservation record).
     pub fn advance_timestamps(&self, bound: Timestamp) {
         self.ts.advance_to(bound);
-    }
-
-    #[inline]
-    fn status_shard(&self, start_ts: Timestamp) -> &Mutex<CommitTable> {
-        let idx = (start_ts.raw().wrapping_mul(FIB_HASH) >> 60) as usize & (STATUS_SHARDS - 1);
-        &self.status[idx]
-    }
-
-    fn register_abort(&self, start_ts: Timestamp, reason: AbortReason) -> CommitOutcome {
-        match reason {
-            AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
-            AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
-            AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
-            AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
-            AbortReason::ClientRequested => self.counters.client_aborts.inc(),
-        }
-        self.status_shard(start_ts).lock().record_abort(start_ts);
-        CommitOutcome::Aborted(reason)
     }
 }
 
@@ -814,18 +782,14 @@ impl DecisionGuard<'_> {
         if evictions > 0 {
             self.oracle.counters.evictions.add(evictions);
         }
-        self.oracle
-            .status_shard(req.start_ts)
-            .lock()
-            .record_commit(req.start_ts, commit_ts);
         self.oracle.counters.commits.inc();
     }
 
     /// Registers a conflict abort for the request this guard was taken for;
     /// convenience forwarding to [`ConcurrentOracle::abort_checked`] so
     /// embedders can record the abort before releasing the shards.
-    pub fn abort_checked(&self, start_ts: Timestamp, reason: AbortReason) {
-        self.oracle.abort_checked(start_ts, reason);
+    pub fn abort_checked(&self, reason: AbortReason) {
+        self.oracle.abort_checked(reason);
     }
 
     /// Position in the locked set of the shard holding `row`.
@@ -1018,21 +982,18 @@ mod tests {
         let _decided = g.commit_unchecked(&req);
         drop(g);
         assert_eq!(o.stats().commits, 1);
-        o.abort_after_decide(t);
-        assert_eq!(o.status(t), TxnStatus::Aborted);
+        o.abort_after_decide();
         assert_eq!(o.stats().commits, 0);
 
-        let t2 = o.begin();
-        o.abort(t2);
-        assert_eq!(o.status(t2), TxnStatus::Aborted);
+        o.begin();
+        o.abort();
         assert_eq!(o.stats().client_aborts, 1);
     }
 
     #[test]
     fn replay_reconstructs_conflict_state() {
         let o = oracle(IsolationLevel::WriteSnapshot, 8);
-        o.replay_commit(Timestamp(1), Timestamp(3), &rows(&[7]));
-        assert_eq!(o.status(Timestamp(1)), TxnStatus::Committed(Timestamp(3)));
+        o.replay_commit(Timestamp(3), &rows(&[7]));
         assert!(o.last_issued_ts() >= Timestamp(3));
         // A transaction that read row 7 before the recovered commit aborts.
         let out = o.commit(CommitRequest::new(Timestamp(2), rows(&[7]), rows(&[8])));

@@ -62,8 +62,9 @@ pub const JOURNAL_SHARDS: usize = 4;
 /// slot ≈ 1 MiB resident for a 16k-event window. Kept modest on purpose:
 /// the rings are written on every transaction, and a larger window streams
 /// more cache lines through the writers' L1/L2, evicting the store's hot
-/// data — `trace_overhead` showed the eviction pressure, not the slot
-/// stores, dominating past this size.
+/// data — when the size was chosen (journal on against journal off over
+/// three transaction shapes), the eviction pressure, not the slot stores,
+/// dominated past it.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Atomic words per slot: stamp, seqno, ts_us, txn, kind, a, b, c.

@@ -1929,15 +1929,13 @@ impl ArenaStore {
                 .add(work.iter().map(|queue| queue.len() as u64).sum());
             obs.gc_worklist_len.set(requeued);
             self.footprint();
-            if let Some(journal) = &obs.journal {
-                journal.record(
-                    0,
-                    wsi_obs::EventData::GcSweep {
-                        versions: stats.versions_dropped + stats.aborted_removed,
-                        keys: stats.keys_removed,
-                    },
-                );
-            }
+            obs.journal.record(
+                0,
+                wsi_obs::EventData::GcSweep {
+                    versions: stats.versions_dropped + stats.aborted_removed,
+                    keys: stats.keys_removed,
+                },
+            );
         }
         stats
     }
@@ -2094,15 +2092,13 @@ impl ArenaStore {
         if let Some(obs) = &self.obs {
             self.refresh_reclamation_gauges(obs);
             if advanced || !expired.is_empty() {
-                if let Some(journal) = &obs.journal {
-                    journal.record(
-                        0,
-                        wsi_obs::EventData::EpochAdvance {
-                            epoch: global,
-                            freed: expired.len() as u64,
-                        },
-                    );
-                }
+                obs.journal.record(
+                    0,
+                    wsi_obs::EventData::EpochAdvance {
+                        epoch: global,
+                        freed: expired.len() as u64,
+                    },
+                );
             }
         }
     }

@@ -1,18 +1,20 @@
-//! The published commit index: the read path's view of transaction fates.
+//! The published commit index: the embedded store's commit table (§2.2),
+//! the one place a transaction's fate is kept.
 //!
-//! The status oracle decides commits under its `lastCommit` shard locks;
-//! readers must not contend on those for every version they resolve. This
-//! mirror of the commit table is read under a cheap shared lock. What
-//! guarantees a transaction that begins after a commit observes it depends
-//! on the durability mode: immediately-published commits issue their commit
-//! timestamp *inside* this index's write lock
-//! ([`CommitIndex::record_commit_with`]), while sync-durable commits are
-//! published post-flush behind the pipeline's snapshot-stability gate.
+//! The status oracle decides commits under its `lastCommit` shard locks and
+//! keeps no per-transaction state; readers must not contend on those locks
+//! for every version they resolve. This table is read under a cheap shared
+//! lock and pruned by [`crate::Db::gc`]. What guarantees a transaction that
+//! begins after a commit observes it depends on the durability mode:
+//! immediately-published commits issue their commit timestamp *inside* this
+//! index's write lock ([`CommitIndex::record_commit_with`]), while
+//! sync-durable commits are published post-flush behind the pipeline's
+//! snapshot-stability gate.
 //!
 //! This corresponds to the paper's client-side replication of commit
 //! timestamps (§2.2: "to avoid additional calls into the status oracle
 //! server … they could be … replicated on the clients") — in an embedded
-//! store every thread is a client, and this index is the replica they share.
+//! store every thread is a client, so the shared replica is the only copy.
 
 use parking_lot::RwLock;
 use wsi_core::{CommitTable, Timestamp, TxnStatus};

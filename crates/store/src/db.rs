@@ -58,7 +58,7 @@ use crate::{
     obs::{ArenaObs, StoreObs},
     pipeline::{CommitPipeline, PublishCtx},
     record::{self, StoreRecord},
-    registry::ActiveTxnRegistry,
+    registry::{ActiveTxnRegistry, OwnLine},
     snapshot::Snapshot,
     txn::Transaction,
 };
@@ -125,25 +125,15 @@ pub struct DbOptions {
     pub last_commit_capacity: Option<usize>,
     /// WAL replication/batching shape (ignored under [`Durability::None`]).
     pub wal: LedgerConfig,
-    /// Whether to attach the observability layer (metric registry, latency
-    /// histograms, flight-recorder journal). On by default; turning it off
-    /// removes every histogram record and journal event from the hot path,
-    /// leaving only the plain activity counters that back [`Db::stats`].
+    /// Whether to attach the observability layer: the metric registry, the
+    /// latency histograms and the flight-recorder journal
+    /// ([`wsi_obs::Journal`], backing [`Db::explain_abort`]) — all of it or
+    /// none of it. On by default; turning it off removes every clock read,
+    /// histogram record and journal event from the hot path, leaving only
+    /// the plain activity counters that back [`Db::stats`]. It is the
+    /// obs-on / obs-off axis along which the cost of observability is
+    /// measured end to end.
     pub obs: bool,
-    /// If set, [`Db::run`]'s retry backoff draws its jitter from a shared
-    /// counter seeded here instead of the wall clock, making retry pauses a
-    /// pure function of the seed and the draw order — required for
-    /// deterministic simulation (wsi-dst). `None` (the default) keeps the
-    /// clock-scrambled jitter, which decorrelates real concurrent retriers
-    /// better.
-    pub retry_seed: Option<u64>,
-    /// Whether to attach the flight-recorder journal (see
-    /// [`wsi_obs::Journal`]): a fixed-capacity lock-free ring of lifecycle
-    /// events backing [`Db::explain_abort`]. On by default; only active when
-    /// [`DbOptions::obs`] is also on. Turning it off removes every
-    /// `Journal::record` call from the hot path, which is what the
-    /// `trace_overhead` benchmark compares.
-    pub journal: bool,
 }
 
 impl DbOptions {
@@ -156,16 +146,7 @@ impl DbOptions {
             last_commit_capacity: None,
             wal: LedgerConfig::local_sync(),
             obs: true,
-            retry_seed: None,
-            journal: true,
         }
-    }
-
-    /// Seeds the retry backoff jitter (see [`DbOptions::retry_seed`]).
-    #[must_use]
-    pub fn seeded_retries(mut self, seed: u64) -> Self {
-        self.retry_seed = Some(seed);
-        self
     }
 
     /// Enables or disables the observability layer (see
@@ -173,14 +154,6 @@ impl DbOptions {
     #[must_use]
     pub fn with_obs(mut self, enabled: bool) -> Self {
         self.obs = enabled;
-        self
-    }
-
-    /// Enables or disables the flight-recorder journal (see
-    /// [`DbOptions::journal`]).
-    #[must_use]
-    pub fn with_journal(mut self, enabled: bool) -> Self {
-        self.journal = enabled;
         self
     }
 
@@ -267,8 +240,10 @@ pub(crate) struct DbInner {
     /// [`DbOptions::with_obs`]`(false)`.
     pub(crate) obs: Option<Arc<StoreObs>>,
     /// Write commits since the last watermark-hint refresh (see
-    /// [`WATERMARK_HINT_EVERY`]).
-    wm_tick: AtomicU64,
+    /// [`WATERMARK_HINT_EVERY`]). Every committer bumps it, so it must not
+    /// share a line with the read-mostly fields around it, wherever the
+    /// compiler sorts them.
+    wm_tick: OwnLine<AtomicU64>,
     /// Whether the most recent [`Db::run`] outcome was [`TxnReport::CLEAN`]
     /// — almost every one is, and then this flag is the whole report, so
     /// the hot path takes no lock: one load, and a store only when the
@@ -279,10 +254,6 @@ pub(crate) struct DbInner {
     /// together with that flag under this lock.
     last_report: Mutex<Option<TxnReport>>,
     epoch: Instant,
-    /// Jitter state for seeded retries ([`DbOptions::retry_seed`]); each
-    /// draw advances it by a Weyl increment, so pauses depend only on the
-    /// seed and the draw index.
-    backoff_state: AtomicU64,
     /// The dangerous-structure detector, present iff the level is
     /// [`IsolationLevel::SerializableSnapshot`]. Locked after the request's
     /// shard locks and before the commit index or the pipeline. Empty after
@@ -297,17 +268,6 @@ impl DbInner {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Entropy for one backoff draw: the wall clock by default, the seeded
-    /// Weyl counter when [`DbOptions::retry_seed`] is set.
-    fn backoff_entropy(&self) -> u64 {
-        if self.options.retry_seed.is_some() {
-            self.backoff_state
-                .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-        } else {
-            self.now_us()
-        }
-    }
-
     fn publish_ctx(&self) -> PublishCtx<'_> {
         PublishCtx {
             mvcc: &self.mvcc,
@@ -317,10 +277,9 @@ impl DbInner {
         }
     }
 
-    /// The flight-recorder journal, when enabled (requires both
-    /// [`DbOptions::obs`] and [`DbOptions::journal`]).
+    /// The flight-recorder journal; present iff [`DbOptions::obs`] is on.
     pub(crate) fn journal(&self) -> Option<&Journal> {
-        self.obs.as_deref().and_then(|obs| obs.journal.as_ref())
+        self.obs.as_deref().map(|obs| &obs.journal)
     }
 }
 
@@ -359,7 +318,7 @@ impl Db {
         // One journal shared by every layer: the oracle records per-row
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC/epoch advances.
-        let journal = (options.obs && options.journal).then(Journal::new);
+        let obs = options.obs.then(|| Arc::new(StoreObs::new()));
         let oracle = match options.last_commit_capacity {
             Some(cap) => {
                 ConcurrentOracle::bounded(options.isolation, ORACLE_SHARDS, cap, Arc::clone(&ts))
@@ -367,13 +326,10 @@ impl Db {
             None => ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts)),
         };
         let mut oracle = oracle.with_obs_enabled(options.obs);
-        if let Some(journal) = &journal {
-            oracle = oracle.with_journal(journal.clone());
+        if let Some(obs) = &obs {
+            oracle = oracle.with_journal(obs.journal.clone());
         }
         let counters = oracle.counters();
-        let obs = options
-            .obs
-            .then(|| Arc::new(StoreObs::new(journal.clone())));
         let (pipeline, wal_obs) = match options.durability {
             Durability::None => (None, None),
             Durability::Batched | Durability::Sync => {
@@ -394,11 +350,10 @@ impl Db {
                 wal_obs.register_in(&obs.registry);
             }
             oracle.shard_obs().register_in(&obs.registry);
-            let arena_obs = Arc::new(ArenaObs::new(journal.clone()));
+            let arena_obs = Arc::new(ArenaObs::new(obs.journal.clone()));
             arena_obs.register_in(&obs.registry);
             mvcc.attach_obs(arena_obs);
         }
-        let options_retry_seed = options.retry_seed.unwrap_or(0);
         let window = (options.isolation == IsolationLevel::SerializableSnapshot)
             .then(|| Mutex::new(SsiWindow::new()));
         Db {
@@ -415,11 +370,10 @@ impl Db {
                 counters,
                 wal_obs,
                 obs,
-                wm_tick: AtomicU64::new(0),
+                wm_tick: OwnLine(AtomicU64::new(0)),
                 last_report_clean: AtomicBool::new(false),
                 last_report: Mutex::new(None),
                 epoch: Instant::now(),
-                backoff_state: AtomicU64::new(options_retry_seed),
                 window,
             }),
         }
@@ -480,7 +434,7 @@ impl Db {
                     db.inner.mvcc.insert_versions(start_ts, writes);
                     db.inner.mvcc.stamp_commit(start_ts, commit_ts, keys.iter());
                     db.inner.index.record_commit(start_ts, commit_ts);
-                    db.inner.oracle.replay_commit(start_ts, commit_ts, &rows);
+                    db.inner.oracle.replay_commit(commit_ts, &rows);
                 }
                 StoreRecord::Abort { start_ts } => {
                     db.inner.index.record_abort(start_ts);
@@ -613,7 +567,7 @@ impl Db {
                             },
                         );
                     }
-                    let pause = backoff_us(retries as usize, self.inner.backoff_entropy());
+                    let pause = backoff_us(retries as usize, self.inner.now_us());
                     if pause > 0 {
                         std::thread::sleep(Duration::from_micros(pause));
                     }
@@ -677,7 +631,7 @@ impl Db {
         if writes.is_empty() {
             if let Some(window) = self.inner.window.as_ref() {
                 if let Err(reason) = self.admit_read_only(window, start_ts, &read_rows) {
-                    self.inner.oracle.abort_checked(start_ts, reason);
+                    self.inner.oracle.abort_checked(reason);
                     if let Some(pipeline) = &self.inner.pipeline {
                         pipeline.push_abort(start_ts);
                     }
@@ -765,7 +719,7 @@ impl Db {
                     Ok(commit_ts)
                 }
                 Err(reason) => {
-                    guard.abort_checked(start_ts, reason);
+                    guard.abort_checked(reason);
                     self.inner.index.record_abort(start_ts);
                     if let Some(pipeline) = &self.inner.pipeline {
                         pipeline.push_abort(start_ts);
@@ -1016,7 +970,7 @@ impl Db {
     /// and future snapshot, so the hint is always sound (if stale,
     /// conservative).
     fn tick_watermark_hint(&self) {
-        if self.inner.wm_tick.fetch_add(1, Ordering::Relaxed) % WATERMARK_HINT_EVERY
+        if self.inner.wm_tick.0.fetch_add(1, Ordering::Relaxed) % WATERMARK_HINT_EVERY
             == WATERMARK_HINT_EVERY - 1
         {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
@@ -1103,10 +1057,9 @@ impl Db {
             .map(|obs| wsi_obs::render_prometheus(&obs.registry))
     }
 
-    /// The flight-recorder journal, or `None` when disabled
-    /// ([`DbOptions::obs`] or [`DbOptions::journal`] off). Every layer
-    /// records into it: begins, per-row conflict-check verdicts,
-    /// commit/abort outcomes with culprit attribution, WAL
+    /// The flight-recorder journal, or `None` when [`DbOptions::obs`] is
+    /// off. Every layer records into it: begins, per-row conflict-check
+    /// verdicts, commit/abort outcomes with culprit attribution, WAL
     /// flush/publish/overturn, and GC/epoch advances.
     pub fn journal(&self) -> Option<&Journal> {
         self.inner.journal()
@@ -1115,7 +1068,7 @@ impl Db {
     /// Forensic report for an aborted transaction: the abort's cause, the
     /// committed transactions it blames (resolved through their `Commit`
     /// events), and the joined causal timeline of victim and culprits —
-    /// `None` when the journal is disabled or holds no abort for `start_ts`
+    /// `None` when observability is disabled or holds no abort for `start_ts`
     /// (e.g. already overwritten by ring wrap).
     pub fn explain_abort(&self, start_ts: Timestamp) -> Option<AbortExplanation> {
         self.inner
@@ -1124,7 +1077,7 @@ impl Db {
     }
 
     /// The journal rendered as Chrome `trace_event` JSON (load in
-    /// `chrome://tracing` or Perfetto), or `None` when the journal is
+    /// `chrome://tracing` or Perfetto), or `None` when observability is
     /// disabled.
     pub fn journal_chrome_trace(&self) -> Option<String> {
         self.inner

@@ -47,14 +47,13 @@ pub(crate) struct StoreObs {
     /// Active-transaction registry shard acquisitions that found the shard
     /// lock already held (begin-path contention).
     pub(crate) registry_contention: Counter,
-    /// The flight recorder: an always-on ring journal of lifecycle events
-    /// (see [`wsi_obs::Journal`]); `None` when disabled via
-    /// [`crate::DbOptions::journal`].
-    pub(crate) journal: Option<Journal>,
+    /// The flight recorder: a ring journal of lifecycle events (see
+    /// [`wsi_obs::Journal`]), one per database, shared by every layer.
+    pub(crate) journal: Journal,
 }
 
 impl StoreObs {
-    pub(crate) fn new(journal: Option<Journal>) -> Self {
+    pub(crate) fn new() -> Self {
         let obs = StoreObs {
             registry: Registry::new(),
             txn_us: Histogram::new(),
@@ -67,7 +66,7 @@ impl StoreObs {
             follower_commits: Counter::new(),
             sync_group_size: Histogram::new(),
             registry_contention: Counter::new(),
-            journal,
+            journal: Journal::new(),
         };
         let r = &obs.registry;
         r.register_histogram("store_txn_us", &obs.txn_us);
@@ -149,11 +148,11 @@ pub(crate) struct ArenaObs {
     /// drain.
     pub(crate) packed_occupancy: Histogram,
     /// Flight-recorder handle for GC-sweep and epoch-advance events.
-    pub(crate) journal: Option<Journal>,
+    pub(crate) journal: Journal,
 }
 
 impl ArenaObs {
-    pub(crate) fn new(journal: Option<Journal>) -> Self {
+    pub(crate) fn new(journal: Journal) -> Self {
         ArenaObs {
             epoch: Gauge::new(),
             retired: Counter::new(),

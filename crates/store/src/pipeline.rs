@@ -136,10 +136,9 @@ impl CommitPipeline {
         }
     }
 
-    /// The flight-recorder journal, when the observability layer carries
-    /// one.
+    /// The flight-recorder journal, when the observability layer is on.
     fn journal(&self) -> Option<&Journal> {
-        self.obs.as_deref().and_then(|obs| obs.journal.as_ref())
+        self.obs.as_deref().map(|obs| &obs.journal)
     }
 
     /// Issues the commit timestamp and enqueues a decided sync commit, as
@@ -430,9 +429,6 @@ impl CommitPipeline {
                 // on a minority of bookies, so compensating abort records —
                 // appended to the retained buffer — overrule them at
                 // recovery. Owners remove their own invisible versions.
-                for c in &commits {
-                    ctx.oracle.abort_after_decide(c.start_ts);
-                }
                 if let Some(window) = ctx.window {
                     let mut window = window.lock();
                     for c in &commits {
@@ -440,6 +436,7 @@ impl CommitPipeline {
                     }
                 }
                 for c in &commits {
+                    ctx.oracle.abort_after_decide();
                     ctx.index.record_abort(c.start_ts);
                     ledger.append(record::encode_abort(c.start_ts), now_us);
                     if let Some(journal) = self.journal() {

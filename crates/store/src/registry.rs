@@ -29,7 +29,7 @@ pub(crate) const SHARDS: usize = 16;
 /// invalidate a line other threads read for something else.
 #[derive(Debug)]
 #[repr(align(64))]
-struct OwnLine<T>(T);
+pub(crate) struct OwnLine<T>(pub(crate) T);
 
 /// Striped set of active start timestamps.
 #[derive(Debug)]

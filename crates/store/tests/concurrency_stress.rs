@@ -38,11 +38,13 @@ fn increment(db: &Db, key: &[u8]) {
 /// N threads × M read-modify-write increments of one counter must observe
 /// every predecessor: the final value equals the number of successful
 /// commits. Lost updates here would mean a conflict-check or publication
-/// race in the decoupled commit path.
-fn no_lost_updates(isolation: IsolationLevel, durability: Durability) {
+/// race in the decoupled commit path. `obs` is the observability switch: the
+/// herd's outcome may not depend on it, and the whole layer — registry,
+/// journal, abort forensics — is there or gone with it.
+fn no_lost_updates(isolation: IsolationLevel, durability: Durability, obs: bool) {
     const THREADS: usize = 8;
     const INCREMENTS: u64 = 50;
-    let mut options = DbOptions::new(isolation);
+    let mut options = DbOptions::new(isolation).with_obs(obs);
     match durability {
         Durability::None => {}
         Durability::Batched => {
@@ -63,6 +65,21 @@ fn no_lost_updates(isolation: IsolationLevel, durability: Durability) {
     });
 
     assert_eq!(counter_value(&db, b"counter"), THREADS as u64 * INCREMENTS);
+
+    // One more conflict, whose victim is known by timestamp.
+    let mut winner = db.begin();
+    let mut victim = db.begin();
+    for t in [&mut winner, &mut victim] {
+        t.get(b"contested");
+        t.put(b"contested", b"mine");
+    }
+    let victim_ts = victim.start_ts();
+    winner.commit().expect("first committer wins");
+    assert!(matches!(victim.commit(), Err(Error::Aborted(_))));
+    assert_eq!(db.journal().is_some(), obs);
+    assert_eq!(db.obs_registry().is_some(), obs);
+    assert_eq!(db.explain_abort(victim_ts).is_some(), obs);
+
     let stats = db.stats();
     assert_eq!(stats.active_transactions, 0, "every txn deregistered");
     // Every begin resolved exactly one way; the ledger of fates must balance.
@@ -75,32 +92,37 @@ fn no_lost_updates(isolation: IsolationLevel, durability: Durability) {
 
 #[test]
 fn wsi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::None);
+    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::None, true);
 }
 
 #[test]
 fn si_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::Snapshot, Durability::None);
+    no_lost_updates(IsolationLevel::Snapshot, Durability::None, true);
 }
 
 #[test]
 fn wsi_counter_has_no_lost_updates_batched_wal() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Batched);
+    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Batched, true);
 }
 
 #[test]
 fn wsi_counter_has_no_lost_updates_sync_wal() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync);
+    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync, true);
+}
+
+#[test]
+fn wsi_counter_has_no_lost_updates_sync_wal_without_obs() {
+    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync, false);
 }
 
 #[test]
 fn ssi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::None);
+    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::None, true);
 }
 
 #[test]
 fn ssi_counter_has_no_lost_updates_sync_wal() {
-    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::Sync);
+    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::Sync, true);
 }
 
 /// The paper's §3.1 constraint on real threads: `x + y ≥ 0` from `x = y =

@@ -185,6 +185,32 @@ fn lifecycle_counters_reconcile_across_layers() {
     assert_eq!(parsed, snap);
 }
 
+/// The paper's §6.3 cost claim on the embedded store: WSI certifies the read
+/// set where SI certifies the write set and both record the write set, so a
+/// conflict-free read-2-write-1 transaction checks exactly twice the rows
+/// under WSI and records the same number under both.
+#[test]
+fn wsi_checks_twice_the_rows_si_checks_and_records_the_same() {
+    const TXNS: u64 = 200;
+    for (isolation, checked_per_txn) in [
+        (IsolationLevel::Snapshot, 1),
+        (IsolationLevel::WriteSnapshot, 2),
+    ] {
+        let db = Db::open(DbOptions::new(isolation));
+        for i in 0..TXNS {
+            let mut txn = db.begin();
+            let _ = txn.get((2 * i).to_be_bytes().as_slice());
+            let _ = txn.get((2 * i + 1).to_be_bytes().as_slice());
+            txn.put((2 * i).to_be_bytes().as_slice(), b"v");
+            txn.commit().expect("one thread: nothing to conflict with");
+        }
+        let oracle = db.stats().oracle;
+        assert_eq!(oracle.commits, TXNS, "{isolation:?}");
+        assert_eq!(oracle.rows_checked, checked_per_txn * TXNS, "{isolation:?}");
+        assert_eq!(oracle.rows_recorded, TXNS, "{isolation:?}");
+    }
+}
+
 /// Identity 6: chain-migration metrics reconcile. A hot-key
 /// workload long enough to cross the migration threshold must export
 /// `store_chain_migrations_total` equal to `ReclamationStats::migrations`,

@@ -3,12 +3,9 @@
 #
 #   scripts/tier1.sh
 #
-# Checks formatting, builds the workspace in release mode (the benches
-# depend on it), runs the full test suite, holds the code to a
-# warning-free clippy bar, and emits a metrics snapshot artifact from a
-# short instrumented bench run (BENCH_store_concurrency_metrics.{json,prom})
-# so every gate run leaves behind an inspectable picture of the commit
-# path's counters and latency histograms.
+# Checks formatting, builds the workspace in release mode (the stress
+# suites and smokes below depend on it), runs the full test suite and holds
+# the code to a warning-free clippy bar.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,7 +28,7 @@ cargo test -q --release -p wsi-store --test oracle_stress --test concurrency_str
 # One commit-decision backend: fail if a deleted oracle, option, metric
 # family, journal event or DST engine reappears.
 if grep -rnE 'OracleMode|serial_oracle|batched_oracle|oracle_shards\b|BatchedOracle|EpochPublisher|EpochObs|oracle_epoch|PendingBatches|push_sync_group|record_commits_with|WsiBatched|wsi-batched|EpochSeal|EpochPublish' \
-    crates/ src/ tests/ examples/ scripts/bench_smoke.sh; then
+    crates/ src/ tests/ examples/; then
     echo "error: a deleted commit-oracle backend, option or event is back (see above)" >&2
     exit 1
 fi
@@ -60,15 +57,14 @@ if grep -rnE 'StoreLayout|store_shards|store_layout|arena_adaptive|prune_chain_l
     exit 1
 fi
 
-# Version-store bench smoke: the packed-node claim/seal/spill/consolidate
-# protocol must drain a contended multi-thread sweep end-to-end (a
-# liveness bug in seal's claim-drain spin or the consolidation splice
-# hangs here, not in the single-threaded unit tests). Scratch dir so the
-# reduced-scale artifact never clobbers the committed full-scale one.
-mvcc_scaling_bin="$(pwd)/target/release/mvcc_scaling"
-mvcc_scratch="$(mktemp -d)"
-(cd "$mvcc_scratch" && "$mvcc_scaling_bin" 100 5 >/dev/null)
-rm -rf "$mvcc_scratch"
+# One store benchmark, one observability switch: fail if a bench family
+# `txn_e2e` superseded, a `DbOptions` knob that served only those benches or
+# the oracle's second commit table reappears.
+if grep -rnE 'store_concurrency|mvcc_scaling|trace_overhead|bench_smoke|seeded_retries|retry_seed|backoff_state|STATUS_SHARDS|status_shard' \
+    crates/ src/ tests/ examples/ .claude/; then
+    echo "error: a retired bench family, DbOptions knob or commit table is back (see above)" >&2
+    exit 1
+fi
 
 # End-to-end benchmark smoke: one second's worth of `uniform_complex_1t`
 # through the whole begin → get/put → commit → GC loop, traced. The binary
@@ -106,9 +102,5 @@ cargo test -q -p wsi-store --test obs_reconcile
 cargo test -q -p wsi-store --test explain_abort
 cargo test -q -p wsi-store --test retry_report
 
-# Metrics snapshot artifact: small op count — this is an exposition smoke
-# test, not a benchmark run.
-./target/release/store_concurrency 200 0
-
-# Every bench harness still runs and emits parseable artifacts.
-scripts/bench_smoke.sh
+# The figure harness (the paper's reproduction on the simulator) still runs.
+./target/release/figures m1 >/dev/null
