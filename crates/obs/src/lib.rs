@@ -25,9 +25,6 @@
 //!   WAL flush, publish, GC/epoch advance, and aborts with culprit
 //!   attribution), with [`Journal::explain_abort`] forensics and a Chrome
 //!   `trace_event` exporter.
-//! * [`Rollup`] — windowed time-series rollups: per-interval counter
-//!   deltas and histogram-delta latency percentiles from consecutive
-//!   registry snapshots.
 //! * [`Snapshot`] — point-in-time exposition: [`Snapshot::render_prometheus`]
 //!   (text format, parseable back via [`Snapshot::parse_prometheus`]) and
 //!   [`Snapshot::render_json`].
@@ -60,7 +57,6 @@ mod hist;
 mod journal;
 mod metric;
 mod registry;
-mod rollup;
 
 pub use expo::{ParseError, Snapshot};
 pub use hist::{ExactHistogram, Histogram, HistogramSnapshot, BUCKETS};
@@ -69,7 +65,6 @@ pub use journal::{
 };
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
-pub use rollup::{Rollup, Window};
 
 /// Takes a point-in-time [`Snapshot`] of every metric in `registry`.
 ///

@@ -153,7 +153,7 @@ proptest! {
     /// Interval deltas reconstruct exactly: recording A then B, the delta
     /// between the cumulative snapshots equals a histogram that saw only B
     /// (buckets, count; min/max within bucket resolution) — the identity
-    /// windowed rollups rely on.
+    /// a per-interval percentile relies on.
     #[test]
     fn delta_since_recovers_the_interval(
         a in vec(1u64..1_000_000, 0..40),

@@ -896,7 +896,7 @@ pub struct ArenaStore {
     /// Thread-sharded; exact at every quiescent point.
     keys: wsi_obs::Counter,
     /// Live published versions: bumped at publish, dropped at unlink and
-    /// dead-mark (migration and consolidation move versions, net zero).
+    /// dead-mark (migration moves versions, net zero).
     /// Thread-sharded; exact at every quiescent point.
     versions: wsi_obs::Counter,
     /// Indices of dirty key entries, awaiting the next GC sweep. An entry
@@ -1030,22 +1030,11 @@ impl ArenaStore {
                 }
             }
         }
-        match published {
-            Loc::Single(_) => {
-                let singles = entry.singles.fetch_add(1, Ordering::Relaxed) + 1;
-                if singles >= MIGRATE_SINGLES {
-                    self.migrate_entry(entry);
-                    // Migration prepends a HEAD_BUILD-full node to the
-                    // packed tail; merge the accumulated underfull ones.
-                    self.consolidate_entry(entry);
-                }
+        if let Loc::Single(_) = published {
+            let singles = entry.singles.fetch_add(1, Ordering::Relaxed) + 1;
+            if singles >= MIGRATE_SINGLES {
+                self.migrate_entry(entry);
             }
-            // A spill grew the chain by a node (once per ~PACK_CAP
-            // publishes on a hot key): fold the cold tail's claim
-            // regions back into fully sorted nodes so reads keep their
-            // in-node binary search.
-            Loc::Packed(p, _) if spill == Some(p) => self.consolidate_entry(entry),
-            Loc::Packed(..) => {}
         }
     }
 
@@ -1357,200 +1346,6 @@ impl ArenaStore {
         if let Some(obs) = &self.obs {
             obs.migrations.inc();
         }
-    }
-
-    /// Folds the cold packed tail of a chain back into full, sorted nodes.
-    /// Two degradations feed it:
-    ///
-    /// * **Spill nodes** are born with a one-entry sorted prefix and fill
-    ///   through claims, so without this pass a long-lived hot chain
-    ///   converges to a linear claim scan in every node and the in-node
-    ///   binary search stops paying.
-    /// * **Migrated nodes** are built [`HEAD_BUILD`]-full (spare capacity
-    ///   for claims that only arrive if the node becomes the head), so a
-    ///   chain whose head keeps cycling through fresh singles accumulates
-    ///   half-empty sorted nodes and twice the hops per lookup.
-    ///
-    /// Triggered once per spill and once per migration — both once per
-    /// ~[`PACK_CAP`] publishes on a hot key — so for prune-bounded chains
-    /// the copy cost amortizes to O(1) per publish.
-    ///
-    /// Candidates are every packed node except a packed chain *head* (the
-    /// claim target). The rebuilt run starts at the first candidate that
-    /// leaks live entries past its sorted prefix or is underfull with a
-    /// successor, and extends to the end of the tail; it is rebuilt only if
-    /// it contains a leak or the rebuild saves at least one node. Each run
-    /// node is sealed — late claims (from publishers that loaded the node
-    /// while it was still the head) are locked out, in-flight ones waited
-    /// for — and is movable only if every live entry it holds is stamped:
-    /// stamped entries are immutable, so copying them cannot race
-    /// `stamp_commit`, while a node holding an unstamped entry must stay in
-    /// place (stamps land by position) and pushes the run start past it.
-    /// Sealed-but-kept nodes are benign: stamps and reads still work; only
-    /// claims are refused, and non-head nodes receive none.
-    ///
-    /// The rebuilt run replaces the old one with a single `Release` store
-    /// on its predecessor's link (attach-then-unlink as in
-    /// [`Self::migrate_entry`]): a reader standing in the old run keeps its
-    /// forward view through the old links until the epoch reclaimer frees
-    /// the retired nodes (DESIGN.md §6).
-    fn consolidate_entry(&self, entry: &KeyEntry) {
-        let _guard = entry.lock.lock();
-        // Walk the singles prefix (chain shape is S* P*), remembering the
-        // handle whose link precedes the first candidate.
-        let head = entry.head.load(Ordering::Acquire);
-        let mut cur = head;
-        let mut last_single = NULL_VIDX;
-        while cur != NULL_VIDX && !is_packed(cur) {
-            last_single = cur;
-            cur = self.arena.slot(cur).next.load(Ordering::Acquire);
-        }
-        if cur == NULL_VIDX {
-            return;
-        }
-        let first_pred = if cur == head {
-            // Packed head: it is the claim target, skip it.
-            cur = self.packed.node(cur).next.load(Ordering::Acquire);
-            head
-        } else {
-            last_single
-        };
-        let mut tail: Vec<u64> = Vec::new();
-        while cur != NULL_VIDX {
-            if !is_packed(cur) {
-                return; // mid-chain single: lost a race with a restructure
-            }
-            tail.push(cur);
-            cur = self.packed.node(cur).next.load(Ordering::Acquire);
-        }
-        let leaks = |h: u64| {
-            let node = self.packed.node(h);
-            let sorted = node.sorted.load(Ordering::Relaxed) as usize;
-            let sorted_mask = ((1u64 << sorted) - 1) as u32;
-            self.live_mask(node) & !sorted_mask != 0
-        };
-        let live_count = |h: u64| self.live_mask(self.packed.node(h)).count_ones() as usize;
-        // Fully-sorted full nodes are left alone — rebuilding them would be
-        // pure churn. An underfull *last* node is the legitimate remainder.
-        let Some(first_worthy) = (0..tail.len())
-            .find(|&i| leaks(tail[i]) || (live_count(tail[i]) < PACK_CAP && i + 1 < tail.len()))
-        else {
-            return;
-        };
-        // Cheap pre-gate before any sealing: non-head nodes gain no new
-        // claims, so live counts only shrink and this estimate of the
-        // rebuild's node savings is an upper bound. Refused runs (the
-        // common per-spill case: a full tail that is merely unsorted) cost
-        // one chain walk and no seals.
-        {
-            let estimate: usize = tail[first_worthy..].iter().map(|&h| live_count(h)).sum();
-            if (tail.len() - first_worthy).saturating_sub(estimate.div_ceil(PACK_CAP)) < 2 {
-                return;
-            }
-        }
-        // Seal the run and verify it is movable; an unstamped live entry
-        // (checked post-seal, so the entry set is final) keeps its node in
-        // the chain and pushes the start of the rebuilt run past it.
-        let mut start = first_worthy;
-        let mut ready_masks: Vec<u32> = Vec::new();
-        for (i, &h) in tail[first_worthy..].iter().enumerate() {
-            let node = self.packed.node(h);
-            let ready = Self::seal(node);
-            ready_masks.push(ready);
-            let live = ready & !(node.dead.load(Ordering::Acquire) as u32);
-            for j in 0..PACK_CAP {
-                if live & (1 << j) != 0 && node.cts[j].load(Ordering::Acquire) == 0 {
-                    start = first_worthy + i + 1;
-                    break;
-                }
-            }
-        }
-        if start >= tail.len() {
-            return;
-        }
-        let run = &tail[start..];
-        let total_live: usize = run.iter().map(|&h| live_count(h)).sum();
-        let saved = run.len().saturating_sub(total_live.div_ceil(PACK_CAP));
-        // Rebuild only when it shortens the chain by at least two nodes.
-        // Sorting a full spill tail *without* shrinking it measured as a
-        // net loss (the high-contention read-heavy cell drops 6–12% when
-        // the pass fires per spill): snapshot reads are dominated by the
-        // newest versions near the head, so in-node binary search on the
-        // cold tail cannot repay a per-spill copy + retire of the whole
-        // run. Fewer hops can — this gate makes the pass a compaction of
-        // underfull migrated nodes and prune-sparsified nodes only.
-        if saved < 2 {
-            return;
-        }
-        // Collect the run's live entries, newest first (ties broken by
-        // writer start for determinism, as in migration).
-        let mut entries: Vec<(u64, u64, Option<Bytes>)> = Vec::new();
-        for &h in run {
-            let node = self.packed.node(h);
-            let live = self.live_mask(node);
-            for j in 0..PACK_CAP {
-                if live & (1 << j) != 0 {
-                    entries.push((
-                        node.ws[j].load(Ordering::Relaxed),
-                        node.cts[j].load(Ordering::Acquire),
-                        node.vals[j].lock().clone(),
-                    ));
-                }
-            }
-        }
-        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-        // Rebuild as full sorted nodes (cold tails need no claim room) and
-        // wire the replacement run to the first kept node after the run.
-        let keep_next = self
-            .packed
-            .node(*tail.last().expect("run is non-empty"))
-            .next
-            .load(Ordering::Acquire);
-        let mut nodes: Vec<u64> = Vec::new();
-        let mut off = 0;
-        while off < entries.len() {
-            let take = PACK_CAP.min(entries.len() - off);
-            nodes.push(self.packed.alloc_built(&entries[off..off + take]));
-            off += take;
-        }
-        for w in nodes.windows(2) {
-            self.packed.node(w[0]).next.store(w[1], Ordering::Relaxed);
-        }
-        if let Some(&last) = nodes.last() {
-            self.packed
-                .node(last)
-                .next
-                .store(keep_next, Ordering::Relaxed);
-        }
-        let new_first = nodes.first().copied().unwrap_or(keep_next);
-        // Attach, then unlink: the old run drops out of the chain with one
-        // predecessor-link store; its internal links stay intact for any
-        // reader still standing inside it.
-        let pred = if start == 0 {
-            first_pred
-        } else {
-            tail[start - 1]
-        };
-        if is_packed(pred) {
-            self.packed
-                .node(pred)
-                .next
-                .store(new_first, Ordering::Release);
-        } else {
-            self.arena
-                .slot(pred)
-                .next
-                .store(new_first, Ordering::Release);
-        }
-        self.packed_retired
-            .fetch_add(run.len() as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            for &ready in &ready_masks[start - first_worthy..] {
-                obs.packed_occupancy.record(ready.count_ones() as u64);
-            }
-        }
-        self.retire_all(run);
-        self.reset_len(entry);
     }
 
     /// Unlinks every packed node whose live set is empty, appending it to
@@ -2383,30 +2178,6 @@ mod tests {
             SnapshotRead::Absent,
             "snapshot at the first commit sees nothing (strict <)"
         );
-    }
-
-    #[test]
-    fn spills_trigger_consolidation_of_the_cold_tail() {
-        let store = ArenaStore::new();
-        // Enough stamped writes for several spills past the first
-        // migration, so the cold tail accumulates unsorted spill nodes
-        // and the consolidation pass has work to do.
-        hammer(&store, "hot", 80);
-        let rec = store.reclamation();
-        assert!(rec.migrations >= 1);
-        assert!(
-            rec.packed_retired > 0,
-            "consolidation retires rebuilt spill nodes without any gc"
-        );
-        assert_eq!(rec.retired, rec.freed + rec.limbo);
-        assert_eq!(store.version_count(), 80, "no version lost or duplicated");
-        for i in 1..=80u64 {
-            assert_eq!(
-                store.read(b"hot", Timestamp(2 * i + 1), &resolver_none),
-                SnapshotRead::Value(b(&format!("v{i}"))),
-                "snapshot just after commit {i}"
-            );
-        }
     }
 
     #[test]

@@ -33,11 +33,10 @@ impl CommitIndex {
         Self::default()
     }
 
-    /// Publishes a commit. For non-durable and batched-durability databases
-    /// this happens at decide time (see [`CommitIndex::record_commit_with`]);
-    /// under `Durability::Sync` the group-commit leader calls it only after
-    /// the commit's batch reached its write quorum — the visibility flip
-    /// waits for durability.
+    /// Publishes a commit. Without a WAL this happens at decide time (see
+    /// [`CommitIndex::record_commit_with`]); with one, the group-commit
+    /// leader calls it only after the commit's batch reached its write
+    /// quorum — the visibility flip waits for durability.
     pub fn record_commit(&self, start_ts: Timestamp, commit_ts: Timestamp) {
         self.inner.write().record_commit(start_ts, commit_ts);
     }

@@ -14,11 +14,12 @@
 //!   shared atomic counter via the lock-striped
 //!   [`registry::ActiveTxnRegistry`], with §6.2 batched reservation records
 //!   amortizing WAL writes for the counter.
-//! * WAL append + flush run in the [`pipeline::CommitPipeline`] *after* the
-//!   shard locks are released — group-commit with a leader/follower
-//!   protocol. Under [`Durability::Sync`] a commit becomes visible only once
-//!   its batch is durable; a quorum loss overturns the decision before any
-//!   reader could observe it.
+//! * With a WAL ([`DbOptions::durable`]), append + flush run in the
+//!   [`pipeline::CommitPipeline`] *after* the shard locks are released —
+//!   group-commit with a leader/follower protocol. A commit becomes visible
+//!   and is acknowledged only once its batch is durable; a quorum loss
+//!   overturns the decision before any reader could observe it. Without a
+//!   WAL a commit is published at decide time.
 //! * Read-only commits and rollbacks touch no lock at all beyond their
 //!   registry shard.
 //! * [`IsolationLevel::SerializableSnapshot`] is the same engine with one
@@ -32,9 +33,7 @@
 //! The lock hierarchy is strict and acyclic: `lastCommit` shard locks (in
 //! ascending index order), then the SSI window, may be held while taking
 //! the commit index's write lock or the pipeline's queue lock, never the
-//! reverse; the oracle's status-table locks nest innermost and are never
-//! held across another acquisition. See `DESIGN.md` for the full protocol
-//! argument.
+//! reverse. See `DESIGN.md` for the full protocol argument.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,25 +77,6 @@ const BACKOFF_BASE_US: u64 = 20;
 /// Backoff ceiling doubles at most this many times (20 µs → 1.28 ms).
 const BACKOFF_MAX_SHIFT: usize = 6;
 
-/// When commit decisions are persisted to the write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// No WAL at all; a crash loses everything. Fastest; right for caches
-    /// and for simulations that model durability elsewhere.
-    None,
-    /// Commit records are appended to the WAL and flushed in batches (the
-    /// paper's Appendix A policy: 1 KB or 5 ms). A commit is acknowledged at
-    /// decide time, up to one batch window before it is durable — the group
-    /// commit trade-off. Flush errors consequently never fail a commit; they
-    /// surface from [`Db::flush_wal`].
-    Batched,
-    /// Every commit waits for its batch to reach a write quorum before it is
-    /// acknowledged *or made visible to readers*. The flush itself happens
-    /// outside the commit critical section (group commit with a leader), so
-    /// concurrent committers share replication round-trips.
-    Sync,
-}
-
 /// `lastCommit` shard count of the commit oracle.
 const ORACLE_SHARDS: usize = 16;
 
@@ -118,13 +98,17 @@ pub struct DbOptions {
     /// conflict and no dangerous structure
     /// ([`IsolationLevel::SerializableSnapshot`], serializable).
     pub isolation: IsolationLevel,
-    /// WAL persistence mode.
-    pub durability: Durability,
+    /// The write-ahead log's replication/batching shape, or `None` for no
+    /// WAL at all: a crash loses everything — fastest; right for caches and
+    /// for simulations that model durability elsewhere. With a WAL, every
+    /// commit waits for its batch to reach a write quorum before it is
+    /// acknowledged *or made visible to readers*; the flush happens outside
+    /// the commit critical section (group commit with a leader), so
+    /// concurrent committers share replication round-trips.
+    pub wal: Option<LedgerConfig>,
     /// If set, bound the oracle's `lastCommit` table to this many resident
     /// rows (Algorithm 3 with `T_max`); `None` keeps exact state.
     pub last_commit_capacity: Option<usize>,
-    /// WAL replication/batching shape (ignored under [`Durability::None`]).
-    pub wal: LedgerConfig,
     /// Whether to attach the observability layer: the metric registry, the
     /// latency histograms and the flight-recorder journal
     /// ([`wsi_obs::Journal`], backing [`Db::explain_abort`]) — all of it or
@@ -142,9 +126,8 @@ impl DbOptions {
     pub fn new(isolation: IsolationLevel) -> Self {
         DbOptions {
             isolation,
-            durability: Durability::None,
+            wal: None,
             last_commit_capacity: None,
-            wal: LedgerConfig::local_sync(),
             obs: true,
         }
     }
@@ -157,17 +140,10 @@ impl DbOptions {
         self
     }
 
-    /// Enables synchronous durability with the given ledger shape.
+    /// Attaches a write-ahead log of the given shape (see
+    /// [`DbOptions::wal`]).
     pub fn durable(mut self, wal: LedgerConfig) -> Self {
-        self.durability = Durability::Sync;
-        self.wal = wal;
-        self
-    }
-
-    /// Enables batched (group-commit) durability with the given ledger shape.
-    pub fn durable_batched(mut self, wal: LedgerConfig) -> Self {
-        self.durability = Durability::Batched;
-        self.wal = wal;
+        self.wal = Some(wal);
         self
     }
 
@@ -211,11 +187,8 @@ pub struct DbStats {
     pub keys: usize,
     /// Total stored versions.
     pub versions: usize,
-    /// WAL write-path counters; all zero when `wal_enabled` is `false`.
+    /// WAL write-path counters; all zero without a WAL.
     pub wal: LedgerStats,
-    /// Whether a WAL is attached ([`Durability::Batched`] or
-    /// [`Durability::Sync`]).
-    pub wal_enabled: bool,
 }
 
 pub(crate) struct DbInner {
@@ -330,19 +303,15 @@ impl Db {
             oracle = oracle.with_journal(obs.journal.clone());
         }
         let counters = oracle.counters();
-        let (pipeline, wal_obs) = match options.durability {
-            Durability::None => (None, None),
-            Durability::Batched | Durability::Sync => {
+        let (pipeline, wal_obs) = options
+            .wal
+            .map(|config| {
                 let wal_obs = LedgerObs::default();
-                let mut ledger = Ledger::open(options.wal);
+                let mut ledger = Ledger::open(config);
                 ledger.attach_obs(wal_obs.clone());
-                let sync = options.durability == Durability::Sync;
-                (
-                    Some(CommitPipeline::new(sync, ledger, obs.clone())),
-                    Some(wal_obs),
-                )
-            }
-        };
+                (CommitPipeline::new(ledger, obs.clone()), wal_obs)
+            })
+            .unzip();
         let mut mvcc = ArenaStore::new();
         if let Some(obs) = &obs {
             counters.register_in(&obs.registry);
@@ -382,9 +351,11 @@ impl Db {
     /// Rebuilds a database from a recovered write-ahead log.
     ///
     /// `ledger` is the surviving replicated log (see [`Db::wal_snapshot`]).
-    /// Replay runs in two passes: the first collects compensating `Abort`
-    /// records (written when a sync batch lost its quorum after the commits
-    /// were decided), the second replays commits in commit order — skipping
+    /// Commit records reach the log in commit-timestamp order: the timestamp
+    /// is issued under the pipeline lock that also orders the queue. Replay
+    /// runs in two passes: the first collects compensating `Abort` records
+    /// (written when a batch lost its quorum after the commits were
+    /// decided), the second replays commits in that order — skipping
     /// overturned ones, whose records may survive on a minority of bookies
     /// even though they were never acknowledged — plus aborts and timestamp
     /// reservations. In-flight transactions are (correctly) forgotten: their
@@ -478,7 +449,7 @@ impl Db {
     /// Issues a start timestamp without taking any oracle lock: an atomic
     /// fetch-add under a registry shard lock, a
     /// reservation record every [`TS_RESERVE_BATCH`] begins, and — only
-    /// while a sync commit is decided-but-unpublished — the pipeline's
+    /// while a durable commit is decided-but-unpublished — the pipeline's
     /// snapshot-stability gate.
     fn begin_ts(&self) -> (Timestamp, usize) {
         self.inner.counters.begins.inc();
@@ -667,7 +638,7 @@ impl Db {
 
         let req = CommitRequest::new(start_ts, read_rows, write_rows);
         let now_us = self.inner.now_us();
-        let sync = self.inner.options.durability == Durability::Sync;
+        let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
         // oracle bookkeeping, under the request's shard locks. No WAL I/O in
@@ -689,28 +660,20 @@ impl Db {
             };
             match verdict {
                 Ok(admitted) => {
-                    let commit_ts = if sync {
+                    let commit_ts = match pipeline {
                         // Queued unpublished; the timestamp is issued inside
                         // the pipeline's critical section so new snapshots
                         // gate on it (visibility waits for durability).
-                        let pipeline = self
-                            .inner
-                            .pipeline
-                            .as_ref()
-                            .expect("sync mode has a pipeline");
-                        pipeline.push_sync(&self.inner.ts, start_ts, Arc::clone(&batch))
-                    } else {
-                        // Published immediately; the timestamp is issued
-                        // inside the commit index's write lock so no reader
-                        // can observe it before the entry exists.
-                        let commit_ts = self
+                        Some(pipeline) => {
+                            pipeline.push_sync(&self.inner.ts, start_ts, Arc::clone(&batch))
+                        }
+                        // No WAL: published immediately; the timestamp is
+                        // issued inside the commit index's write lock so no
+                        // reader can observe it before the entry exists.
+                        None => self
                             .inner
                             .index
-                            .record_commit_with(start_ts, || self.inner.ts.next());
-                        if let Some(pipeline) = &self.inner.pipeline {
-                            pipeline.push_batched(start_ts, commit_ts, Arc::clone(&batch));
-                        }
-                        commit_ts
+                            .record_commit_with(start_ts, || self.inner.ts.next()),
                     };
                     if let Some(admitted) = admitted {
                         admitted.record(commit_ts);
@@ -721,7 +684,7 @@ impl Db {
                 Err(reason) => {
                     guard.abort_checked(reason);
                     self.inner.index.record_abort(start_ts);
-                    if let Some(pipeline) = &self.inner.pipeline {
+                    if let Some(pipeline) = pipeline {
                         pipeline.push_abort(start_ts);
                     }
                     Err(Error::Aborted(reason))
@@ -734,8 +697,8 @@ impl Db {
                 .record(self.inner.now_us().saturating_sub(check_began_us));
         }
 
-        let result = match decision {
-            Err(e) => {
+        let result = match (decision, pipeline) {
+            (Err(e), _) => {
                 // Roll back the invisible versions outside the critical
                 // section.
                 self.inner
@@ -744,16 +707,11 @@ impl Db {
                 self.inner.registry.deregister(start_ts, shard);
                 Err(e)
             }
-            Ok(commit_ts) if sync => {
+            (Ok(commit_ts), Some(pipeline)) => {
                 // Wait for the group-commit outcome (possibly leading the
                 // flush ourselves). Deregistration happens only after
                 // resolution so the GC watermark cannot pass an unpublished
                 // commit's pending versions.
-                let pipeline = self
-                    .inner
-                    .pipeline
-                    .as_ref()
-                    .expect("sync mode has a pipeline");
                 let wait_began_us = self.inner.now_us();
                 let outcome = pipeline.sync_commit(commit_ts, &self.inner.publish_ctx(), now_us);
                 if let Some(obs) = obs {
@@ -777,7 +735,7 @@ impl Db {
                     }
                 }
             }
-            Ok(commit_ts) => {
+            (Ok(commit_ts), None) => {
                 // Optimization, not correctness: stamp commit timestamps onto
                 // the versions so readers skip the commit-index lookup
                 // (§2.2's "written back into the database" option).
@@ -786,12 +744,6 @@ impl Db {
                     .stamp_commit(start_ts, commit_ts, batch.iter().map(|(k, _)| k));
                 self.inner.registry.deregister(start_ts, shard);
                 self.tick_watermark_hint();
-                if let Some(pipeline) = &self.inner.pipeline {
-                    // Batched mode: give the ledger's batch policy a chance,
-                    // outside every lock. Quorum loss cannot un-acknowledge
-                    // this commit; it surfaces from `flush_wal`.
-                    let _flush = pipeline.opportunistic_flush(now_us);
-                }
                 Ok(commit_ts)
             }
         };
@@ -884,12 +836,13 @@ impl Db {
         // nothing to remove from the version chains.
     }
 
-    /// Flushes any queued or batched WAL records (group-commit tail).
+    /// Flushes any WAL records still queued: abort and reservation records
+    /// are never flush-critical, so they may trail the last acknowledged
+    /// commit.
     ///
     /// # Errors
     ///
-    /// Propagates a quorum loss from the ledger — including one swallowed
-    /// earlier by a batched-mode opportunistic flush.
+    /// Propagates a quorum loss from the ledger.
     pub fn flush_wal(&self) -> Result<()> {
         let Some(pipeline) = &self.inner.pipeline else {
             return Ok(());
@@ -909,19 +862,9 @@ impl Db {
             .map(|pipeline| pipeline.ledger_snapshot())
     }
 
-    /// Write-path counters of the underlying WAL (records, flushes, bytes),
-    /// or `None` under [`Durability::None`]. The batching factor shows how
-    /// many commits shared each replication round-trip.
-    pub fn wal_stats(&self) -> Option<LedgerStats> {
-        self.inner
-            .pipeline
-            .as_ref()
-            .map(|pipeline| pipeline.ledger_stats())
-    }
-
     /// Injects a failure into bookie `idx` of the live WAL — the
     /// failure-injection hook that lets tests and simulations exercise
-    /// quorum loss on a running database. No-op under [`Durability::None`].
+    /// quorum loss on a running database. No-op without a WAL.
     ///
     /// # Panics
     ///
@@ -1007,7 +950,6 @@ impl Db {
             keys,
             versions,
             wal,
-            wal_enabled: self.inner.pipeline.is_some(),
         }
     }
 
@@ -1075,15 +1017,6 @@ impl Db {
             .journal()
             .and_then(|journal| journal.explain_abort(start_ts.raw()))
     }
-
-    /// The journal rendered as Chrome `trace_event` JSON (load in
-    /// `chrome://tracing` or Perfetto), or `None` when observability is
-    /// disabled.
-    pub fn journal_chrome_trace(&self) -> Option<String> {
-        self.inner
-            .journal()
-            .map(|journal| journal.chrome_trace_json())
-    }
 }
 
 /// Full-jitter backoff: uniform in `[0, base << min(attempt, cap))`,
@@ -1102,7 +1035,7 @@ impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
             .field("isolation", &self.inner.options.isolation)
-            .field("durability", &self.inner.options.durability)
+            .field("durable", &self.inner.pipeline.is_some())
             .finish_non_exhaustive()
     }
 }

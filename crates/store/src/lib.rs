@@ -67,16 +67,16 @@ mod registry;
 mod snapshot;
 mod txn;
 
-pub use commit_index::CommitIndex;
-pub use db::{Db, DbOptions, DbStats, Durability, TxnReport};
-pub use error::{Error, Result};
-// The flight-recorder and rollup types, re-exported so embedders (and the
-// deterministic simulator, which depends on this crate but not on wsi-obs
-// directly) can consume `Db::journal` output without a separate dependency
-// edge.
 pub use arena::ArenaStore as MvccStore;
+pub use commit_index::CommitIndex;
+pub use db::{Db, DbOptions, DbStats, TxnReport};
+pub use error::{Error, Result};
 pub use mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 pub use record::{decode as decode_record, encode as encode_record, StoreRecord};
 pub use snapshot::Snapshot;
 pub use txn::Transaction;
-pub use wsi_obs::{AbortExplanation, Cause, Event, EventData, Journal, Rollup, Window};
+// The flight-recorder types, re-exported so embedders (and the
+// deterministic simulator, which depends on this crate but not on wsi-obs
+// directly) can consume `Db::journal` output without a separate dependency
+// edge.
+pub use wsi_obs::{AbortExplanation, Cause, Event, EventData, Journal};

@@ -1,40 +1,38 @@
 //! The group-commit pipeline: WAL persistence decoupled from the commit
 //! critical section.
 //!
-//! The seed implementation appended *and flushed* the WAL inside the commit
-//! critical section, so under `Durability::Sync` every commit serialized
-//! behind a replication round-trip — the exact coupling the paper's
-//! BookKeeper deployment avoids (§6.3 keeps the critical section to "a few
-//! memory operations"; Appendix A pipelines the log writes). This module
-//! restores that separation for the embedded store:
+//! Appending and flushing the WAL inside the commit critical section would
+//! serialize every commit behind a replication round-trip — the coupling
+//! the paper's BookKeeper deployment avoids (§6.3 keeps the critical section
+//! to "a few memory operations"; Appendix A pipelines the log writes). This
+//! module keeps the two apart for the embedded store:
 //!
 //! * The commit decision scope — the touched `lastCommit` shards of the
 //!   [`ConcurrentOracle`] — covers only conflict detection and
-//!   commit-timestamp assignment. Decided commits are *queued* here. Sync
-//!   commits enqueue in global commit-timestamp order (the timestamp is
-//!   issued inside the pipeline's own lock); batched commits enqueue in
-//!   timestamp order *per row* — spatially-disjoint commits may interleave,
-//!   which replay tolerates (see [`CommitPipeline::push_batched`]).
+//!   commit-timestamp assignment. Decided commits are *queued* here in
+//!   global commit-timestamp order: the timestamp is issued inside the
+//!   pipeline's own lock, which also orders the queue, so commit records
+//!   reach the log in commit-timestamp order.
 //! * A **leader** — the first waiter to find the ledger free — takes the
 //!   ledger out of the pipeline, drains the queue, encodes and flushes the
 //!   batch entirely outside every lock, then publishes the outcomes and
 //!   hands the ledger back. Waiters whose commits rode along simply pick up
 //!   their outcome (classic group commit).
-//! * Under `Durability::Sync` a commit is **published** — made visible in
-//!   the commit index and stamped into the version store — only after its
-//!   batch reached the write quorum. A flush failure overturns the decision
+//! * A commit is **published** — made visible in the commit index and
+//!   stamped into the version store — and acknowledged only after its batch
+//!   reached the write quorum. A flush failure overturns the decision
 //!   ([`ConcurrentOracle::abort_after_decide`]) before any reader could have
 //!   observed it, appends compensating abort records, and surfaces
 //!   [`WalError`] to the owner.
 //!
-//! Publishing after the critical section opens one hazard that the seed's
-//! coarse lock hid: a transaction beginning *after* a commit was decided
-//! must observe it (snapshots must be stable). [`CommitPipeline::push_sync`]
-//! therefore issues the commit timestamp inside the pipeline's own lock, and
+//! Publishing after the critical section opens one hazard: a transaction
+//! beginning *after* a commit was decided must observe it (snapshots must be
+//! stable). [`CommitPipeline::push_sync`] therefore issues the commit
+//! timestamp inside the pipeline's own lock, and
 //! [`CommitPipeline::wait_snapshot_stable`] makes a new snapshot wait until
 //! every decided-but-unpublished commit below it is resolved. The fast path
 //! of that gate is a single atomic load, so begins stay lock-free whenever
-//! no sync commit is in flight.
+//! no commit is in flight.
 //!
 
 use std::collections::{HashMap, VecDeque};
@@ -44,7 +42,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
-use wsi_wal::{Ledger, LedgerStats, WalError};
+use wsi_wal::{Ledger, WalError};
 
 use crate::arena::ArenaStore;
 use crate::commit_index::CommitIndex;
@@ -87,26 +85,24 @@ struct PipeInner {
     /// Decided commits not yet picked up by a leader, in commit-ts order.
     queue: VecDeque<PendingCommit>,
     /// Commits currently being flushed by the leader, in commit-ts order;
-    /// populated for the duration of a flush round. The begin gate scans it
-    /// (sync mode); leaders exclude each other through the taken ledger.
+    /// populated for the duration of a flush round. The begin gate scans
+    /// it; leaders exclude each other through the taken ledger.
     inflight: VecDeque<PendingCommit>,
     /// Conflict-abort records awaiting append (never flush-critical).
     aborts: Vec<Timestamp>,
     /// Timestamp-reservation bounds awaiting append (§6.2).
     reservations: Vec<Timestamp>,
-    /// Outcomes of flushed sync commits, keyed by raw commit timestamp;
+    /// Outcomes of flushed commits, keyed by raw commit timestamp;
     /// each owner removes its own entry.
     outcomes: HashMap<u64, Option<WalError>>,
 }
 
-/// The commit pipeline for one database. Present whenever the database has
-/// a WAL (`Durability::Batched` or `Durability::Sync`).
+/// The commit pipeline for one database. Present iff the database has a
+/// WAL.
 pub(crate) struct CommitPipeline {
-    /// `true` under `Durability::Sync`: publish-after-durable, owners wait.
-    sync: bool,
     inner: Mutex<PipeInner>,
     cv: Condvar,
-    /// Count of decided-but-unresolved sync commits. The begin gate's
+    /// Count of decided-but-unresolved commits. The begin gate's
     /// lock-free fast path: incremented (inside the pipeline's critical
     /// section) *before* the commit timestamp is issued and decremented only
     /// after the outcome is published, both `SeqCst` — so a begin that
@@ -119,9 +115,8 @@ pub(crate) struct CommitPipeline {
 }
 
 impl CommitPipeline {
-    pub(crate) fn new(sync: bool, ledger: Ledger, obs: Option<Arc<StoreObs>>) -> Self {
+    pub(crate) fn new(ledger: Ledger, obs: Option<Arc<StoreObs>>) -> Self {
         CommitPipeline {
-            sync,
             inner: Mutex::new(PipeInner {
                 ledger: Some(ledger),
                 queue: VecDeque::new(),
@@ -141,13 +136,16 @@ impl CommitPipeline {
         self.obs.as_deref().map(|obs| &obs.journal)
     }
 
-    /// Issues the commit timestamp and enqueues a decided sync commit, as
-    /// one atomic step with respect to the begin gate.
+    /// Issues the commit timestamp and enqueues a decided commit, as one
+    /// atomic step with respect to the begin gate.
     ///
     /// Issuing the timestamp *inside* the pipeline's critical section is
     /// what makes [`CommitPipeline::wait_snapshot_stable`] sound: a begin
     /// that observes `S > commit_ts` must have entered this critical section
-    /// after the commit was queued, so the gate cannot miss it. The caller
+    /// after the commit was queued, so the gate cannot miss it. The same
+    /// lock orders the queue, so commit records reach the log in
+    /// commit-timestamp order — the invariant [`crate::Db::recover`]
+    /// replays under. The caller
     /// holds its decision scope (the request's shard locks) across this
     /// call and completes the oracle bookkeeping with the returned
     /// timestamp; the pipeline lock nests *inside* that scope, never the
@@ -169,27 +167,6 @@ impl CommitPipeline {
         commit_ts
     }
 
-    /// Enqueues an already-published batched/none-mode commit for eventual
-    /// persistence. Must be called while still holding the decision scope
-    /// that issued `commit_ts`. Only commits that share a shard are ordered
-    /// by that scope, so spatially-disjoint commits may land in the WAL out
-    /// of timestamp order. Replay tolerates that: same-row commits share a
-    /// shard (hence are ordered), recovery's
-    /// per-row `lastCommit` and version stamping only need per-row order,
-    /// and the timestamp counter advances by `max`.
-    pub(crate) fn push_batched(
-        &self,
-        start_ts: Timestamp,
-        commit_ts: Timestamp,
-        batch: WriteBatch,
-    ) {
-        self.inner.lock().queue.push_back(PendingCommit {
-            start_ts,
-            commit_ts,
-            batch,
-        });
-    }
-
     /// Enqueues a conflict-abort record. Fire-and-forget: an unrecovered
     /// abort record leaves the transaction pending, which is equally
     /// invisible.
@@ -202,9 +179,9 @@ impl CommitPipeline {
         self.inner.lock().reservations.push(upto);
     }
 
-    /// The begin gate: returns once no decided-but-unpublished sync commit
-    /// with `commit_ts < start_ts` remains. Lock-free whenever no sync
-    /// commit is in flight (the common case); see the field docs on
+    /// The begin gate: returns once no decided-but-unpublished commit with
+    /// `commit_ts < start_ts` remains. Lock-free whenever no commit is in
+    /// flight (the common case); see the field docs on
     /// `sync_pending` for the ordering argument.
     pub(crate) fn wait_snapshot_stable(&self, start_ts: Timestamp) {
         if self.sync_pending.load(Ordering::SeqCst) == 0 {
@@ -224,7 +201,7 @@ impl CommitPipeline {
         }
     }
 
-    /// Waits for the durability outcome of a sync commit queued via
+    /// Waits for the durability outcome of a commit queued via
     /// [`CommitPipeline::push_sync`], becoming the group-commit leader if
     /// the ledger is free. On success the commit (and every commit that rode
     /// the same batch) is published; on quorum loss it is overturned and the
@@ -263,24 +240,8 @@ impl CommitPipeline {
         }
     }
 
-    /// Batched-mode flush driven opportunistically after a commit, outside
-    /// every lock. Respects the ledger's batch policy; skips entirely
-    /// if another thread currently owns the ledger. Errors are returned for
-    /// the caller to swallow or surface — batched durability never fails an
-    /// already-acknowledged commit.
-    pub(crate) fn opportunistic_flush(&self, now_us: u64) -> Result<(), WalError> {
-        let work = {
-            let mut inner = self.inner.lock();
-            if inner.ledger.is_none() {
-                return Ok(());
-            }
-            Self::take_work(&mut inner)
-        };
-        self.batched_flush_round(work, now_us, false)
-    }
-
     /// Drains and force-flushes everything queued or buffered; the explicit
-    /// `flush_wal` tail for both durability modes.
+    /// `flush_wal` tail.
     pub(crate) fn flush_all(&self, ctx: &PublishCtx<'_>, now_us: u64) -> Result<(), WalError> {
         let work = {
             let mut inner = self.inner.lock();
@@ -298,11 +259,7 @@ impl CommitPipeline {
                 self.cv.wait(&mut inner);
             }
         };
-        if self.sync {
-            self.sync_flush_round(work, ctx, now_us).map_or(Ok(()), Err)
-        } else {
-            self.batched_flush_round(work, now_us, true)
-        }
+        self.sync_flush_round(work, ctx, now_us).map_or(Ok(()), Err)
     }
 
     /// A point-in-time clone of the ledger (waits out any flush round in
@@ -313,17 +270,6 @@ impl CommitPipeline {
         loop {
             if let Some(ledger) = inner.ledger.as_ref() {
                 return ledger.clone();
-            }
-            self.cv.wait(&mut inner);
-        }
-    }
-
-    /// Write-path counters of the underlying ledger.
-    pub(crate) fn ledger_stats(&self) -> LedgerStats {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(ledger) = inner.ledger.as_ref() {
-                return ledger.stats();
             }
             self.cv.wait(&mut inner);
         }
@@ -362,7 +308,7 @@ impl CommitPipeline {
         }
     }
 
-    /// One sync leader round: encode + flush outside all locks, publish (or
+    /// One leader round: encode + flush outside all locks, publish (or
     /// overturn) each commit, hand the ledger back, resolve waiters.
     /// Returns the round's error, if any. Called with **no** lock held.
     fn sync_flush_round(
@@ -462,68 +408,11 @@ impl CommitPipeline {
         self.cv.notify_all();
         err
     }
-
-    /// One batched/none-mode round: append everything, flush per policy (or
-    /// unconditionally when `force`), hand the ledger back. The commits in
-    /// `work` were already published at decide time; there is nothing to
-    /// resolve.
-    fn batched_flush_round(
-        &self,
-        work: FlushWork,
-        now_us: u64,
-        force: bool,
-    ) -> Result<(), WalError> {
-        let FlushWork {
-            mut ledger,
-            commits,
-            aborts,
-            reservations,
-        } = work;
-        for upto in reservations {
-            ledger.append(record::encode_ts_reserve(upto), now_us);
-        }
-        for start_ts in aborts {
-            ledger.append(record::encode_abort(start_ts), now_us);
-        }
-        for c in &commits {
-            ledger.append(
-                record::encode_commit(c.start_ts, c.commit_ts, &c.batch),
-                now_us,
-            );
-        }
-        let records = commits.len() as u64;
-        let (result, flushed) = if force {
-            (ledger.flush(now_us).map(|_| ()), true)
-        } else {
-            match ledger.maybe_flush(now_us) {
-                Ok(flushed_to) => (Ok(()), flushed_to.is_some()),
-                Err(e) => (Err(e), true),
-            }
-        };
-        if flushed {
-            if let Some(journal) = self.journal() {
-                journal.record(
-                    0,
-                    EventData::WalFlush {
-                        records,
-                        acked: if result.is_ok() { records } else { 0 },
-                    },
-                );
-            }
-        }
-        let mut inner = self.inner.lock();
-        inner.ledger = Some(ledger);
-        inner.inflight.clear();
-        drop(inner);
-        self.cv.notify_all();
-        result
-    }
 }
 
 impl std::fmt::Debug for CommitPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitPipeline")
-            .field("sync", &self.sync)
             .field("sync_pending", &self.sync_pending.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }

@@ -2,7 +2,7 @@
 //!
 //! The commit pipeline's claims are concurrency claims — the manager lock
 //! covers only the conflict check, WAL flushes batch across committers, and
-//! visibility under `Durability::Sync` waits for durability. Single-threaded
+//! visibility waits for durability whenever there is a WAL. Single-threaded
 //! tests cannot falsify any of that; these run real thread herds and check
 //! the observable invariants: no lost updates, repeatable snapshots, a WAL
 //! batching factor that proves the flush left the critical section, and
@@ -13,7 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use wsi_core::IsolationLevel;
-use wsi_store::{Db, DbOptions, Durability, Error};
+use wsi_store::{decode_record, Db, DbOptions, Error, StoreRecord};
 use wsi_wal::{BatchPolicy, LedgerConfig, WalError};
 
 fn counter_value(db: &Db, key: &[u8]) -> u64 {
@@ -41,17 +41,11 @@ fn increment(db: &Db, key: &[u8]) {
 /// race in the decoupled commit path. `obs` is the observability switch: the
 /// herd's outcome may not depend on it, and the whole layer — registry,
 /// journal, abort forensics — is there or gone with it.
-fn no_lost_updates(isolation: IsolationLevel, durability: Durability, obs: bool) {
+fn no_lost_updates(isolation: IsolationLevel, wal: Option<LedgerConfig>, obs: bool) {
     const THREADS: usize = 8;
     const INCREMENTS: u64 = 50;
     let mut options = DbOptions::new(isolation).with_obs(obs);
-    match durability {
-        Durability::None => {}
-        Durability::Batched => {
-            options = options.durable_batched(LedgerConfig::default_replicated())
-        }
-        Durability::Sync => options = options.durable(LedgerConfig::default_replicated()),
-    }
+    options.wal = wal;
     let db = Db::open(options);
 
     thread::scope(|s| {
@@ -92,37 +86,44 @@ fn no_lost_updates(isolation: IsolationLevel, durability: Durability, obs: bool)
 
 #[test]
 fn wsi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::None, true);
+    no_lost_updates(IsolationLevel::WriteSnapshot, None, true);
 }
 
 #[test]
 fn si_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::Snapshot, Durability::None, true);
-}
-
-#[test]
-fn wsi_counter_has_no_lost_updates_batched_wal() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Batched, true);
+    no_lost_updates(IsolationLevel::Snapshot, None, true);
 }
 
 #[test]
 fn wsi_counter_has_no_lost_updates_sync_wal() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync, true);
+    no_lost_updates(
+        IsolationLevel::WriteSnapshot,
+        Some(LedgerConfig::default_replicated()),
+        true,
+    );
 }
 
 #[test]
 fn wsi_counter_has_no_lost_updates_sync_wal_without_obs() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, Durability::Sync, false);
+    no_lost_updates(
+        IsolationLevel::WriteSnapshot,
+        Some(LedgerConfig::default_replicated()),
+        false,
+    );
 }
 
 #[test]
 fn ssi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::None, true);
+    no_lost_updates(IsolationLevel::SerializableSnapshot, None, true);
 }
 
 #[test]
 fn ssi_counter_has_no_lost_updates_sync_wal() {
-    no_lost_updates(IsolationLevel::SerializableSnapshot, Durability::Sync, true);
+    no_lost_updates(
+        IsolationLevel::SerializableSnapshot,
+        Some(LedgerConfig::default_replicated()),
+        true,
+    );
 }
 
 /// The paper's §3.1 constraint on real threads: `x + y ≥ 0` from `x = y =
@@ -228,7 +229,7 @@ fn sync_commits_share_flushes_under_contention() {
     let elapsed = started.elapsed();
 
     let commits = (THREADS * COMMITS_PER_THREAD) as u64;
-    let stats = db.wal_stats().unwrap();
+    let stats = db.stats().wal;
     assert!(stats.records >= commits, "every commit reached the WAL");
     assert!(
         stats.flushes < commits / 2,
@@ -441,16 +442,19 @@ fn gc_runs_safely_under_concurrent_traffic() {
     assert_eq!(db.stats().active_transactions, 0);
 }
 
-/// A batched-durability database under concurrent writers must recover to
-/// exactly the flushed state: flush, snapshot the surviving log, replay, and
-/// compare every key.
+/// A durable database under concurrent writers must recover to exactly the
+/// acknowledged state: snapshot the surviving log, replay, and compare every
+/// key. The one multi-threaded recovery test, so it also holds the log-order
+/// invariant `Db::recover` replays under: commit records reach the log in
+/// commit-timestamp order, because the timestamp is issued under the
+/// pipeline lock that orders the queue.
 #[test]
-fn batched_wal_recovers_concurrent_commits() {
+fn sync_wal_recovers_concurrent_commits() {
     const THREADS: usize = 6;
     const KEYS_PER_THREAD: usize = 40;
 
-    let options = DbOptions::new(IsolationLevel::WriteSnapshot)
-        .durable_batched(LedgerConfig::default_replicated());
+    let options =
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated());
     let db = Db::open(options.clone());
 
     thread::scope(|s| {
@@ -470,7 +474,21 @@ fn batched_wal_recovers_concurrent_commits() {
     });
 
     db.flush_wal().unwrap();
-    let recovered = Db::recover(options, db.wal_snapshot().unwrap()).unwrap();
+    let wal = db.wal_snapshot().unwrap();
+    let commit_order: Vec<u64> = wal
+        .recover()
+        .iter()
+        .filter_map(|payload| match decode_record(payload).unwrap() {
+            StoreRecord::Commit { commit_ts, .. } => Some(commit_ts.raw()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(commit_order.len(), THREADS * KEYS_PER_THREAD);
+    assert!(
+        commit_order.windows(2).all(|w| w[0] < w[1]),
+        "commit records out of commit-timestamp order: {commit_order:?}"
+    );
+    let recovered = Db::recover(options, wal).unwrap();
 
     let live = db.snapshot();
     let replayed = recovered.snapshot();
