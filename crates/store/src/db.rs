@@ -243,7 +243,6 @@ impl DbInner {
 
     fn publish_ctx(&self) -> PublishCtx<'_> {
         PublishCtx {
-            mvcc: &self.mvcc,
             index: &self.index,
             oracle: &self.oracle,
             window: self.window.as_ref(),
@@ -637,13 +636,12 @@ impl Db {
             .insert_versions(start_ts, batch.iter().map(|(k, v)| (k.clone(), v.clone())));
 
         let req = CommitRequest::new(start_ts, read_rows, write_rows);
-        let now_us = self.inner.now_us();
         let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
         // oracle bookkeeping, under the request's shard locks. No WAL I/O in
         // here.
-        let check_began_us = self.inner.now_us();
+        let decide_began_us = self.inner.now_us();
         let decision: Result<Timestamp> = {
             let mut guard = self.inner.oracle.lock_for(&req);
             // SSI: the write-write check above is its SI base; the window,
@@ -694,57 +692,49 @@ impl Db {
 
         if let Some(obs) = obs {
             obs.conflict_check_us
-                .record(self.inner.now_us().saturating_sub(check_began_us));
+                .record(self.inner.now_us().saturating_sub(decide_began_us));
         }
 
-        let result = match (decision, pipeline) {
-            (Err(e), _) => {
-                // Roll back the invisible versions outside the critical
-                // section.
-                self.inner
-                    .mvcc
-                    .remove_versions(start_ts, batch.iter().map(|(k, _)| k));
-                self.inner.registry.deregister(start_ts, shard);
-                Err(e)
-            }
-            (Ok(commit_ts), Some(pipeline)) => {
-                // Wait for the group-commit outcome (possibly leading the
-                // flush ourselves). Deregistration happens only after
-                // resolution so the GC watermark cannot pass an unpublished
-                // commit's pending versions.
+        // With a WAL, wait for the group-commit outcome (possibly leading the
+        // flush ourselves): the commit is visible once that returns `Ok`.
+        let decision = decision.and_then(|commit_ts| {
+            if let Some(pipeline) = pipeline {
                 let wait_began_us = self.inner.now_us();
-                let outcome = pipeline.sync_commit(commit_ts, &self.inner.publish_ctx(), now_us);
+                let outcome = pipeline.sync_commit(commit_ts, &self.inner.publish_ctx());
                 if let Some(obs) = obs {
                     obs.wal_wait_us
                         .record(self.inner.now_us().saturating_sub(wait_began_us));
                 }
-                match outcome {
-                    Ok(()) => {
-                        self.inner.registry.deregister(start_ts, shard);
-                        self.tick_watermark_hint();
-                        Ok(commit_ts)
-                    }
-                    Err(e) => {
-                        // Overturned before publication; our versions are
-                        // still tagged pending — remove them.
-                        self.inner
-                            .mvcc
-                            .remove_versions(start_ts, batch.iter().map(|(k, _)| k));
-                        self.inner.registry.deregister(start_ts, shard);
-                        Err(Error::Wal(e))
-                    }
-                }
+                outcome?;
             }
-            (Ok(commit_ts), None) => {
+            Ok(commit_ts)
+        });
+
+        // Deregistration comes last on either path, so the GC watermark
+        // cannot pass a commit's pending or still unstamped versions.
+        let result = match decision {
+            Ok(commit_ts) => {
                 // Optimization, not correctness: stamp commit timestamps onto
                 // the versions so readers skip the commit-index lookup
-                // (§2.2's "written back into the database" option).
+                // (§2.2's "written back into the database" option). The owner
+                // does it on its own time, with or without a WAL — no begin
+                // and no other committer waits for it.
                 self.inner
                     .mvcc
                     .stamp_commit(start_ts, commit_ts, batch.iter().map(|(k, _)| k));
                 self.inner.registry.deregister(start_ts, shard);
                 self.tick_watermark_hint();
                 Ok(commit_ts)
+            }
+            Err(e) => {
+                // Refused by the conflict check, or overturned by a quorum
+                // loss before publication: the versions are still tagged
+                // pending — remove them, outside the critical section.
+                self.inner
+                    .mvcc
+                    .remove_versions(start_ts, batch.iter().map(|(k, _)| k));
+                self.inner.registry.deregister(start_ts, shard);
+                Err(e)
             }
         };
 
@@ -769,7 +759,7 @@ impl Db {
         let end_us = self.inner.now_us();
         if let Some(obs) = obs {
             if result.is_ok() {
-                obs.commit_us.record(end_us.saturating_sub(now_us));
+                obs.commit_us.record(end_us.saturating_sub(decide_began_us));
                 obs.txn_us.record(end_us.saturating_sub(began_us));
             }
         }
@@ -847,7 +837,7 @@ impl Db {
         let Some(pipeline) = &self.inner.pipeline else {
             return Ok(());
         };
-        pipeline.flush_all(&self.inner.publish_ctx(), self.inner.now_us())?;
+        pipeline.flush_all(&self.inner.publish_ctx())?;
         Ok(())
     }
 

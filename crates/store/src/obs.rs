@@ -17,6 +17,27 @@
 
 use wsi_obs::{Counter, Gauge, Histogram, Journal, Registry};
 
+/// How often one kind of pipeline waiter had to wait for a flush round to
+/// end, and how often the round outlasted its spin so that it slept.
+/// `parks ≤ waits`; both stay zero with a single client or without a WAL.
+#[derive(Debug)]
+pub(crate) struct WaitCounters {
+    /// Waits entered (each is one spin on the round generation).
+    pub(crate) waits: Counter,
+    /// Waits that ended in a park on the pipeline's condition variable — a
+    /// futex sleep and wake, several times a zero-delay flush round.
+    pub(crate) parks: Counter,
+}
+
+impl WaitCounters {
+    fn new() -> Self {
+        WaitCounters {
+            waits: Counter::new(),
+            parks: Counter::new(),
+        }
+    }
+}
+
 /// Shared observability state of one database.
 #[derive(Debug)]
 pub(crate) struct StoreObs {
@@ -31,6 +52,18 @@ pub(crate) struct StoreObs {
     /// Sync-mode wait for the group-commit outcome (WAL append + quorum
     /// ack), measured from decide to resolution.
     pub(crate) wal_wait_us: Histogram,
+    /// Waits and parks of committers inside that wait: the ledger was out
+    /// with another leader and no outcome was posted yet
+    /// (`store_commit_waits_total`, `store_commit_parks_total`).
+    pub(crate) commit_wait: WaitCounters,
+    /// Waits and parks of begins at the snapshot-stability gate: a decided
+    /// commit below the new snapshot was not yet published
+    /// (`store_gate_waits_total`, `store_gate_parks_total`).
+    pub(crate) gate_wait: WaitCounters,
+    /// How long a begin that had to wait at the gate waited, all its rounds
+    /// together; begins that pass the gate without waiting read no clock
+    /// and record nothing, so `count ≤ store_gate_waits_total`.
+    pub(crate) begin_gate_wait_us: Histogram,
     /// Wall-clock latency of `commit_txn` for committed write transactions.
     pub(crate) commit_us: Histogram,
     /// GC sweeps performed.
@@ -59,6 +92,9 @@ impl StoreObs {
             txn_us: Histogram::new(),
             conflict_check_us: Histogram::new(),
             wal_wait_us: Histogram::new(),
+            commit_wait: WaitCounters::new(),
+            gate_wait: WaitCounters::new(),
+            begin_gate_wait_us: Histogram::new(),
             commit_us: Histogram::new(),
             gc_runs: Counter::new(),
             gc_versions_removed: Counter::new(),
@@ -72,6 +108,11 @@ impl StoreObs {
         r.register_histogram("store_txn_us", &obs.txn_us);
         r.register_histogram("store_conflict_check_us", &obs.conflict_check_us);
         r.register_histogram("store_wal_wait_us", &obs.wal_wait_us);
+        r.register_counter("store_commit_waits_total", &obs.commit_wait.waits);
+        r.register_counter("store_commit_parks_total", &obs.commit_wait.parks);
+        r.register_counter("store_gate_waits_total", &obs.gate_wait.waits);
+        r.register_counter("store_gate_parks_total", &obs.gate_wait.parks);
+        r.register_histogram("store_begin_gate_wait_us", &obs.begin_gate_wait_us);
         r.register_histogram("store_commit_us", &obs.commit_us);
         r.register_counter("store_gc_runs_total", &obs.gc_runs);
         r.register_counter("store_gc_versions_removed_total", &obs.gc_versions_removed);

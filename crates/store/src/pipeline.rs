@@ -14,16 +14,23 @@
 //!   pipeline's own lock, which also orders the queue, so commit records
 //!   reach the log in commit-timestamp order.
 //! * A **leader** — the first waiter to find the ledger free — takes the
-//!   ledger out of the pipeline, drains the queue, encodes and flushes the
-//!   batch entirely outside every lock, then publishes the outcomes and
-//!   hands the ledger back. Waiters whose commits rode along simply pick up
-//!   their outcome (classic group commit).
-//! * A commit is **published** — made visible in the commit index and
-//!   stamped into the version store — and acknowledged only after its batch
-//!   reached the write quorum. A flush failure overturns the decision
+//!   ledger out of the pipeline, drains the queue, appends and flushes the
+//!   batch entirely outside every lock, flips the commits visible in the
+//!   commit index, then posts the outcomes and hands the ledger back: append,
+//!   flush, flip, nothing else — it is the round every gated `begin` and
+//!   every other committer waits on. Waiters whose commits rode along simply
+//!   pick up their outcome (classic group commit).
+//! * A commit is **published** — made visible in the commit index — and
+//!   acknowledged only after its batch reached the write quorum. A flush
+//!   failure overturns the decision
 //!   ([`ConcurrentOracle::abort_after_decide`]) before any reader could have
 //!   observed it, appends compensating abort records, and surfaces
 //!   [`WalError`] to the owner.
+//! * The **owner** of a commit, once it holds its `Ok` outcome, stamps the
+//!   commit timestamp onto its own versions — after the round, outside it,
+//!   and before it deregisters, exactly as a commit without a WAL does. The
+//!   stamp is an optimization (unstamped versions resolve through the commit
+//!   index), so nobody waits for it.
 //!
 //! Publishing after the critical section opens one hazard: a transaction
 //! beginning *after* a commit was decided must observe it (snapshots must be
@@ -34,26 +41,53 @@
 //! of that gate is a single atomic load, so begins stay lock-free whenever
 //! no commit is in flight.
 //!
+//! # Waiting
+//!
+//! Everything a thread waits for here — an outcome, the ledger coming back,
+//! the gate opening — changes at exactly one point: the end of a flush
+//! round, under the pipeline lock. A round without a slowed flush lasts
+//! about a microsecond, a futex sleep and wake several times that, so
+//! [`CommitPipeline::wait_round`] — the one way to wait — spins a bounded
+//! while on the round generation with no lock held and parks on the
+//! condition variable only if the round outlasts the spin. The generation is
+//! read under the lock before the spin and re-checked under the lock before
+//! parking, and it is bumped under the same lock, so a waiter either sees
+//! the bump or is counted in `parked` by the time the leader looks: no
+//! wake-up is lost, and the leader pays the wake-up syscall only when
+//! somebody sleeps.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, WalError};
 
-use crate::arena::ArenaStore;
 use crate::commit_index::CommitIndex;
 use crate::db::WriteBatch;
-use crate::obs::StoreObs;
+use crate::obs::{StoreObs, WaitCounters};
 use crate::record;
+
+/// Iterations a waiter spins on the round generation before it parks. Not a
+/// tuning knob, only a bound with slack on both sides: at ≈ 15 ns a turn it
+/// is ≈ 15 µs — several zero-delay flush rounds as a waiter sees them
+/// (≈ 3–4 µs from decision to generation bump), and about half of the futex
+/// sleep + wake it avoids (≈ 27 µs on the measuring host; EXPERIMENTS.md has
+/// the sweep). A slowed flush outlasts it and the waiter parks.
+const SPIN_BEFORE_PARK: u32 = 1_000;
+
+/// `Ledger::append` takes the caller's clock to date a buffer's first record
+/// for `Ledger::flush_due`'s age trigger. Every round here force-flushes
+/// what it appends, so that trigger is never consulted and the pipeline
+/// carries no clock.
+const NO_BATCH_CLOCK_US: u64 = 0;
 
 /// Shared references a leader needs to publish (or overturn) commit
 /// outcomes after a flush. Assembled fresh per call by the `Db` layer.
 pub(crate) struct PublishCtx<'a> {
-    pub(crate) mvcc: &'a ArenaStore,
     pub(crate) index: &'a CommitIndex,
     pub(crate) oracle: &'a ConcurrentOracle,
     /// The SSI window, under that level: an overturned commit's entry is
@@ -62,7 +96,6 @@ pub(crate) struct PublishCtx<'a> {
 }
 
 /// A decided commit awaiting persistence.
-#[derive(Clone)]
 struct PendingCommit {
     start_ts: Timestamp,
     commit_ts: Timestamp,
@@ -84,10 +117,10 @@ struct PipeInner {
     ledger: Option<Ledger>,
     /// Decided commits not yet picked up by a leader, in commit-ts order.
     queue: VecDeque<PendingCommit>,
-    /// Commits currently being flushed by the leader, in commit-ts order;
-    /// populated for the duration of a flush round. The begin gate scans
-    /// it; leaders exclude each other through the taken ledger.
-    inflight: VecDeque<PendingCommit>,
+    /// The oldest commit timestamp the leader is flushing, for the duration
+    /// of its round — all the begin gate needs of the round: its commits
+    /// are in commit-ts order and all older than the queue's.
+    inflight: Option<Timestamp>,
     /// Conflict-abort records awaiting append (never flush-critical).
     aborts: Vec<Timestamp>,
     /// Timestamp-reservation bounds awaiting append (§6.2).
@@ -95,6 +128,9 @@ struct PipeInner {
     /// Outcomes of flushed commits, keyed by raw commit timestamp;
     /// each owner removes its own entry.
     outcomes: HashMap<u64, Option<WalError>>,
+    /// Waiters asleep on `cv`, counted by [`CommitPipeline::wait_round`];
+    /// a round's end wakes them only if there are any.
+    parked: usize,
 }
 
 /// The commit pipeline for one database. Present iff the database has a
@@ -102,6 +138,10 @@ struct PipeInner {
 pub(crate) struct CommitPipeline {
     inner: Mutex<PipeInner>,
     cv: Condvar,
+    /// The round generation: bumped, under `inner`'s lock, at the end of
+    /// every flush round — the only point at which anything a waiter waits
+    /// for changes. Waiters spin on it without the lock.
+    round: AtomicU64,
     /// Count of decided-but-unresolved commits. The begin gate's
     /// lock-free fast path: incremented (inside the pipeline's critical
     /// section) *before* the commit timestamp is issued and decremented only
@@ -109,8 +149,8 @@ pub(crate) struct CommitPipeline {
     /// issues start `S` and then loads `0` is guaranteed no unresolved
     /// commit with `commit_ts < S` exists.
     sync_pending: AtomicU64,
-    /// Leader/follower and group-size metrics; `None` when observability is
-    /// disabled.
+    /// Leader/follower, group-size and wait metrics; `None` when
+    /// observability is disabled.
     obs: Option<Arc<StoreObs>>,
 }
 
@@ -120,12 +160,14 @@ impl CommitPipeline {
             inner: Mutex::new(PipeInner {
                 ledger: Some(ledger),
                 queue: VecDeque::new(),
-                inflight: VecDeque::new(),
+                inflight: None,
                 aborts: Vec::new(),
                 reservations: Vec::new(),
                 outcomes: HashMap::new(),
+                parked: 0,
             }),
             cv: Condvar::new(),
+            round: AtomicU64::new(0),
             sync_pending: AtomicU64::new(0),
             obs,
         }
@@ -179,6 +221,55 @@ impl CommitPipeline {
         self.inner.lock().reservations.push(upto);
     }
 
+    /// Waits, starting from the locked state `inner`, for the flush round in
+    /// progress to end, and returns the lock re-taken. The caller found its
+    /// condition false under `inner` and re-evaluates it on return (a park
+    /// can also end spuriously).
+    ///
+    /// Spin-then-park: the generation read here, still under the lock, is
+    /// the one the caller's condition was evaluated against. The spin holds
+    /// no lock. Parking happens only if the generation is unchanged once the
+    /// lock is held again — and since a round's end bumps it under that
+    /// lock, the round that would satisfy the caller has then not ended, and
+    /// will find this waiter counted in `parked` when it does.
+    fn wait_round<'a>(
+        &'a self,
+        inner: MutexGuard<'a, PipeInner>,
+        counters: Option<&WaitCounters>,
+    ) -> MutexGuard<'a, PipeInner> {
+        let round = self.round.load(Ordering::Relaxed);
+        drop(inner);
+        if let Some(counters) = counters {
+            counters.waits.inc();
+        }
+        for _ in 0..SPIN_BEFORE_PARK {
+            if self.round.load(Ordering::Acquire) != round {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        let mut inner = self.inner.lock();
+        if self.round.load(Ordering::Relaxed) == round {
+            if let Some(counters) = counters {
+                counters.parks.inc();
+            }
+            inner.parked += 1;
+            self.cv.wait(&mut inner);
+            inner.parked -= 1;
+        }
+        inner
+    }
+
+    /// Waits out any flush round in progress: returns the lock with the
+    /// ledger present.
+    fn lock_with_ledger(&self) -> MutexGuard<'_, PipeInner> {
+        let mut inner = self.inner.lock();
+        while inner.ledger.is_none() {
+            inner = self.wait_round(inner, None);
+        }
+        inner
+    }
+
     /// The begin gate: returns once no decided-but-unpublished commit with
     /// `commit_ts < start_ts` remains. Lock-free whenever no commit is in
     /// flight (the common case); see the field docs on
@@ -187,17 +278,28 @@ impl CommitPipeline {
         if self.sync_pending.load(Ordering::SeqCst) == 0 {
             return;
         }
+        let obs = self.obs.as_deref();
+        let mut waiting_since = None;
         let mut inner = self.inner.lock();
         loop {
             let oldest = inner
                 .inflight
-                .front()
-                .or_else(|| inner.queue.front())
-                .map(|p| p.commit_ts);
+                .or_else(|| inner.queue.front().map(|p| p.commit_ts));
             match oldest {
-                Some(c) if c < start_ts => self.cv.wait(&mut inner),
-                _ => return,
+                Some(c) if c < start_ts => {
+                    // The clock is read only by a begin that really waits.
+                    if waiting_since.is_none() && obs.is_some() {
+                        waiting_since = Some(Instant::now());
+                    }
+                    inner = self.wait_round(inner, obs.map(|obs| &obs.gate_wait));
+                }
+                _ => break,
             }
+        }
+        drop(inner);
+        if let (Some(obs), Some(since)) = (obs, waiting_since) {
+            obs.begin_gate_wait_us
+                .record(since.elapsed().as_micros() as u64);
         }
     }
 
@@ -210,69 +312,54 @@ impl CommitPipeline {
         &self,
         commit_ts: Timestamp,
         ctx: &PublishCtx<'_>,
-        now_us: u64,
     ) -> Result<(), WalError> {
+        let obs = self.obs.as_deref();
         let mut led = false;
+        let mut inner = self.inner.lock();
         loop {
-            let work = {
-                let mut inner = self.inner.lock();
-                loop {
-                    if let Some(outcome) = inner.outcomes.remove(&commit_ts.raw()) {
-                        if !led {
-                            // Our commit rode another thread's flush round —
-                            // the group-commit win the paper's batching
-                            // factor measures.
-                            if let Some(obs) = &self.obs {
-                                obs.follower_commits.inc();
-                            }
-                        }
-                        return outcome.map_or(Ok(()), Err);
-                    }
-                    if inner.ledger.is_some() && inner.inflight.is_empty() {
-                        break Self::take_work(&mut inner);
-                    }
-                    self.cv.wait(&mut inner);
+            if let Some(outcome) = inner.outcomes.remove(&commit_ts.raw()) {
+                if let (false, Some(obs)) = (led, obs) {
+                    // Our commit rode another thread's flush round — the
+                    // group-commit win the paper's batching factor measures.
+                    obs.follower_commits.inc();
                 }
-            };
-            led = true;
-            self.sync_flush_round(work, ctx, now_us);
-            // Loop to pick up our own outcome (this round resolved it).
+                return outcome.map_or(Ok(()), Err);
+            }
+            if inner.ledger.is_some() {
+                // No outcome and a free ledger: our commit is still queued,
+                // and this round resolves it.
+                let work = Self::take_work(&mut inner);
+                drop(inner);
+                led = true;
+                self.sync_flush_round(work, ctx);
+                inner = self.inner.lock();
+            } else {
+                inner = self.wait_round(inner, obs.map(|obs| &obs.commit_wait));
+            }
         }
     }
 
     /// Drains and force-flushes everything queued or buffered; the explicit
     /// `flush_wal` tail.
-    pub(crate) fn flush_all(&self, ctx: &PublishCtx<'_>, now_us: u64) -> Result<(), WalError> {
-        let work = {
-            let mut inner = self.inner.lock();
-            loop {
-                if inner.ledger.is_some() && inner.inflight.is_empty() {
-                    let nothing_queued = inner.queue.is_empty()
-                        && inner.aborts.is_empty()
-                        && inner.reservations.is_empty();
-                    let ledger = inner.ledger.as_ref().expect("checked is_some");
-                    if nothing_queued && ledger.pending_records() == 0 {
-                        return Ok(());
-                    }
-                    break Self::take_work(&mut inner);
-                }
-                self.cv.wait(&mut inner);
-            }
-        };
-        self.sync_flush_round(work, ctx, now_us).map_or(Ok(()), Err)
+    pub(crate) fn flush_all(&self, ctx: &PublishCtx<'_>) -> Result<(), WalError> {
+        let mut inner = self.lock_with_ledger();
+        let nothing_queued =
+            inner.queue.is_empty() && inner.aborts.is_empty() && inner.reservations.is_empty();
+        let ledger = inner.ledger.as_ref().expect("locked with the ledger");
+        if nothing_queued && ledger.pending_records() == 0 {
+            return Ok(());
+        }
+        let work = Self::take_work(&mut inner);
+        drop(inner);
+        self.sync_flush_round(work, ctx).map_or(Ok(()), Err)
     }
 
     /// A point-in-time clone of the ledger (waits out any flush round in
     /// progress). Records still queued in the pipeline are *not* included —
     /// exactly matching what survives a crash at this instant.
     pub(crate) fn ledger_snapshot(&self) -> Ledger {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(ledger) = inner.ledger.as_ref() {
-                return ledger.clone();
-            }
-            self.cv.wait(&mut inner);
-        }
+        let inner = self.lock_with_ledger();
+        inner.ledger.clone().expect("locked with the ledger")
     }
 
     /// Installs a recovered ledger (recovery-time only; no flush can be in
@@ -284,22 +371,19 @@ impl CommitPipeline {
     /// Runs `f` against the live ledger (waits out any flush round in
     /// progress). Failure-injection hook for tests and simulations.
     pub(crate) fn with_ledger_mut(&self, f: impl FnOnce(&mut Ledger)) {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(ledger) = inner.ledger.as_mut() {
-                f(ledger);
-                return;
-            }
-            self.cv.wait(&mut inner);
-        }
+        let mut inner = self.lock_with_ledger();
+        f(inner.ledger.as_mut().expect("locked with the ledger"));
     }
 
     /// Takes exclusive ownership of the ledger plus everything queued.
-    /// Caller must have checked `ledger.is_some() && inflight.is_empty()`.
+    /// Caller must have checked `ledger.is_some()`: the ledger is out for
+    /// exactly as long as `inflight` is set, so leaders exclude each other
+    /// through it.
     fn take_work(inner: &mut PipeInner) -> FlushWork {
         let ledger = inner.ledger.take().expect("leader takes a present ledger");
+        debug_assert!(inner.inflight.is_none(), "one round at a time");
         let commits: Vec<PendingCommit> = inner.queue.drain(..).collect();
-        inner.inflight.extend(commits.iter().cloned());
+        inner.inflight = commits.first().map(|c| c.commit_ts);
         FlushWork {
             ledger,
             commits,
@@ -308,15 +392,17 @@ impl CommitPipeline {
         }
     }
 
-    /// One leader round: encode + flush outside all locks, publish (or
-    /// overturn) each commit, hand the ledger back, resolve waiters.
-    /// Returns the round's error, if any. Called with **no** lock held.
-    fn sync_flush_round(
-        &self,
-        work: FlushWork,
-        ctx: &PublishCtx<'_>,
-        now_us: u64,
-    ) -> Option<WalError> {
+    /// One leader round, called with **no** lock held: encode, append and
+    /// flush outside all locks; on success flip every commit visible in the
+    /// commit index, in commit order — on quorum loss overturn them all;
+    /// then, under the lock, hand the ledger back, post the outcomes, bump
+    /// the round generation and wake whoever parked. Returns the round's
+    /// error, if any.
+    ///
+    /// That is all a round does, because gated begins and every other
+    /// committer wait for its end. Stamping the commit timestamp onto the
+    /// versions is each owner's job once it has picked up its outcome.
+    fn sync_flush_round(&self, work: FlushWork, ctx: &PublishCtx<'_>) -> Option<WalError> {
         let FlushWork {
             mut ledger,
             commits,
@@ -328,19 +414,19 @@ impl CommitPipeline {
             obs.sync_group_size.record(commits.len() as u64);
         }
         for upto in reservations {
-            ledger.append(record::encode_ts_reserve(upto), now_us);
+            ledger.append(record::encode_ts_reserve(upto), NO_BATCH_CLOCK_US);
         }
         for start_ts in aborts {
-            ledger.append(record::encode_abort(start_ts), now_us);
+            ledger.append(record::encode_abort(start_ts), NO_BATCH_CLOCK_US);
         }
         for c in &commits {
             ledger.append(
                 record::encode_commit(c.start_ts, c.commit_ts, &c.batch),
-                now_us,
+                NO_BATCH_CLOCK_US,
             );
         }
         let records = commits.len() as u64;
-        let err = ledger.flush(now_us).err();
+        let err = ledger.flush(NO_BATCH_CLOCK_US).err();
         if let Some(journal) = self.journal() {
             journal.record(
                 0,
@@ -357,8 +443,6 @@ impl CommitPipeline {
                 // were gated until now.
                 for c in &commits {
                     ctx.index.record_commit(c.start_ts, c.commit_ts);
-                    ctx.mvcc
-                        .stamp_commit(c.start_ts, c.commit_ts, c.batch.iter().map(|(k, _)| k));
                     if let Some(journal) = self.journal() {
                         journal.record(
                             c.start_ts.raw(),
@@ -384,7 +468,7 @@ impl CommitPipeline {
                 for c in &commits {
                     ctx.oracle.abort_after_decide();
                     ctx.index.record_abort(c.start_ts);
-                    ledger.append(record::encode_abort(c.start_ts), now_us);
+                    ledger.append(record::encode_abort(c.start_ts), NO_BATCH_CLOCK_US);
                     if let Some(journal) = self.journal() {
                         journal.record(
                             c.start_ts.raw(),
@@ -398,14 +482,20 @@ impl CommitPipeline {
         }
         let mut inner = self.inner.lock();
         inner.ledger = Some(ledger);
-        inner.inflight.clear();
+        inner.inflight = None;
         for c in &commits {
             inner.outcomes.insert(c.commit_ts.raw(), err.clone());
         }
         self.sync_pending
             .fetch_sub(commits.len() as u64, Ordering::SeqCst);
+        // Bumped under the lock (see `wait_round`); `Release` pairs with the
+        // spinners' `Acquire` loads.
+        self.round.fetch_add(1, Ordering::Release);
+        let sleepers = inner.parked > 0;
         drop(inner);
-        self.cv.notify_all();
+        if sleepers {
+            self.cv.notify_all();
+        }
         err
     }
 }

@@ -9,6 +9,7 @@
 //! bookkeeping that still adds up afterwards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -255,6 +256,210 @@ fn sync_commits_share_flushes_under_contention() {
     assert_eq!(ledger.pending_records(), 0);
     assert!(ledger.durable_upto().is_some());
     assert_eq!(db.stats().oracle.commits, commits);
+}
+
+/// Runs `herd` on its own thread and fails the test if it has not returned
+/// within `limit`: a lost wake-up in the pipeline is a committer asleep for
+/// good, and must show as a failure, not as a suite that never ends. (The
+/// stuck threads are abandoned to the end of the test process.)
+fn within<T: Send + 'static>(limit: Duration, herd: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = mpsc::channel();
+    let runner = thread::spawn(move || done.send(herd()));
+    match finished.recv_timeout(limit) {
+        Ok(result) => result,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("herd still out after {limit:?}: a waiter was not woken")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("herd died without a result"))
+        }
+    }
+}
+
+/// What one herd thread saw: the keys whose commit was acknowledged, and
+/// the keys whose commit a quorum loss overturned.
+type Fates = (Vec<String>, Vec<String>);
+
+/// Eight committers over disjoint keys on `db`'s sync WAL, released
+/// together. With `quorum_loss`, thread 0 fails two of the three bookies a
+/// quarter of the way through and brings them back as soon as a commit of
+/// its own has been overturned — so the overturn path is certain to run,
+/// under whatever the other seven are doing. Both calls go through
+/// `with_ledger_mut`, which waits out flush rounds like any committer.
+fn pipeline_herd(db: &Db, commits_per_thread: usize, quorum_loss: bool) -> Fates {
+    const THREADS: usize = 8;
+    let start = Barrier::new(THREADS);
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let start = &start;
+                s.spawn(move || {
+                    let saboteur = quorum_loss && t == 0;
+                    let mut fates = Fates::default();
+                    start.wait();
+                    for i in 0..commits_per_thread {
+                        if saboteur && i == commits_per_thread / 4 {
+                            db.fail_wal_bookie(0);
+                            db.fail_wal_bookie(1);
+                        }
+                        let key = format!("t{t}/k{i}");
+                        let mut txn = db.begin();
+                        txn.put(key.as_bytes(), key.as_bytes());
+                        match txn.commit() {
+                            Ok(_) => fates.0.push(key),
+                            Err(Error::Wal(WalError::QuorumLost { .. })) => {
+                                fates.1.push(key);
+                                if saboteur {
+                                    db.recover_wal_bookie(0);
+                                    db.recover_wal_bookie(1);
+                                }
+                            }
+                            Err(e) => panic!("disjoint keys cannot conflict: {e:?}"),
+                        }
+                    }
+                    fates
+                })
+            })
+            .collect();
+        let mut all = Fates::default();
+        for worker in workers {
+            let (acked, lost) = worker.join().expect("herd thread");
+            all.0.extend(acked);
+            all.1.extend(lost);
+        }
+        all
+    })
+}
+
+/// `(waits, parks)` of the pipeline's two wait sites together.
+fn pipeline_waits(db: &Db) -> (u64, u64) {
+    let snap = db.obs_snapshot().expect("obs on by default");
+    let sum = |names: [&str; 2]| names.iter().map(|n| snap.counters[*n]).sum();
+    (
+        sum(["store_gate_waits_total", "store_commit_waits_total"]),
+        sum(["store_gate_parks_total", "store_commit_parks_total"]),
+    )
+}
+
+/// The lost-wake-up herd. Every pipeline wait is a bounded spin on the round
+/// generation and then, perhaps, a park that only the round's leader ends —
+/// and the leader wakes nobody unless it counts a sleeper. Eight committers
+/// on two cores keep leaders, spinners and sleepers interleaving; a quorum
+/// loss mid-run sends rounds down the overturn path. Nothing here depends on
+/// timing: whatever the interleaving, every thread must come back (the
+/// watchdog), every begin must have exactly one fate, and exactly the
+/// acknowledged commits must survive recovery.
+///
+/// The second phase slows each flush to 2 ms, which no spin outlasts: there
+/// the waiters must be *seen* to park, and to have been woken.
+#[test]
+fn pipeline_herd_loses_no_wake_up() {
+    const COMMITS_PER_THREAD: usize = 150;
+    let options =
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated());
+
+    let (db, acked, lost) = within(Duration::from_secs(60), {
+        let options = options.clone();
+        move || {
+            let db = Db::open(options);
+            let (acked, lost) = pipeline_herd(&db, COMMITS_PER_THREAD, true);
+            (db, acked, lost)
+        }
+    });
+    assert!(!lost.is_empty(), "the quorum loss overturned something");
+    let stats = db.stats();
+    assert_eq!(stats.active_transactions, 0, "every txn deregistered");
+    assert_eq!(stats.oracle.commits, acked.len() as u64);
+    assert_eq!(
+        stats.oracle.begins,
+        stats.oracle.commits
+            + stats.oracle.read_only_commits
+            + stats.oracle.total_aborts()
+            + lost.len() as u64,
+        "begins == commits + read-only commits + aborts + overturned: {stats:?}"
+    );
+    let (waits, parks) = pipeline_waits(&db);
+    assert!(parks <= waits, "{parks} parks in {waits} waits");
+
+    // Heals the log's tail: the compensating aborts of the last overturned
+    // round are durable once flushed.
+    db.flush_wal().expect("quorum is back");
+    let recovered = Db::recover(options, db.wal_snapshot().expect("durable")).unwrap();
+    let (live, replayed) = (db.snapshot(), recovered.snapshot());
+    for key in &acked {
+        assert_eq!(live.get(key.as_bytes()).as_deref(), Some(key.as_bytes()));
+        assert_eq!(
+            replayed.get(key.as_bytes()).as_deref(),
+            Some(key.as_bytes()),
+            "acknowledged commit {key} lost in recovery"
+        );
+    }
+    for key in &lost {
+        assert_eq!(live.get(key.as_bytes()), None, "{key} was overturned");
+        assert_eq!(replayed.get(key.as_bytes()), None, "{key} was overturned");
+    }
+
+    let slow = LedgerConfig::default_replicated().with_flush_delay_us(2_000);
+    let (acked, (waits, parks)) = within(Duration::from_secs(60), move || {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).durable(slow));
+        let (acked, _) = pipeline_herd(&db, 6, false);
+        (acked, pipeline_waits(&db))
+    });
+    assert_eq!(acked.len(), 8 * 6);
+    assert!(parks > 0, "a 2 ms flush outlasts any spin: {waits} waits");
+    assert!(parks <= waits, "{parks} parks in {waits} waits");
+}
+
+/// Owner-side stamping loses no stamp. With a WAL the leader only flips the
+/// commit index; each owner writes its commit timestamp onto its versions
+/// after it picks up its outcome. Four writers pile versions from different
+/// owners onto the same few chains; once they are back every version must
+/// carry a stamp, and the same one a replay of the log derives.
+#[test]
+fn owner_stamping_leaves_no_version_unstamped() {
+    const THREADS: usize = 4;
+    const COMMITS_PER_THREAD: usize = 20;
+    const KEYS: usize = 8;
+    let options =
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated());
+    let db = Db::open(options.clone());
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            let db = &db;
+            s.spawn(move || {
+                for i in 0..COMMITS_PER_THREAD {
+                    // Blind writes: WSI never refuses them.
+                    let mut txn = db.begin();
+                    for k in [i % KEYS, (i + t + 1) % KEYS] {
+                        txn.put(format!("k{k}").as_bytes(), format!("{t}:{i}").as_bytes());
+                    }
+                    txn.commit().unwrap();
+                }
+            });
+        }
+    });
+
+    // Chain order is insert order, which differs between the live run
+    // (inserted before the decision) and the replay (in commit order).
+    let stamps = |db: &Db| {
+        let mut stamps = db.version_stamps();
+        for (_, versions) in &mut stamps {
+            versions.sort_unstable();
+        }
+        stamps
+    };
+    let live = stamps(&db);
+    assert_eq!(live.len(), KEYS);
+    for (key, versions) in &live {
+        assert!(
+            versions
+                .iter()
+                .all(|(_, committed_at)| committed_at.is_some()),
+            "{key:?} holds an unstamped version: {versions:?}"
+        );
+    }
+    let recovered = Db::recover(options, db.wal_snapshot().expect("durable")).unwrap();
+    assert_eq!(live, stamps(&recovered));
 }
 
 /// Snapshot stability under a sync-commit storm. A sync commit is *decided*

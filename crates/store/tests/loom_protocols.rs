@@ -50,10 +50,17 @@
 //!    whatever the interleaving, a version published while a sweep runs is
 //!    either seen by that sweep's examination or leaves the entry flagged
 //!    and queued for the next one — never neither (DESIGN.md §6).
+//! 9. **The commit pipeline's spin-then-park hand-off** — the one way to
+//!    wait in `pipeline.rs` (`CommitPipeline::wait_round`) against the end
+//!    of a flush round: generation read under the lock → spin with no lock
+//!    → re-check under the lock → park, versus bump under the lock →
+//!    notify only if somebody is counted parked. A waiter never parks once
+//!    its condition holds, and a parked waiter is woken by the round that
+//!    bumps its generation — so every waiter returns (DESIGN.md §5).
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
 /// End-of-chain / empty-head sentinel (mirrors `arena::NULL_VIDX`).
@@ -984,4 +991,118 @@ fn dirty_flag_worklist_never_loses_a_publish() {
         sweep(&published, &dirty, &queue, &examined);
         assert_eq!(examined.load(Ordering::SeqCst), W_PUBLISHED);
     });
+}
+
+/// Flush rounds the leader runs in protocol model 9.
+const H_ROUNDS: u64 = 4;
+
+/// Spin turns a modelled waiter takes before it parks: scaled down from
+/// `pipeline::SPIN_BEFORE_PARK` so that both ways out of a wait — saw the
+/// bump while spinning, parked and was woken — are common under the fuzzer.
+const H_SPIN: usize = 3;
+
+/// The lock-protected half of the modelled pipeline: how many rounds have
+/// ended (all a modelled waiter waits for) and who is asleep.
+struct HandoffInner {
+    rounds_done: u64,
+    parked: usize,
+}
+
+/// Protocol 9: two waiters and a leader over the pipeline's hand-off. Each
+/// waiter needs a number of rounds to have ended and waits for them the way
+/// `wait_round` does; the leader ends [`H_ROUNDS`] rounds the way
+/// `sync_flush_round` does, paying for a `notify_all` only when it counts a
+/// sleeper. The exact statement is at the park: under the lock, with the
+/// generation unchanged since the condition was found false, the condition
+/// is still false — the round that satisfies this waiter has not ended, so
+/// it will find the waiter counted and wake it. The consequence is that
+/// every waiter returns, which the watchdog turns from a hang into a
+/// failure.
+#[test]
+fn pipeline_handoff_wakes_every_parked_waiter() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let model = std::thread::spawn(move || {
+        loom::model(|| {
+            let inner = Arc::new(Mutex::new(HandoffInner {
+                rounds_done: 0,
+                parked: 0,
+            }));
+            let cv = Arc::new(Condvar::new());
+            let round = Arc::new(AtomicU64::new(0));
+
+            let waiters: Vec<_> = [1, H_ROUNDS]
+                .into_iter()
+                .map(|want| {
+                    let (inner, cv, round) =
+                        (Arc::clone(&inner), Arc::clone(&cv), Arc::clone(&round));
+                    thread::spawn(move || {
+                        let mut parks = 0u64;
+                        let mut guard = inner.lock().unwrap();
+                        while guard.rounds_done < want {
+                            // `wait_round`: the generation the condition was
+                            // evaluated against, read under the lock.
+                            let seen = round.load(Ordering::Relaxed);
+                            drop(guard);
+                            for _ in 0..H_SPIN {
+                                if round.load(Ordering::Acquire) != seen {
+                                    break;
+                                }
+                                loom::hint::spin_loop();
+                            }
+                            guard = inner.lock().unwrap();
+                            if round.load(Ordering::Relaxed) == seen {
+                                assert!(
+                                    guard.rounds_done < want,
+                                    "parking although round {want} has ended"
+                                );
+                                guard.parked += 1;
+                                parks += 1;
+                                guard = cv.wait(guard).unwrap();
+                                guard.parked -= 1;
+                            }
+                        }
+                        parks
+                    })
+                })
+                .collect();
+
+            let leader = {
+                let (inner, cv, round) = (Arc::clone(&inner), Arc::clone(&cv), Arc::clone(&round));
+                thread::spawn(move || {
+                    let mut notifies = 0u64;
+                    for _ in 0..H_ROUNDS {
+                        // The flush itself, outside the lock.
+                        thread::yield_now();
+                        let mut guard = inner.lock().unwrap();
+                        guard.rounds_done += 1;
+                        round.fetch_add(1, Ordering::Release);
+                        let sleepers = guard.parked > 0;
+                        drop(guard);
+                        if sleepers {
+                            notifies += 1;
+                            cv.notify_all();
+                        }
+                    }
+                    notifies
+                })
+            };
+
+            let notifies = leader.join().unwrap();
+            let parks: u64 = waiters.into_iter().map(|w| w.join().unwrap()).sum();
+            let guard = inner.lock().unwrap();
+            assert_eq!(guard.rounds_done, H_ROUNDS);
+            assert_eq!(guard.parked, 0, "every sleeper was woken and left");
+            assert!(notifies <= H_ROUNDS);
+            assert!(
+                parks == 0 || notifies > 0,
+                "{parks} parks ended without a single notify"
+            );
+        });
+        let _ = done.send(());
+    });
+    let limit = std::time::Duration::from_secs(120);
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+        panic!("a modelled waiter parked and was never woken");
+    }
+    model.join().expect("an assertion of the model failed");
 }

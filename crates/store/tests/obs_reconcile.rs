@@ -346,6 +346,60 @@ fn worklist_and_head_table_metrics_reconcile() {
     );
 }
 
+/// Identity 8: the commit pipeline's wait series reconcile. A wait is one
+/// spin on the round generation and a park is a wait that outlasted it, so
+/// `parks ≤ waits` at both wait sites; `store_begin_gate_wait_us` takes one
+/// sample per begin that waited at all — at most one per gate wait, and
+/// some exactly when there were gate waits. One client never finds a round
+/// in progress, and without a WAL there is no pipeline: all of it is zero.
+#[test]
+fn pipeline_wait_metrics_reconcile() {
+    let wsi = IsolationLevel::WriteSnapshot;
+    let durable = || DbOptions::new(wsi).durable(LedgerConfig::default_replicated());
+    const SITES: [(&str, &str); 2] = [
+        ("store_gate_waits_total", "store_gate_parks_total"),
+        ("store_commit_waits_total", "store_commit_parks_total"),
+    ];
+
+    let herd = Arc::new(Db::open(durable()));
+    drive_workload(&herd);
+    let snap = herd.obs_snapshot().expect("obs on");
+    for (waits, parks) in SITES {
+        assert!(
+            snap.counters[parks] <= snap.counters[waits],
+            "{parks} {} > {waits} {}",
+            snap.counters[parks],
+            snap.counters[waits]
+        );
+    }
+    let gate_waits = snap.counters["store_gate_waits_total"];
+    let waited = snap.histograms["store_begin_gate_wait_us"].count;
+    assert!(waited <= gate_waits, "{waited} begins waited {gate_waits}×");
+    assert_eq!(waited > 0, gate_waits > 0);
+
+    let one_client = Db::open(durable());
+    for i in 0u64..200 {
+        let mut txn = one_client.begin();
+        let _ = txn.get(i.to_be_bytes().as_slice());
+        txn.put(i.to_be_bytes().as_slice(), b"v");
+        txn.commit().expect("nothing to conflict with");
+    }
+    one_client.flush_wal().expect("healthy quorum");
+    let no_wal = Arc::new(Db::open(DbOptions::new(wsi)));
+    drive_workload(&no_wal);
+    for (db, what) in [(&one_client, "one client"), (&*no_wal, "no WAL")] {
+        let snap = db.obs_snapshot().expect("obs on");
+        for (waits, parks) in SITES {
+            assert_eq!(snap.counters[waits], 0, "{what}: {waits}");
+            assert_eq!(snap.counters[parks], 0, "{what}: {parks}");
+        }
+        assert_eq!(
+            snap.histograms["store_begin_gate_wait_us"].count, 0,
+            "{what}: nobody waited at the gate"
+        );
+    }
+}
+
 /// Per-kind journal event totals relevant to lifecycle reconciliation.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct JournalTally {

@@ -23,8 +23,10 @@ cargo clippy --all-targets --workspace -- -D warnings
 # The multi-threaded stress suites again in release mode (the debug run
 # above is too slow to shake out interleavings): the increment herds at all
 # three isolation levels, the commit-pipeline suite with its write-skew herd
-# under WSI and SSI, and the version store's 8-thread invariant herd with
-# its concurrent GC/reclamation thread and the table-growth herd.
+# under WSI and SSI and its lost-wake-up herd (8 committers on the sync WAL
+# through a quorum loss, under a watchdog), and the version store's 8-thread
+# invariant herd with its concurrent GC/reclamation thread and the
+# table-growth herd.
 cargo test -q --release -p wsi-store --test oracle_stress --test concurrency_stress --test store_stress
 
 # End-to-end benchmark smoke: one second's worth of `uniform_complex_1t`
@@ -35,14 +37,20 @@ cargo test -q --release -p wsi-store --test oracle_stress --test concurrency_str
 # only in the benchmark pipeline. The trace file lands under target/.
 cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
   --workload uniform_complex_1t --seed 1 --seconds 1 --trace 1 >/dev/null
+# The same second on the two-thread sync-WAL workload, untraced: the commit
+# pipeline's spin-then-park waits, the snapshot gate and owner-side stamping
+# under the binary's value, identity and steady-state checks.
+cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
+  --workload uniform_complex_sync_2t --seed 1 --seconds 1 --trace 0 >/dev/null
 
-# Lock-free protocol models, fast configuration: chain-head CAS publish
+# Concurrency protocol models, fast configuration: chain-head CAS publish
 # vs. concurrent readers, epoch advance vs. retire/free, the packed-node
 # claim/seal occupancy protocol, the migration splice vs. a mid-chain
-# reader, chain-head table growth vs. a reader, and the GC's dirty-flag
-# worklist handshake. 32 fuzzed schedules per model keeps the gate
-# seconds-scale; the default (64) runs when the suite is invoked without
-# LOOM_MAX_ITERS.
+# reader, chain-head table growth vs. a reader, the GC's dirty-flag
+# worklist handshake, and the commit pipeline's spin-then-park hand-off
+# (its one mutex-and-condvar protocol). 32 fuzzed schedules per model
+# keeps the gate seconds-scale; the default (64) runs when the suite is
+# invoked without LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols
 
 # The figure harness (the paper's reproduction on the simulator) still runs.

@@ -164,6 +164,35 @@ pub mod sync {
         }
     }
 
+    /// A condition variable with loom's std-like API, for use with
+    /// [`Mutex`]'s guards.
+    #[derive(Debug, Default)]
+    pub struct Condvar(std::sync::Condvar);
+
+    impl Condvar {
+        /// Creates a condition variable.
+        pub fn new() -> Self {
+            Condvar(std::sync::Condvar::new())
+        }
+
+        /// Atomically releases the guard's mutex and blocks until notified
+        /// (or spuriously woken); a scheduling point under the fuzzer just
+        /// before the release.
+        pub fn wait<'a, T>(
+            &self,
+            guard: std::sync::MutexGuard<'a, T>,
+        ) -> std::sync::LockResult<std::sync::MutexGuard<'a, T>> {
+            super::tick();
+            self.0.wait(guard)
+        }
+
+        /// Wakes every waiter (a scheduling point under the fuzzer).
+        pub fn notify_all(&self) {
+            super::tick();
+            self.0.notify_all();
+        }
+    }
+
     /// Instrumented atomics: every operation is a potential preemption
     /// point, which is where the fuzzer injects yields.
     pub mod atomic {
@@ -335,6 +364,26 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(total.load(Ordering::Relaxed), 128);
+        });
+    }
+
+    #[test]
+    fn condvar_hands_a_flag_over_under_the_fuzzer() {
+        model(|| {
+            let pair = Arc::new((sync::Mutex::new(false), sync::Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let (ready, cv) = &*pair;
+                    let mut ready = ready.lock().unwrap();
+                    while !*ready {
+                        ready = cv.wait(ready).unwrap();
+                    }
+                })
+            };
+            *pair.0.lock().unwrap() = true;
+            pair.1.notify_all();
+            waiter.join().unwrap();
         });
     }
 
