@@ -6,17 +6,26 @@
 //! writer of `r` committed with a smaller timestamp, so if the latest does
 //! not violate the temporal condition, none does.
 //!
-//! Two implementations are provided:
+//! Two implementations are provided, both over one flat open-addressing
+//! hash table (the private `RowTable`), so a probe or a record loads one
+//! memory item per row — the paper's unit of oracle cost (§6.3):
 //!
-//! * [`UnboundedLastCommit`] — a plain hash map; exact, grows with the
-//!   number of distinct rows ever written (Algorithms 1 and 2).
+//! * [`UnboundedLastCommit`] — exact, grows with the number of distinct
+//!   rows ever written (Algorithms 1 and 2).
 //! * [`BoundedLastCommit`] — keeps at most `NR` resident rows, evicting the
 //!   oldest entries and folding their timestamps into `T_max` (Algorithm 3,
 //!   paper Appendix A). Lookups of evicted rows return `T_max`-based
 //!   pessimistic answers: eviction can cause extra aborts but never admits a
 //!   commit the unbounded table would have refused.
+//!
+//! The table keeps no order, so the §5.2 range probe
+//! ([`LastCommitTable::probe_range`]) is a scan of every slot. Nothing on
+//! the transaction path sends one: the embedded store hashes keys into row
+//! identifiers, for which a range means nothing. Its callers are the
+//! `oracle_equivalence` property tests, the range-read-set ablation of
+//! `figures ablations` (≤ 40 k rows) and `examples/analytics.rs`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{row::RowId, ts::Timestamp};
 
@@ -68,42 +77,222 @@ pub trait LastCommitTable {
     }
 }
 
-/// Exact `lastCommit` table backed by an ordered map (Algorithms 1 and 2).
+/// Multiplier of the home-slot hash. It must not be the Fibonacci constant
+/// `ShardedLastCommit::shard_of` multiplies by: the rows of one shard share
+/// the top bits of that product, so a table indexed by them would use one
+/// slot in every shard-count.
+const SLOT_HASH: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// Smallest table: 8 slots, 6 rows.
+const MIN_BITS: u32 = 3;
+
+/// One slot of a [`RowTable`]: 16 bytes, four to a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    row: RowId,
+    ts: Timestamp,
+}
+
+/// An empty slot carries [`Timestamp::MAX`], which no row can: the
+/// timestamp counters panic before issuing it.
+const EMPTY: Slot = Slot {
+    row: RowId(0),
+    ts: Timestamp::MAX,
+};
+
+impl Slot {
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.ts == EMPTY.ts
+    }
+}
+
+/// `row → timestamp` in a power-of-two array with linear probing: a row
+/// lives in the first free slot at or after its home slot, so a lookup is
+/// one multiply and, at the ¾ load bound, 1.5 slot compares on average in
+/// adjacent memory. Deletion shifts the rest of the run back over the hole
+/// and leaves no tombstone.
+#[derive(Debug, Clone)]
+struct RowTable {
+    slots: Box<[Slot]>,
+    /// `64 - log2(slots.len())`: the home slot is the top bits of the hash.
+    shift: u32,
+    len: usize,
+}
+
+impl RowTable {
+    /// A table that holds `rows` rows without growing.
+    fn with_capacity(rows: usize) -> Self {
+        let mut bits = MIN_BITS;
+        while Self::overfull(rows, 1 << bits) {
+            bits += 1;
+        }
+        Self::with_bits(bits)
+    }
+
+    /// An empty table of `1 << bits` slots.
+    fn with_bits(bits: u32) -> Self {
+        RowTable {
+            slots: vec![EMPTY; 1 << bits].into_boxed_slice(),
+            shift: 64 - bits,
+            len: 0,
+        }
+    }
+
+    /// The load bound: a table is never more than three quarters full.
+    fn overfull(rows: usize, slots: usize) -> bool {
+        rows > slots / 4 * 3
+    }
+
+    #[inline]
+    fn home(&self, row: RowId) -> usize {
+        (row.raw().wrapping_mul(SLOT_HASH) >> self.shift) as usize
+    }
+
+    /// The slot holding `row`, or else the empty slot that ends its run —
+    /// where an insert would put it.
+    #[inline]
+    fn find(&self, row: RowId) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(row);
+        loop {
+            let slot = self.slots[i];
+            if slot.is_empty() {
+                return Err(i);
+            }
+            if slot.row == row {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, row: RowId) -> Option<Timestamp> {
+        self.find(row).ok().map(|i| self.slots[i].ts)
+    }
+
+    /// Sets `row`'s timestamp; returns whether the row is new to the table.
+    #[inline]
+    fn insert(&mut self, row: RowId, ts: Timestamp) -> bool {
+        assert!(ts != EMPTY.ts, "Timestamp::MAX marks an empty slot");
+        match self.find(row) {
+            Ok(i) => {
+                self.slots[i].ts = ts;
+                false
+            }
+            Err(mut i) => {
+                if Self::overfull(self.len + 1, self.slots.len()) {
+                    self.grow();
+                    i = self.find(row).expect_err("row was absent before growth");
+                }
+                self.slots[i] = Slot { row, ts };
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    /// The resident rows, in array order.
+    fn occupied(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.slots.iter().copied().filter(|slot| !slot.is_empty())
+    }
+
+    /// Doubles the array and re-places every row.
+    #[cold]
+    fn grow(&mut self) {
+        let old = std::mem::replace(self, Self::with_bits(64 - self.shift + 1));
+        self.len = old.len;
+        for slot in old.occupied() {
+            let i = self.find(slot.row).expect_err("rows are distinct");
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Removes `row` if present, closing the gap by backward shift: each
+    /// later row of the run moves into the hole unless that would put it
+    /// before its home slot, so every row stays reachable from its home
+    /// with no empty slot in between.
+    fn remove(&mut self, row: RowId) {
+        let Ok(mut hole) = self.find(row) else {
+            return;
+        };
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot.is_empty() {
+                break;
+            }
+            // Distances are taken modulo the array: runs wrap its end.
+            let from_home = i.wrapping_sub(self.home(slot.row)) & mask;
+            let from_hole = i.wrapping_sub(hole) & mask;
+            if from_home >= from_hole {
+                self.slots[hole] = slot;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    /// Largest timestamp of any row in `[start, end)`: a scan of the whole
+    /// array, whatever the width of the range.
+    fn max_in(&self, start: RowId, end: RowId) -> Option<Timestamp> {
+        self.occupied()
+            .filter(|slot| start <= slot.row && slot.row < end)
+            .map(|slot| slot.ts)
+            .max()
+    }
+}
+
+/// Exact `lastCommit` table (Algorithms 1 and 2): a hash table that doubles
+/// when three quarters full, so it holds 21–43 bytes per resident row.
 ///
-/// Ordering by row identifier enables the §5.2 analytical-traffic extension:
-/// probing a whole *range* of rows in O(log n + k) instead of submitting an
-/// enormous read set.
-#[derive(Debug, Clone, Default)]
+/// [`LastCommitTable::probe_range`] scans the table — O(slots), not the
+/// O(log n + k) of an ordered map; see the module docs for who calls it.
+#[derive(Debug, Clone)]
 pub struct UnboundedLastCommit {
-    map: BTreeMap<RowId, Timestamp>,
+    table: RowTable,
 }
 
 impl UnboundedLastCommit {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Self::default()
+        UnboundedLastCommit {
+            table: RowTable::with_capacity(0),
+        }
+    }
+}
+
+impl Default for UnboundedLastCommit {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl LastCommitTable for UnboundedLastCommit {
+    #[inline]
     fn probe(&self, row: RowId) -> Probe {
-        match self.map.get(&row) {
-            Some(&ts) => Probe::Resident(ts),
+        match self.table.get(row) {
+            Some(ts) => Probe::Resident(ts),
             None => Probe::NeverWritten,
         }
     }
 
+    #[inline]
     fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
-        self.map.insert(row, ts);
+        self.table.insert(row, ts);
         0
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.table.len
     }
 
     fn probe_range(&self, start: RowId, end: RowId) -> Probe {
-        match self.map.range(start..end).map(|(_, &ts)| ts).max() {
+        match self.table.max_in(start, end) {
             Some(ts) => Probe::Resident(ts),
             None => Probe::NeverWritten,
         }
@@ -114,9 +303,10 @@ impl LastCommitTable for UnboundedLastCommit {
 ///
 /// Keeps the `NR` most recently *committed-to* rows. Eviction is in commit
 /// order: a FIFO of `(commit_ts, row)` records is maintained alongside the
-/// map, with lazy deletion — a queue entry is discarded if the map has since
-/// been updated with a newer timestamp for that row. `T_max` is the maximum
-/// commit timestamp of any entry actually evicted from the map.
+/// hash table, with lazy deletion — a queue entry is discarded if the table
+/// has since been updated with a newer timestamp for that row. `T_max` is
+/// the maximum commit timestamp of any entry actually evicted. The hash
+/// table is sized once, for `NR + 1` rows, and never grows.
 ///
 /// The paper sizes this for 1 GB of memory holding 32 M rows (≈32 bytes per
 /// entry), which at 80 K TPS and 8 rows per transaction keeps the last ~50
@@ -136,7 +326,7 @@ impl LastCommitTable for UnboundedLastCommit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundedLastCommit {
-    map: BTreeMap<RowId, Timestamp>,
+    table: RowTable,
     /// FIFO of (commit_ts, row) insertions, oldest first; lazily pruned.
     queue: VecDeque<(Timestamp, RowId)>,
     capacity: usize,
@@ -153,7 +343,8 @@ impl BoundedLastCommit {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "lastCommit capacity must be positive");
         BoundedLastCommit {
-            map: BTreeMap::new(),
+            // One row over: a fresh row is inserted before the oldest goes.
+            table: RowTable::with_capacity(capacity + 1),
             queue: VecDeque::with_capacity(capacity),
             capacity,
             t_max: Timestamp::ZERO,
@@ -178,8 +369,8 @@ impl BoundedLastCommit {
             // Lazy deletion: only evict if this queue entry still describes
             // the row's current timestamp; otherwise a newer `record` call
             // superseded it and a newer queue entry exists for the row.
-            if self.map.get(&row) == Some(&ts) {
-                self.map.remove(&row);
+            if self.table.get(row) == Some(ts) {
+                self.table.remove(row);
                 if ts > self.t_max {
                     self.t_max = ts;
                 }
@@ -191,38 +382,39 @@ impl BoundedLastCommit {
 }
 
 impl LastCommitTable for BoundedLastCommit {
+    #[inline]
     fn probe(&self, row: RowId) -> Probe {
-        match self.map.get(&row) {
-            Some(&ts) => Probe::Resident(ts),
+        match self.table.get(row) {
+            Some(ts) => Probe::Resident(ts),
             None if self.t_max == Timestamp::ZERO => Probe::NeverWritten,
             None => Probe::MaybeEvicted { t_max: self.t_max },
         }
     }
 
     fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
-        let fresh = self.map.insert(row, ts).is_none();
+        let fresh = self.table.insert(row, ts);
         self.queue.push_back((ts, row));
-        let evicted = if fresh && self.map.len() > self.capacity {
+        let evicted = if fresh && self.table.len > self.capacity {
             self.evict_one()
         } else {
             0
         };
         // Bound the lazy queue: amortized compaction when it grows far past
-        // the map (many re-records of hot rows).
+        // the table (many re-records of hot rows).
         if self.queue.len() > 2 * self.capacity + 16 {
-            let map = &self.map;
-            self.queue.retain(|(qts, qrow)| map.get(qrow) == Some(qts));
+            let table = &self.table;
+            self.queue
+                .retain(|&(qts, qrow)| table.get(qrow) == Some(qts));
         }
         evicted
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.table.len
     }
 
     fn probe_range(&self, start: RowId, end: RowId) -> Probe {
-        let resident = self.map.range(start..end).map(|(_, &ts)| ts).max();
-        match (resident, self.t_max) {
+        match (self.table.max_in(start, end), self.t_max) {
             // Any row in the range may have been evicted with a timestamp up
             // to `t_max`, so the caller must consider both bounds; report
             // the larger pessimistically.
@@ -239,6 +431,258 @@ impl LastCommitTable for BoundedLastCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{row::hash_row_key, sharded::ShardedLastCommit};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Slots compared to find a resident row: 1 when it sits in its home.
+    fn probe_len(t: &RowTable, row: RowId) -> usize {
+        let at = t.find(row).expect("row is resident");
+        (at.wrapping_sub(t.home(row)) & (t.slots.len() - 1)) + 1
+    }
+
+    /// Every resident row is found from its home slot (no empty slot cuts
+    /// its run), `len` counts them, and the load bound holds.
+    fn assert_well_formed(t: &RowTable) {
+        let resident: Vec<RowId> = t.occupied().map(|slot| slot.row).collect();
+        assert_eq!(resident.len(), t.len);
+        assert!(!RowTable::overfull(t.len, t.slots.len()));
+        for row in resident {
+            assert!(t.find(row).is_ok(), "{row} is cut off from its home slot");
+        }
+    }
+
+    /// `n` distinct rows whose home is `slot` in a table of `t`'s size.
+    fn rows_homed_at(t: &RowTable, slot: usize, n: usize) -> Vec<RowId> {
+        (0..)
+            .map(RowId)
+            .filter(|&r| t.home(r) == slot)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn a_run_wraps_the_array_end_and_survives_deletion_inside_it() {
+        let mut t = RowTable::with_capacity(0);
+        let last = t.slots.len() - 1;
+        // Three rows homed at the last slot occupy it and slots 0 and 1; a
+        // row homed at slot 0 is pushed behind them, to slot 2.
+        let tail = rows_homed_at(&t, last, 3);
+        let zero = rows_homed_at(&t, 0, 1)[0];
+        for (i, &row) in tail.iter().chain([&zero]).enumerate() {
+            assert!(t.insert(row, Timestamp(i as u64)));
+        }
+        assert_eq!(probe_len(&t, tail[2]), 3);
+        assert_eq!(probe_len(&t, zero), 3);
+        // Removing the first of the run shifts the rest back across the
+        // array end — but never a row to before its own home.
+        t.remove(tail[0]);
+        assert_well_formed(&t);
+        assert_eq!(t.get(tail[0]), None);
+        assert_eq!(probe_len(&t, tail[1]), 1);
+        assert_eq!(probe_len(&t, tail[2]), 2);
+        assert_eq!(probe_len(&t, zero), 2);
+        assert_eq!(t.get(zero), Some(Timestamp(3)));
+        // Removing from the middle of the run keeps its tail findable.
+        t.remove(tail[2]);
+        assert_well_formed(&t);
+        assert_eq!(probe_len(&t, zero), 1);
+        assert_eq!(t.len, 2);
+    }
+
+    #[test]
+    fn the_table_doubles_at_three_quarters_and_keeps_every_row() {
+        let mut t = RowTable::with_capacity(0);
+        assert_eq!(t.slots.len(), 8);
+        for i in 0..6 {
+            t.insert(RowId(i), Timestamp(i));
+        }
+        assert_eq!(t.slots.len(), 8, "six of eight slots is within the bound");
+        t.insert(RowId(3), Timestamp(30));
+        assert_eq!(t.slots.len(), 8, "a re-record adds no row");
+        t.insert(RowId(6), Timestamp(6));
+        assert_eq!(t.slots.len(), 16, "the seventh row doubles the table");
+        assert_well_formed(&t);
+        assert_eq!(t.get(RowId(3)), Some(Timestamp(30)));
+        for i in [0, 1, 2, 4, 5, 6] {
+            assert_eq!(t.get(RowId(i)), Some(Timestamp(i)));
+        }
+        // A table sized for its rows up front never grows.
+        let mut sized = RowTable::with_capacity(1000);
+        let slots = sized.slots.len();
+        for i in 0..1000 {
+            sized.insert(RowId(i), Timestamp(i));
+        }
+        assert_eq!(sized.slots.len(), slots);
+    }
+
+    #[test]
+    fn extreme_rows_and_the_zero_timestamp_are_ordinary_entries() {
+        let mut t = UnboundedLastCommit::new();
+        // `RowId(0)` is what an empty slot's row field holds.
+        assert_eq!(t.probe(RowId(0)), Probe::NeverWritten);
+        t.record(RowId(0), Timestamp::ZERO);
+        t.record(RowId(u64::MAX), Timestamp(7));
+        assert_eq!(t.probe(RowId(0)), Probe::Resident(Timestamp::ZERO));
+        assert_eq!(t.probe(RowId(u64::MAX)), Probe::Resident(Timestamp(7)));
+        assert_eq!(t.len(), 2);
+        assert_eq!(
+            t.probe_range(RowId(0), RowId(u64::MAX)),
+            Probe::Resident(Timestamp::ZERO),
+            "the end of a range is exclusive"
+        );
+        // An inverted range holds no row.
+        assert_eq!(t.probe_range(RowId(5), RowId(0)), Probe::NeverWritten);
+    }
+
+    #[test]
+    #[should_panic(expected = "marks an empty slot")]
+    fn the_empty_marker_cannot_be_recorded() {
+        UnboundedLastCommit::new().record(RowId(1), Timestamp::MAX);
+    }
+
+    /// Mean and longest probe over `tables`' resident rows.
+    fn probe_stats(tables: &[RowTable]) -> Vec<(f64, usize)> {
+        tables
+            .iter()
+            .map(|t| {
+                let lens: Vec<usize> = t.occupied().map(|slot| probe_len(t, slot.row)).collect();
+                let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
+                (mean, lens.into_iter().max().unwrap_or(0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_of_one_shard_spread_over_the_whole_table() {
+        // A shard's rows share the top bits of `row * FIB_HASH`; a home
+        // slot taken from the same product would pile them into one
+        // sixteenth of the table (mean probe length in the thousands).
+        let sharded = ShardedLastCommit::unbounded(16);
+        let sequential = |n: u64| RowId(n);
+        let hashed = |n: u64| hash_row_key(format!("user{n:012}").as_bytes());
+        for (name, id) in [
+            ("sequential", &sequential as &dyn Fn(u64) -> RowId),
+            ("hashed", &hashed),
+        ] {
+            let mut tables = vec![RowTable::with_capacity(0); 16];
+            for n in 0..500_000u64 {
+                let row = id(n);
+                tables[sharded.shard_of(row)].insert(row, Timestamp(n));
+            }
+            for (shard, (mean, max)) in probe_stats(&tables).into_iter().enumerate() {
+                assert!(
+                    mean <= 2.0 && max <= 32,
+                    "{name} ids, shard {shard}: mean probe {mean:.2}, longest {max}"
+                );
+            }
+        }
+    }
+
+    /// One step of a random table history. Rows come from a small universe
+    /// so that histories re-record, collide and delete inside runs.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Record(u64, u64),
+        Remove(u64),
+        Probe(u64),
+        Range(u64, u64),
+    }
+
+    /// Dense small rows, the two extremes, and rows spread over all of
+    /// `u64`.
+    fn row() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            6 => 0u64..48,
+            1 => Just(u64::MAX),
+            2 => (0u64..16).prop_map(|i| i.wrapping_mul(0x1111_1111_1111_1111)),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            5 => (row(), 0u64..1000).prop_map(|(r, ts)| Op::Record(r, ts)),
+            3 => row().prop_map(Op::Remove),
+            2 => row().prop_map(Op::Probe),
+            1 => (row(), row()).prop_map(|(a, b)| Op::Range(a, b)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `RowTable` against an ordered map, through growth (8 → 64
+        /// slots) and deletions.
+        #[test]
+        fn row_table_agrees_with_an_ordered_map(ops in prop::collection::vec(op(), 1..200)) {
+            let mut table = RowTable::with_capacity(0);
+            let mut model: BTreeMap<RowId, Timestamp> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    Op::Record(r, ts) => {
+                        let fresh = table.insert(RowId(r), Timestamp(ts));
+                        prop_assert_eq!(fresh, model.insert(RowId(r), Timestamp(ts)).is_none());
+                    }
+                    Op::Remove(r) => {
+                        table.remove(RowId(r));
+                        model.remove(&RowId(r));
+                    }
+                    Op::Probe(r) => {
+                        prop_assert_eq!(table.get(RowId(r)), model.get(&RowId(r)).copied());
+                    }
+                    Op::Range(a, b) => {
+                        let expect = model
+                            .iter()
+                            .filter(|(&row, _)| RowId(a) <= row && row < RowId(b))
+                            .map(|(_, &ts)| ts)
+                            .max();
+                        prop_assert_eq!(table.max_in(RowId(a), RowId(b)), expect);
+                    }
+                }
+                assert_well_formed(&table);
+                prop_assert_eq!(table.len, model.len());
+            }
+            for (&row, &ts) in &model {
+                prop_assert_eq!(table.get(row), Some(ts));
+            }
+        }
+
+        /// `BoundedLastCommit` against Algorithm 3 stated directly: with
+        /// increasing commit timestamps, the row evicted is the resident
+        /// row committed to longest ago, and `T_max` is the newest
+        /// timestamp evicted.
+        #[test]
+        fn bounded_table_evicts_the_least_recently_committed_row(
+            capacity in 1usize..12,
+            rows in prop::collection::vec(row(), 1..200),
+        ) {
+            let mut table = BoundedLastCommit::with_capacity(capacity);
+            let mut model: BTreeMap<RowId, Timestamp> = BTreeMap::new();
+            let mut t_max = Timestamp::ZERO;
+            for (i, r) in rows.into_iter().enumerate() {
+                let ts = Timestamp(i as u64 + 1);
+                let mut evicted = 0;
+                if model.insert(RowId(r), ts).is_none() && model.len() > capacity {
+                    let (&oldest, &at) = model.iter().min_by_key(|(_, &ts)| ts).expect("non-empty");
+                    model.remove(&oldest);
+                    t_max = t_max.max(at);
+                    evicted = 1;
+                }
+                prop_assert_eq!(table.record(RowId(r), ts), evicted);
+                prop_assert_eq!(table.t_max(), t_max);
+                prop_assert_eq!(table.len(), model.len());
+                assert_well_formed(&table.table);
+                for probe in [0, 1, 47, u64::MAX].map(RowId) {
+                    let expect = match model.get(&probe) {
+                        Some(&ts) => Probe::Resident(ts),
+                        None if t_max == Timestamp::ZERO => Probe::NeverWritten,
+                        None => Probe::MaybeEvicted { t_max },
+                    };
+                    prop_assert_eq!(table.probe(probe), expect);
+                }
+            }
+        }
+    }
 
     #[test]
     fn unbounded_probe_and_record() {

@@ -77,7 +77,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use spin::Mutex as SpinMutex;
-use wsi_core::{hash_row_key, Timestamp, TxnStatus};
+use wsi_core::{hash_row_key, RowId, Timestamp, TxnStatus};
 
 use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
@@ -129,6 +129,11 @@ const WORK_SHARDS: usize = 16;
 /// Worklist entries a GC sweep examines under one epoch pin and retires
 /// with one limbo-list append.
 const GC_BATCH: usize = 256;
+
+/// Writes of a commit apply whose lookups are warmed together (see
+/// [`ChainHeadTable::warm`]); the paper's transactions write ten rows at
+/// most, so one batch is the whole write set.
+const WARM_BATCH: usize = 16;
 
 /// Packed null handle: no version / end of chain.
 const NULL_VIDX: u64 = u64::MAX;
@@ -722,16 +727,18 @@ impl ChainHeadTable {
         (0..1usize << bits).map(|_| AtomicU32::new(0)).collect()
     }
 
-    /// The 32 hash bits the table works from: in a generation of `bits`
-    /// log₂ slots the top `bits` are the home slot, the rest the
-    /// fingerprint. FNV-1a leaves the last key bytes out of its top bits,
-    /// and linear probing clusters on exactly that (short sequential keys
-    /// probed 3.6 slots at 2 M keys where a uniform hash probes 1.5), so
-    /// the high half is folded into the low before the Fibonacci multiply
-    /// carries everything back up.
+    /// The 32 hash bits the table works from, derived from the key's row
+    /// identifier ([`hash_row_key`] of its bytes — callers that already
+    /// hold it for the conflict check pass it in, so a key is hashed once
+    /// per operation): in a generation of `bits` log₂ slots the top `bits`
+    /// are the home slot, the rest the fingerprint. FNV-1a leaves the last
+    /// key bytes out of its top bits, and linear probing clusters on
+    /// exactly that (short sequential keys probed 3.6 slots at 2 M keys
+    /// where a uniform hash probes 1.5), so the high half is folded into
+    /// the low before the Fibonacci multiply carries everything back up.
     #[inline]
-    fn hash_of(key: &[u8]) -> u32 {
-        let hash = hash_row_key(key).raw();
+    fn hash_of(row: RowId) -> u32 {
+        let hash = row.raw();
         ((hash ^ (hash >> 32)).wrapping_mul(FIB_HASH) >> 32) as u32
     }
 
@@ -758,8 +765,9 @@ impl ChainHeadTable {
 
     /// Lock-free point lookup: the entry, its index, and the slots probed.
     #[inline]
-    fn probe(&self, key: &[u8]) -> (Option<(u32, &KeyEntry)>, usize) {
-        let hash = Self::hash_of(key);
+    fn probe(&self, key: &[u8], row: RowId) -> (Option<(u32, &KeyEntry)>, usize) {
+        debug_assert_eq!(row, hash_row_key(key), "`row` is the key's identifier");
+        let hash = Self::hash_of(row);
         let (slots, bits) = self.current();
         let mask = slots.len() - 1;
         let idx_mask = mask as u32;
@@ -783,10 +791,37 @@ impl ChainHeadTable {
         }
     }
 
+    /// Touches what the lookups of `rows` will: every home slot, then every
+    /// entry those slots name, then every entry's key bytes. A lookup is
+    /// three dependent loads — slot, entry, key — into memory that a
+    /// working set beyond the cache does not hold; the rows of a batch are
+    /// unrelated, so staged like this the misses of each kind overlap,
+    /// where one lookup after another takes them in sequence (the idiom of
+    /// [`ArenaStore::warm_chains`]). Only the home slot is followed: a key
+    /// displaced from it is found by the lookup proper, unwarmed.
+    fn warm(&self, rows: &[RowId]) {
+        let (slots, bits) = self.current();
+        let idx_mask = slots.len() as u32 - 1;
+        let mut found = [0u32; WARM_BATCH];
+        for (slot, &row) in found.iter_mut().zip(rows) {
+            let hash = Self::hash_of(row);
+            *slot = slots[(hash >> (32 - bits)) as usize].load(Ordering::Acquire);
+        }
+        let mut keys: [&[u8]; WARM_BATCH] = [&[]; WARM_BATCH];
+        for (key, &slot) in keys.iter_mut().zip(&found[..rows.len()]) {
+            if slot != 0 {
+                *key = &self.entries.get((slot & idx_mask) - 1).key;
+            }
+        }
+        for key in &keys[..rows.len()] {
+            std::hint::black_box(key.first());
+        }
+    }
+
     /// Lock-free point lookup.
     #[inline]
-    fn find(&self, key: &[u8]) -> Option<&KeyEntry> {
-        self.probe(key).0.map(|(_, entry)| entry)
+    fn find(&self, key: &[u8], row: RowId) -> Option<&KeyEntry> {
+        self.probe(key, row).0.map(|(_, entry)| entry)
     }
 
     /// Stores entry `idx` in the first empty slot at or after its home.
@@ -807,24 +842,23 @@ impl ChainHeadTable {
     /// Returns the key's entry and its index, creating it if absent.
     /// Creation serializes on the ordered index's write lock (rare: once
     /// per distinct key ever), and so does the table growth it may trigger.
-    fn find_or_create(&self, key: Bytes) -> (u32, &KeyEntry) {
-        if let Some(found) = self.probe(&key).0 {
+    fn find_or_create(&self, key: &Bytes, row: RowId) -> (u32, &KeyEntry) {
+        if let Some(found) = self.probe(key, row).0 {
             return found;
         }
         let mut index = self.index.write();
-        if let Some(&idx) = index.get(&key) {
+        if let Some(&idx) = index.get(key) {
             return (idx, self.entries.get(idx)); // lost the creation race
         }
-        let idx = self.create(key.clone());
-        index.insert(key, idx);
+        let idx = self.create(key.clone(), Self::hash_of(row));
+        index.insert(key.clone(), idx);
         (idx, self.entries.get(idx))
     }
 
     /// Appends the entry for a key that has none and makes it findable,
     /// growing the table first if this entry would push the current
     /// generation past three quarters full. Caller holds the creation lock.
-    fn create(&self, key: Bytes) -> u32 {
-        let hash = Self::hash_of(&key);
+    fn create(&self, key: Bytes, hash: u32) -> u32 {
         let idx = self.entries.push(KeyEntry {
             key,
             head: AtomicU64::new(NULL_VIDX),
@@ -937,33 +971,42 @@ impl ArenaStore {
     /// and writer, so it pays the same-writer duplicate probe.
     pub fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
         let pin = self.epochs.pin();
-        self.insert_one(key, writer_start, value, true, &pin);
+        self.insert_one(&key, hash_row_key(&key), writer_start, value, true, &pin);
     }
 
     /// Batch insert (commit apply / WAL replay): one pin for the batch.
-    /// Keys within a batch must be distinct (commit applies and WAL records
-    /// materialize a per-transaction write *map*, so they are), which lets
-    /// every insert skip the same-writer duplicate chain walk — the batch
-    /// path is the data-plane hot path.
-    pub fn insert_versions<I>(&self, writer_start: Timestamp, writes: I)
-    where
-        I: IntoIterator<Item = (Bytes, Option<Bytes>)>,
-    {
+    /// `rows[i]` is [`hash_row_key`] of `writes[i]`'s key, which the caller
+    /// holds for the conflict check anyway. Keys within a batch must be
+    /// distinct (commit applies and WAL records materialize a
+    /// per-transaction write *map*, so they are), which lets every insert
+    /// skip the same-writer duplicate chain walk — the batch path is the
+    /// data-plane hot path.
+    pub fn insert_versions(
+        &self,
+        writer_start: Timestamp,
+        rows: &[RowId],
+        writes: &[(Bytes, Option<Bytes>)],
+    ) {
+        debug_assert_eq!(rows.len(), writes.len());
         let pin = self.epochs.pin();
-        for (key, value) in writes {
-            self.insert_one(key, writer_start, value, false, &pin);
+        for (rows, writes) in rows.chunks(WARM_BATCH).zip(writes.chunks(WARM_BATCH)) {
+            self.table.warm(rows);
+            for (&row, (key, value)) in rows.iter().zip(writes) {
+                self.insert_one(key, row, writer_start, value.clone(), false, &pin);
+            }
         }
     }
 
     fn insert_one(
         &self,
-        key: Bytes,
+        key: &Bytes,
+        row: RowId,
         writer_start: Timestamp,
         value: Option<Bytes>,
         dedup: bool,
         pin: &EpochPin<'_>,
     ) {
-        let (idx, entry) = self.table.find_or_create(key);
+        let (idx, entry) = self.table.find_or_create(key, row);
         let mut single: Option<u64> = None;
         let mut spill: Option<u64> = None;
         let published = loop {
@@ -1383,14 +1426,18 @@ impl ArenaStore {
     /// write-back). Called only after the commit is published (or replayed
     /// from the WAL), so a stamp can never name an uncommitted transaction;
     /// a missing key or version — removed by abort cleanup — is a silent
-    /// no-op, so the abort path cannot be stamped.
-    pub fn stamp_commit<'a, I>(&self, writer_start: Timestamp, commit_ts: Timestamp, keys: I)
-    where
-        I: IntoIterator<Item = &'a Bytes>,
-    {
+    /// no-op, so the abort path cannot be stamped. `rows` and `writes` are
+    /// the batch [`Self::insert_versions`] took.
+    pub fn stamp_commit(
+        &self,
+        writer_start: Timestamp,
+        commit_ts: Timestamp,
+        rows: &[RowId],
+        writes: &[(Bytes, Option<Bytes>)],
+    ) {
         let _pin = self.epochs.pin();
-        for key in keys {
-            if let Some(entry) = self.table.find(key) {
+        for (&row, (key, _)) in rows.iter().zip(writes) {
+            if let Some(entry) = self.table.find(key, row) {
                 let mut cur = entry.head.load(Ordering::Acquire);
                 'chain: while cur != NULL_VIDX {
                     if is_packed(cur) {
@@ -1418,16 +1465,19 @@ impl ArenaStore {
     }
 
     /// Removes a writer's versions (abort cleanup): singles are unlinked,
-    /// packed entries dead-marked (retiring any node that empties).
-    pub fn remove_versions<'a, I>(&self, writer_start: Timestamp, keys: I)
-    where
-        I: IntoIterator<Item = &'a Bytes>,
-    {
+    /// packed entries dead-marked (retiring any node that empties). `rows`
+    /// and `writes` are the batch [`Self::insert_versions`] took.
+    pub fn remove_versions(
+        &self,
+        writer_start: Timestamp,
+        rows: &[RowId],
+        writes: &[(Bytes, Option<Bytes>)],
+    ) {
         let _pin = self.epochs.pin();
         let ws = writer_start.raw();
         let mut removed = Vec::new();
-        for key in keys {
-            if let Some(entry) = self.table.find(key) {
+        for (&row, (key, _)) in rows.iter().zip(writes) {
+            if let Some(entry) = self.table.find(key, row) {
                 let _guard = entry.lock.lock();
                 self.remove_where(entry, |_, w, _| w == ws, &mut removed);
             }
@@ -1435,17 +1485,18 @@ impl ArenaStore {
         self.retire_all(&removed);
     }
 
-    /// Reads `key` at snapshot `reader_start` with zero locks: pin, hash,
-    /// walk, resolve per version (stamp first, resolver fallback), clone
-    /// the winning value.
+    /// Reads `key` (whose [`hash_row_key`] is `row`) at snapshot
+    /// `reader_start` with zero locks: pin, probe, walk, resolve per
+    /// version (stamp first, resolver fallback), clone the winning value.
     pub fn read<R: VersionResolver + ?Sized>(
         &self,
         key: &[u8],
+        row: RowId,
         reader_start: Timestamp,
         resolver: &R,
     ) -> SnapshotRead {
         let _pin = self.epochs.pin();
-        let Some(entry) = self.table.find(key) else {
+        let Some(entry) = self.table.find(key, row) else {
             return SnapshotRead::Absent;
         };
         match self.read_chain(entry, reader_start, resolver) {
@@ -2017,6 +2068,46 @@ impl ArenaStore {
 
 #[cfg(test)]
 impl ArenaStore {
+    /// The batch a transaction that wrote `keys` would pass.
+    fn batch_of<'a>(
+        keys: impl IntoIterator<Item = &'a Bytes>,
+    ) -> (Vec<RowId>, Vec<(Bytes, Option<Bytes>)>) {
+        keys.into_iter()
+            .map(|key| (hash_row_key(key), (key.clone(), None)))
+            .unzip()
+    }
+
+    /// [`Self::read`], hashing the key itself.
+    pub(crate) fn read_key<R: VersionResolver + ?Sized>(
+        &self,
+        key: &[u8],
+        reader_start: Timestamp,
+        resolver: &R,
+    ) -> SnapshotRead {
+        self.read(key, hash_row_key(key), reader_start, resolver)
+    }
+
+    /// [`Self::stamp_commit`], hashing the keys itself.
+    pub(crate) fn stamp_keys<'a>(
+        &self,
+        writer_start: Timestamp,
+        commit_ts: Timestamp,
+        keys: impl IntoIterator<Item = &'a Bytes>,
+    ) {
+        let (rows, writes) = Self::batch_of(keys);
+        self.stamp_commit(writer_start, commit_ts, &rows, &writes);
+    }
+
+    /// [`Self::remove_versions`], hashing the keys itself.
+    pub(crate) fn remove_keys<'a>(
+        &self,
+        writer_start: Timestamp,
+        keys: impl IntoIterator<Item = &'a Bytes>,
+    ) {
+        let (rows, writes) = Self::batch_of(keys);
+        self.remove_versions(writer_start, &rows, &writes);
+    }
+
     /// The worklist invariant, checked by full walk (the sweep this change
     /// replaced, kept as the test-side oracle): an entry whose dirty flag
     /// is clear holds nothing a sweep could act on, and the incremental
@@ -2105,7 +2196,7 @@ mod tests {
     fn retired_versions_free_only_after_two_advances() {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
-        store.remove_versions(Timestamp(1), [&b("k")]);
+        store.remove_keys(Timestamp(1), [&b("k")]);
         let r = store.reclamation();
         assert_eq!((r.retired, r.freed, r.limbo), (1, 0, 1));
         // One maintain call performs both advances back-to-back when no
@@ -2120,7 +2211,7 @@ mod tests {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let pin = store.epochs.pin();
-        store.remove_versions(Timestamp(1), [&b("k")]);
+        store.remove_keys(Timestamp(1), [&b("k")]);
         store.maintain();
         let r = store.reclamation();
         assert_eq!((r.freed, r.limbo), (0, 1), "pinned reader blocks the free");
@@ -2136,12 +2227,12 @@ mod tests {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         assert_eq!(store.key_count(), 1);
-        store.remove_versions(Timestamp(1), [&b("k")]);
+        store.remove_keys(Timestamp(1), [&b("k")]);
         assert_eq!(store.key_count(), 0, "null head is an absent key");
         assert_eq!(store.version_count(), 0);
         assert!(store.dump_stamps().is_empty());
         assert_eq!(
-            store.read(b"k", Timestamp(100), &resolver_none),
+            store.read_key(b"k", Timestamp(100), &resolver_none),
             SnapshotRead::Absent
         );
     }
@@ -2150,7 +2241,7 @@ mod tests {
     fn hammer(store: &ArenaStore, key: &str, n: u64) {
         for i in 1..=n {
             store.insert_version(b(key), Timestamp(2 * i - 1), Some(b(&format!("v{i}"))));
-            store.stamp_commit(Timestamp(2 * i - 1), Timestamp(2 * i), [&b(key)]);
+            store.stamp_keys(Timestamp(2 * i - 1), Timestamp(2 * i), [&b(key)]);
         }
     }
 
@@ -2168,13 +2259,13 @@ mod tests {
         // Every historical snapshot still resolves to the right version.
         for i in 1..=12u64 {
             assert_eq!(
-                store.read(b"hot", Timestamp(2 * i + 1), &resolver_none),
+                store.read_key(b"hot", Timestamp(2 * i + 1), &resolver_none),
                 SnapshotRead::Value(b(&format!("v{i}"))),
                 "snapshot just after commit {i}"
             );
         }
         assert_eq!(
-            store.read(b"hot", Timestamp(2), &resolver_none),
+            store.read_key(b"hot", Timestamp(2), &resolver_none),
             SnapshotRead::Absent,
             "snapshot at the first commit sees nothing (strict <)"
         );
@@ -2199,7 +2290,7 @@ mod tests {
         assert_eq!(rec.limbo, 0, "grace period expired, everything freed");
         assert_eq!(rec.retired, rec.freed);
         assert_eq!(
-            store.read(b"hot", Timestamp(u64::MAX), &resolver_none),
+            store.read_key(b"hot", Timestamp(u64::MAX), &resolver_none),
             SnapshotRead::Value(b("v64"))
         );
     }
@@ -2211,13 +2302,13 @@ mod tests {
         assert!(store.reclamation().migrations >= 1);
         store.insert_version(b("hot"), Timestamp(101), Some(b("doomed")));
         let before = store.version_count();
-        store.remove_versions(Timestamp(101), [&b("hot")]);
+        store.remove_keys(Timestamp(101), [&b("hot")]);
         assert_eq!(store.version_count(), before - 1);
         // The aborted claim is invisible even to a resolver that would
         // commit it (it is dead, not merely unstamped).
         let resolver = |_ts: Timestamp| TxnStatus::Committed(Timestamp(102));
         assert_eq!(
-            store.read(b"hot", Timestamp(1000), &resolver),
+            store.read_key(b"hot", Timestamp(1000), &resolver),
             SnapshotRead::Value(b("v10"))
         );
     }
@@ -2228,7 +2319,7 @@ mod tests {
         hammer(&store, "hot", 10);
         store.insert_version(b("hot"), Timestamp(201), Some(b("first")));
         store.insert_version(b("hot"), Timestamp(201), Some(b("second")));
-        store.stamp_commit(Timestamp(201), Timestamp(202), [&b("hot")]);
+        store.stamp_keys(Timestamp(201), Timestamp(202), [&b("hot")]);
         let stamps = store.dump_stamps();
         let chain = &stamps[0].1;
         assert_eq!(
@@ -2237,7 +2328,7 @@ mod tests {
             "same-writer rewrite replaced the earlier version"
         );
         assert_eq!(
-            store.read(b"hot", Timestamp(1000), &resolver_none),
+            store.read_key(b"hot", Timestamp(1000), &resolver_none),
             SnapshotRead::Value(b("second"))
         );
     }
@@ -2246,14 +2337,15 @@ mod tests {
     fn head_table_starts_small_and_probes_stay_short_at_any_key_count() {
         let table = ChainHeadTable::new();
         let key = |i: u32| Bytes::copy_from_slice(&i.to_be_bytes());
+        let row = |i: u32| hash_row_key(&i.to_be_bytes());
         let mut created = 0u32;
         // Past the first keys, create entries without the ordered index:
         // it plays no part in lookups and is most of a debug build's time.
         let mut fill = |table: &ChainHeadTable, upto: u32| {
             while created < upto {
                 let idx = match created {
-                    0..10 => table.find_or_create(key(created)).0,
-                    _ => table.create(key(created)),
+                    0..10 => table.find_or_create(&key(created), row(created)).0,
+                    _ => table.create(key(created), ChainHeadTable::hash_of(row(created))),
                 };
                 assert_eq!(idx, created, "entries are numbered in creation order");
                 created += 1;
@@ -2271,7 +2363,7 @@ mod tests {
             let sample: Vec<u32> = (0..checkpoint).step_by(97).collect();
             let mut probes = 0;
             for &i in &sample {
-                let (found, n) = table.probe(&i.to_be_bytes());
+                let (found, n) = table.probe(&i.to_be_bytes(), row(i));
                 assert_eq!(
                     found.map(|(idx, _)| idx),
                     Some(i),
@@ -2284,7 +2376,9 @@ mod tests {
                 mean <= 2.0,
                 "mean probe length {mean:.2} at {checkpoint} keys"
             );
-            assert!(table.find(&(checkpoint + 1).to_be_bytes()).is_none());
+            assert!(table
+                .find(&(checkpoint + 1).to_be_bytes(), row(checkpoint + 1))
+                .is_none());
             assert!(
                 table.slots() >= checkpoint as u64,
                 "slots cover the keys at {checkpoint}"
@@ -2392,7 +2486,7 @@ mod tests {
                         fates.borrow_mut().insert(start, TxnStatus::Committed(Timestamp(clock)));
                         if stamp {
                             let keys: Vec<Bytes> = keys.iter().map(|k| b(&format!("k{k}"))).collect();
-                            store.stamp_commit(Timestamp(start), Timestamp(clock), keys.iter());
+                            store.stamp_keys(Timestamp(start), Timestamp(clock), keys.iter());
                         }
                     }
                     Op::Abort(t, clean_up) if t < open.len() => {
@@ -2400,7 +2494,7 @@ mod tests {
                         fates.borrow_mut().insert(start, TxnStatus::Aborted);
                         if clean_up {
                             let keys: Vec<Bytes> = keys.iter().map(|k| b(&format!("k{k}"))).collect();
-                            store.remove_versions(Timestamp(start), keys.iter());
+                            store.remove_keys(Timestamp(start), keys.iter());
                         }
                     }
                     Op::Commit(..) | Op::Abort(..) => {}

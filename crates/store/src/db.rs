@@ -400,9 +400,10 @@ impl Db {
                         continue;
                     }
                     let rows: Vec<RowId> = writes.iter().map(|(k, _)| hash_row_key(k)).collect();
-                    let keys: Vec<Bytes> = writes.iter().map(|(k, _)| k.clone()).collect();
-                    db.inner.mvcc.insert_versions(start_ts, writes);
-                    db.inner.mvcc.stamp_commit(start_ts, commit_ts, keys.iter());
+                    db.inner.mvcc.insert_versions(start_ts, &rows, &writes);
+                    db.inner
+                        .mvcc
+                        .stamp_commit(start_ts, commit_ts, &rows, &writes);
                     db.inner.index.record_commit(start_ts, commit_ts);
                     db.inner.oracle.replay_commit(commit_ts, &rows);
                 }
@@ -633,9 +634,11 @@ impl Db {
         let write_rows: Vec<RowId> = batch.iter().map(|(k, _)| hash_row_key(k)).collect();
         self.inner
             .mvcc
-            .insert_versions(start_ts, batch.iter().map(|(k, v)| (k.clone(), v.clone())));
+            .insert_versions(start_ts, &write_rows, &batch);
 
-        let req = CommitRequest::new(start_ts, read_rows, write_rows);
+        // The request sorts its rows; `write_rows` stays in batch order for
+        // the store calls below.
+        let req = CommitRequest::new(start_ts, read_rows, write_rows.clone());
         let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
@@ -721,7 +724,7 @@ impl Db {
                 // and no other committer waits for it.
                 self.inner
                     .mvcc
-                    .stamp_commit(start_ts, commit_ts, batch.iter().map(|(k, _)| k));
+                    .stamp_commit(start_ts, commit_ts, &write_rows, &batch);
                 self.inner.registry.deregister(start_ts, shard);
                 self.tick_watermark_hint();
                 Ok(commit_ts)
@@ -732,7 +735,7 @@ impl Db {
                 // pending — remove them, outside the critical section.
                 self.inner
                     .mvcc
-                    .remove_versions(start_ts, batch.iter().map(|(k, _)| k));
+                    .remove_versions(start_ts, &write_rows, &batch);
                 self.inner.registry.deregister(start_ts, shard);
                 Err(e)
             }

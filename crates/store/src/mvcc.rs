@@ -143,7 +143,10 @@ mod tests {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let r = table(&[]);
-        assert_eq!(store.read(b"k", Timestamp(100), &r), SnapshotRead::Absent);
+        assert_eq!(
+            store.read_key(b"k", Timestamp(100), &r),
+            SnapshotRead::Absent
+        );
     }
 
     #[test]
@@ -152,11 +155,11 @@ mod tests {
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let r = table(&[(1, TxnStatus::Committed(Timestamp(2)))]);
         assert_eq!(
-            store.read(b"k", Timestamp(3), &r),
+            store.read_key(b"k", Timestamp(3), &r),
             SnapshotRead::Value(b("v"))
         );
         // Snapshot at exactly the commit timestamp: not visible (strict <).
-        assert_eq!(store.read(b"k", Timestamp(2), &r), SnapshotRead::Absent);
+        assert_eq!(store.read_key(b"k", Timestamp(2), &r), SnapshotRead::Absent);
     }
 
     #[test]
@@ -172,12 +175,12 @@ mod tests {
             (2, TxnStatus::Committed(Timestamp(3))),
         ]);
         assert_eq!(
-            store.read(b"k", Timestamp(10), &r),
+            store.read_key(b"k", Timestamp(10), &r),
             SnapshotRead::Value(b("from-A"))
         );
         // A snapshot between the commits sees B's value.
         assert_eq!(
-            store.read(b"k", Timestamp(5), &r),
+            store.read_key(b"k", Timestamp(5), &r),
             SnapshotRead::Value(b("from-B"))
         );
     }
@@ -192,7 +195,7 @@ mod tests {
             (3, TxnStatus::Aborted),
         ]);
         assert_eq!(
-            store.read(b"k", Timestamp(10), &r),
+            store.read_key(b"k", Timestamp(10), &r),
             SnapshotRead::Value(b("old"))
         );
     }
@@ -206,10 +209,13 @@ mod tests {
             (1, TxnStatus::Committed(Timestamp(2))),
             (3, TxnStatus::Committed(Timestamp(4))),
         ]);
-        assert_eq!(store.read(b"k", Timestamp(10), &r), SnapshotRead::Absent);
+        assert_eq!(
+            store.read_key(b"k", Timestamp(10), &r),
+            SnapshotRead::Absent
+        );
         // Older snapshot still sees the value: time travel works.
         assert_eq!(
-            store.read(b"k", Timestamp(3), &r),
+            store.read_key(b"k", Timestamp(3), &r),
             SnapshotRead::Value(b("v"))
         );
     }
@@ -218,7 +224,7 @@ mod tests {
     fn remove_versions_cleans_up_abort() {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
-        store.remove_versions(Timestamp(1), [&b("k")]);
+        store.remove_keys(Timestamp(1), [&b("k")]);
         assert_eq!(store.key_count(), 0);
     }
 
@@ -261,11 +267,11 @@ mod tests {
     fn stamped_commit_resolves_without_table() {
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
-        store.stamp_commit(Timestamp(1), Timestamp(2), [&b("k")]);
+        store.stamp_keys(Timestamp(1), Timestamp(2), [&b("k")]);
         // Resolver claims Pending: the stamp must win.
         let r = table(&[]);
         assert_eq!(
-            store.read(b"k", Timestamp(5), &r),
+            store.read_key(b"k", Timestamp(5), &r),
             SnapshotRead::Value(b("v"))
         );
     }
@@ -277,10 +283,13 @@ mod tests {
         // mis-stamp anything.
         let store = ArenaStore::new();
         store.insert_version(b("k"), Timestamp(3), Some(b("doomed")));
-        store.remove_versions(Timestamp(3), [&b("k")]);
-        store.stamp_commit(Timestamp(3), Timestamp(4), [&b("k")]);
+        store.remove_keys(Timestamp(3), [&b("k")]);
+        store.stamp_keys(Timestamp(3), Timestamp(4), [&b("k")]);
         let r = table(&[]);
-        assert_eq!(store.read(b"k", Timestamp(10), &r), SnapshotRead::Absent);
+        assert_eq!(
+            store.read_key(b"k", Timestamp(10), &r),
+            SnapshotRead::Absent
+        );
         assert_eq!(store.version_count(), 0);
         // And the stamps dump shows no resurrected version.
         assert!(store.dump_stamps().is_empty());
@@ -304,7 +313,7 @@ mod tests {
         assert_eq!(store.version_count(), 2); // v2 + pending
                                               // v2 still readable, now via its stamp.
         assert_eq!(
-            store.read(b"k", Timestamp(100), &|_ts: Timestamp| TxnStatus::Pending),
+            store.read_key(b"k", Timestamp(100), &|_ts: Timestamp| TxnStatus::Pending),
             SnapshotRead::Value(b("v2"))
         );
     }
@@ -322,7 +331,7 @@ mod tests {
         let stats = store.gc(Timestamp(3), &r);
         assert_eq!(stats.versions_dropped, 0);
         assert_eq!(
-            store.read(b"k", Timestamp(3), &r),
+            store.read_key(b"k", Timestamp(3), &r),
             SnapshotRead::Value(b("v1"))
         );
     }
@@ -351,7 +360,10 @@ mod tests {
         ]);
         store.gc(Timestamp(100), &r);
         assert_eq!(store.version_count(), 1);
-        assert_eq!(store.read(b"k", Timestamp(100), &r), SnapshotRead::Absent);
+        assert_eq!(
+            store.read_key(b"k", Timestamp(100), &r),
+            SnapshotRead::Absent
+        );
     }
 
     #[test]
@@ -364,7 +376,7 @@ mod tests {
             let start = 2 * i - 1;
             let commit = 2 * i;
             store.insert_version(b("hot"), Timestamp(start), Some(b("v")));
-            store.stamp_commit(Timestamp(start), Timestamp(commit), [&b("hot")]);
+            store.stamp_keys(Timestamp(start), Timestamp(commit), [&b("hot")]);
             store.note_watermark(Timestamp(commit + 1));
         }
         assert!(
@@ -375,7 +387,7 @@ mod tests {
         // The newest committed version is still the visible one.
         let r = table(&[]);
         assert_eq!(
-            store.read(b"hot", Timestamp(u64::MAX), &r),
+            store.read_key(b"hot", Timestamp(u64::MAX), &r),
             SnapshotRead::Value(b("v"))
         );
     }
@@ -390,7 +402,7 @@ mod tests {
         store.insert_version(b("k"), Timestamp(1), Some(b("pending")));
         for i in 2..=(PRUNE_CHAIN_LEN as u64 + 8) {
             store.insert_version(b("k"), Timestamp(10 * i), Some(b("v")));
-            store.stamp_commit(Timestamp(10 * i), Timestamp(10 * i + 1), [&b("k")]);
+            store.stamp_keys(Timestamp(10 * i), Timestamp(10 * i + 1), [&b("k")]);
         }
         store.note_watermark(Timestamp(u64::MAX));
         // Next insert triggers the prune.
@@ -439,7 +451,7 @@ mod tests {
                 let expect = newest.and_then(|(_, i)| value_of(i));
                 assert_eq!(
                     store
-                        .read(key.as_bytes(), Timestamp(snap), &r)
+                        .read_key(key.as_bytes(), Timestamp(snap), &r)
                         .into_option(),
                     expect,
                     "key {key} at snapshot {snap}"

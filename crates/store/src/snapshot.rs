@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::db::DbInner;
-use wsi_core::Timestamp;
+use wsi_core::{hash_row_key, Timestamp};
 
 /// A read-only view of the database at a fixed point in time.
 ///
@@ -62,7 +62,7 @@ impl Snapshot {
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.db
             .mvcc
-            .read(key, self.start_ts, &self.db.index)
+            .read(key, hash_row_key(key), self.start_ts, &self.db.index)
             .into_option()
     }
 

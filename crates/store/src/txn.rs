@@ -78,10 +78,11 @@ impl Transaction {
         if let Some(buffered) = self.writes.get(key) {
             return buffered.clone();
         }
-        self.read_rows.insert(hash_row_key(key));
+        let row = hash_row_key(key);
+        self.read_rows.insert(row);
         self.db
             .mvcc
-            .read(key, self.start_ts, &self.db.index)
+            .read(key, row, self.start_ts, &self.db.index)
             .into_option()
     }
 
