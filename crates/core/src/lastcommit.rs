@@ -6,28 +6,29 @@
 //! writer of `r` committed with a smaller timestamp, so if the latest does
 //! not violate the temporal condition, none does.
 //!
-//! Two implementations are provided, both over one flat open-addressing
-//! hash table (the private `RowTable`), so a probe or a record loads one
-//! memory item per row — the paper's unit of oracle cost (§6.3):
-//!
-//! * [`UnboundedLastCommit`] — exact, grows with the number of distinct
-//!   rows ever written (Algorithms 1 and 2).
-//! * [`BoundedLastCommit`] — keeps at most `NR` resident rows, evicting the
-//!   oldest entries and folding their timestamps into `T_max` (Algorithm 3,
-//!   paper Appendix A). Lookups of evicted rows return `T_max`-based
-//!   pessimistic answers: eviction can cause extra aborts but never admits a
-//!   commit the unbounded table would have refused.
+//! [`LastCommit`] is that table: one flat open-addressing hash table (the
+//! private `RowTable`), so a probe or a record loads one memory item per
+//! row — the paper's unit of oracle cost (§6.3). Unbounded, it is exact and
+//! grows with the number of distinct rows ever written (Algorithms 1 and
+//! 2). Bounded, it keeps at most `NR` resident rows, evicting the oldest and
+//! folding their timestamps into `T_max` (Algorithm 3, paper Appendix A);
+//! lookups of evicted rows return `T_max`-based pessimistic answers, so
+//! eviction can cause extra aborts but never admits a commit the unbounded
+//! table would have refused.
 //!
 //! The table keeps no order, so the §5.2 range probe
-//! ([`LastCommitTable::probe_range`]) is a scan of every slot. Nothing on
-//! the transaction path sends one: the embedded store hashes keys into row
+//! ([`LastCommit::probe_range`]) is a scan of every slot. Nothing on the
+//! transaction path sends one: the embedded store hashes keys into row
 //! identifiers, for which a range means nothing. Its callers are the
 //! `oracle_equivalence` property tests, the range-read-set ablation of
 //! `figures ablations` (≤ 40 k rows) and `examples/analytics.rs`.
 
 use std::collections::VecDeque;
 
-use crate::{row::RowId, ts::Timestamp};
+use crate::{
+    row::{RowId, RowRange},
+    ts::Timestamp,
+};
 
 /// Result of probing the `lastCommit` table for a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,37 +45,6 @@ pub enum Probe {
         /// Maximum commit timestamp among all evicted entries.
         t_max: Timestamp,
     },
-}
-
-/// Common interface over the bounded and unbounded `lastCommit` tables.
-pub trait LastCommitTable {
-    /// Looks up the latest commit timestamp recorded for `row`.
-    fn probe(&self, row: RowId) -> Probe;
-
-    /// Records that `row` was modified by a transaction committing at `ts`.
-    ///
-    /// Timestamps passed to successive calls for the same row must be
-    /// increasing (the oracle issues them from a monotonic counter while
-    /// holding its critical section).
-    ///
-    /// Returns the number of resident rows evicted to make room (always 0
-    /// for unbounded tables; 0 or 1 for bounded ones). Eviction is the event
-    /// that advances `T_max` and so the event observability cares about.
-    fn record(&mut self, row: RowId, ts: Timestamp) -> usize;
-
-    /// Number of resident rows.
-    fn len(&self) -> usize;
-
-    /// Probes an entire row-identifier range `[start, end)` (the §5.2
-    /// compact read-set representation for analytical transactions):
-    /// returns the maximum commit timestamp of any resident row in the
-    /// range, combined with the table's eviction uncertainty.
-    fn probe_range(&self, start: RowId, end: RowId) -> Probe;
-
-    /// Returns `true` if no rows are resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Multiplier of the home-slot hash. It must not be the Fibonacci constant
@@ -247,130 +217,181 @@ impl RowTable {
     }
 }
 
-/// Exact `lastCommit` table (Algorithms 1 and 2): a hash table that doubles
-/// when three quarters full, so it holds 21–43 bytes per resident row.
+/// The `lastCommit` table of Algorithms 1–3.
 ///
-/// [`LastCommitTable::probe_range`] scans the table — O(slots), not the
-/// O(log n + k) of an ordered map; see the module docs for who calls it.
-#[derive(Debug, Clone)]
-pub struct UnboundedLastCommit {
-    table: RowTable,
-}
-
-impl UnboundedLastCommit {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        UnboundedLastCommit {
-            table: RowTable::with_capacity(0),
-        }
-    }
-}
-
-impl Default for UnboundedLastCommit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LastCommitTable for UnboundedLastCommit {
-    #[inline]
-    fn probe(&self, row: RowId) -> Probe {
-        match self.table.get(row) {
-            Some(ts) => Probe::Resident(ts),
-            None => Probe::NeverWritten,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
-        self.table.insert(row, ts);
-        0
-    }
-
-    fn len(&self) -> usize {
-        self.table.len
-    }
-
-    fn probe_range(&self, start: RowId, end: RowId) -> Probe {
-        match self.table.max_in(start, end) {
-            Some(ts) => Probe::Resident(ts),
-            None => Probe::NeverWritten,
-        }
-    }
-}
-
-/// Memory-bounded `lastCommit` table with `T_max` (Algorithm 3).
+/// Unbounded ([`LastCommit::unbounded`], Algorithms 1 and 2) it is exact: a
+/// hash table that doubles when three quarters full, so it holds 21–43 bytes
+/// per resident row.
 ///
-/// Keeps the `NR` most recently *committed-to* rows. Eviction is in commit
-/// order: a FIFO of `(commit_ts, row)` records is maintained alongside the
-/// hash table, with lazy deletion — a queue entry is discarded if the table
-/// has since been updated with a newer timestamp for that row. `T_max` is
-/// the maximum commit timestamp of any entry actually evicted. The hash
-/// table is sized once, for `NR + 1` rows, and never grows.
+/// Bounded ([`LastCommit::bounded`], Algorithm 3) it keeps the `NR` most
+/// recently *committed-to* rows. Eviction is in commit order: a FIFO of
+/// `(commit_ts, row)` records is maintained alongside the hash table, with
+/// lazy deletion — a queue entry is discarded if the table has since been
+/// updated with a newer timestamp for that row. `T_max` is the maximum
+/// commit timestamp of any entry actually evicted. The hash table is sized
+/// once, for `NR + 1` rows, and never grows. The paper sizes this for 1 GB
+/// of memory holding 32 M rows (≈32 bytes per entry), which at 80 K TPS and
+/// 8 rows per transaction keeps the last ~50 seconds of commits resident —
+/// far longer than any transaction lives, so `T_max` aborts are vanishingly
+/// rare in practice (Appendix A).
 ///
-/// The paper sizes this for 1 GB of memory holding 32 M rows (≈32 bytes per
-/// entry), which at 80 K TPS and 8 rows per transaction keeps the last ~50
-/// seconds of commits resident — far longer than any transaction lives, so
-/// `T_max` aborts are vanishingly rare in practice (Appendix A).
+/// An unbounded table's `T_max` is [`Timestamp::ZERO`] forever, which is
+/// all that separates the two in [`LastCommit::probe`] and
+/// [`LastCommit::probe_range`].
 ///
 /// # Example
 ///
 /// ```
-/// use wsi_core::{BoundedLastCommit, LastCommitTable, RowId, Timestamp};
+/// use wsi_core::{LastCommit, RowId, Timestamp};
 ///
-/// let mut t = BoundedLastCommit::with_capacity(2);
+/// let mut t = LastCommit::bounded(2);
 /// t.record(RowId(1), Timestamp(10));
 /// t.record(RowId(2), Timestamp(11));
 /// t.record(RowId(3), Timestamp(12)); // evicts row 1
 /// assert_eq!(t.t_max(), Timestamp(10));
 /// ```
 #[derive(Debug, Clone)]
-pub struct BoundedLastCommit {
+pub struct LastCommit {
     table: RowTable,
+    /// Algorithm 3's bound; `None` for an unbounded table.
+    bound: Option<Bound>,
+}
+
+/// The eviction state of a bounded [`LastCommit`].
+#[derive(Debug, Clone)]
+struct Bound {
     /// FIFO of (commit_ts, row) insertions, oldest first; lazily pruned.
     queue: VecDeque<(Timestamp, RowId)>,
+    /// The paper's `NR`.
     capacity: usize,
     t_max: Timestamp,
 }
 
-impl BoundedLastCommit {
-    /// Creates a table retaining at most `capacity` resident rows.
+impl LastCommit {
+    /// Creates an empty exact table (Algorithms 1 and 2).
+    pub fn unbounded() -> Self {
+        LastCommit {
+            table: RowTable::with_capacity(0),
+            bound: None,
+        }
+    }
+
+    /// Creates a table retaining at most `capacity` resident rows
+    /// (Algorithm 3).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero — the oracle needs at least one resident
     /// row to make progress.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub fn bounded(capacity: usize) -> Self {
         assert!(capacity > 0, "lastCommit capacity must be positive");
-        BoundedLastCommit {
+        LastCommit {
             // One row over: a fresh row is inserted before the oldest goes.
             table: RowTable::with_capacity(capacity + 1),
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            t_max: Timestamp::ZERO,
+            bound: Some(Bound {
+                queue: VecDeque::with_capacity(capacity),
+                capacity,
+                t_max: Timestamp::ZERO,
+            }),
         }
     }
 
     /// The maximum commit timestamp among all evicted entries
-    /// ([`Timestamp::ZERO`] if nothing has been evicted yet).
+    /// ([`Timestamp::ZERO`] if nothing has been evicted yet, and always for
+    /// an unbounded table).
     #[inline]
     pub fn t_max(&self) -> Timestamp {
-        self.t_max
+        self.bound.as_ref().map_or(Timestamp::ZERO, |b| b.t_max)
     }
 
-    /// The configured capacity (the paper's `NR`).
+    /// Looks up the latest commit timestamp recorded for `row`.
     #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    pub fn probe(&self, row: RowId) -> Probe {
+        match (self.table.get(row), self.t_max()) {
+            (Some(ts), _) => Probe::Resident(ts),
+            (None, Timestamp::ZERO) => Probe::NeverWritten,
+            (None, t_max) => Probe::MaybeEvicted { t_max },
+        }
     }
 
-    fn evict_one(&mut self) -> usize {
+    /// Records that `row` was modified by a transaction committing at `ts`.
+    ///
+    /// Timestamps passed to successive calls for the same row must be
+    /// increasing (the oracle issues them from a monotonic counter while
+    /// holding its critical section).
+    ///
+    /// Returns the number of resident rows evicted to make room (always 0
+    /// for unbounded tables; 0 or 1 for bounded ones). Eviction is the event
+    /// that advances `T_max` and so the event observability cares about.
+    #[inline]
+    pub fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
+        let fresh = self.table.insert(row, ts);
+        let Some(bound) = &mut self.bound else {
+            return 0;
+        };
+        bound.queue.push_back((ts, row));
+        let evicted = if fresh && self.table.len > bound.capacity {
+            bound.evict_one(&mut self.table)
+        } else {
+            0
+        };
+        // Bound the lazy queue: amortized compaction when it grows far past
+        // the table (many re-records of hot rows).
+        if bound.queue.len() > 2 * bound.capacity + 16 {
+            let table = &self.table;
+            bound
+                .queue
+                .retain(|&(qts, qrow)| table.get(qrow) == Some(qts));
+        }
+        evicted
+    }
+
+    /// Number of resident rows.
+    pub fn len(&self) -> usize {
+        self.table.len
+    }
+
+    /// Returns `true` if no rows are resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Probes an entire row-identifier range (the §5.2 compact read-set
+    /// representation for analytical transactions): the maximum commit
+    /// timestamp of any resident row in the range, combined with the
+    /// table's eviction uncertainty. A scan of the table — O(slots), not the
+    /// O(log n + k) of an ordered map; see the module docs for who calls it.
+    pub fn probe_range(&self, range: RowRange) -> Probe {
+        match (self.table.max_in(range.start, range.end), self.t_max()) {
+            (Some(ts), Timestamp::ZERO) => Probe::Resident(ts),
+            (None, Timestamp::ZERO) => Probe::NeverWritten,
+            // Any row in the range may have been evicted with a timestamp up
+            // to `t_max`, so the caller must consider both bounds; report
+            // the larger pessimistically.
+            (Some(ts), t_max) => Probe::MaybeEvicted {
+                t_max: ts.max(t_max),
+            },
+            (None, t_max) => Probe::MaybeEvicted { t_max },
+        }
+    }
+}
+
+impl Default for LastCommit {
+    fn default() -> Self {
+        Self::unbounded()
+    }
+}
+
+impl Bound {
+    /// Evicts the resident row committed to longest ago from `table`,
+    /// folding its timestamp into `T_max`.
+    fn evict_one(&mut self, table: &mut RowTable) -> usize {
         while let Some((ts, row)) = self.queue.pop_front() {
             // Lazy deletion: only evict if this queue entry still describes
             // the row's current timestamp; otherwise a newer `record` call
             // superseded it and a newer queue entry exists for the row.
-            if self.table.get(row) == Some(ts) {
-                self.table.remove(row);
+            if table.get(row) == Some(ts) {
+                table.remove(row);
                 if ts > self.t_max {
                     self.t_max = ts;
                 }
@@ -378,53 +399,6 @@ impl BoundedLastCommit {
             }
         }
         0
-    }
-}
-
-impl LastCommitTable for BoundedLastCommit {
-    #[inline]
-    fn probe(&self, row: RowId) -> Probe {
-        match self.table.get(row) {
-            Some(ts) => Probe::Resident(ts),
-            None if self.t_max == Timestamp::ZERO => Probe::NeverWritten,
-            None => Probe::MaybeEvicted { t_max: self.t_max },
-        }
-    }
-
-    fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
-        let fresh = self.table.insert(row, ts);
-        self.queue.push_back((ts, row));
-        let evicted = if fresh && self.table.len > self.capacity {
-            self.evict_one()
-        } else {
-            0
-        };
-        // Bound the lazy queue: amortized compaction when it grows far past
-        // the table (many re-records of hot rows).
-        if self.queue.len() > 2 * self.capacity + 16 {
-            let table = &self.table;
-            self.queue
-                .retain(|&(qts, qrow)| table.get(qrow) == Some(qts));
-        }
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.table.len
-    }
-
-    fn probe_range(&self, start: RowId, end: RowId) -> Probe {
-        match (self.table.max_in(start, end), self.t_max) {
-            // Any row in the range may have been evicted with a timestamp up
-            // to `t_max`, so the caller must consider both bounds; report
-            // the larger pessimistically.
-            (Some(ts), t_max) if t_max == Timestamp::ZERO => Probe::Resident(ts),
-            (Some(ts), t_max) => Probe::MaybeEvicted {
-                t_max: ts.max(t_max),
-            },
-            (None, t_max) if t_max == Timestamp::ZERO => Probe::NeverWritten,
-            (None, t_max) => Probe::MaybeEvicted { t_max },
-        }
     }
 }
 
@@ -518,7 +492,7 @@ mod tests {
 
     #[test]
     fn extreme_rows_and_the_zero_timestamp_are_ordinary_entries() {
-        let mut t = UnboundedLastCommit::new();
+        let mut t = LastCommit::unbounded();
         // `RowId(0)` is what an empty slot's row field holds.
         assert_eq!(t.probe(RowId(0)), Probe::NeverWritten);
         t.record(RowId(0), Timestamp::ZERO);
@@ -527,18 +501,18 @@ mod tests {
         assert_eq!(t.probe(RowId(u64::MAX)), Probe::Resident(Timestamp(7)));
         assert_eq!(t.len(), 2);
         assert_eq!(
-            t.probe_range(RowId(0), RowId(u64::MAX)),
+            t.probe_range(RowRange::new(0, u64::MAX)),
             Probe::Resident(Timestamp::ZERO),
             "the end of a range is exclusive"
         );
         // An inverted range holds no row.
-        assert_eq!(t.probe_range(RowId(5), RowId(0)), Probe::NeverWritten);
+        assert_eq!(t.probe_range(RowRange::new(5, 0)), Probe::NeverWritten);
     }
 
     #[test]
     #[should_panic(expected = "marks an empty slot")]
     fn the_empty_marker_cannot_be_recorded() {
-        UnboundedLastCommit::new().record(RowId(1), Timestamp::MAX);
+        LastCommit::unbounded().record(RowId(1), Timestamp::MAX);
     }
 
     /// Mean and longest probe over `tables`' resident rows.
@@ -647,7 +621,7 @@ mod tests {
             }
         }
 
-        /// `BoundedLastCommit` against Algorithm 3 stated directly: with
+        /// A bounded `LastCommit` against Algorithm 3 stated directly: with
         /// increasing commit timestamps, the row evicted is the resident
         /// row committed to longest ago, and `T_max` is the newest
         /// timestamp evicted.
@@ -656,7 +630,7 @@ mod tests {
             capacity in 1usize..12,
             rows in prop::collection::vec(row(), 1..200),
         ) {
-            let mut table = BoundedLastCommit::with_capacity(capacity);
+            let mut table = LastCommit::bounded(capacity);
             let mut model: BTreeMap<RowId, Timestamp> = BTreeMap::new();
             let mut t_max = Timestamp::ZERO;
             for (i, r) in rows.into_iter().enumerate() {
@@ -686,7 +660,7 @@ mod tests {
 
     #[test]
     fn unbounded_probe_and_record() {
-        let mut t = UnboundedLastCommit::new();
+        let mut t = LastCommit::unbounded();
         assert_eq!(t.probe(RowId(1)), Probe::NeverWritten);
         t.record(RowId(1), Timestamp(5));
         assert_eq!(t.probe(RowId(1)), Probe::Resident(Timestamp(5)));
@@ -697,7 +671,7 @@ mod tests {
 
     #[test]
     fn bounded_behaves_exactly_until_full() {
-        let mut t = BoundedLastCommit::with_capacity(8);
+        let mut t = LastCommit::bounded(8);
         for i in 0..8 {
             t.record(RowId(i), Timestamp(i + 1));
         }
@@ -710,7 +684,7 @@ mod tests {
 
     #[test]
     fn bounded_evicts_oldest_and_tracks_t_max() {
-        let mut t = BoundedLastCommit::with_capacity(2);
+        let mut t = LastCommit::bounded(2);
         t.record(RowId(1), Timestamp(10));
         t.record(RowId(2), Timestamp(11));
         t.record(RowId(3), Timestamp(12));
@@ -735,7 +709,7 @@ mod tests {
 
     #[test]
     fn rerecording_hot_row_does_not_evict_it() {
-        let mut t = BoundedLastCommit::with_capacity(2);
+        let mut t = LastCommit::bounded(2);
         t.record(RowId(1), Timestamp(1));
         t.record(RowId(2), Timestamp(2));
         // Re-record row 1 many times; the stale queue entries must not cause
@@ -756,19 +730,20 @@ mod tests {
 
     #[test]
     fn queue_compaction_keeps_len_bounded() {
-        let mut t = BoundedLastCommit::with_capacity(4);
+        let mut t = LastCommit::bounded(4);
         for i in 0..10_000u64 {
             t.record(RowId(i % 4), Timestamp(i + 1));
         }
         assert_eq!(t.len(), 4);
-        assert!(t.queue.len() <= 2 * t.capacity + 16 + 1);
+        let bound = t.bound.as_ref().expect("bounded");
+        assert!(bound.queue.len() <= 2 * bound.capacity + 16 + 1);
         // No eviction ever needed: working set fits.
         assert_eq!(t.t_max(), Timestamp::ZERO);
     }
 
     #[test]
     fn t_max_is_monotonic() {
-        let mut t = BoundedLastCommit::with_capacity(1);
+        let mut t = LastCommit::bounded(1);
         let mut prev = Timestamp::ZERO;
         for i in 1..100 {
             t.record(RowId(i), Timestamp(i));
@@ -781,43 +756,43 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = BoundedLastCommit::with_capacity(0);
+        let _ = LastCommit::bounded(0);
     }
 
     #[test]
     fn unbounded_range_probe_finds_max_in_range() {
-        let mut t = UnboundedLastCommit::new();
+        let mut t = LastCommit::unbounded();
         t.record(RowId(5), Timestamp(10));
         t.record(RowId(7), Timestamp(30));
         t.record(RowId(9), Timestamp(20));
         assert_eq!(
-            t.probe_range(RowId(5), RowId(8)),
+            t.probe_range(RowRange::new(5, 8)),
             Probe::Resident(Timestamp(30))
         );
         assert_eq!(
-            t.probe_range(RowId(8), RowId(10)),
+            t.probe_range(RowRange::new(8, 10)),
             Probe::Resident(Timestamp(20))
         );
-        assert_eq!(t.probe_range(RowId(10), RowId(100)), Probe::NeverWritten);
+        assert_eq!(t.probe_range(RowRange::new(10, 100)), Probe::NeverWritten);
         // End is exclusive.
-        assert_eq!(t.probe_range(RowId(0), RowId(5)), Probe::NeverWritten);
+        assert_eq!(t.probe_range(RowRange::new(0, 5)), Probe::NeverWritten);
     }
 
     #[test]
     fn bounded_range_probe_is_pessimistic_after_eviction() {
-        let mut t = BoundedLastCommit::with_capacity(2);
+        let mut t = LastCommit::bounded(2);
         t.record(RowId(1), Timestamp(10));
         t.record(RowId(2), Timestamp(11));
         t.record(RowId(3), Timestamp(12)); // evicts row 1, t_max = 10
-        match t.probe_range(RowId(0), RowId(100)) {
+        match t.probe_range(RowRange::new(0, 100)) {
             Probe::MaybeEvicted { t_max } => assert_eq!(t_max, Timestamp(12)),
             other => panic!("expected pessimistic probe, got {other:?}"),
         }
         // A pre-eviction table answers exactly.
-        let mut fresh = BoundedLastCommit::with_capacity(8);
+        let mut fresh = LastCommit::bounded(8);
         fresh.record(RowId(1), Timestamp(10));
         assert_eq!(
-            fresh.probe_range(RowId(0), RowId(5)),
+            fresh.probe_range(RowRange::new(0, 5)),
             Probe::Resident(Timestamp(10))
         );
     }

@@ -64,7 +64,7 @@ mod ts;
 
 pub use commit_table::{CommitTable, TxnStatus};
 pub use error::{AbortReason, CommitOutcome, Error, Result};
-pub use lastcommit::{BoundedLastCommit, LastCommitTable, Probe, UnboundedLastCommit};
+pub use lastcommit::{LastCommit, Probe};
 pub use oracle::{CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
 pub use policy::{
     rw_spatial_overlap, rw_temporal_overlap, spatial_overlap, temporal_overlap, IsolationLevel,

@@ -3,7 +3,7 @@
 //! [`StatusOracleCore`] is the single-threaded core shared by every
 //! embedding in this workspace. It issues start timestamps, decides commit
 //! requests by running the paper's conflict-detection algorithms against a
-//! [`LastCommitTable`], and maintains the [`CommitTable`] that readers use to
+//! [`LastCommit`] table, and maintains the [`CommitTable`] that readers use to
 //! resolve snapshot visibility.
 //!
 //! One state machine serves both isolation levels because Algorithms 1 and 2
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::{
     commit_table::{CommitTable, TxnStatus},
     error::{AbortReason, CommitOutcome},
-    lastcommit::{BoundedLastCommit, LastCommitTable, Probe, UnboundedLastCommit},
+    lastcommit::{LastCommit, Probe},
     policy::IsolationLevel,
     row::{RowId, RowRange},
     ts::{SharedTimestampSource, Timestamp, TimestampSource},
@@ -54,8 +54,7 @@ impl CommitRequest {
     /// same row twice reports it twice); probing or recording a row more
     /// than once is wasted work that also inflates the oracle's
     /// `rows_checked`/`rows_recorded` counters, distorting the §6.3
-    /// read-to-write load comparison. Sorting additionally gives the
-    /// sharded oracle its canonical lock order for free.
+    /// read-to-write load comparison.
     pub fn new(start_ts: Timestamp, mut read_rows: Vec<RowId>, mut write_rows: Vec<RowId>) -> Self {
         read_rows.sort_unstable();
         read_rows.dedup();
@@ -144,9 +143,10 @@ impl OracleStats {
 ///
 /// Each field is a sharded [`wsi_obs::Counter`]; `Clone` produces a handle
 /// onto the **same** counters, so an embedder can keep a clone outside the
-/// oracle's critical section and read statistics without taking the lock
-/// that serializes the oracle itself (the mutex in `wsi-store`, the event
-/// loop in `wsi-oracle`). [`OracleCounters::view`] folds the counters into a
+/// oracle's critical section and read statistics without taking what
+/// serializes the oracle itself (the shard locks of a
+/// [`ConcurrentOracle`](crate::ConcurrentOracle), the event loop in
+/// `wsi-oracle`). [`OracleCounters::view`] folds the counters into a
 /// plain [`OracleStats`] value at any time, with no synchronization beyond
 /// relaxed atomic loads.
 #[derive(Debug, Clone, Default)]
@@ -294,51 +294,6 @@ impl TsMode {
     }
 }
 
-/// A `lastCommit` table of either flavor. Shared with the sharded oracle
-/// (`crate::sharded`), whose shards are each one of these.
-#[derive(Debug, Clone)]
-pub(crate) enum Table {
-    Unbounded(UnboundedLastCommit),
-    Bounded(BoundedLastCommit),
-}
-
-impl Table {
-    pub(crate) fn probe(&self, row: RowId) -> Probe {
-        match self {
-            Table::Unbounded(t) => t.probe(row),
-            Table::Bounded(t) => t.probe(row),
-        }
-    }
-
-    pub(crate) fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
-        match self {
-            Table::Unbounded(t) => t.record(row, ts),
-            Table::Bounded(t) => t.record(row, ts),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Table::Unbounded(t) => t.len(),
-            Table::Bounded(t) => t.len(),
-        }
-    }
-
-    pub(crate) fn t_max(&self) -> Timestamp {
-        match self {
-            Table::Unbounded(_) => Timestamp::ZERO,
-            Table::Bounded(t) => t.t_max(),
-        }
-    }
-
-    pub(crate) fn probe_range(&self, range: RowRange) -> Probe {
-        match self {
-            Table::Unbounded(t) => t.probe_range(range.start, range.end),
-            Table::Bounded(t) => t.probe_range(range.start, range.end),
-        }
-    }
-}
-
 /// The per-row conflict predicate shared by every oracle shell (lines 2–9 of
 /// Algorithms 1–3): given the probe result for one checked row, decide
 /// whether the transaction may proceed. Factored out so the single-threaded
@@ -395,9 +350,11 @@ pub(crate) fn check_range_probe(
 
 /// The status oracle's deterministic, single-threaded state machine.
 ///
-/// Embedders serialize access (a mutex in `wsi-store`, the event loop in
-/// `wsi-oracle`); the paper's implementation likewise "executes the conflict
-/// detection algorithm in a critical section" (§6.3).
+/// Embedders serialize access (the event loop in `wsi-oracle`); the paper's
+/// implementation likewise "executes the conflict detection algorithm in a
+/// critical section" (§6.3). `wsi-store` runs the sharded
+/// [`ConcurrentOracle`](crate::ConcurrentOracle) instead, which is tested
+/// against this state machine as its model.
 ///
 /// # Example: write skew is admitted by SI and refused by WSI
 ///
@@ -423,7 +380,7 @@ pub(crate) fn check_range_probe(
 pub struct StatusOracleCore {
     level: IsolationLevel,
     ts: TsMode,
-    last_commit: Table,
+    last_commit: LastCommit,
     commit_table: CommitTable,
     counters: OracleCounters,
 }
@@ -451,7 +408,7 @@ impl StatusOracleCore {
         StatusOracleCore {
             level,
             ts: TsMode::Local(TimestampSource::new()),
-            last_commit: Table::Unbounded(UnboundedLastCommit::new()),
+            last_commit: LastCommit::unbounded(),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
         }
@@ -470,7 +427,7 @@ impl StatusOracleCore {
         StatusOracleCore {
             level,
             ts: TsMode::Shared(ts),
-            last_commit: Table::Unbounded(UnboundedLastCommit::new()),
+            last_commit: LastCommit::unbounded(),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
         }
@@ -490,7 +447,7 @@ impl StatusOracleCore {
         StatusOracleCore {
             level,
             ts: TsMode::Shared(ts),
-            last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
+            last_commit: LastCommit::bounded(capacity),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
         }
@@ -506,7 +463,7 @@ impl StatusOracleCore {
         StatusOracleCore {
             level,
             ts: TsMode::Local(TimestampSource::new()),
-            last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
+            last_commit: LastCommit::bounded(capacity),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
         }
@@ -664,10 +621,7 @@ impl StatusOracleCore {
 
     /// Current `T_max` (always [`Timestamp::ZERO`] for unbounded oracles).
     pub fn t_max(&self) -> Timestamp {
-        match &self.last_commit {
-            Table::Unbounded(_) => Timestamp::ZERO,
-            Table::Bounded(t) => t.t_max(),
-        }
+        self.last_commit.t_max()
     }
 
     /// Number of rows resident in `lastCommit`.

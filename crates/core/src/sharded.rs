@@ -17,9 +17,10 @@
 //!   eviction that could affect a row happened in that row's own shard, and
 //!   the per-shard bound already covers it.
 //! * [`ConcurrentOracle`] decides a commit by computing the transaction's
-//!   *shard set* (the shards of its checked and written rows), locking those
-//!   shards in ascending order — the canonical order that makes the protocol
-//!   deadlock-free — and then running exactly the same per-row predicates as
+//!   *shard set* — a bitmask with one bit per shard of its checked and
+//!   written rows — and locking those shards lowest bit first, the canonical
+//!   ascending order that makes the protocol deadlock-free. It then runs
+//!   exactly the same per-row predicates as
 //!   [`StatusOracleCore`](crate::StatusOracleCore). The commit timestamp is
 //!   drawn from the embedder's shared atomic [`SharedTimestampSource`]
 //!   *while the shards are held*, so for any two spatially-overlapping
@@ -28,9 +29,10 @@
 //!   Transactions with disjoint shard sets cannot conflict, so their
 //!   decisions may interleave freely.
 //! * §5.2 range probes cannot be attributed to a shard (a hash-sharded range
-//!   spans all of them), so a request carrying read ranges falls back to an
-//!   ordered **all-shard sweep**: every shard is locked, in order, and the
-//!   range is probed in each, combining the answers pessimistically.
+//!   spans all of them), so a request carrying read ranges takes the
+//!   all-ones mask, an ordered **all-shard sweep**: every shard is locked, in
+//!   order, and the range is probed in each, combining the answers
+//!   pessimistically.
 //!
 //! The decision path is exposed in two shapes: [`ConcurrentOracle::commit`]
 //! for self-contained use, and the [`ConcurrentOracle::lock_for`] /
@@ -47,10 +49,8 @@ use wsi_obs::{Counter, EventData, Histogram, HistogramSnapshot, Journal, Registr
 
 use crate::{
     error::{AbortReason, CommitOutcome},
-    lastcommit::{BoundedLastCommit, Probe, UnboundedLastCommit},
-    oracle::{
-        check_range_probe, check_row_probe, CommitRequest, OracleCounters, OracleStats, Table,
-    },
+    lastcommit::{LastCommit, Probe},
+    oracle::{check_range_probe, check_row_probe, CommitRequest, OracleCounters, OracleStats},
     policy::IsolationLevel,
     row::{RowId, RowRange},
     ts::{SharedTimestampSource, Timestamp},
@@ -65,13 +65,14 @@ const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Rows are assigned to shards by a Fibonacci multiplicative hash of the row
 /// identifier; the shard count is rounded up to a power of two so the
-/// assignment is a multiply and a shift. For the bounded variant the total
+/// assignment is a multiply and a shift, and is at most 64 so a decision's
+/// shard set fits one `u64` mask. For the bounded variant the total
 /// capacity is divided evenly across shards and each shard tracks its own
 /// `T_max`; [`ShardedLastCommit::t_max`] reports the maximum, which is the
 /// correct global pessimistic bound (see the module docs).
 #[derive(Debug)]
 pub struct ShardedLastCommit {
-    shards: Vec<Mutex<Table>>,
+    shards: Vec<Mutex<LastCommit>>,
     /// `64 - log2(shard count)`; meaningless (unused) when there is 1 shard.
     shift: u32,
 }
@@ -79,6 +80,10 @@ pub struct ShardedLastCommit {
 impl ShardedLastCommit {
     /// Creates an unbounded sharded table (Algorithms 1 and 2). The shard
     /// count is rounded up to a power of two, minimum 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rounded shard count exceeds 64.
     pub fn unbounded(shards: usize) -> Self {
         Self::build(shards, None)
     }
@@ -87,15 +92,23 @@ impl ShardedLastCommit {
     /// ≈`capacity` resident rows in total, split evenly across shards (at
     /// least one row per shard). The shard count is rounded up to a power of
     /// two, minimum 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rounded shard count exceeds 64.
     pub fn bounded(shards: usize, capacity: usize) -> Self {
         Self::build(shards, Some(capacity))
     }
 
     fn build(shards: usize, capacity: Option<usize>) -> Self {
         let n = shards.max(1).next_power_of_two();
+        assert!(
+            n <= 64,
+            "{shards} lastCommit shards round to {n}; a decision's shard mask holds at most 64"
+        );
         let make = || match capacity {
-            None => Table::Unbounded(UnboundedLastCommit::new()),
-            Some(cap) => Table::Bounded(BoundedLastCommit::with_capacity((cap / n).max(1))),
+            None => LastCommit::unbounded(),
+            Some(cap) => LastCommit::bounded((cap / n).max(1)),
         };
         ShardedLastCommit {
             shards: (0..n).map(|_| Mutex::new(make())).collect(),
@@ -140,8 +153,14 @@ impl ShardedLastCommit {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
+    /// The mask with one bit set per shard: every shard's.
     #[inline]
-    pub(crate) fn shard(&self, idx: usize) -> &Mutex<Table> {
+    fn all_shards(&self) -> u64 {
+        u64::MAX >> (64 - self.shards.len())
+    }
+
+    #[inline]
+    pub(crate) fn shard(&self, idx: usize) -> &Mutex<LastCommit> {
         &self.shards[idx]
     }
 }
@@ -362,117 +381,49 @@ impl ConcurrentOracle {
     /// Locks the transaction's shard set in canonical (ascending) order and
     /// returns a guard for running the decision steps piecemeal.
     ///
-    /// The shard set is the union of the checked rows' shards (writes under
-    /// SI, reads under WSI) and the written rows' shards. A request carrying
-    /// §5.2 read ranges under WSI locks **all** shards, in order. Because
-    /// every acquirer sorts its set the same way, lock acquisition is
-    /// deadlock-free.
+    /// The shard set is a bitmask: bit `i` is set when shard `i` holds one of
+    /// the checked rows (writes under SI, reads under WSI) or the written
+    /// rows. A request carrying §5.2 read ranges under WSI takes the
+    /// all-ones mask instead and locks **every** shard. Shards are locked
+    /// lowest set bit first, so every acquirer takes its set in the same
+    /// ascending order and lock acquisition is deadlock-free, with nothing to
+    /// sort.
     #[inline]
     pub fn lock_for(&self, req: &CommitRequest) -> DecisionGuard<'_> {
-        if self.level == IsolationLevel::WriteSnapshot && !req.read_ranges.is_empty() {
-            return self.lock_sweep();
-        }
-        // The shard set, built without touching the heap in the common case:
-        // a typical OLTP request maps to a handful of shards, so a linear
-        // scan over a fixed array beats allocating, sorting, and
-        // deduplicating a `Vec` — the decision path's fixed cost is what the
-        // single-thread parity criterion measures. This pass already hashes
-        // every request row, so it also records each row's guard slot; the
-        // check and record loops then never hash or scan again.
-        let check_rows = self.level.checked_rows(req);
-        if check_rows.len() + req.write_rows.len() > INLINE_ROWS {
-            return self.lock_spilled_for(req);
-        }
-        let mut ids = [0usize; INLINE_SHARDS];
-        let mut len = 0usize;
-        let mut row_slots = [0u8; INLINE_ROWS];
-        for (k, &row) in check_rows.iter().chain(req.write_rows.iter()).enumerate() {
-            let sid = self.last_commit.shard_of(row);
-            let slot = match ids[..len].iter().position(|&id| id == sid) {
-                Some(slot) => slot,
-                None => {
-                    if len == INLINE_SHARDS {
-                        // Rare: the request spans more distinct shards than
-                        // the inline set holds; redo the set on the heap.
-                        return self.lock_spilled_for(req);
-                    }
-                    ids[len] = sid;
-                    len += 1;
-                    len - 1
-                }
-            };
-            row_slots[k] = slot as u8;
-        }
+        let mask = if self.level == IsolationLevel::WriteSnapshot && !req.read_ranges.is_empty() {
+            self.obs.full_sweeps.inc();
+            self.last_commit.all_shards()
+        } else {
+            self.level
+                .checked_rows(req)
+                .iter()
+                .chain(&req.write_rows)
+                .fold(0, |mask, &row| mask | 1 << self.last_commit.shard_of(row))
+        };
         let began = self.obs_enabled.then(Instant::now);
-        // Slots are in first-appearance order; impose the canonical ascending
-        // shard order on acquisition via a sorted permutation of the slots.
-        let mut order: [u8; INLINE_SHARDS] = [0, 1, 2, 3];
-        order[..len].sort_unstable_by_key(|&slot| ids[slot as usize]);
-        let mut guards: [Option<MutexGuard<'_, Table>>; INLINE_SHARDS] = [None, None, None, None];
-        for &slot in &order[..len] {
-            guards[slot as usize] = Some(self.lock_shard(ids[slot as usize]));
+        let mut guards = Vec::with_capacity(mask.count_ones() as usize);
+        let mut rest = mask;
+        while rest != 0 {
+            guards.push(self.lock_shard(rest.trailing_zeros() as usize));
+            rest &= rest - 1;
         }
         if let Some(began) = began {
             self.obs
                 .lock_wait_us
                 .record(began.elapsed().as_micros() as u64);
-            self.obs.shards_per_decision.record(len as u64);
+            self.obs.shards_per_decision.record(guards.len() as u64);
         }
         DecisionGuard {
             oracle: self,
-            set: GuardSet::Inline {
-                len,
-                ids,
-                guards,
-                row_slots,
-            },
-        }
-    }
-
-    /// The §5.2 all-shard sweep: a request carrying read ranges locks every
-    /// shard, in order.
-    #[cold]
-    fn lock_sweep(&self) -> DecisionGuard<'_> {
-        self.obs.full_sweeps.inc();
-        self.lock_spilled((0..self.last_commit.shard_count()).collect())
-    }
-
-    /// Heap fallback for requests spanning more than [`INLINE_SHARDS`]
-    /// distinct shards or carrying more than [`INLINE_ROWS`] rows: rebuild
-    /// the whole shard set on the heap.
-    #[cold]
-    fn lock_spilled_for(&self, req: &CommitRequest) -> DecisionGuard<'_> {
-        let check_rows = self.level.checked_rows(req);
-        let mut ids: Vec<usize> = check_rows
-            .iter()
-            .chain(req.write_rows.iter())
-            .map(|&row| self.last_commit.shard_of(row))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        self.lock_spilled(ids)
-    }
-
-    /// Locks an already-sorted, deduplicated shard set on the heap.
-    fn lock_spilled(&self, ids: Vec<usize>) -> DecisionGuard<'_> {
-        let began = self.obs_enabled.then(Instant::now);
-        let guards: Vec<MutexGuard<'_, Table>> = ids.iter().map(|&i| self.lock_shard(i)).collect();
-        if let Some(began) = began {
-            self.obs
-                .lock_wait_us
-                .record(began.elapsed().as_micros() as u64);
-            self.obs.shards_per_decision.record(ids.len() as u64);
-        }
-        DecisionGuard {
-            oracle: self,
-            set: GuardSet::Heap { ids, guards },
+            mask,
+            guards,
         }
     }
 
     /// Acquires one shard lock, counting the acquisition as contended when
     /// the uncontended fast path fails.
     #[inline]
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Table> {
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, LastCommit> {
         let shard = self.last_commit.shard(i);
         match shard.try_lock() {
             Some(guard) => guard,
@@ -584,73 +535,10 @@ impl ConcurrentOracle {
 /// register an abort on the oracle).
 pub struct DecisionGuard<'a> {
     oracle: &'a ConcurrentOracle,
-    set: GuardSet<'a>,
-}
-
-/// How many shard guards a decision holds inline before spilling to the
-/// heap. Typical OLTP requests touch at most a handful of shards; keeping
-/// the inline set small keeps the guard cheap to build and move, and the
-/// rare wider request just pays one allocation.
-const INLINE_SHARDS: usize = 4;
-
-/// How many request rows the inline guard pre-resolves to guard slots.
-/// Requests with more rows than this use the heap path.
-const INLINE_ROWS: usize = 8;
-
-/// Storage for one decision's locked shards, either inline (common case) or
-/// heap-spilled (sweeps, wide requests).
-///
-/// The inline variant additionally remembers, for every row of the request
-/// the guard was built for (checked rows then written rows, in request
-/// order), which guard slot holds that row's shard — so the check and
-/// record loops index straight into `guards` without re-hashing anything.
-enum GuardSet<'a> {
-    Inline {
-        len: usize,
-        /// Shard id per slot, in first-appearance order (NOT sorted; the
-        /// canonical ascending order is imposed only while acquiring).
-        ids: [usize; INLINE_SHARDS],
-        guards: [Option<MutexGuard<'a, Table>>; INLINE_SHARDS],
-        /// Guard slot of each request row: checked rows first, then written
-        /// rows, in request order.
-        row_slots: [u8; INLINE_ROWS],
-    },
-    Heap {
-        /// Locked shard indices, ascending.
-        ids: Vec<usize>,
-        /// Guards for `ids`, same order.
-        guards: Vec<MutexGuard<'a, Table>>,
-    },
-}
-
-impl GuardSet<'_> {
-    /// Locked shard indices (first-appearance order for the inline variant,
-    /// ascending for the heap variant).
-    #[inline]
-    fn ids(&self) -> &[usize] {
-        match self {
-            GuardSet::Inline { len, ids, .. } => &ids[..*len],
-            GuardSet::Heap { ids, .. } => ids,
-        }
-    }
-
-    /// The locked table at position `idx` (an index into [`GuardSet::ids`]).
-    #[inline]
-    fn table(&self, idx: usize) -> &Table {
-        match self {
-            GuardSet::Inline { guards, .. } => guards[idx].as_ref().expect("guard slot is filled"),
-            GuardSet::Heap { guards, .. } => &guards[idx],
-        }
-    }
-
-    /// Mutable access to the locked table at position `idx`.
-    #[inline]
-    fn table_mut(&mut self, idx: usize) -> &mut Table {
-        match self {
-            GuardSet::Inline { guards, .. } => guards[idx].as_mut().expect("guard slot is filled"),
-            GuardSet::Heap { guards, .. } => &mut guards[idx],
-        }
-    }
+    /// The locked shards: bit `i` is set when shard `i` is held.
+    mask: u64,
+    /// One guard per set bit of `mask`, lowest shard first.
+    guards: Vec<MutexGuard<'a, LastCommit>>,
 }
 
 impl DecisionGuard<'_> {
@@ -663,15 +551,16 @@ impl DecisionGuard<'_> {
             return Ok(());
         }
         let level = self.oracle.level;
-        let check_rows = level.checked_rows(req);
         // Counters are batched into one atomic add per loop (including the
         // early-abort exits) so the observable counts stay identical to
         // `StatusOracleCore`'s per-row increments at a fraction of the
         // traffic.
         let mut checked = 0u64;
-        let journal = self.oracle.journal.as_ref();
-        let record_verdict = |row: RowId, verdict: &Result<(), AbortReason>| {
-            if let Some(journal) = journal {
+        for &row in level.checked_rows(req) {
+            checked += 1;
+            let probe = self.guards[self.slot(row)].probe(row);
+            let verdict = check_row_probe(level, row, probe, req.start_ts);
+            if let Some(journal) = &self.oracle.journal {
                 journal.record(
                     req.start_ts.raw(),
                     EventData::CheckRow {
@@ -684,38 +573,9 @@ impl DecisionGuard<'_> {
                     },
                 );
             }
-        };
-        if let GuardSet::Inline {
-            guards, row_slots, ..
-        } = &self.set
-        {
-            // The fast path: `lock_for` already resolved every row to its
-            // guard slot (checked rows occupy the leading slots), so this
-            // loop does no hashing and no shard-set scan. The mask is free
-            // (slots are < INLINE_SHARDS by construction) and lets the
-            // compiler drop the bounds check.
-            for (k, &row) in check_rows.iter().enumerate() {
-                checked += 1;
-                let table = guards[row_slots[k] as usize & (INLINE_SHARDS - 1)]
-                    .as_ref()
-                    .expect("row's slot is locked");
-                let verdict = check_row_probe(level, row, table.probe(row), req.start_ts);
-                record_verdict(row, &verdict);
-                if let Err(reason) = verdict {
-                    self.oracle.counters.rows_checked.add(checked);
-                    return Err(reason);
-                }
-            }
-        } else {
-            for &row in check_rows {
-                checked += 1;
-                let probe = self.set.table(self.table_index(row)).probe(row);
-                let verdict = check_row_probe(level, row, probe, req.start_ts);
-                record_verdict(row, &verdict);
-                if let Err(reason) = verdict {
-                    self.oracle.counters.rows_checked.add(checked);
-                    return Err(reason);
-                }
+            if let Err(reason) = verdict {
+                self.oracle.counters.rows_checked.add(checked);
+                return Err(reason);
             }
         }
         if checked > 0 {
@@ -754,24 +614,9 @@ impl DecisionGuard<'_> {
     #[inline]
     pub fn finish_commit_at(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
         let mut evictions = 0u64;
-        if let GuardSet::Inline {
-            guards, row_slots, ..
-        } = &mut self.set
-        {
-            // Written rows' slots follow the checked rows' in `row_slots`
-            // (both recorded by `lock_for` from this same request).
-            let offset = self.oracle.level.checked_rows(req).len();
-            for (k, &row) in req.write_rows.iter().enumerate() {
-                let table = guards[row_slots[offset + k] as usize & (INLINE_SHARDS - 1)]
-                    .as_mut()
-                    .expect("row's slot is locked");
-                evictions += table.record(row, commit_ts) as u64;
-            }
-        } else {
-            for &row in &req.write_rows {
-                let idx = self.table_index(row);
-                evictions += self.set.table_mut(idx).record(row, commit_ts) as u64;
-            }
+        for &row in &req.write_rows {
+            let slot = self.slot(row);
+            evictions += self.guards[slot].record(row, commit_ts) as u64;
         }
         if !req.write_rows.is_empty() {
             self.oracle
@@ -792,50 +637,32 @@ impl DecisionGuard<'_> {
         self.oracle.abort_checked(reason);
     }
 
-    /// Position in the locked set of the shard holding `row`.
+    /// Position in `guards` of the guard holding `row`'s shard: the number
+    /// of locked shards below it.
     #[inline]
-    fn table_index(&self, row: RowId) -> usize {
-        match &self.set {
-            GuardSet::Inline { len, ids, .. } => {
-                if *len == 1 {
-                    // Single-shard decisions skip the hash entirely.
-                    return 0;
-                }
-                let sid = self.oracle.last_commit.shard_of(row);
-                ids[..*len]
-                    .iter()
-                    .position(|&id| id == sid)
-                    .expect("row's shard must be in the locked set")
-            }
-            GuardSet::Heap { ids, .. } => {
-                let sid = self.oracle.last_commit.shard_of(row);
-                ids.binary_search(&sid)
-                    .expect("row's shard must be in the locked set")
-            }
-        }
+    fn slot(&self, row: RowId) -> usize {
+        let below = (1u64 << self.oracle.last_commit.shard_of(row)) - 1;
+        (self.mask & below).count_ones() as usize
     }
 
     /// Probes a §5.2 range across every shard (all of them are locked in
     /// sweep mode), combining the per-shard answers pessimistically.
     fn probe_range_all(&self, range: RowRange) -> Probe {
-        let n = self.set.ids().len();
         debug_assert_eq!(
-            n,
-            self.oracle.last_commit.shard_count(),
+            self.mask,
+            self.oracle.last_commit.all_shards(),
             "range probes require the all-shard sweep"
         );
-        let mut acc = Probe::NeverWritten;
-        for idx in 0..n {
-            acc = combine_probes(acc, self.set.table(idx).probe_range(range));
-        }
-        acc
+        self.guards.iter().fold(Probe::NeverWritten, |acc, table| {
+            combine_probes(acc, table.probe_range(range))
+        })
     }
 }
 
 impl std::fmt::Debug for DecisionGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecisionGuard")
-            .field("shards", &self.set.ids())
+            .field("mask", &format_args!("{:#x}", self.mask))
             .finish_non_exhaustive()
     }
 }
@@ -843,7 +670,7 @@ impl std::fmt::Debug for DecisionGuard<'_> {
 /// Combines two shard-local probe answers into the answer a single table
 /// covering both shards would have given: resident timestamps take the
 /// maximum, and any eviction uncertainty poisons the result pessimistically
-/// (mirroring [`BoundedLastCommit`]'s own `probe_range`).
+/// (mirroring [`LastCommit::probe_range`]).
 fn combine_probes(a: Probe, b: Probe) -> Probe {
     match (a, b) {
         (Probe::NeverWritten, x) | (x, Probe::NeverWritten) => x,
@@ -952,6 +779,58 @@ mod tests {
     }
 
     #[test]
+    fn sixty_four_shards_fill_the_mask() {
+        let o = oracle(IsolationLevel::WriteSnapshot, 64);
+        assert_eq!(o.shard_count(), 64);
+        let top = (0..)
+            .map(RowId)
+            .find(|&row| o.last_commit.shard_of(row) == 63)
+            .expect("some row maps to shard 63");
+        let reader = o.begin();
+        let scanner = o.begin();
+        let writer = o.begin();
+        // A request whose one row sits in the last shard: bit 63, one guard.
+        let req = CommitRequest::new(writer, vec![top], vec![top]);
+        let mut g = o.lock_for(&req);
+        assert_eq!((g.mask, g.guards.len()), (1 << 63, 1));
+        assert!(g.check(&req).is_ok());
+        let committed = g.commit_unchecked(&req);
+        drop(g);
+        assert_eq!(o.probe_row(top), Probe::Resident(committed));
+        let out = o.commit(CommitRequest::new(reader, vec![top], rows(&[1])));
+        assert_eq!(
+            out.abort_reason(),
+            Some(AbortReason::ReadWriteConflict {
+                row: top,
+                committed_at: committed,
+            })
+        );
+        // A §5.2 range over the same row: the all-ones mask, every shard.
+        let range = RowRange::new(top.raw(), top.raw() + 1);
+        let req = CommitRequest::new(scanner, vec![], rows(&[2])).with_read_ranges(vec![range]);
+        let g = o.lock_for(&req);
+        assert_eq!((g.mask, g.guards.len()), (u64::MAX, 64));
+        assert_eq!(
+            g.check(&req),
+            Err(AbortReason::ReadWriteConflict {
+                row: top,
+                committed_at: committed,
+            })
+        );
+        drop(g);
+        assert_eq!(o.shard_obs().full_sweeps(), 1);
+        assert_eq!(o.shard_obs().shards_per_decision_snapshot().max, 64);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "65 lastCommit shards round to 128; a decision's shard mask holds at most 64"
+    )]
+    fn more_than_sixty_four_shards_are_refused() {
+        let _ = ShardedLastCommit::unbounded(65);
+    }
+
+    #[test]
     fn bounded_tracks_per_shard_t_max() {
         let ts = Arc::new(SharedTimestampSource::new());
         let o = ConcurrentOracle::bounded(IsolationLevel::WriteSnapshot, 4, 4, ts);
@@ -1043,7 +922,7 @@ mod tests {
 
     #[test]
     fn disjoint_commits_race_without_deadlock() {
-        // 8 threads over overlapping shard sets; sorted acquisition must
+        // 8 threads over overlapping shard sets; ascending acquisition must
         // neither deadlock nor lose bookkeeping.
         let o = Arc::new(oracle(IsolationLevel::WriteSnapshot, 8));
         std::thread::scope(|s| {

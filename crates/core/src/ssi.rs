@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::{
     commit_table::{CommitTable, TxnStatus},
     error::{AbortReason, CommitOutcome},
-    lastcommit::{LastCommitTable, Probe, UnboundedLastCommit},
+    lastcommit::{LastCommit, Probe},
     oracle::CommitRequest,
     row::RowId,
     ts::{Timestamp, TimestampSource},
@@ -326,7 +326,7 @@ impl SsiStats {
 #[derive(Debug, Default)]
 pub struct SsiOracle {
     ts: TimestampSource,
-    last_commit: UnboundedLastCommit,
+    last_commit: LastCommit,
     commit_table: CommitTable,
     window: SsiWindow,
     /// Start timestamps of in-flight transactions (window pruning bound).

@@ -7,7 +7,7 @@
 //! randomized transaction history through the model and the implementation
 //! in lockstep and assert identical commit/abort outcomes, identical final
 //! `lastCommit` state, and identical activity statistics — for SI and WSI,
-//! with 1 shard and with many, unbounded and bounded.
+//! with 1 shard and with many (up to `Db`'s 16), unbounded and bounded.
 //!
 //! The one case where exact lockstep is impossible by construction is the
 //! bounded (Algorithm 3) table with *many* shards: capacity is divided
@@ -30,6 +30,10 @@ use wsi_core::{
 /// Row universe: small enough that transactions collide constantly.
 const UNIVERSE: u64 = 24;
 
+/// Shard counts driven in lockstep: the single table, and the sharded
+/// layouts up to `Db`'s 16.
+const SHARDS: [usize; 3] = [1, 8, 16];
+
 /// One generated transaction in the history.
 #[derive(Debug, Clone)]
 struct Spec {
@@ -41,8 +45,10 @@ struct Spec {
     client_abort: bool,
 }
 
+/// Up to 10 rows per side: the paper's transactions are 10 rows, and most
+/// of `Db`'s requests span more shards than a handful.
 fn rows_strategy() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..UNIVERSE, 0..5)
+    prop::collection::vec(0u64..UNIVERSE, 0..=10)
 }
 
 fn spec_strategy(with_ranges: bool) -> impl Strategy<Value = Spec> {
@@ -177,11 +183,11 @@ fn assert_bounded_safe(oracle: ConcurrentOracle, level: IsolationLevel, history:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Algorithm 1 (SI): implementation ≡ model, with 1 shard and 8.
+    /// Algorithm 1 (SI): implementation ≡ model, at every shard count.
     #[test]
     fn si_unbounded_equivalence(history in history(false)) {
         let level = IsolationLevel::Snapshot;
-        for shards in [1usize, 8] {
+        for shards in SHARDS {
             assert_lockstep(
                 StatusOracleCore::unbounded_shared(level, fresh_ts()),
                 ConcurrentOracle::unbounded(level, shards, fresh_ts()),
@@ -191,11 +197,11 @@ proptest! {
     }
 
     /// Algorithm 2 (WSI) including §5.2 range predicates (which exercise
-    /// the all-shard sweep): implementation ≡ model, 1 shard and 8.
+    /// the all-shard sweep): implementation ≡ model, at every shard count.
     #[test]
     fn wsi_unbounded_equivalence(history in history(true)) {
         let level = IsolationLevel::WriteSnapshot;
-        for shards in [1usize, 8] {
+        for shards in SHARDS {
             assert_lockstep(
                 StatusOracleCore::unbounded_shared(level, fresh_ts()),
                 ConcurrentOracle::unbounded(level, shards, fresh_ts()),
@@ -237,10 +243,12 @@ proptest! {
         } else {
             IsolationLevel::Snapshot
         };
-        assert_bounded_safe(
-            ConcurrentOracle::bounded(level, 8, capacity, fresh_ts()),
-            level,
-            &history,
-        );
+        for shards in SHARDS {
+            assert_bounded_safe(
+                ConcurrentOracle::bounded(level, shards, capacity, fresh_ts()),
+                level,
+                &history,
+            );
+        }
     }
 }

@@ -1630,8 +1630,8 @@ impl ArenaStore {
     }
 
     /// Number of keys with at least one published version, by full walk:
-    /// the test-side cross-check of the incremental count in
-    /// [`Self::footprint`].
+    /// the test-side cross-check of the incremental count that the
+    /// crate-internal `footprint` reads.
     pub fn key_count(&self) -> usize {
         let n = self.table.entries.len();
         (0..n)

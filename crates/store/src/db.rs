@@ -948,7 +948,7 @@ impl Db {
 
     /// Forces a reclamation-epoch advance and a sweep of matured limbo
     /// entries. The write path already performs this amortized every
-    /// [`WATERMARK_HINT_EVERY`] commits; exposing it directly lets stress
+    /// `WATERMARK_HINT_EVERY` (256) commits; exposing it directly lets stress
     /// harnesses race reclamation against live snapshots at chosen points
     /// rather than waiting for the tick.
     pub fn maintain(&self) {

@@ -25,8 +25,9 @@
 //!    implements (CAS-acquire, store-release, yield after a spin budget).
 //! 4. **`DecisionGuard` ascending-order shard acquisition** — the sharded
 //!    oracle's multi-shard lock protocol (`ConcurrentOracle::lock_for`):
-//!    every committer acquires its shard set in ascending shard order, which
-//!    must be deadlock-free and exclusive over the whole set.
+//!    every committer acquires its shard mask lowest set bit first — one
+//!    ascending order for all — which must be deadlock-free and exclusive
+//!    over the whole set.
 //! 5. **Packed-node occupancy claims vs. concurrent readers** — the
 //!    adaptive arena's in-node publish path (`arena::try_claim`): claim
 //!    indices are unique, an entry is never readable before it is
@@ -415,35 +416,45 @@ fn spin_tas_lock_is_mutually_exclusive() {
 const SHARDS: usize = 4;
 
 /// Protocol 4: `DecisionGuard`'s multi-shard acquisition. Each committer
-/// needs a *set* of shards (its request's row shards); all acquirers take
-/// their sets in ascending shard order — `lock_for` sorts the inline slot
-/// permutation, `lock_spilled` sorts the heap set — which rules out the
-/// circular wait a deadlock needs. The model asserts completion (deadlock
-/// freedom via a bounded spin) and set-wide exclusivity: while a committer
-/// holds its set, no other committer holds any member of it.
+/// needs a *set* of shards (its request's row shards), held as a `u64`
+/// mask; `lock_for` takes the set lowest set bit first (`trailing_zeros`,
+/// then clear that bit), the one ascending order every acquirer shares —
+/// which rules out the circular wait a deadlock needs. The model walks its
+/// masks the same way and asserts completion (deadlock freedom via a bounded
+/// spin) and set-wide exclusivity: while a committer holds its set, no other
+/// committer holds any member of it.
 #[test]
 fn decision_guard_ascending_order_is_deadlock_free_and_exclusive() {
-    // Overlapping shard sets, pre-sorted ascending like the oracle's
-    // acquisition paths; every pair intersects, so unordered acquisition
-    // would deadlock under some schedule.
-    const SETS: [&[usize]; 3] = [&[0, 1, 2], &[1, 3], &[0, 2, 3]];
+    // Overlapping shard sets {0,1,2}, {1,3}, {0,2,3}: every pair
+    // intersects, so acquisition in any other order would deadlock under
+    // some schedule.
+    const MASKS: [u64; 3] = [0b0111, 0b1010, 0b1101];
     const ROUNDS: usize = 8;
+    /// The shards of `mask` in `lock_for`'s acquisition order.
+    fn lowest_first(mask: u64) -> impl Iterator<Item = usize> {
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let shard = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                shard
+            })
+        })
+    }
     loom::model(|| {
         let locks: Arc<Vec<TasLock>> = Arc::new((0..SHARDS).map(|_| TasLock::new()).collect());
         // Per-shard holder tag (0 = free, else committer id + 1).
         let holders: Arc<Vec<AtomicU64>> =
             Arc::new((0..SHARDS).map(|_| AtomicU64::new(0)).collect());
 
-        let handles: Vec<_> = (0..SETS.len())
+        let handles: Vec<_> = (0..MASKS.len())
             .map(|who| {
                 let locks = Arc::clone(&locks);
                 let holders = Arc::clone(&holders);
                 thread::spawn(move || {
                     let tag = who as u64 + 1;
                     for _ in 0..ROUNDS {
-                        // Acquire in ascending shard order (the invariant
-                        // under test: all acquirers sort the same way).
-                        for &sid in SETS[who] {
+                        for sid in lowest_first(MASKS[who]) {
                             locks[sid].lock();
                             let prev = holders[sid].swap(tag, Ordering::SeqCst);
                             assert_eq!(prev, 0, "shard {sid} already held");
@@ -451,14 +462,14 @@ fn decision_guard_ascending_order_is_deadlock_free_and_exclusive() {
                         // The decision runs with the whole set held: every
                         // member must still be tagged as ours.
                         thread::yield_now();
-                        for &sid in SETS[who] {
+                        for sid in lowest_first(MASKS[who]) {
                             assert_eq!(
                                 holders[sid].load(Ordering::SeqCst),
                                 tag,
                                 "lost shard {sid} mid-decision"
                             );
                         }
-                        for &sid in SETS[who] {
+                        for sid in lowest_first(MASKS[who]) {
                             holders[sid].store(0, Ordering::SeqCst);
                             locks[sid].unlock();
                         }

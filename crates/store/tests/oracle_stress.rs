@@ -200,15 +200,23 @@ fn shard_metrics_are_registered_and_plausible() {
     ] {
         assert!(prom.contains(series), "missing series {series}");
     }
-    // Every write commit locked at least one shard.
+    // One sample per `lock_for` and nothing else: at WSI with no WAL every
+    // write commit attempt locks its shards once and ends as a commit, a
+    // read-write abort or a `T_max` abort.
     let snap = db.obs_snapshot().unwrap();
-    let decisions = snap
+    let per_decision = snap
         .histograms
         .get("oracle_shards_per_decision")
-        .map(|h| h.count)
         .expect("shards-per-decision histogram present");
+    let oracle = db.stats().oracle;
+    assert_eq!(
+        per_decision.count,
+        oracle.commits + oracle.rw_aborts + oracle.tmax_aborts,
+        "one shards-per-decision sample per write decision: {oracle:?}"
+    );
+    // Each decision locked between one shard and all 16.
     assert!(
-        decisions >= db.stats().oracle.commits,
-        "each write decision records its shard count"
+        per_decision.min >= 1 && per_decision.max <= 16,
+        "shards per decision outside 1..=16: {per_decision:?}"
     );
 }

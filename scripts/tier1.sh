@@ -5,7 +5,7 @@
 #
 # Checks formatting, builds the workspace in release mode (the stress
 # suites and smokes below depend on it), runs the full test suite and holds
-# the code to a warning-free clippy bar.
+# the code to a warning-free clippy and rustdoc bar.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,6 +19,9 @@ cargo build --release --workspace
 # flight-recorder suites (`obs_reconcile`, `explain_abort`, `retry_report`).
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
+# Rustdoc with warnings denied: a doc link to a renamed or private item
+# fails here rather than rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 # The multi-threaded stress suites again in release mode (the debug run
 # above is too slow to shake out interleavings): the increment herds at all
