@@ -218,7 +218,6 @@ fn ablations() {
 /// Extension experiment: SI vs WSI vs Cahill-style SSI on identical
 /// schedules — abort rates and serializability, oracle-level.
 fn ssi_comparison() {
-    use wsi_core::ssi::SsiOracle;
     use wsi_core::{CommitRequest, IsolationLevel, RowId, StatusOracleCore, Timestamp};
     use wsi_history::{dsg, History, Op, TxnId};
     use wsi_sim::{SimRng, Zipfian};
@@ -255,36 +254,12 @@ fn ssi_comparison() {
         })
         .collect();
 
-    enum AnyOracle {
-        Core(StatusOracleCore),
-        Ssi(SsiOracle),
-    }
-    impl AnyOracle {
-        fn begin(&mut self) -> Timestamp {
-            match self {
-                AnyOracle::Core(o) => o.begin(),
-                AnyOracle::Ssi(o) => o.begin(),
-            }
-        }
-        fn commit(&mut self, req: CommitRequest) -> wsi_core::CommitOutcome {
-            match self {
-                AnyOracle::Core(o) => o.commit(req),
-                AnyOracle::Ssi(o) => o.commit(req),
-            }
-        }
-    }
-
-    for (name, mut oracle) in [
-        (
-            "si",
-            AnyOracle::Core(StatusOracleCore::unbounded(IsolationLevel::Snapshot)),
-        ),
-        (
-            "wsi",
-            AnyOracle::Core(StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot)),
-        ),
-        ("ssi", AnyOracle::Ssi(SsiOracle::new())),
+    for level in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
     ] {
+        let mut oracle = StatusOracleCore::unbounded(level);
         let mut commits = 0u64;
         let mut aborts = 0u64;
         let mut ops: Vec<Op> = Vec::new();
@@ -327,7 +302,7 @@ fn ssi_comparison() {
         let serializable = dsg::is_serializable(&sample);
         println!(
             "{:<6} {:>10} {:>12} {:>14.4} {:>22}",
-            name,
+            level.short_name(),
             commits,
             aborts,
             aborts as f64 / (commits + aborts) as f64,

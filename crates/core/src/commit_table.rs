@@ -93,21 +93,6 @@ impl CommitTable {
         self.aborts.insert(start_ts);
     }
 
-    /// Flips a recorded commit into an abort.
-    ///
-    /// The recovery-after-decide path: an embedder decided the commit,
-    /// recorded it, and then failed to persist it, so the transaction's fate
-    /// must become aborted *before* the commit is ever published to readers.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the transaction has no recorded commit.
-    pub fn overturn_commit(&mut self, start_ts: Timestamp) {
-        let prev = self.commits.remove(&start_ts);
-        debug_assert!(prev.is_some(), "txn was not committed");
-        self.aborts.insert(start_ts);
-    }
-
     /// Queries the status of the transaction that started at `start_ts`.
     pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
         if let Some(&commit_ts) = self.commits.get(&start_ts) {

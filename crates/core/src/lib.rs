@@ -16,10 +16,12 @@
 //!   timestamp ever evicted; a transaction older than `T_max` whose rows are
 //!   no longer resident is pessimistically aborted.
 //!
-//! The same state machine, [`StatusOracleCore`], drives both isolation
-//! levels — the only difference is *which* of the two row sets is checked
-//! (writes for SI, reads for WSI), captured by [`IsolationLevel`]. Higher
-//! layers embed this state machine in different shells:
+//! The same state machine, [`StatusOracleCore`], drives every isolation
+//! level — SI and WSI differ only in *which* of the two row sets is checked
+//! (writes for SI, reads for WSI), captured by [`IsolationLevel`], and
+//! serializable snapshot isolation adds the dangerous-structure check of
+//! [`ssi::SsiWindow`] to the SI check. Higher layers embed this state
+//! machine in different shells:
 //!
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
 //!   store on the sharded [`ConcurrentOracle`], which makes the same

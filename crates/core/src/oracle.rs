@@ -1,4 +1,4 @@
-//! The status-oracle state machine: Algorithms 1, 2, and 3.
+//! The status-oracle state machine: Algorithms 1, 2, and 3, and SSI.
 //!
 //! [`StatusOracleCore`] is the single-threaded core shared by every
 //! embedding in this workspace. It issues start timestamps, decides commit
@@ -6,15 +6,18 @@
 //! [`LastCommit`] table, and maintains the [`CommitTable`] that readers use to
 //! resolve snapshot visibility.
 //!
-//! One state machine serves both isolation levels because Algorithms 1 and 2
-//! differ in exactly one place: which row set is checked against
-//! `lastCommit` — the *write* set under snapshot isolation (write-write
-//! conflicts) or the *read* set under write-snapshot isolation (read-write
-//! conflicts). Both record the write set after a successful commit.
-//! Constructing the oracle with a bounded table turns either algorithm into
-//! its memory-bounded Algorithm 3 variant with `T_max` pessimistic aborts.
+//! One state machine serves every isolation level because the levels differ
+//! only in what is certified at commit. Algorithms 1 and 2 differ in exactly
+//! one place: which row set is checked against `lastCommit` — the *write*
+//! set under snapshot isolation (write-write conflicts) or the *read* set
+//! under write-snapshot isolation (read-write conflicts). Both record the
+//! write set after a successful commit. Serializable snapshot isolation runs
+//! the snapshot-isolation check and then the dangerous-structure check of an
+//! [`SsiWindow`]. Constructing the oracle with a bounded table turns any of
+//! them into its memory-bounded Algorithm 3 variant with `T_max`
+//! pessimistic aborts.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use crate::{
     commit_table::{CommitTable, TxnStatus},
@@ -22,7 +25,8 @@ use crate::{
     lastcommit::{LastCommit, Probe},
     policy::IsolationLevel,
     row::{RowId, RowRange},
-    ts::{SharedTimestampSource, Timestamp, TimestampSource},
+    ssi::SsiWindow,
+    ts::{Timestamp, TimestampSource},
 };
 
 /// A commit request, as sent by a client to the status oracle.
@@ -156,10 +160,12 @@ pub struct OracleCounters {
     /// Write transactions decided committed (including later-overturned).
     pub commits: wsi_obs::Counter,
     /// Commits overturned because durability failed before publication
-    /// (see [`StatusOracleCore::abort_after_decide`]). The [`OracleStats`]
-    /// `commits` view subtracts these; keeping decide and overturn as
-    /// separate monotonic counters keeps every counter append-only, which
-    /// exposition formats (Prometheus) require of counters.
+    /// (see
+    /// [`ConcurrentOracle::abort_after_decide`](crate::ConcurrentOracle::abort_after_decide)).
+    /// The [`OracleStats`] `commits` view subtracts these; keeping decide and
+    /// overturn as separate monotonic counters keeps every counter
+    /// append-only, which exposition formats (Prometheus) require of
+    /// counters.
     pub commits_overturned: wsi_obs::Counter,
     /// Read-only transactions committed on the no-computation fast path.
     pub read_only_commits: wsi_obs::Counter,
@@ -209,27 +215,6 @@ impl OracleCounters {
         }
     }
 
-    /// A copy with fresh counters frozen at the current values, sharing no
-    /// state with `self` — the value-semantics counterpart of `Clone` (which
-    /// shares), used when cloning an oracle into an independent replica.
-    pub fn detached_copy(&self) -> OracleCounters {
-        OracleCounters {
-            begins: self.begins.detached_copy(),
-            commits: self.commits.detached_copy(),
-            commits_overturned: self.commits_overturned.detached_copy(),
-            read_only_commits: self.read_only_commits.detached_copy(),
-            ww_aborts: self.ww_aborts.detached_copy(),
-            rw_aborts: self.rw_aborts.detached_copy(),
-            tmax_aborts: self.tmax_aborts.detached_copy(),
-            pivot_aborts: self.pivot_aborts.detached_copy(),
-            client_aborts: self.client_aborts.detached_copy(),
-            rows_checked: self.rows_checked.detached_copy(),
-            rows_recorded: self.rows_recorded.detached_copy(),
-            ranges_checked: self.ranges_checked.detached_copy(),
-            evictions: self.evictions.detached_copy(),
-        }
-    }
-
     /// Registers every counter in `registry` under `oracle_*` names so the
     /// oracle shows up in metric exposition alongside the embedder's own
     /// series.
@@ -251,45 +236,6 @@ impl OracleCounters {
         ];
         for (name, counter) in entries {
             registry.register_counter(name, counter);
-        }
-    }
-}
-
-/// Where the oracle draws timestamps from.
-///
-/// `Local` is the classic single-threaded counter owned by the oracle.
-/// `Shared` delegates to a lock-free counter owned by the embedder, so
-/// threads can issue *start* timestamps without entering the oracle's
-/// critical section while *commit* timestamps (issued inside the critical
-/// section) still interleave correctly on the same counter — the total order
-/// the temporal-overlap predicates require.
-#[derive(Debug, Clone)]
-enum TsMode {
-    Local(TimestampSource),
-    Shared(Arc<SharedTimestampSource>),
-}
-
-impl TsMode {
-    #[inline]
-    fn next(&mut self) -> Timestamp {
-        match self {
-            TsMode::Local(src) => src.next(),
-            TsMode::Shared(src) => src.next(),
-        }
-    }
-
-    #[inline]
-    fn last_issued(&self) -> Timestamp {
-        match self {
-            TsMode::Local(src) => src.last_issued(),
-            TsMode::Shared(src) => src.last_issued(),
-        }
-    }
-
-    fn advance_to(&mut self, bound: Timestamp) {
-        match self {
-            TsMode::Local(src) => src.advance_to(bound),
-            TsMode::Shared(src) => src.advance_to(bound),
         }
     }
 }
@@ -353,10 +299,11 @@ pub(crate) fn check_range_probe(
 /// Embedders serialize access (the event loop in `wsi-oracle`); the paper's
 /// implementation likewise "executes the conflict detection algorithm in a
 /// critical section" (§6.3). `wsi-store` runs the sharded
-/// [`ConcurrentOracle`](crate::ConcurrentOracle) instead, which is tested
-/// against this state machine as its model.
+/// [`ConcurrentOracle`](crate::ConcurrentOracle), tested against this state
+/// machine as its model, with its own [`SsiWindow`] beside it under
+/// serializable snapshot isolation.
 ///
-/// # Example: write skew is admitted by SI and refused by WSI
+/// # Example: write skew is admitted by SI and refused by WSI and SSI
 ///
 /// ```
 /// use wsi_core::{CommitRequest, IsolationLevel, RowId, StatusOracleCore};
@@ -365,6 +312,7 @@ pub(crate) fn check_range_probe(
 /// for (level, expect_both_commit) in [
 ///     (IsolationLevel::Snapshot, true),
 ///     (IsolationLevel::WriteSnapshot, false),
+///     (IsolationLevel::SerializableSnapshot, false),
 /// ] {
 ///     let mut o = StatusOracleCore::unbounded(level);
 ///     let t1 = o.begin();
@@ -379,24 +327,47 @@ pub(crate) fn check_range_probe(
 #[derive(Debug)]
 pub struct StatusOracleCore {
     level: IsolationLevel,
-    ts: TsMode,
+    ts: TimestampSource,
     last_commit: LastCommit,
     commit_table: CommitTable,
     counters: OracleCounters,
+    /// What only serializable snapshot isolation needs; `None` at the other
+    /// levels.
+    ssi: Option<SsiState>,
 }
 
-impl Clone for StatusOracleCore {
-    /// Clones into an independent replica: the counters are detached copies
-    /// frozen at their current values, not shared handles, preserving the
-    /// value semantics the struct had when statistics were plain integers.
-    fn clone(&self) -> Self {
-        StatusOracleCore {
-            level: self.level,
-            ts: self.ts.clone(),
-            last_commit: self.last_commit.clone(),
-            commit_table: self.commit_table.clone(),
-            counters: self.counters.detached_copy(),
+/// The dangerous-structure half of an SSI decision, and the start
+/// timestamps of in-flight transactions that bound its window.
+#[derive(Debug, Default)]
+struct SsiState {
+    window: SsiWindow,
+    active: BTreeSet<Timestamp>,
+}
+
+impl SsiState {
+    /// Admits a request the SI check passed, records it under a stamp drawn
+    /// from `ts`, and prunes the window below the oldest in-flight start (or
+    /// past the last issued timestamp when none is in flight). A read-only
+    /// request takes a stamp only when it read something: its reads must
+    /// stay probeable for later writers, and without reads there is nothing
+    /// to record. Returns the stamp, if one was drawn.
+    fn certify(
+        &mut self,
+        req: &CommitRequest,
+        ts: &mut TimestampSource,
+    ) -> std::result::Result<Option<Timestamp>, AbortReason> {
+        let admitted = self
+            .window
+            .admit(req.start_ts, &req.read_rows, &req.write_rows)?;
+        if req.is_read_only() && req.read_rows.is_empty() {
+            return Ok(None);
         }
+        let stamp = ts.next();
+        admitted.record(stamp);
+        let oldest = self.active.first().copied();
+        self.window
+            .prune(oldest.unwrap_or_else(|| ts.last_issued().next()));
+        Ok(Some(stamp))
     }
 }
 
@@ -405,52 +376,7 @@ impl StatusOracleCore {
     /// (Algorithm 1 for [`IsolationLevel::Snapshot`], Algorithm 2 for
     /// [`IsolationLevel::WriteSnapshot`]).
     pub fn unbounded(level: IsolationLevel) -> Self {
-        StatusOracleCore {
-            level,
-            ts: TsMode::Local(TimestampSource::new()),
-            last_commit: LastCommit::unbounded(),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-        }
-    }
-
-    /// Creates an unbounded oracle that draws timestamps from a lock-free
-    /// counter shared with the embedder.
-    ///
-    /// Concurrent embedders issue start timestamps directly from `ts`
-    /// (outside any critical section) and leave commit-timestamp issue to the
-    /// oracle, whose own critical section guarantees commit timestamps still
-    /// interleave with starts in one total order. Callers issuing starts
-    /// externally should count begins themselves; [`StatusOracleCore::begin`]
-    /// still works and still counts.
-    pub fn unbounded_shared(level: IsolationLevel, ts: Arc<SharedTimestampSource>) -> Self {
-        StatusOracleCore {
-            level,
-            ts: TsMode::Shared(ts),
-            last_commit: LastCommit::unbounded(),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-        }
-    }
-
-    /// Creates a bounded (Algorithm 3) oracle over a shared lock-free
-    /// timestamp counter; see [`StatusOracleCore::unbounded_shared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn bounded_shared(
-        level: IsolationLevel,
-        capacity: usize,
-        ts: Arc<SharedTimestampSource>,
-    ) -> Self {
-        StatusOracleCore {
-            level,
-            ts: TsMode::Shared(ts),
-            last_commit: LastCommit::bounded(capacity),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-        }
+        Self::with_table(level, LastCommit::unbounded())
     }
 
     /// Creates an oracle whose `lastCommit` table retains at most `capacity`
@@ -460,12 +386,17 @@ impl StatusOracleCore {
     ///
     /// Panics if `capacity` is zero.
     pub fn bounded(level: IsolationLevel, capacity: usize) -> Self {
+        Self::with_table(level, LastCommit::bounded(capacity))
+    }
+
+    fn with_table(level: IsolationLevel, last_commit: LastCommit) -> Self {
         StatusOracleCore {
             level,
-            ts: TsMode::Local(TimestampSource::new()),
-            last_commit: LastCommit::bounded(capacity),
+            ts: TimestampSource::new(),
+            last_commit,
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
+            ssi: (level == IsolationLevel::SerializableSnapshot).then(SsiState::default),
         }
     }
 
@@ -478,45 +409,59 @@ impl StatusOracleCore {
     /// Issues a start timestamp for a new transaction.
     pub fn begin(&mut self) -> Timestamp {
         self.counters.begins.inc();
-        self.ts.next()
+        let start_ts = self.ts.next();
+        if let Some(ssi) = &mut self.ssi {
+            ssi.active.insert(start_ts);
+        }
+        start_ts
     }
 
-    /// Decides a commit request (Algorithms 1–3).
+    /// Decides a commit request (Algorithms 1–3, then SSI's
+    /// dangerous-structure check at that level).
     ///
-    /// Read-only requests commit immediately: the paper shows a read-only
-    /// transaction is equivalent to one shifted to its start point
-    /// (Figure 3), so it needs no commit timestamp and no conflict check; the
-    /// returned outcome carries the transaction's start timestamp.
+    /// Read-only requests commit without a commit timestamp: the paper
+    /// shows a read-only transaction is equivalent to one shifted to its
+    /// start point (Figure 3), so the returned outcome carries its start
+    /// timestamp. Under SI and WSI they need no conflict check (§5.1); under
+    /// SSI a snapshot read can still close a cycle, so they pass the
+    /// dangerous-structure check.
     ///
     /// For write transactions the configured row set is probed against
     /// `lastCommit`; on success a fresh commit timestamp is issued, the write
     /// set is recorded, and the commit is registered in the commit table. On
     /// conflict the transaction is registered as aborted.
     pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
+        if let Some(ssi) = &mut self.ssi {
+            ssi.active.remove(&req.start_ts);
+        }
+        if let Err(reason) = self.check(&req) {
+            return self.register_abort(req.start_ts, reason);
+        }
+        let stamp = match &mut self.ssi {
+            None => None,
+            Some(ssi) => match ssi.certify(&req, &mut self.ts) {
+                Ok(stamp) => stamp,
+                Err(reason) => return self.register_abort(req.start_ts, reason),
+            },
+        };
         if req.is_read_only() {
-            // §5.1: both sets are submitted empty; the oracle commits without
-            // performing any computation for the transaction.
             self.counters.read_only_commits.inc();
             return CommitOutcome::Committed(req.start_ts);
         }
-        match self.check(&req) {
-            Ok(()) => CommitOutcome::Committed(self.commit_unchecked(&req)),
-            Err(reason) => self.register_abort(req.start_ts, reason),
+        let commit_ts = stamp.unwrap_or_else(|| self.ts.next());
+        for &row in &req.write_rows {
+            self.counters.rows_recorded.inc();
+            let evicted = self.last_commit.record(row, commit_ts);
+            self.counters.evictions.add(evicted as u64);
         }
+        self.commit_table.record_commit(req.start_ts, commit_ts);
+        self.counters.commits.inc();
+        CommitOutcome::Committed(commit_ts)
     }
 
-    /// Runs the conflict check of Algorithms 1–3 **without mutating state**.
-    ///
-    /// Embedders that must persist the commit decision to a write-ahead log
-    /// *before* exposing it split the commit into `check` +
-    /// [`StatusOracleCore::commit_unchecked`], logging in between while the
-    /// critical section is held. With a local timestamp source the commit
-    /// timestamp the subsequent `commit_unchecked` will assign is
-    /// `self.last_issued_ts().next()`; with a shared source concurrent starts
-    /// may intervene, so the timestamp is only known once issued.
-    ///
-    /// Read-only requests trivially pass.
-    pub fn check(&mut self, req: &CommitRequest) -> std::result::Result<(), AbortReason> {
+    /// The `lastCommit` conflict check of Algorithms 1–3. Read-only
+    /// requests trivially pass.
+    fn check(&mut self, req: &CommitRequest) -> std::result::Result<(), AbortReason> {
         if req.is_read_only() {
             return Ok(());
         }
@@ -533,68 +478,14 @@ impl StatusOracleCore {
         Ok(())
     }
 
-    /// Commits a request that [`StatusOracleCore::check`] already admitted:
-    /// issues the commit timestamp, records the write set in `lastCommit`,
-    /// and registers the commit.
-    ///
-    /// Calling this without a passing `check` under the same critical
-    /// section violates the isolation guarantee; it is public (not
-    /// `unsafe` — memory safety is unaffected) for the WAL-interposing
-    /// embedders described on `check`.
-    pub fn commit_unchecked(&mut self, req: &CommitRequest) -> Timestamp {
-        let commit_ts = self.ts.next();
-        self.finish_commit_at(req, commit_ts);
-        commit_ts
-    }
-
-    /// Registers a checked commit whose commit timestamp was already issued
-    /// by the embedder — necessarily from the *same* (shared) counter this
-    /// oracle draws from, or the temporal-overlap predicates break.
-    ///
-    /// Concurrent embedders use this to issue the commit timestamp inside a
-    /// narrower critical section (e.g. atomically with publishing to a
-    /// reader-visible index) and then complete the oracle bookkeeping:
-    /// `lastCommit` rows, the commit-table entry, and counters.
-    pub fn finish_commit_at(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
-        for &row in &req.write_rows {
-            self.counters.rows_recorded.inc();
-            let evicted = self.last_commit.record(row, commit_ts);
-            self.counters.evictions.add(evicted as u64);
-        }
-        self.commit_table.record_commit(req.start_ts, commit_ts);
-        self.counters.commits.inc();
-    }
-
-    /// Registers a conflict abort decided externally via
-    /// [`StatusOracleCore::check`], keeping statistics and the commit table
-    /// consistent with the [`StatusOracleCore::commit`] path.
-    pub fn abort_checked(&mut self, start_ts: Timestamp, reason: AbortReason) {
-        let _ = self.register_abort(start_ts, reason);
-    }
-
     /// Registers a client-requested abort (application rollback, client
     /// crash detected by recovery, etc.).
     pub fn abort(&mut self, start_ts: Timestamp) {
+        if let Some(ssi) = &mut self.ssi {
+            ssi.active.remove(&start_ts);
+        }
         self.counters.client_aborts.inc();
         self.commit_table.record_abort(start_ts);
-    }
-
-    /// Overturns a commit decided by [`StatusOracleCore::commit_unchecked`]
-    /// whose durability step failed before the commit was published.
-    ///
-    /// Embedders that pipeline the WAL flush *behind* the critical section
-    /// (decide under the lock, persist outside it) call this when the flush
-    /// fails: the transaction's fate flips from committed to aborted before
-    /// any reader could observe it — the embedder must guarantee the commit
-    /// was never published to readers.
-    ///
-    /// The `lastCommit` rows recorded at decide time are deliberately left in
-    /// place: a stale `lastCommit` entry can only cause spurious aborts of
-    /// concurrent transactions, never admit a conflicting commit, and commits
-    /// decided after this one have already been checked against it.
-    pub fn abort_after_decide(&mut self, start_ts: Timestamp) {
-        self.commit_table.overturn_commit(start_ts);
-        self.counters.commits_overturned.inc();
     }
 
     fn register_abort(&mut self, start_ts: Timestamp, reason: AbortReason) -> CommitOutcome {
@@ -607,6 +498,12 @@ impl StatusOracleCore {
         }
         self.commit_table.record_abort(start_ts);
         CommitOutcome::Aborted(reason)
+    }
+
+    /// Committed transactions in the SSI window (0 at the other levels).
+    #[cfg(test)]
+    pub(crate) fn window_len(&self) -> usize {
+        self.ssi.as_ref().map_or(0, |ssi| ssi.window.len())
     }
 
     /// Queries a transaction's status (§2.2 reader-side visibility support).
@@ -981,36 +878,6 @@ mod tests {
             .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
         assert!(o.commit(req).is_committed());
         assert_eq!(o.stats().ranges_checked, 0);
-    }
-
-    #[test]
-    fn shared_counter_interleaves_starts_and_commits() {
-        let ts = Arc::new(SharedTimestampSource::new());
-        let mut o =
-            StatusOracleCore::unbounded_shared(IsolationLevel::WriteSnapshot, Arc::clone(&ts));
-        // Start issued lock-free, outside the oracle.
-        let t1 = ts.next();
-        let c1 = o
-            .commit(CommitRequest::new(t1, vec![], rows(&[1])))
-            .commit_ts()
-            .unwrap();
-        assert!(c1 > t1);
-        assert_eq!(o.last_issued_ts(), c1);
-        // The next lock-free start observes the commit timestamp.
-        assert!(ts.next() > c1);
-    }
-
-    #[test]
-    fn overturned_commit_reads_as_aborted() {
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let t = o.begin();
-        let req = CommitRequest::new(t, vec![], rows(&[1]));
-        assert!(o.check(&req).is_ok());
-        let _decided = o.commit_unchecked(&req);
-        assert_eq!(o.stats().commits, 1);
-        o.abort_after_decide(t);
-        assert_eq!(o.status(t), TxnStatus::Aborted);
-        assert_eq!(o.stats().commits, 0);
     }
 
     #[test]

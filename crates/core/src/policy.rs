@@ -28,12 +28,11 @@ pub enum IsolationLevel {
     /// §7.1 comparator): snapshot isolation plus an abort whenever a commit
     /// would complete a dangerous structure of rw-antidependencies.
     ///
-    /// The `lastCommit` oracles ([`crate::StatusOracleCore`],
-    /// [`crate::ConcurrentOracle`]) run only this level's SI base — the
-    /// write-write check of [`IsolationLevel::Snapshot`]. The
-    /// dangerous-structure half is [`crate::ssi::SsiWindow`], which the
-    /// embedder applies beside them (`wsi-store`'s `Db` does); an oracle
-    /// used alone at this level certifies plain SI.
+    /// [`crate::StatusOracleCore`] certifies this level in full: the
+    /// write-write check of [`IsolationLevel::Snapshot`], then the
+    /// dangerous-structure check of a [`crate::ssi::SsiWindow`].
+    /// [`crate::ConcurrentOracle`] certifies only the SI base; its embedder
+    /// runs the window beside it (`wsi-store`'s `Db` does).
     SerializableSnapshot,
 }
 

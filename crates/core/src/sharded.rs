@@ -454,11 +454,13 @@ impl ConcurrentOracle {
     }
 
     /// Overturns a decided-but-unpublished commit whose durability step
-    /// failed; semantics as
-    /// [`StatusOracleCore::abort_after_decide`](crate::StatusOracleCore::abort_after_decide)
-    /// — the recorded `lastCommit` rows stay (they can only cause spurious
-    /// aborts, never admit a conflicting commit). The transaction's fate is
-    /// the embedder's to publish: this oracle keeps no commit table.
+    /// failed: the embedder flips the transaction's fate from committed to
+    /// aborted before any reader could observe it, and must guarantee the
+    /// commit was never published — this oracle keeps no commit table. The
+    /// recorded `lastCommit` rows stay: a stale entry can only cause
+    /// spurious aborts of concurrent transactions, never admit a
+    /// conflicting commit, and commits decided after this one were already
+    /// checked against it.
     pub fn abort_after_decide(&self) {
         self.counters.commits_overturned.inc();
     }
@@ -543,8 +545,9 @@ pub struct DecisionGuard<'a> {
 
 impl DecisionGuard<'_> {
     /// Runs the conflict check of Algorithms 1–3 against the locked shards
-    /// without mutating state; same predicates, same outcome as
-    /// [`StatusOracleCore::check`](crate::StatusOracleCore::check).
+    /// without mutating state; same predicates, same outcome as the
+    /// `lastCommit` check inside
+    /// [`StatusOracleCore::commit`](crate::StatusOracleCore::commit).
     #[inline]
     pub fn check(&self, req: &CommitRequest) -> Result<(), AbortReason> {
         if req.is_read_only() {

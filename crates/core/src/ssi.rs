@@ -11,8 +11,8 @@
 //! concurrency level due to unnecessary aborts" (§7.1).
 //!
 //! SSI is implemented in the same centralized, commit-time validated
-//! setting as [`crate::StatusOracleCore`], so the three levels can be
-//! compared on identical schedules, in two pieces:
+//! setting as the other two levels, so the three can be compared on
+//! identical schedules, in two pieces:
 //!
 //! * [`SsiWindow`] is the dangerous-structure detector on its own: it
 //!   tracks, for a sliding window of recently committed transactions, their
@@ -20,13 +20,12 @@
 //!   rw-antidependencies between `T` and overlapping committed transactions
 //!   in both directions, and refuses `T` if the commit would complete a
 //!   dangerous structure — either `T` itself becomes a pivot, or an
-//!   already-committed transaction would. `wsi-store`'s `Db` calls it, under
-//!   [`crate::IsolationLevel::SerializableSnapshot`], after the write-write
-//!   check of its concurrent `lastCommit` oracle (SSI builds on SI).
-//! * [`SsiOracle`] is the sequential reference model: the plain SI
-//!   write-write check, then the same window, behind one `&mut self`. The
-//!   E1 experiment and `wsi-history`'s `ssi_accept` replay schedules through
-//!   it, and `Db`'s SSI decisions are property-tested against it.
+//!   already-committed transaction would.
+//! * The SI base it runs behind: the write-write check of a `lastCommit`
+//!   oracle. [`crate::StatusOracleCore`] at
+//!   [`crate::IsolationLevel::SerializableSnapshot`] holds a window and runs
+//!   both checks itself; `wsi-store`'s `Db` calls its own window after the
+//!   check of its concurrent [`crate::ConcurrentOracle`].
 //!
 //! Compared to write-snapshot isolation: SSI admits some histories WSI
 //! rejects (the paper's History 6 — an out-edge alone is not dangerous) but
@@ -35,16 +34,9 @@
 //! than one timestamp per row, and still aborts serializable executions
 //! whenever a pivot is not actually on a cycle.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use crate::{
-    commit_table::{CommitTable, TxnStatus},
-    error::{AbortReason, CommitOutcome},
-    lastcommit::{LastCommit, Probe},
-    oracle::CommitRequest,
-    row::RowId,
-    ts::{Timestamp, TimestampSource},
-};
+use crate::{error::AbortReason, row::RowId, ts::Timestamp};
 
 /// A committed transaction retained in the SSI detection window.
 #[derive(Debug, Clone)]
@@ -267,181 +259,14 @@ impl Admitted<'_> {
     }
 }
 
-/// Counters for the SSI oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SsiStats {
-    /// Transactions begun.
-    pub begins: u64,
-    /// Write transactions committed.
-    pub commits: u64,
-    /// Read-only commits (free, as under SI/WSI).
-    pub read_only_commits: u64,
-    /// Aborts from the underlying SI write-write check.
-    pub ww_aborts: u64,
-    /// Aborts from the dangerous-structure rule.
-    pub pivot_aborts: u64,
-    /// Client-requested aborts ([`SsiOracle::abort`]).
-    pub client_aborts: u64,
-}
-
-impl SsiStats {
-    /// Total aborts.
-    pub fn total_aborts(&self) -> u64 {
-        self.ww_aborts + self.pivot_aborts + self.client_aborts
-    }
-
-    /// Abort rate over decided write transactions (client-requested aborts
-    /// never reach a decision, so they are excluded).
-    pub fn abort_rate(&self) -> f64 {
-        let refused = self.ww_aborts + self.pivot_aborts;
-        let decided = self.commits + refused;
-        if decided == 0 {
-            0.0
-        } else {
-            refused as f64 / decided as f64
-        }
-    }
-}
-
-/// A centralized, commit-time-validated implementation of Cahill-style SSI:
-/// the sequential reference model.
-///
-/// # Example: write skew aborts, but History 6 is admitted
-///
-/// ```
-/// use wsi_core::{ssi::SsiOracle, CommitRequest, RowId};
-///
-/// let mut o = SsiOracle::new();
-/// // History 6: r1[x] r2[z] w2[x] w1[y] c2 c1 — serializable, rejected by
-/// // WSI, admitted by SSI (txn1 has an out-conflict but no in-conflict).
-/// let t1 = o.begin();
-/// let t2 = o.begin();
-/// assert!(o
-///     .commit(CommitRequest::new(t2, vec![RowId(3)], vec![RowId(1)]))
-///     .is_committed());
-/// assert!(o
-///     .commit(CommitRequest::new(t1, vec![RowId(1)], vec![RowId(2)]))
-///     .is_committed());
-/// ```
-#[derive(Debug, Default)]
-pub struct SsiOracle {
-    ts: TimestampSource,
-    last_commit: LastCommit,
-    commit_table: CommitTable,
-    window: SsiWindow,
-    /// Start timestamps of in-flight transactions (window pruning bound).
-    active: BTreeMap<Timestamp, ()>,
-    stats: SsiStats,
-}
-
-impl SsiOracle {
-    /// Creates an empty oracle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Issues a start timestamp.
-    pub fn begin(&mut self) -> Timestamp {
-        self.stats.begins += 1;
-        let ts = self.ts.next();
-        self.active.insert(ts, ());
-        ts
-    }
-
-    /// Registers a client abort.
-    pub fn abort(&mut self, start_ts: Timestamp) {
-        self.stats.client_aborts += 1;
-        self.active.remove(&start_ts);
-        self.commit_table.record_abort(start_ts);
-    }
-
-    /// Decides a commit request.
-    pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        // SI base: first-committer-wins write-write check.
-        for &row in &req.write_rows {
-            if let Probe::Resident(last) = self.last_commit.probe(row) {
-                if last > req.start_ts {
-                    self.stats.ww_aborts += 1;
-                    return self.refuse(
-                        req.start_ts,
-                        AbortReason::WriteWriteConflict {
-                            row,
-                            committed_at: last,
-                        },
-                    );
-                }
-            }
-        }
-        let admitted = match self
-            .window
-            .admit(req.start_ts, &req.read_rows, &req.write_rows)
-        {
-            Ok(admitted) => admitted,
-            Err(reason) => {
-                self.stats.pivot_aborts += 1;
-                return self.refuse(req.start_ts, reason);
-            }
-        };
-        self.active.remove(&req.start_ts);
-        if req.is_read_only() {
-            // Skips the timestamp when there is no read to keep probeable;
-            // the caller-visible commit timestamp of a read-only transaction
-            // remains its start (it reads exactly the snapshot state).
-            if !req.read_rows.is_empty() {
-                admitted.record(self.ts.next());
-                self.prune_window();
-            }
-            self.stats.read_only_commits += 1;
-            return CommitOutcome::Committed(req.start_ts);
-        }
-        let commit_ts = self.ts.next();
-        admitted.record(commit_ts);
-        for &row in &req.write_rows {
-            self.last_commit.record(row, commit_ts);
-        }
-        self.commit_table.record_commit(req.start_ts, commit_ts);
-        self.prune_window();
-        self.stats.commits += 1;
-        CommitOutcome::Committed(commit_ts)
-    }
-
-    fn refuse(&mut self, start_ts: Timestamp, reason: AbortReason) -> CommitOutcome {
-        self.active.remove(&start_ts);
-        self.commit_table.record_abort(start_ts);
-        CommitOutcome::Aborted(reason)
-    }
-
-    /// Prunes the window below the smallest active start timestamp, or one
-    /// past the last issued timestamp when the oracle is quiescent.
-    fn prune_window(&mut self) {
-        let min_active = self
-            .active
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.ts.last_issued().next());
-        self.window.prune(min_active);
-    }
-
-    /// Transaction status lookup.
-    pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
-        self.commit_table.status(start_ts)
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> SsiStats {
-        self.stats
-    }
-
-    /// Committed transactions currently in the detection window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CommitRequest, IsolationLevel, StatusOracleCore};
+
+    fn ssi_oracle() -> StatusOracleCore {
+        StatusOracleCore::unbounded(IsolationLevel::SerializableSnapshot)
+    }
 
     fn rows(ids: &[u64]) -> Vec<RowId> {
         ids.iter().map(|&i| RowId(i)).collect()
@@ -450,7 +275,7 @@ mod tests {
     #[test]
     fn write_skew_is_refused() {
         // History 2: both read {x, y}; t1 writes x, t2 writes y.
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -465,7 +290,7 @@ mod tests {
     fn history6_is_admitted_unlike_wsi() {
         // H6: t2 commits first writing x; t1 read x and writes y. WSI
         // aborts t1; SSI sees only an out-conflict on t1 — no danger.
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -479,7 +304,7 @@ mod tests {
 
     #[test]
     fn lost_update_is_refused_by_the_si_base() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -494,7 +319,7 @@ mod tests {
 
     #[test]
     fn read_only_commit_is_free_without_a_dangerous_partner() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let r = o.begin();
         let w = o.begin();
         assert!(o
@@ -515,7 +340,7 @@ mod tests {
         // T1 (wr) yet precede T2 (T3 →rw T2) — a cycle closed by T3.
         let x = RowId(1);
         let y = RowId(2);
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t2 = o.begin();
         let t1 = o.begin();
         assert!(o
@@ -539,7 +364,7 @@ mod tests {
         // read-only transaction must be.
         let x = RowId(1);
         let y = RowId(2);
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t2 = o.begin();
         let t1 = o.begin();
         assert!(o
@@ -561,7 +386,7 @@ mod tests {
     fn three_txn_dangerous_structure_aborts_the_completing_txn() {
         // V →rw U exists (U committed with in-conflict); then U →rw T would
         // make U a pivot: T must abort instead (rule 2).
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let v = o.begin();
         let u = o.begin();
         let t = o.begin();
@@ -591,7 +416,7 @@ mod tests {
     fn false_positive_pivot_without_cycle() {
         // T1 →rw T2 and T0 →rw T1 without any cycle: still aborted — the
         // §7.1 "false positives" cost of the pattern check.
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let t0 = o.begin();
         let t1 = o.begin();
         let t2 = o.begin();
@@ -616,7 +441,7 @@ mod tests {
 
     #[test]
     fn window_prunes_once_no_active_txn_overlaps() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         for i in 0..50 {
             let t = o.begin();
             assert!(o
@@ -638,7 +463,7 @@ mod tests {
 
     #[test]
     fn disjoint_transactions_all_commit() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi_oracle();
         let txns: Vec<Timestamp> = (0..10).map(|_| o.begin()).collect();
         for (i, ts) in txns.into_iter().enumerate() {
             let i = i as u64;

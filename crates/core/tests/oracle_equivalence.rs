@@ -189,7 +189,7 @@ proptest! {
         let level = IsolationLevel::Snapshot;
         for shards in SHARDS {
             assert_lockstep(
-                StatusOracleCore::unbounded_shared(level, fresh_ts()),
+                StatusOracleCore::unbounded(level),
                 ConcurrentOracle::unbounded(level, shards, fresh_ts()),
                 &history,
             );
@@ -203,7 +203,7 @@ proptest! {
         let level = IsolationLevel::WriteSnapshot;
         for shards in SHARDS {
             assert_lockstep(
-                StatusOracleCore::unbounded_shared(level, fresh_ts()),
+                StatusOracleCore::unbounded(level),
                 ConcurrentOracle::unbounded(level, shards, fresh_ts()),
                 &history,
             );
@@ -220,7 +220,7 @@ proptest! {
     ) {
         for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
             assert_lockstep(
-                StatusOracleCore::bounded_shared(level, capacity, fresh_ts()),
+                StatusOracleCore::bounded(level, capacity),
                 ConcurrentOracle::bounded(level, 1, capacity, fresh_ts()),
                 &history,
             );

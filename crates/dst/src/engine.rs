@@ -26,8 +26,9 @@ impl EngineKind {
     /// All engine kinds, in matrix order.
     pub const ALL: [EngineKind; 3] = [EngineKind::Si, EngineKind::Wsi, EngineKind::Ssi];
 
-    /// The isolation level `Db` is opened with.
-    fn level(self) -> IsolationLevel {
+    /// The isolation level `Db` is opened with, and the level the isolation
+    /// check holds the run to.
+    pub fn level(self) -> IsolationLevel {
         match self {
             EngineKind::Si => IsolationLevel::Snapshot,
             EngineKind::Wsi => IsolationLevel::WriteSnapshot,
@@ -43,13 +44,6 @@ impl EngineKind {
     /// Parses a [`EngineKind::label`] back into a kind.
     pub fn from_label(label: &str) -> Option<EngineKind> {
         EngineKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// Whether the engine guarantees serializable histories. SI does not —
-    /// the DSG oracle only *records* its verdict; for the other two a
-    /// cycle is a bug.
-    pub fn claims_serializability(self) -> bool {
-        self.level().is_serializable()
     }
 
     fn options(self) -> DbOptions {

@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use wsi_history::{dsg, History, Op, TxnId};
+use wsi_history::{History, Op, TxnId};
 use wsi_sim::SimRng;
 use wsi_store::{Db, Error, Event, ReclamationStats, Transaction};
 use wsi_wal::{Ledger, LedgerConfig};
@@ -148,8 +148,6 @@ pub struct RunReport {
     pub history: History,
     /// Observed reads-from relation (see [`Observed`]).
     pub observed: Observed,
-    /// The DSG verdict on `history`. Asserted for WSI/SSI; recorded for SI.
-    pub serializable: bool,
     /// Engine incarnations (1 + number of crash faults executed).
     pub incarnations: u64,
     /// Quorum-lost commits resurrected by a crash recovery.
@@ -482,7 +480,6 @@ impl Sim<'_> {
         RunReport {
             seed: self.config.seed,
             engine: self.config.engine,
-            serializable: dsg::is_serializable(&history),
             history,
             observed: self.observed,
             incarnations: self.incarnations,
@@ -508,9 +505,6 @@ mod tests {
             assert!(report.delta.begins > 0, "{}", kind.label());
             assert!(report.delta.commits > 0, "{}", kind.label());
             assert_eq!(report.incarnations, 1);
-            if kind.claims_serializability() {
-                assert!(report.serializable);
-            }
         }
     }
 

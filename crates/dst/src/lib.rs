@@ -14,9 +14,10 @@
 //! * a [`FaultPlan`] injects WAL bookie failures and recoveries, mid-run
 //!   crash-and-recover cycles (drop the engine, replay the surviving log),
 //!   and forced GC/epoch-reclamation sweeps at chosen steps;
-//! * every run is checked by two oracles: the [`wsi_history::dsg`]
-//!   serialization-graph checker (SI is allowed its write skew; WSI and SSI
-//!   must stay acyclic) and a reconciliation pass proving the engine's
+//! * every run is checked by two oracles: [`wsi_history::check`], the
+//!   isolation check the real-thread stress tests share (snapshot reads at
+//!   every level; SI is allowed its write skew, WSI and SSI must stay
+//!   acyclic), and a reconciliation pass proving the engine's
 //!   counters, the decoded WAL, and the client-observed history all tell
 //!   the same story.
 //!
@@ -30,8 +31,9 @@
 //! let config = RunConfig::new(EngineKind::Wsi, 0xDECADE)
 //!     .steps(200)
 //!     .plan("quorum-loss", FaultPlan::quorum_loss(200));
+//! // `run` panics, with a repro command, on any violation.
 //! let report = run(&config);
-//! assert!(report.serializable, "WSI must stay serializable under faults");
+//! assert!(wsi_history::dsg::is_serializable(&report.history));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,21 +1,19 @@
-//! The run oracles: visibility, serializability, and reconciliation.
+//! The run oracles: isolation and reconciliation.
 //!
 //! A deterministic run produces three independent accounts of what
 //! happened — the clients' observed history, the engine's counters, and
 //! the decoded write-ahead log. This module cross-checks them:
 //!
-//! 1. **Visibility**: every committed transaction's first read of each
-//!    item must observe exactly the writer that snapshot semantics
-//!    prescribe ([`dsg::reads_from`]). Values encode their writer's
-//!    transaction id, so the observed writer is recoverable from the bytes
-//!    the client actually saw. This is the oracle the planted-bug test
-//!    trips.
-//! 2. **Serializability**: the DSG of the history must be acyclic for WSI
-//!    and SSI (Theorem 1 and the dangerous-structure rule respectively).
-//!    SI makes no such claim — its verdict is recorded, not asserted, and
-//!    the test suite separately demonstrates that the corpus does catch SI
-//!    admitting write skew.
-//! 3. **Reconciliation**: begins equal commits plus aborts plus overturned
+//! 1. **Isolation**: [`wsi_history::check`] at the engine's level — its
+//!    SnapshotRead clause (every committed transaction's first read of each
+//!    item observes exactly the writer snapshot semantics prescribe; values
+//!    encode their writer's transaction id, so the observed writer is
+//!    recoverable from the bytes the client actually saw — the clause the
+//!    planted-bug test trips) and, for WSI and SSI, its Serializable clause
+//!    (an acyclic DSG). SI makes no serializability claim; the test suite
+//!    separately demonstrates that the corpus does catch SI admitting write
+//!    skew.
+//! 2. **Reconciliation**: begins equal commits plus aborts plus overturned
 //!    commits (a quorum-loss overturn is a third fate: neither a commit nor
 //!    a counted abort, found as a commit record paired with a compensating
 //!    abort record); WAL commit and abort records match the oracle's
@@ -29,7 +27,6 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use wsi_history::dsg;
 use wsi_store::{decode_record, StoreRecord};
 
 use crate::harness::{RunConfig, RunReport};
@@ -137,40 +134,17 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         }
     };
 
-    // 1. Visibility: observed writers match snapshot semantics.
-    let expected = dsg::reads_from(&report.history);
-    for ((txn, item), want) in &expected {
-        let got = report
-            .observed
-            .get(&(*txn, item.clone()))
-            .unwrap_or_else(|| {
-                panic!("harness bug: no observation recorded for {txn} reading {item}")
-            });
-        if got != want {
-            let name = |w: &Option<wsi_history::TxnId>| match w {
-                Some(t) => t.to_string(),
-                None => "the initial version".to_string(),
-            };
-            panic!(
-                "visibility violation: {txn} first read of {item} observed {}, \
-                 snapshot semantics expect {}\n  reproduce: {repro}",
-                name(got),
-                name(want),
-            );
-        }
-    }
-
-    // 2. Serializability, where the engine claims it.
-    if config.engine.claims_serializability() && !report.serializable {
-        let cycle = dsg::explain_cycle(&report.history)
-            .unwrap_or_else(|| "cycle detection disagrees with explanation".to_string());
+    // 1. Isolation: snapshot reads, and serializability where the engine
+    // claims it.
+    let level = config.engine.level();
+    if let Err(violation) = wsi_history::check(&report.history, &report.observed, level) {
         panic!(
-            "serializability violation under {}: {cycle}\n  reproduce: {repro}",
+            "isolation violation under {}: {violation}\n  reproduce: {repro}",
             config.engine.label(),
         );
     }
 
-    // 3. Counters vs WAL, over the final engine incarnation.
+    // 2. Counters vs WAL, over the final engine incarnation.
     let d = &report.delta;
     let w = &report.delta_census;
     // Db decides the commit before the flush; an overturn is a third fate,
@@ -196,7 +170,7 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         &repro,
     );
 
-    // 4. History vs the whole log: what clients were told matches what the
+    // 3. History vs the whole log: what clients were told matches what the
     // log effectively holds, across every incarnation. Read-only commits
     // never touch the WAL; resurrected commits (acknowledged only by the
     // crash resolution) have effective records by construction.
@@ -213,7 +187,7 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         &repro,
     );
 
-    // 5. Epoch reclamation stays exact at the quiescent end of the run.
+    // 4. Epoch reclamation stays exact at the quiescent end of the run.
     let rec = &report.reclamation;
     check_eq(
         rec.retired,

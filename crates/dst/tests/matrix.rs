@@ -6,6 +6,7 @@
 //! `replay_seed_from_env` is the receiving end of that command.
 
 use wsi_dst::{run, EngineKind, FaultPlan, RunConfig};
+use wsi_history::dsg;
 
 const STEPS: u64 = 400;
 const SEEDS: [u64; 3] = [0x0001, 0xC0FFEE, 0xDEAD_BEEF_0BAD_F00D];
@@ -107,7 +108,7 @@ fn si_corpus_exhibits_nonserializable_histories() {
             .keys(2)
             .clients(8);
         let report = run(&config);
-        if !report.serializable {
+        if !dsg::is_serializable(&report.history) {
             cycles += 1;
         }
     }
@@ -150,7 +151,7 @@ fn replay_seed_from_env() {
          resurrected={}",
         engine.label(),
         report.history.ops().len(),
-        report.serializable,
+        dsg::is_serializable(&report.history),
         report.incarnations,
         report.resurrected,
     );

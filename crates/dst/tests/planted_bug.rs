@@ -5,8 +5,8 @@
 //! latest committed state instead of the transaction's own snapshot —
 //! the classic "read committed instead of snapshot" regression. Under
 //! concurrency a transaction then observes writers that committed *after*
-//! its start (or misses its own uncommitted writes), which the
-//! reads-from oracle detects as a visibility violation.
+//! its start (or misses its own uncommitted writes), which the shared
+//! isolation check reports as a violation of its SnapshotRead clause.
 
 use wsi_dst::{run, EngineKind, RunConfig};
 
@@ -18,19 +18,19 @@ fn contended(kind: EngineKind) -> RunConfig {
 }
 
 #[test]
-#[should_panic(expected = "visibility violation")]
+#[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_wsi() {
     run(&contended(EngineKind::Wsi).plant_visibility_bug());
 }
 
 #[test]
-#[should_panic(expected = "visibility violation")]
+#[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_si() {
     run(&contended(EngineKind::Si).plant_visibility_bug());
 }
 
 #[test]
-#[should_panic(expected = "visibility violation")]
+#[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_ssi() {
     run(&contended(EngineKind::Ssi).plant_visibility_bug());
 }

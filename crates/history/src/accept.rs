@@ -2,11 +2,12 @@
 //!
 //! Rather than re-encoding the paper's acceptance rules, a history is fed
 //! through [`wsi_core::StatusOracleCore`] — the same state machine the
-//! embedded store and the cluster simulation run. A transaction *begins* at
-//! its first operation, accumulates read/write sets from its `r`/`w`
-//! operations, and submits a commit request at its `c` operation. The
-//! history is *accepted* by an isolation level iff every transaction the
-//! history commits is committed by the oracle.
+//! cluster simulation runs and the model the embedded store's oracle is
+//! tested against — at any of the three isolation levels. A transaction
+//! *begins* at its first operation, accumulates read/write sets from its
+//! `r`/`w` operations, and submits a commit request at its `c` operation.
+//! The history is *accepted* by an isolation level iff every transaction
+//! the history commits is committed by the oracle.
 
 use std::collections::BTreeMap;
 
@@ -127,6 +128,11 @@ pub fn replay(history: &History, level: IsolationLevel) -> Replay {
 /// let h4: History = "r1[x] w2[x] w1[x] c1 c2".parse().unwrap();
 /// assert!(!accept::accepts(&h4, IsolationLevel::Snapshot));
 /// assert!(accept::accepts(&h4, IsolationLevel::WriteSnapshot));
+/// // History 6: WSI refuses (an unnecessary rw-conflict abort); SSI admits,
+/// // since a single rw-antidependency is not a dangerous structure.
+/// let h6: History = "r1[x] r2[z] w2[x] w1[y] c2 c1".parse().unwrap();
+/// assert!(!accept::accepts(&h6, IsolationLevel::WriteSnapshot));
+/// assert!(accept::accepts(&h6, IsolationLevel::SerializableSnapshot));
 /// ```
 pub fn accepts(history: &History, level: IsolationLevel) -> bool {
     replay(history, level).accepted(history)
@@ -136,78 +142,69 @@ pub fn accepts(history: &History, level: IsolationLevel) -> bool {
 mod tests {
     use super::*;
     use crate::examples;
+    use IsolationLevel::{SerializableSnapshot, Snapshot, WriteSnapshot};
 
-    #[test]
-    fn h1_si_yes_wsi_no() {
-        let h = examples::h1();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
+    /// Whether SI, WSI and SSI, in that order, admit `h`.
+    fn verdicts(h: &History) -> [bool; 3] {
+        [Snapshot, WriteSnapshot, SerializableSnapshot].map(|level| accepts(h, level))
     }
 
     #[test]
-    fn h2_write_skew_si_yes_wsi_no() {
-        let h = examples::h2();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
+    fn h1_only_si_admits() {
+        assert_eq!(verdicts(&examples::h1()), [true, false, false]);
     }
 
     #[test]
-    fn h3_lost_update_rejected_by_both() {
-        let h = examples::h3();
-        assert!(!accepts(&h, IsolationLevel::Snapshot));
-        assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
+    fn h2_write_skew_only_si_admits() {
+        assert_eq!(verdicts(&examples::h2()), [true, false, false]);
     }
 
     #[test]
-    fn h4_blind_write_si_no_wsi_yes() {
-        let h = examples::h4();
-        assert!(!accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+    fn h3_lost_update_rejected_by_all() {
+        assert_eq!(verdicts(&examples::h3()), [false, false, false]);
     }
 
     #[test]
-    fn h5_serial_accepted_by_both() {
-        let h = examples::h5();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+    fn h4_blind_write_only_wsi_admits() {
+        // H4's writers race on x; t1 commits first, so t2's commit hits the
+        // first-committer-wins WW check — SSI keeps SI's rule where WSI
+        // replaces it (WSI admits H4, §4.3).
+        assert_eq!(verdicts(&examples::h4()), [false, true, false]);
+    }
+
+    #[test]
+    fn serial_histories_accepted_by_all() {
+        assert_eq!(verdicts(&examples::h5()), [true; 3]);
+        assert_eq!(verdicts(&examples::h7()), [true; 3]);
     }
 
     #[test]
     fn h6_serializable_but_wsi_rejects() {
         // §4.3: read-write conflict avoidance is not *necessary* — H6 is
-        // serializable yet WSI (unnecessarily) prevents it; SI allows it.
-        let h = examples::h6();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
-    }
-
-    #[test]
-    fn h7_serial_accepted_by_both() {
-        let h = examples::h7();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        // serializable yet WSI (unnecessarily) prevents it; SI allows it,
+        // and so does SSI: an out-edge alone is not dangerous (§7.1).
+        assert_eq!(verdicts(&examples::h6()), [true, false, true]);
     }
 
     #[test]
     fn explicit_abort_is_not_an_acceptance_failure() {
         let h: History = "r1[x] w1[x] a1 r2[x] w2[x] c2".parse().unwrap();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        assert_eq!(verdicts(&h), [true; 3]);
     }
 
     #[test]
     fn read_only_txns_always_accepted() {
         // A read-only transaction whose read set is overwritten mid-flight
-        // still commits under both levels (§4.1 condition 3).
+        // still commits under every level (§4.1 condition 3; under SSI its
+        // out-edge leads to a writer with no out-conflict of its own).
         let h: History = "r1[x] r2[x] w2[x] c2 r1[x] c1".parse().unwrap();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        assert_eq!(verdicts(&h), [true; 3]);
     }
 
     #[test]
     fn replay_reports_start_order() {
         let h = examples::h1();
-        let r = replay(&h, IsolationLevel::Snapshot);
+        let r = replay(&h, Snapshot);
         let t1 = &r.txns[&TxnId(1)];
         let t2 = &r.txns[&TxnId(2)];
         assert!(t1.start_ts < t2.start_ts);
@@ -217,7 +214,7 @@ mod tests {
     #[test]
     fn in_flight_txn_has_no_outcome() {
         let h: History = "r1[x] w2[y] c2".parse().unwrap();
-        let r = replay(&h, IsolationLevel::WriteSnapshot);
+        let r = replay(&h, WriteSnapshot);
         assert_eq!(r.txns[&TxnId(1)].outcome, None);
         assert!(r.accepted(&h)); // only txn2 commits in the history
     }

@@ -175,11 +175,19 @@ mod tests {
     }
 
     #[test]
-    fn filtered_wsi_histories_are_always_serializable() {
-        for seed in 0..200 {
-            let raw = generate(GenConfig::default(), seed);
-            let executed = filter_accepted(&raw, IsolationLevel::WriteSnapshot);
-            assert!(dsg::is_serializable(&executed), "seed {seed}: {executed}");
+    fn filtered_wsi_and_ssi_histories_are_always_serializable() {
+        for level in [
+            IsolationLevel::WriteSnapshot,
+            IsolationLevel::SerializableSnapshot,
+        ] {
+            for seed in 0..200 {
+                let raw = generate(GenConfig::default(), seed);
+                let executed = filter_accepted(&raw, level);
+                assert!(
+                    dsg::is_serializable(&executed),
+                    "{level:?} seed {seed}: {executed}"
+                );
+            }
         }
     }
 

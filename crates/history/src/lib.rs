@@ -10,8 +10,8 @@
 //! * [`History`] — the notation, with a parser (`"r1[x] w2[y] c1 c2"`) and
 //!   the paper's Histories 1–7 as constants;
 //! * [`accept`] — replays a history against the *real* conflict-detection
-//!   algorithms from `wsi-core` to decide whether snapshot isolation or
-//!   write-snapshot isolation admits it;
+//!   algorithms from `wsi-core` to decide whether snapshot isolation,
+//!   write-snapshot isolation or serializable snapshot isolation admits it;
 //! * [`dsg`] — Adya-style direct serialization graphs over snapshot-read
 //!   semantics, with cycle detection: the ground truth for "is this history
 //!   serializable?";
@@ -19,7 +19,12 @@
 //!   transactions to their commit point, read-only transactions to their
 //!   start) and the equivalence check used in the paper's Theorem 1 proof;
 //! * [`anomaly`] — detectors for the classic anomalies: dirty read, fuzzy
-//!   read, lost update, write skew.
+//!   read, lost update, write skew;
+//! * [`check()`] — one isolation check for a recorded execution (a history
+//!   plus the writer each read observed), with named clauses:
+//!   **SnapshotRead** at every level, **Serializable** at WSI and SSI. The
+//!   deterministic simulation harness and the real-thread stress tests both
+//!   run it.
 //!
 //! # Example: the paper's write-skew history
 //!
@@ -39,11 +44,12 @@
 
 pub mod accept;
 pub mod anomaly;
+mod check;
 pub mod dsg;
 pub mod examples;
 pub mod gen;
 mod ops;
 pub mod serialize;
-pub mod ssi_accept;
 
+pub use check::{check, Clause, Violation};
 pub use ops::{History, Op, ParseError, TxnId};

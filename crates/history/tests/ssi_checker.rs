@@ -1,4 +1,4 @@
-//! Property tests pinning `SsiOracle` to the DSG ground truth.
+//! Property tests pinning SSI's decisions to the DSG ground truth.
 //!
 //! The contract SSI sells (Cahill et al., reproduced in `wsi-core::ssi`) is
 //! that every *committed* history is serializable. The `wsi-history` DSG
@@ -9,9 +9,9 @@
 //! WSI pays for it with false aborts (History 6) that SSI avoids.
 
 use proptest::prelude::*;
-use wsi_core::IsolationLevel;
-use wsi_history::gen::{generate, GenConfig};
-use wsi_history::{accept, anomaly, dsg, examples, ssi_accept};
+use wsi_core::IsolationLevel::{self, SerializableSnapshot};
+use wsi_history::gen::{filter_accepted, generate, GenConfig};
+use wsi_history::{accept, anomaly, dsg, examples};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn ssi_executions_are_serializable(seed in any::<u64>()) {
         let raw = generate(GenConfig::default(), seed);
-        let executed = ssi_accept::filter_accepted(&raw);
+        let executed = filter_accepted(&raw, SerializableSnapshot);
         prop_assert!(
             dsg::is_serializable(&executed),
             "seed {}: SSI committed a non-serializable history: {}\ncycle: {:?}",
@@ -36,7 +36,7 @@ proptest! {
     #[test]
     fn ssi_executions_are_serializable_under_contention(seed in any::<u64>()) {
         let cfg = GenConfig { txns: 12, items: 2, max_live: 8, continue_per_mille: 700 };
-        let executed = ssi_accept::filter_accepted(&generate(cfg, seed));
+        let executed = filter_accepted(&generate(cfg, seed), SerializableSnapshot);
         prop_assert!(dsg::is_serializable(&executed), "seed {seed}: {executed}");
     }
 
@@ -44,7 +44,7 @@ proptest! {
     /// is defined by admitting).
     #[test]
     fn ssi_executions_never_exhibit_write_skew(seed in any::<u64>()) {
-        let executed = ssi_accept::filter_accepted(&generate(GenConfig::default(), seed));
+        let executed = filter_accepted(&generate(GenConfig::default(), seed), SerializableSnapshot);
         prop_assert!(!anomaly::has_write_skew(&executed), "seed {seed}: {executed}");
     }
 
@@ -54,15 +54,11 @@ proptest! {
     #[test]
     fn wsi_and_ssi_admissions_are_both_sound(seed in any::<u64>()) {
         let raw = generate(GenConfig::default(), seed);
-        let wsi = gen_filter_wsi(&raw);
-        let ssi = ssi_accept::filter_accepted(&raw);
+        let wsi = filter_accepted(&raw, IsolationLevel::WriteSnapshot);
+        let ssi = filter_accepted(&raw, SerializableSnapshot);
         prop_assert!(dsg::is_serializable(&wsi), "seed {seed} (wsi): {wsi}");
         prop_assert!(dsg::is_serializable(&ssi), "seed {seed} (ssi): {ssi}");
     }
-}
-
-fn gen_filter_wsi(raw: &wsi_history::History) -> wsi_history::History {
-    wsi_history::gen::filter_accepted(raw, IsolationLevel::WriteSnapshot)
 }
 
 /// The paper's §7.1 separation, end to end through the real oracles:
@@ -72,7 +68,7 @@ fn history6_separates_wsi_from_ssi() {
     let h6 = examples::h6();
     assert!(dsg::is_serializable(&h6));
     assert!(!accept::accepts(&h6, IsolationLevel::WriteSnapshot));
-    assert!(ssi_accept::accepts(&h6));
+    assert!(accept::accepts(&h6, SerializableSnapshot));
 }
 
 /// And the dual: History 4 (blind write racing a reader-writer) is admitted
@@ -81,7 +77,7 @@ fn history6_separates_wsi_from_ssi() {
 fn history4_separates_ssi_from_wsi() {
     let h4 = examples::h4();
     assert!(accept::accepts(&h4, IsolationLevel::WriteSnapshot));
-    assert!(!ssi_accept::accepts(&h4));
+    assert!(!accept::accepts(&h4, SerializableSnapshot));
 }
 
 /// Write skew (History 2): SI admits, both conflict-avoiding levels refuse.
@@ -90,7 +86,7 @@ fn write_skew_refused_by_both_wsi_and_ssi() {
     let h2 = examples::h2();
     assert!(accept::accepts(&h2, IsolationLevel::Snapshot));
     assert!(!accept::accepts(&h2, IsolationLevel::WriteSnapshot));
-    assert!(!ssi_accept::accepts(&h2));
+    assert!(!accept::accepts(&h2, SerializableSnapshot));
 }
 
 /// Quantifies the comparison on a fixed corpus: SI must admit at least one
@@ -102,11 +98,13 @@ fn corpus_exhibits_the_three_way_separation() {
     let mut ssi_only_admissions = 0u32;
     for seed in 0..400u64 {
         let raw = generate(GenConfig::default(), seed);
-        let si = wsi_history::gen::filter_accepted(&raw, IsolationLevel::Snapshot);
+        let si = filter_accepted(&raw, IsolationLevel::Snapshot);
         if !dsg::is_serializable(&si) {
             si_anomalies += 1;
         }
-        if ssi_accept::accepts(&raw) && !accept::accepts(&raw, IsolationLevel::WriteSnapshot) {
+        if accept::accepts(&raw, SerializableSnapshot)
+            && !accept::accepts(&raw, IsolationLevel::WriteSnapshot)
+        {
             ssi_only_admissions += 1;
         }
     }

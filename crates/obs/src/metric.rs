@@ -78,14 +78,6 @@ impl Counter {
                 .store(if i == 0 { value } else { 0 }, Ordering::Relaxed);
         }
     }
-
-    /// A new counter holding the current value of this one, with no shared
-    /// state — the deep copy used by value-semantics embedders.
-    pub fn detached_copy(&self) -> Counter {
-        let fresh = Counter::new();
-        fresh.set(self.get());
-        fresh
-    }
 }
 
 impl std::fmt::Debug for Counter {
@@ -142,15 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_detached_copies_do_not() {
+    fn clones_share_the_counter() {
         let c = Counter::new();
         let shared = c.clone();
         shared.add(5);
         assert_eq!(c.get(), 5);
-        let detached = c.detached_copy();
-        detached.add(10);
-        assert_eq!(c.get(), 5);
-        assert_eq!(detached.get(), 15);
     }
 
     #[test]

@@ -14,6 +14,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use wsi_core::IsolationLevel;
+use wsi_history::dsg::ReadsFrom;
+use wsi_history::{History, Op, TxnId};
 use wsi_store::{decode_record, Db, DbOptions, Error, StoreRecord};
 use wsi_wal::{BatchPolicy, LedgerConfig, WalError};
 
@@ -127,52 +129,150 @@ fn ssi_counter_has_no_lost_updates_sync_wal() {
     );
 }
 
+/// One transaction of the write-skew herd, as its thread recorded it.
+struct Attempt {
+    txn: TxnId,
+    start_ts: u64,
+    /// The commit timestamp, or `None` if the attempt aborted.
+    commit_ts: Option<u64>,
+    /// Each key read, with the writer its value was tagged with.
+    reads: Vec<(&'static str, TxnId)>,
+    writes: Vec<&'static str>,
+}
+
+/// A herd value, `"{balance}:{writer}"`: the balance and the transaction
+/// that wrote it.
+fn tagged(value: &[u8]) -> (i64, TxnId) {
+    let (balance, writer) = std::str::from_utf8(value).unwrap().split_once(':').unwrap();
+    (balance.parse().unwrap(), TxnId(writer.parse().unwrap()))
+}
+
+/// Runs one attempt: begin, read both balances, withdraw one unit from
+/// `mine` if the constraint still holds afterwards, commit.
+fn withdraw(db: &Db, txn: TxnId, mine: &'static str) -> Attempt {
+    let mut t = db.begin();
+    let mut reads = Vec::new();
+    let mut balance = |key: &'static str| {
+        let (balance, writer) = tagged(&t.get(key.as_bytes()).expect("seeded"));
+        reads.push((key, writer));
+        balance
+    };
+    let (x, y) = (balance("x"), balance("y"));
+    // Hand the CPU over between the reads and the commit, so concurrent
+    // attempts really overlap.
+    thread::yield_now();
+    let mut writes = Vec::new();
+    if x + y > 0 {
+        let current = if mine == "x" { x } else { y };
+        t.put(
+            mine.as_bytes(),
+            format!("{}:{}", current - 1, txn.0).as_bytes(),
+        );
+        writes.push(mine);
+    }
+    let start_ts = t.start_ts().raw();
+    Attempt {
+        txn,
+        start_ts,
+        commit_ts: t.commit().ok().map(|ts| ts.raw()),
+        reads,
+        writes,
+    }
+}
+
+/// Merges the herd's attempts into one history in timestamp order: each
+/// transaction's reads and writes at its start timestamp, its commit at its
+/// commit timestamp (a read-only commit's is its start), an abort right
+/// after its operations. `Db` draws both timestamps from one counter, and a
+/// snapshot sees exactly the versions committed before its start (as in
+/// `mvcc_model.rs`), so this is the order the store executed in. Returns the
+/// history and the writer each read observed.
+fn merge(attempts: &[Attempt]) -> (History, ReadsFrom) {
+    let mut events: Vec<((u64, usize), Op)> = Vec::new();
+    let mut observed = ReadsFrom::new();
+    for a in attempts {
+        let reads = a
+            .reads
+            .iter()
+            .map(|(key, _)| Op::Read(a.txn, key.to_string()));
+        let writes = a.writes.iter().map(|key| Op::Write(a.txn, key.to_string()));
+        let ops: Vec<Op> = reads.chain(writes).collect();
+        let n = ops.len();
+        events.extend(
+            ops.into_iter()
+                .enumerate()
+                .map(|(i, op)| ((a.start_ts, i), op)),
+        );
+        events.push(match a.commit_ts {
+            Some(commit_ts) => ((commit_ts, n), Op::Commit(a.txn)),
+            None => ((a.start_ts, n), Op::Abort(a.txn)),
+        });
+        for &(key, writer) in &a.reads {
+            observed.insert((a.txn, key.to_string()), Some(writer));
+        }
+    }
+    events.sort_by_key(|(at, _)| *at);
+    (
+        History::new(events.into_iter().map(|(_, op)| op).collect()),
+        observed,
+    )
+}
+
 /// The paper's §3.1 constraint on real threads: `x + y ≥ 0` from `x = y =
 /// 10`, each transaction reading both and decrementing one only if the
 /// constraint still holds afterwards. Write skew — two transactions each
 /// spending the last unit of slack — is the one way to break it, and a
-/// serializable level must never let it happen.
-fn write_skew_herd_keeps_the_constraint(isolation: IsolationLevel) {
-    const THREADS: usize = 4;
-    const ATTEMPTS: usize = 60;
+/// serializable level must never let it happen. Each thread records its
+/// attempts, and the merged history must pass the isolation check at the
+/// herd's level: snapshot reads at every level, an acyclic DSG under WSI and
+/// SSI.
+fn write_skew_herd(isolation: IsolationLevel) {
+    const THREADS: u32 = 4;
+    const ATTEMPTS: u32 = 60;
     let db = Db::open(DbOptions::new(isolation));
-    let balance = |t: &mut wsi_store::Transaction, key: &[u8]| -> i64 {
-        String::from_utf8_lossy(&t.get(key).expect("seeded"))
-            .parse()
-            .unwrap()
-    };
-    db.run(0, |t| {
-        t.put(b"x", b"10");
-        t.put(b"y", b"10");
-        Ok(())
-    })
-    .unwrap();
+    let mut seed = db.begin();
+    seed.put(b"x", b"10:0");
+    seed.put(b"y", b"10:0");
+    let mut attempts = vec![Attempt {
+        txn: TxnId(0),
+        start_ts: seed.start_ts().raw(),
+        commit_ts: Some(seed.commit().unwrap().raw()),
+        reads: Vec::new(),
+        writes: vec!["x", "y"],
+    }];
 
+    let start = Barrier::new(THREADS as usize);
     thread::scope(|s| {
-        for thread in 0..THREADS {
-            let db = &db;
-            s.spawn(move || {
-                let mine: &[u8] = if thread % 2 == 0 { b"x" } else { b"y" };
-                for _ in 0..ATTEMPTS {
+        let herd: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let db = &db;
+                let start = &start;
+                s.spawn(move || {
+                    let mine = if thread % 2 == 0 { "x" } else { "y" };
+                    start.wait();
                     // Aborted attempts are simply dropped: the herd runs the
                     // account dry either way.
-                    let _ = db.run(0, |t| {
-                        let (x, y) = (balance(t, b"x"), balance(t, b"y"));
-                        if x + y > 0 {
-                            let current = if mine == b"x" { x } else { y };
-                            t.put(mine, (current - 1).to_string().as_bytes());
-                        }
-                        Ok(())
-                    });
-                }
-            });
+                    let txn = |i| TxnId(1 + thread * ATTEMPTS + i);
+                    (0..ATTEMPTS)
+                        .map(|i| withdraw(db, txn(i), mine))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for thread in herd {
+            attempts.extend(thread.join().unwrap());
         }
     });
 
-    let mut check = db.begin();
-    let (x, y) = (balance(&mut check, b"x"), balance(&mut check, b"y"));
+    let (history, observed) = merge(&attempts);
+    if let Err(violation) = wsi_history::check(&history, &observed, isolation) {
+        panic!("{isolation}: {violation}");
+    }
+    let snapshot = db.snapshot();
+    let balance = |key: &[u8]| tagged(&snapshot.get(key).unwrap()).0;
+    let (x, y) = (balance(b"x"), balance(b"y"));
     assert!(
-        x + y >= 0,
+        !isolation.is_serializable() || x + y >= 0,
         "{isolation}: write skew broke x + y ≥ 0: {x} + {y}"
     );
     let stats = db.stats();
@@ -183,13 +283,18 @@ fn write_skew_herd_keeps_the_constraint(isolation: IsolationLevel) {
 }
 
 #[test]
+fn si_write_skew_herd_reads_its_snapshots() {
+    write_skew_herd(IsolationLevel::Snapshot);
+}
+
+#[test]
 fn wsi_write_skew_herd_keeps_the_constraint() {
-    write_skew_herd_keeps_the_constraint(IsolationLevel::WriteSnapshot);
+    write_skew_herd(IsolationLevel::WriteSnapshot);
 }
 
 #[test]
 fn ssi_write_skew_herd_keeps_the_constraint() {
-    write_skew_herd_keeps_the_constraint(IsolationLevel::SerializableSnapshot);
+    write_skew_herd(IsolationLevel::SerializableSnapshot);
 }
 
 /// The group-commit proof. Each flush of this ledger sleeps 2 ms — a

@@ -9,9 +9,9 @@
 //! snapshot reads (§2.2: the newest version committed before it), what a
 //! scan returns, whether a commit is admitted (Algorithms 1 and 2), and
 //! which versions a GC sweep leaves behind. Under serializable snapshot
-//! isolation the admission rule is stateful, so the model defers to
-//! `SsiOracle` — the sequential reference — fed the same begins and commit
-//! requests in the same order.
+//! isolation the admission rule is stateful, so the model defers to the
+//! sequential `StatusOracleCore` at that level, fed the same begins and
+//! commit requests in the same order.
 //!
 //! It is the version store's one equivalence oracle. The locked and flat
 //! layouts it replaced in that role were implementations; this is the rule.
@@ -19,8 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use wsi_core::ssi::SsiOracle;
-use wsi_core::{hash_row_key, CommitRequest, IsolationLevel, Timestamp};
+use wsi_core::{hash_row_key, CommitRequest, IsolationLevel, StatusOracleCore, Timestamp};
 use wsi_store::{Db, DbOptions, Transaction};
 use wsi_wal::LedgerConfig;
 
@@ -99,12 +98,12 @@ struct Version {
 
 /// The sequential model: every version ever committed, per key, in commit
 /// order (which, single-threaded, is commit-timestamp order).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Model {
     committed: BTreeMap<Vec<u8>, Vec<Version>>,
     /// Decides commits under SSI; sees every begin, and every commit
     /// request of an SSI run.
-    ssi: SsiOracle,
+    ssi: StatusOracleCore,
 }
 
 /// What the model knows of an open transaction.
@@ -117,6 +116,15 @@ struct ModelTxn {
     /// Keys whose stored state the transaction observed.
     reads: BTreeSet<Vec<u8>>,
     writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+}
+
+impl Default for Model {
+    fn default() -> Self {
+        Model {
+            committed: BTreeMap::new(),
+            ssi: StatusOracleCore::unbounded(IsolationLevel::SerializableSnapshot),
+        }
+    }
 }
 
 impl Model {
@@ -184,7 +192,7 @@ impl Model {
     /// commits; a write transaction aborts iff a row it must not race — its
     /// write set under SI (Algorithm 1), its read set under WSI (Algorithm
     /// 2) — had a version committed after its snapshot was taken. Under SSI
-    /// the reference oracle decides, read-only transactions included.
+    /// the sequential oracle decides, read-only transactions included.
     fn admits(&mut self, txn: &ModelTxn, isolation: IsolationLevel) -> bool {
         let raced = |key: &Vec<u8>| {
             let last = self.committed.get(key).and_then(|vs| vs.last());

@@ -13,7 +13,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release --workspace
 # The workspace run holds, among the rest: `ConcurrentOracle` against its
-# model (`oracle_equivalence`), the `wsi-dst` seeded fault matrix with its
+# model (`oracle_equivalence`), the `wsi-dst` seeded fault matrix checked by
+# the shared isolation check (`wsi_history::check`) with its
 # same-seed replay and planted-bug canary (an oracle panic prints a
 # DST_SEED=… line that replays the failing schedule byte-for-byte), and the
 # flight-recorder suites (`obs_reconcile`, `explain_abort`, `retry_report`).
@@ -26,7 +27,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # The multi-threaded stress suites again in release mode (the debug run
 # above is too slow to shake out interleavings): the increment herds at all
 # three isolation levels, the commit-pipeline suite with its write-skew herd
-# under WSI and SSI and its lost-wake-up herd (8 committers on the sync WAL
+# (its recorded history held to `wsi_history::check` under SI, WSI and SSI)
+# and its lost-wake-up herd (8 committers on the sync WAL
 # through a quorum loss, under a watchdog), and the version store's 8-thread
 # invariant herd with its concurrent GC/reclamation thread and the
 # table-growth herd.
@@ -58,3 +60,6 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 
 # The figure harness (the paper's reproduction on the simulator) still runs.
 ./target/release/figures m1 >/dev/null
+# Extension E1 (SI vs WSI vs SSI on one zipfian schedule) is a golden: the
+# three levels' decisions, through the one sequential oracle, must not move.
+./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
