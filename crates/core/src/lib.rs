@@ -26,7 +26,9 @@
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
 //!   store on the sharded [`ConcurrentOracle`], which makes the same
 //!   decisions under per-shard locks and is property-tested against this
-//!   state machine as its model;
+//!   state machine as its model; it bounds its `lastCommit` without
+//!   Algorithm 3, by forgetting the rows no live snapshot can conflict with
+//!   ([`ConcurrentOracle::forget_through`]);
 //! * `wsi-oracle` wraps this state machine in a simulated server with WAL
 //!   persistence and a CPU cost model to reproduce the paper's
 //!   status-oracle experiments.

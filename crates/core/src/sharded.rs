@@ -11,11 +11,12 @@
 //! This module applies that cure to the `lastCommit` table:
 //!
 //! * [`ShardedLastCommit`] splits the table into N power-of-two shards, each
-//!   its own lock and its own map. The bounded (Algorithm 3) variant keeps a
-//!   per-shard `T_max`; the global `T_max` is the maximum over shards, which
-//!   is sound because a row maps deterministically to one shard — any
-//!   eviction that could affect a row happened in that row's own shard, and
-//!   the per-shard bound already covers it.
+//!   its own lock and its own exact map. It is bounded by forgetting, not by
+//!   Algorithm 3's eviction: the embedder passes a watermark at or below
+//!   every live and future start timestamp to
+//!   [`ConcurrentOracle::forget_through`], which drops each shard's rows at
+//!   or below it (see [`LastCommit::forget_through`]). No decision changes
+//!   and no `T_max` abort can occur.
 //! * [`ConcurrentOracle`] decides a commit by computing the transaction's
 //!   *shard set* — a bitmask with one bit per shard of its checked and
 //!   written rows — and locking those shards lowest bit first, the canonical
@@ -31,8 +32,7 @@
 //! * §5.2 range probes cannot be attributed to a shard (a hash-sharded range
 //!   spans all of them), so a request carrying read ranges takes the
 //!   all-ones mask, an ordered **all-shard sweep**: every shard is locked, in
-//!   order, and the range is probed in each, combining the answers
-//!   pessimistically.
+//!   order, and the range is probed in each, keeping the newest commit.
 //!
 //! The decision path is exposed in two shapes: [`ConcurrentOracle::commit`]
 //! for self-contained use, and the [`ConcurrentOracle::lock_for`] /
@@ -41,6 +41,7 @@
 //! queueing — between the conflict check and the oracle bookkeeping while
 //! the shards stay held.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,15 +67,16 @@ const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Rows are assigned to shards by a Fibonacci multiplicative hash of the row
 /// identifier; the shard count is rounded up to a power of two so the
 /// assignment is a multiply and a shift, and is at most 64 so a decision's
-/// shard set fits one `u64` mask. For the bounded variant the total
-/// capacity is divided evenly across shards and each shard tracks its own
-/// `T_max`; [`ShardedLastCommit::t_max`] reports the maximum, which is the
-/// correct global pessimistic bound (see the module docs).
+/// shard set fits one `u64` mask.
 #[derive(Debug)]
 pub struct ShardedLastCommit {
     shards: Vec<Mutex<LastCommit>>,
     /// `64 - log2(shard count)`; meaningless (unused) when there is 1 shard.
     shift: u32,
+    /// The highest watermark [`ShardedLastCommit::forget_through`] has
+    /// swept the shards at. Relaxed: it publishes no data, the sweep's
+    /// effects are ordered by the shard locks.
+    forgotten_through: AtomicU64,
 }
 
 impl ShardedLastCommit {
@@ -85,34 +87,17 @@ impl ShardedLastCommit {
     ///
     /// Panics if the rounded shard count exceeds 64.
     pub fn unbounded(shards: usize) -> Self {
-        Self::build(shards, None)
-    }
-
-    /// Creates a bounded sharded table (Algorithm 3) retaining at most
-    /// ≈`capacity` resident rows in total, split evenly across shards (at
-    /// least one row per shard). The shard count is rounded up to a power of
-    /// two, minimum 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rounded shard count exceeds 64.
-    pub fn bounded(shards: usize, capacity: usize) -> Self {
-        Self::build(shards, Some(capacity))
-    }
-
-    fn build(shards: usize, capacity: Option<usize>) -> Self {
         let n = shards.max(1).next_power_of_two();
         assert!(
             n <= 64,
             "{shards} lastCommit shards round to {n}; a decision's shard mask holds at most 64"
         );
-        let make = || match capacity {
-            None => LastCommit::unbounded(),
-            Some(cap) => LastCommit::bounded((cap / n).max(1)),
-        };
         ShardedLastCommit {
-            shards: (0..n).map(|_| Mutex::new(make())).collect(),
+            shards: (0..n)
+                .map(|_| Mutex::new(LastCommit::unbounded()))
+                .collect(),
             shift: 64 - (n as u64).trailing_zeros(),
+            forgotten_through: AtomicU64::new(0),
         }
     }
 
@@ -123,7 +108,7 @@ impl ShardedLastCommit {
     }
 
     /// The shard a row belongs to. Deterministic: the same row always maps
-    /// to the same shard, which is what makes per-shard `T_max` sound.
+    /// to the same shard, so a decision need lock only its rows' shards.
     #[inline]
     pub fn shard_of(&self, row: RowId) -> usize {
         if self.shards.len() == 1 {
@@ -138,14 +123,27 @@ impl ShardedLastCommit {
         self.shards[self.shard_of(row)].lock().probe(row)
     }
 
-    /// Global `T_max`: the maximum per-shard `T_max` (always
-    /// [`Timestamp::ZERO`] for unbounded tables).
-    pub fn t_max(&self) -> Timestamp {
+    /// Forgets every row committed at or below `watermark`, one shard at a
+    /// time under that shard's lock; returns the rows forgotten. A watermark
+    /// no higher than one already swept returns at once, so a reader that
+    /// pins the watermark costs no scans.
+    ///
+    /// `watermark` must be at or below every live and future start
+    /// timestamp (see [`LastCommit::forget_through`]). A commit recorded
+    /// while the sweep runs may keep a row at or below it; that row goes on
+    /// a later sweep.
+    pub fn forget_through(&self, watermark: Timestamp) -> usize {
+        if self
+            .forgotten_through
+            .fetch_max(watermark.raw(), Ordering::Relaxed)
+            >= watermark.raw()
+        {
+            return 0;
+        }
         self.shards
             .iter()
-            .map(|s| s.lock().t_max())
-            .max()
-            .unwrap_or(Timestamp::ZERO)
+            .map(|s| s.lock().forget_through(watermark))
+            .sum()
     }
 
     /// Total rows resident across all shards.
@@ -282,32 +280,13 @@ impl ConcurrentOracle {
     /// with `shards` `lastCommit` shards (rounded up to a power of two),
     /// drawing timestamps from the embedder's shared counter.
     pub fn unbounded(level: IsolationLevel, shards: usize, ts: Arc<SharedTimestampSource>) -> Self {
-        Self::build(level, ShardedLastCommit::unbounded(shards), ts)
-    }
-
-    /// Creates a bounded (Algorithm 3) concurrent oracle whose `lastCommit`
-    /// shards together retain ≈`capacity` rows, with per-shard `T_max`.
-    pub fn bounded(
-        level: IsolationLevel,
-        shards: usize,
-        capacity: usize,
-        ts: Arc<SharedTimestampSource>,
-    ) -> Self {
-        Self::build(level, ShardedLastCommit::bounded(shards, capacity), ts)
-    }
-
-    fn build(
-        level: IsolationLevel,
-        last_commit: ShardedLastCommit,
-        ts: Arc<SharedTimestampSource>,
-    ) -> Self {
-        let shards = last_commit.shard_count();
+        let last_commit = ShardedLastCommit::unbounded(shards);
         ConcurrentOracle {
             level,
             ts,
+            obs: ShardObs::new(last_commit.shard_count()),
             last_commit,
             counters: OracleCounters::default(),
-            obs: ShardObs::new(shards),
             obs_enabled: true,
             journal: None,
         }
@@ -369,7 +348,12 @@ impl ConcurrentOracle {
         }
         let mut guard = self.lock_for(&req);
         match guard.check(&req) {
-            Ok(()) => CommitOutcome::Committed(guard.commit_unchecked(&req)),
+            Ok(()) => {
+                // Drawn while the shards are held: see `finish_commit_at`.
+                let commit_ts = self.ts.next();
+                guard.finish_commit_at(&req, commit_ts);
+                CommitOutcome::Committed(commit_ts)
+            }
             Err(reason) => {
                 drop(guard);
                 self.abort_checked(reason);
@@ -465,10 +449,12 @@ impl ConcurrentOracle {
         self.counters.commits_overturned.inc();
     }
 
-    /// Global `T_max` (maximum over shards; [`Timestamp::ZERO`] when
-    /// unbounded or nothing has been evicted).
-    pub fn t_max(&self) -> Timestamp {
-        self.last_commit.t_max()
+    /// Forgets the `lastCommit` rows committed at or below `watermark`,
+    /// which must be at or below every live and future start timestamp;
+    /// returns the rows forgotten (see
+    /// [`ShardedLastCommit::forget_through`]). Changes no decision.
+    pub fn forget_through(&self, watermark: Timestamp) -> usize {
+        self.last_commit.forget_through(watermark)
     }
 
     /// Total rows resident in `lastCommit` across shards.
@@ -505,12 +491,10 @@ impl ConcurrentOracle {
     pub fn replay_commit(&self, commit_ts: Timestamp, rows: &[RowId]) {
         self.ts.advance_to(commit_ts);
         for &row in rows {
-            let evicted = self
-                .last_commit
+            self.last_commit
                 .shard(self.last_commit.shard_of(row))
                 .lock()
                 .record(row, commit_ts);
-            self.counters.evictions.add(evicted as u64);
         }
     }
 
@@ -600,35 +584,21 @@ impl DecisionGuard<'_> {
         Ok(())
     }
 
-    /// Commits a request that [`DecisionGuard::check`] already admitted:
-    /// issues the commit timestamp from the shared counter (while the shards
-    /// are still held) and completes the bookkeeping.
-    #[inline]
-    pub fn commit_unchecked(&mut self, req: &CommitRequest) -> Timestamp {
-        let commit_ts = self.oracle.ts.next();
-        self.finish_commit_at(req, commit_ts);
-        commit_ts
-    }
-
     /// Registers a checked commit whose commit timestamp the embedder
     /// already issued — necessarily from the same shared counter, and
     /// necessarily while this guard was continuously held, or per-row
     /// timestamp monotonicity breaks.
     #[inline]
     pub fn finish_commit_at(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
-        let mut evictions = 0u64;
         for &row in &req.write_rows {
             let slot = self.slot(row);
-            evictions += self.guards[slot].record(row, commit_ts) as u64;
+            self.guards[slot].record(row, commit_ts);
         }
         if !req.write_rows.is_empty() {
             self.oracle
                 .counters
                 .rows_recorded
                 .add(req.write_rows.len() as u64);
-        }
-        if evictions > 0 {
-            self.oracle.counters.evictions.add(evictions);
         }
         self.oracle.counters.commits.inc();
     }
@@ -649,16 +619,23 @@ impl DecisionGuard<'_> {
     }
 
     /// Probes a §5.2 range across every shard (all of them are locked in
-    /// sweep mode), combining the per-shard answers pessimistically.
+    /// sweep mode): the newest commit in the range over all shards. The
+    /// shards are exact tables, so each answers `Resident` or
+    /// `NeverWritten`.
     fn probe_range_all(&self, range: RowRange) -> Probe {
         debug_assert_eq!(
             self.mask,
             self.oracle.last_commit.all_shards(),
             "range probes require the all-shard sweep"
         );
-        self.guards.iter().fold(Probe::NeverWritten, |acc, table| {
-            combine_probes(acc, table.probe_range(range))
-        })
+        self.guards
+            .iter()
+            .filter_map(|table| match table.probe_range(range) {
+                Probe::Resident(ts) => Some(ts),
+                Probe::NeverWritten | Probe::MaybeEvicted { .. } => None,
+            })
+            .max()
+            .map_or(Probe::NeverWritten, Probe::Resident)
     }
 }
 
@@ -667,24 +644,6 @@ impl std::fmt::Debug for DecisionGuard<'_> {
         f.debug_struct("DecisionGuard")
             .field("mask", &format_args!("{:#x}", self.mask))
             .finish_non_exhaustive()
-    }
-}
-
-/// Combines two shard-local probe answers into the answer a single table
-/// covering both shards would have given: resident timestamps take the
-/// maximum, and any eviction uncertainty poisons the result pessimistically
-/// (mirroring [`LastCommit::probe_range`]).
-fn combine_probes(a: Probe, b: Probe) -> Probe {
-    match (a, b) {
-        (Probe::NeverWritten, x) | (x, Probe::NeverWritten) => x,
-        (Probe::Resident(x), Probe::Resident(y)) => Probe::Resident(x.max(y)),
-        (Probe::MaybeEvicted { t_max }, Probe::Resident(x))
-        | (Probe::Resident(x), Probe::MaybeEvicted { t_max }) => Probe::MaybeEvicted {
-            t_max: t_max.max(x),
-        },
-        (Probe::MaybeEvicted { t_max: x }, Probe::MaybeEvicted { t_max: y }) => {
-            Probe::MaybeEvicted { t_max: x.max(y) }
-        }
     }
 }
 
@@ -797,7 +756,8 @@ mod tests {
         let mut g = o.lock_for(&req);
         assert_eq!((g.mask, g.guards.len()), (1 << 63, 1));
         assert!(g.check(&req).is_ok());
-        let committed = g.commit_unchecked(&req);
+        let committed = o.ts.next();
+        g.finish_commit_at(&req, committed);
         drop(g);
         assert_eq!(o.probe_row(top), Probe::Resident(committed));
         let out = o.commit(CommitRequest::new(reader, vec![top], rows(&[1])));
@@ -834,24 +794,27 @@ mod tests {
     }
 
     #[test]
-    fn bounded_tracks_per_shard_t_max() {
-        let ts = Arc::new(SharedTimestampSource::new());
-        let o = ConcurrentOracle::bounded(IsolationLevel::WriteSnapshot, 4, 4, ts);
-        let old = o.begin();
-        for i in 0..64u64 {
-            let t = o.begin();
-            assert!(o
-                .commit(CommitRequest::new(t, vec![], rows(&[i])))
-                .is_committed());
-        }
-        assert!(o.t_max() > Timestamp::ZERO);
-        // The old transaction probes a row that may have been evicted; the
-        // per-shard T_max must force the pessimistic abort.
-        let out = o.commit(CommitRequest::new(old, rows(&[999]), rows(&[1000])));
-        assert!(matches!(
-            out.abort_reason(),
-            Some(AbortReason::TmaxExceeded { .. })
-        ));
+    fn forgetting_sweeps_every_shard_once_per_watermark() {
+        let o = oracle(IsolationLevel::WriteSnapshot, 8);
+        let commits: Vec<Timestamp> = (0..100u64)
+            .map(|i| {
+                let t = o.begin();
+                let out = o.commit(CommitRequest::new(t, vec![], rows(&[i])));
+                out.commit_ts().expect("disjoint rows")
+            })
+            .collect();
+        assert_eq!(o.forget_through(commits[89]), 90);
+        assert_eq!(o.resident_rows(), 10);
+        assert_eq!(o.probe_row(RowId(89)), Probe::NeverWritten);
+        assert_eq!(o.probe_row(RowId(90)), Probe::Resident(commits[90]));
+        // A row recorded at or below a watermark already swept stays until
+        // the watermark moves.
+        o.replay_commit(commits[0], &rows(&[500]));
+        assert_eq!(o.forget_through(commits[89]), 0);
+        assert_eq!(o.forget_through(commits[50]), 0);
+        assert_eq!(o.resident_rows(), 11);
+        assert_eq!(o.forget_through(commits[90]), 2);
+        assert_eq!(o.resident_rows(), 9);
     }
 
     #[test]
@@ -861,7 +824,7 @@ mod tests {
         let req = CommitRequest::new(t, vec![], rows(&[1]));
         let mut g = o.lock_for(&req);
         assert!(g.check(&req).is_ok());
-        let _decided = g.commit_unchecked(&req);
+        g.finish_commit_at(&req, o.ts.next());
         drop(g);
         assert_eq!(o.stats().commits, 1);
         o.abort_after_decide();

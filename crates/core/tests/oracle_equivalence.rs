@@ -1,29 +1,32 @@
 //! Equivalence of the sharded [`ConcurrentOracle`] with its model, the
-//! single-threaded [`StatusOracleCore`].
+//! single-threaded [`StatusOracleCore`], on interleaved histories.
 //!
 //! The concurrent oracle is supposed to be a *refactoring* of the decision
 //! logic, not a new algorithm: driven single-threaded, it must make exactly
-//! the decisions Algorithms 1–3 make. These property tests drive the same
-//! randomized transaction history through the model and the implementation
-//! in lockstep and assert identical commit/abort outcomes, identical final
-//! `lastCommit` state, and identical activity statistics — for SI and WSI,
-//! with 1 shard and with many (up to `Db`'s 16), unbounded and bounded.
+//! the decisions Algorithms 1 and 2 make. These property tests drive the same
+//! randomized history through the model and the implementation and assert
+//! identical commit/abort outcomes, identical final `lastCommit` state, and
+//! identical activity statistics — for SI and WSI, with 1 shard and with
+//! many (up to `Db`'s 16).
 //!
-//! The one case where exact lockstep is impossible by construction is the
-//! bounded (Algorithm 3) table with *many* shards: capacity is divided
-//! across shards, so eviction order differs from a single bounded table and
-//! `T_max` diverges (it may only be more pessimistic for some probes, less
-//! for others — both tables are correct, they just bound different
-//! histories). For that configuration the test checks the safety invariant
-//! directly against an unbounded model: every commit the bounded oracle
-//! *admits* must be conflict-free in the model; it may abort more often
-//! (pessimistic `T_max` aborts), never less.
+//! A history keeps up to [`MAX_OPEN`] transactions open at once and ends
+//! them in random order, so a commit probes rows that transactions
+//! concurrent with it wrote. The corpus reaches write-write aborts under SI,
+//! read-write and range aborts under WSI, and `T_max` aborts in the bounded
+//! model (Algorithm 3), which must add only those to what the exact table
+//! decides.
+//!
+//! On the same histories, an oracle that forgets its `lastCommit` rows at
+//! random watermarks no higher than the oldest open start decides exactly
+//! as one that forgets nothing — the argument the store's watermark pruning
+//! rests on — and one that forgets a timestamp past it is caught.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use wsi_core::{
-    AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel, Probe, RowId, RowRange,
+    AbortReason, CommitOutcome, CommitRequest, ConcurrentOracle, IsolationLevel, RowId, RowRange,
     SharedTimestampSource, StatusOracleCore, Timestamp,
 };
 
@@ -34,7 +37,10 @@ const UNIVERSE: u64 = 24;
 /// layouts up to `Db`'s 16.
 const SHARDS: [usize; 3] = [1, 8, 16];
 
-/// One generated transaction in the history.
+/// Transactions a history keeps open at once.
+const MAX_OPEN: usize = 4;
+
+/// One generated transaction of a history.
 #[derive(Debug, Clone)]
 struct Spec {
     read_rows: Vec<u64>,
@@ -45,70 +51,209 @@ struct Spec {
     client_abort: bool,
 }
 
-/// Up to 10 rows per side: the paper's transactions are 10 rows, and most
-/// of `Db`'s requests span more shards than a handful.
-fn rows_strategy() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..UNIVERSE, 0..=10)
-}
-
-fn spec_strategy(with_ranges: bool) -> impl Strategy<Value = Spec> {
-    let ranges = if with_ranges {
-        prop::collection::vec((0u64..UNIVERSE, 1u64..6), 0..2)
-            .prop_map(|v| v.into_iter().map(|(s, w)| (s, s + w)).collect())
-            .boxed()
-    } else {
-        Just(Vec::new()).boxed()
-    };
-    // ~10% of transactions end in a client-requested abort.
-    let client_abort = (0u64..10).prop_map(|x| x == 0);
-    (rows_strategy(), rows_strategy(), ranges, client_abort).prop_map(
-        |(read_rows, write_rows, ranges, client_abort)| Spec {
+impl Spec {
+    /// Up to 10 rows per side: the paper's transactions are 10 rows, and
+    /// most of `Db`'s requests span more shards than a handful. About one
+    /// transaction in ten ends in a client-requested abort.
+    fn generate(rng: &mut SmallRng, with_ranges: bool) -> Self {
+        let rows = |rng: &mut SmallRng| {
+            let n = rng.gen_range(0..=10);
+            (0..n).map(|_| rng.gen_range(0..UNIVERSE)).collect()
+        };
+        let read_rows = rows(rng);
+        let write_rows = rows(rng);
+        let ranges = if with_ranges {
+            (0..rng.gen_range(0..2))
+                .map(|_| {
+                    let start = rng.gen_range(0..UNIVERSE);
+                    (start, start + rng.gen_range(1..6u64))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Spec {
             read_rows,
             write_rows,
             ranges,
-            client_abort,
-        },
-    )
-}
+            client_abort: rng.gen_range(0..10) == 0,
+        }
+    }
 
-fn history(with_ranges: bool) -> impl Strategy<Value = Vec<Spec>> {
-    prop::collection::vec(spec_strategy(with_ranges), 1..40)
-}
-
-fn to_request(start_ts: Timestamp, spec: &Spec) -> CommitRequest {
-    let read_rows = spec.read_rows.iter().map(|&r| RowId(r)).collect();
-    let write_rows = spec.write_rows.iter().map(|&r| RowId(r)).collect();
-    let mut req = CommitRequest::new(start_ts, read_rows, write_rows);
-    if !spec.ranges.is_empty() {
-        req = req.with_read_ranges(
-            spec.ranges
+    fn request(&self, start_ts: Timestamp) -> CommitRequest {
+        let rows = |rows: &[u64]| rows.iter().map(|&r| RowId(r)).collect();
+        let req = CommitRequest::new(start_ts, rows(&self.read_rows), rows(&self.write_rows));
+        if self.ranges.is_empty() {
+            return req;
+        }
+        req.with_read_ranges(
+            self.ranges
                 .iter()
                 .map(|&(s, e)| RowRange::new(s, e))
                 .collect(),
-        );
+        )
     }
-    req
 }
 
-/// Drives `history` through the model and the implementation in lockstep,
-/// asserting outcome-by-outcome and final-state equality.
-fn assert_lockstep(mut model: StatusOracleCore, oracle: ConcurrentOracle, history: &[Spec]) {
-    for spec in history {
-        let start_ts = model.begin();
-        assert_eq!(
-            start_ts,
-            oracle.begin(),
-            "start timestamps must stay in lockstep"
-        );
-        if spec.client_abort {
-            model.abort(start_ts);
-            oracle.abort();
-            continue;
+/// One step of a history: transaction `i` begins, or ends as its spec says.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Begin(usize),
+    End(usize),
+}
+
+/// Transactions and the interleaving of their begins and ends.
+#[derive(Debug, Clone)]
+struct History {
+    specs: Vec<Spec>,
+    steps: Vec<Step>,
+}
+
+impl History {
+    /// 1–39 transactions begun in order; while fewer than [`MAX_OPEN`] are
+    /// open a coin picks between beginning the next and ending a random
+    /// open one.
+    fn generate(seed: u64, with_ranges: bool) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..40);
+        let specs: Vec<Spec> = (0..n)
+            .map(|_| Spec::generate(&mut rng, with_ranges))
+            .collect();
+        let mut steps = Vec::with_capacity(2 * n);
+        let mut open = Vec::new();
+        let mut next = 0;
+        while next < n || !open.is_empty() {
+            let room = open.is_empty() || (open.len() < MAX_OPEN && rng.gen_bool(0.5));
+            if next < n && room {
+                steps.push(Step::Begin(next));
+                open.push(next);
+                next += 1;
+            } else {
+                let i = open.swap_remove(rng.gen_range(0..open.len()));
+                steps.push(Step::End(i));
+            }
         }
+        History { specs, steps }
+    }
+}
+
+/// The calls a history makes of an oracle.
+trait Oracle {
+    fn begin(&mut self) -> Timestamp;
+    fn commit(&mut self, req: CommitRequest) -> CommitOutcome;
+    fn abort(&mut self, start_ts: Timestamp);
+}
+
+impl Oracle for StatusOracleCore {
+    fn begin(&mut self) -> Timestamp {
+        StatusOracleCore::begin(self)
+    }
+    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
+        StatusOracleCore::commit(self, req)
+    }
+    fn abort(&mut self, start_ts: Timestamp) {
+        StatusOracleCore::abort(self, start_ts);
+    }
+}
+
+impl Oracle for ConcurrentOracle {
+    fn begin(&mut self) -> Timestamp {
+        ConcurrentOracle::begin(self)
+    }
+    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
+        ConcurrentOracle::commit(self, req)
+    }
+    fn abort(&mut self, _start_ts: Timestamp) {
+        ConcurrentOracle::abort(self);
+    }
+}
+
+/// A [`ConcurrentOracle`] that, before a call, may forget its `lastCommit`
+/// rows through the watermark `forget_at(oldest, pick)`, where `oldest` is
+/// the oldest open start (the next start when none is open) and `pick` is
+/// the call's entry of `picks` (no forgetting when it is `None`).
+struct Forgetful<F> {
+    oracle: ConcurrentOracle,
+    open: BTreeSet<Timestamp>,
+    picks: Vec<Option<u64>>,
+    calls: usize,
+    forget_at: F,
+}
+
+impl<F: Fn(Timestamp, u64) -> Timestamp> Forgetful<F> {
+    fn new(oracle: ConcurrentOracle, picks: Vec<Option<u64>>, forget_at: F) -> Self {
+        Forgetful {
+            oracle,
+            open: BTreeSet::new(),
+            picks,
+            calls: 0,
+            forget_at,
+        }
+    }
+
+    fn maybe_forget(&mut self) {
+        if let Some(&Some(pick)) = self.picks.get(self.calls) {
+            let oldest = self.open.first().copied();
+            let oldest = oldest.unwrap_or_else(|| self.oracle.last_issued_ts().next());
+            self.oracle.forget_through((self.forget_at)(oldest, pick));
+        }
+        self.calls += 1;
+    }
+}
+
+impl<F: Fn(Timestamp, u64) -> Timestamp> Oracle for Forgetful<F> {
+    fn begin(&mut self) -> Timestamp {
+        self.maybe_forget();
+        let start_ts = self.oracle.begin();
+        self.open.insert(start_ts);
+        start_ts
+    }
+    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
+        self.maybe_forget();
+        self.open.remove(&req.start_ts);
+        self.oracle.commit(req)
+    }
+    fn abort(&mut self, start_ts: Timestamp) {
+        self.maybe_forget();
+        self.open.remove(&start_ts);
+        self.oracle.abort();
+    }
+}
+
+/// Plays `history` through `oracle`. Returns, in the order the
+/// transactions ended, each one's spec index, start timestamp and outcome
+/// (a client abort as [`AbortReason::ClientRequested`]).
+fn play(oracle: &mut impl Oracle, history: &History) -> Vec<(usize, Timestamp, CommitOutcome)> {
+    let mut starts = vec![Timestamp::ZERO; history.specs.len()];
+    let mut decisions = Vec::with_capacity(history.specs.len());
+    for &step in &history.steps {
+        match step {
+            Step::Begin(i) => starts[i] = oracle.begin(),
+            Step::End(i) => {
+                let spec = &history.specs[i];
+                let outcome = if spec.client_abort {
+                    oracle.abort(starts[i]);
+                    CommitOutcome::Aborted(AbortReason::ClientRequested)
+                } else {
+                    oracle.commit(spec.request(starts[i]))
+                };
+                decisions.push((i, starts[i], outcome));
+            }
+        }
+    }
+    decisions
+}
+
+/// Drives `history` through the model and the implementation, asserting
+/// decision-by-decision and final-state equality.
+fn assert_lockstep(mut model: StatusOracleCore, mut oracle: ConcurrentOracle, history: &History) {
+    let expect = play(&mut model, history);
+    let got = play(&mut oracle, history);
+    for (want, got) in expect.iter().zip(&got) {
         assert_eq!(
-            model.commit(to_request(start_ts, spec)),
-            oracle.commit(to_request(start_ts, spec)),
-            "decision diverged for {spec:?}"
+            want, got,
+            "decision diverged for {:?}",
+            history.specs[want.0]
         );
     }
     // Final conflict state: every row in the universe probes identically.
@@ -119,65 +264,37 @@ fn assert_lockstep(mut model: StatusOracleCore, oracle: ConcurrentOracle, histor
             "lastCommit diverged at row {row}"
         );
     }
-    assert_eq!(model.t_max(), oracle.t_max());
     assert_eq!(model.resident_rows(), oracle.resident_rows());
     assert_eq!(model.last_issued_ts(), oracle.last_issued_ts());
     assert_eq!(model.stats(), oracle.stats(), "activity counters diverged");
 }
 
-fn fresh_ts() -> Arc<SharedTimestampSource> {
-    Arc::new(SharedTimestampSource::new())
+fn fresh(level: IsolationLevel, shards: usize) -> ConcurrentOracle {
+    ConcurrentOracle::unbounded(level, shards, Arc::new(SharedTimestampSource::new()))
 }
 
-/// A safety check of the bounded multi-shard oracle against an exact
-/// unbounded model: every admitted commit must be conflict-free in the
-/// model; extra aborts are allowed only as pessimistic `T_max` aborts.
-fn assert_bounded_safe(oracle: ConcurrentOracle, level: IsolationLevel, history: &[Spec]) {
-    // Exact model of lastCommit with no eviction.
-    let mut model: HashMap<u64, Timestamp> = HashMap::new();
-    for spec in history {
-        let start_ts = oracle.begin();
-        if spec.client_abort {
-            oracle.abort();
-            continue;
-        }
-        let req = to_request(start_ts, spec);
-        let checked: &[u64] = if level == IsolationLevel::Snapshot {
-            &spec.write_rows
-        } else {
-            &spec.read_rows
-        };
-        let model_conflict = checked
-            .iter()
-            .any(|r| model.get(r).is_some_and(|&ts| ts > start_ts));
-        let out = oracle.commit(req);
-        if let Some(commit_ts) = out.commit_ts() {
-            prop_assert!(
-                !model_conflict,
-                "bounded oracle admitted a conflicting commit: {spec:?}"
-            );
-            for &row in &spec.write_rows {
-                model.insert(row, commit_ts);
-            }
-        } else {
-            // Aborts beyond the model's are allowed only as pessimistic
-            // T_max aborts; genuine conflict reasons must be real.
-            match out.abort_reason() {
-                Some(AbortReason::TmaxExceeded { .. }) => {}
-                Some(_) => prop_assert!(
-                    model_conflict,
-                    "conflict abort without a model conflict: {spec:?}"
-                ),
-                None => unreachable!(),
-            }
-        }
-    }
-    // Wherever a row is still resident, its timestamp is the model's.
-    for (&row, &ts) in &model {
-        if let Probe::Resident(got) = oracle.probe_row(RowId(row)) {
-            prop_assert_eq!(got, ts, "resident row {} diverged from model", row);
-        }
-    }
+/// The two levels a [`ConcurrentOracle`] certifies by itself, with whether
+/// their histories carry §5.2 ranges (checked only under WSI).
+const LEVELS: [(IsolationLevel, bool); 2] = [
+    (IsolationLevel::Snapshot, false),
+    (IsolationLevel::WriteSnapshot, true),
+];
+
+/// Whether `history`'s oracle-driven forgetting through `forget_at` changes
+/// any decision or counter of a `shards`-shard oracle at `level`.
+fn forgetting_changes_something(
+    level: IsolationLevel,
+    shards: usize,
+    history: &History,
+    picks: Vec<Option<u64>>,
+    forget_at: impl Fn(Timestamp, u64) -> Timestamp,
+) -> bool {
+    let mut exact = fresh(level, shards);
+    let mut forgetful = Forgetful::new(fresh(level, shards), picks, forget_at);
+    let changed = play(&mut exact, history) != play(&mut forgetful, history)
+        || exact.stats() != forgetful.oracle.stats();
+    assert!(forgetful.oracle.resident_rows() <= exact.resident_rows());
+    changed
 }
 
 proptest! {
@@ -185,70 +302,160 @@ proptest! {
 
     /// Algorithm 1 (SI): implementation ≡ model, at every shard count.
     #[test]
-    fn si_unbounded_equivalence(history in history(false)) {
+    fn si_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::Snapshot;
+        let history = History::generate(seed, false);
         for shards in SHARDS {
-            assert_lockstep(
-                StatusOracleCore::unbounded(level),
-                ConcurrentOracle::unbounded(level, shards, fresh_ts()),
-                &history,
-            );
+            assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
         }
     }
 
     /// Algorithm 2 (WSI) including §5.2 range predicates (which exercise
     /// the all-shard sweep): implementation ≡ model, at every shard count.
     #[test]
-    fn wsi_unbounded_equivalence(history in history(true)) {
+    fn wsi_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::WriteSnapshot;
+        let history = History::generate(seed, true);
         for shards in SHARDS {
-            assert_lockstep(
-                StatusOracleCore::unbounded(level),
-                ConcurrentOracle::unbounded(level, shards, fresh_ts()),
-                &history,
-            );
+            assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
         }
     }
 
-    /// Algorithm 3 (bounded, `T_max`): with a single shard the concurrent
-    /// oracle holds literally the same bounded table, so it must stay in
-    /// exact lockstep — eviction order, `T_max`, and all.
+    /// Forgetting every row at or below a watermark no higher than the
+    /// oldest open start — the store's pruning rule — changes no decision
+    /// and no counter, at either level and every shard count.
     #[test]
-    fn bounded_single_shard_equivalence(
-        history in history(true),
-        capacity in 1usize..12,
+    fn forgetting_below_the_oldest_start_changes_no_decision(
+        seed in any::<u64>(),
+        picks in prop::collection::vec(prop::option::of(any::<u64>()), 0..80),
     ) {
-        for level in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
-            assert_lockstep(
-                StatusOracleCore::bounded(level, capacity),
-                ConcurrentOracle::bounded(level, 1, capacity, fresh_ts()),
-                &history,
-            );
+        for (level, ranges) in LEVELS {
+            let history = History::generate(seed, ranges);
+            for shards in SHARDS {
+                let changed = forgetting_changes_something(
+                    level,
+                    shards,
+                    &history,
+                    picks.clone(),
+                    |oldest, pick| Timestamp(pick % (oldest.raw() + 1)),
+                );
+                prop_assert!(!changed, "{level} with {shards} shards: {history:?}");
+            }
         }
     }
 
-    /// Algorithm 3 with many shards: eviction order differs from a single
-    /// bounded table, so instead of lockstep we check the safety invariant
-    /// against an exact unbounded model — every commit the bounded
-    /// concurrent oracle admits is conflict-free, and the recorded
-    /// timestamps match the model wherever rows are still resident.
+    /// Algorithm 3 against the exact table it bounds: every commit the
+    /// bounded model admits is conflict-free in an exact map of the commits
+    /// it made, and every conflict abort names a real conflict — the bound
+    /// adds only `T_max` aborts.
     #[test]
-    fn bounded_sharded_is_safe(
-        history in history(false),
+    fn bounded_model_adds_only_tmax_aborts(
+        seed in any::<u64>(),
         capacity in 1usize..12,
-        level_wsi in any::<bool>(),
+        wsi in any::<bool>(),
     ) {
-        let level = if level_wsi {
+        let level = if wsi {
             IsolationLevel::WriteSnapshot
         } else {
             IsolationLevel::Snapshot
         };
-        for shards in SHARDS {
-            assert_bounded_safe(
-                ConcurrentOracle::bounded(level, shards, capacity, fresh_ts()),
-                level,
-                &history,
-            );
+        let history = History::generate(seed, false);
+        let mut latest: HashMap<u64, Timestamp> = HashMap::new();
+        let decisions = play(&mut StatusOracleCore::bounded(level, capacity), &history);
+        for (i, start_ts, outcome) in decisions {
+            let spec = &history.specs[i];
+            let checked = if wsi { &spec.read_rows } else { &spec.write_rows };
+            // Read-only transactions are never checked (§5.1).
+            let conflict = !spec.write_rows.is_empty()
+                && checked
+                    .iter()
+                    .any(|r| latest.get(r).is_some_and(|&ts| ts > start_ts));
+            match outcome {
+                CommitOutcome::Committed(commit_ts) => {
+                    prop_assert!(!conflict, "admitted a conflicting commit: {spec:?}");
+                    for &row in &spec.write_rows {
+                        latest.insert(row, commit_ts);
+                    }
+                }
+                CommitOutcome::Aborted(
+                    AbortReason::TmaxExceeded { .. } | AbortReason::ClientRequested,
+                ) => {}
+                CommitOutcome::Aborted(reason) => {
+                    prop_assert!(conflict, "{reason:?} without a conflict: {spec:?}");
+                }
+            }
         }
+    }
+}
+
+/// The histories really overlap: over a fixed corpus they reach
+/// write-write aborts under SI, read-write aborts on point reads and on
+/// ranges under WSI, and `T_max` aborts in the bounded model.
+#[test]
+fn the_histories_reach_every_abort_kind() {
+    let (mut ww, mut rw, mut range, mut tmax) = (0, 0, 0, 0);
+    for seed in 0..256 {
+        let history = History::generate(seed, false);
+        let si = play(
+            &mut StatusOracleCore::unbounded(IsolationLevel::Snapshot),
+            &history,
+        );
+        ww += si
+            .iter()
+            .filter(|(.., out)| {
+                matches!(
+                    out.abort_reason(),
+                    Some(AbortReason::WriteWriteConflict { .. })
+                )
+            })
+            .count();
+        let bounded = play(
+            &mut StatusOracleCore::bounded(IsolationLevel::WriteSnapshot, 2),
+            &history,
+        );
+        tmax += bounded
+            .iter()
+            .filter(|(.., out)| {
+                matches!(out.abort_reason(), Some(AbortReason::TmaxExceeded { .. }))
+            })
+            .count();
+        let history = History::generate(seed, true);
+        let wsi = play(
+            &mut StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot),
+            &history,
+        );
+        for (i, _, out) in wsi {
+            if let Some(AbortReason::ReadWriteConflict { row, .. }) = out.abort_reason() {
+                // A range conflict names its range's start, which the point
+                // reads need not contain.
+                if history.specs[i].read_rows.contains(&row.raw()) {
+                    rw += 1;
+                } else {
+                    range += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        ww > 0 && rw > 0 && range > 0 && tmax > 0,
+        "ww {ww}, rw {rw}, range {range}, T_max {tmax}"
+    );
+}
+
+/// The planted bug the forgetting property must catch: a watermark one
+/// timestamp past the oldest open start drops a commit that start can
+/// still conflict with.
+#[test]
+fn forgetting_one_past_the_oldest_start_is_caught() {
+    for (level, ranges) in LEVELS {
+        let caught = (0..64).any(|seed| {
+            let history = History::generate(seed, ranges);
+            let picks = vec![Some(0); 2 * history.specs.len()];
+            forgetting_changes_something(level, 16, &history, picks, |oldest, _| oldest.next())
+        });
+        assert!(
+            caught,
+            "{level}: forgetting past the oldest start went unnoticed"
+        );
     }
 }

@@ -8,12 +8,17 @@
 //! * **SnapshotRead** (every level): each observed first read equals the
 //!   version snapshot semantics prescribe ([`dsg::reads_from`]) — the latest
 //!   version committed before the reader started, or its own earlier write.
+//! * **FirstCommitterWins** (SI and SSI): no two committed transactions
+//!   that overlap in time — each started before the other committed —
+//!   wrote the same item. WSI claims no such thing: it admits concurrent
+//!   blind writes (the paper's History 4).
 //! * **Serializable** (WSI and SSI): the direct serialization graph is
 //!   acyclic.
 //!
 //! The deterministic simulation harness and the real-thread stress herds
 //! feed the same function, so a clause means the same thing in both.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use wsi_core::IsolationLevel;
@@ -26,6 +31,8 @@ use crate::ops::{History, TxnId};
 pub enum Clause {
     /// Every first read observes the snapshot its transaction started on.
     SnapshotRead,
+    /// No two overlapping committed transactions wrote the same item.
+    FirstCommitterWins,
     /// The committed transactions' dependency graph has no cycle.
     Serializable,
 }
@@ -56,8 +63,10 @@ impl std::error::Error for Violation {}
 /// # Errors
 ///
 /// The first [`Violation`]: a **SnapshotRead** naming the transaction, the
-/// item, and the observed and expected writers; or, at a serializable
-/// level, a **Serializable** carrying [`dsg::explain_cycle`]'s text.
+/// item, and the observed and expected writers; at SI and SSI, a
+/// **FirstCommitterWins** naming two overlapping writers and their item;
+/// or, at a serializable level, a **Serializable** carrying
+/// [`dsg::explain_cycle`]'s text.
 ///
 /// # Example
 ///
@@ -90,6 +99,14 @@ pub fn check(
             });
         }
     }
+    if level != IsolationLevel::WriteSnapshot {
+        if let Some(detail) = concurrent_writers(history) {
+            return Err(Violation {
+                clause: Clause::FirstCommitterWins,
+                detail,
+            });
+        }
+    }
     if level.is_serializable() {
         if let Some(cycle) = dsg::explain_cycle(history) {
             return Err(Violation {
@@ -99,6 +116,30 @@ pub fn check(
         }
     }
     Ok(())
+}
+
+/// The first two committed transactions that overlap in time and wrote a
+/// common item, in words.
+fn concurrent_writers(history: &History) -> Option<String> {
+    let writers: Vec<(TxnId, usize, usize, BTreeSet<String>)> = history
+        .committed()
+        .into_iter()
+        .filter_map(|t| {
+            let writes: BTreeSet<String> = history.write_set(t).into_iter().collect();
+            let span = (history.start_pos(t)?, history.commit_pos(t)?);
+            (!writes.is_empty()).then_some((t, span.0, span.1, writes))
+        })
+        .collect();
+    for (n, (i, start_i, commit_i, writes_i)) in writers.iter().enumerate() {
+        for (j, start_j, commit_j, writes_j) in &writers[n + 1..] {
+            if start_i < commit_j && start_j < commit_i {
+                if let Some(item) = writes_i.intersection(writes_j).next() {
+                    return Some(format!("{i} and {j} overlap and both wrote {item}"));
+                }
+            }
+        }
+    }
+    None
 }
 
 fn writer(w: &Option<TxnId>) -> String {
@@ -115,20 +156,35 @@ mod tests {
     use IsolationLevel::{SerializableSnapshot, Snapshot, WriteSnapshot};
 
     #[test]
-    fn snapshot_reads_pass_and_only_serializable_levels_reject_cycles() {
+    fn each_level_rejects_only_what_it_claims_to_prevent() {
         for (n, h) in examples::all() {
             let observed = dsg::reads_from(&h);
-            assert_eq!(check(&h, &observed, Snapshot), Ok(()), "H{n}");
-            for level in [WriteSnapshot, SerializableSnapshot] {
+            // H3 (lost update) and H4 (blind overwrite) let two concurrent
+            // transactions both write x.
+            let concurrent_writes = n == 3 || n == 4;
+            for level in [Snapshot, WriteSnapshot, SerializableSnapshot] {
                 let verdict = check(&h, &observed, level).map_err(|v| v.clause);
-                let want = if dsg::is_serializable(&h) {
-                    Ok(())
-                } else {
+                let want = if concurrent_writes && level != WriteSnapshot {
+                    Err(Clause::FirstCommitterWins)
+                } else if level.is_serializable() && !dsg::is_serializable(&h) {
                     Err(Clause::Serializable)
+                } else {
+                    Ok(())
                 };
                 assert_eq!(verdict, want, "H{n} under {level:?}");
             }
         }
+    }
+
+    #[test]
+    fn overlap_needs_each_to_start_before_the_other_commits() {
+        let h: History = "r1[x] r2[y] w2[x] c2 w1[x] c1".parse().unwrap();
+        let v = check(&h, &dsg::reads_from(&h), Snapshot).unwrap_err();
+        assert_eq!(v.clause, Clause::FirstCommitterWins);
+        assert_eq!(v.detail, "txn1 and txn2 overlap and both wrote x");
+        // One commits before the other starts: a serial overwrite.
+        let h: History = "w1[x] c1 w2[x] c2".parse().unwrap();
+        assert_eq!(check(&h, &dsg::reads_from(&h), Snapshot), Ok(()));
     }
 
     #[test]

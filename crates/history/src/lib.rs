@@ -22,7 +22,8 @@
 //!   read, lost update, write skew;
 //! * [`check()`] — one isolation check for a recorded execution (a history
 //!   plus the writer each read observed), with named clauses:
-//!   **SnapshotRead** at every level, **Serializable** at WSI and SSI. The
+//!   **SnapshotRead** at every level, **FirstCommitterWins** at SI and
+//!   SSI, **Serializable** at WSI and SSI. The
 //!   deterministic simulation harness and the real-thread stress tests both
 //!   run it.
 //!

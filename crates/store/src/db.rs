@@ -83,10 +83,11 @@ const ORACLE_SHARDS: usize = 16;
 /// A commit-path counter period: every this many write commits, the GC
 /// watermark hint feeding insert-time chain pruning is recomputed from the
 /// active-transaction registry. Keeps hot-key chains bounded between
-/// explicit [`Db::gc`] runs at negligible amortized cost. The SSI window is
-/// pruned on the same tick, and whenever a read-only commit finds it grown
-/// by this many entries since its last prune (read-only entries do not tick
-/// the commit counter).
+/// explicit [`Db::gc`] runs at negligible amortized cost. The oracle's
+/// `lastCommit` rows and the SSI window are pruned on the same tick, the
+/// window also whenever a read-only commit finds it grown by this many
+/// entries since its last prune (read-only entries do not tick the commit
+/// counter).
 const WATERMARK_HINT_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
@@ -106,9 +107,6 @@ pub struct DbOptions {
     /// the commit critical section (group commit with a leader), so
     /// concurrent committers share replication round-trips.
     pub wal: Option<LedgerConfig>,
-    /// If set, bound the oracle's `lastCommit` table to this many resident
-    /// rows (Algorithm 3 with `T_max`); `None` keeps exact state.
-    pub last_commit_capacity: Option<usize>,
     /// Whether to attach the observability layer: the metric registry, the
     /// latency histograms and the flight-recorder journal
     /// ([`wsi_obs::Journal`], backing [`Db::explain_abort`]) — all of it or
@@ -121,13 +119,14 @@ pub struct DbOptions {
 }
 
 impl DbOptions {
-    /// Sensible defaults: the requested isolation level, no WAL, exact
-    /// conflict state.
+    /// Sensible defaults: the requested isolation level, no WAL,
+    /// observability on. Conflict state needs no setting: it is exact, and
+    /// kept small by forgetting what no snapshot can conflict with (see
+    /// [`Db::gc`]).
     pub fn new(isolation: IsolationLevel) -> Self {
         DbOptions {
             isolation,
             wal: None,
-            last_commit_capacity: None,
             obs: true,
         }
     }
@@ -144,12 +143,6 @@ impl DbOptions {
     /// [`DbOptions::wal`]).
     pub fn durable(mut self, wal: LedgerConfig) -> Self {
         self.wal = Some(wal);
-        self
-    }
-
-    /// Bounds the `lastCommit` table (Algorithm 3).
-    pub fn bounded_last_commit(mut self, capacity: usize) -> Self {
-        self.last_commit_capacity = Some(capacity);
         self
     }
 }
@@ -291,13 +284,9 @@ impl Db {
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC/epoch advances.
         let obs = options.obs.then(|| Arc::new(StoreObs::new()));
-        let oracle = match options.last_commit_capacity {
-            Some(cap) => {
-                ConcurrentOracle::bounded(options.isolation, ORACLE_SHARDS, cap, Arc::clone(&ts))
-            }
-            None => ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts)),
-        };
-        let mut oracle = oracle.with_obs_enabled(options.obs);
+        let mut oracle =
+            ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts))
+                .with_obs_enabled(options.obs);
         if let Some(obs) = &obs {
             oracle = oracle.with_journal(obs.journal.clone());
         }
@@ -881,15 +870,19 @@ impl Db {
     }
 
     /// Garbage-collects versions below the low-water mark (the minimum start
-    /// timestamp among active transactions) and prunes the commit index.
+    /// timestamp among active transactions), prunes the commit index, and
+    /// drops the oracle's `lastCommit` rows and SSI window entries below it.
     ///
     /// The watermark is computed by the registry with every shard locked,
     /// so no begin can issue a smaller snapshot concurrently — the mark is
-    /// a true lower bound for all current and future readers.
+    /// a true lower bound for all current and future readers. A `lastCommit`
+    /// row at or below it can never fail a conflict check again, so
+    /// forgetting it changes no decision.
     pub fn gc(&self) -> GcStats {
         let watermark = self.inner.registry.watermark(&self.inner.ts);
         let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
         self.inner.index.prune_below(watermark);
+        self.inner.oracle.forget_through(watermark);
         self.prune_window(watermark);
         if let Some(obs) = &self.inner.obs {
             obs.gc_runs.inc();
@@ -902,8 +895,9 @@ impl Db {
     /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
     /// low-water mark and feed it to the store's pruning watermark so
     /// insert-time chain pruning stays armed between explicit [`Db::gc`]
-    /// runs. The registry's watermark is a true lower bound on every active
-    /// and future snapshot, so the hint is always sound (if stale,
+    /// runs, and to the oracle, which forgets the `lastCommit` rows at or
+    /// below it. The registry's watermark is a true lower bound on every
+    /// active and future snapshot, so the hint is always sound (if stale,
     /// conservative).
     fn tick_watermark_hint(&self) {
         if self.inner.wm_tick.0.fetch_add(1, Ordering::Relaxed) % WATERMARK_HINT_EVERY
@@ -914,6 +908,7 @@ impl Db {
             // The same amortized tick advances the reclamation epoch and frees matured limbo entries, so
             // retired versions are reclaimed even without explicit GC.
             self.inner.mvcc.maintain();
+            self.inner.oracle.forget_through(watermark);
             self.prune_window(watermark);
         }
     }
@@ -1074,5 +1069,42 @@ mod tests {
             .inner
             .window
             .is_none());
+    }
+
+    #[test]
+    fn last_commit_holds_only_what_a_live_snapshot_can_see() {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let resident = || db.inner.oracle.resident_rows() as u64;
+        let mut next_key = 0u64;
+        let mut write_fresh_rows = |commits: u64| {
+            for _ in 0..commits {
+                let mut t = db.begin();
+                t.put(format!("k{next_key}").as_bytes(), b"v");
+                t.commit().unwrap();
+                next_key += 1;
+            }
+        };
+        // No live reader: each tick forgets every row committed before it,
+        // so the table holds at most the rows written since the last tick.
+        for _ in 0..4 * WATERMARK_HINT_EVERY {
+            write_fresh_rows(1);
+            assert!(resident() < WATERMARK_HINT_EVERY);
+        }
+        // A reader held open pins the watermark: every row committed after
+        // its start stays resident through the ticks.
+        let reader = db.begin();
+        write_fresh_rows(4 * WATERMARK_HINT_EVERY);
+        assert!(resident() >= 4 * WATERMARK_HINT_EVERY);
+        // Once it ends, `gc` shrinks the table back.
+        drop(reader);
+        db.gc();
+        assert_eq!(resident(), 0);
+        // So does the next tick.
+        let reader = db.begin();
+        write_fresh_rows(2 * WATERMARK_HINT_EVERY);
+        drop(reader);
+        assert!(resident() >= WATERMARK_HINT_EVERY);
+        write_fresh_rows(WATERMARK_HINT_EVERY);
+        assert!(resident() < WATERMARK_HINT_EVERY);
     }
 }

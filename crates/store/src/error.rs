@@ -12,7 +12,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors returned by the embedded store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// The transaction aborted at commit time (conflict, `T_max`, or client
+    /// The transaction aborted at commit time (a conflict or a client
     /// request). The transaction's writes were rolled back; the caller may
     /// retry with a fresh transaction.
     Aborted(AbortReason),

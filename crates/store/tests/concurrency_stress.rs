@@ -224,8 +224,9 @@ fn merge(attempts: &[Attempt]) -> (History, ReadsFrom) {
 /// spending the last unit of slack — is the one way to break it, and a
 /// serializable level must never let it happen. Each thread records its
 /// attempts, and the merged history must pass the isolation check at the
-/// herd's level: snapshot reads at every level, an acyclic DSG under WSI and
-/// SSI.
+/// herd's level: snapshot reads at every level, first-committer-wins under
+/// SI and SSI (two threads withdraw from each account, so concurrent writes
+/// of one key race), an acyclic DSG under WSI and SSI.
 fn write_skew_herd(isolation: IsolationLevel) {
     const THREADS: u32 = 4;
     const ATTEMPTS: u32 = 60;

@@ -150,15 +150,6 @@ fn ssi_herd_keeps_invariants() {
 }
 
 #[test]
-fn wsi_bounded_herd_keeps_invariants() {
-    // Algorithm 3 under the herd: per-shard T_max may force extra aborts,
-    // but never a lost update or a timestamp inversion.
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).bounded_last_commit(32));
-    let log = run_herd(&db, 60);
-    assert_invariants(&db, &log, 60);
-}
-
-#[test]
 fn wsi_sync_wal_herd_keeps_invariants() {
     // Sync durability layers the pipeline's publish-after-durable protocol
     // on top of the shard locks; the lock hierarchy must stay acyclic under
@@ -201,8 +192,8 @@ fn shard_metrics_are_registered_and_plausible() {
         assert!(prom.contains(series), "missing series {series}");
     }
     // One sample per `lock_for` and nothing else: at WSI with no WAL every
-    // write commit attempt locks its shards once and ends as a commit, a
-    // read-write abort or a `T_max` abort.
+    // write commit attempt locks its shards once and ends as a commit or a
+    // read-write abort.
     let snap = db.obs_snapshot().unwrap();
     let per_decision = snap
         .histograms
@@ -211,7 +202,7 @@ fn shard_metrics_are_registered_and_plausible() {
     let oracle = db.stats().oracle;
     assert_eq!(
         per_decision.count,
-        oracle.commits + oracle.rw_aborts + oracle.tmax_aborts,
+        oracle.commits + oracle.rw_aborts,
         "one shards-per-decision sample per write decision: {oracle:?}"
     );
     // Each decision locked between one shard and all 16.

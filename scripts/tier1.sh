@@ -13,7 +13,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release --workspace
 # The workspace run holds, among the rest: `ConcurrentOracle` against its
-# model (`oracle_equivalence`), the `wsi-dst` seeded fault matrix checked by
+# model on histories that keep up to four transactions open and commit them
+# out of order, and the lockstep showing that forgetting `lastCommit` rows
+# below the oldest open start changes no decision (`oracle_equivalence`),
+# the `wsi-dst` seeded fault matrix checked by
 # the shared isolation check (`wsi_history::check`) with its
 # same-seed replay and planted-bug canary (an oracle panic prints a
 # DST_SEED=… line that replays the failing schedule byte-for-byte), and the

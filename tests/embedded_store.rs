@@ -300,25 +300,6 @@ fn gc_respects_active_snapshots() {
 }
 
 #[test]
-fn bounded_oracle_db_pessimistically_aborts_stale_transactions() {
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).bounded_last_commit(4));
-    let mut stale = db.begin();
-    let _ = stale.get(b"unrelated");
-    // Enough distinct-row commits to cycle the bounded lastCommit table.
-    for i in 0..64 {
-        let mut t = db.begin();
-        t.put(&k(i), b"v");
-        t.commit().unwrap();
-    }
-    stale.put(b"out", b"v");
-    let err = stale.commit().unwrap_err();
-    assert!(matches!(
-        err.abort_reason(),
-        Some(AbortReason::TmaxExceeded { .. })
-    ));
-}
-
-#[test]
 fn percolator_blocks_where_lockfree_proceeds() {
     // The §2.1 contrast, as an integration test across both engines.
     let lockfree = Db::open(DbOptions::new(IsolationLevel::Snapshot));
