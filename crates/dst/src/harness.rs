@@ -158,7 +158,7 @@ pub struct RunReport {
     pub delta_census: WalCensus,
     /// Census of the entire surviving log at the end of the run.
     pub census: WalCensus,
-    /// Final epoch-reclamation accounting.
+    /// Final reclamation accounting.
     pub reclamation: ReclamationStats,
     /// Flight-recorder events of the **final engine incarnation** (earlier
     /// incarnations' journals die with their engines at a crash fault).

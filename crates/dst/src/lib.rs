@@ -4,8 +4,8 @@
 //! serializable (Theorem 1), commits are never acknowledged before the
 //! replicated WAL holds them, overturned commits are never visible — are
 //! easiest to break *between* subsystems: a WAL quorum lost mid-commit, a
-//! crash replayed over a log that still carries the overturned record, an
-//! epoch sweep racing a long snapshot. This crate stresses exactly those
+//! crash replayed over a log that still carries the overturned record, a
+//! reclamation sweep racing a long snapshot. This crate stresses exactly those
 //! seams, deterministically:
 //!
 //! * a **seeded scheduler** drives a population of logical clients one
@@ -13,7 +13,7 @@
 //!   is a pure function of one `u64` seed;
 //! * a [`FaultPlan`] injects WAL bookie failures and recoveries, mid-run
 //!   crash-and-recover cycles (drop the engine, replay the surviving log),
-//!   and forced GC/epoch-reclamation sweeps at chosen steps;
+//!   and forced GC and reclamation sweeps at chosen steps;
 //! * every run is checked by two oracles: [`wsi_history::check`], the
 //!   isolation check the real-thread stress tests share (snapshot reads at
 //!   every level; SI is allowed its write skew, WSI and SSI must stay

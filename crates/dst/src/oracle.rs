@@ -18,8 +18,8 @@
 //!    a counted abort, found as a commit record paired with a compensating
 //!    abort record); WAL commit and abort records match the oracle's
 //!    decisions; the history's acknowledged write commits equal the log's
-//!    effective (non-overturned) commit records; and the arena's epoch
-//!    accounting stays exact (`retired == freed + limbo`).
+//!    effective (non-overturned) commit records; and the arena's
+//!    reclamation accounting stays exact (`retired == freed + limbo`).
 //!
 //! Every violation panics with the failing identity and the run's
 //! copy-pasteable repro command.
@@ -187,7 +187,7 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         &repro,
     );
 
-    // 4. Epoch reclamation stays exact at the quiescent end of the run.
+    // 4. Reclamation stays exact at the quiescent end of the run.
     let rec = &report.reclamation;
     check_eq(
         rec.retired,

@@ -7,7 +7,7 @@
 //! later heal, a clean crash, a crash *during* quorum loss (the
 //! resurrection path, where a minority bookie re-surfaces a commit record
 //! whose client was told the commit failed), and a reclamation storm that
-//! races GC and epoch sweeps against live snapshots.
+//! races GC and reclamation sweeps against live snapshots.
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +28,8 @@ pub enum Fault {
     /// Runs a garbage-collection sweep (version pruning below the
     /// watermark) while clients hold live snapshots.
     Gc,
-    /// Forces a reclamation-epoch advance and limbo sweep on the arena
-    /// store.
+    /// Frees the arena store's retired versions the registry watermark
+    /// has passed.
     Maintain,
 }
 
@@ -108,7 +108,7 @@ impl FaultPlan {
             .at(steps / 2, Fault::CrashRecover)
     }
 
-    /// GC and epoch sweeps every sixteenth of the run, racing reclamation
+    /// GC and reclamation sweeps every sixteenth of the run, racing them
     /// against whatever snapshots the scheduler has live.
     pub fn reclamation_storm(steps: u64) -> Self {
         let period = (steps / 16).max(1);

@@ -46,7 +46,7 @@ fn fault_matrix_ssi() {
 /// The reclamation-storm preset must exercise the packed-node lifecycle
 /// end to end: the store migrates hot chains into packed
 /// multi-version nodes, GC and insert-time pruning empty them, and the
-/// storm's forced epoch sweeps retire and free them whole. A contended
+/// storm's forced reclamation sweeps retire and free them whole. A contended
 /// corpus (few keys, many clients) keeps every chain hot enough to
 /// migrate within the run.
 #[test]

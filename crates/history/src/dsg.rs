@@ -68,6 +68,12 @@ pub type ReadsFrom = BTreeMap<(TxnId, String), Option<TxnId>>;
 /// transaction also observes its own earlier writes.
 pub fn reads_from(history: &History) -> ReadsFrom {
     let committed: BTreeSet<TxnId> = history.committed().into_iter().collect();
+    // Each committed writer's commit position and write set, computed once
+    // rather than once per read.
+    let writers: Vec<(TxnId, usize, Vec<String>)> = committed
+        .iter()
+        .filter_map(|&w| Some((w, history.commit_pos(w)?, history.write_set(w))))
+        .collect();
     let mut out = ReadsFrom::new();
     for &txn in &committed {
         let start = history.start_pos(txn).expect("committed txn has ops");
@@ -89,13 +95,11 @@ pub fn reads_from(history: &History) -> ReadsFrom {
                 continue;
             }
             // Latest committed writer of `item` with commit before `start`.
-            let writer = committed
+            let writer = writers
                 .iter()
-                .filter(|&&w| w != txn && history.write_set(w).contains(&item))
-                .filter_map(|&w| history.commit_pos(w).map(|c| (c, w)))
-                .filter(|&(c, _)| c < start)
-                .max_by_key(|&(c, _)| c)
-                .map(|(_, w)| w);
+                .filter(|(w, c, writes)| *w != txn && *c < start && writes.contains(&item))
+                .max_by_key(|(_, c, _)| *c)
+                .map(|(w, _, _)| *w);
             out.insert((txn, item), writer);
         }
     }

@@ -25,7 +25,9 @@
 //!   **SnapshotRead** at every level, **FirstCommitterWins** at SI and
 //!   SSI, **Serializable** at WSI and SSI. The
 //!   deterministic simulation harness and the real-thread stress tests both
-//!   run it.
+//!   run it;
+//! * [`record`] — what a real-thread herd records per transaction, and the
+//!   merge of every thread's records into one checkable history.
 //!
 //! # Example: the paper's write-skew history
 //!
@@ -50,6 +52,7 @@ pub mod dsg;
 pub mod examples;
 pub mod gen;
 mod ops;
+pub mod record;
 pub mod serialize;
 
 pub use check::{check, Clause, Violation};

@@ -4,7 +4,7 @@
 //! "why did transaction 4217 abort, who was the culprit, and what was the
 //! timeline?". The journal closes that gap: every transaction lifecycle
 //! event — begin, per-row conflict-check verdict, WAL flush, publish, GC and
-//! epoch advance, and abort with its full reason **plus culprit
+//! reclamation, and abort with its full reason **plus culprit
 //! attribution** — is written into a fixed-capacity ring of per-shard
 //! seqlock slots, cheap enough to leave on in production and replayable into
 //! a forensic timeline after the fact.
@@ -150,7 +150,7 @@ impl Cause {
 
 /// One structured lifecycle event. `txn` is the start timestamp (raw) of
 /// the transaction the event belongs to, or 0 for engine-wide events
-/// (WAL flushes, GC, epoch advances).
+/// (WAL flushes, GC, reclamation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventData {
     /// Transaction began (its snapshot was fixed).
@@ -199,11 +199,12 @@ pub enum EventData {
         /// Keys removed entirely.
         keys: u64,
     },
-    /// The reclamation epoch advanced and limbo versions were freed.
-    EpochAdvance {
-        /// New global epoch.
-        epoch: u64,
-        /// Versions freed by this advance.
+    /// Retired versions were freed: the registry watermark passed their
+    /// retire tags.
+    Reclaim {
+        /// The watermark the versions were freed at.
+        watermark: u64,
+        /// Versions freed.
         freed: u64,
     },
     /// One retry attempt of a retrying workload wrapper gave up on this
@@ -256,7 +257,7 @@ impl EventData {
             EventData::Publish { commit_ts } => (6, commit_ts, 0, 0),
             EventData::Overturn { commit_ts } => (7, commit_ts, 0, 0),
             EventData::GcSweep { versions, keys } => (8, versions, keys, 0),
-            EventData::EpochAdvance { epoch, freed } => (9, epoch, freed, 0),
+            EventData::Reclaim { watermark, freed } => (9, watermark, freed, 0),
             EventData::Retry { attempt } => (10, attempt, 0, 0),
             EventData::ServerRead { row, cache_hit } => (11, row, cache_hit as u64, 0),
             EventData::ServerWrite { row } => (12, row, 0, 0),
@@ -304,7 +305,10 @@ impl EventData {
                 versions: a,
                 keys: b,
             },
-            9 => EventData::EpochAdvance { epoch: a, freed: b },
+            9 => EventData::Reclaim {
+                watermark: a,
+                freed: b,
+            },
             10 => EventData::Retry { attempt: a },
             11 => EventData::ServerRead {
                 row: a,
@@ -357,7 +361,7 @@ impl EventData {
             EventData::Publish { .. } => "publish",
             EventData::Overturn { .. } => "overturn",
             EventData::GcSweep { .. } => "gc_sweep",
-            EventData::EpochAdvance { .. } => "epoch_advance",
+            EventData::Reclaim { .. } => "reclaim",
             EventData::Retry { .. } => "retry",
             EventData::ServerRead { .. } => "server_read",
             EventData::ServerWrite { .. } => "server_write",
@@ -428,8 +432,8 @@ impl Event {
             EventData::GcSweep { versions, keys } => {
                 format!("gc sweep: {versions} versions, {keys} keys")
             }
-            EventData::EpochAdvance { epoch, freed } => {
-                format!("epoch advance -> {epoch} ({freed} freed)")
+            EventData::Reclaim { watermark, freed } => {
+                format!("reclaim below {watermark} ({freed} freed)")
             }
             EventData::Retry { attempt } => format!("retry: attempt {attempt} failed"),
             EventData::ServerRead { row, cache_hit } => {
@@ -921,7 +925,13 @@ mod tests {
                     keys: 2,
                 },
             ),
-            (0, EventData::EpochAdvance { epoch: 4, freed: 9 }),
+            (
+                0,
+                EventData::Reclaim {
+                    watermark: 4,
+                    freed: 9,
+                },
+            ),
             (9, EventData::Retry { attempt: 2 }),
             (
                 0,

@@ -22,7 +22,7 @@
 //!   setup; recording touches only the `Arc`'d atomics.
 //! * [`Journal`] — the flight recorder: an always-on, lock-free ring of
 //!   structured lifecycle events (begin, per-row conflict-check verdicts,
-//!   WAL flush, publish, GC/epoch advance, and aborts with culprit
+//!   WAL flush, publish, GC and reclamation, and aborts with culprit
 //!   attribution), with [`Journal::explain_abort`] forensics and a Chrome
 //!   `trace_event` exporter.
 //! * [`Snapshot`] — point-in-time exposition: [`Snapshot::render_prometheus`]

@@ -23,13 +23,13 @@ use crate::mvcc::VersionResolver;
 
 /// Thread-safe transaction-status lookup for snapshot reads.
 #[derive(Debug, Default)]
-pub struct CommitIndex {
+pub(crate) struct CommitIndex {
     inner: RwLock<CommitTable>,
 }
 
 impl CommitIndex {
     /// Creates an empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -37,7 +37,7 @@ impl CommitIndex {
     /// [`CommitIndex::record_commit_with`]); with one, the group-commit
     /// leader calls it only after the commit's batch reached its write
     /// quorum — the visibility flip waits for durability.
-    pub fn record_commit(&self, start_ts: Timestamp, commit_ts: Timestamp) {
+    pub(crate) fn record_commit(&self, start_ts: Timestamp, commit_ts: Timestamp) {
         self.inner.write().record_commit(start_ts, commit_ts);
     }
 
@@ -51,7 +51,7 @@ impl CommitIndex {
     /// `alloc` under the same write lock readers resolve through closes it:
     /// any snapshot that observes `S > commit_ts` was issued after this
     /// critical section began and therefore reads after it publishes.
-    pub fn record_commit_with(
+    pub(crate) fn record_commit_with(
         &self,
         start_ts: Timestamp,
         alloc: impl FnOnce() -> Timestamp,
@@ -63,12 +63,12 @@ impl CommitIndex {
     }
 
     /// Publishes an abort.
-    pub fn record_abort(&self, start_ts: Timestamp) {
+    pub(crate) fn record_abort(&self, start_ts: Timestamp) {
         self.inner.write().record_abort(start_ts);
     }
 
     /// Queries a transaction's status.
-    pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
+    pub(crate) fn status(&self, start_ts: Timestamp) -> TxnStatus {
         self.inner.read().status(start_ts)
     }
 
@@ -76,12 +76,13 @@ impl CommitIndex {
     /// commit timestamps onto all surviving versions below `watermark`:
     /// commits with `commit_ts < watermark` and aborts with
     /// `start_ts < watermark` (aborted versions are removed eagerly).
-    pub fn prune_below(&self, watermark: Timestamp) {
+    pub(crate) fn prune_below(&self, watermark: Timestamp) {
         self.inner.write().prune_committed_below(watermark);
     }
 
     /// Number of commit entries currently held.
-    pub fn committed_count(&self) -> usize {
+    #[cfg(test)]
+    fn committed_count(&self) -> usize {
         self.inner.read().committed_count()
     }
 }

@@ -83,11 +83,11 @@ const ORACLE_SHARDS: usize = 16;
 /// A commit-path counter period: every this many write commits, the GC
 /// watermark hint feeding insert-time chain pruning is recomputed from the
 /// active-transaction registry. Keeps hot-key chains bounded between
-/// explicit [`Db::gc`] runs at negligible amortized cost. The oracle's
-/// `lastCommit` rows and the SSI window are pruned on the same tick, the
-/// window also whenever a read-only commit finds it grown by this many
-/// entries since its last prune (read-only entries do not tick the commit
-/// counter).
+/// explicit [`Db::gc`] runs at negligible amortized cost. The store's
+/// limbo is freed, and the oracle's `lastCommit` rows and the SSI window
+/// are pruned, on the same tick, the window also whenever a read-only
+/// commit finds it grown by this many entries since its last prune
+/// (read-only entries do not tick the commit counter).
 const WATERMARK_HINT_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
@@ -282,7 +282,7 @@ impl Db {
         let ts = Arc::new(SharedTimestampSource::new());
         // One journal shared by every layer: the oracle records per-row
         // verdicts, the Db layer the lifecycle events, the pipeline the
-        // WAL flush/publish/overturn events, the arena GC/epoch advances.
+        // WAL flush/publish/overturn events, the arena GC sweeps and frees.
         let obs = options.obs.then(|| Arc::new(StoreObs::new()));
         let mut oracle =
             ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts))
@@ -300,7 +300,7 @@ impl Db {
                 (CommitPipeline::new(ledger, obs.clone()), wal_obs)
             })
             .unzip();
-        let mut mvcc = ArenaStore::new();
+        let mut mvcc = ArenaStore::new(Arc::clone(&ts));
         if let Some(obs) = &obs {
             counters.register_in(&obs.registry);
             if let Some(wal_obs) = &wal_obs {
@@ -703,7 +703,8 @@ impl Db {
         });
 
         // Deregistration comes last on either path, so the GC watermark
-        // cannot pass a commit's pending or still unstamped versions.
+        // cannot pass a commit's pending or still unstamped versions, and
+        // the store frees no node the apply, stamp or cleanup walks.
         let result = match decision {
             Ok(commit_ts) => {
                 // Optimization, not correctness: stamp commit timestamps onto
@@ -872,6 +873,8 @@ impl Db {
     /// Garbage-collects versions below the low-water mark (the minimum start
     /// timestamp among active transactions), prunes the commit index, and
     /// drops the oracle's `lastCommit` rows and SSI window entries below it.
+    /// Then frees every retired version no transaction can still reach, the
+    /// sweep's own included.
     ///
     /// The watermark is computed by the registry with every shard locked,
     /// so no begin can issue a smaller snapshot concurrently — the mark is
@@ -879,11 +882,17 @@ impl Db {
     /// row at or below it can never fail a conflict check again, so
     /// forgetting it changes no decision.
     pub fn gc(&self) -> GcStats {
-        let watermark = self.inner.registry.watermark(&self.inner.ts);
-        let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
+        // The sweep registers like a reader: its chain prefetch walks
+        // without the entry lock.
+        let (watermark, stats) = self.registered(|| {
+            let watermark = self.inner.registry.watermark(&self.inner.ts);
+            let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
+            (watermark, stats)
+        });
         self.inner.index.prune_below(watermark);
         self.inner.oracle.forget_through(watermark);
         self.prune_window(watermark);
+        self.maintain();
         if let Some(obs) = &self.inner.obs {
             obs.gc_runs.inc();
             obs.gc_versions_removed
@@ -895,8 +904,9 @@ impl Db {
     /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
     /// low-water mark and feed it to the store's pruning watermark so
     /// insert-time chain pruning stays armed between explicit [`Db::gc`]
-    /// runs, and to the oracle, which forgets the `lastCommit` rows at or
-    /// below it. The registry's watermark is a true lower bound on every
+    /// runs, to the store's limbo list, which frees the retired versions
+    /// below it, and to the oracle, which forgets the `lastCommit` rows at
+    /// or below it. The registry's watermark is a true lower bound on every
     /// active and future snapshot, so the hint is always sound (if stale,
     /// conservative).
     fn tick_watermark_hint(&self) {
@@ -905,9 +915,7 @@ impl Db {
         {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
             self.inner.mvcc.note_watermark(watermark);
-            // The same amortized tick advances the reclamation epoch and frees matured limbo entries, so
-            // retired versions are reclaimed even without explicit GC.
-            self.inner.mvcc.maintain();
+            self.inner.mvcc.maintain(watermark);
             self.inner.oracle.forget_through(watermark);
             self.prune_window(watermark);
         }
@@ -941,17 +949,28 @@ impl Db {
         }
     }
 
-    /// Forces a reclamation-epoch advance and a sweep of matured limbo
-    /// entries. The write path already performs this amortized every
-    /// `WATERMARK_HINT_EVERY` (256) commits; exposing it directly lets stress
-    /// harnesses race reclamation against live snapshots at chosen points
-    /// rather than waiting for the tick.
+    /// Frees every retired version the registry watermark has passed. The
+    /// write path already does this amortized every `WATERMARK_HINT_EVERY`
+    /// (256) commits; exposing it directly lets stress harnesses race
+    /// reclamation against live snapshots at chosen points rather than
+    /// waiting for the tick.
     pub fn maintain(&self) {
-        self.inner.mvcc.maintain();
+        self.inner
+            .mvcc
+            .maintain(self.inner.registry.watermark(&self.inner.ts));
     }
 
-    /// Epoch-reclamation accounting of the version store. Reads the same
-    /// atomics as the exported `store_versions_*` series, so the identity
+    /// Runs `f` registered in the active-transaction registry, so the
+    /// version store frees no node `f` can still reach.
+    fn registered<T>(&self, f: impl FnOnce() -> T) -> T {
+        let (start_ts, shard) = self.inner.registry.register(&self.inner.ts);
+        let out = f();
+        self.inner.registry.deregister(start_ts, shard);
+        out
+    }
+
+    /// Reclamation accounting of the version store. Reads the same atomics
+    /// as the exported `store_versions_*` series, so the identity
     /// `retired == freed + limbo` is exact at any quiescent point.
     pub fn reclamation(&self) -> ReclamationStats {
         self.inner.mvcc.reclamation()
@@ -962,7 +981,7 @@ impl Db {
     /// letting tests assert that a post-crash WAL replay re-derives exactly
     /// the eager commit stamps the live database had.
     pub fn version_stamps(&self) -> VersionStamps {
-        self.inner.mvcc.dump_stamps()
+        self.registered(|| self.inner.mvcc.dump_stamps())
     }
 
     /// The store's metric registry, or `None` when observability is
@@ -990,7 +1009,7 @@ impl Db {
     /// The flight-recorder journal, or `None` when [`DbOptions::obs`] is
     /// off. Every layer records into it: begins, per-row conflict-check
     /// verdicts, commit/abort outcomes with culprit attribution, WAL
-    /// flush/publish/overturn, and GC/epoch advances.
+    /// flush/publish/overturn, and GC sweeps and reclamation.
     pub fn journal(&self) -> Option<&Journal> {
         self.inner.journal()
     }
@@ -1106,5 +1125,61 @@ mod tests {
         assert!(resident() >= WATERMARK_HINT_EVERY);
         write_fresh_rows(WATERMARK_HINT_EVERY);
         assert!(resident() < WATERMARK_HINT_EVERY);
+    }
+
+    #[test]
+    fn limbo_holds_only_what_a_live_transaction_can_reach() {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let reclamation = || db.reclamation();
+        // One tick's worth of write commits to a hot key, every sixteenth
+        // beside a reader of the key that is then refused: its abort,
+        // chain migration and insert-time pruning all retire versions. The
+        // last commit of the round runs the tick.
+        let round = || {
+            let retired = reclamation().retired;
+            for i in 0..WATERMARK_HINT_EVERY {
+                let mut loser = (i % 16 == 0).then(|| db.begin());
+                if let Some(loser) = &mut loser {
+                    let _ = loser.get(b"hot");
+                    loser.put(b"hot", b"lost");
+                }
+                let mut t = db.begin();
+                t.put(b"hot", b"v");
+                t.commit().unwrap();
+                if let Some(loser) = loser {
+                    assert!(loser.commit().is_err(), "read what a commit overwrote");
+                }
+            }
+            assert!(
+                reclamation().retired > retired,
+                "the round retired versions"
+            );
+        };
+        // No transaction outlives its round: each tick frees everything.
+        for _ in 0..3 {
+            round();
+            assert_eq!(reclamation().limbo, 0);
+        }
+        // A transaction held open holds back every tag drawn after its
+        // start, through every tick.
+        let held = db.begin();
+        let mut limbo = 0;
+        for _ in 0..3 {
+            round();
+            assert!(reclamation().limbo > limbo, "limbo only grows");
+            limbo = reclamation().limbo;
+        }
+        // Once it ends, the next tick frees limbo to 0 ...
+        drop(held);
+        round();
+        assert_eq!(reclamation().limbo, 0);
+        // ... and so does `gc`.
+        let held = db.snapshot();
+        round();
+        assert!(reclamation().limbo > 0);
+        drop(held);
+        db.gc();
+        let rec = reclamation();
+        assert_eq!((rec.limbo, rec.retired), (0, rec.freed));
     }
 }

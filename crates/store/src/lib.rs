@@ -67,11 +67,9 @@ mod registry;
 mod snapshot;
 mod txn;
 
-pub use arena::ArenaStore as MvccStore;
-pub use commit_index::CommitIndex;
 pub use db::{Db, DbOptions, DbStats, TxnReport};
 pub use error::{Error, Result};
-pub use mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
+pub use mvcc::{GcStats, ReclamationStats, VersionStamps};
 pub use record::{decode as decode_record, encode as encode_record, StoreRecord};
 pub use snapshot::Snapshot;
 pub use txn::Transaction;

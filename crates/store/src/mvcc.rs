@@ -3,18 +3,18 @@
 //! "Multi-version databases maintain multiple versions for the data and add
 //! the new data as a new version instead of rewriting the old data. This
 //! enables the transactions to read from an arbitrary snapshot of the
-//! database" (§4). The store that does this is [`crate::MvccStore`]
-//! (`crate::arena`): an ordered key index over per-key *version chains*,
+//! database" (§4). The store that does this is `crate::arena`'s
+//! `ArenaStore`: an ordered key index over per-key *version chains*,
 //! where each version is tagged with the **start timestamp of its writer**
 //! (the Omid scheme — uncommitted data goes into the main store, invisible
 //! until the writer's commit is published in the commit table). Readers
-//! take no lock: they pin a reclamation epoch, probe the chain-head table
-//! and walk the chain; writers publish with one CAS; unlinked versions are
-//! freed by epoch-based reclamation (see the `arena` module docs and
-//! DESIGN.md §6).
+//! take no lock: they probe the chain-head table and walk the chain;
+//! writers publish with one CAS; unlinked versions are freed once the
+//! active-transaction registry's watermark passes them (see the `arena`
+//! module docs and DESIGN.md §6).
 //!
 //! This module holds what `Db` and the store share: the
-//! [`VersionResolver`] seam, the read result, and the GC and
+//! `VersionResolver` seam, the read result, and the GC and
 //! reclamation accounting types. Its unit tests state the store's
 //! observable contract.
 //!
@@ -27,7 +27,7 @@
 //! 1. the version's own `committed_at` stamp — filled in **eagerly at
 //!    commit publish time** (and re-derived identically by WAL replay and by
 //!    the GC), so steady-state reads never leave the chain;
-//! 2. the caller-supplied [`VersionResolver`] (the commit index) — the §2.2
+//! 2. the caller-supplied `VersionResolver` (the commit index) — the §2.2
 //!    commit-table detour, the slow path for a version whose stamping pass
 //!    has not landed yet.
 //!
@@ -43,7 +43,7 @@ use wsi_core::{Timestamp, TxnStatus};
 ///
 /// Implemented by the transaction manager's commit index; injected so this
 /// layer stays independent of concurrency-control policy.
-pub trait VersionResolver {
+pub(crate) trait VersionResolver {
     /// Status of the transaction that started at `writer_start`.
     fn resolve(&self, writer_start: Timestamp) -> TxnStatus;
 }
@@ -56,7 +56,7 @@ impl<F: Fn(Timestamp) -> TxnStatus> VersionResolver for F {
 
 /// Result of a snapshot read.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotRead {
+pub(crate) enum SnapshotRead {
     /// A committed value is visible.
     Value(Bytes),
     /// The key is visibly deleted (tombstone) or has never been written in
@@ -66,7 +66,7 @@ pub enum SnapshotRead {
 
 impl SnapshotRead {
     /// Converts into `Option`, mapping `Absent` to `None`.
-    pub fn into_option(self) -> Option<Bytes> {
+    pub(crate) fn into_option(self) -> Option<Bytes> {
         match self {
             SnapshotRead::Value(v) => Some(v),
             SnapshotRead::Absent => None,
@@ -75,7 +75,7 @@ impl SnapshotRead {
 }
 
 /// Per-key version stamps: `(key, [(writer_start, committed_at)])` as raw
-/// timestamps, in key order. Returned by [`crate::MvccStore::dump_stamps`].
+/// timestamps, in key order. Returned by [`crate::Db::version_stamps`].
 pub type VersionStamps = Vec<(Bytes, Vec<(u64, Option<u64>)>)>;
 
 /// Counters describing GC activity.
@@ -93,20 +93,19 @@ pub struct GcStats {
 }
 
 /// Reclamation accounting of the version store (see
-/// [`crate::MvccStore::reclamation`]).
+/// [`crate::Db::reclamation`]).
 ///
 /// The invariant `retired == freed + limbo` holds at every quiescent point:
-/// every unlinked version is first *retired* (epoch-tagged onto the limbo
-/// list) and later *freed* (slot recycled) once its grace period expires.
+/// every unlinked version is first *retired* (tagged onto the limbo list)
+/// and later *freed* (slot recycled) once the registry watermark passes its
+/// tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclamationStats {
-    /// Current global reclamation epoch.
-    pub epoch: u64,
     /// Versions ever retired to the limbo list.
     pub retired: u64,
     /// Versions whose slots have been recycled.
     pub freed: u64,
-    /// Versions currently waiting out their grace period (`retired - freed`).
+    /// Versions retired but not yet below the watermark (`retired - freed`).
     pub limbo: u64,
     /// Arena chunks allocated (single-version and packed-node chunks).
     pub chunks: u64,
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn uncommitted_versions_are_invisible() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let r = table(&[]);
         assert_eq!(
@@ -151,7 +150,7 @@ mod tests {
 
     #[test]
     fn committed_version_visible_after_commit_ts() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let r = table(&[(1, TxnStatus::Committed(Timestamp(2)))]);
         assert_eq!(
@@ -167,7 +166,7 @@ mod tests {
         // Writer A starts first (ts 1) but commits last (ts 6); writer B
         // starts second (ts 2), commits first (ts 3). A snapshot at 10 must
         // see A's value because commit order decides.
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("from-A")));
         store.insert_version(b("k"), Timestamp(2), Some(b("from-B")));
         let r = table(&[
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn aborted_versions_are_skipped() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("old")));
         store.insert_version(b("k"), Timestamp(3), Some(b("doomed")));
         let r = table(&[
@@ -202,7 +201,7 @@ mod tests {
 
     #[test]
     fn tombstone_hides_key() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         store.insert_version(b("k"), Timestamp(3), None);
         let r = table(&[
@@ -222,7 +221,7 @@ mod tests {
 
     #[test]
     fn remove_versions_cleans_up_abort() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         store.remove_keys(Timestamp(1), [&b("k")]);
         assert_eq!(store.key_count(), 0);
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn scan_returns_visible_keys_in_order() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
             store.insert_version(b(key), Timestamp(i as u64 + 1), Some(b("v")));
         }
@@ -247,7 +246,7 @@ mod tests {
 
     #[test]
     fn scan_respects_bounds_and_limit() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         for key in ["a", "b", "c", "d"] {
             store.insert_version(b(key), Timestamp(1), Some(b("v")));
         }
@@ -265,7 +264,7 @@ mod tests {
 
     #[test]
     fn stamped_commit_resolves_without_table() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         store.stamp_keys(Timestamp(1), Timestamp(2), [&b("k")]);
         // Resolver claims Pending: the stamp must win.
@@ -281,7 +280,7 @@ mod tests {
         // The abort path: versions removed before any stamp can land. A
         // late stamp for the same (key, writer) must not resurrect or
         // mis-stamp anything.
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(3), Some(b("doomed")));
         store.remove_keys(Timestamp(3), [&b("k")]);
         store.stamp_keys(Timestamp(3), Timestamp(4), [&b("k")]);
@@ -297,7 +296,7 @@ mod tests {
 
     #[test]
     fn gc_drops_superseded_and_aborted_versions() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v1")));
         store.insert_version(b("k"), Timestamp(3), Some(b("v2")));
         store.insert_version(b("k"), Timestamp(5), Some(b("dead")));
@@ -320,7 +319,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_versions_above_watermark() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v1")));
         store.insert_version(b("k"), Timestamp(3), Some(b("v2")));
         let r = table(&[
@@ -338,7 +337,7 @@ mod tests {
 
     #[test]
     fn gc_removes_empty_keys() {
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let r = table(&[(1, TxnStatus::Aborted)]);
         let stats = store.gc(Timestamp(100), &r);
@@ -351,7 +350,7 @@ mod tests {
         // A tombstone that is the newest committed version below the
         // watermark must be kept: it proves the key is deleted for old
         // snapshots still above its commit.
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         store.insert_version(b("k"), Timestamp(3), None);
         let r = table(&[
@@ -371,7 +370,7 @@ mod tests {
         // A hot key written by thousands of already-stamped writers: with
         // the watermark raised past them, the chain must stay bounded by
         // insert-time pruning alone (no explicit GC sweep).
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         for i in 1..=4_000u64 {
             let start = 2 * i - 1;
             let commit = 2 * i;
@@ -397,7 +396,7 @@ mod tests {
         // Mixed chain: stamped-old (prunable), stamped-new (keep bound),
         // unstamped pending (must keep). Grow past the threshold and check
         // the survivors.
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         // An unstamped pending version from writer 1.
         store.insert_version(b("k"), Timestamp(1), Some(b("pending")));
         for i in 2..=(PRUNE_CHAIN_LEN as u64 + 8) {
@@ -431,7 +430,7 @@ mod tests {
         };
         let key_of = |i: u64| format!("key-{:03}", i * 7 % 40);
         let value_of = |i: u64| (i % 5 != 4).then(|| b(&format!("v{i}")));
-        let store = ArenaStore::new();
+        let store = ArenaStore::standalone();
         for i in 0..50u64 {
             store.insert_version(b(&key_of(i)), Timestamp(i + 1), value_of(i));
         }
@@ -503,8 +502,8 @@ mod tests {
         // Snapshots at or above the watermark read what they read before.
         check_snapshot(1015);
         check_snapshot(2000);
-        // Everything the sweep unlinked is freed already or waiting out its
-        // grace period, never both.
+        // Everything the sweep unlinked is freed already or waiting for the
+        // watermark, never both.
         let rec = store.reclamation();
         assert_eq!(rec.retired, rec.freed + rec.limbo);
         assert_eq!(

@@ -127,26 +127,24 @@ impl StoreObs {
     }
 }
 
-/// Epoch/reclamation metrics of the version store, registered under
-/// `store_epoch` / `store_versions_*` / `store_arena_*` names, plus what the
-/// GC and the chain-head table are holding: `store_gc_keys_visited_total`,
-/// `store_gc_worklist_len`, `store_head_table_slots`,
-/// `store_head_table_grows_total`.
+/// Reclamation metrics of the version store, registered under
+/// `store_versions_*` / `store_limbo_versions` / `store_arena_*` names, plus
+/// what the GC and the chain-head table are holding:
+/// `store_gc_keys_visited_total`, `store_gc_worklist_len`,
+/// `store_head_table_slots`, `store_head_table_grows_total`.
 ///
 /// The reconciliation identity `store_versions_retired_total ==
 /// store_versions_freed_total + store_limbo_versions` is asserted by the
-/// `obs_reconcile` integration test against `MvccStore::reclamation`, which
+/// `obs_reconcile` integration test against `Db::reclamation`, which
 /// reads the same underlying atomics — so the exported series can never
 /// drift from `Db::stats()`. The same test holds the newer series to
 /// `keys_visited ≥ versions dropped`, `worklist_len == 0` at quiescence
 /// with no active snapshot, and `slots ≥ keys`.
 #[derive(Debug)]
 pub(crate) struct ArenaObs {
-    /// Current global reclamation epoch.
-    pub(crate) epoch: Gauge,
     /// Versions unlinked and retired to the limbo list (lifetime total).
     pub(crate) retired: Counter,
-    /// Retired versions whose grace period expired and whose slots were
+    /// Retired versions the registry watermark passed and whose slots were
     /// recycled (lifetime total).
     pub(crate) freed: Counter,
     /// Versions currently in limbo (retired − freed).
@@ -188,14 +186,13 @@ pub(crate) struct ArenaObs {
     /// packed node at retire time — how full packed nodes get before they
     /// drain.
     pub(crate) packed_occupancy: Histogram,
-    /// Flight-recorder handle for GC-sweep and epoch-advance events.
+    /// Flight-recorder handle for GC-sweep and reclaim events.
     pub(crate) journal: Journal,
 }
 
 impl ArenaObs {
     pub(crate) fn new(journal: Journal) -> Self {
         ArenaObs {
-            epoch: Gauge::new(),
             retired: Counter::new(),
             freed: Counter::new(),
             limbo: Gauge::new(),
@@ -217,7 +214,6 @@ impl ArenaObs {
 
     /// Registers every series under its exported name.
     pub(crate) fn register_in(&self, registry: &Registry) {
-        registry.register_gauge("store_epoch", &self.epoch);
         registry.register_counter("store_versions_retired_total", &self.retired);
         registry.register_counter("store_versions_freed_total", &self.freed);
         registry.register_gauge("store_limbo_versions", &self.limbo);

@@ -16,10 +16,11 @@
 //!    a chain during concurrent CAS publishes never observes an
 //!    uninitialized version, never loses a previously published version,
 //!    and its best-visible commit timestamp is monotone across walks.
-//! 2. **Epoch advance vs. retire/free** — a reader pinned at epoch E can
-//!    never observe a version freed under the `retire_epoch + 2 <= global`
-//!    rule, because the reclaimer cannot advance the epoch past a pinned
-//!    participant.
+//! 2. **Reclamation at the registry watermark** — a registered walker never
+//!    reads a node freed under the `tag < watermark` rule, because the
+//!    retire tag is drawn from the shared counter after the unlink: a
+//!    walker that can still reach the node registered before the tag and
+//!    holds the watermark at or below it.
 //! 3. **The `stubs/spin` test-and-set lock** — mutual exclusion and lost-
 //!    update freedom for the exact acquire/release protocol the spin stub
 //!    implements (CAS-acquire, store-release, yield after a spin budget).
@@ -39,7 +40,7 @@
 //!    every committed version stays reachable from the head throughout the
 //!    splice, and a reader parked on an unlinked single still reaches every
 //!    version at or below its position because unlinked nodes keep their
-//!    forward links until the epoch reclaimer frees them (DESIGN.md §6).
+//!    forward links until the watermark passes them (DESIGN.md §6).
 //! 7. **Chain-head table growth vs. a concurrent reader** — the
 //!    generation protocol of `arena::ChainHeadTable`: a reader that loaded
 //!    any generation, before or after a growth, finds every key that
@@ -198,130 +199,97 @@ fn chain_head_cas_publish_vs_concurrent_reader() {
     });
 }
 
-/// Participant slots in protocol model 2 (mirrors `registry::EPOCH_SLOTS`,
-/// scaled down to the modelled thread count).
-const PIN_SLOTS: usize = 2;
-
-/// The modelled epoch table: a global epoch plus participant slots
-/// (0 = vacant), mirroring `registry::EpochParticipants`.
-struct Epochs {
-    global: AtomicU64,
-    slots: Vec<AtomicU64>,
-}
-
-impl Epochs {
-    fn new() -> Self {
-        Epochs {
-            global: AtomicU64::new(1),
-            slots: (0..PIN_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Mirrors `EpochParticipants::pin` for a fixed slot: claim, then
-    /// re-sync until the published slot epoch equals the global epoch.
-    fn pin(&self, slot: usize) {
-        let e = self.global.load(Ordering::SeqCst);
-        while self.slots[slot]
-            .compare_exchange(0, e, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            thread::yield_now();
-        }
-        loop {
-            let g = self.global.load(Ordering::SeqCst);
-            if g == self.slots[slot].load(Ordering::SeqCst) {
-                break;
-            }
-            self.slots[slot].store(g, Ordering::SeqCst);
-        }
-    }
-
-    fn unpin(&self, slot: usize) {
-        self.slots[slot].store(0, Ordering::SeqCst);
-    }
-
-    /// Mirrors `EpochParticipants::try_advance`: every occupied slot must
-    /// have caught up with the global epoch.
-    fn try_advance(&self) -> bool {
-        let g = self.global.load(Ordering::SeqCst);
-        for slot in &self.slots {
-            let v = slot.load(Ordering::SeqCst);
-            if v != 0 && v != g {
-                return false;
-            }
-        }
-        self.global
-            .compare_exchange(g, g + 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-}
-
-/// Protocol 2: a pinned reader can never observe a freed version. The
-/// reclaimer unlinks the head version, retires it at the current epoch,
-/// advances the epoch (gated on the pin), and frees only once
-/// `retire_epoch + 2 <= global`.
+/// Protocol 2: reclamation at the registry watermark. A walker registers
+/// (its start drawn from the shared counter under the registry lock, as
+/// `ActiveTxnRegistry::register` does), loads the chain link, reads the
+/// node and deregisters. A retirer unlinks the node, then draws its retire
+/// tag `R` from the same counter with a read-modify-write and pushes it
+/// onto the limbo list (`arena::retire_all`). A freer computes the
+/// watermark `W` under the registry lock (`ActiveTxnRegistry::watermark`)
+/// and frees the node once `R < W` (`arena::maintain`). A walker that can
+/// still reach the node loaded the link before the unlink, so it drew its
+/// start before `R` and holds `W` at or below it; one that drew its start
+/// after `R` is ordered after the unlink and finds the link empty.
 #[test]
-fn epoch_reclamation_never_frees_under_a_pin() {
+fn watermark_reclamation_never_frees_under_a_walker() {
     loom::model(|| {
-        let epochs = Arc::new(Epochs::new());
-        // head: NULL or 0 (the single version). valid: 1 while the slot's
-        // contents may still be read, 0 once freed.
+        // The shared timestamp counter, its last issued value.
+        let clock = Arc::new(AtomicU64::new(0));
+        let registry: Arc<Mutex<std::collections::BTreeSet<u64>>> = Arc::default();
+        let limbo: Arc<Mutex<Vec<u64>>> = Arc::default();
+        // head: 0 (the one node) or NULL. valid: 1 while the node may
+        // still be read, 0 once freed.
         let head = Arc::new(AtomicU64::new(0));
         let valid = Arc::new(AtomicU64::new(1));
 
-        let reader = {
-            let epochs = Arc::clone(&epochs);
-            let head = Arc::clone(&head);
-            let valid = Arc::clone(&valid);
+        let walker = {
+            let (clock, registry) = (Arc::clone(&clock), Arc::clone(&registry));
+            let (head, valid) = (Arc::clone(&head), Arc::clone(&valid));
             thread::spawn(move || {
-                for _ in 0..4 {
-                    epochs.pin(0);
-                    // A chain walk under the pin: any version reachable
-                    // from the head must still be readable — freeing it
-                    // while we stand on it is the bug EBR prevents.
-                    let h = head.load(Ordering::SeqCst);
-                    if h != NULL {
+                for _ in 0..8 {
+                    let start = {
+                        let mut active = registry.lock().unwrap();
+                        let start = clock.fetch_add(1, Ordering::SeqCst) + 1;
+                        active.insert(start);
+                        start
+                    };
+                    if head.load(Ordering::SeqCst) != NULL {
                         thread::yield_now(); // widen the race window
                         assert_eq!(
                             valid.load(Ordering::SeqCst),
                             1,
-                            "pinned reader observed a freed version"
+                            "a registered walker read a freed node"
                         );
                     }
-                    epochs.unpin(0);
+                    registry.lock().unwrap().remove(&start);
                 }
             })
         };
 
-        let reclaimer = {
-            let epochs = Arc::clone(&epochs);
-            let head = Arc::clone(&head);
-            let valid = Arc::clone(&valid);
+        let retirer = {
+            let (clock, limbo, head) = (Arc::clone(&clock), Arc::clone(&limbo), Arc::clone(&head));
             thread::spawn(move || {
-                // Unlink (the version stops being reachable)...
                 head.store(NULL, Ordering::SeqCst);
-                // ...retire at the current epoch...
-                let retire = epochs.global.load(Ordering::SeqCst);
-                // ...and free only after two full epoch advances, i.e. once
-                // no participant pinned at or before `retire` can survive.
+                thread::yield_now();
+                let mut limbo = limbo.lock().unwrap();
+                let tag = clock.fetch_add(1, Ordering::SeqCst) + 1;
+                limbo.push(tag);
+            })
+        };
+
+        let freer = {
+            let (clock, registry) = (Arc::clone(&clock), Arc::clone(&registry));
+            let (limbo, valid) = (Arc::clone(&limbo), Arc::clone(&valid));
+            thread::spawn(move || {
                 let mut spins = 0u32;
-                while epochs.global.load(Ordering::SeqCst) < retire + 2 {
-                    epochs.try_advance();
-                    spins += 1;
-                    if spins > 10_000 {
-                        // The reader unpins after finitely many sections;
-                        // this bound only guards the test against deadlock
-                        // regressions.
-                        panic!("epoch never advanced past a transient pin");
+                loop {
+                    let watermark = {
+                        let active = registry.lock().unwrap();
+                        active
+                            .first()
+                            .copied()
+                            .unwrap_or_else(|| clock.load(Ordering::SeqCst) + 1)
+                    };
+                    let mut limbo = limbo.lock().unwrap();
+                    if limbo.first().is_some_and(|&tag| tag < watermark) {
+                        limbo.remove(0);
+                        valid.store(0, Ordering::SeqCst);
+                        return;
                     }
+                    drop(limbo);
+                    spins += 1;
+                    // The walker deregisters after finitely many sections;
+                    // this bound only turns a liveness regression into a
+                    // failure instead of a hang.
+                    assert!(spins < 1_000_000, "the watermark never passed the tag");
                     thread::yield_now();
                 }
-                valid.store(0, Ordering::SeqCst);
             })
         };
 
-        reader.join().unwrap();
-        reclaimer.join().unwrap();
+        walker.join().unwrap();
+        retirer.join().unwrap();
+        freer.join().unwrap();
         assert_eq!(valid.load(Ordering::SeqCst), 0, "eventually freed");
     });
 }
@@ -656,8 +624,8 @@ const M_PTAG: u64 = 1 << 31;
 /// whose `next` copies the suffix tail's `next` (attach), then splices the
 /// node in with one Release store to `single[2].next` (unlink). The
 /// unlinked singles are *not* touched: their stamps and forward links stay
-/// intact until the epoch reclaimer (model 2) frees them. Two readers
-/// check both halves of the safety argument in DESIGN.md §6:
+/// intact until the watermark passes them (model 2) and they are freed.
+/// Two readers check both halves of the safety argument in DESIGN.md §6:
 ///
 /// * a head walker always finds every committed stamp `{40, 30, 20, 10}`,
 ///   mid-splice included;

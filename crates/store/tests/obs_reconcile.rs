@@ -153,7 +153,7 @@ fn lifecycle_counters_reconcile_across_layers() {
         "arena version gauge equals stats"
     );
 
-    // Identity 5: epoch reclamation balances. Every retired version is
+    // Identity 5: reclamation balances. Every retired version is
     // either freed or still in limbo — across `Db::reclamation()`, the
     // exported counters, and the limbo gauge.
     let rec = db.reclamation();
@@ -175,7 +175,6 @@ fn lifecycle_counters_reconcile_across_layers() {
         Some(&rec.freed)
     );
     assert_eq!(snap.gauges.get("store_limbo_versions"), Some(&rec.limbo));
-    assert_eq!(snap.gauges.get("store_epoch"), Some(&rec.epoch));
     assert_eq!(snap.gauges.get("store_arena_chunks"), Some(&rec.chunks));
     assert!(rec.chunks > 0, "the workload allocated at least one chunk");
 

@@ -29,9 +29,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 # The multi-threaded stress suites again in release mode (the debug run
 # above is too slow to shake out interleavings): the increment herds at all
-# three isolation levels, the commit-pipeline suite with its write-skew herd
-# (its recorded history held to `wsi_history::check` under SI, WSI and SSI)
-# and its lost-wake-up herd (8 committers on the sync WAL
+# three isolation levels, the commit-pipeline suite with its write-skew and
+# reclamation herds (their recorded histories held to `wsi_history::check`
+# under SI, WSI and SSI; the reclamation herd's readers hold snapshots across
+# the watermark ticks that free retired versions) and its lost-wake-up herd (8 committers on the sync WAL
 # through a quorum loss, under a watchdog), and the version store's 8-thread
 # invariant herd with its concurrent GC/reclamation thread and the
 # table-growth herd.
@@ -52,7 +53,8 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
   --workload uniform_complex_sync_2t --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Concurrency protocol models, fast configuration: chain-head CAS publish
-# vs. concurrent readers, epoch advance vs. retire/free, the packed-node
+# vs. concurrent readers, watermark reclamation (a retire tag drawn after
+# the unlink) vs. a registered walker, the packed-node
 # claim/seal occupancy protocol, the migration splice vs. a mid-chain
 # reader, chain-head table growth vs. a reader, the GC's dirty-flag
 # worklist handshake, and the commit pipeline's spin-then-park hand-off
