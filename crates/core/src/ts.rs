@@ -242,6 +242,13 @@ impl SharedTimestampSource {
         }
     }
 
+    /// The reservation bound: every timestamp a (persisted or pending)
+    /// reservation covers. A checkpoint carries it, so that the
+    /// reservation records it lets the log drop stay in force.
+    pub fn reserved(&self) -> Timestamp {
+        Timestamp(self.reserved.load(Ordering::SeqCst))
+    }
+
     /// Registers a recovered reservation bound: timestamps up to `upto` may
     /// have been issued before the crash and must never be reissued.
     pub fn note_reserved(&self, upto: Timestamp) {
@@ -341,8 +348,10 @@ mod tests {
         let src = SharedTimestampSource::new();
         // Fresh source: the first issue exhausts the (empty) reservation.
         src.next();
+        assert_eq!(src.reserved(), Timestamp::ZERO);
         let upto = src.reserve(1000).expect("reservation due");
         assert_eq!(upto, Timestamp(1001));
+        assert_eq!(src.reserved(), upto);
         // Headroom remains: no new record owed.
         for _ in 0..500 {
             src.next();

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use wsi_history::{History, Op, TxnId};
 use wsi_sim::SimRng;
-use wsi_store::{Db, Error, Event, ReclamationStats, Transaction};
+use wsi_store::{Db, Error, Event, ReclamationStats, StoreRecord, Transaction};
 use wsi_wal::{Ledger, LedgerConfig};
 
 use crate::clock::VirtualClock;
@@ -152,6 +152,10 @@ pub struct RunReport {
     pub incarnations: u64,
     /// Quorum-lost commits resurrected by a crash recovery.
     pub resurrected: u64,
+    /// Crash recoveries from a log that still held records its newest
+    /// checkpoint stands in for: the crash came between the checkpoint's
+    /// flush and its truncation, or before it reached quorum.
+    pub untruncated_recoveries: u64,
     /// Counter movement over the final engine incarnation.
     pub delta: EngineCounters,
     /// WAL record movement over the final engine incarnation.
@@ -220,6 +224,7 @@ struct Sim<'a> {
     failed_bookies: BTreeSet<usize>,
     incarnations: u64,
     resurrected: u64,
+    untruncated_recoveries: u64,
     base_counters: EngineCounters,
     base_census: WalCensus,
 }
@@ -243,6 +248,7 @@ fn execute(config: &RunConfig) -> RunReport {
         failed_bookies: BTreeSet::new(),
         incarnations: 1,
         resurrected: 0,
+        untruncated_recoveries: 0,
         base_counters,
         base_census: WalCensus::default(),
     };
@@ -360,7 +366,23 @@ impl Sim<'_> {
                 self.failed_bookies.remove(&idx);
                 self.retry_limbo_flush();
             }
-            Fault::CrashRecover => self.crash_recover(),
+            Fault::CrashRecover => {
+                let wal = self.engine.wal_snapshot().expect("engines run durable");
+                self.crash_recover(wal.base(), wal.recover());
+            }
+            Fault::CrashBeforeTruncation => {
+                // The log as a crash between the checkpoint's flush and
+                // its truncation leaves it: everything before the `gc`,
+                // then whatever the `gc`'s round appended.
+                let before = self.engine.wal_snapshot().expect("engines run durable");
+                let _ = self.engine.gc();
+                let after = self.engine.wal_snapshot().expect("engines run durable");
+                let mut payloads = before.recover();
+                let end = before.base() + payloads.len() as u64;
+                let appended = after.recover().into_iter();
+                payloads.extend(appended.skip(end.saturating_sub(after.base()) as usize));
+                self.crash_recover(before.base(), payloads);
+            }
             Fault::Gc => {
                 let _ = self.engine.gc();
                 self.check_reclamation("after gc");
@@ -384,10 +406,11 @@ impl Sim<'_> {
     }
 
     /// Drops the engine (in-flight transactions and the unflushed WAL
-    /// buffer die with it), settles limbo against the surviving records,
-    /// and replays the gap-free prefix into a fresh engine on a healthy
-    /// replacement ensemble.
-    fn crash_recover(&mut self) {
+    /// buffer die with it), settles limbo against the surviving records —
+    /// `payloads`, the log's gap-free run from sequence number `base` — and
+    /// replays them into a fresh engine on a healthy replacement ensemble
+    /// that continues the log's sequence numbers.
+    fn crash_recover(&mut self, base: u64, payloads: Vec<Bytes>) {
         for slot in &mut self.clients {
             if let Some(active) = slot.take() {
                 // The client never saw a commit; the handle just dies.
@@ -396,10 +419,15 @@ impl Sim<'_> {
             }
         }
 
-        let wal = self.engine.wal_snapshot().expect("engines run durable");
-        let payloads = wal.recover();
         let records = oracle::decode_all(&payloads, &self.repro);
-        let (census, sets) = oracle::census(&records);
+        let newest_cut = records.iter().rev().find_map(|r| match r {
+            StoreRecord::Checkpoint(c) => Some(c.cut),
+            _ => None,
+        });
+        if newest_cut.is_some_and(|cut| cut > base) {
+            self.untruncated_recoveries += 1;
+        }
+        let (census, sets) = oracle::census(base, records, &self.repro);
 
         // Limbo fates: a commit record that survived without its
         // compensating abort is replayed by recovery — the transaction is
@@ -414,7 +442,7 @@ impl Sim<'_> {
             }
         }
 
-        let mut fresh = Ledger::open(LedgerConfig::default_replicated());
+        let mut fresh = Ledger::open_at(LedgerConfig::default_replicated(), base);
         for payload in &payloads {
             fresh.append(payload.clone(), self.clock.now_us());
         }
@@ -466,12 +494,9 @@ impl Sim<'_> {
     fn finish_report(self) -> RunReport {
         self.check_reclamation("at end of run");
         let final_counters = EngineCounters::of(&self.engine);
-        let payloads = self
-            .engine
-            .wal_snapshot()
-            .expect("engines run durable")
-            .recover();
-        let (census, _) = oracle::census(&oracle::decode_all(&payloads, &self.repro));
+        let wal = self.engine.wal_snapshot().expect("engines run durable");
+        let records = oracle::decode_all(&wal.recover(), &self.repro);
+        let (census, _) = oracle::census(wal.base(), records, &self.repro);
         let (journal, journal_dropped) = match self.engine.journal() {
             Some(journal) => (journal.snapshot(), journal.dropped()),
             None => (Vec::new(), 0),
@@ -484,6 +509,7 @@ impl Sim<'_> {
             observed: self.observed,
             incarnations: self.incarnations,
             resurrected: self.resurrected,
+            untruncated_recoveries: self.untruncated_recoveries,
             delta: final_counters.since(&self.base_counters),
             delta_census: census.since(&self.base_census),
             census,

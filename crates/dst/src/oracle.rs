@@ -27,39 +27,20 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use wsi_store::{decode_record, StoreRecord};
+use wsi_store::{decode_record, LogSuffix, StoreRecord};
 
 use crate::harness::{RunConfig, RunReport};
 
-/// Counts of decoded WAL records (timestamp reservations are ignored).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalCensus {
-    /// `Commit` records.
-    pub commits: u64,
-    /// `Abort` records.
-    pub aborts: u64,
-    /// Start timestamps carrying both a `Commit` and an `Abort` record —
-    /// commits overturned by a compensating abort after quorum loss.
-    pub overturned: u64,
-}
-
-impl WalCensus {
-    /// Componentwise difference against a census taken earlier on the same
-    /// (append-only) log.
-    pub fn since(&self, base: &WalCensus) -> WalCensus {
-        WalCensus {
-            commits: self.commits - base.commits,
-            aborts: self.aborts - base.aborts,
-            overturned: self.overturned - base.overturned,
-        }
-    }
-}
+/// Counts of decoded WAL records (timestamp reservations are ignored): the
+/// retained records plus the newest checkpoint's census of the records
+/// truncated behind it.
+pub use wsi_store::WalCensus;
 
 /// The start-timestamp sets behind a census, for limbo resolution.
 pub(crate) struct RecordSets {
-    /// Start timestamps with a `Commit` record.
+    /// Start timestamps with a retained `Commit` record.
     pub(crate) committed: BTreeSet<u64>,
-    /// Start timestamps with an `Abort` record.
+    /// Start timestamps with a retained `Abort` record.
     pub(crate) aborted: BTreeSet<u64>,
 }
 
@@ -76,34 +57,28 @@ pub(crate) fn decode_all(payloads: &[Bytes], repro: &str) -> Vec<StoreRecord> {
         .collect()
 }
 
-/// Tallies commit/abort records and the overturned intersection.
-pub(crate) fn census(records: &[StoreRecord]) -> (WalCensus, RecordSets) {
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
+/// The census of a log whose first record has sequence number `base`:
+/// the newest checkpoint's, plus the records from its cut on. The census
+/// is counted from the records a cut removes, so a commit that was never
+/// appended, or appended twice, still shows. Panics (with the repro
+/// command) on a log truncated past its newest checkpoint.
+pub(crate) fn census(base: u64, records: Vec<StoreRecord>, repro: &str) -> (WalCensus, RecordSets) {
+    let log = LogSuffix::new(base, records)
+        .unwrap_or_else(|e| panic!("unrecoverable WAL: {e}\n  reproduce: {repro}"));
     let mut committed = BTreeSet::new();
     let mut aborted = BTreeSet::new();
-    for rec in records {
+    for rec in &log.records {
         match rec {
             StoreRecord::Commit { start_ts, .. } => {
-                commits += 1;
                 committed.insert(start_ts.raw());
             }
             StoreRecord::Abort { start_ts } => {
-                aborts += 1;
                 aborted.insert(start_ts.raw());
             }
-            StoreRecord::TsReserve { .. } => {}
+            StoreRecord::TsReserve { .. } | StoreRecord::Checkpoint(_) => {}
         }
     }
-    let overturned = committed.intersection(&aborted).count() as u64;
-    (
-        WalCensus {
-            commits,
-            aborts,
-            overturned,
-        },
-        RecordSets { committed, aborted },
-    )
+    (log.census(), RecordSets { committed, aborted })
 }
 
 fn check_eq(got: u64, want: u64, what: &str, repro: &str) {
@@ -227,7 +202,7 @@ mod tests {
                 upto: Timestamp(64),
             },
         ];
-        let (census, sets) = census(&records);
+        let (census, sets) = census(0, records, "n/a");
         assert_eq!(census.commits, 2);
         assert_eq!(census.aborts, 2);
         assert_eq!(census.overturned, 1);

@@ -6,8 +6,10 @@
 //! constructors cover the matrix the test suite sweeps: quorum loss with a
 //! later heal, a clean crash, a crash *during* quorum loss (the
 //! resurrection path, where a minority bookie re-surfaces a commit record
-//! whose client was told the commit failed), and a reclamation storm that
-//! races GC and reclamation sweeps against live snapshots.
+//! whose client was told the commit failed), a reclamation storm that
+//! races GC and reclamation sweeps against live snapshots, and crashes
+//! around a checkpoint: between its flush and its truncation, and while it
+//! reaches only a minority of bookies.
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +33,11 @@ pub enum Fault {
     /// Frees the arena store's retired versions the registry watermark
     /// has passed.
     Maintain,
+    /// Runs a GC sweep — which writes a checkpoint when one is due and
+    /// truncates the log behind it once it is durable — then crashes as if
+    /// between that checkpoint's flush and its truncation: recovery reads
+    /// the log from before the sweep plus what the sweep's round appended.
+    CrashBeforeTruncation,
 }
 
 /// A schedule of faults, keyed by scheduler step.
@@ -121,6 +128,29 @@ impl FaultPlan {
         plan
     }
 
+    /// A first checkpoint a quarter of the way in (the first `gc` always
+    /// writes one), and at the midpoint — a quarter-run of log later, so
+    /// the next is due — a crash between a checkpoint's flush and its
+    /// truncation.
+    pub fn crash_before_truncation(steps: u64) -> Self {
+        FaultPlan::none()
+            .at(steps / 4, Fault::Gc)
+            .at(steps / 2, Fault::CrashBeforeTruncation)
+    }
+
+    /// A first checkpoint a quarter of the way in; at the midpoint the
+    /// quorum is lost, the next checkpoint reaches only the surviving
+    /// bookie, and the process crashes mid-checkpoint. Recovery reads that
+    /// bookie, unacknowledged checkpoint included.
+    pub fn crash_mid_checkpoint(steps: u64) -> Self {
+        FaultPlan::none()
+            .at(steps / 4, Fault::Gc)
+            .at(steps / 2, Fault::FailBookie(0))
+            .at(steps / 2, Fault::FailBookie(1))
+            .at(steps / 2, Fault::Gc)
+            .at(steps / 2, Fault::CrashRecover)
+    }
+
     /// Everything at once: a reclamation storm over a quorum-loss window
     /// and a late crash.
     pub fn everything(steps: u64) -> Self {
@@ -130,12 +160,14 @@ impl FaultPlan {
     }
 
     /// The named presets swept by the fault-matrix test, in matrix order.
-    pub const PRESETS: [&'static str; 6] = [
+    pub const PRESETS: [&'static str; 8] = [
         "none",
         "quorum-loss",
         "crash",
         "crash-during-quorum-loss",
         "reclamation-storm",
+        "crash-before-truncation",
+        "crash-mid-checkpoint",
         "everything",
     ];
 
@@ -148,6 +180,8 @@ impl FaultPlan {
             "crash" => Some(FaultPlan::crash(steps)),
             "crash-during-quorum-loss" => Some(FaultPlan::crash_during_quorum_loss(steps)),
             "reclamation-storm" => Some(FaultPlan::reclamation_storm(steps)),
+            "crash-before-truncation" => Some(FaultPlan::crash_before_truncation(steps)),
+            "crash-mid-checkpoint" => Some(FaultPlan::crash_mid_checkpoint(steps)),
             "everything" => Some(FaultPlan::everything(steps)),
             _ => None,
         }
@@ -187,6 +221,8 @@ mod tests {
                 FaultPlan::crash(steps),
                 FaultPlan::crash_during_quorum_loss(steps),
                 FaultPlan::reclamation_storm(steps),
+                FaultPlan::crash_before_truncation(steps),
+                FaultPlan::crash_mid_checkpoint(steps),
                 FaultPlan::everything(steps),
             ] {
                 assert!(!plan.is_empty());

@@ -95,6 +95,31 @@ fn crash_during_quorum_loss_resurrects_commits() {
     );
 }
 
+/// The two checkpoint crash plans must really crash inside a checkpoint:
+/// recover from one whose truncation never ran, and from one that reached
+/// only the bookie left standing — a log that still holds the records the
+/// checkpoint stands in for. Recovery reproduces the history either way
+/// (the matrix checks that); here, that the crash met such a log at all.
+#[test]
+fn checkpoint_crash_plans_recover_from_an_untruncated_checkpoint() {
+    for plan_name in ["crash-before-truncation", "crash-mid-checkpoint"] {
+        let mut untruncated = 0u64;
+        for seed in SEEDS {
+            let plan = FaultPlan::by_name(plan_name, STEPS).expect("preset");
+            let config = RunConfig::new(EngineKind::Wsi, seed)
+                .steps(STEPS)
+                .plan(plan_name, plan);
+            let report = run(&config);
+            assert_eq!(report.incarnations, 2);
+            untruncated += report.untruncated_recoveries;
+        }
+        assert!(
+            untruncated > 0,
+            "{plan_name}: no crash recovered from an untruncated checkpoint"
+        );
+    }
+}
+
 /// The SI column of the matrix is the control: over a contended corpus the
 /// DSG oracle must catch snapshot isolation admitting non-serializable
 /// histories (write skew), the separation the paper is built on. WSI over

@@ -82,6 +82,7 @@ use wsi_core::{hash_row_key, RowId, SharedTimestampSource, Timestamp, TxnStatus}
 
 use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
+use crate::record::CheckpointEntry;
 use crate::registry::OwnLine;
 
 /// Fibonacci multiplicative-hash constant (2^64 / φ), the same spreading
@@ -315,6 +316,39 @@ fn occ_sealed(occ: u64) -> bool {
 #[inline]
 fn occ_ready(occ: u64) -> u32 {
     (occ >> 32) as u32
+}
+
+/// A version's fate, given its writer start and commit stamp: the stamp if
+/// it has one; else the resolver's answer, unless that is not `Committed`
+/// and the stamp has landed since the first load.
+///
+/// The re-load is what makes an unstamped read sound. A live unstamped
+/// version belongs to a registered writer (DESIGN.md §6): its owner stamps
+/// it before it deregisters. Between this function's two loads the owner
+/// can stamp and deregister, the watermark pass the commit, and
+/// `Db::gc`'s `prune_below` drop the index entry, so the resolver answers
+/// `Pending` for a commit the snapshot must see. Those steps are ordered —
+/// stamp, deregister (registry lock), watermark, prune (index write lock),
+/// the resolver's lookup (index read lock) — so the `Acquire` re-load after
+/// that lookup sees the stamp.
+#[inline]
+fn fate<R: VersionResolver + ?Sized>(
+    writer_start: &AtomicU64,
+    committed_at: &AtomicU64,
+    resolver: &R,
+) -> TxnStatus {
+    let stamped = committed_at.load(Ordering::Acquire);
+    if stamped != 0 {
+        return TxnStatus::Committed(Timestamp(stamped));
+    }
+    let status = resolver.resolve(Timestamp(writer_start.load(Ordering::Relaxed)));
+    if matches!(status, TxnStatus::Committed(_)) {
+        return status;
+    }
+    match committed_at.load(Ordering::Acquire) {
+        0 => status,
+        stamped => TxnStatus::Committed(Timestamp(stamped)),
+    }
 }
 
 /// The chunked version arena: slots live in lazily-allocated fixed-size
@@ -1459,18 +1493,38 @@ impl ArenaStore {
 
     /// Chain-walk core of `read`/`scan`. Returns `None` when no version is
     /// visible, `Some(None)` for a visible tombstone. Caller is registered.
-    ///
-    /// A packed node resolves in two steps: a **binary search** over its
-    /// sorted prefix (descending commit timestamps — the first index below
-    /// the snapshot is the newest visible there, modulo dead bits), then a
-    /// linear pass over the claimed suffix, whose commit order is unknown.
     fn read_chain<R: VersionResolver + ?Sized>(
         &self,
         entry: &KeyEntry,
         reader_start: Timestamp,
         resolver: &R,
     ) -> Option<Option<Bytes>> {
+        self.visible(entry, reader_start, resolver)
+            .map(|(loc, _)| self.value_of(loc))
+    }
+
+    /// The version of `entry` a snapshot at `reader_start` sees — the
+    /// newest committed below it — with its commit timestamp. Caller is
+    /// registered.
+    ///
+    /// A packed node resolves in two steps: a **binary search** over its
+    /// sorted prefix (descending commit timestamps — the first index below
+    /// the snapshot is the newest visible there, modulo dead bits), then a
+    /// linear pass over the claimed suffix, whose commit order is unknown.
+    fn visible<R: VersionResolver + ?Sized>(
+        &self,
+        entry: &KeyEntry,
+        reader_start: Timestamp,
+        resolver: &R,
+    ) -> Option<(Loc, u64)> {
         let mut best: Option<(Loc, u64)> = None;
+        let mut consider = |loc: Loc, status: TxnStatus| {
+            if let TxnStatus::Committed(ts) = status {
+                if ts < reader_start && best.is_none_or(|(_, b)| ts.raw() > b) {
+                    best = Some((loc, ts.raw()));
+                }
+            }
+        };
         let mut cur = entry.head.load(Ordering::Acquire);
         while cur != NULL_VIDX {
             if is_packed(cur) {
@@ -1487,55 +1541,31 @@ impl ArenaStore {
                             lo = mid + 1;
                         }
                     }
-                    for i in lo..sorted {
-                        if live & (1 << i) != 0 {
-                            let ts = node.cts[i].load(Ordering::Relaxed);
-                            if best.is_none_or(|(_, b)| ts > b) {
-                                best = Some((Loc::Packed(cur, i), ts));
-                            }
-                            break;
-                        }
+                    if let Some(i) = (lo..sorted).find(|i| live & (1 << i) != 0) {
+                        let ts = node.cts[i].load(Ordering::Relaxed);
+                        consider(Loc::Packed(cur, i), TxnStatus::Committed(Timestamp(ts)));
                     }
                 }
-                for i in sorted..PACK_CAP {
-                    if live & (1 << i) == 0 {
-                        continue;
-                    }
-                    let stamped = node.cts[i].load(Ordering::Acquire);
-                    let commit_ts = if stamped != 0 {
-                        Some(stamped)
-                    } else {
-                        resolver
-                            .resolve(Timestamp(node.ws[i].load(Ordering::Relaxed)))
-                            .commit_ts()
-                            .map(Timestamp::raw)
-                    };
-                    if let Some(ts) = commit_ts {
-                        if ts < reader_start.raw() && best.is_none_or(|(_, b)| ts > b) {
-                            best = Some((Loc::Packed(cur, i), ts));
-                        }
-                    }
+                for i in (sorted..PACK_CAP).filter(|i| live & (1 << i) != 0) {
+                    let status = fate(&node.ws[i], &node.cts[i], resolver);
+                    consider(Loc::Packed(cur, i), status);
                 }
             } else {
                 let slot = self.arena.slot(cur);
-                let stamped = slot.committed_at.load(Ordering::Acquire);
-                let commit_ts = if stamped != 0 {
-                    Some(stamped)
-                } else {
-                    resolver
-                        .resolve(Timestamp(slot.writer_start.load(Ordering::Relaxed)))
-                        .commit_ts()
-                        .map(Timestamp::raw)
-                };
-                if let Some(ts) = commit_ts {
-                    if ts < reader_start.raw() && best.is_none_or(|(_, b)| ts > b) {
-                        best = Some((Loc::Single(cur), ts));
-                    }
-                }
+                let status = fate(&slot.writer_start, &slot.committed_at, resolver);
+                consider(Loc::Single(cur), status);
             }
             cur = self.next_of(cur);
         }
-        best.map(|(loc, _)| self.value_of(loc))
+        best
+    }
+
+    /// The writer start of the version at `loc`.
+    fn writer_of(&self, loc: Loc) -> u64 {
+        match loc {
+            Loc::Single(h) => self.arena.slot(h).writer_start.load(Ordering::Relaxed),
+            Loc::Packed(h, i) => self.packed.node(h).ws[i].load(Ordering::Relaxed),
+        }
     }
 
     fn value_of(&self, loc: Loc) -> Option<Bytes> {
@@ -1617,6 +1647,33 @@ impl ArenaStore {
             if !stamps.is_empty() {
                 stamps.sort_unstable_by_key(|(ws, _)| *ws);
                 out.push((key.clone(), stamps));
+            }
+        }
+        out
+    }
+
+    /// The checkpoint scan: every key's version a snapshot at `snapshot`
+    /// sees — its newest committed below it, tombstones included — in key
+    /// order. Each version's fate comes from [`fate`], so a commit whose
+    /// stamp lands while the sweep prunes its index entry is not missed.
+    /// Holds the ordered index's read lock, as [`Self::scan`] does. Caller
+    /// is registered at `snapshot`.
+    pub(crate) fn checkpoint_entries<R: VersionResolver + ?Sized>(
+        &self,
+        snapshot: Timestamp,
+        resolver: &R,
+    ) -> Vec<CheckpointEntry> {
+        let index = self.table.index.read();
+        let mut out = Vec::with_capacity(index.len());
+        for (key, &idx) in index.iter() {
+            let entry = self.table.entries.get(idx);
+            if let Some((loc, commit_ts)) = self.visible(entry, snapshot, resolver) {
+                out.push(CheckpointEntry {
+                    key: key.clone(),
+                    writer_start: Timestamp(self.writer_of(loc)),
+                    commit_ts: Timestamp(commit_ts),
+                    value: self.value_of(loc),
+                });
             }
         }
         out
@@ -1783,22 +1840,20 @@ impl ArenaStore {
         pending == 0 && committed - dropped <= 1
     }
 
-    /// Shared GC pass-1 step: a version's fate, from its stamp if it has
-    /// one, else from the resolver — stamping it if that says committed.
+    /// Shared GC pass-1 step: a version's [`fate`], stamping it if it is
+    /// committed and still unstamped.
     fn resolve_version<R: VersionResolver + ?Sized>(
         writer_start: &AtomicU64,
         committed_at: &AtomicU64,
         resolver: &R,
         stats: &mut GcStats,
     ) -> TxnStatus {
-        let stamped = committed_at.load(Ordering::Acquire);
-        if stamped != 0 {
-            return TxnStatus::Committed(Timestamp(stamped));
-        }
-        let status = resolver.resolve(Timestamp(writer_start.load(Ordering::Relaxed)));
+        let status = fate(writer_start, committed_at, resolver);
         if let TxnStatus::Committed(ts) = status {
-            committed_at.store(ts.raw(), Ordering::Release);
-            stats.versions_stamped += 1;
+            if committed_at.load(Ordering::Relaxed) == 0 {
+                committed_at.store(ts.raw(), Ordering::Release);
+                stats.versions_stamped += 1;
+            }
         }
         status
     }
@@ -2116,6 +2171,58 @@ mod tests {
         let node = packed.node(c);
         assert_eq!(occ_claims(node.occ.load(Ordering::Relaxed)), 1);
         assert_eq!(node.dead.load(Ordering::Relaxed), 0, "free resets state");
+    }
+
+    /// The racing resolver of the test below.
+    fn racing(store: &ArenaStore) -> impl Fn(Timestamp) -> TxnStatus + '_ {
+        move |writer: Timestamp| {
+            if writer == Timestamp(3) {
+                store.stamp_keys(writer, Timestamp(4), [&b("k")]);
+            }
+            TxnStatus::Pending
+        }
+    }
+
+    /// A store holding key `k` committed by writer 1 at 2, and again by
+    /// writer 3 at 4, published but not yet stamped.
+    fn unstamped_newest() -> ArenaStore {
+        let store = ArenaStore::standalone();
+        store.insert_version(b("k"), Timestamp(1), Some(b("old")));
+        store.stamp_keys(Timestamp(1), Timestamp(2), [&b("k")]);
+        store.insert_version(b("k"), Timestamp(3), Some(b("new")));
+        store
+    }
+
+    /// The race [`fate`] closes, played out in one thread: asked about the
+    /// unstamped version, the [`racing`] resolver lets its owner stamp it
+    /// and the GC prune its index entry, and answers `Pending`. Every path that
+    /// resolves a version — a read, a scan, the checkpoint scan and the GC
+    /// sweep — still sees the commit at 4.
+    #[test]
+    fn a_stamp_landing_while_the_index_forgets_its_commit_is_seen() {
+        let snapshot = Timestamp(5);
+        let store = unstamped_newest();
+        let read = store.read_key(b"k", snapshot, &racing(&store));
+        assert_eq!(read, SnapshotRead::Value(b("new")), "read");
+        let store = unstamped_newest();
+        let scan = store.scan(b"", None, snapshot, &racing(&store), usize::MAX);
+        assert_eq!(scan, [(b("k"), b("new"))], "scan");
+        let store = unstamped_newest();
+        let entries = store.checkpoint_entries(snapshot, &racing(&store));
+        let entry = CheckpointEntry {
+            key: b("k"),
+            writer_start: Timestamp(3),
+            commit_ts: Timestamp(4),
+            value: Some(b("new")),
+        };
+        assert_eq!(entries, [entry], "checkpoint scan");
+        let store = unstamped_newest();
+        store.gc(snapshot, &racing(&store));
+        assert_eq!(
+            store.dump_stamps(),
+            [(b("k"), vec![(3, Some(4))])],
+            "the sweep keeps the commit and drops what it supersedes"
+        );
     }
 
     #[test]

@@ -55,8 +55,8 @@ use crate::{
     error::{Error, Result},
     mvcc::{GcStats, ReclamationStats, VersionStamps},
     obs::{ArenaObs, StoreObs},
-    pipeline::{CommitPipeline, PublishCtx},
-    record::{self, StoreRecord},
+    pipeline::{CommitPipeline, LogBook, PendingCheckpoint, PublishCtx},
+    record::{self, Checkpoint, LogSuffix, StoreRecord},
     registry::{ActiveTxnRegistry, OwnLine},
     snapshot::Snapshot,
     txn::Transaction,
@@ -339,15 +339,19 @@ impl Db {
     /// Rebuilds a database from a recovered write-ahead log.
     ///
     /// `ledger` is the surviving replicated log (see [`Db::wal_snapshot`]).
-    /// Commit records reach the log in commit-timestamp order: the timestamp
-    /// is issued under the pipeline lock that also orders the queue. Replay
-    /// runs in two passes: the first collects compensating `Abort` records
-    /// (written when a batch lost its quorum after the commits were
-    /// decided), the second replays commits in that order — skipping
-    /// overturned ones, whose records may survive on a minority of bookies
-    /// even though they were never acknowledged — plus aborts and timestamp
-    /// reservations. In-flight transactions are (correctly) forgotten: their
-    /// writes never reached the log.
+    /// Recovery is *checkpoint + log suffix* ([`LogSuffix`]): the newest
+    /// checkpoint's versions are installed, stamped, then the records from
+    /// its cut on are replayed. Commit records reach the log in
+    /// commit-timestamp order: the timestamp is issued under the pipeline
+    /// lock that also orders the queue. Replay runs in two passes: the
+    /// first collects compensating `Abort` records (written when a batch
+    /// lost its quorum after the commits were decided), the second replays
+    /// commits in that order — skipping overturned ones, whose records may
+    /// survive on a minority of bookies even though they were never
+    /// acknowledged, and those below the checkpoint's snapshot, which it
+    /// holds — plus aborts and timestamp reservations. In-flight
+    /// transactions are (correctly) forgotten: their writes never reached
+    /// the log.
     ///
     /// # Errors
     ///
@@ -355,36 +359,64 @@ impl Db {
     /// on the *final* recovered record, where a decode failure is treated as
     /// a torn tail (the process died mid-append) and the record is dropped:
     /// a record that never finished persisting belongs to a transaction that
-    /// was never acknowledged, so forgetting it is the correct outcome. A
-    /// corrupt record with valid records after it is real damage and still
-    /// fails recovery.
+    /// was never acknowledged (or is a checkpoint that was never relied
+    /// on), so forgetting it is the correct outcome. A corrupt record with
+    /// valid records after it is real damage and still fails recovery, as
+    /// does a log truncated past its newest checkpoint.
     pub fn recover(options: DbOptions, ledger: Ledger) -> Result<Db> {
         let payloads = ledger.recover();
-        let db = Db::open(options);
         let mut records = Vec::with_capacity(payloads.len());
-        let mut overturned: HashSet<u64> = HashSet::new();
         for (i, payload) in payloads.iter().enumerate() {
-            let rec = match record::decode(payload) {
-                Ok(rec) => rec,
+            match record::decode(payload) {
+                Ok(rec) => records.push(rec),
                 Err(_) if i + 1 == payloads.len() => break,
                 Err(e) => return Err(e),
-            };
-            if let StoreRecord::Abort { start_ts } = rec {
-                overturned.insert(start_ts.raw());
             }
-            records.push(rec);
         }
-        for rec in records {
+        // What the checkpoint rule reads: the newest checkpoint's size and
+        // the bytes logged after it.
+        let bytes = |payloads: &[Bytes]| payloads.iter().map(|p| p.len() as u64).sum::<u64>();
+        let (checkpoint_bytes, logged) = match records
+            .iter()
+            .rposition(|rec| matches!(rec, StoreRecord::Checkpoint(_)))
+        {
+            Some(i) => (
+                payloads[i].len() as u64,
+                bytes(&payloads[i + 1..records.len()]),
+            ),
+            None => (0, bytes(&payloads[..records.len()])),
+        };
+        let log = LogSuffix::new(ledger.base(), records)?;
+        let census = log.census();
+        let db = Db::open(options);
+        let floor = match &log.checkpoint {
+            Some(checkpoint) => {
+                db.install(checkpoint);
+                checkpoint.snapshot
+            }
+            None => Timestamp::ZERO,
+        };
+        let overturned: HashSet<u64> = log
+            .records
+            .iter()
+            .filter_map(|rec| match rec {
+                StoreRecord::Abort { start_ts } => Some(start_ts.raw()),
+                _ => None,
+            })
+            .collect();
+        let mut last_commit = Timestamp::ZERO;
+        for rec in log.records {
             match rec {
                 StoreRecord::Commit {
                     start_ts,
                     commit_ts,
                     writes,
                 } => {
-                    if overturned.contains(&start_ts.raw()) {
-                        // Never acknowledged; the compensating abort is
-                        // replayed on its own record. Only the timestamp
-                        // must stay burned.
+                    last_commit = commit_ts;
+                    if overturned.contains(&start_ts.raw()) || commit_ts < floor {
+                        // Never acknowledged (the compensating abort is
+                        // replayed on its own record), or already in the
+                        // checkpoint. Only the timestamp must stay burned.
                         db.inner.oracle.advance_timestamps(commit_ts);
                         continue;
                     }
@@ -403,6 +435,8 @@ impl Db {
                 StoreRecord::TsReserve { upto } => {
                     db.inner.ts.note_reserved(upto);
                 }
+                // `LogSuffix` keeps only the newest checkpoint, apart.
+                StoreRecord::Checkpoint(_) => {}
             }
         }
         if let Some(pipeline) = &db.inner.pipeline {
@@ -411,9 +445,27 @@ impl Db {
                 // Counters resync to the recovered ledger's cumulative stats.
                 ledger.attach_obs(wal_obs.clone());
             }
-            pipeline.replace_ledger(ledger);
+            let book = LogBook::recovered(&ledger, census, last_commit, checkpoint_bytes, logged);
+            pipeline.replace_ledger(ledger, book);
         }
         Ok(db)
+    }
+
+    /// Installs a checkpoint's versions, stamped, and burns its timestamps:
+    /// the snapshot and the reservation bound.
+    fn install(&self, checkpoint: &Checkpoint) {
+        for e in &checkpoint.entries {
+            let rows = [hash_row_key(&e.key)];
+            let writes = [(e.key.clone(), e.value.clone())];
+            self.inner
+                .mvcc
+                .insert_versions(e.writer_start, &rows, &writes);
+            self.inner
+                .mvcc
+                .stamp_commit(e.writer_start, e.commit_ts, &rows, &writes);
+        }
+        self.inner.ts.note_reserved(checkpoint.reserved);
+        self.inner.oracle.advance_timestamps(checkpoint.snapshot);
     }
 
     /// Begins a transaction reading from the current snapshot.
@@ -527,6 +579,13 @@ impl Db {
                             },
                         );
                     }
+                    // A real sleep, on purpose: with 50 µs of timer slack a
+                    // 0–40 µs draw sleeps about 100 µs, and while the victim
+                    // sleeps the other clients run alone. Every shorter
+                    // wait tried (spin-then-yield over the same draw, or no
+                    // sleep at all) cut p99 but retried so much more that
+                    // `attempts_per_txn` broke its bound (EXPERIMENTS.md,
+                    // "Why the retry sleep stays").
                     let pause = backoff_us(retries as usize, self.inner.now_us());
                     if pause > 0 {
                         std::thread::sleep(Duration::from_micros(pause));
@@ -707,11 +766,15 @@ impl Db {
         // the store frees no node the apply, stamp or cleanup walks.
         let result = match decision {
             Ok(commit_ts) => {
-                // Optimization, not correctness: stamp commit timestamps onto
-                // the versions so readers skip the commit-index lookup
-                // (§2.2's "written back into the database" option). The owner
-                // does it on its own time, with or without a WAL — no begin
-                // and no other committer waits for it.
+                // Stamp commit timestamps onto the versions (§2.2's "written
+                // back into the database" option), so readers skip the
+                // commit-index lookup. Correctness rests on it too: the
+                // index forgets commits below the watermark, which passes
+                // this one once we deregister, so from then on the stamp is
+                // what carries the commit — a live unstamped version belongs
+                // to a registered writer. The owner stamps on its own time,
+                // with or without a WAL; no begin and no other committer
+                // waits for it.
                 self.inner
                     .mvcc
                     .stamp_commit(start_ts, commit_ts, &write_rows, &batch);
@@ -874,7 +937,11 @@ impl Db {
     /// timestamp among active transactions), prunes the commit index, and
     /// drops the oracle's `lastCommit` rows and SSI window entries below it.
     /// Then frees every retired version no transaction can still reach, the
-    /// sweep's own included.
+    /// sweep's own included. On a durable database it last writes a
+    /// checkpoint — every key's newest committed version below a
+    /// gate-stable snapshot — when the log written since the newest one is
+    /// at least as large as it, and truncates the log behind it once it is
+    /// durable: the log follows the live data.
     ///
     /// The watermark is computed by the registry with every shard locked,
     /// so no begin can issue a smaller snapshot concurrently — the mark is
@@ -884,7 +951,7 @@ impl Db {
     pub fn gc(&self) -> GcStats {
         // The sweep registers like a reader: its chain prefetch walks
         // without the entry lock.
-        let (watermark, stats) = self.registered(|| {
+        let (watermark, stats) = self.registered(|_| {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
             let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
             (watermark, stats)
@@ -898,7 +965,51 @@ impl Db {
             obs.gc_versions_removed
                 .add(stats.versions_dropped + stats.aborted_removed);
         }
+        if let Some(pipeline) = &self.inner.pipeline {
+            self.checkpoint(pipeline);
+        }
         stats
+    }
+
+    /// Writes a checkpoint if one is due — the log written since the newest
+    /// one is at least as large as it — and truncates the log behind it
+    /// once it is durable.
+    ///
+    /// The checkpoint is taken at a snapshot `S` registered like a reader's
+    /// and gated like a begin, so every commit below `S` is resolved. Its
+    /// cut is the end of the last flush whose commits are all below `S`;
+    /// the reservation bound is read after the cut is, so it covers every
+    /// reservation record the cut drops. It is encoded with no lock held
+    /// and appended through the pipeline like any other record. A quorum
+    /// loss abandons it and leaves the log whole; the next `gc` tries again.
+    fn checkpoint(&self, pipeline: &CommitPipeline) {
+        if !pipeline.checkpoint_due() {
+            return;
+        }
+        let checkpoint = self.registered(|start_ts| {
+            pipeline.wait_snapshot_stable(start_ts);
+            let cut = pipeline.cut_for(start_ts)?;
+            let reserved = self.inner.ts.reserved();
+            let entries = self
+                .inner
+                .mvcc
+                .checkpoint_entries(start_ts, &self.inner.index);
+            Some(PendingCheckpoint {
+                payload: record::encode(&StoreRecord::Checkpoint(Checkpoint {
+                    cut: cut.seq,
+                    snapshot: start_ts,
+                    reserved,
+                    census: cut.census,
+                    entries,
+                })),
+                cut: cut.seq,
+            })
+        });
+        if let Some(checkpoint) = checkpoint {
+            // A quorum loss abandons the checkpoint; the owners of any
+            // commits its round carried are told through their outcomes.
+            let _ = pipeline.checkpoint(checkpoint, &self.inner.publish_ctx());
+        }
     }
 
     /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
@@ -960,11 +1071,12 @@ impl Db {
             .maintain(self.inner.registry.watermark(&self.inner.ts));
     }
 
-    /// Runs `f` registered in the active-transaction registry, so the
-    /// version store frees no node `f` can still reach.
-    fn registered<T>(&self, f: impl FnOnce() -> T) -> T {
+    /// Runs `f` registered in the active-transaction registry at the start
+    /// timestamp it is passed, so the version store frees no node `f` can
+    /// still reach.
+    fn registered<T>(&self, f: impl FnOnce(Timestamp) -> T) -> T {
         let (start_ts, shard) = self.inner.registry.register(&self.inner.ts);
-        let out = f();
+        let out = f(start_ts);
         self.inner.registry.deregister(start_ts, shard);
         out
     }
@@ -981,7 +1093,7 @@ impl Db {
     /// letting tests assert that a post-crash WAL replay re-derives exactly
     /// the eager commit stamps the live database had.
     pub fn version_stamps(&self) -> VersionStamps {
-        self.registered(|| self.inner.mvcc.dump_stamps())
+        self.registered(|_| self.inner.mvcc.dump_stamps())
     }
 
     /// The store's metric registry, or `None` when observability is
@@ -1181,5 +1293,99 @@ mod tests {
         db.gc();
         let rec = reclamation();
         assert_eq!((rec.limbo, rec.retired), (0, rec.freed));
+    }
+
+    /// The payloads of a durable database's retained log, and the newest
+    /// checkpoint's size among them.
+    fn retained(db: &Db) -> (u64, u64) {
+        let payloads = db.wal_snapshot().expect("durable").recover();
+        let checkpoint = payloads
+            .iter()
+            .rev()
+            .find(|p| matches!(record::decode(p), Ok(StoreRecord::Checkpoint(_))))
+            .map_or(0, |p| p.len() as u64);
+        (payloads.iter().map(|p| p.len() as u64).sum(), checkpoint)
+    }
+
+    #[test]
+    fn a_durable_logs_retained_bytes_stay_under_the_checkpoint_bound() {
+        let db = Db::open(
+            DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::local_sync()),
+        );
+        let logged = || db.stats().wal.payload_bytes;
+        for round in 0..60u64 {
+            let before = logged();
+            for i in 0..300u64 {
+                let mut t = db.begin();
+                t.put(
+                    format!("k{:03}", (i * 7 + round) % 200).as_bytes(),
+                    &[b'v'; 32],
+                );
+                t.commit().unwrap();
+            }
+            let round_bytes = logged() - before;
+            db.gc();
+            let (bytes, checkpoint) = retained(&db);
+            // Never more than the newest checkpoint, a log as large since
+            // it, and the round that brought the next one due.
+            assert!(checkpoint > 0, "round {round}: a checkpoint is retained");
+            assert!(
+                bytes <= 2 * checkpoint + round_bytes,
+                "round {round}: {bytes} B retained, checkpoint {checkpoint} B, round {round_bytes} B"
+            );
+        }
+        // Without truncation the log would hold everything ever logged.
+        let (bytes, _) = retained(&db);
+        assert!(
+            logged() > 20 * bytes,
+            "{} B logged, {bytes} B retained",
+            logged()
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_cut_keeps_every_commit_at_or_above_its_snapshot() {
+        let db = Db::open(
+            DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::local_sync()),
+        );
+        let commit = |key: &[u8]| {
+            let mut t = db.begin();
+            t.put(key, b"v");
+            t.commit().unwrap()
+        };
+        for i in 0..5u8 {
+            commit(&[i]);
+        }
+        // A gate-stable snapshot, then commits above it that reach the log
+        // before the cut is chosen.
+        let snapshot = db.begin().start_ts();
+        let above: Vec<Timestamp> = (5..9u8).map(|i| commit(&[i])).collect();
+        let pipeline = db.inner.pipeline.as_ref().expect("durable");
+        let cut = pipeline.cut_for(snapshot).expect("commits below to cut");
+        let ledger = db.wal_snapshot().expect("durable");
+        let records: Vec<StoreRecord> = ledger
+            .recover()
+            .iter()
+            .map(|p| record::decode(p).unwrap())
+            .collect();
+        let commit_ts_at = |seq: u64| match &records[seq as usize] {
+            StoreRecord::Commit { commit_ts, .. } => Some(*commit_ts),
+            _ => None,
+        };
+        let (below, kept): (Vec<u64>, Vec<u64>) = (0..records.len() as u64)
+            .filter(|&seq| commit_ts_at(seq).is_some())
+            .partition(|&seq| seq < cut.seq);
+        assert!(below.iter().all(|&seq| commit_ts_at(seq) < Some(snapshot)));
+        assert_eq!(
+            kept.iter()
+                .filter_map(|&seq| commit_ts_at(seq))
+                .collect::<Vec<_>>(),
+            above,
+            "every commit above the snapshot stays"
+        );
+        assert_eq!(
+            cut.census.commits, 5,
+            "the census counts what the cut drops"
+        );
     }
 }

@@ -70,7 +70,10 @@ mod txn;
 pub use db::{Db, DbOptions, DbStats, TxnReport};
 pub use error::{Error, Result};
 pub use mvcc::{GcStats, ReclamationStats, VersionStamps};
-pub use record::{decode as decode_record, encode as encode_record, StoreRecord};
+pub use record::{
+    decode as decode_record, encode as encode_record, Checkpoint, CheckpointEntry, LogSuffix,
+    StoreRecord, WalCensus,
+};
 pub use snapshot::Snapshot;
 pub use txn::Transaction;
 // The flight-recorder types, re-exported so embedders (and the

@@ -28,9 +28,18 @@
 //!   [`WalError`] to the owner.
 //! * The **owner** of a commit, once it holds its `Ok` outcome, stamps the
 //!   commit timestamp onto its own versions — after the round, outside it,
-//!   and before it deregisters, exactly as a commit without a WAL does. The
-//!   stamp is an optimization (unstamped versions resolve through the commit
-//!   index), so nobody waits for it.
+//!   and before it deregisters, exactly as a commit without a WAL does.
+//!   Nobody waits for the stamp: until it lands, readers resolve the
+//!   version through the commit index.
+//! * A **checkpoint** ([`CommitPipeline::checkpoint`]) is one more record
+//!   of a round. The pipeline keeps a [`LogBook`] of the log: the census of
+//!   everything appended and, at the end of every successful flush, a
+//!   *mark* — the sequence number a cut may fall at, the newest commit
+//!   timestamp before it, and the census before it. A checkpoint at
+//!   snapshot `S` cuts at the last mark whose commits are all below `S`;
+//!   the round that carries it truncates the ledger there once its flush
+//!   reached quorum. A failed flush abandons the truncation and leaves the
+//!   log whole.
 //!
 //! Publishing after the critical section opens one hazard: a transaction
 //! beginning *after* a commit was decided must observe it (snapshots must be
@@ -61,15 +70,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp};
 use wsi_obs::{EventData, Journal};
-use wsi_wal::{Ledger, WalError};
+use wsi_wal::{Ledger, SeqNo, WalError};
 
 use crate::commit_index::CommitIndex;
 use crate::db::WriteBatch;
 use crate::obs::{StoreObs, WaitCounters};
-use crate::record;
+use crate::record::{self, WalCensus};
 
 /// Iterations a waiter spins on the round generation before it parks. Not a
 /// tuning knob, only a bound with slack on both sides: at ≈ 15 ns a turn it
@@ -102,6 +112,13 @@ struct PendingCommit {
     batch: WriteBatch,
 }
 
+/// An encoded checkpoint awaiting append, and the sequence number its
+/// round truncates the ledger before.
+pub(crate) struct PendingCheckpoint {
+    pub(crate) payload: Bytes,
+    pub(crate) cut: SeqNo,
+}
+
 /// Everything a leader flushes in one round. Taking the `Ledger` *out* of
 /// the pipeline gives the leader exclusive ownership, so all encoding and
 /// the (possibly slow, replicated) flush happen with no lock held.
@@ -110,6 +127,76 @@ struct FlushWork {
     commits: Vec<PendingCommit>,
     aborts: Vec<Timestamp>,
     reservations: Vec<Timestamp>,
+    checkpoint: Option<PendingCheckpoint>,
+}
+
+/// A point the log may be cut at: the end of a successful flush.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Sequence number one past the flush's last record.
+    end: SeqNo,
+    /// The newest commit record before `end`.
+    last_commit: Timestamp,
+    /// Census of every record before `end`.
+    census: WalCensus,
+}
+
+/// What the pipeline knows of its log, for checkpoints. Changed only at the
+/// end of a round (or a recovery), under the pipeline lock.
+#[derive(Debug, Default)]
+pub(crate) struct LogBook {
+    /// Census of every record appended — those a checkpoint stands in for
+    /// included.
+    census: WalCensus,
+    /// The newest commit record appended.
+    last_commit: Timestamp,
+    /// Flush ends above the ledger's base, oldest first.
+    marks: VecDeque<Mark>,
+    /// The ledger's truncation base.
+    base: SeqNo,
+    /// Payload bytes appended since the newest checkpoint, checkpoints
+    /// excluded.
+    logged: u64,
+    /// Payload bytes of the newest checkpoint (0 before the first).
+    checkpoint_bytes: u64,
+}
+
+impl LogBook {
+    /// The book of a recovered log: its census and newest commit, the
+    /// size of its checkpoint and of the records logged after it, and —
+    /// when the log is entirely durable — a mark at its end.
+    pub(crate) fn recovered(
+        ledger: &Ledger,
+        census: WalCensus,
+        last_commit: Timestamp,
+        checkpoint_bytes: u64,
+        logged: u64,
+    ) -> LogBook {
+        let end = ledger.durable_upto().map_or(ledger.base(), |d| d + 1);
+        LogBook {
+            census,
+            last_commit,
+            marks: (ledger.pending_records() == 0)
+                .then_some(Mark {
+                    end,
+                    last_commit,
+                    census,
+                })
+                .into_iter()
+                .collect(),
+            base: ledger.base(),
+            logged,
+            checkpoint_bytes,
+        }
+    }
+}
+
+/// Where a checkpoint at some snapshot cuts the log, and the census of
+/// what it stands in for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    pub(crate) seq: SeqNo,
+    pub(crate) census: WalCensus,
 }
 
 struct PipeInner {
@@ -125,6 +212,10 @@ struct PipeInner {
     aborts: Vec<Timestamp>,
     /// Timestamp-reservation bounds awaiting append (§6.2).
     reservations: Vec<Timestamp>,
+    /// A checkpoint awaiting append.
+    checkpoint: Option<PendingCheckpoint>,
+    /// The log's census, flush marks and sizes.
+    book: LogBook,
     /// Outcomes of flushed commits, keyed by raw commit timestamp;
     /// each owner removes its own entry.
     outcomes: HashMap<u64, Option<WalError>>,
@@ -163,6 +254,8 @@ impl CommitPipeline {
                 inflight: None,
                 aborts: Vec::new(),
                 reservations: Vec::new(),
+                checkpoint: None,
+                book: LogBook::default(),
                 outcomes: HashMap::new(),
                 parked: 0,
             }),
@@ -339,12 +432,69 @@ impl CommitPipeline {
         }
     }
 
+    /// Whether a checkpoint is due: the log written since the newest one
+    /// is at least as large as that checkpoint. So checkpoint bytes never
+    /// exceed logged bytes, and the retained log stays under about twice
+    /// the live state plus one gc interval — a bound with no constant.
+    ///
+    /// When none is due, every mark but the newest goes: the next
+    /// checkpoint's snapshot is drawn later, above every commit before it,
+    /// so an older mark can never be its cut. (A checkpoint whose snapshot
+    /// is already drawn then finds no mark below it, and skips.)
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        let mut inner = self.inner.lock();
+        let book = &mut inner.book;
+        let due = book.logged > 0 && book.logged >= book.checkpoint_bytes;
+        if !due {
+            let stale = book.marks.len().saturating_sub(1);
+            book.marks.drain(..stale);
+        }
+        due
+    }
+
+    /// Where a checkpoint at the gate-stable snapshot `snapshot` cuts the
+    /// log: the end of the last flush whose commits are all below it, so no
+    /// commit at or above it is cut off. `None` when that is no further
+    /// than the log's base. Every commit below `snapshot` is resolved, so
+    /// later flushes carry only commits above it. The marks before the cut
+    /// go: a later snapshot cuts no earlier.
+    pub(crate) fn cut_for(&self, snapshot: Timestamp) -> Option<Cut> {
+        let mut inner = self.inner.lock();
+        let book = &mut inner.book;
+        let at = book.marks.iter().rposition(|m| m.last_commit < snapshot)?;
+        book.marks.drain(..at);
+        let mark = book.marks[0];
+        (mark.end > book.base).then_some(Cut {
+            seq: mark.end,
+            census: mark.census,
+        })
+    }
+
+    /// Appends `checkpoint` in the next round and flushes it: that round
+    /// truncates the ledger before its cut once the flush reached quorum.
+    /// A checkpoint already waiting is kept, and this one dropped.
+    ///
+    /// # Errors
+    ///
+    /// The round's quorum loss: the checkpoint is abandoned (it may still
+    /// reach the log with a later flush, valid but untruncated).
+    pub(crate) fn checkpoint(
+        &self,
+        checkpoint: PendingCheckpoint,
+        ctx: &PublishCtx<'_>,
+    ) -> Result<(), WalError> {
+        self.inner.lock().checkpoint.get_or_insert(checkpoint);
+        self.flush_all(ctx)
+    }
+
     /// Drains and force-flushes everything queued or buffered; the explicit
     /// `flush_wal` tail.
     pub(crate) fn flush_all(&self, ctx: &PublishCtx<'_>) -> Result<(), WalError> {
         let mut inner = self.lock_with_ledger();
-        let nothing_queued =
-            inner.queue.is_empty() && inner.aborts.is_empty() && inner.reservations.is_empty();
+        let nothing_queued = inner.queue.is_empty()
+            && inner.aborts.is_empty()
+            && inner.reservations.is_empty()
+            && inner.checkpoint.is_none();
         let ledger = inner.ledger.as_ref().expect("locked with the ledger");
         if nothing_queued && ledger.pending_records() == 0 {
             return Ok(());
@@ -362,10 +512,12 @@ impl CommitPipeline {
         inner.ledger.clone().expect("locked with the ledger")
     }
 
-    /// Installs a recovered ledger (recovery-time only; no flush can be in
-    /// progress).
-    pub(crate) fn replace_ledger(&self, ledger: Ledger) {
-        self.inner.lock().ledger = Some(ledger);
+    /// Installs a recovered ledger and its book (recovery-time only; no
+    /// flush can be in progress).
+    pub(crate) fn replace_ledger(&self, ledger: Ledger, book: LogBook) {
+        let mut inner = self.inner.lock();
+        inner.ledger = Some(ledger);
+        inner.book = book;
     }
 
     /// Runs `f` against the live ledger (waits out any flush round in
@@ -389,15 +541,17 @@ impl CommitPipeline {
             commits,
             aborts: std::mem::take(&mut inner.aborts),
             reservations: std::mem::take(&mut inner.reservations),
+            checkpoint: inner.checkpoint.take(),
         }
     }
 
     /// One leader round, called with **no** lock held: encode, append and
     /// flush outside all locks; on success flip every commit visible in the
-    /// commit index, in commit order — on quorum loss overturn them all;
-    /// then, under the lock, hand the ledger back, post the outcomes, bump
-    /// the round generation and wake whoever parked. Returns the round's
-    /// error, if any.
+    /// commit index, in commit order, and truncate behind a checkpoint the
+    /// round carried — on quorum loss overturn the commits instead; then,
+    /// under the lock, hand the ledger back, post the outcomes, book the
+    /// round, bump the round generation and wake whoever parked. Returns
+    /// the round's error, if any.
     ///
     /// That is all a round does, because gated begins and every other
     /// committer wait for its end. Stamping the commit timestamp onto the
@@ -408,22 +562,34 @@ impl CommitPipeline {
             commits,
             aborts,
             reservations,
+            checkpoint,
         } = work;
         if let Some(obs) = &self.obs {
             obs.leader_rounds.inc();
             obs.sync_group_size.record(commits.len() as u64);
         }
-        for upto in reservations {
-            ledger.append(record::encode_ts_reserve(upto), NO_BATCH_CLOCK_US);
+        let mut logged = 0u64;
+        let mut append = |ledger: &mut Ledger, payload: Bytes| {
+            logged += payload.len() as u64;
+            ledger.append(payload, NO_BATCH_CLOCK_US);
+        };
+        for &upto in &reservations {
+            append(&mut ledger, record::encode_ts_reserve(upto));
         }
-        for start_ts in aborts {
-            ledger.append(record::encode_abort(start_ts), NO_BATCH_CLOCK_US);
+        for &start_ts in &aborts {
+            append(&mut ledger, record::encode_abort(start_ts));
         }
         for c in &commits {
-            ledger.append(
+            append(
+                &mut ledger,
                 record::encode_commit(c.start_ts, c.commit_ts, &c.batch),
-                NO_BATCH_CLOCK_US,
             );
+        }
+        // A checkpoint cut behind the base (a racing one truncated further)
+        // would send recovery looking for records that are gone.
+        let checkpoint = checkpoint.filter(|c| c.cut >= ledger.base());
+        if let Some(c) = &checkpoint {
+            ledger.append(c.payload.clone(), NO_BATCH_CLOCK_US);
         }
         let records = commits.len() as u64;
         let err = ledger.flush(NO_BATCH_CLOCK_US).err();
@@ -436,6 +602,11 @@ impl CommitPipeline {
                 },
             );
         }
+        let mut census = WalCensus {
+            commits: records,
+            aborts: aborts.len() as u64,
+            overturned: 0,
+        };
         match &err {
             None => {
                 // Publish in commit order: the visibility flip. From here the
@@ -451,6 +622,11 @@ impl CommitPipeline {
                             },
                         );
                     }
+                }
+                // The checkpoint is durable: the records before its cut
+                // are redundant.
+                if let Some(c) = &checkpoint {
+                    ledger.truncate_before(c.cut);
                 }
             }
             Some(_) => {
@@ -468,7 +644,7 @@ impl CommitPipeline {
                 for c in &commits {
                     ctx.oracle.abort_after_decide();
                     ctx.index.record_abort(c.start_ts);
-                    ledger.append(record::encode_abort(c.start_ts), NO_BATCH_CLOCK_US);
+                    append(&mut ledger, record::encode_abort(c.start_ts));
                     if let Some(journal) = self.journal() {
                         journal.record(
                             c.start_ts.raw(),
@@ -478,13 +654,43 @@ impl CommitPipeline {
                         );
                     }
                 }
+                census.aborts += records;
+                census.overturned = records;
             }
         }
+        let end = ledger.durable_upto().map(|d| d + 1);
         let mut inner = self.inner.lock();
         inner.ledger = Some(ledger);
         inner.inflight = None;
         for c in &commits {
             inner.outcomes.insert(c.commit_ts.raw(), err.clone());
+        }
+        let book = &mut inner.book;
+        book.census = book.census.plus(&census);
+        if let Some(c) = commits.last() {
+            book.last_commit = c.commit_ts;
+        }
+        book.logged += logged;
+        if let (None, Some(end)) = (&err, end) {
+            let mark = Mark {
+                end,
+                last_commit: book.last_commit,
+                census: book.census,
+            };
+            // A round without commits moves the newest mark forward: any
+            // snapshot above its commits prefers the later end.
+            match book.marks.back_mut() {
+                Some(back) if back.last_commit == mark.last_commit => *back = mark,
+                _ => book.marks.push_back(mark),
+            }
+            if let Some(c) = &checkpoint {
+                book.base = book.base.max(c.cut);
+                while book.marks.front().is_some_and(|m| m.end <= book.base) {
+                    book.marks.pop_front();
+                }
+                book.checkpoint_bytes = c.payload.len() as u64;
+                book.logged = 0;
+            }
         }
         self.sync_pending
             .fetch_sub(commits.len() as u64, Ordering::SeqCst);

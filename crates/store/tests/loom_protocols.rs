@@ -59,6 +59,15 @@
 //!    notify only if somebody is counted parked. A waiter never parks once
 //!    its condition holds, and a parked waiter is woken by the round that
 //!    bumps its generation — so every waiter returns (DESIGN.md §5).
+//! 10. **The stamp re-read vs. an owner and a pruning GC** — a snapshot
+//!     read of an unstamped version (`arena::fate`): the reader loads the
+//!     stamp, asks the commit index, and re-loads the stamp when the index
+//!     does not answer committed; the owner stamps, then deregisters; the
+//!     GC computes the watermark and prunes the index below it. Whatever
+//!     the interleaving the reader sees the commit, because stamp →
+//!     deregister → watermark → prune → lookup → re-load is ordered
+//!     (DESIGN.md §6). Without the re-load (`stamp_reread_model(false)`)
+//!     the model fails within tier 1's 32 schedules.
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1084,4 +1093,112 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
         panic!("a modelled waiter parked and was never woken");
     }
     model.join().expect("an assertion of the model failed");
+}
+
+/// Protocol 10 with the reader's stamp re-read on or off. The writer
+/// (start 1) committed at 2 and is published in the index, still
+/// unstamped and registered; the reader holds snapshot 3. The owner
+/// stamps and deregisters; the GC prunes every index entry below the
+/// watermark once that passes 2; the reader resolves the version the way
+/// `arena::fate` does and must see commit 2.
+fn stamp_reread_model(reread: bool) {
+    const WRITER: u64 = 1;
+    const COMMIT: u64 = 2;
+    const SNAPSHOT: u64 = 3;
+    loom::model(move || {
+        let stamp = Arc::new(AtomicU64::new(0));
+        // Set once the reader found the version unstamped: the schedule
+        // the race needs starts there, so the owner waits for it.
+        let loaded = Arc::new(AtomicBool::new(false));
+        let registry: Arc<Mutex<std::collections::BTreeSet<u64>>> =
+            Arc::new(Mutex::new([WRITER, SNAPSHOT].into_iter().collect()));
+        // The commit index's one entry: writer start → commit timestamp.
+        let index = Arc::new(Mutex::new(Some((WRITER, COMMIT))));
+
+        let reader = {
+            let (stamp, index, registry) = (
+                Arc::clone(&stamp),
+                Arc::clone(&index),
+                Arc::clone(&registry),
+            );
+            let loaded = Arc::clone(&loaded);
+            thread::spawn(move || {
+                let mut seen = stamp.load(Ordering::Acquire);
+                loaded.store(true, Ordering::Release);
+                if seen == 0 {
+                    // Widen the race window: give the owner and the GC a
+                    // while to finish before the lookup.
+                    for _ in 0..64 {
+                        if index.lock().unwrap().is_none() {
+                            break;
+                        }
+                        thread::yield_now();
+                    }
+                    let resolved = match *index.lock().unwrap() {
+                        Some((writer, commit)) if writer == WRITER => commit,
+                        _ => 0, // pruned: "pending"
+                    };
+                    seen = match (resolved, reread) {
+                        (0, true) => stamp.load(Ordering::Acquire),
+                        (resolved, _) => resolved,
+                    };
+                }
+                registry.lock().unwrap().remove(&SNAPSHOT);
+                seen
+            })
+        };
+
+        let owner = {
+            let (stamp, registry) = (Arc::clone(&stamp), Arc::clone(&registry));
+            let loaded = Arc::clone(&loaded);
+            thread::spawn(move || {
+                while !loaded.load(Ordering::Acquire) {
+                    thread::yield_now();
+                }
+                stamp.store(COMMIT, Ordering::Release);
+                registry.lock().unwrap().remove(&WRITER);
+            })
+        };
+
+        let gc = {
+            let (index, registry) = (Arc::clone(&index), Arc::clone(&registry));
+            thread::spawn(move || {
+                for _ in 0..64 {
+                    // The watermark: the oldest registered start, or past
+                    // every timestamp issued.
+                    let watermark = registry
+                        .lock()
+                        .unwrap()
+                        .first()
+                        .copied()
+                        .unwrap_or(SNAPSHOT + 1);
+                    let mut entry = index.lock().unwrap();
+                    if entry.is_some_and(|(_, commit)| commit < watermark) {
+                        *entry = None;
+                        return;
+                    }
+                    drop(entry);
+                    thread::yield_now();
+                }
+            })
+        };
+
+        owner.join().unwrap();
+        gc.join().unwrap();
+        let seen = reader.join().unwrap();
+        assert_eq!(seen, COMMIT, "snapshot {SNAPSHOT} missed commit {COMMIT}");
+    });
+}
+
+#[test]
+fn snapshot_read_re_reads_the_stamp_the_gc_pruned_behind() {
+    stamp_reread_model(true);
+}
+
+/// The planted bug: without the re-read a reader that found the version
+/// unstamped, then the index entry pruned, reads past the commit.
+#[test]
+#[should_panic(expected = "missed commit")]
+fn a_snapshot_read_without_the_re_read_misses_the_commit() {
+    stamp_reread_model(false);
 }

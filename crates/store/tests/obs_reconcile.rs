@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread;
 
 use wsi_core::IsolationLevel;
-use wsi_store::{decode_record, Cause, Db, DbOptions, Event, EventData, StoreRecord};
+use wsi_store::{decode_record, Cause, Db, DbOptions, Event, EventData, LogSuffix, WalCensus};
 use wsi_wal::LedgerConfig;
 
 const THREADS: usize = 8;
@@ -101,21 +101,17 @@ fn lifecycle_counters_reconcile_across_layers() {
 
     // Identity 2: oracle commits == durable WAL commit records, and
     // per-reason aborts (minus pre-WAL client rollbacks, which never reach
-    // the pipeline) == WAL abort records.
-    let ledger = db.wal_snapshot().expect("db is durable");
-    let mut wal_commits = 0u64;
-    let mut wal_aborts = 0u64;
-    for payload in ledger.recover() {
-        match decode_record(&payload).expect("ledger uncorrupted") {
-            StoreRecord::Commit { .. } => wal_commits += 1,
-            StoreRecord::Abort { .. } => wal_aborts += 1,
-            StoreRecord::TsReserve { .. } => {}
-        }
-    }
-    assert_eq!(oracle.commits, wal_commits, "every commit persisted once");
+    // the pipeline) == WAL abort records. The `gc` above checkpointed and
+    // truncated the log: the records it dropped count through the newest
+    // checkpoint's census.
+    let census = wal_census(&db.wal_snapshot().expect("db is durable"));
+    assert_eq!(
+        oracle.commits, census.commits,
+        "every commit persisted once"
+    );
     assert_eq!(
         oracle.total_aborts() - oracle.client_aborts,
-        wal_aborts,
+        census.aborts,
         "every conflict abort persisted once"
     );
 
@@ -446,14 +442,14 @@ fn tally(events: &[Event]) -> JournalTally {
     t
 }
 
-/// Counts durable abort records in a ledger.
-fn wal_abort_records(ledger: &wsi_wal::Ledger) -> u64 {
-    ledger
-        .recover()
-        .iter()
-        .map(|p| decode_record(p).expect("ledger uncorrupted"))
-        .filter(|r| matches!(r, StoreRecord::Abort { .. }))
-        .count() as u64
+/// The census of a ledger's log: its retained records plus the newest
+/// checkpoint's census of the records truncated behind it.
+fn wal_census(ledger: &wsi_wal::Ledger) -> WalCensus {
+    let records: Result<Vec<_>, _> = ledger.recover().iter().map(decode_record).collect();
+    let records = records.expect("ledger uncorrupted");
+    LogSuffix::new(ledger.base(), records)
+        .expect("log holds what its checkpoint needs")
+        .census()
 }
 
 /// Crossed rw-dependencies, single-threaded: `a` reads k1 and writes k2,
@@ -554,7 +550,7 @@ fn journal_events_reconcile_with_counters_and_wal() {
         if level != ssi {
             assert_eq!(t.pivot_aborts, 0, "{level:?}: no window, no pivots");
         }
-        let wal = wal_abort_records(&db.wal_snapshot().expect("durable"));
+        let wal = wal_census(&db.wal_snapshot().expect("durable")).aborts;
         assert_eq!(
             t.wal_bound_aborts, wal,
             "{level:?}: journal conflict aborts == WAL abort records"

@@ -13,7 +13,11 @@
 //!   first — recovery must collect aborts in pass one and skip overturned
 //!   commits in pass two;
 //! * recovery is idempotent: recovering a recovered store's WAL yields the
-//!   identical version store.
+//!   identical version store;
+//! * recovery is *checkpoint + log suffix*, and reproduces the live store
+//!   from every crash point of a checkpoint: before it is durable, between
+//!   its flush and the truncation behind it, after the truncation, with
+//!   the checkpoint torn, and with its flush short of a quorum.
 
 use bytes::Bytes;
 use wsi_core::IsolationLevel;
@@ -296,4 +300,203 @@ fn gc_after_recovery_drops_exactly_the_superseded_versions() {
         canon(db.version_stamps())
     );
     assert_eq!(recovered.gc(), GcStats::default(), "nothing left to do");
+}
+
+/// Commits a round of writes to twelve keys: every key rewritten, every
+/// fifth deleted, so chains hold versions, tombstones and superseded ones.
+fn churn(db: &Db, round: u64) {
+    for i in 0..12u64 {
+        let mut t = db.begin();
+        let key = format!("k{i:02}");
+        if (i + round).is_multiple_of(5) {
+            t.delete(key.as_bytes());
+        } else {
+            t.put(key.as_bytes(), format!("{round}:{i}").as_bytes());
+        }
+        t.commit().unwrap();
+    }
+}
+
+/// Every key's value at a fresh snapshot, and every key's newest version's
+/// `(writer_start, committed_at)` stamps, tombstoned keys included.
+type Contents = (Vec<(Bytes, Bytes)>, Vec<(Bytes, (u64, Option<u64>))>);
+
+/// What recovery must reproduce: [`Contents`].
+fn contents(db: &Db) -> Contents {
+    let values = db.snapshot().scan(b"", None, usize::MAX);
+    let newest = db
+        .version_stamps()
+        .into_iter()
+        .map(|(key, chain)| {
+            let newest = chain.into_iter().max_by_key(|&(_, cts)| cts).unwrap();
+            (key, newest)
+        })
+        .collect();
+    (values, newest)
+}
+
+/// A ledger holding exactly `payloads`, the first at sequence number
+/// `base`, all durable: the log a crash leaves behind.
+fn log_of(base: u64, payloads: &[Bytes]) -> Ledger {
+    let mut ledger = Ledger::open_at(LedgerConfig::local_sync(), base);
+    for payload in payloads {
+        ledger.append(payload.clone(), 0);
+    }
+    ledger.flush(0).unwrap();
+    ledger
+}
+
+fn checkpoints_in(payloads: &[Bytes]) -> usize {
+    payloads
+        .iter()
+        .filter(|p| matches!(decode_record(p), Ok(StoreRecord::Checkpoint(_))))
+        .count()
+}
+
+/// A durable store through two checkpointing sweeps, with the log
+/// captured around the second: before its `gc`, and after it. Returns the
+/// store (live state) and the two logs.
+fn around_a_checkpoint(level: IsolationLevel) -> (Db, Ledger, Ledger) {
+    let db = durable_db(level);
+    for round in 0..3 {
+        churn(&db, round);
+    }
+    db.gc(); // the first checkpoint: always due
+    for round in 3..8 {
+        churn(&db, round);
+    }
+    let before = db.wal_snapshot().unwrap();
+    db.gc(); // five rounds of log outweigh one checkpoint: due again
+    let after = db.wal_snapshot().unwrap();
+    assert!(after.base() > before.base(), "the second sweep truncated");
+    (db, before, after)
+}
+
+/// Crash points around a checkpoint. Recovery reproduces the live store
+/// from each: before the checkpoint is durable, after it is durable but
+/// before the truncation, after the truncation, and with the checkpoint
+/// torn as the final record (recovery falls back to the previous one).
+#[test]
+fn recovery_reproduces_the_store_from_every_crash_point_of_a_checkpoint() {
+    for level in LEVELS {
+        let (db, before, after) = around_a_checkpoint(level);
+        let live = contents(&db);
+        let (old, new) = (before.recover(), after.recover());
+        let end = before.base() + old.len() as u64;
+        let appended: Vec<Bytes> = new
+            .iter()
+            .skip((end - after.base()) as usize)
+            .cloned()
+            .collect();
+        assert_eq!(
+            checkpoints_in(&appended),
+            1,
+            "the sweep's round appended it"
+        );
+
+        let untruncated = [old.clone(), appended.clone()].concat();
+        let mut torn = old.clone();
+        let checkpoint = appended.last().unwrap();
+        torn.push(checkpoint.slice(..checkpoint.len() / 2));
+        let crash_points = [
+            (
+                "before the checkpoint is durable",
+                log_of(before.base(), &old),
+            ),
+            ("before the truncation", log_of(before.base(), &untruncated)),
+            ("after the truncation", after),
+            ("with the checkpoint torn", log_of(before.base(), &torn)),
+        ];
+        for (point, log) in crash_points {
+            let recovered = Db::recover(DbOptions::new(level), log)
+                .unwrap_or_else(|e| panic!("{level}: {point}: {e}"));
+            assert_eq!(contents(&recovered), live, "{level}: {point}");
+            // The recovered store keeps working past every timestamp the
+            // log burned.
+            churn(&recovered, 100);
+        }
+    }
+}
+
+/// A checkpointed log keeps the torn-tail rule: a record damaged before
+/// the tail refuses recovery — the checkpoint itself included — while a
+/// torn final record is dropped.
+#[test]
+fn a_checkpointed_log_refuses_mid_log_damage_and_drops_a_torn_tail() {
+    let (db, _, after) = around_a_checkpoint(IsolationLevel::WriteSnapshot);
+    let live = contents(&db);
+    let base = after.base();
+    let payloads = after.recover();
+    let at = payloads
+        .iter()
+        .position(|p| matches!(decode_record(p), Ok(StoreRecord::Checkpoint(_))))
+        .expect("the log starts at a checkpoint's cut");
+    let abort = encode_record(&StoreRecord::Abort {
+        start_ts: wsi_core::Timestamp(1 << 40),
+    });
+    let flip = |payload: &Bytes| {
+        let mut bytes = payload.to_vec();
+        bytes[payload.len() / 3] ^= 0x10;
+        Bytes::from(bytes)
+    };
+
+    let mut damaged_checkpoint = payloads.clone();
+    damaged_checkpoint[at] = flip(&payloads[at]);
+    damaged_checkpoint.push(abort.clone());
+    let mut damaged_record = payloads.clone();
+    damaged_record.push(flip(&abort));
+    damaged_record.push(abort.clone());
+    for (what, log) in [
+        ("checkpoint", damaged_checkpoint),
+        ("record", damaged_record),
+    ] {
+        let err = Db::recover(
+            DbOptions::new(IsolationLevel::WriteSnapshot),
+            log_of(base, &log),
+        );
+        assert!(
+            matches!(err, Err(Error::Corrupt(_))),
+            "a damaged {what} mid-log must refuse recovery, got {err:?}"
+        );
+    }
+
+    let mut torn = payloads.clone();
+    torn.push(abort.slice(..abort.len() - 3));
+    let recovered = Db::recover(
+        DbOptions::new(IsolationLevel::WriteSnapshot),
+        log_of(base, &torn),
+    )
+    .expect("a torn tail is dropped");
+    assert_eq!(contents(&recovered), live);
+}
+
+/// A checkpoint whose flush misses its quorum is abandoned: the log is not
+/// truncated, and recovery loses nothing — from the log as the failure
+/// left it, and from the log once the bookie is back and the retained
+/// checkpoint flushed (durable now, but never truncated behind).
+#[test]
+fn a_checkpoint_that_misses_its_quorum_leaves_the_log_whole() {
+    let level = IsolationLevel::WriteSnapshot;
+    let db = durable_db(level);
+    for round in 0..3 {
+        churn(&db, round);
+    }
+    db.gc();
+    for round in 3..8 {
+        churn(&db, round);
+    }
+    let base = db.wal_snapshot().unwrap().base();
+    db.fail_wal_bookie(0);
+    db.gc(); // its checkpoint reaches no bookie
+    db.recover_wal_bookie(0);
+    let live = contents(&db);
+    for flushed in [false, true] {
+        if flushed {
+            db.flush_wal().expect("the bookie is back");
+        }
+        let wal = db.wal_snapshot().unwrap();
+        assert_eq!(wal.base(), base, "flushed {flushed}: the log stays whole");
+        let recovered = Db::recover(DbOptions::new(level), wal).unwrap();
+        assert_eq!(contents(&recovered), live, "flushed {flushed}");
+    }
 }

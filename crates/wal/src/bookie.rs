@@ -1,21 +1,36 @@
 //! A single log-storage replica ("bookie", in BookKeeper terminology).
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 
 /// Identifier of a bookie within a ledger's ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BookieId(pub usize);
 
+/// One stored entry: the ledger-wide sequence numbers of its first record
+/// and one past its last, and the framed payload.
+#[derive(Debug, Clone)]
+struct Entry {
+    first_seq: u64,
+    end_seq: u64,
+    payload: Bytes,
+}
+
 /// One storage replica: an append-only sequence of entries plus a failure
 /// flag for fault-injection tests.
 ///
 /// Entries are addressed by the ledger-wide sequence number of their first
 /// record; a bookie stores whichever entries the ledger successfully wrote
-/// to it, which after failures may be a strict subset of the log.
+/// to it, which after failures may be a strict subset of the log. The front
+/// of the sequence can be dropped once the log is truncated behind a
+/// checkpoint ([`Bookie::truncate_before`]).
 #[derive(Debug, Clone, Default)]
 pub struct Bookie {
-    /// `(first_seq, payload)` pairs in append order.
-    entries: Vec<(u64, Bytes)>,
+    /// Entries in append order: `first_seq` never decreases, and neither
+    /// does `end_seq` (a retried batch re-sends the same first record with
+    /// more behind it).
+    entries: VecDeque<Entry>,
     failed: bool,
 }
 
@@ -25,14 +40,28 @@ impl Bookie {
         Self::default()
     }
 
-    /// Attempts to store an entry. Returns `false` (dropping the write) if
-    /// the bookie is failed.
-    pub fn store(&mut self, first_seq: u64, payload: Bytes) -> bool {
+    /// Attempts to store an entry of `records` records starting at
+    /// `first_seq`. Returns `false` (dropping the write) if the bookie is
+    /// failed.
+    pub fn store(&mut self, first_seq: u64, records: u64, payload: Bytes) -> bool {
         if self.failed {
             return false;
         }
-        self.entries.push((first_seq, payload));
+        self.entries.push_back(Entry {
+            first_seq,
+            end_seq: first_seq + records,
+            payload,
+        });
         true
+    }
+
+    /// Drops every entry whose records all lie below `seq`: amortized O(1)
+    /// per dropped entry. An entry straddling `seq` stays whole; readers
+    /// skip its records below the ledger's base.
+    pub fn truncate_before(&mut self, seq: u64) {
+        while self.entries.front().is_some_and(|e| e.end_seq <= seq) {
+            self.entries.pop_front();
+        }
     }
 
     /// Marks the bookie as failed: subsequent writes are dropped and reads
@@ -53,14 +82,11 @@ impl Bookie {
         self.failed
     }
 
-    /// Entries stored on this bookie, oldest first. Returns `None` while
-    /// failed (an unreachable replica cannot serve recovery).
-    pub fn read_all(&self) -> Option<&[(u64, Bytes)]> {
-        if self.failed {
-            None
-        } else {
-            Some(&self.entries)
-        }
+    /// Entries stored on this bookie as `(first_seq, payload)`, oldest
+    /// first. Returns `None` while failed (an unreachable replica cannot
+    /// serve recovery).
+    pub fn read_all(&self) -> Option<impl Iterator<Item = (u64, &Bytes)> + '_> {
+        (!self.failed).then(|| self.entries.iter().map(|e| (e.first_seq, &e.payload)))
     }
 
     /// Number of entries stored (even while failed; for test assertions).
@@ -76,22 +102,35 @@ mod tests {
     #[test]
     fn store_and_read_back() {
         let mut b = Bookie::new();
-        assert!(b.store(0, Bytes::from_static(b"a")));
-        assert!(b.store(1, Bytes::from_static(b"b")));
-        let entries = b.read_all().unwrap();
+        assert!(b.store(0, 1, Bytes::from_static(b"a")));
+        assert!(b.store(1, 1, Bytes::from_static(b"b")));
+        let entries: Vec<_> = b.read_all().unwrap().collect();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0], (0, Bytes::from_static(b"a")));
+        assert_eq!(entries[0], (0, &Bytes::from_static(b"a")));
     }
 
     #[test]
     fn failed_bookie_drops_writes_and_hides_reads() {
         let mut b = Bookie::new();
-        assert!(b.store(0, Bytes::from_static(b"a")));
+        assert!(b.store(0, 1, Bytes::from_static(b"a")));
         b.fail();
-        assert!(!b.store(1, Bytes::from_static(b"b")));
+        assert!(!b.store(1, 1, Bytes::from_static(b"b")));
         assert!(b.read_all().is_none());
         b.recover();
         // Pre-failure data survives; the failed-window write is lost.
-        assert_eq!(b.read_all().unwrap().len(), 1);
+        assert_eq!(b.read_all().unwrap().count(), 1);
+    }
+
+    #[test]
+    fn truncation_drops_only_fully_covered_entries() {
+        let mut b = Bookie::new();
+        b.store(0, 2, Bytes::from_static(b"ab"));
+        b.store(2, 3, Bytes::from_static(b"cde"));
+        b.store(5, 1, Bytes::from_static(b"f"));
+        b.truncate_before(4);
+        let firsts: Vec<u64> = b.read_all().unwrap().map(|(s, _)| s).collect();
+        assert_eq!(firsts, [2, 5], "the straddling entry stays whole");
+        b.truncate_before(6);
+        assert_eq!(b.entry_count(), 0);
     }
 }

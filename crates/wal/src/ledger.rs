@@ -146,10 +146,17 @@ impl LedgerObs {
 /// [`Ledger::flush`]) writes the buffered records as one replicated entry.
 /// A record is *durable* — safe to act on, e.g. to expose a commit decision
 /// to a client — only once `durable_upto() >= seq`.
+///
+/// The log can be truncated at its front once an embedder has made the
+/// records there redundant (a checkpoint): [`Ledger::truncate_before`]
+/// raises the ledger's *base*, the bookies drop the entries wholly below
+/// it, and [`Ledger::recover`] starts there.
 #[derive(Debug, Clone)]
 pub struct Ledger {
     config: LedgerConfig,
     bookies: Vec<Bookie>,
+    /// Records below this sequence number are truncated away.
+    base: SeqNo,
     next_seq: SeqNo,
     /// Buffered records awaiting flush, with the seq of the first one.
     buffer: Vec<Bytes>,
@@ -180,6 +187,7 @@ impl Ledger {
         Ledger {
             bookies: (0..config.replicas).map(|_| Bookie::new()).collect(),
             config,
+            base: 0,
             next_seq: 0,
             buffer: Vec::new(),
             buffer_first_seq: 0,
@@ -189,6 +197,21 @@ impl Ledger {
             stats: LedgerStats::default(),
             obs: None,
         }
+    }
+
+    /// Opens a fresh ledger whose log continues a truncated one: its base,
+    /// and its first record's sequence number, is `base`. A replacement
+    /// ensemble restores a recovered log this way with every sequence
+    /// number intact.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ledger::open`].
+    pub fn open_at(config: LedgerConfig, base: SeqNo) -> Self {
+        let mut ledger = Ledger::open(config);
+        ledger.base = base;
+        ledger.next_seq = base;
+        ledger
     }
 
     /// Attaches observability handles; subsequent appends and flushes report
@@ -260,9 +283,10 @@ impl Ledger {
             std::thread::sleep(std::time::Duration::from_micros(self.config.flush_delay_us));
         }
         let entry = encode_entry(&self.buffer);
+        let records = self.buffer.len() as u64;
         let mut acks = 0;
         for bookie in &mut self.bookies {
-            if bookie.store(self.buffer_first_seq, entry.clone()) {
+            if bookie.store(self.buffer_first_seq, records, entry.clone()) {
                 acks += 1;
             }
         }
@@ -299,6 +323,33 @@ impl Ledger {
         self.buffer.len()
     }
 
+    /// The truncation base: records below it are gone, and
+    /// [`Ledger::recover`] starts here.
+    pub fn base(&self) -> SeqNo {
+        self.base
+    }
+
+    /// Truncates the log before `seq`: raises the base to `seq` and has
+    /// every reachable bookie drop the entries wholly below it. A failed
+    /// bookie keeps its stale entries until a later truncation finds it
+    /// back; they sit below the base, so recovery ignores them. The base
+    /// never moves backwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` lies beyond the durable prefix: only records a
+    /// quorum holds may be made redundant.
+    pub fn truncate_before(&mut self, seq: SeqNo) {
+        assert!(
+            seq <= self.durable.map_or(self.base, |d| d + 1),
+            "truncation past the durable prefix"
+        );
+        self.base = self.base.max(seq);
+        for bookie in self.bookies.iter_mut().filter(|b| !b.is_failed()) {
+            bookie.truncate_before(self.base);
+        }
+    }
+
     /// Injects a failure into bookie `idx`.
     ///
     /// # Panics
@@ -323,7 +374,8 @@ impl Ledger {
     }
 
     /// Recovers the log contents readable from the surviving bookies: the
-    /// longest gap-free prefix of records found on *any* readable replica.
+    /// longest gap-free run of records from the base found on *any*
+    /// readable replica.
     ///
     /// Every record that was ever acknowledged durable is guaranteed present
     /// as long as at most `replicas - ack_quorum` bookies are unreadable.
@@ -338,14 +390,17 @@ impl Ledger {
             };
             for (first_seq, entry) in entries {
                 for (offset, record) in decode_entry(entry).into_iter().enumerate() {
-                    by_seq.entry(first_seq + offset as u64).or_insert(record);
+                    let seq = first_seq + offset as u64;
+                    if seq >= self.base {
+                        by_seq.entry(seq).or_insert(record);
+                    }
                 }
             }
         }
-        // Longest gap-free prefix from seq 0.
+        // Longest gap-free run from the base.
         let mut out = Vec::with_capacity(by_seq.len());
-        for (expected, (seq, record)) in by_seq.into_iter().enumerate() {
-            if seq != expected as u64 {
+        for (expected, (seq, record)) in (self.base..).zip(by_seq) {
+            if seq != expected {
                 break;
             }
             out.push(record);
@@ -486,8 +541,8 @@ mod tests {
             batch: BatchPolicy::unbatched(),
             flush_delay_us: 0,
         });
-        l.bookies[0].store(0, encode_entry(&[payload(0)]));
-        l.bookies[0].store(2, encode_entry(&[payload(2)])); // seq 1 missing
+        l.bookies[0].store(0, 1, encode_entry(&[payload(0)]));
+        l.bookies[0].store(2, 1, encode_entry(&[payload(2)])); // seq 1 missing
         let recovered = l.recover();
         assert_eq!(recovered.len(), 1, "prefix must stop before the gap");
         assert_eq!(recovered[0], payload(0));
@@ -511,6 +566,62 @@ mod tests {
         l.flush(0).unwrap();
         // Nothing was lost: the failed batch was retried wholesale.
         assert_eq!(l.recover().len(), 3);
+    }
+
+    #[test]
+    fn truncation_drops_the_prefix_and_recovery_starts_at_the_base() {
+        let mut l = Ledger::open(LedgerConfig::default_replicated());
+        for i in 0..6 {
+            l.append(payload(i), 0);
+            if i % 2 == 1 {
+                l.flush(0).unwrap();
+            }
+        }
+        l.truncate_before(3);
+        assert_eq!(l.base(), 3);
+        // Entries [0, 2) go; [2, 4) straddles the base and stays whole.
+        assert!(l.bookies.iter().all(|b| b.entry_count() == 2));
+        let recovered = l.recover();
+        assert_eq!(recovered, [payload(3), payload(4), payload(5)]);
+        // The base never moves backwards, and appends continue the seqs.
+        l.truncate_before(1);
+        assert_eq!(l.base(), 3);
+        assert_eq!(l.append(payload(6), 0), 6);
+    }
+
+    #[test]
+    fn a_ledger_opened_at_a_base_continues_its_sequence_numbers() {
+        let mut l = Ledger::open_at(LedgerConfig::default_replicated(), 40);
+        assert_eq!(l.append(payload(40), 0), 40);
+        l.flush(0).unwrap();
+        assert_eq!((l.base(), l.durable_upto()), (40, Some(40)));
+        assert_eq!(l.recover(), [payload(40)]);
+    }
+
+    #[test]
+    fn a_failed_bookie_keeps_stale_entries_that_recovery_ignores() {
+        let mut l = Ledger::open(LedgerConfig::default_replicated());
+        for i in 0..4 {
+            l.append(payload(i), 0);
+            l.flush(0).unwrap();
+        }
+        l.fail_bookie(2);
+        l.truncate_before(2);
+        assert_eq!(l.bookies[2].entry_count(), 4, "unreachable: untouched");
+        l.recover_bookie(2);
+        l.fail_bookie(0);
+        l.fail_bookie(1);
+        // Only the stale bookie is readable: its records below the base
+        // are ignored.
+        assert_eq!(l.recover(), [payload(2), payload(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "durable prefix")]
+    fn truncation_past_the_durable_prefix_is_refused() {
+        let mut l = Ledger::open(LedgerConfig::default_replicated());
+        l.append(payload(0), 0);
+        l.truncate_before(1);
     }
 
     #[test]

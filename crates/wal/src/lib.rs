@@ -12,7 +12,10 @@
 //! * each batch is **replicated** to multiple storage replicas (*bookies*)
 //!   and acknowledged once a **quorum** has it;
 //! * after a crash, the log owner **recovers** the durable prefix from the
-//!   surviving bookies and replays it.
+//!   surviving bookies and replays it;
+//! * an owner that checkpoints its state may **truncate** the log behind
+//!   the checkpoint ([`Ledger::truncate_before`]): the bookies drop the
+//!   covered entries and recovery starts at the truncation base.
 //!
 //! Time is injected: every time-sensitive call takes `now_us`, a microsecond
 //! clock reading supplied by the caller. The embedded store passes wall-clock

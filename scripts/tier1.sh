@@ -32,7 +32,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # three isolation levels, the commit-pipeline suite with its write-skew and
 # reclamation herds (their recorded histories held to `wsi_history::check`
 # under SI, WSI and SSI; the reclamation herd's readers hold snapshots across
-# the watermark ticks that free retired versions) and its lost-wake-up herd (8 committers on the sync WAL
+# the watermark ticks that free retired versions, once more beside a thread
+# looping `Db::gc`) and its lost-wake-up herd (8 committers on the sync WAL
 # through a quorum loss, under a watchdog), and the version store's 8-thread
 # invariant herd with its concurrent GC/reclamation thread and the
 # table-growth herd.
@@ -57,8 +58,10 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 # the unlink) vs. a registered walker, the packed-node
 # claim/seal occupancy protocol, the migration splice vs. a mid-chain
 # reader, chain-head table growth vs. a reader, the GC's dirty-flag
-# worklist handshake, and the commit pipeline's spin-then-park hand-off
-# (its one mutex-and-condvar protocol). 32 fuzzed schedules per model
+# worklist handshake, the commit pipeline's spin-then-park hand-off
+# (its one mutex-and-condvar protocol), and the snapshot read's stamp
+# re-read vs. an owner and a pruning GC, with its planted no-re-read
+# canary that must fail. 32 fuzzed schedules per model
 # keeps the gate seconds-scale; the default (64) runs when the suite is
 # invoked without LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols
