@@ -53,11 +53,14 @@
 //!   reach the node registered before `R` was drawn, so it holds `W ≤ R`.
 //!   `retired == freed + limbo` counts retire *units*: one per single slot,
 //!   one per packed node. See DESIGN.md §6 for the safety argument.
-//! * **The GC visits only what was written.** A publisher flags its key
-//!   entry dirty and, on the clean → dirty transition, queues the entry's
-//!   index on the worklist; a sweep drains the worklist and examines
-//!   exactly those entries, so its cost follows the keys written since the
-//!   last sweep, never the keys stored (DESIGN.md §6).
+//! * **The GC visits only what was written, as it is written.** A
+//!   publisher flags its key entry dirty and, on the clean → dirty
+//!   transition, queues the entry's index on the worklist's fresh
+//!   generation; a sweep examines exactly the queued entries, so its cost
+//!   follows the keys written, never the keys stored. The `Db` tick moves
+//!   the fresh generation behind the ready one and deals it and limbo out
+//!   as per-commit shares, which every write commit sweeps and frees; `gc`
+//!   sweeps both generations (DESIGN.md §6).
 //!
 //! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit slot index
 //! plus the slot's 32-bit *generation*, bumped on every free, so a stale
@@ -451,10 +454,11 @@ impl VersionArena {
     }
 
     /// Reclaims a retired slot: invalidates outstanding handles (generation
-    /// bump), drops the value, and pushes the slot onto the free list. Must
-    /// only be called once the watermark has passed the slot's retire tag
-    /// (or before the slot was ever published).
-    fn free(&self, packed: u64) {
+    /// bump), takes the value out, and pushes the slot onto the free list.
+    /// Returns the value for the caller to drop. Must only be called once
+    /// the watermark has passed the slot's retire tag (or before the slot
+    /// was ever published).
+    fn free(&self, packed: u64) -> Option<Bytes> {
         let idx = VersionIdx::slot(packed);
         let slot = self.slot_raw(idx);
         debug_assert_eq!(
@@ -462,7 +466,7 @@ impl VersionArena {
             VersionIdx::generation(packed)
         );
         slot.gen.fetch_add(1, Ordering::Relaxed);
-        *slot.value.lock() = None;
+        let value = slot.value.lock().take();
         loop {
             let head = self.free.load(Ordering::Acquire);
             slot.next.store((head as u32) as u64, Ordering::Relaxed);
@@ -472,7 +476,7 @@ impl VersionArena {
                 .compare_exchange(head, tagged, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return;
+                return value;
             }
         }
     }
@@ -931,6 +935,38 @@ impl ChainHeadTable {
 /// arena.
 type LimboEntry = (u64, u64); // (retire tag R, packed VersionIdx)
 
+/// Indices of dirty key entries in two generations, each in the order its
+/// entries were dirtied, so sweeps free versions in about the order they
+/// were allocated (queues picked per transaction scramble it and fragment
+/// the heap: EXPERIMENTS.md, "One liveness horizon"). An entry is queued
+/// at most once, in one generation: only the dirty flag's clean → dirty
+/// transition appends, to `fresh`.
+#[derive(Debug, Default)]
+struct Worklist {
+    /// Entries dirtied since the last tick ([`ArenaStore::deal_shares`]).
+    fresh: Vec<u32>,
+    /// Entries dirtied before it, oldest first: what write commits sweep
+    /// in shares ([`ArenaStore::collect_share`]).
+    ready: VecDeque<u32>,
+}
+
+impl Worklist {
+    /// Entries queued in both generations.
+    fn len(&self) -> usize {
+        self.fresh.len() + self.ready.len()
+    }
+}
+
+/// What each write commit collects until the next tick: both derive from
+/// the backlog the tick found, spread over the commits until the next one.
+#[derive(Debug, Default)]
+struct Shares {
+    /// Ready worklist entries each commit sweeps.
+    sweep: AtomicUsize,
+    /// Limbo entries each commit frees.
+    free: AtomicUsize,
+}
+
 /// The concurrent multi-version key space. See the module docs.
 #[derive(Debug)]
 pub(crate) struct ArenaStore {
@@ -943,7 +979,9 @@ pub(crate) struct ArenaStore {
     /// under this lock, so they are pushed in increasing order). Touched
     /// only by restructurers and the maintenance/GC path — never by readers.
     limbo: SpinMutex<VecDeque<LimboEntry>>,
-    /// GC low-water mark (raw timestamp) feeding insert-time pruning.
+    /// The newest registry watermark noted (raw timestamp): by the tick,
+    /// which the commit shares sweep and free against, and by `gc`. Feeds
+    /// insert-time pruning too.
     watermark: AtomicU64,
     /// Lifetime counts backing the `retired == freed + limbo` identity
     /// (units: one per single slot, one per packed node).
@@ -961,13 +999,11 @@ pub(crate) struct ArenaStore {
     /// dead-mark (migration moves versions, net zero).
     /// Thread-sharded; exact at every quiescent point.
     versions: wsi_obs::Counter,
-    /// Indices of dirty key entries, awaiting the next GC sweep, in the
-    /// order they were dirtied, so the sweep frees versions in about the
-    /// order they were allocated (queues picked per transaction scramble
-    /// it and fragment the heap: EXPERIMENTS.md, "One liveness horizon").
-    /// An entry is queued at most once: only the flag's clean → dirty
-    /// transition appends.
-    worklist: OwnLine<SpinMutex<Vec<u32>>>,
+    /// Dirty key entries awaiting a sweep: a commit share or `gc`.
+    worklist: OwnLine<SpinMutex<Worklist>>,
+    /// Per-commit shares the last tick dealt; read by every write commit,
+    /// written once per tick.
+    shares: OwnLine<Shares>,
     obs: Option<Arc<ArenaObs>>,
 }
 
@@ -987,7 +1023,8 @@ impl ArenaStore {
             packed_retired: AtomicU64::new(0),
             keys: wsi_obs::Counter::new(),
             versions: wsi_obs::Counter::new(),
-            worklist: OwnLine(SpinMutex::new(Vec::new())),
+            worklist: OwnLine(SpinMutex::new(Worklist::default())),
+            shares: OwnLine(Shares::default()),
             obs: None,
         }
     }
@@ -1063,7 +1100,7 @@ impl ArenaStore {
         // Return unused pre-allocations (never published: free at once).
         if let Some(s) = single {
             if !matches!(published, Loc::Single(p) if p == s) {
-                self.arena.free(s);
+                drop(self.arena.free(s));
             }
         }
         if let Some(sp) = spill {
@@ -1099,7 +1136,7 @@ impl ArenaStore {
     /// clear and queues the entry again (DESIGN.md §6).
     fn mark_dirty(&self, idx: u32, entry: &KeyEntry) {
         if !entry.dirty.swap(true, Ordering::AcqRel) {
-            self.worklist.0.lock().push(idx);
+            self.worklist.0.lock().fresh.push(idx);
         }
     }
 
@@ -1680,9 +1717,9 @@ impl ArenaStore {
     }
 
     /// Incremental, non-blocking GC sweep over the keys written since the
-    /// last sweep (the dirty-key worklist — never the whole key space): per
-    /// key, under that key's restructuring lock only — readers never wait —
-    /// resolve every live version's fate, stamp surviving committed
+    /// last sweep (both worklist generations — never the whole key space):
+    /// per key, under that key's restructuring lock only — readers never
+    /// wait — resolve every live version's fate, stamp surviving committed
     /// versions, unlink aborted and superseded singles, dead-mark the
     /// packed equivalents (retiring nodes that empty), and retire the
     /// unlinked nodes to the limbo list. The caller is registered (the
@@ -1693,9 +1730,9 @@ impl ArenaStore {
     /// transaction. Per key the newest committed version with
     /// `T_c < watermark` is retained (it is the visible version for the
     /// oldest possible snapshot) along with everything committed above it
-    /// and every pending version. The [`GcStats`] are those of a sweep over
-    /// every key: an entry the worklist omits is one a full sweep would
-    /// leave untouched.
+    /// and every pending version. The [`GcStats`] count this sweep only:
+    /// what the commit shares collected before it is not in them. An entry
+    /// the worklist omits is one a full sweep would leave untouched.
     pub(crate) fn gc<R: VersionResolver + ?Sized>(
         &self,
         watermark: Timestamp,
@@ -1703,12 +1740,101 @@ impl ArenaStore {
     ) -> GcStats {
         let mut stats = GcStats::default();
         self.note_watermark(watermark);
-        // Take the buffer rather than copy it: a queue as long as a bulk
+        // Take the buffers rather than copy them: a queue as long as a bulk
         // load made it is freed with the sweep, not kept as capacity.
-        let work = std::mem::take(&mut *self.worklist.0.lock());
-        let mut requeued = 0u64;
+        let work: Vec<u32> = {
+            let mut worklist = self.worklist.0.lock();
+            let mut work = Vec::from(std::mem::take(&mut worklist.ready));
+            work.extend(std::mem::take(&mut worklist.fresh));
+            work
+        };
+        self.sweep(&work, watermark, resolver, &mut stats);
+        if let Some(obs) = &self.obs {
+            obs.gc_sweeps.inc();
+            obs.gc_worklist_len.set(self.worklist.0.lock().len() as u64);
+            self.footprint();
+            obs.journal.record(
+                0,
+                wsi_obs::EventData::GcSweep {
+                    versions: stats.versions_dropped + stats.aborted_removed,
+                    keys: stats.keys_removed,
+                },
+            );
+        }
+        stats
+    }
+
+    /// The tick: notes `watermark`, a registry watermark just computed,
+    /// moves the fresh worklist generation behind the ready one and deals
+    /// the backlog out over the next `commits` write commits — a sweep
+    /// share of ⌈ready / commits⌉ entries, a free share of ⌈limbo /
+    /// commits⌉ limbo entries. A watermark that has not advanced since the
+    /// last one noted deals no sweep share: every version committed since
+    /// it was computed committed above it, so nothing dirtied since can
+    /// have become collectible, and a held snapshot costs no commit a
+    /// sweep (DESIGN.md §6). Returns whether the watermark advanced.
+    pub(crate) fn deal_shares(&self, watermark: Timestamp, commits: usize) -> bool {
+        let advanced =
+            self.watermark.fetch_max(watermark.raw(), Ordering::Relaxed) < watermark.raw();
+        let ready = {
+            let mut worklist = self.worklist.0.lock();
+            let Worklist { fresh, ready } = &mut *worklist;
+            ready.extend(fresh.drain(..));
+            ready.len()
+        };
+        let limbo = self.limbo.lock().len();
+        let sweep = if advanced { ready.div_ceil(commits) } else { 0 };
+        self.shares.0.sweep.store(sweep, Ordering::Relaxed);
+        self.shares
+            .0
+            .free
+            .store(limbo.div_ceil(commits), Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.gc_worklist_len.set(ready as u64);
+        }
+        advanced
+    }
+
+    /// One write commit's share of the collection the last tick dealt
+    /// out: sweeps up to the sweep share of ready entries against the noted
+    /// watermark — re-queueing, into the fresh generation, each it cannot
+    /// leave clean — then frees up to the free share of limbo entries
+    /// tagged below that watermark. The caller is registered: the sweep's
+    /// prefetch walks without the entry lock.
+    pub(crate) fn collect_share<R: VersionResolver + ?Sized>(&self, resolver: &R) {
+        let sweep = self.shares.0.sweep.load(Ordering::Relaxed);
+        let free = self.shares.0.free.load(Ordering::Relaxed);
+        if sweep + free == 0 {
+            return;
+        }
+        let watermark = Timestamp(self.watermark.load(Ordering::Relaxed));
+        let work: Vec<u32> = {
+            let mut worklist = self.worklist.0.lock();
+            let n = sweep.min(worklist.ready.len());
+            worklist.ready.drain(..n).collect()
+        };
+        self.sweep(&work, watermark, resolver, &mut GcStats::default());
+        if free > 0 {
+            self.free_below(watermark, free);
+        }
+    }
+
+    /// Sweeps the worklist entries `work` against `watermark`, a batch at a
+    /// time: warms the batch's chains, then per entry clears the dirty
+    /// flag, examines the chain and re-queues the entry unless it is left
+    /// clean, and retires what the batch unlinked with one limbo append.
+    /// Caller is registered.
+    fn sweep<R: VersionResolver + ?Sized>(
+        &self,
+        work: &[u32],
+        watermark: Timestamp,
+        resolver: &R,
+        stats: &mut GcStats,
+    ) {
         let mut aborted: Vec<Loc> = Vec::new();
-        let mut removed: Vec<u64> = Vec::new();
+        // About one node per entry: a rewritten key drops the version the
+        // write superseded.
+        let mut removed: Vec<u64> = Vec::with_capacity(work.len().min(GC_BATCH));
         for batch in work.chunks(GC_BATCH) {
             self.warm_chains(batch);
             for &idx in batch {
@@ -1721,7 +1847,7 @@ impl ArenaStore {
                     entry,
                     watermark,
                     resolver,
-                    &mut stats,
+                    stats,
                     &mut aborted,
                     &mut removed,
                 );
@@ -1730,26 +1856,14 @@ impl ArenaStore {
                     // watermark: a later sweep must look again, with no
                     // publisher's help.
                     self.mark_dirty(idx, entry);
-                    requeued += 1;
                 }
             }
             self.retire_all(&removed);
             removed.clear();
         }
         if let Some(obs) = &self.obs {
-            obs.gc_sweeps.inc();
             obs.gc_keys_visited.add(work.len() as u64);
-            obs.gc_worklist_len.set(requeued);
-            self.footprint();
-            obs.journal.record(
-                0,
-                wsi_obs::EventData::GcSweep {
-                    versions: stats.versions_dropped + stats.aborted_removed,
-                    keys: stats.keys_removed,
-                },
-            );
         }
-        stats
     }
 
     /// Touches each entry of a GC batch and the first two nodes of its
@@ -1861,46 +1975,74 @@ impl ArenaStore {
     /// Frees every limbo entry whose retire tag is below `watermark`, a
     /// registry watermark computed after the tags were drawn: every
     /// registered walk that could still reach such a node started before
-    /// its tag and would hold the watermark at or below it. Routes each
-    /// handle to its arena by tag. Called from the `Db` watermark tick and
-    /// after a GC sweep; cheap when there is nothing to do.
+    /// its tag and would hold the watermark at or below it. Called after a
+    /// GC sweep and by `Db::maintain`; cheap when there is nothing to do.
     pub(crate) fn maintain(&self, watermark: Timestamp) {
-        let expired: Vec<u64> = {
-            let mut limbo = self.limbo.lock();
-            let mut expired = Vec::new();
-            while let Some(&(tag, packed)) = limbo.front() {
-                if tag >= watermark.raw() {
-                    break;
-                }
-                limbo.pop_front();
-                expired.push(packed);
-            }
-            expired
-        };
-        if !expired.is_empty() {
-            for &packed in &expired {
-                if is_packed(packed) {
-                    self.packed.free(packed);
-                } else {
-                    self.arena.free(packed);
-                }
-            }
-            self.freed
-                .fetch_add(expired.len() as u64, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.freed.add(expired.len() as u64);
+        let freed = self.free_below(watermark, usize::MAX);
+        if let Some(obs) = &self.obs {
+            if freed > 0 {
                 obs.journal.record(
                     0,
                     wsi_obs::EventData::Reclaim {
                         watermark: watermark.raw(),
-                        freed: expired.len() as u64,
+                        freed,
                     },
                 );
             }
-        }
-        if let Some(obs) = &self.obs {
             self.refresh_reclamation_gauges(obs);
         }
+    }
+
+    /// Frees up to `limit` limbo entries from the front whose tag is below
+    /// `watermark` (see [`Self::maintain`]), routing each handle to its
+    /// arena by tag. Returns how many it freed.
+    ///
+    /// The nodes were retired a round ago and are cold, and so are the
+    /// values they hold. Each free is a chain of atomic read-modify-writes,
+    /// which would take those misses one after another, so the nodes are
+    /// touched first and the single slots' values are touched after the
+    /// frees took them out, before they are dropped: the misses overlap.
+    fn free_below(&self, watermark: Timestamp, limit: usize) -> u64 {
+        let expired: Vec<u64> = {
+            let mut limbo = self.limbo.lock();
+            let n = limbo
+                .iter()
+                .take(limit)
+                .take_while(|&&(tag, _)| tag < watermark.raw())
+                .count();
+            limbo.drain(..n).map(|(_, packed)| packed).collect()
+        };
+        for &packed in &expired {
+            let idx = VersionIdx::slot(packed);
+            std::hint::black_box(if is_packed(packed) {
+                self.packed
+                    .node_raw(idx & !PACKED_TAG)
+                    .gen
+                    .load(Ordering::Relaxed)
+            } else {
+                self.arena.slot_raw(idx).gen.load(Ordering::Relaxed)
+            });
+        }
+        let mut values = Vec::with_capacity(expired.len());
+        for &packed in &expired {
+            if is_packed(packed) {
+                self.packed.free(packed);
+            } else {
+                values.extend(self.arena.free(packed));
+            }
+        }
+        for value in &values {
+            std::hint::black_box(value.first().copied());
+        }
+        drop(values);
+        let freed = expired.len() as u64;
+        if freed > 0 {
+            self.freed.fetch_add(freed, Ordering::Relaxed);
+            if let Some(obs) = &self.obs {
+                obs.freed.add(freed);
+            }
+        }
+        freed
     }
 
     fn refresh_reclamation_gauges(&self, obs: &ArenaObs) {
@@ -2097,13 +2239,28 @@ impl ArenaStore {
     }
 
     /// The worklist invariant, checked by full walk (the sweep this change
-    /// replaced, kept as the test-side oracle): an entry whose dirty flag
-    /// is clear holds nothing a sweep could act on, and the incremental
-    /// footprint equals the walked one. Quiescent callers only.
+    /// replaced, kept as the test-side oracle): an entry is flagged exactly
+    /// when it is queued, once, in either generation; an entry whose dirty
+    /// flag is clear holds nothing a sweep could act on; and the
+    /// incremental footprint equals the walked one. Quiescent callers only.
     fn assert_worklist_invariant(&self) {
+        let mut queued = vec![0u32; self.table.entries.len() as usize];
+        {
+            let worklist = self.worklist.0.lock();
+            for &idx in worklist.fresh.iter().chain(&worklist.ready) {
+                queued[idx as usize] += 1;
+            }
+        }
         for idx in 0..self.table.entries.len() {
             let entry = self.table.entries.get(idx);
-            if !entry.dirty.load(Ordering::Acquire) {
+            let flagged = entry.dirty.load(Ordering::Acquire);
+            assert_eq!(
+                queued[idx as usize],
+                u32::from(flagged),
+                "entry {idx}: flagged {flagged}, queued {} times",
+                queued[idx as usize]
+            );
+            if !flagged {
                 let mut stamps = Vec::new();
                 self.for_each_live(entry, |_, _, cts| stamps.push(cts));
                 assert!(
@@ -2407,6 +2564,8 @@ mod tests {
         assert_eq!(store.gc(Timestamp(1_000), &committed).versions_stamped, 100);
         store.assert_worklist_invariant();
         let queued = |store: &ArenaStore| -> usize { store.worklist.0.lock().len() };
+        // A tick moves the held-back keys to the ready generation and the
+        // shares sweep them there; the count spans both generations.
         assert_eq!(queued(&store), 0, "every key left the sweep clean");
 
         // Overwrite three keys; a snapshot at 1_000 holds the watermark
@@ -2415,10 +2574,16 @@ mod tests {
             store.insert_version(b(&format!("k{i}")), Timestamp(2_001 + 2 * i), Some(b("w")));
         }
         assert_eq!(queued(&store), 3, "only the written keys are queued");
-        for _ in 0..2 {
+        for round in 0..2 {
             let stats = store.gc(Timestamp(1_000), &committed);
             assert_eq!(stats.versions_dropped, 0, "the snapshot still reads v");
             assert_eq!(queued(&store), 3, "held-back keys stay queued");
+            assert_eq!(store.version_count(), 103);
+            store.assert_worklist_invariant();
+            // A watermark that advanced, still below the new versions.
+            assert!(store.deal_shares(Timestamp(1_500 + round), 1));
+            store.collect_share(&committed);
+            assert_eq!(queued(&store), 3, "a share re-queues them too");
             assert_eq!(store.version_count(), 103);
             store.assert_worklist_invariant();
         }
@@ -2440,6 +2605,11 @@ mod tests {
         /// Abort; `true` cleans up eagerly, `false` leaves it to the GC.
         Abort(usize, bool),
         Gc,
+        /// The tick, at a watermark `w`/8 of the way up to the greatest
+        /// sound one, dealing its backlog out over `n` commits.
+        Tick(u64, usize),
+        /// One commit's share.
+        Share,
     }
 
     fn op() -> impl proptest::strategy::Strategy<Value = Op> {
@@ -2450,16 +2620,19 @@ mod tests {
             ((0..6usize), any::<bool>()).prop_map(|(t, s)| Op::Commit(t, s)),
             ((0..6usize), any::<bool>()).prop_map(|(t, s)| Op::Abort(t, s)),
             Just(Op::Gc),
+            ((0..=8u64), (1..4usize)).prop_map(|(w, n)| Op::Tick(w, n)),
+            Just(Op::Share),
         ]
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// After any interleaving of begin / put / commit / abort / gc, a
-        /// full walk finds nothing collectible on an entry whose dirty
-        /// flag is clear, and the incremental key and version counts equal
-        /// the walked ones.
+        /// After any interleaving of begin / put / commit / abort / gc /
+        /// tick / share, a full walk finds nothing collectible on an entry
+        /// whose dirty flag is clear, every flagged entry queued once in
+        /// one generation, and the incremental key and version counts
+        /// equal the walked ones.
         #[test]
         fn worklist_never_loses_a_key_with_work_left(
             ops in proptest::collection::vec(op(), 1..60)
@@ -2510,6 +2683,15 @@ mod tests {
                     Op::Gc => {
                         let watermark = open.iter().map(|(s, _)| *s).min().unwrap_or(clock + 1);
                         store.gc(Timestamp(watermark), &resolver);
+                        store.assert_worklist_invariant();
+                    }
+                    Op::Tick(w, commits) => {
+                        let sound = open.iter().map(|(s, _)| *s).min().unwrap_or(clock + 1);
+                        store.deal_shares(Timestamp(sound * w / 8), commits);
+                        store.assert_worklist_invariant();
+                    }
+                    Op::Share => {
+                        store.collect_share(&resolver);
                         store.assert_worklist_invariant();
                     }
                 }

@@ -72,17 +72,21 @@ impl CommitIndex {
         self.inner.read().status(start_ts)
     }
 
-    /// Drops entries no longer needed once the garbage collector has stamped
-    /// commit timestamps onto all surviving versions below `watermark`:
-    /// commits with `commit_ts < watermark` and aborts with
-    /// `start_ts < watermark` (aborted versions are removed eagerly).
+    /// Drops the entries no reader can need once `watermark`, a registry
+    /// watermark, is computed: commits with `commit_ts < watermark` and
+    /// aborts with `start_ts < watermark`. No GC pass has to come first. A
+    /// commit below the watermark has an owner that stamped its versions,
+    /// then deregistered, so the stamps carry it; a reader that found a
+    /// version unstamped re-reads the stamp when the index does not answer
+    /// `Committed` (`arena::fate`). Aborted versions are removed before the
+    /// owner deregisters.
     pub(crate) fn prune_below(&self, watermark: Timestamp) {
         self.inner.write().prune_committed_below(watermark);
     }
 
     /// Number of commit entries currently held.
     #[cfg(test)]
-    fn committed_count(&self) -> usize {
+    pub(crate) fn committed_count(&self) -> usize {
         self.inner.read().committed_count()
     }
 }

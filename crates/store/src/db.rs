@@ -80,15 +80,15 @@ const BACKOFF_MAX_SHIFT: usize = 6;
 /// `lastCommit` shard count of the commit oracle.
 const ORACLE_SHARDS: usize = 16;
 
-/// A commit-path counter period: every this many write commits, the GC
-/// watermark hint feeding insert-time chain pruning is recomputed from the
-/// active-transaction registry. Keeps hot-key chains bounded between
-/// explicit [`Db::gc`] runs at negligible amortized cost. The store's
-/// limbo is freed, and the oracle's `lastCommit` rows and the SSI window
-/// are pruned, on the same tick, the window also whenever a read-only
-/// commit finds it grown by this many entries since its last prune
-/// (read-only entries do not tick the commit counter).
-const WATERMARK_HINT_EVERY: u64 = 256;
+/// The tick's period in write commits: every this many, the committer
+/// computes the registry watermark and paces the collector with it — the
+/// store notes it and deals its sweep and limbo backlogs out as per-commit
+/// shares over the next this many commits (see [`Db::gc`]), and the commit
+/// index, the oracle's `lastCommit` rows and the SSI window are pruned
+/// below it; the window also whenever a read-only commit finds it grown by
+/// this many entries since its last prune (read-only entries do not tick
+/// the commit counter).
+const TICK_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
 #[derive(Debug, Clone)]
@@ -205,11 +205,10 @@ pub(crate) struct DbInner {
     /// Metric registry + histograms + journal; `None` when opened with
     /// [`DbOptions::with_obs`]`(false)`.
     pub(crate) obs: Option<Arc<StoreObs>>,
-    /// Write commits since the last watermark-hint refresh (see
-    /// [`WATERMARK_HINT_EVERY`]). Every committer bumps it, so it must not
-    /// share a line with the read-mostly fields around it, wherever the
-    /// compiler sorts them.
-    wm_tick: OwnLine<AtomicU64>,
+    /// Write commits counted toward the tick (see [`TICK_EVERY`]). Every
+    /// committer bumps it, so it must not share a line with the read-mostly
+    /// fields around it, wherever the compiler sorts them.
+    ticks: OwnLine<AtomicU64>,
     /// Whether the most recent [`Db::run`] outcome was [`TxnReport::CLEAN`]
     /// — almost every one is, and then this flag is the whole report, so
     /// the hot path takes no lock: one load, and a store only when the
@@ -327,7 +326,7 @@ impl Db {
                 counters,
                 wal_obs,
                 obs,
-                wm_tick: OwnLine(AtomicU64::new(0)),
+                ticks: OwnLine(AtomicU64::new(0)),
                 last_report_clean: AtomicBool::new(false),
                 last_report: Mutex::new(None),
                 epoch: Instant::now(),
@@ -778,8 +777,12 @@ impl Db {
                 self.inner
                     .mvcc
                     .stamp_commit(start_ts, commit_ts, &write_rows, &batch);
+                // This commit's share of the collection the last tick dealt
+                // out, while registration still covers the sweep's
+                // lock-free prefetch walks.
+                self.inner.mvcc.collect_share(&self.inner.index);
                 self.inner.registry.deregister(start_ts, shard);
-                self.tick_watermark_hint();
+                self.tick();
                 Ok(commit_ts)
             }
             Err(e) => {
@@ -842,7 +845,7 @@ impl Db {
         admitted.record(self.inner.ts.next());
         // Read-only entries do not tick the commit counter that prunes the
         // window for writers, so they watch its growth themselves.
-        let overdue = window.grown_since_prune() as u64 >= WATERMARK_HINT_EVERY;
+        let overdue = window.grown_since_prune() as u64 >= TICK_EVERY;
         drop(window);
         if overdue {
             self.prune_window(self.inner.registry.watermark(&self.inner.ts));
@@ -943,6 +946,15 @@ impl Db {
     /// at least as large as it, and truncates the log behind it once it is
     /// durable: the log follows the live data.
     ///
+    /// Collection does not wait for this call: every 256 write commits a
+    /// tick deals the keys written and the versions retired since the last
+    /// one out as per-commit shares, which each write commit sweeps and
+    /// frees before it deregisters, so chains, limbo and the commit index
+    /// stay bounded with no `gc` at all. `gc` is the explicit full
+    /// collection: it sweeps every queued key, both worklist generations,
+    /// at a fresh watermark. Its [`GcStats`] count its own sweep only, not
+    /// what the shares collected before it.
+    ///
     /// The watermark is computed by the registry with every shard locked,
     /// so no begin can issue a smaller snapshot concurrently — the mark is
     /// a true lower bound for all current and future readers. A `lastCommit`
@@ -1012,21 +1024,22 @@ impl Db {
         }
     }
 
-    /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
-    /// low-water mark and feed it to the store's pruning watermark so
-    /// insert-time chain pruning stays armed between explicit [`Db::gc`]
-    /// runs, to the store's limbo list, which frees the retired versions
-    /// below it, and to the oracle, which forgets the `lastCommit` rows at
-    /// or below it. The registry's watermark is a true lower bound on every
-    /// active and future snapshot, so the hint is always sound (if stale,
-    /// conservative).
-    fn tick_watermark_hint(&self) {
-        if self.inner.wm_tick.0.fetch_add(1, Ordering::Relaxed) % WATERMARK_HINT_EVERY
-            == WATERMARK_HINT_EVERY - 1
-        {
+    /// Every [`TICK_EVERY`] write commits, computes the registry watermark
+    /// `W` and paces the collector with it: the store notes `W` for
+    /// insert-time pruning and the commit shares and deals its backlogs
+    /// out, the commit index forgets the commits and aborts below `W`, and
+    /// the oracle the `lastCommit` rows at or below it. `W` is a true lower
+    /// bound on every active and future snapshot, so all of it is sound (if
+    /// stale, conservative); a commit below `W` has an owner that stamped,
+    /// then deregistered, so its stamp carries it (DESIGN.md §6). Nothing
+    /// reaches the index below a `W` once it is computed, so a `W` that
+    /// has not advanced leaves it alone.
+    fn tick(&self) {
+        if self.inner.ticks.0.fetch_add(1, Ordering::Relaxed) % TICK_EVERY == TICK_EVERY - 1 {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
-            self.inner.mvcc.note_watermark(watermark);
-            self.inner.mvcc.maintain(watermark);
+            if self.inner.mvcc.deal_shares(watermark, TICK_EVERY as usize) {
+                self.inner.index.prune_below(watermark);
+            }
             self.inner.oracle.forget_through(watermark);
             self.prune_window(watermark);
         }
@@ -1060,11 +1073,11 @@ impl Db {
         }
     }
 
-    /// Frees every retired version the registry watermark has passed. The
-    /// write path already does this amortized every `WATERMARK_HINT_EVERY`
-    /// (256) commits; exposing it directly lets stress harnesses race
-    /// reclamation against live snapshots at chosen points rather than
-    /// waiting for the tick.
+    /// Frees every retired version the registry watermark has passed, in
+    /// one batch. The write path already does this in per-commit shares of
+    /// what each tick (every 256 write commits) found retired; exposing it
+    /// directly lets stress harnesses race reclamation against live
+    /// snapshots at chosen points rather than waiting for the shares.
     pub fn maintain(&self) {
         self.inner
             .mvcc
@@ -1187,12 +1200,12 @@ mod tests {
         let mut seed = db.begin();
         seed.put(b"k", b"v");
         seed.commit().unwrap();
-        for _ in 0..4 * WATERMARK_HINT_EVERY {
+        for _ in 0..4 * TICK_EVERY {
             let mut reader = db.begin();
             let _ = reader.get(b"k");
             reader.commit().unwrap();
             // No transaction is live here, so nothing pins an entry.
-            assert!(window_len() <= WATERMARK_HINT_EVERY);
+            assert!(window_len() <= TICK_EVERY);
         }
         db.gc();
         assert_eq!(window_len(), 0, "gc prunes the window too");
@@ -1217,26 +1230,26 @@ mod tests {
         };
         // No live reader: each tick forgets every row committed before it,
         // so the table holds at most the rows written since the last tick.
-        for _ in 0..4 * WATERMARK_HINT_EVERY {
+        for _ in 0..4 * TICK_EVERY {
             write_fresh_rows(1);
-            assert!(resident() < WATERMARK_HINT_EVERY);
+            assert!(resident() < TICK_EVERY);
         }
         // A reader held open pins the watermark: every row committed after
         // its start stays resident through the ticks.
         let reader = db.begin();
-        write_fresh_rows(4 * WATERMARK_HINT_EVERY);
-        assert!(resident() >= 4 * WATERMARK_HINT_EVERY);
+        write_fresh_rows(4 * TICK_EVERY);
+        assert!(resident() >= 4 * TICK_EVERY);
         // Once it ends, `gc` shrinks the table back.
         drop(reader);
         db.gc();
         assert_eq!(resident(), 0);
         // So does the next tick.
         let reader = db.begin();
-        write_fresh_rows(2 * WATERMARK_HINT_EVERY);
+        write_fresh_rows(2 * TICK_EVERY);
         drop(reader);
-        assert!(resident() >= WATERMARK_HINT_EVERY);
-        write_fresh_rows(WATERMARK_HINT_EVERY);
-        assert!(resident() < WATERMARK_HINT_EVERY);
+        assert!(resident() >= TICK_EVERY);
+        write_fresh_rows(TICK_EVERY);
+        assert!(resident() < TICK_EVERY);
     }
 
     #[test]
@@ -1245,11 +1258,13 @@ mod tests {
         let reclamation = || db.reclamation();
         // One tick's worth of write commits to a hot key, every sixteenth
         // beside a reader of the key that is then refused: its abort,
-        // chain migration and insert-time pruning all retire versions. The
-        // last commit of the round runs the tick.
+        // chain migration, insert-time pruning and the commit shares all
+        // retire versions. The last commit of the round runs the tick,
+        // which deals what is in limbo out to the next round's commits.
+        // Returns the lifetime retire count at the round's end.
         let round = || {
             let retired = reclamation().retired;
-            for i in 0..WATERMARK_HINT_EVERY {
+            for i in 0..TICK_EVERY {
                 let mut loser = (i % 16 == 0).then(|| db.begin());
                 if let Some(loser) = &mut loser {
                     let _ = loser.get(b"hot");
@@ -1262,30 +1277,37 @@ mod tests {
                     assert!(loser.commit().is_err(), "read what a commit overwrote");
                 }
             }
-            assert!(
-                reclamation().retired > retired,
-                "the round retired versions"
-            );
+            let now = reclamation().retired;
+            assert!(now > retired, "the round retired versions");
+            now
         };
-        // No transaction outlives its round: each tick frees everything.
+        // No transaction outlives its round: after round k + 1 nothing
+        // that round k retired is left (limbo frees in tag order).
+        let mut retired = round();
         for _ in 0..3 {
-            round();
-            assert_eq!(reclamation().limbo, 0);
+            let next = round();
+            assert!(
+                reclamation().freed >= retired,
+                "round k's retirements outlived round k + 1"
+            );
+            retired = next;
         }
         // A transaction held open holds back every tag drawn after its
         // start, through every tick.
         let held = db.begin();
-        let mut limbo = 0;
+        round();
+        let mut limbo = reclamation().limbo;
         for _ in 0..3 {
             round();
             assert!(reclamation().limbo > limbo, "limbo only grows");
             limbo = reclamation().limbo;
         }
-        // Once it ends, the next tick frees limbo to 0 ...
+        // Once it ends, the round after the next tick frees all of it ...
         drop(held);
+        let retired = round();
         round();
-        assert_eq!(reclamation().limbo, 0);
-        // ... and so does `gc`.
+        assert!(reclamation().freed >= retired);
+        // ... and `gc` empties limbo.
         let held = db.snapshot();
         round();
         assert!(reclamation().limbo > 0);
@@ -1293,6 +1315,61 @@ mod tests {
         db.gc();
         let rec = reclamation();
         assert_eq!((rec.limbo, rec.retired), (0, rec.freed));
+    }
+
+    #[test]
+    fn collection_keeps_up_without_gc() {
+        const KEYS: u64 = 1_000;
+        const WRITES: u64 = 4;
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let visited = || db.obs_snapshot().expect("obs on").counters["store_gc_keys_visited_total"];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        // One write commit of `WRITES` keys drawn from `KEYS`.
+        let mut commit = || {
+            let mut t = db.begin();
+            for _ in 0..WRITES {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                t.put(format!("k{:04}", x % KEYS).as_bytes(), b"v");
+            }
+            t.commit().unwrap();
+        };
+        // 64 ticks and no `gc`: versions, commit-index entries and limbo
+        // stay within what the last two ticks wrote, committed and retired.
+        let mut retired_at_tick = [0u64; 2];
+        for _ in 0..64 {
+            for _ in 0..TICK_EVERY {
+                commit();
+                let rec = db.reclamation();
+                assert!(db.stats().versions as u64 <= KEYS + 2 * TICK_EVERY * WRITES);
+                assert!(db.inner.index.committed_count() as u64 <= 2 * TICK_EVERY);
+                assert!(
+                    rec.limbo <= rec.retired - retired_at_tick[0],
+                    "limbo {} > two ticks' retirements {}",
+                    rec.limbo,
+                    rec.retired - retired_at_tick[0]
+                );
+            }
+            retired_at_tick = [retired_at_tick[1], db.reclamation().retired];
+        }
+        // A held snapshot pins the watermark: once a tick has noted it and
+        // the round after has swept what was dealt, ticks deal no sweep
+        // share, and commits visit no key.
+        let held = db.snapshot();
+        for _ in 0..2 * TICK_EVERY {
+            commit();
+        }
+        let before = visited();
+        for _ in 0..4 * TICK_EVERY {
+            commit();
+        }
+        assert_eq!(visited(), before, "a held snapshot costs no commit a sweep");
+        drop(held);
+        for _ in 0..2 * TICK_EVERY {
+            commit();
+        }
+        assert!(visited() > before, "the shares resume once it ends");
     }
 
     /// The payloads of a durable database's retained log, and the newest

@@ -138,8 +138,8 @@ impl StoreObs {
 /// `obs_reconcile` integration test against `Db::reclamation`, which
 /// reads the same underlying atomics — so the exported series can never
 /// drift from `Db::stats()`. The same test holds the newer series to
-/// `keys_visited ≥ versions dropped`, `worklist_len == 0` at quiescence
-/// with no active snapshot, and `slots ≥ keys`.
+/// `keys_visited ≥ versions dropped`, `worklist_len == 0` after a `gc` at
+/// quiescence with no active snapshot, and `slots ≥ keys`.
 #[derive(Debug)]
 pub(crate) struct ArenaObs {
     /// Versions unlinked and retired to the limbo list (lifetime total).
@@ -160,14 +160,18 @@ pub(crate) struct ArenaObs {
     pub(crate) versions: Gauge,
     /// Versions unlinked by insert-time chain pruning (between GC sweeps).
     pub(crate) inline_pruned: Counter,
-    /// Worklist sweeps performed by the GC.
+    /// Worklist sweeps performed by `Db::gc` (the commit shares' sweeps
+    /// are not counted).
     pub(crate) gc_sweeps: Counter,
-    /// Key entries GC sweeps examined (lifetime total): the keys written
-    /// since the previous sweep plus the keys it had to re-queue.
+    /// Key entries examined by `Db::gc` sweeps and the commit shares
+    /// (lifetime total): the keys written, plus the keys a sweep had to
+    /// re-queue.
     pub(crate) gc_keys_visited: Counter,
-    /// Keys the last sweep re-queued because it could not leave them clean
-    /// — a pending writer, or versions a pinned snapshot holds the
-    /// watermark below: what the GC is being made to keep.
+    /// Keys queued in both worklist generations, refreshed by each
+    /// `Db::gc` and each tick. After a `gc` it is what that sweep
+    /// re-queued because it could not leave them clean — a pending writer,
+    /// or versions a pinned snapshot holds the watermark below: what the
+    /// GC is being made to keep.
     pub(crate) gc_worklist_len: Gauge,
     /// Chain-head table slots allocated over all retained generations,
     /// refreshed on GC and `Db::stats`.

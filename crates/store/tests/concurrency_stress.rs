@@ -253,9 +253,8 @@ fn ssi_write_skew_herd_keeps_the_constraint() {
 /// Keys the reclamation herd's writers churn.
 const HOT: [&str; 3] = ["h0", "h1", "h2"];
 
-/// Write commits between two watermark ticks of `Db` (its
-/// `WATERMARK_HINT_EVERY`): a reader holding a snapshot for three times as
-/// many holds it across three ticks.
+/// Write commits between two ticks of `Db` (its `TICK_EVERY`): a reader
+/// holding a snapshot for three times as many holds it across three ticks.
 const TICK: u64 = 256;
 
 /// One read-modify-write: read `key`, write its number plus one, commit.
@@ -276,10 +275,10 @@ fn bump(db: &Db, txn: TxnId, key: &str) -> Attempt {
 /// Reclamation on real threads. Writers churn three hot keys, so chains
 /// migrate into packed nodes and aborts and pruning unlink versions;
 /// readers hold snapshots across three watermark ticks each and walk the
-/// hot chains again and again meanwhile. Every unlinked node is freed at
-/// the first tick whose watermark passes its retire tag (or, with
-/// `gc_thread`, at the first sweep of a thread running `Db::gc` in a
-/// loop), and recycled by the next insert — so a node freed while
+/// hot chains again and again meanwhile. Every unlinked node is freed by
+/// a write commit's share once a tick's watermark passes its retire tag
+/// (or, with `gc_thread`, at the first sweep of a thread running `Db::gc`
+/// in a loop), and recycled by the next insert — so a node freed while
 /// a registered walk could still stand on it hands that walk another
 /// version's value (or trips the debug build's generation check). Each
 /// reader pass is a read-only transaction at its snapshot's timestamp; a

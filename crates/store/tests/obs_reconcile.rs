@@ -265,9 +265,10 @@ fn migration_metrics_reconcile() {
 }
 
 /// Identity 7: the worklist GC's own series reconcile. A sweep visits at
-/// least the keys that lost a version; the worklist gauge says how many
-/// keys a sweep had to re-queue — non-zero exactly while a snapshot holds
-/// the watermark below superseded versions, zero at quiescence — and the
+/// least the keys that lost a version; the worklist gauge counts the keys
+/// queued in both generations, so after a `gc` it says how many keys the
+/// sweep had to re-queue — non-zero exactly while a snapshot holds the
+/// watermark below superseded versions, zero at quiescence — and the
 /// keys it is holding for are dropped by the first sweep after the
 /// snapshot ends, with no write in between; the chain-head table always
 /// has at least a slot per key.

@@ -32,8 +32,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # three isolation levels, the commit-pipeline suite with its write-skew and
 # reclamation herds (their recorded histories held to `wsi_history::check`
 # under SI, WSI and SSI; the reclamation herd's readers hold snapshots across
-# the watermark ticks that free retired versions, once more beside a thread
-# looping `Db::gc`) and its lost-wake-up herd (8 committers on the sync WAL
+# the ticks whose per-commit shares sweep superseded versions and free retired
+# ones, once more beside a thread looping `Db::gc`) and its lost-wake-up herd (8 committers on the sync WAL
 # through a quorum loss, under a watchdog), and the version store's 8-thread
 # invariant herd with its concurrent GC/reclamation thread and the
 # table-growth herd.
