@@ -103,61 +103,6 @@ impl CommitTable {
             TxnStatus::Pending
         }
     }
-
-    /// Implements the §2.2 snapshot-read visibility rule: is a version
-    /// written by the transaction that started at `writer_start` visible to a
-    /// reader whose snapshot is `reader_start`?
-    ///
-    /// A transaction always observes its own writes, handled by the caller
-    /// before consulting the table (reads check the local write buffer
-    /// first).
-    pub fn is_visible(&self, writer_start: Timestamp, reader_start: Timestamp) -> bool {
-        match self.status(writer_start) {
-            TxnStatus::Committed(commit_ts) => commit_ts < reader_start,
-            TxnStatus::Pending | TxnStatus::Aborted => false,
-        }
-    }
-
-    /// Number of committed transactions recorded.
-    pub fn committed_count(&self) -> usize {
-        self.commits.len()
-    }
-
-    /// Number of aborted transactions recorded.
-    pub fn aborted_count(&self) -> usize {
-        self.aborts.len()
-    }
-
-    /// Drops all entries with start timestamp below `watermark`.
-    ///
-    /// Safe once no active or future transaction can hold a snapshot that
-    /// needs them: versions below the watermark have been compacted by the
-    /// store's garbage collector, so no reader will ever query these entries
-    /// again. Keeps the authoritative table from growing without bound — the
-    /// same role `T_max` plays for `lastCommit`.
-    pub fn prune_below(&mut self, watermark: Timestamp) {
-        self.commits.retain(|&start, _| start >= watermark);
-        self.aborts.retain(|&start| start >= watermark);
-    }
-
-    /// Drops commits with *commit* timestamp below `watermark` and aborts
-    /// with start timestamp below it, in one pass over each map.
-    ///
-    /// The read-side replica's pruning rule: once the garbage collector has
-    /// stamped every surviving version that committed below the watermark,
-    /// no reader resolves those writers through the table again — but a
-    /// commit that *started* below the watermark and committed at or above
-    /// it (which [`CommitTable::prune_below`] would drop) may still be
-    /// unstamped, so it stays.
-    pub fn prune_committed_below(&mut self, watermark: Timestamp) {
-        self.commits.retain(|_, commit| *commit >= watermark);
-        self.aborts.retain(|&start| start >= watermark);
-    }
-
-    /// Iterates over `(start_ts, commit_ts)` pairs in unspecified order.
-    pub fn iter_commits(&self) -> impl Iterator<Item = (Timestamp, Timestamp)> + '_ {
-        self.commits.iter().map(|(&s, &c)| (s, c))
-    }
 }
 
 #[cfg(test)]
@@ -172,39 +117,6 @@ mod tests {
         assert_eq!(t.status(Timestamp(1)), TxnStatus::Committed(Timestamp(2)));
         t.record_abort(Timestamp(3));
         assert_eq!(t.status(Timestamp(3)), TxnStatus::Aborted);
-        assert_eq!(t.committed_count(), 1);
-        assert_eq!(t.aborted_count(), 1);
-    }
-
-    #[test]
-    fn visibility_rule() {
-        let mut t = CommitTable::new();
-        t.record_commit(Timestamp(1), Timestamp(5));
-        // Reader snapshot after the commit: visible.
-        assert!(t.is_visible(Timestamp(1), Timestamp(6)));
-        // Reader snapshot at exactly the commit ts: NOT visible (strict <).
-        assert!(!t.is_visible(Timestamp(1), Timestamp(5)));
-        // Reader snapshot before the commit: not visible.
-        assert!(!t.is_visible(Timestamp(1), Timestamp(3)));
-        // Pending writer: never visible.
-        assert!(!t.is_visible(Timestamp(2), Timestamp(100)));
-        // Aborted writer: never visible.
-        t.record_abort(Timestamp(2));
-        assert!(!t.is_visible(Timestamp(2), Timestamp(100)));
-    }
-
-    #[test]
-    fn prune_below_drops_old_entries_only() {
-        let mut t = CommitTable::new();
-        t.record_commit(Timestamp(1), Timestamp(2));
-        t.record_commit(Timestamp(10), Timestamp(12));
-        t.record_abort(Timestamp(3));
-        t.record_abort(Timestamp(11));
-        t.prune_below(Timestamp(10));
-        assert_eq!(t.status(Timestamp(1)), TxnStatus::Pending); // forgotten
-        assert_eq!(t.status(Timestamp(3)), TxnStatus::Pending); // forgotten
-        assert_eq!(t.status(Timestamp(10)), TxnStatus::Committed(Timestamp(12)));
-        assert_eq!(t.status(Timestamp(11)), TxnStatus::Aborted);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! The decision path is exposed in two shapes: [`ConcurrentOracle::commit`]
 //! for self-contained use, and the [`ConcurrentOracle::lock_for`] /
 //! [`DecisionGuard`] pair for embedders (like `wsi-store`) that must
-//! interleave their own publication steps — commit-index insertion, WAL
+//! interleave their own publication steps — recording the commit, WAL
 //! queueing — between the conflict check and the oracle bookkeeping while
 //! the shards stay held.
 

@@ -75,7 +75,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -223,6 +223,9 @@ enum Loc {
 struct Slot {
     /// Allocation generation; bumped on free (ABA protection).
     gen: AtomicU32,
+    /// The writing transaction's registry shard, where a reader looks up
+    /// its fate until the stamp lands (it sits in `gen`'s padding).
+    shard: AtomicU8,
     /// The writing transaction's start timestamp (raw).
     writer_start: AtomicU64,
     /// Eager commit stamp (raw); `0` = not stamped (timestamp 0 is never
@@ -243,6 +246,7 @@ impl Default for Slot {
     fn default() -> Self {
         Slot {
             gen: AtomicU32::new(0),
+            shard: AtomicU8::new(0),
             writer_start: AtomicU64::new(0),
             committed_at: AtomicU64::new(0),
             next: AtomicU64::new(NULL_VIDX),
@@ -281,6 +285,9 @@ struct PackedNode {
     next: AtomicU64,
     /// Writer start timestamps (raw), per entry.
     ws: [AtomicU64; PACK_CAP],
+    /// Writer registry shards, per entry: claimed entries are unstamped
+    /// until their owners stamp them.
+    shards: [AtomicU8; PACK_CAP],
     /// Commit stamps (raw; 0 = unstamped), per entry. Contiguous, so the
     /// in-node search never leaves two cache lines.
     cts: [AtomicU64; PACK_CAP],
@@ -297,6 +304,7 @@ impl Default for PackedNode {
             dead: AtomicU64::new(0),
             next: AtomicU64::new(NULL_VIDX),
             ws: std::array::from_fn(|_| AtomicU64::new(0)),
+            shards: std::array::from_fn(|_| AtomicU8::new(0)),
             cts: std::array::from_fn(|_| AtomicU64::new(0)),
             vals: std::array::from_fn(|_| SpinMutex::new(None)),
         }
@@ -321,22 +329,22 @@ fn occ_ready(occ: u64) -> u32 {
     (occ >> 32) as u32
 }
 
-/// A version's fate, given its writer start and commit stamp: the stamp if
-/// it has one; else the resolver's answer, unless that is not `Committed`
-/// and the stamp has landed since the first load.
+/// A version's fate, given its writer start and shard and its commit
+/// stamp: the stamp if it has one; else the resolver's answer, unless that
+/// is not `Committed` and the stamp has landed since the first load.
 ///
 /// The re-load is what makes an unstamped read sound. A live unstamped
 /// version belongs to a registered writer (DESIGN.md §6): its owner stamps
 /// it before it deregisters. Between this function's two loads the owner
-/// can stamp and deregister, the watermark pass the commit, and
-/// `Db::gc`'s `prune_below` drop the index entry, so the resolver answers
-/// `Pending` for a commit the snapshot must see. Those steps are ordered —
-/// stamp, deregister (registry lock), watermark, prune (index write lock),
-/// the resolver's lookup (index read lock) — so the `Acquire` re-load after
-/// that lookup sees the stamp.
+/// can stamp and deregister, which drops its registry entry, so the
+/// resolver answers `Pending` for a commit the snapshot must see. Those
+/// steps are ordered — stamp, deregister, the resolver's lookup, the last
+/// two under the writer's registry shard lock — so the `Acquire` re-load
+/// after that lookup sees the stamp.
 #[inline]
 fn fate<R: VersionResolver + ?Sized>(
     writer_start: &AtomicU64,
+    shard: &AtomicU8,
     committed_at: &AtomicU64,
     resolver: &R,
 ) -> TxnStatus {
@@ -344,7 +352,8 @@ fn fate<R: VersionResolver + ?Sized>(
     if stamped != 0 {
         return TxnStatus::Committed(Timestamp(stamped));
     }
-    let status = resolver.resolve(Timestamp(writer_start.load(Ordering::Relaxed)));
+    let writer = Timestamp(writer_start.load(Ordering::Relaxed));
+    let status = resolver.resolve(writer, shard.load(Ordering::Relaxed) as usize);
     if matches!(status, TxnStatus::Committed(_)) {
         return status;
     }
@@ -397,13 +406,14 @@ impl VersionArena {
     /// Allocates a slot initialized as an unstamped, unlinked version.
     /// Returns the packed handle; the caller publishes it (the `Release`
     /// publish CAS is what makes these plain stores visible to readers).
-    fn alloc(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
+    fn alloc(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
         let idx = self.alloc_raw();
         let slot = &self.chunks[idx as usize / CHUNK_SLOTS]
             .get()
             .expect("alloc_raw initialized the chunk")[idx as usize % CHUNK_SLOTS];
         slot.writer_start
             .store(writer_start.raw(), Ordering::Relaxed);
+        slot.shard.store(shard as u8, Ordering::Relaxed);
         slot.committed_at.store(0, Ordering::Relaxed);
         slot.next.store(NULL_VIDX, Ordering::Relaxed);
         *slot.value.lock() = value;
@@ -562,13 +572,14 @@ impl PackedArena {
 
     /// Allocates a spill node holding exactly one freshly-claimed (so far
     /// unsorted, unstamped) version. The caller links and CAS-publishes it.
-    fn alloc_spill(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
+    fn alloc_spill(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
         let idx = self.alloc_raw();
         let node = self.node_raw(idx);
         node.sorted.store(0, Ordering::Relaxed);
         node.dead.store(0, Ordering::Relaxed);
         node.next.store(NULL_VIDX, Ordering::Relaxed);
         node.ws[0].store(writer_start.raw(), Ordering::Relaxed);
+        node.shards[0].store(shard as u8, Ordering::Relaxed);
         node.cts[0].store(0, Ordering::Relaxed);
         *node.vals[0].lock() = value;
         node.occ.store((1u64 << 32) | 1, Ordering::Relaxed);
@@ -1035,7 +1046,9 @@ impl ArenaStore {
     }
 
     /// Batch insert (commit apply / WAL replay) by the writer registered at
-    /// `writer_start`. `rows[i]` is [`hash_row_key`] of `writes[i]`'s key,
+    /// `writer_start` in registry shard `shard` (any shard for a replayed
+    /// writer, which stamps before anyone reads). `rows[i]` is
+    /// [`hash_row_key`] of `writes[i]`'s key,
     /// which the caller holds for the conflict check anyway. Keys within a
     /// batch must be distinct (commit applies and WAL records materialize a
     /// per-transaction write *map*, so they are): a writer never meets its
@@ -1043,6 +1056,7 @@ impl ArenaStore {
     pub(crate) fn insert_versions(
         &self,
         writer_start: Timestamp,
+        shard: usize,
         rows: &[RowId],
         writes: &[(Bytes, Option<Bytes>)],
     ) {
@@ -1050,12 +1064,19 @@ impl ArenaStore {
         for (rows, writes) in rows.chunks(WARM_BATCH).zip(writes.chunks(WARM_BATCH)) {
             self.table.warm(rows);
             for (&row, (key, value)) in rows.iter().zip(writes) {
-                self.insert_one(key, row, writer_start, value.clone());
+                self.insert_one(key, row, writer_start, shard, value.clone());
             }
         }
     }
 
-    fn insert_one(&self, key: &Bytes, row: RowId, writer_start: Timestamp, value: Option<Bytes>) {
+    fn insert_one(
+        &self,
+        key: &Bytes,
+        row: RowId,
+        writer_start: Timestamp,
+        shard: usize,
+        value: Option<Bytes>,
+    ) {
         let (idx, entry) = self.table.find_or_create(key, row);
         let mut single: Option<u64> = None;
         let mut spill: Option<u64> = None;
@@ -1065,12 +1086,13 @@ impl ArenaStore {
                 // Hot chain: claim a spare slot in the head node — the head
                 // pointer itself never moves on this path.
                 let node = self.packed.node(head);
-                if let Some(i) = Self::try_claim(node, writer_start, &value) {
+                if let Some(i) = Self::try_claim(node, writer_start, shard, &value) {
                     break Loc::Packed(head, i);
                 }
                 // Head node full or sealed: spill a fresh packed node.
-                let sp = *spill
-                    .get_or_insert_with(|| self.packed.alloc_spill(writer_start, value.clone()));
+                let sp = *spill.get_or_insert_with(|| {
+                    self.packed.alloc_spill(writer_start, shard, value.clone())
+                });
                 self.packed.node(sp).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
@@ -1080,8 +1102,8 @@ impl ArenaStore {
                     break Loc::Packed(sp, 0);
                 }
             } else {
-                let s =
-                    *single.get_or_insert_with(|| self.arena.alloc(writer_start, value.clone()));
+                let s = *single
+                    .get_or_insert_with(|| self.arena.alloc(writer_start, shard, value.clone()));
                 self.arena.slot(s).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
@@ -1147,6 +1169,7 @@ impl ArenaStore {
     fn try_claim(
         node: &PackedNode,
         writer_start: Timestamp,
+        shard: usize,
         value: &Option<Bytes>,
     ) -> Option<usize> {
         loop {
@@ -1162,6 +1185,7 @@ impl ArenaStore {
             {
                 let i = claims as usize;
                 node.ws[i].store(writer_start.raw(), Ordering::Relaxed);
+                node.shards[i].store(shard as u8, Ordering::Relaxed);
                 node.cts[i].store(0, Ordering::Relaxed);
                 *node.vals[i].lock() = value.clone();
                 node.occ.fetch_or(1u64 << (32 + i), Ordering::Release);
@@ -1584,12 +1608,17 @@ impl ArenaStore {
                     }
                 }
                 for i in (sorted..PACK_CAP).filter(|i| live & (1 << i) != 0) {
-                    let status = fate(&node.ws[i], &node.cts[i], resolver);
+                    let status = fate(&node.ws[i], &node.shards[i], &node.cts[i], resolver);
                     consider(Loc::Packed(cur, i), status);
                 }
             } else {
                 let slot = self.arena.slot(cur);
-                let status = fate(&slot.writer_start, &slot.committed_at, resolver);
+                let status = fate(
+                    &slot.writer_start,
+                    &slot.shard,
+                    &slot.committed_at,
+                    resolver,
+                );
                 consider(Loc::Single(cur), status);
             }
             cur = self.next_of(cur);
@@ -1692,7 +1721,7 @@ impl ArenaStore {
     /// The checkpoint scan: every key's version a snapshot at `snapshot`
     /// sees — its newest committed below it, tombstones included — in key
     /// order. Each version's fate comes from [`fate`], so a commit whose
-    /// stamp lands while the sweep prunes its index entry is not missed.
+    /// stamp lands while its owner deregisters is not missed.
     /// Holds the ordered index's read lock, as [`Self::scan`] does. Caller
     /// is registered at `snapshot`.
     pub(crate) fn checkpoint_entries<R: VersionResolver + ?Sized>(
@@ -1772,8 +1801,8 @@ impl ArenaStore {
     /// last one noted deals no sweep share: every version committed since
     /// it was computed committed above it, so nothing dirtied since can
     /// have become collectible, and a held snapshot costs no commit a
-    /// sweep (DESIGN.md §6). Returns whether the watermark advanced.
-    pub(crate) fn deal_shares(&self, watermark: Timestamp, commits: usize) -> bool {
+    /// sweep (DESIGN.md §6).
+    pub(crate) fn deal_shares(&self, watermark: Timestamp, commits: usize) {
         let advanced =
             self.watermark.fetch_max(watermark.raw(), Ordering::Relaxed) < watermark.raw();
         let ready = {
@@ -1792,7 +1821,6 @@ impl ArenaStore {
         if let Some(obs) = &self.obs {
             obs.gc_worklist_len.set(ready as u64);
         }
-        advanced
     }
 
     /// One write commit's share of the collection the last tick dealt
@@ -1921,13 +1949,24 @@ impl ArenaStore {
                 let node = self.packed.node(cur);
                 let live = self.live_mask(node);
                 for i in (0..PACK_CAP).filter(|i| live & (1 << i) != 0) {
-                    let status = Self::resolve_version(&node.ws[i], &node.cts[i], resolver, stats);
+                    let status = Self::resolve_version(
+                        &node.ws[i],
+                        &node.shards[i],
+                        &node.cts[i],
+                        resolver,
+                        stats,
+                    );
                     tally(Loc::Packed(cur, i), status);
                 }
             } else {
                 let slot = self.arena.slot(cur);
-                let status =
-                    Self::resolve_version(&slot.writer_start, &slot.committed_at, resolver, stats);
+                let status = Self::resolve_version(
+                    &slot.writer_start,
+                    &slot.shard,
+                    &slot.committed_at,
+                    resolver,
+                    stats,
+                );
                 tally(Loc::Single(cur), status);
             }
             cur = self.next_of(cur);
@@ -1958,11 +1997,12 @@ impl ArenaStore {
     /// committed and still unstamped.
     fn resolve_version<R: VersionResolver + ?Sized>(
         writer_start: &AtomicU64,
+        shard: &AtomicU8,
         committed_at: &AtomicU64,
         resolver: &R,
         stats: &mut GcStats,
     ) -> TxnStatus {
-        let status = fate(writer_start, committed_at, resolver);
+        let status = fate(writer_start, shard, committed_at, resolver);
         if let TxnStatus::Committed(ts) = status {
             if committed_at.load(Ordering::Relaxed) == 0 {
                 committed_at.store(ts.raw(), Ordering::Release);
@@ -2176,7 +2216,7 @@ impl ArenaStore {
     /// Inserts one (invisible) version: allocate or claim, link, publish.
     /// A writer writes a key at most once, as through `insert_versions`.
     pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
-        self.insert_one(&key, hash_row_key(&key), writer_start, value);
+        self.insert_one(&key, hash_row_key(&key), writer_start, 0, value);
     }
 
     /// Number of keys with at least one published version, by full walk:
@@ -2304,10 +2344,10 @@ mod tests {
     #[test]
     fn arena_recycles_slots_with_fresh_generations() {
         let arena = VersionArena::new();
-        let a = arena.alloc(Timestamp(1), Some(b("x")));
+        let a = arena.alloc(Timestamp(1), 0, Some(b("x")));
         let slot_idx = VersionIdx::slot(a);
         arena.free(a);
-        let c = arena.alloc(Timestamp(2), Some(b("y")));
+        let c = arena.alloc(Timestamp(2), 0, Some(b("y")));
         assert_eq!(VersionIdx::slot(c), slot_idx, "slot recycled");
         assert_eq!(
             VersionIdx::generation(c),
@@ -2319,10 +2359,10 @@ mod tests {
     #[test]
     fn packed_arena_recycles_nodes_with_fresh_generations() {
         let packed = PackedArena::new();
-        let a = packed.alloc_spill(Timestamp(1), Some(b("x")));
+        let a = packed.alloc_spill(Timestamp(1), 0, Some(b("x")));
         assert!(is_packed(a));
         packed.free(a);
-        let c = packed.alloc_spill(Timestamp(2), Some(b("y")));
+        let c = packed.alloc_spill(Timestamp(2), 0, Some(b("y")));
         assert_eq!(VersionIdx::slot(c), VersionIdx::slot(a), "node recycled");
         assert_eq!(VersionIdx::generation(c), VersionIdx::generation(a) + 1);
         let node = packed.node(c);
@@ -2330,13 +2370,21 @@ mod tests {
         assert_eq!(node.dead.load(Ordering::Relaxed), 0, "free resets state");
     }
 
-    /// The racing resolver of the test below.
+    /// The racing resolver of the test below: a registry holding writer 3,
+    /// committed at 4. Asked about writer 3, it first lets the owner stamp
+    /// its version and deregister, then looks the writer up and finds no
+    /// entry: `Pending`.
     fn racing(store: &ArenaStore) -> impl Fn(Timestamp) -> TxnStatus + '_ {
-        move |writer: Timestamp| {
-            if writer == Timestamp(3) {
+        let ts = SharedTimestampSource::resuming_after(Timestamp(2));
+        let registry = crate::registry::ActiveTxnRegistry::new(None);
+        let (writer, shard) = registry.register(&ts);
+        assert_eq!(registry.commit(writer, shard, &ts), Timestamp(4));
+        move |start: Timestamp| {
+            if start == writer && registry.count() > 0 {
                 store.stamp_keys(writer, Timestamp(4), [&b("k")]);
+                registry.deregister(writer, shard);
             }
-            TxnStatus::Pending
+            registry.resolve(start, shard)
         }
     }
 
@@ -2352,11 +2400,11 @@ mod tests {
 
     /// The race [`fate`] closes, played out in one thread: asked about the
     /// unstamped version, the [`racing`] resolver lets its owner stamp it
-    /// and the GC prune its index entry, and answers `Pending`. Every path that
-    /// resolves a version — a read, a scan, the checkpoint scan and the GC
-    /// sweep — still sees the commit at 4.
+    /// and deregister, which drops its registry entry, and answers
+    /// `Pending`. Every path that resolves a version — a read, a scan, the
+    /// checkpoint scan and the GC sweep — still sees the commit at 4.
     #[test]
-    fn a_stamp_landing_while_the_index_forgets_its_commit_is_seen() {
+    fn a_stamp_landing_while_the_owner_deregisters_is_seen() {
         let snapshot = Timestamp(5);
         let store = unstamped_newest();
         let read = store.read_key(b"k", snapshot, &racing(&store));
@@ -2581,7 +2629,7 @@ mod tests {
             assert_eq!(store.version_count(), 103);
             store.assert_worklist_invariant();
             // A watermark that advanced, still below the new versions.
-            assert!(store.deal_shares(Timestamp(1_500 + round), 1));
+            store.deal_shares(Timestamp(1_500 + round), 1);
             store.collect_share(&committed);
             assert_eq!(queued(&store), 3, "a share re-queues them too");
             assert_eq!(store.version_count(), 103);

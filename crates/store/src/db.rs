@@ -32,7 +32,7 @@
 //!
 //! The lock hierarchy is strict and acyclic: `lastCommit` shard locks (in
 //! ascending index order), then the SSI window, may be held while taking
-//! the commit index's write lock or the pipeline's queue lock, never the
+//! the writer's registry shard lock or the pipeline's queue lock, never the
 //! reverse. See `DESIGN.md` for the full protocol argument.
 
 use std::collections::{BTreeMap, HashSet};
@@ -44,14 +44,13 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use wsi_core::{
     hash_row_key, ssi::SsiWindow, AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel,
-    OracleCounters, OracleStats, RowId, SharedTimestampSource, Timestamp,
+    OracleCounters, OracleStats, RowId, SharedTimestampSource, Timestamp, TxnStatus,
 };
 use wsi_obs::{AbortExplanation, Cause, EventData, Journal};
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
 
 use crate::{
     arena::ArenaStore,
-    commit_index::CommitIndex,
     error::{Error, Result},
     mvcc::{GcStats, ReclamationStats, VersionStamps},
     obs::{ArenaObs, StoreObs},
@@ -83,11 +82,11 @@ const ORACLE_SHARDS: usize = 16;
 /// The tick's period in write commits: every this many, the committer
 /// computes the registry watermark and paces the collector with it — the
 /// store notes it and deals its sweep and limbo backlogs out as per-commit
-/// shares over the next this many commits (see [`Db::gc`]), and the commit
-/// index, the oracle's `lastCommit` rows and the SSI window are pruned
-/// below it; the window also whenever a read-only commit finds it grown by
-/// this many entries since its last prune (read-only entries do not tick
-/// the commit counter).
+/// shares over the next this many commits (see [`Db::gc`]), and the
+/// oracle's `lastCommit` rows and the SSI window are pruned below it; the
+/// window also whenever a read-only commit finds it grown by this many
+/// entries since its last prune (read-only entries do not tick the commit
+/// counter).
 const TICK_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
@@ -187,11 +186,11 @@ pub struct DbStats {
 pub(crate) struct DbInner {
     pub(crate) options: DbOptions,
     pub(crate) mvcc: ArenaStore,
-    pub(crate) index: CommitIndex,
     pub(crate) oracle: ConcurrentOracle,
     /// The shared timestamp counter: lock-free starts, oracle-issued commits.
     pub(crate) ts: Arc<SharedTimestampSource>,
-    /// In-flight transactions, for the GC low-water mark.
+    /// In-flight transactions and their fates: the GC low-water mark, and
+    /// the resolver of versions not yet stamped.
     pub(crate) registry: ActiveTxnRegistry,
     /// Present whenever the database has a WAL.
     pub(crate) pipeline: Option<CommitPipeline>,
@@ -221,7 +220,7 @@ pub(crate) struct DbInner {
     epoch: Instant,
     /// The dangerous-structure detector, present iff the level is
     /// [`IsolationLevel::SerializableSnapshot`]. Locked after the request's
-    /// shard locks and before the commit index or the pipeline. Empty after
+    /// shard locks and before the registry or the pipeline. Empty after
     /// recovery: commit records carry no read sets, and no transaction
     /// concurrent with a pre-crash commit can still be in flight, so a
     /// replayed entry could never fire.
@@ -235,7 +234,7 @@ impl DbInner {
 
     fn publish_ctx(&self) -> PublishCtx<'_> {
         PublishCtx {
-            index: &self.index,
+            registry: &self.registry,
             oracle: &self.oracle,
             window: self.window.as_ref(),
         }
@@ -316,7 +315,6 @@ impl Db {
             inner: Arc::new(DbInner {
                 options,
                 mvcc,
-                index: CommitIndex::new(),
                 oracle,
                 ts,
                 registry: ActiveTxnRegistry::new(
@@ -348,9 +346,10 @@ impl Db {
     /// commits in that order — skipping overturned ones, whose records may
     /// survive on a minority of bookies even though they were never
     /// acknowledged, and those below the checkpoint's snapshot, which it
-    /// holds — plus aborts and timestamp reservations. In-flight
-    /// transactions are (correctly) forgotten: their writes never reached
-    /// the log.
+    /// holds — plus the oracle's aborts and timestamp reservations. Every
+    /// replayed commit is stamped as it is installed, so no fate outlives
+    /// recovery. In-flight transactions are (correctly) forgotten: their
+    /// writes never reached the log.
     ///
     /// # Errors
     ///
@@ -420,15 +419,15 @@ impl Db {
                         continue;
                     }
                     let rows: Vec<RowId> = writes.iter().map(|(k, _)| hash_row_key(k)).collect();
-                    db.inner.mvcc.insert_versions(start_ts, &rows, &writes);
+                    db.inner.mvcc.insert_versions(start_ts, 0, &rows, &writes);
                     db.inner
                         .mvcc
                         .stamp_commit(start_ts, commit_ts, &rows, &writes);
-                    db.inner.index.record_commit(start_ts, commit_ts);
                     db.inner.oracle.replay_commit(commit_ts, &rows);
                 }
+                // Overturned commits were never installed above, and
+                // refused ones never reached the store.
                 StoreRecord::Abort { start_ts } => {
-                    db.inner.index.record_abort(start_ts);
                     db.inner.oracle.replay_abort(start_ts);
                 }
                 StoreRecord::TsReserve { upto } => {
@@ -458,7 +457,7 @@ impl Db {
             let writes = [(e.key.clone(), e.value.clone())];
             self.inner
                 .mvcc
-                .insert_versions(e.writer_start, &rows, &writes);
+                .insert_versions(e.writer_start, 0, &rows, &writes);
             self.inner
                 .mvcc
                 .stamp_commit(e.writer_start, e.commit_ts, &rows, &writes);
@@ -661,7 +660,7 @@ impl Db {
                 }
             }
             // Read-only fast path (§5.1): no conflict check, no WAL record,
-            // no commit-table entry, no lock; never aborts. Equivalent to a
+            // no fate to record, no lock; never aborts. Equivalent to a
             // transaction shifted to its start point (Figure 3), hence the
             // start timestamp as commit timestamp.
             self.inner.counters.read_only_commits.inc();
@@ -674,14 +673,15 @@ impl Db {
 
         // Apply the writes as invisible versions before entering the
         // critical section (the Omid scheme: data reaches the store tagged
-        // with the start timestamp; visibility is flipped by the commit
-        // index). One Arc'd batch serves the version store, the conflict
-        // request, the WAL encoder, and the rollback path.
+        // with the start timestamp and registry shard; visibility is flipped
+        // by the fate in the registry entry). One Arc'd batch serves the
+        // version store, the conflict request, the WAL encoder, and the
+        // rollback path.
         let batch: WriteBatch = Arc::new(writes.into_iter().collect::<Vec<_>>());
         let write_rows: Vec<RowId> = batch.iter().map(|(k, _)| hash_row_key(k)).collect();
         self.inner
             .mvcc
-            .insert_versions(start_ts, &write_rows, &batch);
+            .insert_versions(start_ts, shard, &write_rows, &batch);
 
         // The request sorts its rows; `write_rows` stays in batch order for
         // the store calls below.
@@ -713,15 +713,12 @@ impl Db {
                         // the pipeline's critical section so new snapshots
                         // gate on it (visibility waits for durability).
                         Some(pipeline) => {
-                            pipeline.push_sync(&self.inner.ts, start_ts, Arc::clone(&batch))
+                            pipeline.push_sync(&self.inner.ts, start_ts, shard, Arc::clone(&batch))
                         }
                         // No WAL: published immediately; the timestamp is
-                        // issued inside the commit index's write lock so no
-                        // reader can observe it before the entry exists.
-                        None => self
-                            .inner
-                            .index
-                            .record_commit_with(start_ts, || self.inner.ts.next()),
+                        // issued inside the writer's registry shard lock so
+                        // no reader can observe it before the fate is set.
+                        None => self.inner.registry.commit(start_ts, shard, &self.inner.ts),
                     };
                     if let Some(admitted) = admitted {
                         admitted.record(commit_ts);
@@ -731,7 +728,9 @@ impl Db {
                 }
                 Err(reason) => {
                     guard.abort_checked(reason);
-                    self.inner.index.record_abort(start_ts);
+                    self.inner
+                        .registry
+                        .settle(start_ts, shard, TxnStatus::Aborted);
                     if let Some(pipeline) = pipeline {
                         pipeline.push_abort(start_ts);
                     }
@@ -767,20 +766,19 @@ impl Db {
             Ok(commit_ts) => {
                 // Stamp commit timestamps onto the versions (§2.2's "written
                 // back into the database" option), so readers skip the
-                // commit-index lookup. Correctness rests on it too: the
-                // index forgets commits below the watermark, which passes
-                // this one once we deregister, so from then on the stamp is
-                // what carries the commit — a live unstamped version belongs
-                // to a registered writer. The owner stamps on its own time,
-                // with or without a WAL; no begin and no other committer
-                // waits for it.
+                // registry lookup. Correctness rests on it too: deregistering
+                // drops the fate, so from then on the stamp is what carries
+                // the commit — a live unstamped version belongs to a
+                // registered writer. The owner stamps on its own time, with
+                // or without a WAL; no begin and no other committer waits
+                // for it.
                 self.inner
                     .mvcc
                     .stamp_commit(start_ts, commit_ts, &write_rows, &batch);
                 // This commit's share of the collection the last tick dealt
                 // out, while registration still covers the sweep's
                 // lock-free prefetch walks.
-                self.inner.mvcc.collect_share(&self.inner.index);
+                self.inner.mvcc.collect_share(&self.inner.registry);
                 self.inner.registry.deregister(start_ts, shard);
                 self.tick();
                 Ok(commit_ts)
@@ -865,13 +863,12 @@ impl Db {
     /// Rolls back an unfinished transaction. Called by
     /// [`Transaction::rollback`] and on drop.
     ///
-    /// Lock-free: the abort is published to the commit index for readers,
-    /// but skips the oracle — a rolled-back transaction never contributed
+    /// Deregisters only: its buffered writes never reached the store, so
+    /// no reader can ask for its fate, and it never contributed
     /// `lastCommit` state, so the conflict checker has nothing to learn
     /// from it.
     pub(crate) fn rollback_txn(&self, start_ts: Timestamp, shard: usize, wrote: bool) {
         self.inner.counters.client_aborts.inc();
-        self.inner.index.record_abort(start_ts);
         self.inner.registry.deregister(start_ts, shard);
         // A transaction's journal stream starts at its first write (see
         // `Transaction::put`); rolling back a transaction that never wrote
@@ -881,8 +878,6 @@ impl Db {
                 journal.record(start_ts.raw(), EventData::Abort(Cause::Client));
             }
         }
-        // Buffered writes never touched the store before commit, so there is
-        // nothing to remove from the version chains.
     }
 
     /// Flushes any WAL records still queued: abort and reservation records
@@ -937,8 +932,8 @@ impl Db {
     }
 
     /// Garbage-collects versions below the low-water mark (the minimum start
-    /// timestamp among active transactions), prunes the commit index, and
-    /// drops the oracle's `lastCommit` rows and SSI window entries below it.
+    /// timestamp among active transactions), and drops the oracle's
+    /// `lastCommit` rows and SSI window entries below it.
     /// Then frees every retired version no transaction can still reach, the
     /// sweep's own included. On a durable database it last writes a
     /// checkpoint — every key's newest committed version below a
@@ -949,8 +944,8 @@ impl Db {
     /// Collection does not wait for this call: every 256 write commits a
     /// tick deals the keys written and the versions retired since the last
     /// one out as per-commit shares, which each write commit sweeps and
-    /// frees before it deregisters, so chains, limbo and the commit index
-    /// stay bounded with no `gc` at all. `gc` is the explicit full
+    /// frees before it deregisters, so chains and limbo stay bounded with
+    /// no `gc` at all. `gc` is the explicit full
     /// collection: it sweeps every queued key, both worklist generations,
     /// at a fresh watermark. Its [`GcStats`] count its own sweep only, not
     /// what the shares collected before it.
@@ -965,10 +960,9 @@ impl Db {
         // without the entry lock.
         let (watermark, stats) = self.registered(|_| {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
-            let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
+            let stats = self.inner.mvcc.gc(watermark, &self.inner.registry);
             (watermark, stats)
         });
-        self.inner.index.prune_below(watermark);
         self.inner.oracle.forget_through(watermark);
         self.prune_window(watermark);
         self.maintain();
@@ -1005,7 +999,7 @@ impl Db {
             let entries = self
                 .inner
                 .mvcc
-                .checkpoint_entries(start_ts, &self.inner.index);
+                .checkpoint_entries(start_ts, &self.inner.registry);
             Some(PendingCheckpoint {
                 payload: record::encode(&StoreRecord::Checkpoint(Checkpoint {
                     cut: cut.seq,
@@ -1027,19 +1021,13 @@ impl Db {
     /// Every [`TICK_EVERY`] write commits, computes the registry watermark
     /// `W` and paces the collector with it: the store notes `W` for
     /// insert-time pruning and the commit shares and deals its backlogs
-    /// out, the commit index forgets the commits and aborts below `W`, and
-    /// the oracle the `lastCommit` rows at or below it. `W` is a true lower
-    /// bound on every active and future snapshot, so all of it is sound (if
-    /// stale, conservative); a commit below `W` has an owner that stamped,
-    /// then deregistered, so its stamp carries it (DESIGN.md §6). Nothing
-    /// reaches the index below a `W` once it is computed, so a `W` that
-    /// has not advanced leaves it alone.
+    /// out, and the oracle forgets the `lastCommit` rows at or below it.
+    /// `W` is a true lower bound on every active and future snapshot, so
+    /// all of it is sound (if stale, conservative).
     fn tick(&self) {
         if self.inner.ticks.0.fetch_add(1, Ordering::Relaxed) % TICK_EVERY == TICK_EVERY - 1 {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
-            if self.inner.mvcc.deal_shares(watermark, TICK_EVERY as usize) {
-                self.inner.index.prune_below(watermark);
-            }
+            self.inner.mvcc.deal_shares(watermark, TICK_EVERY as usize);
             self.inner.oracle.forget_through(watermark);
             self.prune_window(watermark);
         }
@@ -1335,15 +1323,16 @@ mod tests {
             }
             t.commit().unwrap();
         };
-        // 64 ticks and no `gc`: versions, commit-index entries and limbo
-        // stay within what the last two ticks wrote, committed and retired.
+        // 64 ticks and no `gc`: versions and limbo stay within what the
+        // last two ticks wrote and retired, and once a commit has returned
+        // the registry holds no entry.
         let mut retired_at_tick = [0u64; 2];
         for _ in 0..64 {
             for _ in 0..TICK_EVERY {
                 commit();
                 let rec = db.reclamation();
                 assert!(db.stats().versions as u64 <= KEYS + 2 * TICK_EVERY * WRITES);
-                assert!(db.inner.index.committed_count() as u64 <= 2 * TICK_EVERY);
+                assert_eq!(db.inner.registry.count(), 0);
                 assert!(
                     rec.limbo <= rec.retired - retired_at_tick[0],
                     "limbo {} > two ticks' retirements {}",

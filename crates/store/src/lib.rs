@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 
 mod arena;
-mod commit_index;
 mod db;
 mod error;
 mod mvcc;

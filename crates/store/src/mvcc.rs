@@ -7,7 +7,7 @@
 //! `ArenaStore`: an ordered key index over per-key *version chains*,
 //! where each version is tagged with the **start timestamp of its writer**
 //! (the Omid scheme — uncommitted data goes into the main store, invisible
-//! until the writer's commit is published in the commit table). Readers
+//! until the writer's commit is published in its registry entry). Readers
 //! take no lock: they probe the chain-head table and walk the chain;
 //! writers publish with one CAS; unlinked versions are freed once the
 //! active-transaction registry's watermark passes them (see the `arena`
@@ -27,29 +27,32 @@
 //! 1. the version's own `committed_at` stamp — filled in **eagerly at
 //!    commit publish time** (and re-derived identically by WAL replay and by
 //!    the GC), so steady-state reads never leave the chain;
-//! 2. the caller-supplied `VersionResolver` (the commit index) — the §2.2
-//!    commit-table detour, the slow path for a version whose stamping pass
-//!    has not landed yet.
+//! 2. the caller-supplied `VersionResolver` — the writer's entry in the
+//!    active-transaction registry, for a version whose stamp has not landed
+//!    yet; a reader that finds no entry re-reads the stamp (`arena::fate`).
 //!
 //! Nothing here needs cross-key atomicity: versions are invisible until the
-//! writer's commit is published in the commit index (a single linearization
-//! point), stamping is a read-path optimization, and abort cleanup removes
-//! versions that were never visible.
+//! writer's commit is published in its registry entry (a single
+//! linearization point), and abort cleanup removes versions that were never
+//! visible.
 
 use bytes::Bytes;
 use wsi_core::{Timestamp, TxnStatus};
 
 /// Resolves the fate of the transaction that wrote a version.
 ///
-/// Implemented by the transaction manager's commit index; injected so this
-/// layer stays independent of concurrency-control policy.
+/// Implemented by the active-transaction registry; injected so this layer
+/// stays independent of concurrency-control policy.
 pub(crate) trait VersionResolver {
-    /// Status of the transaction that started at `writer_start`.
-    fn resolve(&self, writer_start: Timestamp) -> TxnStatus;
+    /// Status of the transaction that started at `writer_start`, registered
+    /// in registry shard `shard` (recorded in the version beside its
+    /// writer start).
+    fn resolve(&self, writer_start: Timestamp, shard: usize) -> TxnStatus;
 }
 
+/// A resolver keyed by writer start alone, for tests without a registry.
 impl<F: Fn(Timestamp) -> TxnStatus> VersionResolver for F {
-    fn resolve(&self, writer_start: Timestamp) -> TxnStatus {
+    fn resolve(&self, writer_start: Timestamp, _shard: usize) -> TxnStatus {
         self(writer_start)
     }
 }

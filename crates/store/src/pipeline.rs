@@ -15,12 +15,13 @@
 //!   reach the log in commit-timestamp order.
 //! * A **leader** — the first waiter to find the ledger free — takes the
 //!   ledger out of the pipeline, drains the queue, appends and flushes the
-//!   batch entirely outside every lock, flips the commits visible in the
-//!   commit index, then posts the outcomes and hands the ledger back: append,
-//!   flush, flip, nothing else — it is the round every gated `begin` and
-//!   every other committer waits on. Waiters whose commits rode along simply
-//!   pick up their outcome (classic group commit).
-//! * A commit is **published** — made visible in the commit index — and
+//!   batch entirely outside every lock, flips the commits visible by setting
+//!   each committer's fate in its registry entry, then posts the outcomes
+//!   and hands the ledger back: append, flush, flip, nothing else — it is
+//!   the round every gated `begin` and every other committer waits on.
+//!   Waiters whose commits rode along simply pick up their outcome (classic
+//!   group commit).
+//! * A commit is **published** — its registry entry set to committed — and
 //!   acknowledged only after its batch reached the write quorum. A flush
 //!   failure overturns the decision
 //!   ([`ConcurrentOracle::abort_after_decide`]) before any reader could have
@@ -30,7 +31,7 @@
 //!   commit timestamp onto its own versions — after the round, outside it,
 //!   and before it deregisters, exactly as a commit without a WAL does.
 //!   Nobody waits for the stamp: until it lands, readers resolve the
-//!   version through the commit index.
+//!   version through the owner's registry entry.
 //! * A **checkpoint** ([`CommitPipeline::checkpoint`]) is one more record
 //!   of a round. The pipeline keeps a [`LogBook`] of the log: the census of
 //!   everything appended and, at the end of every successful flush, a
@@ -72,14 +73,14 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp};
+use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp, TxnStatus};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, SeqNo, WalError};
 
-use crate::commit_index::CommitIndex;
 use crate::db::WriteBatch;
 use crate::obs::{StoreObs, WaitCounters};
 use crate::record::{self, WalCensus};
+use crate::registry::ActiveTxnRegistry;
 
 /// Iterations a waiter spins on the round generation before it parks. Not a
 /// tuning knob, only a bound with slack on both sides: at ≈ 15 ns a turn it
@@ -98,7 +99,7 @@ const NO_BATCH_CLOCK_US: u64 = 0;
 /// Shared references a leader needs to publish (or overturn) commit
 /// outcomes after a flush. Assembled fresh per call by the `Db` layer.
 pub(crate) struct PublishCtx<'a> {
-    pub(crate) index: &'a CommitIndex,
+    pub(crate) registry: &'a ActiveTxnRegistry,
     pub(crate) oracle: &'a ConcurrentOracle,
     /// The SSI window, under that level: an overturned commit's entry is
     /// taken back out of it.
@@ -108,6 +109,8 @@ pub(crate) struct PublishCtx<'a> {
 /// A decided commit awaiting persistence.
 struct PendingCommit {
     start_ts: Timestamp,
+    /// The committer's registry shard, where the leader sets its fate.
+    shard: usize,
     commit_ts: Timestamp,
     batch: WriteBatch,
 }
@@ -289,6 +292,7 @@ impl CommitPipeline {
         &self,
         ts: &SharedTimestampSource,
         start_ts: Timestamp,
+        shard: usize,
         batch: WriteBatch,
     ) -> Timestamp {
         let mut inner = self.inner.lock();
@@ -296,6 +300,7 @@ impl CommitPipeline {
         let commit_ts = ts.next();
         inner.queue.push_back(PendingCommit {
             start_ts,
+            shard,
             commit_ts,
             batch,
         });
@@ -546,8 +551,8 @@ impl CommitPipeline {
     }
 
     /// One leader round, called with **no** lock held: encode, append and
-    /// flush outside all locks; on success flip every commit visible in the
-    /// commit index, in commit order, and truncate behind a checkpoint the
+    /// flush outside all locks; on success flip every commit visible in its
+    /// registry entry, in commit order, and truncate behind a checkpoint the
     /// round carried — on quorum loss overturn the commits instead; then,
     /// under the lock, hand the ledger back, post the outcomes, book the
     /// round, bump the round generation and wake whoever parked. Returns
@@ -613,7 +618,8 @@ impl CommitPipeline {
                 // commits are durable *and* observable; the owners' snapshots
                 // were gated until now.
                 for c in &commits {
-                    ctx.index.record_commit(c.start_ts, c.commit_ts);
+                    ctx.registry
+                        .settle(c.start_ts, c.shard, TxnStatus::Committed(c.commit_ts));
                     if let Some(journal) = self.journal() {
                         journal.record(
                             c.start_ts.raw(),
@@ -643,7 +649,7 @@ impl CommitPipeline {
                 }
                 for c in &commits {
                     ctx.oracle.abort_after_decide();
-                    ctx.index.record_abort(c.start_ts);
+                    ctx.registry.settle(c.start_ts, c.shard, TxnStatus::Aborted);
                     append(&mut ledger, record::encode_abort(c.start_ts));
                     if let Some(journal) = self.journal() {
                         journal.record(

@@ -1,4 +1,5 @@
-//! Lock-striped registry of in-flight transactions.
+//! Lock-striped registry of in-flight transactions, and the store's one
+//! record of a transaction's fate.
 //!
 //! The seed design tracked active transactions in a `BTreeMap` inside the
 //! manager's critical section, which put every `begin` — a pure
@@ -8,6 +9,14 @@
 //! drawn from the shared lock-free counter and recorded under one of
 //! [`SHARDS`] independent shard locks, so concurrent begins contend only
 //! 1/[`SHARDS`] of the time and never with committers.
+//!
+//! Each entry carries its transaction's fate (pending, committed at a
+//! timestamp, or aborted), and the registry is the [`VersionResolver`] of
+//! versions not stamped yet: a live unstamped version belongs to a
+//! registered writer (DESIGN.md §6), so the live set is the commit table,
+//! with the stamp — §2.2's "written back into the database", PostgreSQL's
+//! hint bit — as its fast path. A reader that finds no entry re-reads the
+//! stamp (`arena::fate`).
 //!
 //! Its watermark — the oldest registered start, a lower bound on every
 //! current and future snapshot — has two consumers. The garbage collector
@@ -22,11 +31,13 @@
 //! between the watermark read and the sweep, because timestamps are issued
 //! while a shard lock is held.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use wsi_core::{SharedTimestampSource, Timestamp};
+use wsi_core::{SharedTimestampSource, Timestamp, TxnStatus};
+
+use crate::mvcc::VersionResolver;
 
 /// Number of independent shard locks.
 pub(crate) const SHARDS: usize = 16;
@@ -37,10 +48,10 @@ pub(crate) const SHARDS: usize = 16;
 #[repr(align(64))]
 pub(crate) struct OwnLine<T>(pub(crate) T);
 
-/// Striped set of active start timestamps.
+/// Striped map of active transactions: start timestamp → fate.
 #[derive(Debug)]
 pub(crate) struct ActiveTxnRegistry {
-    shards: Vec<Mutex<BTreeSet<u64>>>,
+    shards: Vec<Mutex<BTreeMap<u64, TxnStatus>>>,
     /// Round-robin shard cursor. Every `begin` on every thread bumps it, so
     /// wherever the embedding struct places the registry it must not share
     /// a line with fields every commit reads: when it did, `txn_e2e`'s
@@ -55,14 +66,15 @@ pub(crate) struct ActiveTxnRegistry {
 impl ActiveTxnRegistry {
     pub(crate) fn new(contention: Option<wsi_obs::Counter>) -> Self {
         ActiveTxnRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(BTreeSet::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
             next_shard: OwnLine(AtomicUsize::new(0)),
             contention,
         }
     }
 
-    /// Issues a start timestamp and registers it as active, returning the
-    /// timestamp and the shard that holds it (needed to deregister).
+    /// Issues a start timestamp and registers it as active and pending,
+    /// returning the timestamp and the shard that holds it (needed to
+    /// settle, look up and deregister it).
     ///
     /// The timestamp is issued *while the shard lock is held* so that
     /// [`ActiveTxnRegistry::watermark`], which locks every shard, can never
@@ -81,14 +93,39 @@ impl ActiveTxnRegistry {
             }
         };
         let start_ts = ts.next();
-        set.insert(start_ts.raw());
+        set.insert(start_ts.raw(), TxnStatus::Pending);
         (start_ts, shard)
     }
 
-    /// Removes a finished transaction.
+    /// Issues a commit timestamp for a registered transaction and records
+    /// the commit, both under its shard lock: any snapshot that observes
+    /// `S > commit_ts` drew `S` after this critical section began, and
+    /// looks the fate up under the same lock, so it reads the commit.
+    pub(crate) fn commit(
+        &self,
+        start_ts: Timestamp,
+        shard: usize,
+        ts: &SharedTimestampSource,
+    ) -> Timestamp {
+        let mut set = self.shards[shard].lock();
+        let commit_ts = ts.next();
+        let prev = set.insert(start_ts.raw(), TxnStatus::Committed(commit_ts));
+        debug_assert_eq!(prev, Some(TxnStatus::Pending), "fate settled twice");
+        commit_ts
+    }
+
+    /// Records the fate of a registered transaction decided elsewhere: a
+    /// refused commit, or a durable one's outcome once its batch is flushed.
+    pub(crate) fn settle(&self, start_ts: Timestamp, shard: usize, fate: TxnStatus) {
+        let prev = self.shards[shard].lock().insert(start_ts.raw(), fate);
+        debug_assert_eq!(prev, Some(TxnStatus::Pending), "fate settled twice");
+    }
+
+    /// Removes a finished transaction, and its fate with it: the owner has
+    /// stamped or removed its versions by now.
     pub(crate) fn deregister(&self, start_ts: Timestamp, shard: usize) {
         let removed = self.shards[shard].lock().remove(&start_ts.raw());
-        debug_assert!(removed, "transaction deregistered twice");
+        debug_assert!(removed.is_some(), "transaction deregistered twice");
     }
 
     /// Number of in-flight transactions.
@@ -107,10 +144,23 @@ impl ActiveTxnRegistry {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         guards
             .iter()
-            .filter_map(|g| g.first().copied())
+            .filter_map(|g| g.first_key_value().map(|(&start, _)| start))
             .min()
             .map(Timestamp)
             .unwrap_or_else(|| ts.last_issued().next())
+    }
+}
+
+impl VersionResolver for ActiveTxnRegistry {
+    /// The fate of the writer registered at `writer_start` in `shard`, or
+    /// `Pending` once it has deregistered — by then it has stamped what it
+    /// committed, which the caller re-reads.
+    fn resolve(&self, writer_start: Timestamp, shard: usize) -> TxnStatus {
+        self.shards[shard]
+            .lock()
+            .get(&writer_start.raw())
+            .copied()
+            .unwrap_or(TxnStatus::Pending)
     }
 }
 
@@ -146,6 +196,81 @@ mod tests {
         assert_eq!(reg.watermark(&ts), min);
         for (t, s) in handles {
             reg.deregister(t, s);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Register,
+        /// Commit, abort or deregister the `n`-th live transaction (modulo
+        /// the live count); commit and abort skip one already settled.
+        Commit(usize),
+        Abort(usize),
+        Deregister(usize),
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Op::Register),
+            (0..8usize).prop_map(Op::Commit),
+            (0..8usize).prop_map(Op::Abort),
+            (0..8usize).prop_map(Op::Deregister),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The registry against a model map: after every step of any
+        /// register / commit / abort / deregister sequence, a registered
+        /// writer answers its fate, every writer that has deregistered
+        /// answers `Pending`, and the count and watermark follow the live
+        /// set.
+        #[test]
+        fn a_registered_writer_answers_its_fate_and_no_other_does(
+            ops in proptest::collection::vec(op(), 1..80)
+        ) {
+            let ts = SharedTimestampSource::new();
+            let reg = ActiveTxnRegistry::new(None);
+            let mut live: BTreeMap<(Timestamp, usize), TxnStatus> = BTreeMap::new();
+            let mut issued = Vec::new();
+            for op in ops {
+                let nth = |n: usize| live.keys().nth(n % live.len().max(1)).copied();
+                match op {
+                    Op::Register => {
+                        let txn = reg.register(&ts);
+                        issued.push(txn);
+                        live.insert(txn, TxnStatus::Pending);
+                    }
+                    Op::Commit(n) | Op::Abort(n) => {
+                        let Some((start, shard)) = nth(n) else { continue };
+                        if live[&(start, shard)] != TxnStatus::Pending {
+                            continue;
+                        }
+                        let fate = if let Op::Commit(_) = op {
+                            TxnStatus::Committed(reg.commit(start, shard, &ts))
+                        } else {
+                            reg.settle(start, shard, TxnStatus::Aborted);
+                            TxnStatus::Aborted
+                        };
+                        live.insert((start, shard), fate);
+                    }
+                    Op::Deregister(n) => {
+                        let Some((start, shard)) = nth(n) else { continue };
+                        reg.deregister(start, shard);
+                        live.remove(&(start, shard));
+                    }
+                }
+                for &(start, shard) in &issued {
+                    let expected = live.get(&(start, shard)).copied().unwrap_or(TxnStatus::Pending);
+                    proptest::prop_assert_eq!(reg.resolve(start, shard), expected, "txn {:?}", start);
+                }
+                proptest::prop_assert_eq!(reg.count(), live.len());
+                let oldest = live.keys().map(|&(start, _)| start).min();
+                proptest::prop_assert_eq!(
+                    reg.watermark(&ts),
+                    oldest.unwrap_or_else(|| ts.last_issued().next())
+                );
+            }
         }
     }
 

@@ -62,7 +62,7 @@ impl Snapshot {
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.db
             .mvcc
-            .read(key, hash_row_key(key), self.start_ts, &self.db.index)
+            .read(key, hash_row_key(key), self.start_ts, &self.db.registry)
             .into_option()
     }
 
@@ -70,7 +70,7 @@ impl Snapshot {
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
         self.db
             .mvcc
-            .scan(start, end, self.start_ts, &self.db.index, limit)
+            .scan(start, end, self.start_ts, &self.db.registry, limit)
     }
 }
 

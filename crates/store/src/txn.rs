@@ -82,7 +82,7 @@ impl Transaction {
         self.read_rows.insert(row);
         self.db
             .mvcc
-            .read(key, row, self.start_ts, &self.db.index)
+            .read(key, row, self.start_ts, &self.db.registry)
             .into_option()
     }
 
@@ -146,7 +146,7 @@ impl Transaction {
             start,
             end,
             self.start_ts,
-            &self.db.index,
+            &self.db.registry,
             limit.saturating_add(buffered.len()),
         );
         for (key, _) in &stored {

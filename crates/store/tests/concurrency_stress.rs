@@ -411,12 +411,12 @@ fn ssi_reclamation_herd_reads_its_snapshots() {
 }
 
 /// The same herd with a thread sweeping `Db::gc` in a loop beside the
-/// long-held snapshots. The sweep prunes the commit index below the
-/// watermark, so a reader that finds a version unstamped and then asks the
-/// index can race the owner's stamp, deregistration and the prune; it must
-/// re-load the stamp when the index does not answer `Committed` (the
-/// arena's `fate`). Without that re-read a snapshot intermittently read an
-/// older version than the newest committed before it, or none at all.
+/// long-held snapshots. A reader or sweep that finds a version unstamped
+/// and then looks its writer up in the registry can race the owner's stamp
+/// and deregistration, which drops the entry; it must re-load the stamp
+/// when the lookup does not answer `Committed` (the arena's `fate`).
+/// Without that re-read a snapshot can read an older version than the
+/// newest committed before it, or none at all.
 #[test]
 fn reclamation_herd_with_a_sweeping_gc_reads_its_snapshots() {
     for isolation in [
@@ -431,7 +431,7 @@ fn reclamation_herd_with_a_sweeping_gc_reads_its_snapshots() {
 /// Durable writers beside two threads looping `Db::gc`, each sweep of
 /// which may write a checkpoint and truncate the log behind it while
 /// commits land on both sides of the checkpoint's snapshot and the other
-/// sweep prunes the commit index under its scan. The writers spread over
+/// sweep resolves versions under its scan. The writers spread over
 /// sixteen keys, so a key often has no commit after a checkpoint to cover
 /// for what that checkpoint missed. After every sweep of the first thread
 /// the captured log must recover every commit acknowledged before the
@@ -723,8 +723,8 @@ fn pipeline_herd_loses_no_wake_up() {
     assert!(parks <= waits, "{parks} parks in {waits} waits");
 }
 
-/// Owner-side stamping loses no stamp. With a WAL the leader only flips the
-/// commit index; each owner writes its commit timestamp onto its versions
+/// Owner-side stamping loses no stamp. With a WAL the leader only sets the
+/// owners' fates in the registry; each owner writes its commit timestamp onto its versions
 /// after it picks up its outcome. Four writers pile versions from different
 /// owners onto the same few chains; once they are back every version must
 /// carry a stamp, and the same one a replay of the log derives.

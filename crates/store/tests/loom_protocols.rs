@@ -59,15 +59,27 @@
 //!    notify only if somebody is counted parked. A waiter never parks once
 //!    its condition holds, and a parked waiter is woken by the round that
 //!    bumps its generation — so every waiter returns (DESIGN.md §5).
-//! 10. **The stamp re-read vs. an owner and a pruning GC** — a snapshot
+//! 10. **The stamp re-read vs. an owner that deregisters** — a snapshot
 //!     read of an unstamped version (`arena::fate`): the reader loads the
-//!     stamp, asks the commit index, and re-loads the stamp when the index
-//!     does not answer committed; the owner stamps, then deregisters; the
-//!     GC computes the watermark and prunes the index below it. Whatever
-//!     the interleaving the reader sees the commit, because stamp →
-//!     deregister → watermark → prune → lookup → re-load is ordered
-//!     (DESIGN.md §6). Without the re-load (`stamp_reread_model(false)`)
-//!     the model fails within tier 1's 32 schedules.
+//!     stamp, looks the writer's fate up in its registry entry, and
+//!     re-loads the stamp when the entry does not answer committed; the
+//!     owner stamps, then deregisters, which drops the entry. Whatever the
+//!     interleaving the reader sees the commit, because stamp → deregister
+//!     → lookup → re-load is ordered, the last three by the writer's
+//!     registry shard lock (DESIGN.md §6). Without the re-load
+//!     (`stamp_reread_model(false)`) the model fails within tier 1's 32
+//!     schedules.
+//! 11. **Commit, begin and read on one registry shard lock** — a commit
+//!     without a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and
+//!     records its fate under the writer's shard lock; a begin draws its
+//!     snapshot from the same counter; a read looks the writer's fate up
+//!     under that lock. A snapshot `S` sees the commit iff `commit_ts < S`,
+//!     whether the begin registers on the writer's shard or another one:
+//!     an `S` drawn after `commit_ts` was drawn inside the commit's
+//!     critical section, so the lookup waits it out (DESIGN.md §5). With
+//!     the timestamp drawn before the lock (`registry_commit_model(true,
+//!     _)`) a reader draws `S > commit_ts` and reads the fate still pending:
+//!     the model fails.
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1096,11 +1108,10 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
 }
 
 /// Protocol 10 with the reader's stamp re-read on or off. The writer
-/// (start 1) committed at 2 and is published in the index, still
-/// unstamped and registered; the reader holds snapshot 3. The owner
-/// stamps and deregisters; the GC prunes every index entry below the
-/// watermark once that passes 2; the reader resolves the version the way
-/// `arena::fate` does and must see commit 2.
+/// (start 1) committed at 2, its fate set in its registry entry, still
+/// unstamped and registered; the reader holds snapshot 3. The owner stamps
+/// and deregisters; the reader resolves the version the way `arena::fate`
+/// does and must see commit 2.
 fn stamp_reread_model(reread: bool) {
     const WRITER: u64 = 1;
     const COMMIT: u64 = 2;
@@ -1110,95 +1121,154 @@ fn stamp_reread_model(reread: bool) {
         // Set once the reader found the version unstamped: the schedule
         // the race needs starts there, so the owner waits for it.
         let loaded = Arc::new(AtomicBool::new(false));
-        let registry: Arc<Mutex<std::collections::BTreeSet<u64>>> =
-            Arc::new(Mutex::new([WRITER, SNAPSHOT].into_iter().collect()));
-        // The commit index's one entry: writer start → commit timestamp.
-        let index = Arc::new(Mutex::new(Some((WRITER, COMMIT))));
+        // The writer's registry shard: start → commit timestamp.
+        let shard: Arc<Mutex<std::collections::BTreeMap<u64, u64>>> =
+            Arc::new(Mutex::new([(WRITER, COMMIT)].into_iter().collect()));
 
         let reader = {
-            let (stamp, index, registry) = (
-                Arc::clone(&stamp),
-                Arc::clone(&index),
-                Arc::clone(&registry),
-            );
+            let (stamp, shard) = (Arc::clone(&stamp), Arc::clone(&shard));
             let loaded = Arc::clone(&loaded);
             thread::spawn(move || {
                 let mut seen = stamp.load(Ordering::Acquire);
                 loaded.store(true, Ordering::Release);
                 if seen == 0 {
-                    // Widen the race window: give the owner and the GC a
-                    // while to finish before the lookup.
+                    // Widen the race window: give the owner a while to
+                    // stamp and deregister before the lookup.
                     for _ in 0..64 {
-                        if index.lock().unwrap().is_none() {
+                        if !shard.lock().unwrap().contains_key(&WRITER) {
                             break;
                         }
                         thread::yield_now();
                     }
-                    let resolved = match *index.lock().unwrap() {
-                        Some((writer, commit)) if writer == WRITER => commit,
-                        _ => 0, // pruned: "pending"
-                    };
+                    // No entry: "pending".
+                    let resolved = shard.lock().unwrap().get(&WRITER).copied().unwrap_or(0);
                     seen = match (resolved, reread) {
                         (0, true) => stamp.load(Ordering::Acquire),
                         (resolved, _) => resolved,
                     };
                 }
-                registry.lock().unwrap().remove(&SNAPSHOT);
                 seen
             })
         };
 
         let owner = {
-            let (stamp, registry) = (Arc::clone(&stamp), Arc::clone(&registry));
-            let loaded = Arc::clone(&loaded);
+            let (stamp, shard) = (Arc::clone(&stamp), Arc::clone(&shard));
             thread::spawn(move || {
                 while !loaded.load(Ordering::Acquire) {
                     thread::yield_now();
                 }
                 stamp.store(COMMIT, Ordering::Release);
-                registry.lock().unwrap().remove(&WRITER);
-            })
-        };
-
-        let gc = {
-            let (index, registry) = (Arc::clone(&index), Arc::clone(&registry));
-            thread::spawn(move || {
-                for _ in 0..64 {
-                    // The watermark: the oldest registered start, or past
-                    // every timestamp issued.
-                    let watermark = registry
-                        .lock()
-                        .unwrap()
-                        .first()
-                        .copied()
-                        .unwrap_or(SNAPSHOT + 1);
-                    let mut entry = index.lock().unwrap();
-                    if entry.is_some_and(|(_, commit)| commit < watermark) {
-                        *entry = None;
-                        return;
-                    }
-                    drop(entry);
-                    thread::yield_now();
-                }
+                shard.lock().unwrap().remove(&WRITER);
             })
         };
 
         owner.join().unwrap();
-        gc.join().unwrap();
         let seen = reader.join().unwrap();
         assert_eq!(seen, COMMIT, "snapshot {SNAPSHOT} missed commit {COMMIT}");
     });
 }
 
 #[test]
-fn snapshot_read_re_reads_the_stamp_the_gc_pruned_behind() {
+fn snapshot_read_re_reads_the_stamp_the_owner_deregistered_behind() {
     stamp_reread_model(true);
 }
 
 /// The planted bug: without the re-read a reader that found the version
-/// unstamped, then the index entry pruned, reads past the commit.
+/// unstamped, then the writer's registry entry gone, reads past the commit.
 #[test]
 #[should_panic(expected = "missed commit")]
 fn a_snapshot_read_without_the_re_read_misses_the_commit() {
     stamp_reread_model(false);
+}
+
+/// A modelled registry shard: start timestamp → fate, `0` pending and a
+/// commit timestamp otherwise.
+type Shard = Mutex<std::collections::BTreeMap<u64, u64>>;
+
+/// Protocol 11. The writer (start 1, registered on shard 0) commits while
+/// a reader begins — registering on shard 0 too, or on shard 1 — and reads
+/// the writer's fate from shard 0. `planted` draws the commit timestamp
+/// before taking the shard lock.
+fn registry_commit_model(planted: bool, same_shard: bool) {
+    const WRITER: u64 = 1;
+    loom::model(move || {
+        let clock = Arc::new(AtomicU64::new(WRITER));
+        let shards: Arc<[Shard; 2]> = Arc::new([
+            Mutex::new([(WRITER, 0)].into_iter().collect()),
+            Mutex::new(Default::default()),
+        ]);
+        // Set once the commit timestamp is drawn, and once the reader has
+        // looked the fate up: each side waits a while for the other, so
+        // the schedule the planted bug needs is likely.
+        let drawn = Arc::new(AtomicBool::new(false));
+        let looked = Arc::new(AtomicBool::new(false));
+        let wait_for = |flag: &AtomicBool| {
+            for _ in 0..64 {
+                if flag.load(Ordering::Acquire) {
+                    break;
+                }
+                thread::yield_now();
+            }
+        };
+
+        let committer = {
+            let (clock, shards) = (Arc::clone(&clock), Arc::clone(&shards));
+            let (drawn, looked) = (Arc::clone(&drawn), Arc::clone(&looked));
+            thread::spawn(move || {
+                let early = planted.then(|| clock.fetch_add(1, Ordering::SeqCst) + 1);
+                let mut shard = shards[0].lock().unwrap();
+                let commit = early.unwrap_or_else(|| clock.fetch_add(1, Ordering::SeqCst) + 1);
+                drawn.store(true, Ordering::Release);
+                if planted {
+                    drop(shard);
+                    wait_for(&looked);
+                    shard = shards[0].lock().unwrap();
+                } else {
+                    wait_for(&looked);
+                }
+                shard.insert(WRITER, commit);
+                commit
+            })
+        };
+
+        let reader = {
+            let (clock, shards) = (Arc::clone(&clock), Arc::clone(&shards));
+            thread::spawn(move || {
+                wait_for(&drawn);
+                // Begin: the snapshot is drawn under the reader's own
+                // shard lock.
+                let snapshot = {
+                    let mut own = shards[usize::from(!same_shard)].lock().unwrap();
+                    let snapshot = clock.fetch_add(1, Ordering::SeqCst) + 1;
+                    own.insert(snapshot, 0);
+                    snapshot
+                };
+                let fate = shards[0].lock().unwrap()[&WRITER];
+                looked.store(true, Ordering::Release);
+                (snapshot, fate != 0 && fate < snapshot)
+            })
+        };
+
+        let commit = committer.join().unwrap();
+        let (snapshot, visible) = reader.join().unwrap();
+        assert_eq!(
+            visible,
+            commit < snapshot,
+            "snapshot {snapshot} and commit {commit} disagree"
+        );
+    });
+}
+
+#[test]
+fn a_snapshot_above_a_commit_reads_it_under_the_shard_lock() {
+    registry_commit_model(false, true);
+    registry_commit_model(false, false);
+}
+
+/// The planted bug: a commit timestamp drawn outside the shard lock lets a
+/// snapshot above it read the fate before it is set.
+#[test]
+#[should_panic(expected = "disagree")]
+fn a_commit_timestamp_drawn_outside_the_shard_lock_is_missed() {
+    registry_commit_model(true, true);
 }

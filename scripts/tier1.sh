@@ -59,9 +59,11 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 # claim/seal occupancy protocol, the migration splice vs. a mid-chain
 # reader, chain-head table growth vs. a reader, the GC's dirty-flag
 # worklist handshake, the commit pipeline's spin-then-park hand-off
-# (its one mutex-and-condvar protocol), and the snapshot read's stamp
-# re-read vs. an owner and a pruning GC, with its planted no-re-read
-# canary that must fail. 32 fuzzed schedules per model
+# (its one mutex-and-condvar protocol), the snapshot read's stamp
+# re-read vs. an owner that deregisters, with its planted no-re-read
+# canary that must fail, and commit, begin and read on one registry shard
+# lock, with its planted canary (the commit timestamp drawn outside the
+# lock) that must fail. 32 fuzzed schedules per model
 # keeps the gate seconds-scale; the default (64) runs when the suite is
 # invoked without LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols

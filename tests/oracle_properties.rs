@@ -156,17 +156,19 @@ proptest! {
         let outcomes = run_schedule(&mut original, &schedule);
 
         // "Persist" every decision the original made, then replay in commit
-        // order. The WAL records carry the write sets; look them up by the
-        // start timestamps `run_schedule` reported.
+        // order. The WAL records carry the write sets; the commit table
+        // gives each scheduled transaction's commit timestamp.
         let mut recovered = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let mut commits: Vec<(Timestamp, Timestamp)> =
-            original.commit_table().iter_commits().collect();
-        commits.sort_by_key(|&(_, c)| c);
-        for (start, commit) in commits {
-            let idx = outcomes
-                .iter()
-                .position(|&(s, _)| s == start)
-                .expect("committed txn came from the schedule");
+        let mut commits: Vec<(usize, Timestamp, Timestamp)> = outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, &(start, _))| {
+                let commit = original.commit_table().status(start).commit_ts()?;
+                Some((idx, start, commit))
+            })
+            .collect();
+        commits.sort_by_key(|&(_, _, c)| c);
+        for (idx, start, commit) in commits {
             let writes = rows(&schedule.txns[idx].2);
             recovered.replay_commit(start, commit, &writes);
         }
