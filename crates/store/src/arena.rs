@@ -14,7 +14,7 @@
 //!   of its own: the reader's registration in the active-transaction
 //!   registry, taken at begin, is what keeps its chain nodes alive.
 //! * **Writers publish with one CAS.** On a cold chain a version is
-//!   allocated from the [`VersionArena`], fully initialized, linked to the
+//!   allocated from the singles' [`Pool`], fully initialized, linked to the
 //!   current head, and installed by a single compare-and-swap on the key's
 //!   chain head. On a hot (migrated) chain the head is a **packed
 //!   multi-version node** and publication is a CAS on the node's occupancy
@@ -62,16 +62,29 @@
 //!   as per-commit shares, which every write commit sweeps and frees; `gc`
 //!   sweeps both generations (DESIGN.md §6).
 //!
-//! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit slot index
-//! plus the slot's 32-bit *generation*, bumped on every free, so a stale
-//! handle to a recycled slot can never be confused with the slot's new
-//! occupant (ABA protection). Bit 31 of the index half is the
-//! [`PACKED_TAG`]: set, the handle names a [`PackedNode`] in the
-//! [`PackedArena`]; clear, a single-version [`Slot`] in the
-//! [`VersionArena`]. Everything here is safe Rust: chunks live in
-//! `OnceLock`s, links are index-valued atomics, and values sit behind
-//! uncontended spin mutexes — so even a protocol bug cannot become memory
-//! unsafety, only a failed test.
+//! **One cursor walks every chain.** [`ArenaStore::nodes`] yields a key's
+//! chain node by node and [`ArenaStore::versions`] version by version —
+//! each live version once, in chain order, as a [`Version`] view over its
+//! atomics whose [`Version::fate`] is the one statement of the visibility
+//! rule. A walk may assume one of two things: it is registered (a read,
+//! the owner's stamping, a sweep's prefetch), so no node it reaches is
+//! freed under it; or it holds the entry lock (every restructurer), so
+//! every node it meets is still linked and mid-chain links hold still.
+//! Two walks keep loops of their own. `visible`, the reader's fast path,
+//! walks the cursor's nodes but binary-searches a packed node's sorted
+//! prefix instead of visiting its versions one by one. `sweep_chain` walks
+//! raw links, because an unlink needs the link *into* each node and a
+//! failed head CAS restarts it from the new head.
+//!
+//! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit node index
+//! plus the node's 32-bit *generation*, bumped on every free, so a stale
+//! handle to a recycled node can never be confused with the node's new
+//! occupant (ABA protection). Both node kinds live in one generic [`Pool`]
+//! each; bit 31 of the index half is the [`PACKED_TAG`]: set, the handle
+//! names a [`PackedNode`]; clear, a single-version [`Slot`]. Everything
+//! here is safe Rust: chunks live in `OnceLock`s, links are index-valued
+//! atomics, and values sit behind uncontended spin mutexes — so even a
+//! protocol bug cannot become memory unsafety, only a failed test.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -97,20 +110,11 @@ const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 /// keys (see [`ArenaStore::prune_entry`]).
 pub(crate) const PRUNE_CHAIN_LEN: usize = 32;
 
-/// Versions per arena chunk (power of two).
-const CHUNK_SLOTS: usize = 1024;
-
-/// Maximum chunks; `CHUNK_SLOTS * MAX_CHUNKS` bounds *resident* versions
-/// (retired slots recycle through the free list, so steady state sits far
-/// below this). Must stay below `1 << 31` so slot indices never collide
-/// with [`PACKED_TAG`].
+/// Maximum chunks of each node pool; `MAX_CHUNKS` times a pool's chunk
+/// size bounds its *resident* nodes (freed nodes recycle through the free
+/// list, so steady state sits far below this). Must keep every pool's
+/// indices below `1 << 31`, so they never collide with [`PACKED_TAG`].
 const MAX_CHUNKS: usize = 4096;
-
-/// Packed nodes per packed-arena chunk (power of two).
-const PACKED_CHUNK_SLOTS: usize = 256;
-
-/// Maximum packed-arena chunks; bounds *resident* packed nodes.
-const MAX_PACKED_CHUNKS: usize = 4096;
 
 /// Key entries per entry-arena chunk (power of two).
 const ENTRY_CHUNK_SLOTS: usize = 1024;
@@ -214,6 +218,15 @@ impl VersionIdx {
 enum Loc {
     Single(u64),
     Packed(u64, usize),
+}
+
+impl Loc {
+    /// The handle of the node holding the version.
+    fn handle(self) -> u64 {
+        match self {
+            Loc::Single(h) | Loc::Packed(h, _) => h,
+        }
+    }
 }
 
 /// One single-version slot. All fields are atomics (or a spin mutex)
@@ -329,59 +342,83 @@ fn occ_ready(occ: u64) -> u32 {
     (occ >> 32) as u32
 }
 
-/// A version's fate, given its writer start and shard and its commit
-/// stamp: the stamp if it has one; else the resolver's answer, unless that
-/// is not `Committed` and the stamp has landed since the first load.
-///
-/// The re-load is what makes an unstamped read sound. A live unstamped
-/// version belongs to a registered writer (DESIGN.md §6): its owner stamps
-/// it before it deregisters. Between this function's two loads the owner
-/// can stamp and deregister, which drops its registry entry, so the
-/// resolver answers `Pending` for a commit the snapshot must see. Those
-/// steps are ordered — stamp, deregister, the resolver's lookup, the last
-/// two under the writer's registry shard lock — so the `Acquire` re-load
-/// after that lookup sees the stamp.
-#[inline]
-fn fate<R: VersionResolver + ?Sized>(
-    writer_start: &AtomicU64,
-    shard: &AtomicU8,
-    committed_at: &AtomicU64,
-    resolver: &R,
-) -> TxnStatus {
-    let stamped = committed_at.load(Ordering::Acquire);
-    if stamped != 0 {
-        return TxnStatus::Committed(Timestamp(stamped));
+/// A node the [`Pool`] holds: a single-version [`Slot`] or a
+/// [`PackedNode`].
+trait PoolNode: Default {
+    /// Nodes per chunk (a power of two).
+    const CHUNK: usize;
+    /// Set in the index half of every handle the pool hands out:
+    /// [`PACKED_TAG`] for packed nodes, nothing for slots.
+    const TAG: u32;
+    /// Allocation generation; bumped on free (ABA protection).
+    fn gen(&self) -> &AtomicU32;
+    /// The chain link while allocated, the free-list link while free.
+    fn next(&self) -> &AtomicU64;
+    /// Resets a node being freed, returning the value it held for the
+    /// caller to drop (a packed node drops its values itself).
+    fn clear(&self) -> Option<Bytes>;
+}
+
+impl PoolNode for Slot {
+    const CHUNK: usize = 1024;
+    const TAG: u32 = 0;
+
+    fn gen(&self) -> &AtomicU32 {
+        &self.gen
     }
-    let writer = Timestamp(writer_start.load(Ordering::Relaxed));
-    let status = resolver.resolve(writer, shard.load(Ordering::Relaxed) as usize);
-    if matches!(status, TxnStatus::Committed(_)) {
-        return status;
+
+    fn next(&self) -> &AtomicU64 {
+        &self.next
     }
-    match committed_at.load(Ordering::Acquire) {
-        0 => status,
-        stamped => TxnStatus::Committed(Timestamp(stamped)),
+
+    fn clear(&self) -> Option<Bytes> {
+        self.value.lock().take()
     }
 }
 
-/// The chunked version arena: slots live in lazily-allocated fixed-size
-/// chunks (so a growing store never moves existing slots — outstanding
-/// indices stay valid forever), and freed slots recycle through a Treiber
-/// free list whose head carries a modification tag (ABA protection for the
-/// pop's read of `next`).
+impl PoolNode for PackedNode {
+    const CHUNK: usize = 256;
+    const TAG: u32 = PACKED_TAG;
+
+    fn gen(&self) -> &AtomicU32 {
+        &self.gen
+    }
+
+    fn next(&self) -> &AtomicU64 {
+        &self.next
+    }
+
+    fn clear(&self) -> Option<Bytes> {
+        for v in &self.vals {
+            *v.lock() = None;
+        }
+        self.occ.store(0, Ordering::Relaxed);
+        self.dead.store(0, Ordering::Relaxed);
+        self.sorted.store(0, Ordering::Relaxed);
+        None
+    }
+}
+
+/// A chunked node pool: nodes live in lazily-allocated fixed-size chunks
+/// (so a growing store never moves a node — outstanding indices stay valid
+/// forever), and freed nodes recycle through a Treiber free list whose head
+/// carries a modification tag (ABA protection for the pop's read of
+/// `next`). Handles carry `N::TAG` in the index half; free-list indices do
+/// not.
 #[derive(Debug)]
-pub(crate) struct VersionArena {
-    chunks: Vec<OnceLock<Box<[Slot]>>>,
-    /// Bump watermark: slots `< len` have been handed out at least once.
+struct Pool<N> {
+    chunks: Vec<OnceLock<Box<[N]>>>,
+    /// Bump watermark: nodes `< len` have been handed out at least once.
     len: AtomicU32,
-    /// Tagged free-list head: `tag << 32 | slot` (`FREE_NONE` = empty).
+    /// Tagged free-list head: `tag << 32 | index` (`FREE_NONE` = empty).
     free: AtomicU64,
     /// Chunks initialized so far (for the `store_arena_chunks` gauge).
     chunks_inited: AtomicU64,
 }
 
-impl VersionArena {
+impl<N: PoolNode> Pool<N> {
     fn new() -> Self {
-        VersionArena {
+        Pool {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
             len: AtomicU32::new(0),
             free: AtomicU64::new(FREE_NONE as u64),
@@ -389,97 +426,89 @@ impl VersionArena {
         }
     }
 
+    /// The node `handle` names.
     #[inline]
-    fn slot(&self, packed: u64) -> &Slot {
-        let idx = VersionIdx::slot(packed) as usize;
-        let slot = &self.chunks[idx / CHUNK_SLOTS]
-            .get()
-            .expect("published index implies initialized chunk")[idx % CHUNK_SLOTS];
+    fn get(&self, handle: u64) -> &N {
         debug_assert_eq!(
-            slot.gen.load(Ordering::Relaxed),
-            VersionIdx::generation(packed),
+            VersionIdx::slot(handle) & PACKED_TAG,
+            N::TAG,
+            "handle dereferenced in the other pool"
+        );
+        let node = self.raw(VersionIdx::slot(handle) & !N::TAG);
+        debug_assert_eq!(
+            node.gen().load(Ordering::Relaxed),
+            VersionIdx::generation(handle),
             "stale generation handle dereferenced"
         );
-        slot
+        node
     }
 
-    /// Allocates a slot initialized as an unstamped, unlinked version.
-    /// Returns the packed handle; the caller publishes it (the `Release`
-    /// publish CAS is what makes these plain stores visible to readers).
-    fn alloc(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
-        let idx = self.alloc_raw();
-        let slot = &self.chunks[idx as usize / CHUNK_SLOTS]
+    #[inline]
+    fn raw(&self, idx: u32) -> &N {
+        &self.chunks[idx as usize / N::CHUNK]
             .get()
-            .expect("alloc_raw initialized the chunk")[idx as usize % CHUNK_SLOTS];
-        slot.writer_start
-            .store(writer_start.raw(), Ordering::Relaxed);
-        slot.shard.store(shard as u8, Ordering::Relaxed);
-        slot.committed_at.store(0, Ordering::Relaxed);
-        slot.next.store(NULL_VIDX, Ordering::Relaxed);
-        *slot.value.lock() = value;
-        VersionIdx::pack(slot.gen.load(Ordering::Relaxed), idx)
+            .expect("index below bump watermark implies initialized chunk")[idx as usize % N::CHUNK]
     }
 
-    fn alloc_raw(&self) -> u32 {
-        // Fast path: pop the free list. The tag in the high half changes on
-        // every push *and* pop, so a slot that was popped, recycled, and
-        // re-pushed between our head load and our CAS cannot satisfy the
-        // CAS with a stale `next` (ABA).
+    /// Allocates a node, returning its handle and the node for the caller
+    /// to initialize and publish (the `Release` publish is what makes the
+    /// caller's plain stores visible to readers).
+    fn alloc(&self) -> (u64, &N) {
+        let idx = self.pop().unwrap_or_else(|| {
+            // Slow path: bump, initializing the chunk on first touch.
+            let idx = self.len.fetch_add(1, Ordering::Relaxed);
+            assert!(
+                (idx as usize) < MAX_CHUNKS * N::CHUNK,
+                "node pool capacity exhausted ({} nodes)",
+                MAX_CHUNKS * N::CHUNK
+            );
+            self.chunks[idx as usize / N::CHUNK].get_or_init(|| {
+                self.chunks_inited.fetch_add(1, Ordering::Relaxed);
+                (0..N::CHUNK).map(|_| N::default()).collect()
+            });
+            idx
+        });
+        let node = self.raw(idx);
+        let gen = node.gen().load(Ordering::Relaxed);
+        (VersionIdx::pack(gen, idx | N::TAG), node)
+    }
+
+    /// Pops the free list. The tag in the high half changes on every push
+    /// *and* pop, so a node that was popped, recycled, and re-pushed
+    /// between our head load and our CAS cannot satisfy the CAS with a
+    /// stale `next` (ABA).
+    fn pop(&self) -> Option<u32> {
         loop {
             let head = self.free.load(Ordering::Acquire);
             let idx = head as u32;
             if idx == FREE_NONE {
-                break;
+                return None;
             }
-            let next = self.slot_raw(idx).next.load(Ordering::Relaxed) as u32;
+            let next = self.raw(idx).next().load(Ordering::Relaxed) as u32;
             let tagged = ((head >> 32).wrapping_add(1) << 32) | next as u64;
             if self
                 .free
                 .compare_exchange(head, tagged, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return idx;
+                return Some(idx);
             }
         }
-        // Slow path: bump, initializing the chunk on first touch.
-        let idx = self.len.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            (idx as usize) < MAX_CHUNKS * CHUNK_SLOTS,
-            "version arena capacity exhausted ({} slots)",
-            MAX_CHUNKS * CHUNK_SLOTS
-        );
-        self.chunks[idx as usize / CHUNK_SLOTS].get_or_init(|| {
-            self.chunks_inited.fetch_add(1, Ordering::Relaxed);
-            (0..CHUNK_SLOTS).map(|_| Slot::default()).collect()
-        });
-        idx
     }
 
-    #[inline]
-    fn slot_raw(&self, idx: u32) -> &Slot {
-        &self.chunks[idx as usize / CHUNK_SLOTS]
-            .get()
-            .expect("index below bump watermark implies initialized chunk")
-            [idx as usize % CHUNK_SLOTS]
-    }
-
-    /// Reclaims a retired slot: invalidates outstanding handles (generation
-    /// bump), takes the value out, and pushes the slot onto the free list.
-    /// Returns the value for the caller to drop. Must only be called once
-    /// the watermark has passed the slot's retire tag (or before the slot
-    /// was ever published).
-    fn free(&self, packed: u64) -> Option<Bytes> {
-        let idx = VersionIdx::slot(packed);
-        let slot = self.slot_raw(idx);
-        debug_assert_eq!(
-            slot.gen.load(Ordering::Relaxed),
-            VersionIdx::generation(packed)
-        );
-        slot.gen.fetch_add(1, Ordering::Relaxed);
-        let value = slot.value.lock().take();
+    /// Reclaims a retired node: invalidates outstanding handles (generation
+    /// bump), resets it, and pushes it onto the free list. Returns the
+    /// value it held for the caller to drop. Must only be called once the
+    /// watermark has passed the node's retire tag (or before the node was
+    /// ever published).
+    fn free(&self, handle: u64) -> Option<Bytes> {
+        let node = self.get(handle);
+        node.gen().fetch_add(1, Ordering::Relaxed);
+        let value = node.clear();
+        let idx = VersionIdx::slot(handle) & !N::TAG;
         loop {
             let head = self.free.load(Ordering::Acquire);
-            slot.next.store((head as u32) as u64, Ordering::Relaxed);
+            node.next().store((head as u32) as u64, Ordering::Relaxed);
             let tagged = ((head >> 32).wrapping_add(1) << 32) | idx as u64;
             if self
                 .free
@@ -496,85 +525,25 @@ impl VersionArena {
     }
 }
 
-/// The chunked packed-node arena: same chunk/free-list design as
-/// [`VersionArena`], holding [`PackedNode`]s. Handles carry
-/// [`PACKED_TAG`] in the index half.
-#[derive(Debug)]
-struct PackedArena {
-    chunks: Vec<OnceLock<Box<[PackedNode]>>>,
-    len: AtomicU32,
-    /// Tagged free-list head: `tag << 32 | node` (`FREE_NONE` = empty);
-    /// free-list indices are *untagged*.
-    free: AtomicU64,
-    chunks_inited: AtomicU64,
+impl Pool<Slot> {
+    /// Allocates a slot initialized as an unstamped, unlinked version.
+    fn alloc_version(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
+        let (handle, slot) = self.alloc();
+        slot.writer_start
+            .store(writer_start.raw(), Ordering::Relaxed);
+        slot.shard.store(shard as u8, Ordering::Relaxed);
+        slot.committed_at.store(0, Ordering::Relaxed);
+        slot.next.store(NULL_VIDX, Ordering::Relaxed);
+        *slot.value.lock() = value;
+        handle
+    }
 }
 
-impl PackedArena {
-    fn new() -> Self {
-        PackedArena {
-            chunks: (0..MAX_PACKED_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicU32::new(0),
-            free: AtomicU64::new(FREE_NONE as u64),
-            chunks_inited: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn node(&self, packed: u64) -> &PackedNode {
-        debug_assert!(is_packed(packed), "single handle dereferenced as packed");
-        let node = self.node_raw(VersionIdx::slot(packed) & !PACKED_TAG);
-        debug_assert_eq!(
-            node.gen.load(Ordering::Relaxed),
-            VersionIdx::generation(packed),
-            "stale generation packed handle dereferenced"
-        );
-        node
-    }
-
-    #[inline]
-    fn node_raw(&self, idx: u32) -> &PackedNode {
-        &self.chunks[idx as usize / PACKED_CHUNK_SLOTS]
-            .get()
-            .expect("packed index implies initialized chunk")[idx as usize % PACKED_CHUNK_SLOTS]
-    }
-
-    fn alloc_raw(&self) -> u32 {
-        loop {
-            let head = self.free.load(Ordering::Acquire);
-            let idx = head as u32;
-            if idx == FREE_NONE {
-                break;
-            }
-            let next = self.node_raw(idx).next.load(Ordering::Relaxed) as u32;
-            let tagged = ((head >> 32).wrapping_add(1) << 32) | next as u64;
-            if self
-                .free
-                .compare_exchange(head, tagged, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return idx;
-            }
-        }
-        let idx = self.len.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            (idx as usize) < MAX_PACKED_CHUNKS * PACKED_CHUNK_SLOTS,
-            "packed-node arena capacity exhausted ({} nodes)",
-            MAX_PACKED_CHUNKS * PACKED_CHUNK_SLOTS
-        );
-        self.chunks[idx as usize / PACKED_CHUNK_SLOTS].get_or_init(|| {
-            self.chunks_inited.fetch_add(1, Ordering::Relaxed);
-            (0..PACKED_CHUNK_SLOTS)
-                .map(|_| PackedNode::default())
-                .collect()
-        });
-        idx
-    }
-
+impl Pool<PackedNode> {
     /// Allocates a spill node holding exactly one freshly-claimed (so far
     /// unsorted, unstamped) version. The caller links and CAS-publishes it.
     fn alloc_spill(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
-        let idx = self.alloc_raw();
-        let node = self.node_raw(idx);
+        let (handle, node) = self.alloc();
         node.sorted.store(0, Ordering::Relaxed);
         node.dead.store(0, Ordering::Relaxed);
         node.next.store(NULL_VIDX, Ordering::Relaxed);
@@ -583,63 +552,190 @@ impl PackedArena {
         node.cts[0].store(0, Ordering::Relaxed);
         *node.vals[0].lock() = value;
         node.occ.store((1u64 << 32) | 1, Ordering::Relaxed);
-        VersionIdx::pack(node.gen.load(Ordering::Relaxed), idx | PACKED_TAG)
+        handle
     }
 
-    /// Allocates a node pre-filled with a sorted (descending by commit
-    /// timestamp) run of stamped versions — the migration build path. The
-    /// caller links and publishes it.
-    fn alloc_built(&self, entries: &[(u64, u64, Option<Bytes>)]) -> u64 {
-        debug_assert!(!entries.is_empty() && entries.len() <= PACK_CAP);
-        let idx = self.alloc_raw();
-        let node = self.node_raw(idx);
-        for (i, (ws, cts, value)) in entries.iter().enumerate() {
-            node.ws[i].store(*ws, Ordering::Relaxed);
-            node.cts[i].store(*cts, Ordering::Relaxed);
-            *node.vals[i].lock() = value.clone();
+    /// Allocates a node pre-filled with copies of `versions`, a sorted
+    /// (descending by commit timestamp) run of stamped versions, linked to
+    /// `next` — the migration build path. The caller publishes it.
+    fn alloc_built(&self, versions: &[Version<'_>], next: u64) -> u64 {
+        debug_assert!(!versions.is_empty() && versions.len() <= PACK_CAP);
+        let (handle, node) = self.alloc();
+        for (i, v) in versions.iter().enumerate() {
+            node.ws[i].store(v.writer(), Ordering::Relaxed);
+            node.cts[i].store(v.stamp(), Ordering::Relaxed);
+            *node.vals[i].lock() = v.value();
         }
-        let k = entries.len() as u32;
+        let k = versions.len() as u32;
         node.sorted.store(k, Ordering::Relaxed);
         node.dead.store(0, Ordering::Relaxed);
-        node.next.store(NULL_VIDX, Ordering::Relaxed);
+        node.next.store(next, Ordering::Relaxed);
         let ready = ((1u64 << k) - 1) << 32;
         node.occ.store(ready | k as u64, Ordering::Relaxed);
-        VersionIdx::pack(node.gen.load(Ordering::Relaxed), idx | PACKED_TAG)
+        handle
+    }
+}
+
+/// One chain node, as the cursor meets it: its handle and the node.
+#[derive(Debug, Clone, Copy)]
+enum Node<'a> {
+    Single(u64, &'a Slot),
+    Packed(u64, &'a PackedNode),
+}
+
+impl<'a> Node<'a> {
+    /// The link to the next-older node.
+    #[inline]
+    fn next(self) -> &'a AtomicU64 {
+        match self {
+            Node::Single(_, slot) => &slot.next,
+            Node::Packed(_, node) => &node.next,
+        }
     }
 
-    /// Reclaims a retired node: generation bump, values dropped, full state
-    /// reset, pushed onto the free list. The watermark must have passed its
-    /// retire tag (or the node was never published).
-    fn free(&self, packed: u64) {
-        let idx = VersionIdx::slot(packed) & !PACKED_TAG;
-        let node = self.node_raw(idx);
-        debug_assert_eq!(
-            node.gen.load(Ordering::Relaxed),
-            VersionIdx::generation(packed)
-        );
-        node.gen.fetch_add(1, Ordering::Relaxed);
-        for v in &node.vals {
-            *v.lock() = None;
-        }
-        node.occ.store(0, Ordering::Relaxed);
-        node.dead.store(0, Ordering::Relaxed);
-        node.sorted.store(0, Ordering::Relaxed);
-        loop {
-            let head = self.free.load(Ordering::Acquire);
-            node.next.store((head as u32) as u64, Ordering::Relaxed);
-            let tagged = ((head >> 32).wrapping_add(1) << 32) | idx as u64;
-            if self
-                .free
-                .compare_exchange(head, tagged, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
+    /// The mask of live entries: a single's one entry, or a packed node's
+    /// ready entries that are not dead.
+    #[inline]
+    fn live(self) -> u32 {
+        match self {
+            Node::Single(..) => 1,
+            Node::Packed(_, node) => {
+                occ_ready(node.occ.load(Ordering::Acquire))
+                    & !(node.dead.load(Ordering::Acquire) as u32)
             }
         }
     }
 
-    fn chunk_count(&self) -> u64 {
-        self.chunks_inited.load(Ordering::Relaxed)
+    /// The version in entry `i` (a single's is entry 0).
+    #[inline]
+    fn version(self, i: usize) -> Version<'a> {
+        match self {
+            Node::Single(h, slot) => Version {
+                loc: Loc::Single(h),
+                writer: &slot.writer_start,
+                shard: &slot.shard,
+                stamp: &slot.committed_at,
+                value: &slot.value,
+            },
+            Node::Packed(h, node) => Version {
+                loc: Loc::Packed(h, i),
+                writer: &node.ws[i],
+                shard: &node.shards[i],
+                stamp: &node.cts[i],
+                value: &node.vals[i],
+            },
+        }
+    }
+
+    /// The node's live versions, in entry order.
+    #[inline]
+    fn versions(self) -> impl Iterator<Item = Version<'a>> {
+        bits(self.live()).map(move |i| self.version(i))
+    }
+}
+
+/// The indices of `mask`'s set bits, lowest first.
+#[inline]
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(i)
+    })
+}
+
+/// A live version, as the cursor yields it: where it lives, and views over
+/// its atomics.
+#[derive(Debug, Clone, Copy)]
+struct Version<'a> {
+    loc: Loc,
+    writer: &'a AtomicU64,
+    /// The writer's registry shard, where a resolver looks its fate up.
+    shard: &'a AtomicU8,
+    stamp: &'a AtomicU64,
+    value: &'a SpinMutex<Option<Bytes>>,
+}
+
+impl Version<'_> {
+    /// The writing transaction's start timestamp (raw).
+    #[inline]
+    fn writer(&self) -> u64 {
+        self.writer.load(Ordering::Relaxed)
+    }
+
+    /// The commit stamp (raw); 0 until stamped.
+    #[inline]
+    fn stamp(&self) -> u64 {
+        self.stamp.load(Ordering::Acquire)
+    }
+
+    /// Writes the commit stamp back (§2.2): only ever the writer's commit
+    /// timestamp, once its commit is published.
+    #[inline]
+    fn set_stamp(&self, ts: u64) {
+        self.stamp.store(ts, Ordering::Release);
+    }
+
+    /// The value; `None` is a tombstone.
+    fn value(&self) -> Option<Bytes> {
+        self.value.lock().clone()
+    }
+
+    /// The version's fate: its stamp if it has one; else the resolver's
+    /// answer, unless that is not `Committed` and the stamp has landed
+    /// since the first load.
+    ///
+    /// The re-load is what makes an unstamped read sound. A live unstamped
+    /// version belongs to a registered writer (DESIGN.md §6): its owner
+    /// stamps it before it deregisters. Between this function's two loads
+    /// the owner can stamp and deregister, which drops its registry entry,
+    /// so the resolver answers `Pending` for a commit the snapshot must
+    /// see. Those steps are ordered — stamp, deregister, the resolver's
+    /// lookup, the last two under the writer's registry shard lock — so
+    /// the `Acquire` re-load after that lookup sees the stamp.
+    #[inline]
+    fn fate<R: VersionResolver + ?Sized>(&self, resolver: &R) -> TxnStatus {
+        let stamped = self.stamp();
+        if stamped != 0 {
+            return TxnStatus::Committed(Timestamp(stamped));
+        }
+        let writer = Timestamp(self.writer());
+        let status = resolver.resolve(writer, self.shard.load(Ordering::Relaxed) as usize);
+        if matches!(status, TxnStatus::Committed(_)) {
+            return status;
+        }
+        match self.stamp() {
+            0 => status,
+            stamped => TxnStatus::Committed(Timestamp(stamped)),
+        }
+    }
+}
+
+/// The cursor over a key's chain: yields each node once, in chain order
+/// (newest first). A link is loaded only when the next node is asked for,
+/// so it is read after the caller is done with the node before it. See
+/// [`ArenaStore::nodes`] for what a walk may assume.
+#[derive(Debug)]
+struct Chain<'a> {
+    store: &'a ArenaStore,
+    /// The link to follow next: the entry's head, then each yielded node's
+    /// `next`; `None` once the chain has ended.
+    link: Option<&'a AtomicU64>,
+}
+
+impl<'a> Iterator for Chain<'a> {
+    type Item = Node<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Node<'a>> {
+        let handle = self.link?.load(Ordering::Acquire);
+        if handle == NULL_VIDX {
+            self.link = None;
+            return None;
+        }
+        let node = self.store.node(handle);
+        self.link = Some(node.next());
+        Some(node)
     }
 }
 
@@ -982,8 +1078,8 @@ struct Shares {
 #[derive(Debug)]
 pub(crate) struct ArenaStore {
     table: ChainHeadTable,
-    arena: VersionArena,
-    packed: PackedArena,
+    singles: Pool<Slot>,
+    packed: Pool<PackedNode>,
     /// The database's timestamp counter, which retire tags are drawn from.
     ts: Arc<SharedTimestampSource>,
     /// Retired-but-not-freed nodes, tagged, oldest first (tags are drawn
@@ -1023,8 +1119,8 @@ impl ArenaStore {
     pub(crate) fn new(ts: Arc<SharedTimestampSource>) -> Self {
         ArenaStore {
             table: ChainHeadTable::new(),
-            arena: VersionArena::new(),
-            packed: PackedArena::new(),
+            singles: Pool::new(),
+            packed: Pool::new(),
             ts,
             limbo: SpinMutex::new(VecDeque::new()),
             watermark: AtomicU64::new(0),
@@ -1085,7 +1181,7 @@ impl ArenaStore {
             if is_packed(head) {
                 // Hot chain: claim a spare slot in the head node — the head
                 // pointer itself never moves on this path.
-                let node = self.packed.node(head);
+                let node = self.packed.get(head);
                 if let Some(i) = Self::try_claim(node, writer_start, shard, &value) {
                     break Loc::Packed(head, i);
                 }
@@ -1093,7 +1189,7 @@ impl ArenaStore {
                 let sp = *spill.get_or_insert_with(|| {
                     self.packed.alloc_spill(writer_start, shard, value.clone())
                 });
-                self.packed.node(sp).next.store(head, Ordering::Relaxed);
+                self.packed.get(sp).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
                     .compare_exchange(head, sp, Ordering::Release, Ordering::Relaxed)
@@ -1102,9 +1198,11 @@ impl ArenaStore {
                     break Loc::Packed(sp, 0);
                 }
             } else {
-                let s = *single
-                    .get_or_insert_with(|| self.arena.alloc(writer_start, shard, value.clone()));
-                self.arena.slot(s).next.store(head, Ordering::Relaxed);
+                let s = *single.get_or_insert_with(|| {
+                    self.singles
+                        .alloc_version(writer_start, shard, value.clone())
+                });
+                self.singles.get(s).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
                     .compare_exchange_weak(head, s, Ordering::Release, Ordering::Relaxed)
@@ -1122,7 +1220,7 @@ impl ArenaStore {
         // Return unused pre-allocations (never published: free at once).
         if let Some(s) = single {
             if !matches!(published, Loc::Single(p) if p == s) {
-                drop(self.arena.free(s));
+                drop(self.singles.free(s));
             }
         }
         if let Some(sp) = spill {
@@ -1209,12 +1307,6 @@ impl ArenaStore {
         }
     }
 
-    /// Ready-and-not-dead entry mask of a packed node.
-    #[inline]
-    fn live_mask(&self, node: &PackedNode) -> u32 {
-        occ_ready(node.occ.load(Ordering::Acquire)) & !(node.dead.load(Ordering::Acquire) as u32)
-    }
-
     /// Marks packed entries dead. Caller holds the entry lock (the only
     /// writer discipline `dead` needs); the timestamps stay in place so the
     /// sorted prefix's search order survives.
@@ -1223,97 +1315,57 @@ impl ArenaStore {
         node.dead.store(dead | mask, Ordering::Release);
     }
 
-    /// The `next` link of any chain node (single or packed).
+    /// The chain node `handle` names, in the pool its [`PACKED_TAG`] says.
     #[inline]
-    fn next_atomic(&self, handle: u64) -> &AtomicU64 {
+    fn node(&self, handle: u64) -> Node<'_> {
         if is_packed(handle) {
-            &self.packed.node(handle).next
+            Node::Packed(handle, self.packed.get(handle))
         } else {
-            &self.arena.slot(handle).next
+            Node::Single(handle, self.singles.get(handle))
         }
     }
 
+    /// The cursor over `entry`'s chain, node by node. The walker is
+    /// registered — so no node it reaches is freed under it — or holds the
+    /// entry lock, under which every node it meets is still linked and
+    /// mid-chain links hold still.
     #[inline]
-    fn next_of(&self, handle: u64) -> u64 {
-        self.next_atomic(handle).load(Ordering::Acquire)
-    }
-
-    /// Walks every live version of a chain, passing
-    /// `(loc, writer_start, committed_at-or-0)`. Caller is registered.
-    fn for_each_live(&self, entry: &KeyEntry, mut f: impl FnMut(Loc, u64, u64)) {
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                for i in 0..PACK_CAP {
-                    if live & (1 << i) != 0 {
-                        f(
-                            Loc::Packed(cur, i),
-                            node.ws[i].load(Ordering::Relaxed),
-                            node.cts[i].load(Ordering::Acquire),
-                        );
-                    }
-                }
-            } else {
-                let slot = self.arena.slot(cur);
-                f(
-                    Loc::Single(cur),
-                    slot.writer_start.load(Ordering::Relaxed),
-                    slot.committed_at.load(Ordering::Acquire),
-                );
-            }
-            cur = self.next_of(cur);
+    fn nodes<'a>(&'a self, entry: &'a KeyEntry) -> Chain<'a> {
+        Chain {
+            store: self,
+            link: Some(&entry.head),
         }
     }
 
-    /// Removes every live version of `entry` that `doom` selects, given its
-    /// `(loc, writer_start, committed_at-or-0)`: singles are unlinked,
-    /// packed entries dead-marked, and nodes whose live set empties are
-    /// sealed and unlinked whole. Unlinked nodes are appended to `removed`
-    /// for the caller to retire; returns the versions removed. Caller holds
-    /// the entry lock; `doom` must be pure, because a racing publisher
-    /// restarts the unlink walk.
+    /// Every live version of `entry`'s chain, once each, in chain order:
+    /// the cursor of [`Self::nodes`] at version level.
+    #[inline]
+    fn versions<'a>(&'a self, entry: &'a KeyEntry) -> impl Iterator<Item = Version<'a>> {
+        self.nodes(entry).flat_map(Node::versions)
+    }
+
+    /// Removes every live version of `entry` that `doom` selects: singles
+    /// are unlinked, packed entries dead-marked, and nodes whose live set
+    /// empties are sealed and unlinked whole. Unlinked nodes are appended
+    /// to `removed` for the caller to retire; returns the versions removed.
+    /// Caller holds the entry lock; `doom` must be pure, because a racing
+    /// publisher restarts the unlink walk.
     fn remove_where(
         &self,
         entry: &KeyEntry,
-        doom: impl Fn(Loc, u64, u64) -> bool,
+        doom: impl Fn(&Version<'_>) -> bool,
         removed: &mut Vec<u64>,
     ) -> u64 {
         let base = removed.len();
         let mut marked = 0u64;
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                let mut mask = 0u64;
-                for i in 0..PACK_CAP {
-                    if live & (1 << i) != 0
-                        && doom(
-                            Loc::Packed(cur, i),
-                            node.ws[i].load(Ordering::Relaxed),
-                            node.cts[i].load(Ordering::Acquire),
-                        )
-                    {
-                        mask |= 1 << i;
-                    }
-                }
-                if mask != 0 {
-                    Self::mark_dead(node, mask);
-                    marked += mask.count_ones() as u64;
-                }
-            } else {
-                let slot = self.arena.slot(cur);
-                if doom(
-                    Loc::Single(cur),
-                    slot.writer_start.load(Ordering::Relaxed),
-                    slot.committed_at.load(Ordering::Acquire),
-                ) {
-                    removed.push(cur);
+        for v in self.versions(entry).filter(|v| doom(v)) {
+            match v.loc {
+                Loc::Single(h) => removed.push(h),
+                Loc::Packed(h, i) => {
+                    Self::mark_dead(self.packed.get(h), 1 << i);
+                    marked += 1;
                 }
             }
-            cur = self.next_of(cur);
         }
         let unlinked = (removed.len() - base) as u64;
         if unlinked > 0 {
@@ -1339,17 +1391,12 @@ impl ArenaStore {
     fn prune_entry(&self, entry: &KeyEntry) -> u64 {
         let watermark = self.watermark.load(Ordering::Relaxed);
         let _guard = entry.lock.lock();
-        let mut bound: Option<u64> = None;
-        self.for_each_live(entry, |_, _, cts| {
-            if cts != 0 && cts < watermark && bound.is_none_or(|b| cts > b) {
-                bound = Some(cts);
-            }
-        });
-        let Some(bound) = bound else {
+        let stamps = self.versions(entry).map(|v| v.stamp());
+        let Some(bound) = stamps.filter(|cts| (1..watermark).contains(cts)).max() else {
             return 0;
         };
         let mut removed = Vec::new();
-        let pruned = self.remove_where(entry, |_, _, cts| cts != 0 && cts < bound, &mut removed);
+        let pruned = self.remove_where(entry, |v| (1..bound).contains(&v.stamp()), &mut removed);
         self.retire_all(&removed);
         pruned
     }
@@ -1368,28 +1415,19 @@ impl ArenaStore {
     fn migrate_entry(&self, entry: &KeyEntry) {
         let _guard = entry.lock.lock();
         // The singles prefix ends at the first packed node (chain shape
-        // invariant); mid-chain links are stable under the entry lock.
-        let mut stamped: Vec<(u64, u64, u64, Option<Bytes>)> = Vec::new();
-        let mut last_single: Option<u64> = None;
-        let mut first_packed = NULL_VIDX;
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                first_packed = cur;
-                break;
+        // invariant); mid-chain links are stable under the entry lock, so
+        // the last single's link is where the packed run attaches.
+        let mut stamped: Vec<Version<'_>> = Vec::new();
+        let mut splice = &entry.head;
+        for node in self
+            .nodes(entry)
+            .take_while(|node| matches!(node, Node::Single(..)))
+        {
+            let v = node.version(0);
+            if v.stamp() != 0 {
+                stamped.push(v);
             }
-            let slot = self.arena.slot(cur);
-            let cts = slot.committed_at.load(Ordering::Acquire);
-            if cts != 0 {
-                stamped.push((
-                    cur,
-                    slot.writer_start.load(Ordering::Relaxed),
-                    cts,
-                    slot.value.lock().clone(),
-                ));
-            }
-            last_single = Some(cur);
-            cur = slot.next.load(Ordering::Acquire);
+            splice = node.next();
         }
         if stamped.len() < MIN_MIGRATE {
             // Resync the trigger counter so it re-arms honestly.
@@ -1398,39 +1436,20 @@ impl ArenaStore {
         }
         // Newest first; ties (impossible for distinct committed writers)
         // broken by writer start for determinism.
-        stamped.sort_unstable_by(|a, b| b.2.cmp(&a.2).then(b.1.cmp(&a.1)));
-        // Build the packed replacement. The first (newest) node is left
-        // half-filled: it typically becomes the chain head, and its spare
-        // slots are what subsequent claim-publishes fill.
-        let mut nodes: Vec<u64> = Vec::new();
-        let mut off = 0;
-        while off < stamped.len() {
-            let take = if off == 0 {
-                HEAD_BUILD.min(stamped.len())
-            } else {
-                PACK_CAP.min(stamped.len() - off)
-            };
-            let chunk: Vec<(u64, u64, Option<Bytes>)> = stamped[off..off + take]
-                .iter()
-                .map(|(_, ws, cts, v)| (*ws, *cts, v.clone()))
-                .collect();
-            nodes.push(self.packed.alloc_built(&chunk));
-            off += take;
+        stamped.sort_unstable_by_key(|v| std::cmp::Reverse((v.stamp(), v.writer())));
+        // Build the packed replacement oldest node first, each linked to
+        // the one built before it, the oldest to the first packed node.
+        // The newest node is left half-filled: it typically becomes the
+        // chain head, and its spare slots are what subsequent
+        // claim-publishes fill.
+        let (newest, older) = stamped.split_at(HEAD_BUILD.min(stamped.len()));
+        let mut run = splice.load(Ordering::Acquire);
+        for versions in older.chunks(PACK_CAP).rev().chain([newest]) {
+            run = self.packed.alloc_built(versions, run);
         }
-        for w in nodes.windows(2) {
-            self.packed.node(w[0]).next.store(w[1], Ordering::Relaxed);
-        }
-        self.packed
-            .node(*nodes.last().expect("at least one node built"))
-            .next
-            .store(first_packed, Ordering::Relaxed);
         // Attach, then unlink.
-        let splice = last_single.expect("stamped singles imply a single exists");
-        self.arena
-            .slot(splice)
-            .next
-            .store(nodes[0], Ordering::Release);
-        let handles: Vec<u64> = stamped.iter().map(|(h, _, _, _)| *h).collect();
+        splice.store(run, Ordering::Release);
+        let handles: Vec<u64> = stamped.iter().map(|v| v.loc.handle()).collect();
         self.sweep_chain(entry, &handles);
         self.reset_len(entry);
         self.retire_all(&handles);
@@ -1448,21 +1467,19 @@ impl ArenaStore {
     /// chain head. Caller holds the entry lock.
     fn retire_dead_nodes(&self, entry: &KeyEntry, removed: &mut Vec<u64>) {
         let base = removed.len();
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                if self.live_mask(node) == 0 {
-                    let ready = Self::seal(node);
-                    if ready & !(node.dead.load(Ordering::Acquire) as u32) == 0 {
-                        removed.push(cur);
-                        if let Some(obs) = &self.obs {
-                            obs.packed_occupancy.record(ready.count_ones() as u64);
-                        }
+        for node in self.nodes(entry) {
+            let Node::Packed(handle, packed) = node else {
+                continue;
+            };
+            if node.live() == 0 {
+                let ready = Self::seal(packed);
+                if ready & !(packed.dead.load(Ordering::Acquire) as u32) == 0 {
+                    removed.push(handle);
+                    if let Some(obs) = &self.obs {
+                        obs.packed_occupancy.record(ready.count_ones() as u64);
                     }
                 }
             }
-            cur = self.next_of(cur);
         }
         if removed.len() > base {
             self.sweep_chain(entry, &removed[base..]);
@@ -1485,29 +1502,12 @@ impl ArenaStore {
         writes: &[(Bytes, Option<Bytes>)],
     ) {
         for (&row, (key, _)) in rows.iter().zip(writes) {
-            if let Some(entry) = self.table.find(key, row) {
-                let mut cur = entry.head.load(Ordering::Acquire);
-                'chain: while cur != NULL_VIDX {
-                    if is_packed(cur) {
-                        let node = self.packed.node(cur);
-                        let live = self.live_mask(node);
-                        for i in 0..PACK_CAP {
-                            if live & (1 << i) != 0
-                                && node.ws[i].load(Ordering::Relaxed) == writer_start.raw()
-                            {
-                                node.cts[i].store(commit_ts.raw(), Ordering::Release);
-                                break 'chain;
-                            }
-                        }
-                    } else {
-                        let slot = self.arena.slot(cur);
-                        if slot.writer_start.load(Ordering::Relaxed) == writer_start.raw() {
-                            slot.committed_at.store(commit_ts.raw(), Ordering::Release);
-                            break 'chain;
-                        }
-                    }
-                    cur = self.next_of(cur);
-                }
+            let own = self.table.find(key, row).and_then(|entry| {
+                self.versions(entry)
+                    .find(|v| v.writer() == writer_start.raw())
+            });
+            if let Some(v) = own {
+                v.set_stamp(commit_ts.raw());
             }
         }
     }
@@ -1526,7 +1526,7 @@ impl ArenaStore {
         for (&row, (key, _)) in rows.iter().zip(writes) {
             if let Some(entry) = self.table.find(key, row) {
                 let _guard = entry.lock.lock();
-                self.remove_where(entry, |_, w, _| w == ws, &mut removed);
+                self.remove_where(entry, |v| v.writer() == ws, &mut removed);
             }
         }
         self.retire_all(&removed);
@@ -1561,84 +1561,52 @@ impl ArenaStore {
         resolver: &R,
     ) -> Option<Option<Bytes>> {
         self.visible(entry, reader_start, resolver)
-            .map(|(loc, _)| self.value_of(loc))
+            .map(|(v, _)| v.value())
     }
 
     /// The version of `entry` a snapshot at `reader_start` sees — the
     /// newest committed below it — with its commit timestamp. Caller is
     /// registered.
     ///
-    /// A packed node resolves in two steps: a **binary search** over its
-    /// sorted prefix (descending commit timestamps — the first index below
-    /// the snapshot is the newest visible there, modulo dead bits), then a
-    /// linear pass over the claimed suffix, whose commit order is unknown.
-    fn visible<R: VersionResolver + ?Sized>(
-        &self,
-        entry: &KeyEntry,
+    /// The reader's fast path walks nodes, not versions: a packed node
+    /// resolves its sorted prefix (descending commit timestamps) by a
+    /// **binary search** — the first index below the snapshot is the
+    /// newest visible there, modulo dead bits — and only its claimed
+    /// suffix, whose commit order is unknown, version by version through
+    /// [`Version::fate`], as a single is.
+    fn visible<'a, R: VersionResolver + ?Sized>(
+        &'a self,
+        entry: &'a KeyEntry,
         reader_start: Timestamp,
         resolver: &R,
-    ) -> Option<(Loc, u64)> {
-        let mut best: Option<(Loc, u64)> = None;
-        let mut consider = |loc: Loc, status: TxnStatus| {
+    ) -> Option<(Version<'a>, u64)> {
+        let mut best: Option<(Version<'a>, u64)> = None;
+        let mut consider = |v: Version<'a>, status: TxnStatus| {
             if let TxnStatus::Committed(ts) = status {
                 if ts < reader_start && best.is_none_or(|(_, b)| ts.raw() > b) {
-                    best = Some((loc, ts.raw()));
+                    best = Some((v, ts.raw()));
                 }
             }
         };
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                let sorted = node.sorted.load(Ordering::Relaxed) as usize;
-                if sorted > 0 {
-                    let (mut lo, mut hi) = (0usize, sorted);
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        if node.cts[mid].load(Ordering::Relaxed) < reader_start.raw() {
-                            hi = mid;
-                        } else {
-                            lo = mid + 1;
-                        }
-                    }
-                    if let Some(i) = (lo..sorted).find(|i| live & (1 << i) != 0) {
-                        let ts = node.cts[i].load(Ordering::Relaxed);
-                        consider(Loc::Packed(cur, i), TxnStatus::Committed(Timestamp(ts)));
-                    }
+        for node in self.nodes(entry) {
+            let live = node.live();
+            // Entries below `sorted` form a packed node's sorted prefix.
+            let mut sorted = 0;
+            if let Node::Packed(_, packed) = node {
+                sorted = packed.sorted.load(Ordering::Relaxed) as usize;
+                let below = packed.cts[..sorted]
+                    .partition_point(|cts| cts.load(Ordering::Relaxed) >= reader_start.raw());
+                if let Some(i) = (below..sorted).find(|i| live & (1 << i) != 0) {
+                    let ts = packed.cts[i].load(Ordering::Relaxed);
+                    consider(node.version(i), TxnStatus::Committed(Timestamp(ts)));
                 }
-                for i in (sorted..PACK_CAP).filter(|i| live & (1 << i) != 0) {
-                    let status = fate(&node.ws[i], &node.shards[i], &node.cts[i], resolver);
-                    consider(Loc::Packed(cur, i), status);
-                }
-            } else {
-                let slot = self.arena.slot(cur);
-                let status = fate(
-                    &slot.writer_start,
-                    &slot.shard,
-                    &slot.committed_at,
-                    resolver,
-                );
-                consider(Loc::Single(cur), status);
             }
-            cur = self.next_of(cur);
+            for i in bits(live & !((1 << sorted) - 1)) {
+                let v = node.version(i);
+                consider(v, v.fate(resolver));
+            }
         }
         best
-    }
-
-    /// The writer start of the version at `loc`.
-    fn writer_of(&self, loc: Loc) -> u64 {
-        match loc {
-            Loc::Single(h) => self.arena.slot(h).writer_start.load(Ordering::Relaxed),
-            Loc::Packed(h, i) => self.packed.node(h).ws[i].load(Ordering::Relaxed),
-        }
-    }
-
-    fn value_of(&self, loc: Loc) -> Option<Bytes> {
-        match loc {
-            Loc::Single(h) => self.arena.slot(h).value.lock().clone(),
-            Loc::Packed(h, i) => self.packed.node(h).vals[i].lock().clone(),
-        }
     }
 
     /// Scans `[start, end)` in the snapshot, returning up to `limit`
@@ -1706,10 +1674,10 @@ impl ArenaStore {
         let mut out: VersionStamps = Vec::new();
         for (key, &idx) in index.iter() {
             let entry = self.table.entries.get(idx);
-            let mut stamps: Vec<(u64, Option<u64>)> = Vec::new();
-            self.for_each_live(entry, |_, ws, cts| {
-                stamps.push((ws, (cts != 0).then_some(cts)));
-            });
+            let mut stamps: Vec<(u64, Option<u64>)> = self
+                .versions(entry)
+                .map(|v| (v.writer(), Some(v.stamp()).filter(|&cts| cts != 0)))
+                .collect();
             if !stamps.is_empty() {
                 stamps.sort_unstable_by_key(|(ws, _)| *ws);
                 out.push((key.clone(), stamps));
@@ -1720,10 +1688,10 @@ impl ArenaStore {
 
     /// The checkpoint scan: every key's version a snapshot at `snapshot`
     /// sees — its newest committed below it, tombstones included — in key
-    /// order. Each version's fate comes from [`fate`], so a commit whose
-    /// stamp lands while its owner deregisters is not missed.
-    /// Holds the ordered index's read lock, as [`Self::scan`] does. Caller
-    /// is registered at `snapshot`.
+    /// order. Each version's fate comes from [`Version::fate`], so a commit
+    /// whose stamp lands while its owner deregisters is not missed. Holds
+    /// the ordered index's read lock, as [`Self::scan`] does. Caller is
+    /// registered at `snapshot`.
     pub(crate) fn checkpoint_entries<R: VersionResolver + ?Sized>(
         &self,
         snapshot: Timestamp,
@@ -1733,12 +1701,12 @@ impl ArenaStore {
         let mut out = Vec::with_capacity(index.len());
         for (key, &idx) in index.iter() {
             let entry = self.table.entries.get(idx);
-            if let Some((loc, commit_ts)) = self.visible(entry, snapshot, resolver) {
+            if let Some((v, commit_ts)) = self.visible(entry, snapshot, resolver) {
                 out.push(CheckpointEntry {
                     key: key.clone(),
-                    writer_start: Timestamp(self.writer_of(loc)),
+                    writer_start: Timestamp(v.writer()),
                     commit_ts: Timestamp(commit_ts),
-                    value: self.value_of(loc),
+                    value: v.value(),
                 });
             }
         }
@@ -1900,16 +1868,14 @@ impl ArenaStore {
     /// dependent walk under a lock, one entry at a time — would take the
     /// same misses one after another. Caller is registered.
     fn warm_chains(&self, batch: &[u32]) {
-        let mut second = [NULL_VIDX; GC_BATCH];
-        for (slot, &idx) in second.iter_mut().zip(batch) {
-            let head = self.table.entries.get(idx).head.load(Ordering::Acquire);
-            if head != NULL_VIDX {
-                *slot = self.next_of(head);
-            }
-        }
-        for &node in &second[..batch.len()] {
-            if node != NULL_VIDX {
-                std::hint::black_box(self.next_of(node));
+        let mut chains: Vec<Chain<'_>> = batch
+            .iter()
+            .map(|&idx| self.nodes(self.table.entries.get(idx)))
+            .collect();
+        // The entries' heads, then each chain's first node, then its second.
+        for _ in 0..3 {
+            for chain in &mut chains {
+                std::hint::black_box(chain.next().is_some());
             }
         }
     }
@@ -1933,43 +1899,21 @@ impl ArenaStore {
         aborted.clear();
         let mut bound: Option<u64> = None;
         let (mut committed, mut pending) = (0u64, 0u64);
-        let mut tally = |loc: Loc, status: TxnStatus| match status {
-            TxnStatus::Committed(ts) => {
-                committed += 1;
-                if ts < watermark && bound.is_none_or(|b| ts.raw() > b) {
-                    bound = Some(ts.raw());
+        for v in self.versions(entry) {
+            match v.fate(resolver) {
+                TxnStatus::Committed(ts) => {
+                    if v.stamp() == 0 {
+                        v.set_stamp(ts.raw());
+                        stats.versions_stamped += 1;
+                    }
+                    committed += 1;
+                    if ts < watermark && bound.is_none_or(|b| ts.raw() > b) {
+                        bound = Some(ts.raw());
+                    }
                 }
+                TxnStatus::Aborted => aborted.push(v.loc),
+                TxnStatus::Pending => pending += 1,
             }
-            TxnStatus::Aborted => aborted.push(loc),
-            TxnStatus::Pending => pending += 1,
-        };
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                let node = self.packed.node(cur);
-                let live = self.live_mask(node);
-                for i in (0..PACK_CAP).filter(|i| live & (1 << i) != 0) {
-                    let status = Self::resolve_version(
-                        &node.ws[i],
-                        &node.shards[i],
-                        &node.cts[i],
-                        resolver,
-                        stats,
-                    );
-                    tally(Loc::Packed(cur, i), status);
-                }
-            } else {
-                let slot = self.arena.slot(cur);
-                let status = Self::resolve_version(
-                    &slot.writer_start,
-                    &slot.shard,
-                    &slot.committed_at,
-                    resolver,
-                    stats,
-                );
-                tally(Loc::Single(cur), status);
-            }
-            cur = self.next_of(cur);
         }
         if committed + pending == 0 && aborted.is_empty() {
             return true;
@@ -1979,8 +1923,8 @@ impl ArenaStore {
         // pass 1 is unstamped or stamped at or above the watermark: kept.
         let dropped = self.remove_where(
             entry,
-            |loc, _, cts| match cts {
-                0 => aborted.contains(&loc),
+            |v| match v.stamp() {
+                0 => aborted.contains(&v.loc),
                 cts => bound.is_some_and(|b| cts < b),
             },
             removed,
@@ -1991,25 +1935,6 @@ impl ArenaStore {
             stats.keys_removed += 1;
         }
         pending == 0 && committed - dropped <= 1
-    }
-
-    /// Shared GC pass-1 step: a version's [`fate`], stamping it if it is
-    /// committed and still unstamped.
-    fn resolve_version<R: VersionResolver + ?Sized>(
-        writer_start: &AtomicU64,
-        shard: &AtomicU8,
-        committed_at: &AtomicU64,
-        resolver: &R,
-        stats: &mut GcStats,
-    ) -> TxnStatus {
-        let status = fate(writer_start, shard, committed_at, resolver);
-        if let TxnStatus::Committed(ts) = status {
-            if committed_at.load(Ordering::Relaxed) == 0 {
-                committed_at.store(ts.raw(), Ordering::Release);
-                stats.versions_stamped += 1;
-            }
-        }
-        status
     }
 
     /// Frees every limbo entry whose retire tag is below `watermark`, a
@@ -2050,26 +1975,21 @@ impl ArenaStore {
                 .take(limit)
                 .take_while(|&&(tag, _)| tag < watermark.raw())
                 .count();
-            limbo.drain(..n).map(|(_, packed)| packed).collect()
+            limbo.drain(..n).map(|(_, handle)| handle).collect()
         };
-        for &packed in &expired {
-            let idx = VersionIdx::slot(packed);
-            std::hint::black_box(if is_packed(packed) {
-                self.packed
-                    .node_raw(idx & !PACKED_TAG)
-                    .gen
-                    .load(Ordering::Relaxed)
-            } else {
-                self.arena.slot_raw(idx).gen.load(Ordering::Relaxed)
+        for &handle in &expired {
+            std::hint::black_box(match self.node(handle) {
+                Node::Single(_, slot) => slot.gen.load(Ordering::Relaxed),
+                Node::Packed(_, node) => node.gen.load(Ordering::Relaxed),
             });
         }
         let mut values = Vec::with_capacity(expired.len());
-        for &packed in &expired {
-            if is_packed(packed) {
-                self.packed.free(packed);
+        for &handle in &expired {
+            values.extend(if is_packed(handle) {
+                self.packed.free(handle)
             } else {
-                values.extend(self.arena.free(packed));
-            }
+                self.singles.free(handle)
+            });
         }
         for value in &values {
             std::hint::black_box(value.first().copied());
@@ -2090,7 +2010,7 @@ impl ArenaStore {
         let freed = self.freed.load(Ordering::Relaxed);
         obs.limbo.set(retired.saturating_sub(freed));
         obs.chunks
-            .set(self.arena.chunk_count() + self.packed.chunk_count());
+            .set(self.singles.chunk_count() + self.packed.chunk_count());
     }
 
     /// Reclamation accounting snapshot.
@@ -2101,7 +2021,7 @@ impl ArenaStore {
             retired,
             freed,
             limbo: retired - freed,
-            chunks: self.arena.chunk_count() + self.packed.chunk_count(),
+            chunks: self.singles.chunk_count() + self.packed.chunk_count(),
             migrations: self.migrations.load(Ordering::Relaxed),
             packed_retired: self.packed_retired.load(Ordering::Relaxed),
         }
@@ -2119,10 +2039,12 @@ impl ArenaStore {
     fn sweep_chain(&self, entry: &KeyEntry, doomed: &[u64]) {
         let mut unlinked = 0;
         'restart: loop {
-            let mut prev: Option<u64> = None;
+            // The link into `cur` when that is not the head.
+            let mut prev: Option<&AtomicU64> = None;
             let mut cur = entry.head.load(Ordering::Acquire);
             while cur != NULL_VIDX {
-                let next = self.next_of(cur);
+                let link = self.node(cur).next();
+                let next = link.load(Ordering::Acquire);
                 if doomed.contains(&cur) {
                     match prev {
                         None => {
@@ -2143,11 +2065,11 @@ impl ArenaStore {
                         // Mid-chain `next` pointers are only written by
                         // restructurers, which we exclude via the entry
                         // lock: a plain store is race-free.
-                        Some(p) => self.next_atomic(p).store(next, Ordering::Release),
+                        Some(prev) => prev.store(next, Ordering::Release),
                     }
                     unlinked += 1;
                 } else {
-                    prev = Some(cur);
+                    prev = Some(link);
                 }
                 cur = next;
             }
@@ -2163,17 +2085,10 @@ impl ArenaStore {
     /// Re-derives the exact chain length (and singles count) after a
     /// restructure.
     fn reset_len(&self, entry: &KeyEntry) {
-        let mut len = 0u32;
-        let mut singles = 0u32;
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NULL_VIDX {
-            if is_packed(cur) {
-                len += self.live_mask(self.packed.node(cur)).count_ones();
-            } else {
-                len += 1;
-                singles += 1;
-            }
-            cur = self.next_of(cur);
+        let (mut len, mut singles) = (0u32, 0u32);
+        for node in self.nodes(entry) {
+            len += node.live().count_ones();
+            singles += matches!(node, Node::Single(..)) as u32;
         }
         entry.approx_len.store(len, Ordering::Relaxed);
         entry.singles.store(singles, Ordering::Relaxed);
@@ -2231,11 +2146,9 @@ impl ArenaStore {
     /// Total live published versions, by full walk (see
     /// [`Self::key_count`]); packed nodes contribute their live entries.
     pub(crate) fn version_count(&self) -> usize {
-        let mut versions = 0;
-        for idx in 0..self.table.entries.len() {
-            self.for_each_live(self.table.entries.get(idx), |_, _, _| versions += 1);
-        }
-        versions
+        (0..self.table.entries.len())
+            .map(|idx| self.versions(self.table.entries.get(idx)).count())
+            .sum()
     }
 
     /// The batch a transaction that wrote `keys` would pass.
@@ -2301,8 +2214,7 @@ impl ArenaStore {
                 queued[idx as usize]
             );
             if !flagged {
-                let mut stamps = Vec::new();
-                self.for_each_live(entry, |_, _, cts| stamps.push(cts));
+                let stamps: Vec<u64> = self.versions(entry).map(|v| v.stamp()).collect();
                 assert!(
                     stamps.is_empty() || (stamps.len() == 1 && stamps[0] != 0),
                     "clean entry {idx} holds unresolved or collectible versions: {stamps:?}"
@@ -2343,11 +2255,11 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots_with_fresh_generations() {
-        let arena = VersionArena::new();
-        let a = arena.alloc(Timestamp(1), 0, Some(b("x")));
+        let arena = Pool::<Slot>::new();
+        let a = arena.alloc_version(Timestamp(1), 0, Some(b("x")));
         let slot_idx = VersionIdx::slot(a);
         arena.free(a);
-        let c = arena.alloc(Timestamp(2), 0, Some(b("y")));
+        let c = arena.alloc_version(Timestamp(2), 0, Some(b("y")));
         assert_eq!(VersionIdx::slot(c), slot_idx, "slot recycled");
         assert_eq!(
             VersionIdx::generation(c),
@@ -2358,14 +2270,14 @@ mod tests {
 
     #[test]
     fn packed_arena_recycles_nodes_with_fresh_generations() {
-        let packed = PackedArena::new();
+        let packed = Pool::<PackedNode>::new();
         let a = packed.alloc_spill(Timestamp(1), 0, Some(b("x")));
         assert!(is_packed(a));
         packed.free(a);
         let c = packed.alloc_spill(Timestamp(2), 0, Some(b("y")));
         assert_eq!(VersionIdx::slot(c), VersionIdx::slot(a), "node recycled");
         assert_eq!(VersionIdx::generation(c), VersionIdx::generation(a) + 1);
-        let node = packed.node(c);
+        let node = packed.get(c);
         assert_eq!(occ_claims(node.occ.load(Ordering::Relaxed)), 1);
         assert_eq!(node.dead.load(Ordering::Relaxed), 0, "free resets state");
     }
@@ -2398,9 +2310,9 @@ mod tests {
         store
     }
 
-    /// The race [`fate`] closes, played out in one thread: asked about the
-    /// unstamped version, the [`racing`] resolver lets its owner stamp it
-    /// and deregister, which drops its registry entry, and answers
+    /// The race [`Version::fate`] closes, played out in one thread: asked
+    /// about the unstamped version, the [`racing`] resolver lets its owner
+    /// stamp it and deregister, which drops its registry entry, and answers
     /// `Pending`. Every path that resolves a version — a read, a scan, the
     /// checkpoint scan and the GC sweep — still sees the commit at 4.
     #[test]
@@ -2673,6 +2585,39 @@ mod tests {
         ]
     }
 
+    /// One step of the cursor proptest's single-key history.
+    #[derive(Debug, Clone)]
+    enum ChainOp {
+        /// A new writer publishes a version, commits and stamps it.
+        Write,
+        /// A new writer publishes a version and is refused: its version
+        /// is removed at once.
+        Refused,
+        /// A new writer publishes a version and stays open.
+        Put,
+        /// An open writer commits; `true` stamps, `false` leaves the
+        /// commit to the resolver.
+        Commit(usize, bool),
+        /// An open writer aborts; `true` removes its version, `false`
+        /// leaves it in place for the resolver to answer `Aborted`.
+        Abort(usize, bool),
+        /// A sweep at a watermark `w`/8 of the way up to the greatest sound
+        /// one.
+        Gc(u64),
+    }
+
+    fn chain_op() -> impl proptest::strategy::Strategy<Value = ChainOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => Just(ChainOp::Write),
+            3 => Just(ChainOp::Refused),
+            2 => Just(ChainOp::Put),
+            2 => ((0..8usize), (0..4u8)).prop_map(|(t, s)| ChainOp::Commit(t, s > 0)),
+            2 => ((0..8usize), any::<bool>()).prop_map(|(t, c)| ChainOp::Abort(t, c)),
+            1 => (0..=8u64).prop_map(ChainOp::Gc),
+        ]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
@@ -2745,6 +2690,110 @@ mod tests {
                 }
             }
             store.assert_worklist_invariant();
+        }
+
+        /// Random chains of one key — a singles prefix over a migrated
+        /// packed suffix, spills, claimed entries left unstamped or
+        /// aborted in place, dead bits, and aborts that empty a node — and
+        /// the cursor over them: it yields exactly the live versions, once
+        /// each, and the reader's binary search picks what a linear
+        /// maximum over the cursor's fates picks, at every snapshot.
+        #[test]
+        fn the_cursor_yields_each_live_version_once_and_visible_agrees_with_it(
+            ops in proptest::collection::vec(chain_op(), 1..150)
+        ) {
+            use std::cell::RefCell;
+            use std::collections::BTreeMap;
+            let store = ArenaStore::standalone();
+            let key = b("k");
+            let fates: RefCell<BTreeMap<u64, TxnStatus>> = RefCell::new(BTreeMap::new());
+            let resolver = |ts: Timestamp| {
+                fates.borrow().get(&ts.raw()).copied().unwrap_or(TxnStatus::Pending)
+            };
+            let mut clock = 0u64;
+            let mut open: Vec<u64> = Vec::new();
+            // The versions the chain holds: writer start → stamp (0 = none).
+            let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    ChainOp::Write => {
+                        store.insert_version(key.clone(), Timestamp(clock + 1), Some(b("v")));
+                        store.stamp_keys(Timestamp(clock + 1), Timestamp(clock + 2), [&key]);
+                        fates.borrow_mut().insert(clock + 1, TxnStatus::Committed(Timestamp(clock + 2)));
+                        live.insert(clock + 1, clock + 2);
+                        clock += 2;
+                    }
+                    ChainOp::Refused => {
+                        clock += 1;
+                        store.insert_version(key.clone(), Timestamp(clock), Some(b("v")));
+                        store.remove_keys(Timestamp(clock), [&key]);
+                    }
+                    ChainOp::Put => {
+                        clock += 1;
+                        store.insert_version(key.clone(), Timestamp(clock), Some(b("v")));
+                        open.push(clock);
+                        live.insert(clock, 0);
+                    }
+                    ChainOp::Commit(t, stamp) if !open.is_empty() => {
+                        let writer = open.remove(t % open.len());
+                        clock += 1;
+                        fates.borrow_mut().insert(writer, TxnStatus::Committed(Timestamp(clock)));
+                        if stamp {
+                            store.stamp_keys(Timestamp(writer), Timestamp(clock), [&key]);
+                            live.insert(writer, clock);
+                        }
+                    }
+                    ChainOp::Abort(t, clean_up) if !open.is_empty() => {
+                        let writer = open.remove(t % open.len());
+                        fates.borrow_mut().insert(writer, TxnStatus::Aborted);
+                        if clean_up {
+                            store.remove_keys(Timestamp(writer), [&key]);
+                            live.remove(&writer);
+                        }
+                    }
+                    ChainOp::Commit(..) | ChainOp::Abort(..) => {}
+                    ChainOp::Gc(w) => {
+                        let sound = open.iter().copied().min().unwrap_or(clock + 1);
+                        let watermark = sound * w / 8;
+                        store.gc(Timestamp(watermark), &resolver);
+                        // The keep rule: stamp what committed, drop what
+                        // aborted and every commit below the newest one
+                        // below the watermark.
+                        let fate = |writer: &u64| resolver(Timestamp(*writer));
+                        for (writer, stamp) in live.iter_mut() {
+                            if let TxnStatus::Committed(ts) = fate(writer) {
+                                *stamp = ts.raw();
+                            }
+                        }
+                        let bound = live.values().copied().filter(|s| (1..watermark).contains(s)).max();
+                        live.retain(|writer, stamp| {
+                            fate(writer) != TxnStatus::Aborted
+                                && !bound.is_some_and(|b| (1..b).contains(stamp))
+                        });
+                    }
+                }
+            }
+            let Some(entry) = store.table.find(&key, hash_row_key(&key)) else {
+                return;
+            };
+            let mut walked: Vec<(u64, u64)> =
+                store.versions(entry).map(|v| (v.writer(), v.stamp())).collect();
+            walked.sort_unstable();
+            let expected: Vec<(u64, u64)> = live.into_iter().collect();
+            assert_eq!(walked, expected, "the cursor yields each live version once");
+            for snapshot in 0..=clock + 1 {
+                let linear = store
+                    .versions(entry)
+                    .filter_map(|v| match v.fate(&resolver) {
+                        TxnStatus::Committed(ts) if ts.raw() < snapshot => Some((v.loc, ts.raw())),
+                        _ => None,
+                    })
+                    .max_by_key(|&(_, ts)| ts);
+                let searched = store
+                    .visible(entry, Timestamp(snapshot), &resolver)
+                    .map(|(v, ts)| (v.loc, ts));
+                assert_eq!(searched, linear, "snapshot {snapshot}");
+            }
         }
     }
 }

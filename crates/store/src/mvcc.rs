@@ -29,7 +29,7 @@
 //!    the GC), so steady-state reads never leave the chain;
 //! 2. the caller-supplied `VersionResolver` — the writer's entry in the
 //!    active-transaction registry, for a version whose stamp has not landed
-//!    yet; a reader that finds no entry re-reads the stamp (`arena::fate`).
+//!    yet; a reader that finds no entry re-reads the stamp (`arena::Version::fate`).
 //!
 //! Nothing here needs cross-key atomicity: versions are invisible until the
 //! writer's commit is published in its registry entry (a single

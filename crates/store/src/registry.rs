@@ -16,7 +16,7 @@
 //! registered writer (DESIGN.md §6), so the live set is the commit table,
 //! with the stamp — §2.2's "written back into the database", PostgreSQL's
 //! hint bit — as its fast path. A reader that finds no entry re-reads the
-//! stamp (`arena::fate`).
+//! stamp (`arena::Version::fate`).
 //!
 //! Its watermark — the oldest registered start, a lower bound on every
 //! current and future snapshot — has two consumers. The garbage collector

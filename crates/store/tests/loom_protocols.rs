@@ -30,7 +30,7 @@
 //!    ascending order for all — which must be deadlock-free and exclusive
 //!    over the whole set.
 //! 5. **Packed-node occupancy claims vs. concurrent readers** — the
-//!    adaptive arena's in-node publish path (`arena::try_claim`): claim
+//!    adaptive arena's in-node publish path (`arena::ArenaStore::try_claim`): claim
 //!    indices are unique, an entry is never readable before it is
 //!    initialized (the ready bit is set with a Release `fetch_or` only
 //!    after the entry is built), the ready mask is monotone, and sealing
@@ -60,9 +60,9 @@
 //!    its condition holds, and a parked waiter is woken by the round that
 //!    bumps its generation — so every waiter returns (DESIGN.md §5).
 //! 10. **The stamp re-read vs. an owner that deregisters** — a snapshot
-//!     read of an unstamped version (`arena::fate`): the reader loads the
-//!     stamp, looks the writer's fate up in its registry entry, and
-//!     re-loads the stamp when the entry does not answer committed; the
+//!     read of an unstamped version (`arena::Version::fate`): the reader
+//!     loads the stamp, looks the writer's fate up in its registry entry,
+//!     and re-loads the stamp when the entry does not answer committed; the
 //!     owner stamps, then deregisters, which drops the entry. Whatever the
 //!     interleaving the reader sees the commit, because stamp → deregister
 //!     → lookup → re-load is ordered, the last three by the writer's
@@ -515,7 +515,7 @@ fn packed_node_claims_are_unique_initialized_and_seal_bounded() {
                 let claimed_by = Arc::clone(&claimed_by);
                 thread::spawn(move || {
                     for t in 0..TRIES {
-                        // Mirrors `arena::PackedNode::try_claim`.
+                        // Mirrors `arena::ArenaStore::try_claim`.
                         let idx = loop {
                             let o = occ.load(Ordering::Acquire);
                             let claims = o & P_CLAIMS;
@@ -553,7 +553,7 @@ fn packed_node_claims_are_unique_initialized_and_seal_bounded() {
             let occ = Arc::clone(&occ);
             thread::spawn(move || {
                 thread::yield_now();
-                // Mirrors `arena::PackedNode::seal`: stop new claims, then
+                // Mirrors `arena::ArenaStore::seal`: stop new claims, then
                 // wait for every granted claim to publish its ready bit.
                 let o = occ.fetch_or(P_SEALED, Ordering::AcqRel);
                 let claims = o & P_CLAIMS;
@@ -1110,8 +1110,8 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
 /// Protocol 10 with the reader's stamp re-read on or off. The writer
 /// (start 1) committed at 2, its fate set in its registry entry, still
 /// unstamped and registered; the reader holds snapshot 3. The owner stamps
-/// and deregisters; the reader resolves the version the way `arena::fate`
-/// does and must see commit 2.
+/// and deregisters; the reader resolves the version the way
+/// `arena::Version::fate` does and must see commit 2.
 fn stamp_reread_model(reread: bool) {
     const WRITER: u64 = 1;
     const COMMIT: u64 = 2;

@@ -73,3 +73,7 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 # Extension E1 (SI vs WSI vs SSI on one zipfian schedule) is a golden: the
 # three levels' decisions, through the one sequential oracle, must not move.
 ./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
+
+# Non-test line counts of the version store's sources, for the record of
+# what a change added or removed. Informational: it gates nothing.
+scripts/loc.sh
