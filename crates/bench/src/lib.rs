@@ -1,4 +1,4 @@
-//! Shared reporting helpers for the figure harness and benches.
+//! Shared reporting helpers for the figure harness.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -52,8 +52,7 @@ pub enum AbortReason {
         /// read (`victim →rw partner`).
         out_commit_ts: Option<Timestamp>,
     },
-    /// The client requested the abort (e.g. an application-level rollback or
-    /// a failed Percolator lock acquisition relayed to the oracle).
+    /// The client requested the abort (an application-level rollback).
     ClientRequested,
 }
 

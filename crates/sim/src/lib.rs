@@ -12,9 +12,8 @@
 //!   (the status oracle's critical section), disks (HDFS block reads), and
 //!   NICs; queueing delay and saturation knees emerge from it naturally;
 //! * [`SimRng`] — a seeded RNG with the distributions the workloads need,
-//!   including YCSB's **zipfian**, **scrambled-zipfian**, and **latest**
-//!   generators (Cooper et al., SoCC'10), which the paper's §6.5 concurrency
-//!   experiments are built on;
+//!   including YCSB's **zipfian** and **latest** generators (Cooper et al.,
+//!   SoCC'10), which the paper's §6.5 concurrency experiments are built on;
 //! * [`metrics`] — latency histograms with percentiles, throughput
 //!   accounting, and (x, y) series for the figure harness.
 //!
@@ -36,4 +35,4 @@ pub use event::EventQueue;
 pub use rng::SimRng;
 pub use station::Station;
 pub use time::SimTime;
-pub use zipf::{LatestGenerator, ScrambledZipfian, Zipfian};
+pub use zipf::{LatestGenerator, Zipfian};

@@ -4,8 +4,7 @@
 //! distribution — "some items are extremely popular" — and *zipfianLatest*,
 //! where "the popular items … are among the recently inserted data". These
 //! generators reproduce YCSB's exact constructions: Gray et al.'s rejection-
-//! free zipfian sampler, the scrambled variant that spreads the hot items
-//! across the key space, and the latest variant that mirrors the zipfian
+//! free zipfian sampler and the latest variant that mirrors the zipfian
 //! onto the tail of a growing key space.
 
 use crate::rng::SimRng;
@@ -107,44 +106,6 @@ impl Zipfian {
     }
 }
 
-/// Scrambled zipfian: zipfian popularity, but the popular items are spread
-/// uniformly over the key space by hashing the rank (YCSB's
-/// `ScrambledZipfianGenerator`). This is what YCSB's default "zipfian"
-/// request distribution actually does, and what the paper's Figure 7/8
-/// workload uses: hot rows land on random region servers.
-#[derive(Debug, Clone)]
-pub struct ScrambledZipfian {
-    zipf: Zipfian,
-    items: u64,
-}
-
-impl ScrambledZipfian {
-    /// Creates a generator over `[0, items)`.
-    pub fn new(items: u64) -> Self {
-        ScrambledZipfian {
-            zipf: Zipfian::new(items),
-            items,
-        }
-    }
-
-    /// Draws a key in `[0, items)`.
-    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
-        let rank = self.zipf.next(rng);
-        fnv64(rank) % self.items
-    }
-}
-
-fn fnv64(x: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for shift in (0..64).step_by(8) {
-        h ^= (x >> shift) & 0xff;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// The "latest" distribution: zipfian-skewed toward the most recently
 /// inserted key (YCSB's `SkewedLatestGenerator`). Key `max - 1` is the
 /// hottest; inserts move the hot spot.
@@ -227,24 +188,6 @@ mod tests {
         // Shrinking is a no-op.
         grown.grow(10);
         assert_eq!(grown.items(), 1000);
-    }
-
-    #[test]
-    fn scrambled_spreads_hot_keys() {
-        let mut s = ScrambledZipfian::new(10_000);
-        let mut rng = SimRng::new(3);
-        let samples: Vec<u64> = (0..50_000).map(|_| s.next(&mut rng)).collect();
-        assert!(samples.iter().all(|&k| k < 10_000));
-        // The hottest key is no longer key 0 (scrambling moved it).
-        let counts = frequencies(&samples, 10_000);
-        let (hottest, _) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .expect("nonempty");
-        assert_ne!(hottest, 0);
-        // Still heavily skewed: top key way above uniform share (5 samples).
-        assert!(counts[hottest] > 1000);
     }
 
     #[test]

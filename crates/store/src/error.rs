@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
 use wsi_core::AbortReason;
 use wsi_wal::WalError;
 
@@ -22,14 +21,7 @@ pub enum Error {
     /// The write-ahead log could not persist the commit; the transaction was
     /// rolled back rather than acknowledged without durability.
     Wal(WalError),
-    /// Percolator only: the key is locked by another in-flight transaction.
-    /// Lock-based writers abort immediately on contention (§2.1 option ii);
-    /// readers surface this after lock-cleanup attempts fail.
-    KeyLocked {
-        /// The contended key.
-        key: Bytes,
-    },
-    /// Percolator only: recovery of the WAL found a malformed record.
+    /// A WAL record or checkpoint failed to decode during recovery.
     Corrupt(String),
 }
 
@@ -39,7 +31,6 @@ impl fmt::Display for Error {
             Error::Aborted(reason) => write!(f, "transaction aborted: {reason}"),
             Error::TransactionFinished => write!(f, "transaction already finished"),
             Error::Wal(e) => write!(f, "write-ahead log failure: {e}"),
-            Error::KeyLocked { key } => write!(f, "key locked: {:?}", key),
             Error::Corrupt(msg) => write!(f, "corrupt log: {msg}"),
         }
     }
@@ -70,12 +61,9 @@ impl Error {
     }
 
     /// Returns `true` if retrying the transaction could succeed (aborts and
-    /// lock contention are transient; finished/corrupt are not).
+    /// WAL failures are transient; finished/corrupt are not).
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Error::Aborted(_) | Error::KeyLocked { .. } | Error::Wal(_)
-        )
+        matches!(self, Error::Aborted(_) | Error::Wal(_))
     }
 }
 
@@ -87,10 +75,6 @@ mod tests {
     #[test]
     fn retryability() {
         assert!(Error::Aborted(AbortReason::ClientRequested).is_retryable());
-        assert!(Error::KeyLocked {
-            key: Bytes::from_static(b"k")
-        }
-        .is_retryable());
         assert!(!Error::TransactionFinished.is_retryable());
         assert!(!Error::Corrupt("x".into()).is_retryable());
     }

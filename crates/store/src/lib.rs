@@ -18,10 +18,9 @@
 //!   histories WSI refuses (History 6) and refuses some serializable ones
 //!   (a pivot that is on no cycle); read-only transactions can abort.
 //!
-//! A Percolator-style *lock-based* snapshot-isolation engine
-//! ([`percolator::PercolatorDb`]) is included as the paper's §2.1 baseline,
-//! chiefly to demonstrate the failure mode the lock-free design avoids:
-//! locks stranded by a crashed client block other writers until cleanup.
+//! There are no row locks: writes buffer in the transaction until
+//! [`Transaction::commit`], so a client that dies mid-transaction strands
+//! nothing — §2.1's failure mode of lock-based SI cannot occur.
 //!
 //! # Quickstart
 //!
@@ -59,7 +58,6 @@ mod db;
 mod error;
 mod mvcc;
 mod obs;
-pub mod percolator;
 mod pipeline;
 mod record;
 mod registry;

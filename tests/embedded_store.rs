@@ -1,11 +1,10 @@
 //! Integration tests of the embedded store: real threads, durability,
-//! recovery, GC, and the lock-based/lock-free contrast.
+//! recovery, GC, and a dead client that strands nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use writesnap::core::{AbortReason, IsolationLevel, Timestamp};
-use writesnap::store::percolator::{CrashPoint, LockResolution, PercolatorDb};
 use writesnap::store::{Db, DbOptions, Error};
 use writesnap::wal::LedgerConfig;
 
@@ -300,35 +299,26 @@ fn gc_respects_active_snapshots() {
 }
 
 #[test]
-fn percolator_blocks_where_lockfree_proceeds() {
-    // The §2.1 contrast, as an integration test across both engines.
-    let lockfree = Db::open(DbOptions::new(IsolationLevel::Snapshot));
-    let percolator = PercolatorDb::open();
+fn dropped_writer_strands_nothing() {
+    // §2.1's failure mode, absent by construction: a client that dies with
+    // buffered writes leaves no lock behind, so readers and writers of the
+    // same key proceed without any cleanup.
+    let db = Db::open(DbOptions::new(IsolationLevel::Snapshot));
+    let mut t0 = db.begin();
+    t0.put(b"k", b"v0");
+    t0.commit().unwrap();
 
-    // Identical scenario: a client dies mid-commit.
-    let mut doomed = percolator.begin();
+    let mut doomed = db.begin();
     doomed.put(b"k", b"v");
-    doomed.commit_with_crash(CrashPoint::AfterPrewrite).unwrap();
-    let mut doomed_lf = lockfree.begin();
-    doomed_lf.put(b"k", b"v");
-    drop(doomed_lf); // crash
+    drop(doomed); // crash
 
-    // Percolator writer blocks; lock-free writer proceeds.
-    let mut pw = percolator.begin();
-    pw.put(b"k", b"w");
-    assert!(matches!(pw.commit(), Err(Error::KeyLocked { .. })));
-    let mut lw = lockfree.begin();
-    lw.put(b"k", b"w");
-    lw.commit().expect("no locks in the lock-free design");
-
-    // Percolator needs forced cleanup before making progress.
-    assert_eq!(
-        percolator.resolve_lock(b"k", true),
-        LockResolution::RolledBack
-    );
-    let mut pw2 = percolator.begin();
-    pw2.put(b"k", b"w");
-    pw2.commit().unwrap();
+    let mut r = db.begin();
+    assert_eq!(r.get(b"k").as_deref(), Some(&b"v0"[..]));
+    let mut w = db.begin();
+    w.put(b"k", b"w");
+    w.commit().expect("no locks in the lock-free design");
+    let mut r2 = db.begin();
+    assert_eq!(r2.get(b"k").as_deref(), Some(&b"w"[..]));
 }
 
 #[test]
@@ -356,61 +346,6 @@ fn timestamps_are_strictly_monotonic_across_threads() {
     all.sort_unstable();
     all.dedup();
     assert_eq!(all.len(), n, "start timestamps must be unique");
-}
-
-#[test]
-fn percolator_thread_stress_with_cleanup() {
-    // Many threads race read-modify-writes on a small hot set under the
-    // lock-based engine, with every conflict resolved by retry after forced
-    // lock cleanup. The counter total must equal successful increments.
-    let db = PercolatorDb::open();
-    let mut seed = db.begin();
-    seed.put(b"hot", b"0");
-    seed.commit().unwrap();
-
-    let successes = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let db = db.clone();
-            let successes = Arc::clone(&successes);
-            std::thread::spawn(move || {
-                for _ in 0..50 {
-                    loop {
-                        let mut t = db.begin();
-                        let n: u64 = match t.get(b"hot") {
-                            Ok(Some(v)) => String::from_utf8(v.to_vec()).unwrap().parse().unwrap(),
-                            Ok(None) => 0,
-                            Err(Error::KeyLocked { .. }) => {
-                                // Another client is mid-2PC; resolve and retry.
-                                db.resolve_lock(b"hot", true);
-                                continue;
-                            }
-                            Err(e) => panic!("unexpected error: {e}"),
-                        };
-                        t.put(b"hot", (n + 1).to_string().as_bytes());
-                        match t.commit() {
-                            Ok(_) => {
-                                successes.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(Error::KeyLocked { .. }) | Err(Error::Aborted(_)) => continue,
-                            Err(e) => panic!("unexpected error: {e}"),
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let mut check = db.begin();
-    let total: u64 = String::from_utf8(check.get(b"hot").unwrap().unwrap().to_vec())
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert_eq!(total, successes.load(Ordering::Relaxed));
-    assert_eq!(total, 200, "every increment must eventually land");
 }
 
 #[test]
