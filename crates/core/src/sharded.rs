@@ -267,9 +267,6 @@ pub struct ConcurrentOracle {
     last_commit: ShardedLastCommit,
     counters: OracleCounters,
     obs: ShardObs,
-    /// When false, the decision path skips clock reads and histogram
-    /// records, leaving only the plain activity counters.
-    obs_enabled: bool,
     /// Flight recorder for per-row conflict-check verdicts (the embedder
     /// records the coarser lifecycle events itself).
     journal: Option<Journal>,
@@ -287,17 +284,8 @@ impl ConcurrentOracle {
             obs: ShardObs::new(last_commit.shard_count()),
             last_commit,
             counters: OracleCounters::default(),
-            obs_enabled: true,
             journal: None,
         }
-    }
-
-    /// Enables or disables the decision-path observability (clock reads and
-    /// histogram records; the activity counters always run).
-    #[must_use]
-    pub fn with_obs_enabled(mut self, enabled: bool) -> Self {
-        self.obs_enabled = enabled;
-        self
     }
 
     /// Attaches a flight recorder: every row a [`DecisionGuard::check`]
@@ -384,19 +372,17 @@ impl ConcurrentOracle {
                 .chain(&req.write_rows)
                 .fold(0, |mask, &row| mask | 1 << self.last_commit.shard_of(row))
         };
-        let began = self.obs_enabled.then(Instant::now);
+        let began = Instant::now();
         let mut guards = Vec::with_capacity(mask.count_ones() as usize);
         let mut rest = mask;
         while rest != 0 {
             guards.push(self.lock_shard(rest.trailing_zeros() as usize));
             rest &= rest - 1;
         }
-        if let Some(began) = began {
-            self.obs
-                .lock_wait_us
-                .record(began.elapsed().as_micros() as u64);
-            self.obs.shards_per_decision.record(guards.len() as u64);
-        }
+        self.obs
+            .lock_wait_us
+            .record(began.elapsed().as_micros() as u64);
+        self.obs.shards_per_decision.record(guards.len() as u64);
         DecisionGuard {
             oracle: self,
             mask,

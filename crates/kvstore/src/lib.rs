@@ -25,13 +25,11 @@
 #![forbid(unsafe_code)]
 
 mod cache;
-mod obs;
 mod region;
 mod server;
 mod table;
 
 pub use cache::BlockCache;
-pub use obs::KvObs;
 pub use region::{DataCluster, RegionId, Routing};
 pub use server::{ReadOutcome, RegionServer, ServerConfig, ServerStats};
 pub use table::{RegionStore, VersionFate, VersionLookup};

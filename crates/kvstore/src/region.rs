@@ -139,23 +139,6 @@ impl DataCluster {
         }
     }
 
-    /// Attaches one shared [`crate::KvObs`] handle to every server; since
-    /// clones share atomics, the handle's series aggregate cluster-wide.
-    pub fn attach_obs(&mut self, obs: &crate::KvObs) {
-        for server in &mut self.servers {
-            server.attach_obs(obs.clone());
-        }
-    }
-
-    /// Attaches one shared flight-recorder journal to every server; clones
-    /// share the underlying rings, so the cluster records a single causal
-    /// event stream.
-    pub fn attach_journal(&mut self, journal: &wsi_obs::Journal) {
-        for server in &mut self.servers {
-            server.attach_journal(journal.clone());
-        }
-    }
-
     /// Number of servers.
     pub fn server_count(&self) -> usize {
         self.servers.len()

@@ -1,10 +1,8 @@
 //! The region server: request handling, cache, and disk timing model.
 
-use wsi_obs::{EventData, Journal};
 use wsi_sim::{SimRng, SimTime, Station};
 
 use crate::cache::BlockCache;
-use crate::obs::KvObs;
 use crate::table::RegionStore;
 
 /// Region-server timing and sizing parameters.
@@ -113,8 +111,6 @@ pub struct RegionServer {
     store: RegionStore,
     rng: SimRng,
     stats: ServerStats,
-    obs: Option<KvObs>,
-    journal: Option<Journal>,
 }
 
 impl RegionServer {
@@ -129,34 +125,7 @@ impl RegionServer {
             rng,
             config,
             stats: ServerStats::default(),
-            obs: None,
-            journal: None,
         }
-    }
-
-    /// Attaches shared metric handles; [`KvObs`] clones share atomics, so
-    /// one handle attached to every server aggregates cluster-wide.
-    pub fn attach_obs(&mut self, obs: KvObs) {
-        obs.reads.add(self.stats.reads);
-        obs.cache_hits.add(self.stats.cache_hits);
-        obs.cache_misses
-            .add(self.stats.reads - self.stats.cache_hits);
-        obs.writes.add(self.stats.writes);
-        self.obs = Some(obs);
-    }
-
-    /// Attaches a flight-recorder journal. [`Journal`] clones share the
-    /// underlying rings, so one journal attached to every server of a
-    /// cluster records a single cluster-wide causal stream; request events
-    /// carry no transaction id (the data tier is below the oracle), so they
-    /// are recorded against txn 0 like other infrastructure events.
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
     }
 
     fn block_of(&self, row: u64) -> u64 {
@@ -198,24 +167,6 @@ impl RegionServer {
                 .jittered(self.config.background_read_cpu, self.config.jitter);
             self.handler.submit(now, bg);
         }
-        if let Some(obs) = &self.obs {
-            obs.reads.inc();
-            if outcome.cache_hit {
-                obs.cache_hits.inc();
-            } else {
-                obs.cache_misses.inc();
-            }
-            obs.read_us.record(outcome.done.saturating_sub(now).as_us());
-        }
-        if let Some(journal) = &self.journal {
-            journal.record(
-                0,
-                EventData::ServerRead {
-                    row,
-                    cache_hit: outcome.cache_hit,
-                },
-            );
-        }
         outcome
     }
 
@@ -242,13 +193,6 @@ impl RegionServer {
         if bg_base > SimTime::ZERO {
             let bg = self.rng.jittered(bg_base, self.config.jitter);
             self.handler.submit(now, bg);
-        }
-        if let Some(obs) = &self.obs {
-            obs.writes.inc();
-            obs.write_us.record(done.saturating_sub(now).as_us());
-        }
-        if let Some(journal) = &self.journal {
-            journal.record(0, EventData::ServerWrite { row });
         }
         done
     }
@@ -352,34 +296,6 @@ mod tests {
             last.as_ms_f64() > 300.0,
             "queueing should stretch the tail: {last}"
         );
-    }
-
-    #[test]
-    fn journal_records_reads_and_writes() {
-        let mut s = server();
-        let journal = Journal::new();
-        s.attach_journal(journal.clone());
-        let first = s.read(5, SimTime::ZERO);
-        assert!(!first.cache_hit);
-        s.read(5, first.done);
-        s.write(9, SimTime::ZERO, false);
-        let events = journal.snapshot();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[0].data,
-            EventData::ServerRead {
-                row: 5,
-                cache_hit: false
-            }
-        );
-        assert_eq!(
-            events[1].data,
-            EventData::ServerRead {
-                row: 5,
-                cache_hit: true
-            }
-        );
-        assert_eq!(events[2].data, EventData::ServerWrite { row: 9 });
     }
 
     #[test]

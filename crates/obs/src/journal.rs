@@ -213,18 +213,6 @@ pub enum EventData {
         /// 1-based attempt index that failed.
         attempt: u64,
     },
-    /// A region server served a read.
-    ServerRead {
-        /// Row identifier.
-        row: u64,
-        /// Whether the block cache absorbed it.
-        cache_hit: bool,
-    },
-    /// A region server applied a write.
-    ServerWrite {
-        /// Row identifier.
-        row: u64,
-    },
 }
 
 impl EventData {
@@ -259,8 +247,6 @@ impl EventData {
             EventData::GcSweep { versions, keys } => (8, versions, keys, 0),
             EventData::Reclaim { watermark, freed } => (9, watermark, freed, 0),
             EventData::Retry { attempt } => (10, attempt, 0, 0),
-            EventData::ServerRead { row, cache_hit } => (11, row, cache_hit as u64, 0),
-            EventData::ServerWrite { row } => (12, row, 0, 0),
         }
     }
 
@@ -310,13 +296,9 @@ impl EventData {
                 freed: b,
             },
             10 => EventData::Retry { attempt: a },
-            11 => EventData::ServerRead {
-                row: a,
-                cache_hit: b != 0,
-            },
-            12 => EventData::ServerWrite { row: a },
-            // 13 and 14 are retired (the epoch-batched oracle's seal/publish
-            // events) and must not be reused: an old dump would misdecode.
+            // 11 to 14 are retired (the simulated region server's read/write
+            // events, the epoch-batched oracle's seal/publish events) and
+            // must not be reused: an old dump would misdecode.
             _ => return None,
         })
     }
@@ -363,8 +345,6 @@ impl EventData {
             EventData::GcSweep { .. } => "gc_sweep",
             EventData::Reclaim { .. } => "reclaim",
             EventData::Retry { .. } => "retry",
-            EventData::ServerRead { .. } => "server_read",
-            EventData::ServerWrite { .. } => "server_write",
         }
     }
 }
@@ -436,13 +416,6 @@ impl Event {
                 format!("reclaim below {watermark} ({freed} freed)")
             }
             EventData::Retry { attempt } => format!("retry: attempt {attempt} failed"),
-            EventData::ServerRead { row, cache_hit } => {
-                format!(
-                    "server read row {row} ({})",
-                    if cache_hit { "cache hit" } else { "disk" }
-                )
-            }
-            EventData::ServerWrite { row } => format!("server write row {row}"),
         };
         if self.txn == 0 {
             format!("[{:>8}] {:>10}us            {body}", self.seqno, self.ts_us)
@@ -933,14 +906,6 @@ mod tests {
                 },
             ),
             (9, EventData::Retry { attempt: 2 }),
-            (
-                0,
-                EventData::ServerRead {
-                    row: 5,
-                    cache_hit: true,
-                },
-            ),
-            (0, EventData::ServerWrite { row: 6 }),
         ];
         for &(txn, data) in &samples {
             j.record(txn, data);

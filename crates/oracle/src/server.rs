@@ -114,19 +114,6 @@ impl OracleServer {
         &self.core
     }
 
-    /// Registers this oracle's metric series in `registry` and attaches
-    /// shared handles so future activity streams in lock-free: the core's
-    /// conflict-check counters (`oracle_*` — begins, per-reason aborts,
-    /// rows checked/recorded, `lastCommit` evictions under `T_max`) and the
-    /// replicated ledger's series (`wal_*` — records, flushes, payload
-    /// bytes, quorum losses, flush latency, batch sizes).
-    pub fn register_obs(&mut self, registry: &wsi_obs::Registry) {
-        self.core.counters().register_in(registry);
-        let obs = wsi_wal::LedgerObs::default();
-        obs.register_in(registry);
-        self.ledger.attach_obs(obs);
-    }
-
     /// Handles a start-timestamp request arriving at `now`.
     ///
     /// Timestamps come from in-memory reservations: when the counter nears
@@ -438,25 +425,6 @@ mod tests {
             o.handle_start(SimTime::from_ms(2));
         }
         assert_eq!(o.stats().ts_reservations, 1);
-    }
-
-    #[test]
-    fn register_obs_exposes_core_and_wal_series() {
-        let mut o = OracleServer::new(cfg(IsolationLevel::WriteSnapshot));
-        let registry = wsi_obs::Registry::new();
-        o.register_obs(&registry);
-        let now = SimTime::from_ms(6);
-        let s = o.handle_start(now);
-        let r = o.handle_commit(now, CommitRequest::new(s.ts, rows(&[1, 2]), rows(&[3])));
-        assert!(r.outcome.is_committed());
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters.get("oracle_begins_total"), Some(&1));
-        assert_eq!(snap.counters.get("oracle_commits_total"), Some(&1));
-        // WSI checked both read rows.
-        assert_eq!(snap.counters.get("oracle_rows_checked_total"), Some(&2));
-        // The immediate flush carried the commit and reservation records.
-        assert_eq!(snap.counters.get("wal_flushes_total"), Some(&1));
-        assert!(snap.counters.get("wal_records_total").copied() >= Some(2));
     }
 
     #[test]

@@ -95,6 +95,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use spin::Mutex as SpinMutex;
 use wsi_core::{hash_row_key, RowId, SharedTimestampSource, Timestamp, TxnStatus};
+use wsi_obs::{EventData, Journal};
 
 use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
@@ -1090,14 +1091,6 @@ pub(crate) struct ArenaStore {
     /// which the commit shares sweep and free against, and by `gc`. Feeds
     /// insert-time pruning too.
     watermark: AtomicU64,
-    /// Lifetime counts backing the `retired == freed + limbo` identity
-    /// (units: one per single slot, one per packed node).
-    retired: AtomicU64,
-    freed: AtomicU64,
-    /// Chain migrations into packed nodes performed (lifetime).
-    migrations: AtomicU64,
-    /// Packed nodes retired (lifetime; each also counts once in `retired`).
-    packed_retired: AtomicU64,
     /// Keys with a non-null chain head: bumped by the publish CAS that
     /// fills an empty chain, dropped by the unlink CAS that empties one.
     /// Thread-sharded; exact at every quiescent point.
@@ -1111,12 +1104,16 @@ pub(crate) struct ArenaStore {
     /// Per-commit shares the last tick dealt; read by every write commit,
     /// written once per tick.
     shares: OwnLine<Shares>,
-    obs: Option<Arc<ArenaObs>>,
+    /// The store's books: reclamation counts, gauges, GC and layout series.
+    obs: ArenaObs,
+    /// The flight recorder GC sweeps and reclaims are journaled to.
+    journal: Journal,
 }
 
 impl ArenaStore {
-    /// Creates an empty store whose retire tags come from `ts`.
-    pub(crate) fn new(ts: Arc<SharedTimestampSource>) -> Self {
+    /// Creates an empty store whose retire tags come from `ts` and which
+    /// journals its GC sweeps and reclaims to `journal`.
+    pub(crate) fn new(ts: Arc<SharedTimestampSource>, journal: Journal) -> Self {
         ArenaStore {
             table: ChainHeadTable::new(),
             singles: Pool::new(),
@@ -1124,21 +1121,18 @@ impl ArenaStore {
             ts,
             limbo: SpinMutex::new(VecDeque::new()),
             watermark: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
-            packed_retired: AtomicU64::new(0),
             keys: wsi_obs::Counter::new(),
             versions: wsi_obs::Counter::new(),
             worklist: OwnLine(SpinMutex::new(Worklist::default())),
             shares: OwnLine(Shares::default()),
-            obs: None,
+            obs: ArenaObs::default(),
+            journal,
         }
     }
 
-    /// Attaches reclamation metrics (built by `Db::open`).
-    pub(crate) fn attach_obs(&mut self, obs: Arc<ArenaObs>) {
-        self.obs = Some(obs);
+    /// The store's books, for `Db::open` to register.
+    pub(crate) fn obs(&self) -> &ArenaObs {
+        &self.obs
     }
 
     /// Batch insert (commit apply / WAL replay) by the writer registered at
@@ -1229,15 +1223,11 @@ impl ArenaStore {
             }
         }
         let len = entry.approx_len.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(obs) = &self.obs {
-            obs.chain_len.record(len as u64);
-        }
+        self.obs.chain_len.record(len as u64);
         if len as usize >= PRUNE_CHAIN_LEN {
             let pruned = self.prune_entry(entry);
             if pruned > 0 {
-                if let Some(obs) = &self.obs {
-                    obs.inline_pruned.add(pruned);
-                }
+                self.obs.inline_pruned.add(pruned);
             }
         }
         if let Loc::Single(_) = published {
@@ -1453,10 +1443,7 @@ impl ArenaStore {
         self.sweep_chain(entry, &handles);
         self.reset_len(entry);
         self.retire_all(&handles);
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.migrations.inc();
-        }
+        self.obs.migrations.inc();
     }
 
     /// Unlinks every packed node whose live set is empty, appending it to
@@ -1475,16 +1462,13 @@ impl ArenaStore {
                 let ready = Self::seal(packed);
                 if ready & !(packed.dead.load(Ordering::Acquire) as u32) == 0 {
                     removed.push(handle);
-                    if let Some(obs) = &self.obs {
-                        obs.packed_occupancy.record(ready.count_ones() as u64);
-                    }
+                    self.obs.packed_occupancy.record(ready.count_ones() as u64);
                 }
             }
         }
         if removed.len() > base {
             self.sweep_chain(entry, &removed[base..]);
-            self.packed_retired
-                .fetch_add((removed.len() - base) as u64, Ordering::Relaxed);
+            self.obs.packed_retired.add((removed.len() - base) as u64);
         }
     }
 
@@ -1644,19 +1628,23 @@ impl ArenaStore {
     }
 
     /// `(keys, versions)` from the incrementally maintained counts — no
-    /// chain is walked — refreshing the arena gauges. Exact at every
-    /// quiescent point; mid-flight a reader of the sharded counts can see
-    /// a removal before the publish it undoes, hence the clamp.
+    /// chain is walked — after setting every footprint gauge from what it
+    /// mirrors: the one place they are set, called by each reader of them.
+    /// Exact at every quiescent point; mid-flight a reader of the sharded
+    /// counts can see a removal before the publish it undoes, hence the
+    /// clamp.
     pub(crate) fn footprint(&self) -> (usize, usize) {
         let live = |count: &wsi_obs::Counter| (count.get() as i64).max(0) as usize;
         let (keys, versions) = (live(&self.keys), live(&self.versions));
-        if let Some(obs) = &self.obs {
-            obs.keys.set(keys as u64);
-            obs.versions.set(versions as u64);
-            obs.head_table_slots.set(self.table.slots());
-            obs.head_table_grows.set(self.table.grows());
-            self.refresh_reclamation_gauges(obs);
-        }
+        let rec = self.reclamation();
+        let obs = &self.obs;
+        obs.keys.set(keys as u64);
+        obs.versions.set(versions as u64);
+        obs.limbo.set(rec.limbo);
+        obs.chunks.set(rec.chunks);
+        obs.gc_worklist_len.set(self.worklist.0.lock().len() as u64);
+        obs.head_table_slots.set(self.table.slots());
+        obs.head_table_grows.set(self.table.grows());
         (keys, versions)
     }
 
@@ -1746,18 +1734,14 @@ impl ArenaStore {
             work
         };
         self.sweep(&work, watermark, resolver, &mut stats);
-        if let Some(obs) = &self.obs {
-            obs.gc_sweeps.inc();
-            obs.gc_worklist_len.set(self.worklist.0.lock().len() as u64);
-            self.footprint();
-            obs.journal.record(
-                0,
-                wsi_obs::EventData::GcSweep {
-                    versions: stats.versions_dropped + stats.aborted_removed,
-                    keys: stats.keys_removed,
-                },
-            );
-        }
+        self.obs.gc_sweeps.inc();
+        self.journal.record(
+            0,
+            EventData::GcSweep {
+                versions: stats.versions_dropped + stats.aborted_removed,
+                keys: stats.keys_removed,
+            },
+        );
         stats
     }
 
@@ -1786,9 +1770,6 @@ impl ArenaStore {
             .0
             .free
             .store(limbo.div_ceil(commits), Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.gc_worklist_len.set(ready as u64);
-        }
     }
 
     /// One write commit's share of the collection the last tick dealt
@@ -1857,9 +1838,7 @@ impl ArenaStore {
             self.retire_all(&removed);
             removed.clear();
         }
-        if let Some(obs) = &self.obs {
-            obs.gc_keys_visited.add(work.len() as u64);
-        }
+        self.obs.gc_keys_visited.add(work.len() as u64);
     }
 
     /// Touches each entry of a GC batch and the first two nodes of its
@@ -1944,17 +1923,14 @@ impl ArenaStore {
     /// GC sweep and by `Db::maintain`; cheap when there is nothing to do.
     pub(crate) fn maintain(&self, watermark: Timestamp) {
         let freed = self.free_below(watermark, usize::MAX);
-        if let Some(obs) = &self.obs {
-            if freed > 0 {
-                obs.journal.record(
-                    0,
-                    wsi_obs::EventData::Reclaim {
-                        watermark: watermark.raw(),
-                        freed,
-                    },
-                );
-            }
-            self.refresh_reclamation_gauges(obs);
+        if freed > 0 {
+            self.journal.record(
+                0,
+                EventData::Reclaim {
+                    watermark: watermark.raw(),
+                    freed,
+                },
+            );
         }
     }
 
@@ -1997,33 +1973,24 @@ impl ArenaStore {
         drop(values);
         let freed = expired.len() as u64;
         if freed > 0 {
-            self.freed.fetch_add(freed, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.freed.add(freed);
-            }
+            self.obs.freed.add(freed);
         }
         freed
     }
 
-    fn refresh_reclamation_gauges(&self, obs: &ArenaObs) {
-        let retired = self.retired.load(Ordering::Relaxed);
-        let freed = self.freed.load(Ordering::Relaxed);
-        obs.limbo.set(retired.saturating_sub(freed));
-        obs.chunks
-            .set(self.singles.chunk_count() + self.packed.chunk_count());
-    }
-
-    /// Reclamation accounting snapshot.
+    /// Reclamation accounting snapshot, read from the store's books. Exact
+    /// at every quiescent point; mid-flight `freed` may be read past the
+    /// `retired` it follows, hence the saturating `limbo`.
     pub(crate) fn reclamation(&self) -> ReclamationStats {
-        let retired = self.retired.load(Ordering::Relaxed);
-        let freed = self.freed.load(Ordering::Relaxed);
+        let retired = self.obs.retired.get();
+        let freed = self.obs.freed.get();
         ReclamationStats {
             retired,
             freed,
-            limbo: retired - freed,
+            limbo: retired.saturating_sub(freed),
             chunks: self.singles.chunk_count() + self.packed.chunk_count(),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            packed_retired: self.packed_retired.load(Ordering::Relaxed),
+            migrations: self.obs.migrations.get(),
+            packed_retired: self.obs.packed_retired.get(),
         }
     }
 
@@ -2111,12 +2078,7 @@ impl ArenaStore {
                 limbo.push_back((tag, packed));
             }
         }
-        self.retired
-            .fetch_add(removed.len() as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.retired.add(removed.len() as u64);
-            self.refresh_reclamation_gauges(obs);
-        }
+        self.obs.retired.add(removed.len() as u64);
     }
 }
 
@@ -2125,7 +2087,10 @@ impl ArenaStore {
     /// A store drawing retire tags from a counter of its own, for tests
     /// that drive it single-threaded, without a `Db` or its registry.
     pub(crate) fn standalone() -> Self {
-        Self::new(Arc::new(SharedTimestampSource::new()))
+        Self::new(
+            Arc::new(SharedTimestampSource::new()),
+            Journal::with_capacity(8),
+        )
     }
 
     /// Inserts one (invisible) version: allocate or claim, link, publish.
@@ -2288,7 +2253,7 @@ mod tests {
     /// entry: `Pending`.
     fn racing(store: &ArenaStore) -> impl Fn(Timestamp) -> TxnStatus + '_ {
         let ts = SharedTimestampSource::resuming_after(Timestamp(2));
-        let registry = crate::registry::ActiveTxnRegistry::new(None);
+        let registry = crate::registry::ActiveTxnRegistry::new();
         let (writer, shard) = registry.register(&ts);
         assert_eq!(registry.commit(writer, shard, &ts), Timestamp(4));
         move |start: Timestamp| {

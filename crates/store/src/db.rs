@@ -53,7 +53,7 @@ use crate::{
     arena::ArenaStore,
     error::{Error, Result},
     mvcc::{GcStats, ReclamationStats, VersionStamps},
-    obs::{ArenaObs, StoreObs},
+    obs::StoreObs,
     pipeline::{CommitPipeline, LogBook, PendingCheckpoint, PublishCtx},
     record::{self, Checkpoint, LogSuffix, StoreRecord},
     registry::{ActiveTxnRegistry, OwnLine},
@@ -106,36 +106,17 @@ pub struct DbOptions {
     /// the commit critical section (group commit with a leader), so
     /// concurrent committers share replication round-trips.
     pub wal: Option<LedgerConfig>,
-    /// Whether to attach the observability layer: the metric registry, the
-    /// latency histograms and the flight-recorder journal
-    /// ([`wsi_obs::Journal`], backing [`Db::explain_abort`]) — all of it or
-    /// none of it. On by default; turning it off removes every clock read,
-    /// histogram record and journal event from the hot path, leaving only
-    /// the plain activity counters that back [`Db::stats`]. It is the
-    /// obs-on / obs-off axis along which the cost of observability is
-    /// measured end to end.
-    pub obs: bool,
 }
 
 impl DbOptions {
-    /// Sensible defaults: the requested isolation level, no WAL,
-    /// observability on. Conflict state needs no setting: it is exact, and
-    /// kept small by forgetting what no snapshot can conflict with (see
-    /// [`Db::gc`]).
+    /// Sensible defaults: the requested isolation level, no WAL. Conflict
+    /// state needs no setting: it is exact, and kept small by forgetting
+    /// what no snapshot can conflict with (see [`Db::gc`]).
     pub fn new(isolation: IsolationLevel) -> Self {
         DbOptions {
             isolation,
             wal: None,
-            obs: true,
         }
-    }
-
-    /// Enables or disables the observability layer (see
-    /// [`DbOptions::obs`]).
-    #[must_use]
-    pub fn with_obs(mut self, enabled: bool) -> Self {
-        self.obs = enabled;
-        self
     }
 
     /// Attaches a write-ahead log of the given shape (see
@@ -201,9 +182,8 @@ pub(crate) struct DbInner {
     pub(crate) counters: OracleCounters,
     /// WAL observability handles (present iff `pipeline` is).
     pub(crate) wal_obs: Option<LedgerObs>,
-    /// Metric registry + histograms + journal; `None` when opened with
-    /// [`DbOptions::with_obs`]`(false)`.
-    pub(crate) obs: Option<Arc<StoreObs>>,
+    /// Metric registry + histograms + journal.
+    pub(crate) obs: Arc<StoreObs>,
     /// Write commits counted toward the tick (see [`TICK_EVERY`]). Every
     /// committer bumps it, so it must not share a line with the read-mostly
     /// fields around it, wherever the compiler sorts them.
@@ -240,9 +220,9 @@ impl DbInner {
         }
     }
 
-    /// The flight-recorder journal; present iff [`DbOptions::obs`] is on.
-    pub(crate) fn journal(&self) -> Option<&Journal> {
-        self.obs.as_deref().map(|obs| &obs.journal)
+    /// The flight-recorder journal.
+    pub(crate) fn journal(&self) -> &Journal {
+        &self.obs.journal
     }
 }
 
@@ -281,13 +261,9 @@ impl Db {
         // One journal shared by every layer: the oracle records per-row
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC sweeps and frees.
-        let obs = options.obs.then(|| Arc::new(StoreObs::new()));
-        let mut oracle =
-            ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts))
-                .with_obs_enabled(options.obs);
-        if let Some(obs) = &obs {
-            oracle = oracle.with_journal(obs.journal.clone());
-        }
+        let obs = Arc::new(StoreObs::new());
+        let oracle = ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts))
+            .with_journal(obs.journal.clone());
         let counters = oracle.counters();
         let (pipeline, wal_obs) = options
             .wal
@@ -295,20 +271,19 @@ impl Db {
                 let wal_obs = LedgerObs::default();
                 let mut ledger = Ledger::open(config);
                 ledger.attach_obs(wal_obs.clone());
-                (CommitPipeline::new(ledger, obs.clone()), wal_obs)
+                (CommitPipeline::new(ledger, Arc::clone(&obs)), wal_obs)
             })
             .unzip();
-        let mut mvcc = ArenaStore::new(Arc::clone(&ts));
-        if let Some(obs) = &obs {
-            counters.register_in(&obs.registry);
-            if let Some(wal_obs) = &wal_obs {
-                wal_obs.register_in(&obs.registry);
-            }
-            oracle.shard_obs().register_in(&obs.registry);
-            let arena_obs = Arc::new(ArenaObs::new(obs.journal.clone()));
-            arena_obs.register_in(&obs.registry);
-            mvcc.attach_obs(arena_obs);
+        let mvcc = ArenaStore::new(Arc::clone(&ts), obs.journal.clone());
+        let registry = ActiveTxnRegistry::new();
+        // Each layer keeps its own books; the registry exports them all.
+        counters.register_in(&obs.registry);
+        if let Some(wal_obs) = &wal_obs {
+            wal_obs.register_in(&obs.registry);
         }
+        oracle.shard_obs().register_in(&obs.registry);
+        mvcc.obs().register_in(&obs.registry);
+        registry.register_in(&obs.registry);
         let window = (options.isolation == IsolationLevel::SerializableSnapshot)
             .then(|| Mutex::new(SsiWindow::new()));
         Db {
@@ -317,9 +292,7 @@ impl Db {
                 mvcc,
                 oracle,
                 ts,
-                registry: ActiveTxnRegistry::new(
-                    obs.as_ref().map(|o| o.registry_contention.clone()),
-                ),
+                registry,
                 pipeline,
                 counters,
                 wal_obs,
@@ -569,14 +542,12 @@ impl Db {
                     // retry against the failed attempt's event stream.
                     retries += 1;
                     last_abort = Some(reason);
-                    if let Some(journal) = self.inner.journal() {
-                        journal.record(
-                            start_ts.raw(),
-                            EventData::Retry {
-                                attempt: retries as u64,
-                            },
-                        );
-                    }
+                    self.inner.journal().record(
+                        start_ts.raw(),
+                        EventData::Retry {
+                            attempt: retries as u64,
+                        },
+                    );
                     // A real sleep, on purpose: with 50 µs of timer slack a
                     // 0–40 µs draw sleeps about 100 µs, and while the victim
                     // sleeps the other clients run alone. Every shorter
@@ -644,7 +615,7 @@ impl Db {
         writes: BTreeMap<Bytes, Option<Bytes>>,
         began_us: u64,
     ) -> Result<Timestamp> {
-        let obs = self.inner.obs.as_deref();
+        let obs = &self.inner.obs;
         if writes.is_empty() {
             if let Some(window) = self.inner.window.as_ref() {
                 if let Err(reason) = self.admit_read_only(window, start_ts, &read_rows) {
@@ -653,9 +624,8 @@ impl Db {
                         pipeline.push_abort(start_ts);
                     }
                     self.inner.registry.deregister(start_ts, shard);
-                    if let Some(journal) = self.inner.journal() {
-                        journal.record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
-                    }
+                    obs.journal
+                        .record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
                     return Err(Error::Aborted(reason));
                 }
             }
@@ -665,9 +635,8 @@ impl Db {
             // start timestamp as commit timestamp.
             self.inner.counters.read_only_commits.inc();
             self.inner.registry.deregister(start_ts, shard);
-            if let Some(journal) = self.inner.journal() {
-                journal.record(start_ts.raw(), EventData::ReadOnlyCommit);
-            }
+            obs.journal
+                .record(start_ts.raw(), EventData::ReadOnlyCommit);
             return Ok(start_ts);
         }
 
@@ -739,10 +708,8 @@ impl Db {
             }
         };
 
-        if let Some(obs) = obs {
-            obs.conflict_check_us
-                .record(self.inner.now_us().saturating_sub(decide_began_us));
-        }
+        obs.conflict_check_us
+            .record(self.inner.now_us().saturating_sub(decide_began_us));
 
         // With a WAL, wait for the group-commit outcome (possibly leading the
         // flush ourselves): the commit is visible once that returns `Ok`.
@@ -750,10 +717,8 @@ impl Db {
             if let Some(pipeline) = pipeline {
                 let wait_began_us = self.inner.now_us();
                 let outcome = pipeline.sync_commit(commit_ts, &self.inner.publish_ctx());
-                if let Some(obs) = obs {
-                    obs.wal_wait_us
-                        .record(self.inner.now_us().saturating_sub(wait_began_us));
-                }
+                obs.wal_wait_us
+                    .record(self.inner.now_us().saturating_sub(wait_began_us));
                 outcome?;
             }
             Ok(commit_ts)
@@ -795,30 +760,27 @@ impl Db {
             }
         };
 
-        if let Some(journal) = self.inner.journal() {
-            match &result {
-                Ok(commit_ts) => journal.record(
-                    start_ts.raw(),
-                    EventData::Commit {
-                        commit_ts: commit_ts.raw(),
-                    },
-                ),
-                Err(Error::Aborted(reason)) => {
-                    journal.record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
-                }
-                // A quorum-loss overturn is recorded by the pipeline leader
-                // (as an `Overturn` event, possibly for several riders of the
-                // failed batch), not here.
-                Err(_) => {}
+        match &result {
+            Ok(commit_ts) => obs.journal.record(
+                start_ts.raw(),
+                EventData::Commit {
+                    commit_ts: commit_ts.raw(),
+                },
+            ),
+            Err(Error::Aborted(reason)) => {
+                obs.journal
+                    .record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
             }
+            // A quorum-loss overturn is recorded by the pipeline leader (as
+            // an `Overturn` event, possibly for several riders of the failed
+            // batch), not here.
+            Err(_) => {}
         }
 
-        let end_us = self.inner.now_us();
-        if let Some(obs) = obs {
-            if result.is_ok() {
-                obs.commit_us.record(end_us.saturating_sub(decide_began_us));
-                obs.txn_us.record(end_us.saturating_sub(began_us));
-            }
+        if result.is_ok() {
+            let end_us = self.inner.now_us();
+            obs.commit_us.record(end_us.saturating_sub(decide_began_us));
+            obs.txn_us.record(end_us.saturating_sub(began_us));
         }
         result
     }
@@ -874,9 +836,9 @@ impl Db {
         // `Transaction::put`); rolling back a transaction that never wrote
         // is a non-event for conflict forensics.
         if wrote {
-            if let Some(journal) = self.inner.journal() {
-                journal.record(start_ts.raw(), EventData::Abort(Cause::Client));
-            }
+            self.inner
+                .journal()
+                .record(start_ts.raw(), EventData::Abort(Cause::Client));
         }
     }
 
@@ -966,11 +928,6 @@ impl Db {
         self.inner.oracle.forget_through(watermark);
         self.prune_window(watermark);
         self.maintain();
-        if let Some(obs) = &self.inner.obs {
-            obs.gc_runs.inc();
-            obs.gc_versions_removed
-                .add(stats.versions_dropped + stats.aborted_removed);
-        }
         if let Some(pipeline) = &self.inner.pipeline {
             self.checkpoint(pipeline);
         }
@@ -1035,10 +992,10 @@ impl Db {
 
     /// Aggregate statistics.
     ///
-    /// Lock-free: reads the oracle's shared counters and the WAL's
-    /// observability counters directly, without acquiring any oracle
-    /// lock — safe to poll from a monitoring thread at any frequency
-    /// without perturbing committers.
+    /// Reads the oracle's shared counters and the WAL's observability
+    /// counters directly, without acquiring any oracle lock; the one lock
+    /// it takes is the GC worklist's spin lock, for one length read — safe
+    /// to poll from a monitoring thread without perturbing committers.
     pub fn stats(&self) -> DbStats {
         let wal = match &self.inner.wal_obs {
             Some(obs) => LedgerStats {
@@ -1048,9 +1005,9 @@ impl Db {
             },
             None => LedgerStats::default(),
         };
-        // Yields both totals and (when instrumented) refreshes the
-        // footprint gauges, so the exposition and `DbStats` always agree.
-        // Reads the store's incremental counts; no chain is walked.
+        // Yields both totals and sets the footprint gauges, so the
+        // exposition and `DbStats` agree. Reads the store's incremental
+        // counts; no chain is walked.
         let (keys, versions) = self.inner.mvcc.footprint();
         DbStats {
             oracle: self.inner.counters.view(),
@@ -1082,7 +1039,7 @@ impl Db {
         out
     }
 
-    /// Reclamation accounting of the version store. Reads the same atomics
+    /// Reclamation accounting of the version store. Reads the same counters
     /// as the exported `store_versions_*` series, so the identity
     /// `retired == freed + limbo` is exact at any quiescent point.
     pub fn reclamation(&self) -> ReclamationStats {
@@ -1097,45 +1054,41 @@ impl Db {
         self.registered(|_| self.inner.mvcc.dump_stamps())
     }
 
-    /// The store's metric registry, or `None` when observability is
-    /// disabled. Series from every layer — `oracle_*`, `wal_*`, `store_*` —
-    /// are registered here.
-    pub fn obs_registry(&self) -> Option<&wsi_obs::Registry> {
-        self.inner.obs.as_ref().map(|obs| &obs.registry)
+    /// The store's metric registry, its footprint gauges set first. Series
+    /// from every layer — `oracle_*`, `wal_*`, `store_*` — are registered
+    /// here.
+    pub fn obs_registry(&self) -> &wsi_obs::Registry {
+        self.inner.mvcc.footprint();
+        &self.inner.obs.registry
     }
 
-    /// A point-in-time snapshot of every registered metric, or `None` when
-    /// observability is disabled.
+    /// A point-in-time snapshot of every registered metric, the footprint
+    /// gauges set first. Always `Some`.
     pub fn obs_snapshot(&self) -> Option<wsi_obs::Snapshot> {
-        self.inner.obs.as_ref().map(|obs| obs.registry.snapshot())
+        Some(self.obs_registry().snapshot())
     }
 
     /// Renders every registered metric in Prometheus text exposition
-    /// format, or `None` when observability is disabled.
-    pub fn render_prometheus(&self) -> Option<String> {
-        self.inner
-            .obs
-            .as_ref()
-            .map(|obs| wsi_obs::render_prometheus(&obs.registry))
+    /// format, the footprint gauges set first.
+    pub fn render_prometheus(&self) -> String {
+        wsi_obs::render_prometheus(self.obs_registry())
     }
 
-    /// The flight-recorder journal, or `None` when [`DbOptions::obs`] is
-    /// off. Every layer records into it: begins, per-row conflict-check
-    /// verdicts, commit/abort outcomes with culprit attribution, WAL
-    /// flush/publish/overturn, and GC sweeps and reclamation.
+    /// The flight-recorder journal; always `Some`. Every layer records into
+    /// it: begins, per-row conflict-check verdicts, commit/abort outcomes
+    /// with culprit attribution, WAL flush/publish/overturn, and GC sweeps
+    /// and reclamation.
     pub fn journal(&self) -> Option<&Journal> {
-        self.inner.journal()
+        Some(self.inner.journal())
     }
 
     /// Forensic report for an aborted transaction: the abort's cause, the
     /// committed transactions it blames (resolved through their `Commit`
     /// events), and the joined causal timeline of victim and culprits —
-    /// `None` when observability is disabled or holds no abort for `start_ts`
-    /// (e.g. already overwritten by ring wrap).
+    /// `None` when the journal holds no abort for `start_ts` (e.g. already
+    /// overwritten by ring wrap).
     pub fn explain_abort(&self, start_ts: Timestamp) -> Option<AbortExplanation> {
-        self.inner
-            .journal()
-            .and_then(|journal| journal.explain_abort(start_ts.raw()))
+        self.inner.journal().explain_abort(start_ts.raw())
     }
 }
 

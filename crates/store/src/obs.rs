@@ -1,12 +1,13 @@
 //! Store-level observability: the metric registry and flight recorder shared
 //! by every layer of an embedded [`crate::Db`].
 //!
-//! One [`StoreObs`] is created per database (unless disabled via
-//! [`crate::DbOptions::with_obs`]) and holds:
+//! One [`StoreObs`] is created per database, always, and holds:
 //!
-//! * a [`wsi_obs::Registry`] into which the store registers its own series
-//!   plus the oracle's [`wsi_core::OracleCounters`] and the WAL's
-//!   [`wsi_wal::LedgerObs`], so one exposition call covers the whole stack;
+//! * a [`wsi_obs::Registry`] in which `Db::open` registers the store's own
+//!   series and the books each layer keeps itself — the oracle's
+//!   [`wsi_core::OracleCounters`], the arena's [`ArenaObs`], the
+//!   active-transaction registry's contention counter and the WAL's
+//!   [`wsi_wal::LedgerObs`] — so one exposition call covers the whole stack;
 //! * per-phase latency histograms for the transaction lifecycle
 //!   (conflict check → WAL wait → visible);
 //! * the [`wsi_obs::Journal`], which records every transaction's lifecycle
@@ -66,10 +67,6 @@ pub(crate) struct StoreObs {
     pub(crate) begin_gate_wait_us: Histogram,
     /// Wall-clock latency of `commit_txn` for committed write transactions.
     pub(crate) commit_us: Histogram,
-    /// GC sweeps performed.
-    pub(crate) gc_runs: Counter,
-    /// Versions reclaimed by GC.
-    pub(crate) gc_versions_removed: Counter,
     /// Group-commit flush rounds led by some committer.
     pub(crate) leader_rounds: Counter,
     /// Sync commits resolved by another thread's flush round (the waiter
@@ -77,9 +74,6 @@ pub(crate) struct StoreObs {
     pub(crate) follower_commits: Counter,
     /// Commits persisted per sync flush round.
     pub(crate) sync_group_size: Histogram,
-    /// Active-transaction registry shard acquisitions that found the shard
-    /// lock already held (begin-path contention).
-    pub(crate) registry_contention: Counter,
     /// The flight recorder: a ring journal of lifecycle events (see
     /// [`wsi_obs::Journal`]), one per database, shared by every layer.
     pub(crate) journal: Journal,
@@ -96,12 +90,9 @@ impl StoreObs {
             gate_wait: WaitCounters::new(),
             begin_gate_wait_us: Histogram::new(),
             commit_us: Histogram::new(),
-            gc_runs: Counter::new(),
-            gc_versions_removed: Counter::new(),
             leader_rounds: Counter::new(),
             follower_commits: Counter::new(),
             sync_group_size: Histogram::new(),
-            registry_contention: Counter::new(),
             journal: Journal::new(),
         };
         let r = &obs.registry;
@@ -114,49 +105,48 @@ impl StoreObs {
         r.register_counter("store_gate_parks_total", &obs.gate_wait.parks);
         r.register_histogram("store_begin_gate_wait_us", &obs.begin_gate_wait_us);
         r.register_histogram("store_commit_us", &obs.commit_us);
-        r.register_counter("store_gc_runs_total", &obs.gc_runs);
-        r.register_counter("store_gc_versions_removed_total", &obs.gc_versions_removed);
         r.register_counter("store_leader_rounds_total", &obs.leader_rounds);
         r.register_counter("store_follower_commits_total", &obs.follower_commits);
         r.register_histogram("store_sync_group_size", &obs.sync_group_size);
-        r.register_counter(
-            "store_registry_shard_contention_total",
-            &obs.registry_contention,
-        );
         obs
     }
 }
 
-/// Reclamation metrics of the version store, registered under
-/// `store_versions_*` / `store_limbo_versions` / `store_arena_*` names, plus
-/// what the GC and the chain-head table are holding:
-/// `store_gc_keys_visited_total`, `store_gc_worklist_len`,
-/// `store_head_table_slots`, `store_head_table_grows_total`.
+/// The version store's books: reclamation counts, footprint gauges, GC and
+/// chain-layout series, each kept once. `Db::open` registers them, and
+/// [`crate::Db::reclamation`] reads the same counters, so the exported
+/// series cannot drift from it.
 ///
-/// The reconciliation identity `store_versions_retired_total ==
-/// store_versions_freed_total + store_limbo_versions` is asserted by the
-/// `obs_reconcile` integration test against `Db::reclamation`, which
-/// reads the same underlying atomics — so the exported series can never
-/// drift from `Db::stats()`. The same test holds the newer series to
-/// `keys_visited ≥ versions dropped`, `worklist_len == 0` after a `gc` at
-/// quiescence with no active snapshot, and `slots ≥ keys`.
-#[derive(Debug)]
+/// The gauges are set in one place, `ArenaStore::footprint`, which every
+/// reader of them (`Db::stats`, `Db::obs_registry` and the exports built
+/// on it) calls first. The `obs_reconcile` integration
+/// test holds `store_versions_retired_total == store_versions_freed_total +
+/// store_limbo_versions`, `keys_visited ≥ versions dropped`,
+/// `worklist_len == 0` after a `gc` at quiescence with no active snapshot,
+/// and `slots ≥ keys`.
+#[derive(Debug, Default)]
 pub(crate) struct ArenaObs {
-    /// Versions unlinked and retired to the limbo list (lifetime total).
+    /// Retire units (one per single slot, one per packed node) unlinked and
+    /// retired to the limbo list (lifetime total).
     pub(crate) retired: Counter,
-    /// Retired versions the registry watermark passed and whose slots were
+    /// Retired units the registry watermark passed and whose slots were
     /// recycled (lifetime total).
     pub(crate) freed: Counter,
-    /// Versions currently in limbo (retired − freed).
+    /// Packed nodes retired (lifetime; each also counts once in `retired`).
+    /// Read by `Db::reclamation`, not exported.
+    pub(crate) packed_retired: Counter,
+    /// Chains migrated from single-version nodes into packed multi-version
+    /// nodes (lifetime total).
+    pub(crate) migrations: Counter,
+    /// Units currently in limbo (retired − freed).
     pub(crate) limbo: Gauge,
     /// Arena chunks allocated, single-version and packed-node chunks
     /// combined (each holds a fixed number of slots of its kind).
     pub(crate) chunks: Gauge,
     /// Keys with at least one published version: the store's incremental
-    /// count, copied here on GC and `Db::stats`.
+    /// count.
     pub(crate) keys: Gauge,
-    /// Published versions resident: the store's incremental count, copied
-    /// here on GC and `Db::stats`.
+    /// Published versions resident: the store's incremental count.
     pub(crate) versions: Gauge,
     /// Versions unlinked by insert-time chain pruning (between GC sweeps).
     pub(crate) inline_pruned: Counter,
@@ -167,56 +157,28 @@ pub(crate) struct ArenaObs {
     /// (lifetime total): the keys written, plus the keys a sweep had to
     /// re-queue.
     pub(crate) gc_keys_visited: Counter,
-    /// Keys queued in both worklist generations, refreshed by each
-    /// `Db::gc` and each tick. After a `gc` it is what that sweep
-    /// re-queued because it could not leave them clean — a pending writer,
-    /// or versions a pinned snapshot holds the watermark below: what the
-    /// GC is being made to keep.
+    /// Keys queued in both worklist generations. After a `gc` it is what
+    /// that sweep re-queued because it could not leave them clean — a
+    /// pending writer, or versions a pinned snapshot holds the watermark
+    /// below: what the GC is being made to keep.
     pub(crate) gc_worklist_len: Gauge,
-    /// Chain-head table slots allocated over all retained generations,
-    /// refreshed on GC and `Db::stats`.
+    /// Chain-head table slots allocated over all retained generations.
     pub(crate) head_table_slots: Gauge,
     /// Chain-head table generations built beyond the first (lifetime
-    /// total), refreshed on GC and `Db::stats`.
+    /// total).
     pub(crate) head_table_grows: Counter,
     /// log₂ histogram of chain length observed at each publish (the length
     /// *after* the insert) — shows how hot the hot keys run and whether
     /// migration keeps chains short.
     pub(crate) chain_len: Histogram,
-    /// Chains migrated from single-version nodes into packed multi-version
-    /// nodes (lifetime total).
-    pub(crate) migrations: Counter,
     /// log₂ histogram of the final occupancy (published entries) of each
     /// packed node at retire time — how full packed nodes get before they
     /// drain.
     pub(crate) packed_occupancy: Histogram,
-    /// Flight-recorder handle for GC-sweep and reclaim events.
-    pub(crate) journal: Journal,
 }
 
 impl ArenaObs {
-    pub(crate) fn new(journal: Journal) -> Self {
-        ArenaObs {
-            retired: Counter::new(),
-            freed: Counter::new(),
-            limbo: Gauge::new(),
-            chunks: Gauge::new(),
-            keys: Gauge::new(),
-            versions: Gauge::new(),
-            inline_pruned: Counter::new(),
-            gc_sweeps: Counter::new(),
-            gc_keys_visited: Counter::new(),
-            gc_worklist_len: Gauge::new(),
-            head_table_slots: Gauge::new(),
-            head_table_grows: Counter::new(),
-            chain_len: Histogram::new(),
-            migrations: Counter::new(),
-            packed_occupancy: Histogram::new(),
-            journal,
-        }
-    }
-
-    /// Registers every series under its exported name.
+    /// Registers every exported series under its name.
     pub(crate) fn register_in(&self, registry: &Registry) {
         registry.register_counter("store_versions_retired_total", &self.retired);
         registry.register_counter("store_versions_freed_total", &self.freed);

@@ -243,13 +243,12 @@ pub(crate) struct CommitPipeline {
     /// issues start `S` and then loads `0` is guaranteed no unresolved
     /// commit with `commit_ts < S` exists.
     sync_pending: AtomicU64,
-    /// Leader/follower, group-size and wait metrics; `None` when
-    /// observability is disabled.
-    obs: Option<Arc<StoreObs>>,
+    /// Leader/follower, group-size and wait metrics, and the journal.
+    obs: Arc<StoreObs>,
 }
 
 impl CommitPipeline {
-    pub(crate) fn new(ledger: Ledger, obs: Option<Arc<StoreObs>>) -> Self {
+    pub(crate) fn new(ledger: Ledger, obs: Arc<StoreObs>) -> Self {
         CommitPipeline {
             inner: Mutex::new(PipeInner {
                 ledger: Some(ledger),
@@ -269,9 +268,9 @@ impl CommitPipeline {
         }
     }
 
-    /// The flight-recorder journal, when the observability layer is on.
-    fn journal(&self) -> Option<&Journal> {
-        self.obs.as_deref().map(|obs| &obs.journal)
+    /// The flight-recorder journal.
+    fn journal(&self) -> &Journal {
+        &self.obs.journal
     }
 
     /// Issues the commit timestamp and enqueues a decided commit, as one
@@ -376,7 +375,7 @@ impl CommitPipeline {
         if self.sync_pending.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let obs = self.obs.as_deref();
+        let obs = &self.obs;
         let mut waiting_since = None;
         let mut inner = self.inner.lock();
         loop {
@@ -386,16 +385,14 @@ impl CommitPipeline {
             match oldest {
                 Some(c) if c < start_ts => {
                     // The clock is read only by a begin that really waits.
-                    if waiting_since.is_none() && obs.is_some() {
-                        waiting_since = Some(Instant::now());
-                    }
-                    inner = self.wait_round(inner, obs.map(|obs| &obs.gate_wait));
+                    waiting_since.get_or_insert_with(Instant::now);
+                    inner = self.wait_round(inner, Some(&obs.gate_wait));
                 }
                 _ => break,
             }
         }
         drop(inner);
-        if let (Some(obs), Some(since)) = (obs, waiting_since) {
+        if let Some(since) = waiting_since {
             obs.begin_gate_wait_us
                 .record(since.elapsed().as_micros() as u64);
         }
@@ -411,12 +408,12 @@ impl CommitPipeline {
         commit_ts: Timestamp,
         ctx: &PublishCtx<'_>,
     ) -> Result<(), WalError> {
-        let obs = self.obs.as_deref();
+        let obs = &self.obs;
         let mut led = false;
         let mut inner = self.inner.lock();
         loop {
             if let Some(outcome) = inner.outcomes.remove(&commit_ts.raw()) {
-                if let (false, Some(obs)) = (led, obs) {
+                if !led {
                     // Our commit rode another thread's flush round — the
                     // group-commit win the paper's batching factor measures.
                     obs.follower_commits.inc();
@@ -432,7 +429,7 @@ impl CommitPipeline {
                 self.sync_flush_round(work, ctx);
                 inner = self.inner.lock();
             } else {
-                inner = self.wait_round(inner, obs.map(|obs| &obs.commit_wait));
+                inner = self.wait_round(inner, Some(&obs.commit_wait));
             }
         }
     }
@@ -569,10 +566,8 @@ impl CommitPipeline {
             reservations,
             checkpoint,
         } = work;
-        if let Some(obs) = &self.obs {
-            obs.leader_rounds.inc();
-            obs.sync_group_size.record(commits.len() as u64);
-        }
+        self.obs.leader_rounds.inc();
+        self.obs.sync_group_size.record(commits.len() as u64);
         let mut logged = 0u64;
         let mut append = |ledger: &mut Ledger, payload: Bytes| {
             logged += payload.len() as u64;
@@ -598,15 +593,13 @@ impl CommitPipeline {
         }
         let records = commits.len() as u64;
         let err = ledger.flush(NO_BATCH_CLOCK_US).err();
-        if let Some(journal) = self.journal() {
-            journal.record(
-                0,
-                EventData::WalFlush {
-                    records,
-                    acked: if err.is_none() { records } else { 0 },
-                },
-            );
-        }
+        self.journal().record(
+            0,
+            EventData::WalFlush {
+                records,
+                acked: if err.is_none() { records } else { 0 },
+            },
+        );
         let mut census = WalCensus {
             commits: records,
             aborts: aborts.len() as u64,
@@ -620,14 +613,12 @@ impl CommitPipeline {
                 for c in &commits {
                     ctx.registry
                         .settle(c.start_ts, c.shard, TxnStatus::Committed(c.commit_ts));
-                    if let Some(journal) = self.journal() {
-                        journal.record(
-                            c.start_ts.raw(),
-                            EventData::Publish {
-                                commit_ts: c.commit_ts.raw(),
-                            },
-                        );
-                    }
+                    self.journal().record(
+                        c.start_ts.raw(),
+                        EventData::Publish {
+                            commit_ts: c.commit_ts.raw(),
+                        },
+                    );
                 }
                 // The checkpoint is durable: the records before its cut
                 // are redundant.
@@ -651,14 +642,12 @@ impl CommitPipeline {
                     ctx.oracle.abort_after_decide();
                     ctx.registry.settle(c.start_ts, c.shard, TxnStatus::Aborted);
                     append(&mut ledger, record::encode_abort(c.start_ts));
-                    if let Some(journal) = self.journal() {
-                        journal.record(
-                            c.start_ts.raw(),
-                            EventData::Overturn {
-                                commit_ts: c.commit_ts.raw(),
-                            },
-                        );
-                    }
+                    self.journal().record(
+                        c.start_ts.raw(),
+                        EventData::Overturn {
+                            commit_ts: c.commit_ts.raw(),
+                        },
+                    );
                 }
                 census.aborts += records;
                 census.overturned = records;

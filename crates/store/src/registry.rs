@@ -59,17 +59,22 @@ pub(crate) struct ActiveTxnRegistry {
     /// "Why there is one commit-decision backend").
     next_shard: OwnLine<AtomicUsize>,
     /// Counts `register` calls that found their shard lock held (begin-path
-    /// contention); `None` when observability is disabled.
-    contention: Option<wsi_obs::Counter>,
+    /// contention), exported as `store_registry_shard_contention_total`.
+    contention: wsi_obs::Counter,
 }
 
 impl ActiveTxnRegistry {
-    pub(crate) fn new(contention: Option<wsi_obs::Counter>) -> Self {
+    pub(crate) fn new() -> Self {
         ActiveTxnRegistry {
             shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
             next_shard: OwnLine(AtomicUsize::new(0)),
-            contention,
+            contention: wsi_obs::Counter::new(),
         }
+    }
+
+    /// Registers the contention counter in `registry`.
+    pub(crate) fn register_in(&self, registry: &wsi_obs::Registry) {
+        registry.register_counter("store_registry_shard_contention_total", &self.contention);
     }
 
     /// Issues a start timestamp and registers it as active and pending,
@@ -86,9 +91,7 @@ impl ActiveTxnRegistry {
         let mut set = match self.shards[shard].try_lock() {
             Some(guard) => guard,
             None => {
-                if let Some(contention) = &self.contention {
-                    contention.inc();
-                }
+                self.contention.inc();
                 self.shards[shard].lock()
             }
         };
@@ -173,7 +176,7 @@ mod tests {
     #[test]
     fn register_deregister_roundtrip() {
         let ts = SharedTimestampSource::new();
-        let reg = ActiveTxnRegistry::new(None);
+        let reg = ActiveTxnRegistry::new();
         let (a, sa) = reg.register(&ts);
         let (b, sb) = reg.register(&ts);
         assert!(b > a, "timestamps stay strictly monotonic");
@@ -189,7 +192,7 @@ mod tests {
     #[test]
     fn watermark_is_min_across_shards() {
         let ts = SharedTimestampSource::new();
-        let reg = ActiveTxnRegistry::new(None);
+        let reg = ActiveTxnRegistry::new();
         // More registrations than shards, so every shard holds something.
         let handles: Vec<_> = (0..3 * SHARDS).map(|_| reg.register(&ts)).collect();
         let min = handles.iter().map(|(t, _)| *t).min().unwrap();
@@ -230,7 +233,7 @@ mod tests {
             ops in proptest::collection::vec(op(), 1..80)
         ) {
             let ts = SharedTimestampSource::new();
-            let reg = ActiveTxnRegistry::new(None);
+            let reg = ActiveTxnRegistry::new();
             let mut live: BTreeMap<(Timestamp, usize), TxnStatus> = BTreeMap::new();
             let mut issued = Vec::new();
             for op in ops {
@@ -277,7 +280,7 @@ mod tests {
     #[test]
     fn concurrent_begins_never_lower_an_observed_watermark() {
         let ts = Arc::new(SharedTimestampSource::new());
-        let reg = Arc::new(ActiveTxnRegistry::new(None));
+        let reg = Arc::new(ActiveTxnRegistry::new());
         let workers: Vec<_> = (0..4)
             .map(|_| {
                 let ts = Arc::clone(&ts);

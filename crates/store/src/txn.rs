@@ -107,9 +107,9 @@ impl Transaction {
     /// the read-only fast path at one ring write.
     fn journal_begin_on_first_write(&self) {
         if self.writes.is_empty() {
-            if let Some(journal) = self.db.journal() {
-                journal.record(self.start_ts.raw(), EventData::Begin);
-            }
+            self.db
+                .journal()
+                .record(self.start_ts.raw(), EventData::Begin);
         }
     }
 

@@ -41,13 +41,11 @@ fn increment(db: &Db, key: &[u8]) {
 /// N threads × M read-modify-write increments of one counter must observe
 /// every predecessor: the final value equals the number of successful
 /// commits. Lost updates here would mean a conflict-check or publication
-/// race in the decoupled commit path. `obs` is the observability switch: the
-/// herd's outcome may not depend on it, and the whole layer — registry,
-/// journal, abort forensics — is there or gone with it.
-fn no_lost_updates(isolation: IsolationLevel, wal: Option<LedgerConfig>, obs: bool) {
+/// race in the decoupled commit path.
+fn no_lost_updates(isolation: IsolationLevel, wal: Option<LedgerConfig>) {
     const THREADS: usize = 8;
     const INCREMENTS: u64 = 50;
-    let mut options = DbOptions::new(isolation).with_obs(obs);
+    let mut options = DbOptions::new(isolation);
     options.wal = wal;
     let db = Db::open(options);
 
@@ -73,9 +71,8 @@ fn no_lost_updates(isolation: IsolationLevel, wal: Option<LedgerConfig>, obs: bo
     let victim_ts = victim.start_ts();
     winner.commit().expect("first committer wins");
     assert!(matches!(victim.commit(), Err(Error::Aborted(_))));
-    assert_eq!(db.journal().is_some(), obs);
-    assert_eq!(db.obs_registry().is_some(), obs);
-    assert_eq!(db.explain_abort(victim_ts).is_some(), obs);
+    assert!(db.journal().is_some());
+    assert!(db.explain_abort(victim_ts).is_some());
 
     let stats = db.stats();
     assert_eq!(stats.active_transactions, 0, "every txn deregistered");
@@ -89,12 +86,12 @@ fn no_lost_updates(isolation: IsolationLevel, wal: Option<LedgerConfig>, obs: bo
 
 #[test]
 fn wsi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::WriteSnapshot, None, true);
+    no_lost_updates(IsolationLevel::WriteSnapshot, None);
 }
 
 #[test]
 fn si_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::Snapshot, None, true);
+    no_lost_updates(IsolationLevel::Snapshot, None);
 }
 
 #[test]
@@ -102,22 +99,12 @@ fn wsi_counter_has_no_lost_updates_sync_wal() {
     no_lost_updates(
         IsolationLevel::WriteSnapshot,
         Some(LedgerConfig::default_replicated()),
-        true,
-    );
-}
-
-#[test]
-fn wsi_counter_has_no_lost_updates_sync_wal_without_obs() {
-    no_lost_updates(
-        IsolationLevel::WriteSnapshot,
-        Some(LedgerConfig::default_replicated()),
-        false,
     );
 }
 
 #[test]
 fn ssi_counter_has_no_lost_updates() {
-    no_lost_updates(IsolationLevel::SerializableSnapshot, None, true);
+    no_lost_updates(IsolationLevel::SerializableSnapshot, None);
 }
 
 #[test]
@@ -125,7 +112,6 @@ fn ssi_counter_has_no_lost_updates_sync_wal() {
     no_lost_updates(
         IsolationLevel::SerializableSnapshot,
         Some(LedgerConfig::default_replicated()),
-        true,
     );
 }
 

@@ -8,6 +8,7 @@
 //! drives a racy multi-threaded workload and checks the identities, plus
 //! that the registry exposition sees the same numbers as `Db::stats()`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 
@@ -135,9 +136,9 @@ fn lifecycle_counters_reconcile_across_layers() {
         "one end-to-end latency sample per committed write transaction"
     );
 
-    // Identity 4: the arena store's footprint gauges (refreshed by the
-    // `db.stats()` call above) equal the aggregate key/version totals that
-    // `DbStats` reports — the exposition loses nothing.
+    // Identity 4: the arena store's footprint gauges (set as the snapshot
+    // is taken) equal the aggregate key/version totals that `DbStats`
+    // reports — the exposition loses nothing.
     assert_eq!(
         snap.gauges.get("store_arena_keys"),
         Some(&(stats.keys as u64)),
@@ -175,9 +176,75 @@ fn lifecycle_counters_reconcile_across_layers() {
     assert!(rec.chunks > 0, "the workload allocated at least one chunk");
 
     // The Prometheus text round-trips losslessly.
-    let text = db.render_prometheus().unwrap();
+    let text = db.render_prometheus();
     let parsed = wsi_obs::Snapshot::parse_prometheus(&text).unwrap();
     assert_eq!(parsed, snap);
+}
+
+/// The footprint gauges are current whenever they are read: a snapshot
+/// taken before any `stats` or `gc` exports what `stats` reports.
+#[test]
+fn footprint_gauges_are_current_when_read() {
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+    for k in 0..10u8 {
+        let mut txn = db.begin();
+        txn.put(&[k], b"v");
+        txn.commit().expect("single writer commits");
+    }
+    let snap = db.obs_snapshot().expect("obs on");
+    let stats = db.stats();
+    assert_eq!((stats.keys, stats.versions), (10, 10));
+    assert_eq!(snap.gauges["store_arena_keys"], stats.keys as u64);
+    assert_eq!(snap.gauges["store_arena_versions"], stats.versions as u64);
+}
+
+/// README's metric catalogue is the registry's: every series a durable SSI
+/// database registers has a row of its kind, and every row names a
+/// registered series (`oracle_shard_<i>_contention_total` stands for one
+/// per `lastCommit` shard).
+#[test]
+fn readme_catalogue_matches_the_registry() {
+    /// `Db`'s `lastCommit` shard count.
+    const ORACLE_SHARDS: usize = 16;
+    let db = Db::open(
+        DbOptions::new(IsolationLevel::SerializableSnapshot)
+            .durable(LedgerConfig::default_replicated()),
+    );
+    let snap = db.obs_snapshot().expect("obs on");
+    let registered: BTreeSet<(String, &str)> = snap
+        .counters
+        .keys()
+        .map(|name| (name.clone(), "counter"))
+        .chain(snap.gauges.keys().map(|name| (name.clone(), "gauge")))
+        .chain(
+            snap.histograms
+                .keys()
+                .map(|name| (name.clone(), "histogram")),
+        )
+        .collect();
+    let readme = include_str!("../../../README.md");
+    let (_, catalogue) = readme
+        .split_once("Metric catalog")
+        .expect("README has a metric catalogue");
+    let mut documented = BTreeSet::new();
+    let rows = catalogue
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .skip(2);
+    for row in rows {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        for name in cells[1].split(',').map(|n| n.trim().trim_matches('`')) {
+            if name.contains("<i>") {
+                for i in 0..ORACLE_SHARDS {
+                    documented.insert((name.replace("<i>", &i.to_string()), cells[2]));
+                }
+            } else {
+                documented.insert((name.to_string(), cells[2]));
+            }
+        }
+    }
+    assert_eq!(documented, registered);
 }
 
 /// The paper's §6.3 cost claim on the embedded store: WSI certifies the read
