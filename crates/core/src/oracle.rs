@@ -217,9 +217,10 @@ impl OracleCounters {
 
     /// Registers every counter in `registry` under `oracle_*` names so the
     /// oracle shows up in metric exposition alongside the embedder's own
-    /// series.
+    /// series — all but `ranges_checked`: the embedder's concurrent oracle
+    /// takes no ranges.
     pub fn register_in(&self, registry: &wsi_obs::Registry) {
-        let entries: [(&str, &wsi_obs::Counter); 13] = [
+        let entries: [(&str, &wsi_obs::Counter); 12] = [
             ("oracle_begins_total", &self.begins),
             ("oracle_commits_total", &self.commits),
             ("oracle_commits_overturned_total", &self.commits_overturned),
@@ -231,7 +232,6 @@ impl OracleCounters {
             ("oracle_client_aborts_total", &self.client_aborts),
             ("oracle_rows_checked_total", &self.rows_checked),
             ("oracle_rows_recorded_total", &self.rows_recorded),
-            ("oracle_ranges_checked_total", &self.ranges_checked),
             ("oracle_lastcommit_evictions_total", &self.evictions),
         ];
         for (name, counter) in entries {

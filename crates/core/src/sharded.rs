@@ -29,10 +29,13 @@
 //!   timestamp order and per-row `lastCommit` timestamps stay monotonic.
 //!   Transactions with disjoint shard sets cannot conflict, so their
 //!   decisions may interleave freely.
-//! * §5.2 range probes cannot be attributed to a shard (a hash-sharded range
-//!   spans all of them), so a request carrying read ranges takes the
-//!   all-ones mask, an ordered **all-shard sweep**: every shard is locked, in
-//!   order, and the range is probed in each, keeping the newest commit.
+//! * It certifies point rows only. A §5.2 range cannot be attributed to a
+//!   shard, so under WSI, the one level that checks ranges, a request
+//!   carrying read ranges is refused ([`ConcurrentOracle::lock_for`]
+//!   panics): an unchecked range would be a hole in serializability. An
+//!   embedder covers a range with point rows; the sequential
+//!   [`StatusOracleCore`](crate::StatusOracleCore) keeps §5.2 ranges. Under
+//!   SI and SSI ranges are ignored, as the sequential oracle ignores them.
 //!
 //! The decision path is exposed in two shapes: [`ConcurrentOracle::commit`]
 //! for self-contained use, and the [`ConcurrentOracle::lock_for`] /
@@ -51,9 +54,9 @@ use wsi_obs::{Counter, EventData, Histogram, HistogramSnapshot, Journal, Registr
 use crate::{
     error::{AbortReason, CommitOutcome},
     lastcommit::{LastCommit, Probe},
-    oracle::{check_range_probe, check_row_probe, CommitRequest, OracleCounters, OracleStats},
+    oracle::{check_row_probe, CommitRequest, OracleCounters, OracleStats},
     policy::IsolationLevel,
-    row::{RowId, RowRange},
+    row::RowId,
     ts::{SharedTimestampSource, Timestamp},
 };
 
@@ -151,12 +154,6 @@ impl ShardedLastCommit {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// The mask with one bit set per shard: every shard's.
-    #[inline]
-    fn all_shards(&self) -> u64 {
-        u64::MAX >> (64 - self.shards.len())
-    }
-
     #[inline]
     pub(crate) fn shard(&self, idx: usize) -> &Mutex<LastCommit> {
         &self.shards[idx]
@@ -175,8 +172,6 @@ pub struct ShardObs {
     lock_wait_us: Histogram,
     /// Shards locked per commit decision.
     shards_per_decision: Histogram,
-    /// Decisions that fell back to the all-shard sweep (§5.2 range probes).
-    full_sweeps: Counter,
 }
 
 impl ShardObs {
@@ -186,7 +181,6 @@ impl ShardObs {
             contention: Counter::new(),
             lock_wait_us: Histogram::new(),
             shards_per_decision: Histogram::new(),
-            full_sweeps: Counter::new(),
         }
     }
 
@@ -195,7 +189,6 @@ impl ShardObs {
     /// counter per shard (`oracle_shard_<i>_contention_total`).
     pub fn register_in(&self, registry: &Registry) {
         registry.register_counter("oracle_shard_contention_total", &self.contention);
-        registry.register_counter("oracle_shard_full_sweeps_total", &self.full_sweeps);
         registry.register_histogram("oracle_shard_lock_wait_us", &self.lock_wait_us);
         registry.register_histogram("oracle_shards_per_decision", &self.shards_per_decision);
         for (i, counter) in self.per_shard_contention.iter().enumerate() {
@@ -215,11 +208,6 @@ impl ShardObs {
     /// Panics if `i` is not a valid shard index.
     pub fn shard_contention(&self, i: usize) -> u64 {
         self.per_shard_contention[i].get()
-    }
-
-    /// Decisions that swept all shards (§5.2 range fallback).
-    pub fn full_sweeps(&self) -> u64 {
-        self.full_sweeps.get()
     }
 
     /// Snapshot of the shard-set acquisition latency histogram.
@@ -247,9 +235,10 @@ impl ShardObs {
 /// ```
 /// use std::sync::Arc;
 /// use wsi_core::{CommitRequest, ConcurrentOracle, IsolationLevel, RowId, SharedTimestampSource};
+/// use wsi_obs::Journal;
 ///
 /// let ts = Arc::new(SharedTimestampSource::new());
-/// let o = ConcurrentOracle::unbounded(IsolationLevel::WriteSnapshot, 16, ts);
+/// let o = ConcurrentOracle::unbounded(IsolationLevel::WriteSnapshot, 16, ts, Journal::new());
 /// let t1 = o.begin();
 /// let t2 = o.begin();
 /// // Lost update: both read and write row 1; the second must abort.
@@ -269,14 +258,22 @@ pub struct ConcurrentOracle {
     obs: ShardObs,
     /// Flight recorder for per-row conflict-check verdicts (the embedder
     /// records the coarser lifecycle events itself).
-    journal: Option<Journal>,
+    journal: Journal,
 }
 
 impl ConcurrentOracle {
     /// Creates an unbounded concurrent oracle (Algorithm 1 or 2 by `level`)
     /// with `shards` `lastCommit` shards (rounded up to a power of two),
-    /// drawing timestamps from the embedder's shared counter.
-    pub fn unbounded(level: IsolationLevel, shards: usize, ts: Arc<SharedTimestampSource>) -> Self {
+    /// drawing timestamps from the embedder's shared counter. Every row a
+    /// [`DecisionGuard::check`] probes records a [`EventData::CheckRow`]
+    /// verdict in `journal`, carrying the culprit's commit timestamp when
+    /// the row conflicted.
+    pub fn unbounded(
+        level: IsolationLevel,
+        shards: usize,
+        ts: Arc<SharedTimestampSource>,
+        journal: Journal,
+    ) -> Self {
         let last_commit = ShardedLastCommit::unbounded(shards);
         ConcurrentOracle {
             level,
@@ -284,22 +281,8 @@ impl ConcurrentOracle {
             obs: ShardObs::new(last_commit.shard_count()),
             last_commit,
             counters: OracleCounters::default(),
-            journal: None,
+            journal,
         }
-    }
-
-    /// Attaches a flight recorder: every row a [`DecisionGuard::check`]
-    /// probes records a [`EventData::CheckRow`] verdict, carrying the
-    /// culprit's commit timestamp when the row conflicted.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
     }
 
     /// The isolation level this oracle enforces.
@@ -355,23 +338,30 @@ impl ConcurrentOracle {
     ///
     /// The shard set is a bitmask: bit `i` is set when shard `i` holds one of
     /// the checked rows (writes under SI, reads under WSI) or the written
-    /// rows. A request carrying §5.2 read ranges under WSI takes the
-    /// all-ones mask instead and locks **every** shard. Shards are locked
-    /// lowest set bit first, so every acquirer takes its set in the same
-    /// ascending order and lock acquisition is deadlock-free, with nothing to
-    /// sort.
+    /// rows. Shards are locked lowest set bit first, so every acquirer takes
+    /// its set in the same ascending order and lock acquisition is
+    /// deadlock-free, with nothing to sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a WSI request carries §5.2 read ranges: this oracle
+    /// certifies point rows only, and a range it did not check would be
+    /// admitted unchecked. The other levels ignore ranges, as
+    /// [`StatusOracleCore`](crate::StatusOracleCore) does.
     #[inline]
     pub fn lock_for(&self, req: &CommitRequest) -> DecisionGuard<'_> {
-        let mask = if self.level == IsolationLevel::WriteSnapshot && !req.read_ranges.is_empty() {
-            self.obs.full_sweeps.inc();
-            self.last_commit.all_shards()
-        } else {
-            self.level
-                .checked_rows(req)
-                .iter()
-                .chain(&req.write_rows)
-                .fold(0, |mask, &row| mask | 1 << self.last_commit.shard_of(row))
-        };
+        assert!(
+            self.level != IsolationLevel::WriteSnapshot || req.read_ranges.is_empty(),
+            "the concurrent oracle certifies rows, not §5.2 read ranges"
+        );
+        let mask = self
+            .level
+            .checked_rows(req)
+            .iter()
+            .chain(&req.write_rows)
+            .fold(0u64, |mask, &row| {
+                mask | 1 << self.last_commit.shard_of(row)
+            });
         let began = Instant::now();
         let mut guards = Vec::with_capacity(mask.count_ones() as usize);
         let mut rest = mask;
@@ -533,19 +523,17 @@ impl DecisionGuard<'_> {
             checked += 1;
             let probe = self.guards[self.slot(row)].probe(row);
             let verdict = check_row_probe(level, row, probe, req.start_ts);
-            if let Some(journal) = &self.oracle.journal {
-                journal.record(
-                    req.start_ts.raw(),
-                    EventData::CheckRow {
-                        row: row.raw(),
-                        conflict: verdict
-                            .as_ref()
-                            .err()
-                            .and_then(AbortReason::conflict_ts)
-                            .map(Timestamp::raw),
-                    },
-                );
-            }
+            self.oracle.journal.record(
+                req.start_ts.raw(),
+                EventData::CheckRow {
+                    row: row.raw(),
+                    conflict: verdict
+                        .as_ref()
+                        .err()
+                        .and_then(AbortReason::conflict_ts)
+                        .map(Timestamp::raw),
+                },
+            );
             if let Err(reason) = verdict {
                 self.oracle.counters.rows_checked.add(checked);
                 return Err(reason);
@@ -553,19 +541,6 @@ impl DecisionGuard<'_> {
         }
         if checked > 0 {
             self.oracle.counters.rows_checked.add(checked);
-        }
-        if level == IsolationLevel::WriteSnapshot && !req.read_ranges.is_empty() {
-            let mut ranges = 0u64;
-            for &range in &req.read_ranges {
-                ranges += 1;
-                if let Err(reason) =
-                    check_range_probe(range, self.probe_range_all(range), req.start_ts)
-                {
-                    self.oracle.counters.ranges_checked.add(ranges);
-                    return Err(reason);
-                }
-            }
-            self.oracle.counters.ranges_checked.add(ranges);
         }
         Ok(())
     }
@@ -603,26 +578,6 @@ impl DecisionGuard<'_> {
         let below = (1u64 << self.oracle.last_commit.shard_of(row)) - 1;
         (self.mask & below).count_ones() as usize
     }
-
-    /// Probes a §5.2 range across every shard (all of them are locked in
-    /// sweep mode): the newest commit in the range over all shards. The
-    /// shards are exact tables, so each answers `Resident` or
-    /// `NeverWritten`.
-    fn probe_range_all(&self, range: RowRange) -> Probe {
-        debug_assert_eq!(
-            self.mask,
-            self.oracle.last_commit.all_shards(),
-            "range probes require the all-shard sweep"
-        );
-        self.guards
-            .iter()
-            .filter_map(|table| match table.probe_range(range) {
-                Probe::Resident(ts) => Some(ts),
-                Probe::NeverWritten | Probe::MaybeEvicted { .. } => None,
-            })
-            .max()
-            .map_or(Probe::NeverWritten, Probe::Resident)
-    }
 }
 
 impl std::fmt::Debug for DecisionGuard<'_> {
@@ -643,7 +598,12 @@ mod tests {
     }
 
     fn oracle(level: IsolationLevel, shards: usize) -> ConcurrentOracle {
-        ConcurrentOracle::unbounded(level, shards, Arc::new(SharedTimestampSource::new()))
+        ConcurrentOracle::unbounded(
+            level,
+            shards,
+            Arc::new(SharedTimestampSource::new()),
+            Journal::new(),
+        )
     }
 
     #[test]
@@ -713,17 +673,26 @@ mod tests {
     }
 
     #[test]
-    fn range_probe_sweeps_all_shards() {
+    #[should_panic(expected = "certifies rows, not §5.2 read ranges")]
+    fn a_request_with_read_ranges_is_refused() {
         let o = oracle(IsolationLevel::WriteSnapshot, 8);
+        let scanner = o.begin();
+        let req = CommitRequest::new(scanner, vec![], rows(&[2000]))
+            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
+        let _ = o.lock_for(&req);
+    }
+
+    #[test]
+    fn snapshot_requests_ignore_read_ranges_as_the_model_does() {
+        let o = oracle(IsolationLevel::Snapshot, 8);
         let scanner = o.begin();
         let writer = o.begin();
         assert!(o
-            .commit(CommitRequest::new(writer, vec![], rows(&[500])))
+            .commit(CommitRequest::new(writer, vec![], rows(&[5])))
             .is_committed());
         let req = CommitRequest::new(scanner, vec![], rows(&[2000]))
-            .with_read_ranges(vec![RowRange::new(0, 1000)]);
-        assert!(o.commit(req).is_aborted());
-        assert_eq!(o.shard_obs().full_sweeps(), 1);
+            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
+        assert!(o.commit(req).is_committed());
     }
 
     #[test]
@@ -735,7 +704,6 @@ mod tests {
             .find(|&row| o.last_commit.shard_of(row) == 63)
             .expect("some row maps to shard 63");
         let reader = o.begin();
-        let scanner = o.begin();
         let writer = o.begin();
         // A request whose one row sits in the last shard: bit 63, one guard.
         let req = CommitRequest::new(writer, vec![top], vec![top]);
@@ -754,21 +722,6 @@ mod tests {
                 committed_at: committed,
             })
         );
-        // A §5.2 range over the same row: the all-ones mask, every shard.
-        let range = RowRange::new(top.raw(), top.raw() + 1);
-        let req = CommitRequest::new(scanner, vec![], rows(&[2])).with_read_ranges(vec![range]);
-        let g = o.lock_for(&req);
-        assert_eq!((g.mask, g.guards.len()), (u64::MAX, 64));
-        assert_eq!(
-            g.check(&req),
-            Err(AbortReason::ReadWriteConflict {
-                row: top,
-                committed_at: committed,
-            })
-        );
-        drop(g);
-        assert_eq!(o.shard_obs().full_sweeps(), 1);
-        assert_eq!(o.shard_obs().shards_per_decision_snapshot().max, 64);
     }
 
     #[test]
@@ -838,8 +791,8 @@ mod tests {
             IsolationLevel::WriteSnapshot,
             4,
             Arc::new(SharedTimestampSource::new()),
-        )
-        .with_journal(journal.clone());
+            journal.clone(),
+        );
         let t1 = o.begin();
         let t2 = o.begin();
         let first = o.commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])));

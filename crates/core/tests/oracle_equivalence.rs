@@ -12,7 +12,7 @@
 //! A history keeps up to [`MAX_OPEN`] transactions open at once and ends
 //! them in random order, so a commit probes rows that transactions
 //! concurrent with it wrote. The corpus reaches write-write aborts under SI,
-//! read-write and range aborts under WSI, and `T_max` aborts in the bounded
+//! read-write aborts under WSI, and `T_max` aborts in the bounded
 //! model (Algorithm 3), which must add only those to what the exact table
 //! decides.
 //!
@@ -26,9 +26,10 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use wsi_core::{
-    AbortReason, CommitOutcome, CommitRequest, ConcurrentOracle, IsolationLevel, RowId, RowRange,
+    AbortReason, CommitOutcome, CommitRequest, ConcurrentOracle, IsolationLevel, RowId,
     SharedTimestampSource, StatusOracleCore, Timestamp,
 };
+use wsi_obs::Journal;
 
 /// Row universe: small enough that transactions collide constantly.
 const UNIVERSE: u64 = 24;
@@ -45,8 +46,6 @@ const MAX_OPEN: usize = 4;
 struct Spec {
     read_rows: Vec<u64>,
     write_rows: Vec<u64>,
-    /// WSI-only §5.2 predicate ranges `[start, end)`.
-    ranges: Vec<(u64, u64)>,
     /// Client-requested abort instead of a commit attempt.
     client_abort: bool,
 }
@@ -55,43 +54,23 @@ impl Spec {
     /// Up to 10 rows per side: the paper's transactions are 10 rows, and
     /// most of `Db`'s requests span more shards than a handful. About one
     /// transaction in ten ends in a client-requested abort.
-    fn generate(rng: &mut SmallRng, with_ranges: bool) -> Self {
+    fn generate(rng: &mut SmallRng) -> Self {
         let rows = |rng: &mut SmallRng| {
             let n = rng.gen_range(0..=10);
             (0..n).map(|_| rng.gen_range(0..UNIVERSE)).collect()
         };
         let read_rows = rows(rng);
         let write_rows = rows(rng);
-        let ranges = if with_ranges {
-            (0..rng.gen_range(0..2))
-                .map(|_| {
-                    let start = rng.gen_range(0..UNIVERSE);
-                    (start, start + rng.gen_range(1..6u64))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         Spec {
             read_rows,
             write_rows,
-            ranges,
             client_abort: rng.gen_range(0..10) == 0,
         }
     }
 
     fn request(&self, start_ts: Timestamp) -> CommitRequest {
         let rows = |rows: &[u64]| rows.iter().map(|&r| RowId(r)).collect();
-        let req = CommitRequest::new(start_ts, rows(&self.read_rows), rows(&self.write_rows));
-        if self.ranges.is_empty() {
-            return req;
-        }
-        req.with_read_ranges(
-            self.ranges
-                .iter()
-                .map(|&(s, e)| RowRange::new(s, e))
-                .collect(),
-        )
+        CommitRequest::new(start_ts, rows(&self.read_rows), rows(&self.write_rows))
     }
 }
 
@@ -113,12 +92,10 @@ impl History {
     /// 1–39 transactions begun in order; while fewer than [`MAX_OPEN`] are
     /// open a coin picks between beginning the next and ending a random
     /// open one.
-    fn generate(seed: u64, with_ranges: bool) -> Self {
+    fn generate(seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = rng.gen_range(1..40);
-        let specs: Vec<Spec> = (0..n)
-            .map(|_| Spec::generate(&mut rng, with_ranges))
-            .collect();
+        let specs: Vec<Spec> = (0..n).map(|_| Spec::generate(&mut rng)).collect();
         let mut steps = Vec::with_capacity(2 * n);
         let mut open = Vec::new();
         let mut next = 0;
@@ -270,15 +247,16 @@ fn assert_lockstep(mut model: StatusOracleCore, mut oracle: ConcurrentOracle, hi
 }
 
 fn fresh(level: IsolationLevel, shards: usize) -> ConcurrentOracle {
-    ConcurrentOracle::unbounded(level, shards, Arc::new(SharedTimestampSource::new()))
+    ConcurrentOracle::unbounded(
+        level,
+        shards,
+        Arc::new(SharedTimestampSource::new()),
+        Journal::with_capacity(8),
+    )
 }
 
-/// The two levels a [`ConcurrentOracle`] certifies by itself, with whether
-/// their histories carry §5.2 ranges (checked only under WSI).
-const LEVELS: [(IsolationLevel, bool); 2] = [
-    (IsolationLevel::Snapshot, false),
-    (IsolationLevel::WriteSnapshot, true),
-];
+/// The two levels a [`ConcurrentOracle`] certifies by itself.
+const LEVELS: [IsolationLevel; 2] = [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot];
 
 /// Whether `history`'s oracle-driven forgetting through `forget_at` changes
 /// any decision or counter of a `shards`-shard oracle at `level`.
@@ -304,18 +282,17 @@ proptest! {
     #[test]
     fn si_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::Snapshot;
-        let history = History::generate(seed, false);
+        let history = History::generate(seed);
         for shards in SHARDS {
             assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
         }
     }
 
-    /// Algorithm 2 (WSI) including §5.2 range predicates (which exercise
-    /// the all-shard sweep): implementation ≡ model, at every shard count.
+    /// Algorithm 2 (WSI): implementation ≡ model, at every shard count.
     #[test]
     fn wsi_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::WriteSnapshot;
-        let history = History::generate(seed, true);
+        let history = History::generate(seed);
         for shards in SHARDS {
             assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
         }
@@ -329,8 +306,8 @@ proptest! {
         seed in any::<u64>(),
         picks in prop::collection::vec(prop::option::of(any::<u64>()), 0..80),
     ) {
-        for (level, ranges) in LEVELS {
-            let history = History::generate(seed, ranges);
+        for level in LEVELS {
+            let history = History::generate(seed);
             for shards in SHARDS {
                 let changed = forgetting_changes_something(
                     level,
@@ -359,7 +336,7 @@ proptest! {
         } else {
             IsolationLevel::Snapshot
         };
-        let history = History::generate(seed, false);
+        let history = History::generate(seed);
         let mut latest: HashMap<u64, Timestamp> = HashMap::new();
         let decisions = play(&mut StatusOracleCore::bounded(level, capacity), &history);
         for (i, start_ts, outcome) in decisions {
@@ -389,13 +366,13 @@ proptest! {
 }
 
 /// The histories really overlap: over a fixed corpus they reach
-/// write-write aborts under SI, read-write aborts on point reads and on
-/// ranges under WSI, and `T_max` aborts in the bounded model.
+/// write-write aborts under SI, read-write aborts under WSI, and `T_max`
+/// aborts in the bounded model.
 #[test]
 fn the_histories_reach_every_abort_kind() {
-    let (mut ww, mut rw, mut range, mut tmax) = (0, 0, 0, 0);
+    let (mut ww, mut rw, mut tmax) = (0, 0, 0);
     for seed in 0..256 {
-        let history = History::generate(seed, false);
+        let history = History::generate(seed);
         let si = play(
             &mut StatusOracleCore::unbounded(IsolationLevel::Snapshot),
             &history,
@@ -419,26 +396,23 @@ fn the_histories_reach_every_abort_kind() {
                 matches!(out.abort_reason(), Some(AbortReason::TmaxExceeded { .. }))
             })
             .count();
-        let history = History::generate(seed, true);
         let wsi = play(
             &mut StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot),
             &history,
         );
-        for (i, _, out) in wsi {
-            if let Some(AbortReason::ReadWriteConflict { row, .. }) = out.abort_reason() {
-                // A range conflict names its range's start, which the point
-                // reads need not contain.
-                if history.specs[i].read_rows.contains(&row.raw()) {
-                    rw += 1;
-                } else {
-                    range += 1;
-                }
-            }
-        }
+        rw += wsi
+            .iter()
+            .filter(|(.., out)| {
+                matches!(
+                    out.abort_reason(),
+                    Some(AbortReason::ReadWriteConflict { .. })
+                )
+            })
+            .count();
     }
     assert!(
-        ww > 0 && rw > 0 && range > 0 && tmax > 0,
-        "ww {ww}, rw {rw}, range {range}, T_max {tmax}"
+        ww > 0 && rw > 0 && tmax > 0,
+        "ww {ww}, rw {rw}, T_max {tmax}"
     );
 }
 
@@ -447,9 +421,9 @@ fn the_histories_reach_every_abort_kind() {
 /// still conflict with.
 #[test]
 fn forgetting_one_past_the_oldest_start_is_caught() {
-    for (level, ranges) in LEVELS {
+    for level in LEVELS {
         let caught = (0..64).any(|seed| {
-            let history = History::generate(seed, ranges);
+            let history = History::generate(seed);
             let picks = vec![Some(0); 2 * history.specs.len()];
             forgetting_changes_something(level, 16, &history, picks, |oldest, _| oldest.next())
         });

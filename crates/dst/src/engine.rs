@@ -11,54 +11,25 @@ use wsi_core::IsolationLevel;
 use wsi_store::{Db, DbOptions, Result};
 use wsi_wal::{Ledger, LedgerConfig};
 
-/// Which isolation level a run exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Classic snapshot isolation (write-write conflict detection).
-    Si,
-    /// Write-snapshot isolation (read-write conflict detection).
-    Wsi,
-    /// Serializable SI (dangerous-structure detection).
-    Ssi,
+/// The three levels a run can exercise, in matrix order.
+pub const LEVELS: [IsolationLevel; 3] = [
+    IsolationLevel::Snapshot,
+    IsolationLevel::WriteSnapshot,
+    IsolationLevel::SerializableSnapshot,
+];
+
+fn options(level: IsolationLevel) -> DbOptions {
+    DbOptions::new(level).durable(LedgerConfig::default_replicated())
 }
 
-impl EngineKind {
-    /// All engine kinds, in matrix order.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Si, EngineKind::Wsi, EngineKind::Ssi];
+/// Opens a fresh durable engine at `level`.
+pub(crate) fn open(level: IsolationLevel) -> Db {
+    Db::open(options(level))
+}
 
-    /// The isolation level `Db` is opened with, and the level the isolation
-    /// check holds the run to.
-    pub fn level(self) -> IsolationLevel {
-        match self {
-            EngineKind::Si => IsolationLevel::Snapshot,
-            EngineKind::Wsi => IsolationLevel::WriteSnapshot,
-            EngineKind::Ssi => IsolationLevel::SerializableSnapshot,
-        }
-    }
-
-    /// Short label for repro commands and reports.
-    pub fn label(self) -> &'static str {
-        self.level().short_name()
-    }
-
-    /// Parses a [`EngineKind::label`] back into a kind.
-    pub fn from_label(label: &str) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    fn options(self) -> DbOptions {
-        DbOptions::new(self.level()).durable(LedgerConfig::default_replicated())
-    }
-
-    /// Opens a fresh durable engine.
-    pub(crate) fn open(self) -> Db {
-        Db::open(self.options())
-    }
-
-    /// Replays a recovered ledger into a fresh engine of the same kind.
-    pub(crate) fn recover(self, ledger: Ledger) -> Result<Db> {
-        Db::recover(self.options(), ledger)
-    }
+/// Replays a recovered ledger into a fresh engine at `level`.
+pub(crate) fn recover(level: IsolationLevel, ledger: Ledger) -> Result<Db> {
+    Db::recover(options(level), ledger)
 }
 
 /// Abort/commit accounting over one engine incarnation.

@@ -32,13 +32,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
+use wsi_core::IsolationLevel;
 use wsi_history::{History, Op, TxnId};
 use wsi_sim::SimRng;
 use wsi_store::{Db, Error, Event, ReclamationStats, StoreRecord, Transaction};
 use wsi_wal::{Ledger, LedgerConfig};
 
 use crate::clock::VirtualClock;
-use crate::engine::{EngineCounters, EngineKind};
+use crate::engine::{self, EngineCounters};
 use crate::oracle::{self, WalCensus};
 use crate::plan::{Fault, FaultPlan};
 
@@ -50,8 +51,8 @@ pub type Observed = BTreeMap<(TxnId, String), Option<TxnId>>;
 /// Everything a deterministic run needs to be reproduced.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Engine under test.
-    pub engine: EngineKind,
+    /// The isolation level the engine runs at, and the run is checked at.
+    pub level: IsolationLevel,
     /// Master seed; the run is a pure function of it (and this config).
     pub seed: u64,
     /// Scheduler steps (one client operation each, after faults).
@@ -72,9 +73,9 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// A default run: 400 steps, 6 clients, 8 keys, no faults.
-    pub fn new(engine: EngineKind, seed: u64) -> Self {
+    pub fn new(level: IsolationLevel, seed: u64) -> Self {
         RunConfig {
-            engine,
+            level,
             seed,
             steps: 400,
             clients: 6,
@@ -130,7 +131,7 @@ impl RunConfig {
             "DST_SEED=0x{:016x} DST_ENGINE={} DST_PLAN={} DST_STEPS={} \
              cargo test -p wsi-dst --test matrix -- replay_seed_from_env --exact --nocapture",
             self.seed,
-            self.engine.label(),
+            self.level.short_name(),
             self.plan_name,
             self.steps,
         )
@@ -142,8 +143,8 @@ impl RunConfig {
 pub struct RunReport {
     /// The seed that produced this report.
     pub seed: u64,
-    /// Engine exercised.
-    pub engine: EngineKind,
+    /// The level exercised.
+    pub level: IsolationLevel,
     /// The recorded history, in Berenson et al. notation.
     pub history: History,
     /// Observed reads-from relation (see [`Observed`]).
@@ -230,7 +231,7 @@ struct Sim<'a> {
 }
 
 fn execute(config: &RunConfig) -> RunReport {
-    let engine = config.engine.open();
+    let engine = engine::open(config.level);
     let base_counters = EngineCounters::of(&engine);
     let rng = SimRng::new(config.seed);
     let mut sim = Sim {
@@ -449,10 +450,7 @@ impl Sim<'_> {
         fresh
             .flush(self.clock.now_us())
             .expect("replacement ensemble is healthy");
-        self.engine = self
-            .config
-            .engine
-            .recover(fresh)
+        self.engine = engine::recover(self.config.level, fresh)
             .unwrap_or_else(|e| panic!("recovery failed: {e}\n  reproduce: {}", self.repro));
         self.failed_bookies.clear();
         self.incarnations += 1;
@@ -504,7 +502,7 @@ impl Sim<'_> {
         let history = History::new(self.ops);
         RunReport {
             seed: self.config.seed,
-            engine: self.config.engine,
+            level: self.config.level,
             history,
             observed: self.observed,
             incarnations: self.incarnations,
@@ -526,17 +524,18 @@ mod tests {
 
     #[test]
     fn smoke_run_per_engine() {
-        for kind in EngineKind::ALL {
-            let report = run(&RunConfig::new(kind, 0x5EED).steps(120));
-            assert!(report.delta.begins > 0, "{}", kind.label());
-            assert!(report.delta.commits > 0, "{}", kind.label());
+        for level in engine::LEVELS {
+            let report = run(&RunConfig::new(level, 0x5EED).steps(120));
+            assert!(report.delta.begins > 0, "{level}");
+            assert!(report.delta.commits > 0, "{level}");
             assert_eq!(report.incarnations, 1);
         }
     }
 
     #[test]
     fn repro_command_round_trips_through_the_env_names() {
-        let config = RunConfig::new(EngineKind::Ssi, 0xBEEF).plan("crash", FaultPlan::crash(400));
+        let config = RunConfig::new(IsolationLevel::SerializableSnapshot, 0xBEEF)
+            .plan("crash", FaultPlan::crash(400));
         let repro = config.repro();
         assert!(repro.contains("DST_SEED=0x000000000000beef"));
         assert!(repro.contains("DST_ENGINE=ssi"));

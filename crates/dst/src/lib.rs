@@ -26,9 +26,10 @@
 //! byte for byte (see `tests/determinism.rs`).
 //!
 //! ```
-//! use wsi_dst::{run, EngineKind, FaultPlan, RunConfig};
+//! use wsi_core::IsolationLevel;
+//! use wsi_dst::{run, FaultPlan, RunConfig};
 //!
-//! let config = RunConfig::new(EngineKind::Wsi, 0xDECADE)
+//! let config = RunConfig::new(IsolationLevel::WriteSnapshot, 0xDECADE)
 //!     .steps(200)
 //!     .plan("quorum-loss", FaultPlan::quorum_loss(200));
 //! // `run` panics, with a repro command, on any violation.
@@ -47,6 +48,6 @@ pub mod oracle;
 pub mod plan;
 
 pub use clock::VirtualClock;
-pub use engine::{EngineCounters, EngineKind};
+pub use engine::{EngineCounters, LEVELS};
 pub use harness::{run, RunConfig, RunReport};
 pub use plan::{Fault, FaultPlan};

@@ -111,11 +111,11 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
 
     // 1. Isolation: snapshot reads, and serializability where the engine
     // claims it.
-    let level = config.engine.level();
+    let level = config.level;
     if let Err(violation) = wsi_history::check(&report.history, &report.observed, level) {
         panic!(
             "isolation violation under {}: {violation}\n  reproduce: {repro}",
-            config.engine.label(),
+            level.short_name(),
         );
     }
 

@@ -7,18 +7,19 @@
 //! hash map, wall-clock time, or OS randomness, the replayed history would
 //! eventually diverge from the first run.
 
-use wsi_dst::{run, EngineKind, FaultPlan, RunConfig, RunReport};
+use wsi_core::IsolationLevel;
+use wsi_dst::{run, FaultPlan, RunConfig, RunReport, LEVELS};
 use wsi_store::{Event, EventData};
 
 const STEPS: u64 = 400;
 
 #[test]
 fn same_seed_replays_the_identical_history() {
-    for kind in EngineKind::ALL {
+    for level in LEVELS {
         for plan_name in ["none", "quorum-loss", "reclamation-storm", "everything"] {
             for seed in [3u64, 0xFEED_FACE] {
                 let config = || {
-                    RunConfig::new(kind, seed).steps(STEPS).plan(
+                    RunConfig::new(level, seed).steps(STEPS).plan(
                         plan_name,
                         FaultPlan::by_name(plan_name, STEPS).expect("preset"),
                     )
@@ -29,7 +30,7 @@ fn same_seed_replays_the_identical_history() {
                     first.history.to_string(),
                     second.history.to_string(),
                     "history diverged: {} / {} / seed {seed:#x}",
-                    kind.label(),
+                    level.short_name(),
                     plan_name,
                 );
                 assert_eq!(first.observed, second.observed, "observed values diverged");
@@ -51,10 +52,10 @@ fn same_seed_replays_the_identical_history() {
 #[test]
 fn same_seed_replays_the_identical_journal() {
     let keys = |r: &RunReport| r.journal.iter().map(Event::replay_key).collect::<Vec<_>>();
-    for kind in EngineKind::ALL {
+    for level in LEVELS {
         for plan_name in ["none", "quorum-loss", "reclamation-storm", "everything"] {
             let config = || {
-                RunConfig::new(kind, 0x70AD).steps(STEPS).plan(
+                RunConfig::new(level, 0x70AD).steps(STEPS).plan(
                     plan_name,
                     FaultPlan::by_name(plan_name, STEPS).expect("preset"),
                 )
@@ -64,13 +65,13 @@ fn same_seed_replays_the_identical_journal() {
             assert!(
                 !first.journal.is_empty(),
                 "journal always on: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
             assert_eq!(
                 first.journal_dropped,
                 0,
                 "default run scale fits the ring: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
             // The journal covers the whole lifecycle, not just commits.
             assert!(first
@@ -85,7 +86,7 @@ fn same_seed_replays_the_identical_journal() {
                 keys(&first),
                 keys(&second),
                 "journal diverged: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
         }
     }
@@ -96,7 +97,7 @@ fn same_seed_replays_the_identical_journal() {
 /// randomness and the matrix sweeps one schedule fifteen times.)
 #[test]
 fn different_seeds_diverge() {
-    let config = |seed| RunConfig::new(EngineKind::Wsi, seed).steps(STEPS);
+    let config = |seed| RunConfig::new(IsolationLevel::WriteSnapshot, seed).steps(STEPS);
     let a = run(&config(1));
     let b = run(&config(2));
     assert_ne!(a.history.to_string(), b.history.to_string());
@@ -107,8 +108,8 @@ fn different_seeds_diverge() {
 /// conflict decisions, so any decision-order nondeterminism shows up.
 #[test]
 fn contended_runs_replay_exactly() {
-    for kind in EngineKind::ALL {
-        let config = || RunConfig::new(kind, 0xAB07).steps(300).keys(2).clients(8);
+    for level in LEVELS {
+        let config = || RunConfig::new(level, 0xAB07).steps(300).keys(2).clients(8);
         let first = run(&config());
         let second = run(&config());
         assert_eq!(first.history.to_string(), second.history.to_string());

@@ -5,17 +5,18 @@
 //! a panic here prints the seed and a copy-pasteable repro command.
 //! `replay_seed_from_env` is the receiving end of that command.
 
-use wsi_dst::{run, EngineKind, FaultPlan, RunConfig};
+use wsi_core::IsolationLevel;
+use wsi_dst::{run, FaultPlan, RunConfig, LEVELS};
 use wsi_history::dsg;
 
 const STEPS: u64 = 400;
 const SEEDS: [u64; 3] = [0x0001, 0xC0FFEE, 0xDEAD_BEEF_0BAD_F00D];
 
-fn matrix_for(kind: EngineKind) {
+fn matrix_for(level: IsolationLevel) {
     for plan_name in FaultPlan::PRESETS {
         let plan = FaultPlan::by_name(plan_name, STEPS).expect("preset");
         for seed in SEEDS {
-            let config = RunConfig::new(kind, seed)
+            let config = RunConfig::new(level, seed)
                 .steps(STEPS)
                 .plan(plan_name, plan.clone());
             let report = run(&config);
@@ -30,17 +31,17 @@ fn matrix_for(kind: EngineKind) {
 
 #[test]
 fn fault_matrix_si() {
-    matrix_for(EngineKind::Si);
+    matrix_for(IsolationLevel::Snapshot);
 }
 
 #[test]
 fn fault_matrix_wsi() {
-    matrix_for(EngineKind::Wsi);
+    matrix_for(IsolationLevel::WriteSnapshot);
 }
 
 #[test]
 fn fault_matrix_ssi() {
-    matrix_for(EngineKind::Ssi);
+    matrix_for(IsolationLevel::SerializableSnapshot);
 }
 
 /// The reclamation-storm preset must exercise the packed-node lifecycle
@@ -54,7 +55,7 @@ fn reclamation_storm_exercises_packed_node_retirement() {
     let mut migrations = 0u64;
     let mut packed_retired = 0u64;
     for seed in SEEDS {
-        let config = RunConfig::new(EngineKind::Wsi, seed)
+        let config = RunConfig::new(IsolationLevel::WriteSnapshot, seed)
             .steps(STEPS)
             .keys(2)
             .clients(8)
@@ -81,10 +82,12 @@ fn reclamation_storm_exercises_packed_node_retirement() {
 fn crash_during_quorum_loss_resurrects_commits() {
     let mut resurrected_somewhere = 0u64;
     for seed in SEEDS {
-        let config = RunConfig::new(EngineKind::Wsi, seed).steps(STEPS).plan(
-            "crash-during-quorum-loss",
-            FaultPlan::crash_during_quorum_loss(STEPS),
-        );
+        let config = RunConfig::new(IsolationLevel::WriteSnapshot, seed)
+            .steps(STEPS)
+            .plan(
+                "crash-during-quorum-loss",
+                FaultPlan::crash_during_quorum_loss(STEPS),
+            );
         let report = run(&config);
         assert_eq!(report.incarnations, 2);
         resurrected_somewhere += report.resurrected;
@@ -106,7 +109,7 @@ fn checkpoint_crash_plans_recover_from_an_untruncated_checkpoint() {
         let mut untruncated = 0u64;
         for seed in SEEDS {
             let plan = FaultPlan::by_name(plan_name, STEPS).expect("preset");
-            let config = RunConfig::new(EngineKind::Wsi, seed)
+            let config = RunConfig::new(IsolationLevel::WriteSnapshot, seed)
                 .steps(STEPS)
                 .plan(plan_name, plan);
             let report = run(&config);
@@ -128,7 +131,7 @@ fn checkpoint_crash_plans_recover_from_an_untruncated_checkpoint() {
 fn si_corpus_exhibits_nonserializable_histories() {
     let mut cycles = 0u32;
     for seed in 0..16u64 {
-        let config = RunConfig::new(EngineKind::Si, 0x51_0000 + seed)
+        let config = RunConfig::new(IsolationLevel::Snapshot, 0x51_0000 + seed)
             .steps(200)
             .keys(2)
             .clients(8);
@@ -156,9 +159,10 @@ fn replay_seed_from_env() {
     let seed = u64::from_str_radix(seed, 16)
         .or_else(|_| seed.parse::<u64>())
         .expect("DST_SEED must be hex (0x…) or decimal");
-    let engine = std::env::var("DST_ENGINE")
-        .ok()
-        .and_then(|l| EngineKind::from_label(&l))
+    let engine = std::env::var("DST_ENGINE").expect("DST_ENGINE must be si|wsi|ssi");
+    let level = LEVELS
+        .into_iter()
+        .find(|level| level.short_name() == engine)
         .expect("DST_ENGINE must be si|wsi|ssi");
     let steps: u64 = std::env::var("DST_STEPS")
         .ok()
@@ -167,14 +171,14 @@ fn replay_seed_from_env() {
     let plan_name = std::env::var("DST_PLAN").unwrap_or_else(|_| "none".to_string());
     let plan = FaultPlan::by_name(&plan_name, steps)
         .unwrap_or_else(|| panic!("unknown DST_PLAN {plan_name:?} (see FaultPlan::PRESETS)"));
-    let config = RunConfig::new(engine, seed)
+    let config = RunConfig::new(level, seed)
         .steps(steps)
         .plan(&plan_name, plan);
     let report = run(&config);
     println!(
         "replayed seed 0x{seed:016x} on {}: {} ops, serializable={}, incarnations={}, \
          resurrected={}",
-        engine.label(),
+        level.short_name(),
         report.history.ops().len(),
         dsg::is_serializable(&report.history),
         report.incarnations,

@@ -8,38 +8,39 @@
 //! its start (or misses its own uncommitted writes), which the shared
 //! isolation check reports as a violation of its SnapshotRead clause.
 
-use wsi_dst::{run, EngineKind, RunConfig};
+use wsi_core::IsolationLevel;
+use wsi_dst::{run, RunConfig, LEVELS};
 
-fn contended(kind: EngineKind) -> RunConfig {
+fn contended(level: IsolationLevel) -> RunConfig {
     // Few keys + many clients: overlapping transactions on every key, so
     // some transaction is near-guaranteed to read an item another
     // transaction commits mid-flight.
-    RunConfig::new(kind, 0xB0605).steps(300).keys(2).clients(8)
+    RunConfig::new(level, 0xB0605).steps(300).keys(2).clients(8)
 }
 
 #[test]
 #[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_wsi() {
-    run(&contended(EngineKind::Wsi).plant_visibility_bug());
+    run(&contended(IsolationLevel::WriteSnapshot).plant_visibility_bug());
 }
 
 #[test]
 #[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_si() {
-    run(&contended(EngineKind::Si).plant_visibility_bug());
+    run(&contended(IsolationLevel::Snapshot).plant_visibility_bug());
 }
 
 #[test]
 #[should_panic(expected = "SnapshotRead violated")]
 fn planted_bug_is_caught_on_ssi() {
-    run(&contended(EngineKind::Ssi).plant_visibility_bug());
+    run(&contended(IsolationLevel::SerializableSnapshot).plant_visibility_bug());
 }
 
 /// Control: the identical configuration without the planted bug passes
 /// every oracle — the panics above are the bug, not the workload.
 #[test]
 fn the_same_config_is_clean_without_the_bug() {
-    for kind in EngineKind::ALL {
-        run(&contended(kind));
+    for level in LEVELS {
+        run(&contended(level));
     }
 }

@@ -2,7 +2,33 @@
 
 use wsi_core::IsolationLevel;
 use wsi_sim::SimTime;
-use wsi_wal::{BatchPolicy, LedgerConfig};
+use wsi_wal::LedgerConfig;
+
+/// When the oracle flushes its buffered WAL records to the bookies.
+///
+/// The paper's status oracle batches WAL writes and flushes "either by batch
+/// size, after 1 KB of data is accumulated, or by time, after 5 ms since the
+/// last trigger" (Appendix A). With a batching factor of 10 this lets a
+/// BookKeeper ensemble capable of 20 K writes/s persist the commit data of
+/// 200 K TPS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Flush once this many payload bytes have accumulated.
+    pub max_bytes: usize,
+    /// Flush once this many microseconds have elapsed since the last flush
+    /// trigger, even if the byte threshold has not been reached.
+    pub max_delay_us: u64,
+}
+
+impl BatchPolicy {
+    /// The paper's configuration: 1 KB or 5 ms, whichever comes first.
+    pub const fn paper_default() -> Self {
+        BatchPolicy {
+            max_bytes: 1024,
+            max_delay_us: 5_000,
+        }
+    }
+}
 
 /// Tunables of the status-oracle server model.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +81,6 @@ impl OracleConfig {
             ledger: LedgerConfig {
                 replicas: 2, // the paper's deployment: 2 BookKeeper machines
                 ack_quorum: 2,
-                batch: BatchPolicy::paper_default(),
                 flush_delay_us: 0,
             },
         }

@@ -33,5 +33,5 @@
 mod config;
 mod server;
 
-pub use config::OracleConfig;
+pub use config::{BatchPolicy, OracleConfig};
 pub use server::{CommitResponse, FlushResult, OracleServer, OracleServerStats, StartResponse};

@@ -54,7 +54,7 @@ use crate::{
     error::{Error, Result},
     mvcc::{GcStats, ReclamationStats, VersionStamps},
     obs::StoreObs,
-    pipeline::{CommitPipeline, LogBook, PendingCheckpoint, PublishCtx},
+    pipeline::{CommitPipeline, PendingCheckpoint, PublishCtx},
     record::{self, Checkpoint, LogSuffix, StoreRecord},
     registry::{ActiveTxnRegistry, OwnLine},
     snapshot::Snapshot,
@@ -98,7 +98,7 @@ pub struct DbOptions {
     /// conflict and no dangerous structure
     /// ([`IsolationLevel::SerializableSnapshot`], serializable).
     pub isolation: IsolationLevel,
-    /// The write-ahead log's replication/batching shape, or `None` for no
+    /// The write-ahead log's replication shape, or `None` for no
     /// WAL at all: a crash loses everything — fastest; right for caches and
     /// for simulations that model durability elsewhere. With a WAL, every
     /// commit waits for its batch to reach a write quorum before it is
@@ -257,23 +257,26 @@ pub struct Db {
 impl Db {
     /// Opens an empty database.
     pub fn open(options: DbOptions) -> Db {
+        let ledger = options.wal.map(Ledger::open);
+        Db::with_ledger(options, ledger)
+    }
+
+    /// Opens an empty database that logs to `ledger`, if it has a WAL.
+    fn with_ledger(options: DbOptions, ledger: Option<Ledger>) -> Db {
         let ts = Arc::new(SharedTimestampSource::new());
         // One journal shared by every layer: the oracle records per-row
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC sweeps and frees.
         let obs = Arc::new(StoreObs::new());
-        let oracle = ConcurrentOracle::unbounded(options.isolation, ORACLE_SHARDS, Arc::clone(&ts))
-            .with_journal(obs.journal.clone());
+        let oracle = ConcurrentOracle::unbounded(
+            options.isolation,
+            ORACLE_SHARDS,
+            Arc::clone(&ts),
+            obs.journal.clone(),
+        );
         let counters = oracle.counters();
-        let (pipeline, wal_obs) = options
-            .wal
-            .map(|config| {
-                let wal_obs = LedgerObs::default();
-                let mut ledger = Ledger::open(config);
-                ledger.attach_obs(wal_obs.clone());
-                (CommitPipeline::new(ledger, Arc::clone(&obs)), wal_obs)
-            })
-            .unzip();
+        let wal_obs = ledger.as_ref().map(|ledger| ledger.obs().clone());
+        let pipeline = ledger.map(|ledger| CommitPipeline::new(ledger, Arc::clone(&obs)));
         let mvcc = ArenaStore::new(Arc::clone(&ts), obs.journal.clone());
         let registry = ActiveTxnRegistry::new();
         // Each layer keeps its own books; the registry exports them all.
@@ -359,7 +362,9 @@ impl Db {
         };
         let log = LogSuffix::new(ledger.base(), records)?;
         let census = log.census();
-        let db = Db::open(options);
+        // The recovered log is the new database's: its counts continue.
+        let ledger = options.wal.map(|_| ledger);
+        let db = Db::with_ledger(options, ledger);
         let floor = match &log.checkpoint {
             Some(checkpoint) => {
                 db.install(checkpoint);
@@ -411,13 +416,7 @@ impl Db {
             }
         }
         if let Some(pipeline) = &db.inner.pipeline {
-            let mut ledger = ledger;
-            if let Some(wal_obs) = &db.inner.wal_obs {
-                // Counters resync to the recovered ledger's cumulative stats.
-                ledger.attach_obs(wal_obs.clone());
-            }
-            let book = LogBook::recovered(&ledger, census, last_commit, checkpoint_bytes, logged);
-            pipeline.replace_ledger(ledger, book);
+            pipeline.book_recovered(census, last_commit, checkpoint_bytes, logged);
         }
         Ok(db)
     }
@@ -997,14 +996,11 @@ impl Db {
     /// it takes is the GC worklist's spin lock, for one length read — safe
     /// to poll from a monitoring thread without perturbing committers.
     pub fn stats(&self) -> DbStats {
-        let wal = match &self.inner.wal_obs {
-            Some(obs) => LedgerStats {
-                records: obs.records.get(),
-                flushes: obs.flushes.get(),
-                payload_bytes: obs.payload_bytes.get(),
-            },
-            None => LedgerStats::default(),
-        };
+        let wal = self
+            .inner
+            .wal_obs
+            .as_ref()
+            .map_or_else(LedgerStats::default, LedgerObs::stats);
         // Yields both totals and sets the footprint gauges, so the
         // exposition and `DbStats` agree. Reads the store's incremental
         // counts; no chain is walked.
@@ -1260,31 +1256,41 @@ mod tests {
 
     #[test]
     fn collection_keeps_up_without_gc() {
-        const KEYS: u64 = 1_000;
+        // A key space wider than a tick's writes, and one hot key that
+        // every commit rewrites.
+        for (keys, ticks) in [(1_000, 64), (1, 8)] {
+            collects_without_gc(keys, ticks);
+        }
+    }
+
+    /// Runs `ticks` ticks of write commits of up to four keys drawn from
+    /// `keys`, then holds a snapshot across a few more, with no `gc`.
+    fn collects_without_gc(keys: u64, ticks: u64) {
         const WRITES: u64 = 4;
         let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
         let visited = || db.obs_snapshot().expect("obs on").counters["store_gc_keys_visited_total"];
         let mut x = 0x2545_f491_4f6c_dd1du64;
-        // One write commit of `WRITES` keys drawn from `KEYS`.
+        // One write commit of `WRITES` keys drawn from `keys`.
         let mut commit = || {
             let mut t = db.begin();
             for _ in 0..WRITES {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                t.put(format!("k{:04}", x % KEYS).as_bytes(), b"v");
+                t.put(format!("k{:04}", x % keys).as_bytes(), b"v");
             }
             t.commit().unwrap();
         };
-        // 64 ticks and no `gc`: versions and limbo stay within what the
-        // last two ticks wrote and retired, and once a commit has returned
-        // the registry holds no entry.
+        // No `gc`: versions and limbo stay within what the last two ticks
+        // wrote and retired — for a hot key, two ticks of its versions and
+        // the one visible — and once a commit has returned the registry
+        // holds no entry.
         let mut retired_at_tick = [0u64; 2];
-        for _ in 0..64 {
+        for _ in 0..ticks {
             for _ in 0..TICK_EVERY {
                 commit();
                 let rec = db.reclamation();
-                assert!(db.stats().versions as u64 <= KEYS + 2 * TICK_EVERY * WRITES);
+                assert!(db.stats().versions as u64 <= keys + 2 * TICK_EVERY * WRITES.min(keys));
                 assert_eq!(db.inner.registry.count(), 0);
                 assert!(
                     rec.limbo <= rec.retired - retired_at_tick[0],

@@ -90,12 +90,6 @@ use crate::registry::ActiveTxnRegistry;
 /// the sweep). A slowed flush outlasts it and the waiter parks.
 const SPIN_BEFORE_PARK: u32 = 1_000;
 
-/// `Ledger::append` takes the caller's clock to date a buffer's first record
-/// for `Ledger::flush_due`'s age trigger. Every round here force-flushes
-/// what it appends, so that trigger is never consulted and the pipeline
-/// carries no clock.
-const NO_BATCH_CLOCK_US: u64 = 0;
-
 /// Shared references a leader needs to publish (or overturn) commit
 /// outcomes after a flush. Assembled fresh per call by the `Db` layer.
 pub(crate) struct PublishCtx<'a> {
@@ -514,12 +508,18 @@ impl CommitPipeline {
         inner.ledger.clone().expect("locked with the ledger")
     }
 
-    /// Installs a recovered ledger and its book (recovery-time only; no
-    /// flush can be in progress).
-    pub(crate) fn replace_ledger(&self, ledger: Ledger, book: LogBook) {
-        let mut inner = self.inner.lock();
-        inner.ledger = Some(ledger);
-        inner.book = book;
+    /// Books the recovered log this pipeline was opened on (recovery-time
+    /// only; no flush can be in progress): see [`LogBook::recovered`].
+    pub(crate) fn book_recovered(
+        &self,
+        census: WalCensus,
+        last_commit: Timestamp,
+        checkpoint_bytes: u64,
+        logged: u64,
+    ) {
+        let inner = &mut *self.inner.lock();
+        let ledger = inner.ledger.as_ref().expect("no round during recovery");
+        inner.book = LogBook::recovered(ledger, census, last_commit, checkpoint_bytes, logged);
     }
 
     /// Runs `f` against the live ledger (waits out any flush round in
@@ -571,7 +571,7 @@ impl CommitPipeline {
         let mut logged = 0u64;
         let mut append = |ledger: &mut Ledger, payload: Bytes| {
             logged += payload.len() as u64;
-            ledger.append(payload, NO_BATCH_CLOCK_US);
+            ledger.append(payload, 0);
         };
         for &upto in &reservations {
             append(&mut ledger, record::encode_ts_reserve(upto));
@@ -589,10 +589,10 @@ impl CommitPipeline {
         // would send recovery looking for records that are gone.
         let checkpoint = checkpoint.filter(|c| c.cut >= ledger.base());
         if let Some(c) = &checkpoint {
-            ledger.append(c.payload.clone(), NO_BATCH_CLOCK_US);
+            ledger.append(c.payload.clone(), 0);
         }
         let records = commits.len() as u64;
-        let err = ledger.flush(NO_BATCH_CLOCK_US).err();
+        let err = ledger.flush(0).err();
         self.journal().record(
             0,
             EventData::WalFlush {

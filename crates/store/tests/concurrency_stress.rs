@@ -17,7 +17,7 @@ use wsi_core::IsolationLevel;
 use wsi_history::record::{merge, tag, tagged, Attempt};
 use wsi_history::TxnId;
 use wsi_store::{decode_record, Db, DbOptions, Error, StoreRecord};
-use wsi_wal::{BatchPolicy, LedgerConfig, WalError};
+use wsi_wal::{LedgerConfig, WalError};
 
 fn counter_value(db: &Db, key: &[u8]) -> u64 {
     db.snapshot()
@@ -507,7 +507,6 @@ fn sync_commits_share_flushes_under_contention() {
     let config = LedgerConfig {
         replicas: 3,
         ack_quorum: 2,
-        batch: BatchPolicy::unbatched(),
         flush_delay_us: FLUSH_DELAY.as_micros() as u64,
     };
     let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).durable(config));
@@ -775,7 +774,6 @@ fn snapshots_stay_stable_during_sync_commit_storm() {
     let config = LedgerConfig {
         replicas: 3,
         ack_quorum: 2,
-        batch: BatchPolicy::unbatched(),
         flush_delay_us: 500,
     };
     const READERS: usize = 2;
@@ -834,7 +832,6 @@ fn quorum_loss_rolls_back_before_visibility() {
     let config = LedgerConfig {
         replicas: 3,
         ack_quorum: 2,
-        batch: BatchPolicy::unbatched(),
         flush_delay_us: 0,
     };
     let ssi = IsolationLevel::SerializableSnapshot;

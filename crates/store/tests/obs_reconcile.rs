@@ -198,6 +198,42 @@ fn footprint_gauges_are_current_when_read() {
     assert_eq!(snap.gauges["store_arena_versions"], stats.versions as u64);
 }
 
+/// A WAL snapshot is a copy of the log, not a second handle on it: commits
+/// on the live database and on one recovered from the snapshot each move
+/// only their own `wal_records_total`, and the recovered one counts on from
+/// the snapshot's.
+#[test]
+fn a_recovered_db_counts_its_own_wal_records() {
+    let options = || {
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated())
+    };
+    let records = |db: &Db| db.obs_snapshot().expect("obs on").counters["wal_records_total"];
+    let commit = |db: &Db, k: u8| {
+        let mut txn = db.begin();
+        txn.put(&[k], b"v");
+        txn.commit().expect("single writer commits");
+    };
+    let live = Db::open(options());
+    for k in 0..5 {
+        commit(&live, k);
+    }
+    let snapshot = live.wal_snapshot().expect("durable");
+    let at_snapshot = records(&live);
+    assert_eq!(snapshot.stats().records, at_snapshot);
+    let recovered = Db::recover(options(), snapshot).expect("recovers");
+    assert_eq!(records(&recovered), at_snapshot);
+    for k in 0..3 {
+        commit(&recovered, k);
+    }
+    assert_eq!(records(&live), at_snapshot, "the live log did not move");
+    let after = records(&recovered);
+    assert!(after >= at_snapshot + 3, "{after} < {at_snapshot} + 3");
+    assert_eq!(recovered.stats().wal.records, after);
+    commit(&live, 9);
+    assert!(records(&live) > at_snapshot);
+    assert_eq!(records(&recovered), after, "the recovered log did not move");
+}
+
 /// README's metric catalogue is the registry's: every series a durable SSI
 /// database registers has a row of its kind, and every row names a
 /// registered series (`oracle_shard_<i>_contention_total` stands for one

@@ -183,7 +183,6 @@ fn shard_metrics_are_registered_and_plausible() {
     let prom = db.render_prometheus();
     for series in [
         "oracle_shard_contention_total",
-        "oracle_shard_full_sweeps_total",
         "oracle_shard_lock_wait_us",
         "oracle_shards_per_decision",
         "oracle_shard_0_contention_total",

@@ -1,10 +1,10 @@
-//! The write path of the replicated log: batching, quorum acks, recovery.
+//! The write path of the replicated log: buffering, quorum acks, recovery.
 
 use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::{batch::BatchPolicy, bookie::Bookie};
+use crate::bookie::Bookie;
 
 /// Sequence number of a record in the ledger (0-based, dense).
 pub type SeqNo = u64;
@@ -34,7 +34,10 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Configuration of a [`Ledger`].
+/// Configuration of a [`Ledger`]: the replication shape. When to flush is
+/// the owner's call — the embedded store flushes every group-commit round,
+/// the simulated status oracle on Appendix A's size and time triggers
+/// (`wsi-oracle`'s `BatchPolicy`).
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerConfig {
     /// Number of storage replicas (the paper's deployment uses 2 BookKeeper
@@ -42,8 +45,6 @@ pub struct LedgerConfig {
     pub replicas: usize,
     /// Acks required before a batch counts as durable.
     pub ack_quorum: usize,
-    /// Batch-trigger policy.
-    pub batch: BatchPolicy,
     /// Simulated per-flush replication latency, in wall-clock microseconds.
     ///
     /// Zero (the default) keeps flushes instantaneous. Tests and benchmarks
@@ -53,22 +54,20 @@ pub struct LedgerConfig {
 }
 
 impl LedgerConfig {
-    /// A 3-replica, quorum-2 ledger with the paper's batch policy.
+    /// A 3-replica, quorum-2 ledger.
     pub fn default_replicated() -> Self {
         LedgerConfig {
             replicas: 3,
             ack_quorum: 2,
-            batch: BatchPolicy::paper_default(),
             flush_delay_us: 0,
         }
     }
 
-    /// A single-replica, synchronous ledger for embedded use.
+    /// A single-replica ledger for embedded use.
     pub fn local_sync() -> Self {
         LedgerConfig {
             replicas: 1,
             ack_quorum: 1,
-            batch: BatchPolicy::unbatched(),
             flush_delay_us: 0,
         }
     }
@@ -81,7 +80,7 @@ impl LedgerConfig {
     }
 }
 
-/// Cumulative write-path counters, used by the WAL-batching ablation bench.
+/// Cumulative write-path counters: a plain-value view of [`LedgerObs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerStats {
     /// Records appended.
@@ -103,21 +102,19 @@ impl LedgerStats {
     }
 }
 
-/// Lock-free observability handles for a [`Ledger`].
+/// The counts of a [`Ledger`], kept once, as [`wsi_obs`] series.
 ///
-/// Mirrors [`LedgerStats`] onto [`wsi_obs`] counters and adds the series
-/// that only make sense as live metrics: flush wall-clock latency, batch
-/// size distribution, and quorum losses. `Clone` shares the underlying
-/// atomics, so an embedder can keep a handle and read WAL metrics without
-/// reaching into the ledger (which usually lives behind the commit
-/// pipeline's lock).
+/// Every append and flush counts here and nowhere else; [`Ledger::stats`]
+/// reads them. `Clone` shares the underlying atomics, so an embedder can
+/// keep a handle and read WAL metrics without reaching into the ledger
+/// (which usually lives behind the commit pipeline's lock).
 #[derive(Debug, Clone, Default)]
 pub struct LedgerObs {
-    /// Records appended (mirrors [`LedgerStats::records`]).
+    /// Records appended.
     pub records: wsi_obs::Counter,
-    /// Physical batch writes issued (mirrors [`LedgerStats::flushes`]).
+    /// Physical batch writes issued.
     pub flushes: wsi_obs::Counter,
-    /// Total payload bytes appended (mirrors [`LedgerStats::payload_bytes`]).
+    /// Total payload bytes appended.
     pub payload_bytes: wsi_obs::Counter,
     /// Flush attempts that failed to reach the ack quorum.
     pub quorum_losses: wsi_obs::Counter,
@@ -138,12 +135,32 @@ impl LedgerObs {
         registry.register_histogram("wal_flush_us", &self.flush_us);
         registry.register_histogram("wal_batch_records", &self.batch_records);
     }
+
+    /// The counts as a plain value.
+    pub fn stats(&self) -> LedgerStats {
+        LedgerStats {
+            records: self.records.get(),
+            flushes: self.flushes.get(),
+            payload_bytes: self.payload_bytes.get(),
+        }
+    }
+
+    /// Fresh series that start at these counts, for a copy of the log: the
+    /// copy counts on from the original and reports nowhere else.
+    fn continued(&self) -> LedgerObs {
+        let obs = LedgerObs::default();
+        obs.records.set(self.records.get());
+        obs.flushes.set(self.flushes.get());
+        obs.payload_bytes.set(self.payload_bytes.get());
+        obs.quorum_losses.set(self.quorum_losses.get());
+        obs
+    }
 }
 
 /// A replicated, batched, append-only log (one BookKeeper ledger).
 ///
-/// Appends buffer in memory; [`Ledger::maybe_flush`] (or an explicit
-/// [`Ledger::flush`]) writes the buffered records as one replicated entry.
+/// Appends buffer in memory; [`Ledger::flush`] writes the buffered records
+/// as one replicated entry.
 /// A record is *durable* — safe to act on, e.g. to expose a commit decision
 /// to a client — only once `durable_upto() >= seq`.
 ///
@@ -151,7 +168,10 @@ impl LedgerObs {
 /// records there redundant (a checkpoint): [`Ledger::truncate_before`]
 /// raises the ledger's *base*, the bookies drop the entries wholly below
 /// it, and [`Ledger::recover`] starts there.
-#[derive(Debug, Clone)]
+///
+/// A clone is a point-in-time copy of the log: its counts start from the
+/// original's and move only with its own appends and flushes.
+#[derive(Debug)]
 pub struct Ledger {
     config: LedgerConfig,
     bookies: Vec<Bookie>,
@@ -161,14 +181,23 @@ pub struct Ledger {
     /// Buffered records awaiting flush, with the seq of the first one.
     buffer: Vec<Bytes>,
     buffer_first_seq: SeqNo,
-    buffer_bytes: usize,
-    buffer_oldest_us: u64,
     durable: Option<SeqNo>,
-    stats: LedgerStats,
-    /// Attached observability handles; `None` keeps the write path free of
-    /// even relaxed atomic traffic. Cloning a ledger shares the handles —
-    /// the clone reports into the same series.
-    obs: Option<LedgerObs>,
+    obs: LedgerObs,
+}
+
+impl Clone for Ledger {
+    fn clone(&self) -> Self {
+        Ledger {
+            config: self.config,
+            bookies: self.bookies.clone(),
+            base: self.base,
+            next_seq: self.next_seq,
+            buffer: self.buffer.clone(),
+            buffer_first_seq: self.buffer_first_seq,
+            durable: self.durable,
+            obs: self.obs.continued(),
+        }
+    }
 }
 
 impl Ledger {
@@ -191,11 +220,8 @@ impl Ledger {
             next_seq: 0,
             buffer: Vec::new(),
             buffer_first_seq: 0,
-            buffer_bytes: 0,
-            buffer_oldest_us: 0,
             durable: None,
-            stats: LedgerStats::default(),
-            obs: None,
+            obs: LedgerObs::default(),
         }
     }
 
@@ -214,60 +240,30 @@ impl Ledger {
         ledger
     }
 
-    /// Attaches observability handles; subsequent appends and flushes report
-    /// into them. Counters are synced to the ledger's cumulative stats so a
-    /// late attach (e.g. after recovery replay) does not lose history.
-    pub fn attach_obs(&mut self, obs: LedgerObs) {
-        obs.records.set(self.stats.records);
-        obs.flushes.set(self.stats.flushes);
-        obs.payload_bytes.set(self.stats.payload_bytes);
-        self.obs = Some(obs);
-    }
-
-    /// The attached observability handles, if any.
-    pub fn obs(&self) -> Option<&LedgerObs> {
-        self.obs.as_ref()
+    /// The ledger's series.
+    pub fn obs(&self) -> &LedgerObs {
+        &self.obs
     }
 
     /// Appends a record to the buffer and returns its sequence number.
+    /// `_now_us` is the caller's clock; the ledger keeps no time (the
+    /// argument goes with its last caller, ROADMAP item 17).
     ///
     /// The record is **not durable** until a flush covering it succeeds.
-    pub fn append(&mut self, payload: Bytes, now_us: u64) -> SeqNo {
+    pub fn append(&mut self, payload: Bytes, _now_us: u64) -> SeqNo {
         if self.buffer.is_empty() {
             self.buffer_first_seq = self.next_seq;
-            self.buffer_oldest_us = now_us;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.buffer_bytes += payload.len();
-        self.stats.records += 1;
-        self.stats.payload_bytes += payload.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.records.inc();
-            obs.payload_bytes.add(payload.len() as u64);
-        }
+        self.obs.records.inc();
+        self.obs.payload_bytes.add(payload.len() as u64);
         self.buffer.push(payload);
         seq
     }
 
-    /// Returns `true` if the batch policy requires a flush at `now_us`.
-    pub fn flush_due(&self, now_us: u64) -> bool {
-        self.config
-            .batch
-            .should_flush(self.buffer_bytes, self.buffer_oldest_us, now_us)
-    }
-
-    /// Flushes if the batch policy says so; returns the new durable
-    /// watermark if a flush happened.
-    pub fn maybe_flush(&mut self, now_us: u64) -> Result<Option<SeqNo>, WalError> {
-        if self.flush_due(now_us) {
-            self.flush(now_us).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Unconditionally flushes all buffered records as one replicated entry.
+    /// Flushes all buffered records as one replicated entry. `_now_us` is
+    /// the caller's clock; the ledger keeps no time (see [`Ledger::append`]).
     ///
     /// On success returns the new durable watermark (the seq of the last
     /// record in the batch). On quorum loss the buffer is retained and the
@@ -291,9 +287,7 @@ impl Ledger {
             }
         }
         if acks < self.config.ack_quorum {
-            if let Some(obs) = &self.obs {
-                obs.quorum_losses.inc();
-            }
+            self.obs.quorum_losses.inc();
             return Err(WalError::QuorumLost {
                 acks,
                 required: self.config.ack_quorum,
@@ -301,15 +295,12 @@ impl Ledger {
         }
         let last = self.buffer_first_seq + self.buffer.len() as u64 - 1;
         self.durable = Some(last);
-        if let Some(obs) = &self.obs {
-            obs.flushes.inc();
-            obs.batch_records.record(self.buffer.len() as u64);
-            obs.flush_us
-                .record(flush_began.elapsed().as_micros() as u64);
-        }
+        self.obs.flushes.inc();
+        self.obs.batch_records.record(records);
+        self.obs
+            .flush_us
+            .record(flush_began.elapsed().as_micros() as u64);
         self.buffer.clear();
-        self.buffer_bytes = 0;
-        self.stats.flushes += 1;
         Ok(last)
     }
 
@@ -368,9 +359,9 @@ impl Ledger {
         self.bookies[idx].recover();
     }
 
-    /// Write-path counters.
+    /// Write-path counters, read from the ledger's series.
     pub fn stats(&self) -> LedgerStats {
-        self.stats
+        self.obs.stats()
     }
 
     /// Recovers the log contents readable from the surviving bookies: the
@@ -459,25 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn size_trigger_flushes_at_1kb() {
-        let mut l = Ledger::open(LedgerConfig::default_replicated());
-        let big = Bytes::from(vec![0u8; 600]);
-        l.append(big.clone(), 0);
-        assert!(!l.flush_due(0));
-        l.append(big, 0);
-        assert!(l.flush_due(0));
-        assert_eq!(l.maybe_flush(0).unwrap(), Some(1));
-    }
-
-    #[test]
-    fn time_trigger_flushes_after_5ms() {
-        let mut l = Ledger::open(LedgerConfig::default_replicated());
-        l.append(payload(0), 1_000);
-        assert_eq!(l.maybe_flush(5_999).unwrap(), None);
-        assert_eq!(l.maybe_flush(6_000).unwrap(), Some(0));
-    }
-
-    #[test]
     fn quorum_loss_keeps_buffer_and_watermark() {
         let mut l = Ledger::open(LedgerConfig::default_replicated());
         l.append(payload(0), 0);
@@ -535,12 +507,7 @@ mod tests {
         // A failed flush retains its buffer, so the public API cannot lose a
         // middle record; fabricate the gap directly on the replica to check
         // that recovery returns only the gap-free prefix.
-        let mut l = Ledger::open(LedgerConfig {
-            replicas: 1,
-            ack_quorum: 1,
-            batch: BatchPolicy::unbatched(),
-            flush_delay_us: 0,
-        });
+        let mut l = Ledger::open(LedgerConfig::local_sync());
         l.bookies[0].store(0, 1, encode_entry(&[payload(0)]));
         l.bookies[0].store(2, 1, encode_entry(&[payload(2)])); // seq 1 missing
         let recovered = l.recover();
@@ -550,12 +517,7 @@ mod tests {
 
     #[test]
     fn failed_flush_retries_with_full_buffer() {
-        let mut l = Ledger::open(LedgerConfig {
-            replicas: 1,
-            ack_quorum: 1,
-            batch: BatchPolicy::unbatched(),
-            flush_delay_us: 0,
-        });
+        let mut l = Ledger::open(LedgerConfig::local_sync());
         l.append(payload(0), 0);
         l.flush(0).unwrap();
         l.fail_bookie(0);
@@ -635,6 +597,25 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_counts_on_from_the_original_and_apart_from_it() {
+        let mut l = Ledger::open(LedgerConfig::default_replicated());
+        l.append(payload(0), 0);
+        l.flush(0).unwrap();
+        let mut copy = l.clone();
+        copy.append(payload(1), 0);
+        copy.flush(0).unwrap();
+        let one = LedgerStats {
+            records: 1,
+            flushes: 1,
+            payload_bytes: payload(0).len() as u64,
+        };
+        assert_eq!(l.stats(), one);
+        assert_eq!(copy.stats().records, 2);
+        assert_eq!(copy.stats().flushes, 2);
+        assert_eq!(l.obs().records.get(), 1, "the original's series hold still");
+    }
+
+    #[test]
     fn entry_roundtrip_drops_torn_tail() {
         let records = vec![payload(1), payload(2)];
         let entry = encode_entry(&records);
@@ -650,7 +631,6 @@ mod tests {
         let _ = Ledger::open(LedgerConfig {
             replicas: 2,
             ack_quorum: 3,
-            batch: BatchPolicy::paper_default(),
             flush_delay_us: 0,
         });
     }

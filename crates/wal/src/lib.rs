@@ -6,9 +6,11 @@
 //! transaction commit/abort is persisted in multiple remote storages"
 //! (§6). Appendix A gives the write path this crate reproduces:
 //!
-//! * entries are **batched** — "the write of the batch to BookKeeper is
-//!   triggered either by batch size, after 1 KB of data is accumulated, or by
-//!   time, after 5 ms since the last trigger";
+//! * entries **buffer** until their owner flushes them as one batch — the
+//!   embedded store at every group-commit round, the simulated status
+//!   oracle on Appendix A's triggers, "either by batch size, after 1 KB of
+//!   data is accumulated, or by time, after 5 ms since the last trigger"
+//!   (`wsi-oracle`'s `BatchPolicy`);
 //! * each batch is **replicated** to multiple storage replicas (*bookies*)
 //!   and acknowledged once a **quorum** has it;
 //! * after a crash, the log owner **recovers** the durable prefix from the
@@ -17,22 +19,15 @@
 //!   the checkpoint ([`Ledger::truncate_before`]): the bookies drop the
 //!   covered entries and recovery starts at the truncation base.
 //!
-//! Time is injected: every time-sensitive call takes `now_us`, a microsecond
-//! clock reading supplied by the caller. The embedded store passes wall-clock
-//! micros; the discrete-event simulator passes virtual time. This keeps the
-//! whole crate deterministic under test.
+//! [`Ledger::append`] and [`Ledger::flush`] take the caller's clock reading
+//! and ignore it: when to flush is the owner's decision.
 //!
 //! # Example
 //!
 //! ```
-//! use wsi_wal::{BatchPolicy, Ledger, LedgerConfig};
+//! use wsi_wal::{Ledger, LedgerConfig};
 //!
-//! let mut ledger = Ledger::open(LedgerConfig {
-//!     replicas: 3,
-//!     ack_quorum: 2,
-//!     batch: BatchPolicy::paper_default(),
-//!     flush_delay_us: 0,
-//! });
+//! let mut ledger = Ledger::open(LedgerConfig::default_replicated());
 //!
 //! let seq = ledger.append(b"commit txn 7".to_vec().into(), 0);
 //! assert!(ledger.durable_upto().is_none()); // still buffered
@@ -44,12 +39,10 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-mod batch;
 mod bookie;
 mod ledger;
 mod record;
 
-pub use batch::BatchPolicy;
 pub use bookie::{Bookie, BookieId};
 pub use ledger::{Ledger, LedgerConfig, LedgerObs, LedgerStats, SeqNo, WalError};
 pub use record::{decode_records, encode_record, DecodeError, TxnLogRecord};

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use wsi_wal::{BatchPolicy, Ledger, LedgerConfig};
+use wsi_wal::{Ledger, LedgerConfig};
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -34,13 +34,7 @@ proptest! {
     fn acked_records_survive(
         actions in prop::collection::vec(action_strategy(3), 1..60),
     ) {
-        let config = LedgerConfig {
-            replicas: 3,
-            ack_quorum: 2,
-            batch: BatchPolicy::unbatched(),
-            flush_delay_us: 0,
-        };
-        let mut ledger = Ledger::open(config);
+        let mut ledger = Ledger::open(LedgerConfig::default_replicated());
         let mut appended: Vec<u8> = Vec::new();
         let mut acked_upto: Option<u64> = None;
         let mut failed = [false; 3];

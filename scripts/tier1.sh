@@ -74,8 +74,10 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 # three levels' decisions, through the one sequential oracle, must not move.
 ./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
 
-# Non-test line counts of the version store's sources and the byte sizes of
-# the prose documents, for the record of what a change added or removed.
-# Informational: they gate nothing.
+# Non-test line counts of the version store's, the log's and the oracle's
+# sources and the byte sizes of the prose documents, for the record of what
+# a change added or removed. Informational: they gate nothing.
 scripts/loc.sh
+scripts/loc.sh crates/wal/src
+scripts/loc.sh crates/core/src
 scripts/prose.sh

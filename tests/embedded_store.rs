@@ -195,7 +195,6 @@ fn durable_db_recovers_committed_state_only() {
     let options = DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig {
         replicas: 3,
         ack_quorum: 2,
-        batch: writesnap::wal::BatchPolicy::unbatched(),
         flush_delay_us: 0,
     });
     let db = Db::open(options.clone());
@@ -243,7 +242,6 @@ fn recovery_survives_one_bookie_failure() {
     let options = DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig {
         replicas: 3,
         ack_quorum: 2,
-        batch: writesnap::wal::BatchPolicy::unbatched(),
         flush_delay_us: 0,
     });
     let db = Db::open(options.clone());
