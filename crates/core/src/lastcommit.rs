@@ -47,10 +47,9 @@ pub enum Probe {
     },
 }
 
-/// Multiplier of the home-slot hash. It must not be the Fibonacci constant
-/// `ShardedLastCommit::shard_of` multiplies by: the rows of one shard share
-/// the top bits of that product, so a table indexed by them would use one
-/// slot in every shard-count.
+/// Multiplier of the home-slot hash: an odd constant with well-mixed top
+/// bits, so both sequential row identifiers (synthetic workloads) and
+/// already-hashed ones (byte-string keys) spread over the whole table.
 const SLOT_HASH: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// Smallest table: 8 slots, 6 rows.
@@ -440,7 +439,7 @@ impl Bound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{row::hash_row_key, sharded::ShardedLastCommit};
+    use crate::row::hash_row_key;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -550,41 +549,27 @@ mod tests {
         LastCommit::unbounded().record(RowId(1), Timestamp::MAX);
     }
 
-    /// Mean and longest probe over `tables`' resident rows.
-    fn probe_stats(tables: &[RowTable]) -> Vec<(f64, usize)> {
-        tables
-            .iter()
-            .map(|t| {
-                let lens: Vec<usize> = t.occupied().map(|slot| probe_len(t, slot.row)).collect();
-                let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
-                (mean, lens.into_iter().max().unwrap_or(0))
-            })
-            .collect()
-    }
-
     #[test]
-    fn rows_of_one_shard_spread_over_the_whole_table() {
-        // A shard's rows share the top bits of `row * FIB_HASH`; a home
-        // slot taken from the same product would pile them into one
-        // sixteenth of the table (mean probe length in the thousands).
-        let sharded = ShardedLastCommit::unbounded(16);
+    fn sequential_and_hashed_rows_spread_over_the_whole_table() {
+        // A home slot that clumped either kind of id would push the mean
+        // probe length into the thousands.
         let sequential = |n: u64| RowId(n);
         let hashed = |n: u64| hash_row_key(format!("user{n:012}").as_bytes());
         for (name, id) in [
             ("sequential", &sequential as &dyn Fn(u64) -> RowId),
             ("hashed", &hashed),
         ] {
-            let mut tables = vec![RowTable::with_capacity(0); 16];
+            let mut t = RowTable::with_capacity(0);
             for n in 0..500_000u64 {
-                let row = id(n);
-                tables[sharded.shard_of(row)].insert(row, Timestamp(n));
+                t.insert(id(n), Timestamp(n));
             }
-            for (shard, (mean, max)) in probe_stats(&tables).into_iter().enumerate() {
-                assert!(
-                    mean <= 2.0 && max <= 32,
-                    "{name} ids, shard {shard}: mean probe {mean:.2}, longest {max}"
-                );
-            }
+            let lens: Vec<usize> = t.occupied().map(|slot| probe_len(&t, slot.row)).collect();
+            let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
+            let max = lens.into_iter().max().unwrap_or(0);
+            assert!(
+                mean <= 2.0 && max <= 32,
+                "{name} ids: mean probe {mean:.2}, longest {max}"
+            );
         }
     }
 

@@ -24,11 +24,11 @@
 //! machine in different shells:
 //!
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
-//!   store on the sharded [`ConcurrentOracle`], which makes the same
-//!   decisions under per-shard locks and is property-tested against this
-//!   state machine as its model; it bounds its `lastCommit` without
-//!   Algorithm 3, by forgetting the rows no live snapshot can conflict with
-//!   ([`ConcurrentOracle::forget_through`]);
+//!   store on the [`ConcurrentOracle`], which makes the same decisions
+//!   under one decision lock, takes its rows as slices and is
+//!   property-tested against this state machine as its model; it bounds
+//!   its `lastCommit` without Algorithm 3, by forgetting the rows no live
+//!   snapshot can conflict with ([`ConcurrentOracle::forget_through`]);
 //! * `wsi-oracle` wraps this state machine in a simulated server with WAL
 //!   persistence and a CPU cost model to reproduce the paper's
 //!   status-oracle experiments.
@@ -57,16 +57,17 @@
 #![forbid(unsafe_code)]
 
 mod commit_table;
+mod concurrent;
 mod error;
 mod lastcommit;
 mod oracle;
 mod policy;
 mod row;
-mod sharded;
 pub mod ssi;
 mod ts;
 
 pub use commit_table::{CommitTable, TxnStatus};
+pub use concurrent::{ConcurrentOracle, DecisionGuard};
 pub use error::{AbortReason, CommitOutcome, Error, Result};
 pub use lastcommit::{LastCommit, Probe};
 pub use oracle::{CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
@@ -74,5 +75,4 @@ pub use policy::{
     rw_spatial_overlap, rw_temporal_overlap, spatial_overlap, temporal_overlap, IsolationLevel,
 };
 pub use row::{hash_row_key, RowId, RowRange};
-pub use sharded::{ConcurrentOracle, DecisionGuard, ShardObs, ShardedLastCommit};
 pub use ts::{SharedTimestampSource, Timestamp, TimestampSource};

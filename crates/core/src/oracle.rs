@@ -148,7 +148,7 @@ impl OracleStats {
 /// Each field is a sharded [`wsi_obs::Counter`]; `Clone` produces a handle
 /// onto the **same** counters, so an embedder can keep a clone outside the
 /// oracle's critical section and read statistics without taking what
-/// serializes the oracle itself (the shard locks of a
+/// serializes the oracle itself (the decision lock of a
 /// [`ConcurrentOracle`](crate::ConcurrentOracle), the event loop in
 /// `wsi-oracle`). [`OracleCounters::view`] folds the counters into a
 /// plain [`OracleStats`] value at any time, with no synchronization beyond
@@ -217,8 +217,9 @@ impl OracleCounters {
 
     /// Registers every counter in `registry` under `oracle_*` names so the
     /// oracle shows up in metric exposition alongside the embedder's own
-    /// series — all but `ranges_checked`: the embedder's concurrent oracle
-    /// takes no ranges.
+    /// series — all but `ranges_checked`, which stays 0 there: the
+    /// embedder's concurrent oracle takes its rows as slices, never §5.2
+    /// ranges.
     pub fn register_in(&self, registry: &wsi_obs::Registry) {
         let entries: [(&str, &wsi_obs::Counter); 12] = [
             ("oracle_begins_total", &self.begins),
@@ -243,7 +244,7 @@ impl OracleCounters {
 /// The per-row conflict predicate shared by every oracle shell (lines 2–9 of
 /// Algorithms 1–3): given the probe result for one checked row, decide
 /// whether the transaction may proceed. Factored out so the single-threaded
-/// and sharded oracles cannot drift apart.
+/// and concurrent oracles cannot drift apart.
 pub(crate) fn check_row_probe(
     level: IsolationLevel,
     row: RowId,
@@ -298,7 +299,7 @@ pub(crate) fn check_range_probe(
 ///
 /// Embedders serialize access (the event loop in `wsi-oracle`); the paper's
 /// implementation likewise "executes the conflict detection algorithm in a
-/// critical section" (§6.3). `wsi-store` runs the sharded
+/// critical section" (§6.3). `wsi-store` runs the
 /// [`ConcurrentOracle`](crate::ConcurrentOracle), tested against this state
 /// machine as its model, with its own [`SsiWindow`] beside it under
 /// serializable snapshot isolation.
@@ -465,7 +466,7 @@ impl StatusOracleCore {
         if req.is_read_only() {
             return Ok(());
         }
-        for &row in self.level.checked_rows(req) {
+        for &row in self.level.checked_rows(&req.read_rows, &req.write_rows) {
             self.counters.rows_checked.inc();
             check_row_probe(self.level, row, self.last_commit.probe(row), req.start_ts)?;
         }
@@ -528,7 +529,7 @@ impl StatusOracleCore {
 
     /// Probes the `lastCommit` table for one row without counting it as a
     /// conflict check — diagnostic access for tests and state comparison
-    /// (e.g. the sharded-oracle equivalence suite).
+    /// (e.g. the concurrent-oracle equivalence suite).
     pub fn probe_row(&self, row: RowId) -> Probe {
         self.last_commit.probe(row)
     }

@@ -9,7 +9,7 @@
 //! the oracle's incremental checks and for the `wsi-history` crate, which
 //! evaluates them over whole histories.
 
-use crate::{oracle::CommitRequest, ts::Timestamp};
+use crate::{row::RowId, ts::Timestamp};
 
 /// The isolation level enforced by a status oracle or transaction manager.
 ///
@@ -32,7 +32,8 @@ pub enum IsolationLevel {
     /// write-write check of [`IsolationLevel::Snapshot`], then the
     /// dangerous-structure check of a [`crate::ssi::SsiWindow`].
     /// [`crate::ConcurrentOracle`] certifies only the SI base; its embedder
-    /// runs the window beside it (`wsi-store`'s `Db` does).
+    /// runs the window beside it (`wsi-store`'s `Db` does, under the
+    /// oracle's decision lock).
     SerializableSnapshot,
 }
 
@@ -62,16 +63,16 @@ impl IsolationLevel {
         }
     }
 
-    /// The rows of `req` this level probes against `lastCommit` — the one
-    /// place Algorithms 1 and 2 differ: the write set under snapshot
-    /// isolation (and under serializable snapshot isolation, whose
-    /// `lastCommit` check is its SI base), the read set under write-snapshot
-    /// isolation.
+    /// The rows this level probes against `lastCommit`, given a
+    /// transaction's `reads` and `writes` — the one place Algorithms 1 and 2
+    /// differ: the write set under snapshot isolation (and under
+    /// serializable snapshot isolation, whose `lastCommit` check is its SI
+    /// base), the read set under write-snapshot isolation.
     #[inline]
-    pub fn checked_rows(self, req: &CommitRequest) -> &[crate::RowId] {
+    pub fn checked_rows<'a>(self, reads: &'a [RowId], writes: &'a [RowId]) -> &'a [RowId] {
         match self {
-            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => &req.write_rows,
-            IsolationLevel::WriteSnapshot => &req.read_rows,
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => writes,
+            IsolationLevel::WriteSnapshot => reads,
         }
     }
 }

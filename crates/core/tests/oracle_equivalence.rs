@@ -1,4 +1,4 @@
-//! Equivalence of the sharded [`ConcurrentOracle`] with its model, the
+//! Equivalence of the [`ConcurrentOracle`] with its model, the
 //! single-threaded [`StatusOracleCore`], on interleaved histories.
 //!
 //! The concurrent oracle is supposed to be a *refactoring* of the decision
@@ -6,8 +6,9 @@
 //! the decisions Algorithms 1 and 2 make. These property tests drive the same
 //! randomized history through the model and the implementation and assert
 //! identical commit/abort outcomes, identical final `lastCommit` state, and
-//! identical activity statistics — for SI and WSI, with 1 shard and with
-//! many (up to `Db`'s 16).
+//! identical activity statistics — for SI and WSI. The model takes a
+//! [`CommitRequest`]; the implementation takes the request's two row sets
+//! as slices.
 //!
 //! A history keeps up to [`MAX_OPEN`] transactions open at once and ends
 //! them in random order, so a commit probes rows that transactions
@@ -34,10 +35,6 @@ use wsi_obs::Journal;
 /// Row universe: small enough that transactions collide constantly.
 const UNIVERSE: u64 = 24;
 
-/// Shard counts driven in lockstep: the single table, and the sharded
-/// layouts up to `Db`'s 16.
-const SHARDS: [usize; 3] = [1, 8, 16];
-
 /// Transactions a history keeps open at once.
 const MAX_OPEN: usize = 4;
 
@@ -51,9 +48,8 @@ struct Spec {
 }
 
 impl Spec {
-    /// Up to 10 rows per side: the paper's transactions are 10 rows, and
-    /// most of `Db`'s requests span more shards than a handful. About one
-    /// transaction in ten ends in a client-requested abort.
+    /// Up to 10 rows per side: the paper's transactions are 10 rows. About
+    /// one transaction in ten ends in a client-requested abort.
     fn generate(rng: &mut SmallRng) -> Self {
         let rows = |rng: &mut SmallRng| {
             let n = rng.gen_range(0..=10);
@@ -138,7 +134,7 @@ impl Oracle for ConcurrentOracle {
         ConcurrentOracle::begin(self)
     }
     fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        ConcurrentOracle::commit(self, req)
+        ConcurrentOracle::commit(self, req.start_ts, &req.read_rows, &req.write_rows)
     }
     fn abort(&mut self, _start_ts: Timestamp) {
         ConcurrentOracle::abort(self);
@@ -188,7 +184,7 @@ impl<F: Fn(Timestamp, u64) -> Timestamp> Oracle for Forgetful<F> {
     fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
         self.maybe_forget();
         self.open.remove(&req.start_ts);
-        self.oracle.commit(req)
+        Oracle::commit(&mut self.oracle, req)
     }
     fn abort(&mut self, start_ts: Timestamp) {
         self.maybe_forget();
@@ -246,10 +242,9 @@ fn assert_lockstep(mut model: StatusOracleCore, mut oracle: ConcurrentOracle, hi
     assert_eq!(model.stats(), oracle.stats(), "activity counters diverged");
 }
 
-fn fresh(level: IsolationLevel, shards: usize) -> ConcurrentOracle {
+fn fresh(level: IsolationLevel) -> ConcurrentOracle {
     ConcurrentOracle::unbounded(
         level,
-        shards,
         Arc::new(SharedTimestampSource::new()),
         Journal::with_capacity(8),
     )
@@ -259,16 +254,15 @@ fn fresh(level: IsolationLevel, shards: usize) -> ConcurrentOracle {
 const LEVELS: [IsolationLevel; 2] = [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot];
 
 /// Whether `history`'s oracle-driven forgetting through `forget_at` changes
-/// any decision or counter of a `shards`-shard oracle at `level`.
+/// any decision or counter of an oracle at `level`.
 fn forgetting_changes_something(
     level: IsolationLevel,
-    shards: usize,
     history: &History,
     picks: Vec<Option<u64>>,
     forget_at: impl Fn(Timestamp, u64) -> Timestamp,
 ) -> bool {
-    let mut exact = fresh(level, shards);
-    let mut forgetful = Forgetful::new(fresh(level, shards), picks, forget_at);
+    let mut exact = fresh(level);
+    let mut forgetful = Forgetful::new(fresh(level), picks, forget_at);
     let changed = play(&mut exact, history) != play(&mut forgetful, history)
         || exact.stats() != forgetful.oracle.stats();
     assert!(forgetful.oracle.resident_rows() <= exact.resident_rows());
@@ -278,29 +272,25 @@ fn forgetting_changes_something(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Algorithm 1 (SI): implementation ≡ model, at every shard count.
+    /// Algorithm 1 (SI): implementation ≡ model.
     #[test]
     fn si_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::Snapshot;
         let history = History::generate(seed);
-        for shards in SHARDS {
-            assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
-        }
+        assert_lockstep(StatusOracleCore::unbounded(level), fresh(level), &history);
     }
 
-    /// Algorithm 2 (WSI): implementation ≡ model, at every shard count.
+    /// Algorithm 2 (WSI): implementation ≡ model.
     #[test]
     fn wsi_unbounded_equivalence(seed in any::<u64>()) {
         let level = IsolationLevel::WriteSnapshot;
         let history = History::generate(seed);
-        for shards in SHARDS {
-            assert_lockstep(StatusOracleCore::unbounded(level), fresh(level, shards), &history);
-        }
+        assert_lockstep(StatusOracleCore::unbounded(level), fresh(level), &history);
     }
 
     /// Forgetting every row at or below a watermark no higher than the
     /// oldest open start — the store's pruning rule — changes no decision
-    /// and no counter, at either level and every shard count.
+    /// and no counter, at either level.
     #[test]
     fn forgetting_below_the_oldest_start_changes_no_decision(
         seed in any::<u64>(),
@@ -308,16 +298,13 @@ proptest! {
     ) {
         for level in LEVELS {
             let history = History::generate(seed);
-            for shards in SHARDS {
-                let changed = forgetting_changes_something(
-                    level,
-                    shards,
-                    &history,
-                    picks.clone(),
-                    |oldest, pick| Timestamp(pick % (oldest.raw() + 1)),
-                );
-                prop_assert!(!changed, "{level} with {shards} shards: {history:?}");
-            }
+            let changed = forgetting_changes_something(
+                level,
+                &history,
+                picks.clone(),
+                |oldest, pick| Timestamp(pick % (oldest.raw() + 1)),
+            );
+            prop_assert!(!changed, "{level}: {history:?}");
         }
     }
 
@@ -425,7 +412,7 @@ fn forgetting_one_past_the_oldest_start_is_caught() {
         let caught = (0..64).any(|seed| {
             let history = History::generate(seed);
             let picks = vec![Some(0); 2 * history.specs.len()];
-            forgetting_changes_something(level, 16, &history, picks, |oldest, _| oldest.next())
+            forgetting_changes_something(level, &history, picks, |oldest, _| oldest.next())
         });
         assert!(
             caught,

@@ -145,7 +145,11 @@ impl OracleServer {
     /// Handles a commit request arriving at `now` (Algorithms 1–3 plus WAL).
     pub fn handle_commit(&mut self, now: SimTime, req: CommitRequest) -> CommitResponse {
         self.stats.commit_requests += 1;
-        let checked = self.config.level.checked_rows(&req).len();
+        let checked = self
+            .config
+            .level
+            .checked_rows(&req.read_rows, &req.write_rows)
+            .len();
         let items = match self.config.level {
             // SI (and SSI's SI base) checks and updates the same |R_w|
             // items; they stay hot in the processor cache, so they are

@@ -102,8 +102,8 @@ use crate::obs::ArenaObs;
 use crate::record::CheckpointEntry;
 use crate::registry::OwnLine;
 
-/// Fibonacci multiplicative-hash constant (2^64 / φ), the same spreading
-/// function as the sharded oracle's `lastCommit` table.
+/// Fibonacci multiplicative-hash constant (2^64 / φ): spreads sequential and
+/// already-hashed keys alike.
 const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Chains at least this long are pruned against the GC watermark before the

@@ -3,19 +3,19 @@
 //! # Concurrency architecture
 //!
 //! The paper costs the status oracle's critical section at "a few memory
-//! operations" (§6.3). The embedded store keeps to that number by having no
-//! global commit critical section at all:
+//! operations" (§6.3). The embedded store keeps to that number: its one
+//! global commit critical section holds the decision and nothing else:
 //!
-//! * Commit decisions go through [`wsi_core::ConcurrentOracle`]: the
-//!   `lastCommit` table is hash-sharded, a committer locks only the shards
-//!   its rows map to (in canonical order — deadlock-free), and transactions
-//!   over disjoint shards decide in parallel.
+//! * Commit decisions go through [`wsi_core::ConcurrentOracle`]: one
+//!   `lastCommit` table behind one spin lock, the decision lock, held for
+//!   the conflict check, the commit timestamp and the oracle bookkeeping —
+//!   the paper's one critical section.
 //! * `begin` never takes any oracle lock: start timestamps come from a
 //!   shared atomic counter via the lock-striped
 //!   [`registry::ActiveTxnRegistry`], with §6.2 batched reservation records
 //!   amortizing WAL writes for the counter.
 //! * With a WAL ([`DbOptions::durable`]), append + flush run in the
-//!   [`pipeline::CommitPipeline`] *after* the shard locks are released —
+//!   [`pipeline::CommitPipeline`] *after* the decision lock is released —
 //!   group-commit with a leader/follower protocol. A commit becomes visible
 //!   and is acknowledged only once its batch is durable; a quorum loss
 //!   overturns the decision before any reader could observe it. Without a
@@ -30,10 +30,10 @@
 //!   commits visit the window too (they can abort: the read-only anomaly);
 //!   under the other two levels both paths pay one `is_none()` branch.
 //!
-//! The lock hierarchy is strict and acyclic: `lastCommit` shard locks (in
-//! ascending index order), then the SSI window, may be held while taking
-//! the writer's registry shard lock or the pipeline's queue lock, never the
-//! reverse. See `DESIGN.md` for the full protocol argument.
+//! The lock hierarchy is strict and acyclic: the decision lock, then the
+//! SSI window, may be held while taking the writer's registry shard lock or
+//! the pipeline's queue lock, never the reverse. See `DESIGN.md` for the
+//! full protocol argument.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use wsi_core::{
-    hash_row_key, ssi::SsiWindow, AbortReason, CommitRequest, ConcurrentOracle, IsolationLevel,
-    OracleCounters, OracleStats, RowId, SharedTimestampSource, Timestamp, TxnStatus,
+    hash_row_key, ssi::SsiWindow, AbortReason, ConcurrentOracle, IsolationLevel, OracleCounters,
+    OracleStats, RowId, SharedTimestampSource, Timestamp, TxnStatus,
 };
 use wsi_obs::{AbortExplanation, Cause, EventData, Journal};
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
@@ -75,9 +75,6 @@ const BACKOFF_BASE_US: u64 = 20;
 
 /// Backoff ceiling doubles at most this many times (20 µs → 1.28 ms).
 const BACKOFF_MAX_SHIFT: usize = 6;
-
-/// `lastCommit` shard count of the commit oracle.
-const ORACLE_SHARDS: usize = 16;
 
 /// The tick's period in write commits: every this many, the committer
 /// computes the registry watermark and paces the collector with it — the
@@ -199,8 +196,8 @@ pub(crate) struct DbInner {
     last_report: Mutex<Option<TxnReport>>,
     epoch: Instant,
     /// The dangerous-structure detector, present iff the level is
-    /// [`IsolationLevel::SerializableSnapshot`]. Locked after the request's
-    /// shard locks and before the registry or the pipeline. Empty after
+    /// [`IsolationLevel::SerializableSnapshot`]. Locked after the oracle's
+    /// decision lock and before the registry or the pipeline. Empty after
     /// recovery: commit records carry no read sets, and no transaction
     /// concurrent with a pre-crash commit can still be in flight, so a
     /// replayed entry could never fire.
@@ -268,23 +265,18 @@ impl Db {
         // verdicts, the Db layer the lifecycle events, the pipeline the
         // WAL flush/publish/overturn events, the arena GC sweeps and frees.
         let obs = Arc::new(StoreObs::new());
-        let oracle = ConcurrentOracle::unbounded(
-            options.isolation,
-            ORACLE_SHARDS,
-            Arc::clone(&ts),
-            obs.journal.clone(),
-        );
+        let oracle =
+            ConcurrentOracle::unbounded(options.isolation, Arc::clone(&ts), obs.journal.clone());
         let counters = oracle.counters();
         let wal_obs = ledger.as_ref().map(|ledger| ledger.obs().clone());
         let pipeline = ledger.map(|ledger| CommitPipeline::new(ledger, Arc::clone(&obs)));
         let mvcc = ArenaStore::new(Arc::clone(&ts), obs.journal.clone());
         let registry = ActiveTxnRegistry::new();
         // Each layer keeps its own books; the registry exports them all.
-        counters.register_in(&obs.registry);
+        oracle.register_in(&obs.registry);
         if let Some(wal_obs) = &wal_obs {
             wal_obs.register_in(&obs.registry);
         }
-        oracle.shard_obs().register_in(&obs.registry);
         mvcc.obs().register_in(&obs.registry);
         registry.register_in(&obs.registry);
         let window = (options.isolation == IsolationLevel::SerializableSnapshot)
@@ -643,34 +635,33 @@ impl Db {
         // critical section (the Omid scheme: data reaches the store tagged
         // with the start timestamp and registry shard; visibility is flipped
         // by the fate in the registry entry). One Arc'd batch serves the
-        // version store, the conflict request, the WAL encoder, and the
+        // version store, the conflict check, the WAL encoder, and the
         // rollback path.
         let batch: WriteBatch = Arc::new(writes.into_iter().collect::<Vec<_>>());
         let write_rows: Vec<RowId> = batch.iter().map(|(k, _)| hash_row_key(k)).collect();
         self.inner
             .mvcc
             .insert_versions(start_ts, shard, &write_rows, &batch);
-
-        // The request sorts its rows; `write_rows` stays in batch order for
-        // the store calls below.
-        let req = CommitRequest::new(start_ts, read_rows, write_rows.clone());
         let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
-        // oracle bookkeeping, under the request's shard locks. No WAL I/O in
-        // here.
+        // oracle bookkeeping, under the oracle's decision lock. No WAL I/O
+        // in here.
         let decide_began_us = self.inner.now_us();
         let decision: Result<Timestamp> = {
-            let mut guard = self.inner.oracle.lock_for(&req);
+            let mut guard = self.inner.oracle.lock();
             // SSI: the write-write check above is its SI base; the window,
             // locked only once that passed, holds the rest. It stays locked
             // until the commit timestamp is issued so its entries are in
             // commit order.
             let mut window = None;
-            let verdict = match (guard.check(&req), &self.inner.window) {
+            let verdict = match (
+                guard.check(start_ts, &read_rows, &write_rows),
+                &self.inner.window,
+            ) {
                 (Ok(()), Some(w)) => window
                     .insert(w.lock())
-                    .admit(start_ts, &req.read_rows, &req.write_rows)
+                    .admit(start_ts, &read_rows, &write_rows)
                     .map(Some),
                 (verdict, _) => verdict.map(|()| None),
             };
@@ -691,7 +682,7 @@ impl Db {
                     if let Some(admitted) = admitted {
                         admitted.record(commit_ts);
                     }
-                    guard.finish_commit_at(&req, commit_ts);
+                    guard.finish_commit_at(&write_rows, commit_ts);
                     Ok(commit_ts)
                 }
                 Err(reason) => {

@@ -47,7 +47,7 @@ pub(crate) struct StoreObs {
     /// Wall-clock latency of the whole commit call for committed write
     /// transactions, begin → visible, in microseconds.
     pub(crate) txn_us: Histogram,
-    /// Time spent inside the commit decision scope, shard locks held
+    /// Time spent inside the commit decision scope, decision lock held
     /// (conflict check + commit-timestamp assignment + oracle bookkeeping).
     pub(crate) conflict_check_us: Histogram,
     /// Sync-mode wait for the group-commit outcome (WAL append + quorum

@@ -7,7 +7,7 @@
 //! to "a few memory operations"; Appendix A pipelines the log writes). This
 //! module keeps the two apart for the embedded store:
 //!
-//! * The commit decision scope — the touched `lastCommit` shards of the
+//! * The commit decision scope — the decision lock of the
 //!   [`ConcurrentOracle`] — covers only conflict detection and
 //!   commit-timestamp assignment. Decided commits are *queued* here in
 //!   global commit-timestamp order: the timestamp is issued inside the
@@ -277,7 +277,7 @@ impl CommitPipeline {
     /// lock orders the queue, so commit records reach the log in
     /// commit-timestamp order — the invariant [`crate::Db::recover`]
     /// replays under. The caller
-    /// holds its decision scope (the request's shard locks) across this
+    /// holds its decision scope (the oracle's decision lock) across this
     /// call and completes the oracle bookkeeping with the returned
     /// timestamp; the pipeline lock nests *inside* that scope, never the
     /// reverse.

@@ -23,53 +23,50 @@
 //!    holds the watermark at or below it.
 //! 3. **The `stubs/spin` test-and-set lock** — mutual exclusion and lost-
 //!    update freedom for the exact acquire/release protocol the spin stub
-//!    implements (CAS-acquire, store-release, yield after a spin budget).
-//! 4. **`DecisionGuard` ascending-order shard acquisition** — the sharded
-//!    oracle's multi-shard lock protocol (`ConcurrentOracle::lock_for`):
-//!    every committer acquires its shard mask lowest set bit first — one
-//!    ascending order for all — which must be deadlock-free and exclusive
-//!    over the whole set.
-//! 5. **Packed-node occupancy claims vs. concurrent readers** — the
+//!    implements (CAS-acquire, store-release, yield after a spin budget):
+//!    the protocol of the oracle's decision lock
+//!    (`ConcurrentOracle::lock`).
+//! 4. **Packed-node occupancy claims vs. concurrent readers** — the
 //!    adaptive arena's in-node publish path (`arena::ArenaStore::try_claim`): claim
 //!    indices are unique, an entry is never readable before it is
 //!    initialized (the ready bit is set with a Release `fetch_or` only
 //!    after the entry is built), the ready mask is monotone, and sealing
 //!    stops further claims while every pre-seal claim still publishes.
-//! 6. **Chain migration vs. a reader standing mid-chain** — the adaptive
+//! 5. **Chain migration vs. a reader standing mid-chain** — the adaptive
 //!    arena's attach-then-unlink restructure (`arena::migrate_entry`):
 //!    every committed version stays reachable from the head throughout the
 //!    splice, and a reader parked on an unlinked single still reaches every
 //!    version at or below its position because unlinked nodes keep their
 //!    forward links until the watermark passes them (DESIGN.md §6).
-//! 7. **Chain-head table growth vs. a concurrent reader** — the
+//! 6. **Chain-head table growth vs. a concurrent reader** — the
 //!    generation protocol of `arena::ChainHeadTable`: a reader that loaded
 //!    any generation, before or after a growth, finds every key that
 //!    existed when it started, because growth copies every entry into the
 //!    next generation before the `Release` store that makes it current and
 //!    old generations are never modified again (DESIGN.md §6).
-//! 8. **Dirty-flag worklist vs. a concurrent sweep** — the GC's
+//! 7. **Dirty-flag worklist vs. a concurrent sweep** — the GC's
 //!    clear-before-examine handshake (`arena::mark_dirty` / `arena::gc`):
 //!    whatever the interleaving, a version published while a sweep runs is
 //!    either seen by that sweep's examination or leaves the entry flagged
 //!    and queued for the next one — never neither (DESIGN.md §6).
-//! 9. **The commit pipeline's spin-then-park hand-off** — the one way to
+//! 8. **The commit pipeline's spin-then-park hand-off** — the one way to
 //!    wait in `pipeline.rs` (`CommitPipeline::wait_round`) against the end
 //!    of a flush round: generation read under the lock → spin with no lock
 //!    → re-check under the lock → park, versus bump under the lock →
 //!    notify only if somebody is counted parked. A waiter never parks once
 //!    its condition holds, and a parked waiter is woken by the round that
 //!    bumps its generation — so every waiter returns (DESIGN.md §5).
-//! 10. **The stamp re-read vs. an owner that deregisters** — a snapshot
-//!     read of an unstamped version (`arena::Version::fate`): the reader
-//!     loads the stamp, looks the writer's fate up in its registry entry,
-//!     and re-loads the stamp when the entry does not answer committed; the
-//!     owner stamps, then deregisters, which drops the entry. Whatever the
-//!     interleaving the reader sees the commit, because stamp → deregister
-//!     → lookup → re-load is ordered, the last three by the writer's
-//!     registry shard lock (DESIGN.md §6). Without the re-load
-//!     (`stamp_reread_model(false)`) the model fails within tier 1's 32
-//!     schedules.
-//! 11. **Commit, begin and read on one registry shard lock** — a commit
+//! 9. **The stamp re-read vs. an owner that deregisters** — a snapshot
+//!    read of an unstamped version (`arena::Version::fate`): the reader
+//!    loads the stamp, looks the writer's fate up in its registry entry,
+//!    and re-loads the stamp when the entry does not answer committed; the
+//!    owner stamps, then deregisters, which drops the entry. Whatever the
+//!    interleaving the reader sees the commit, because stamp → deregister
+//!    → lookup → re-load is ordered, the last three by the writer's
+//!    registry shard lock (DESIGN.md §6). Without the re-load
+//!    (`stamp_reread_model(false)`) the model fails within tier 1's 32
+//!    schedules.
+//! 10. **Commit, begin and read on one registry shard lock** — a commit
 //!     without a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and
 //!     records its fate under the writer's shard lock; a begin draws its
 //!     snapshot from the same counter; a read looks the writer's fate up
@@ -400,85 +397,7 @@ fn spin_tas_lock_is_mutually_exclusive() {
     });
 }
 
-/// Shard count for protocol model 4 (small enough that overlapping sets are
-/// the common case under the fuzzer).
-const SHARDS: usize = 4;
-
-/// Protocol 4: `DecisionGuard`'s multi-shard acquisition. Each committer
-/// needs a *set* of shards (its request's row shards), held as a `u64`
-/// mask; `lock_for` takes the set lowest set bit first (`trailing_zeros`,
-/// then clear that bit), the one ascending order every acquirer shares —
-/// which rules out the circular wait a deadlock needs. The model walks its
-/// masks the same way and asserts completion (deadlock freedom via a bounded
-/// spin) and set-wide exclusivity: while a committer holds its set, no other
-/// committer holds any member of it.
-#[test]
-fn decision_guard_ascending_order_is_deadlock_free_and_exclusive() {
-    // Overlapping shard sets {0,1,2}, {1,3}, {0,2,3}: every pair
-    // intersects, so acquisition in any other order would deadlock under
-    // some schedule.
-    const MASKS: [u64; 3] = [0b0111, 0b1010, 0b1101];
-    const ROUNDS: usize = 8;
-    /// The shards of `mask` in `lock_for`'s acquisition order.
-    fn lowest_first(mask: u64) -> impl Iterator<Item = usize> {
-        let mut rest = mask;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let shard = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                shard
-            })
-        })
-    }
-    loom::model(|| {
-        let locks: Arc<Vec<TasLock>> = Arc::new((0..SHARDS).map(|_| TasLock::new()).collect());
-        // Per-shard holder tag (0 = free, else committer id + 1).
-        let holders: Arc<Vec<AtomicU64>> =
-            Arc::new((0..SHARDS).map(|_| AtomicU64::new(0)).collect());
-
-        let handles: Vec<_> = (0..MASKS.len())
-            .map(|who| {
-                let locks = Arc::clone(&locks);
-                let holders = Arc::clone(&holders);
-                thread::spawn(move || {
-                    let tag = who as u64 + 1;
-                    for _ in 0..ROUNDS {
-                        for sid in lowest_first(MASKS[who]) {
-                            locks[sid].lock();
-                            let prev = holders[sid].swap(tag, Ordering::SeqCst);
-                            assert_eq!(prev, 0, "shard {sid} already held");
-                        }
-                        // The decision runs with the whole set held: every
-                        // member must still be tagged as ours.
-                        thread::yield_now();
-                        for sid in lowest_first(MASKS[who]) {
-                            assert_eq!(
-                                holders[sid].load(Ordering::SeqCst),
-                                tag,
-                                "lost shard {sid} mid-decision"
-                            );
-                        }
-                        for sid in lowest_first(MASKS[who]) {
-                            holders[sid].store(0, Ordering::SeqCst);
-                            locks[sid].unlock();
-                        }
-                    }
-                })
-            })
-            .collect();
-        // join() doubles as the deadlock check: an ordering regression
-        // would hang here, and the harness-level timeout (tier1 runs this
-        // with bounded iterations) surfaces it.
-        for h in handles {
-            h.join().unwrap();
-        }
-        for h in holders.iter() {
-            assert_eq!(h.load(Ordering::SeqCst), 0, "all shards released");
-        }
-    });
-}
-
-/// Packed-node capacity for protocol model 5 (scaled down from
+/// Packed-node capacity for protocol model 4 (scaled down from
 /// `arena::PACK_CAP` so the schedule space stays tractable).
 const PCAP: u64 = 4;
 
@@ -489,7 +408,7 @@ const P_SEALED: u64 = 1 << 31;
 /// Claim-count mask (mirrors `arena::CLAIM_MASK`).
 const P_CLAIMS: u64 = P_SEALED - 1;
 
-/// Protocol 5: the packed node's single-word occupancy protocol. The word
+/// Protocol 4: the packed node's single-word occupancy protocol. The word
 /// packs `ready_bitmask << 32 | (SEALED | claim_count)`; writers claim an
 /// index by CAS-bumping the count, initialize their entry, then publish it
 /// with a Release `fetch_or` of the ready bit. Readers take the Acquire-
@@ -632,14 +551,14 @@ fn packed_node_claims_are_unique_initialized_and_seal_bounded() {
     });
 }
 
-/// Singles in protocol model 6's chain (head = index 3, tail = index 0).
+/// Singles in protocol model 5's chain (head = index 3, tail = index 0).
 const M_SINGLES: usize = 4;
 
-/// Packed-pointer tag for model 6 (mirrors `arena::PACKED_TAG`: bit 31 of
+/// Packed-pointer tag for model 5 (mirrors `arena::PACKED_TAG`: bit 31 of
 /// the handle distinguishes packed nodes from single slots).
 const M_PTAG: u64 = 1 << 31;
 
-/// Protocol 6: attach-then-unlink chain migration. The chain starts as four
+/// Protocol 5: attach-then-unlink chain migration. The chain starts as four
 /// stamped singles `3 → 2 → 1 → 0 → NULL` (commit stamp of single `i` is
 /// `10·(i+1)`). The migrator packs the suffix `[1, 0]` into a packed node
 /// whose `next` copies the suffix tail's `next` (attach), then splices the
@@ -862,7 +781,7 @@ impl HeadTable {
     }
 }
 
-/// Protocol 7: a creator inserts keys through several table growths while
+/// Protocol 6: a creator inserts keys through several table growths while
 /// a reader keeps looking up keys that existed before it started, and keys
 /// the creator has told it about. Neither may ever be reported absent.
 #[test]
@@ -916,10 +835,10 @@ fn head_table_growth_never_hides_an_existing_key() {
     });
 }
 
-/// Versions the publisher pushes in protocol model 8.
+/// Versions the publisher pushes in protocol model 7.
 const W_PUBLISHED: u32 = 4;
 
-/// Protocol 8: one key entry, reduced to a published-version count, its
+/// Protocol 7: one key entry, reduced to a published-version count, its
 /// dirty flag and the worklist. The publisher publishes, then flags
 /// (queueing on the clean → dirty transition); the sweep drains the queue
 /// and, per entry, clears the flag *before* it examines the chain. At
@@ -993,7 +912,7 @@ fn dirty_flag_worklist_never_loses_a_publish() {
     });
 }
 
-/// Flush rounds the leader runs in protocol model 9.
+/// Flush rounds the leader runs in protocol model 8.
 const H_ROUNDS: u64 = 4;
 
 /// Spin turns a modelled waiter takes before it parks: scaled down from
@@ -1008,7 +927,7 @@ struct HandoffInner {
     parked: usize,
 }
 
-/// Protocol 9: two waiters and a leader over the pipeline's hand-off. Each
+/// Protocol 8: two waiters and a leader over the pipeline's hand-off. Each
 /// waiter needs a number of rounds to have ended and waits for them the way
 /// `wait_round` does; the leader ends [`H_ROUNDS`] rounds the way
 /// `sync_flush_round` does, paying for a `notify_all` only when it counts a
@@ -1107,7 +1026,7 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
     model.join().expect("an assertion of the model failed");
 }
 
-/// Protocol 10 with the reader's stamp re-read on or off. The writer
+/// Protocol 9 with the reader's stamp re-read on or off. The writer
 /// (start 1) committed at 2, its fate set in its registry entry, still
 /// unstamped and registered; the reader holds snapshot 3. The owner stamps
 /// and deregisters; the reader resolves the version the way
@@ -1185,7 +1104,7 @@ fn a_snapshot_read_without_the_re_read_misses_the_commit() {
 /// commit timestamp otherwise.
 type Shard = Mutex<std::collections::BTreeMap<u64, u64>>;
 
-/// Protocol 11. The writer (start 1, registered on shard 0) commits while
+/// Protocol 10. The writer (start 1, registered on shard 0) commits while
 /// a reader begins — registering on shard 0 too, or on shard 1 — and reads
 /// the writer's fate from shard 0. `planted` draws the commit timestamp
 /// before taking the shard lock.

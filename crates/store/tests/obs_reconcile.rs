@@ -236,12 +236,9 @@ fn a_recovered_db_counts_its_own_wal_records() {
 
 /// README's metric catalogue is the registry's: every series a durable SSI
 /// database registers has a row of its kind, and every row names a
-/// registered series (`oracle_shard_<i>_contention_total` stands for one
-/// per `lastCommit` shard).
+/// registered series.
 #[test]
 fn readme_catalogue_matches_the_registry() {
-    /// `Db`'s `lastCommit` shard count.
-    const ORACLE_SHARDS: usize = 16;
     let db = Db::open(
         DbOptions::new(IsolationLevel::SerializableSnapshot)
             .durable(LedgerConfig::default_replicated()),
@@ -271,13 +268,7 @@ fn readme_catalogue_matches_the_registry() {
     for row in rows {
         let cells: Vec<&str> = row.split('|').map(str::trim).collect();
         for name in cells[1].split(',').map(|n| n.trim().trim_matches('`')) {
-            if name.contains("<i>") {
-                for i in 0..ORACLE_SHARDS {
-                    documented.insert((name.replace("<i>", &i.to_string()), cells[2]));
-                }
-            } else {
-                documented.insert((name.to_string(), cells[2]));
-            }
+            documented.insert((name.to_string(), cells[2]));
         }
     }
     assert_eq!(documented, registered);

@@ -12,9 +12,10 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo build --release --workspace
-# The workspace run holds, among the rest: `ConcurrentOracle` against its
-# model on histories that keep up to four transactions open and commit them
-# out of order, and the lockstep showing that forgetting `lastCommit` rows
+# The workspace run holds, among the rest: `ConcurrentOracle` (one decision
+# lock, rows as slices) against its model `StatusOracleCore` on histories
+# that keep up to four transactions open and commit them out of order, and
+# the lockstep showing that forgetting `lastCommit` rows
 # below the oldest open start changes no decision (`oracle_equivalence`),
 # the `wsi-dst` seeded fault matrix checked by
 # the shared isolation check (`wsi_history::check`) with its
@@ -55,7 +56,8 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 
 # Concurrency protocol models, fast configuration: chain-head CAS publish
 # vs. concurrent readers, watermark reclamation (a retire tag drawn after
-# the unlink) vs. a registered walker, the packed-node
+# the unlink) vs. a registered walker, the test-and-set spinlock the
+# oracle's decision lock runs on, the packed-node
 # claim/seal occupancy protocol, the migration splice vs. a mid-chain
 # reader, chain-head table growth vs. a reader, the GC's dirty-flag
 # worklist handshake, the commit pipeline's spin-then-park hand-off
@@ -72,6 +74,8 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 ./target/release/figures m1 >/dev/null
 # Extension E1 (SI vs WSI vs SSI on one zipfian schedule) is a golden: the
 # three levels' decisions, through the one sequential oracle, must not move.
+# scripts/figures_golden.sh diffs every figure the same way; at about two
+# and a half minutes it is not part of this gate.
 ./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
 
 # Non-test line counts of the version store's, the log's and the oracle's
