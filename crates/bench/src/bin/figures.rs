@@ -19,12 +19,20 @@ use wsi_sim::metrics::Series;
 const SEED: u64 = 20120410; // EuroSys'12, April 10
 
 fn write_csv(name: &str, series: &[Series]) {
+    write_rows(
+        name,
+        "label,load,tps,latency_ms,abort_rate",
+        series.iter().map(Series::to_csv),
+    );
+}
+
+/// Writes `results/<name>.csv`: the `header` line, then each row as given
+/// (every row ends in its own newline).
+fn write_rows(name: &str, header: &str, rows: impl Iterator<Item = String>) {
     let _ = fs::create_dir_all("results");
     let path = format!("results/{name}.csv");
-    let mut body = String::from("label,load,tps,latency_ms,abort_rate\n");
-    for s in series {
-        body.push_str(&s.to_csv());
-    }
+    let mut body = format!("{header}\n");
+    body.extend(rows);
     if let Err(e) = fs::write(&path, body) {
         eprintln!("warning: cannot write {path}: {e}");
     } else {
@@ -189,12 +197,23 @@ fn ablations() {
         "{:<16} {:>8} {:>10} {:>12} {:>12}",
         "mode", "clients", "tps", "latency_ms", "oracle_cpu"
     );
-    for p in experiments::ablation_commit_info(SEED) {
+    let points = experiments::ablation_commit_info(SEED);
+    for p in &points {
         println!(
             "{:<16} {:>8} {:>10.1} {:>12.2} {:>12.4}",
             p.mode, p.clients, p.tps, p.latency_ms, p.oracle_cpu
         );
     }
+    write_rows(
+        "ablation_commit_info",
+        "mode,clients,tps,latency_ms,oracle_cpu",
+        points.iter().map(|p| {
+            format!(
+                "{},{},{:.3},{:.3},{:.6}\n",
+                p.mode, p.clients, p.tps, p.latency_ms, p.oracle_cpu
+            )
+        }),
+    );
     println!();
 
     println!("# Ablation A3: analytical read sets (§5.2) — enumerated vs compact ranges");
@@ -202,7 +221,8 @@ fn ablations() {
         "{:<12} {:>20} {:>18} {:>20} {:>14}",
         "scan_width", "enumerated_abort", "range_abort", "enumerated_entries", "range_entries"
     );
-    for p in experiments::analytical_read_sets(SEED) {
+    let points = experiments::analytical_read_sets(SEED);
+    for p in &points {
         println!(
             "{:<12} {:>20.3} {:>18.3} {:>20} {:>14}",
             p.scan_width,
@@ -212,6 +232,20 @@ fn ablations() {
             p.range_entries
         );
     }
+    write_rows(
+        "ablation_read_sets",
+        "scan_width,enumerated_abort_rate,range_abort_rate,enumerated_entries,range_entries",
+        points.iter().map(|p| {
+            format!(
+                "{},{:.3},{:.3},{},{}\n",
+                p.scan_width,
+                p.enumerated_abort_rate,
+                p.range_abort_rate,
+                p.enumerated_entries,
+                p.range_entries
+            )
+        }),
+    );
     println!();
 }
 

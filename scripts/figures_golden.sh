@@ -10,7 +10,10 @@
 # writes is compared byte for byte with the committed copy under results/,
 # and `ssi`'s printed table (less its "done in" timing line) with
 # results/e1_ssi.txt. Prints one line per comparison and exits non-zero if
-# any differs. The simulations are seeded, so the figures repeat exactly.
+# any differs, or if a committed results/fig*.csv, results/ablation_*.csv or
+# results/e1_ssi.txt is written by no subcommand (a golden nothing
+# regenerates would go stale unseen). The simulations are seeded, so the
+# figures repeat exactly.
 # Takes about two and a half minutes on a 2-core host, so scripts/tier1.sh
 # runs only the `ssi` comparison; run this after a change to the oracle,
 # the simulator or the cluster model.
@@ -28,7 +31,9 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 status=0
+written=" "
 compare() { # <fresh file> <committed file>
+  written+="${2#"$repo"/} "
   if cmp -s "$1" "$2"; then
     echo "identical  ${2#"$repo"/}"
   else
@@ -50,5 +55,16 @@ for cmd in fig5 fig6 fig7 fig9 ablations ssi m1; do
     [ -e "$fresh" ] || continue
     compare "$fresh" "$repo/results/$(basename "$fresh")"
   done
+done
+
+for golden in "$repo"/results/fig*.csv "$repo"/results/ablation_*.csv "$repo"/results/e1_ssi.txt; do
+  [ -e "$golden" ] || continue
+  case "$written" in
+    *" ${golden#"$repo"/} "*) ;;
+    *)
+      echo "UNWRITTEN  ${golden#"$repo"/} (no subcommand writes it)"
+      status=1
+      ;;
+  esac
 done
 exit $status
