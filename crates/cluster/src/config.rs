@@ -31,8 +31,6 @@ pub enum CommitInfo {
 /// Everything one simulated experiment run needs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Isolation level under test.
-    pub level: IsolationLevel,
     /// RNG seed; runs with equal seeds are bit-identical.
     pub seed: u64,
     /// Number of client machines.
@@ -73,7 +71,6 @@ impl ClusterConfig {
     /// rows.
     pub fn fig5(level: IsolationLevel, clients: usize, seed: u64) -> Self {
         ClusterConfig {
-            level,
             seed,
             clients,
             outstanding_per_client: 100,
@@ -105,7 +102,6 @@ impl ClusterConfig {
         seed: u64,
     ) -> Self {
         ClusterConfig {
-            level,
             seed,
             clients,
             outstanding_per_client: 1,

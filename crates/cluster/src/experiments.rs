@@ -58,7 +58,7 @@ pub fn fig5(seed: u64) -> Vec<Series> {
 }
 
 /// One HBase sweep (shared engine for Figures 6–10).
-pub fn hbase_sweep(
+fn hbase_sweep(
     distribution: KeyDistribution,
     mix: Mix,
     seed: u64,
@@ -212,8 +212,13 @@ pub struct CommitInfoPoint {
 /// bytes but over-approximates (it may cover rows the scan never actually
 /// returned). Reported per scan width: the analytical abort probability
 /// under both representations and the request sizes in row entries.
+///
+/// The enumerated scan is a commit request to the oracle. The range verdict
+/// needs no oracle support: the range `[lo, lo + width)` conflicts exactly
+/// when an OLTP row committed during the scan falls inside it, and only a
+/// scan that passes commits.
 pub fn analytical_read_sets(seed: u64) -> Vec<AnalyticalPoint> {
-    use wsi_core::{CommitRequest, RowId, RowRange, StatusOracleCore};
+    use wsi_core::{CommitRequest, RowId, StatusOracleCore};
     use wsi_sim::SimRng;
 
     const ROWS: u64 = 1_000_000;
@@ -230,26 +235,28 @@ pub fn analytical_read_sets(seed: u64) -> Vec<AnalyticalPoint> {
             for _ in 0..SCANS {
                 let scan_start = oracle.begin();
                 let lo = rng.below(ROWS - width);
+                let scanned = lo..lo + width;
                 // Concurrent OLTP traffic commits during the scan.
+                let mut range_hit = false;
                 for _ in 0..OLTP_BETWEEN_SCANS {
                     let t = oracle.begin();
                     let row = RowId(rng.below(ROWS));
-                    let _ = oracle.commit(CommitRequest::new(t, vec![row], vec![row]));
+                    let committed = oracle
+                        .commit(CommitRequest::new(t, vec![row], vec![row]))
+                        .is_committed();
+                    range_hit |= committed && scanned.contains(&row.0);
                 }
-                // The scan "actually read" half of the rows in its range.
-                let req = if mode == 0 {
-                    let reads: Vec<RowId> = (lo..lo + width).step_by(2).map(RowId).collect();
-                    CommitRequest::new(scan_start, reads, vec![RowId(ROWS + 1)])
+                let write = vec![RowId(ROWS + 1)];
+                if mode == 0 {
+                    // The scan "actually read" half of the rows in its range.
+                    let reads: Vec<RowId> = scanned.step_by(2).map(RowId).collect();
+                    let req = CommitRequest::new(scan_start, reads, write);
+                    aborts_enumerated += u32::from(oracle.commit(req).is_aborted());
+                } else if range_hit {
+                    aborts_range += 1;
+                    oracle.abort(scan_start);
                 } else {
-                    CommitRequest::new(scan_start, vec![], vec![RowId(ROWS + 1)])
-                        .with_read_ranges(vec![RowRange::new(lo, lo + width)])
-                };
-                if oracle.commit(req).is_aborted() {
-                    if mode == 0 {
-                        aborts_enumerated += 1;
-                    } else {
-                        aborts_range += 1;
-                    }
+                    let _ = oracle.commit(CommitRequest::new(scan_start, vec![], write));
                 }
             }
         }

@@ -44,8 +44,6 @@ pub struct OpLatencySummary {
 /// Aggregated outcome of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Number of client machines.
-    pub clients: usize,
     /// Committed transactions inside the measurement window.
     pub committed: u64,
     /// Aborted transactions inside the window.
@@ -427,7 +425,6 @@ impl Runner {
         let decided = self.committed + self.aborted;
         let elapsed = self.end - self.warm_end;
         RunResult {
-            clients: self.cfg.clients,
             committed: self.committed,
             aborted: self.aborted,
             tps: self.committed as f64 / elapsed.as_secs_f64(),

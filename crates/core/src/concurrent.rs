@@ -18,10 +18,8 @@
 //!   changes and no `T_max` abort can occur.
 //! * It certifies point rows, taken as two slices: a start timestamp, the
 //!   rows read and the rows written, each row once (a repeat is probed,
-//!   recorded and counted again). The §5.2 read ranges of a
-//!   [`CommitRequest`](crate::CommitRequest) stay with the sequential
-//!   [`StatusOracleCore`](crate::StatusOracleCore); an embedder covers a
-//!   range with point rows.
+//!   recorded and counted again). An embedder covers a scanned range with
+//!   point rows.
 //!
 //! Partitioning `lastCommit` by hash, as PostgreSQL's SSI partitions its
 //! conflict-tracking structures (Ports & Grittner, VLDB 2012), would let

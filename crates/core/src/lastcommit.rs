@@ -16,19 +16,11 @@
 //! `T_max`-based pessimistic answers, so eviction can cause extra aborts but
 //! never admits a commit the unbounded table would have refused.
 //!
-//! The table keeps no order, so the §5.2 range probe
-//! ([`LastCommit::probe_range`]) is a scan of every slot. Nothing on the
-//! transaction path sends one: the embedded store hashes keys into row
-//! identifiers, for which a range means nothing. Its callers are the
-//! `oracle_equivalence` property tests, the range-read-set ablation of
-//! `figures ablations` (≤ 40 k rows) and `examples/analytics.rs`.
+//! The table keeps no order: it answers for single rows only.
 
 use std::collections::VecDeque;
 
-use crate::{
-    row::{RowId, RowRange},
-    ts::Timestamp,
-};
+use crate::{row::RowId, ts::Timestamp};
 
 /// Result of probing the `lastCommit` table for a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,15 +209,6 @@ impl RowTable {
         self.slots[hole] = EMPTY;
         self.len -= 1;
     }
-
-    /// Largest timestamp of any row in `[start, end)`: a scan of the whole
-    /// array, whatever the width of the range.
-    fn max_in(&self, start: RowId, end: RowId) -> Option<Timestamp> {
-        self.occupied()
-            .filter(|slot| start <= slot.row && slot.row < end)
-            .map(|slot| slot.ts)
-            .max()
-    }
 }
 
 /// The `lastCommit` table of Algorithms 1–3.
@@ -248,8 +231,7 @@ impl RowTable {
 /// rare in practice (Appendix A).
 ///
 /// An unbounded table's `T_max` is [`Timestamp::ZERO`] forever, which is
-/// all that separates the two in [`LastCommit::probe`] and
-/// [`LastCommit::probe_range`].
+/// all that separates the two in [`LastCommit::probe`].
 ///
 /// # Example
 ///
@@ -389,25 +371,6 @@ impl LastCommit {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Probes an entire row-identifier range (the §5.2 compact read-set
-    /// representation for analytical transactions): the maximum commit
-    /// timestamp of any resident row in the range, combined with the
-    /// table's eviction uncertainty. A scan of the table — O(slots), not the
-    /// O(log n + k) of an ordered map; see the module docs for who calls it.
-    pub fn probe_range(&self, range: RowRange) -> Probe {
-        match (self.table.max_in(range.start, range.end), self.t_max()) {
-            (Some(ts), Timestamp::ZERO) => Probe::Resident(ts),
-            (None, Timestamp::ZERO) => Probe::NeverWritten,
-            // Any row in the range may have been evicted with a timestamp up
-            // to `t_max`, so the caller must consider both bounds; report
-            // the larger pessimistically.
-            (Some(ts), t_max) => Probe::MaybeEvicted {
-                t_max: ts.max(t_max),
-            },
-            (None, t_max) => Probe::MaybeEvicted { t_max },
-        }
-    }
 }
 
 impl Default for LastCommit {
@@ -534,13 +497,6 @@ mod tests {
         assert_eq!(t.probe(RowId(0)), Probe::Resident(Timestamp::ZERO));
         assert_eq!(t.probe(RowId(u64::MAX)), Probe::Resident(Timestamp(7)));
         assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.probe_range(RowRange::new(0, u64::MAX)),
-            Probe::Resident(Timestamp::ZERO),
-            "the end of a range is exclusive"
-        );
-        // An inverted range holds no row.
-        assert_eq!(t.probe_range(RowRange::new(5, 0)), Probe::NeverWritten);
     }
 
     #[test]
@@ -580,7 +536,6 @@ mod tests {
         Record(u64, u64),
         Remove(u64),
         Probe(u64),
-        Range(u64, u64),
         Forget(u64),
     }
 
@@ -599,7 +554,6 @@ mod tests {
             5 => (row(), 0u64..1000).prop_map(|(r, ts)| Op::Record(r, ts)),
             3 => row().prop_map(Op::Remove),
             2 => row().prop_map(Op::Probe),
-            1 => (row(), row()).prop_map(|(a, b)| Op::Range(a, b)),
             1 => (0u64..1000).prop_map(Op::Forget),
         ]
     }
@@ -628,14 +582,6 @@ mod tests {
                     }
                     Op::Probe(r) => {
                         prop_assert_eq!(table.get(RowId(r)), model.get(&RowId(r)).copied());
-                    }
-                    Op::Range(a, b) => {
-                        let expect = model
-                            .iter()
-                            .filter(|(&row, _)| RowId(a) <= row && row < RowId(b))
-                            .map(|(_, &ts)| ts)
-                            .max();
-                        prop_assert_eq!(table.max_in(RowId(a), RowId(b)), expect);
                     }
                     Op::Forget(w) => {
                         let before = model.len();
@@ -828,43 +774,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = LastCommit::bounded(0);
-    }
-
-    #[test]
-    fn unbounded_range_probe_finds_max_in_range() {
-        let mut t = LastCommit::unbounded();
-        t.record(RowId(5), Timestamp(10));
-        t.record(RowId(7), Timestamp(30));
-        t.record(RowId(9), Timestamp(20));
-        assert_eq!(
-            t.probe_range(RowRange::new(5, 8)),
-            Probe::Resident(Timestamp(30))
-        );
-        assert_eq!(
-            t.probe_range(RowRange::new(8, 10)),
-            Probe::Resident(Timestamp(20))
-        );
-        assert_eq!(t.probe_range(RowRange::new(10, 100)), Probe::NeverWritten);
-        // End is exclusive.
-        assert_eq!(t.probe_range(RowRange::new(0, 5)), Probe::NeverWritten);
-    }
-
-    #[test]
-    fn bounded_range_probe_is_pessimistic_after_eviction() {
-        let mut t = LastCommit::bounded(2);
-        t.record(RowId(1), Timestamp(10));
-        t.record(RowId(2), Timestamp(11));
-        t.record(RowId(3), Timestamp(12)); // evicts row 1, t_max = 10
-        match t.probe_range(RowRange::new(0, 100)) {
-            Probe::MaybeEvicted { t_max } => assert_eq!(t_max, Timestamp(12)),
-            other => panic!("expected pessimistic probe, got {other:?}"),
-        }
-        // A pre-eviction table answers exactly.
-        let mut fresh = LastCommit::bounded(8);
-        fresh.record(RowId(1), Timestamp(10));
-        assert_eq!(
-            fresh.probe_range(RowRange::new(0, 5)),
-            Probe::Resident(Timestamp(10))
-        );
     }
 }

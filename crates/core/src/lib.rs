@@ -74,5 +74,5 @@ pub use oracle::{CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
 pub use policy::{
     rw_spatial_overlap, rw_temporal_overlap, spatial_overlap, temporal_overlap, IsolationLevel,
 };
-pub use row::{hash_row_key, RowId, RowRange};
+pub use row::{hash_row_key, RowId};
 pub use ts::{SharedTimestampSource, Timestamp, TimestampSource};

@@ -24,7 +24,7 @@ use crate::{
     error::{AbortReason, CommitOutcome},
     lastcommit::{LastCommit, Probe},
     policy::IsolationLevel,
-    row::{RowId, RowRange},
+    row::RowId,
     ssi::SsiWindow,
     ts::{Timestamp, TimestampSource},
 };
@@ -43,12 +43,6 @@ pub struct CommitRequest {
     pub read_rows: Vec<RowId>,
     /// Identifiers of all rows the transaction modified (`R_w`).
     pub write_rows: Vec<RowId>,
-    /// Compact, over-approximated read ranges (§5.2): an analytical
-    /// transaction that scanned row ranges submits them here instead of
-    /// enumerating millions of read rows. Checked only under
-    /// write-snapshot isolation; over-approximation can add aborts but
-    /// never admits a conflicting commit.
-    pub read_ranges: Vec<RowRange>,
 }
 
 impl CommitRequest {
@@ -68,15 +62,7 @@ impl CommitRequest {
             start_ts,
             read_rows,
             write_rows,
-            read_ranges: Vec::new(),
         }
-    }
-
-    /// Attaches compact read ranges (§5.2 analytical transactions).
-    #[must_use]
-    pub fn with_read_ranges(mut self, ranges: Vec<RowRange>) -> Self {
-        self.read_ranges = ranges;
-        self
     }
 
     /// Creates a read-only commit request (both sets empty).
@@ -119,8 +105,6 @@ pub struct OracleStats {
     pub rows_checked: u64,
     /// `lastCommit` records written (memory items loaded for updating).
     pub rows_recorded: u64,
-    /// Range probes performed for analytical read sets (§5.2).
-    pub ranges_checked: u64,
     /// `lastCommit` rows evicted into `T_max` (Algorithm 3 only; always 0
     /// for unbounded tables).
     pub evictions: u64,
@@ -184,8 +168,6 @@ pub struct OracleCounters {
     pub rows_checked: wsi_obs::Counter,
     /// `lastCommit` records written (memory items loaded for updating).
     pub rows_recorded: wsi_obs::Counter,
-    /// Range probes performed for analytical read sets (§5.2).
-    pub ranges_checked: wsi_obs::Counter,
     /// `lastCommit` rows evicted into `T_max` (Algorithm 3 only).
     pub evictions: wsi_obs::Counter,
 }
@@ -210,16 +192,13 @@ impl OracleCounters {
             client_aborts: self.client_aborts.get(),
             rows_checked: self.rows_checked.get(),
             rows_recorded: self.rows_recorded.get(),
-            ranges_checked: self.ranges_checked.get(),
             evictions: self.evictions.get(),
         }
     }
 
     /// Registers every counter in `registry` under `oracle_*` names so the
     /// oracle shows up in metric exposition alongside the embedder's own
-    /// series — all but `ranges_checked`, which stays 0 there: the
-    /// embedder's concurrent oracle takes its rows as slices, never §5.2
-    /// ranges.
+    /// series.
     pub fn register_in(&self, registry: &wsi_obs::Registry) {
         let entries: [(&str, &wsi_obs::Counter); 12] = [
             ("oracle_begins_total", &self.begins),
@@ -271,27 +250,6 @@ pub(crate) fn check_row_probe(
             Err(AbortReason::TmaxExceeded { start_ts, t_max })
         }
         Probe::MaybeEvicted { .. } => Ok(()),
-    }
-}
-
-/// The §5.2 range-probe conflict predicate, shared like
-/// [`check_row_probe`]. Ranges are only checked under write-snapshot
-/// isolation; the conflicting "row" reported is the range start, which
-/// identifies the scan.
-pub(crate) fn check_range_probe(
-    range: RowRange,
-    probe: Probe,
-    start_ts: Timestamp,
-) -> std::result::Result<(), AbortReason> {
-    match probe {
-        Probe::Resident(last) if last > start_ts => Err(AbortReason::ReadWriteConflict {
-            row: range.start,
-            committed_at: last,
-        }),
-        Probe::MaybeEvicted { t_max } if t_max > start_ts => {
-            Err(AbortReason::TmaxExceeded { start_ts, t_max })
-        }
-        Probe::Resident(_) | Probe::NeverWritten | Probe::MaybeEvicted { .. } => Ok(()),
     }
 }
 
@@ -470,12 +428,6 @@ impl StatusOracleCore {
             self.counters.rows_checked.inc();
             check_row_probe(self.level, row, self.last_commit.probe(row), req.start_ts)?;
         }
-        if self.level == IsolationLevel::WriteSnapshot {
-            for &range in &req.read_ranges {
-                self.counters.ranges_checked.inc();
-                check_range_probe(range, self.last_commit.probe_range(range), req.start_ts)?;
-            }
-        }
         Ok(())
     }
 
@@ -551,35 +503,6 @@ impl StatusOracleCore {
     /// can observe statistics without acquiring it.
     pub fn counters(&self) -> OracleCounters {
         self.counters.clone()
-    }
-
-    /// Re-applies a committed transaction during WAL recovery.
-    ///
-    /// Restores the `lastCommit` rows, the commit-table entry, and advances
-    /// the timestamp counter past `commit_ts` so no timestamp is ever
-    /// reissued. Recovery replays records in WAL order, which is commit
-    /// order, so `lastCommit` ends in the same state as before the crash.
-    pub fn replay_commit(&mut self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
-        self.ts.advance_to(commit_ts);
-        for &row in rows {
-            let evicted = self.last_commit.record(row, commit_ts);
-            self.counters.evictions.add(evicted as u64);
-        }
-        self.commit_table.record_commit(start_ts, commit_ts);
-    }
-
-    /// Re-applies an aborted transaction during WAL recovery.
-    pub fn replay_abort(&mut self, start_ts: Timestamp) {
-        self.ts.advance_to(start_ts);
-        self.commit_table.record_abort(start_ts);
-    }
-
-    /// Advances the timestamp counter past `bound` without recording any
-    /// transaction — the recovery action for a timestamp-reservation WAL
-    /// record (§6.2): timestamps up to the persisted bound may have been
-    /// issued before the crash and must never be reissued.
-    pub fn advance_timestamps(&mut self, bound: Timestamp) {
-        self.ts.advance_to(bound);
     }
 }
 
@@ -782,28 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_reconstructs_conflict_state() {
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let t1 = o.begin();
-        let t2 = o.begin(); // concurrent reader, still in flight at crash time
-        let c1 = o
-            .commit(CommitRequest::new(t1, vec![], rows(&[7])))
-            .commit_ts()
-            .unwrap();
-
-        // Fresh oracle recovers from the "WAL".
-        let mut r = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        r.replay_commit(t1, c1, &rows(&[7]));
-        assert_eq!(r.status(t1), TxnStatus::Committed(c1));
-        assert!(r.last_issued_ts() >= c1);
-
-        // The in-flight transaction that read row 7 before the recovered
-        // commit aborts, exactly as it would have pre-crash.
-        let out = r.commit(CommitRequest::new(t2, rows(&[7]), rows(&[8])));
-        assert!(out.is_aborted());
-    }
-
-    #[test]
     fn abort_rate_stat() {
         let mut o = StatusOracleCore::unbounded(IsolationLevel::Snapshot);
         let t1 = o.begin();
@@ -815,70 +716,6 @@ mod tests {
             .commit(CommitRequest::new(t2, vec![], rows(&[1])))
             .is_aborted());
         assert!((o.stats().abort_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn range_read_set_detects_conflicts() {
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let scanner = o.begin();
-        let writer = o.begin();
-        // A writer commits into row 500 during the scanner's lifetime.
-        assert!(o
-            .commit(CommitRequest::new(writer, vec![], rows(&[500])))
-            .is_committed());
-        // The analytical scanner read rows [0, 1000) as a compact range.
-        let req = CommitRequest::new(scanner, vec![], rows(&[2000]))
-            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
-        let out = o.commit(req);
-        assert!(matches!(
-            out.abort_reason(),
-            Some(AbortReason::ReadWriteConflict { .. })
-        ));
-        assert_eq!(o.stats().ranges_checked, 1);
-    }
-
-    #[test]
-    fn range_read_set_passes_when_untouched() {
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let scanner = o.begin();
-        let writer = o.begin();
-        assert!(o
-            .commit(CommitRequest::new(writer, vec![], rows(&[5000])))
-            .is_committed());
-        let req = CommitRequest::new(scanner, vec![], rows(&[6000]))
-            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
-        assert!(o.commit(req).is_committed());
-    }
-
-    #[test]
-    fn range_read_set_over_approximates() {
-        // The writer's row was *not* read by the scan, but the compact
-        // range covers it: the abort is unnecessary yet safe (§5.2 names
-        // exactly this trade-off).
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let scanner = o.begin();
-        let writer = o.begin();
-        assert!(o
-            .commit(CommitRequest::new(writer, vec![], rows(&[999])))
-            .is_committed());
-        let req = CommitRequest::new(scanner, vec![], rows(&[2000]))
-            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
-        assert!(o.commit(req).is_aborted());
-    }
-
-    #[test]
-    fn ranges_ignored_under_snapshot_isolation() {
-        // SI checks write-write conflicts only; read ranges don't apply.
-        let mut o = StatusOracleCore::unbounded(IsolationLevel::Snapshot);
-        let scanner = o.begin();
-        let writer = o.begin();
-        assert!(o
-            .commit(CommitRequest::new(writer, vec![], rows(&[500])))
-            .is_committed());
-        let req = CommitRequest::new(scanner, vec![], rows(&[2000]))
-            .with_read_ranges(vec![crate::RowRange::new(0, 1000)]);
-        assert!(o.commit(req).is_committed());
-        assert_eq!(o.stats().ranges_checked, 0);
     }
 
     #[test]

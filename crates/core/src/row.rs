@@ -37,42 +37,6 @@ impl From<u64> for RowId {
     }
 }
 
-/// A half-open range `[start, end)` of row identifiers.
-///
-/// The §5.2 compact read-set representation: "analytical transactions could
-/// submit to the status oracle a compact, over-approximated representation
-/// of the read set, e.g., table name and row ranges." Ranges make sense for
-/// workloads whose row identifiers are meaningful (e.g. YCSB row numbers or
-/// sequential scan keys), not for hashed byte-string keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RowRange {
-    /// First row in the range.
-    pub start: RowId,
-    /// One past the last row in the range.
-    pub end: RowId,
-}
-
-impl RowRange {
-    /// Creates a range over `[start, end)`.
-    pub fn new(start: u64, end: u64) -> Self {
-        RowRange {
-            start: RowId(start),
-            end: RowId(end),
-        }
-    }
-
-    /// Returns `true` if the range contains no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-}
-
-impl fmt::Display for RowRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rows:[{}, {})", self.start.0, self.end.0)
-    }
-}
-
 /// Hashes an arbitrary byte-string row key to a [`RowId`].
 ///
 /// Uses the FNV-1a construction: deterministic across processes and runs
@@ -128,13 +92,5 @@ mod tests {
     #[test]
     fn display_is_readable() {
         assert_eq!(RowId(3).to_string(), "row:3");
-        assert_eq!(RowRange::new(3, 9).to_string(), "rows:[3, 9)");
-    }
-
-    #[test]
-    fn range_emptiness() {
-        assert!(RowRange::new(5, 5).is_empty());
-        assert!(RowRange::new(6, 5).is_empty());
-        assert!(!RowRange::new(5, 6).is_empty());
     }
 }

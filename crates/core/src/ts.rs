@@ -60,14 +60,13 @@ impl From<u64> for Timestamp {
 
 /// A monotonic source of fresh timestamps.
 ///
-/// This is the single-threaded core of the paper's *timestamp oracle*. The
-/// paper's implementation persists a high-water mark to the write-ahead log
-/// and hands out timestamps from a reserved in-memory batch so that, on
-/// recovery, the oracle can resume from the persisted bound without ever
-/// reissuing a timestamp (§6.2: "the timestamp oracle could reserve thousands
-/// of timestamps per each write into the write-ahead log"). The reservation
-/// mechanics live in `wsi-oracle`; this type is the in-memory counter both it
-/// and the embedded store share.
+/// This is the single-threaded core of the paper's *timestamp oracle*: the
+/// in-memory counter of [`StatusOracleCore`](crate::StatusOracleCore). The
+/// paper's implementation also persists a high-water mark to the write-ahead
+/// log (§6.2: "the timestamp oracle could reserve thousands of timestamps per
+/// each write into the write-ahead log"); `wsi-oracle` models what those
+/// writes cost, and the embedded store's [`SharedTimestampSource`] reserves
+/// them.
 ///
 /// # Example
 ///
@@ -92,13 +91,6 @@ impl TimestampSource {
         }
     }
 
-    /// Creates a source that resumes after `last`, e.g. from a recovered
-    /// persistent high-water mark. The first issued timestamp is
-    /// `last.next()`.
-    pub fn resuming_after(last: Timestamp) -> Self {
-        TimestampSource { last }
-    }
-
     /// Issues the next timestamp.
     ///
     /// Named `next` to match the paper's `TimestampOracle.next()` (Algorithm
@@ -115,18 +107,6 @@ impl TimestampSource {
     #[inline]
     pub fn last_issued(&self) -> Timestamp {
         self.last
-    }
-
-    /// Advances the counter so that every timestamp up to and including
-    /// `bound` counts as issued. Used by recovery: replaying a WAL may reveal
-    /// commit timestamps larger than the in-memory counter.
-    ///
-    /// Timestamps already issued are unaffected (the counter never moves
-    /// backwards).
-    pub fn advance_to(&mut self, bound: Timestamp) {
-        if bound > self.last {
-            self.last = bound;
-        }
     }
 }
 
@@ -278,23 +258,6 @@ mod tests {
         for _ in 0..100 {
             assert_ne!(src.next(), Timestamp::ZERO);
         }
-    }
-
-    #[test]
-    fn resuming_skips_past_recovered_bound() {
-        let mut src = TimestampSource::resuming_after(Timestamp(41));
-        assert_eq!(src.next(), Timestamp(42));
-    }
-
-    #[test]
-    fn advance_to_never_moves_backwards() {
-        let mut src = TimestampSource::new();
-        src.next();
-        src.next(); // last = 2
-        src.advance_to(Timestamp(1));
-        assert_eq!(src.last_issued(), Timestamp(2));
-        src.advance_to(Timestamp(10));
-        assert_eq!(src.next(), Timestamp(11));
     }
 
     #[test]

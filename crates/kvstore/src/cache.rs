@@ -91,16 +91,6 @@ impl BlockCache {
         self.last_used.is_empty()
     }
 
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Lifetime hit rate (0 when unused).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -121,7 +111,7 @@ mod tests {
         let mut c = BlockCache::new(2);
         assert!(!c.access(1));
         assert!(c.access(1));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert_eq!((c.hits, c.misses), (1, 1));
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -142,7 +132,7 @@ mod tests {
         let mut c = BlockCache::new(4);
         c.warm(1);
         c.warm(1); // idempotent
-        assert_eq!((c.hits(), c.misses()), (0, 0));
+        assert_eq!((c.hits, c.misses), (0, 0));
         assert!(c.access(1));
         assert_eq!(c.len(), 1);
     }

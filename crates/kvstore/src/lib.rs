@@ -31,5 +31,5 @@ mod table;
 
 pub use cache::BlockCache;
 pub use region::{DataCluster, RegionId, Routing};
-pub use server::{ReadOutcome, RegionServer, ServerConfig, ServerStats};
+pub use server::{ReadOutcome, RegionServer, ServerConfig};
 pub use table::{RegionStore, VersionFate, VersionLookup};

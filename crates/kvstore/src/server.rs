@@ -87,17 +87,6 @@ pub struct ReadOutcome {
     pub cache_hit: bool,
 }
 
-/// Cumulative server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Reads processed.
-    pub reads: u64,
-    /// Of which served from cache.
-    pub cache_hits: u64,
-    /// Writes processed.
-    pub writes: u64,
-}
-
 /// One data server: a range of rows, a block cache, handler and disk
 /// queues, and the functional version store.
 #[derive(Debug)]
@@ -110,7 +99,6 @@ pub struct RegionServer {
     cache: BlockCache,
     store: RegionStore,
     rng: SimRng,
-    stats: ServerStats,
 }
 
 impl RegionServer {
@@ -124,7 +112,6 @@ impl RegionServer {
             store: RegionStore::new(),
             rng,
             config,
-            stats: ServerStats::default(),
         }
     }
 
@@ -134,14 +121,12 @@ impl RegionServer {
 
     /// Times a read of `row` arriving at `now`.
     pub fn read(&mut self, row: u64, now: SimTime) -> ReadOutcome {
-        self.stats.reads += 1;
         let handler_time = self
             .rng
             .jittered(self.config.handler_time, self.config.jitter);
         let after_handler = self.handler.submit(now, handler_time);
         let hit = self.cache.access(self.block_of(row));
         let outcome = if hit {
-            self.stats.cache_hits += 1;
             let extra = self
                 .rng
                 .jittered(self.config.cache_hit_time, self.config.jitter);
@@ -175,7 +160,6 @@ impl RegionServer {
     /// `insert` marks a write that creates a new row, which additionally
     /// pays the amortized flush/compaction cost.
     pub fn write(&mut self, row: u64, now: SimTime, insert: bool) -> SimTime {
-        self.stats.writes += 1;
         let handler_time = self
             .rng
             .jittered(self.config.handler_time, self.config.jitter);
@@ -216,21 +200,6 @@ impl RegionServer {
     /// Lifetime cache hit rate.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// Handler-pool utilization over `elapsed`.
-    pub fn handler_utilization(&self, elapsed: SimTime) -> f64 {
-        self.handler.utilization(elapsed)
-    }
-
-    /// Disk-channel utilization over `elapsed`.
-    pub fn disk_utilization(&self, elapsed: SimTime) -> f64 {
-        self.disk.utilization(elapsed)
     }
 }
 
@@ -299,14 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_activity() {
+    fn a_repeated_read_hits_the_cache() {
         let mut s = server();
-        s.read(1, SimTime::ZERO);
-        s.read(1, SimTime::from_ms(50));
-        s.write(2, SimTime::from_ms(60), false);
-        let st = s.stats();
-        assert_eq!((st.reads, st.cache_hits, st.writes), (2, 1, 1));
-        assert!(s.cache_hit_rate() > 0.0);
-        assert!(s.handler_utilization(SimTime::from_ms(60)) > 0.0);
+        assert!(!s.read(1, SimTime::ZERO).cache_hit);
+        assert!(s.read(1, SimTime::from_ms(50)).cache_hit);
+        assert!((s.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -90,16 +90,6 @@ impl RegionStore {
         }
         best.map(|(_, v)| v)
     }
-
-    /// Number of rows present.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Total version count (memstore pressure metric).
-    pub fn version_count(&self) -> usize {
-        self.rows.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -150,9 +140,9 @@ mod tests {
         s.put(1, Timestamp(1), Bytes::from_static(b"v"));
         s.put(1, Timestamp(2), Bytes::from_static(b"w"));
         s.remove(1, Timestamp(1));
-        assert_eq!(s.version_count(), 1);
+        assert_eq!(s.rows[&1].len(), 1);
         s.remove(1, Timestamp(2));
-        assert_eq!(s.row_count(), 0);
+        assert!(s.rows.is_empty());
         // Removing a non-existent version is a no-op.
         s.remove(1, Timestamp(9));
     }
@@ -162,7 +152,7 @@ mod tests {
         let mut s = RegionStore::new();
         s.put(1, Timestamp(1), Bytes::from_static(b"a"));
         s.put(1, Timestamp(1), Bytes::from_static(b"b"));
-        assert_eq!(s.version_count(), 1);
+        assert_eq!(s.rows[&1].len(), 1);
         let lk = committed(&[(1, 2)]);
         assert_eq!(s.get(1, Timestamp(5), &lk).unwrap(), "b");
     }

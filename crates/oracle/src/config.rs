@@ -41,10 +41,12 @@ pub struct OracleConfig {
     /// Fixed critical-section cost per commit request (dispatch, queues,
     /// commit-table insert).
     pub base_request: SimTime,
-    /// Cost of loading/updating one `lastCommit` memory item. SI touches
-    /// `|R_w|` items (check and update hit the same, already-cached ones);
-    /// WSI touches `|R_r| + |R_w|` — the paper’s “twice the memory items”.
-    pub per_item_load: SimTime,
+    /// Cost in nanoseconds of loading/updating one `lastCommit` memory item
+    /// (below [`SimTime`]'s microsecond grain; a request's cost is rounded
+    /// to microseconds only after summing). SI touches `|R_w|` items (check
+    /// and update hit the same, already-cached ones); WSI touches
+    /// `|R_r| + |R_w|` — the paper’s “twice the memory items”.
+    pub per_item_load_ns: u64,
     /// Critical-section cost of issuing a start timestamp (served from the
     /// reserved batch, no persistence).
     pub start_request: SimTime,
@@ -72,7 +74,7 @@ impl OracleConfig {
             level,
             last_commit_capacity: None,
             base_request: SimTime::from_us(8),
-            per_item_load: SimTime::from_us(0), // sub-µs: see per_item_load_ns
+            per_item_load_ns: 260, // 0.26 µs per memory item
             start_request: SimTime::from_us(1),
             wal_write: SimTime::from_ms_f64(4.0),
             wal_pipeline: 80,
@@ -86,21 +88,10 @@ impl OracleConfig {
         }
     }
 
-    /// Per-item load cost in nanoseconds (sub-microsecond granularity that
-    /// [`SimTime`] cannot express directly; the request cost is rounded to
-    /// microseconds only after summing).
-    pub fn per_item_load_ns(&self) -> u64 {
-        if self.per_item_load.as_us() > 0 {
-            self.per_item_load.as_us() * 1_000
-        } else {
-            260 // calibrated default: 0.26 µs per memory item
-        }
-    }
-
     /// Critical-section time of a commit request that loads `items` memory
     /// items.
     pub fn commit_service(&self, items: usize) -> SimTime {
-        let ns = self.base_request.as_us() * 1_000 + self.per_item_load_ns() * items as u64;
+        let ns = self.base_request.as_us() * 1_000 + self.per_item_load_ns * items as u64;
         SimTime::from_us(ns.div_ceil(1_000).max(1))
     }
 }
@@ -124,8 +115,7 @@ mod tests {
     #[test]
     fn explicit_per_item_cost_overrides_default() {
         let mut cfg = OracleConfig::paper_default(IsolationLevel::Snapshot);
-        cfg.per_item_load = SimTime::from_us(2);
-        assert_eq!(cfg.per_item_load_ns(), 2_000);
+        cfg.per_item_load_ns = 2_000;
         assert_eq!(cfg.commit_service(10), SimTime::from_us(28));
     }
 

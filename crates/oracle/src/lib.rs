@@ -1,5 +1,5 @@
-//! The status oracle server: conflict decisions, WAL persistence, recovery,
-//! and the saturation cost model.
+//! The status oracle server: conflict decisions, WAL persistence and the
+//! saturation cost model.
 //!
 //! The lock-free scheme centralizes conflict detection in one server: "a
 //! single server, i.e., the status oracle, receives the commit requests
@@ -15,8 +15,6 @@
 //!   BookKeeper-like ledger with the paper's batch triggers — 1 KB of data
 //!   or 5 ms since the last trigger (Appendix A); a commit is acknowledged
 //!   only once its record is durable;
-//! * **crash recovery** that replays the surviving log into a fresh oracle
-//!   ([`OracleServer::recover`]);
 //! * a **CPU cost model** for the cluster simulation: the conflict check
 //!   runs in a critical section (§6.3), and "the running time of the
 //!   critical section is slightly higher with write-snapshot isolation since
@@ -34,4 +32,4 @@ mod config;
 mod server;
 
 pub use config::{BatchPolicy, OracleConfig};
-pub use server::{CommitResponse, FlushResult, OracleServer, OracleServerStats, StartResponse};
+pub use server::{CommitResponse, FlushResult, OracleServer, StartResponse};

@@ -2,7 +2,7 @@
 
 use wsi_core::{CommitOutcome, CommitRequest, IsolationLevel, StatusOracleCore, Timestamp};
 use wsi_sim::{SimTime, Station};
-use wsi_wal::{decode_records, encode_record, Ledger, TxnLogRecord};
+use wsi_wal::{encode_record, Ledger, TxnLogRecord};
 
 use crate::config::OracleConfig;
 
@@ -42,24 +42,6 @@ pub struct FlushResult {
     pub decisions: Vec<(Timestamp, CommitOutcome)>,
 }
 
-/// Cumulative oracle-server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleServerStats {
-    /// Start timestamps issued.
-    pub starts: u64,
-    /// Commit requests decided.
-    pub commit_requests: u64,
-    /// WAL batches written.
-    pub flushes: u64,
-    /// Records persisted.
-    pub records: u64,
-    /// Timestamp-reservation records written.
-    pub ts_reservations: u64,
-    /// Transaction-status queries served (§2.2's fallback when commit
-    /// timestamps are not replicated to clients or written back).
-    pub status_queries: u64,
-}
-
 /// The status oracle with its integrated timestamp oracle (§6.2, §A).
 ///
 /// Functionally it is [`StatusOracleCore`] plus a replicated WAL; for the
@@ -80,7 +62,6 @@ pub struct OracleServer {
     pending_bytes: usize,
     /// Highest timestamp covered by a durable reservation record.
     ts_reserved_upto: Timestamp,
-    stats: OracleServerStats,
 }
 
 impl OracleServer {
@@ -99,14 +80,8 @@ impl OracleServer {
             last_trigger: SimTime::ZERO,
             pending_bytes: 0,
             ts_reserved_upto: Timestamp::ZERO,
-            stats: OracleServerStats::default(),
             config,
         }
-    }
-
-    /// The enforced isolation level.
-    pub fn level(&self) -> IsolationLevel {
-        self.config.level
     }
 
     /// Read access to the core state machine (status queries, `T_max`).
@@ -124,12 +99,10 @@ impl OracleServer {
     pub fn handle_start(&mut self, now: SimTime) -> StartResponse {
         let done = self.cpu.submit(now, self.config.start_request);
         let ts = self.core.begin();
-        self.stats.starts += 1;
         if ts >= self.ts_reserved_upto {
             let upto = Timestamp(ts.raw() + self.config.ts_reservation);
             self.append_record(TxnLogRecord::TimestampReservation { upto: upto.raw() }, now);
             self.ts_reserved_upto = upto;
-            self.stats.ts_reservations += 1;
         }
         StartResponse { ts, done }
     }
@@ -138,13 +111,11 @@ impl OracleServer {
     /// without a local commit-timestamp replica must ask the oracle whether
     /// a version's writer committed). Costs one critical-section slot.
     pub fn handle_status_query(&mut self, now: SimTime) -> SimTime {
-        self.stats.status_queries += 1;
         self.cpu.submit(now, self.config.start_request)
     }
 
     /// Handles a commit request arriving at `now` (Algorithms 1–3 plus WAL).
     pub fn handle_commit(&mut self, now: SimTime, req: CommitRequest) -> CommitResponse {
-        self.stats.commit_requests += 1;
         let checked = self
             .config
             .level
@@ -183,13 +154,9 @@ impl OracleServer {
             CommitOutcome::Committed(commit_ts) => TxnLogRecord::Commit {
                 start_ts: start_ts.raw(),
                 commit_ts: commit_ts.raw(),
-                // Row identifiers were consumed by `core.commit`; recovery
-                // rebuilds `lastCommit` from the re-encoded write set kept in
-                // the request. To avoid a second clone on the hot path, the
-                // cluster keeps row sets in the request it still owns;
-                // rebuild here from the commit-table instead is impossible,
-                // so the record carries no rows in the *simulated* ledger and
-                // the functional recovery path uses `recovered_rows` below.
+                // `core.commit` consumed the row sets, and nothing replays
+                // the simulated log, so the record carries no rows: the
+                // batch trigger reads only its size.
                 write_rows: Vec::new(),
             },
             CommitOutcome::Aborted(_) => TxnLogRecord::Abort {
@@ -223,7 +190,6 @@ impl OracleServer {
         let bytes = encode_record(&record);
         self.pending_bytes += bytes.len();
         self.ledger.append(bytes, now.as_us());
-        self.stats.records += 1;
     }
 
     /// The deadline by which the pending batch must flush (the 5 ms time
@@ -251,61 +217,9 @@ impl OracleServer {
             self.ledger
                 .flush(now.as_us())
                 .expect("simulated ledger quorum is healthy");
-            self.stats.flushes += 1;
         }
         let ready = self.wal_station.submit(now, self.config.wal_write);
         FlushResult { ready, decisions }
-    }
-
-    /// Point-in-time snapshot of the replicated log (for crash tests).
-    pub fn ledger_snapshot(&self) -> Ledger {
-        self.ledger.clone()
-    }
-
-    /// Rebuilds an oracle from a recovered ledger plus the per-commit row
-    /// sets the data tier knows (the simulated ledger elides row lists to
-    /// keep the hot path allocation-free; a production record carries them —
-    /// see `wsi-store`'s recovery, which does).
-    ///
-    /// `recovered_rows` maps a committed transaction's start timestamp to
-    /// its modified-row identifiers.
-    pub fn recover(
-        config: OracleConfig,
-        ledger: &Ledger,
-        recovered_rows: impl Fn(Timestamp) -> Vec<wsi_core::RowId>,
-    ) -> Self {
-        let mut server = OracleServer::new(config);
-        let payloads = ledger.recover();
-        let records = decode_records(&payloads).expect("simulated ledger is uncorrupted");
-        for record in records {
-            match record {
-                TxnLogRecord::Commit {
-                    start_ts,
-                    commit_ts,
-                    ..
-                } => {
-                    let start = Timestamp(start_ts);
-                    let rows = recovered_rows(start);
-                    server
-                        .core
-                        .replay_commit(start, Timestamp(commit_ts), &rows);
-                }
-                TxnLogRecord::Abort { start_ts } => {
-                    server.core.replay_abort(Timestamp(start_ts));
-                }
-                TxnLogRecord::TimestampReservation { upto } => {
-                    // Resume past the reservation: no timestamp may repeat.
-                    server.core.advance_timestamps(Timestamp(upto));
-                    server.ts_reserved_upto = Timestamp(upto);
-                }
-            }
-        }
-        server
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> OracleServerStats {
-        self.stats
     }
 
     /// CPU (critical-section) utilization over `elapsed`.
@@ -395,11 +309,11 @@ mod tests {
     fn read_only_commit_responds_immediately_without_wal() {
         let mut o = OracleServer::new(cfg(IsolationLevel::WriteSnapshot));
         let s = o.handle_start(SimTime::from_ms(1));
-        let records_before = o.stats().records;
+        let records_before = o.ledger.pending_records();
         let r = o.handle_commit(SimTime::from_ms(1), CommitRequest::read_only(s.ts));
         assert!(r.outcome.is_committed());
         assert_eq!(r.ready, Some(r.cpu_done));
-        assert_eq!(o.stats().records, records_before);
+        assert_eq!(o.ledger.pending_records(), records_before);
     }
 
     #[test]
@@ -423,42 +337,13 @@ mod tests {
         let r = o.handle_start(SimTime::from_ms(1));
         // Done within the critical-section cost, no WAL wait.
         assert!((r.done - SimTime::from_ms(1)).as_us() <= 2);
-        assert_eq!(o.stats().ts_reservations, 1);
-        // Subsequent starts ride the existing reservation.
+        let reserved = o.ts_reserved_upto;
+        assert!(reserved > r.ts);
+        // Subsequent starts ride the existing reservation: one record.
         for _ in 0..100 {
             o.handle_start(SimTime::from_ms(2));
         }
-        assert_eq!(o.stats().ts_reservations, 1);
-    }
-
-    #[test]
-    fn recovery_restores_decisions_and_timestamps() {
-        let mut o = OracleServer::new(cfg(IsolationLevel::WriteSnapshot));
-        let now = SimTime::from_ms(6);
-        let s1 = o.handle_start(now);
-        let s2 = o.handle_start(now);
-        let r1 = o.handle_commit(now, CommitRequest::new(s1.ts, vec![], rows(&[7])));
-        let c1 = r1.outcome.commit_ts().unwrap();
-        o.flush(SimTime::from_ms(20));
-
-        let ledger = o.ledger_snapshot();
-        let recovered = OracleServer::recover(cfg(IsolationLevel::WriteSnapshot), &ledger, |ts| {
-            if ts == s1.ts {
-                rows(&[7])
-            } else {
-                vec![]
-            }
-        });
-        // The recovered oracle refuses the same conflicting commit the old
-        // one would have refused.
-        let mut recovered = recovered;
-        let resp = recovered.handle_commit(
-            SimTime::from_ms(30),
-            CommitRequest::new(s2.ts, rows(&[7]), rows(&[8])),
-        );
-        assert!(resp.outcome.is_aborted());
-        // And never reissues timestamps at or below the old reservation.
-        let fresh = recovered.handle_start(SimTime::from_ms(31));
-        assert!(fresh.ts > c1);
+        assert_eq!(o.ts_reserved_upto, reserved);
+        assert_eq!(o.ledger.pending_records(), 1);
     }
 }

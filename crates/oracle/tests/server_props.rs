@@ -96,49 +96,4 @@ proptest! {
             prop_assert_eq!(s_out.is_committed(), c_out.is_committed());
         }
     }
-
-    /// Recovery from the simulated ledger preserves refusals for pre-crash
-    /// transactions under arbitrary schedules.
-    #[test]
-    fn recovery_preserves_refusals(schedule in items(), probe_row in 0u64..50) {
-        let mut server = OracleServer::new(OracleConfig::paper_default(
-            IsolationLevel::WriteSnapshot,
-        ));
-        let mut now = SimTime::from_ms(6);
-        let in_flight = server.handle_start(now).ts;
-        let mut write_sets: Vec<(Timestamp, Vec<u64>)> = Vec::new();
-        for (gap, reads, writes) in &schedule {
-            now += SimTime(*gap);
-            let ts = server.handle_start(now).ts;
-            let resp = server.handle_commit(
-                now,
-                CommitRequest::new(ts, rows(reads), rows(writes)),
-            );
-            if resp.outcome.is_committed() && !writes.is_empty() {
-                write_sets.push((ts, writes.clone()));
-            }
-        }
-        server.flush(now + SimTime::from_ms(10));
-
-        let ledger = server.ledger_snapshot();
-        let mut recovered = OracleServer::recover(
-            OracleConfig::paper_default(IsolationLevel::WriteSnapshot),
-            &ledger,
-            |start| {
-                write_sets
-                    .iter()
-                    .find(|&&(s, _)| s == start)
-                    .map(|(_, w)| rows(w))
-                    .unwrap_or_default()
-            },
-        );
-        // Probe with the pre-crash in-flight transaction.
-        let probe = CommitRequest::new(in_flight, rows(&[probe_row]), rows(&[99]));
-        let original = server.handle_commit(now + SimTime::from_ms(20), probe.clone());
-        let after = recovered.handle_commit(SimTime::from_ms(50), probe);
-        prop_assert_eq!(
-            original.outcome.is_committed(),
-            after.outcome.is_committed()
-        );
-    }
 }

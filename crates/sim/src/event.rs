@@ -21,7 +21,6 @@ use crate::time::SimTime;
 ///
 /// let (t1, e1) = q.pop().unwrap();
 /// assert_eq!((t1, e1), (SimTime::from_ms(1), Ev::Ping));
-/// assert_eq!(q.now(), SimTime::from_ms(1)); // clock advances on pop
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -66,18 +65,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current virtual time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past — an event scheduled before `now()`
-    /// indicates a latency computation bug, and silently clamping it would
-    /// corrupt causality.
+    /// Panics if `at` is before the last popped event's time — such an
+    /// event indicates a latency computation bug, and silently clamping it
+    /// would corrupt causality.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "event scheduled in the past");
         self.heap.push(Reverse(Scheduled {
@@ -86,11 +80,6 @@ impl<E> EventQueue<E> {
             event,
         }));
         self.seq += 1;
-    }
-
-    /// Schedules `event` after a relative `delay`.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -139,18 +128,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(10), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime(10));
-        q.schedule_after(SimTime(5), ());
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime(15));
     }
 
     #[test]

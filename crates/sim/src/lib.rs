@@ -14,8 +14,8 @@
 //! * [`SimRng`] — a seeded RNG with the distributions the workloads need,
 //!   including YCSB's **zipfian** and **latest** generators (Cooper et al.,
 //!   SoCC'10), which the paper's §6.5 concurrency experiments are built on;
-//! * [`metrics`] — latency histograms with percentiles, throughput
-//!   accounting, and (x, y) series for the figure harness.
+//! * [`metrics`] — latency histograms with percentiles, and (x, y) series
+//!   for the figure harness.
 //!
 //! Everything is deterministic given a seed: no wall-clock reads, no OS
 //! threads, no hash-map iteration order leaks.

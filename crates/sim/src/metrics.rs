@@ -1,6 +1,6 @@
-//! Measurement: latency distributions, throughput, and figure series.
+//! Measurement: latency distributions and figure series.
 
-use wsi_obs::{ExactHistogram, HistogramSnapshot};
+use wsi_obs::ExactHistogram;
 
 use crate::time::SimTime;
 
@@ -10,7 +10,7 @@ use crate::time::SimTime;
 /// exact storage (8 bytes/sample) is cheaper than the complexity of a
 /// sketch, and percentiles are exact. Backed by [`wsi_obs::ExactHistogram`]
 /// so the simulator and the live store share one percentile definition
-/// (nearest rank) and one exposition pipeline.
+/// (nearest rank).
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     samples_us: ExactHistogram,
@@ -27,11 +27,6 @@ impl LatencyStats {
         self.samples_us.record(latency.as_us());
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples_us.count()
-    }
-
     /// Mean latency in milliseconds (0 when empty).
     pub fn mean_ms(&self) -> f64 {
         self.samples_us.mean() / 1_000.0
@@ -43,46 +38,9 @@ impl LatencyStats {
         self.samples_us.percentile(p) as f64 / 1_000.0
     }
 
-    /// Folds the samples into a bucketed [`HistogramSnapshot`] for the
-    /// shared `wsi-obs` exposition formats (Prometheus text, JSON).
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        self.samples_us.to_snapshot()
-    }
-
-    /// Median in milliseconds.
-    pub fn p50_ms(&mut self) -> f64 {
-        self.percentile_ms(0.50)
-    }
-
     /// 99th percentile in milliseconds.
     pub fn p99_ms(&mut self) -> f64 {
         self.percentile_ms(0.99)
-    }
-
-    /// Maximum in milliseconds (0 when empty).
-    pub fn max_ms(&self) -> f64 {
-        self.samples_us.max() as f64 / 1_000.0
-    }
-}
-
-/// Throughput accounting over a measurement window.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Throughput {
-    /// Completed units (e.g. committed transactions).
-    pub completed: u64,
-    /// Window length.
-    pub elapsed: SimTime,
-}
-
-impl Throughput {
-    /// Units per second (0 for an empty window).
-    pub fn per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
     }
 }
 
@@ -150,52 +108,26 @@ mod tests {
         for v in [5, 1, 3, 2, 4] {
             l.record(SimTime::from_ms(v));
         }
-        assert_eq!(l.count(), 5);
         assert!((l.mean_ms() - 3.0).abs() < 1e-9);
-        assert!((l.p50_ms() - 3.0).abs() < 1e-9);
+        assert!((l.percentile_ms(0.5) - 3.0).abs() < 1e-9);
         assert!((l.percentile_ms(1.0) - 5.0).abs() < 1e-9);
         assert!((l.percentile_ms(0.0) - 1.0).abs() < 1e-9);
-        assert!((l.max_ms() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let mut l = LatencyStats::new();
-        assert_eq!(l.count(), 0);
         assert_eq!(l.mean_ms(), 0.0);
         assert_eq!(l.p99_ms(), 0.0);
-        assert_eq!(l.max_ms(), 0.0);
     }
 
     #[test]
     fn recording_after_percentile_resorts() {
         let mut l = LatencyStats::new();
         l.record(SimTime::from_ms(10));
-        let _ = l.p50_ms();
+        let _ = l.percentile_ms(0.5);
         l.record(SimTime::from_ms(1));
         assert!((l.percentile_ms(0.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_bridge_preserves_count_and_extremes() {
-        let mut l = LatencyStats::new();
-        for v in [5, 1, 3, 2, 4] {
-            l.record(SimTime::from_ms(v));
-        }
-        let snap = l.to_snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.min, 1_000);
-        assert_eq!(snap.max, 5_000);
-    }
-
-    #[test]
-    fn throughput_per_second() {
-        let t = Throughput {
-            completed: 500,
-            elapsed: SimTime::from_secs(2),
-        };
-        assert!((t.per_second() - 250.0).abs() < 1e-9);
-        assert_eq!(Throughput::default().per_second(), 0.0);
     }
 
     #[test]

@@ -31,9 +31,7 @@ use crate::time::SimTime;
 pub struct Station {
     /// `free_at` times of the `c` servers (min-heap: earliest-free first).
     servers: BinaryHeap<Reverse<SimTime>>,
-    jobs: u64,
     busy_time: SimTime,
-    wait_time: SimTime,
 }
 
 impl Station {
@@ -46,9 +44,7 @@ impl Station {
         assert!(servers > 0, "a station needs at least one server");
         Station {
             servers: (0..servers).map(|_| Reverse(SimTime::ZERO)).collect(),
-            jobs: 0,
             busy_time: SimTime::ZERO,
-            wait_time: SimTime::ZERO,
         }
     }
 
@@ -59,31 +55,8 @@ impl Station {
         let start = now.max(free_at);
         let done = start + service;
         self.servers.push(Reverse(done));
-        self.jobs += 1;
         self.busy_time += service;
-        self.wait_time += start - now;
         done
-    }
-
-    /// The earliest time a newly arriving job could begin service.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        let Reverse(free_at) = *self.servers.peek().expect("at least one server");
-        now.max(free_at)
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Cumulative service time across all jobs.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
-    }
-
-    /// Cumulative time jobs spent waiting for a free server.
-    pub fn wait_time(&self) -> SimTime {
-        self.wait_time
     }
 
     /// Mean utilization over `elapsed` of the station's aggregate capacity.
@@ -106,9 +79,7 @@ mod tests {
         assert_eq!(s.submit(SimTime(0), SimTime(5)), SimTime(5));
         assert_eq!(s.submit(SimTime(0), SimTime(5)), SimTime(10));
         assert_eq!(s.submit(SimTime(20), SimTime(5)), SimTime(25)); // idle gap
-        assert_eq!(s.jobs(), 3);
-        assert_eq!(s.busy_time(), SimTime(15));
-        assert_eq!(s.wait_time(), SimTime(5)); // only job 2 waited
+        assert_eq!(s.busy_time, SimTime(15)); // the idle gap is not service
     }
 
     #[test]
@@ -117,14 +88,6 @@ mod tests {
         assert_eq!(s.submit(SimTime(0), SimTime(10)), SimTime(10));
         assert_eq!(s.submit(SimTime(0), SimTime(10)), SimTime(10));
         assert_eq!(s.submit(SimTime(0), SimTime(10)), SimTime(20)); // third queues
-    }
-
-    #[test]
-    fn earliest_start_previews_queueing() {
-        let mut s = Station::new(1);
-        s.submit(SimTime(0), SimTime(100));
-        assert_eq!(s.earliest_start(SimTime(30)), SimTime(100));
-        assert_eq!(s.earliest_start(SimTime(200)), SimTime(200));
     }
 
     #[test]

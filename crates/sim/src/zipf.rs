@@ -21,7 +21,6 @@ pub const YCSB_ZIPFIAN_CONSTANT: f64 = 0.99;
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     items: u64,
-    theta: f64,
     zeta2theta: f64,
     alpha: f64,
     zetan: f64,
@@ -43,22 +42,12 @@ impl Zipfian {
     ///
     /// Panics if `items == 0`.
     pub fn new(items: u64) -> Self {
-        Self::with_theta(items, YCSB_ZIPFIAN_CONSTANT)
-    }
-
-    /// Creates a generator with an explicit skew parameter `theta < 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items == 0` or `theta` is not in `(0, 1)`.
-    pub fn with_theta(items: u64, theta: f64) -> Self {
         assert!(items > 0, "zipfian needs at least one item");
-        assert!((0.0..1.0).contains(&theta), "theta must be in (0, 1)");
+        let theta = YCSB_ZIPFIAN_CONSTANT;
         let zeta2theta = zeta_range(0, 2.min(items), theta, 0.0);
         let zetan = zeta_range(0, items, theta, 0.0);
         let mut z = Zipfian {
             items,
-            theta,
             zeta2theta,
             alpha: 1.0 / (1.0 - theta),
             zetan,
@@ -69,7 +58,7 @@ impl Zipfian {
     }
 
     fn recompute_eta(&mut self) {
-        self.eta = (1.0 - (2.0 / self.items as f64).powf(1.0 - self.theta))
+        self.eta = (1.0 - (2.0 / self.items as f64).powf(1.0 - YCSB_ZIPFIAN_CONSTANT))
             / (1.0 - self.zeta2theta / self.zetan);
     }
 
@@ -86,7 +75,7 @@ impl Zipfian {
         if items <= self.items {
             return;
         }
-        self.zetan = zeta_range(self.items, items, self.theta, self.zetan);
+        self.zetan = zeta_range(self.items, items, YCSB_ZIPFIAN_CONSTANT, self.zetan);
         self.items = items;
         self.recompute_eta();
     }
@@ -98,7 +87,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + 0.5f64.powf(YCSB_ZIPFIAN_CONSTANT) {
             return 1;
         }
         let rank = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -167,17 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn zipfian_theta_controls_skew() {
-        let mut mild = Zipfian::with_theta(1000, 0.5);
-        let mut hot = Zipfian::with_theta(1000, 0.99);
-        let mut rng1 = SimRng::new(2);
-        let mut rng2 = SimRng::new(2);
-        let mild_top = (0..20_000).filter(|_| mild.next(&mut rng1) == 0).count();
-        let hot_top = (0..20_000).filter(|_| hot.next(&mut rng2) == 0).count();
-        assert!(hot_top > mild_top * 2);
-    }
-
-    #[test]
     fn grow_matches_fresh_generator() {
         let mut grown = Zipfian::new(100);
         grown.grow(1000);
@@ -219,11 +197,5 @@ mod tests {
     #[should_panic(expected = "at least one item")]
     fn zero_items_rejected() {
         let _ = Zipfian::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "theta")]
-    fn bad_theta_rejected() {
-        let _ = Zipfian::with_theta(10, 1.5);
     }
 }

@@ -45,4 +45,4 @@ mod record;
 
 pub use bookie::{Bookie, BookieId};
 pub use ledger::{Ledger, LedgerConfig, LedgerObs, LedgerStats, SeqNo, WalError};
-pub use record::{decode_records, encode_record, DecodeError, TxnLogRecord};
+pub use record::{encode_record, TxnLogRecord};

@@ -1,20 +1,16 @@
-//! Property tests of the status-oracle core and its persistence layer.
+//! Property tests of the status-oracle core.
 //!
 //! Invariants checked over randomized schedules:
 //!
 //! * **Algorithm 3 is conservative**: a memory-bounded oracle never admits a
 //!   commit the exact (unbounded) oracle refuses, at any capacity.
-//! * **Recovery is conflict-faithful**: an oracle rebuilt from its WAL makes
-//!   the same decision on any pending commit request the original would.
 //! * **First-committer-wins**: of two conflicting requests, whichever
 //!   reaches the oracle first commits.
 //! * **Read-only requests never abort** and never consume commit
 //!   timestamps.
-//! * **WAL framing round-trips** arbitrary record contents.
 
 use proptest::prelude::*;
 use writesnap::core::{CommitRequest, IsolationLevel, RowId, StatusOracleCore, Timestamp};
-use writesnap::wal::{decode_records, encode_record, TxnLogRecord};
 
 /// A random transactional schedule over a small row space: each entry is
 /// (begin-slack, read rows, write rows); transactions are begun in order and
@@ -141,67 +137,6 @@ proptest! {
         let lose = oracle.commit(CommitRequest::new(second, vec![], rows(&[row])));
         prop_assert!(win.is_committed());
         prop_assert!(lose.is_aborted());
-    }
-
-    /// A recovered oracle decides identically on requests begun pre-crash.
-    #[test]
-    fn recovery_preserves_decisions(
-        schedule in schedule_strategy(),
-        probe_reads in prop::collection::vec(0u64..12, 0..4),
-        probe_writes in prop::collection::vec(0u64..12, 1..4),
-    ) {
-        let mut original = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        // A transaction in flight across the crash.
-        let in_flight = original.begin();
-        let outcomes = run_schedule(&mut original, &schedule);
-
-        // "Persist" every decision the original made, then replay in commit
-        // order. The WAL records carry the write sets; the commit table
-        // gives each scheduled transaction's commit timestamp.
-        let mut recovered = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
-        let mut commits: Vec<(usize, Timestamp, Timestamp)> = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &(start, _))| {
-                let commit = original.commit_table().status(start).commit_ts()?;
-                Some((idx, start, commit))
-            })
-            .collect();
-        commits.sort_by_key(|&(_, _, c)| c);
-        for (idx, start, commit) in commits {
-            let writes = rows(&schedule.txns[idx].2);
-            recovered.replay_commit(start, commit, &writes);
-        }
-        // Replay the timestamp reservation: the recovered oracle must never
-        // reissue a pre-crash timestamp.
-        recovered.advance_timestamps(original.last_issued_ts());
-
-        let probe = CommitRequest::new(in_flight, rows(&probe_reads), rows(&probe_writes));
-        let expected = original.commit(probe.clone());
-        let actual = recovered.commit(probe);
-        prop_assert_eq!(expected.is_committed(), actual.is_committed());
-    }
-
-    /// WAL record framing is lossless.
-    #[test]
-    fn wal_records_roundtrip(
-        start in 0u64..u64::MAX / 2,
-        commit_delta in 1u64..1000,
-        rows in prop::collection::vec(any::<u64>(), 0..64),
-        is_abort in any::<bool>(),
-    ) {
-        let record = if is_abort {
-            TxnLogRecord::Abort { start_ts: start }
-        } else {
-            TxnLogRecord::Commit {
-                start_ts: start,
-                commit_ts: start + commit_delta,
-                write_rows: rows,
-            }
-        };
-        let encoded = encode_record(&record);
-        let decoded = decode_records(&[encoded]).unwrap();
-        prop_assert_eq!(decoded, vec![record]);
     }
 
     /// Timestamps issued by an oracle are unique and strictly increasing,
