@@ -14,6 +14,10 @@
 //! | Zipfian performance / abort rate | Fig. 7 / 8 | [`experiments::fig7_fig8`] |
 //! | ZipfianLatest performance / abort rate | Fig. 9 / 10 | [`experiments::fig9_fig10`] |
 //!
+//! The simulation models time, not data: it stores no row values, no commit
+//! table and no log records. It charges for the commit table through
+//! [`CommitInfo`] and for the log through the oracle's batch triggers.
+//!
 //! The isolation logic inside the simulation is the *real* `wsi-core` state
 //! machine — abort rates are produced by actually running Algorithms 1–2
 //! over the generated keys, not by a statistical model.

@@ -16,9 +16,8 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use wsi_core::{CommitRequest, RowId, Timestamp};
-use wsi_kvstore::{DataCluster, VersionFate};
+use wsi_kvstore::DataCluster;
 use wsi_oracle::{FlushResult, OracleServer};
 use wsi_sim::{
     metrics::{LatencyStats, Point},
@@ -243,27 +242,17 @@ impl Runner {
                 }
             }
             Ev::OpAtServer { slot } => {
-                let (is_read, row, start_ts) = {
+                let (is_read, row) = {
                     let s = &self.slots[slot];
                     let reads = s.template.reads.len();
                     if s.op_idx < reads {
-                        (true, s.template.reads[s.op_idx], s.start_ts)
+                        (true, s.template.reads[s.op_idx])
                     } else {
-                        (false, s.template.writes[s.op_idx - reads], s.start_ts)
+                        (false, s.template.writes[s.op_idx - reads])
                     }
                 };
                 let done = if is_read {
                     let out = self.data.read(row, now);
-                    // Functional snapshot read through the client-replicated
-                    // commit table (the oracle's authoritative copy here).
-                    let core = self.oracle.core();
-                    let _ = self
-                        .data
-                        .get_visible(row, start_ts, &|ts: Timestamp| match core.status(ts) {
-                            wsi_core::TxnStatus::Committed(c) => VersionFate::Committed(c),
-                            wsi_core::TxnStatus::Pending => VersionFate::Pending,
-                            wsi_core::TxnStatus::Aborted => VersionFate::Aborted,
-                        });
                     if self.cfg.commit_info == CommitInfo::QueryOracle {
                         // No local replica: resolve the version's writer via
                         // a status query — client receives the read, asks the
@@ -276,10 +265,6 @@ impl Runner {
                     }
                     out.done
                 } else {
-                    // Uncommitted data goes straight into the data store,
-                    // tagged with the start timestamp (§2.2).
-                    self.data
-                        .apply_put(row, start_ts, Bytes::copy_from_slice(&row.to_le_bytes()));
                     // Rows at or beyond the preloaded key space are inserts.
                     let insert = row >= self.cfg.workload.rows;
                     self.data.write(row, now, insert)
@@ -366,14 +351,6 @@ impl Runner {
                         self.latency.record(txn_latency);
                     } else {
                         self.aborted += 1;
-                    }
-                }
-                if !committed && self.cfg.data_phase {
-                    // Abort cleanup: remove the invisible versions.
-                    let s = &self.slots[slot];
-                    let (start_ts, writes) = (s.start_ts, s.template.writes.clone());
-                    for row in writes {
-                        self.data.apply_remove(row, start_ts);
                     }
                 }
                 if committed && self.cfg.data_phase && self.cfg.commit_info == CommitInfo::WriteBack

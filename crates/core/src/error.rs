@@ -1,4 +1,4 @@
-//! Errors and commit outcomes.
+//! Errors, commit outcomes and transaction fates.
 
 use std::fmt;
 
@@ -184,6 +184,34 @@ impl CommitOutcome {
         match self {
             CommitOutcome::Committed(ts) => Ok(ts),
             CommitOutcome::Aborted(reason) => Err(Error::Aborted(reason)),
+        }
+    }
+}
+
+/// A transaction's fate, as a snapshot reader resolves it.
+///
+/// A reader skips a version whose writer is "(i) not committed yet, (ii)
+/// aborted, or (iii) committed with a commit timestamp larger than the start
+/// timestamp" (§2.2). The embedded store's registry of open transactions
+/// answers with this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxnStatus {
+    /// The transaction has neither committed nor aborted (in flight, or
+    /// unknown to the resolver).
+    Pending,
+    /// The transaction committed at the given timestamp.
+    Committed(Timestamp),
+    /// The transaction aborted.
+    Aborted,
+}
+
+impl TxnStatus {
+    /// Returns the commit timestamp, if committed.
+    #[inline]
+    pub fn commit_ts(self) -> Option<Timestamp> {
+        match self {
+            TxnStatus::Committed(ts) => Some(ts),
+            _ => None,
         }
     }
 }

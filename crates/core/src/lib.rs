@@ -56,7 +56,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-mod commit_table;
 mod concurrent;
 mod error;
 mod lastcommit;
@@ -66,9 +65,8 @@ mod row;
 pub mod ssi;
 mod ts;
 
-pub use commit_table::{CommitTable, TxnStatus};
 pub use concurrent::{ConcurrentOracle, DecisionGuard};
-pub use error::{AbortReason, CommitOutcome, Error, Result};
+pub use error::{AbortReason, CommitOutcome, Error, Result, TxnStatus};
 pub use lastcommit::{LastCommit, Probe};
 pub use oracle::{CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
 pub use policy::{

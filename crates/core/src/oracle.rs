@@ -3,8 +3,7 @@
 //! [`StatusOracleCore`] is the single-threaded core shared by every
 //! embedding in this workspace. It issues start timestamps, decides commit
 //! requests by running the paper's conflict-detection algorithms against a
-//! [`LastCommit`] table, and maintains the [`CommitTable`] that readers use to
-//! resolve snapshot visibility.
+//! [`LastCommit`] table.
 //!
 //! One state machine serves every isolation level because the levels differ
 //! only in what is certified at commit. Algorithms 1 and 2 differ in exactly
@@ -20,7 +19,6 @@
 use std::collections::BTreeSet;
 
 use crate::{
-    commit_table::{CommitTable, TxnStatus},
     error::{AbortReason, CommitOutcome},
     lastcommit::{LastCommit, Probe},
     policy::IsolationLevel,
@@ -288,7 +286,6 @@ pub struct StatusOracleCore {
     level: IsolationLevel,
     ts: TimestampSource,
     last_commit: LastCommit,
-    commit_table: CommitTable,
     counters: OracleCounters,
     /// What only serializable snapshot isolation needs; `None` at the other
     /// levels.
@@ -353,7 +350,6 @@ impl StatusOracleCore {
             level,
             ts: TimestampSource::new(),
             last_commit,
-            commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
             ssi: (level == IsolationLevel::SerializableSnapshot).then(SsiState::default),
         }
@@ -386,21 +382,20 @@ impl StatusOracleCore {
     /// dangerous-structure check.
     ///
     /// For write transactions the configured row set is probed against
-    /// `lastCommit`; on success a fresh commit timestamp is issued, the write
-    /// set is recorded, and the commit is registered in the commit table. On
-    /// conflict the transaction is registered as aborted.
+    /// `lastCommit`; on success a fresh commit timestamp is issued and the
+    /// write set is recorded. A conflict aborts the transaction.
     pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
         if let Some(ssi) = &mut self.ssi {
             ssi.active.remove(&req.start_ts);
         }
         if let Err(reason) = self.check(&req) {
-            return self.register_abort(req.start_ts, reason);
+            return self.register_abort(reason);
         }
         let stamp = match &mut self.ssi {
             None => None,
             Some(ssi) => match ssi.certify(&req, &mut self.ts) {
                 Ok(stamp) => stamp,
-                Err(reason) => return self.register_abort(req.start_ts, reason),
+                Err(reason) => return self.register_abort(reason),
             },
         };
         if req.is_read_only() {
@@ -413,7 +408,6 @@ impl StatusOracleCore {
             let evicted = self.last_commit.record(row, commit_ts);
             self.counters.evictions.add(evicted as u64);
         }
-        self.commit_table.record_commit(req.start_ts, commit_ts);
         self.counters.commits.inc();
         CommitOutcome::Committed(commit_ts)
     }
@@ -438,10 +432,9 @@ impl StatusOracleCore {
             ssi.active.remove(&start_ts);
         }
         self.counters.client_aborts.inc();
-        self.commit_table.record_abort(start_ts);
     }
 
-    fn register_abort(&mut self, start_ts: Timestamp, reason: AbortReason) -> CommitOutcome {
+    fn register_abort(&mut self, reason: AbortReason) -> CommitOutcome {
         match reason {
             AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
             AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
@@ -449,7 +442,6 @@ impl StatusOracleCore {
             AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
             AbortReason::ClientRequested => self.counters.client_aborts.inc(),
         }
-        self.commit_table.record_abort(start_ts);
         CommitOutcome::Aborted(reason)
     }
 
@@ -457,16 +449,6 @@ impl StatusOracleCore {
     #[cfg(test)]
     pub(crate) fn window_len(&self) -> usize {
         self.ssi.as_ref().map_or(0, |ssi| ssi.window.len())
-    }
-
-    /// Queries a transaction's status (§2.2 reader-side visibility support).
-    pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
-        self.commit_table.status(start_ts)
-    }
-
-    /// Read access to the commit table, e.g. to snapshot a client replica.
-    pub fn commit_table(&self) -> &CommitTable {
-        &self.commit_table
     }
 
     /// Current `T_max` (always [`Timestamp::ZERO`] for unbounded oracles).
@@ -723,7 +705,6 @@ mod tests {
         let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
         let t = o.begin();
         o.abort(t);
-        assert_eq!(o.status(t), TxnStatus::Aborted);
         assert_eq!(o.stats().client_aborts, 1);
     }
 }

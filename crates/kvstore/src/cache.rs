@@ -2,9 +2,9 @@
 //!
 //! HBase serves reads from an in-heap block cache; a miss loads an entire
 //! HFile block from HDFS — the source of the paper's 38.8 ms random-read
-//! latency, "the cost of loading an entire block from HDFS" (§6.2). Rows
-//! map to blocks by division: consecutive rows share a block, so scans are
-//! cache-friendly and zipfian hot rows pin their blocks.
+//! latency, "the cost of loading an entire block from HDFS" (§6.2). The
+//! model caches rows, not blocks (see [`crate::ServerConfig::paper_default`]),
+//! so zipfian hot rows stay resident.
 
 use std::collections::HashMap;
 

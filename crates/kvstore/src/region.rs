@@ -1,11 +1,8 @@
 //! Region routing: consecutive row ranges mapped to data servers.
 
-use bytes::Bytes;
-use wsi_core::Timestamp;
 use wsi_sim::{SimRng, SimTime};
 
 use crate::server::{ReadOutcome, RegionServer, ServerConfig};
-use crate::table::VersionLookup;
 
 /// Identifier of a region (and, with one region per server, of its server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,32 +100,6 @@ impl DataCluster {
         self.servers[idx].write(row, now, insert)
     }
 
-    /// Stores a version (functional state; timing via [`DataCluster::write`]).
-    pub fn apply_put(&mut self, row: u64, writer_start: Timestamp, value: Bytes) {
-        let RegionId(idx) = self.region_for(row);
-        self.servers[idx].store_mut().put(row, writer_start, value);
-    }
-
-    /// Removes an aborted writer's version.
-    pub fn apply_remove(&mut self, row: u64, writer_start: Timestamp) {
-        let RegionId(idx) = self.region_for(row);
-        self.servers[idx].store_mut().remove(row, writer_start);
-    }
-
-    /// Snapshot-reads the stored value (functional state).
-    pub fn get_visible<L: VersionLookup + ?Sized>(
-        &self,
-        row: u64,
-        reader_start: Timestamp,
-        lookup: &L,
-    ) -> Option<Bytes> {
-        let RegionId(idx) = self.region_for(row);
-        self.servers[idx]
-            .store()
-            .get(row, reader_start, lookup)
-            .cloned()
-    }
-
     /// Pre-warms every server's cache with the given rows, in priority
     /// order (most valuable first): models the steady-state cache contents
     /// of a long-running deployment without simulating hours of warm-up.
@@ -149,7 +120,6 @@ impl DataCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::VersionFate;
 
     fn cluster(servers: usize, rows: u64) -> DataCluster {
         DataCluster::new(
@@ -212,22 +182,6 @@ mod tests {
             "tail rows spread over {} servers",
             tail.len()
         );
-    }
-
-    #[test]
-    fn functional_put_get_roundtrip() {
-        let mut c = cluster(4, 100);
-        c.apply_put(42, Timestamp(1), Bytes::from_static(b"v"));
-        let lookup = |s: Timestamp| {
-            if s == Timestamp(1) {
-                VersionFate::Committed(Timestamp(2))
-            } else {
-                VersionFate::Pending
-            }
-        };
-        assert_eq!(c.get_visible(42, Timestamp(5), &lookup).unwrap(), "v");
-        c.apply_remove(42, Timestamp(1));
-        assert!(c.get_visible(42, Timestamp(5), &lookup).is_none());
     }
 
     #[test]

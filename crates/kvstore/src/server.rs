@@ -3,7 +3,6 @@
 use wsi_sim::{SimRng, SimTime, Station};
 
 use crate::cache::BlockCache;
-use crate::table::RegionStore;
 
 /// Region-server timing and sizing parameters.
 ///
@@ -25,10 +24,8 @@ pub struct ServerConfig {
     pub cache_hit_time: SimTime,
     /// Memstore append + WAL time for a write, beyond the handler.
     pub write_time: SimTime,
-    /// Block-cache capacity in blocks.
+    /// Cache capacity in rows.
     pub cache_blocks: usize,
-    /// Consecutive rows per HFile block.
-    pub rows_per_block: u64,
     /// Relative jitter applied to service times.
     pub jitter: f64,
     /// Deferred per-read CPU charged to the handler pool *after* the
@@ -69,7 +66,6 @@ impl ServerConfig {
             // budget (≈280 K rows ≈ 4 400 64-row blocks) reproduces the
             // steady-state hit rates of HBase's block cache.
             cache_blocks: 80_000,
-            rows_per_block: 1,
             jitter: 0.10,
             background_read_cpu: SimTime::from_us(4_500),
             background_write_cpu: SimTime::from_ms(3),
@@ -83,12 +79,12 @@ impl ServerConfig {
 pub struct ReadOutcome {
     /// When the response leaves the server.
     pub done: SimTime,
-    /// Whether the block cache served it.
+    /// Whether the cache served it.
     pub cache_hit: bool,
 }
 
-/// One data server: a range of rows, a block cache, handler and disk
-/// queues, and the functional version store.
+/// One data server: a range of rows, a row cache, and handler and disk
+/// queues.
 #[derive(Debug)]
 pub struct RegionServer {
     /// Server index within the cluster.
@@ -97,7 +93,6 @@ pub struct RegionServer {
     handler: Station,
     disk: Station,
     cache: BlockCache,
-    store: RegionStore,
     rng: SimRng,
 }
 
@@ -109,14 +104,9 @@ impl RegionServer {
             handler: Station::new(config.handlers),
             disk: Station::new(config.disks),
             cache: BlockCache::new(config.cache_blocks),
-            store: RegionStore::new(),
             rng,
             config,
         }
-    }
-
-    fn block_of(&self, row: u64) -> u64 {
-        row / self.config.rows_per_block
     }
 
     /// Times a read of `row` arriving at `now`.
@@ -125,7 +115,7 @@ impl RegionServer {
             .rng
             .jittered(self.config.handler_time, self.config.jitter);
         let after_handler = self.handler.submit(now, handler_time);
-        let hit = self.cache.access(self.block_of(row));
+        let hit = self.cache.access(row);
         let outcome = if hit {
             let extra = self
                 .rng
@@ -155,8 +145,8 @@ impl RegionServer {
         outcome
     }
 
-    /// Times a write arriving at `now` (memstore append; block cache is
-    /// write-through for the row's block, as a memstore read is a hit).
+    /// Times a write arriving at `now` (memstore append; the cache is
+    /// write-through for the row, as a memstore read is a hit).
     /// `insert` marks a write that creates a new row, which additionally
     /// pays the amortized flush/compaction cost.
     pub fn write(&mut self, row: u64, now: SimTime, insert: bool) -> SimTime {
@@ -164,7 +154,7 @@ impl RegionServer {
             .rng
             .jittered(self.config.handler_time, self.config.jitter);
         let after_handler = self.handler.submit(now, handler_time);
-        self.cache.access(self.block_of(row));
+        self.cache.access(row);
         let extra = self
             .rng
             .jittered(self.config.write_time, self.config.jitter);
@@ -181,20 +171,9 @@ impl RegionServer {
         done
     }
 
-    /// Pre-warms the block cache with `row` (steady-state initialization).
+    /// Pre-warms the cache with `row` (steady-state initialization).
     pub fn prewarm(&mut self, row: u64) {
-        let block = self.block_of(row);
-        self.cache.warm(block);
-    }
-
-    /// The functional version store (contents of this server's regions).
-    pub fn store(&self) -> &RegionStore {
-        &self.store
-    }
-
-    /// Mutable access to the functional version store.
-    pub fn store_mut(&mut self) -> &mut RegionStore {
-        &mut self.store
+        self.cache.warm(row);
     }
 
     /// Lifetime cache hit rate.
@@ -236,20 +215,6 @@ mod tests {
         let done = s.write(1, SimTime::ZERO, false);
         let ms = done.as_ms_f64();
         assert!((0.9..1.4).contains(&ms), "write took {ms} ms");
-    }
-
-    #[test]
-    fn rows_in_same_block_share_cache_entry() {
-        let mut cfg = ServerConfig::paper_default();
-        cfg.rows_per_block = 64;
-        let mut s = RegionServer::new(0, cfg, SimRng::new(7));
-        let first = s.read(0, SimTime::ZERO);
-        // Row 1 is in row 0's block (64 rows/block).
-        let neighbour = s.read(1, first.done);
-        assert!(neighbour.cache_hit);
-        // Row 64 is in the next block: a miss.
-        let far = s.read(64, first.done);
-        assert!(!far.cache_hit);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Property tests of the data-tier model: routing coverage, cache behavior
-//! against a reference LRU, and version storage against a naive model.
+//! against a reference LRU, and timing causality.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use wsi_core::Timestamp;
-use wsi_kvstore::{BlockCache, DataCluster, RegionStore, Routing, ServerConfig, VersionFate};
+use wsi_kvstore::{BlockCache, DataCluster, Routing, ServerConfig};
 use wsi_sim::SimRng;
 
 proptest! {
@@ -51,62 +49,6 @@ proptest! {
             }
         }
         prop_assert_eq!(cache.len(), reference.len());
-    }
-
-    /// RegionStore snapshot reads agree with a naive full-scan model.
-    #[test]
-    fn region_store_matches_naive_model(
-        // (row, writer_start, commits_at_delta or abort)
-        versions in prop::collection::vec(
-            (0u64..6, 1u64..50, prop::option::of(1u64..20)),
-            1..40,
-        ),
-        reader_start in 1u64..100,
-    ) {
-        let mut store = RegionStore::new();
-        // One writer per start timestamp: the oracle never reuses a start
-        // timestamp, so a start maps to exactly one transaction fate.
-        let mut seen = std::collections::HashSet::new();
-        let mut commit_seen = std::collections::HashSet::new();
-        let mut table: Vec<(u64, u64, Option<u64>)> = Vec::new();
-        for &(row, start, commit_delta) in &versions {
-            // The oracle issues start and commit timestamps from one
-            // monotonic counter: no two transactions share either.
-            let commit = commit_delta.map(|d| start + d);
-            if let Some(c) = commit {
-                if !commit_seen.insert(c) || seen.contains(&c) {
-                    continue;
-                }
-            }
-            if seen.insert(start) && !commit_seen.contains(&start) {
-                store.put(row, Timestamp(start), Bytes::from(format!("{row}@{start}")));
-                table.push((row, start, commit));
-            }
-        }
-        let lookup = |ts: Timestamp| {
-            table
-                .iter()
-                .find(|&&(_, s, _)| Timestamp(s) == ts)
-                .map(|&(_, _, commit)| match commit {
-                    Some(c) => VersionFate::Committed(Timestamp(c)),
-                    None => VersionFate::Aborted,
-                })
-                .unwrap_or(VersionFate::Pending)
-        };
-        for row in 0..6u64 {
-            // Naive model: the committed version with the largest commit
-            // timestamp strictly below the reader snapshot.
-            let expected = table
-                .iter()
-                .filter(|&&(r, _, c)| r == row && c.is_some())
-                .filter(|&&(_, _, c)| c.unwrap() < reader_start)
-                .max_by_key(|&&(_, _, c)| c.unwrap())
-                .map(|&(r, s, _)| format!("{r}@{s}"));
-            let actual = store
-                .get(row, Timestamp(reader_start), &lookup)
-                .map(|b| String::from_utf8(b.to_vec()).unwrap());
-            prop_assert_eq!(actual, expected, "row {}", row);
-        }
     }
 
     /// Reads and writes never complete before their arrival, and timing is

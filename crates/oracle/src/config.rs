@@ -2,7 +2,6 @@
 
 use wsi_core::IsolationLevel;
 use wsi_sim::SimTime;
-use wsi_wal::LedgerConfig;
 
 /// When the oracle flushes its buffered WAL records to the bookies.
 ///
@@ -50,7 +49,8 @@ pub struct OracleConfig {
     /// Critical-section cost of issuing a start timestamp (served from the
     /// reserved batch, no persistence).
     pub start_request: SimTime,
-    /// Latency of one replicated WAL batch write (BookKeeper quorum write).
+    /// Latency of one replicated WAL batch write (a quorum write to the
+    /// paper's 2 BookKeeper machines).
     /// Dominates the 4.1 ms commit latency of §6.2.
     pub wal_write: SimTime,
     /// Concurrent WAL writes in flight (BookKeeper pipelining); with
@@ -60,8 +60,6 @@ pub struct OracleConfig {
     pub batch: BatchPolicy,
     /// Timestamps reserved per WAL reservation record (§6.2: "thousands").
     pub ts_reservation: u64,
-    /// Replication shape of the ledger.
-    pub ledger: LedgerConfig,
 }
 
 impl OracleConfig {
@@ -80,11 +78,6 @@ impl OracleConfig {
             wal_pipeline: 80,
             batch: BatchPolicy::paper_default(),
             ts_reservation: 10_000,
-            ledger: LedgerConfig {
-                replicas: 2, // the paper's deployment: 2 BookKeeper machines
-                ack_quorum: 2,
-                flush_delay_us: 0,
-            },
         }
     }
 

@@ -1,21 +1,22 @@
-//! The status oracle server: conflict decisions, WAL persistence and the
-//! saturation cost model.
+//! The simulated status oracle server: conflict decisions, the WAL's batch
+//! timing and the saturation cost model.
 //!
 //! The lock-free scheme centralizes conflict detection in one server: "a
 //! single server, i.e., the status oracle, receives the commit requests
 //! accompanied by the set of the identifiers of modified rows" (§2.2) — and,
 //! under write-snapshot isolation, the read rows as well (§5). This crate
-//! wraps the pure [`wsi_core::StatusOracleCore`] state machine with
-//! everything the paper's deployment adds:
+//! wraps the pure [`wsi_core::StatusOracleCore`] state machine with the
+//! costs the paper's deployment adds. It charges for them in virtual time
+//! and keeps neither a commit table nor a log:
 //!
 //! * an **integrated timestamp oracle** that reserves timestamp batches
 //!   through the WAL so start requests never pay a persistence round trip
 //!   (§6.2: start-timestamp latency 0.17 ms vs 4.1 ms for commits);
-//! * **write-ahead logging** of every commit/abort through a
-//!   BookKeeper-like ledger with the paper's batch triggers — 1 KB of data
-//!   or 5 ms since the last trigger (Appendix A); a commit is acknowledged
-//!   only once its record is durable;
-//! * a **CPU cost model** for the cluster simulation: the conflict check
+//! * **write-ahead logging** of every commit/abort with the paper's batch
+//!   triggers — 1 KB of data or 5 ms since the last trigger (Appendix A); a
+//!   commit is acknowledged only once its batch's quorum write completes.
+//!   A decision adds only its record's size to the batch;
+//! * a **CPU cost model**: the conflict check
 //!   runs in a critical section (§6.3), and "the running time of the
 //!   critical section is slightly higher with write-snapshot isolation since
 //!   it requires loading as twice memory items as with snapshot isolation" —

@@ -2,9 +2,16 @@
 
 use wsi_core::{CommitOutcome, CommitRequest, IsolationLevel, StatusOracleCore, Timestamp};
 use wsi_sim::{SimTime, Station};
-use wsi_wal::{encode_record, Ledger, TxnLogRecord};
 
 use crate::config::OracleConfig;
+
+// Bytes one decision adds to the pending WAL batch, which is all the size
+// trigger reads: a tag byte and u64 timestamps. A commit carries its start
+// and commit timestamps and a u32 row count (the simulation logs no rows),
+// an abort its start timestamp, a timestamp reservation its upper bound.
+const COMMIT_RECORD_BYTES: usize = 21;
+const ABORT_RECORD_BYTES: usize = 9;
+const RESERVATION_RECORD_BYTES: usize = 9;
 
 /// Response to a start-timestamp request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,16 +51,17 @@ pub struct FlushResult {
 
 /// The status oracle with its integrated timestamp oracle (§6.2, §A).
 ///
-/// Functionally it is [`StatusOracleCore`] plus a replicated WAL; for the
-/// simulation it also charges virtual time: a single-server [`Station`]
-/// models the critical section and a pipelined station models BookKeeper.
+/// [`StatusOracleCore`] makes the decisions; the server charges virtual
+/// time: a single-server [`Station`] models the critical section and a
+/// pipelined station models BookKeeper. The WAL is modelled as time only:
+/// each decision adds its record's size to the pending batch, and nothing is
+/// stored.
 #[derive(Debug)]
 pub struct OracleServer {
     config: OracleConfig,
     core: StatusOracleCore,
     cpu: Station,
     wal_station: Station,
-    ledger: Ledger,
     /// Decisions whose records sit in the unflushed batch.
     pending: Vec<(Timestamp, CommitOutcome)>,
     /// Virtual time of the last batch trigger.
@@ -75,18 +83,12 @@ impl OracleServer {
             core,
             cpu: Station::new(1), // the critical section (§6.3)
             wal_station: Station::new(config.wal_pipeline),
-            ledger: Ledger::open(config.ledger),
             pending: Vec::new(),
             last_trigger: SimTime::ZERO,
             pending_bytes: 0,
             ts_reserved_upto: Timestamp::ZERO,
             config,
         }
-    }
-
-    /// Read access to the core state machine (status queries, `T_max`).
-    pub fn core(&self) -> &StatusOracleCore {
-        &self.core
     }
 
     /// Handles a start-timestamp request arriving at `now`.
@@ -101,7 +103,7 @@ impl OracleServer {
         let ts = self.core.begin();
         if ts >= self.ts_reserved_upto {
             let upto = Timestamp(ts.raw() + self.config.ts_reservation);
-            self.append_record(TxnLogRecord::TimestampReservation { upto: upto.raw() }, now);
+            self.pending_bytes += RESERVATION_RECORD_BYTES;
             self.ts_reserved_upto = upto;
         }
         StartResponse { ts, done }
@@ -114,7 +116,8 @@ impl OracleServer {
         self.cpu.submit(now, self.config.start_request)
     }
 
-    /// Handles a commit request arriving at `now` (Algorithms 1–3 plus WAL).
+    /// Handles a commit request arriving at `now` (Algorithms 1–3, then the
+    /// WAL batch).
     pub fn handle_commit(&mut self, now: SimTime, req: CommitRequest) -> CommitResponse {
         let checked = self
             .config
@@ -149,21 +152,11 @@ impl OracleServer {
             };
         }
 
-        // Persist the decision; the response waits for durability.
-        let record = match outcome {
-            CommitOutcome::Committed(commit_ts) => TxnLogRecord::Commit {
-                start_ts: start_ts.raw(),
-                commit_ts: commit_ts.raw(),
-                // `core.commit` consumed the row sets, and nothing replays
-                // the simulated log, so the record carries no rows: the
-                // batch trigger reads only its size.
-                write_rows: Vec::new(),
-            },
-            CommitOutcome::Aborted(_) => TxnLogRecord::Abort {
-                start_ts: start_ts.raw(),
-            },
+        // Log the decision; the response waits for durability.
+        self.pending_bytes += match outcome {
+            CommitOutcome::Committed(_) => COMMIT_RECORD_BYTES,
+            CommitOutcome::Aborted(_) => ABORT_RECORD_BYTES,
         };
-        self.append_record(record, cpu_done);
         self.pending.push((start_ts, outcome));
 
         // Batch trigger check (Appendix A): size, or ≥ 5 ms since the last
@@ -186,17 +179,13 @@ impl OracleServer {
         }
     }
 
-    fn append_record(&mut self, record: TxnLogRecord, now: SimTime) {
-        let bytes = encode_record(&record);
-        self.pending_bytes += bytes.len();
-        self.ledger.append(bytes, now.as_us());
-    }
-
     /// The deadline by which the pending batch must flush (the 5 ms time
     /// trigger), if anything is pending. The simulation schedules a flush
     /// event here unless a size trigger fires first.
     pub fn next_flush_deadline(&self) -> Option<SimTime> {
-        if self.pending.is_empty() && self.ledger.pending_records() == 0 {
+        // Every record has a non-zero size, so no pending bytes means no
+        // pending decision or reservation.
+        if self.pending_bytes == 0 {
             None
         } else {
             Some(SimTime::from_us(
@@ -213,11 +202,6 @@ impl OracleServer {
         self.last_trigger = now;
         self.pending_bytes = 0;
         let decisions = std::mem::take(&mut self.pending);
-        if self.ledger.pending_records() > 0 {
-            self.ledger
-                .flush(now.as_us())
-                .expect("simulated ledger quorum is healthy");
-        }
         let ready = self.wal_station.submit(now, self.config.wal_write);
         FlushResult { ready, decisions }
     }
@@ -309,11 +293,11 @@ mod tests {
     fn read_only_commit_responds_immediately_without_wal() {
         let mut o = OracleServer::new(cfg(IsolationLevel::WriteSnapshot));
         let s = o.handle_start(SimTime::from_ms(1));
-        let records_before = o.ledger.pending_records();
+        let bytes_before = o.pending_bytes;
         let r = o.handle_commit(SimTime::from_ms(1), CommitRequest::read_only(s.ts));
         assert!(r.outcome.is_committed());
         assert_eq!(r.ready, Some(r.cpu_done));
-        assert_eq!(o.ledger.pending_records(), records_before);
+        assert_eq!(o.pending_bytes, bytes_before);
     }
 
     #[test]
@@ -344,6 +328,31 @@ mod tests {
             o.handle_start(SimTime::from_ms(2));
         }
         assert_eq!(o.ts_reserved_upto, reserved);
-        assert_eq!(o.ledger.pending_records(), 1);
+        assert_eq!(o.pending_bytes, RESERVATION_RECORD_BYTES);
+    }
+
+    #[test]
+    fn decisions_add_their_record_sizes_to_the_batch() {
+        // A tag byte and u64 timestamps; a commit adds a u32 row count.
+        assert_eq!(COMMIT_RECORD_BYTES, 1 + 8 + 8 + 4);
+        assert_eq!(ABORT_RECORD_BYTES, 1 + 8);
+        assert_eq!(RESERVATION_RECORD_BYTES, 1 + 8);
+        let mut o = OracleServer::new(cfg(IsolationLevel::Snapshot));
+        // Inside the first 5 ms, so no time trigger empties the batch.
+        let now = SimTime::from_ms(1);
+        let t1 = o.handle_start(now).ts;
+        let t2 = o.handle_start(now).ts;
+        assert!(o
+            .handle_commit(now, CommitRequest::new(t1, vec![], rows(&[1])))
+            .outcome
+            .is_committed());
+        assert!(o
+            .handle_commit(now, CommitRequest::new(t2, vec![], rows(&[1])))
+            .outcome
+            .is_aborted());
+        assert_eq!(
+            o.pending_bytes,
+            RESERVATION_RECORD_BYTES + COMMIT_RECORD_BYTES + ABORT_RECORD_BYTES
+        );
     }
 }

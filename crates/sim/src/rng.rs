@@ -27,11 +27,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent stream labelled `stream`.
     pub fn fork(&self, stream: u64) -> SimRng {
         // SplitMix64-style mixing keeps forked seeds well-separated even for

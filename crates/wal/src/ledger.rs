@@ -35,9 +35,7 @@ impl std::fmt::Display for WalError {
 impl std::error::Error for WalError {}
 
 /// Configuration of a [`Ledger`]: the replication shape. When to flush is
-/// the owner's call — the embedded store flushes every group-commit round,
-/// the simulated status oracle on Appendix A's size and time triggers
-/// (`wsi-oracle`'s `BatchPolicy`).
+/// the owner's call; the embedded store flushes every group-commit round.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerConfig {
     /// Number of storage replicas (the paper's deployment uses 2 BookKeeper
@@ -371,7 +369,7 @@ impl Ledger {
     /// Every record that was ever acknowledged durable is guaranteed present
     /// as long as at most `replicas - ack_quorum` bookies are unreadable.
     /// Records from unacknowledged batches may also appear (they reached some
-    /// bookie) — recovering *more* than was promised is safe: the oracle
+    /// bookie) — recovering *more* than was promised is safe: the owner
     /// replays them as commits that simply were never reported to clients.
     pub fn recover(&self) -> Vec<Bytes> {
         let mut by_seq: BTreeMap<SeqNo, Bytes> = BTreeMap::new();

@@ -6,11 +6,8 @@
 //! transaction commit/abort is persisted in multiple remote storages"
 //! (§6). Appendix A gives the write path this crate reproduces:
 //!
-//! * entries **buffer** until their owner flushes them as one batch — the
-//!   embedded store at every group-commit round, the simulated status
-//!   oracle on Appendix A's triggers, "either by batch size, after 1 KB of
-//!   data is accumulated, or by time, after 5 ms since the last trigger"
-//!   (`wsi-oracle`'s `BatchPolicy`);
+//! * entries **buffer** until their owner, the embedded store (`wsi-store`),
+//!   flushes them as one batch at every group-commit round;
 //! * each batch is **replicated** to multiple storage replicas (*bookies*)
 //!   and acknowledged once a **quorum** has it;
 //! * after a crash, the log owner **recovers** the durable prefix from the
@@ -41,8 +38,6 @@
 
 mod bookie;
 mod ledger;
-mod record;
 
 pub use bookie::{Bookie, BookieId};
 pub use ledger::{Ledger, LedgerConfig, LedgerObs, LedgerStats, SeqNo, WalError};
-pub use record::{encode_record, TxnLogRecord};

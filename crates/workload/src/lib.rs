@@ -144,7 +144,6 @@ pub struct WorkloadGenerator {
     keys: KeyGen,
     /// Current key-space size (grows under zipfianLatest inserts).
     rows: u64,
-    generated: u64,
 }
 
 impl WorkloadGenerator {
@@ -165,18 +164,12 @@ impl WorkloadGenerator {
             spec,
             rng,
             keys,
-            generated: 0,
         }
     }
 
     /// Current key-space size (grows with inserts).
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// Transactions generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     fn next_key(&mut self) -> u64 {
@@ -198,7 +191,6 @@ impl WorkloadGenerator {
 
     /// Generates the next transaction.
     pub fn next_txn(&mut self) -> TxnTemplate {
-        self.generated += 1;
         let kind = match self.spec.mix {
             Mix::Complex => TxnKind::Complex,
             Mix::Mixed => {
@@ -248,7 +240,6 @@ impl std::fmt::Debug for WorkloadGenerator {
         f.debug_struct("WorkloadGenerator")
             .field("spec", &self.spec)
             .field("rows", &self.rows)
-            .field("generated", &self.generated)
             .finish()
     }
 }

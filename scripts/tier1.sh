@@ -79,9 +79,13 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 ./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
 
 # Non-test line counts of the version store's, the log's and the oracle's
-# sources and the byte sizes of the prose documents, for the record of what
+# sources, then of the simulator's cluster, region-server and status-oracle
+# models, and the byte sizes of the prose documents, for the record of what
 # a change added or removed. Informational: they gate nothing.
 scripts/loc.sh
 scripts/loc.sh crates/wal/src
 scripts/loc.sh crates/core/src
+scripts/loc.sh crates/cluster/src
+scripts/loc.sh crates/kvstore/src
+scripts/loc.sh crates/oracle/src
 scripts/prose.sh

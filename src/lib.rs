@@ -9,12 +9,12 @@
 //!
 //! This facade crate re-exports the workspace crates under stable paths:
 //!
-//! * [`core`] — timestamps, conflict-detection algorithms, commit table.
+//! * [`core`] — timestamps, conflict-detection algorithms, transaction fates.
 //! * [`store`] — the embedded transactional store (start here).
 //! * [`history`] — histories, anomalies, serializability checking.
 //! * [`sim`] — the discrete-event simulation kernel.
 //! * [`wal`] — the BookKeeper-like replicated write-ahead log.
-//! * [`kvstore`] — the HBase-like region-partitioned MVCC store model.
+//! * [`kvstore`] — the timing model of HBase-like region servers.
 //! * [`obs`] — lock-free metrics, exposition, and transaction tracing.
 //! * [`oracle`] — the status-oracle server model.
 //! * [`workload`] — the transactional YCSB-like workload generator.
