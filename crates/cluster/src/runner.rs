@@ -145,7 +145,7 @@ impl Runner {
         // are resident; under the uniform distribution popularity is flat,
         // so an arbitrary slice of the same size is resident.
         if cfg.data_phase && cfg.prewarm {
-            let budget = (cfg.servers * cfg.server.cache_blocks) as u64;
+            let budget = (cfg.servers * cfg.server.cache_rows) as u64;
             let rows = cfg.workload.rows;
             match cfg.workload.distribution {
                 wsi_workload::KeyDistribution::Uniform | wsi_workload::KeyDistribution::Zipfian => {

@@ -205,17 +205,6 @@ pub enum TxnStatus {
     Aborted,
 }
 
-impl TxnStatus {
-    /// Returns the commit timestamp, if committed.
-    #[inline]
-    pub fn commit_ts(self) -> Option<Timestamp> {
-        match self {
-            TxnStatus::Committed(ts) => Some(ts),
-            _ => None,
-        }
-    }
-}
-
 /// Errors surfaced by the core state machine and its embedders.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {

@@ -175,18 +175,6 @@ impl SharedTimestampSource {
         Timestamp(prev + 1)
     }
 
-    /// Issues `n` consecutive timestamps in one atomic step and returns the
-    /// first; the block is `first ..= first + n - 1`. A client that begins a
-    /// whole pipelined window at once takes one counter round-trip instead
-    /// of `n`. `n` must be non-zero.
-    #[inline]
-    pub fn next_block(&self, n: u64) -> Timestamp {
-        debug_assert!(n > 0, "an empty timestamp block has no first member");
-        let prev = self.last.fetch_add(n, Ordering::SeqCst);
-        assert!(prev.checked_add(n).is_some(), "timestamp counter overflow");
-        Timestamp(prev + 1)
-    }
-
     /// Returns the most recently issued timestamp, or [`Timestamp::ZERO`] if
     /// none has been issued yet.
     #[inline]

@@ -1,19 +1,19 @@
-//! LRU block cache.
+//! LRU row cache.
 //!
-//! HBase serves reads from an in-heap block cache; a miss loads an entire
-//! HFile block from HDFS — the source of the paper's 38.8 ms random-read
-//! latency, "the cost of loading an entire block from HDFS" (§6.2). The
+//! HBase serves reads from an in-heap row cache; a miss loads an entire
+//! HFile row from HDFS — the source of the paper's 38.8 ms random-read
+//! latency, "the cost of loading an entire row from HDFS" (§6.2). The
 //! model caches rows, not blocks (see [`crate::ServerConfig::paper_default`]),
-//! so zipfian hot rows stay resident.
+//! so zipfian hot rows stay resident: every key here is a row identifier.
 
 use std::collections::HashMap;
 
-/// An LRU set of block identifiers with O(log n) operations.
+/// An LRU set of row identifiers with O(log n) operations.
 ///
-/// Recency is tracked with a logical clock: `last_used` per block plus an
-/// ordered index from `(last_used, block)` for eviction.
+/// Recency is tracked with a logical clock: `last_used` per row plus an
+/// ordered index from `(last_used, row)` for eviction.
 #[derive(Debug, Clone)]
-pub struct BlockCache {
+pub struct RowCache {
     capacity: usize,
     clock: u64,
     last_used: HashMap<u64, u64>,
@@ -22,13 +22,13 @@ pub struct BlockCache {
     misses: u64,
 }
 
-impl BlockCache {
-    /// Creates a cache holding at most `capacity` blocks.
+impl RowCache {
+    /// Creates a cache holding at most `capacity` rows.
     ///
     /// A zero capacity is allowed and models a cacheless server (every read
     /// misses).
     pub fn new(capacity: usize) -> Self {
-        BlockCache {
+        RowCache {
             capacity,
             clock: 0,
             last_used: HashMap::new(),
@@ -38,14 +38,14 @@ impl BlockCache {
         }
     }
 
-    /// Touches `block`, returning `true` on a hit. On a miss the block is
+    /// Touches `row`, returning `true` on a hit. On a miss the row is
     /// admitted (evicting the least recently used if full).
-    pub fn access(&mut self, block: u64) -> bool {
+    pub fn access(&mut self, row: u64) -> bool {
         self.clock += 1;
-        if let Some(&prev) = self.last_used.get(&block) {
-            self.by_age.remove(&(prev, block));
-            self.by_age.insert((self.clock, block));
-            self.last_used.insert(block, self.clock);
+        if let Some(&prev) = self.last_used.get(&row) {
+            self.by_age.remove(&(prev, row));
+            self.by_age.insert((self.clock, row));
+            self.last_used.insert(row, self.clock);
             self.hits += 1;
             return true;
         }
@@ -59,15 +59,15 @@ impl BlockCache {
                 self.last_used.remove(&victim);
             }
         }
-        self.last_used.insert(block, self.clock);
-        self.by_age.insert((self.clock, block));
+        self.last_used.insert(row, self.clock);
+        self.by_age.insert((self.clock, row));
         false
     }
 
-    /// Admits `block` without counting a hit or miss — used to pre-warm the
+    /// Admits `row` without counting a hit or miss — used to pre-warm the
     /// cache to its steady-state contents before measurement starts.
-    pub fn warm(&mut self, block: u64) {
-        if self.capacity == 0 || self.last_used.contains_key(&block) {
+    pub fn warm(&mut self, row: u64) {
+        if self.capacity == 0 || self.last_used.contains_key(&row) {
             return;
         }
         self.clock += 1;
@@ -77,11 +77,11 @@ impl BlockCache {
                 self.last_used.remove(&victim);
             }
         }
-        self.last_used.insert(block, self.clock);
-        self.by_age.insert((self.clock, block));
+        self.last_used.insert(row, self.clock);
+        self.by_age.insert((self.clock, row));
     }
 
-    /// Blocks currently resident.
+    /// Rows currently resident.
     pub fn len(&self) -> usize {
         self.last_used.len()
     }
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn hit_after_admit() {
-        let mut c = BlockCache::new(2);
+        let mut c = RowCache::new(2);
         assert!(!c.access(1));
         assert!(c.access(1));
         assert_eq!((c.hits, c.misses), (1, 1));
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = BlockCache::new(2);
+        let mut c = RowCache::new(2);
         c.access(1);
         c.access(2);
         c.access(1); // 2 is now LRU
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn warm_admits_without_counting() {
-        let mut c = BlockCache::new(4);
+        let mut c = RowCache::new(4);
         c.warm(1);
         c.warm(1); // idempotent
         assert_eq!((c.hits, c.misses), (0, 0));
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_never_hits() {
-        let mut c = BlockCache::new(0);
+        let mut c = RowCache::new(0);
         assert!(!c.access(1));
         assert!(!c.access(1));
         assert!(c.is_empty());
@@ -147,9 +147,9 @@ mod tests {
 
     #[test]
     fn skewed_access_gets_high_hit_rate() {
-        // 90% of accesses to 10 hot blocks, cache of 16: hot set stays
+        // 90% of accesses to 10 hot rows, cache of 16: hot set stays
         // resident despite a cold scan mixing in.
-        let mut c = BlockCache::new(16);
+        let mut c = RowCache::new(16);
         let mut cold = 1000u64;
         for i in 0..10_000u64 {
             if i % 10 == 9 {

@@ -22,6 +22,6 @@ mod cache;
 mod region;
 mod server;
 
-pub use cache::BlockCache;
+pub use cache::RowCache;
 pub use region::{DataCluster, RegionId, Routing};
 pub use server::{ReadOutcome, RegionServer, ServerConfig};

@@ -2,7 +2,7 @@
 
 use wsi_sim::{SimRng, SimTime, Station};
 
-use crate::cache::BlockCache;
+use crate::cache::RowCache;
 
 /// Region-server timing and sizing parameters.
 ///
@@ -25,7 +25,7 @@ pub struct ServerConfig {
     /// Memstore append + WAL time for a write, beyond the handler.
     pub write_time: SimTime,
     /// Cache capacity in rows.
-    pub cache_blocks: usize,
+    pub cache_rows: usize,
     /// Relative jitter applied to service times.
     pub jitter: f64,
     /// Deferred per-read CPU charged to the handler pool *after* the
@@ -65,7 +65,7 @@ impl ServerConfig {
             // would dilute 25×. One entry per row with the equivalent byte
             // budget (≈280 K rows ≈ 4 400 64-row blocks) reproduces the
             // steady-state hit rates of HBase's block cache.
-            cache_blocks: 80_000,
+            cache_rows: 80_000,
             jitter: 0.10,
             background_read_cpu: SimTime::from_us(4_500),
             background_write_cpu: SimTime::from_ms(3),
@@ -92,7 +92,7 @@ pub struct RegionServer {
     config: ServerConfig,
     handler: Station,
     disk: Station,
-    cache: BlockCache,
+    cache: RowCache,
     rng: SimRng,
 }
 
@@ -103,7 +103,7 @@ impl RegionServer {
             id,
             handler: Station::new(config.handlers),
             disk: Station::new(config.disks),
-            cache: BlockCache::new(config.cache_blocks),
+            cache: RowCache::new(config.cache_rows),
             rng,
             config,
         }

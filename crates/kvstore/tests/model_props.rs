@@ -2,7 +2,7 @@
 //! against a reference LRU, and timing causality.
 
 use proptest::prelude::*;
-use wsi_kvstore::{BlockCache, DataCluster, Routing, ServerConfig};
+use wsi_kvstore::{DataCluster, Routing, RowCache, ServerConfig};
 use wsi_sim::SimRng;
 
 proptest! {
@@ -30,20 +30,20 @@ proptest! {
         }
     }
 
-    /// The block cache agrees with a straightforward reference LRU.
+    /// The row cache agrees with a straightforward reference LRU.
     #[test]
     fn cache_matches_reference_lru(
         capacity in 1usize..16,
         accesses in prop::collection::vec(0u64..32, 1..200),
     ) {
-        let mut cache = BlockCache::new(capacity);
+        let mut cache = RowCache::new(capacity);
         let mut reference: Vec<u64> = Vec::new(); // most recent at the back
-        for &block in &accesses {
-            let expect_hit = reference.contains(&block);
-            let hit = cache.access(block);
-            prop_assert_eq!(hit, expect_hit, "block {}", block);
-            reference.retain(|&b| b != block);
-            reference.push(block);
+        for &row in &accesses {
+            let expect_hit = reference.contains(&row);
+            let hit = cache.access(row);
+            prop_assert_eq!(hit, expect_hit, "row {}", row);
+            reference.retain(|&b| b != row);
+            reference.push(row);
             if reference.len() > capacity {
                 reference.remove(0);
             }

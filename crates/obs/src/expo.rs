@@ -1,6 +1,5 @@
-//! Exposition: Prometheus text format and JSON, plus a parser for the
-//! Prometheus rendering (used for round-trip testing and by tooling that
-//! wants to diff two scrapes).
+//! Exposition: the Prometheus text format, plus a parser for it (used for
+//! round-trip testing and by tooling that wants to diff two scrapes).
 
 use std::collections::BTreeMap;
 
@@ -85,57 +84,6 @@ impl Snapshot {
             out.push_str(&format!("{name}_min {}\n", h.min_for_display()));
             out.push_str(&format!("{name}_max {}\n", h.max));
         }
-        out
-    }
-
-    /// Renders as a single JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`, with
-    /// per-histogram count/sum/min/max/mean, interpolated p50/p90/p99, and
-    /// the non-empty `[upper_bound, count]` bucket pairs.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        out.push_str(&render_scalar_map(&self.counters));
-        out.push_str("},\n  \"gauges\": {");
-        out.push_str(&render_scalar_map(&self.gauges));
-        out.push_str("},\n  \"histograms\": {");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"buckets\": [",
-                h.count,
-                h.sum,
-                h.min_for_display(),
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            ));
-            let mut first_bucket = true;
-            for (i, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first_bucket {
-                    out.push_str(", ");
-                }
-                first_bucket = false;
-                match bucket_bounds(i).1 {
-                    Some(upper) => out.push_str(&format!("[{upper}, {n}]")),
-                    None => out.push_str(&format!("[null, {n}]")),
-                }
-            }
-            out.push_str("]}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
         out
     }
 
@@ -270,22 +218,6 @@ fn bucket_for_upper(upper: u64) -> Option<usize> {
     }
 }
 
-fn render_scalar_map(map: &BTreeMap<String, u64>) -> String {
-    let mut out = String::new();
-    let mut first = true;
-    for (name, value) in map {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{name}\": {value}"));
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,15 +261,6 @@ mod tests {
         snap.histograms.insert("tail_us".into(), h.snapshot());
         let parsed = Snapshot::parse_prometheus(&snap.render_prometheus()).unwrap();
         assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn json_rendering_contains_quantiles_and_buckets() {
-        let snap = sample_snapshot();
-        let json = snap.render_json();
-        assert!(json.contains("\"commits_total\": 10"));
-        assert!(json.contains("\"p99\""));
-        assert!(json.contains("\"buckets\": [[0, 1]"));
     }
 
     #[test]

@@ -342,23 +342,6 @@ impl ExactHistogram {
     pub fn max(&self) -> u64 {
         self.samples.iter().copied().max().unwrap_or(0)
     }
-
-    /// Folds every sample into a bucketed [`HistogramSnapshot`] — the bridge
-    /// from exact simulator data to the shared exposition pipeline.
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot::empty();
-        for &v in &self.samples {
-            snap.buckets[bucket_index(v)] += 1;
-            snap.count += 1;
-            snap.sum = snap.sum.wrapping_add(v);
-            snap.min = snap.min.min(v);
-            snap.max = snap.max.max(v);
-        }
-        if snap.count == 0 {
-            snap.min = 0;
-        }
-        snap
-    }
 }
 
 #[cfg(test)]
@@ -460,17 +443,5 @@ mod tests {
         // Recording after a percentile re-sorts.
         e.record(0);
         assert_eq!(e.percentile(0.0), 0);
-    }
-
-    #[test]
-    fn exact_to_snapshot_agrees_on_count_sum_bounds() {
-        let mut e = ExactHistogram::new();
-        for v in [7u64, 100, 100_000] {
-            e.record(v);
-        }
-        let snap = e.to_snapshot();
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.sum, 100_107);
-        assert_eq!((snap.min, snap.max), (7, 100_000));
     }
 }

@@ -660,27 +660,6 @@ impl Journal {
         out
     }
 
-    /// The last `n` live events, in order.
-    pub fn tail(&self, n: usize) -> Vec<Event> {
-        let out = self.snapshot();
-        let skip = out.len().saturating_sub(n);
-        out[skip..].to_vec()
-    }
-
-    /// The last `n` live events rendered one per line (for panic messages
-    /// and crash dumps).
-    pub fn render_tail(&self, n: usize) -> String {
-        let mut s = String::new();
-        for event in self.tail(n) {
-            s.push_str(&event.render());
-            s.push('\n');
-        }
-        if self.dropped() > 0 {
-            s.push_str(&format!("({} older events dropped)\n", self.dropped()));
-        }
-        s
-    }
-
     /// Joins the victim's and culprit's event streams into one causal
     /// timeline. `None` if no abort event for `txn` is live in the rings.
     pub fn explain_abort(&self, txn: u64) -> Option<AbortExplanation> {
@@ -716,59 +695,6 @@ impl Journal {
             culprits,
             timeline,
         })
-    }
-
-    /// Renders the live window in the Chrome `trace_event` JSON format
-    /// (load the output in `chrome://tracing` or Perfetto). Transactions
-    /// appear as async `b`/`e` spans keyed by start timestamp; every event
-    /// is also an instant with its payload in `args`.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut s = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for e in self.snapshot() {
-            let (kind, a, b, c) = e.data.encode();
-            let _ = c;
-            // Async span delimiters for transaction lifetimes.
-            let span = match e.data {
-                EventData::Begin => Some("b"),
-                EventData::Commit { .. } | EventData::ReadOnlyCommit | EventData::Abort(_) => {
-                    Some("e")
-                }
-                _ => None,
-            };
-            if let Some(ph) = span {
-                if e.txn != 0 {
-                    if !first {
-                        s.push(',');
-                    }
-                    first = false;
-                    s.push_str(&format!(
-                        "{{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"{ph}\",\
-                         \"id\":{},\"ts\":{},\"pid\":1,\"tid\":1}}",
-                        e.txn, e.ts_us
-                    ));
-                }
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{\"seqno\":{},\"txn\":{},\
-                 \"kind\":{},\"a\":{},\"b\":{}}}}}",
-                e.data.name(),
-                e.ts_us,
-                e.txn.min(u32::MAX as u64),
-                e.seqno,
-                e.txn,
-                kind,
-                a,
-                b,
-            ));
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -1042,39 +968,5 @@ mod tests {
             .windows(2)
             .all(|w| (w[0].seqno, w[0].txn) < (w[1].seqno, w[1].txn)));
         assert_eq!(j.recorded(), 80_000);
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let j = Journal::new();
-        j.record(5, EventData::Begin);
-        j.record(5, EventData::Commit { commit_ts: 6 });
-        j.record(
-            0,
-            EventData::WalFlush {
-                records: 1,
-                acked: 3,
-            },
-        );
-        let trace = j.chrome_trace_json();
-        assert!(trace.starts_with("{\"traceEvents\":["));
-        assert!(trace.ends_with("]}"));
-        assert!(trace.contains("\"ph\":\"b\""));
-        assert!(trace.contains("\"ph\":\"e\""));
-        assert!(trace.contains("\"ph\":\"i\""));
-        assert!(trace.contains("\"name\":\"wal_flush\""));
-    }
-
-    #[test]
-    fn tail_returns_the_most_recent_events() {
-        let j = Journal::new();
-        for i in 0..20u64 {
-            j.record(i, EventData::Begin);
-        }
-        let tail = j.tail(5);
-        assert_eq!(tail.len(), 5);
-        assert_eq!(tail[0].txn, 15);
-        let text = j.render_tail(3);
-        assert_eq!(text.lines().count(), 3);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's evaluation (§6.3, Appendix A) rests on knowing *where*
 //! commit-path time goes: how many `lastCommit` items each conflict check
 //! loads (WSI reads ≈ 2× SI's), how many commits share each WAL flush (the
-//! batching factor), and what fraction of reads the block cache absorbs.
+//! batching factor), and what fraction of reads the row cache absorbs.
 //! This crate is the shared measurement layer every runtime crate reports
 //! through:
 //!
@@ -23,11 +23,9 @@
 //! * [`Journal`] — the flight recorder: an always-on, lock-free ring of
 //!   structured lifecycle events (begin, per-row conflict-check verdicts,
 //!   WAL flush, publish, GC and reclamation, and aborts with culprit
-//!   attribution), with [`Journal::explain_abort`] forensics and a Chrome
-//!   `trace_event` exporter.
+//!   attribution), with [`Journal::explain_abort`] forensics.
 //! * [`Snapshot`] — point-in-time exposition: [`Snapshot::render_prometheus`]
-//!   (text format, parseable back via [`Snapshot::parse_prometheus`]) and
-//!   [`Snapshot::render_json`].
+//!   (text format, parseable back via [`Snapshot::parse_prometheus`]).
 //!
 //! # Example
 //!
@@ -65,17 +63,3 @@ pub use journal::{
 };
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
-
-/// Takes a point-in-time [`Snapshot`] of every metric in `registry`.
-///
-/// Convenience free function mirroring [`Registry::snapshot`].
-pub fn snapshot(registry: &Registry) -> Snapshot {
-    registry.snapshot()
-}
-
-/// Renders every metric in `registry` in the Prometheus text format.
-///
-/// Convenience free function: `registry.snapshot().render_prometheus()`.
-pub fn render_prometheus(registry: &Registry) -> String {
-    registry.snapshot().render_prometheus()
-}

@@ -88,7 +88,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -237,9 +237,6 @@ impl Loc {
 struct Slot {
     /// Allocation generation; bumped on free (ABA protection).
     gen: AtomicU32,
-    /// The writing transaction's registry shard, where a reader looks up
-    /// its fate until the stamp lands (it sits in `gen`'s padding).
-    shard: AtomicU8,
     /// The writing transaction's start timestamp (raw).
     writer_start: AtomicU64,
     /// Eager commit stamp (raw); `0` = not stamped (timestamp 0 is never
@@ -260,7 +257,6 @@ impl Default for Slot {
     fn default() -> Self {
         Slot {
             gen: AtomicU32::new(0),
-            shard: AtomicU8::new(0),
             writer_start: AtomicU64::new(0),
             committed_at: AtomicU64::new(0),
             next: AtomicU64::new(NULL_VIDX),
@@ -299,9 +295,6 @@ struct PackedNode {
     next: AtomicU64,
     /// Writer start timestamps (raw), per entry.
     ws: [AtomicU64; PACK_CAP],
-    /// Writer registry shards, per entry: claimed entries are unstamped
-    /// until their owners stamp them.
-    shards: [AtomicU8; PACK_CAP],
     /// Commit stamps (raw; 0 = unstamped), per entry. Contiguous, so the
     /// in-node search never leaves two cache lines.
     cts: [AtomicU64; PACK_CAP],
@@ -318,7 +311,6 @@ impl Default for PackedNode {
             dead: AtomicU64::new(0),
             next: AtomicU64::new(NULL_VIDX),
             ws: std::array::from_fn(|_| AtomicU64::new(0)),
-            shards: std::array::from_fn(|_| AtomicU8::new(0)),
             cts: std::array::from_fn(|_| AtomicU64::new(0)),
             vals: std::array::from_fn(|_| SpinMutex::new(None)),
         }
@@ -528,11 +520,10 @@ impl<N: PoolNode> Pool<N> {
 
 impl Pool<Slot> {
     /// Allocates a slot initialized as an unstamped, unlinked version.
-    fn alloc_version(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
+    fn alloc_version(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
         let (handle, slot) = self.alloc();
         slot.writer_start
             .store(writer_start.raw(), Ordering::Relaxed);
-        slot.shard.store(shard as u8, Ordering::Relaxed);
         slot.committed_at.store(0, Ordering::Relaxed);
         slot.next.store(NULL_VIDX, Ordering::Relaxed);
         *slot.value.lock() = value;
@@ -543,13 +534,12 @@ impl Pool<Slot> {
 impl Pool<PackedNode> {
     /// Allocates a spill node holding exactly one freshly-claimed (so far
     /// unsorted, unstamped) version. The caller links and CAS-publishes it.
-    fn alloc_spill(&self, writer_start: Timestamp, shard: usize, value: Option<Bytes>) -> u64 {
+    fn alloc_spill(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
         let (handle, node) = self.alloc();
         node.sorted.store(0, Ordering::Relaxed);
         node.dead.store(0, Ordering::Relaxed);
         node.next.store(NULL_VIDX, Ordering::Relaxed);
         node.ws[0].store(writer_start.raw(), Ordering::Relaxed);
-        node.shards[0].store(shard as u8, Ordering::Relaxed);
         node.cts[0].store(0, Ordering::Relaxed);
         *node.vals[0].lock() = value;
         node.occ.store((1u64 << 32) | 1, Ordering::Relaxed);
@@ -614,14 +604,12 @@ impl<'a> Node<'a> {
             Node::Single(h, slot) => Version {
                 loc: Loc::Single(h),
                 writer: &slot.writer_start,
-                shard: &slot.shard,
                 stamp: &slot.committed_at,
                 value: &slot.value,
             },
             Node::Packed(h, node) => Version {
                 loc: Loc::Packed(h, i),
                 writer: &node.ws[i],
-                shard: &node.shards[i],
                 stamp: &node.cts[i],
                 value: &node.vals[i],
             },
@@ -651,8 +639,6 @@ fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
 struct Version<'a> {
     loc: Loc,
     writer: &'a AtomicU64,
-    /// The writer's registry shard, where a resolver looks its fate up.
-    shard: &'a AtomicU8,
     stamp: &'a AtomicU64,
     value: &'a SpinMutex<Option<Bytes>>,
 }
@@ -692,7 +678,7 @@ impl Version<'_> {
     /// the owner can stamp and deregister, which drops its registry entry,
     /// so the resolver answers `Pending` for a commit the snapshot must
     /// see. Those steps are ordered — stamp, deregister, the resolver's
-    /// lookup, the last two under the writer's registry shard lock — so
+    /// lookup, the last two under the registry lock — so
     /// the `Acquire` re-load after that lookup sees the stamp.
     #[inline]
     fn fate<R: VersionResolver + ?Sized>(&self, resolver: &R) -> TxnStatus {
@@ -701,7 +687,7 @@ impl Version<'_> {
             return TxnStatus::Committed(Timestamp(stamped));
         }
         let writer = Timestamp(self.writer());
-        let status = resolver.resolve(writer, self.shard.load(Ordering::Relaxed) as usize);
+        let status = resolver.resolve(writer);
         if matches!(status, TxnStatus::Committed(_)) {
             return status;
         }
@@ -1136,17 +1122,15 @@ impl ArenaStore {
     }
 
     /// Batch insert (commit apply / WAL replay) by the writer registered at
-    /// `writer_start` in registry shard `shard` (any shard for a replayed
-    /// writer, which stamps before anyone reads). `rows[i]` is
-    /// [`hash_row_key`] of `writes[i]`'s key,
-    /// which the caller holds for the conflict check anyway. Keys within a
-    /// batch must be distinct (commit applies and WAL records materialize a
+    /// `writer_start` (a replayed writer stamps before anyone reads).
+    /// `rows[i]` is [`hash_row_key`] of `writes[i]`'s key, which the caller
+    /// holds for the conflict check anyway. Keys within a batch must be
+    /// distinct (commit applies and WAL records materialize a
     /// per-transaction write *map*, so they are): a writer never meets its
     /// own version in a chain.
     pub(crate) fn insert_versions(
         &self,
         writer_start: Timestamp,
-        shard: usize,
         rows: &[RowId],
         writes: &[(Bytes, Option<Bytes>)],
     ) {
@@ -1154,19 +1138,12 @@ impl ArenaStore {
         for (rows, writes) in rows.chunks(WARM_BATCH).zip(writes.chunks(WARM_BATCH)) {
             self.table.warm(rows);
             for (&row, (key, value)) in rows.iter().zip(writes) {
-                self.insert_one(key, row, writer_start, shard, value.clone());
+                self.insert_one(key, row, writer_start, value.clone());
             }
         }
     }
 
-    fn insert_one(
-        &self,
-        key: &Bytes,
-        row: RowId,
-        writer_start: Timestamp,
-        shard: usize,
-        value: Option<Bytes>,
-    ) {
+    fn insert_one(&self, key: &Bytes, row: RowId, writer_start: Timestamp, value: Option<Bytes>) {
         let (idx, entry) = self.table.find_or_create(key, row);
         let mut single: Option<u64> = None;
         let mut spill: Option<u64> = None;
@@ -1176,13 +1153,12 @@ impl ArenaStore {
                 // Hot chain: claim a spare slot in the head node — the head
                 // pointer itself never moves on this path.
                 let node = self.packed.get(head);
-                if let Some(i) = Self::try_claim(node, writer_start, shard, &value) {
+                if let Some(i) = Self::try_claim(node, writer_start, &value) {
                     break Loc::Packed(head, i);
                 }
                 // Head node full or sealed: spill a fresh packed node.
-                let sp = *spill.get_or_insert_with(|| {
-                    self.packed.alloc_spill(writer_start, shard, value.clone())
-                });
+                let sp = *spill
+                    .get_or_insert_with(|| self.packed.alloc_spill(writer_start, value.clone()));
                 self.packed.get(sp).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
@@ -1192,10 +1168,8 @@ impl ArenaStore {
                     break Loc::Packed(sp, 0);
                 }
             } else {
-                let s = *single.get_or_insert_with(|| {
-                    self.singles
-                        .alloc_version(writer_start, shard, value.clone())
-                });
+                let s = *single
+                    .get_or_insert_with(|| self.singles.alloc_version(writer_start, value.clone()));
                 self.singles.get(s).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
@@ -1257,7 +1231,6 @@ impl ArenaStore {
     fn try_claim(
         node: &PackedNode,
         writer_start: Timestamp,
-        shard: usize,
         value: &Option<Bytes>,
     ) -> Option<usize> {
         loop {
@@ -1273,7 +1246,6 @@ impl ArenaStore {
             {
                 let i = claims as usize;
                 node.ws[i].store(writer_start.raw(), Ordering::Relaxed);
-                node.shards[i].store(shard as u8, Ordering::Relaxed);
                 node.cts[i].store(0, Ordering::Relaxed);
                 *node.vals[i].lock() = value.clone();
                 node.occ.fetch_or(1u64 << (32 + i), Ordering::Release);
@@ -2096,7 +2068,7 @@ impl ArenaStore {
     /// Inserts one (invisible) version: allocate or claim, link, publish.
     /// A writer writes a key at most once, as through `insert_versions`.
     pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
-        self.insert_one(&key, hash_row_key(&key), writer_start, 0, value);
+        self.insert_one(&key, hash_row_key(&key), writer_start, value);
     }
 
     /// Number of keys with at least one published version, by full walk:
@@ -2221,10 +2193,10 @@ mod tests {
     #[test]
     fn arena_recycles_slots_with_fresh_generations() {
         let arena = Pool::<Slot>::new();
-        let a = arena.alloc_version(Timestamp(1), 0, Some(b("x")));
+        let a = arena.alloc_version(Timestamp(1), Some(b("x")));
         let slot_idx = VersionIdx::slot(a);
         arena.free(a);
-        let c = arena.alloc_version(Timestamp(2), 0, Some(b("y")));
+        let c = arena.alloc_version(Timestamp(2), Some(b("y")));
         assert_eq!(VersionIdx::slot(c), slot_idx, "slot recycled");
         assert_eq!(
             VersionIdx::generation(c),
@@ -2236,10 +2208,10 @@ mod tests {
     #[test]
     fn packed_arena_recycles_nodes_with_fresh_generations() {
         let packed = Pool::<PackedNode>::new();
-        let a = packed.alloc_spill(Timestamp(1), 0, Some(b("x")));
+        let a = packed.alloc_spill(Timestamp(1), Some(b("x")));
         assert!(is_packed(a));
         packed.free(a);
-        let c = packed.alloc_spill(Timestamp(2), 0, Some(b("y")));
+        let c = packed.alloc_spill(Timestamp(2), Some(b("y")));
         assert_eq!(VersionIdx::slot(c), VersionIdx::slot(a), "node recycled");
         assert_eq!(VersionIdx::generation(c), VersionIdx::generation(a) + 1);
         let node = packed.get(c);
@@ -2254,14 +2226,14 @@ mod tests {
     fn racing(store: &ArenaStore) -> impl Fn(Timestamp) -> TxnStatus + '_ {
         let ts = SharedTimestampSource::resuming_after(Timestamp(2));
         let registry = crate::registry::ActiveTxnRegistry::new();
-        let (writer, shard) = registry.register(&ts);
-        assert_eq!(registry.commit(writer, shard, &ts), Timestamp(4));
+        let writer = registry.register(&ts);
+        assert_eq!(registry.commit(writer, &ts), Timestamp(4));
         move |start: Timestamp| {
             if start == writer && registry.count() > 0 {
                 store.stamp_keys(writer, Timestamp(4), [&b("k")]);
-                registry.deregister(writer, shard);
+                registry.deregister(writer);
             }
-            registry.resolve(start, shard)
+            registry.resolve(start)
         }
     }
 

@@ -11,7 +11,7 @@
 //!   the conflict check, the commit timestamp and the oracle bookkeeping —
 //!   the paper's one critical section.
 //! * `begin` never takes any oracle lock: start timestamps come from a
-//!   shared atomic counter via the lock-striped
+//!   shared atomic counter under the lock of the
 //!   [`registry::ActiveTxnRegistry`], with §6.2 batched reservation records
 //!   amortizing WAL writes for the counter.
 //! * With a WAL ([`DbOptions::durable`]), append + flush run in the
@@ -20,8 +20,8 @@
 //!   and is acknowledged only once its batch is durable; a quorum loss
 //!   overturns the decision before any reader could observe it. Without a
 //!   WAL a commit is published at decide time.
-//! * Read-only commits and rollbacks touch no lock at all beyond their
-//!   registry shard.
+//! * Read-only commits and rollbacks touch no lock at all beyond the
+//!   registry's.
 //! * [`IsolationLevel::SerializableSnapshot`] is the same engine with one
 //!   more certifier: after the oracle's write-write check passes, the
 //!   commit is put to the dangerous-structure window
@@ -31,8 +31,8 @@
 //!   under the other two levels both paths pay one `is_none()` branch.
 //!
 //! The lock hierarchy is strict and acyclic: the decision lock, then the
-//! SSI window, may be held while taking the writer's registry shard lock or
-//! the pipeline's queue lock, never the reverse. See `DESIGN.md` for the
+//! SSI window, may be held while taking the registry lock or the pipeline's
+//! queue lock, never the reverse. See `DESIGN.md` for the
 //! full protocol argument.
 
 use std::collections::{BTreeMap, HashSet};
@@ -278,7 +278,6 @@ impl Db {
             wal_obs.register_in(&obs.registry);
         }
         mvcc.obs().register_in(&obs.registry);
-        registry.register_in(&obs.registry);
         let window = (options.isolation == IsolationLevel::SerializableSnapshot)
             .then(|| Mutex::new(SsiWindow::new()));
         Db {
@@ -389,7 +388,7 @@ impl Db {
                         continue;
                     }
                     let rows: Vec<RowId> = writes.iter().map(|(k, _)| hash_row_key(k)).collect();
-                    db.inner.mvcc.insert_versions(start_ts, 0, &rows, &writes);
+                    db.inner.mvcc.insert_versions(start_ts, &rows, &writes);
                     db.inner
                         .mvcc
                         .stamp_commit(start_ts, commit_ts, &rows, &writes);
@@ -421,7 +420,7 @@ impl Db {
             let writes = [(e.key.clone(), e.value.clone())];
             self.inner
                 .mvcc
-                .insert_versions(e.writer_start, 0, &rows, &writes);
+                .insert_versions(e.writer_start, &rows, &writes);
             self.inner
                 .mvcc
                 .stamp_commit(e.writer_start, e.commit_ts, &rows, &writes);
@@ -432,8 +431,7 @@ impl Db {
 
     /// Begins a transaction reading from the current snapshot.
     pub fn begin(&self) -> Transaction {
-        let (start_ts, shard) = self.begin_ts();
-        Transaction::new(Arc::clone(&self.inner), start_ts, shard)
+        Transaction::new(Arc::clone(&self.inner), self.begin_ts())
     }
 
     /// Takes a read-only [`Snapshot`] of the current state: shared-reference
@@ -445,18 +443,17 @@ impl Db {
     /// order of the committed transactions produces (the read-only anomaly
     /// a read-only [`Transaction`] is aborted for).
     pub fn snapshot(&self) -> Snapshot {
-        let (start_ts, shard) = self.begin_ts();
-        Snapshot::new(Arc::clone(&self.inner), start_ts, shard)
+        Snapshot::new(Arc::clone(&self.inner), self.begin_ts())
     }
 
     /// Issues a start timestamp without taking any oracle lock: an atomic
-    /// fetch-add under a registry shard lock, a
+    /// fetch-add under the registry lock, a
     /// reservation record every [`TS_RESERVE_BATCH`] begins, and — only
     /// while a durable commit is decided-but-unpublished — the pipeline's
     /// snapshot-stability gate.
-    fn begin_ts(&self) -> (Timestamp, usize) {
+    fn begin_ts(&self) -> Timestamp {
         self.inner.counters.begins.inc();
-        let (start_ts, shard) = self.inner.registry.register(&self.inner.ts);
+        let start_ts = self.inner.registry.register(&self.inner.ts);
         // No journal event here: `Begin` is journaled on the transaction's
         // first buffered write (see `Transaction::put`). Under SI/WSI a
         // transaction that never writes can never conflict, never aborts,
@@ -469,7 +466,7 @@ impl Db {
             }
             pipeline.wait_snapshot_stable(start_ts);
         }
-        (start_ts, shard)
+        start_ts
     }
 
     /// Runs `body` in a transaction, retrying on conflict aborts with
@@ -601,7 +598,6 @@ impl Db {
     pub(crate) fn commit_txn(
         &self,
         start_ts: Timestamp,
-        shard: usize,
         read_rows: Vec<RowId>,
         writes: BTreeMap<Bytes, Option<Bytes>>,
         began_us: u64,
@@ -614,7 +610,7 @@ impl Db {
                     if let Some(pipeline) = &self.inner.pipeline {
                         pipeline.push_abort(start_ts);
                     }
-                    self.inner.registry.deregister(start_ts, shard);
+                    self.inner.registry.deregister(start_ts);
                     obs.journal
                         .record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
                     return Err(Error::Aborted(reason));
@@ -625,7 +621,7 @@ impl Db {
             // transaction shifted to its start point (Figure 3), hence the
             // start timestamp as commit timestamp.
             self.inner.counters.read_only_commits.inc();
-            self.inner.registry.deregister(start_ts, shard);
+            self.inner.registry.deregister(start_ts);
             obs.journal
                 .record(start_ts.raw(), EventData::ReadOnlyCommit);
             return Ok(start_ts);
@@ -633,7 +629,7 @@ impl Db {
 
         // Apply the writes as invisible versions before entering the
         // critical section (the Omid scheme: data reaches the store tagged
-        // with the start timestamp and registry shard; visibility is flipped
+        // with the start timestamp; visibility is flipped
         // by the fate in the registry entry). One Arc'd batch serves the
         // version store, the conflict check, the WAL encoder, and the
         // rollback path.
@@ -641,7 +637,7 @@ impl Db {
         let write_rows: Vec<RowId> = batch.iter().map(|(k, _)| hash_row_key(k)).collect();
         self.inner
             .mvcc
-            .insert_versions(start_ts, shard, &write_rows, &batch);
+            .insert_versions(start_ts, &write_rows, &batch);
         let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
@@ -672,12 +668,12 @@ impl Db {
                         // the pipeline's critical section so new snapshots
                         // gate on it (visibility waits for durability).
                         Some(pipeline) => {
-                            pipeline.push_sync(&self.inner.ts, start_ts, shard, Arc::clone(&batch))
+                            pipeline.push_sync(&self.inner.ts, start_ts, Arc::clone(&batch))
                         }
                         // No WAL: published immediately; the timestamp is
-                        // issued inside the writer's registry shard lock so
-                        // no reader can observe it before the fate is set.
-                        None => self.inner.registry.commit(start_ts, shard, &self.inner.ts),
+                        // issued inside the registry lock so no reader can
+                        // observe it before the fate is set.
+                        None => self.inner.registry.commit(start_ts, &self.inner.ts),
                     };
                     if let Some(admitted) = admitted {
                         admitted.record(commit_ts);
@@ -687,9 +683,7 @@ impl Db {
                 }
                 Err(reason) => {
                     guard.abort_checked(reason);
-                    self.inner
-                        .registry
-                        .settle(start_ts, shard, TxnStatus::Aborted);
+                    self.inner.registry.settle(start_ts, TxnStatus::Aborted);
                     if let Some(pipeline) = pipeline {
                         pipeline.push_abort(start_ts);
                     }
@@ -734,7 +728,7 @@ impl Db {
                 // out, while registration still covers the sweep's
                 // lock-free prefetch walks.
                 self.inner.mvcc.collect_share(&self.inner.registry);
-                self.inner.registry.deregister(start_ts, shard);
+                self.inner.registry.deregister(start_ts);
                 self.tick();
                 Ok(commit_ts)
             }
@@ -745,7 +739,7 @@ impl Db {
                 self.inner
                     .mvcc
                     .remove_versions(start_ts, &write_rows, &batch);
-                self.inner.registry.deregister(start_ts, shard);
+                self.inner.registry.deregister(start_ts);
                 Err(e)
             }
         };
@@ -819,9 +813,9 @@ impl Db {
     /// no reader can ask for its fate, and it never contributed
     /// `lastCommit` state, so the conflict checker has nothing to learn
     /// from it.
-    pub(crate) fn rollback_txn(&self, start_ts: Timestamp, shard: usize, wrote: bool) {
+    pub(crate) fn rollback_txn(&self, start_ts: Timestamp, wrote: bool) {
         self.inner.counters.client_aborts.inc();
-        self.inner.registry.deregister(start_ts, shard);
+        self.inner.registry.deregister(start_ts);
         // A transaction's journal stream starts at its first write (see
         // `Transaction::put`); rolling back a transaction that never wrote
         // is a non-event for conflict forensics.
@@ -902,11 +896,11 @@ impl Db {
     /// at a fresh watermark. Its [`GcStats`] count its own sweep only, not
     /// what the shares collected before it.
     ///
-    /// The watermark is computed by the registry with every shard locked,
-    /// so no begin can issue a smaller snapshot concurrently — the mark is
-    /// a true lower bound for all current and future readers. A `lastCommit`
-    /// row at or below it can never fail a conflict check again, so
-    /// forgetting it changes no decision.
+    /// The watermark is computed under the registry lock, so no begin can
+    /// issue a smaller snapshot concurrently — the mark is a true lower
+    /// bound for all current and future readers. A `lastCommit` row at or
+    /// below it can never fail a conflict check again, so forgetting it
+    /// changes no decision.
     pub fn gc(&self) -> GcStats {
         // The sweep registers like a reader: its chain prefetch walks
         // without the entry lock.
@@ -1020,9 +1014,9 @@ impl Db {
     /// timestamp it is passed, so the version store frees no node `f` can
     /// still reach.
     fn registered<T>(&self, f: impl FnOnce(Timestamp) -> T) -> T {
-        let (start_ts, shard) = self.inner.registry.register(&self.inner.ts);
+        let start_ts = self.inner.registry.register(&self.inner.ts);
         let out = f(start_ts);
-        self.inner.registry.deregister(start_ts, shard);
+        self.inner.registry.deregister(start_ts);
         out
     }
 
@@ -1058,7 +1052,7 @@ impl Db {
     /// Renders every registered metric in Prometheus text exposition
     /// format, the footprint gauges set first.
     pub fn render_prometheus(&self) -> String {
-        wsi_obs::render_prometheus(self.obs_registry())
+        self.obs_registry().snapshot().render_prometheus()
     }
 
     /// The flight-recorder journal; always `Some`. Every layer records into

@@ -44,15 +44,13 @@ use wsi_core::{Timestamp, TxnStatus};
 /// Implemented by the active-transaction registry; injected so this layer
 /// stays independent of concurrency-control policy.
 pub(crate) trait VersionResolver {
-    /// Status of the transaction that started at `writer_start`, registered
-    /// in registry shard `shard` (recorded in the version beside its
-    /// writer start).
-    fn resolve(&self, writer_start: Timestamp, shard: usize) -> TxnStatus;
+    /// Status of the transaction that started at `writer_start`.
+    fn resolve(&self, writer_start: Timestamp) -> TxnStatus;
 }
 
 /// A resolver keyed by writer start alone, for tests without a registry.
 impl<F: Fn(Timestamp) -> TxnStatus> VersionResolver for F {
-    fn resolve(&self, writer_start: Timestamp, _shard: usize) -> TxnStatus {
+    fn resolve(&self, writer_start: Timestamp) -> TxnStatus {
         self(writer_start)
     }
 }
@@ -442,7 +440,10 @@ mod tests {
         let commits = |key: &str| -> Vec<(u64, u64)> {
             (0..50u64)
                 .filter(|&i| key_of(i) == key)
-                .filter_map(|i| fate(i).commit_ts().map(|ts| (ts.raw(), i)))
+                .filter_map(|i| match fate(i) {
+                    TxnStatus::Committed(ts) => Some((ts.raw(), i)),
+                    _ => None,
+                })
                 .collect()
         };
         let keys: Vec<String> = (0..40).map(|k| format!("key-{k:03}")).collect();

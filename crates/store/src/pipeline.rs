@@ -103,8 +103,6 @@ pub(crate) struct PublishCtx<'a> {
 /// A decided commit awaiting persistence.
 struct PendingCommit {
     start_ts: Timestamp,
-    /// The committer's registry shard, where the leader sets its fate.
-    shard: usize,
     commit_ts: Timestamp,
     batch: WriteBatch,
 }
@@ -285,7 +283,6 @@ impl CommitPipeline {
         &self,
         ts: &SharedTimestampSource,
         start_ts: Timestamp,
-        shard: usize,
         batch: WriteBatch,
     ) -> Timestamp {
         let mut inner = self.inner.lock();
@@ -293,7 +290,6 @@ impl CommitPipeline {
         let commit_ts = ts.next();
         inner.queue.push_back(PendingCommit {
             start_ts,
-            shard,
             commit_ts,
             batch,
         });
@@ -612,7 +608,7 @@ impl CommitPipeline {
                 // were gated until now.
                 for c in &commits {
                     ctx.registry
-                        .settle(c.start_ts, c.shard, TxnStatus::Committed(c.commit_ts));
+                        .settle(c.start_ts, TxnStatus::Committed(c.commit_ts));
                     self.journal().record(
                         c.start_ts.raw(),
                         EventData::Publish {
@@ -640,7 +636,7 @@ impl CommitPipeline {
                 }
                 for c in &commits {
                     ctx.oracle.abort_after_decide();
-                    ctx.registry.settle(c.start_ts, c.shard, TxnStatus::Aborted);
+                    ctx.registry.settle(c.start_ts, TxnStatus::Aborted);
                     append(&mut ledger, record::encode_abort(c.start_ts));
                     self.journal().record(
                         c.start_ts.raw(),

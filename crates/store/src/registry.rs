@@ -1,14 +1,13 @@
-//! Lock-striped registry of in-flight transactions, and the store's one
-//! record of a transaction's fate.
+//! Registry of in-flight transactions, and the store's one record of a
+//! transaction's fate.
 //!
 //! The seed design tracked active transactions in a `BTreeMap` inside the
 //! manager's critical section, which put every `begin` — a pure
 //! timestamp-issue operation the paper costs at "a few memory operations"
 //! (§6.3) — behind the same mutex as conflict detection. This registry
-//! removes `begin` from that critical section entirely: a start timestamp is
-//! drawn from the shared lock-free counter and recorded under one of
-//! [`SHARDS`] independent shard locks, so concurrent begins contend only
-//! 1/[`SHARDS`] of the time and never with committers.
+//! removes `begin` from that critical section: a start timestamp is drawn
+//! from the shared lock-free counter and recorded under the registry's own
+//! lock, which committers take only to set a fate.
 //!
 //! Each entry carries its transaction's fate (pending, committed at a
 //! timestamp, or aborted), and the registry is the [`VersionResolver`] of
@@ -26,21 +25,17 @@
 //! chain node once the watermark passes the tag drawn after its unlink: a
 //! chain walk runs inside a registered transaction, snapshot or sweep, so
 //! one that could still stand on the node holds the watermark at or below
-//! the tag (DESIGN.md §6). [`ActiveTxnRegistry::watermark`] locks *all*
-//! shards, which closes the seed's GC race — a begin can no longer slip
-//! between the watermark read and the sweep, because timestamps are issued
-//! while a shard lock is held.
+//! the tag (DESIGN.md §6). [`ActiveTxnRegistry::watermark`] reads the set
+//! under the registry lock, which closes the seed's GC race — a begin can
+//! no longer slip between the watermark read and the sweep, because start
+//! timestamps are issued while that lock is held.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use wsi_core::{SharedTimestampSource, Timestamp, TxnStatus};
 
 use crate::mvcc::VersionResolver;
-
-/// Number of independent shard locks.
-pub(crate) const SHARDS: usize = 16;
 
 /// A value on a cache line of its own, so the threads writing it never
 /// invalidate a line other threads read for something else.
@@ -48,118 +43,90 @@ pub(crate) const SHARDS: usize = 16;
 #[repr(align(64))]
 pub(crate) struct OwnLine<T>(pub(crate) T);
 
-/// Striped map of active transactions: start timestamp → fate.
+/// Map of active transactions: start timestamp → fate.
 #[derive(Debug)]
 pub(crate) struct ActiveTxnRegistry {
-    shards: Vec<Mutex<BTreeMap<u64, TxnStatus>>>,
-    /// Round-robin shard cursor. Every `begin` on every thread bumps it, so
-    /// wherever the embedding struct places the registry it must not share
-    /// a line with fields every commit reads: when it did, `txn_e2e`'s
-    /// `zipf_complex_2t` lost 4 % throughput and 6 % p50 (EXPERIMENTS.md,
-    /// "Why there is one commit-decision backend").
-    next_shard: OwnLine<AtomicUsize>,
-    /// Counts `register` calls that found their shard lock held (begin-path
-    /// contention), exported as `store_registry_shard_contention_total`.
-    contention: wsi_obs::Counter,
+    /// Every `begin` on every thread writes the lock and the map's root, so
+    /// wherever the embedding struct places the registry they must not
+    /// share a line with fields every commit reads: when a begin-bumped
+    /// cursor did, `txn_e2e`'s `zipf_complex_2t` lost 4 % throughput and
+    /// 6 % p50 (EXPERIMENTS.md, "Why there is one commit-decision backend").
+    live: OwnLine<Mutex<BTreeMap<u64, TxnStatus>>>,
 }
 
 impl ActiveTxnRegistry {
     pub(crate) fn new() -> Self {
         ActiveTxnRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            next_shard: OwnLine(AtomicUsize::new(0)),
-            contention: wsi_obs::Counter::new(),
+            live: OwnLine(Mutex::new(BTreeMap::new())),
         }
     }
 
-    /// Registers the contention counter in `registry`.
-    pub(crate) fn register_in(&self, registry: &wsi_obs::Registry) {
-        registry.register_counter("store_registry_shard_contention_total", &self.contention);
-    }
-
-    /// Issues a start timestamp and registers it as active and pending,
-    /// returning the timestamp and the shard that holds it (needed to
-    /// settle, look up and deregister it).
+    /// Issues a start timestamp and registers it as active and pending.
     ///
-    /// The timestamp is issued *while the shard lock is held* so that
-    /// [`ActiveTxnRegistry::watermark`], which locks every shard, can never
-    /// observe a timestamp as issued-but-unregistered: any begin still
-    /// mid-registration blocks the watermark until its timestamp is in the
-    /// set.
-    pub(crate) fn register(&self, ts: &SharedTimestampSource) -> (Timestamp, usize) {
-        let shard = self.next_shard.0.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        let mut set = match self.shards[shard].try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.contention.inc();
-                self.shards[shard].lock()
-            }
-        };
+    /// The timestamp is issued *while the registry lock is held* so that
+    /// [`ActiveTxnRegistry::watermark`], which takes the same lock, can
+    /// never observe a timestamp as issued-but-unregistered: any begin
+    /// still mid-registration blocks the watermark until its timestamp is
+    /// in the set.
+    pub(crate) fn register(&self, ts: &SharedTimestampSource) -> Timestamp {
+        let mut live = self.live.0.lock();
         let start_ts = ts.next();
-        set.insert(start_ts.raw(), TxnStatus::Pending);
-        (start_ts, shard)
+        live.insert(start_ts.raw(), TxnStatus::Pending);
+        start_ts
     }
 
     /// Issues a commit timestamp for a registered transaction and records
-    /// the commit, both under its shard lock: any snapshot that observes
+    /// the commit, both under the registry lock: any snapshot that observes
     /// `S > commit_ts` drew `S` after this critical section began, and
     /// looks the fate up under the same lock, so it reads the commit.
-    pub(crate) fn commit(
-        &self,
-        start_ts: Timestamp,
-        shard: usize,
-        ts: &SharedTimestampSource,
-    ) -> Timestamp {
-        let mut set = self.shards[shard].lock();
+    pub(crate) fn commit(&self, start_ts: Timestamp, ts: &SharedTimestampSource) -> Timestamp {
+        let mut live = self.live.0.lock();
         let commit_ts = ts.next();
-        let prev = set.insert(start_ts.raw(), TxnStatus::Committed(commit_ts));
+        let prev = live.insert(start_ts.raw(), TxnStatus::Committed(commit_ts));
         debug_assert_eq!(prev, Some(TxnStatus::Pending), "fate settled twice");
         commit_ts
     }
 
     /// Records the fate of a registered transaction decided elsewhere: a
     /// refused commit, or a durable one's outcome once its batch is flushed.
-    pub(crate) fn settle(&self, start_ts: Timestamp, shard: usize, fate: TxnStatus) {
-        let prev = self.shards[shard].lock().insert(start_ts.raw(), fate);
+    pub(crate) fn settle(&self, start_ts: Timestamp, fate: TxnStatus) {
+        let prev = self.live.0.lock().insert(start_ts.raw(), fate);
         debug_assert_eq!(prev, Some(TxnStatus::Pending), "fate settled twice");
     }
 
     /// Removes a finished transaction, and its fate with it: the owner has
     /// stamped or removed its versions by now.
-    pub(crate) fn deregister(&self, start_ts: Timestamp, shard: usize) {
-        let removed = self.shards[shard].lock().remove(&start_ts.raw());
+    pub(crate) fn deregister(&self, start_ts: Timestamp) {
+        let removed = self.live.0.lock().remove(&start_ts.raw());
         debug_assert!(removed.is_some(), "transaction deregistered twice");
     }
 
     /// Number of in-flight transactions.
     pub(crate) fn count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.live.0.lock().len()
     }
 
     /// The GC low-water mark: the minimum active start timestamp, or one
     /// past the last issued timestamp when nothing is in flight.
     ///
-    /// Holds every shard lock (acquired in fixed index order) for the
-    /// duration of the computation; see [`ActiveTxnRegistry::register`] for
-    /// why this makes the result a true lower bound on every current *and
-    /// future* snapshot.
+    /// Holds the registry lock for the duration of the computation; see
+    /// [`ActiveTxnRegistry::register`] for why this makes the result a true
+    /// lower bound on every current *and future* snapshot.
     pub(crate) fn watermark(&self, ts: &SharedTimestampSource) -> Timestamp {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        guards
-            .iter()
-            .filter_map(|g| g.first_key_value().map(|(&start, _)| start))
-            .min()
-            .map(Timestamp)
+        let live = self.live.0.lock();
+        live.first_key_value()
+            .map(|(&start, _)| Timestamp(start))
             .unwrap_or_else(|| ts.last_issued().next())
     }
 }
 
 impl VersionResolver for ActiveTxnRegistry {
-    /// The fate of the writer registered at `writer_start` in `shard`, or
-    /// `Pending` once it has deregistered — by then it has stamped what it
+    /// The fate of the writer registered at `writer_start`, or `Pending`
+    /// once it has deregistered — by then it has stamped what it
     /// committed, which the caller re-reads.
-    fn resolve(&self, writer_start: Timestamp, shard: usize) -> TxnStatus {
-        self.shards[shard]
+    fn resolve(&self, writer_start: Timestamp) -> TxnStatus {
+        self.live
+            .0
             .lock()
             .get(&writer_start.raw())
             .copied()
@@ -177,28 +144,32 @@ mod tests {
     fn register_deregister_roundtrip() {
         let ts = SharedTimestampSource::new();
         let reg = ActiveTxnRegistry::new();
-        let (a, sa) = reg.register(&ts);
-        let (b, sb) = reg.register(&ts);
+        let a = reg.register(&ts);
+        let b = reg.register(&ts);
         assert!(b > a, "timestamps stay strictly monotonic");
         assert_eq!(reg.count(), 2);
         assert_eq!(reg.watermark(&ts), a);
-        reg.deregister(a, sa);
+        reg.deregister(a);
         assert_eq!(reg.watermark(&ts), b);
-        reg.deregister(b, sb);
+        reg.deregister(b);
         assert_eq!(reg.count(), 0);
         assert_eq!(reg.watermark(&ts), ts.last_issued().next());
     }
 
     #[test]
-    fn watermark_is_min_across_shards() {
+    fn watermark_is_the_oldest_live_start() {
         let ts = SharedTimestampSource::new();
         let reg = ActiveTxnRegistry::new();
-        // More registrations than shards, so every shard holds something.
-        let handles: Vec<_> = (0..3 * SHARDS).map(|_| reg.register(&ts)).collect();
-        let min = handles.iter().map(|(t, _)| *t).min().unwrap();
-        assert_eq!(reg.watermark(&ts), min);
-        for (t, s) in handles {
-            reg.deregister(t, s);
+        let starts: Vec<_> = (0..8).map(|_| reg.register(&ts)).collect();
+        // Younger transactions finishing first leave the oldest in place.
+        for &t in &starts[1..4] {
+            reg.deregister(t);
+        }
+        assert_eq!(reg.watermark(&ts), starts[0]);
+        reg.deregister(starts[0]);
+        assert_eq!(reg.watermark(&ts), starts[4]);
+        for &t in &starts[4..] {
+            reg.deregister(t);
         }
     }
 
@@ -234,7 +205,7 @@ mod tests {
         ) {
             let ts = SharedTimestampSource::new();
             let reg = ActiveTxnRegistry::new();
-            let mut live: BTreeMap<(Timestamp, usize), TxnStatus> = BTreeMap::new();
+            let mut live: BTreeMap<Timestamp, TxnStatus> = BTreeMap::new();
             let mut issued = Vec::new();
             for op in ops {
                 let nth = |n: usize| live.keys().nth(n % live.len().max(1)).copied();
@@ -245,30 +216,30 @@ mod tests {
                         live.insert(txn, TxnStatus::Pending);
                     }
                     Op::Commit(n) | Op::Abort(n) => {
-                        let Some((start, shard)) = nth(n) else { continue };
-                        if live[&(start, shard)] != TxnStatus::Pending {
+                        let Some(start) = nth(n) else { continue };
+                        if live[&start] != TxnStatus::Pending {
                             continue;
                         }
                         let fate = if let Op::Commit(_) = op {
-                            TxnStatus::Committed(reg.commit(start, shard, &ts))
+                            TxnStatus::Committed(reg.commit(start, &ts))
                         } else {
-                            reg.settle(start, shard, TxnStatus::Aborted);
+                            reg.settle(start, TxnStatus::Aborted);
                             TxnStatus::Aborted
                         };
-                        live.insert((start, shard), fate);
+                        live.insert(start, fate);
                     }
                     Op::Deregister(n) => {
-                        let Some((start, shard)) = nth(n) else { continue };
-                        reg.deregister(start, shard);
-                        live.remove(&(start, shard));
+                        let Some(start) = nth(n) else { continue };
+                        reg.deregister(start);
+                        live.remove(&start);
                     }
                 }
-                for &(start, shard) in &issued {
-                    let expected = live.get(&(start, shard)).copied().unwrap_or(TxnStatus::Pending);
-                    proptest::prop_assert_eq!(reg.resolve(start, shard), expected, "txn {:?}", start);
+                for &start in &issued {
+                    let expected = live.get(&start).copied().unwrap_or(TxnStatus::Pending);
+                    proptest::prop_assert_eq!(reg.resolve(start), expected, "txn {:?}", start);
                 }
                 proptest::prop_assert_eq!(reg.count(), live.len());
-                let oldest = live.keys().map(|&(start, _)| start).min();
+                let oldest = live.keys().next().copied();
                 proptest::prop_assert_eq!(
                     reg.watermark(&ts),
                     oldest.unwrap_or_else(|| ts.last_issued().next())
@@ -287,8 +258,8 @@ mod tests {
                 let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
                     for _ in 0..500 {
-                        let (t, s) = reg.register(&ts);
-                        reg.deregister(t, s);
+                        let t = reg.register(&ts);
+                        reg.deregister(t);
                     }
                 })
             })

@@ -38,17 +38,14 @@ use wsi_core::{hash_row_key, Timestamp};
 pub struct Snapshot {
     db: Arc<DbInner>,
     start_ts: Timestamp,
-    /// Registry shard holding this snapshot's active-set entry.
-    shard: usize,
     released: bool,
 }
 
 impl Snapshot {
-    pub(crate) fn new(db: Arc<DbInner>, start_ts: Timestamp, shard: usize) -> Self {
+    pub(crate) fn new(db: Arc<DbInner>, start_ts: Timestamp) -> Self {
         Snapshot {
             db,
             start_ts,
-            shard,
             released: false,
         }
     }
@@ -79,9 +76,9 @@ impl Drop for Snapshot {
         if !self.released {
             self.released = true;
             // Equivalent to a read-only commit (§5.1): free, never aborts,
-            // and — like `begin` — touches no lock beyond its registry shard.
+            // and — like `begin` — touches no lock beyond the registry's.
             self.db.counters.read_only_commits.inc();
-            self.db.registry.deregister(self.start_ts, self.shard);
+            self.db.registry.deregister(self.start_ts);
         }
     }
 }

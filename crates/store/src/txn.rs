@@ -29,8 +29,6 @@ use crate::{
 pub struct Transaction {
     db: Arc<DbInner>,
     start_ts: Timestamp,
-    /// Registry shard holding this transaction's active-set entry.
-    shard: usize,
     /// Buffered writes; `None` marks a deletion.
     writes: BTreeMap<Bytes, Option<Bytes>>,
     /// Ordered so the commit request's row list is a pure function of the
@@ -44,12 +42,11 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    pub(crate) fn new(db: Arc<DbInner>, start_ts: Timestamp, shard: usize) -> Self {
+    pub(crate) fn new(db: Arc<DbInner>, start_ts: Timestamp) -> Self {
         let began_us = db.now_us();
         Transaction {
             db,
             start_ts,
-            shard,
             writes: BTreeMap::new(),
             read_rows: BTreeSet::new(),
             finished: false,
@@ -196,7 +193,7 @@ impl Transaction {
         let db = crate::Db {
             inner: Arc::clone(&self.db),
         };
-        db.commit_txn(self.start_ts, self.shard, read_rows, writes, self.began_us)
+        db.commit_txn(self.start_ts, read_rows, writes, self.began_us)
     }
 
     /// Rolls back the transaction, discarding buffered writes.
@@ -210,7 +207,7 @@ impl Transaction {
             let db = crate::Db {
                 inner: Arc::clone(&self.db),
             };
-            db.rollback_txn(self.start_ts, self.shard, !self.writes.is_empty());
+            db.rollback_txn(self.start_ts, !self.writes.is_empty());
         }
     }
 

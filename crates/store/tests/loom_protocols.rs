@@ -62,21 +62,20 @@
 //!    and re-loads the stamp when the entry does not answer committed; the
 //!    owner stamps, then deregisters, which drops the entry. Whatever the
 //!    interleaving the reader sees the commit, because stamp → deregister
-//!    → lookup → re-load is ordered, the last three by the writer's
-//!    registry shard lock (DESIGN.md §6). Without the re-load
+//!    → lookup → re-load is ordered, the last three by the registry lock
+//!    (DESIGN.md §6). Without the re-load
 //!    (`stamp_reread_model(false)`) the model fails within tier 1's 32
 //!    schedules.
-//! 10. **Commit, begin and read on one registry shard lock** — a commit
-//!     without a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and
-//!     records its fate under the writer's shard lock; a begin draws its
-//!     snapshot from the same counter; a read looks the writer's fate up
-//!     under that lock. A snapshot `S` sees the commit iff `commit_ts < S`,
-//!     whether the begin registers on the writer's shard or another one:
-//!     an `S` drawn after `commit_ts` was drawn inside the commit's
-//!     critical section, so the lookup waits it out (DESIGN.md §5). With
-//!     the timestamp drawn before the lock (`registry_commit_model(true,
-//!     _)`) a reader draws `S > commit_ts` and reads the fate still pending:
-//!     the model fails.
+//! 10. **Commit, begin and read on the registry lock** — a commit without
+//!     a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and records
+//!     its fate under the registry lock; a begin draws its snapshot from
+//!     the same counter under that lock; a read looks the writer's fate up
+//!     under it too. A snapshot `S` sees the commit iff `commit_ts < S`: an
+//!     `S` drawn after `commit_ts` was drawn inside the commit's critical
+//!     section, so the lookup waits it out (DESIGN.md §5). With the
+//!     timestamp drawn before the lock (`registry_commit_model(true)`) a
+//!     reader draws `S > commit_ts` and reads the fate still pending: the
+//!     model fails.
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1026,6 +1025,10 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
     model.join().expect("an assertion of the model failed");
 }
 
+/// A modelled registry: start timestamp → fate, `0` pending and a commit
+/// timestamp otherwise.
+type Registry = Mutex<std::collections::BTreeMap<u64, u64>>;
+
 /// Protocol 9 with the reader's stamp re-read on or off. The writer
 /// (start 1) committed at 2, its fate set in its registry entry, still
 /// unstamped and registered; the reader holds snapshot 3. The owner stamps
@@ -1040,12 +1043,12 @@ fn stamp_reread_model(reread: bool) {
         // Set once the reader found the version unstamped: the schedule
         // the race needs starts there, so the owner waits for it.
         let loaded = Arc::new(AtomicBool::new(false));
-        // The writer's registry shard: start → commit timestamp.
-        let shard: Arc<Mutex<std::collections::BTreeMap<u64, u64>>> =
+        // The registry: start → commit timestamp.
+        let registry: Arc<Registry> =
             Arc::new(Mutex::new([(WRITER, COMMIT)].into_iter().collect()));
 
         let reader = {
-            let (stamp, shard) = (Arc::clone(&stamp), Arc::clone(&shard));
+            let (stamp, registry) = (Arc::clone(&stamp), Arc::clone(&registry));
             let loaded = Arc::clone(&loaded);
             thread::spawn(move || {
                 let mut seen = stamp.load(Ordering::Acquire);
@@ -1054,13 +1057,13 @@ fn stamp_reread_model(reread: bool) {
                     // Widen the race window: give the owner a while to
                     // stamp and deregister before the lookup.
                     for _ in 0..64 {
-                        if !shard.lock().unwrap().contains_key(&WRITER) {
+                        if !registry.lock().unwrap().contains_key(&WRITER) {
                             break;
                         }
                         thread::yield_now();
                     }
                     // No entry: "pending".
-                    let resolved = shard.lock().unwrap().get(&WRITER).copied().unwrap_or(0);
+                    let resolved = registry.lock().unwrap().get(&WRITER).copied().unwrap_or(0);
                     seen = match (resolved, reread) {
                         (0, true) => stamp.load(Ordering::Acquire),
                         (resolved, _) => resolved,
@@ -1071,13 +1074,13 @@ fn stamp_reread_model(reread: bool) {
         };
 
         let owner = {
-            let (stamp, shard) = (Arc::clone(&stamp), Arc::clone(&shard));
+            let (stamp, registry) = (Arc::clone(&stamp), Arc::clone(&registry));
             thread::spawn(move || {
                 while !loaded.load(Ordering::Acquire) {
                     thread::yield_now();
                 }
                 stamp.store(COMMIT, Ordering::Release);
-                shard.lock().unwrap().remove(&WRITER);
+                registry.lock().unwrap().remove(&WRITER);
             })
         };
 
@@ -1100,22 +1103,14 @@ fn a_snapshot_read_without_the_re_read_misses_the_commit() {
     stamp_reread_model(false);
 }
 
-/// A modelled registry shard: start timestamp → fate, `0` pending and a
-/// commit timestamp otherwise.
-type Shard = Mutex<std::collections::BTreeMap<u64, u64>>;
-
-/// Protocol 10. The writer (start 1, registered on shard 0) commits while
-/// a reader begins — registering on shard 0 too, or on shard 1 — and reads
-/// the writer's fate from shard 0. `planted` draws the commit timestamp
-/// before taking the shard lock.
-fn registry_commit_model(planted: bool, same_shard: bool) {
+/// Protocol 10. The writer (start 1, registered) commits while a reader
+/// begins and reads the writer's fate. `planted` draws the commit
+/// timestamp before taking the registry lock.
+fn registry_commit_model(planted: bool) {
     const WRITER: u64 = 1;
     loom::model(move || {
         let clock = Arc::new(AtomicU64::new(WRITER));
-        let shards: Arc<[Shard; 2]> = Arc::new([
-            Mutex::new([(WRITER, 0)].into_iter().collect()),
-            Mutex::new(Default::default()),
-        ]);
+        let registry: Arc<Registry> = Arc::new(Mutex::new([(WRITER, 0)].into_iter().collect()));
         // Set once the commit timestamp is drawn, and once the reader has
         // looked the fate up: each side waits a while for the other, so
         // the schedule the planted bug needs is likely.
@@ -1131,38 +1126,37 @@ fn registry_commit_model(planted: bool, same_shard: bool) {
         };
 
         let committer = {
-            let (clock, shards) = (Arc::clone(&clock), Arc::clone(&shards));
+            let (clock, registry) = (Arc::clone(&clock), Arc::clone(&registry));
             let (drawn, looked) = (Arc::clone(&drawn), Arc::clone(&looked));
             thread::spawn(move || {
                 let early = planted.then(|| clock.fetch_add(1, Ordering::SeqCst) + 1);
-                let mut shard = shards[0].lock().unwrap();
+                let mut live = registry.lock().unwrap();
                 let commit = early.unwrap_or_else(|| clock.fetch_add(1, Ordering::SeqCst) + 1);
                 drawn.store(true, Ordering::Release);
                 if planted {
-                    drop(shard);
+                    drop(live);
                     wait_for(&looked);
-                    shard = shards[0].lock().unwrap();
+                    live = registry.lock().unwrap();
                 } else {
                     wait_for(&looked);
                 }
-                shard.insert(WRITER, commit);
+                live.insert(WRITER, commit);
                 commit
             })
         };
 
         let reader = {
-            let (clock, shards) = (Arc::clone(&clock), Arc::clone(&shards));
+            let (clock, registry) = (Arc::clone(&clock), Arc::clone(&registry));
             thread::spawn(move || {
                 wait_for(&drawn);
-                // Begin: the snapshot is drawn under the reader's own
-                // shard lock.
+                // Begin: the snapshot is drawn under the registry lock.
                 let snapshot = {
-                    let mut own = shards[usize::from(!same_shard)].lock().unwrap();
+                    let mut live = registry.lock().unwrap();
                     let snapshot = clock.fetch_add(1, Ordering::SeqCst) + 1;
-                    own.insert(snapshot, 0);
+                    live.insert(snapshot, 0);
                     snapshot
                 };
-                let fate = shards[0].lock().unwrap()[&WRITER];
+                let fate = registry.lock().unwrap()[&WRITER];
                 looked.store(true, Ordering::Release);
                 (snapshot, fate != 0 && fate < snapshot)
             })
@@ -1179,15 +1173,14 @@ fn registry_commit_model(planted: bool, same_shard: bool) {
 }
 
 #[test]
-fn a_snapshot_above_a_commit_reads_it_under_the_shard_lock() {
-    registry_commit_model(false, true);
-    registry_commit_model(false, false);
+fn a_snapshot_above_a_commit_reads_it_under_the_registry_lock() {
+    registry_commit_model(false);
 }
 
-/// The planted bug: a commit timestamp drawn outside the shard lock lets a
-/// snapshot above it read the fate before it is set.
+/// The planted bug: a commit timestamp drawn outside the registry lock lets
+/// a snapshot above it read the fate before it is set.
 #[test]
 #[should_panic(expected = "disagree")]
-fn a_commit_timestamp_drawn_outside_the_shard_lock_is_missed() {
-    registry_commit_model(true, true);
+fn a_commit_timestamp_drawn_outside_the_registry_lock_is_missed() {
+    registry_commit_model(true);
 }

@@ -63,8 +63,8 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 # worklist handshake, the commit pipeline's spin-then-park hand-off
 # (its one mutex-and-condvar protocol), the snapshot read's stamp
 # re-read vs. an owner that deregisters, with its planted no-re-read
-# canary that must fail, and commit, begin and read on one registry shard
-# lock, with its planted canary (the commit timestamp drawn outside the
+# canary that must fail, and commit, begin and read on the registry lock,
+# with its planted canary (the commit timestamp drawn outside the
 # lock) that must fail. 32 fuzzed schedules per model
 # keeps the gate seconds-scale; the default (64) runs when the suite is
 # invoked without LOOM_MAX_ITERS.
@@ -78,13 +78,15 @@ LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test lo
 # and a half minutes it is not part of this gate.
 ./target/release/figures ssi | grep -v '^done in' | diff - results/e1_ssi.txt
 
-# Non-test line counts of the version store's, the log's and the oracle's
-# sources, then of the simulator's cluster, region-server and status-oracle
-# models, and the byte sizes of the prose documents, for the record of what
-# a change added or removed. Informational: they gate nothing.
+# Non-test line counts of the version store's, the log's, the oracle's and
+# the observability layer's sources, then of the simulator's cluster,
+# region-server and status-oracle models, and the byte sizes of the prose
+# documents, for the record of what a change added or removed.
+# Informational: they gate nothing.
 scripts/loc.sh
 scripts/loc.sh crates/wal/src
 scripts/loc.sh crates/core/src
+scripts/loc.sh crates/obs/src
 scripts/loc.sh crates/cluster/src
 scripts/loc.sh crates/kvstore/src
 scripts/loc.sh crates/oracle/src
