@@ -56,7 +56,7 @@ use crate::metric::thread_slot;
 /// Number of independent event rings. Smaller than the counter shard count:
 /// each ring is hundreds of kilobytes, and four rings already de-contend
 /// the stamp words on the core counts this workspace targets.
-pub const JOURNAL_SHARDS: usize = 4;
+pub(crate) const JOURNAL_SHARDS: usize = 4;
 
 /// Default per-shard ring capacity (events). 4096 × 4 shards × 64 bytes per
 /// slot ≈ 1 MiB resident for a 16k-event window. Kept modest on purpose:
@@ -65,7 +65,7 @@ pub const JOURNAL_SHARDS: usize = 4;
 /// data — when the size was chosen (journal on against journal off over
 /// three transaction shapes), the eviction pressure, not the slot stores,
 /// dominated past it.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Atomic words per slot: stamp, seqno, ts_us, txn, kind, a, b, c.
 const SLOT_WORDS: usize = 8;
@@ -574,8 +574,8 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A journal with the default per-shard capacity
-    /// ([`DEFAULT_JOURNAL_CAPACITY`]).
+    /// A journal whose rings hold the default 4096 events each; see
+    /// [`Journal::with_capacity`].
     pub fn new() -> Journal {
         Journal::with_capacity(DEFAULT_JOURNAL_CAPACITY)
     }

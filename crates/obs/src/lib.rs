@@ -58,8 +58,6 @@ mod registry;
 
 pub use expo::{ParseError, Snapshot};
 pub use hist::{ExactHistogram, Histogram, HistogramSnapshot, BUCKETS};
-pub use journal::{
-    AbortExplanation, Cause, Event, EventData, Journal, DEFAULT_JOURNAL_CAPACITY, JOURNAL_SHARDS,
-};
+pub use journal::{AbortExplanation, Cause, Event, EventData, Journal};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;

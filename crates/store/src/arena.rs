@@ -8,11 +8,13 @@
 //! * **Readers take no lock at all.** A snapshot read hashes the key into
 //!   [`ChainHeadTable`]'s current open-addressing generation (expected ≤ 2
 //!   probes at any key count; a non-matching probe compares a fingerprint
-//!   and touches nothing else), then walks the key's version chain through
-//!   plain `Acquire` loads, and decides visibility per version (stamp →
-//!   resolver, see `crate::mvcc`). The read path adds no synchronization
-//!   of its own: the reader's registration in the active-transaction
-//!   registry, taken at begin, is what keeps its chain nodes alive.
+//!   and touches nothing else, a matching one compares the key its entry
+//!   holds inline as an [`EntryKey`]), then walks the key's version chain
+//!   through plain `Acquire` loads, and decides visibility per version
+//!   (stamp → resolver, see `crate::mvcc`). The read path adds no
+//!   synchronization of its own: the reader's registration in the
+//!   active-transaction registry, taken at begin, is what keeps its chain
+//!   nodes alive.
 //! * **Writers publish with one CAS.** On a cold chain a version is
 //!   allocated from the singles' [`Pool`], fully initialized, linked to the
 //!   current head, and installed by a single compare-and-swap on the key's
@@ -86,6 +88,7 @@
 //! atomics, and values sit behind uncontended spin mutexes — so even a
 //! protocol bug cannot become memory unsafety, only a failed test.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -99,7 +102,6 @@ use wsi_obs::{EventData, Journal};
 
 use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
-use crate::record::CheckpointEntry;
 use crate::registry::OwnLine;
 
 /// Fibonacci multiplicative-hash constant (2^64 / φ): spreads sequential and
@@ -726,13 +728,93 @@ impl<'a> Iterator for Chain<'a> {
     }
 }
 
+/// Longest key [`EntryKey`] holds inline: what fits beside the length and
+/// the variant tag in the 24 bytes a heap key's `Arc<[u8]>` takes anyway.
+const INLINE_KEY: usize = 22;
+
+/// A key's bytes, held by the records that name it — its [`KeyEntry`] and
+/// the ordered index. A key of up to [`INLINE_KEY`] bytes sits inline, so
+/// a probe compares it inside the entry it has already loaded and creating
+/// it allocates nothing; a longer key is one `Arc<[u8]>` the entry and the
+/// index share. Equality, order and [`Borrow`] are the byte slice's, so
+/// the index orders keys bytewise and is searched by `&[u8]`.
+#[derive(Clone)]
+enum EntryKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Heap(Arc<[u8]>),
+}
+
+impl EntryKey {
+    fn new(key: &[u8]) -> Self {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            EntryKey::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            EntryKey::Heap(key.into())
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            EntryKey::Inline { len, bytes } => &bytes[..*len as usize],
+            EntryKey::Heap(bytes) => bytes,
+        }
+    }
+
+    /// An owned handle for callers: a copy of an inline key, a share of a
+    /// heap one.
+    fn to_bytes(&self) -> Bytes {
+        match self {
+            EntryKey::Inline { .. } => Bytes::copy_from_slice(self.as_slice()),
+            EntryKey::Heap(bytes) => Bytes::from_owner(Arc::clone(bytes)),
+        }
+    }
+}
+
+impl PartialEq for EntryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for EntryKey {}
+
+impl PartialOrd for EntryKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EntryKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Borrow<[u8]> for EntryKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl std::fmt::Debug for EntryKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// One key's entry in the chain-head table. Entries are **immortal**: once
 /// a key has been written its entry is never deallocated (an empty chain is
 /// encoded as a null head), which is what lets the head table hold bare
 /// entry indices and be probed with zero protection.
 #[derive(Debug)]
 struct KeyEntry {
-    key: Bytes,
+    key: EntryKey,
     /// Packed [`VersionIdx`] of the newest chain node, or [`NULL_VIDX`]
     /// for an (observably absent) empty chain.
     head: AtomicU64,
@@ -835,7 +917,7 @@ struct ChainHeadTable {
     entries: EntryArena,
     /// Ordered key index for range scans; also the (write-locked) serializer
     /// of entry creation and table growth. Point reads never touch it.
-    index: RwLock<BTreeMap<Bytes, u32>>,
+    index: RwLock<BTreeMap<EntryKey, u32>>,
 }
 
 impl ChainHeadTable {
@@ -911,7 +993,7 @@ impl ChainHeadTable {
             if slot & !idx_mask == fingerprint {
                 let idx = (slot & idx_mask) - 1;
                 let entry = self.entries.get(idx);
-                if &*entry.key == key {
+                if entry.key.as_slice() == key {
                     return (Some((idx, entry)), probes);
                 }
             }
@@ -921,8 +1003,8 @@ impl ChainHeadTable {
     }
 
     /// Touches what the lookups of `rows` will: every home slot, then every
-    /// entry those slots name, then every entry's key bytes. A lookup is
-    /// three dependent loads — slot, entry, key — into memory that a
+    /// entry those slots name, with the key it holds inline. A lookup is
+    /// two dependent loads — slot, then entry — into memory that a
     /// working set beyond the cache does not hold; the rows of a batch are
     /// unrelated, so staged like this the misses of each kind overlap,
     /// where one lookup after another takes them in sequence (the idiom of
@@ -936,14 +1018,11 @@ impl ChainHeadTable {
             let hash = Self::hash_of(row);
             *slot = slots[(hash >> (32 - bits)) as usize].load(Ordering::Acquire);
         }
-        let mut keys: [&[u8]; WARM_BATCH] = [&[]; WARM_BATCH];
-        for (key, &slot) in keys.iter_mut().zip(&found[..rows.len()]) {
+        for &slot in &found[..rows.len()] {
             if slot != 0 {
-                *key = &self.entries.get((slot & idx_mask) - 1).key;
+                let entry = self.entries.get((slot & idx_mask) - 1);
+                std::hint::black_box(entry.key.as_slice().first());
             }
-        }
-        for key in &keys[..rows.len()] {
-            std::hint::black_box(key.first());
         }
     }
 
@@ -971,7 +1050,7 @@ impl ChainHeadTable {
     /// Returns the key's entry and its index, creating it if absent.
     /// Creation serializes on the ordered index's write lock (rare: once
     /// per distinct key ever), and so does the table growth it may trigger.
-    fn find_or_create(&self, key: &Bytes, row: RowId) -> (u32, &KeyEntry) {
+    fn find_or_create(&self, key: &[u8], row: RowId) -> (u32, &KeyEntry) {
         if let Some(found) = self.probe(key, row).0 {
             return found;
         }
@@ -979,15 +1058,16 @@ impl ChainHeadTable {
         if let Some(&idx) = index.get(key) {
             return (idx, self.entries.get(idx)); // lost the creation race
         }
+        let key = EntryKey::new(key);
         let idx = self.create(key.clone(), Self::hash_of(row));
-        index.insert(key.clone(), idx);
+        index.insert(key, idx);
         (idx, self.entries.get(idx))
     }
 
     /// Appends the entry for a key that has none and makes it findable,
     /// growing the table first if this entry would push the current
     /// generation past three quarters full. Caller holds the creation lock.
-    fn create(&self, key: Bytes, hash: u32) -> u32 {
+    fn create(&self, key: EntryKey, hash: u32) -> u32 {
         let idx = self.entries.push(KeyEntry {
             key,
             head: AtomicU64::new(NULL_VIDX),
@@ -1143,7 +1223,7 @@ impl ArenaStore {
         }
     }
 
-    fn insert_one(&self, key: &Bytes, row: RowId, writer_start: Timestamp, value: Option<Bytes>) {
+    fn insert_one(&self, key: &[u8], row: RowId, writer_start: Timestamp, value: Option<Bytes>) {
         let (idx, entry) = self.table.find_or_create(key, row);
         let mut single: Option<u64> = None;
         let mut spill: Option<u64> = None;
@@ -1593,7 +1673,7 @@ impl ArenaStore {
             }
             let entry = self.table.entries.get(idx);
             if let Some(Some(bytes)) = self.read_chain(entry, reader_start, resolver) {
-                out.push((key.clone(), bytes));
+                out.push((key.to_bytes(), bytes));
             }
         }
         out
@@ -1640,37 +1720,38 @@ impl ArenaStore {
                 .collect();
             if !stamps.is_empty() {
                 stamps.sort_unstable_by_key(|(ws, _)| *ws);
-                out.push((key.clone(), stamps));
+                out.push((key.to_bytes(), stamps));
             }
         }
         out
     }
 
-    /// The checkpoint scan: every key's version a snapshot at `snapshot`
-    /// sees — its newest committed below it, tombstones included — in key
-    /// order. Each version's fate comes from [`Version::fate`], so a commit
-    /// whose stamp lands while its owner deregisters is not missed. Holds
-    /// the ordered index's read lock, as [`Self::scan`] does. Caller is
-    /// registered at `snapshot`.
+    /// The checkpoint scan: hands `visit` every key's version a snapshot at
+    /// `snapshot` sees — its newest committed below it, tombstones included
+    /// — in key order, as `(key, writer_start, commit_ts, value)`, all by
+    /// reference. Each version's fate comes from [`Version::fate`], so a
+    /// commit whose stamp lands while its owner deregisters is not missed.
+    /// Holds the ordered index's read lock throughout, as [`Self::scan`]
+    /// does. Caller is registered at `snapshot`.
     pub(crate) fn checkpoint_entries<R: VersionResolver + ?Sized>(
         &self,
         snapshot: Timestamp,
         resolver: &R,
-    ) -> Vec<CheckpointEntry> {
+        mut visit: impl FnMut(&[u8], Timestamp, Timestamp, Option<&Bytes>),
+    ) {
         let index = self.table.index.read();
-        let mut out = Vec::with_capacity(index.len());
         for (key, &idx) in index.iter() {
             let entry = self.table.entries.get(idx);
             if let Some((v, commit_ts)) = self.visible(entry, snapshot, resolver) {
-                out.push(CheckpointEntry {
-                    key: key.clone(),
-                    writer_start: Timestamp(v.writer()),
-                    commit_ts: Timestamp(commit_ts),
-                    value: v.value(),
-                });
+                let value = v.value.lock();
+                visit(
+                    key.as_slice(),
+                    Timestamp(v.writer()),
+                    Timestamp(commit_ts),
+                    value.as_ref(),
+                );
             }
         }
-        out
     }
 
     /// Incremental, non-blocking GC sweep over the keys written since the
@@ -2262,13 +2343,11 @@ mod tests {
         let scan = store.scan(b"", None, snapshot, &racing(&store), usize::MAX);
         assert_eq!(scan, [(b("k"), b("new"))], "scan");
         let store = unstamped_newest();
-        let entries = store.checkpoint_entries(snapshot, &racing(&store));
-        let entry = CheckpointEntry {
-            key: b("k"),
-            writer_start: Timestamp(3),
-            commit_ts: Timestamp(4),
-            value: Some(b("new")),
-        };
+        let mut entries = Vec::new();
+        store.checkpoint_entries(snapshot, &racing(&store), |key, ws, cts, value| {
+            entries.push((key.to_vec(), ws, cts, value.cloned()));
+        });
+        let entry = (b"k".to_vec(), Timestamp(3), Timestamp(4), Some(b("new")));
         assert_eq!(entries, [entry], "checkpoint scan");
         let store = unstamped_newest();
         store.gc(snapshot, &racing(&store));
@@ -2395,9 +2474,56 @@ mod tests {
     }
 
     #[test]
+    fn a_short_key_lives_in_its_entry() {
+        assert_eq!(std::mem::size_of::<EntryKey>(), 24);
+        assert!(std::mem::size_of::<KeyEntry>() <= 48);
+        assert!(matches!(
+            EntryKey::new(&[7; INLINE_KEY]),
+            EntryKey::Inline { .. }
+        ));
+        assert!(matches!(
+            EntryKey::new(&[7; INLINE_KEY + 1]),
+            EntryKey::Heap(_)
+        ));
+    }
+
+    #[test]
+    fn scan_orders_inline_and_heap_keys_bytewise() {
+        let p = |n: usize, tail: &[u8]| [vec![b'p'; n], tail.to_vec()].concat();
+        let keys = [
+            p(40, b""),
+            p(21, b"q"),
+            p(22, b"\0"),
+            b"a".to_vec(),
+            p(22, b""),
+            p(21, b""),
+        ];
+        let store = ArenaStore::standalone();
+        for (writer, key) in (1..).zip(&keys) {
+            let key = Bytes::copy_from_slice(key);
+            store.insert_version(key.clone(), Timestamp(writer), Some(key.clone()));
+            store.stamp_keys(Timestamp(writer), Timestamp(writer + 100), [&key]);
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort();
+        let scan = |start: &[u8]| -> Vec<Vec<u8>> {
+            let hits = store.scan(start, None, Timestamp(1000), &resolver_none, usize::MAX);
+            assert!(hits.iter().all(|(k, v)| k == v), "each key reads its value");
+            hits.into_iter().map(|(k, _)| k.to_vec()).collect()
+        };
+        assert_eq!(scan(b""), sorted);
+        assert_eq!(scan(&p(22, b"\0")), sorted[3..], "from a heap key");
+        for key in &keys {
+            assert_eq!(
+                store.read_key(key, Timestamp(1000), &resolver_none),
+                SnapshotRead::Value(Bytes::copy_from_slice(key))
+            );
+        }
+    }
+
+    #[test]
     fn head_table_starts_small_and_probes_stay_short_at_any_key_count() {
         let table = ChainHeadTable::new();
-        let key = |i: u32| Bytes::copy_from_slice(&i.to_be_bytes());
         let row = |i: u32| hash_row_key(&i.to_be_bytes());
         let mut created = 0u32;
         // Past the first keys, create entries without the ordered index:
@@ -2405,8 +2531,11 @@ mod tests {
         let mut fill = |table: &ChainHeadTable, upto: u32| {
             while created < upto {
                 let idx = match created {
-                    0..10 => table.find_or_create(&key(created), row(created)).0,
-                    _ => table.create(key(created), ChainHeadTable::hash_of(row(created))),
+                    0..10 => table.find_or_create(&created.to_be_bytes(), row(created)).0,
+                    _ => table.create(
+                        EntryKey::new(&created.to_be_bytes()),
+                        ChainHeadTable::hash_of(row(created)),
+                    ),
                 };
                 assert_eq!(idx, created, "entries are numbered in creation order");
                 created += 1;

@@ -55,7 +55,7 @@ use crate::{
     mvcc::{GcStats, ReclamationStats, VersionStamps},
     obs::StoreObs,
     pipeline::{CommitPipeline, PendingCheckpoint, PublishCtx},
-    record::{self, Checkpoint, LogSuffix, StoreRecord},
+    record::{self, Checkpoint, CheckpointWriter, LogSuffix, StoreRecord},
     registry::{ActiveTxnRegistry, OwnLine},
     snapshot::Snapshot,
     txn::Transaction,
@@ -926,8 +926,10 @@ impl Db {
     /// and gated like a begin, so every commit below `S` is resolved. Its
     /// cut is the end of the last flush whose commits are all below `S`;
     /// the reservation bound is read after the cut is, so it covers every
-    /// reservation record the cut drops. It is encoded with no lock held
-    /// and appended through the pipeline like any other record. A quorum
+    /// reservation record the cut drops. It is encoded as the scan of the
+    /// ordered index visits each key, under that index's read lock (which
+    /// holds off only key creation), and appended through the pipeline
+    /// like any other record. A quorum
     /// loss abandons it and leaves the log whole; the next `gc` tries again.
     fn checkpoint(&self, pipeline: &CommitPipeline) {
         if !pipeline.checkpoint_due() {
@@ -937,18 +939,14 @@ impl Db {
             pipeline.wait_snapshot_stable(start_ts);
             let cut = pipeline.cut_for(start_ts)?;
             let reserved = self.inner.ts.reserved();
-            let entries = self
-                .inner
-                .mvcc
-                .checkpoint_entries(start_ts, &self.inner.registry);
+            let mut writer = CheckpointWriter::new(cut.seq, start_ts, reserved, cut.census);
+            self.inner.mvcc.checkpoint_entries(
+                start_ts,
+                &self.inner.registry,
+                |key, ws, cts, value| writer.push(key, ws, cts, value),
+            );
             Some(PendingCheckpoint {
-                payload: record::encode(&StoreRecord::Checkpoint(Checkpoint {
-                    cut: cut.seq,
-                    snapshot: start_ts,
-                    reserved,
-                    census: cut.census,
-                    entries,
-                })),
+                payload: writer.finish(),
                 cut: cut.seq,
             })
         });

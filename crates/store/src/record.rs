@@ -176,7 +176,13 @@ pub fn encode(record: &StoreRecord) -> Bytes {
         } => encode_commit(*start_ts, *commit_ts, writes),
         StoreRecord::Abort { start_ts } => encode_abort(*start_ts),
         StoreRecord::TsReserve { upto } => encode_ts_reserve(*upto),
-        StoreRecord::Checkpoint(checkpoint) => encode_checkpoint(checkpoint),
+        StoreRecord::Checkpoint(c) => {
+            let mut writer = CheckpointWriter::new(c.cut, c.snapshot, c.reserved, c.census);
+            for e in &c.entries {
+                writer.push(&e.key, e.writer_start, e.commit_ts, e.value.as_ref());
+            }
+            writer.finish()
+        }
     }
 }
 
@@ -188,7 +194,7 @@ pub fn encode_ts_reserve(upto: Timestamp) -> Bytes {
     seal(buf)
 }
 
-fn put_value(buf: &mut BytesMut, value: &Option<Bytes>) {
+fn put_value(buf: &mut BytesMut, value: Option<&Bytes>) {
     match value {
         Some(v) => {
             buf.put_u8(1);
@@ -203,30 +209,60 @@ fn value_len(value: &Option<Bytes>) -> usize {
     1 + value.as_ref().map_or(0, |v| 4 + v.len())
 }
 
-/// Encodes a checkpoint record.
-fn encode_checkpoint(c: &Checkpoint) -> Bytes {
-    let payload: usize = c
-        .entries
-        .iter()
-        .map(|e| 4 + e.key.len() + 16 + value_len(&e.value))
-        .sum();
-    let mut buf = BytesMut::with_capacity(1 + 6 * 8 + 4 + payload + CHECKSUM_LEN);
-    buf.put_u8(TAG_CHECKPOINT);
-    buf.put_u64_le(c.cut);
-    buf.put_u64_le(c.snapshot.raw());
-    buf.put_u64_le(c.reserved.raw());
-    buf.put_u64_le(c.census.commits);
-    buf.put_u64_le(c.census.aborts);
-    buf.put_u64_le(c.census.overturned);
-    buf.put_u32_le(c.entries.len() as u32);
-    for e in &c.entries {
-        buf.put_u32_le(e.key.len() as u32);
-        buf.put_slice(&e.key);
-        buf.put_u64_le(e.writer_start.raw());
-        buf.put_u64_le(e.commit_ts.raw());
-        put_value(&mut buf, &e.value);
+/// Where a checkpoint's entry count sits: after the tag and six words.
+const CHECKPOINT_COUNT_AT: usize = 1 + 6 * 8;
+
+/// Encodes a checkpoint record as its entries arrive, so a checkpoint of
+/// the live store is never materialized as a [`Checkpoint`]: the header
+/// first, then one [`push`](Self::push) per entry in key order, and
+/// [`finish`](Self::finish) patches in the entry count and seals.
+pub(crate) struct CheckpointWriter {
+    buf: BytesMut,
+    entries: u32,
+}
+
+impl CheckpointWriter {
+    /// Writes the header of the checkpoint at `snapshot` cut at `cut`.
+    pub(crate) fn new(
+        cut: u64,
+        snapshot: Timestamp,
+        reserved: Timestamp,
+        census: WalCensus,
+    ) -> CheckpointWriter {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_CHECKPOINT);
+        buf.put_u64_le(cut);
+        buf.put_u64_le(snapshot.raw());
+        buf.put_u64_le(reserved.raw());
+        buf.put_u64_le(census.commits);
+        buf.put_u64_le(census.aborts);
+        buf.put_u64_le(census.overturned);
+        buf.put_u32_le(0);
+        CheckpointWriter { buf, entries: 0 }
     }
-    seal(buf)
+
+    /// Appends one key's entry; `None` is a tombstone.
+    pub(crate) fn push(
+        &mut self,
+        key: &[u8],
+        writer_start: Timestamp,
+        commit_ts: Timestamp,
+        value: Option<&Bytes>,
+    ) {
+        self.buf.put_u32_le(key.len() as u32);
+        self.buf.put_slice(key);
+        self.buf.put_u64_le(writer_start.raw());
+        self.buf.put_u64_le(commit_ts.raw());
+        put_value(&mut self.buf, value);
+        self.entries += 1;
+    }
+
+    /// Patches in the entry count and seals the record.
+    pub(crate) fn finish(mut self) -> Bytes {
+        self.buf[CHECKPOINT_COUNT_AT..CHECKPOINT_COUNT_AT + 4]
+            .copy_from_slice(&self.entries.to_le_bytes());
+        seal(self.buf)
+    }
 }
 
 /// Encodes a commit record from a borrowed write set.
@@ -248,7 +284,7 @@ pub fn encode_commit(
     for (key, value) in writes {
         buf.put_u32_le(key.len() as u32);
         buf.put_slice(key);
-        put_value(&mut buf, value);
+        put_value(&mut buf, value.as_ref());
     }
     seal(buf)
 }

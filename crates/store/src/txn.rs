@@ -120,8 +120,7 @@ impl Transaction {
     /// leave no trace (the status oracle tracks row identifiers, not
     /// ranges), so phantom rows inserted by concurrent transactions are not
     /// conflict-checked — the same row-granularity caveat as the paper's
-    /// implementation; see `wsi-oracle`'s range-read-set extension for the
-    /// coarse-grained alternative (§5.2).
+    /// implementation, and the open hole of ROADMAP item 2.
     pub fn scan(&mut self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
         // `BTreeMap::range` panics on an inverted range, for which the store
         // returns nothing either.

@@ -23,7 +23,20 @@ use wsi_core::{hash_row_key, CommitRequest, IsolationLevel, StatusOracleCore, Ti
 use wsi_store::{Db, DbOptions, Transaction};
 use wsi_wal::LedgerConfig;
 
-const KEYS: [&[u8]; 7] = [b"a", b"b", b"c", b"d", b"e", b"f", b"g"];
+/// One-letter keys, and keys across the store's inline bound: 22 bytes
+/// sit in their entry, the 23 that extend them and the 40 go to the heap.
+const KEYS: [&[u8]; 10] = [
+    b"a",
+    b"b",
+    b"c",
+    b"d",
+    b"e",
+    b"f",
+    b"g",
+    b"twenty-two-bytes-key-k",
+    b"twenty-two-bytes-key-k!",
+    b"a-key-of-forty-bytes-or-more-on-the-heap",
+];
 
 const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::WriteSnapshot,

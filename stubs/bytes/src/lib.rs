@@ -8,7 +8,7 @@
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable immutable byte buffer.
@@ -34,6 +34,23 @@ impl Bytes {
     /// Copies `bytes` into a new buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
         let data: Arc<[u8]> = Arc::from(bytes);
+        Bytes {
+            start: 0,
+            end: data.len(),
+            data,
+        }
+    }
+
+    /// Wraps `owner`'s bytes, keeping it alive as long as the buffer. An
+    /// `Arc<[u8]>` owner becomes the backing allocation without a copy;
+    /// any other owner is copied once.
+    pub fn from_owner<T: AsRef<[u8]> + Send + 'static>(owner: T) -> Self {
+        let mut owner = Some(owner);
+        let data: Arc<[u8]> =
+            match (&mut owner as &mut dyn std::any::Any).downcast_mut::<Option<Arc<[u8]>>>() {
+                Some(shared) => shared.take().expect("the owner is taken once"),
+                None => Arc::from(owner.as_ref().expect("the owner is still here").as_ref()),
+            };
         Bytes {
             start: 0,
             end: data.len(),
@@ -255,6 +272,12 @@ impl Deref for BytesMut {
     }
 }
 
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+}
+
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.buf
@@ -317,6 +340,15 @@ mod tests {
         assert_eq!(s.len(), 3);
         let s2 = s.slice(1..);
         assert_eq!(s2.as_ref(), &[3, 4]);
+    }
+
+    #[test]
+    fn from_owner_adopts_an_arc_without_copying() {
+        let shared: Arc<[u8]> = Arc::from(&b"key"[..]);
+        let b = Bytes::from_owner(Arc::clone(&shared));
+        assert_eq!(b.as_ref(), b"key");
+        assert_eq!(Arc::strong_count(&shared), 2, "the buffer holds the Arc");
+        assert_eq!(Bytes::from_owner(vec![1u8, 2]).as_ref(), &[1, 2]);
     }
 
     #[test]
