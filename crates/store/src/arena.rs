@@ -81,12 +81,16 @@
 //! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit node index
 //! plus the node's 32-bit *generation*, bumped on every free, so a stale
 //! handle to a recycled node can never be confused with the node's new
-//! occupant (ABA protection). Both node kinds live in one generic [`Pool`]
-//! each; bit 31 of the index half is the [`PACKED_TAG`]: set, the handle
-//! names a [`PackedNode`]; clear, a single-version [`Slot`]. Everything
-//! here is safe Rust: chunks live in `OnceLock`s, links are index-valued
-//! atomics, and values sit behind uncontended spin mutexes — so even a
-//! protocol bug cannot become memory unsafety, only a failed test.
+//! occupant (ABA protection). Every node lives in the one generic [`Pool`]:
+//! bit 31 of the index half is the [`PACKED_TAG`]: set, the handle names a
+//! [`PackedNode`]; clear, a single-version slot of [`Slots`], whose size
+//! class sits in the bits below it. **A value lives in its version**: a
+//! slot holds its value as `AtomicU64` words after its header, written
+//! before the publish and copied out by readers with plain loads, so a
+//! read stores nothing to shared memory. Everything here is safe Rust:
+//! chunks live in `OnceLock`s, links are index-valued atomics, and values
+//! are words — so even a protocol bug (a torn copy) cannot become memory
+//! unsafety, only a failed test.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
@@ -94,13 +98,13 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use parking_lot::RwLock;
 use spin::Mutex as SpinMutex;
 use wsi_core::{hash_row_key, RowId, SharedTimestampSource, Timestamp, TxnStatus};
 use wsi_obs::{EventData, Journal};
 
-use crate::mvcc::{GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps};
+use crate::mvcc::{GcStats, ReclamationStats, VersionResolver, VersionStamps};
 use crate::obs::ArenaObs;
 use crate::registry::OwnLine;
 
@@ -116,7 +120,8 @@ pub(crate) const PRUNE_CHAIN_LEN: usize = 32;
 /// Maximum chunks of each node pool; `MAX_CHUNKS` times a pool's chunk
 /// size bounds its *resident* nodes (freed nodes recycle through the free
 /// list, so steady state sits far below this). Must keep every pool's
-/// indices below `1 << 31`, so they never collide with [`PACKED_TAG`].
+/// indices within [`INDEX_MASK`], clear of the class bits and
+/// [`PACKED_TAG`].
 const MAX_CHUNKS: usize = 4096;
 
 /// Key entries per entry-arena chunk (power of two).
@@ -148,11 +153,48 @@ const NULL_VIDX: u64 = u64::MAX;
 /// Free-list "empty" sentinel in the low half of the tagged head.
 const FREE_NONE: u32 = u32::MAX;
 
-/// Bit 31 of a handle's index half: set for packed-node handles. Single
-/// slots and packed nodes live in separate arenas whose capacities both
-/// stay below `1 << 31`, so the bit is unambiguous ([`NULL_VIDX`] also has
-/// it set — always test for null first).
+/// Bit 31 of a handle's index half: set for packed-node handles. Every
+/// pool's capacity stays below [`INDEX_MASK`], so the bit is unambiguous
+/// ([`NULL_VIDX`] also has it set — always test for null first).
 const PACKED_TAG: u32 = 1 << 31;
+
+/// Where a slot handle's index half keeps its size class: bits 26–30,
+/// above the node index and below [`PACKED_TAG`].
+const CLASS_SHIFT: u32 = 26;
+
+/// The node index in a handle's index half.
+const INDEX_MASK: u32 = (1 << CLASS_SHIFT) - 1;
+
+/// Value words of each slot size class. Spaced about a quarter apart, so
+/// a value wastes at most a quarter of its words (a 100-byte value takes
+/// the 13 words, 104 bytes); a value beyond the largest class continues in
+/// further slots (see [`Slots::alloc`]).
+const CLASS_WORDS: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 26, MAX_VALUE_WORDS];
+
+/// Value words of the largest slot class.
+const MAX_VALUE_WORDS: usize = 32;
+
+/// Words of a slot's header, before its value words.
+const HEADER: usize = 4;
+
+/// Header word 0: the slot's generation in the high half (bumped on free —
+/// ABA protection), its value's length in bytes, or [`TOMBSTONE`], in the
+/// low half.
+const GEN_LEN: usize = 0;
+
+/// Header word 1: the writing transaction's start timestamp (raw).
+const WRITER: usize = 1;
+
+/// Header word 2: the eager commit stamp (raw); `0` = not stamped
+/// (timestamp 0 is never issued to a transaction).
+const STAMP: usize = 2;
+
+/// Header word 3: the packed [`VersionIdx`] of the next-older chain node,
+/// or [`NULL_VIDX`]; the next free slot's index while the slot is free.
+const NEXT: usize = 3;
+
+/// The length half of a tombstone's header word.
+const TOMBSTONE: u32 = u32::MAX;
 
 /// Versions per packed multi-version node: two cache lines of commit
 /// timestamps, so an in-node binary search touches at most 128 bytes.
@@ -187,6 +229,21 @@ const HEAD_BUILD: usize = PACK_CAP / 2;
 #[inline]
 fn is_packed(handle: u64) -> bool {
     handle != NULL_VIDX && (handle as u32) & PACKED_TAG != 0
+}
+
+/// The size class a slot handle carries.
+#[inline]
+fn class_of(handle: u64) -> usize {
+    ((handle as u32 & !PACKED_TAG) >> CLASS_SHIFT) as usize
+}
+
+/// The smallest class with room for `words` value words; the largest for
+/// a value beyond every class.
+#[inline]
+fn class_for(words: usize) -> usize {
+    CLASS_WORDS
+        .partition_point(|&w| w < words)
+        .min(CLASS_WORDS.len() - 1)
 }
 
 /// A generation-tagged handle to a version slot: `generation << 32 | slot`.
@@ -232,41 +289,6 @@ impl Loc {
     }
 }
 
-/// One single-version slot. All fields are atomics (or a spin mutex)
-/// because slots are read lock-free while writers, stampers, and the GC
-/// mutate them.
-#[derive(Debug)]
-struct Slot {
-    /// Allocation generation; bumped on free (ABA protection).
-    gen: AtomicU32,
-    /// The writing transaction's start timestamp (raw).
-    writer_start: AtomicU64,
-    /// Eager commit stamp (raw); `0` = not stamped (timestamp 0 is never
-    /// issued to a transaction).
-    committed_at: AtomicU64,
-    /// Packed [`VersionIdx`] of the next-older chain node, or
-    /// [`NULL_VIDX`]. While the slot sits on the free list this holds the
-    /// next free slot index instead.
-    next: AtomicU64,
-    /// The version's value; `None` is a tombstone. The mutex is uncontended
-    /// by protocol (initialized before publish, cleared once the slot is
-    /// freed) — it exists so the invariant is memory-safe by construction,
-    /// not by argument.
-    value: SpinMutex<Option<Bytes>>,
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Slot {
-            gen: AtomicU32::new(0),
-            writer_start: AtomicU64::new(0),
-            committed_at: AtomicU64::new(0),
-            next: AtomicU64::new(NULL_VIDX),
-            value: SpinMutex::new(None),
-        }
-    }
-}
-
 /// A packed multi-version node: up to [`PACK_CAP`] versions of one key in
 /// a single arena slot, the hot-chain layout.
 ///
@@ -300,8 +322,10 @@ struct PackedNode {
     /// Commit stamps (raw; 0 = unstamped), per entry. Contiguous, so the
     /// in-node search never leaves two cache lines.
     cts: [AtomicU64; PACK_CAP],
-    /// Values (`None` = tombstone), per entry.
-    vals: [SpinMutex<Option<Bytes>>; PACK_CAP],
+    /// Per entry, the handle of the slot holding its value (a tombstone is
+    /// a slot too), written before the entry's ready bit and freed with
+    /// the node.
+    vals: [AtomicU64; PACK_CAP],
 }
 
 impl Default for PackedNode {
@@ -314,7 +338,7 @@ impl Default for PackedNode {
             next: AtomicU64::new(NULL_VIDX),
             ws: std::array::from_fn(|_| AtomicU64::new(0)),
             cts: std::array::from_fn(|_| AtomicU64::new(0)),
-            vals: std::array::from_fn(|_| SpinMutex::new(None)),
+            vals: std::array::from_fn(|_| AtomicU64::new(NULL_VIDX)),
         }
     }
 }
@@ -337,71 +361,69 @@ fn occ_ready(occ: u64) -> u32 {
     (occ >> 32) as u32
 }
 
-/// A node the [`Pool`] holds: a single-version [`Slot`] or a
-/// [`PackedNode`].
+/// What a [`Pool`] holds, a pool's `stride` of them to a node: the words
+/// of a slot (see [`Slots`]), or one [`PackedNode`].
 trait PoolNode: Default {
     /// Nodes per chunk (a power of two).
     const CHUNK: usize;
-    /// Set in the index half of every handle the pool hands out:
-    /// [`PACKED_TAG`] for packed nodes, nothing for slots.
-    const TAG: u32;
-    /// Allocation generation; bumped on free (ABA protection).
-    fn gen(&self) -> &AtomicU32;
+    /// The node's allocation generation.
+    fn gen(node: &[Self]) -> u32;
+    /// Bumps the generation of a node being freed, invalidating its
+    /// handles, and resets what its next occupant relies on.
+    fn release(node: &[Self]);
     /// The chain link while allocated, the free-list link while free.
-    fn next(&self) -> &AtomicU64;
-    /// Resets a node being freed, returning the value it held for the
-    /// caller to drop (a packed node drops its values itself).
-    fn clear(&self) -> Option<Bytes>;
+    fn link(node: &[Self]) -> &AtomicU64;
 }
 
-impl PoolNode for Slot {
+impl PoolNode for AtomicU64 {
     const CHUNK: usize = 1024;
-    const TAG: u32 = 0;
 
-    fn gen(&self) -> &AtomicU32 {
-        &self.gen
+    fn gen(node: &[Self]) -> u32 {
+        (node[GEN_LEN].load(Ordering::Relaxed) >> 32) as u32
     }
 
-    fn next(&self) -> &AtomicU64 {
-        &self.next
+    fn release(node: &[Self]) {
+        node[GEN_LEN].fetch_add(1 << 32, Ordering::Relaxed);
     }
 
-    fn clear(&self) -> Option<Bytes> {
-        self.value.lock().take()
+    fn link(node: &[Self]) -> &AtomicU64 {
+        &node[NEXT]
     }
 }
 
 impl PoolNode for PackedNode {
     const CHUNK: usize = 256;
-    const TAG: u32 = PACKED_TAG;
 
-    fn gen(&self) -> &AtomicU32 {
-        &self.gen
+    fn gen(node: &[Self]) -> u32 {
+        node[0].gen.load(Ordering::Relaxed)
     }
 
-    fn next(&self) -> &AtomicU64 {
-        &self.next
+    fn release(node: &[Self]) {
+        let node = &node[0];
+        node.gen.fetch_add(1, Ordering::Relaxed);
+        node.occ.store(0, Ordering::Relaxed);
+        node.dead.store(0, Ordering::Relaxed);
+        node.sorted.store(0, Ordering::Relaxed);
     }
 
-    fn clear(&self) -> Option<Bytes> {
-        for v in &self.vals {
-            *v.lock() = None;
-        }
-        self.occ.store(0, Ordering::Relaxed);
-        self.dead.store(0, Ordering::Relaxed);
-        self.sorted.store(0, Ordering::Relaxed);
-        None
+    fn link(node: &[Self]) -> &AtomicU64 {
+        &node[0].next
     }
 }
 
-/// A chunked node pool: nodes live in lazily-allocated fixed-size chunks
-/// (so a growing store never moves a node — outstanding indices stay valid
-/// forever), and freed nodes recycle through a Treiber free list whose head
-/// carries a modification tag (ABA protection for the pop's read of
-/// `next`). Handles carry `N::TAG` in the index half; free-list indices do
-/// not.
+/// A chunked node pool: nodes of `stride` elements live in lazily-allocated
+/// fixed-size chunks (so a growing store never moves a node — outstanding
+/// indices stay valid forever), and freed nodes recycle through a Treiber
+/// free list whose head carries a modification tag (ABA protection for the
+/// pop's read of `next`). Handles carry the pool's `tag` in the index
+/// half; free-list indices do not.
 #[derive(Debug)]
 struct Pool<N> {
+    /// Elements per node.
+    stride: usize,
+    /// Set in the index half of every handle the pool hands out:
+    /// [`PACKED_TAG`] for packed nodes, the size class for slots.
+    tag: u32,
     chunks: Vec<OnceLock<Box<[N]>>>,
     /// Bump watermark: nodes `< len` have been handed out at least once.
     len: AtomicU32,
@@ -412,8 +434,10 @@ struct Pool<N> {
 }
 
 impl<N: PoolNode> Pool<N> {
-    fn new() -> Self {
+    fn new(stride: usize, tag: u32) -> Self {
         Pool {
+            stride,
+            tag,
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
             len: AtomicU32::new(0),
             free: AtomicU64::new(FREE_NONE as u64),
@@ -423,15 +447,15 @@ impl<N: PoolNode> Pool<N> {
 
     /// The node `handle` names.
     #[inline]
-    fn get(&self, handle: u64) -> &N {
+    fn get(&self, handle: u64) -> &[N] {
         debug_assert_eq!(
-            VersionIdx::slot(handle) & PACKED_TAG,
-            N::TAG,
-            "handle dereferenced in the other pool"
+            VersionIdx::slot(handle) & !INDEX_MASK,
+            self.tag,
+            "handle dereferenced in another pool"
         );
-        let node = self.raw(VersionIdx::slot(handle) & !N::TAG);
+        let node = self.raw(VersionIdx::slot(handle) & INDEX_MASK);
         debug_assert_eq!(
-            node.gen().load(Ordering::Relaxed),
+            N::gen(node),
             VersionIdx::generation(handle),
             "stale generation handle dereferenced"
         );
@@ -439,16 +463,17 @@ impl<N: PoolNode> Pool<N> {
     }
 
     #[inline]
-    fn raw(&self, idx: u32) -> &N {
+    fn raw(&self, idx: u32) -> &[N] {
+        let at = idx as usize % N::CHUNK * self.stride;
         &self.chunks[idx as usize / N::CHUNK]
             .get()
-            .expect("index below bump watermark implies initialized chunk")[idx as usize % N::CHUNK]
+            .expect("index below bump watermark implies initialized chunk")[at..at + self.stride]
     }
 
     /// Allocates a node, returning its handle and the node for the caller
     /// to initialize and publish (the `Release` publish is what makes the
     /// caller's plain stores visible to readers).
-    fn alloc(&self) -> (u64, &N) {
+    fn alloc(&self) -> (u64, &[N]) {
         let idx = self.pop().unwrap_or_else(|| {
             // Slow path: bump, initializing the chunk on first touch.
             let idx = self.len.fetch_add(1, Ordering::Relaxed);
@@ -459,13 +484,12 @@ impl<N: PoolNode> Pool<N> {
             );
             self.chunks[idx as usize / N::CHUNK].get_or_init(|| {
                 self.chunks_inited.fetch_add(1, Ordering::Relaxed);
-                (0..N::CHUNK).map(|_| N::default()).collect()
+                (0..N::CHUNK * self.stride).map(|_| N::default()).collect()
             });
             idx
         });
         let node = self.raw(idx);
-        let gen = node.gen().load(Ordering::Relaxed);
-        (VersionIdx::pack(gen, idx | N::TAG), node)
+        (VersionIdx::pack(N::gen(node), idx | self.tag), node)
     }
 
     /// Pops the free list. The tag in the high half changes on every push
@@ -479,7 +503,7 @@ impl<N: PoolNode> Pool<N> {
             if idx == FREE_NONE {
                 return None;
             }
-            let next = self.raw(idx).next().load(Ordering::Relaxed) as u32;
+            let next = N::link(self.raw(idx)).load(Ordering::Relaxed) as u32;
             let tagged = ((head >> 32).wrapping_add(1) << 32) | next as u64;
             if self
                 .free
@@ -492,25 +516,23 @@ impl<N: PoolNode> Pool<N> {
     }
 
     /// Reclaims a retired node: invalidates outstanding handles (generation
-    /// bump), resets it, and pushes it onto the free list. Returns the
-    /// value it held for the caller to drop. Must only be called once the
-    /// watermark has passed the node's retire tag (or before the node was
-    /// ever published).
-    fn free(&self, handle: u64) -> Option<Bytes> {
+    /// bump), resets it, and pushes it onto the free list. Must only be
+    /// called once the watermark has passed the node's retire tag (or
+    /// before the node was ever published).
+    fn free(&self, handle: u64) {
         let node = self.get(handle);
-        node.gen().fetch_add(1, Ordering::Relaxed);
-        let value = node.clear();
-        let idx = VersionIdx::slot(handle) & !N::TAG;
+        N::release(node);
+        let idx = VersionIdx::slot(handle) & INDEX_MASK;
         loop {
             let head = self.free.load(Ordering::Acquire);
-            node.next().store((head as u32) as u64, Ordering::Relaxed);
+            N::link(node).store((head as u32) as u64, Ordering::Relaxed);
             let tagged = ((head >> 32).wrapping_add(1) << 32) | idx as u64;
             if self
                 .free
                 .compare_exchange(head, tagged, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return value;
+                return;
             }
         }
     }
@@ -520,44 +542,183 @@ impl<N: PoolNode> Pool<N> {
     }
 }
 
-impl Pool<Slot> {
-    /// Allocates a slot initialized as an unstamped, unlinked version.
-    fn alloc_version(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
-        let (handle, slot) = self.alloc();
-        slot.writer_start
-            .store(writer_start.raw(), Ordering::Relaxed);
-        slot.committed_at.store(0, Ordering::Relaxed);
-        slot.next.store(NULL_VIDX, Ordering::Relaxed);
-        *slot.value.lock() = value;
+/// The little-endian word of up to eight value bytes.
+#[inline]
+fn word_of(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The single-version slots, one [`Pool`] of words per size class. A slot
+/// is its [`HEADER`] — generation and length, writer start, commit stamp,
+/// next link — and then its class's value words, so a version and its
+/// value are one node. A packed entry's value is a slot too, whose version
+/// words stay unused.
+///
+/// A slot's value is written before the slot is published and never
+/// again until it is freed at the registry watermark, which every reader
+/// that can reach it holds back. So a reader copies the words out with
+/// `Relaxed` loads after the `Acquire` load that found the slot: no lock,
+/// no count, no store.
+#[derive(Debug)]
+struct Slots {
+    classes: [Pool<AtomicU64>; CLASS_WORDS.len()],
+}
+
+impl Slots {
+    fn new() -> Self {
+        Slots {
+            classes: std::array::from_fn(|c| {
+                Pool::new(HEADER + CLASS_WORDS[c], (c as u32) << CLASS_SHIFT)
+            }),
+        }
+    }
+
+    /// The slot `handle` names, in the pool its class says.
+    #[inline]
+    fn get(&self, handle: u64) -> &[AtomicU64] {
+        self.classes[class_of(handle)].get(handle)
+    }
+
+    /// Allocates a slot holding `value` (`None` is a tombstone), unstamped
+    /// and unlinked, in the smallest class it fits. The one fallback: a
+    /// value beyond the largest class fills that class's words but the
+    /// last, which holds the handle of a slot allocated the same way for
+    /// the rest. The caller sets the writer and publishes the slot.
+    fn alloc(&self, writer_start: Timestamp, value: Option<&[u8]>) -> u64 {
+        let len = value.map_or(0, <[u8]>::len);
+        debug_assert!(len < TOMBSTONE as usize, "a value is shorter than 4 GiB");
+        let (handle, slot) = self.classes[class_for(len.div_ceil(8))].alloc();
+        let words = &slot[HEADER..];
+        let gen = slot[GEN_LEN].load(Ordering::Relaxed) >> 32 << 32;
+        let len_word = value.map_or(TOMBSTONE, |_| len as u32);
+        slot[GEN_LEN].store(gen | len_word as u64, Ordering::Relaxed);
+        slot[WRITER].store(writer_start.raw(), Ordering::Relaxed);
+        slot[STAMP].store(0, Ordering::Relaxed);
+        slot[NEXT].store(NULL_VIDX, Ordering::Relaxed);
+        let value = value.unwrap_or_default();
+        let (here, rest) = value.split_at(len.min(Self::inline_words(words.len(), len) * 8));
+        let whole = here.chunks_exact(8);
+        let tail = whole.remainder();
+        for (word, bytes) in words.iter().zip(whole) {
+            let bytes = <[u8; 8]>::try_from(bytes).unwrap_or_default();
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        if !tail.is_empty() {
+            words[here.len() / 8].store(word_of(tail), Ordering::Relaxed);
+        }
+        if !rest.is_empty() {
+            let next = self.alloc(Timestamp(0), Some(rest));
+            words[words.len() - 1].store(next, Ordering::Relaxed);
+        }
         handle
+    }
+
+    /// Of a slot with `words` value words holding a value of `len` bytes,
+    /// the words that hold value bytes: all of them, or all but the last
+    /// when the value continues in another slot.
+    #[inline]
+    fn inline_words(words: usize, len: usize) -> usize {
+        if len > words * 8 {
+            words - 1
+        } else {
+            len.div_ceil(8)
+        }
+    }
+
+    /// The length of the value `slot` holds; `None` for a tombstone.
+    #[inline]
+    fn len(slot: &[AtomicU64]) -> Option<usize> {
+        match slot[GEN_LEN].load(Ordering::Relaxed) as u32 {
+            TOMBSTONE => None,
+            len => Some(len as usize),
+        }
+    }
+
+    /// Appends the value `slot` holds to `out`, word by word; `false` for
+    /// a tombstone. The caller reached the slot through an `Acquire` load
+    /// (a chain link, a ready bit) and is registered, or holds the entry
+    /// lock.
+    fn copy<'a>(&'a self, mut slot: &'a [AtomicU64], out: &mut impl BufMut) -> bool {
+        let Some(mut left) = Self::len(slot) else {
+            return false;
+        };
+        // Words go to the stack first, so `out` takes one copy per slot.
+        let mut bytes = [0u8; MAX_VALUE_WORDS * 8];
+        loop {
+            let words = &slot[HEADER..];
+            let inline = &words[..Self::inline_words(words.len(), left)];
+            for (to, word) in bytes.chunks_exact_mut(8).zip(inline) {
+                to.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+            }
+            let n = left.min(inline.len() * 8);
+            out.put_slice(&bytes[..n]);
+            left -= n;
+            if left == 0 {
+                return true;
+            }
+            slot = self.get(words[words.len() - 1].load(Ordering::Relaxed));
+        }
+    }
+
+    /// Frees a slot and any slots its value continues in.
+    fn free(&self, handle: u64) {
+        let slot = self.get(handle);
+        let words = slot.len() - HEADER;
+        let rest = Self::len(slot)
+            .filter(|&len| len > words * 8)
+            .map(|_| slot[slot.len() - 1].load(Ordering::Relaxed));
+        self.classes[class_of(handle)].free(handle);
+        if let Some(rest) = rest {
+            self.free(rest);
+        }
+    }
+
+    fn chunk_count(&self) -> u64 {
+        self.classes.iter().map(Pool::chunk_count).sum()
     }
 }
 
 impl Pool<PackedNode> {
+    /// The packed node `handle` names.
+    #[inline]
+    fn node(&self, handle: u64) -> &PackedNode {
+        &self.get(handle)[0]
+    }
+
     /// Allocates a spill node holding exactly one freshly-claimed (so far
-    /// unsorted, unstamped) version. The caller links and CAS-publishes it.
-    fn alloc_spill(&self, writer_start: Timestamp, value: Option<Bytes>) -> u64 {
+    /// unsorted, unstamped) version whose value is in slot `value`. The
+    /// caller links and CAS-publishes it.
+    fn alloc_spill(&self, writer_start: Timestamp, value: u64) -> u64 {
         let (handle, node) = self.alloc();
+        let node = &node[0];
         node.sorted.store(0, Ordering::Relaxed);
         node.dead.store(0, Ordering::Relaxed);
         node.next.store(NULL_VIDX, Ordering::Relaxed);
         node.ws[0].store(writer_start.raw(), Ordering::Relaxed);
         node.cts[0].store(0, Ordering::Relaxed);
-        *node.vals[0].lock() = value;
+        node.vals[0].store(value, Ordering::Relaxed);
         node.occ.store((1u64 << 32) | 1, Ordering::Relaxed);
         handle
     }
 
     /// Allocates a node pre-filled with copies of `versions`, a sorted
-    /// (descending by commit timestamp) run of stamped versions, linked to
-    /// `next` — the migration build path. The caller publishes it.
-    fn alloc_built(&self, versions: &[Version<'_>], next: u64) -> u64 {
+    /// (descending by commit timestamp) run of stamped versions whose
+    /// values are copied into fresh `slots`, linked to `next` — the
+    /// migration build path. The caller publishes it.
+    fn alloc_built(&self, slots: &Slots, versions: &[Version<'_>], next: u64) -> u64 {
         debug_assert!(!versions.is_empty() && versions.len() <= PACK_CAP);
         let (handle, node) = self.alloc();
+        let node = &node[0];
+        let mut value = Vec::new();
         for (i, v) in versions.iter().enumerate() {
             node.ws[i].store(v.writer(), Ordering::Relaxed);
             node.cts[i].store(v.stamp(), Ordering::Relaxed);
-            *node.vals[i].lock() = v.value();
+            value.clear();
+            let live = v.value(slots).copy_into(&mut value);
+            let copy = slots.alloc(Timestamp(0), live.then_some(&value[..]));
+            node.vals[i].store(copy, Ordering::Relaxed);
         }
         let k = versions.len() as u32;
         node.sorted.store(k, Ordering::Relaxed);
@@ -572,7 +733,7 @@ impl Pool<PackedNode> {
 /// One chain node, as the cursor meets it: its handle and the node.
 #[derive(Debug, Clone, Copy)]
 enum Node<'a> {
-    Single(u64, &'a Slot),
+    Single(u64, &'a [AtomicU64]),
     Packed(u64, &'a PackedNode),
 }
 
@@ -581,7 +742,7 @@ impl<'a> Node<'a> {
     #[inline]
     fn next(self) -> &'a AtomicU64 {
         match self {
-            Node::Single(_, slot) => &slot.next,
+            Node::Single(_, slot) => &slot[NEXT],
             Node::Packed(_, node) => &node.next,
         }
     }
@@ -605,15 +766,15 @@ impl<'a> Node<'a> {
         match self {
             Node::Single(h, slot) => Version {
                 loc: Loc::Single(h),
-                writer: &slot.writer_start,
-                stamp: &slot.committed_at,
-                value: &slot.value,
+                writer: &slot[WRITER],
+                stamp: &slot[STAMP],
+                value: ValueAt::Slot(slot),
             },
             Node::Packed(h, node) => Version {
                 loc: Loc::Packed(h, i),
                 writer: &node.ws[i],
                 stamp: &node.cts[i],
-                value: &node.vals[i],
+                value: ValueAt::Handle(&node.vals[i]),
             },
         }
     }
@@ -635,6 +796,14 @@ fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Where a version's value sits: in the version's own slot, or in the slot
+/// a packed entry names.
+#[derive(Debug, Clone, Copy)]
+enum ValueAt<'a> {
+    Slot(&'a [AtomicU64]),
+    Handle(&'a AtomicU64),
+}
+
 /// A live version, as the cursor yields it: where it lives, and views over
 /// its atomics.
 #[derive(Debug, Clone, Copy)]
@@ -642,10 +811,10 @@ struct Version<'a> {
     loc: Loc,
     writer: &'a AtomicU64,
     stamp: &'a AtomicU64,
-    value: &'a SpinMutex<Option<Bytes>>,
+    value: ValueAt<'a>,
 }
 
-impl Version<'_> {
+impl<'a> Version<'a> {
     /// The writing transaction's start timestamp (raw).
     #[inline]
     fn writer(&self) -> u64 {
@@ -665,9 +834,14 @@ impl Version<'_> {
         self.stamp.store(ts, Ordering::Release);
     }
 
-    /// The value; `None` is a tombstone.
-    fn value(&self) -> Option<Bytes> {
-        self.value.lock().clone()
+    /// The value, as words in `slots` to copy out.
+    #[inline]
+    fn value(&self, slots: &'a Slots) -> Value<'a> {
+        let slot = match self.value {
+            ValueAt::Slot(slot) => slot,
+            ValueAt::Handle(handle) => slots.get(handle.load(Ordering::Relaxed)),
+        };
+        Value { slots, slot }
     }
 
     /// The version's fate: its stamp if it has one; else the resolver's
@@ -697,6 +871,28 @@ impl Version<'_> {
             0 => status,
             stamped => TxnStatus::Committed(Timestamp(stamped)),
         }
+    }
+}
+
+/// A version's value as the words of its slot: what a read copies into
+/// the caller's buffer and a checkpoint into its record, without a lock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Value<'a> {
+    slots: &'a Slots,
+    slot: &'a [AtomicU64],
+}
+
+impl Value<'_> {
+    /// Appends the value to `out`; `false`, appending nothing, for a
+    /// tombstone.
+    #[inline]
+    pub(crate) fn copy_into(&self, out: &mut impl BufMut) -> bool {
+        self.slots.copy(self.slot, out)
+    }
+
+    /// The value's length; `None` for a tombstone.
+    pub(crate) fn len(&self) -> Option<usize> {
+        Slots::len(self.slot)
     }
 }
 
@@ -1145,7 +1341,7 @@ struct Shares {
 #[derive(Debug)]
 pub(crate) struct ArenaStore {
     table: ChainHeadTable,
-    singles: Pool<Slot>,
+    slots: Slots,
     packed: Pool<PackedNode>,
     /// The database's timestamp counter, which retire tags are drawn from.
     ts: Arc<SharedTimestampSource>,
@@ -1182,8 +1378,8 @@ impl ArenaStore {
     pub(crate) fn new(ts: Arc<SharedTimestampSource>, journal: Journal) -> Self {
         ArenaStore {
             table: ChainHeadTable::new(),
-            singles: Pool::new(),
-            packed: Pool::new(),
+            slots: Slots::new(),
+            packed: Pool::new(1, PACKED_TAG),
             ts,
             limbo: SpinMutex::new(VecDeque::new()),
             watermark: AtomicU64::new(0),
@@ -1218,28 +1414,31 @@ impl ArenaStore {
         for (rows, writes) in rows.chunks(WARM_BATCH).zip(writes.chunks(WARM_BATCH)) {
             self.table.warm(rows);
             for (&row, (key, value)) in rows.iter().zip(writes) {
-                self.insert_one(key, row, writer_start, value.clone());
+                self.insert_one(key, row, writer_start, value.as_deref());
             }
         }
     }
 
-    fn insert_one(&self, key: &[u8], row: RowId, writer_start: Timestamp, value: Option<Bytes>) {
+    fn insert_one(&self, key: &[u8], row: RowId, writer_start: Timestamp, value: Option<&[u8]>) {
         let (idx, entry) = self.table.find_or_create(key, row);
+        // Each allocated once, whatever the retries: a single version, or
+        // for a hot chain the slot holding the value and a spill node.
         let mut single: Option<u64> = None;
+        let mut cell: Option<u64> = None;
         let mut spill: Option<u64> = None;
         let published = loop {
             let head = entry.head.load(Ordering::Acquire);
             if is_packed(head) {
                 // Hot chain: claim a spare slot in the head node — the head
                 // pointer itself never moves on this path.
-                let node = self.packed.get(head);
-                if let Some(i) = Self::try_claim(node, writer_start, &value) {
+                let node = self.packed.node(head);
+                let cell = *cell.get_or_insert_with(|| self.slots.alloc(Timestamp(0), value));
+                if let Some(i) = Self::try_claim(node, writer_start, cell) {
                     break Loc::Packed(head, i);
                 }
                 // Head node full or sealed: spill a fresh packed node.
-                let sp = *spill
-                    .get_or_insert_with(|| self.packed.alloc_spill(writer_start, value.clone()));
-                self.packed.get(sp).next.store(head, Ordering::Relaxed);
+                let sp = *spill.get_or_insert_with(|| self.packed.alloc_spill(writer_start, cell));
+                self.packed.node(sp).next.store(head, Ordering::Relaxed);
                 if entry
                     .head
                     .compare_exchange(head, sp, Ordering::Release, Ordering::Relaxed)
@@ -1248,9 +1447,8 @@ impl ArenaStore {
                     break Loc::Packed(sp, 0);
                 }
             } else {
-                let s = *single
-                    .get_or_insert_with(|| self.singles.alloc_version(writer_start, value.clone()));
-                self.singles.get(s).next.store(head, Ordering::Relaxed);
+                let s = *single.get_or_insert_with(|| self.slots.alloc(writer_start, value));
+                self.slots.get(s)[NEXT].store(head, Ordering::Relaxed);
                 if entry
                     .head
                     .compare_exchange_weak(head, s, Ordering::Release, Ordering::Relaxed)
@@ -1268,12 +1466,17 @@ impl ArenaStore {
         // Return unused pre-allocations (never published: free at once).
         if let Some(s) = single {
             if !matches!(published, Loc::Single(p) if p == s) {
-                drop(self.singles.free(s));
+                self.slots.free(s);
             }
         }
         if let Some(sp) = spill {
             if !matches!(published, Loc::Packed(p, _) if p == sp) {
                 self.packed.free(sp);
+            }
+        }
+        if let Some(c) = cell {
+            if !matches!(published, Loc::Packed(..)) {
+                self.slots.free(c);
             }
         }
         let len = entry.approx_len.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1306,13 +1509,10 @@ impl ArenaStore {
 
     /// Claims one spare entry of a packed node and publishes a version into
     /// it: an occupancy CAS reserves index `claims`, the entry is
-    /// initialized, and the `Release` `fetch_or` of its ready bit is the
-    /// publish. Returns `None` when the node is full or sealed.
-    fn try_claim(
-        node: &PackedNode,
-        writer_start: Timestamp,
-        value: &Option<Bytes>,
-    ) -> Option<usize> {
+    /// initialized with the slot `value` holding its value, and the
+    /// `Release` `fetch_or` of its ready bit is the publish. Returns `None`
+    /// when the node is full or sealed.
+    fn try_claim(node: &PackedNode, writer_start: Timestamp, value: u64) -> Option<usize> {
         loop {
             let occ = node.occ.load(Ordering::Acquire);
             let claims = occ_claims(occ);
@@ -1327,7 +1527,7 @@ impl ArenaStore {
                 let i = claims as usize;
                 node.ws[i].store(writer_start.raw(), Ordering::Relaxed);
                 node.cts[i].store(0, Ordering::Relaxed);
-                *node.vals[i].lock() = value.clone();
+                node.vals[i].store(value, Ordering::Relaxed);
                 node.occ.fetch_or(1u64 << (32 + i), Ordering::Release);
                 return Some(i);
             }
@@ -1361,9 +1561,9 @@ impl ArenaStore {
     #[inline]
     fn node(&self, handle: u64) -> Node<'_> {
         if is_packed(handle) {
-            Node::Packed(handle, self.packed.get(handle))
+            Node::Packed(handle, self.packed.node(handle))
         } else {
-            Node::Single(handle, self.singles.get(handle))
+            Node::Single(handle, self.slots.get(handle))
         }
     }
 
@@ -1404,7 +1604,7 @@ impl ArenaStore {
             match v.loc {
                 Loc::Single(h) => removed.push(h),
                 Loc::Packed(h, i) => {
-                    Self::mark_dead(self.packed.get(h), 1 << i);
+                    Self::mark_dead(self.packed.node(h), 1 << i);
                     marked += 1;
                 }
             }
@@ -1487,7 +1687,7 @@ impl ArenaStore {
         let (newest, older) = stamped.split_at(HEAD_BUILD.min(stamped.len()));
         let mut run = splice.load(Ordering::Acquire);
         for versions in older.chunks(PACK_CAP).rev().chain([newest]) {
-            run = self.packed.alloc_built(versions, run);
+            run = self.packed.alloc_built(&self.slots, versions, run);
         }
         // Attach, then unlink.
         splice.store(run, Ordering::Release);
@@ -1569,8 +1769,10 @@ impl ArenaStore {
     }
 
     /// Reads `key` (whose [`hash_row_key`] is `row`) at snapshot
-    /// `reader_start` with zero locks: probe, walk, resolve per version
-    /// (stamp first, resolver fallback), clone the winning value. The
+    /// `reader_start` with zero locks and no store to shared memory: probe,
+    /// walk, resolve per version (stamp first, resolver fallback), copy the
+    /// winning value's words onto `out`. Returns whether a value is
+    /// visible; a tombstone or no visible version appends nothing. The
     /// reader is registered at `reader_start`.
     pub(crate) fn read<R: VersionResolver + ?Sized>(
         &self,
@@ -1578,26 +1780,23 @@ impl ArenaStore {
         row: RowId,
         reader_start: Timestamp,
         resolver: &R,
-    ) -> SnapshotRead {
-        let Some(entry) = self.table.find(key, row) else {
-            return SnapshotRead::Absent;
-        };
-        match self.read_chain(entry, reader_start, resolver) {
-            Some(Some(bytes)) => SnapshotRead::Value(bytes),
-            _ => SnapshotRead::Absent, // tombstone or no visible version
-        }
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.table
+            .find(key, row)
+            .is_some_and(|entry| self.read_entry(entry, reader_start, resolver, out))
     }
 
-    /// Chain-walk core of `read`/`scan`. Returns `None` when no version is
-    /// visible, `Some(None)` for a visible tombstone. Caller is registered.
-    fn read_chain<R: VersionResolver + ?Sized>(
+    /// Chain-walk core of `read`/`scan`. Caller is registered.
+    fn read_entry<R: VersionResolver + ?Sized>(
         &self,
         entry: &KeyEntry,
         reader_start: Timestamp,
         resolver: &R,
-    ) -> Option<Option<Bytes>> {
+        out: &mut Vec<u8>,
+    ) -> bool {
         self.visible(entry, reader_start, resolver)
-            .map(|(v, _)| v.value())
+            .is_some_and(|(v, _)| v.value(&self.slots).copy_into(out))
     }
 
     /// The version of `entry` a snapshot at `reader_start` sees — the
@@ -1667,13 +1866,15 @@ impl ArenaStore {
         };
         let index = self.table.index.read();
         let mut out = Vec::new();
+        let mut value = Vec::new();
         for (key, &idx) in index.range::<[u8], _>((Bound::Included(start), upper)) {
             if out.len() >= limit {
                 break;
             }
             let entry = self.table.entries.get(idx);
-            if let Some(Some(bytes)) = self.read_chain(entry, reader_start, resolver) {
-                out.push((key.to_bytes(), bytes));
+            value.clear();
+            if self.read_entry(entry, reader_start, resolver, &mut value) {
+                out.push((key.to_bytes(), Bytes::copy_from_slice(&value)));
             }
         }
         out
@@ -1728,8 +1929,8 @@ impl ArenaStore {
 
     /// The checkpoint scan: hands `visit` every key's version a snapshot at
     /// `snapshot` sees — its newest committed below it, tombstones included
-    /// — in key order, as `(key, writer_start, commit_ts, value)`, all by
-    /// reference. Each version's fate comes from [`Version::fate`], so a
+    /// — in key order, as `(key, writer_start, commit_ts, value)`, the key
+    /// by reference and the value as the words to copy. Each version's fate comes from [`Version::fate`], so a
     /// commit whose stamp lands while its owner deregisters is not missed.
     /// Holds the ordered index's read lock throughout, as [`Self::scan`]
     /// does. Caller is registered at `snapshot`.
@@ -1737,18 +1938,17 @@ impl ArenaStore {
         &self,
         snapshot: Timestamp,
         resolver: &R,
-        mut visit: impl FnMut(&[u8], Timestamp, Timestamp, Option<&Bytes>),
+        mut visit: impl FnMut(&[u8], Timestamp, Timestamp, Value<'_>),
     ) {
         let index = self.table.index.read();
         for (key, &idx) in index.iter() {
             let entry = self.table.entries.get(idx);
             if let Some((v, commit_ts)) = self.visible(entry, snapshot, resolver) {
-                let value = v.value.lock();
                 visit(
                     key.as_slice(),
                     Timestamp(v.writer()),
                     Timestamp(commit_ts),
-                    value.as_ref(),
+                    v.value(&self.slots),
                 );
             }
         }
@@ -1989,13 +2189,13 @@ impl ArenaStore {
 
     /// Frees up to `limit` limbo entries from the front whose tag is below
     /// `watermark` (see [`Self::maintain`]), routing each handle to its
-    /// arena by tag. Returns how many it freed.
+    /// pool by tag; a packed node's value slots go with it. Returns how
+    /// many it freed.
     ///
-    /// The nodes were retired a round ago and are cold, and so are the
-    /// values they hold. Each free is a chain of atomic read-modify-writes,
-    /// which would take those misses one after another, so the nodes are
-    /// touched first and the single slots' values are touched after the
-    /// frees took them out, before they are dropped: the misses overlap.
+    /// The nodes were retired a round ago and are cold. Each free is a
+    /// chain of atomic read-modify-writes, which would take those misses
+    /// one after another, so the nodes are touched first: the misses
+    /// overlap.
     fn free_below(&self, watermark: Timestamp, limit: usize) -> u64 {
         let expired: Vec<u64> = {
             let mut limbo = self.limbo.lock();
@@ -2008,22 +2208,21 @@ impl ArenaStore {
         };
         for &handle in &expired {
             std::hint::black_box(match self.node(handle) {
-                Node::Single(_, slot) => slot.gen.load(Ordering::Relaxed),
-                Node::Packed(_, node) => node.gen.load(Ordering::Relaxed),
+                Node::Single(_, slot) => slot[GEN_LEN].load(Ordering::Relaxed),
+                Node::Packed(_, node) => node.occ.load(Ordering::Relaxed),
             });
         }
-        let mut values = Vec::with_capacity(expired.len());
         for &handle in &expired {
-            values.extend(if is_packed(handle) {
-                self.packed.free(handle)
+            if is_packed(handle) {
+                let node = self.packed.node(handle);
+                for i in bits(occ_ready(node.occ.load(Ordering::Relaxed))) {
+                    self.slots.free(node.vals[i].load(Ordering::Relaxed));
+                }
+                self.packed.free(handle);
             } else {
-                self.singles.free(handle)
-            });
+                self.slots.free(handle);
+            }
         }
-        for value in &values {
-            std::hint::black_box(value.first().copied());
-        }
-        drop(values);
         let freed = expired.len() as u64;
         if freed > 0 {
             self.obs.freed.add(freed);
@@ -2041,7 +2240,7 @@ impl ArenaStore {
             retired,
             freed,
             limbo: retired.saturating_sub(freed),
-            chunks: self.singles.chunk_count() + self.packed.chunk_count(),
+            chunks: self.slots.chunk_count() + self.packed.chunk_count(),
             migrations: self.obs.migrations.get(),
             packed_retired: self.obs.packed_retired.get(),
         }
@@ -2149,7 +2348,7 @@ impl ArenaStore {
     /// Inserts one (invisible) version: allocate or claim, link, publish.
     /// A writer writes a key at most once, as through `insert_versions`.
     pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
-        self.insert_one(&key, hash_row_key(&key), writer_start, value);
+        self.insert_one(&key, hash_row_key(&key), writer_start, value.as_deref());
     }
 
     /// Number of keys with at least one published version, by full walk:
@@ -2184,8 +2383,13 @@ impl ArenaStore {
         key: &[u8],
         reader_start: Timestamp,
         resolver: &R,
-    ) -> SnapshotRead {
-        self.read(key, hash_row_key(key), reader_start, resolver)
+    ) -> crate::mvcc::SnapshotRead {
+        let mut value = Vec::new();
+        if self.read(key, hash_row_key(key), reader_start, resolver, &mut value) {
+            crate::mvcc::SnapshotRead::Value(Bytes::from(value))
+        } else {
+            crate::mvcc::SnapshotRead::Absent
+        }
     }
 
     /// [`Self::stamp_commit`], hashing the keys itself.
@@ -2250,6 +2454,7 @@ impl ArenaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvcc::SnapshotRead;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -2273,11 +2478,11 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots_with_fresh_generations() {
-        let arena = Pool::<Slot>::new();
-        let a = arena.alloc_version(Timestamp(1), Some(b("x")));
+        let arena = Slots::new();
+        let a = arena.alloc(Timestamp(1), Some(b"x"));
         let slot_idx = VersionIdx::slot(a);
         arena.free(a);
-        let c = arena.alloc_version(Timestamp(2), Some(b("y")));
+        let c = arena.alloc(Timestamp(2), Some(b"y"));
         assert_eq!(VersionIdx::slot(c), slot_idx, "slot recycled");
         assert_eq!(
             VersionIdx::generation(c),
@@ -2288,14 +2493,14 @@ mod tests {
 
     #[test]
     fn packed_arena_recycles_nodes_with_fresh_generations() {
-        let packed = Pool::<PackedNode>::new();
-        let a = packed.alloc_spill(Timestamp(1), Some(b("x")));
+        let packed = Pool::<PackedNode>::new(1, PACKED_TAG);
+        let a = packed.alloc_spill(Timestamp(1), NULL_VIDX);
         assert!(is_packed(a));
         packed.free(a);
-        let c = packed.alloc_spill(Timestamp(2), Some(b("y")));
+        let c = packed.alloc_spill(Timestamp(2), NULL_VIDX);
         assert_eq!(VersionIdx::slot(c), VersionIdx::slot(a), "node recycled");
         assert_eq!(VersionIdx::generation(c), VersionIdx::generation(a) + 1);
-        let node = packed.get(c);
+        let node = packed.node(c);
         assert_eq!(occ_claims(node.occ.load(Ordering::Relaxed)), 1);
         assert_eq!(node.dead.load(Ordering::Relaxed), 0, "free resets state");
     }
@@ -2345,9 +2550,16 @@ mod tests {
         let store = unstamped_newest();
         let mut entries = Vec::new();
         store.checkpoint_entries(snapshot, &racing(&store), |key, ws, cts, value| {
-            entries.push((key.to_vec(), ws, cts, value.cloned()));
+            let mut bytes = Vec::new();
+            let live = value.copy_into(&mut bytes);
+            entries.push((key.to_vec(), ws, cts, live.then_some(bytes)));
         });
-        let entry = (b"k".to_vec(), Timestamp(3), Timestamp(4), Some(b("new")));
+        let entry = (
+            b"k".to_vec(),
+            Timestamp(3),
+            Timestamp(4),
+            Some(b"new".to_vec()),
+        );
         assert_eq!(entries, [entry], "checkpoint scan");
         let store = unstamped_newest();
         store.gc(snapshot, &racing(&store));
@@ -2452,6 +2664,49 @@ mod tests {
         assert_eq!(
             store.read_key(b"hot", Timestamp(u64::MAX), &resolver_none),
             SnapshotRead::Value(b("v64"))
+        );
+    }
+
+    /// The layout the footprint rests on: a 100-byte version is one
+    /// 136-byte slot, a packed node holds handles, not values; and every
+    /// length, either side of each class boundary and past the largest
+    /// class, round-trips through a slot whose free returns every slot
+    /// its value continued in.
+    #[test]
+    fn a_value_lives_in_its_slot() {
+        let slot_bytes = |len: usize| (HEADER + CLASS_WORDS[class_for(len.div_ceil(8))]) * 8;
+        assert_eq!(slot_bytes(100), 136);
+        assert!(std::mem::size_of::<PackedNode>() <= 416);
+        for pair in CLASS_WORDS.windows(2) {
+            assert!(
+                pair[1] * 4 <= pair[0] * 5 + 4,
+                "classes {pair:?} waste a quarter at most"
+            );
+        }
+        let slots = Slots::new();
+        let round_trips = || {
+            for len in 0..=3 * MAX_VALUE_WORDS * 8 + 1 {
+                let value: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                let handle = slots.alloc(Timestamp(1), Some(&value));
+                let mut copy = Vec::new();
+                assert!(slots.copy(slots.get(handle), &mut copy));
+                assert_eq!(copy, value, "length {len}");
+                slots.free(handle);
+            }
+            let tombstone = slots.alloc(Timestamp(1), None);
+            assert_eq!(Slots::len(slots.get(tombstone)), None);
+            assert!(!slots.copy(slots.get(tombstone), &mut Vec::new()));
+            slots.free(tombstone);
+            slots
+                .classes
+                .each_ref()
+                .map(|pool| pool.len.load(Ordering::Relaxed))
+        };
+        let handed_out = round_trips();
+        assert_eq!(
+            round_trips(),
+            handed_out,
+            "every slot a value continued in was freed and reused"
         );
     }
 

@@ -14,9 +14,9 @@
 //! module docs and DESIGN.md §6).
 //!
 //! This module holds what `Db` and the store share: the
-//! `VersionResolver` seam, the read result, and the GC and
-//! reclamation accounting types. Its unit tests state the store's
-//! observable contract.
+//! `VersionResolver` seam, the helper that turns a read into one `Bytes`,
+//! and the GC and reclamation accounting types. Its unit tests state the
+//! store's observable contract.
 //!
 //! # Visibility
 //!
@@ -35,6 +35,8 @@
 //! writer's commit is published in its registry entry (a single
 //! linearization point), and abort cleanup removes versions that were never
 //! visible.
+
+use std::cell::RefCell;
 
 use bytes::Bytes;
 use wsi_core::{Timestamp, TxnStatus};
@@ -55,7 +57,22 @@ impl<F: Fn(Timestamp) -> TxnStatus> VersionResolver for F {
     }
 }
 
-/// Result of a snapshot read.
+/// Runs `read`, which fills a buffer and says whether the key has a value,
+/// and returns that value as one [`Bytes`]. The read fills this thread's
+/// scratch buffer, reused from read to read, so the `Bytes` is the read's
+/// one allocation.
+pub(crate) fn read_bytes(read: impl FnOnce(&mut Vec<u8>) -> bool) -> Option<Bytes> {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        read(buf).then(|| Bytes::copy_from_slice(buf))
+    })
+}
+
+/// Result of a snapshot read, as the store's tests state it.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum SnapshotRead {
     /// A committed value is visible.
@@ -63,16 +80,6 @@ pub(crate) enum SnapshotRead {
     /// The key is visibly deleted (tombstone) or has never been written in
     /// this snapshot.
     Absent,
-}
-
-impl SnapshotRead {
-    /// Converts into `Option`, mapping `Absent` to `None`.
-    pub(crate) fn into_option(self) -> Option<Bytes> {
-        match self {
-            SnapshotRead::Value(v) => Some(v),
-            SnapshotRead::Absent => None,
-        }
-    }
 }
 
 /// Per-key version stamps: `(key, [(writer_start, committed_at)])` as raw
@@ -453,10 +460,10 @@ mod tests {
                 let newest = commits(key).into_iter().filter(|(ts, _)| *ts < snap).max();
                 let expect = newest.and_then(|(_, i)| value_of(i));
                 assert_eq!(
-                    store
-                        .read_key(key.as_bytes(), Timestamp(snap), &r)
-                        .into_option(),
-                    expect,
+                    store.read_key(key.as_bytes(), Timestamp(snap), &r),
+                    expect
+                        .clone()
+                        .map_or(SnapshotRead::Absent, SnapshotRead::Value),
                     "key {key} at snapshot {snap}"
                 );
                 visible.extend(expect.map(|v| (b(key), v)));

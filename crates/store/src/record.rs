@@ -194,12 +194,43 @@ pub fn encode_ts_reserve(upto: Timestamp) -> Bytes {
     seal(buf)
 }
 
-fn put_value(buf: &mut BytesMut, value: Option<&Bytes>) {
-    match value {
-        Some(v) => {
+/// A value the encoders write: bytes at hand, or a version's words in the
+/// store (`arena::Value`), which are copied straight into the record.
+pub(crate) trait EncodeValue {
+    /// The value's length; `None` for a tombstone.
+    fn encoded_len(&self) -> Option<usize>;
+    /// Appends the value's bytes.
+    fn put(&self, buf: &mut BytesMut);
+}
+
+impl EncodeValue for Option<&Bytes> {
+    fn encoded_len(&self) -> Option<usize> {
+        self.map(Bytes::len)
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        if let Some(value) = self {
+            buf.put_slice(value);
+        }
+    }
+}
+
+impl EncodeValue for crate::arena::Value<'_> {
+    fn encoded_len(&self) -> Option<usize> {
+        self.len()
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.copy_into(buf);
+    }
+}
+
+fn put_value(buf: &mut BytesMut, value: impl EncodeValue) {
+    match value.encoded_len() {
+        Some(len) => {
             buf.put_u8(1);
-            buf.put_u32_le(v.len() as u32);
-            buf.put_slice(v);
+            buf.put_u32_le(len as u32);
+            value.put(buf);
         }
         None => buf.put_u8(0),
     }
@@ -247,7 +278,7 @@ impl CheckpointWriter {
         key: &[u8],
         writer_start: Timestamp,
         commit_ts: Timestamp,
-        value: Option<&Bytes>,
+        value: impl EncodeValue,
     ) {
         self.buf.put_u32_le(key.len() as u32);
         self.buf.put_slice(key);

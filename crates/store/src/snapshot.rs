@@ -5,6 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::db::DbInner;
+use crate::mvcc::read_bytes;
 use wsi_core::{hash_row_key, Timestamp};
 
 /// A read-only view of the database at a fixed point in time.
@@ -55,12 +56,26 @@ impl Snapshot {
         self.start_ts
     }
 
-    /// Reads a key.
+    /// Reads a key into `buf`, replacing its contents, and returns whether
+    /// the key has a value (`buf` is left empty when it has none). The
+    /// value is copied out of the store's words: the read takes no lock
+    /// and writes no shared memory, so readers of one key on many threads
+    /// do not contend.
+    pub fn get_into(&self, key: &[u8], buf: &mut Vec<u8>) -> bool {
+        buf.clear();
+        self.db.mvcc.read(
+            key,
+            hash_row_key(key),
+            self.start_ts,
+            &self.db.registry,
+            buf,
+        )
+    }
+
+    /// Reads a key: [`Self::get_into`], with the value returned as one
+    /// `Bytes` this call allocates.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        self.db
-            .mvcc
-            .read(key, hash_row_key(key), self.start_ts, &self.db.registry)
-            .into_option()
+        read_bytes(|buf| self.get_into(key, buf))
     }
 
     /// Scans `[start, end)` (unbounded end if `None`), up to `limit` pairs.

@@ -11,6 +11,7 @@ use wsi_obs::EventData;
 use crate::{
     db::DbInner,
     error::{Error, Result},
+    mvcc::read_bytes,
 };
 
 /// An optimistic transaction over a [`crate::Db`].
@@ -65,22 +66,32 @@ impl Transaction {
         self.writes.is_empty()
     }
 
-    /// Reads a key in the transaction's snapshot.
+    /// Reads a key in the transaction's snapshot into `buf`, replacing its
+    /// contents, and returns whether the key has a value (`buf` is left
+    /// empty when it has none). The value is copied out of the store's
+    /// words: the read takes no lock and writes no shared memory.
     ///
     /// Own buffered writes win over stored state (read-your-writes). A
     /// lookup that goes to the store — even one that finds nothing — is
     /// recorded in the read set: observing a key's absence is observing its
     /// state.
-    pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
+    pub fn get_into(&mut self, key: &[u8], buf: &mut Vec<u8>) -> bool {
+        buf.clear();
         if let Some(buffered) = self.writes.get(key) {
-            return buffered.clone();
+            buf.extend_from_slice(buffered.as_deref().unwrap_or_default());
+            return buffered.is_some();
         }
         let row = hash_row_key(key);
         self.read_rows.insert(row);
         self.db
             .mvcc
-            .read(key, row, self.start_ts, &self.db.registry)
-            .into_option()
+            .read(key, row, self.start_ts, &self.db.registry, buf)
+    }
+
+    /// Reads a key in the transaction's snapshot: [`Self::get_into`], with
+    /// the value returned as one `Bytes` this call allocates.
+    pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
+        read_bytes(|buf| self.get_into(key, buf))
     }
 
     /// Buffers a write of `value` to `key`.

@@ -1048,3 +1048,93 @@ fn a_reader_of_a_rewritten_key_commits_within_its_retry_budget() {
         outcome.expect("the reader commits within its retry budget");
     });
 }
+
+/// The self-checking value of write `tag`: the tag, then bytes that follow
+/// from it, at a length that follows from it too — either side of slot
+/// size-class boundaries, and past the largest class.
+fn tagged_value(tag: u64) -> Vec<u8> {
+    const LENGTHS: [usize; 9] = [8, 9, 100, 104, 105, 256, 257, 600, 2_000];
+    let len = LENGTHS[(tag % LENGTHS.len() as u64) as usize];
+    let mut value = tag.to_le_bytes().to_vec();
+    value.extend((8..len).map(|i| (tag as u8) ^ (i as u8).wrapping_mul(31)));
+    value
+}
+
+/// Two readers hammer 8 hot keys while a writer rewrites all of them in
+/// every transaction, now and then with a tombstone. A reader copies each
+/// value out of the store's words with plain loads, racing the writer's
+/// publishes, the migration of the hot chains into packed nodes and the
+/// sweeps and frees that the commits' shares run; a copy that is torn, or
+/// that reads a slot recycled under it, is a value its own tag does not
+/// explain, or the tag of another key.
+#[test]
+fn readers_never_copy_a_torn_value() {
+    const KEYS: u64 = 8;
+    let rounds: u64 = if cfg!(debug_assertions) {
+        3_000
+    } else {
+        30_000
+    };
+    let key = |k: u64| format!("hot{k}").into_bytes();
+    let check = |k: u64, value: &[u8]| {
+        let tag = u64::from_le_bytes(value[..8].try_into().unwrap());
+        assert_eq!(tag % KEYS, k, "key {k} holds a value written to another");
+        assert!(value == tagged_value(tag), "key {k}: torn value, tag {tag}");
+    };
+    let reads = within(Duration::from_secs(120), move || {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let done = AtomicBool::new(false);
+        thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (mut buf, mut reads) = (Vec::new(), 0u64);
+                        while !done.load(Ordering::Relaxed) {
+                            let snap = db.snapshot();
+                            for k in 0..KEYS {
+                                if snap.get_into(&key(k), &mut buf) {
+                                    check(k, &buf);
+                                    reads += 1;
+                                }
+                            }
+                            drop(snap);
+                            let mut txn = db.begin();
+                            for k in 0..KEYS {
+                                if let Some(value) = txn.get(&key(k)) {
+                                    check(k, &value);
+                                    reads += 1;
+                                }
+                            }
+                            txn.commit().unwrap();
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            for round in 0..rounds {
+                let mut txn = db.begin();
+                for k in 0..KEYS {
+                    let tag = round * KEYS + k;
+                    match tag % 13 {
+                        12 => txn.delete(&key(k)),
+                        _ => txn.put(&key(k), &tagged_value(tag)),
+                    }
+                }
+                txn.commit().expect("a blind writer never conflicts");
+            }
+            done.store(true, Ordering::Relaxed);
+            let reads: Vec<u64> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            let rec = db.reclamation();
+            assert!(
+                rec.migrations > 0,
+                "the hot chains migrated into packed nodes"
+            );
+            assert!(
+                rec.freed > 0,
+                "superseded versions were freed under the readers"
+            );
+            reads
+        })
+    });
+    assert!(reads.iter().all(|&n| n > 0), "every reader read: {reads:?}");
+}

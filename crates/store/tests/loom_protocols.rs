@@ -14,8 +14,13 @@
 //!
 //! 1. **Chain-head CAS publish vs. concurrent readers** — a reader walking
 //!    a chain during concurrent CAS publishes never observes an
-//!    uninitialized version, never loses a previously published version,
-//!    and its best-visible commit timestamp is monotone across walks.
+//!    uninitialized version, never copies a partly written value (the
+//!    value's words are written before the publishing CAS and copied with
+//!    `Relaxed` loads after the reader's `Acquire`), never loses a
+//!    previously published version, and its best-visible commit timestamp
+//!    is monotone across walks. With the words written after the CAS
+//!    (`chain_head_publish_model(false)`) the model fails within tier 1's
+//!    32 schedules.
 //! 2. **Reclamation at the registry watermark** — a registered walker never
 //!    reads a node freed under the `tag < watermark` rule, because the
 //!    retire tag is drawn from the shared counter after the unlink: a
@@ -88,12 +93,16 @@ const NULL: u64 = u64::MAX;
 /// Versions the publisher pushes in protocol model 1.
 const PUBLISHED: usize = 4;
 
+/// Value words of a modelled slot.
+const WORDS: usize = 3;
+
 /// One modelled version slot: writer start, commit stamp (0 = unstamped),
-/// next link. Mirrors `arena::Slot` minus the value payload.
+/// next link, and its value's words. Mirrors a slot of `arena::Slots`.
 struct Slot {
     writer_start: AtomicU64,
     committed_at: AtomicU64,
     next: AtomicU64,
+    words: [AtomicU64; WORDS],
 }
 
 impl Slot {
@@ -102,15 +111,35 @@ impl Slot {
             writer_start: AtomicU64::new(0),
             committed_at: AtomicU64::new(0),
             next: AtomicU64::new(NULL),
+            words: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
+
+/// Word `j` of the value the writer that started at `ws` publishes.
+fn word(ws: u64, j: usize) -> u64 {
+    ws << 8 | j as u64
 }
 
 /// Protocol 1: writers publish fully-initialized versions with one Release
 /// CAS on the chain head; readers walk with Acquire loads and no locks.
 #[test]
 fn chain_head_cas_publish_vs_concurrent_reader() {
-    loom::model(|| {
+    chain_head_publish_model(true);
+}
+
+/// The planted bug of protocol 1: the writer fills its value's words after
+/// the publishing CAS, so a reader can copy a value that is not there yet.
+#[test]
+#[should_panic(expected = "partly written value")]
+fn chain_head_publish_with_words_after_the_cas_fails() {
+    chain_head_publish_model(false);
+}
+
+/// Protocol 1, its value words written before the publishing CAS or, as
+/// the planted bug, after it.
+fn chain_head_publish_model(words_before_publish: bool) {
+    loom::model(move || {
         let slots: Arc<Vec<Slot>> = Arc::new((0..PUBLISHED).map(|_| Slot::vacant()).collect());
         let head = Arc::new(AtomicU64::new(NULL));
 
@@ -122,8 +151,17 @@ fn chain_head_cas_publish_vs_concurrent_reader() {
                     let slot = &slots[i];
                     // Initialize before publish — the reader-side assertion
                     // that writer_start != 0 checks exactly this ordering.
-                    slot.writer_start.store(i as u64 + 1, Ordering::Relaxed);
+                    let ws = i as u64 + 1;
+                    slot.writer_start.store(ws, Ordering::Relaxed);
                     slot.committed_at.store(0, Ordering::Relaxed);
+                    let fill = || {
+                        for (j, w) in slot.words.iter().enumerate() {
+                            w.store(word(ws, j), Ordering::Relaxed);
+                        }
+                    };
+                    if words_before_publish {
+                        fill();
+                    }
                     loop {
                         let h = head.load(Ordering::Acquire);
                         slot.next.store(h, Ordering::Relaxed);
@@ -138,6 +176,10 @@ fn chain_head_cas_publish_vs_concurrent_reader() {
                         {
                             break;
                         }
+                    }
+                    if !words_before_publish {
+                        thread::yield_now();
+                        fill();
                     }
                     // Eager commit stamp after publish (commit_ts = 10·ws).
                     slot.committed_at
@@ -170,11 +212,16 @@ fn chain_head_cas_publish_vs_concurrent_reader() {
                         let slot = &slots[cur as usize];
                         // The Release CAS publishes the initialized slot:
                         // a reachable version is never half-built.
-                        assert_ne!(
-                            slot.writer_start.load(Ordering::Relaxed),
-                            0,
-                            "reachable version is fully initialized"
-                        );
+                        let ws = slot.writer_start.load(Ordering::Relaxed);
+                        assert_ne!(ws, 0, "reachable version is fully initialized");
+                        // The reader's copy: plain loads, no lock.
+                        for (j, w) in slot.words.iter().enumerate() {
+                            assert_eq!(
+                                w.load(Ordering::Relaxed),
+                                word(ws, j),
+                                "reader copied a partly written value"
+                            );
+                        }
                         let cts = slot.committed_at.load(Ordering::Acquire);
                         if cts != 0 && cts > best {
                             best = cts;
@@ -198,7 +245,10 @@ fn chain_head_cas_publish_vs_concurrent_reader() {
         };
 
         writer.join().unwrap();
-        reader.join().unwrap();
+        // A failed reader's own message is the model's verdict.
+        if let Err(panic) = reader.join() {
+            std::panic::resume_unwind(panic);
+        }
 
         // Quiescent: all versions published and stamped, newest first.
         let mut cur = head.load(Ordering::Acquire);

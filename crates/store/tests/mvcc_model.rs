@@ -38,6 +38,23 @@ const KEYS: [&[u8]; 10] = [
     b"a-key-of-forty-bytes-or-more-on-the-heap",
 ];
 
+/// Value lengths a write draws from: 0, a byte either side of every size
+/// class boundary of the store's slots (0, 1, 2, 3, 4, 5, 6, 8, 10, 13,
+/// 16, 20, 26 and 32 words), and values past the largest class, which
+/// continue in a second and a third slot.
+const LENGTHS: [usize; 30] = [
+    0, 1, 7, 8, 9, 15, 17, 23, 25, 31, 33, 39, 41, 47, 49, 63, 65, 79, 81, 100, 103, 105, 127, 129,
+    159, 161, 207, 209, 255, 600,
+];
+
+/// The value a write of `v` at length index `len` puts: `v`, then bytes
+/// that follow from it and their position.
+fn value(v: u8, len: usize) -> Vec<u8> {
+    (0..LENGTHS[len])
+        .map(|i| v.wrapping_add((i as u8).wrapping_mul(31)))
+        .collect()
+}
+
 const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::WriteSnapshot,
     IsolationLevel::Snapshot,
@@ -47,7 +64,8 @@ const LEVELS: [IsolationLevel; 3] = [
 #[derive(Debug, Clone)]
 enum Step {
     Read(usize),
-    Write(usize, u8),
+    /// Write key, value seed, length index into [`LENGTHS`].
+    Write(usize, u8, usize),
     Delete(usize),
     /// Scan `[KEYS[start], KEYS[end])` (unbounded if `None`) up to a limit.
     /// The bounds are drawn independently: inverted and empty ranges occur.
@@ -65,7 +83,8 @@ struct Plan {
 fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0..KEYS.len()).prop_map(Step::Read),
-        ((0..KEYS.len()), any::<u8>()).prop_map(|(k, v)| Step::Write(k, v)),
+        ((0..KEYS.len()), any::<u8>(), (0..LENGTHS.len()))
+            .prop_map(|(k, v, len)| Step::Write(k, v, len)),
         (0..KEYS.len()).prop_map(Step::Delete),
         (
             (0..KEYS.len()),
@@ -339,15 +358,25 @@ fn run(db: &Db, p: &Plan, isolation: IsolationLevel) -> Model {
             continue;
         }
         match p.txns[t][cursors[t]] {
-            Step::Read(k) => assert_eq!(
-                txn.get(KEYS[k]).map(|v| v.to_vec()),
-                model.get(shadow, KEYS[k]),
-                "txn {t} reads {:?}",
-                KEYS[k]
-            ),
-            Step::Write(k, v) => {
-                txn.put(KEYS[k], &[v]);
-                shadow.writes.insert(KEYS[k].to_vec(), Some(vec![v]));
+            Step::Read(k) => {
+                let expect = model.get(shadow, KEYS[k]);
+                assert_eq!(
+                    txn.get(KEYS[k]).map(|v| v.to_vec()),
+                    expect,
+                    "txn {t} reads {:?}",
+                    KEYS[k]
+                );
+                let mut buf = b"stale".to_vec();
+                let found = txn.get_into(KEYS[k], &mut buf);
+                assert!(
+                    found || buf.is_empty(),
+                    "an absent key leaves the buffer empty"
+                );
+                assert_eq!(found.then_some(buf), expect, "txn {t} reads into a buffer");
+            }
+            Step::Write(k, v, len) => {
+                txn.put(KEYS[k], &value(v, len));
+                shadow.writes.insert(KEYS[k].to_vec(), Some(value(v, len)));
             }
             Step::Delete(k) => {
                 txn.delete(KEYS[k]);
@@ -420,6 +449,46 @@ proptest! {
     }
 }
 
+/// Every length of [`LENGTHS`] on every key, mixed with tombstones: one
+/// transaction after another reads each key, then rewrites it at the next
+/// length or deletes it, and scans everything. So every length is read
+/// back in a later snapshot, through chains long enough to migrate into
+/// packed nodes, with sweeps in between that free what was superseded.
+#[test]
+fn every_value_length_reads_back_across_overwrites_and_tombstones() {
+    let txns: Vec<Vec<Step>> = (0..LENGTHS.len())
+        .map(|round| {
+            (0..KEYS.len())
+                .flat_map(|k| {
+                    let write = match (round + k) % 5 {
+                        4 => Step::Delete(k),
+                        _ => Step::Write(
+                            k,
+                            (round * KEYS.len() + k) as u8,
+                            (round + k) % LENGTHS.len(),
+                        ),
+                    };
+                    [Step::Read(k), write]
+                })
+                .chain([Step::Scan(0, None, KEYS.len())])
+                .collect()
+        })
+        .collect();
+    let schedule = (0..txns.len())
+        .flat_map(|t| std::iter::repeat_n(t, txns[t].len() + 1))
+        .collect();
+    let p = Plan {
+        txns,
+        schedule,
+        gc_every: 10,
+    };
+    for isolation in LEVELS {
+        let db = Db::open(DbOptions::new(isolation));
+        let model = run(&db, &p, isolation);
+        gc_and_check(&db, &model, u64::MAX);
+    }
+}
+
 /// A plan the generator's 192 cases do not draw: with `a b c d` stored, a
 /// buffered `delete(a)` inside the window of a `limit = 2` scan must not
 /// shorten it — `limit` cuts the merged rows (`[b, c]`), not the stored
@@ -428,7 +497,7 @@ proptest! {
 fn a_limited_scan_is_not_cut_short_by_buffered_writes() {
     let p = Plan {
         txns: vec![
-            (0..4).map(|k| Step::Write(k, 1)).collect(),
+            (0..4).map(|k| Step::Write(k, 1, 1)).collect(),
             vec![Step::Delete(0), Step::Scan(0, None, 2)],
         ],
         schedule: vec![0, 0, 0, 0, 0, 1, 1, 1],
@@ -449,8 +518,8 @@ fn a_limited_scan_is_not_cut_short_by_buffered_writes() {
 fn read_only_anomaly_plans_match_the_model() {
     let (x, y) = (0, 1);
     let txns = vec![
-        vec![Step::Read(x), Step::Read(y), Step::Write(x, 2)], // the pivot
-        vec![Step::Read(y), Step::Write(y, 1)],
+        vec![Step::Read(x), Step::Read(y), Step::Write(x, 2, 1)], // the pivot
+        vec![Step::Read(y), Step::Write(y, 1, 1)],
         vec![Step::Read(x), Step::Read(y)], // begins once txn 1 committed
     ];
     for schedule in [
