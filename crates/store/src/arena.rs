@@ -585,19 +585,33 @@ impl Slots {
     /// and unlinked, in the smallest class it fits. The one fallback: a
     /// value beyond the largest class fills that class's words but the
     /// last, which holds the handle of a slot allocated the same way for
-    /// the rest. The caller sets the writer and publishes the slot.
+    /// the rest. The caller publishes the slot.
     fn alloc(&self, writer_start: Timestamp, value: Option<&[u8]>) -> u64 {
-        let len = value.map_or(0, <[u8]>::len);
+        let (handle, slot, mut rest) = self.alloc_part(value.unwrap_or_default(), value.is_none());
+        slot[WRITER].store(writer_start.raw(), Ordering::Relaxed);
+        let mut last = slot;
+        while !rest.is_empty() {
+            let (next, slot, more) = self.alloc_part(rest, false);
+            last[last.len() - 1].store(next, Ordering::Relaxed);
+            (last, rest) = (slot, more);
+        }
+        handle
+    }
+
+    /// Allocates one slot of a value (of a tombstone when `tombstone`),
+    /// writer and stamp `0`, unlinked, and fills it with what fits of
+    /// `value`; returns the handle, the slot and the bytes that did not fit.
+    fn alloc_part<'v>(&self, value: &'v [u8], tombstone: bool) -> (u64, &[AtomicU64], &'v [u8]) {
+        let len = value.len();
         debug_assert!(len < TOMBSTONE as usize, "a value is shorter than 4 GiB");
         let (handle, slot) = self.classes[class_for(len.div_ceil(8))].alloc();
         let words = &slot[HEADER..];
         let gen = slot[GEN_LEN].load(Ordering::Relaxed) >> 32 << 32;
-        let len_word = value.map_or(TOMBSTONE, |_| len as u32);
+        let len_word = if tombstone { TOMBSTONE } else { len as u32 };
         slot[GEN_LEN].store(gen | len_word as u64, Ordering::Relaxed);
-        slot[WRITER].store(writer_start.raw(), Ordering::Relaxed);
+        slot[WRITER].store(0, Ordering::Relaxed);
         slot[STAMP].store(0, Ordering::Relaxed);
         slot[NEXT].store(NULL_VIDX, Ordering::Relaxed);
-        let value = value.unwrap_or_default();
         let (here, rest) = value.split_at(len.min(Self::inline_words(words.len(), len) * 8));
         let whole = here.chunks_exact(8);
         let tail = whole.remainder();
@@ -608,11 +622,7 @@ impl Slots {
         if !tail.is_empty() {
             words[here.len() / 8].store(word_of(tail), Ordering::Relaxed);
         }
-        if !rest.is_empty() {
-            let next = self.alloc(Timestamp(0), Some(rest));
-            words[words.len() - 1].store(next, Ordering::Relaxed);
-        }
-        handle
+        (handle, slot, rest)
     }
 
     /// Of a slot with `words` value words holding a value of `len` bytes,
@@ -663,15 +673,18 @@ impl Slots {
     }
 
     /// Frees a slot and any slots its value continues in.
-    fn free(&self, handle: u64) {
-        let slot = self.get(handle);
-        let words = slot.len() - HEADER;
-        let rest = Self::len(slot)
-            .filter(|&len| len > words * 8)
-            .map(|_| slot[slot.len() - 1].load(Ordering::Relaxed));
-        self.classes[class_of(handle)].free(handle);
-        if let Some(rest) = rest {
-            self.free(rest);
+    fn free(&self, mut handle: u64) {
+        loop {
+            let slot = self.get(handle);
+            let words = slot.len() - HEADER;
+            let rest = Self::len(slot)
+                .filter(|&len| len > words * 8)
+                .map(|_| slot[slot.len() - 1].load(Ordering::Relaxed));
+            self.classes[class_of(handle)].free(handle);
+            match rest {
+                Some(rest) => handle = rest,
+                None => return,
+            }
         }
     }
 

@@ -81,6 +81,11 @@ impl Transaction {
             buf.extend_from_slice(buffered.as_deref().unwrap_or_default());
             return buffered.is_some();
         }
+        self.read_store(key, buf)
+    }
+
+    /// Reads `key` from the store into `buf` and records the read.
+    fn read_store(&mut self, key: &[u8], buf: &mut Vec<u8>) -> bool {
         let row = hash_row_key(key);
         self.read_rows.insert(row);
         self.db
@@ -89,9 +94,13 @@ impl Transaction {
     }
 
     /// Reads a key in the transaction's snapshot: [`Self::get_into`], with
-    /// the value returned as one `Bytes` this call allocates.
+    /// the value returned as one `Bytes` this call allocates. A key this
+    /// transaction wrote returns its buffered `Bytes`, uncopied.
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        read_bytes(|buf| self.get_into(key, buf))
+        if let Some(buffered) = self.writes.get(key) {
+            return buffered.clone();
+        }
+        read_bytes(|buf| self.read_store(key, buf))
     }
 
     /// Buffers a write of `value` to `key`.

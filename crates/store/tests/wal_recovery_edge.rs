@@ -500,3 +500,37 @@ fn a_checkpoint_that_misses_its_quorum_leaves_the_log_whole() {
         assert_eq!(contents(&recovered), live, "flushed {flushed}");
     }
 }
+
+/// A value far beyond the largest slot class continues through thousands
+/// of slots; allocating, reading, checkpointing, freeing and replaying it
+/// must take stack independent of its length. Runs on a thread with a
+/// small stack, so a walk that recursed per slot would overflow it.
+#[test]
+fn a_multi_megabyte_value_round_trips_on_a_small_stack() {
+    std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(|| {
+            let big: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+            let level = IsolationLevel::WriteSnapshot;
+            let db = durable_db(level);
+            commit_kv(&db, b"big", &big);
+            assert_eq!(db.snapshot().get(b"big").unwrap().as_ref(), &big[..]);
+            let mut buf = Vec::new();
+            assert!(db.begin().get_into(b"big", &mut buf));
+            assert_eq!(buf, big);
+
+            // Superseded, checkpointed and freed; then replayed.
+            commit_kv(&db, b"big", &big[1..]);
+            db.gc();
+            assert_eq!(db.snapshot().get(b"big").unwrap().as_ref(), &big[1..]);
+            let recovered = Db::recover(DbOptions::new(level), db.wal_snapshot().unwrap()).unwrap();
+            assert_eq!(
+                recovered.snapshot().get(b"big").unwrap().as_ref(),
+                &big[1..]
+            );
+            recovered.gc();
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
