@@ -9,8 +9,7 @@
 //! [`LastCommit`] is that table: one flat open-addressing hash table (the
 //! private `RowTable`), so a probe or a record loads one memory item per
 //! row — the paper's unit of oracle cost (§6.3). Unbounded, it is exact
-//! (Algorithms 1 and 2) and holds every row written since its owner last
-//! called [`LastCommit::forget_through`]. Bounded, it keeps at most `NR`
+//! (Algorithms 1 and 2) and holds every row ever written. Bounded, it keeps at most `NR`
 //! resident rows, evicting the oldest and folding their timestamps into
 //! `T_max` (Algorithm 3, paper Appendix A); lookups of evicted rows return
 //! `T_max`-based pessimistic answers, so eviction can cause extra aborts but
@@ -168,18 +167,13 @@ impl RowTable {
     /// Doubles the array and re-places every row.
     #[cold]
     fn grow(&mut self) {
-        *self = self.rebuilt(64 - self.shift + 1, |_| true);
-    }
-
-    /// A table of `1 << bits` slots holding the rows `keep` accepts.
-    fn rebuilt(&self, bits: u32, keep: impl Fn(Slot) -> bool) -> Self {
-        let mut table = Self::with_bits(bits);
-        for slot in self.occupied().filter(|&slot| keep(slot)) {
+        let mut table = Self::with_bits(64 - self.shift + 1);
+        for slot in self.occupied() {
             let i = table.find(slot.row).expect_err("rows are distinct");
             table.slots[i] = slot;
             table.len += 1;
         }
-        table
+        *self = table;
     }
 
     /// Removes `row` if present, closing the gap by backward shift: each
@@ -215,8 +209,7 @@ impl RowTable {
 ///
 /// Unbounded ([`LastCommit::unbounded`], Algorithms 1 and 2) it is exact: a
 /// hash table that doubles when three quarters full, so it holds 21–43 bytes
-/// per resident row, and is rebuilt at the size its remaining rows need
-/// when [`LastCommit::forget_through`] drops the rows no snapshot can see.
+/// per resident row.
 ///
 /// Bounded ([`LastCommit::bounded`], Algorithm 3) it keeps the `NR` most
 /// recently *committed-to* rows. Eviction is in commit order: a FIFO of
@@ -338,28 +331,6 @@ impl LastCommit {
                 .retain(|&(qts, qrow)| table.get(qrow) == Some(qts));
         }
         evicted
-    }
-
-    /// Forgets every row last committed at or below `watermark`; returns
-    /// the rows forgotten. With `watermark` at or below every live and
-    /// future start `T_s`, a forgotten entry had `lastCommit(r) ≤ T_s` and
-    /// could never fail a check, so an unbounded table changes no decision
-    /// (a bounded one may only add `T_max` aborts).
-    ///
-    /// The table is rebuilt at the size the rows it held before need: one
-    /// that grew for a burst, such as a preload, shrinks on the next call,
-    /// while one sized for a steady stream between calls does not halve
-    /// only to double again. Sized for the rows kept instead, a store's
-    /// shards would re-double from 8 slots after every tick: 252 doublings
-    /// per 1 000 commits against 1.8.
-    pub fn forget_through(&mut self, watermark: Timestamp) -> usize {
-        let kept = self.table.occupied().filter(|s| s.ts > watermark).count();
-        let forgotten = self.table.len - kept;
-        if forgotten > 0 {
-            let bits = RowTable::bits_for(self.table.len);
-            self.table = self.table.rebuilt(bits, |s| s.ts > watermark);
-        }
-        forgotten
     }
 
     /// Number of resident rows.
@@ -536,7 +507,6 @@ mod tests {
         Record(u64, u64),
         Remove(u64),
         Probe(u64),
-        Forget(u64),
     }
 
     /// Dense small rows, the two extremes, and rows spread over all of
@@ -554,7 +524,6 @@ mod tests {
             5 => (row(), 0u64..1000).prop_map(|(r, ts)| Op::Record(r, ts)),
             3 => row().prop_map(Op::Remove),
             2 => row().prop_map(Op::Probe),
-            1 => (0u64..1000).prop_map(Op::Forget),
         ]
     }
 
@@ -562,15 +531,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `RowTable` against an ordered map, through growth (8 → 64
-        /// slots), deletions and the rebuild of
-        /// [`LastCommit::forget_through`], which leaves the smallest table
-        /// that holds what the table held before.
+        /// slots) and deletions.
         #[test]
         fn row_table_agrees_with_an_ordered_map(ops in prop::collection::vec(op(), 1..200)) {
-            let mut last_commit = LastCommit::unbounded();
+            let mut table = RowTable::with_capacity(0);
             let mut model: BTreeMap<RowId, Timestamp> = BTreeMap::new();
             for op in ops {
-                let table = &mut last_commit.table;
                 match op {
                     Op::Record(r, ts) => {
                         let fresh = table.insert(RowId(r), Timestamp(ts));
@@ -583,24 +549,12 @@ mod tests {
                     Op::Probe(r) => {
                         prop_assert_eq!(table.get(RowId(r)), model.get(&RowId(r)).copied());
                     }
-                    Op::Forget(w) => {
-                        let before = model.len();
-                        model.retain(|_, ts| ts.raw() > w);
-                        let forgotten = last_commit.forget_through(Timestamp(w));
-                        prop_assert_eq!(forgotten, before - model.len());
-                        if forgotten > 0 {
-                            prop_assert_eq!(
-                                last_commit.table.slots.len(),
-                                1 << RowTable::bits_for(before)
-                            );
-                        }
-                    }
                 }
-                assert_well_formed(&last_commit.table);
-                prop_assert_eq!(last_commit.len(), model.len());
+                assert_well_formed(&table);
+                prop_assert_eq!(table.len, model.len());
             }
             for (&row, &ts) in &model {
-                prop_assert_eq!(last_commit.table.get(row), Some(ts));
+                prop_assert_eq!(table.get(row), Some(ts));
             }
         }
 
@@ -639,40 +593,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forgetting_below_a_watermark_shrinks_the_table() {
-        let mut t = LastCommit::unbounded();
-        for i in 0..1000 {
-            t.record(RowId(i), Timestamp(i + 1));
-        }
-        // Sized for the thousand rows it held, the table keeps its slots
-        // for the next thousand.
-        assert_eq!(t.table.slots.len(), 2048);
-        assert_eq!(t.forget_through(Timestamp(990)), 990);
-        assert_eq!((t.len(), t.table.slots.len()), (10, 2048));
-        assert_eq!(t.probe(RowId(989)), Probe::NeverWritten);
-        assert_eq!(t.probe(RowId(990)), Probe::Resident(Timestamp(991)));
-        // Nothing at or below the watermark is left: no rebuild.
-        assert_eq!(t.forget_through(Timestamp(990)), 0);
-        assert_eq!(t.table.slots.len(), 2048);
-        // The burst is over: the next forget shrinks to what eleven rows
-        // need.
-        t.record(RowId(5000), Timestamp(2000));
-        assert_eq!(t.forget_through(Timestamp(1000)), 10);
-        assert_eq!((t.len(), t.table.slots.len()), (1, 16));
-        // A bounded table keeps its `T_max`, which a forgotten row now
-        // probes against.
-        let mut b = LastCommit::bounded(4);
-        for i in 0..6 {
-            b.record(RowId(i), Timestamp(i + 1));
-        }
-        assert_eq!(b.forget_through(Timestamp(5)), 3);
-        assert_eq!(b.len(), 1);
-        let t_max = Timestamp(2);
-        assert_eq!(b.t_max(), t_max);
-        assert_eq!(b.probe(RowId(3)), Probe::MaybeEvicted { t_max });
     }
 
     #[test]

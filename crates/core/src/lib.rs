@@ -20,15 +20,12 @@
 //! level — SI and WSI differ only in *which* of the two row sets is checked
 //! (writes for SI, reads for WSI), captured by [`IsolationLevel`], and
 //! serializable snapshot isolation adds the dangerous-structure check of
-//! [`ssi::SsiWindow`] to the SI check. Higher layers embed this state
-//! machine in different shells:
+//! [`ssi::SsiWindow`] to the SI check. Two layers build on it:
 //!
-//! * `wsi-store` builds an embedded, thread-safe transactional multi-version
-//!   store on the [`ConcurrentOracle`], which makes the same decisions
-//!   under one decision lock, takes its rows as slices and is
-//!   property-tested against this state machine as its model; it bounds
-//!   its `lastCommit` without Algorithm 3, by forgetting the rows no live
-//!   snapshot can conflict with ([`ConcurrentOracle::forget_through`]);
+//! * `wsi-store`, an embedded, thread-safe transactional multi-version
+//!   store, keeps `lastCommit(r)` in each key's own entry and decides
+//!   with this crate's per-row predicate ([`check_row_probe`]) under one
+//!   decision lock; this state machine is its reference model;
 //! * `wsi-oracle` wraps this state machine in a simulated server with WAL
 //!   persistence and a CPU cost model to reproduce the paper's
 //!   status-oracle experiments.
@@ -56,7 +53,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-mod concurrent;
 mod error;
 mod lastcommit;
 mod oracle;
@@ -65,10 +61,9 @@ mod row;
 pub mod ssi;
 mod ts;
 
-pub use concurrent::{ConcurrentOracle, DecisionGuard};
 pub use error::{AbortReason, CommitOutcome, Error, Result, TxnStatus};
 pub use lastcommit::{LastCommit, Probe};
-pub use oracle::{CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
+pub use oracle::{check_row_probe, CommitRequest, OracleCounters, OracleStats, StatusOracleCore};
 pub use policy::{
     rw_spatial_overlap, rw_temporal_overlap, spatial_overlap, temporal_overlap, IsolationLevel,
 };

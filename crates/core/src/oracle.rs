@@ -130,9 +130,8 @@ impl OracleStats {
 /// Each field is a sharded [`wsi_obs::Counter`]; `Clone` produces a handle
 /// onto the **same** counters, so an embedder can keep a clone outside the
 /// oracle's critical section and read statistics without taking what
-/// serializes the oracle itself (the decision lock of a
-/// [`ConcurrentOracle`](crate::ConcurrentOracle), the event loop in
-/// `wsi-oracle`). [`OracleCounters::view`] folds the counters into a
+/// serializes the oracle itself (the decision lock of `wsi-store`'s `Db`,
+/// the event loop in `wsi-oracle`). [`OracleCounters::view`] folds the counters into a
 /// plain [`OracleStats`] value at any time, with no synchronization beyond
 /// relaxed atomic loads.
 #[derive(Debug, Clone, Default)]
@@ -141,10 +140,9 @@ pub struct OracleCounters {
     pub begins: wsi_obs::Counter,
     /// Write transactions decided committed (including later-overturned).
     pub commits: wsi_obs::Counter,
-    /// Commits overturned because durability failed before publication
-    /// (see
-    /// [`ConcurrentOracle::abort_after_decide`](crate::ConcurrentOracle::abort_after_decide)).
-    /// The [`OracleStats`] `commits` view subtracts these; keeping decide and
+    /// Commits overturned because durability failed before publication:
+    /// the embedder flips a decided commit to aborted before any reader
+    /// could observe it. The [`OracleStats`] `commits` view subtracts these; keeping decide and
     /// overturn as separate monotonic counters keeps every counter
     /// append-only, which exposition formats (Prometheus) require of
     /// counters.
@@ -216,13 +214,30 @@ impl OracleCounters {
             registry.register_counter(name, counter);
         }
     }
+
+    /// Counts a conflict or client abort under its reason.
+    pub fn count_abort(&self, reason: AbortReason) {
+        match reason {
+            AbortReason::WriteWriteConflict { .. } => self.ww_aborts.inc(),
+            AbortReason::ReadWriteConflict { .. } => self.rw_aborts.inc(),
+            AbortReason::TmaxExceeded { .. } => self.tmax_aborts.inc(),
+            AbortReason::DangerousStructure { .. } => self.pivot_aborts.inc(),
+            AbortReason::ClientRequested => self.client_aborts.inc(),
+        }
+    }
 }
 
-/// The per-row conflict predicate shared by every oracle shell (lines 2–9 of
-/// Algorithms 1–3): given the probe result for one checked row, decide
-/// whether the transaction may proceed. Factored out so the single-threaded
-/// and concurrent oracles cannot drift apart.
-pub(crate) fn check_row_probe(
+/// The per-row conflict predicate (lines 2–9 of Algorithms 1–3): given the
+/// probe result for one checked row, decide whether a transaction that
+/// started at `start_ts` may proceed. [`StatusOracleCore`] and `wsi-store`'s
+/// `Db`, which probes its own key entries, both decide through it, so the
+/// model and the store cannot drift apart.
+///
+/// # Errors
+///
+/// The row's abort reason: a conflict at `level`, or Algorithm 3's
+/// pessimistic `T_max` abort.
+pub fn check_row_probe(
     level: IsolationLevel,
     row: RowId,
     probe: Probe,
@@ -255,10 +270,10 @@ pub(crate) fn check_row_probe(
 ///
 /// Embedders serialize access (the event loop in `wsi-oracle`); the paper's
 /// implementation likewise "executes the conflict detection algorithm in a
-/// critical section" (§6.3). `wsi-store` runs the
-/// [`ConcurrentOracle`](crate::ConcurrentOracle), tested against this state
-/// machine as its model, with its own [`SsiWindow`] beside it under
-/// serializable snapshot isolation.
+/// critical section" (§6.3). It is also the reference the store is tested
+/// against: `wsi-store` decides with the same [`check_row_probe`] over
+/// `lastCommit` words kept in its key entries, with its own [`SsiWindow`]
+/// beside them under serializable snapshot isolation.
 ///
 /// # Example: write skew is admitted by SI and refused by WSI and SSI
 ///
@@ -435,13 +450,7 @@ impl StatusOracleCore {
     }
 
     fn register_abort(&mut self, reason: AbortReason) -> CommitOutcome {
-        match reason {
-            AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
-            AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
-            AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
-            AbortReason::DangerousStructure { .. } => self.counters.pivot_aborts.inc(),
-            AbortReason::ClientRequested => self.counters.client_aborts.inc(),
-        }
+        self.counters.count_abort(reason);
         CommitOutcome::Aborted(reason)
     }
 
@@ -454,18 +463,6 @@ impl StatusOracleCore {
     /// Current `T_max` (always [`Timestamp::ZERO`] for unbounded oracles).
     pub fn t_max(&self) -> Timestamp {
         self.last_commit.t_max()
-    }
-
-    /// Number of rows resident in `lastCommit`.
-    pub fn resident_rows(&self) -> usize {
-        self.last_commit.len()
-    }
-
-    /// Probes the `lastCommit` table for one row without counting it as a
-    /// conflict check — diagnostic access for tests and state comparison
-    /// (e.g. the concurrent-oracle equivalence suite).
-    pub fn probe_row(&self, row: RowId) -> Probe {
-        self.last_commit.probe(row)
     }
 
     /// The most recently issued timestamp.

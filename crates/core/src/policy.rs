@@ -31,9 +31,8 @@ pub enum IsolationLevel {
     /// [`crate::StatusOracleCore`] certifies this level in full: the
     /// write-write check of [`IsolationLevel::Snapshot`], then the
     /// dangerous-structure check of a [`crate::ssi::SsiWindow`].
-    /// [`crate::ConcurrentOracle`] certifies only the SI base; its embedder
-    /// runs the window beside it (`wsi-store`'s `Db` does, under the
-    /// oracle's decision lock).
+    /// `wsi-store`'s `Db` certifies the SI base against its key entries and
+    /// runs its own window beside it, under its decision lock.
     SerializableSnapshot,
 }
 

@@ -25,8 +25,8 @@
 //!   oracle. [`crate::StatusOracleCore`] at
 //!   [`crate::IsolationLevel::SerializableSnapshot`] holds a window and runs
 //!   both checks itself; `wsi-store`'s `Db` calls its own window after the
-//!   check of its concurrent [`crate::ConcurrentOracle`], with that
-//!   oracle's decision lock still held.
+//!   write-write check of its key entries, with its decision lock still
+//!   held.
 //!
 //! Compared to write-snapshot isolation: SSI admits some histories WSI
 //! rejects (the paper's History 6 — an out-edge alone is not dangerous) but

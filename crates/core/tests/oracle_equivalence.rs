@@ -1,36 +1,21 @@
-//! Equivalence of the [`ConcurrentOracle`] with its model, the
-//! single-threaded [`StatusOracleCore`], on interleaved histories.
-//!
-//! The concurrent oracle is supposed to be a *refactoring* of the decision
-//! logic, not a new algorithm: driven single-threaded, it must make exactly
-//! the decisions Algorithms 1 and 2 make. These property tests drive the same
-//! randomized history through the model and the implementation and assert
-//! identical commit/abort outcomes, identical final `lastCommit` state, and
-//! identical activity statistics — for SI and WSI. The model takes a
-//! [`CommitRequest`]; the implementation takes the request's two row sets
-//! as slices.
+//! Algorithm 3 against the exact decisions it bounds, on interleaved
+//! histories.
 //!
 //! A history keeps up to [`MAX_OPEN`] transactions open at once and ends
 //! them in random order, so a commit probes rows that transactions
 //! concurrent with it wrote. The corpus reaches write-write aborts under SI,
 //! read-write aborts under WSI, and `T_max` aborts in the bounded
 //! model (Algorithm 3), which must add only those to what the exact table
-//! decides.
-//!
-//! On the same histories, an oracle that forgets its `lastCommit` rows at
-//! random watermarks no higher than the oldest open start decides exactly
-//! as one that forgets nothing — the argument the store's watermark pruning
-//! rests on — and one that forgets a timestamp past it is caught.
+//! decides. (`tests/oracle_properties.rs` holds the bounded model to the
+//! exact one only up to their first divergence; here every decision is
+//! checked.)
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 use wsi_core::{
-    AbortReason, CommitOutcome, CommitRequest, ConcurrentOracle, IsolationLevel, RowId,
-    SharedTimestampSource, StatusOracleCore, Timestamp,
+    AbortReason, CommitOutcome, CommitRequest, IsolationLevel, RowId, StatusOracleCore, Timestamp,
 };
-use wsi_obs::Journal;
 
 /// Row universe: small enough that transactions collide constantly.
 const UNIVERSE: u64 = 24;
@@ -110,93 +95,13 @@ impl History {
     }
 }
 
-/// The calls a history makes of an oracle.
-trait Oracle {
-    fn begin(&mut self) -> Timestamp;
-    fn commit(&mut self, req: CommitRequest) -> CommitOutcome;
-    fn abort(&mut self, start_ts: Timestamp);
-}
-
-impl Oracle for StatusOracleCore {
-    fn begin(&mut self) -> Timestamp {
-        StatusOracleCore::begin(self)
-    }
-    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        StatusOracleCore::commit(self, req)
-    }
-    fn abort(&mut self, start_ts: Timestamp) {
-        StatusOracleCore::abort(self, start_ts);
-    }
-}
-
-impl Oracle for ConcurrentOracle {
-    fn begin(&mut self) -> Timestamp {
-        ConcurrentOracle::begin(self)
-    }
-    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        ConcurrentOracle::commit(self, req.start_ts, &req.read_rows, &req.write_rows)
-    }
-    fn abort(&mut self, _start_ts: Timestamp) {
-        ConcurrentOracle::abort(self);
-    }
-}
-
-/// A [`ConcurrentOracle`] that, before a call, may forget its `lastCommit`
-/// rows through the watermark `forget_at(oldest, pick)`, where `oldest` is
-/// the oldest open start (the next start when none is open) and `pick` is
-/// the call's entry of `picks` (no forgetting when it is `None`).
-struct Forgetful<F> {
-    oracle: ConcurrentOracle,
-    open: BTreeSet<Timestamp>,
-    picks: Vec<Option<u64>>,
-    calls: usize,
-    forget_at: F,
-}
-
-impl<F: Fn(Timestamp, u64) -> Timestamp> Forgetful<F> {
-    fn new(oracle: ConcurrentOracle, picks: Vec<Option<u64>>, forget_at: F) -> Self {
-        Forgetful {
-            oracle,
-            open: BTreeSet::new(),
-            picks,
-            calls: 0,
-            forget_at,
-        }
-    }
-
-    fn maybe_forget(&mut self) {
-        if let Some(&Some(pick)) = self.picks.get(self.calls) {
-            let oldest = self.open.first().copied();
-            let oldest = oldest.unwrap_or_else(|| self.oracle.last_issued_ts().next());
-            self.oracle.forget_through((self.forget_at)(oldest, pick));
-        }
-        self.calls += 1;
-    }
-}
-
-impl<F: Fn(Timestamp, u64) -> Timestamp> Oracle for Forgetful<F> {
-    fn begin(&mut self) -> Timestamp {
-        self.maybe_forget();
-        let start_ts = self.oracle.begin();
-        self.open.insert(start_ts);
-        start_ts
-    }
-    fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        self.maybe_forget();
-        self.open.remove(&req.start_ts);
-        Oracle::commit(&mut self.oracle, req)
-    }
-    fn abort(&mut self, start_ts: Timestamp) {
-        self.maybe_forget();
-        self.open.remove(&start_ts);
-        self.oracle.abort();
-    }
-}
-
 /// Plays `history` through `oracle`. Returns, in the order the
 /// transactions ended, each one's spec index, start timestamp and outcome
 /// (a client abort as [`AbortReason::ClientRequested`]).
-fn play(oracle: &mut impl Oracle, history: &History) -> Vec<(usize, Timestamp, CommitOutcome)> {
+fn play(
+    oracle: &mut StatusOracleCore,
+    history: &History,
+) -> Vec<(usize, Timestamp, CommitOutcome)> {
     let mut starts = vec![Timestamp::ZERO; history.specs.len()];
     let mut decisions = Vec::with_capacity(history.specs.len());
     for &step in &history.steps {
@@ -217,96 +122,8 @@ fn play(oracle: &mut impl Oracle, history: &History) -> Vec<(usize, Timestamp, C
     decisions
 }
 
-/// Drives `history` through the model and the implementation, asserting
-/// decision-by-decision and final-state equality.
-fn assert_lockstep(mut model: StatusOracleCore, mut oracle: ConcurrentOracle, history: &History) {
-    let expect = play(&mut model, history);
-    let got = play(&mut oracle, history);
-    for (want, got) in expect.iter().zip(&got) {
-        assert_eq!(
-            want, got,
-            "decision diverged for {:?}",
-            history.specs[want.0]
-        );
-    }
-    // Final conflict state: every row in the universe probes identically.
-    for row in 0..UNIVERSE {
-        assert_eq!(
-            model.probe_row(RowId(row)),
-            oracle.probe_row(RowId(row)),
-            "lastCommit diverged at row {row}"
-        );
-    }
-    assert_eq!(model.resident_rows(), oracle.resident_rows());
-    assert_eq!(model.last_issued_ts(), oracle.last_issued_ts());
-    assert_eq!(model.stats(), oracle.stats(), "activity counters diverged");
-}
-
-fn fresh(level: IsolationLevel) -> ConcurrentOracle {
-    ConcurrentOracle::unbounded(
-        level,
-        Arc::new(SharedTimestampSource::new()),
-        Journal::with_capacity(8),
-    )
-}
-
-/// The two levels a [`ConcurrentOracle`] certifies by itself.
-const LEVELS: [IsolationLevel; 2] = [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot];
-
-/// Whether `history`'s oracle-driven forgetting through `forget_at` changes
-/// any decision or counter of an oracle at `level`.
-fn forgetting_changes_something(
-    level: IsolationLevel,
-    history: &History,
-    picks: Vec<Option<u64>>,
-    forget_at: impl Fn(Timestamp, u64) -> Timestamp,
-) -> bool {
-    let mut exact = fresh(level);
-    let mut forgetful = Forgetful::new(fresh(level), picks, forget_at);
-    let changed = play(&mut exact, history) != play(&mut forgetful, history)
-        || exact.stats() != forgetful.oracle.stats();
-    assert!(forgetful.oracle.resident_rows() <= exact.resident_rows());
-    changed
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Algorithm 1 (SI): implementation ≡ model.
-    #[test]
-    fn si_unbounded_equivalence(seed in any::<u64>()) {
-        let level = IsolationLevel::Snapshot;
-        let history = History::generate(seed);
-        assert_lockstep(StatusOracleCore::unbounded(level), fresh(level), &history);
-    }
-
-    /// Algorithm 2 (WSI): implementation ≡ model.
-    #[test]
-    fn wsi_unbounded_equivalence(seed in any::<u64>()) {
-        let level = IsolationLevel::WriteSnapshot;
-        let history = History::generate(seed);
-        assert_lockstep(StatusOracleCore::unbounded(level), fresh(level), &history);
-    }
-
-    /// Forgetting every row at or below a watermark no higher than the
-    /// oldest open start — the store's pruning rule — changes no decision
-    /// and no counter, at either level.
-    #[test]
-    fn forgetting_below_the_oldest_start_changes_no_decision(
-        seed in any::<u64>(),
-        picks in prop::collection::vec(prop::option::of(any::<u64>()), 0..80),
-    ) {
-        for level in LEVELS {
-            let history = History::generate(seed);
-            let changed = forgetting_changes_something(
-                level,
-                &history,
-                picks.clone(),
-                |oldest, pick| Timestamp(pick % (oldest.raw() + 1)),
-            );
-            prop_assert!(!changed, "{level}: {history:?}");
-        }
-    }
 
     /// Algorithm 3 against the exact table it bounds: every commit the
     /// bounded model admits is conflict-free in an exact map of the commits
@@ -401,22 +218,4 @@ fn the_histories_reach_every_abort_kind() {
         ww > 0 && rw > 0 && tmax > 0,
         "ww {ww}, rw {rw}, T_max {tmax}"
     );
-}
-
-/// The planted bug the forgetting property must catch: a watermark one
-/// timestamp past the oldest open start drops a commit that start can
-/// still conflict with.
-#[test]
-fn forgetting_one_past_the_oldest_start_is_caught() {
-    for level in LEVELS {
-        let caught = (0..64).any(|seed| {
-            let history = History::generate(seed);
-            let picks = vec![Some(0); 2 * history.specs.len()];
-            forgetting_changes_something(level, &history, picks, |oldest, _| oldest.next())
-        });
-        assert!(
-            caught,
-            "{level}: forgetting past the oldest start went unnoticed"
-        );
-    }
 }

@@ -101,7 +101,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::{BufMut, Bytes};
 use parking_lot::RwLock;
 use spin::Mutex as SpinMutex;
-use wsi_core::{hash_row_key, RowId, SharedTimestampSource, Timestamp, TxnStatus};
+use wsi_core::{hash_row_key, Probe, RowId, SharedTimestampSource, Timestamp, TxnStatus};
 use wsi_obs::{EventData, Journal};
 
 use crate::mvcc::{GcStats, ReclamationStats, VersionResolver, VersionStamps};
@@ -1044,7 +1044,17 @@ struct KeyEntry {
     /// live, committed, stamped version — nothing a sweep could act on.
     /// The clean → dirty transition queues the entry on the worklist.
     dirty: AtomicBool,
+    /// `lastCommit` of Algorithms 1 and 2 for this key: the commit
+    /// timestamp of its latest writer, `0` before any. Read and written
+    /// only under the `Db`'s decision lock, which orders every access, so
+    /// `Relaxed` suffices (DESIGN.md §5).
+    last_commit: AtomicU64,
 }
+
+/// A key's entry, by index. Entries are immortal, so a transaction holds
+/// one from its read or write to its commit decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyId(u32);
 
 /// Append-only chunked storage for [`KeyEntry`]s.
 #[derive(Debug)]
@@ -1285,6 +1295,7 @@ impl ChainHeadTable {
             singles: AtomicU32::new(0),
             lock: SpinMutex::new(()),
             dirty: AtomicBool::new(false),
+            last_commit: AtomicU64::new(0),
         });
         let (slots, bits) = self.current();
         if (idx as usize + 1) * 4 > slots.len() * 3 {
@@ -1416,23 +1427,32 @@ impl ArenaStore {
     /// holds for the conflict check anyway. Keys within a batch must be
     /// distinct (commit applies and WAL records materialize a
     /// per-transaction write *map*, so they are): a writer never meets its
-    /// own version in a chain.
+    /// own version in a chain. Returns the keys' entries, in batch order,
+    /// created for keys that had none.
     pub(crate) fn insert_versions(
         &self,
         writer_start: Timestamp,
         rows: &[RowId],
         writes: &[(Bytes, Option<Bytes>)],
-    ) {
+    ) -> Vec<KeyId> {
         debug_assert_eq!(rows.len(), writes.len());
+        let mut ids = Vec::with_capacity(rows.len());
         for (rows, writes) in rows.chunks(WARM_BATCH).zip(writes.chunks(WARM_BATCH)) {
             self.table.warm(rows);
             for (&row, (key, value)) in rows.iter().zip(writes) {
-                self.insert_one(key, row, writer_start, value.as_deref());
+                ids.push(self.insert_one(key, row, writer_start, value.as_deref()));
             }
         }
+        ids
     }
 
-    fn insert_one(&self, key: &[u8], row: RowId, writer_start: Timestamp, value: Option<&[u8]>) {
+    fn insert_one(
+        &self,
+        key: &[u8],
+        row: RowId,
+        writer_start: Timestamp,
+        value: Option<&[u8]>,
+    ) -> KeyId {
         let (idx, entry) = self.table.find_or_create(key, row);
         // Each allocated once, whatever the retries: a single version, or
         // for a hot chain the slot holding the value and a spill node.
@@ -1506,6 +1526,7 @@ impl ArenaStore {
                 self.migrate_entry(entry);
             }
         }
+        KeyId(idx)
     }
 
     /// Flags `entry` as holding state a GC sweep must look at, queueing it
@@ -1784,9 +1805,9 @@ impl ArenaStore {
     /// Reads `key` (whose [`hash_row_key`] is `row`) at snapshot
     /// `reader_start` with zero locks and no store to shared memory: probe,
     /// walk, resolve per version (stamp first, resolver fallback), copy the
-    /// winning value's words onto `out`. Returns whether a value is
-    /// visible; a tombstone or no visible version appends nothing. The
-    /// reader is registered at `reader_start`.
+    /// winning value's words onto `out`. Returns the key's entry, if it has
+    /// one, and whether a value is visible; a tombstone or no visible
+    /// version appends nothing. The reader is registered at `reader_start`.
     pub(crate) fn read<R: VersionResolver + ?Sized>(
         &self,
         key: &[u8],
@@ -1794,10 +1815,43 @@ impl ArenaStore {
         reader_start: Timestamp,
         resolver: &R,
         out: &mut Vec<u8>,
-    ) -> bool {
-        self.table
-            .find(key, row)
-            .is_some_and(|entry| self.read_entry(entry, reader_start, resolver, out))
+    ) -> (Option<KeyId>, bool) {
+        match self.table.probe(key, row).0 {
+            Some((idx, entry)) => (
+                Some(KeyId(idx)),
+                self.read_entry(entry, reader_start, resolver, out),
+            ),
+            None => (None, false),
+        }
+    }
+
+    /// The entry of `key` (whose [`hash_row_key`] is `row`), if it has one.
+    pub(crate) fn key_id(&self, key: &[u8], row: RowId) -> Option<KeyId> {
+        self.table.probe(key, row).0.map(|(idx, _)| KeyId(idx))
+    }
+
+    /// `lastCommit` of the key, as Algorithms 1 and 2 probe it. Caller
+    /// holds the decision lock.
+    pub(crate) fn last_commit(&self, id: KeyId) -> Probe {
+        match self
+            .table
+            .entries
+            .get(id.0)
+            .last_commit
+            .load(Ordering::Relaxed)
+        {
+            0 => Probe::NeverWritten,
+            ts => Probe::Resident(Timestamp(ts)),
+        }
+    }
+
+    /// Records a commit at `commit_ts` as the key's latest writer. Caller
+    /// holds the decision lock and drew `commit_ts` under it, so the word
+    /// only grows.
+    pub(crate) fn record_commit(&self, id: KeyId, commit_ts: Timestamp) {
+        let word = &self.table.entries.get(id.0).last_commit;
+        debug_assert!(word.load(Ordering::Relaxed) < commit_ts.raw());
+        word.store(commit_ts.raw(), Ordering::Relaxed);
     }
 
     /// Chain-walk core of `read`/`scan`. Caller is registered.
@@ -1862,7 +1916,7 @@ impl ArenaStore {
     /// and an empty or inverted range yields nothing. Holds the ordered
     /// index's read lock for the enumeration (blocking only key *creation*,
     /// not publication, reads, or restructuring); chains are walked
-    /// lock-free as usual.
+    /// lock-free as usual. Each pair comes with its key's entry.
     pub(crate) fn scan<R: VersionResolver + ?Sized>(
         &self,
         start: &[u8],
@@ -1870,7 +1924,7 @@ impl ArenaStore {
         reader_start: Timestamp,
         resolver: &R,
         limit: usize,
-    ) -> Vec<(Bytes, Bytes)> {
+    ) -> Vec<(KeyId, Bytes, Bytes)> {
         let upper = match end {
             // `BTreeMap::range` panics on an inverted range.
             Some(e) if e <= start => return Vec::new(),
@@ -1887,10 +1941,25 @@ impl ArenaStore {
             let entry = self.table.entries.get(idx);
             value.clear();
             if self.read_entry(entry, reader_start, resolver, &mut value) {
-                out.push((key.to_bytes(), Bytes::copy_from_slice(&value)));
+                out.push((KeyId(idx), key.to_bytes(), Bytes::copy_from_slice(&value)));
             }
         }
         out
+    }
+
+    /// [`Self::scan`] without the entries: a snapshot's scan.
+    pub(crate) fn scan_pairs<R: VersionResolver + ?Sized>(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        reader_start: Timestamp,
+        resolver: &R,
+        limit: usize,
+    ) -> Vec<(Bytes, Bytes)> {
+        self.scan(start, end, reader_start, resolver, limit)
+            .into_iter()
+            .map(|(_, key, value)| (key, value))
+            .collect()
     }
 
     /// `(keys, versions)` from the incrementally maintained counts — no
@@ -2398,7 +2467,10 @@ impl ArenaStore {
         resolver: &R,
     ) -> crate::mvcc::SnapshotRead {
         let mut value = Vec::new();
-        if self.read(key, hash_row_key(key), reader_start, resolver, &mut value) {
+        if self
+            .read(key, hash_row_key(key), reader_start, resolver, &mut value)
+            .1
+        {
             crate::mvcc::SnapshotRead::Value(Bytes::from(value))
         } else {
             crate::mvcc::SnapshotRead::Absent
@@ -2558,7 +2630,7 @@ mod tests {
         let read = store.read_key(b"k", snapshot, &racing(&store));
         assert_eq!(read, SnapshotRead::Value(b("new")), "read");
         let store = unstamped_newest();
-        let scan = store.scan(b"", None, snapshot, &racing(&store), usize::MAX);
+        let scan = store.scan_pairs(b"", None, snapshot, &racing(&store), usize::MAX);
         assert_eq!(scan, [(b("k"), b("new"))], "scan");
         let store = unstamped_newest();
         let mut entries = Vec::new();
@@ -2744,7 +2816,7 @@ mod tests {
     #[test]
     fn a_short_key_lives_in_its_entry() {
         assert_eq!(std::mem::size_of::<EntryKey>(), 24);
-        assert!(std::mem::size_of::<KeyEntry>() <= 48);
+        assert!(std::mem::size_of::<KeyEntry>() <= 56);
         assert!(matches!(
             EntryKey::new(&[7; INLINE_KEY]),
             EntryKey::Inline { .. }
@@ -2775,7 +2847,7 @@ mod tests {
         let mut sorted = keys.to_vec();
         sorted.sort();
         let scan = |start: &[u8]| -> Vec<Vec<u8>> {
-            let hits = store.scan(start, None, Timestamp(1000), &resolver_none, usize::MAX);
+            let hits = store.scan_pairs(start, None, Timestamp(1000), &resolver_none, usize::MAX);
             assert!(hits.iter().all(|(k, v)| k == v), "each key reads its value");
             hits.into_iter().map(|(k, _)| k.to_vec()).collect()
         };

@@ -6,11 +6,12 @@
 //! operations" (§6.3). The embedded store keeps to that number: its one
 //! global commit critical section holds the decision and nothing else:
 //!
-//! * Commit decisions go through [`wsi_core::ConcurrentOracle`]: one
-//!   `lastCommit` table behind one spin lock, the decision lock, held for
-//!   the conflict check, the commit timestamp and the oracle bookkeeping —
-//!   the paper's one critical section.
-//! * `begin` never takes any oracle lock: start timestamps come from a
+//! * Commit decisions take one spin lock, the decision lock, held for the
+//!   conflict check, the commit timestamp and recording it — the paper's
+//!   one critical section. `lastCommit(r)` is a word in each key's own
+//!   entry, which the transaction found when it read or wrote the key, and
+//!   each verdict is [`wsi_core::check_row_probe`], the model's predicate.
+//! * `begin` never takes the decision lock: start timestamps come from a
 //!   shared atomic counter under the lock of the
 //!   [`registry::ActiveTxnRegistry`], with §6.2 batched reservation records
 //!   amortizing WAL writes for the counter.
@@ -18,12 +19,13 @@
 //!   [`pipeline::CommitPipeline`] *after* the decision lock is released —
 //!   group-commit with a leader/follower protocol. A commit becomes visible
 //!   and is acknowledged only once its batch is durable; a quorum loss
-//!   overturns the decision before any reader could observe it. Without a
-//!   WAL a commit is published at decide time.
+//!   overturns the decision before any reader could observe it (counted in
+//!   `oracle_commits_overturned_total`; the `lastCommit` words it wrote
+//!   stay). Without a WAL a commit is published at decide time.
 //! * Read-only commits and rollbacks touch no lock at all beyond the
 //!   registry's.
 //! * [`IsolationLevel::SerializableSnapshot`] is the same engine with one
-//!   more certifier: after the oracle's write-write check passes, the
+//!   more certifier: after the write-write check passes, the
 //!   commit is put to the dangerous-structure window
 //!   ([`wsi_core::ssi::SsiWindow`]) behind one mutex, held until the commit
 //!   timestamp is issued so entries stay in commit order. Its read-only
@@ -42,15 +44,16 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use spin::{Mutex as SpinMutex, MutexGuard as SpinMutexGuard};
 use wsi_core::{
-    hash_row_key, ssi::SsiWindow, AbortReason, ConcurrentOracle, IsolationLevel, OracleCounters,
-    OracleStats, RowId, SharedTimestampSource, Timestamp, TxnStatus,
+    check_row_probe, hash_row_key, ssi::SsiWindow, AbortReason, IsolationLevel, OracleCounters,
+    OracleStats, Probe, RowId, SharedTimestampSource, Timestamp, TxnStatus,
 };
-use wsi_obs::{AbortExplanation, Cause, EventData, Journal};
+use wsi_obs::{AbortExplanation, Cause, Counter, EventData, Histogram, Journal, Registry};
 use wsi_wal::{Ledger, LedgerConfig, LedgerObs, LedgerStats};
 
 use crate::{
-    arena::ArenaStore,
+    arena::{ArenaStore, KeyId},
     error::{Error, Result},
     mvcc::{GcStats, ReclamationStats, VersionStamps},
     obs::StoreObs,
@@ -58,7 +61,7 @@ use crate::{
     record::{self, Checkpoint, CheckpointWriter, LogSuffix, StoreRecord},
     registry::{ActiveTxnRegistry, OwnLine},
     snapshot::Snapshot,
-    txn::Transaction,
+    txn::{ReadKey, ReadSet, Transaction},
 };
 
 /// A transaction's write set, shared by reference between the version
@@ -79,11 +82,10 @@ const BACKOFF_MAX_SHIFT: usize = 6;
 /// The tick's period in write commits: every this many, the committer
 /// computes the registry watermark and paces the collector with it — the
 /// store notes it and deals its sweep and limbo backlogs out as per-commit
-/// shares over the next this many commits (see [`Db::gc`]), and the
-/// oracle's `lastCommit` rows and the SSI window are pruned below it; the
-/// window also whenever a read-only commit finds it grown by this many
-/// entries since its last prune (read-only entries do not tick the commit
-/// counter).
+/// shares over the next this many commits (see [`Db::gc`]), and the SSI
+/// window is pruned below it; the window also whenever a read-only commit
+/// finds it grown by this many entries since its last prune (read-only
+/// entries do not tick the commit counter).
 const TICK_EVERY: u64 = 256;
 
 /// Configuration of an embedded [`Db`].
@@ -107,8 +109,7 @@ pub struct DbOptions {
 
 impl DbOptions {
     /// Sensible defaults: the requested isolation level, no WAL. Conflict
-    /// state needs no setting: it is exact, and kept small by forgetting
-    /// what no snapshot can conflict with (see [`Db::gc`]).
+    /// state needs no setting: it is one word in each key's entry.
     pub fn new(isolation: IsolationLevel) -> Self {
         DbOptions {
             isolation,
@@ -161,21 +162,61 @@ pub struct DbStats {
     pub wal: LedgerStats,
 }
 
+/// The decision lock: held for a write commit's conflict check, its commit
+/// timestamp and recording it in the key entries — the paper's one
+/// critical section (§6.3) — and for nothing else. A test-and-set spin lock
+/// (loom model 3).
+struct DecisionLock {
+    lock: SpinMutex<()>,
+    /// Acquisitions that found the lock held.
+    contention: Counter,
+    /// The wait of each contended acquisition, in microseconds.
+    wait_us: Histogram,
+}
+
+impl DecisionLock {
+    /// A free lock whose series are registered in `registry` under the
+    /// names `txn_e2e` reads (they predate the single lock).
+    fn new(registry: &Registry) -> Self {
+        let lock = DecisionLock {
+            lock: SpinMutex::new(()),
+            contention: Counter::new(),
+            wait_us: Histogram::new(),
+        };
+        registry.register_counter("oracle_shard_contention_total", &lock.contention);
+        registry.register_histogram("oracle_shard_lock_wait_us", &lock.wait_us);
+        lock
+    }
+
+    /// Takes the lock. An uncontended acquisition reads no clock; a
+    /// contended one counts itself and records its wait.
+    #[inline]
+    fn lock(&self) -> SpinMutexGuard<'_, ()> {
+        self.lock.try_lock().unwrap_or_else(|| {
+            self.contention.inc();
+            let began = Instant::now();
+            let guard = self.lock.lock();
+            self.wait_us.record(began.elapsed().as_micros() as u64);
+            guard
+        })
+    }
+}
+
 pub(crate) struct DbInner {
     pub(crate) options: DbOptions,
     pub(crate) mvcc: ArenaStore,
-    pub(crate) oracle: ConcurrentOracle,
-    /// The shared timestamp counter: lock-free starts, oracle-issued commits.
+    decision: DecisionLock,
+    /// The shared timestamp counter: lock-free starts, commits drawn under
+    /// the decision lock.
     pub(crate) ts: Arc<SharedTimestampSource>,
     /// In-flight transactions and their fates: the GC low-water mark, and
     /// the resolver of versions not yet stamped.
     pub(crate) registry: ActiveTxnRegistry,
     /// Present whenever the database has a WAL.
     pub(crate) pipeline: Option<CommitPipeline>,
-    /// Shared handle onto the oracle's lock-free counters. Paths that no
-    /// longer visit the oracle (begins, read-only commits, rollbacks) bump
-    /// these directly, and [`Db::stats`] reads them without taking any
-    /// oracle lock.
+    /// The decision counters, exported as the `oracle_*` series: every
+    /// path bumps them directly, and [`Db::stats`] reads them without
+    /// taking any lock.
     pub(crate) counters: OracleCounters,
     /// WAL observability handles (present iff `pipeline` is).
     pub(crate) wal_obs: Option<LedgerObs>,
@@ -196,8 +237,8 @@ pub(crate) struct DbInner {
     last_report: Mutex<Option<TxnReport>>,
     epoch: Instant,
     /// The dangerous-structure detector, present iff the level is
-    /// [`IsolationLevel::SerializableSnapshot`]. Locked after the oracle's
-    /// decision lock and before the registry or the pipeline. Empty after
+    /// [`IsolationLevel::SerializableSnapshot`]. Locked after the decision
+    /// lock and before the registry or the pipeline. Empty after
     /// recovery: commit records carry no read sets, and no transaction
     /// concurrent with a pre-crash commit can still be in flight, so a
     /// replayed entry could never fire.
@@ -212,7 +253,7 @@ impl DbInner {
     fn publish_ctx(&self) -> PublishCtx<'_> {
         PublishCtx {
             registry: &self.registry,
-            oracle: &self.oracle,
+            counters: &self.counters,
             window: self.window.as_ref(),
         }
     }
@@ -261,19 +302,18 @@ impl Db {
     /// Opens an empty database that logs to `ledger`, if it has a WAL.
     fn with_ledger(options: DbOptions, ledger: Option<Ledger>) -> Db {
         let ts = Arc::new(SharedTimestampSource::new());
-        // One journal shared by every layer: the oracle records per-row
-        // verdicts, the Db layer the lifecycle events, the pipeline the
-        // WAL flush/publish/overturn events, the arena GC sweeps and frees.
+        // One journal shared by every layer: the Db layer records per-row
+        // verdicts and the lifecycle events, the pipeline the WAL
+        // flush/publish/overturn events, the arena GC sweeps and frees.
         let obs = Arc::new(StoreObs::new());
-        let oracle =
-            ConcurrentOracle::unbounded(options.isolation, Arc::clone(&ts), obs.journal.clone());
-        let counters = oracle.counters();
+        let counters = OracleCounters::default();
         let wal_obs = ledger.as_ref().map(|ledger| ledger.obs().clone());
         let pipeline = ledger.map(|ledger| CommitPipeline::new(ledger, Arc::clone(&obs)));
         let mvcc = ArenaStore::new(Arc::clone(&ts), obs.journal.clone());
         let registry = ActiveTxnRegistry::new();
         // Each layer keeps its own books; the registry exports them all.
-        oracle.register_in(&obs.registry);
+        counters.register_in(&obs.registry);
+        let decision = DecisionLock::new(&obs.registry);
         if let Some(wal_obs) = &wal_obs {
             wal_obs.register_in(&obs.registry);
         }
@@ -284,7 +324,7 @@ impl Db {
             inner: Arc::new(DbInner {
                 options,
                 mvcc,
-                oracle,
+                decision,
                 ts,
                 registry,
                 pipeline,
@@ -313,10 +353,13 @@ impl Db {
     /// commits in that order — skipping overturned ones, whose records may
     /// survive on a minority of bookies even though they were never
     /// acknowledged, and those below the checkpoint's snapshot, which it
-    /// holds — plus the oracle's aborts and timestamp reservations. Every
-    /// replayed commit is stamped as it is installed, so no fate outlives
-    /// recovery. In-flight transactions are (correctly) forgotten: their
-    /// writes never reached the log.
+    /// holds — plus the aborts and timestamp reservations, which only burn
+    /// timestamps. Every replayed commit is stamped as it is installed, so
+    /// no fate outlives recovery. No `lastCommit` word is written: every
+    /// start drawn after recovery exceeds every replayed commit timestamp,
+    /// so a replayed commit could fail no check (DESIGN.md §5). In-flight
+    /// transactions are (correctly) forgotten: their writes never reached
+    /// the log.
     ///
     /// # Errors
     ///
@@ -380,11 +423,11 @@ impl Db {
                     writes,
                 } => {
                     last_commit = commit_ts;
+                    db.inner.ts.advance_to(commit_ts);
                     if overturned.contains(&start_ts.raw()) || commit_ts < floor {
                         // Never acknowledged (the compensating abort is
                         // replayed on its own record), or already in the
                         // checkpoint. Only the timestamp must stay burned.
-                        db.inner.oracle.advance_timestamps(commit_ts);
                         continue;
                     }
                     let rows: Vec<RowId> = writes.iter().map(|(k, _)| hash_row_key(k)).collect();
@@ -392,12 +435,11 @@ impl Db {
                     db.inner
                         .mvcc
                         .stamp_commit(start_ts, commit_ts, &rows, &writes);
-                    db.inner.oracle.replay_commit(commit_ts, &rows);
                 }
                 // Overturned commits were never installed above, and
                 // refused ones never reached the store.
                 StoreRecord::Abort { start_ts } => {
-                    db.inner.oracle.replay_abort(start_ts);
+                    db.inner.ts.advance_to(start_ts);
                 }
                 StoreRecord::TsReserve { upto } => {
                     db.inner.ts.note_reserved(upto);
@@ -426,7 +468,7 @@ impl Db {
                 .stamp_commit(e.writer_start, e.commit_ts, &rows, &writes);
         }
         self.inner.ts.note_reserved(checkpoint.reserved);
-        self.inner.oracle.advance_timestamps(checkpoint.snapshot);
+        self.inner.ts.advance_to(checkpoint.snapshot);
     }
 
     /// Begins a transaction reading from the current snapshot.
@@ -446,7 +488,7 @@ impl Db {
         Snapshot::new(Arc::clone(&self.inner), self.begin_ts())
     }
 
-    /// Issues a start timestamp without taking any oracle lock: an atomic
+    /// Issues a start timestamp without taking the decision lock: an atomic
     /// fetch-add under the registry lock, a
     /// reservation record every [`TS_RESERVE_BATCH`] begins, and — only
     /// while a durable commit is decided-but-unpublished — the pipeline's
@@ -598,15 +640,15 @@ impl Db {
     pub(crate) fn commit_txn(
         &self,
         start_ts: Timestamp,
-        read_rows: Vec<RowId>,
+        reads: ReadSet,
         writes: BTreeMap<Bytes, Option<Bytes>>,
         began_us: u64,
     ) -> Result<Timestamp> {
         let obs = &self.inner.obs;
         if writes.is_empty() {
             if let Some(window) = self.inner.window.as_ref() {
-                if let Err(reason) = self.admit_read_only(window, start_ts, &read_rows) {
-                    self.inner.oracle.abort_checked(reason);
+                if let Err(reason) = self.admit_read_only(window, start_ts, &reads) {
+                    self.inner.counters.count_abort(reason);
                     if let Some(pipeline) = &self.inner.pipeline {
                         pipeline.push_abort(start_ts);
                     }
@@ -631,33 +673,33 @@ impl Db {
         // critical section (the Omid scheme: data reaches the store tagged
         // with the start timestamp; visibility is flipped
         // by the fate in the registry entry). One Arc'd batch serves the
-        // version store, the conflict check, the WAL encoder, and the
-        // rollback path.
+        // version store, the WAL encoder, and the rollback path; the
+        // entries the insert found or created serve the conflict check.
         let batch: WriteBatch = Arc::new(writes.into_iter().collect::<Vec<_>>());
         let write_rows: Vec<RowId> = batch.iter().map(|(k, _)| hash_row_key(k)).collect();
-        self.inner
+        let write_keys = self
+            .inner
             .mvcc
             .insert_versions(start_ts, &write_rows, &batch);
         let pipeline = self.inner.pipeline.as_ref();
 
         // The decision scope: conflict check + commit-timestamp assignment +
-        // oracle bookkeeping, under the oracle's decision lock. No WAL I/O
-        // in here.
+        // recording it, under the decision lock. No WAL I/O in here.
         let decide_began_us = self.inner.now_us();
         let decision: Result<Timestamp> = {
-            let mut guard = self.inner.oracle.lock();
+            let _decision = self.inner.decision.lock();
             // SSI: the write-write check above is its SI base; the window,
             // locked only once that passed, holds the rest. It stays locked
             // until the commit timestamp is issued so its entries are in
             // commit order.
             let mut window = None;
             let verdict = match (
-                guard.check(start_ts, &read_rows, &write_rows),
+                self.check(start_ts, &reads, &write_rows, &write_keys),
                 &self.inner.window,
             ) {
                 (Ok(()), Some(w)) => window
                     .insert(w.lock())
-                    .admit(start_ts, &read_rows, &write_rows)
+                    .admit(start_ts, &reads.rows(), &write_rows)
                     .map(Some),
                 (verdict, _) => verdict.map(|()| None),
             };
@@ -678,11 +720,16 @@ impl Db {
                     if let Some(admitted) = admitted {
                         admitted.record(commit_ts);
                     }
-                    guard.finish_commit_at(&write_rows, commit_ts);
+                    for &key in &write_keys {
+                        self.inner.mvcc.record_commit(key, commit_ts);
+                    }
+                    let counters = &self.inner.counters;
+                    counters.rows_recorded.add(write_keys.len() as u64);
+                    counters.commits.inc();
                     Ok(commit_ts)
                 }
                 Err(reason) => {
-                    guard.abort_checked(reason);
+                    self.inner.counters.count_abort(reason);
                     self.inner.registry.settle(start_ts, TxnStatus::Aborted);
                     if let Some(pipeline) = pipeline {
                         pipeline.push_abort(start_ts);
@@ -769,6 +816,61 @@ impl Db {
         result
     }
 
+    /// Algorithm 1's or 2's check of a write transaction that started at
+    /// `start_ts`: the keys it wrote (`write_rows` and the entries
+    /// `write_keys`) under SI and SSI, or those it read under WSI, each
+    /// against the `lastCommit` word of its entry — probed in that order,
+    /// the first conflict ending the check. A key read while it had no
+    /// entry is looked up again: a writer creates the entry before its own
+    /// decision, so one that committed since is found (DESIGN.md §5).
+    /// Caller holds the decision lock.
+    fn check(
+        &self,
+        start_ts: Timestamp,
+        reads: &ReadSet,
+        write_rows: &[RowId],
+        write_keys: &[KeyId],
+    ) -> std::result::Result<(), AbortReason> {
+        let level = self.inner.options.isolation;
+        let mvcc = &self.inner.mvcc;
+        // Counted in one atomic add, early-abort exits included.
+        let mut checked = 0u64;
+        let mut probe = |row: RowId, key: Option<KeyId>| {
+            checked += 1;
+            let last = key.map_or(Probe::NeverWritten, |key| mvcc.last_commit(key));
+            let verdict = check_row_probe(level, row, last, start_ts);
+            self.inner.obs.journal.record(
+                start_ts.raw(),
+                EventData::CheckRow {
+                    row: row.raw(),
+                    conflict: verdict
+                        .as_ref()
+                        .err()
+                        .and_then(AbortReason::conflict_ts)
+                        .map(Timestamp::raw),
+                },
+            );
+            verdict
+        };
+        let verdict = match level {
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => write_rows
+                .iter()
+                .zip(write_keys)
+                .try_for_each(|(&row, &key)| probe(row, Some(key))),
+            IsolationLevel::WriteSnapshot => reads.iter().try_for_each(|(row, read)| {
+                let key = match read {
+                    ReadKey::Entry(key) => Some(*key),
+                    ReadKey::Absent(key) => mvcc.key_id(key, row),
+                };
+                probe(row, key)
+            }),
+        };
+        if checked > 0 {
+            self.inner.counters.rows_checked.add(checked);
+        }
+        verdict
+    }
+
     /// The read-only commit under SSI: a snapshot read can complete a
     /// dangerous structure as its third transaction (Fekete's read-only
     /// anomaly), so the reads go to the window like a writer's — rule 2 may
@@ -779,13 +881,14 @@ impl Db {
         &self,
         window: &Mutex<SsiWindow>,
         start_ts: Timestamp,
-        read_rows: &[RowId],
+        reads: &ReadSet,
     ) -> std::result::Result<(), AbortReason> {
-        if read_rows.is_empty() {
+        if reads.is_empty() {
             return Ok(());
         }
+        let read_rows = reads.rows();
         let mut window = window.lock();
-        let admitted = window.admit(start_ts, read_rows, &[])?;
+        let admitted = window.admit(start_ts, &read_rows, &[])?;
         admitted.record(self.inner.ts.next());
         // Read-only entries do not tick the commit counter that prunes the
         // window for writers, so they watch its growth themselves.
@@ -810,9 +913,8 @@ impl Db {
     /// [`Transaction::rollback`] and on drop.
     ///
     /// Deregisters only: its buffered writes never reached the store, so
-    /// no reader can ask for its fate, and it never contributed
-    /// `lastCommit` state, so the conflict checker has nothing to learn
-    /// from it.
+    /// no reader can ask for its fate, and it never wrote a `lastCommit`
+    /// word, so the conflict check has nothing to learn from it.
     pub(crate) fn rollback_txn(&self, start_ts: Timestamp, wrote: bool) {
         self.inner.counters.client_aborts.inc();
         self.inner.registry.deregister(start_ts);
@@ -878,8 +980,8 @@ impl Db {
     }
 
     /// Garbage-collects versions below the low-water mark (the minimum start
-    /// timestamp among active transactions), and drops the oracle's
-    /// `lastCommit` rows and SSI window entries below it.
+    /// timestamp among active transactions), and drops the SSI window's
+    /// entries below it.
     /// Then frees every retired version no transaction can still reach, the
     /// sweep's own included. On a durable database it last writes a
     /// checkpoint — every key's newest committed version below a
@@ -898,9 +1000,7 @@ impl Db {
     ///
     /// The watermark is computed under the registry lock, so no begin can
     /// issue a smaller snapshot concurrently — the mark is a true lower
-    /// bound for all current and future readers. A `lastCommit` row at or
-    /// below it can never fail a conflict check again, so forgetting it
-    /// changes no decision.
+    /// bound for all current and future readers.
     pub fn gc(&self) -> GcStats {
         // The sweep registers like a reader: its chain prefetch walks
         // without the entry lock.
@@ -909,7 +1009,6 @@ impl Db {
             let stats = self.inner.mvcc.gc(watermark, &self.inner.registry);
             (watermark, stats)
         });
-        self.inner.oracle.forget_through(watermark);
         self.prune_window(watermark);
         self.maintain();
         if let Some(pipeline) = &self.inner.pipeline {
@@ -960,22 +1059,21 @@ impl Db {
     /// Every [`TICK_EVERY`] write commits, computes the registry watermark
     /// `W` and paces the collector with it: the store notes `W` for
     /// insert-time pruning and the commit shares and deals its backlogs
-    /// out, and the oracle forgets the `lastCommit` rows at or below it.
-    /// `W` is a true lower bound on every active and future snapshot, so
-    /// all of it is sound (if stale, conservative).
+    /// out, and the SSI window drops its entries below it. `W` is a true
+    /// lower bound on every active and future snapshot, so all of it is
+    /// sound (if stale, conservative). The tick takes no decision lock.
     fn tick(&self) {
         if self.inner.ticks.0.fetch_add(1, Ordering::Relaxed) % TICK_EVERY == TICK_EVERY - 1 {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
             self.inner.mvcc.deal_shares(watermark, TICK_EVERY as usize);
-            self.inner.oracle.forget_through(watermark);
             self.prune_window(watermark);
         }
     }
 
     /// Aggregate statistics.
     ///
-    /// Reads the oracle's shared counters and the WAL's observability
-    /// counters directly, without acquiring any oracle lock; the one lock
+    /// Reads the decision counters and the WAL's observability counters
+    /// directly, without acquiring the decision lock; the one lock
     /// it takes is the GC worklist's spin lock, for one length read — safe
     /// to poll from a monitoring thread without perturbing committers.
     pub fn stats(&self) -> DbStats {
@@ -1135,41 +1233,111 @@ mod tests {
             .is_none());
     }
 
+    /// A read that found no entry, then a writer that creates the key and
+    /// commits (or is refused) before the reader's decision.
     #[test]
-    fn last_commit_holds_only_what_a_live_snapshot_can_see() {
-        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
-        let resident = || db.inner.oracle.resident_rows() as u64;
-        let mut next_key = 0u64;
-        let mut write_fresh_rows = |commits: u64| {
-            for _ in 0..commits {
-                let mut t = db.begin();
-                t.put(format!("k{next_key}").as_bytes(), b"v");
-                t.commit().unwrap();
-                next_key += 1;
+    fn a_read_of_an_absent_key_meets_the_keys_creator() {
+        let level = |isolation| DbOptions::new(isolation);
+        for (options, creator_commits, reader_aborts) in [
+            (level(IsolationLevel::WriteSnapshot), true, true),
+            (level(IsolationLevel::WriteSnapshot), false, false),
+            (level(IsolationLevel::Snapshot), true, false),
+        ] {
+            let db = Db::open(options);
+            let mut reader = db.begin();
+            assert_eq!(reader.get(b"new"), None);
+            reader.put(b"out", b"v");
+            let mut creator = db.begin();
+            let _ = creator.get(b"x");
+            creator.put(b"new", b"v");
+            if !creator_commits {
+                // Refused: `x` was rewritten after the creator read it. Its
+                // insert created the entry of `new` all the same.
+                let mut rewrite = db.begin();
+                rewrite.put(b"x", b"v");
+                rewrite.commit().unwrap();
             }
-        };
-        // No live reader: each tick forgets every row committed before it,
-        // so the table holds at most the rows written since the last tick.
-        for _ in 0..4 * TICK_EVERY {
-            write_fresh_rows(1);
-            assert!(resident() < TICK_EVERY);
+            let created = creator.commit();
+            assert_eq!(created.is_ok(), creator_commits);
+            let row = hash_row_key(b"new");
+            assert!(db.inner.mvcc.key_id(b"new", row).is_some());
+            match (reader.commit(), created) {
+                (Err(Error::Aborted(reason)), Ok(commit_ts)) if reader_aborts => assert_eq!(
+                    reason,
+                    AbortReason::ReadWriteConflict {
+                        row,
+                        committed_at: commit_ts
+                    }
+                ),
+                (outcome, _) => assert!(outcome.is_ok() && !reader_aborts, "{outcome:?}"),
+            }
         }
-        // A reader held open pins the watermark: every row committed after
-        // its start stays resident through the ticks.
-        let reader = db.begin();
-        write_fresh_rows(4 * TICK_EVERY);
-        assert!(resident() >= 4 * TICK_EVERY);
-        // Once it ends, `gc` shrinks the table back.
-        drop(reader);
+    }
+
+    #[test]
+    fn a_reader_held_across_ticks_still_meets_a_rewrite() {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let write = |key: &[u8]| {
+            let mut t = db.begin();
+            t.put(key, b"v");
+            t.commit().unwrap()
+        };
+        write(b"k");
+        let mut reader = db.begin();
+        let _ = reader.get(b"k");
+        reader.put(b"out", b"v");
+        let rewritten = write(b"k");
+        let ticks = db.inner.ticks.0.load(Ordering::Relaxed) / TICK_EVERY;
+        for i in 0..4 * TICK_EVERY {
+            write(format!("k{i}").as_bytes());
+        }
         db.gc();
-        assert_eq!(resident(), 0);
-        // So does the next tick.
-        let reader = db.begin();
-        write_fresh_rows(2 * TICK_EVERY);
-        drop(reader);
-        assert!(resident() >= TICK_EVERY);
-        write_fresh_rows(TICK_EVERY);
-        assert!(resident() < TICK_EVERY);
+        assert!(db.inner.ticks.0.load(Ordering::Relaxed) / TICK_EVERY >= ticks + 4);
+        assert_eq!(
+            reader.commit(),
+            Err(Error::Aborted(AbortReason::ReadWriteConflict {
+                row: hash_row_key(b"k"),
+                committed_at: rewritten
+            }))
+        );
+    }
+
+    #[test]
+    fn no_transaction_after_recovery_meets_a_replayed_commit() {
+        for isolation in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
+            let options = DbOptions::new(isolation).durable(LedgerConfig::local_sync());
+            let db = Db::open(options.clone());
+            let keys: Vec<Vec<u8>> = (0..8u8).map(|i| vec![b'k', i]).collect();
+            // Two rounds of every key, a checkpoint between them: recovery
+            // installs the first and replays the second.
+            for round in 0..2 {
+                for key in &keys {
+                    let mut t = db.begin();
+                    t.put(key, b"v");
+                    t.commit().unwrap();
+                }
+                if round == 0 {
+                    db.gc();
+                }
+            }
+            let db = Db::recover(options, db.wal_snapshot().expect("durable")).unwrap();
+            for key in &keys {
+                let id = db
+                    .inner
+                    .mvcc
+                    .key_id(key, hash_row_key(key))
+                    .expect("recovered");
+                assert_eq!(db.inner.mvcc.last_commit(id), Probe::NeverWritten);
+            }
+            // Every start is above every replayed commit: a transaction
+            // that reads and writes every key commits.
+            let mut t = db.begin();
+            for key in &keys {
+                assert!(t.get(key).is_some());
+                t.put(key, b"w");
+            }
+            assert!(t.commit().is_ok(), "{isolation}: refused after recovery");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! with pluggable isolation.
 //!
 //! This crate packages the paper's design — a multi-version data store plus
-//! a centralized, lock-free conflict-checking oracle — as a library. Pick
+//! a centralized commit-time conflict check — as a library. Pick
 //! the isolation level at open time:
 //!
 //! * [`wsi_core::IsolationLevel::Snapshot`] — classic snapshot isolation

@@ -247,7 +247,7 @@ mod tests {
             (3, TxnStatus::Committed(Timestamp(11))),
             (4, TxnStatus::Pending),
         ]);
-        let hits = store.scan(b"a", None, Timestamp(20), &r, usize::MAX);
+        let hits = store.scan_pairs(b"a", None, Timestamp(20), &r, usize::MAX);
         let keys: Vec<_> = hits.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b("a"), b("c")]);
     }
@@ -259,9 +259,9 @@ mod tests {
             store.insert_version(b(key), Timestamp(1), Some(b("v")));
         }
         let r = table(&[(1, TxnStatus::Committed(Timestamp(2)))]);
-        let hits = store.scan(b"b", Some(b"d"), Timestamp(10), &r, usize::MAX);
+        let hits = store.scan_pairs(b"b", Some(b"d"), Timestamp(10), &r, usize::MAX);
         assert_eq!(hits.len(), 2);
-        let hits = store.scan(b"a", None, Timestamp(10), &r, 3);
+        let hits = store.scan_pairs(b"a", None, Timestamp(10), &r, 3);
         assert_eq!(hits.len(), 3);
         assert_eq!(
             hits.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
@@ -469,7 +469,7 @@ mod tests {
                 visible.extend(expect.map(|v| (b(key), v)));
             }
             assert_eq!(
-                store.scan(b"", None, Timestamp(snap), &r, usize::MAX),
+                store.scan_pairs(b"", None, Timestamp(snap), &r, usize::MAX),
                 visible
             );
             let bounded: Vec<_> = visible
@@ -479,7 +479,7 @@ mod tests {
                 .cloned()
                 .collect();
             assert_eq!(
-                store.scan(b"key-010", Some(b"key-030"), Timestamp(snap), &r, 7),
+                store.scan_pairs(b"key-010", Some(b"key-030"), Timestamp(snap), &r, 7),
                 bounded
             );
         };

@@ -4,8 +4,8 @@
 //! One [`StoreObs`] is created per database, always, and holds:
 //!
 //! * a [`wsi_obs::Registry`] in which `Db::open` registers the store's own
-//!   series and the books each layer keeps itself — the oracle's
-//!   [`wsi_core::OracleCounters`], the arena's [`ArenaObs`], the
+//!   series and the books each layer keeps itself — the decision
+//!   counters ([`wsi_core::OracleCounters`]), the arena's [`ArenaObs`], the
 //!   active-transaction registry's contention counter and the WAL's
 //!   [`wsi_wal::LedgerObs`] — so one exposition call covers the whole stack;
 //! * per-phase latency histograms for the transaction lifecycle
@@ -48,7 +48,7 @@ pub(crate) struct StoreObs {
     /// transactions, begin → visible, in microseconds.
     pub(crate) txn_us: Histogram,
     /// Time spent inside the commit decision scope, decision lock held
-    /// (conflict check + commit-timestamp assignment + oracle bookkeeping).
+    /// (conflict check + commit-timestamp assignment + recording it).
     pub(crate) conflict_check_us: Histogram,
     /// Sync-mode wait for the group-commit outcome (WAL append + quorum
     /// ack), measured from decide to resolution.

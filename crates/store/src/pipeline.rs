@@ -7,9 +7,8 @@
 //! to "a few memory operations"; Appendix A pipelines the log writes). This
 //! module keeps the two apart for the embedded store:
 //!
-//! * The commit decision scope — the decision lock of the
-//!   [`ConcurrentOracle`] — covers only conflict detection and
-//!   commit-timestamp assignment. Decided commits are *queued* here in
+//! * The commit decision scope — the `Db`'s decision lock — covers only
+//!   conflict detection and commit-timestamp assignment. Decided commits are *queued* here in
 //!   global commit-timestamp order: the timestamp is issued inside the
 //!   pipeline's own lock, which also orders the queue, so commit records
 //!   reach the log in commit-timestamp order.
@@ -23,10 +22,12 @@
 //!   group commit).
 //! * A commit is **published** — its registry entry set to committed — and
 //!   acknowledged only after its batch reached the write quorum. A flush
-//!   failure overturns the decision
-//!   ([`ConcurrentOracle::abort_after_decide`]) before any reader could have
+//!   failure overturns the decision (counted as
+//!   [`OracleCounters::commits_overturned`]) before any reader could have
 //!   observed it, appends compensating abort records, and surfaces
-//!   [`WalError`] to the owner.
+//!   [`WalError`] to the owner. The `lastCommit` words the decision wrote
+//!   stay: a stale word can only abort a later reader of the key, never
+//!   admit a conflicting commit.
 //! * The **owner** of a commit, once it holds its `Ok` outcome, stamps the
 //!   commit timestamp onto its own versions — after the round, outside it,
 //!   and before it deregisters, exactly as a commit without a WAL does.
@@ -73,7 +74,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use wsi_core::{ssi::SsiWindow, ConcurrentOracle, SharedTimestampSource, Timestamp, TxnStatus};
+use wsi_core::{ssi::SsiWindow, OracleCounters, SharedTimestampSource, Timestamp, TxnStatus};
 use wsi_obs::{EventData, Journal};
 use wsi_wal::{Ledger, SeqNo, WalError};
 
@@ -94,7 +95,7 @@ const SPIN_BEFORE_PARK: u32 = 1_000;
 /// outcomes after a flush. Assembled fresh per call by the `Db` layer.
 pub(crate) struct PublishCtx<'a> {
     pub(crate) registry: &'a ActiveTxnRegistry,
-    pub(crate) oracle: &'a ConcurrentOracle,
+    pub(crate) counters: &'a OracleCounters,
     /// The SSI window, under that level: an overturned commit's entry is
     /// taken back out of it.
     pub(crate) window: Option<&'a Mutex<SsiWindow>>,
@@ -275,9 +276,8 @@ impl CommitPipeline {
     /// lock orders the queue, so commit records reach the log in
     /// commit-timestamp order — the invariant [`crate::Db::recover`]
     /// replays under. The caller
-    /// holds its decision scope (the oracle's decision lock) across this
-    /// call and completes the oracle bookkeeping with the returned
-    /// timestamp; the pipeline lock nests *inside* that scope, never the
+    /// holds the decision lock across this call and records the returned
+    /// timestamp in its key entries; the pipeline lock nests *inside* that scope, never the
     /// reverse.
     pub(crate) fn push_sync(
         &self,
@@ -635,7 +635,7 @@ impl CommitPipeline {
                     }
                 }
                 for c in &commits {
-                    ctx.oracle.abort_after_decide();
+                    ctx.counters.commits_overturned.inc();
                     ctx.registry.settle(c.start_ts, TxnStatus::Aborted);
                     append(&mut ledger, record::encode_abort(c.start_ts));
                     self.journal().record(

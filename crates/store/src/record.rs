@@ -3,8 +3,7 @@
 //! Unlike the status oracle — which logs only row *identifiers* because the
 //! data lives in HBase — the embedded store is the data store, so its commit
 //! records carry full key/value payloads. Recovery can then rebuild the
-//! version store, stamped, and the oracle's `lastCommit` state from the log
-//! alone. A [`Checkpoint`] record stands in for a prefix of the log
+//! version store, stamped, from the log alone. A [`Checkpoint`] record stands in for a prefix of the log
 //! (the live state that prefix built), so the prefix can be truncated away:
 //! recovery reads the newest checkpoint, then the records from its cut on
 //! ([`LogSuffix`]).
@@ -33,8 +32,8 @@ pub enum StoreRecord {
         writes: Vec<(Bytes, Option<Bytes>)>,
     },
     /// An aborted transaction (logged so recovery can distinguish "aborted"
-    /// from "in flight at crash time" — both are invisible, and the oracle
-    /// replays the abort).
+    /// from "in flight at crash time" — both are invisible; recovery burns
+    /// its timestamp).
     ///
     /// Also serves as the *compensation* record for a commit whose batch
     /// lost its write quorum: the commit record may survive on a minority of

@@ -19,9 +19,8 @@
 //!
 //! Its watermark — the oldest registered start, a lower bound on every
 //! current and future snapshot — has two consumers. The garbage collector
-//! keeps what a snapshot at or above it can read (and the oracle's
-//! `lastCommit` rows and the SSI window forget, on the same tick, what no
-//! such snapshot can conflict with). The version store frees an unlinked
+//! keeps what a snapshot at or above it can read (and the SSI window
+//! forgets, on the same tick, what no such snapshot can conflict with). The version store frees an unlinked
 //! chain node once the watermark passes the tag drawn after its unlink: a
 //! chain walk runs inside a registered transaction, snapshot or sweep, so
 //! one that could still stand on the node holds the watermark at or below

@@ -63,13 +63,16 @@ impl Snapshot {
     /// do not contend.
     pub fn get_into(&self, key: &[u8], buf: &mut Vec<u8>) -> bool {
         buf.clear();
-        self.db.mvcc.read(
-            key,
-            hash_row_key(key),
-            self.start_ts,
-            &self.db.registry,
-            buf,
-        )
+        self.db
+            .mvcc
+            .read(
+                key,
+                hash_row_key(key),
+                self.start_ts,
+                &self.db.registry,
+                buf,
+            )
+            .1
     }
 
     /// Reads a key: [`Self::get_into`], with the value returned as one
@@ -82,7 +85,7 @@ impl Snapshot {
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
         self.db
             .mvcc
-            .scan(start, end, self.start_ts, &self.db.registry, limit)
+            .scan_pairs(start, end, self.start_ts, &self.db.registry, limit)
     }
 }
 

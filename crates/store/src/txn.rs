@@ -1,6 +1,6 @@
 //! Client-side transaction handle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::{self, BTreeMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -9,10 +9,92 @@ use wsi_core::{hash_row_key, RowId, Timestamp};
 use wsi_obs::EventData;
 
 use crate::{
+    arena::KeyId,
     db::DbInner,
     error::{Error, Result},
     mvcc::read_bytes,
 };
+
+/// A key a transaction read from the store, as its commit checks it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ReadKey {
+    /// The entry the read found.
+    Entry(KeyId),
+    /// A key that had no entry when read: the check looks it up again.
+    Absent(Box<[u8]>),
+}
+
+impl ReadKey {
+    fn new(key: &[u8], found: Option<KeyId>) -> Self {
+        found.map_or_else(|| ReadKey::Absent(key.into()), ReadKey::Entry)
+    }
+
+    /// Whether this is `key`, whose lookup found `found`. An absent key
+    /// that has an entry now keeps the entry.
+    fn absorb(&mut self, key: &[u8], found: Option<KeyId>) -> bool {
+        match self {
+            ReadKey::Entry(id) => found == Some(*id),
+            ReadKey::Absent(absent) if **absent == *key => {
+                if let Some(id) = found {
+                    *self = ReadKey::Entry(id);
+                }
+                true
+            }
+            ReadKey::Absent(_) => false,
+        }
+    }
+}
+
+/// The keys a transaction read from the store, by row identifier.
+///
+/// Ordered by row, so the commit's checks are a pure function of the keys
+/// read — never of hasher seeding — which deterministic replay (wsi-dst)
+/// depends on. A second key of a row already held (two keys whose 64-bit
+/// identifiers collide) goes to `collided`, so every key read is checked.
+#[derive(Debug, Default)]
+pub(crate) struct ReadSet {
+    rows: BTreeMap<RowId, ReadKey>,
+    collided: Vec<(RowId, ReadKey)>,
+}
+
+impl ReadSet {
+    /// Records a read of `key`, whose identifier is `row` and whose lookup
+    /// found `found`.
+    fn insert(&mut self, row: RowId, key: &[u8], found: Option<KeyId>) {
+        match self.rows.entry(row) {
+            btree_map::Entry::Vacant(vacant) => {
+                vacant.insert(ReadKey::new(key, found));
+            }
+            btree_map::Entry::Occupied(mut held) => {
+                let known = held.get_mut().absorb(key, found)
+                    || self
+                        .collided
+                        .iter_mut()
+                        .any(|(r, read)| *r == row && read.absorb(key, found));
+                if !known {
+                    self.collided.push((row, ReadKey::new(key, found)));
+                }
+            }
+        }
+    }
+
+    /// Every key read, with its row: in row order, then the collided ones.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (RowId, &ReadKey)> {
+        self.rows
+            .iter()
+            .map(|(&row, read)| (row, read))
+            .chain(self.collided.iter().map(|(row, read)| (*row, read)))
+    }
+
+    /// The distinct rows read, in order: what the SSI window tracks.
+    pub(crate) fn rows(&self) -> Vec<RowId> {
+        self.rows.keys().copied().collect()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
 
 /// An optimistic transaction over a [`crate::Db`].
 ///
@@ -21,21 +103,19 @@ use crate::{
 /// the store at [`Transaction::commit`]. Dropping an unfinished transaction
 /// rolls it back.
 ///
-/// The read set — the row identifiers of every key whose *stored* state the
-/// transaction observed — is tracked automatically and submitted with the
-/// commit request, as write-snapshot isolation requires (§5: "the set of
-/// identifiers of the read rows … computed based on the rows that are
-/// actually read by the transaction, whether these rows were originally
-/// specified by their primary keys or by a search condition").
+/// The read set — every key whose *stored* state the transaction observed,
+/// by its row identifier and the entry the read found — is tracked
+/// automatically and checked at commit, as write-snapshot isolation
+/// requires (§5: "the set of identifiers of the read rows … computed based
+/// on the rows that are actually read by the transaction, whether these
+/// rows were originally specified by their primary keys or by a search
+/// condition").
 pub struct Transaction {
     db: Arc<DbInner>,
     start_ts: Timestamp,
     /// Buffered writes; `None` marks a deletion.
     writes: BTreeMap<Bytes, Option<Bytes>>,
-    /// Ordered so the commit request's row list is a pure function of the
-    /// keys read — never of hasher seeding — which deterministic replay
-    /// (wsi-dst) depends on.
-    read_rows: BTreeSet<RowId>,
+    reads: ReadSet,
     finished: bool,
     /// When the transaction began, in the database's monotonic microsecond
     /// clock; feeds the begin-to-visible latency histogram.
@@ -49,7 +129,7 @@ impl Transaction {
             db,
             start_ts,
             writes: BTreeMap::new(),
-            read_rows: BTreeSet::new(),
+            reads: ReadSet::default(),
             finished: false,
             began_us,
         }
@@ -87,10 +167,12 @@ impl Transaction {
     /// Reads `key` from the store into `buf` and records the read.
     fn read_store(&mut self, key: &[u8], buf: &mut Vec<u8>) -> bool {
         let row = hash_row_key(key);
-        self.read_rows.insert(row);
-        self.db
+        let (found, visible) = self
+            .db
             .mvcc
-            .read(key, row, self.start_ts, &self.db.registry, buf)
+            .read(key, row, self.start_ts, &self.db.registry, buf);
+        self.reads.insert(row, key, found);
+        visible
     }
 
     /// Reads a key in the transaction's snapshot: [`Self::get_into`], with
@@ -137,8 +219,8 @@ impl Transaction {
     /// Every key *returned from the store* joins the read set — up to
     /// `limit` plus the number of buffered writes in range, since the limit
     /// applies to the merged result. Keys that are absent in the snapshot
-    /// leave no trace (the status oracle tracks row identifiers, not
-    /// ranges), so phantom rows inserted by concurrent transactions are not
+    /// leave no trace (the conflict check tracks keys, not ranges), so
+    /// phantom rows inserted by concurrent transactions are not
     /// conflict-checked — the same row-granularity caveat as the paper's
     /// implementation, and the open hole of ROADMAP item 2.
     pub fn scan(&mut self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
@@ -165,13 +247,14 @@ impl Transaction {
             &self.db.registry,
             limit.saturating_add(buffered.len()),
         );
-        for (key, _) in &stored {
-            self.read_rows.insert(hash_row_key(key));
-        }
+        let stored = stored.into_iter().map(|(id, key, value)| {
+            self.reads.insert(hash_row_key(&key), &key, Some(id));
+            (key, value)
+        });
         if buffered.is_empty() {
-            return stored;
+            return stored.collect();
         }
-        let mut merged: BTreeMap<Bytes, Bytes> = stored.into_iter().collect();
+        let mut merged: BTreeMap<Bytes, Bytes> = stored.collect();
         for (key, value) in buffered {
             match value {
                 Some(v) => {
@@ -208,11 +291,11 @@ impl Transaction {
         }
         self.finished = true;
         let writes = std::mem::take(&mut self.writes);
-        let read_rows: Vec<RowId> = std::mem::take(&mut self.read_rows).into_iter().collect();
+        let reads = std::mem::take(&mut self.reads);
         let db = crate::Db {
             inner: Arc::clone(&self.db),
         };
-        db.commit_txn(self.start_ts, read_rows, writes, self.began_us)
+        db.commit_txn(self.start_ts, reads, writes, self.began_us)
     }
 
     /// Rolls back the transaction, discarding buffered writes.
@@ -232,7 +315,7 @@ impl Transaction {
 
     /// Number of distinct rows currently in the read set.
     pub fn read_set_len(&self) -> usize {
-        self.read_rows.len()
+        self.reads.rows.len()
     }
 
     /// Number of keys currently in the write buffer.
@@ -251,9 +334,49 @@ impl std::fmt::Debug for Transaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Transaction")
             .field("start_ts", &self.start_ts)
-            .field("reads", &self.read_rows.len())
+            .field("reads", &self.reads.rows.len())
             .field("writes", &self.writes.len())
             .field("finished", &self.finished)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Db, DbOptions};
+    use wsi_core::IsolationLevel;
+
+    #[test]
+    fn a_row_read_under_two_keys_keeps_both() {
+        let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
+        let mut t = db.begin();
+        t.put(b"a", b"v");
+        t.put(b"b", b"v");
+        t.commit().unwrap();
+        let id = |key: &[u8]| db.inner.mvcc.key_id(key, hash_row_key(key));
+        // Keys whose identifiers collide, as one row.
+        let row = RowId(7);
+        let mut reads = ReadSet::default();
+        reads.insert(row, b"a", id(b"a"));
+        reads.insert(row, b"c", None);
+        reads.insert(row, b"b", id(b"b"));
+        reads.insert(row, b"a", id(b"a"));
+        reads.insert(row, b"c", None);
+        let held: Vec<_> = reads.iter().collect();
+        let absent = ReadKey::Absent(b"c"[..].into());
+        let (a, b) = (
+            ReadKey::Entry(id(b"a").unwrap()),
+            ReadKey::Entry(id(b"b").unwrap()),
+        );
+        assert_eq!(held, [(row, &a), (row, &absent), (row, &b)]);
+        assert_eq!(reads.rows(), [row]);
+        // An absent key read again once it has an entry keeps the entry.
+        let mut t = db.begin();
+        t.put(b"c", b"v");
+        t.commit().unwrap();
+        reads.insert(row, b"c", id(b"c"));
+        let c = ReadKey::Entry(id(b"c").unwrap());
+        assert_eq!(reads.iter().nth(1), Some((row, &c)));
     }
 }

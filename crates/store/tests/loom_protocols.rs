@@ -29,8 +29,7 @@
 //! 3. **The `stubs/spin` test-and-set lock** — mutual exclusion and lost-
 //!    update freedom for the exact acquire/release protocol the spin stub
 //!    implements (CAS-acquire, store-release, yield after a spin budget):
-//!    the protocol of the oracle's decision lock
-//!    (`ConcurrentOracle::lock`).
+//!    the protocol of the `Db`'s decision lock (`db::DecisionLock`).
 //! 4. **Packed-node occupancy claims vs. concurrent readers** — the
 //!    adaptive arena's in-node publish path (`arena::ArenaStore::try_claim`): claim
 //!    indices are unique, an entry is never readable before it is

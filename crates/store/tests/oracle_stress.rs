@@ -196,8 +196,8 @@ fn shard_metrics_are_registered_and_plausible() {
         "one wait sample per contended acquisition"
     );
     // At WSI with no WAL every write commit attempt takes the decision lock
-    // once (and the tick's `forget_through` takes it uncounted), so no more
-    // acquisitions contend than there were write decisions.
+    // once and nothing else takes it, so no more acquisitions contend than
+    // there were write decisions.
     let oracle = db.stats().oracle;
     assert!(
         contended <= oracle.commits + oracle.rw_aborts,

@@ -12,11 +12,10 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo build --release --workspace
-# The workspace run holds, among the rest: `ConcurrentOracle` (one decision
-# lock, rows as slices) against its model `StatusOracleCore` on histories
-# that keep up to four transactions open and commit them out of order, and
-# the lockstep showing that forgetting `lastCommit` rows
-# below the oldest open start changes no decision (`oracle_equivalence`),
+# The workspace run holds, among the rest: Algorithm 3 (`StatusOracleCore`
+# bounded) against the exact decisions on histories that keep up to four
+# transactions open and commit them out of order (`oracle_equivalence`),
+# the store's `mvcc_model` and its directed certification tests (`db.rs`),
 # the `wsi-dst` seeded fault matrix checked by
 # the shared isolation check (`wsi_history::check`) with its
 # same-seed replay and planted-bug canary (an oracle panic prints a

@@ -1,13 +1,10 @@
 //! Offline stand-in for the `bytes` crate (see `stubs/README.md`).
 //!
-//! [`Bytes`] is a cheaply cloneable, immutable byte buffer: a shared
-//! allocation plus a sub-range, so `clone` and [`Bytes::slice`] are O(1)
-//! refcount bumps — the property the WAL's payload buffers rely on. The
-//! allocation is an `Arc<[u8]>` (one allocation, header and bytes
-//! together) or an adopted `Vec<u8>` behind an `Arc`, so that
-//! [`BytesMut::freeze`] and `From<Vec<u8>>` keep the vector's buffer in
-//! place instead of copying it, as the real crate does. [`BytesMut`] is a
-//! thin `Vec<u8>` builder that freezes into a `Bytes`.
+//! [`Bytes`] is a cheaply cloneable, immutable byte buffer: an `Arc<[u8]>`
+//! plus a sub-range, so `clone` and [`Bytes::slice`] are O(1) refcount
+//! bumps — the property the store's version chains and the WAL's payload
+//! buffers rely on. [`BytesMut`] is a thin `Vec<u8>` builder that freezes
+//! into a `Bytes`.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -17,33 +14,9 @@ use std::sync::Arc;
 /// A cheaply cloneable immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Backing,
+    data: Arc<[u8]>,
     start: usize,
     end: usize,
-}
-
-/// The allocation a [`Bytes`] shares.
-#[derive(Clone)]
-enum Backing {
-    /// Bytes copied into one allocation with the count.
-    Slice(Arc<[u8]>),
-    /// A vector adopted as it is: its buffer never moves.
-    Vec(Arc<Vec<u8>>),
-}
-
-impl Default for Backing {
-    fn default() -> Self {
-        Backing::Slice(Arc::from(&[][..]))
-    }
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Slice(data) => data,
-            Backing::Vec(data) => data,
-        }
-    }
 }
 
 impl Bytes {
@@ -60,28 +33,27 @@ impl Bytes {
 
     /// Copies `bytes` into a new buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Bytes::backed(Backing::Slice(Arc::from(bytes)))
+        let data: Arc<[u8]> = Arc::from(bytes);
+        Bytes {
+            start: 0,
+            end: data.len(),
+            data,
+        }
     }
 
     /// Wraps `owner`'s bytes, keeping it alive as long as the buffer. An
-    /// `Arc<[u8]>` or `Vec<u8>` owner becomes the backing allocation
-    /// without a copy; any other owner is copied once.
+    /// `Arc<[u8]>` owner becomes the backing allocation without a copy;
+    /// any other owner is copied once.
     pub fn from_owner<T: AsRef<[u8]> + Send + 'static>(owner: T) -> Self {
         let mut owner = Some(owner);
-        let any = &mut owner as &mut dyn std::any::Any;
-        if let Some(shared) = any.downcast_mut::<Option<Arc<[u8]>>>() {
-            return Bytes::backed(Backing::Slice(shared.take().expect("the owner is taken once")));
-        }
-        if let Some(vec) = any.downcast_mut::<Option<Vec<u8>>>() {
-            return Bytes::from(vec.take().expect("the owner is taken once"));
-        }
-        Bytes::copy_from_slice(owner.as_ref().expect("the owner is still here").as_ref())
-    }
-
-    fn backed(data: Backing) -> Self {
+        let data: Arc<[u8]> =
+            match (&mut owner as &mut dyn std::any::Any).downcast_mut::<Option<Arc<[u8]>>>() {
+                Some(shared) => shared.take().expect("the owner is taken once"),
+                None => Arc::from(owner.as_ref().expect("the owner is still here").as_ref()),
+            };
         Bytes {
             start: 0,
-            end: data.bytes().len(),
+            end: data.len(),
             data,
         }
     }
@@ -133,7 +105,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data.bytes()[self.start..self.end]
+        &self.data[self.start..self.end]
     }
 }
 
@@ -150,9 +122,13 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Adopts the vector's buffer in place: no copy.
     fn from(v: Vec<u8>) -> Self {
-        Bytes::backed(Backing::Vec(Arc::new(v)))
+        let data: Arc<[u8]> = Arc::from(v);
+        Bytes {
+            start: 0,
+            end: data.len(),
+            data,
+        }
     }
 }
 
@@ -283,7 +259,7 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`], keeping the buffer in place.
+    /// Converts into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -373,22 +349,6 @@ mod tests {
         assert_eq!(b.as_ref(), b"key");
         assert_eq!(Arc::strong_count(&shared), 2, "the buffer holds the Arc");
         assert_eq!(Bytes::from_owner(vec![1u8, 2]).as_ref(), &[1, 2]);
-    }
-
-    #[test]
-    fn freeze_keeps_the_buffer_in_place() {
-        let mut m = BytesMut::with_capacity(64);
-        m.put_slice(&[7; 40]);
-        let before = m.as_ptr();
-        let b = m.freeze();
-        assert_eq!(b.as_ptr(), before, "freeze adopts the builder's buffer");
-        assert_eq!(b.slice(8..).as_ptr(), before.wrapping_add(8));
-        let v = vec![1u8, 2, 3];
-        let at = v.as_ptr();
-        assert_eq!(Bytes::from(v).as_ptr(), at);
-        let v = vec![4u8, 5];
-        let at = v.as_ptr();
-        assert_eq!(Bytes::from_owner(v).as_ptr(), at);
     }
 
     #[test]
