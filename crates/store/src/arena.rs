@@ -92,9 +92,7 @@
 //! are words — so even a protocol bug (a torn copy) cannot become memory
 //! unsafety, only a failed test.
 
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -123,6 +121,12 @@ pub(crate) const PRUNE_CHAIN_LEN: usize = 32;
 /// indices within [`INDEX_MASK`], clear of the class bits and
 /// [`PACKED_TAG`].
 const MAX_CHUNKS: usize = 4096;
+
+/// Slots in each level of a [`Chunks`] directory: its two levels address
+/// `DIR_FANOUT²` chunks.
+const DIR_FANOUT: usize = 64;
+
+const _: () = assert!(MAX_CHUNKS <= DIR_FANOUT * DIR_FANOUT);
 
 /// Key entries per entry-arena chunk (power of two).
 const ENTRY_CHUNK_SLOTS: usize = 1024;
@@ -411,6 +415,44 @@ impl PoolNode for PackedNode {
     }
 }
 
+/// A directory of lazily allocated chunks that costs what is used: a fixed
+/// top level of [`DIR_FANOUT`] slots, each naming a second level of
+/// [`DIR_FANOUT`] chunk slots allocated with its first chunk, so an open
+/// store holds one small top level per pool rather than a slot for every
+/// chunk it could ever allocate. A lookup takes no lock: two `OnceLock`
+/// reads.
+#[derive(Debug)]
+struct Chunks<T> {
+    top: [OnceLock<Box<Level<T>>>; DIR_FANOUT],
+}
+
+/// A [`Chunks`] second level: a slot for each of [`DIR_FANOUT`] chunks.
+type Level<T> = [OnceLock<Box<[T]>>; DIR_FANOUT];
+
+impl<T> Chunks<T> {
+    fn new() -> Self {
+        Chunks {
+            top: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Chunk `at`, once initialized.
+    #[inline]
+    fn get(&self, at: usize) -> Option<&[T]> {
+        self.top[at / DIR_FANOUT].get()?[at % DIR_FANOUT]
+            .get()
+            .map(|chunk| &**chunk)
+    }
+
+    /// Chunk `at`, built by `init` (and its second level allocated) on
+    /// first touch.
+    fn get_or_init(&self, at: usize, init: impl FnOnce() -> Box<[T]>) -> &[T] {
+        self.top[at / DIR_FANOUT].get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())))
+            [at % DIR_FANOUT]
+            .get_or_init(init)
+    }
+}
+
 /// A chunked node pool: nodes of `stride` elements live in lazily-allocated
 /// fixed-size chunks (so a growing store never moves a node — outstanding
 /// indices stay valid forever), and freed nodes recycle through a Treiber
@@ -424,7 +466,7 @@ struct Pool<N> {
     /// Set in the index half of every handle the pool hands out:
     /// [`PACKED_TAG`] for packed nodes, the size class for slots.
     tag: u32,
-    chunks: Vec<OnceLock<Box<[N]>>>,
+    chunks: Chunks<N>,
     /// Bump watermark: nodes `< len` have been handed out at least once.
     len: AtomicU32,
     /// Tagged free-list head: `tag << 32 | index` (`FREE_NONE` = empty).
@@ -438,7 +480,7 @@ impl<N: PoolNode> Pool<N> {
         Pool {
             stride,
             tag,
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: Chunks::new(),
             len: AtomicU32::new(0),
             free: AtomicU64::new(FREE_NONE as u64),
             chunks_inited: AtomicU64::new(0),
@@ -465,8 +507,9 @@ impl<N: PoolNode> Pool<N> {
     #[inline]
     fn raw(&self, idx: u32) -> &[N] {
         let at = idx as usize % N::CHUNK * self.stride;
-        &self.chunks[idx as usize / N::CHUNK]
-            .get()
+        &self
+            .chunks
+            .get(idx as usize / N::CHUNK)
             .expect("index below bump watermark implies initialized chunk")[at..at + self.stride]
     }
 
@@ -482,7 +525,7 @@ impl<N: PoolNode> Pool<N> {
                 "node pool capacity exhausted ({} nodes)",
                 MAX_CHUNKS * N::CHUNK
             );
-            self.chunks[idx as usize / N::CHUNK].get_or_init(|| {
+            self.chunks.get_or_init(idx as usize / N::CHUNK, || {
                 self.chunks_inited.fetch_add(1, Ordering::Relaxed);
                 (0..N::CHUNK * self.stride).map(|_| N::default()).collect()
             });
@@ -941,13 +984,11 @@ impl<'a> Iterator for Chain<'a> {
 /// the variant tag in the 24 bytes a heap key's `Arc<[u8]>` takes anyway.
 const INLINE_KEY: usize = 22;
 
-/// A key's bytes, held by the records that name it — its [`KeyEntry`] and
-/// the ordered index. A key of up to [`INLINE_KEY`] bytes sits inline, so
-/// a probe compares it inside the entry it has already loaded and creating
-/// it allocates nothing; a longer key is one `Arc<[u8]>` the entry and the
-/// index share. Equality, order and [`Borrow`] are the byte slice's, so
-/// the index orders keys bytewise and is searched by `&[u8]`.
-#[derive(Clone)]
+/// A key's bytes, held by its [`KeyEntry`] and nowhere else in the store.
+/// A key of up to [`INLINE_KEY`] bytes sits inline, so a probe compares it
+/// inside the entry it has already loaded and creating it allocates
+/// nothing; a longer key is one `Arc<[u8]>`, which [`Self::to_bytes`]
+/// shares with callers rather than copying.
 enum EntryKey {
     Inline { len: u8, bytes: [u8; INLINE_KEY] },
     Heap(Arc<[u8]>),
@@ -982,32 +1023,6 @@ impl EntryKey {
             EntryKey::Inline { .. } => Bytes::copy_from_slice(self.as_slice()),
             EntryKey::Heap(bytes) => Bytes::from_owner(Arc::clone(bytes)),
         }
-    }
-}
-
-impl PartialEq for EntryKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for EntryKey {}
-
-impl PartialOrd for EntryKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EntryKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Borrow<[u8]> for EntryKey {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
     }
 }
 
@@ -1059,14 +1074,14 @@ pub(crate) struct KeyId(u32);
 /// Append-only chunked storage for [`KeyEntry`]s.
 #[derive(Debug)]
 struct EntryArena {
-    chunks: Vec<OnceLock<Box<[OnceLock<KeyEntry>]>>>,
+    chunks: Chunks<OnceLock<KeyEntry>>,
     len: AtomicU32,
 }
 
 impl EntryArena {
     fn new() -> Self {
         EntryArena {
-            chunks: (0..MAX_ENTRY_CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: Chunks::new(),
             len: AtomicU32::new(0),
         }
     }
@@ -1078,14 +1093,14 @@ impl EntryArena {
     }
 
     fn get(&self, idx: u32) -> &KeyEntry {
-        self.chunks[idx as usize / ENTRY_CHUNK_SLOTS]
-            .get()
+        self.chunks
+            .get(idx as usize / ENTRY_CHUNK_SLOTS)
             .expect("entry index implies initialized chunk")[idx as usize % ENTRY_CHUNK_SLOTS]
             .get()
             .expect("entry index implies initialized entry")
     }
 
-    /// Appends an entry. Callers serialize creation (the ordered index's
+    /// Appends an entry. Callers serialize creation (the key order's
     /// write lock), so the bump is effectively single-threaded; the
     /// `Release` bump publishes the entry for `len()` readers.
     fn push(&self, entry: KeyEntry) -> u32 {
@@ -1094,8 +1109,11 @@ impl EntryArena {
             (idx as usize) < MAX_ENTRY_CHUNKS * ENTRY_CHUNK_SLOTS,
             "key-entry arena capacity exhausted"
         );
-        let chunk = self.chunks[idx as usize / ENTRY_CHUNK_SLOTS]
-            .get_or_init(|| (0..ENTRY_CHUNK_SLOTS).map(|_| OnceLock::new()).collect());
+        let chunk = self
+            .chunks
+            .get_or_init(idx as usize / ENTRY_CHUNK_SLOTS, || {
+                (0..ENTRY_CHUNK_SLOTS).map(|_| OnceLock::new()).collect()
+            });
         let fresh = chunk[idx as usize % ENTRY_CHUNK_SLOTS].set(entry).is_ok();
         assert!(fresh, "fresh entry slot is unset");
         self.len.store(idx + 1, Ordering::Release);
@@ -1103,8 +1121,85 @@ impl EntryArena {
     }
 }
 
+/// Entry indices a [`KeyOrder`] run holds at most. A run is allocated at
+/// this capacity, so keys created in ascending order fill every run but
+/// the last, at four bytes and a twentieth per key.
+const RUN: usize = 512;
+
+/// Every entry's index in the bytewise order of the key the entry holds:
+/// sorted runs of at most [`RUN`] indices, each run's keys below the next
+/// run's. The keys stay in the entries, so a search compares
+/// `entries.get(idx)`'s key and the order itself is four bytes per key.
+/// A key above every other appends, so ascending creation fills each run
+/// before opening the next; any other insert may split a full run in two
+/// halves.
+#[derive(Debug, Default)]
+struct KeyOrder {
+    runs: Vec<Vec<u32>>,
+}
+
+impl KeyOrder {
+    /// The run, and the position in it, of the first entry whose key is
+    /// not below `key`; past the last run when every key is below.
+    fn seek(&self, entries: &EntryArena, key: &[u8]) -> (usize, usize) {
+        let below = |idx: &u32| entries.get(*idx).key.as_slice() < key;
+        let run = self
+            .runs
+            .partition_point(|run| run.last().is_some_and(below));
+        let at = self
+            .runs
+            .get(run)
+            .map_or(0, |run| run.partition_point(below));
+        (run, at)
+    }
+
+    /// Places entry `idx`, which holds `key`, a key no other entry holds.
+    fn insert(&mut self, entries: &EntryArena, idx: u32, key: &[u8]) {
+        let (mut run, mut at) = match self.runs.last() {
+            Some(last) if entries.get(last[last.len() - 1]).key.as_slice() > key => {
+                self.seek(entries, key)
+            }
+            Some(last) if last.len() < RUN => (self.runs.len() - 1, last.len()),
+            _ => (self.runs.len(), 0),
+        };
+        if run == self.runs.len() {
+            self.runs.push(Vec::with_capacity(RUN));
+        } else if self.runs[run].len() == RUN {
+            let mut upper = Vec::with_capacity(RUN);
+            upper.extend(self.runs[run].drain(RUN / 2..));
+            self.runs.insert(run + 1, upper);
+            if at > RUN / 2 {
+                (run, at) = (run + 1, at - RUN / 2);
+            }
+        }
+        self.runs[run].insert(at, idx);
+    }
+
+    /// Entry indices in key order, from the first key not below `start`.
+    fn from<'a>(&'a self, entries: &EntryArena, start: &[u8]) -> impl Iterator<Item = u32> + 'a {
+        let (run, at) = self.seek(entries, start);
+        let first = self.runs.get(run).map_or(&[][..], |run| &run[at..]);
+        first
+            .iter()
+            .chain(self.runs.iter().skip(run + 1).flatten())
+            .copied()
+    }
+
+    /// Every entry index, in key order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.runs.iter().flatten().copied()
+    }
+
+    /// Bytes the runs and their directory have allocated.
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> usize {
+        let runs: usize = self.runs.iter().map(Vec::capacity).sum();
+        runs * std::mem::size_of::<u32>() + self.runs.capacity() * std::mem::size_of::<Vec<u32>>()
+    }
+}
+
 /// The per-key chain heads: an open-addressing hash table over entry
-/// indices for point lookups, plus an ordered `key → entry` index (behind a
+/// indices for point lookups, plus a [`KeyOrder`] of the entries (behind a
 /// plain readers-writer lock) that only scans, dumps, and key *creation*
 /// touch.
 ///
@@ -1134,9 +1229,10 @@ struct ChainHeadTable {
     /// Index of the generation lookups and creations use.
     current: AtomicUsize,
     entries: EntryArena,
-    /// Ordered key index for range scans; also the (write-locked) serializer
-    /// of entry creation and table growth. Point reads never touch it.
-    index: RwLock<BTreeMap<EntryKey, u32>>,
+    /// The entries in key order, for range scans; also the (write-locked)
+    /// serializer of entry creation and table growth. Point reads never
+    /// touch it.
+    order: RwLock<KeyOrder>,
 }
 
 impl ChainHeadTable {
@@ -1145,7 +1241,7 @@ impl ChainHeadTable {
             generations: std::array::from_fn(|_| OnceLock::new()),
             current: AtomicUsize::new(0),
             entries: EntryArena::new(),
-            index: RwLock::new(BTreeMap::new()),
+            order: RwLock::new(KeyOrder::default()),
         };
         table.generations[0]
             .set(Self::empty_slots(TABLE_MIN_BITS))
@@ -1267,19 +1363,20 @@ impl ChainHeadTable {
     }
 
     /// Returns the key's entry and its index, creating it if absent.
-    /// Creation serializes on the ordered index's write lock (rare: once
-    /// per distinct key ever), and so does the table growth it may trigger.
+    /// Creation serializes on the key order's write lock (rare: once per
+    /// distinct key ever), and so does the table growth it may trigger.
     fn find_or_create(&self, key: &[u8], row: RowId) -> (u32, &KeyEntry) {
         if let Some(found) = self.probe(key, row).0 {
             return found;
         }
-        let mut index = self.index.write();
-        if let Some(&idx) = index.get(key) {
-            return (idx, self.entries.get(idx)); // lost the creation race
+        let mut order = self.order.write();
+        // Every creation before ours stored its slot under this lock, so a
+        // probe now finds a key that won the race.
+        if let Some(found) = self.probe(key, row).0 {
+            return found;
         }
-        let key = EntryKey::new(key);
-        let idx = self.create(key.clone(), Self::hash_of(row));
-        index.insert(key, idx);
+        let idx = self.create(EntryKey::new(key), Self::hash_of(row));
+        order.insert(&self.entries, idx, key);
         (idx, self.entries.get(idx))
     }
 
@@ -1913,8 +2010,8 @@ impl ArenaStore {
 
     /// Scans `[start, end)` in the snapshot, returning up to `limit`
     /// visible key/value pairs in key order; tombstoned keys are omitted
-    /// and an empty or inverted range yields nothing. Holds the ordered
-    /// index's read lock for the enumeration (blocking only key *creation*,
+    /// and an empty or inverted range yields nothing. Holds the key order's
+    /// read lock for the enumeration (blocking only key *creation*,
     /// not publication, reads, or restructuring); chains are walked
     /// lock-free as usual. Each pair comes with its key's entry.
     pub(crate) fn scan<R: VersionResolver + ?Sized>(
@@ -1925,23 +2022,24 @@ impl ArenaStore {
         resolver: &R,
         limit: usize,
     ) -> Vec<(KeyId, Bytes, Bytes)> {
-        let upper = match end {
-            // `BTreeMap::range` panics on an inverted range.
-            Some(e) if e <= start => return Vec::new(),
-            Some(e) => Bound::Excluded(e),
-            None => Bound::Unbounded,
-        };
-        let index = self.table.index.read();
+        if end.is_some_and(|end| end <= start) {
+            return Vec::new();
+        }
+        let order = self.table.order.read();
         let mut out = Vec::new();
         let mut value = Vec::new();
-        for (key, &idx) in index.range::<[u8], _>((Bound::Included(start), upper)) {
-            if out.len() >= limit {
+        for idx in order.from(&self.table.entries, start) {
+            let entry = self.table.entries.get(idx);
+            if out.len() >= limit || end.is_some_and(|end| entry.key.as_slice() >= end) {
                 break;
             }
-            let entry = self.table.entries.get(idx);
             value.clear();
             if self.read_entry(entry, reader_start, resolver, &mut value) {
-                out.push((KeyId(idx), key.to_bytes(), Bytes::copy_from_slice(&value)));
+                out.push((
+                    KeyId(idx),
+                    entry.key.to_bytes(),
+                    Bytes::copy_from_slice(&value),
+                ));
             }
         }
         out
@@ -1993,9 +2091,9 @@ impl ArenaStore {
     /// assert that WAL replay re-derives exactly the stamps the live
     /// database had. Caller is registered.
     pub(crate) fn dump_stamps(&self) -> VersionStamps {
-        let index = self.table.index.read();
+        let order = self.table.order.read();
         let mut out: VersionStamps = Vec::new();
-        for (key, &idx) in index.iter() {
+        for idx in order.iter() {
             let entry = self.table.entries.get(idx);
             let mut stamps: Vec<(u64, Option<u64>)> = self
                 .versions(entry)
@@ -2003,7 +2101,7 @@ impl ArenaStore {
                 .collect();
             if !stamps.is_empty() {
                 stamps.sort_unstable_by_key(|(ws, _)| *ws);
-                out.push((key.to_bytes(), stamps));
+                out.push((entry.key.to_bytes(), stamps));
             }
         }
         out
@@ -2014,7 +2112,7 @@ impl ArenaStore {
     /// — in key order, as `(key, writer_start, commit_ts, value)`, the key
     /// by reference and the value as the words to copy. Each version's fate comes from [`Version::fate`], so a
     /// commit whose stamp lands while its owner deregisters is not missed.
-    /// Holds the ordered index's read lock throughout, as [`Self::scan`]
+    /// Holds the key order's read lock throughout, as [`Self::scan`]
     /// does. Caller is registered at `snapshot`.
     pub(crate) fn checkpoint_entries<R: VersionResolver + ?Sized>(
         &self,
@@ -2022,12 +2120,12 @@ impl ArenaStore {
         resolver: &R,
         mut visit: impl FnMut(&[u8], Timestamp, Timestamp, Value<'_>),
     ) {
-        let index = self.table.index.read();
-        for (key, &idx) in index.iter() {
+        let order = self.table.order.read();
+        for idx in order.iter() {
             let entry = self.table.entries.get(idx);
             if let Some((v, commit_ts)) = self.visible(entry, snapshot, resolver) {
                 visit(
-                    key.as_slice(),
+                    entry.key.as_slice(),
                     Timestamp(v.writer()),
                     Timestamp(commit_ts),
                     v.value(&self.slots),
@@ -2827,6 +2925,30 @@ mod tests {
         ));
     }
 
+    /// The layout the key order rests on: it holds entry numbers, not
+    /// keys, and keys created in ascending order — as a preload and an
+    /// appending workload create them — fill every run, so 100 k keys
+    /// leave it at most five bytes of capacity each.
+    #[test]
+    fn the_key_order_holds_entry_numbers_not_keys() {
+        let table = ChainHeadTable::new();
+        let keys = 100_000;
+        for i in 0..keys {
+            let key = format!("user{i:012}");
+            table.find_or_create(key.as_bytes(), hash_row_key(key.as_bytes()));
+        }
+        let order = table.order.read();
+        assert!(
+            order.runs[..order.runs.len() - 1]
+                .iter()
+                .all(|run| run.len() == RUN),
+            "ascending creation fills every run but the last"
+        );
+        assert!(order.iter().eq(0..keys), "keys were created in order");
+        let per_key = order.capacity_bytes() as f64 / f64::from(keys);
+        assert!(per_key <= 5.0, "{per_key:.2} bytes of capacity per key");
+    }
+
     #[test]
     fn scan_orders_inline_and_heap_keys_bytewise() {
         let p = |n: usize, tail: &[u8]| [vec![b'p'; n], tail.to_vec()].concat();
@@ -2866,8 +2988,8 @@ mod tests {
         let table = ChainHeadTable::new();
         let row = |i: u32| hash_row_key(&i.to_be_bytes());
         let mut created = 0u32;
-        // Past the first keys, create entries without the ordered index:
-        // it plays no part in lookups and is most of a debug build's time.
+        // Past the first keys, create entries without the key order: it
+        // plays no part in lookups.
         let mut fill = |table: &ChainHeadTable, upto: u32| {
             while created < upto {
                 let idx = match created {
@@ -3199,6 +3321,66 @@ mod tests {
                     .visible(entry, Timestamp(snapshot), &resolver)
                     .map(|(v, ts)| (v.loc, ts));
                 assert_eq!(searched, linear, "snapshot {snapshot}");
+            }
+        }
+    }
+
+    /// A key for the key-order proptest: three letters, so short keys
+    /// recur as prefixes of longer ones, and lengths either side of
+    /// [`INLINE_KEY`].
+    fn order_key() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            prop_oneof![Just(0u8), Just(b'p'), Just(0xff)],
+            0..=2 * INLINE_KEY,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Keys created in random order, enough to split runs, scan as a
+        /// sorted set of their bytes does: for any start, bound — inverted,
+        /// empty, past every key or none — and limit.
+        #[test]
+        fn the_key_order_scans_as_a_sorted_set_does(
+            keys in proptest::collection::vec(order_key(), 3 * RUN..4 * RUN),
+            scans in proptest::collection::vec(
+                (order_key(), proptest::option::of(order_key()), 0..3 * RUN),
+                16,
+            ),
+        ) {
+            use std::collections::BTreeSet;
+            let store = ArenaStore::standalone();
+            let mut model = BTreeSet::new();
+            for (writer, key) in (1..).zip(keys) {
+                if model.insert(key.clone()) {
+                    let key = Bytes::from(key);
+                    store.insert_version(key.clone(), Timestamp(writer), Some(key.clone()));
+                    store.stamp_keys(Timestamp(writer), Timestamp(writer + 10_000), [&key]);
+                }
+            }
+            proptest::prop_assert!(store.table.order.read().runs.len() >= 3, "runs split");
+            proptest::prop_assert!(store.table.order.read().runs.iter().all(|run| run.len() <= RUN));
+            let last = model.last().cloned().unwrap_or_default();
+            let past_every_key = [last, vec![0xff]].concat();
+            let shapes = scans.into_iter().chain([
+                (Vec::new(), None, usize::MAX),
+                (past_every_key.clone(), None, usize::MAX),
+                (Vec::new(), Some(past_every_key), usize::MAX),
+                (b"p".to_vec(), Some(b"p".to_vec()), usize::MAX),
+                (b"p".to_vec(), Some(vec![0]), usize::MAX),
+            ]);
+            for (start, end, limit) in shapes {
+                let expected: Vec<&Vec<u8>> = model
+                    .iter()
+                    .filter(|key| **key >= start && end.as_ref().is_none_or(|end| *key < end))
+                    .take(limit)
+                    .collect();
+                let hits = store.scan_pairs(&start, end.as_deref(), Timestamp(1_000_000), &resolver_none, limit);
+                proptest::prop_assert!(hits.iter().all(|(k, v)| k == v), "each key reads its value");
+                let got: Vec<&[u8]> = hits.iter().map(|(k, _)| &k[..]).collect();
+                proptest::prop_assert_eq!(got, expected, "scan {:?}..{:?} limit {}", start, end, limit);
             }
         }
     }

@@ -1026,8 +1026,8 @@ impl Db {
     /// cut is the end of the last flush whose commits are all below `S`;
     /// the reservation bound is read after the cut is, so it covers every
     /// reservation record the cut drops. It is encoded as the scan of the
-    /// ordered index visits each key, under that index's read lock (which
-    /// holds off only key creation), and appended through the pipeline
+    /// key order visits each key, under the order's read lock (which holds
+    /// off only key creation), and appended through the pipeline
     /// like any other record. A quorum
     /// loss abandons it and leaves the log whole; the next `gc` tries again.
     fn checkpoint(&self, pipeline: &CommitPipeline) {

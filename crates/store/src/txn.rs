@@ -5,7 +5,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use wsi_core::{hash_row_key, RowId, Timestamp};
+use wsi_core::{hash_row_key, IsolationLevel, RowId, Timestamp};
 use wsi_obs::EventData;
 
 use crate::{
@@ -109,7 +109,8 @@ impl ReadSet {
 /// requires (§5: "the set of identifiers of the read rows … computed based
 /// on the rows that are actually read by the transaction, whether these
 /// rows were originally specified by their primary keys or by a search
-/// condition").
+/// condition"). Under [`IsolationLevel::Snapshot`], which checks writes
+/// only, no read is recorded.
 pub struct Transaction {
     db: Arc<DbInner>,
     start_ts: Timestamp,
@@ -151,10 +152,10 @@ impl Transaction {
     /// empty when it has none). The value is copied out of the store's
     /// words: the read takes no lock and writes no shared memory.
     ///
-    /// Own buffered writes win over stored state (read-your-writes). A
-    /// lookup that goes to the store — even one that finds nothing — is
-    /// recorded in the read set: observing a key's absence is observing its
-    /// state.
+    /// Own buffered writes win over stored state (read-your-writes). Under
+    /// WSI and SSI a lookup that goes to the store — even one that finds
+    /// nothing — is recorded in the read set: observing a key's absence is
+    /// observing its state.
     pub fn get_into(&mut self, key: &[u8], buf: &mut Vec<u8>) -> bool {
         buf.clear();
         if let Some(buffered) = self.writes.get(key) {
@@ -171,8 +172,16 @@ impl Transaction {
             .db
             .mvcc
             .read(key, row, self.start_ts, &self.db.registry, buf);
-        self.reads.insert(row, key, found);
+        if self.records_reads() {
+            self.reads.insert(row, key, found);
+        }
         visible
+    }
+
+    /// Whether reads join the read set: WSI's check and SSI's window read
+    /// it, SI's check reads only the writes.
+    fn records_reads(&self) -> bool {
+        self.db.options.isolation != IsolationLevel::Snapshot
     }
 
     /// Reads a key in the transaction's snapshot: [`Self::get_into`], with
@@ -216,9 +225,9 @@ impl Transaction {
     /// merging buffered writes, returning at most `limit` pairs in key
     /// order. An empty or inverted range returns nothing.
     ///
-    /// Every key *returned from the store* joins the read set — up to
-    /// `limit` plus the number of buffered writes in range, since the limit
-    /// applies to the merged result. Keys that are absent in the snapshot
+    /// Under WSI and SSI every key *returned from the store* joins the read
+    /// set — up to `limit` plus the number of buffered writes in range,
+    /// since the limit applies to the merged result. Keys that are absent in the snapshot
     /// leave no trace (the conflict check tracks keys, not ranges), so
     /// phantom rows inserted by concurrent transactions are not
     /// conflict-checked — the same row-granularity caveat as the paper's
@@ -247,8 +256,11 @@ impl Transaction {
             &self.db.registry,
             limit.saturating_add(buffered.len()),
         );
+        let records = self.records_reads();
         let stored = stored.into_iter().map(|(id, key, value)| {
-            self.reads.insert(hash_row_key(&key), &key, Some(id));
+            if records {
+                self.reads.insert(hash_row_key(&key), &key, Some(id));
+            }
             (key, value)
         });
         if buffered.is_empty() {
@@ -313,7 +325,8 @@ impl Transaction {
         }
     }
 
-    /// Number of distinct rows currently in the read set.
+    /// Number of distinct rows currently in the read set: always `0` under
+    /// [`IsolationLevel::Snapshot`], which records no reads.
     pub fn read_set_len(&self) -> usize {
         self.reads.rows.len()
     }
@@ -345,7 +358,32 @@ impl std::fmt::Debug for Transaction {
 mod tests {
     use super::*;
     use crate::{Db, DbOptions};
-    use wsi_core::IsolationLevel;
+
+    #[test]
+    fn only_the_levels_that_check_reads_record_them() {
+        use IsolationLevel::*;
+        for (isolation, recorded) in [
+            (Snapshot, 0),
+            (WriteSnapshot, 200),
+            (SerializableSnapshot, 200),
+        ] {
+            let db = Db::open(DbOptions::new(isolation));
+            let mut t = db.begin();
+            for i in 0..100u32 {
+                t.put(&i.to_be_bytes(), b"v");
+            }
+            t.commit().unwrap();
+            // Keys 0..100 exist, 100..200 are absent.
+            let mut t = db.begin();
+            let mut buf = Vec::new();
+            for i in 0..200u32 {
+                assert_eq!(t.get_into(&i.to_be_bytes(), &mut buf), i < 100);
+            }
+            assert_eq!(t.scan(b"", None, usize::MAX).len(), 100);
+            assert_eq!(t.read_set_len(), recorded, "{isolation:?}");
+            t.commit().unwrap();
+        }
+    }
 
     #[test]
     fn a_row_read_under_two_keys_keeps_both() {

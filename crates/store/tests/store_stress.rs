@@ -221,6 +221,8 @@ const GROWTH_WRITERS: usize = 4;
 const GROWTH_KEYS: u64 = 50_000;
 /// Keys per creating transaction.
 const GROWTH_BATCH: u64 = 100;
+/// Keys a scan of the herd returns at most.
+const GROWTH_SCAN: usize = 200;
 
 fn growth_key(writer: usize, i: u64) -> Vec<u8> {
     format!("grow/{writer}/{i:06}").into_bytes()
@@ -280,6 +282,42 @@ fn head_table_growth_never_hides_a_committed_key() {
                 assert!(checked > 0, "the reader ran beside the writers");
             });
         }
+        // A scanner: a window of one writer's keys, from a pseudo-random
+        // one told of, holds every key told of in it, in bytewise order,
+        // however the key order split its runs to place keys created
+        // between other writers' keys.
+        let (scan_db, scan_told, scan_writing) = (db.clone(), &told, &writing);
+        s.spawn(move || {
+            let mut probe = 0xD1B5_4A32_D192_ED03u64;
+            let mut scans = 0u64;
+            while scan_writing.load(Ordering::Acquire) {
+                for (w, mark) in scan_told.iter().enumerate() {
+                    let known = mark.load(Ordering::Acquire);
+                    if known == 0 {
+                        continue;
+                    }
+                    let snap = scan_db.snapshot();
+                    probe = probe.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let from = (probe >> 33) % known;
+                    let hits = snap.scan(&growth_key(w, from), None, GROWTH_SCAN);
+                    assert!(
+                        hits.windows(2).all(|pair| pair[0].0 < pair[1].0),
+                        "a scan from writer {w}'s key {from} is out of order"
+                    );
+                    let told_of = (known - from).min(GROWTH_SCAN as u64);
+                    for (i, (key, value)) in (from..from + told_of).zip(&hits) {
+                        assert_eq!(
+                            (&key[..], parse(Some(value.clone()))),
+                            (&growth_key(w, i)[..], i),
+                            "writer {w}: key {i} of {known} told-of is missing from a scan"
+                        );
+                    }
+                    assert!(hits.len() as u64 >= told_of, "a scan ended early");
+                    scans += 1;
+                }
+            }
+            assert!(scans > 0, "the scanner ran beside the writers");
+        });
         for writer in writers {
             writer.join().expect("writer panicked");
         }
@@ -293,6 +331,13 @@ fn head_table_growth_never_hides_a_committed_key() {
             assert_eq!(parse(snap.get(&growth_key(w, i))), i, "writer {w} key {i}");
         }
     }
+    let scanned = snap.scan(b"", None, usize::MAX);
+    let expected =
+        (0..GROWTH_WRITERS).flat_map(|w| (0..GROWTH_KEYS).map(move |i| growth_key(w, i)));
+    assert!(
+        scanned.iter().map(|(key, _)| key.to_vec()).eq(expected),
+        "a full scan returns every key in bytewise order"
+    );
     drop(snap);
     db.gc();
     let stats = db.stats();
