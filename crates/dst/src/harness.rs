@@ -223,6 +223,8 @@ struct Sim<'a> {
     /// Quorum-lost commits awaiting their fate: `(txn, raw start_ts)`.
     limbo: Vec<(TxnId, u64)>,
     failed_bookies: BTreeSet<usize>,
+    /// A [`Fault::CrashMidTickCheckpoint`] waits for a tick's checkpoint.
+    tick_crash_armed: bool,
     incarnations: u64,
     resurrected: u64,
     untruncated_recoveries: u64,
@@ -247,6 +249,7 @@ fn execute(config: &RunConfig) -> RunReport {
         next_txn: 1,
         limbo: Vec::new(),
         failed_bookies: BTreeSet::new(),
+        tick_crash_armed: false,
         incarnations: 1,
         resurrected: 0,
         untruncated_recoveries: 0,
@@ -345,6 +348,13 @@ impl Sim<'_> {
             return;
         }
         let start_ts = txn.start_ts().raw();
+        // Armed, with the ensemble healthy: the commit's own flush round
+        // reaches all three bookies, any later round only bookie 2.
+        let armed = self.tick_crash_armed && self.failed_bookies.is_empty();
+        if armed {
+            self.engine.fail_wal_bookie_after(0, 1);
+            self.engine.fail_wal_bookie_after(1, 1);
+        }
         match txn.commit() {
             Ok(_) => self.ops.push(Op::Commit(id)),
             Err(Error::Aborted(_)) => self.ops.push(Op::Abort(id)),
@@ -353,6 +363,9 @@ impl Sim<'_> {
             // minority bookie. Fate unknown until a flush or a crash.
             Err(Error::Wal(_)) => self.limbo.push((id, start_ts)),
             Err(e) => panic!("unexpected engine error: {e}\n  reproduce: {}", self.repro),
+        }
+        if armed {
+            self.crash_if_a_tick_checkpointed();
         }
     }
 
@@ -384,6 +397,7 @@ impl Sim<'_> {
                 payloads.extend(appended.skip(end.saturating_sub(after.base()) as usize));
                 self.crash_recover(before.base(), payloads);
             }
+            Fault::CrashMidTickCheckpoint => self.tick_crash_armed = true,
             Fault::Gc => {
                 let _ = self.engine.gc();
                 self.check_reclamation("after gc");
@@ -392,6 +406,24 @@ impl Sim<'_> {
                 self.engine.maintain();
                 self.check_reclamation("after maintain");
             }
+        }
+    }
+
+    /// After an armed commit: if its tick wrote a checkpoint, that round
+    /// missed its quorum and its records wait in the retained buffer — crash
+    /// now and recover from bookie 2, the checkpoint included and nothing
+    /// truncated behind it. Otherwise disarm bookies 0 and 1, which
+    /// accepted only the commit's own round.
+    fn crash_if_a_tick_checkpointed(&mut self) {
+        let wal = self.engine.wal_snapshot().expect("engines run durable");
+        if wal.pending_records() > 0 {
+            // Bookies 0 and 1 failed at the checkpoint's store: the log
+            // recovery reads is bookie 2's.
+            self.tick_crash_armed = false;
+            self.crash_recover(wal.base(), wal.recover());
+        } else {
+            self.engine.recover_wal_bookie(0);
+            self.engine.recover_wal_bookie(1);
         }
     }
 

@@ -9,7 +9,8 @@
 //! whose client was told the commit failed), a reclamation storm that
 //! races GC and reclamation sweeps against live snapshots, and crashes
 //! around a checkpoint: between its flush and its truncation, and while it
-//! reaches only a minority of bookies.
+//! reaches only a minority of bookies — the latter also for a checkpoint
+//! the commit path's tick writes, with no `gc` at all.
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +39,13 @@ pub enum Fault {
     /// between that checkpoint's flush and its truncation: recovery reads
     /// the log from before the sweep plus what the sweep's round appended.
     CrashBeforeTruncation,
+    /// Arms a crash inside the next checkpoint a write commit's tick
+    /// writes, with no `gc` anywhere. Each armed commit first sets bookies
+    /// 0 and 1 to fail after one more flush, so the commit's own round
+    /// reaches all three bookies and a checkpoint its tick writes only
+    /// bookie 2. The run crashes there and recovers from that bookie's
+    /// untruncated log; a commit whose tick wrote nothing disarms them.
+    CrashMidTickCheckpoint,
 }
 
 /// A schedule of faults, keyed by scheduler step.
@@ -151,6 +159,14 @@ impl FaultPlan {
             .at(steps / 2, Fault::CrashRecover)
     }
 
+    /// At the midpoint, arms a crash inside the next checkpoint a write
+    /// commit's tick writes ([`Fault::CrashMidTickCheckpoint`]). A tick
+    /// comes every 256 write commits, so the crash fires only in a run long
+    /// enough to reach one after the midpoint.
+    pub fn crash_mid_tick_checkpoint(steps: u64) -> Self {
+        FaultPlan::none().at(steps / 2, Fault::CrashMidTickCheckpoint)
+    }
+
     /// Everything at once: a reclamation storm over a quorum-loss window
     /// and a late crash.
     pub fn everything(steps: u64) -> Self {
@@ -160,6 +176,9 @@ impl FaultPlan {
     }
 
     /// The named presets swept by the fault-matrix test, in matrix order.
+    /// `crash-mid-tick-checkpoint` is not among them: the matrix's runs
+    /// are too short to reach a tick after their midpoint, so it has a
+    /// test of its own.
     pub const PRESETS: [&'static str; 8] = [
         "none",
         "quorum-loss",
@@ -171,8 +190,9 @@ impl FaultPlan {
         "everything",
     ];
 
-    /// Resolves a preset by its [`FaultPlan::PRESETS`] name — the reverse
-    /// direction of the `DST_PLAN=` repro command printed on failure.
+    /// Resolves a preset by its [`FaultPlan::PRESETS`] name, or
+    /// `crash-mid-tick-checkpoint` — the reverse direction of the
+    /// `DST_PLAN=` repro command printed on failure.
     pub fn by_name(name: &str, steps: u64) -> Option<FaultPlan> {
         match name {
             "none" => Some(FaultPlan::none()),
@@ -182,6 +202,7 @@ impl FaultPlan {
             "reclamation-storm" => Some(FaultPlan::reclamation_storm(steps)),
             "crash-before-truncation" => Some(FaultPlan::crash_before_truncation(steps)),
             "crash-mid-checkpoint" => Some(FaultPlan::crash_mid_checkpoint(steps)),
+            "crash-mid-tick-checkpoint" => Some(FaultPlan::crash_mid_tick_checkpoint(steps)),
             "everything" => Some(FaultPlan::everything(steps)),
             _ => None,
         }
@@ -210,6 +231,7 @@ mod tests {
         for name in FaultPlan::PRESETS {
             assert!(FaultPlan::by_name(name, 100).is_some(), "{name}");
         }
+        assert!(FaultPlan::by_name("crash-mid-tick-checkpoint", 100).is_some());
         assert!(FaultPlan::by_name("no-such-plan", 100).is_none());
     }
 
@@ -223,6 +245,7 @@ mod tests {
                 FaultPlan::reclamation_storm(steps),
                 FaultPlan::crash_before_truncation(steps),
                 FaultPlan::crash_mid_checkpoint(steps),
+                FaultPlan::crash_mid_tick_checkpoint(steps),
                 FaultPlan::everything(steps),
             ] {
                 assert!(!plan.is_empty());

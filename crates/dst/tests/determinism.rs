@@ -42,6 +42,31 @@ fn same_seed_replays_the_identical_history() {
     }
 }
 
+/// A run that crashes inside a checkpoint the tick wrote replays byte for
+/// byte too: the tick, the checkpoint it writes and the crash armed on it
+/// are functions of the seed.
+#[test]
+fn a_crash_mid_tick_checkpoint_replays_identically() {
+    const TICK_STEPS: u64 = 3_000;
+    let config = || {
+        RunConfig::new(IsolationLevel::WriteSnapshot, 0xC0FFEE)
+            .steps(TICK_STEPS)
+            .keys(64)
+            .plan(
+                "crash-mid-tick-checkpoint",
+                FaultPlan::crash_mid_tick_checkpoint(TICK_STEPS),
+            )
+    };
+    let first = run(&config());
+    let second = run(&config());
+    assert_eq!(first.incarnations, 2, "the crash fired");
+    assert_eq!(first.history.to_string(), second.history.to_string());
+    assert_eq!(first.observed, second.observed);
+    assert_eq!(first.delta, second.delta);
+    assert_eq!(first.census, second.census);
+    assert_eq!(first.untruncated_recoveries, second.untruncated_recoveries);
+}
+
 /// The flight recorder is part of the determinism contract: a replayed
 /// seed must produce the identical journal event sequence — same seqnos,
 /// same owning transactions, same payloads (conflict rows, culprit commit

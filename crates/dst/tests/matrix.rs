@@ -123,6 +123,31 @@ fn checkpoint_crash_plans_recover_from_an_untruncated_checkpoint() {
     }
 }
 
+/// Steps of a run long enough for a tick checkpoint after its midpoint;
+/// 64 keys keep aborts rare, so write commits come fast.
+const TICK_STEPS: u64 = 3_000;
+
+/// The tick-checkpoint crash plan must really crash inside a checkpoint the
+/// commit path's tick wrote — no `gc` runs — and recover from the bookie
+/// it reached, untruncated. The oracles, inside `run`, check the history
+/// and the census of every record the log holds across the crash.
+#[test]
+fn the_tick_checkpoint_crash_plan_crashes_inside_a_tick_checkpoint() {
+    for level in LEVELS {
+        let config = RunConfig::new(level, SEEDS[1])
+            .steps(TICK_STEPS)
+            .keys(64)
+            .plan(
+                "crash-mid-tick-checkpoint",
+                FaultPlan::crash_mid_tick_checkpoint(TICK_STEPS),
+            );
+        let report = run(&config);
+        assert_eq!(report.incarnations, 2, "{}", config.repro());
+        assert_eq!(report.untruncated_recoveries, 1, "{}", config.repro());
+        assert!(report.delta.commits > 0, "{}", config.repro());
+    }
+}
+
 /// The SI column of the matrix is the control: over a contended corpus the
 /// DSG oracle must catch snapshot isolation admitting non-serializable
 /// histories (write skew), the separation the paper is built on. WSI over

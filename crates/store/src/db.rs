@@ -214,6 +214,11 @@ pub(crate) struct DbInner {
     pub(crate) registry: ActiveTxnRegistry,
     /// Present whenever the database has a WAL.
     pub(crate) pipeline: Option<CommitPipeline>,
+    /// Set while one thread writes a checkpoint. A checkpoint stays due
+    /// until its round books it, so without this the next tick (256 write
+    /// commits later, sooner than one is written) would build a second,
+    /// which the pipeline drops.
+    checkpointing: AtomicBool,
     /// The decision counters, exported as the `oracle_*` series: every
     /// path bumps them directly, and [`Db::stats`] reads them without
     /// taking any lock.
@@ -328,6 +333,7 @@ impl Db {
                 ts,
                 registry,
                 pipeline,
+                checkpointing: AtomicBool::new(false),
                 counters,
                 wal_obs,
                 obs,
@@ -967,6 +973,19 @@ impl Db {
         }
     }
 
+    /// Fails bookie `idx` of the live WAL once it has accepted `flushes`
+    /// more flush rounds: a failure between two rounds one call makes, such
+    /// as a write commit's own and the checkpoint its tick writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range for the configured replica count.
+    pub fn fail_wal_bookie_after(&self, idx: usize, flushes: u64) {
+        if let Some(pipeline) = &self.inner.pipeline {
+            pipeline.with_ledger_mut(|ledger| ledger.fail_bookie_after(idx, flushes));
+        }
+    }
+
     /// Recovers bookie `idx` of the live WAL (inverse of
     /// [`Db::fail_wal_bookie`]); its pre-failure entries are intact.
     ///
@@ -989,14 +1008,15 @@ impl Db {
     /// at least as large as it, and truncates the log behind it once it is
     /// durable: the log follows the live data.
     ///
-    /// Collection does not wait for this call: every 256 write commits a
-    /// tick deals the keys written and the versions retired since the last
-    /// one out as per-commit shares, which each write commit sweeps and
-    /// frees before it deregisters, so chains and limbo stay bounded with
-    /// no `gc` at all. `gc` is the explicit full
-    /// collection: it sweeps every queued key, both worklist generations,
-    /// at a fresh watermark. Its [`GcStats`] count its own sweep only, not
-    /// what the shares collected before it.
+    /// Nothing waits for this call: every 256 write commits a tick deals
+    /// the keys written and the versions retired since the last one out as
+    /// per-commit shares, which each write commit sweeps and frees before
+    /// it deregisters, and on a durable database writes the checkpoint that
+    /// is due. So chains, limbo and the log stay bounded with no `gc` at
+    /// all. `gc` is the explicit "collect now": it sweeps every queued key,
+    /// both worklist generations, at a fresh watermark, and checkpoints if
+    /// one is due. Its [`GcStats`] count its own sweep only, not what the
+    /// shares collected before it.
     ///
     /// The watermark is computed under the registry lock, so no begin can
     /// issue a smaller snapshot concurrently — the mark is a true lower
@@ -1028,9 +1048,18 @@ impl Db {
     /// reservation record the cut drops. It is encoded as the scan of the
     /// key order visits each key, under the order's read lock (which holds
     /// off only key creation), and appended through the pipeline
-    /// like any other record. A quorum
-    /// loss abandons it and leaves the log whole; the next `gc` tries again.
+    /// like any other record. A quorum loss abandons it and leaves the log
+    /// whole; the next due tick (or `gc`) tries again. While another
+    /// thread writes one, this returns at once.
     fn checkpoint(&self, pipeline: &CommitPipeline) {
+        if self.inner.checkpointing.swap(true, Ordering::Acquire) {
+            return;
+        }
+        self.write_checkpoint_if_due(pipeline);
+        self.inner.checkpointing.store(false, Ordering::Release);
+    }
+
+    fn write_checkpoint_if_due(&self, pipeline: &CommitPipeline) {
         if !pipeline.checkpoint_due() {
             return;
         }
@@ -1062,11 +1091,19 @@ impl Db {
     /// out, and the SSI window drops its entries below it. `W` is a true
     /// lower bound on every active and future snapshot, so all of it is
     /// sound (if stale, conservative). The tick takes no decision lock.
+    ///
+    /// On a durable database the tick then writes a checkpoint if one is
+    /// due, from the committing thread, which has already deregistered: so
+    /// the log stays under about twice the live state plus one tick
+    /// interval whether or not anyone calls [`Db::gc`].
     fn tick(&self) {
         if self.inner.ticks.0.fetch_add(1, Ordering::Relaxed) % TICK_EVERY == TICK_EVERY - 1 {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
             self.inner.mvcc.deal_shares(watermark, TICK_EVERY as usize);
             self.prune_window(watermark);
+            if let Some(pipeline) = &self.inner.pipeline {
+                self.checkpoint(pipeline);
+            }
         }
     }
 
@@ -1471,16 +1508,64 @@ mod tests {
         assert!(visited() > before, "the shares resume once it ends");
     }
 
-    /// The payloads of a durable database's retained log, and the newest
-    /// checkpoint's size among them.
-    fn retained(db: &Db) -> (u64, u64) {
+    /// The payloads of a durable database's retained log, the newest
+    /// checkpoint's size among them, and the largest other record's.
+    fn retained(db: &Db) -> (u64, u64, u64) {
         let payloads = db.wal_snapshot().expect("durable").recover();
+        let is_checkpoint = |p: &Bytes| matches!(record::decode(p), Ok(StoreRecord::Checkpoint(_)));
         let checkpoint = payloads
             .iter()
             .rev()
-            .find(|p| matches!(record::decode(p), Ok(StoreRecord::Checkpoint(_))))
+            .find(|p| is_checkpoint(p))
             .map_or(0, |p| p.len() as u64);
-        (payloads.iter().map(|p| p.len() as u64).sum(), checkpoint)
+        let record = payloads
+            .iter()
+            .filter(|p| !is_checkpoint(p))
+            .map(|p| p.len() as u64)
+            .max()
+            .unwrap_or(0);
+        (
+            payloads.iter().map(|p| p.len() as u64).sum(),
+            checkpoint,
+            record,
+        )
+    }
+
+    /// Nobody calls `gc`: the tick writes every checkpoint. The log holds
+    /// at most the newest checkpoint, a log as large since it and one tick
+    /// interval of records, and the pipeline at most one tick interval of
+    /// flush marks.
+    #[test]
+    fn a_durable_log_stays_bounded_with_no_gc() {
+        let db = Db::open(
+            DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::local_sync()),
+        );
+        let pipeline = db.inner.pipeline.as_ref().expect("durable");
+        for i in 0..64 * TICK_EVERY {
+            let mut t = db.begin();
+            t.put(format!("k{:04}", i * 7 % 1024).as_bytes(), &[b'v'; 32]);
+            t.commit().unwrap();
+            let marks = pipeline.marks();
+            assert!(
+                marks <= TICK_EVERY as usize + 1,
+                "commit {i}: {marks} marks"
+            );
+            // The log peaks just before a tick checkpoints; reading it
+            // decodes the whole log, so only around ticks and now and then.
+            if (i + 2) % TICK_EVERY > 1 && i % 16 != 0 {
+                continue;
+            }
+            let (bytes, checkpoint, record) = retained(&db);
+            assert!(
+                bytes <= 2 * checkpoint + TICK_EVERY * record,
+                "commit {i}: {bytes} B retained, checkpoint {checkpoint} B, records ≤ {record} B"
+            );
+        }
+        let checkpoints = db.inner.obs.checkpoints.get();
+        assert!(checkpoints >= 8, "{checkpoints} checkpoints in 64 ticks");
+        let logged = db.stats().wal.payload_bytes;
+        let (bytes, _, _) = retained(&db);
+        assert!(logged > 10 * bytes, "{logged} B logged, {bytes} B retained");
     }
 
     #[test]
@@ -1501,7 +1586,7 @@ mod tests {
             }
             let round_bytes = logged() - before;
             db.gc();
-            let (bytes, checkpoint) = retained(&db);
+            let (bytes, checkpoint, _) = retained(&db);
             // Never more than the newest checkpoint, a log as large since
             // it, and the round that brought the next one due.
             assert!(checkpoint > 0, "round {round}: a checkpoint is retained");
@@ -1511,7 +1596,7 @@ mod tests {
             );
         }
         // Without truncation the log would hold everything ever logged.
-        let (bytes, _) = retained(&db);
+        let (bytes, _, _) = retained(&db);
         assert!(
             logged() > 20 * bytes,
             "{} B logged, {bytes} B retained",

@@ -74,6 +74,11 @@ pub(crate) struct StoreObs {
     pub(crate) follower_commits: Counter,
     /// Commits persisted per sync flush round.
     pub(crate) sync_group_size: Histogram,
+    /// Checkpoints whose own round reached quorum and truncated the log,
+    /// written by the tick or by `gc`. One abandoned by a quorum loss may
+    /// still reach the log with a later flush; it truncates nothing and is
+    /// not counted.
+    pub(crate) checkpoints: Counter,
     /// The flight recorder: a ring journal of lifecycle events (see
     /// [`wsi_obs::Journal`]), one per database, shared by every layer.
     pub(crate) journal: Journal,
@@ -93,6 +98,7 @@ impl StoreObs {
             leader_rounds: Counter::new(),
             follower_commits: Counter::new(),
             sync_group_size: Histogram::new(),
+            checkpoints: Counter::new(),
             journal: Journal::new(),
         };
         let r = &obs.registry;
@@ -108,6 +114,7 @@ impl StoreObs {
         r.register_counter("store_leader_rounds_total", &obs.leader_rounds);
         r.register_counter("store_follower_commits_total", &obs.follower_commits);
         r.register_histogram("store_sync_group_size", &obs.sync_group_size);
+        r.register_counter("store_checkpoints_total", &obs.checkpoints);
         obs
     }
 }

@@ -425,9 +425,10 @@ impl CommitPipeline {
     }
 
     /// Whether a checkpoint is due: the log written since the newest one
-    /// is at least as large as that checkpoint. So checkpoint bytes never
+    /// is at least as large as that checkpoint. The `Db` asks every tick
+    /// (256 write commits) and at every `gc`, so checkpoint bytes never
     /// exceed logged bytes, and the retained log stays under about twice
-    /// the live state plus one gc interval — a bound with no constant.
+    /// the live state plus one tick interval — a bound with no constant.
     ///
     /// When none is due, every mark but the newest goes: the next
     /// checkpoint's snapshot is drawn later, above every commit before it,
@@ -494,6 +495,12 @@ impl CommitPipeline {
         let work = Self::take_work(&mut inner);
         drop(inner);
         self.sync_flush_round(work, ctx).map_or(Ok(()), Err)
+    }
+
+    /// The flush marks the book holds.
+    #[cfg(test)]
+    pub(crate) fn marks(&self) -> usize {
+        self.inner.lock().book.marks.len()
     }
 
     /// A point-in-time clone of the ledger (waits out any flush round in
@@ -620,6 +627,7 @@ impl CommitPipeline {
                 // are redundant.
                 if let Some(c) = &checkpoint {
                     ledger.truncate_before(c.cut);
+                    self.obs.checkpoints.inc();
                 }
             }
             Some(_) => {

@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::thread;
 
 use wsi_core::IsolationLevel;
-use wsi_store::{decode_record, Cause, Db, DbOptions, Event, EventData, LogSuffix, WalCensus};
+use wsi_store::{
+    decode_record, Cause, Db, DbOptions, Event, EventData, LogSuffix, StoreRecord, WalCensus,
+};
 use wsi_wal::LedgerConfig;
 
 const THREADS: usize = 8;
@@ -545,6 +547,39 @@ fn wal_census(ledger: &wsi_wal::Ledger) -> WalCensus {
     LogSuffix::new(ledger.base(), records)
         .expect("log holds what its checkpoint needs")
         .census()
+}
+
+/// `store_checkpoints_total` counts the checkpoints the log received: with
+/// no quorum loss, each one the tick or `gc` wrote is found as a
+/// `StoreRecord::Checkpoint` in a WAL snapshot taken after every commit
+/// (the newest is never truncated before the next is written), one per
+/// distinct cut.
+#[test]
+fn checkpoints_total_counts_the_checkpoints_in_the_log() {
+    let db = Db::open(
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated()),
+    );
+    let mut cuts = BTreeSet::new();
+    let mut see = |db: &Db| {
+        for payload in db.wal_snapshot().expect("durable").recover() {
+            if let Ok(StoreRecord::Checkpoint(c)) = decode_record(&payload) {
+                cuts.insert(c.cut);
+            }
+        }
+    };
+    for i in 0u64..1600 {
+        let mut txn = db.begin();
+        txn.put(((i * 7) % 300).to_be_bytes().as_slice(), &[b'v'; 32]);
+        txn.commit().expect("one writer commits");
+        see(&db);
+        if i == 1000 {
+            let _ = db.gc();
+            see(&db);
+        }
+    }
+    let counted = db.obs_snapshot().expect("obs on").counters["store_checkpoints_total"];
+    assert!(counted >= 3, "{counted} checkpoints");
+    assert_eq!(counted, cuts.len() as u64);
 }
 
 /// Crossed rw-dependencies, single-threaded: `a` reads k1 and writes k2,

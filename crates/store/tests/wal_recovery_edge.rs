@@ -17,7 +17,8 @@
 //! * recovery is *checkpoint + log suffix*, and reproduces the live store
 //!   from every crash point of a checkpoint: before it is durable, between
 //!   its flush and the truncation behind it, after the truncation, with
-//!   the checkpoint torn, and with its flush short of a quorum.
+//!   the checkpoint torn, and with its flush short of a quorum — whether
+//!   `gc` or the commit path's tick wrote it.
 
 use bytes::Bytes;
 use wsi_core::IsolationLevel;
@@ -499,6 +500,131 @@ fn a_checkpoint_that_misses_its_quorum_leaves_the_log_whole() {
         let recovered = Db::recover(DbOptions::new(level), wal).unwrap();
         assert_eq!(contents(&recovered), live, "flushed {flushed}");
     }
+}
+
+/// The `n`-th write commit of a run that never calls `gc`: twelve keys in
+/// turn, every fifth commit a delete.
+fn nth_write(db: &Db, n: u64) {
+    let mut t = db.begin();
+    let key = format!("k{:02}", n % 12);
+    if n.is_multiple_of(5) {
+        t.delete(key.as_bytes());
+    } else {
+        t.put(key.as_bytes(), n.to_string().as_bytes());
+    }
+    t.commit().unwrap();
+}
+
+/// Write commits until the first checkpoint truncates the log. With no
+/// `gc`, only the tick writes one, and the first is always due: so this is
+/// the tick's interval.
+fn tick_interval(db: &Db) -> u64 {
+    (0..)
+        .find(|&n| {
+            nth_write(db, n);
+            db.wal_snapshot().unwrap().base() > 0
+        })
+        .unwrap()
+        + 1
+}
+
+fn checkpoints_total(db: &Db) -> u64 {
+    db.obs_snapshot().unwrap().counters["store_checkpoints_total"]
+}
+
+/// Crash points of a checkpoint the tick writes, with no `gc` anywhere.
+/// Two stores run the same commits. In `whole` the second tick checkpoint
+/// goes through and truncates. In `held` its flush misses the quorum —
+/// the bookie fails between the ticking commit's round and the
+/// checkpoint's — so the log stops before it is durable, and the next
+/// flush makes it durable, untruncated. Recovery reproduces the live store
+/// from each, and from the checkpoint torn as the final record.
+#[test]
+fn recovery_reproduces_the_store_from_every_crash_point_of_a_tick_checkpoint() {
+    for level in LEVELS {
+        let whole = durable_db(level);
+        let held = durable_db(level);
+        let interval = tick_interval(&whole);
+        for n in 0..2 * interval - 1 {
+            if n >= interval {
+                nth_write(&whole, n);
+            }
+            nth_write(&held, n);
+        }
+        let base = whole.wal_snapshot().unwrap().base();
+        nth_write(&whole, 2 * interval - 1);
+        let after = whole.wal_snapshot().unwrap();
+        assert!(after.base() > base, "{level}: the tick truncated");
+        assert_eq!(checkpoints_total(&whole), 2);
+
+        held.fail_wal_bookie_after(0, 1);
+        nth_write(&held, 2 * interval - 1);
+        held.recover_wal_bookie(0);
+        let not_durable = held.wal_snapshot().unwrap();
+        held.flush_wal().unwrap();
+        let untruncated = held.wal_snapshot().unwrap();
+        assert_eq!(not_durable.base(), base, "{level}: the same first cut");
+        assert_eq!(untruncated.base(), base);
+        assert_eq!(checkpoints_total(&held), 1, "{level}: one abandoned");
+
+        let live = contents(&whole);
+        assert_eq!(contents(&held), live, "{level}: the same commits");
+        let old = not_durable.recover();
+        let appended = &untruncated.recover()[old.len()..];
+        assert_eq!(checkpoints_in(appended), 1, "{level}: the next flush");
+        let checkpoint = appended
+            .iter()
+            .find(|p| matches!(decode_record(p), Ok(StoreRecord::Checkpoint(_))))
+            .unwrap();
+        let mut torn = old.clone();
+        torn.push(checkpoint.slice(..checkpoint.len() / 2));
+        let crash_points = [
+            ("before the checkpoint is durable", not_durable),
+            ("before the truncation", untruncated),
+            ("after the truncation", after),
+            ("with the checkpoint torn", log_of(base, &torn)),
+        ];
+        for (point, log) in crash_points {
+            let recovered = Db::recover(DbOptions::new(level), log)
+                .unwrap_or_else(|e| panic!("{level}: {point}: {e}"));
+            assert_eq!(contents(&recovered), live, "{level}: {point}");
+            churn(&recovered, 100);
+        }
+    }
+}
+
+/// A checkpoint the tick writes whose flush misses its quorum is abandoned:
+/// the ticking commit still returns `Ok`, the log stays whole and recovers,
+/// nothing panics, and the next due tick checkpoints and truncates.
+#[test]
+fn a_tick_checkpoint_that_misses_its_quorum_is_retried_by_the_next_tick() {
+    let level = IsolationLevel::WriteSnapshot;
+    let db = durable_db(level);
+    let interval = tick_interval(&db);
+    assert_eq!(checkpoints_total(&db), 1);
+    for n in interval..2 * interval - 1 {
+        nth_write(&db, n);
+    }
+    let base = db.wal_snapshot().unwrap().base();
+    // The ticking commit's round reaches the bookie; its checkpoint's
+    // does not. `nth_write` unwraps the commit.
+    db.fail_wal_bookie_after(0, 1);
+    nth_write(&db, 2 * interval - 1);
+    db.recover_wal_bookie(0);
+    assert_eq!(checkpoints_total(&db), 1, "abandoned, not counted");
+    let wal = db.wal_snapshot().unwrap();
+    assert_eq!(wal.base(), base, "the log stays whole");
+    let recovered = Db::recover(DbOptions::new(level), wal).unwrap();
+    assert_eq!(contents(&recovered), contents(&db));
+
+    for n in 2 * interval..3 * interval {
+        nth_write(&db, n);
+    }
+    assert_eq!(checkpoints_total(&db), 2, "the next due tick retried");
+    let wal = db.wal_snapshot().unwrap();
+    assert!(wal.base() > base, "and truncated");
+    let recovered = Db::recover(DbOptions::new(level), wal).unwrap();
+    assert_eq!(contents(&recovered), contents(&db));
 }
 
 /// A value far beyond the largest slot class continues through thousands

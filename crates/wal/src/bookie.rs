@@ -32,6 +32,9 @@ pub struct Bookie {
     /// more behind it).
     entries: VecDeque<Entry>,
     failed: bool,
+    /// Stores still accepted before the bookie fails (see
+    /// [`Bookie::fail_after`]).
+    fail_after: Option<u64>,
 }
 
 impl Bookie {
@@ -44,6 +47,14 @@ impl Bookie {
     /// `first_seq`. Returns `false` (dropping the write) if the bookie is
     /// failed.
     pub fn store(&mut self, first_seq: u64, records: u64, payload: Bytes) -> bool {
+        match &mut self.fail_after {
+            Some(0) => {
+                self.failed = true;
+                self.fail_after = None;
+            }
+            Some(left) => *left -= 1,
+            None => {}
+        }
         if self.failed {
             return false;
         }
@@ -68,13 +79,22 @@ impl Bookie {
     /// during recovery see nothing.
     pub fn fail(&mut self) {
         self.failed = true;
+        self.fail_after = None;
+    }
+
+    /// Fails the bookie once it has accepted `stores` more entries: a crash
+    /// at a chosen point of the write stream, say between two flushes one
+    /// call makes.
+    pub fn fail_after(&mut self, stores: u64) {
+        self.fail_after = Some(stores);
     }
 
     /// Brings the bookie back. Its previously stored entries are intact
     /// (crash, not disk loss); it simply missed everything written while it
-    /// was down.
+    /// was down. A pending [`Bookie::fail_after`] is dropped.
     pub fn recover(&mut self) {
         self.failed = false;
+        self.fail_after = None;
     }
 
     /// Returns `true` if the bookie is currently failed.
@@ -119,6 +139,19 @@ mod tests {
         b.recover();
         // Pre-failure data survives; the failed-window write is lost.
         assert_eq!(b.read_all().unwrap().count(), 1);
+    }
+
+    #[test]
+    fn fail_after_accepts_that_many_stores_then_fails() {
+        let mut b = Bookie::new();
+        b.fail_after(1);
+        assert!(b.store(0, 1, Bytes::from_static(b"a")));
+        assert!(!b.is_failed());
+        assert!(!b.store(1, 1, Bytes::from_static(b"b")));
+        assert!(b.is_failed());
+        b.recover();
+        assert!(b.store(1, 1, Bytes::from_static(b"b")));
+        assert_eq!(b.read_all().unwrap().count(), 2);
     }
 
     #[test]

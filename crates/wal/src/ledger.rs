@@ -348,6 +348,16 @@ impl Ledger {
         self.bookies[idx].fail();
     }
 
+    /// Fails bookie `idx` once it has accepted `flushes` more entries: a
+    /// crash at a chosen point of the write stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn fail_bookie_after(&mut self, idx: usize, flushes: u64) {
+        self.bookies[idx].fail_after(flushes);
+    }
+
     /// Recovers bookie `idx` (its pre-failure entries intact).
     ///
     /// # Panics
