@@ -213,6 +213,13 @@ pub enum EventData {
         /// 1-based attempt index that failed.
         attempt: u64,
     },
+    /// A retrying workload wrapper took the store's serial token for this
+    /// attempt, after the attempts before it had all failed: no other
+    /// write commit decides until it returns.
+    Escalate {
+        /// 1-based index of the attempt that holds the token.
+        attempt: u64,
+    },
 }
 
 impl EventData {
@@ -247,6 +254,7 @@ impl EventData {
             EventData::GcSweep { versions, keys } => (8, versions, keys, 0),
             EventData::Reclaim { watermark, freed } => (9, watermark, freed, 0),
             EventData::Retry { attempt } => (10, attempt, 0, 0),
+            EventData::Escalate { attempt } => (15, attempt, 0, 0),
         }
     }
 
@@ -299,6 +307,7 @@ impl EventData {
             // 11 to 14 are retired (the simulated region server's read/write
             // events, the epoch-batched oracle's seal/publish events) and
             // must not be reused: an old dump would misdecode.
+            15 => EventData::Escalate { attempt: a },
             _ => return None,
         })
     }
@@ -345,6 +354,7 @@ impl EventData {
             EventData::GcSweep { .. } => "gc_sweep",
             EventData::Reclaim { .. } => "reclaim",
             EventData::Retry { .. } => "retry",
+            EventData::Escalate { .. } => "escalate",
         }
     }
 }
@@ -416,6 +426,9 @@ impl Event {
                 format!("reclaim below {watermark} ({freed} freed)")
             }
             EventData::Retry { attempt } => format!("retry: attempt {attempt} failed"),
+            EventData::Escalate { attempt } => {
+                format!("escalate: attempt {attempt} holds the serial token")
+            }
         };
         if self.txn == 0 {
             format!("[{:>8}] {:>10}us            {body}", self.seqno, self.ts_us)
@@ -832,6 +845,7 @@ mod tests {
                 },
             ),
             (9, EventData::Retry { attempt: 2 }),
+            (9, EventData::Escalate { attempt: 9 }),
         ];
         for &(txn, data) in &samples {
             j.record(txn, data);
@@ -850,7 +864,7 @@ mod tests {
         assert_eq!(j.dropped(), 0);
         assert_eq!(j.recorded(), samples.len() as u64);
         // Retired and never-assigned kind codes decode to nothing.
-        for kind in [13, 14, 15, 0xFF] {
+        for kind in [13, 14, 16, 0xFF] {
             assert_eq!(EventData::decode(kind, 3, 8, 2), None);
         }
     }

@@ -1,6 +1,5 @@
 //! The version store: a chunked version arena, CAS-installed per-key chain
-//! heads, chain-length-adaptive packed nodes, and reclamation at the
-//! registry watermark.
+//! heads, and reclamation at the registry watermark.
 //!
 //! [`ArenaStore`] is the data plane of both engines. The paper's case for
 //! (W)SI is that reads never block (§2.2, §4); so here:
@@ -15,46 +14,32 @@
 //!   synchronization of its own: the reader's registration in the
 //!   active-transaction registry, taken at begin, is what keeps its chain
 //!   nodes alive.
-//! * **Writers publish with one CAS.** On a cold chain a version is
-//!   allocated from the singles' [`Pool`], fully initialized, linked to the
-//!   current head, and installed by a single compare-and-swap on the key's
-//!   chain head. On a hot (migrated) chain the head is a **packed
-//!   multi-version node** and publication is a CAS on the node's occupancy
-//!   word instead — claiming one of the node's spare slots without moving
-//!   the head at all (spilling a fresh packed node only when the head node
-//!   is full). Either way versions are *invisible until published* and
-//!   never observed half-initialized (the `Release` publish orders the slot
-//!   writes before the store any `Acquire` reader synchronizes with).
-//! * **Chains adapt their layout to their length.** Cold/short chains stay
-//!   one-version-per-node — minimal latency, zero migration cost. Once a
-//!   key accumulates [`MIGRATE_SINGLES`] single-version nodes, the next
-//!   publisher migrates the chain's stamped prefix into packed nodes
-//!   holding up to [`PACK_CAP`] `(commit_ts, value)` pairs sorted descending
-//!   by commit timestamp, so a hot-key snapshot read does one head load, a
-//!   couple of node hops, and an **in-node binary search** over a contiguous
-//!   timestamp array instead of a pointer chase over ~32 scattered nodes.
-//!   The chain shape invariant is *singles prefix, packed suffix*. See
-//!   DESIGN.md §6 for the migration safety argument.
+//! * **Writers publish with one CAS.** A version is a slot of [`Slots`],
+//!   allocated, fully initialized, linked to the current head, and
+//!   installed by a single compare-and-swap on the key's chain head.
+//!   Versions are *invisible until published* and never observed
+//!   half-initialized (the `Release` CAS orders the slot writes before the
+//!   head store any `Acquire` reader synchronizes with).
+//! * **A chain node is one version.** A chain is a linked list of slots,
+//!   newest published first. What bounds a hot chain between sweeps is
+//!   insert-time pruning: a publish that finds [`PRUNE_CHAIN_LEN`] versions
+//!   unlinks the stamped ones no snapshot can see
+//!   ([`ArenaStore::prune_entry`]).
 //! * **Restructurers serialize per key, readers don't wait for them.**
-//!   Abort cleanup, insert-time pruning, migration, and the GC restructure
-//!   chains; those (rare) operations take the key entry's spin lock so at
-//!   most one restructurer rewrites a chain at a time, while concurrent
-//!   readers keep walking: an unlinked node's `next` pointer is left
-//!   untouched until reclamation, so a reader standing on it still reaches
-//!   the live tail. Inside a packed node, removal is a **dead bit** — the
-//!   entry's timestamp stays in place (preserving the sorted prefix's
-//!   search order) and the node itself is unlinked only once every entry is
-//!   dead and in-flight claims have been *sealed* out.
-//! * **Reclamation follows the registry watermark.** Unlinked nodes —
-//!   single-version slots and packed nodes alike — are *retired* to a limbo
-//!   list tagged with a timestamp `R` drawn from the shared counter after
-//!   the unlink; they are freed (and recycled through tagged free lists)
-//!   once the watermark `W` of [`crate::registry::ActiveTxnRegistry`]
-//!   passes `R`. Every chain walk that holds no entry lock runs inside a
-//!   registered transaction, snapshot or sweep, and one that could still
-//!   reach the node registered before `R` was drawn, so it holds `W ≤ R`.
-//!   `retired == freed + limbo` counts retire *units*: one per single slot,
-//!   one per packed node. See DESIGN.md §6 for the safety argument.
+//!   Abort cleanup, insert-time pruning and the GC unlink versions; they
+//!   take the key entry's spin lock, so at most one restructurer rewrites a
+//!   chain at a time, while concurrent readers keep walking: an unlinked
+//!   slot's `next` link is left untouched until reclamation, so a reader
+//!   standing on it still reaches the live tail.
+//! * **Reclamation follows the registry watermark.** Unlinked slots are
+//!   *retired* to a limbo list tagged with a timestamp `R` drawn from the
+//!   shared counter after the unlink; they are freed (and recycled through
+//!   tagged free lists) once the watermark `W` of
+//!   [`crate::registry::ActiveTxnRegistry`] passes `R`. Every chain walk
+//!   that holds no entry lock runs inside a registered transaction,
+//!   snapshot or sweep, and one that could still reach the slot registered
+//!   before `R` was drawn, so it holds `W ≤ R`. `retired == freed + limbo`
+//!   counts versions. See DESIGN.md §6 for the safety argument.
 //! * **The GC visits only what was written, as it is written.** A
 //!   publisher flags its key entry dirty and, on the clean → dirty
 //!   transition, queues the entry's index on the worklist's fresh
@@ -64,33 +49,28 @@
 //!   as per-commit shares, which every write commit sweeps and frees; `gc`
 //!   sweeps both generations (DESIGN.md §6).
 //!
-//! **One cursor walks every chain.** [`ArenaStore::nodes`] yields a key's
-//! chain node by node and [`ArenaStore::versions`] version by version —
-//! each live version once, in chain order, as a [`Version`] view over its
-//! atomics whose [`Version::fate`] is the one statement of the visibility
-//! rule. A walk may assume one of two things: it is registered (a read,
-//! the owner's stamping, a sweep's prefetch), so no node it reaches is
-//! freed under it; or it holds the entry lock (every restructurer), so
-//! every node it meets is still linked and mid-chain links hold still.
-//! Two walks keep loops of their own. `visible`, the reader's fast path,
-//! walks the cursor's nodes but binary-searches a packed node's sorted
-//! prefix instead of visiting its versions one by one. `sweep_chain` walks
-//! raw links, because an unlink needs the link *into* each node and a
-//! failed head CAS restarts it from the new head.
+//! **One cursor walks every chain.** [`ArenaStore::versions`] yields a
+//! key's versions once each, in chain order, as [`Version`] views over
+//! their slots, whose [`Version::fate`] is the one statement of the
+//! visibility rule. A walk may assume one of two things: it is registered
+//! (a read, the owner's stamping, a sweep's prefetch), so no slot it
+//! reaches is freed under it; or it holds the entry lock (every
+//! restructurer), so every slot it meets is still linked and mid-chain
+//! links hold still. `sweep_chain` alone walks raw links, because an
+//! unlink needs the link *into* each slot and a failed head CAS restarts
+//! it from the new head.
 //!
-//! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit node index
-//! plus the node's 32-bit *generation*, bumped on every free, so a stale
-//! handle to a recycled node can never be confused with the node's new
-//! occupant (ABA protection). Every node lives in the one generic [`Pool`]:
-//! bit 31 of the index half is the [`PACKED_TAG`]: set, the handle names a
-//! [`PackedNode`]; clear, a single-version slot of [`Slots`], whose size
-//! class sits in the bits below it. **A value lives in its version**: a
-//! slot holds its value as `AtomicU64` words after its header, written
-//! before the publish and copied out by readers with plain loads, so a
-//! read stores nothing to shared memory. Everything here is safe Rust:
-//! chunks live in `OnceLock`s, links are index-valued atomics, and values
-//! are words — so even a protocol bug (a torn copy) cannot become memory
-//! unsafety, only a failed test.
+//! Version handles are [`VersionIdx`]-packed `u64`s: a 32-bit slot index
+//! plus the slot's 32-bit *generation*, bumped on every free, so a stale
+//! handle to a recycled slot can never be confused with the slot's new
+//! occupant (ABA protection). The top bits of the index half name the
+//! slot's size class, and with it the [`Pool`] it lives in. **A value
+//! lives in its version**: a slot holds its value as `AtomicU64` words
+//! after its header, written before the publish and copied out by readers
+//! with plain loads, so a read stores nothing to shared memory. Everything
+//! here is safe Rust: chunks live in `OnceLock`s, links are index-valued
+//! atomics, and values are words — so even a protocol bug (a torn copy)
+//! cannot become memory unsafety, only a failed test.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -115,12 +95,14 @@ const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 /// keys (see [`ArenaStore::prune_entry`]).
 pub(crate) const PRUNE_CHAIN_LEN: usize = 32;
 
-/// Maximum chunks of each node pool; `MAX_CHUNKS` times a pool's chunk
-/// size bounds its *resident* nodes (freed nodes recycle through the free
+/// Maximum chunks of each slot pool; `MAX_CHUNKS` times [`POOL_CHUNK`]
+/// bounds a pool's *resident* slots (freed slots recycle through the free
 /// list, so steady state sits far below this). Must keep every pool's
-/// indices within [`INDEX_MASK`], clear of the class bits and
-/// [`PACKED_TAG`].
+/// indices within [`INDEX_MASK`], clear of the class bits.
 const MAX_CHUNKS: usize = 4096;
+
+/// Slots per pool chunk (a power of two).
+const POOL_CHUNK: usize = 1024;
 
 /// Slots in each level of a [`Chunks`] directory: its two levels address
 /// `DIR_FANOUT²` chunks.
@@ -157,17 +139,14 @@ const NULL_VIDX: u64 = u64::MAX;
 /// Free-list "empty" sentinel in the low half of the tagged head.
 const FREE_NONE: u32 = u32::MAX;
 
-/// Bit 31 of a handle's index half: set for packed-node handles. Every
-/// pool's capacity stays below [`INDEX_MASK`], so the bit is unambiguous
-/// ([`NULL_VIDX`] also has it set — always test for null first).
-const PACKED_TAG: u32 = 1 << 31;
-
-/// Where a slot handle's index half keeps its size class: bits 26–30,
-/// above the node index and below [`PACKED_TAG`].
+/// Where a slot handle's index half keeps its size class: the bits from 26
+/// up, above the slot index.
 const CLASS_SHIFT: u32 = 26;
 
-/// The node index in a handle's index half.
+/// The slot index in a handle's index half.
 const INDEX_MASK: u32 = (1 << CLASS_SHIFT) - 1;
+
+const _: () = assert!(MAX_CHUNKS * POOL_CHUNK <= INDEX_MASK as usize);
 
 /// Value words of each slot size class. Spaced about a quarter apart, so
 /// a value wastes at most a quarter of its words (a 100-byte value takes
@@ -193,52 +172,17 @@ const WRITER: usize = 1;
 /// (timestamp 0 is never issued to a transaction).
 const STAMP: usize = 2;
 
-/// Header word 3: the packed [`VersionIdx`] of the next-older chain node,
-/// or [`NULL_VIDX`]; the next free slot's index while the slot is free.
+/// Header word 3: the packed [`VersionIdx`] of the next-older version, or
+/// [`NULL_VIDX`]; the next free slot's index while the slot is free.
 const NEXT: usize = 3;
 
 /// The length half of a tombstone's header word.
 const TOMBSTONE: u32 = u32::MAX;
 
-/// Versions per packed multi-version node: two cache lines of commit
-/// timestamps, so an in-node binary search touches at most 128 bytes.
-/// (Raising this to 32 — the occupancy word's ceiling — measured *slower*
-/// on the high-contention cells: the unsorted claim region grows with the
-/// capacity and reads scan it linearly, so bigger nodes trade cheap sorted
-/// lookups for expensive claim scans.)
-const PACK_CAP: usize = 16;
-
-/// `SEALED` flag in the low half of a packed node's occupancy word: set by
-/// a restructurer about to retire the node, it makes every later claim CAS
-/// fail so the claimer reloads the chain head instead of publishing into a
-/// node that is leaving the chain.
-const SEALED: u32 = 1 << 31;
-
-/// Claim-count mask of the occupancy word's low half.
-const CLAIM_MASK: u32 = SEALED - 1;
-
-/// Single-version nodes a chain accumulates before a publisher migrates its
-/// stamped prefix into packed nodes.
-const MIGRATE_SINGLES: u32 = 8;
-
-/// Minimum stamped singles for a migration to be worth the restructure.
-const MIN_MIGRATE: usize = 4;
-
-/// Entries built into the first (newest) packed node of a migration. Kept
-/// at half capacity so the node — which typically becomes the chain head —
-/// retains spare slots for subsequent claim-publishes.
-const HEAD_BUILD: usize = PACK_CAP / 2;
-
-/// Whether a non-null handle names a packed multi-version node.
-#[inline]
-fn is_packed(handle: u64) -> bool {
-    handle != NULL_VIDX && (handle as u32) & PACKED_TAG != 0
-}
-
 /// The size class a slot handle carries.
 #[inline]
 fn class_of(handle: u64) -> usize {
-    ((handle as u32 & !PACKED_TAG) >> CLASS_SHIFT) as usize
+    (handle as u32 >> CLASS_SHIFT) as usize
 }
 
 /// The smallest class with room for `words` value words; the largest for
@@ -273,145 +217,6 @@ impl VersionIdx {
     #[inline]
     fn generation(packed: u64) -> u32 {
         (packed >> 32) as u32
-    }
-}
-
-/// Where a version lives: its own single-version slot, or one entry of a
-/// packed multi-version node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Single(u64),
-    Packed(u64, usize),
-}
-
-impl Loc {
-    /// The handle of the node holding the version.
-    fn handle(self) -> u64 {
-        match self {
-            Loc::Single(h) | Loc::Packed(h, _) => h,
-        }
-    }
-}
-
-/// A packed multi-version node: up to [`PACK_CAP`] versions of one key in
-/// a single arena slot, the hot-chain layout.
-///
-/// Entries `0..sorted` are the node's **sorted prefix**: stamped at build
-/// time, descending by commit timestamp, and immutable thereafter (removal
-/// sets a dead bit but leaves the timestamp, so binary search stays
-/// sound). Entries `sorted..` are **claimed** by publishers one occupancy
-/// CAS at a time and published individually via ready bits; they are
-/// scanned linearly because their commit order is not known at claim time.
-///
-/// The occupancy word `occ` packs `ready_bitmask << 32 | SEALED? | claims`:
-/// a claim CAS bumps the count, the claimer initializes its entry, then
-/// `fetch_or`s its ready bit with `Release` — the entry-level publish.
-/// `dead` is written only under the owning key's restructuring lock.
-#[derive(Debug)]
-struct PackedNode {
-    /// Allocation generation; bumped on free (ABA protection).
-    gen: AtomicU32,
-    /// Sorted-prefix length (immutable once the node is published).
-    sorted: AtomicU32,
-    /// `ready_bitmask << 32 | (SEALED | claim_count)`.
-    occ: AtomicU64,
-    /// Dead bitmask: entry `i` is logically removed when bit `i` is set.
-    /// Written only by restructurers under the entry lock.
-    dead: AtomicU64,
-    /// Packed [`VersionIdx`] of the next-older chain node, or
-    /// [`NULL_VIDX`]. Free-list link while the node is on the free list.
-    next: AtomicU64,
-    /// Writer start timestamps (raw), per entry.
-    ws: [AtomicU64; PACK_CAP],
-    /// Commit stamps (raw; 0 = unstamped), per entry. Contiguous, so the
-    /// in-node search never leaves two cache lines.
-    cts: [AtomicU64; PACK_CAP],
-    /// Per entry, the handle of the slot holding its value (a tombstone is
-    /// a slot too), written before the entry's ready bit and freed with
-    /// the node.
-    vals: [AtomicU64; PACK_CAP],
-}
-
-impl Default for PackedNode {
-    fn default() -> Self {
-        PackedNode {
-            gen: AtomicU32::new(0),
-            sorted: AtomicU32::new(0),
-            occ: AtomicU64::new(0),
-            dead: AtomicU64::new(0),
-            next: AtomicU64::new(NULL_VIDX),
-            ws: std::array::from_fn(|_| AtomicU64::new(0)),
-            cts: std::array::from_fn(|_| AtomicU64::new(0)),
-            vals: std::array::from_fn(|_| AtomicU64::new(NULL_VIDX)),
-        }
-    }
-}
-
-/// Claim count of an occupancy word.
-#[inline]
-fn occ_claims(occ: u64) -> u32 {
-    occ as u32 & CLAIM_MASK
-}
-
-/// Whether an occupancy word is sealed against further claims.
-#[inline]
-fn occ_sealed(occ: u64) -> bool {
-    occ as u32 & SEALED != 0
-}
-
-/// Ready bitmask of an occupancy word.
-#[inline]
-fn occ_ready(occ: u64) -> u32 {
-    (occ >> 32) as u32
-}
-
-/// What a [`Pool`] holds, a pool's `stride` of them to a node: the words
-/// of a slot (see [`Slots`]), or one [`PackedNode`].
-trait PoolNode: Default {
-    /// Nodes per chunk (a power of two).
-    const CHUNK: usize;
-    /// The node's allocation generation.
-    fn gen(node: &[Self]) -> u32;
-    /// Bumps the generation of a node being freed, invalidating its
-    /// handles, and resets what its next occupant relies on.
-    fn release(node: &[Self]);
-    /// The chain link while allocated, the free-list link while free.
-    fn link(node: &[Self]) -> &AtomicU64;
-}
-
-impl PoolNode for AtomicU64 {
-    const CHUNK: usize = 1024;
-
-    fn gen(node: &[Self]) -> u32 {
-        (node[GEN_LEN].load(Ordering::Relaxed) >> 32) as u32
-    }
-
-    fn release(node: &[Self]) {
-        node[GEN_LEN].fetch_add(1 << 32, Ordering::Relaxed);
-    }
-
-    fn link(node: &[Self]) -> &AtomicU64 {
-        &node[NEXT]
-    }
-}
-
-impl PoolNode for PackedNode {
-    const CHUNK: usize = 256;
-
-    fn gen(node: &[Self]) -> u32 {
-        node[0].gen.load(Ordering::Relaxed)
-    }
-
-    fn release(node: &[Self]) {
-        let node = &node[0];
-        node.gen.fetch_add(1, Ordering::Relaxed);
-        node.occ.store(0, Ordering::Relaxed);
-        node.dead.store(0, Ordering::Relaxed);
-        node.sorted.store(0, Ordering::Relaxed);
-    }
-
-    fn link(node: &[Self]) -> &AtomicU64 {
-        &node[0].next
     }
 }
 
@@ -453,21 +258,21 @@ impl<T> Chunks<T> {
     }
 }
 
-/// A chunked node pool: nodes of `stride` elements live in lazily-allocated
-/// fixed-size chunks (so a growing store never moves a node — outstanding
-/// indices stay valid forever), and freed nodes recycle through a Treiber
-/// free list whose head carries a modification tag (ABA protection for the
-/// pop's read of `next`). Handles carry the pool's `tag` in the index
-/// half; free-list indices do not.
+/// A chunked pool of one size class's slots: slots of `stride` words live
+/// in lazily-allocated fixed-size chunks (so a growing store never moves a
+/// slot — outstanding indices stay valid forever), and freed slots recycle
+/// through a Treiber free list whose head carries a modification tag (ABA
+/// protection for the pop's read of `next`). Handles carry the pool's
+/// class in the index half; free-list indices do not.
 #[derive(Debug)]
-struct Pool<N> {
-    /// Elements per node.
+struct Pool {
+    /// Words per slot.
     stride: usize,
-    /// Set in the index half of every handle the pool hands out:
-    /// [`PACKED_TAG`] for packed nodes, the size class for slots.
+    /// Set in the index half of every handle the pool hands out: the size
+    /// class.
     tag: u32,
-    chunks: Chunks<N>,
-    /// Bump watermark: nodes `< len` have been handed out at least once.
+    chunks: Chunks<AtomicU64>,
+    /// Bump watermark: slots `< len` have been handed out at least once.
     len: AtomicU32,
     /// Tagged free-list head: `tag << 32 | index` (`FREE_NONE` = empty).
     free: AtomicU64,
@@ -475,7 +280,7 @@ struct Pool<N> {
     chunks_inited: AtomicU64,
 }
 
-impl<N: PoolNode> Pool<N> {
+impl Pool {
     fn new(stride: usize, tag: u32) -> Self {
         Pool {
             stride,
@@ -487,56 +292,64 @@ impl<N: PoolNode> Pool<N> {
         }
     }
 
-    /// The node `handle` names.
+    /// A slot's allocation generation.
     #[inline]
-    fn get(&self, handle: u64) -> &[N] {
+    fn gen(slot: &[AtomicU64]) -> u32 {
+        (slot[GEN_LEN].load(Ordering::Relaxed) >> 32) as u32
+    }
+
+    /// The slot `handle` names.
+    #[inline]
+    fn get(&self, handle: u64) -> &[AtomicU64] {
         debug_assert_eq!(
             VersionIdx::slot(handle) & !INDEX_MASK,
             self.tag,
             "handle dereferenced in another pool"
         );
-        let node = self.raw(VersionIdx::slot(handle) & INDEX_MASK);
+        let slot = self.raw(VersionIdx::slot(handle) & INDEX_MASK);
         debug_assert_eq!(
-            N::gen(node),
+            Self::gen(slot),
             VersionIdx::generation(handle),
             "stale generation handle dereferenced"
         );
-        node
+        slot
     }
 
     #[inline]
-    fn raw(&self, idx: u32) -> &[N] {
-        let at = idx as usize % N::CHUNK * self.stride;
+    fn raw(&self, idx: u32) -> &[AtomicU64] {
+        let at = idx as usize % POOL_CHUNK * self.stride;
         &self
             .chunks
-            .get(idx as usize / N::CHUNK)
+            .get(idx as usize / POOL_CHUNK)
             .expect("index below bump watermark implies initialized chunk")[at..at + self.stride]
     }
 
-    /// Allocates a node, returning its handle and the node for the caller
+    /// Allocates a slot, returning its handle and the slot for the caller
     /// to initialize and publish (the `Release` publish is what makes the
     /// caller's plain stores visible to readers).
-    fn alloc(&self) -> (u64, &[N]) {
+    fn alloc(&self) -> (u64, &[AtomicU64]) {
         let idx = self.pop().unwrap_or_else(|| {
             // Slow path: bump, initializing the chunk on first touch.
             let idx = self.len.fetch_add(1, Ordering::Relaxed);
             assert!(
-                (idx as usize) < MAX_CHUNKS * N::CHUNK,
-                "node pool capacity exhausted ({} nodes)",
-                MAX_CHUNKS * N::CHUNK
+                (idx as usize) < MAX_CHUNKS * POOL_CHUNK,
+                "slot pool capacity exhausted ({} slots)",
+                MAX_CHUNKS * POOL_CHUNK
             );
-            self.chunks.get_or_init(idx as usize / N::CHUNK, || {
+            self.chunks.get_or_init(idx as usize / POOL_CHUNK, || {
                 self.chunks_inited.fetch_add(1, Ordering::Relaxed);
-                (0..N::CHUNK * self.stride).map(|_| N::default()).collect()
+                (0..POOL_CHUNK * self.stride)
+                    .map(|_| AtomicU64::new(0))
+                    .collect()
             });
             idx
         });
-        let node = self.raw(idx);
-        (VersionIdx::pack(N::gen(node), idx | self.tag), node)
+        let slot = self.raw(idx);
+        (VersionIdx::pack(Self::gen(slot), idx | self.tag), slot)
     }
 
     /// Pops the free list. The tag in the high half changes on every push
-    /// *and* pop, so a node that was popped, recycled, and re-pushed
+    /// *and* pop, so a slot that was popped, recycled, and re-pushed
     /// between our head load and our CAS cannot satisfy the CAS with a
     /// stale `next` (ABA).
     fn pop(&self) -> Option<u32> {
@@ -546,7 +359,7 @@ impl<N: PoolNode> Pool<N> {
             if idx == FREE_NONE {
                 return None;
             }
-            let next = N::link(self.raw(idx)).load(Ordering::Relaxed) as u32;
+            let next = self.raw(idx)[NEXT].load(Ordering::Relaxed) as u32;
             let tagged = ((head >> 32).wrapping_add(1) << 32) | next as u64;
             if self
                 .free
@@ -558,17 +371,17 @@ impl<N: PoolNode> Pool<N> {
         }
     }
 
-    /// Reclaims a retired node: invalidates outstanding handles (generation
-    /// bump), resets it, and pushes it onto the free list. Must only be
-    /// called once the watermark has passed the node's retire tag (or
-    /// before the node was ever published).
+    /// Reclaims a retired slot: invalidates outstanding handles (generation
+    /// bump) and pushes it onto the free list. Must only be called once the
+    /// watermark has passed the slot's retire tag (or before the slot was
+    /// ever published).
     fn free(&self, handle: u64) {
-        let node = self.get(handle);
-        N::release(node);
+        let slot = self.get(handle);
+        slot[GEN_LEN].fetch_add(1 << 32, Ordering::Relaxed);
         let idx = VersionIdx::slot(handle) & INDEX_MASK;
         loop {
             let head = self.free.load(Ordering::Acquire);
-            N::link(node).store((head as u32) as u64, Ordering::Relaxed);
+            slot[NEXT].store((head as u32) as u64, Ordering::Relaxed);
             let tagged = ((head >> 32).wrapping_add(1) << 32) | idx as u64;
             if self
                 .free
@@ -593,11 +406,10 @@ fn word_of(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// The single-version slots, one [`Pool`] of words per size class. A slot
+/// The version slots, one [`Pool`] per size class. A slot
 /// is its [`HEADER`] — generation and length, writer start, commit stamp,
 /// next link — and then its class's value words, so a version and its
-/// value are one node. A packed entry's value is a slot too, whose version
-/// words stay unused.
+/// value are one node.
 ///
 /// A slot's value is written before the slot is published and never
 /// again until it is freed at the registry watermark, which every reader
@@ -606,7 +418,7 @@ fn word_of(bytes: &[u8]) -> u64 {
 /// no count, no store.
 #[derive(Debug)]
 struct Slots {
-    classes: [Pool<AtomicU64>; CLASS_WORDS.len()],
+    classes: [Pool; CLASS_WORDS.len()],
 }
 
 impl Slots {
@@ -691,8 +503,7 @@ impl Slots {
 
     /// Appends the value `slot` holds to `out`, word by word; `false` for
     /// a tombstone. The caller reached the slot through an `Acquire` load
-    /// (a chain link, a ready bit) and is registered, or holds the entry
-    /// lock.
+    /// of a chain link and is registered, or holds the entry lock.
     fn copy<'a>(&'a self, mut slot: &'a [AtomicU64], out: &mut impl BufMut) -> bool {
         let Some(mut left) = Self::len(slot) else {
             return false;
@@ -736,168 +547,40 @@ impl Slots {
     }
 }
 
-impl Pool<PackedNode> {
-    /// The packed node `handle` names.
-    #[inline]
-    fn node(&self, handle: u64) -> &PackedNode {
-        &self.get(handle)[0]
-    }
-
-    /// Allocates a spill node holding exactly one freshly-claimed (so far
-    /// unsorted, unstamped) version whose value is in slot `value`. The
-    /// caller links and CAS-publishes it.
-    fn alloc_spill(&self, writer_start: Timestamp, value: u64) -> u64 {
-        let (handle, node) = self.alloc();
-        let node = &node[0];
-        node.sorted.store(0, Ordering::Relaxed);
-        node.dead.store(0, Ordering::Relaxed);
-        node.next.store(NULL_VIDX, Ordering::Relaxed);
-        node.ws[0].store(writer_start.raw(), Ordering::Relaxed);
-        node.cts[0].store(0, Ordering::Relaxed);
-        node.vals[0].store(value, Ordering::Relaxed);
-        node.occ.store((1u64 << 32) | 1, Ordering::Relaxed);
-        handle
-    }
-
-    /// Allocates a node pre-filled with copies of `versions`, a sorted
-    /// (descending by commit timestamp) run of stamped versions whose
-    /// values are copied into fresh `slots`, linked to `next` — the
-    /// migration build path. The caller publishes it.
-    fn alloc_built(&self, slots: &Slots, versions: &[Version<'_>], next: u64) -> u64 {
-        debug_assert!(!versions.is_empty() && versions.len() <= PACK_CAP);
-        let (handle, node) = self.alloc();
-        let node = &node[0];
-        let mut value = Vec::new();
-        for (i, v) in versions.iter().enumerate() {
-            node.ws[i].store(v.writer(), Ordering::Relaxed);
-            node.cts[i].store(v.stamp(), Ordering::Relaxed);
-            value.clear();
-            let live = v.value(slots).copy_into(&mut value);
-            let copy = slots.alloc(Timestamp(0), live.then_some(&value[..]));
-            node.vals[i].store(copy, Ordering::Relaxed);
-        }
-        let k = versions.len() as u32;
-        node.sorted.store(k, Ordering::Relaxed);
-        node.dead.store(0, Ordering::Relaxed);
-        node.next.store(next, Ordering::Relaxed);
-        let ready = ((1u64 << k) - 1) << 32;
-        node.occ.store(ready | k as u64, Ordering::Relaxed);
-        handle
-    }
-}
-
-/// One chain node, as the cursor meets it: its handle and the node.
-#[derive(Debug, Clone, Copy)]
-enum Node<'a> {
-    Single(u64, &'a [AtomicU64]),
-    Packed(u64, &'a PackedNode),
-}
-
-impl<'a> Node<'a> {
-    /// The link to the next-older node.
-    #[inline]
-    fn next(self) -> &'a AtomicU64 {
-        match self {
-            Node::Single(_, slot) => &slot[NEXT],
-            Node::Packed(_, node) => &node.next,
-        }
-    }
-
-    /// The mask of live entries: a single's one entry, or a packed node's
-    /// ready entries that are not dead.
-    #[inline]
-    fn live(self) -> u32 {
-        match self {
-            Node::Single(..) => 1,
-            Node::Packed(_, node) => {
-                occ_ready(node.occ.load(Ordering::Acquire))
-                    & !(node.dead.load(Ordering::Acquire) as u32)
-            }
-        }
-    }
-
-    /// The version in entry `i` (a single's is entry 0).
-    #[inline]
-    fn version(self, i: usize) -> Version<'a> {
-        match self {
-            Node::Single(h, slot) => Version {
-                loc: Loc::Single(h),
-                writer: &slot[WRITER],
-                stamp: &slot[STAMP],
-                value: ValueAt::Slot(slot),
-            },
-            Node::Packed(h, node) => Version {
-                loc: Loc::Packed(h, i),
-                writer: &node.ws[i],
-                stamp: &node.cts[i],
-                value: ValueAt::Handle(&node.vals[i]),
-            },
-        }
-    }
-
-    /// The node's live versions, in entry order.
-    #[inline]
-    fn versions(self) -> impl Iterator<Item = Version<'a>> {
-        bits(self.live()).map(move |i| self.version(i))
-    }
-}
-
-/// The indices of `mask`'s set bits, lowest first.
-#[inline]
-fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let i = mask.trailing_zeros() as usize;
-        mask &= mask.checked_sub(1)?;
-        Some(i)
-    })
-}
-
-/// Where a version's value sits: in the version's own slot, or in the slot
-/// a packed entry names.
-#[derive(Debug, Clone, Copy)]
-enum ValueAt<'a> {
-    Slot(&'a [AtomicU64]),
-    Handle(&'a AtomicU64),
-}
-
-/// A live version, as the cursor yields it: where it lives, and views over
-/// its atomics.
+/// A live version, as the cursor yields it: its handle and its slot.
 #[derive(Debug, Clone, Copy)]
 struct Version<'a> {
-    loc: Loc,
-    writer: &'a AtomicU64,
-    stamp: &'a AtomicU64,
-    value: ValueAt<'a>,
+    handle: u64,
+    slot: &'a [AtomicU64],
 }
 
 impl<'a> Version<'a> {
     /// The writing transaction's start timestamp (raw).
     #[inline]
     fn writer(&self) -> u64 {
-        self.writer.load(Ordering::Relaxed)
+        self.slot[WRITER].load(Ordering::Relaxed)
     }
 
     /// The commit stamp (raw); 0 until stamped.
     #[inline]
     fn stamp(&self) -> u64 {
-        self.stamp.load(Ordering::Acquire)
+        self.slot[STAMP].load(Ordering::Acquire)
     }
 
     /// Writes the commit stamp back (§2.2): only ever the writer's commit
     /// timestamp, once its commit is published.
     #[inline]
     fn set_stamp(&self, ts: u64) {
-        self.stamp.store(ts, Ordering::Release);
+        self.slot[STAMP].store(ts, Ordering::Release);
     }
 
     /// The value, as words in `slots` to copy out.
     #[inline]
     fn value(&self, slots: &'a Slots) -> Value<'a> {
-        let slot = match self.value {
-            ValueAt::Slot(slot) => slot,
-            ValueAt::Handle(handle) => slots.get(handle.load(Ordering::Relaxed)),
-        };
-        Value { slots, slot }
+        Value {
+            slots,
+            slot: self.slot,
+        }
     }
 
     /// The version's fate: its stamp if it has one; else the resolver's
@@ -952,31 +635,32 @@ impl Value<'_> {
     }
 }
 
-/// The cursor over a key's chain: yields each node once, in chain order
-/// (newest first). A link is loaded only when the next node is asked for,
-/// so it is read after the caller is done with the node before it. See
-/// [`ArenaStore::nodes`] for what a walk may assume.
+/// The cursor over a key's chain: yields each live version once, in chain
+/// order (newest published first). A link is loaded only when the next
+/// version is asked for, so it is read after the caller is done with the
+/// version before it. See [`ArenaStore::versions`] for what a walk may
+/// assume.
 #[derive(Debug)]
 struct Chain<'a> {
-    store: &'a ArenaStore,
-    /// The link to follow next: the entry's head, then each yielded node's
+    slots: &'a Slots,
+    /// The link to follow next: the entry's head, then each yielded slot's
     /// `next`; `None` once the chain has ended.
     link: Option<&'a AtomicU64>,
 }
 
 impl<'a> Iterator for Chain<'a> {
-    type Item = Node<'a>;
+    type Item = Version<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<Node<'a>> {
+    fn next(&mut self) -> Option<Version<'a>> {
         let handle = self.link?.load(Ordering::Acquire);
         if handle == NULL_VIDX {
             self.link = None;
             return None;
         }
-        let node = self.store.node(handle);
-        self.link = Some(node.next());
-        Some(node)
+        let slot = self.slots.get(handle);
+        self.link = Some(&slot[NEXT]);
+        Some(Version { handle, slot })
     }
 }
 
@@ -1048,11 +732,8 @@ struct KeyEntry {
     /// Approximate live version count, maintained by publishers and
     /// restructurers to arm insert-time pruning. Advisory only.
     approx_len: AtomicU32,
-    /// Approximate single-version node count, arming chain migration.
-    /// Advisory only.
-    singles: AtomicU32,
-    /// Serializes chain *restructuring* (abort unlink, pruning, migration,
-    /// GC) for this key. Readers and publishing writers never take it.
+    /// Serializes chain *restructuring* (abort unlink, pruning, GC) for
+    /// this key. Readers and publishing writers never take it.
     lock: SpinMutex<()>,
     /// Set by every publisher, cleared by the GC *before* it examines the
     /// chain: a clear flag means the chain is empty or holds exactly one
@@ -1389,7 +1070,6 @@ impl ChainHeadTable {
             head: AtomicU64::new(NULL_VIDX),
             hash,
             approx_len: AtomicU32::new(0),
-            singles: AtomicU32::new(0),
             lock: SpinMutex::new(()),
             dirty: AtomicBool::new(false),
             last_commit: AtomicU64::new(0),
@@ -1421,9 +1101,8 @@ impl ChainHeadTable {
     }
 }
 
-/// A node retired to the limbo list, waiting for the watermark to pass its
-/// tag. The handle's [`PACKED_TAG`] routes the eventual free to the right
-/// arena.
+/// A slot retired to the limbo list, waiting for the watermark to pass its
+/// tag.
 type LimboEntry = (u64, u64); // (retire tag R, packed VersionIdx)
 
 /// Indices of dirty key entries in two generations, each in the order its
@@ -1463,10 +1142,9 @@ struct Shares {
 pub(crate) struct ArenaStore {
     table: ChainHeadTable,
     slots: Slots,
-    packed: Pool<PackedNode>,
     /// The database's timestamp counter, which retire tags are drawn from.
     ts: Arc<SharedTimestampSource>,
-    /// Retired-but-not-freed nodes, tagged, oldest first (tags are drawn
+    /// Retired-but-not-freed slots, tagged, oldest first (tags are drawn
     /// under this lock, so they are pushed in increasing order). Touched
     /// only by restructurers and the maintenance/GC path — never by readers.
     limbo: SpinMutex<VecDeque<LimboEntry>>,
@@ -1478,8 +1156,7 @@ pub(crate) struct ArenaStore {
     /// fills an empty chain, dropped by the unlink CAS that empties one.
     /// Thread-sharded; exact at every quiescent point.
     keys: wsi_obs::Counter,
-    /// Live published versions: bumped at publish, dropped at unlink and
-    /// dead-mark (migration moves versions, net zero).
+    /// Live published versions: bumped at publish, dropped at unlink.
     /// Thread-sharded; exact at every quiescent point.
     versions: wsi_obs::Counter,
     /// Dirty key entries awaiting a sweep: a commit share or `gc`.
@@ -1500,7 +1177,6 @@ impl ArenaStore {
         ArenaStore {
             table: ChainHeadTable::new(),
             slots: Slots::new(),
-            packed: Pool::new(1, PACKED_TAG),
             ts,
             limbo: SpinMutex::new(VecDeque::new()),
             watermark: AtomicU64::new(0),
@@ -1551,76 +1227,30 @@ impl ArenaStore {
         value: Option<&[u8]>,
     ) -> KeyId {
         let (idx, entry) = self.table.find_or_create(key, row);
-        // Each allocated once, whatever the retries: a single version, or
-        // for a hot chain the slot holding the value and a spill node.
-        let mut single: Option<u64> = None;
-        let mut cell: Option<u64> = None;
-        let mut spill: Option<u64> = None;
-        let published = loop {
+        let handle = self.slots.alloc(writer_start, value);
+        let link = &self.slots.get(handle)[NEXT];
+        loop {
             let head = entry.head.load(Ordering::Acquire);
-            if is_packed(head) {
-                // Hot chain: claim a spare slot in the head node — the head
-                // pointer itself never moves on this path.
-                let node = self.packed.node(head);
-                let cell = *cell.get_or_insert_with(|| self.slots.alloc(Timestamp(0), value));
-                if let Some(i) = Self::try_claim(node, writer_start, cell) {
-                    break Loc::Packed(head, i);
+            link.store(head, Ordering::Relaxed);
+            if entry
+                .head
+                .compare_exchange_weak(head, handle, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                if head == NULL_VIDX {
+                    self.keys.inc();
                 }
-                // Head node full or sealed: spill a fresh packed node.
-                let sp = *spill.get_or_insert_with(|| self.packed.alloc_spill(writer_start, cell));
-                self.packed.node(sp).next.store(head, Ordering::Relaxed);
-                if entry
-                    .head
-                    .compare_exchange(head, sp, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    break Loc::Packed(sp, 0);
-                }
-            } else {
-                let s = *single.get_or_insert_with(|| self.slots.alloc(writer_start, value));
-                self.slots.get(s)[NEXT].store(head, Ordering::Relaxed);
-                if entry
-                    .head
-                    .compare_exchange_weak(head, s, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    if head == NULL_VIDX {
-                        self.keys.inc();
-                    }
-                    break Loc::Single(s);
-                }
+                break;
             }
-        };
+        }
         self.versions.inc();
         self.mark_dirty(idx, entry);
-        // Return unused pre-allocations (never published: free at once).
-        if let Some(s) = single {
-            if !matches!(published, Loc::Single(p) if p == s) {
-                self.slots.free(s);
-            }
-        }
-        if let Some(sp) = spill {
-            if !matches!(published, Loc::Packed(p, _) if p == sp) {
-                self.packed.free(sp);
-            }
-        }
-        if let Some(c) = cell {
-            if !matches!(published, Loc::Packed(..)) {
-                self.slots.free(c);
-            }
-        }
         let len = entry.approx_len.fetch_add(1, Ordering::Relaxed) + 1;
         self.obs.chain_len.record(len as u64);
         if len as usize >= PRUNE_CHAIN_LEN {
             let pruned = self.prune_entry(entry);
             if pruned > 0 {
                 self.obs.inline_pruned.add(pruned);
-            }
-        }
-        if let Loc::Single(_) = published {
-            let singles = entry.singles.fetch_add(1, Ordering::Relaxed) + 1;
-            if singles >= MIGRATE_SINGLES {
-                self.migrate_entry(entry);
             }
         }
         KeyId(idx)
@@ -1638,91 +1268,21 @@ impl ArenaStore {
         }
     }
 
-    /// Claims one spare entry of a packed node and publishes a version into
-    /// it: an occupancy CAS reserves index `claims`, the entry is
-    /// initialized with the slot `value` holding its value, and the
-    /// `Release` `fetch_or` of its ready bit is the publish. Returns `None`
-    /// when the node is full or sealed.
-    fn try_claim(node: &PackedNode, writer_start: Timestamp, value: u64) -> Option<usize> {
-        loop {
-            let occ = node.occ.load(Ordering::Acquire);
-            let claims = occ_claims(occ);
-            if occ_sealed(occ) || claims as usize >= PACK_CAP {
-                return None;
-            }
-            if node
-                .occ
-                .compare_exchange(occ, occ + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let i = claims as usize;
-                node.ws[i].store(writer_start.raw(), Ordering::Relaxed);
-                node.cts[i].store(0, Ordering::Relaxed);
-                node.vals[i].store(value, Ordering::Relaxed);
-                node.occ.fetch_or(1u64 << (32 + i), Ordering::Release);
-                return Some(i);
-            }
-        }
-    }
-
-    /// Seals a packed node against further claims and waits until every
-    /// claim already granted has published its ready bit, so the node's
-    /// contents are stable. Returns the final ready mask. Idempotent.
-    fn seal(node: &PackedNode) -> u32 {
-        let prior = node.occ.fetch_or(SEALED as u64, Ordering::AcqRel);
-        let claims = occ_claims(prior);
-        loop {
-            let ready = occ_ready(node.occ.load(Ordering::Acquire));
-            if ready.count_ones() >= claims {
-                return ready;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Marks packed entries dead. Caller holds the entry lock (the only
-    /// writer discipline `dead` needs); the timestamps stay in place so the
-    /// sorted prefix's search order survives.
-    fn mark_dead(node: &PackedNode, mask: u64) {
-        let dead = node.dead.load(Ordering::Relaxed);
-        node.dead.store(dead | mask, Ordering::Release);
-    }
-
-    /// The chain node `handle` names, in the pool its [`PACKED_TAG`] says.
+    /// The cursor over `entry`'s chain: every live version, once each, in
+    /// chain order. The walker is registered — so no slot it reaches is
+    /// freed under it — or holds the entry lock, under which every slot it
+    /// meets is still linked and mid-chain links hold still.
     #[inline]
-    fn node(&self, handle: u64) -> Node<'_> {
-        if is_packed(handle) {
-            Node::Packed(handle, self.packed.node(handle))
-        } else {
-            Node::Single(handle, self.slots.get(handle))
-        }
-    }
-
-    /// The cursor over `entry`'s chain, node by node. The walker is
-    /// registered — so no node it reaches is freed under it — or holds the
-    /// entry lock, under which every node it meets is still linked and
-    /// mid-chain links hold still.
-    #[inline]
-    fn nodes<'a>(&'a self, entry: &'a KeyEntry) -> Chain<'a> {
+    fn versions<'a>(&'a self, entry: &'a KeyEntry) -> Chain<'a> {
         Chain {
-            store: self,
+            slots: &self.slots,
             link: Some(&entry.head),
         }
     }
 
-    /// Every live version of `entry`'s chain, once each, in chain order:
-    /// the cursor of [`Self::nodes`] at version level.
-    #[inline]
-    fn versions<'a>(&'a self, entry: &'a KeyEntry) -> impl Iterator<Item = Version<'a>> {
-        self.nodes(entry).flat_map(Node::versions)
-    }
-
-    /// Removes every live version of `entry` that `doom` selects: singles
-    /// are unlinked, packed entries dead-marked, and nodes whose live set
-    /// empties are sealed and unlinked whole. Unlinked nodes are appended
-    /// to `removed` for the caller to retire; returns the versions removed.
-    /// Caller holds the entry lock; `doom` must be pure, because a racing
-    /// publisher restarts the unlink walk.
+    /// Unlinks every live version of `entry` that `doom` selects, appending
+    /// their handles to `removed` for the caller to retire; returns the
+    /// versions removed. Caller holds the entry lock.
     fn remove_where(
         &self,
         entry: &KeyEntry,
@@ -1730,28 +1290,14 @@ impl ArenaStore {
         removed: &mut Vec<u64>,
     ) -> u64 {
         let base = removed.len();
-        let mut marked = 0u64;
-        for v in self.versions(entry).filter(|v| doom(v)) {
-            match v.loc {
-                Loc::Single(h) => removed.push(h),
-                Loc::Packed(h, i) => {
-                    Self::mark_dead(self.packed.node(h), 1 << i);
-                    marked += 1;
-                }
-            }
-        }
+        removed.extend(self.versions(entry).filter(|v| doom(v)).map(|v| v.handle));
         let unlinked = (removed.len() - base) as u64;
         if unlinked > 0 {
             self.sweep_chain(entry, &removed[base..]);
-        }
-        if marked > 0 {
-            self.retire_dead_nodes(entry, removed);
-        }
-        if unlinked + marked > 0 {
-            self.versions.sub(unlinked + marked);
+            self.versions.sub(unlinked);
             self.reset_len(entry);
         }
-        unlinked + marked
+        unlinked
     }
 
     /// Insert-time pruning against the store watermark: among *stamped*
@@ -1772,87 +1318,6 @@ impl ArenaStore {
         let pruned = self.remove_where(entry, |v| (1..bound).contains(&v.stamp()), &mut removed);
         self.retire_all(&removed);
         pruned
-    }
-
-    /// Migrates a hot chain's stamped singles into packed multi-version
-    /// nodes. Only *stamped* versions move: a stamped
-    /// version's commit timestamp and value are immutable, so the copy
-    /// cannot race the lock-free `stamp_commit` path — unstamped singles
-    /// stay in place and migrate on a later pass once stamped.
-    ///
-    /// Ordering is attach-then-unlink: the packed replacement is linked
-    /// after the last single *before* the migrated singles are unlinked, so
-    /// a concurrent reader sees each migrated version once or (transiently)
-    /// twice — never zero times. The duplicate is harmless: both copies
-    /// carry the same commit timestamp and value.
-    fn migrate_entry(&self, entry: &KeyEntry) {
-        let _guard = entry.lock.lock();
-        // The singles prefix ends at the first packed node (chain shape
-        // invariant); mid-chain links are stable under the entry lock, so
-        // the last single's link is where the packed run attaches.
-        let mut stamped: Vec<Version<'_>> = Vec::new();
-        let mut splice = &entry.head;
-        for node in self
-            .nodes(entry)
-            .take_while(|node| matches!(node, Node::Single(..)))
-        {
-            let v = node.version(0);
-            if v.stamp() != 0 {
-                stamped.push(v);
-            }
-            splice = node.next();
-        }
-        if stamped.len() < MIN_MIGRATE {
-            // Resync the trigger counter so it re-arms honestly.
-            self.reset_len(entry);
-            return;
-        }
-        // Newest first; ties (impossible for distinct committed writers)
-        // broken by writer start for determinism.
-        stamped.sort_unstable_by_key(|v| std::cmp::Reverse((v.stamp(), v.writer())));
-        // Build the packed replacement oldest node first, each linked to
-        // the one built before it, the oldest to the first packed node.
-        // The newest node is left half-filled: it typically becomes the
-        // chain head, and its spare slots are what subsequent
-        // claim-publishes fill.
-        let (newest, older) = stamped.split_at(HEAD_BUILD.min(stamped.len()));
-        let mut run = splice.load(Ordering::Acquire);
-        for versions in older.chunks(PACK_CAP).rev().chain([newest]) {
-            run = self.packed.alloc_built(&self.slots, versions, run);
-        }
-        // Attach, then unlink.
-        splice.store(run, Ordering::Release);
-        let handles: Vec<u64> = stamped.iter().map(|v| v.loc.handle()).collect();
-        self.sweep_chain(entry, &handles);
-        self.reset_len(entry);
-        self.retire_all(&handles);
-        self.obs.migrations.inc();
-    }
-
-    /// Unlinks every packed node whose live set is empty, appending it to
-    /// `removed` for retirement. Each candidate is first *sealed* — late
-    /// claims are locked out and in-flight ones waited for — then
-    /// re-checked, so a concurrent publish into the node either lands
-    /// before the seal (the node stays) or fails its claim and re-reads the
-    /// chain head. Caller holds the entry lock.
-    fn retire_dead_nodes(&self, entry: &KeyEntry, removed: &mut Vec<u64>) {
-        let base = removed.len();
-        for node in self.nodes(entry) {
-            let Node::Packed(handle, packed) = node else {
-                continue;
-            };
-            if node.live() == 0 {
-                let ready = Self::seal(packed);
-                if ready & !(packed.dead.load(Ordering::Acquire) as u32) == 0 {
-                    removed.push(handle);
-                    self.obs.packed_occupancy.record(ready.count_ones() as u64);
-                }
-            }
-        }
-        if removed.len() > base {
-            self.sweep_chain(entry, &removed[base..]);
-            self.obs.packed_retired.add((removed.len() - base) as u64);
-        }
     }
 
     /// Stamps the commit timestamp onto a writer's versions (eager §2.2
@@ -1879,9 +1344,8 @@ impl ArenaStore {
         }
     }
 
-    /// Removes a writer's versions (abort cleanup): singles are unlinked,
-    /// packed entries dead-marked (retiring any node that empties). `rows`
-    /// and `writes` are the batch [`Self::insert_versions`] took.
+    /// Removes a writer's versions (abort cleanup). `rows` and `writes`
+    /// are the batch [`Self::insert_versions`] took.
     pub(crate) fn remove_versions(
         &self,
         writer_start: Timestamp,
@@ -1966,13 +1430,6 @@ impl ArenaStore {
     /// The version of `entry` a snapshot at `reader_start` sees — the
     /// newest committed below it — with its commit timestamp. Caller is
     /// registered.
-    ///
-    /// The reader's fast path walks nodes, not versions: a packed node
-    /// resolves its sorted prefix (descending commit timestamps) by a
-    /// **binary search** — the first index below the snapshot is the
-    /// newest visible there, modulo dead bits — and only its claimed
-    /// suffix, whose commit order is unknown, version by version through
-    /// [`Version::fate`], as a single is.
     fn visible<'a, R: VersionResolver + ?Sized>(
         &'a self,
         entry: &'a KeyEntry,
@@ -1980,29 +1437,11 @@ impl ArenaStore {
         resolver: &R,
     ) -> Option<(Version<'a>, u64)> {
         let mut best: Option<(Version<'a>, u64)> = None;
-        let mut consider = |v: Version<'a>, status: TxnStatus| {
-            if let TxnStatus::Committed(ts) = status {
+        for v in self.versions(entry) {
+            if let TxnStatus::Committed(ts) = v.fate(resolver) {
                 if ts < reader_start && best.is_none_or(|(_, b)| ts.raw() > b) {
                     best = Some((v, ts.raw()));
                 }
-            }
-        };
-        for node in self.nodes(entry) {
-            let live = node.live();
-            // Entries below `sorted` form a packed node's sorted prefix.
-            let mut sorted = 0;
-            if let Node::Packed(_, packed) = node {
-                sorted = packed.sorted.load(Ordering::Relaxed) as usize;
-                let below = packed.cts[..sorted]
-                    .partition_point(|cts| cts.load(Ordering::Relaxed) >= reader_start.raw());
-                if let Some(i) = (below..sorted).find(|i| live & (1 << i) != 0) {
-                    let ts = packed.cts[i].load(Ordering::Relaxed);
-                    consider(node.version(i), TxnStatus::Committed(Timestamp(ts)));
-                }
-            }
-            for i in bits(live & !((1 << sorted) - 1)) {
-                let v = node.version(i);
-                consider(v, v.fate(resolver));
             }
         }
         best
@@ -2138,9 +1577,8 @@ impl ArenaStore {
     /// last sweep (both worklist generations — never the whole key space):
     /// per key, under that key's restructuring lock only — readers never
     /// wait — resolve every live version's fate, stamp surviving committed
-    /// versions, unlink aborted and superseded singles, dead-mark the
-    /// packed equivalents (retiring nodes that empty), and retire the
-    /// unlinked nodes to the limbo list. The caller is registered (the
+    /// versions, unlink aborted and superseded ones, and retire them to the
+    /// limbo list. The caller is registered (the
     /// chain prefetch walks without the entry lock), and frees what the
     /// sweep retired once it has deregistered.
     ///
@@ -2241,8 +1679,8 @@ impl ArenaStore {
         resolver: &R,
         stats: &mut GcStats,
     ) {
-        let mut aborted: Vec<Loc> = Vec::new();
-        // About one node per entry: a rewritten key drops the version the
+        let mut aborted: Vec<u64> = Vec::new();
+        // About one version per entry: a rewritten key drops the version the
         // write superseded.
         let mut removed: Vec<u64> = Vec::with_capacity(work.len().min(GC_BATCH));
         for batch in work.chunks(GC_BATCH) {
@@ -2274,7 +1712,7 @@ impl ArenaStore {
         self.obs.gc_keys_visited.add(work.len() as u64);
     }
 
-    /// Touches each entry of a GC batch and the first two nodes of its
+    /// Touches each entry of a GC batch and the first two versions of its
     /// chain. The entries of a batch are unrelated, so the cache misses of
     /// these loads overlap, where the examination that follows — a
     /// dependent walk under a lock, one entry at a time — would take the
@@ -2282,9 +1720,10 @@ impl ArenaStore {
     fn warm_chains(&self, batch: &[u32]) {
         let mut chains: Vec<Chain<'_>> = batch
             .iter()
-            .map(|&idx| self.nodes(self.table.entries.get(idx)))
+            .map(|&idx| self.versions(self.table.entries.get(idx)))
             .collect();
-        // The entries' heads, then each chain's first node, then its second.
+        // The entries' heads, then each chain's first version, then its
+        // second.
         for _ in 0..3 {
             for chain in &mut chains {
                 std::hint::black_box(chain.next().is_some());
@@ -2304,7 +1743,7 @@ impl ArenaStore {
         watermark: Timestamp,
         resolver: &R,
         stats: &mut GcStats,
-        aborted: &mut Vec<Loc>,
+        aborted: &mut Vec<u64>,
         removed: &mut Vec<u64>,
     ) -> bool {
         let _guard = entry.lock.lock();
@@ -2323,7 +1762,7 @@ impl ArenaStore {
                         bound = Some(ts.raw());
                     }
                 }
-                TxnStatus::Aborted => aborted.push(v.loc),
+                TxnStatus::Aborted => aborted.push(v.handle),
                 TxnStatus::Pending => pending += 1,
             }
         }
@@ -2336,7 +1775,7 @@ impl ArenaStore {
         let dropped = self.remove_where(
             entry,
             |v| match v.stamp() {
-                0 => aborted.contains(&v.loc),
+                0 => aborted.contains(&v.handle),
                 cts => bound.is_some_and(|b| cts < b),
             },
             removed,
@@ -2351,7 +1790,7 @@ impl ArenaStore {
 
     /// Frees every limbo entry whose retire tag is below `watermark`, a
     /// registry watermark computed after the tags were drawn: every
-    /// registered walk that could still reach such a node started before
+    /// registered walk that could still reach such a slot started before
     /// its tag and would hold the watermark at or below it. Called after a
     /// GC sweep and by `Db::maintain`; cheap when there is nothing to do.
     pub(crate) fn maintain(&self, watermark: Timestamp) {
@@ -2368,13 +1807,12 @@ impl ArenaStore {
     }
 
     /// Frees up to `limit` limbo entries from the front whose tag is below
-    /// `watermark` (see [`Self::maintain`]), routing each handle to its
-    /// pool by tag; a packed node's value slots go with it. Returns how
-    /// many it freed.
+    /// `watermark` (see [`Self::maintain`]), each to its class's pool with
+    /// any slots its value continued in. Returns how many it freed.
     ///
-    /// The nodes were retired a round ago and are cold. Each free is a
+    /// The slots were retired a round ago and are cold. Each free is a
     /// chain of atomic read-modify-writes, which would take those misses
-    /// one after another, so the nodes are touched first: the misses
+    /// one after another, so the slots are touched first: the misses
     /// overlap.
     fn free_below(&self, watermark: Timestamp, limit: usize) -> u64 {
         let expired: Vec<u64> = {
@@ -2387,21 +1825,10 @@ impl ArenaStore {
             limbo.drain(..n).map(|(_, handle)| handle).collect()
         };
         for &handle in &expired {
-            std::hint::black_box(match self.node(handle) {
-                Node::Single(_, slot) => slot[GEN_LEN].load(Ordering::Relaxed),
-                Node::Packed(_, node) => node.occ.load(Ordering::Relaxed),
-            });
+            std::hint::black_box(self.slots.get(handle)[GEN_LEN].load(Ordering::Relaxed));
         }
         for &handle in &expired {
-            if is_packed(handle) {
-                let node = self.packed.node(handle);
-                for i in bits(occ_ready(node.occ.load(Ordering::Relaxed))) {
-                    self.slots.free(node.vals[i].load(Ordering::Relaxed));
-                }
-                self.packed.free(handle);
-            } else {
-                self.slots.free(handle);
-            }
+            self.slots.free(handle);
         }
         let freed = expired.len() as u64;
         if freed > 0 {
@@ -2420,20 +1847,18 @@ impl ArenaStore {
             retired,
             freed,
             limbo: retired.saturating_sub(freed),
-            chunks: self.slots.chunk_count() + self.packed.chunk_count(),
-            migrations: self.obs.migrations.get(),
-            packed_retired: self.obs.packed_retired.get(),
+            chunks: self.slots.chunk_count(),
         }
     }
 
-    /// Unlinks the chain nodes named in `doomed` (the caller retires them).
+    /// Unlinks the versions named in `doomed` (the caller retires them).
     /// Must be called under the entry's restructuring lock, which makes
-    /// every doomed node a chain member until this call unlinks it; a
+    /// every doomed slot a chain member until this call unlinks it; a
     /// racing publisher CAS on the head forces a restart from the (new)
-    /// head, which can no longer reach the nodes already unlinked.
+    /// head, which can no longer reach the slots already unlinked.
     ///
-    /// Unlinking never touches a removed node's own `next` pointer, so a
-    /// concurrent reader standing on an unlinked node still walks into the
+    /// Unlinking never touches a removed slot's own `next` link, so a
+    /// concurrent reader standing on an unlinked slot still walks into the
     /// live remainder of the chain.
     fn sweep_chain(&self, entry: &KeyEntry, doomed: &[u64]) {
         let mut unlinked = 0;
@@ -2442,7 +1867,7 @@ impl ArenaStore {
             let mut prev: Option<&AtomicU64> = None;
             let mut cur = entry.head.load(Ordering::Acquire);
             while cur != NULL_VIDX {
-                let link = self.node(cur).next();
+                let link = &self.slots.get(cur)[NEXT];
                 let next = link.load(Ordering::Acquire);
                 if doomed.contains(&cur) {
                     match prev {
@@ -2477,27 +1902,21 @@ impl ArenaStore {
         debug_assert_eq!(
             unlinked,
             doomed.len(),
-            "every doomed node was a chain member"
+            "every doomed version was a chain member"
         );
     }
 
-    /// Re-derives the exact chain length (and singles count) after a
-    /// restructure.
+    /// Re-derives the exact chain length after a restructure.
     fn reset_len(&self, entry: &KeyEntry) {
-        let (mut len, mut singles) = (0u32, 0u32);
-        for node in self.nodes(entry) {
-            len += node.live().count_ones();
-            singles += matches!(node, Node::Single(..)) as u32;
-        }
+        let len = self.versions(entry).count() as u32;
         entry.approx_len.store(len, Ordering::Relaxed);
-        entry.singles.store(singles, Ordering::Relaxed);
     }
 
-    /// Retires already unlinked nodes to the limbo list under one tag `R`.
+    /// Retires already unlinked slots to the limbo list under one tag `R`.
     /// `R` is drawn from the shared counter by a read-modify-write *after*
     /// the unlink, so a transaction whose start comes later in the
     /// counter's order is ordered after the unlink too and cannot reach the
-    /// nodes; one that can started before `R` and holds the watermark at or
+    /// slots; one that can started before `R` and holds the watermark at or
     /// below it. Drawing `R` under the limbo lock keeps the queue sorted.
     fn retire_all(&self, removed: &[u64]) {
         if removed.is_empty() {
@@ -2525,7 +1944,7 @@ impl ArenaStore {
         )
     }
 
-    /// Inserts one (invisible) version: allocate or claim, link, publish.
+    /// Inserts one (invisible) version: allocate, link, publish.
     /// A writer writes a key at most once, as through `insert_versions`.
     pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
         self.insert_one(&key, hash_row_key(&key), writer_start, value.as_deref());
@@ -2541,7 +1960,7 @@ impl ArenaStore {
     }
 
     /// Total live published versions, by full walk (see
-    /// [`Self::key_count`]); packed nodes contribute their live entries.
+    /// [`Self::key_count`]).
     pub(crate) fn version_count(&self) -> usize {
         (0..self.table.entries.len())
             .map(|idx| self.versions(self.table.entries.get(idx)).count())
@@ -2653,10 +2072,8 @@ mod tests {
         assert_eq!(VersionIdx::generation(packed), 7);
         assert_eq!(VersionIdx::slot(packed), 1234);
         assert_ne!(packed, NULL_VIDX);
-        assert!(!is_packed(packed));
-        let tagged = VersionIdx::pack(7, 1234 | PACKED_TAG);
-        assert!(is_packed(tagged));
-        assert!(!is_packed(NULL_VIDX), "null is never a packed handle");
+        let classed = VersionIdx::pack(7, 1234 | (13 << CLASS_SHIFT));
+        assert_eq!(class_of(classed), 13);
     }
 
     #[test]
@@ -2672,20 +2089,6 @@ mod tests {
             VersionIdx::generation(a) + 1,
             "generation bumped: stale handles cannot alias"
         );
-    }
-
-    #[test]
-    fn packed_arena_recycles_nodes_with_fresh_generations() {
-        let packed = Pool::<PackedNode>::new(1, PACKED_TAG);
-        let a = packed.alloc_spill(Timestamp(1), NULL_VIDX);
-        assert!(is_packed(a));
-        packed.free(a);
-        let c = packed.alloc_spill(Timestamp(2), NULL_VIDX);
-        assert_eq!(VersionIdx::slot(c), VersionIdx::slot(a), "node recycled");
-        assert_eq!(VersionIdx::generation(c), VersionIdx::generation(a) + 1);
-        let node = packed.node(c);
-        assert_eq!(occ_claims(node.occ.load(Ordering::Relaxed)), 1);
-        assert_eq!(node.dead.load(Ordering::Relaxed), 0, "free resets state");
     }
 
     /// The racing resolver of the test below: a registry holding writer 3,
@@ -2801,18 +2204,16 @@ mod tests {
         }
     }
 
+    /// A hot key's chain: every version stays readable at its snapshot
+    /// until pruning or a sweep may drop it, and pruning bounds the chain
+    /// once the watermark passes the old versions.
     #[test]
-    fn hot_chains_migrate_into_packed_nodes() {
+    fn a_hot_chain_keeps_every_snapshot_readable_and_pruning_bounds_it() {
         let store = ArenaStore::standalone();
         hammer(&store, "hot", 12);
-        let rec = store.reclamation();
-        assert!(rec.migrations >= 1, "12 stamped singles trigger migration");
         assert_eq!(store.version_count(), 12, "no version lost or duplicated");
-        assert_eq!(rec.retired, rec.freed + rec.limbo);
-        // Migrated versions keep their stamps, in writer-start order.
         let stamps: Vec<_> = (1..=12u64).map(|i| (2 * i - 1, Some(2 * i))).collect();
         assert_eq!(store.dump_stamps(), vec![(b("hot"), stamps)]);
-        // Every historical snapshot still resolves to the right version.
         for i in 1..=12u64 {
             assert_eq!(
                 store.read_key(b"hot", Timestamp(2 * i + 1), &resolver_none),
@@ -2825,33 +2226,41 @@ mod tests {
             SnapshotRead::Absent,
             "snapshot at the first commit sees nothing (strict <)"
         );
+        let store = ArenaStore::standalone();
+        store.note_watermark(Timestamp(1_000_000));
+        hammer(&store, "hot", 64);
+        assert!(
+            store.version_count() < PRUNE_CHAIN_LEN,
+            "pruning bounds the chain"
+        );
+        assert!(store.obs.inline_pruned.get() > 0);
+        let rec = store.reclamation();
+        assert_eq!(rec.retired, rec.freed + rec.limbo);
     }
 
     #[test]
-    fn fully_dead_packed_nodes_retire_through_limbo() {
+    fn superseded_versions_retire_through_limbo() {
         let store = ArenaStore::standalone();
-        hammer(&store, "hot", 64);
-        assert!(store.reclamation().migrations >= 1);
+        hammer(&store, "hot", 24);
         // Raise the watermark past everything and GC: all but the newest
-        // stamped version is superseded, emptying the older packed nodes.
+        // stamped version is superseded.
         let stats = store.gc(Timestamp(1_000_000), &resolver_none);
-        assert!(stats.versions_dropped > 0);
+        assert_eq!(stats.versions_dropped, 23);
         assert_eq!(store.version_count(), 1, "only the newest survives");
         let rec = store.reclamation();
-        assert!(rec.packed_retired > 0, "emptied packed nodes were retired");
-        assert_eq!(rec.retired, rec.freed + rec.limbo);
+        assert_eq!((rec.retired, rec.limbo), (23, 23));
         store.maintain(store.ts.last_issued().next());
         let rec = store.reclamation();
         assert_eq!(rec.limbo, 0, "the watermark passed every tag");
         assert_eq!(rec.retired, rec.freed);
         assert_eq!(
             store.read_key(b"hot", Timestamp(u64::MAX), &resolver_none),
-            SnapshotRead::Value(b("v64"))
+            SnapshotRead::Value(b("v24"))
         );
     }
 
     /// The layout the footprint rests on: a 100-byte version is one
-    /// 136-byte slot, a packed node holds handles, not values; and every
+    /// 136-byte slot; and every
     /// length, either side of each class boundary and past the largest
     /// class, round-trips through a slot whose free returns every slot
     /// its value continued in.
@@ -2859,7 +2268,6 @@ mod tests {
     fn a_value_lives_in_its_slot() {
         let slot_bytes = |len: usize| (HEADER + CLASS_WORDS[class_for(len.div_ceil(8))]) * 8;
         assert_eq!(slot_bytes(100), 136);
-        assert!(std::mem::size_of::<PackedNode>() <= 416);
         for pair in CLASS_WORDS.windows(2) {
             assert!(
                 pair[1] * 4 <= pair[0] * 5 + 4,
@@ -2894,16 +2302,15 @@ mod tests {
     }
 
     #[test]
-    fn abort_of_a_claimed_packed_entry_dead_marks_it() {
+    fn an_aborted_version_on_a_hot_chain_is_unlinked() {
         let store = ArenaStore::standalone();
-        hammer(&store, "hot", 10); // migrated: head is a packed node
-        assert!(store.reclamation().migrations >= 1);
+        hammer(&store, "hot", 10);
         store.insert_version(b("hot"), Timestamp(101), Some(b("doomed")));
         let before = store.version_count();
         store.remove_keys(Timestamp(101), [&b("hot")]);
         assert_eq!(store.version_count(), before - 1);
-        // The aborted claim is invisible even to a resolver that would
-        // commit it (it is dead, not merely unstamped).
+        // The aborted version is gone even for a resolver that would
+        // commit it.
         let resolver = |_ts: Timestamp| TxnStatus::Committed(Timestamp(102));
         assert_eq!(
             store.read_key(b"hot", Timestamp(1000), &resolver),
@@ -3220,12 +2627,11 @@ mod tests {
             store.assert_worklist_invariant();
         }
 
-        /// Random chains of one key — a singles prefix over a migrated
-        /// packed suffix, spills, claimed entries left unstamped or
-        /// aborted in place, dead bits, and aborts that empty a node — and
-        /// the cursor over them: it yields exactly the live versions, once
-        /// each, and the reader's binary search picks what a linear
-        /// maximum over the cursor's fates picks, at every snapshot.
+        /// Random chains of one key — versions left unstamped or aborted
+        /// in place, aborts unlinked at once, sweeps and insert-time
+        /// pruning between them — and the cursor over them: it yields
+        /// exactly the live versions, once each, and the reader picks what
+        /// a maximum over the cursor's fates picks, at every snapshot.
         #[test]
         fn the_cursor_yields_each_live_version_once_and_visible_agrees_with_it(
             ops in proptest::collection::vec(chain_op(), 1..150)
@@ -3313,13 +2719,13 @@ mod tests {
                 let linear = store
                     .versions(entry)
                     .filter_map(|v| match v.fate(&resolver) {
-                        TxnStatus::Committed(ts) if ts.raw() < snapshot => Some((v.loc, ts.raw())),
+                        TxnStatus::Committed(ts) if ts.raw() < snapshot => Some((v.handle, ts.raw())),
                         _ => None,
                     })
                     .max_by_key(|&(_, ts)| ts);
                 let searched = store
                     .visible(entry, Timestamp(snapshot), &resolver)
-                    .map(|(v, ts)| (v.loc, ts));
+                    .map(|(v, ts)| (v.handle, ts));
                 assert_eq!(searched, linear, "snapshot {snapshot}");
             }
         }

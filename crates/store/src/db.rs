@@ -24,6 +24,11 @@
 //!   stay). Without a WAL a commit is published at decide time.
 //! * Read-only commits and rollbacks touch no lock at all beyond the
 //!   registry's.
+//! * A [`Db::run`] whose first [`ESCALATE_AFTER`] attempts all aborted
+//!   takes the store's one serial token for the next: until it returns,
+//!   every other write commit waits before its decision, so that attempt
+//!   meets no concurrent writer and cannot abort on a conflict. With the
+//!   token free, a write commit pays one atomic load for it.
 //! * [`IsolationLevel::SerializableSnapshot`] is the same engine with one
 //!   more certifier: after the write-write check passes, the
 //!   commit is put to the dangerous-structure window
@@ -43,7 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use spin::{Mutex as SpinMutex, MutexGuard as SpinMutexGuard};
 use wsi_core::{
     check_row_probe, hash_row_key, ssi::SsiWindow, AbortReason, IsolationLevel, OracleCounters,
@@ -78,6 +83,14 @@ const BACKOFF_BASE_US: u64 = 20;
 
 /// Backoff ceiling doubles at most this many times (20 µs → 1.28 ms).
 const BACKOFF_MAX_SHIFT: usize = 6;
+
+/// Failed attempts after which [`Db::run`] takes the store's serial token
+/// for its next attempt (see [`Db::run`]).
+pub const ESCALATE_AFTER: usize = 8;
+
+/// [`SerialToken::holder`] while the run that took the token has not begun
+/// the attempt it took it for.
+const UNBEGUN: u64 = u64::MAX;
 
 /// The tick's period in write commits: every this many, the committer
 /// computes the registry watermark and paces the collector with it — the
@@ -202,10 +215,68 @@ impl DecisionLock {
     }
 }
 
+/// The store's one serial token, Ports & Grittner's safe retry: a
+/// [`Db::run`] whose attempts kept aborting holds it for the attempts it
+/// has left, and while it is held every other write commit waits before its
+/// decision (DESIGN.md §5).
+#[derive(Default)]
+struct SerialToken {
+    /// The holder's start timestamp (raw), [`UNBEGUN`] before it begins,
+    /// `0` while the token is free. Write commits load it under the
+    /// decision lock.
+    holder: AtomicU64,
+    /// Locked while the token is held: what a waiting commit blocks on.
+    lock: Mutex<()>,
+}
+
+impl SerialToken {
+    /// Whether the write commit of the transaction begun at `start_ts` may
+    /// decide: nobody holds the token, or that transaction does. Caller
+    /// holds the decision lock.
+    #[inline]
+    fn admits(&self, start_ts: Timestamp) -> bool {
+        let holder = self.holder.load(Ordering::Relaxed);
+        holder == 0 || holder == start_ts.raw()
+    }
+}
+
+/// The serial token, taken by one [`Db::run`]; released when the run
+/// returns, however it returns: with the body's value, its error or a
+/// panic.
+struct Escalated<'a> {
+    inner: &'a DbInner,
+    _held: MutexGuard<'a, ()>,
+}
+
+impl Escalated<'_> {
+    /// Hands the token to the run's `attempt`th attempt, begun at
+    /// `start_ts`; journals the escalation at the first attempt it holds.
+    fn hold_for(&self, start_ts: Timestamp, attempt: u32) {
+        let serial = &self.inner.serial;
+        if serial.holder.swap(start_ts.raw(), Ordering::Relaxed) == UNBEGUN {
+            self.inner.journal().record(
+                start_ts.raw(),
+                EventData::Escalate {
+                    attempt: attempt as u64,
+                },
+            );
+        }
+    }
+}
+
+impl Drop for Escalated<'_> {
+    /// Frees the token; the lock guard, dropped after this, wakes the
+    /// commits that wait for it.
+    fn drop(&mut self) {
+        self.inner.serial.holder.store(0, Ordering::Relaxed);
+    }
+}
+
 pub(crate) struct DbInner {
     pub(crate) options: DbOptions,
     pub(crate) mvcc: ArenaStore,
     decision: DecisionLock,
+    serial: SerialToken,
     /// The shared timestamp counter: lock-free starts, commits drawn under
     /// the decision lock.
     pub(crate) ts: Arc<SharedTimestampSource>,
@@ -330,6 +401,7 @@ impl Db {
                 options,
                 mvcc,
                 decision,
+                serial: SerialToken::default(),
                 ts,
                 registry,
                 pipeline,
@@ -527,6 +599,17 @@ impl Db {
     /// itself — abort the loop. At most `max_retries` retries are attempted
     /// before the last conflict error is returned.
     ///
+    /// A retried transaction must not fail again for the same cause, where
+    /// backoff alone cannot promise it: while the victim sleeps, its rival
+    /// runs alone. So after [`ESCALATE_AFTER`] failed attempts, if a retry
+    /// remains, the run takes the store's one serial token — waiting while
+    /// another run holds it — and keeps it until it returns. While it is
+    /// held, every other write commit waits before its decision, and the
+    /// commits decided before it publish before the holder's snapshot is
+    /// taken; so the escalated attempt meets no concurrent writer. Its body
+    /// must not wait for another write commit of this database, its own
+    /// included: that commit would wait for the token.
+    ///
     /// # Example
     ///
     /// ```
@@ -548,7 +631,11 @@ impl Db {
     /// # Errors
     ///
     /// Whatever `body` returns, [`Error::Aborted`] once retries are
-    /// exhausted, or any non-retryable commit failure.
+    /// exhausted, or any non-retryable commit failure. An escalated attempt
+    /// cannot abort on a write-write or read-write conflict or an SSI
+    /// dangerous structure; only a WAL quorum loss ([`Error::Wal`]) fails
+    /// its commit. So with `max_retries ≥ ESCALATE_AFTER`, a conflict abort
+    /// is never returned.
     pub fn run<T>(
         &self,
         max_retries: usize,
@@ -556,9 +643,16 @@ impl Db {
     ) -> Result<T> {
         let mut retries = 0u32;
         let mut last_abort: Option<AbortReason> = None;
+        let mut serial: Option<Escalated<'_>> = None;
         loop {
+            if serial.is_none() && retries as usize >= ESCALATE_AFTER {
+                serial = Some(self.escalate());
+            }
             let mut txn = self.begin();
             let start_ts = txn.start_ts();
+            if let Some(serial) = &serial {
+                serial.hold_for(start_ts, retries + 1);
+            }
             let value = match body(&mut txn) {
                 Ok(v) => v,
                 Err(e) => {
@@ -604,6 +698,36 @@ impl Db {
                     return Err(e);
                 }
             }
+        }
+    }
+
+    /// Takes the serial token, waiting while another run holds it, then
+    /// takes and drops the decision lock once: every write commit that
+    /// passed the token check before has decided, and every later one finds
+    /// the token held and waits. The caller begins after this, so the
+    /// snapshot-stability gate waits for the decided commits to publish.
+    fn escalate(&self) -> Escalated<'_> {
+        let inner = &*self.inner;
+        let held = inner.serial.lock.lock();
+        inner.serial.holder.store(UNBEGUN, Ordering::Relaxed);
+        drop(inner.decision.lock());
+        inner.obs.escalations.inc();
+        Escalated { inner, _held: held }
+    }
+
+    /// Takes the decision lock for the write commit of the transaction
+    /// begun at `start_ts`. A commit that finds the serial token held by
+    /// another transaction drops the lock, blocks until the token is
+    /// released and tries again; it waits holding no decision lock, so the
+    /// holder's commit is never behind it.
+    fn decision_lock(&self, start_ts: Timestamp) -> SpinMutexGuard<'_, ()> {
+        loop {
+            let decision = self.inner.decision.lock();
+            if self.inner.serial.admits(start_ts) {
+                return decision;
+            }
+            drop(decision);
+            drop(self.inner.serial.lock.lock());
         }
     }
 
@@ -693,7 +817,7 @@ impl Db {
         // recording it, under the decision lock. No WAL I/O in here.
         let decide_began_us = self.inner.now_us();
         let decision: Result<Timestamp> = {
-            let _decision = self.inner.decision.lock();
+            let _decision = self.decision_lock(start_ts);
             // SSI: the write-write check above is its SI base; the window,
             // locked only once that passed, holds the rest. It stays locked
             // until the commit timestamp is issued so its entries are in
@@ -1648,5 +1772,129 @@ mod tests {
             cut.census.commits, 5,
             "the census counts what the cut drops"
         );
+    }
+
+    const LEVELS: [IsolationLevel; 3] = [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ];
+
+    /// Commits a write of `key` in a transaction of its own.
+    fn write(db: &Db, key: &[u8], value: &[u8]) -> Timestamp {
+        let mut t = db.begin();
+        t.put(key, value);
+        t.commit().unwrap()
+    }
+
+    /// One attempt of a contended run, its `calls`th: reads and writes `k`.
+    /// The first [`ESCALATE_AFTER`] attempts also commit a rival write of
+    /// `k` before they return, which aborts them at every level. Returns
+    /// whether this attempt is the escalated one.
+    fn contended(db: &Db, t: &mut Transaction, calls: &mut usize) -> bool {
+        *calls += 1;
+        let _ = t.get(b"k");
+        t.put(b"k", calls.to_string().as_bytes());
+        if *calls <= ESCALATE_AFTER {
+            write(db, b"k", b"rival");
+        }
+        *calls > ESCALATE_AFTER
+    }
+
+    /// Whether nobody holds the serial token.
+    fn released(db: &Db) -> bool {
+        let serial = &db.inner.serial;
+        serial.holder.load(Ordering::Relaxed) == 0 && serial.lock.try_lock().is_some()
+    }
+
+    /// While the token is held, a write commit waits before its decision:
+    /// its version is in the store, but no commit is counted. It decides
+    /// once the holder has committed and released the token.
+    #[test]
+    fn a_write_commit_waits_for_the_serial_token_and_commits_after_its_holder() {
+        for level in LEVELS {
+            let db = Db::open(DbOptions::new(level));
+            write(&db, b"k", b"0");
+            let token = db.escalate();
+            let mut holder = db.begin();
+            token.hold_for(holder.start_ts(), ESCALATE_AFTER as u32 + 1);
+            let _ = holder.get(b"k");
+            holder.put(b"k", b"holder");
+            let versions = db.stats().versions;
+            let commits = db.stats().oracle.commits;
+            std::thread::scope(|s| {
+                let rival = s.spawn(|| write(&db, b"other", b"rival"));
+                while db.stats().versions == versions {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(!rival.is_finished(), "{level}: the rival waits");
+                assert_eq!(db.stats().oracle.commits, commits, "{level}: undecided");
+                let held = holder.commit().expect("the holder commits");
+                drop(token);
+                let rival = rival.join().expect("the rival commits");
+                assert!(held < rival, "{level}: the rival decided after the holder");
+            });
+            assert!(released(&db));
+        }
+    }
+
+    /// A run whose first [`ESCALATE_AFTER`] attempts each meet a
+    /// conflicting commit takes the token for the next, if a retry remains,
+    /// and that attempt commits.
+    #[test]
+    fn an_escalated_attempt_commits() {
+        for level in LEVELS {
+            let db = Db::open(DbOptions::new(level));
+            let mut calls = 0;
+            let refused = db.run(ESCALATE_AFTER - 1, |t| {
+                contended(&db, t, &mut calls);
+                Ok(())
+            });
+            assert!(matches!(refused, Err(Error::Aborted(_))), "{level}");
+            assert_eq!(db.inner.obs.escalations.get(), 0, "no retry was left");
+            let mut calls = 0;
+            db.run(ESCALATE_AFTER, |t| {
+                contended(&db, t, &mut calls);
+                Ok(())
+            })
+            .expect("the escalated attempt commits");
+            let attempts = ESCALATE_AFTER as u32 + 1;
+            assert_eq!(db.last_txn_report().map(|r| r.attempts), Some(attempts));
+            assert_eq!(db.inner.obs.escalations.get(), 1, "{level}");
+            assert!(released(&db));
+            let mut r = db.begin();
+            assert_eq!(r.get(b"k").as_deref(), Some(&b"9"[..]), "{level}");
+        }
+    }
+
+    /// The token goes with the run however it returns: with the body's
+    /// error, or by a panic out of the body.
+    #[test]
+    fn a_failing_body_releases_the_serial_token() {
+        for level in LEVELS {
+            let db = Db::open(DbOptions::new(level));
+            let own = Error::Corrupt("the body's own error".into());
+            let mut calls = 0;
+            let failed = db.run(ESCALATE_AFTER, |t| {
+                if contended(&db, t, &mut calls) {
+                    return Err(own.clone());
+                }
+                Ok(())
+            });
+            assert_eq!(failed, Err(own.clone()), "{level}");
+            assert!(released(&db), "{level}: released after an error");
+            let mut calls = 0;
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                db.run(ESCALATE_AFTER, |t| {
+                    assert!(!contended(&db, t, &mut calls), "the body panics");
+                    Ok(())
+                })
+            }));
+            assert!(panicked.is_err(), "{level}");
+            assert!(released(&db), "{level}: released after a panic");
+            assert_eq!(db.inner.obs.escalations.get(), 2, "{level}");
+            write(&db, b"k", b"after");
+        }
     }
 }

@@ -64,7 +64,7 @@ mod registry;
 mod snapshot;
 mod txn;
 
-pub use db::{Db, DbOptions, DbStats, TxnReport};
+pub use db::{Db, DbOptions, DbStats, TxnReport, ESCALATE_AFTER};
 pub use error::{Error, Result};
 pub use mvcc::{GcStats, ReclamationStats, VersionStamps};
 pub use record::{

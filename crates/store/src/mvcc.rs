@@ -115,14 +115,8 @@ pub struct ReclamationStats {
     pub freed: u64,
     /// Versions retired but not yet below the watermark (`retired - freed`).
     pub limbo: u64,
-    /// Arena chunks allocated (single-version and packed-node chunks).
+    /// Arena chunks allocated, over every slot size class.
     pub chunks: u64,
-    /// Chains migrated from single-version nodes into packed multi-version
-    /// nodes (lifetime total).
-    pub migrations: u64,
-    /// Packed multi-version nodes retired whole (each also counts once in
-    /// `retired`).
-    pub packed_retired: u64,
 }
 
 #[cfg(test)]

@@ -30,37 +30,25 @@
 //!    update freedom for the exact acquire/release protocol the spin stub
 //!    implements (CAS-acquire, store-release, yield after a spin budget):
 //!    the protocol of the `Db`'s decision lock (`db::DecisionLock`).
-//! 4. **Packed-node occupancy claims vs. concurrent readers** — the
-//!    adaptive arena's in-node publish path (`arena::ArenaStore::try_claim`): claim
-//!    indices are unique, an entry is never readable before it is
-//!    initialized (the ready bit is set with a Release `fetch_or` only
-//!    after the entry is built), the ready mask is monotone, and sealing
-//!    stops further claims while every pre-seal claim still publishes.
-//! 5. **Chain migration vs. a reader standing mid-chain** — the adaptive
-//!    arena's attach-then-unlink restructure (`arena::migrate_entry`):
-//!    every committed version stays reachable from the head throughout the
-//!    splice, and a reader parked on an unlinked single still reaches every
-//!    version at or below its position because unlinked nodes keep their
-//!    forward links until the watermark passes them (DESIGN.md §6).
-//! 6. **Chain-head table growth vs. a concurrent reader** — the
+//! 4. **Chain-head table growth vs. a concurrent reader** — the
 //!    generation protocol of `arena::ChainHeadTable`: a reader that loaded
 //!    any generation, before or after a growth, finds every key that
 //!    existed when it started, because growth copies every entry into the
 //!    next generation before the `Release` store that makes it current and
 //!    old generations are never modified again (DESIGN.md §6).
-//! 7. **Dirty-flag worklist vs. a concurrent sweep** — the GC's
+//! 5. **Dirty-flag worklist vs. a concurrent sweep** — the GC's
 //!    clear-before-examine handshake (`arena::mark_dirty` / `arena::gc`):
 //!    whatever the interleaving, a version published while a sweep runs is
 //!    either seen by that sweep's examination or leaves the entry flagged
 //!    and queued for the next one — never neither (DESIGN.md §6).
-//! 8. **The commit pipeline's spin-then-park hand-off** — the one way to
+//! 6. **The commit pipeline's spin-then-park hand-off** — the one way to
 //!    wait in `pipeline.rs` (`CommitPipeline::wait_round`) against the end
 //!    of a flush round: generation read under the lock → spin with no lock
 //!    → re-check under the lock → park, versus bump under the lock →
 //!    notify only if somebody is counted parked. A waiter never parks once
 //!    its condition holds, and a parked waiter is woken by the round that
 //!    bumps its generation — so every waiter returns (DESIGN.md §5).
-//! 9. **The stamp re-read vs. an owner that deregisters** — a snapshot
+//! 7. **The stamp re-read vs. an owner that deregisters** — a snapshot
 //!    read of an unstamped version (`arena::Version::fate`): the reader
 //!    loads the stamp, looks the writer's fate up in its registry entry,
 //!    and re-loads the stamp when the entry does not answer committed; the
@@ -70,16 +58,16 @@
 //!    (DESIGN.md §6). Without the re-load
 //!    (`stamp_reread_model(false)`) the model fails within tier 1's 32
 //!    schedules.
-//! 10. **Commit, begin and read on the registry lock** — a commit without
-//!     a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and records
-//!     its fate under the registry lock; a begin draws its snapshot from
-//!     the same counter under that lock; a read looks the writer's fate up
-//!     under it too. A snapshot `S` sees the commit iff `commit_ts < S`: an
-//!     `S` drawn after `commit_ts` was drawn inside the commit's critical
-//!     section, so the lookup waits it out (DESIGN.md §5). With the
-//!     timestamp drawn before the lock (`registry_commit_model(true)`) a
-//!     reader draws `S > commit_ts` and reads the fate still pending: the
-//!     model fails.
+//! 8. **Commit, begin and read on the registry lock** — a commit without
+//!    a WAL (`ActiveTxnRegistry::commit`) draws its timestamp and records
+//!    its fate under the registry lock; a begin draws its snapshot from
+//!    the same counter under that lock; a read looks the writer's fate up
+//!    under it too. A snapshot `S` sees the commit iff `commit_ts < S`: an
+//!    `S` drawn after `commit_ts` was drawn inside the commit's critical
+//!    section, so the lookup waits it out (DESIGN.md §5). With the
+//!    timestamp drawn before the lock (`registry_commit_model(true)`) a
+//!    reader draws `S > commit_ts` and reads the fate still pending: the
+//!    model fails.
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -445,307 +433,6 @@ fn spin_tas_lock_is_mutually_exclusive() {
     });
 }
 
-/// Packed-node capacity for protocol model 4 (scaled down from
-/// `arena::PACK_CAP` so the schedule space stays tractable).
-const PCAP: u64 = 4;
-
-/// Sealed flag in the occupancy word's claim half (mirrors
-/// `arena::SEALED`, shifted down to the model's word layout).
-const P_SEALED: u64 = 1 << 31;
-
-/// Claim-count mask (mirrors `arena::CLAIM_MASK`).
-const P_CLAIMS: u64 = P_SEALED - 1;
-
-/// Protocol 4: the packed node's single-word occupancy protocol. The word
-/// packs `ready_bitmask << 32 | (SEALED | claim_count)`; writers claim an
-/// index by CAS-bumping the count, initialize their entry, then publish it
-/// with a Release `fetch_or` of the ready bit. Readers take the Acquire-
-/// loaded ready mask as the only license to touch entries. A sealer flips
-/// `SEALED` concurrently; claims that lost to the seal must not land.
-#[test]
-fn packed_node_claims_are_unique_initialized_and_seal_bounded() {
-    const WRITERS: usize = 2;
-    const TRIES: u64 = 3;
-    loom::model(|| {
-        let occ = Arc::new(AtomicU64::new(0));
-        // Per-entry commit stamp: 0 = uninitialized. Only written by the
-        // claim winner, only read under a set ready bit.
-        let cts: Arc<Vec<AtomicU64>> = Arc::new((0..PCAP).map(|_| AtomicU64::new(0)).collect());
-        // Claim-uniqueness witness: swapping in a writer tag must see 0.
-        let claimed_by: Arc<Vec<AtomicU64>> =
-            Arc::new((0..PCAP).map(|_| AtomicU64::new(0)).collect());
-
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let occ = Arc::clone(&occ);
-                let cts = Arc::clone(&cts);
-                let claimed_by = Arc::clone(&claimed_by);
-                thread::spawn(move || {
-                    for t in 0..TRIES {
-                        // Mirrors `arena::ArenaStore::try_claim`.
-                        let idx = loop {
-                            let o = occ.load(Ordering::Acquire);
-                            let claims = o & P_CLAIMS;
-                            if o & P_SEALED != 0 || claims >= PCAP {
-                                break None;
-                            }
-                            if occ
-                                .compare_exchange_weak(
-                                    o,
-                                    o + 1,
-                                    Ordering::Acquire,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                break Some(claims);
-                            }
-                        };
-                        let Some(idx) = idx else { return };
-                        assert_eq!(
-                            claimed_by[idx as usize].swap(w as u64 + 1, Ordering::SeqCst),
-                            0,
-                            "claim index {idx} handed out twice"
-                        );
-                        // Build the entry, then publish its ready bit with
-                        // Release — the ordering the reader relies on.
-                        cts[idx as usize].store(100 * (w as u64 + 1) + t, Ordering::Relaxed);
-                        occ.fetch_or(1 << (32 + idx), Ordering::Release);
-                    }
-                })
-            })
-            .collect();
-
-        let sealer = {
-            let occ = Arc::clone(&occ);
-            thread::spawn(move || {
-                thread::yield_now();
-                // Mirrors `arena::ArenaStore::seal`: stop new claims, then
-                // wait for every granted claim to publish its ready bit.
-                let o = occ.fetch_or(P_SEALED, Ordering::AcqRel);
-                let claims = o & P_CLAIMS;
-                let mut spins = 0u32;
-                loop {
-                    let now = occ.load(Ordering::Acquire);
-                    if (now >> 32).count_ones() as u64 >= claims {
-                        break;
-                    }
-                    spins += 1;
-                    assert!(spins < 100_000, "granted claim never published");
-                    thread::yield_now();
-                }
-            })
-        };
-
-        let reader = {
-            let occ = Arc::clone(&occ);
-            let cts = Arc::clone(&cts);
-            thread::spawn(move || {
-                let mut last_ready = 0u64;
-                for _ in 0..6 {
-                    let o = occ.load(Ordering::Acquire);
-                    let ready = o >> 32;
-                    assert_eq!(
-                        ready & !last_ready & last_ready,
-                        0,
-                        "ready bits never clear"
-                    );
-                    assert!(ready & last_ready == last_ready, "ready mask is monotone");
-                    assert!(
-                        (ready.count_ones() as u64) <= (o & P_CLAIMS),
-                        "more ready entries than claims"
-                    );
-                    for i in 0..PCAP {
-                        if ready & (1 << i) != 0 {
-                            // The Release fetch_or publishes the entry: a
-                            // set ready bit means a fully built entry.
-                            assert_ne!(
-                                cts[i as usize].load(Ordering::Relaxed),
-                                0,
-                                "ready entry {i} read uninitialized"
-                            );
-                        }
-                    }
-                    last_ready = ready;
-                }
-            })
-        };
-
-        for w in writers {
-            w.join().unwrap();
-        }
-        sealer.join().unwrap();
-        reader.join().unwrap();
-
-        // Quiescent: the node is sealed, every granted claim published, and
-        // no claim landed past the seal (CAS success implies the loaded old
-        // value carried no SEALED bit).
-        let o = occ.load(Ordering::SeqCst);
-        let claims = o & P_CLAIMS;
-        assert_ne!(o & P_SEALED, 0, "sealed");
-        assert!(claims <= PCAP, "claims bounded by capacity");
-        assert_eq!(
-            (o >> 32).count_ones() as u64,
-            claims,
-            "every granted claim published exactly one ready bit"
-        );
-        for i in 0..claims {
-            assert_ne!(
-                cts[i as usize].load(Ordering::SeqCst),
-                0,
-                "claimed entry {i} left uninitialized"
-            );
-        }
-    });
-}
-
-/// Singles in protocol model 5's chain (head = index 3, tail = index 0).
-const M_SINGLES: usize = 4;
-
-/// Packed-pointer tag for model 5 (mirrors `arena::PACKED_TAG`: bit 31 of
-/// the handle distinguishes packed nodes from single slots).
-const M_PTAG: u64 = 1 << 31;
-
-/// Protocol 5: attach-then-unlink chain migration. The chain starts as four
-/// stamped singles `3 → 2 → 1 → 0 → NULL` (commit stamp of single `i` is
-/// `10·(i+1)`). The migrator packs the suffix `[1, 0]` into a packed node
-/// whose `next` copies the suffix tail's `next` (attach), then splices the
-/// node in with one Release store to `single[2].next` (unlink). The
-/// unlinked singles are *not* touched: their stamps and forward links stay
-/// intact until the watermark passes them (model 2) and they are freed.
-/// Two readers check both halves of the safety argument in DESIGN.md §6:
-///
-/// * a head walker always finds every committed stamp `{40, 30, 20, 10}`,
-///   mid-splice included;
-/// * a reader standing on single 1 — the stale position a concurrent walk
-///   can legitimately hold while the splice happens — still reaches every
-///   stamp at or below its position (`{20, 10}`) through the old links.
-#[test]
-fn chain_migration_keeps_every_version_reachable() {
-    loom::model(|| {
-        // Single slots: committed_at preset (all stamped — `migrate_entry`
-        // only moves stamped singles), next links 3→2→1→0→NULL.
-        let singles: Arc<Vec<Slot>> = Arc::new(
-            (0..M_SINGLES)
-                .map(|i| {
-                    let s = Slot::vacant();
-                    s.writer_start.store(i as u64 + 1, Ordering::Relaxed);
-                    s.committed_at.store(10 * (i as u64 + 1), Ordering::Relaxed);
-                    s.next
-                        .store(if i == 0 { NULL } else { i as u64 - 1 }, Ordering::Relaxed);
-                    s
-                })
-                .collect(),
-        );
-        let head = Arc::new(AtomicU64::new(3));
-        // The packed replacement node: stamps sorted descending (the
-        // in-node binary-search order), count, and a chain link.
-        let packed_cts: Arc<Vec<AtomicU64>> = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
-        let packed_next = Arc::new(AtomicU64::new(NULL));
-
-        // Walks the chain from `start`, collecting commit stamps.
-        let collect =
-            |start: u64, singles: &[Slot], packed_cts: &[AtomicU64], packed_next: &AtomicU64| {
-                let mut stamps = Vec::new();
-                let mut cur = start;
-                let mut hops = 0;
-                while cur != NULL {
-                    hops += 1;
-                    assert!(hops <= M_SINGLES + 1, "splice created a cycle");
-                    if cur & M_PTAG != 0 {
-                        for c in packed_cts {
-                            let v = c.load(Ordering::Acquire);
-                            assert_ne!(v, 0, "reachable packed entry is initialized");
-                            stamps.push(v);
-                        }
-                        cur = packed_next.load(Ordering::Acquire);
-                    } else {
-                        let slot = &singles[cur as usize];
-                        stamps.push(slot.committed_at.load(Ordering::Acquire));
-                        cur = slot.next.load(Ordering::Acquire);
-                    }
-                }
-                stamps
-            };
-
-        let migrator = {
-            let singles = Arc::clone(&singles);
-            let packed_cts = Arc::clone(&packed_cts);
-            let packed_next = Arc::clone(&packed_next);
-            thread::spawn(move || {
-                // Build the packed node fully before attaching: stamps of
-                // singles 1 and 0, descending, and the suffix tail's next.
-                packed_cts[0].store(20, Ordering::Relaxed);
-                packed_cts[1].store(10, Ordering::Relaxed);
-                packed_next.store(singles[0].next.load(Ordering::Acquire), Ordering::Relaxed);
-                thread::yield_now(); // widen the attach/splice window
-                                     // Splice: one Release store redirects the predecessor. The
-                                     // unlinked singles keep their stamps and links untouched.
-                singles[2].next.store(M_PTAG | 1, Ordering::Release);
-            })
-        };
-
-        let head_walker = {
-            let singles = Arc::clone(&singles);
-            let head = Arc::clone(&head);
-            let packed_cts = Arc::clone(&packed_cts);
-            let packed_next = Arc::clone(&packed_next);
-            thread::spawn(move || {
-                for _ in 0..6 {
-                    let mut stamps = collect(
-                        head.load(Ordering::Acquire),
-                        &singles,
-                        &packed_cts,
-                        &packed_next,
-                    );
-                    stamps.sort_unstable_by(|a, b| b.cmp(a));
-                    assert_eq!(
-                        stamps,
-                        vec![40, 30, 20, 10],
-                        "a committed version vanished mid-migration"
-                    );
-                }
-            })
-        };
-
-        let stale_reader = {
-            let singles = Arc::clone(&singles);
-            let packed_cts = Arc::clone(&packed_cts);
-            let packed_next = Arc::clone(&packed_next);
-            thread::spawn(move || {
-                // Parked on single 1 — captured from a walk that started
-                // before the splice. Its view of the suffix must survive
-                // the restructure.
-                for _ in 0..4 {
-                    let stamps = collect(1, &singles, &packed_cts, &packed_next);
-                    assert_eq!(
-                        stamps,
-                        vec![20, 10],
-                        "an unlinked single lost its forward view"
-                    );
-                    thread::yield_now();
-                }
-            })
-        };
-
-        migrator.join().unwrap();
-        head_walker.join().unwrap();
-        stale_reader.join().unwrap();
-
-        // Quiescent: the spliced chain is 3 → 2 → packed[20,10] → NULL and
-        // the packed node took over exactly the migrated suffix.
-        let stamps = collect(
-            head.load(Ordering::SeqCst),
-            &singles,
-            &packed_cts,
-            &packed_next,
-        );
-        assert_eq!(stamps, vec![40, 30, 20, 10]);
-        assert_eq!(singles[2].next.load(Ordering::SeqCst), M_PTAG | 1);
-        assert_eq!(packed_next.load(Ordering::SeqCst), NULL);
-    });
-}
-
 /// log₂ slots of the modelled table's first generation.
 const T_MIN_BITS: u32 = 2;
 
@@ -829,7 +516,7 @@ impl HeadTable {
     }
 }
 
-/// Protocol 6: a creator inserts keys through several table growths while
+/// Protocol 4: a creator inserts keys through several table growths while
 /// a reader keeps looking up keys that existed before it started, and keys
 /// the creator has told it about. Neither may ever be reported absent.
 #[test]
@@ -883,10 +570,10 @@ fn head_table_growth_never_hides_an_existing_key() {
     });
 }
 
-/// Versions the publisher pushes in protocol model 7.
+/// Versions the publisher pushes in protocol model 5.
 const W_PUBLISHED: u32 = 4;
 
-/// Protocol 7: one key entry, reduced to a published-version count, its
+/// Protocol 5: one key entry, reduced to a published-version count, its
 /// dirty flag and the worklist. The publisher publishes, then flags
 /// (queueing on the clean → dirty transition); the sweep drains the queue
 /// and, per entry, clears the flag *before* it examines the chain. At
@@ -960,7 +647,7 @@ fn dirty_flag_worklist_never_loses_a_publish() {
     });
 }
 
-/// Flush rounds the leader runs in protocol model 8.
+/// Flush rounds the leader runs in protocol model 6.
 const H_ROUNDS: u64 = 4;
 
 /// Spin turns a modelled waiter takes before it parks: scaled down from
@@ -975,7 +662,7 @@ struct HandoffInner {
     parked: usize,
 }
 
-/// Protocol 8: two waiters and a leader over the pipeline's hand-off. Each
+/// Protocol 6: two waiters and a leader over the pipeline's hand-off. Each
 /// waiter needs a number of rounds to have ended and waits for them the way
 /// `wait_round` does; the leader ends [`H_ROUNDS`] rounds the way
 /// `sync_flush_round` does, paying for a `notify_all` only when it counts a
@@ -1078,7 +765,7 @@ fn pipeline_handoff_wakes_every_parked_waiter() {
 /// timestamp otherwise.
 type Registry = Mutex<std::collections::BTreeMap<u64, u64>>;
 
-/// Protocol 9 with the reader's stamp re-read on or off. The writer
+/// Protocol 7 with the reader's stamp re-read on or off. The writer
 /// (start 1) committed at 2, its fate set in its registry entry, still
 /// unstamped and registered; the reader holds snapshot 3. The owner stamps
 /// and deregisters; the reader resolves the version the way
@@ -1152,7 +839,7 @@ fn a_snapshot_read_without_the_re_read_misses_the_commit() {
     stamp_reread_model(false);
 }
 
-/// Protocol 10. The writer (start 1, registered) commits while a reader
+/// Protocol 8. The writer (start 1, registered) commits while a reader
 /// begins and reads the writer's fate. `planted` draws the commit
 /// timestamp before taking the registry lock.
 fn registry_commit_model(planted: bool) {

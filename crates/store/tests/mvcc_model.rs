@@ -452,8 +452,8 @@ proptest! {
 /// Every length of [`LENGTHS`] on every key, mixed with tombstones: one
 /// transaction after another reads each key, then rewrites it at the next
 /// length or deletes it, and scans everything. So every length is read
-/// back in a later snapshot, through chains long enough to migrate into
-/// packed nodes, with sweeps in between that free what was superseded.
+/// back in a later snapshot, through chains of many versions, with sweeps
+/// in between that free what was superseded.
 #[test]
 fn every_value_length_reads_back_across_overwrites_and_tombstones() {
     let txns: Vec<Vec<Step>> = (0..LENGTHS.len())
@@ -540,11 +540,11 @@ fn read_only_anomaly_plans_match_the_model() {
     }
 }
 
-/// A hot-key history long enough to cross the migration threshold many
-/// times over (the proptest plans above are too short to migrate
-/// reliably): the packed-node read, stamp and GC paths against the model.
+/// A hot-key history far longer than the proptest plans draw: a chain of
+/// 200 versions, read, stamped and swept against the model, then swept
+/// down to its newest version once the old snapshot ends.
 #[test]
-fn hot_key_history_matches_the_model_after_migration() {
+fn hot_key_history_matches_the_model() {
     let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
     let mut model = Model::default();
     // An old snapshot holds the watermark below everything, so neither
@@ -563,7 +563,6 @@ fn hot_key_history_matches_the_model_after_migration() {
         let commit = txn.commit().expect("uncontended single writer");
         model.apply(shadow, commit.raw());
     }
-    assert!(db.reclamation().migrations >= 1, "the hot chain migrated");
     assert!(pin.scan(b"", None, usize::MAX).is_empty());
     gc_and_check(&db, &model, pin.start_ts().raw());
     assert_eq!(db.stats().versions, 400, "the old snapshot pins them all");
@@ -573,7 +572,10 @@ fn hot_key_history_matches_the_model_after_migration() {
     assert_eq!((db.stats().keys, db.stats().versions), (6, 6));
     let rec = db.reclamation();
     assert_eq!(rec.retired, rec.freed + rec.limbo);
-    assert!(rec.packed_retired > 0, "the sweep emptied packed nodes");
+    assert_eq!(
+        rec.retired, 394,
+        "the sweep retired every superseded version"
+    );
 }
 
 /// The abort path leaves no stamp behind: a conflict-aborted writer's

@@ -15,6 +15,7 @@ use std::thread;
 use wsi_core::IsolationLevel;
 use wsi_store::{
     decode_record, Cause, Db, DbOptions, Event, EventData, LogSuffix, StoreRecord, WalCensus,
+    ESCALATE_AFTER,
 };
 use wsi_wal::LedgerConfig;
 
@@ -302,18 +303,16 @@ fn wsi_checks_twice_the_rows_si_checks_and_records_the_same() {
     }
 }
 
-/// Identity 6: chain-migration metrics reconcile. A hot-key
-/// workload long enough to cross the migration threshold must export
-/// `store_chain_migrations_total` equal to `ReclamationStats::migrations`,
-/// a non-empty `store_chain_len` histogram (one sample per publish), and —
-/// because every migration's unlinked singles and every emptied packed
-/// node retire through the same limbo list — the retired/freed/limbo
-/// identity must still balance with `packed_retired` folded in.
+/// Identity 6: chain metrics reconcile. A single-threaded hot-key
+/// workload, long enough for the tick to note a watermark, must show
+/// insert-time pruning in `store_arena_inline_pruned_total`, a
+/// `store_chain_len` histogram with one sample per publish, every pruned
+/// and swept version flowing through the retired/freed/limbo identity, and
+/// `store_chain_migrations_total` still registered at 0: no chain
+/// migrates, one node kind is left.
 #[test]
-fn migration_metrics_reconcile() {
+fn chain_metrics_reconcile() {
     let db = Arc::new(Db::open(DbOptions::new(IsolationLevel::WriteSnapshot)));
-    // Single-threaded hot-key hammering: every commit stamps eagerly, so
-    // chains are all-stamped and migrate deterministically.
     for i in 0u32..300 {
         let mut txn = db.begin();
         txn.put(b"hot-a", format!("a{i}").as_bytes());
@@ -323,25 +322,21 @@ fn migration_metrics_reconcile() {
     let _ = db.gc();
 
     let rec = db.reclamation();
-    assert!(rec.migrations > 0, "hot chains migrated");
-    assert!(rec.packed_retired > 0, "GC retired emptied packed nodes");
+    let snap = db.obs_snapshot().expect("obs enabled by default");
+    assert!(
+        snap.counters["store_arena_inline_pruned_total"] > 0,
+        "hot chains were pruned between sweeps"
+    );
     assert_eq!(
         rec.retired,
         rec.freed + rec.limbo,
-        "migration-unlinked singles and retired packed nodes all flow \
-         through the limbo accounting"
-    );
-
-    let snap = db.obs_snapshot().expect("obs enabled by default");
-    assert_eq!(
-        snap.counters.get("store_chain_migrations_total"),
-        Some(&rec.migrations),
-        "exported migration counter equals ReclamationStats"
+        "pruned and swept versions all flow through the limbo accounting"
     );
     assert_eq!(
         snap.counters.get("store_versions_retired_total"),
         Some(&rec.retired)
     );
+    assert_eq!(snap.counters.get("store_chain_migrations_total"), Some(&0));
     let chain_len = snap
         .histograms
         .get("store_chain_len")
@@ -350,14 +345,68 @@ fn migration_metrics_reconcile() {
         chain_len.count, 600,
         "one chain-length sample per published version"
     );
-    let occupancy = snap
-        .histograms
-        .get("store_packed_node_occupancy")
-        .expect("occupancy histogram registered");
-    assert_eq!(
-        occupancy.count, rec.packed_retired,
-        "one occupancy sample per retired packed node"
-    );
+}
+
+/// One `Db::run` that starves: its first `ESCALATE_AFTER` attempts each
+/// meet a rival commit of the key they read and write, and the next one,
+/// which holds the serial token, commits.
+fn starve(db: &Db) {
+    let mut calls = 0;
+    db.run(ESCALATE_AFTER, |t| {
+        calls += 1;
+        let _ = t.get(b"k");
+        t.put(b"k", b"starved");
+        if calls <= ESCALATE_AFTER {
+            let mut rival = db.begin();
+            rival.put(b"k", b"rival");
+            rival.commit().expect("the rival commits");
+        }
+        Ok(())
+    })
+    .expect("the escalated attempt commits");
+}
+
+/// Escalations reconcile at every level: `store_escalations_total` equals
+/// the journal's `Escalate` events, and each follows the `Retry` events of
+/// the `ESCALATE_AFTER` attempts its run had failed.
+#[test]
+fn escalations_reconcile_with_the_journal() {
+    for isolation in [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ] {
+        let db = Db::open(DbOptions::new(isolation));
+        starve(&db);
+        starve(&db);
+        let snap = db.obs_snapshot().expect("obs enabled by default");
+        let events = db.journal().expect("journal").snapshot();
+        let mut escalations = 0;
+        let mut retries = Vec::new();
+        for e in &events {
+            match e.data {
+                EventData::Retry { attempt } => retries.push(attempt),
+                EventData::Escalate { attempt } => {
+                    escalations += 1;
+                    let expected: Vec<u64> = (1..=ESCALATE_AFTER as u64).collect();
+                    assert_eq!(retries, expected, "{isolation:?}: the retries before");
+                    assert_eq!(attempt, ESCALATE_AFTER as u64 + 1, "{isolation:?}");
+                    retries.clear();
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            retries.is_empty(),
+            "{isolation:?}: no retry after escalating"
+        );
+        assert_eq!(escalations, 2, "{isolation:?}");
+        assert_eq!(
+            snap.counters.get("store_escalations_total"),
+            Some(&escalations),
+            "{isolation:?}"
+        );
+    }
 }
 
 /// Identity 7: the worklist GC's own series reconcile. A sweep visits at

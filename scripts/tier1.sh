@@ -52,13 +52,19 @@ cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
 # under the binary's value, identity and steady-state checks.
 cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
   --workload uniform_complex_sync_2t --seed 1 --seconds 1 --trace 0 >/dev/null
+# And on hot keys, the one workload that retries: two clients on zipfian
+# keys rewrite the same chains, so insert-time pruning, backoff and the
+# serial token that a starving `Db::run` escalates to run under the value
+# check, which fails the binary on a transaction out of retries
+# (`failed > 0`).
+cargo run --release --quiet -p wsi-bench --bin txn_e2e -- \
+  --workload zipf_complex_2t --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Concurrency protocol models, fast configuration: chain-head CAS publish
 # vs. concurrent readers, watermark reclamation (a retire tag drawn after
 # the unlink) vs. a registered walker, the test-and-set spinlock the
-# oracle's decision lock runs on, the packed-node
-# claim/seal occupancy protocol, the migration splice vs. a mid-chain
-# reader, chain-head table growth vs. a reader, the GC's dirty-flag
+# oracle's decision lock runs on, chain-head table growth vs. a reader,
+# the GC's dirty-flag
 # worklist handshake, the commit pipeline's spin-then-park hand-off
 # (its one mutex-and-condvar protocol), the snapshot read's stamp
 # re-read vs. an owner that deregisters, with its planted no-re-read
